@@ -557,36 +557,6 @@ func BenchmarkOutsourcingOverhead(b *testing.B) {
 	b.ReportMetric(float64(outs.XOR-plain.XOR), "extraXOR")
 }
 
-// BenchmarkAblationApproxMultiplier quantifies the truncated-multiplier
-// design alternative from DESIGN.md: non-XOR gates saved per MAC versus
-// worst-case error (the exact multiplier is used on the inference path).
-func BenchmarkAblationApproxMultiplier(b *testing.B) {
-	f := fixed.Default
-	var exact, approx circuit.Stats
-	for i := 0; i < b.N; i++ {
-		var err error
-		exact, err = circuit.Count(func(cb *circuit.Builder) {
-			x := stdcell.Input(cb, circuit.Garbler, f.Bits())
-			y := stdcell.Input(cb, circuit.Garbler, f.Bits())
-			cb.Outputs(stdcell.MulFixed(cb, x, y, f.FracBits)...)
-		})
-		if err != nil {
-			b.Fatal(err)
-		}
-		approx, err = circuit.Count(func(cb *circuit.Builder) {
-			x := stdcell.Input(cb, circuit.Garbler, f.Bits())
-			y := stdcell.Input(cb, circuit.Garbler, f.Bits())
-			cb.Outputs(stdcell.MulFixedApprox(cb, x, y, f.FracBits, 4)...)
-		})
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.ReportMetric(float64(exact.NonXOR()), "exactNonXOR")
-	b.ReportMetric(float64(approx.NonXOR()), "approxNonXOR")
-	b.ReportMetric(float64(exact.NonXOR()-approx.NonXOR()), "savedNonXOR")
-}
-
 // BenchmarkGarbleGates measures the raw garbler throughput on AND gates.
 func BenchmarkGarbleGates(b *testing.B) {
 	rng := rand.New(rand.NewSource(10))

@@ -237,6 +237,8 @@ func runTable3() {
 			b.Outputs(o...)
 		}
 	}, "0", "228mn-16n = 7232")
+	fmt.Printf("(MULT/MVM vs the paper: %d of MULT's ANDs compute the exact carry out of the %d discarded fraction columns; dropping them needs a truncated product with fixed.Num.Mul changed in lock-step, a numerics decision not taken)\n",
+		f.FracBits*f.FracBits, f.FracBits)
 	e := cordic.New(f)
 	fmt.Printf("(CORDIC schedule: %d iterations incl. range expansion)\n\n", e.Iterations())
 }

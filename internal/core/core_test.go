@@ -2,6 +2,7 @@ package core
 
 import (
 	"math/rand"
+	"strings"
 	"sync"
 	"testing"
 
@@ -165,26 +166,31 @@ func TestOutsourcedInference(t *testing.T) {
 }
 
 func TestBadHelloRejected(t *testing.T) {
-	cConn, sConn, closer := transport.Pipe()
-	defer closer.Close()
-	net := testNet(t, act.ReLU, 8)
-	srv := &Server{Net: net, Fmt: fixed.Default, Rng: rand.New(rand.NewSource(1))}
-	var wg sync.WaitGroup
-	var srvErr error
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		srvErr = srv.Serve(sConn)
-	}()
-	if err := cConn.Send(transport.MsgHello, []byte("bogus/9")); err != nil {
-		t.Fatal(err)
-	}
-	if err := cConn.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	wg.Wait()
-	if srvErr == nil {
-		t.Fatal("server accepted an unknown protocol")
+	// "deepsecure/6" is the previous version: same frames, but its
+	// multiplier netlist differs, so it must be refused here and not fail
+	// label authentication mid-stream.
+	for _, hello := range []string{"bogus/9", "deepsecure/6"} {
+		cConn, sConn, closer := transport.Pipe()
+		net := testNet(t, act.ReLU, 8)
+		srv := &Server{Net: net, Fmt: fixed.Default, Rng: rand.New(rand.NewSource(1))}
+		var wg sync.WaitGroup
+		var srvErr error
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			srvErr = srv.Serve(sConn)
+		}()
+		if err := cConn.Send(transport.MsgHello, []byte(hello)); err != nil {
+			t.Fatal(err)
+		}
+		if err := cConn.Flush(); err != nil {
+			t.Fatal(err)
+		}
+		wg.Wait()
+		closer.Close()
+		if srvErr == nil || !strings.Contains(srvErr.Error(), "unknown protocol") {
+			t.Fatalf("hello %q: server returned %v, want an unknown-protocol error", hello, srvErr)
+		}
 	}
 }
 

@@ -59,7 +59,13 @@ import (
 // instead of MsgArch and close the connection; clients surface it as a
 // retryable *BusyError. Admitted sessions are wire-identical to v5
 // modulo the hello string.
-const protocolHello = "deepsecure/6"
+//
+// Version 7 changes no frame: stdcell.MulFixed became a different (smaller)
+// netlist, so the same architecture compiles to a different gate stream.
+// The hello carries no program digest; without the bump a v6 peer would
+// pass the handshake and fail mid-stream on label authentication instead
+// of being refused here.
+const protocolHello = "deepsecure/7"
 
 // BusyError is returned by NewSession when the server sheds the session
 // at admission (protocol v6 MsgBusy): the server is saturated and asks

@@ -141,3 +141,32 @@ func TestCompiledTapeEvaluates(t *testing.T) {
 		}
 	}
 }
+
+// TestCompiledDepthPinned is the depth half of stdcell's gate-count pins
+// (it lives here because the compiled program does): every level is a
+// barrier the engines pay for, so a multiplier that saved gates by getting
+// deeper would move cost, not remove it. The model is the benchmark's
+// mlp_wan / mlp_batch16 one; 412 levels is what the ripple-row multiplier
+// before the column-compressed array compiled to.
+func TestCompiledDepthPinned(t *testing.T) {
+	net, err := nn.NewNetwork(nn.Vec(16),
+		nn.NewDense(8),
+		nn.NewActivation(act.ReLU),
+		nn.NewDense(4),
+	)
+	if err != nil {
+		t.Fatal(err)
+	}
+	net.InitWeights(rand.New(rand.NewSource(1)))
+	prog, err := Compile(net, fixed.Default, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := prog.Schedule.NumLevels(); got > 412 {
+		t.Errorf("schedule has %d levels, want at most 412", got)
+	}
+	// 128 MACs, 32 post-ReLU MACs, 8 ReLUs, one 4-way argmax.
+	if got, want := prog.Stats.AND, int64(128*495+32*471+8*15+99); got != want {
+		t.Errorf("program has %d non-XOR gates, want %d", got, want)
+	}
+}

@@ -1,131 +1,99 @@
 package stdcell
 
+// Multiplication. MulFixed is the one multiplier: a Baugh-Wooley signed
+// array restricted to the columns the kept bits depend on, reduced column
+// by column. At Q3.12 it costs 480 non-XOR gates (250 partial products +
+// 230 adders); frac² = 144 of them only produce the exact carry out of the
+// discarded fraction columns, which floor(x·y/2^frac) = fixed.Num.Mul
+// requires. Dot and MatVec are MACs over it.
+
 import (
 	"deepsecure/internal/circuit"
 )
 
-// MulWrap returns the low len(x) bits of x*y (two's-complement wrapping
-// product). Both operands must have the same width. The schoolbook
-// construction computes one partial-product row per multiplier bit and
-// accumulates with ripple adders; rows driven by the same wire (e.g. the
-// replicated sign wire after sign extension) share their AND row.
-func MulWrap(b *circuit.Builder, x, y Word) Word {
-	sameWidth(x, y)
-	m := len(x)
-
-	// Cache AND rows keyed by the multiplier-bit wire, so sign-extended
-	// operands don't pay for the same row repeatedly.
-	rowCache := make(map[uint32]Word)
-	row := func(bit uint32) Word {
-		if r, ok := rowCache[bit]; ok {
-			return r
-		}
-		r := make(Word, m)
-		for i := range x {
-			r[i] = b.AND(x[i], bit)
-		}
-		rowCache[bit] = r
-		return r
-	}
-
-	var acc Word
-	for i := 0; i < m; i++ {
-		if y[i] == circuit.WFalse {
-			continue // zero row contributes nothing
-		}
-		var r Word
-		if y[i] == circuit.WTrue {
-			r = x
-		} else {
-			r = row(y[i])
-		}
-		width := m - i
-		if acc == nil {
-			acc = Zeros(b, m)
-			copy(acc[i:], r[:width])
-			continue
-		}
-		sum := Add(b, acc[i:], r[:width])
-		copy(acc[i:], sum)
-	}
-	if acc == nil {
-		return Zeros(b, m)
-	}
-	return acc
-}
-
 // MulFixed returns the fixed-point product of two n-bit words with
 // fracBits fractional bits: bits [fracBits, fracBits+n) of the exact
 // signed product, i.e. floor((x*y)/2^frac) wrapped to n bits — exactly
-// fixed.Num.Mul. Internally both operands are sign-extended to n+fracBits
-// bits (the product mod 2^(n+frac) determines all the bits we keep).
+// fixed.Num.Mul (fracBits = 0 is the plain wrapping product).
+//
+// The product mod 2^m, m = n+fracBits, determines every kept bit, so only
+// the partial products x[i]∧y[j] of columns i+j < m are emitted. The two
+// sign rows weigh −2^(i+j); since −p = ¬p − 1 they enter their column
+// inverted (free) and their −1s, summed here, leave the constant
+// 2^n − 2^(2n−1). A partial product the builder folds to a constant
+// (post-ReLU sign bit, constant weight) joins that constant instead of a
+// column. Columns are then reduced lowest first with 1-AND full adders,
+// each column a FIFO — inputs from the front, sum to the back, carry to
+// the back of the next column — so the adder trees stay balanced.
+// Generation order is fixed: both parties derive the same gate stream.
 func MulFixed(b *circuit.Builder, x, y Word, fracBits int) Word {
 	sameWidth(x, y)
 	n := len(x)
 	m := n + fracBits
-	xe := SignExtend(b, x, m)
-	ye := SignExtend(b, y, m)
-	p := MulWrap(b, xe, ye)
-	return p[fracBits:].Clone()
-}
-
-// MulFixedApprox is the truncated multiplier ablation: partial-product
-// bits whose weight falls below 2^(fracBits-guardBits) are skipped
-// entirely, trading ≤ a-few-ULP error for a large non-XOR reduction. This
-// mirrors the kind of approximation hardware synthesis applies when asked
-// for aggressive area optimization; it is benchmarked against MulFixed in
-// the ablation suite but is not used on the exact inference path.
-func MulFixedApprox(b *circuit.Builder, x, y Word, fracBits, guardBits int) Word {
-	sameWidth(x, y)
-	n := len(x)
-	m := n + fracBits
-	cut := fracBits - guardBits
-	if cut < 0 {
-		cut = 0
+	cols := make([][]uint32, m)
+	ones := make([]int, m+1) // constant addend: count of 1s per column
+	if n < m {
+		ones[n]++
 	}
-	xe := SignExtend(b, x, m)
-	ye := SignExtend(b, y, m)
-
-	rowCache := make(map[uint32]Word)
-	row := func(bit uint32) Word {
-		if r, ok := rowCache[bit]; ok {
-			return r
-		}
-		r := make(Word, m)
-		for i := range xe {
-			r[i] = b.AND(xe[i], bit)
-		}
-		rowCache[bit] = r
-		return r
+	for k := 2*n - 1; k < m; k++ { // −2^(2n−1) mod 2^m
+		ones[k]++
 	}
-
-	acc := Zeros(b, m)
-	for i := 0; i < m; i++ {
-		if ye[i] == circuit.WFalse {
-			continue
+	for i := 0; i < n; i++ {
+		for j := 0; j < n && i+j < m; j++ {
+			p := b.AND(x[i], y[j])
+			if (i == n-1) != (j == n-1) {
+				p = b.INV(p)
+			}
+			switch p {
+			case circuit.WFalse:
+			case circuit.WTrue:
+				ones[i+j]++
+			default:
+				cols[i+j] = append(cols[i+j], p)
+			}
 		}
-		// Keep only product bits with index >= cut: row i contributes to
-		// bit positions i..m-1, so slice the row to start at max(i, cut).
-		start := i
-		if start < cut {
-			start = cut
-		}
-		lo := start - i // first row bit that still matters
-		var r Word
-		if ye[i] == circuit.WTrue {
-			r = xe
-		} else {
-			r = row(ye[i])
-		}
-		sum := Add(b, acc[start:], r[lo:lo+(m-start)])
-		copy(acc[start:], sum)
 	}
-	return acc[fracBits:].Clone()
+	out := Zeros(b, m)
+	for k := 0; k < m; k++ {
+		ones[k+1] += ones[k] / 2
+		q := cols[k]
+		if ones[k]%2 == 1 {
+			q = append(q, circuit.WTrue)
+		}
+		if k == m-1 { // no carry leaves the window: XOR only
+			for _, w := range q {
+				out[k] = b.XOR(out[k], w)
+			}
+			break
+		}
+		for len(q) > 1 {
+			u, v, c := q[0], q[1], circuit.WFalse
+			q = q[2:]
+			if len(q) > 0 { // a third bit: full adder, else half adder
+				c, q = q[0], q[1:]
+			}
+			t1, t2 := b.XOR(u, c), b.XOR(v, c)
+			sum, carry := b.XOR(t1, v), b.XOR(c, b.AND(t1, t2))
+			if sum != circuit.WFalse { // x∧x folds to x, so x⊕x can appear
+				q = append(q, sum)
+			}
+			if carry != circuit.WFalse {
+				cols[k+1] = append(cols[k+1], carry)
+			}
+		}
+		if len(q) == 1 {
+			out[k] = q[0]
+		}
+	}
+	return out[fracBits:]
 }
 
 // Dot computes the fixed-point dot product Σ xs[i]*ws[i] with n-bit
 // wrapping accumulation — the paper's matrix–vector multiplication row
 // (Table 3 last row): m multipliers and m-1 adders per output element.
+// Each product is reduced to n bits on its own before it is added, because
+// fixed.Num floors every product separately (a sum of floors is not the
+// floor of the sum), so the products cannot share one column array.
 func Dot(b *circuit.Builder, xs, ws []Word, fracBits int) Word {
 	if len(xs) != len(ws) {
 		panic("stdcell: Dot operand count mismatch")
