@@ -1295,12 +1295,10 @@ func BenchmarkSessionBatch(b *testing.B) {
 // OT fill, and the bank fill (Session.FillBank) — runs outside the
 // timer: that is the offline phase the bank exists to absorb. The timed
 // region is the online path only: with a warm bank it is input-label
-// selection, stream writes from the bank, and the OT derandomization
-// exchanges; bank-off it additionally garbles every gate live. The OT
-// pool is sized to cover a whole iteration so no refill crypto lands in
-// the timed region, and bank rows run the server with SpeculativeOT (the
-// pairing the bank makes matter: once garbling is gone, the ordered OT
-// exchange is the dominant online step). B=1 runs four pipelined single
+// selection, pool masking and stream writes from the bank; bank-off it
+// additionally garbles every gate live. The OT pool is sized to cover a
+// whole iteration so no refill crypto lands in the timed region. B=1
+// runs four pipelined single
 // inferences per iteration; B=16 one fused batch. The ≥2× bankWarm vs
 // bankOff acceptance row at B=1 and the ~0 onlineGarbleMs/inf for bank
 // hits are committed as BENCH_offline.json.
@@ -1342,7 +1340,7 @@ func BenchmarkSessionOffline(b *testing.B) {
 				// in the setup fill; low water 1 so nothing triggers a
 				// mid-session refill into the timed region.
 				pool := precomp.PoolConfig{Capacity: 1 << 19, RefillLowWater: 1}
-				srvCfg := core.EngineConfig{Pipeline: 2, MaxBatch: batch, SpeculativeOT: mode.bank}
+				srvCfg := core.EngineConfig{Pipeline: 2, MaxBatch: batch}
 				srv := &core.Server{Net: net, Fmt: fixed.Default, Engine: srvCfg, OTPool: pool}
 				if err := srv.Precompile(); err != nil {
 					b.Fatal(err)

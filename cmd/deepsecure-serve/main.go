@@ -64,11 +64,10 @@ func main() {
 	pipeline := flag.Int("pipeline", 0, "in-flight inferences per session (0 = default 2, 1 = serial)")
 	maxBatch := flag.Int("max-batch", 0, "samples per fused batched inference (0 = default 32)")
 	idle := flag.Duration("idle-timeout", 2*time.Minute, "per-session idle read deadline (0 disables)")
-	otPool := flag.Int("ot-pool", 1<<16, "random-OT pool capacity per session (0 = no precomputation, IKNP online)")
+	otPool := flag.Int("ot-pool", 1<<16, "OT pool capacity per session (0 = no precomputation, IKNP online)")
 	otLowWater := flag.Int("ot-low-water", 0, "refill the OT pool when fewer remain (0 = capacity/4)")
 	otBackground := flag.Bool("ot-background", true, "precompute OT refills on a background goroutine")
-	otSpeculative := flag.Bool("ot-speculative", false, "issue each inference's OT corrections in one flight at its first evaluator step (frees the pool turn for the next in-flight inference)")
-	bankDepth := flag.Int("bank-depth", 0, "garble-ahead bank policy depth in the session engine config; also enables speculative OT (0 = banking off; the bank itself fills on garbling clients)")
+	bankDepth := flag.Int("bank-depth", 0, "garble-ahead bank policy depth in the session engine config (0 = banking off; the bank itself fills on garbling clients)")
 	bankLowWater := flag.Int("bank-low-water", 0, "refill the garble-ahead bank when fewer executions remain (0 = depth/4)")
 	bankBackground := flag.Bool("bank-background", true, "refill the garble-ahead bank on a background goroutine")
 	metricsAddr := flag.String("metrics-addr", "", "serve /metrics (Prometheus text) and /debug/stats (JSON) on this address (empty disables)")
@@ -140,7 +139,6 @@ func main() {
 		deepsecure.WithPipeline(*pipeline),
 		deepsecure.WithMaxBatch(*maxBatch),
 		deepsecure.WithBank(bankCfg),
-		deepsecure.WithSpeculativeOT(*otSpeculative || bankCfg.Enabled()),
 		deepsecure.WithAdmission(admCfg))
 	if err != nil {
 		log.Fatal(err)
@@ -150,13 +148,10 @@ func main() {
 	log.Printf("compiled %s netlist in %v: %d gates (%d non-XOR)",
 		net0.Arch(), time.Since(start).Round(time.Millisecond), totalGates, andGates)
 	if eff := poolCfg.Effective(); eff.Enabled() {
-		log.Printf("OT precomputation on: %d random OTs per session at setup, refill below %d (background=%v)",
+		log.Printf("OT precomputation on: %d weight-keyed OTs per session at setup, refill below %d (background=%v)",
 			eff.Capacity, eff.RefillLowWater, eff.Background)
 	} else {
 		log.Printf("OT precomputation off: weight transfers run IKNP online")
-	}
-	if *otSpeculative || bankCfg.Enabled() {
-		log.Printf("speculative OT consumption on: each inference's corrections go out in one flight at its first evaluator step")
 	}
 	if eff := bankCfg.Effective(); eff.Enabled() {
 		log.Printf("garble-ahead bank policy: depth %d, refill below %d (background=%v); banks fill on garbling clients",

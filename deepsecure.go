@@ -98,12 +98,12 @@ type (
 	// batched-inference sample cap (0 defaults to DefaultMaxBatch). Set
 	// it on a Client, or pass it to NewServer via WithEngine.
 	EngineConfig = core.EngineConfig
-	// PoolConfig sizes the offline random-OT pool (Beaver-style OT
-	// precomputation): Capacity random OTs are bulk-generated at session
-	// setup and refilled once fewer than RefillLowWater remain;
-	// Background moves the refill crypto onto a helper goroutine so a
-	// refill exchange only pays the wire round trip. The zero value
-	// disables pooling. Set it on a SessionServer, or pass it to
+	// PoolConfig sizes the offline OT pool (Beaver-style OT
+	// precomputation, keyed to the model's weight bits): Capacity OTs are
+	// bulk-generated at session setup and refilled once fewer than
+	// RefillLowWater remain unassigned; Background starts the refill
+	// crypto on a helper goroutine the moment a refill is decided. The
+	// zero value disables pooling. Set it on a SessionServer, or pass it to
 	// NewServer via WithOTPool; clients need no configuration (they
 	// follow the server's in-band announcement).
 	PoolConfig = precomp.PoolConfig
@@ -114,9 +114,7 @@ type (
 	// each execution's table bytes to disk. Set it on a Client via
 	// EngineConfig.Bank — the client is the garbler, so the bank lives
 	// there; a session whose take hits the bank skips online garbling
-	// entirely. On a server, pass it to NewServer via WithBank to enable
-	// the matching speculative OT consumption. The zero value disables
-	// banking.
+	// entirely. The zero value disables banking.
 	BankConfig = bank.Config
 	// BankStats counts a bank's offline and online activity (hits,
 	// misses, executions banked, refill wall time). Session.BankStats
@@ -141,6 +139,10 @@ type (
 	// the session at admission: back off at least RetryAfter, then
 	// retry on a fresh connection. Detect it with errors.As.
 	BusyError = core.BusyError
+	// PoolMismatchError is returned by NewSession when the server's OT
+	// pool is keyed for a different number of weight bits than the
+	// client's compiled netlist takes. Detect it with errors.As.
+	PoolMismatchError = core.PoolMismatchError
 )
 
 // Server construction options.
@@ -151,9 +153,9 @@ var (
 	// WithIdleTimeout bounds how long a session connection may sit idle
 	// between reads before it is reaped.
 	WithIdleTimeout = server.WithIdleTimeout
-	// WithOTPool sizes the offline random-OT pool every session
-	// precomputes at setup and refills in idle gaps, leaving one
-	// derandomization exchange per input batch on the critical path.
+	// WithOTPool sizes the offline OT pool every session precomputes at
+	// setup and refills between inferences, leaving one masked-label
+	// frame per input step, and no reply, on the critical path.
 	WithOTPool = server.WithOTPool
 	// WithPipeline sets the cross-inference pipelining depth the server
 	// announces and enforces: up to depth inferences of one session in
@@ -166,15 +168,9 @@ var (
 	// into a single schedule walk and OT exchange (0 = DefaultMaxBatch).
 	WithMaxBatch = server.WithMaxBatch
 	// WithBank installs the garble-ahead bank policy in the server's
-	// session engine configuration and enables speculative OT consumption
-	// when the bank is enabled (banked clients make the ordered OT
-	// exchange the dominant online step).
+	// session engine configuration (the bank itself fills on garbling
+	// clients).
 	WithBank = server.WithBank
-	// WithSpeculativeOT toggles speculative OT consumption on its own:
-	// each inference's derandomization corrections go out in one flight
-	// at its first evaluator step, freeing the OT-pool turn for the next
-	// in-flight inference immediately.
-	WithSpeculativeOT = server.WithSpeculativeOT
 	// WithAdmission installs the global admission controller: sessions
 	// past the configured limits are refused with a busy frame (clients
 	// see *BusyError) instead of degrading every admitted session.

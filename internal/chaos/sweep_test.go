@@ -21,9 +21,10 @@ import (
 )
 
 // The chaos sweep: a real TCP server with every robustness feature on
-// (pipelining, batching, banked clients, speculative OT, admission,
-// idle timeout, phase deadlines), driven through ≥50 seeded fault
-// scripts. The contract it pins is the failure-behavior half of the
+// (pipelining, batching, banked clients, an OT pool barely larger than
+// one inference's demand so a refill follows every inference and a batch
+// refills on demand, admission, idle timeout, phase deadlines), driven
+// through ≥50 seeded fault scripts. The contract it pins is the failure-behavior half of the
 // paper's guarantee: whatever the network does — resets, bit-flips,
 // partial writes, latency, shaping — every run terminates promptly in
 // either a clean error or a provably correct output. Never a hang,
@@ -46,17 +47,15 @@ func sweepNet(t testing.TB) *nn.Network {
 	return model
 }
 
-func TestChaosSweep(t *testing.T) {
-	seeds := 64
-	if testing.Short() {
-		seeds = 12
-	}
-	checkLeaks := testutil.VerifyNoLeaks(t)
-	panics0 := obs.PanicCount()
+// sweepPool is just above sweepNet's 944 weight bits: every inference
+// leaves the pool below low water, and a 3-sample batch outruns it.
+var sweepPool = precomp.PoolConfig{Capacity: 1000}
 
-	f := fixed.Default
-	model := sweepNet(t)
-	srv, err := server.New(model, f,
+// startSweepServer runs the sweep's server on a loopback listener; stop
+// closes it and waits for the accept loop.
+func startSweepServer(t *testing.T, model *nn.Network) (srv *server.Server, addr string, stop func()) {
+	t.Helper()
+	srv, err := server.New(model, fixed.Default,
 		server.WithEngine(core.EngineConfig{
 			Workers: 2,
 			Deadlines: core.DeadlineConfig{
@@ -65,8 +64,7 @@ func TestChaosSweep(t *testing.T) {
 				Inference: 10 * time.Second,
 			},
 		}),
-		server.WithOTPool(precomp.PoolConfig{Capacity: 512}),
-		server.WithSpeculativeOT(true),
+		server.WithOTPool(sweepPool),
 		server.WithIdleTimeout(2*time.Second),
 		server.WithAdmission(server.AdmissionConfig{
 			MaxActive:   4,
@@ -87,7 +85,24 @@ func TestChaosSweep(t *testing.T) {
 		defer close(serveDone)
 		srv.Serve(ln)
 	}()
-	addr := ln.Addr().String()
+	return srv, ln.Addr().String(), func() {
+		srv.Close()
+		<-serveDone
+		ln.Close()
+	}
+}
+
+func TestChaosSweep(t *testing.T) {
+	seeds := 64
+	if testing.Short() {
+		seeds = 12
+	}
+	checkLeaks := testutil.VerifyNoLeaks(t)
+	panics0 := obs.PanicCount()
+
+	f := fixed.Default
+	model := sweepNet(t)
+	srv, addr, stop := startSweepServer(t, model)
 
 	// Fault offsets should be able to land anywhere in a session's table
 	// stream, not just the handshake.
@@ -217,9 +232,7 @@ func TestChaosSweep(t *testing.T) {
 	close(work)
 	wg.Wait()
 
-	srv.Close()
-	<-serveDone
-	ln.Close()
+	stop()
 
 	t.Logf("chaos sweep: %d seeds, %d succeeded, %d clean errors, %d backstop closes",
 		seeds, successes.Load(), cleanErrors.Load(), forced.Load())
@@ -235,5 +248,92 @@ func TestChaosSweep(t *testing.T) {
 	if dp := obs.PanicCount() - panics0; dp != 0 {
 		t.Errorf("network faults caused %d recovered panic(s); faults must surface as errors, not panics", dp)
 	}
+	checkLeaks()
+}
+
+// refillCutter closes the connection the moment the header of the nth
+// MsgOTRefill frame has been read from it: after a refill announcement
+// reached the client, before the client can answer it.
+type refillCutter struct {
+	net.Conn
+	n    int
+	skip int // payload bytes left of the frame being read
+	hdr  []byte
+}
+
+func (c *refillCutter) Read(b []byte) (int, error) {
+	got, err := c.Conn.Read(b)
+	for _, x := range b[:got] {
+		if c.skip > 0 {
+			c.skip--
+			continue
+		}
+		if c.hdr = append(c.hdr, x); len(c.hdr) < 5 {
+			continue
+		}
+		c.skip = int(c.hdr[1]) | int(c.hdr[2])<<8 | int(c.hdr[3])<<16 | int(c.hdr[4])<<24
+		if transport.MsgType(c.hdr[0]) == transport.MsgOTRefill {
+			if c.n--; c.n == 0 {
+				c.Conn.Close()
+			}
+		}
+		c.hdr = c.hdr[:0]
+	}
+	return got, err
+}
+
+// TestChaosCutBetweenRefillAndAnswer aims the one fault the seeded
+// scripts can only hit by luck: the connection dies after the server
+// announced a mid-session refill and before the client answered it. Both
+// sides must end in a clean error with nothing left running, and the
+// server must keep serving.
+func TestChaosCutBetweenRefillAndAnswer(t *testing.T) {
+	checkLeaks := testutil.VerifyNoLeaks(t)
+	f := fixed.Default
+	model := sweepNet(t)
+	srv, addr, stop := startSweepServer(t, model)
+	x := []float64{0.3, -0.2, 0.9, -0.7, 0.1, 0.5}
+	want := model.PredictFixed(f, x)
+	cli := &core.Client{Engine: core.EngineConfig{Workers: 2}}
+
+	nc, err := net.Dial("tcp", addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Refill frames 1 and 2 are the pool announcement and the setup fill;
+	// the 3rd is the refill the first inference leaves the pool owing.
+	cut := &refillCutter{Conn: nc, n: 3}
+	sess, err := cli.NewSession(transport.New(cut))
+	if err != nil {
+		t.Fatalf("setup must survive (the cut is armed for the first mid-session refill): %v", err)
+	}
+	if _, _, err := sess.Infer(x); err == nil {
+		t.Fatal("inference over a connection cut at its refill announcement reported success")
+	}
+	sess.Close() //nolint:errcheck — a broken session withholds the end marker and reports nothing new
+	nc.Close()
+
+	// The server shrugged it off: a fresh session infers correctly.
+	nc2, err := net.Dial("tcp", addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sess2, err := cli.NewSession(transport.New(nc2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 3; i++ { // crosses two refills
+		if got, _, err := sess2.Infer(x); err != nil || got != want {
+			t.Fatalf("inference %d after the cut: label %d (want %d), err %v", i, got, want, err)
+		}
+	}
+	if err := sess2.Close(); err != nil {
+		t.Fatal(err)
+	}
+	nc2.Close()
+	if st := srv.Stats(); st.Errors == 0 {
+		t.Error("server did not count the cut session as failed")
+	}
+	stop()
 	checkLeaks()
 }

@@ -33,10 +33,12 @@ type bankStreamEngine struct {
 	ex    *bank.Execution
 	conn  transport.FrameConn
 	ots   *precomp.SenderPool
+	otr   precomp.Range // the inference's OT-pool entries
 	cfg   EngineConfig
 
 	inputBits []bool
 	cursor    int
+	evalBit   int // evaluator-input bits transferred so far
 
 	labelBuf []byte
 	inOrd    int
@@ -81,12 +83,11 @@ func (en *bankStreamEngine) doInputs(st *circuit.Step) error {
 		en.labelBuf = payload[:0] // keep the (possibly grown) buffer
 		return en.conn.Send(transport.MsgInputLabels, payload)
 	}
-	pairs := make([][2]ot.Msg, len(st.Wires))
-	for i := range st.Wires {
-		l0 := zs[i]
-		pairs[i] = [2]ot.Msg{ot.Msg(l0), ot.Msg(l0.XOR(en.ex.R))}
-	}
-	return en.ots.Send(pairs)
+	var err error
+	en.labelBuf, err = en.ots.SendStep(en.conn, en.otr, en.evalBit, len(st.Wires), en.labelBuf,
+		func(i, _ int) (ot.Msg, ot.Msg, error) { return ot.Msg(zs[i]), ot.Msg(en.ex.R), nil })
+	en.evalBit += len(st.Wires)
+	return err
 }
 
 // doLevels streams the banked run zero-copy, cutting frames exactly
@@ -126,11 +127,13 @@ type bankBatchEngine struct {
 	exs   []*bank.Execution
 	conn  transport.FrameConn
 	ots   *precomp.SenderPool
+	otr   precomp.Range // the batch's OT-pool entries, b samples wide
 	cfg   EngineConfig
 	b     int
 
 	inputBits [][]bool
 	cursor    int
+	evalBit   int // evaluator-input bits transferred so far
 
 	labelBuf []byte
 	inOrd    int
@@ -178,14 +181,13 @@ func (en *bankBatchEngine) doInputs(st *circuit.Step) error {
 		en.labelBuf = payload[:0]
 		return en.conn.Send(transport.MsgInputLabels, payload)
 	}
-	pairs := make([][2]ot.Msg, len(st.Wires)*en.b)
-	for i := range st.Wires {
-		for s := 0; s < en.b; s++ {
-			l0 := en.exs[s].InputZero[ord][i]
-			pairs[i*en.b+s] = [2]ot.Msg{ot.Msg(l0), ot.Msg(l0.XOR(en.exs[s].R))}
-		}
-	}
-	return en.ots.Send(pairs)
+	var err error
+	en.labelBuf, err = en.ots.SendStep(en.conn, en.otr, en.evalBit, len(st.Wires), en.labelBuf,
+		func(i, s int) (ot.Msg, ot.Msg, error) {
+			return ot.Msg(en.exs[s].InputZero[ord][i]), ot.Msg(en.exs[s].R), nil
+		})
+	en.evalBit += len(st.Wires)
+	return err
 }
 
 // doLevels interleaves the B banked runs into the fused batch stream:

@@ -18,7 +18,7 @@ import (
 // same barriers, same chunk streaming, same prefetch ring — but walk the
 // schedule ONCE for the whole batch, iterate samples innermost inside
 // every gate (gc.BatchGarbler/BatchEvaluator), batch all B samples of an
-// input step into a single OT derandomization exchange, and interleave
+// input step into a single OT transfer, and interleave
 // all B samples of a level's tables into one chunk stream (gate rank i,
 // sample s at (i*B+s)*TableSize). Per-sample labels stay independent and
 // fresh, so the security argument is unchanged — only the schedule walk,
@@ -35,6 +35,7 @@ type batchGarbleEngine struct {
 	pool  *gc.Pool
 	conn  transport.FrameConn
 	ots   *precomp.SenderPool
+	otr   precomp.Range // the batch's OT-pool entries, b samples wide
 	cfg   EngineConfig
 	b     int
 
@@ -42,6 +43,7 @@ type batchGarbleEngine struct {
 	// the schedule's cursor (they walk the same wire sequence).
 	inputBits [][]bool
 	cursor    int
+	evalBit   int // evaluator-input bits transferred so far
 
 	labelBuf []byte
 	outZero  []gc.Label // wire-major, samples innermost
@@ -99,24 +101,21 @@ func (en *batchGarbleEngine) doInputs(st *circuit.Step) error {
 		en.labelBuf = payload[:0] // keep the (possibly grown) buffer
 		return en.conn.Send(transport.MsgInputLabels, payload)
 	}
-	// Evaluator inputs travel by OT — ONE batch for all B samples of the
-	// step (wire-major, samples innermost), so the whole batch pays the
-	// round-trips of a single inference.
-	pairs := make([][2]ot.Msg, len(st.Wires)*en.b)
-	for i, w := range st.Wires {
-		if err := en.g.AssignInput(w); err != nil {
-			return err
-		}
-		for s := 0; s < en.b; s++ {
-			l0, err := en.g.ZeroLabel(w, s)
-			if err != nil {
-				return err
+	// Evaluator inputs travel by OT — ONE transfer for all B samples of
+	// the step (wire-major, samples innermost).
+	var err error
+	en.labelBuf, err = en.ots.SendStep(en.conn, en.otr, en.evalBit, len(st.Wires), en.labelBuf,
+		func(i, s int) (ot.Msg, ot.Msg, error) {
+			if s == 0 {
+				if err := en.g.AssignInput(st.Wires[i]); err != nil {
+					return ot.Msg{}, ot.Msg{}, err
+				}
 			}
-			l1 := l0.XOR(en.g.R[s])
-			pairs[i*en.b+s] = [2]ot.Msg{ot.Msg(l0), ot.Msg(l1)}
-		}
-	}
-	return en.ots.Send(pairs)
+			l0, err := en.g.ZeroLabel(st.Wires[i], s)
+			return ot.Msg(l0), ot.Msg(en.g.R[s]), err
+		})
+	en.evalBit += len(st.Wires)
+	return err
 }
 
 func (en *batchGarbleEngine) doOutputs(st *circuit.Step) error {
@@ -204,14 +203,14 @@ func (en *batchGarbleEngine) doLevels(st *circuit.Step) (err error) {
 }
 
 // batchEvalEngine runs the evaluator's side of one batched inference
-// over a compiled schedule: the fused-batch counterpart of evalEngine,
-// with the same ordered-admission gating of the shared OT pool.
+// over a compiled schedule: the fused-batch counterpart of evalEngine.
 type batchEvalEngine struct {
 	sched *circuit.Schedule
 	e     *gc.BatchEvaluator
 	pool  *gc.Pool
 	conn  transport.FrameConn
 	ots   *precomp.ReceiverPool
+	otr   precomp.Range // the batch's OT-pool entries, b samples wide
 	cfg   EngineConfig
 	b     int
 
@@ -220,24 +219,10 @@ type batchEvalEngine struct {
 	inputBits []bool
 	cursor    int
 
-	// Ordered admission to the shared OT pool (see evalEngine: same
-	// turn-per-inference protocol; a batch holds its turn across its
-	// evalSteps exchanges like any single inference).
-	seq       *precomp.Sequencer
-	seqTurn   int64
-	evalSteps int
-	stepsDone int
-
-	// Speculative issue/collect (see evalEngine.spec): the batch issues
-	// all steps' corrections — each wire's bit expanded ×B — in one
-	// flight and collects per step.
-	spec    bool
-	specPrs []*precomp.PendingReceive
-
 	progress *atomic.Int64
 
-	pending   []byte
-	outLabels []gc.Label // wire-major, samples innermost
+	recycle   func([]byte) // takes spent table frames back, may be nil
+	outLabels []gc.Label   // wire-major, samples innermost
 
 	// gateTime accumulates the wall time of the per-level EvaluateLevel
 	// calls (table waits excluded).
@@ -249,14 +234,6 @@ type batchEvalEngine struct {
 
 func (en *batchEvalEngine) run() error {
 	en.e.Grow(en.sched.NumWires)
-	if en.seq != nil && en.evalSteps == 0 {
-		// No OT work this inference: pass the turn through so later
-		// inferences are not gated forever.
-		if err := en.seq.Acquire(en.seqTurn); err != nil {
-			return err
-		}
-		en.seq.Release(en.seqTurn)
-	}
 	for si := range en.sched.Steps {
 		st := &en.sched.Steps[si]
 		var err error
@@ -294,64 +271,17 @@ func (en *batchEvalEngine) doInputs(st *circuit.Step) error {
 		}
 		return nil
 	}
-	if en.spec {
-		if en.stepsDone == 0 {
-			prs, err := speculativeIssue(en.ots, en.seq, en.seqTurn, en.sched, en.inputBits, en.b)
-			if err != nil {
-				return err
-			}
-			en.specPrs = prs
-		}
-		pr := en.specPrs[en.stepsDone]
-		en.stepsDone++
-		msgs, err := pr.Collect()
-		if err != nil {
-			return err
-		}
-		en.cursor += len(st.Wires)
-		for i, w := range st.Wires {
-			for s := 0; s < en.b; s++ {
-				en.e.SetLabel(w, s, gc.Label(msgs[i*en.b+s]))
-			}
-		}
-		return nil
-	}
-	// One OT batch covers all B samples of the step: every sample selects
-	// with the same weight bit, each receiving its own sample's label.
-	choices := make([]bool, len(st.Wires)*en.b)
-	for i := range st.Wires {
-		if en.cursor >= len(en.inputBits) {
-			return fmt.Errorf("core: evaluator input underrun at wire %d", st.Wires[i])
-		}
-		bit := en.inputBits[en.cursor]
-		en.cursor++
-		for s := 0; s < en.b; s++ {
-			choices[i*en.b+s] = bit
-		}
-	}
-	if en.seq != nil && en.stepsDone == 0 {
-		if err := en.seq.Acquire(en.seqTurn); err != nil {
-			return err
-		}
-	}
-	msgs, err := en.ots.Receive(choices)
-	if en.seq != nil {
-		en.stepsDone++
-		// Only pass the turn on after a clean final batch (see
-		// evalEngine.doInputs for why a failed exchange holds it).
-		if err == nil && en.stepsDone == en.evalSteps {
-			en.seq.Release(en.seqTurn)
-		}
-	}
+	// One OT transfer covers all B samples of the step: every sample
+	// selects with the same weight bit, each receiving its own label.
+	bits, err := evalStepBits(en.inputBits, en.cursor, st)
 	if err != nil {
 		return err
 	}
-	for i, w := range st.Wires {
-		for s := 0; s < en.b; s++ {
-			en.e.SetLabel(w, s, gc.Label(msgs[i*en.b+s]))
-		}
-	}
-	return nil
+	err = en.ots.RecvStep(en.conn, en.otr, en.cursor, bits, func(i, s int, m ot.Msg) {
+		en.e.SetLabel(st.Wires[i], s, gc.Label(m))
+	})
+	en.cursor += len(bits)
+	return err
 }
 
 func (en *batchEvalEngine) doOutputs(st *circuit.Step) error {
@@ -373,7 +303,7 @@ func (en *batchEvalEngine) doLevels(st *circuit.Step) error {
 	for _, w := range st.PreDrops {
 		en.e.Drop(w)
 	}
-	tr := startTableRun(en.conn, en.pool.Workers() > 1, st.TableBytes*en.b, en.pending)
+	tr := startTableRun(en.conn, en.pool.Workers() > 1, st.TableBytes*en.b, en.recycle)
 	var err error
 	for li := st.First; li < st.First+st.N && err == nil; li++ {
 		lv := &en.sched.Levels[li]
@@ -395,7 +325,7 @@ func (en *batchEvalEngine) doLevels(st *circuit.Step) error {
 			en.e.Drop(w)
 		}
 	}
-	en.pending, err = tr.finish(err)
+	err = tr.finish(err)
 	en.readTime += tr.readTime
 	return err
 }

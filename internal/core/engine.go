@@ -75,23 +75,11 @@ type EngineConfig struct {
 	// session fills a per-program bank at setup and refills it behind a
 	// low-water policy, and each inference that finds a banked execution
 	// skips garbling entirely — the online critical path is label
-	// selection, stream writes from the bank, and the OT derandomization
-	// exchange. Exhaustion transparently falls back to live garbling.
+	// selection, pool masking and stream writes from the bank. Exhaustion transparently falls back to live garbling.
 	// Client-side only; servers ignore it. Memory cost per banked
 	// execution ≈ the circuit's table bytes (ANDs × 32) plus input and
 	// output labels — budget Depth accordingly or set Bank.SpillDir.
 	Bank bank.Config
-	// SpeculativeOT loosens the server's per-inference OT-pool
-	// sequencing on pipelined sessions: an inference issues ALL of its
-	// input steps' derandomization corrections at its first evaluator
-	// step (releasing the pool turn immediately) and collects the
-	// responses in ticket order as the walk reaches each step, so
-	// inference k+1's corrections overlap inference k's evaluation tail
-	// and the per-step round-trips of one inference collapse into a
-	// single flight. Server-side only; it changes server→client frame
-	// timing but not frame order, and requires an enabled OT pool (it is
-	// a no-op otherwise).
-	SpeculativeOT bool
 	// PrivatePool opts this engine out of the process-wide shared
 	// work-stealing scheduler (internal/sched). By default every
 	// session's level runs submit chunks to one sched.Default() worker
@@ -195,8 +183,8 @@ func (c EngineConfig) chunkBytes() int {
 
 // tableWriter streams finished table chunks on a dedicated goroutine so
 // transport writes overlap the next level's garbling. Buffers cycle
-// through the free channel (transport.Conn copies payloads into its own
-// write buffer, so a chunk is reusable the moment Send returns).
+// through the free channel (transport.Conn has written or copied a payload
+// by the time Send returns, so a chunk is reusable the moment it does).
 type tableWriter struct {
 	ch   chan []byte
 	done chan error
@@ -259,10 +247,12 @@ type garbleEngine struct {
 	pool  *gc.Pool
 	conn  transport.FrameConn
 	ots   *precomp.SenderPool
+	otr   precomp.Range // the inference's OT-pool entries
 	cfg   EngineConfig
 
 	inputBits []bool
 	cursor    int
+	evalBit   int // evaluator-input bits transferred so far
 
 	labelBuf []byte
 	outZero  []gc.Label
@@ -319,19 +309,17 @@ func (en *garbleEngine) doInputs(st *circuit.Step) error {
 		en.labelBuf = payload[:0] // keep the (possibly grown) buffer
 		return en.conn.Send(transport.MsgInputLabels, payload)
 	}
-	// Evaluator inputs travel by OT: one batch per step, served from the
-	// precomputed random-OT pool (derandomization) when the session has
-	// one, or by direct IKNP otherwise.
-	pairs := make([][2]ot.Msg, len(st.Wires))
-	for i, w := range st.Wires {
-		l0, err := en.g.AssignInput(w)
-		if err != nil {
-			return err
-		}
-		l1 := l0.XOR(en.g.R)
-		pairs[i] = [2]ot.Msg{ot.Msg(l0), ot.Msg(l1)}
-	}
-	return en.ots.Send(pairs)
+	// Evaluator inputs travel by OT: one transfer per step, masked with
+	// the inference's pool entries when the session has a pool, or by
+	// direct IKNP otherwise.
+	var err error
+	en.labelBuf, err = en.ots.SendStep(en.conn, en.otr, en.evalBit, len(st.Wires), en.labelBuf,
+		func(i, _ int) (ot.Msg, ot.Msg, error) {
+			l0, err := en.g.AssignInput(st.Wires[i])
+			return ot.Msg(l0), ot.Msg(en.g.R), err
+		})
+	en.evalBit += len(st.Wires)
+	return err
 }
 
 func (en *garbleEngine) doOutputs(st *circuit.Step) error {
@@ -450,36 +438,18 @@ type evalEngine struct {
 	pool  *gc.Pool
 	conn  transport.FrameConn
 	ots   *precomp.ReceiverPool
+	otr   precomp.Range // the inference's OT-pool entries
 	cfg   EngineConfig
 
 	inputBits []bool
 	cursor    int
-
-	// seq, when set, is the pipelined session's ordered-admission gate
-	// to the shared OT pool: this inference Acquires seqTurn at its
-	// first evaluator-input step, runs all evalSteps batches while
-	// holding it, and Releases after the last — the deterministic
-	// consume order (all of inference k before any of k+1) the garbler
-	// derives from its serial garble order.
-	seq       *precomp.Sequencer
-	seqTurn   int64
-	evalSteps int
-	stepsDone int
-
-	// spec switches OT consumption to the speculative issue/collect
-	// protocol (EngineConfig.SpeculativeOT): at the first evaluator-input
-	// step the engine issues ALL steps' corrections in one flight and
-	// releases the pool turn immediately; each step then collects its
-	// response in ticket order. Requires an enabled pool.
-	spec    bool
-	specPrs []*precomp.PendingReceive
 
 	// progress, when set, is bumped once per evaluated level so
 	// idle-timeout transport wrappers can tell "quiet because the
 	// evaluation tail is still computing" from a stalled peer.
 	progress *atomic.Int64
 
-	pending   []byte
+	recycle   func([]byte) // takes spent table frames back, may be nil
 	outLabels []gc.Label
 
 	// gateTime accumulates the wall time of the per-level EvaluateBatch
@@ -492,14 +462,6 @@ type evalEngine struct {
 
 func (en *evalEngine) run() error {
 	en.e.Grow(en.sched.NumWires)
-	if en.seq != nil && en.evalSteps == 0 {
-		// No OT work this inference: pass the turn through so later
-		// inferences are not gated forever.
-		if err := en.seq.Acquire(en.seqTurn); err != nil {
-			return err
-		}
-		en.seq.Release(en.seqTurn)
-	}
 	for si := range en.sched.Steps {
 		st := &en.sched.Steps[si]
 		var err error
@@ -534,113 +496,37 @@ func (en *evalEngine) doInputs(st *circuit.Step) error {
 		}
 		return nil
 	}
-	if en.spec {
-		if en.stepsDone == 0 {
-			prs, err := speculativeIssue(en.ots, en.seq, en.seqTurn, en.sched, en.inputBits, 1)
-			if err != nil {
-				return err
-			}
-			en.specPrs = prs
-		}
-		pr := en.specPrs[en.stepsDone]
-		en.stepsDone++
-		msgs, err := pr.Collect()
-		if err != nil {
-			return err
-		}
-		en.cursor += len(st.Wires)
-		for i, w := range st.Wires {
-			en.e.SetLabel(w, gc.Label(msgs[i]))
-		}
-		return nil
-	}
-	choices := make([]bool, len(st.Wires))
-	for i := range st.Wires {
-		if en.cursor >= len(en.inputBits) {
-			return fmt.Errorf("core: evaluator input underrun at wire %d", st.Wires[i])
-		}
-		choices[i] = en.inputBits[en.cursor]
-		en.cursor++
-	}
-	if en.seq != nil && en.stepsDone == 0 {
-		if err := en.seq.Acquire(en.seqTurn); err != nil {
-			return err
-		}
-	}
-	msgs, err := en.ots.Receive(choices)
-	if en.seq != nil {
-		en.stepsDone++
-		// Only pass the turn on after a clean final batch: a failed
-		// exchange leaves the pool desynchronized from the garbler, and
-		// handing it to the next inference would just manufacture a
-		// second, misleading desync error. Teardown's Abort unblocks any
-		// waiters instead.
-		if err == nil && en.stepsDone == en.evalSteps {
-			en.seq.Release(en.seqTurn)
-		}
-	}
+	bits, err := evalStepBits(en.inputBits, en.cursor, st)
 	if err != nil {
 		return err
 	}
-	for i, w := range st.Wires {
-		en.e.SetLabel(w, gc.Label(msgs[i]))
-	}
-	return nil
+	err = en.ots.RecvStep(en.conn, en.otr, en.cursor, bits, func(i, _ int, m ot.Msg) {
+		en.e.SetLabel(st.Wires[i], gc.Label(m))
+	})
+	en.cursor += len(bits)
+	return err
 }
 
-// speculativeChoices slices the evaluator's full input-bit stream into
-// one choice vector per evaluator-input step (each wire's bit repeated b
-// times, samples innermost, for a batched engine) — the whole
-// inference's OT demand, computable before any step runs because only
-// evaluator steps consume the stream.
-func speculativeChoices(sched *circuit.Schedule, inputBits []bool, b int) ([][]bool, error) {
-	var steps [][]bool
-	cur := 0
-	for si := range sched.Steps {
-		st := &sched.Steps[si]
-		if st.Kind != circuit.StepInputs || st.Party != circuit.Evaluator {
-			continue
+// evalInputWires counts the evaluator-input wires of a schedule — W, the
+// weight bits one sample transfers by OT — and the widest single step.
+func evalInputWires(sched *circuit.Schedule) (total, widest int) {
+	for i := range sched.Steps {
+		if st := &sched.Steps[i]; st.Kind == circuit.StepInputs && st.Party == circuit.Evaluator {
+			total += len(st.Wires)
+			widest = max(widest, len(st.Wires))
 		}
-		choices := make([]bool, len(st.Wires)*b)
-		for i := range st.Wires {
-			if cur >= len(inputBits) {
-				return nil, fmt.Errorf("core: evaluator input underrun at wire %d", st.Wires[i])
-			}
-			for s := 0; s < b; s++ {
-				choices[i*b+s] = inputBits[cur]
-			}
-			cur++
-		}
-		steps = append(steps, choices)
 	}
-	return steps, nil
+	return total, widest
 }
 
-// speculativeIssue runs the issue half of the speculative OT protocol
-// for one inference: under the pool-order turn, put every step's
-// corrections on the wire, then release the turn immediately — the
-// FIFO state is fully advanced, so the next inference's corrections
-// overlap this one's evaluation and collects. A failed issue holds the
-// turn (the pool is desynchronized; teardown's Abort unblocks waiters),
-// mirroring the non-speculative engines' failed-exchange policy.
-func speculativeIssue(ots *precomp.ReceiverPool, seq *precomp.Sequencer, turn int64, sched *circuit.Schedule, inputBits []bool, b int) ([]*precomp.PendingReceive, error) {
-	steps, err := speculativeChoices(sched, inputBits, b)
-	if err != nil {
-		return nil, err
+// evalStepBits returns the evaluator's input bits for one of its input
+// steps: the next len(st.Wires) bits of its stream.
+func evalStepBits(inputBits []bool, cursor int, st *circuit.Step) ([]bool, error) {
+	end := cursor + len(st.Wires)
+	if end > len(inputBits) {
+		return nil, fmt.Errorf("core: evaluator input underrun at wire %d", st.Wires[len(inputBits)-cursor])
 	}
-	if seq != nil {
-		if err := seq.Acquire(turn); err != nil {
-			return nil, err
-		}
-	}
-	prs, err := ots.IssueAll(steps)
-	if err != nil {
-		return nil, err
-	}
-	if seq != nil {
-		seq.Release(turn)
-	}
-	return prs, nil
+	return inputBits[cursor:end], nil
 }
 
 func (en *evalEngine) doOutputs(st *circuit.Step) error {
@@ -661,7 +547,7 @@ func (en *evalEngine) doLevels(st *circuit.Step) error {
 	for _, w := range st.PreDrops {
 		en.e.Drop(w)
 	}
-	tr := startTableRun(en.conn, en.pool.Workers() > 1, st.TableBytes, en.pending)
+	tr := startTableRun(en.conn, en.pool.Workers() > 1, st.TableBytes, en.recycle)
 	var err error
 	for li := st.First; li < st.First+st.N && err == nil; li++ {
 		lv := &en.sched.Levels[li]
@@ -683,7 +569,7 @@ func (en *evalEngine) doLevels(st *circuit.Step) error {
 			en.e.Drop(w)
 		}
 	}
-	en.pending, err = tr.finish(err)
+	err = tr.finish(err)
 	en.readTime += tr.readTime
 	return err
 }
@@ -695,17 +581,21 @@ func (en *evalEngine) doLevels(st *circuit.Step) error {
 // level. With async set, a prefetch goroutine receives table frames into
 // a bounded ring ahead of the evaluate pool — preserving the §3.5
 // bounded-memory property — while a sequential engine receives frames
-// inline. The pending buffer is recycled across runs and (through the
-// session's buffer pool) across inferences.
+// inline. A level is evaluated where its frame lies (the garbler cuts
+// frames at level boundaries, so that is every level of a conforming
+// peer); each frame goes back to the connection's free list once drawn
+// dry.
 type tableRun struct {
-	conn    transport.FrameConn
-	async   bool
-	total   int
-	pending []byte
-	off     int
-	got     int
-	frames  chan []byte
-	perr    chan error
+	conn     transport.FrameConn
+	async    bool
+	total    int
+	whole    []byte       // the frame being drawn from, as received
+	rest     []byte       // its bytes not handed out yet
+	straddle []byte       // assembly scratch for a level that spans frames
+	recycle  func([]byte) // takes spent frames back, may be nil
+	got      int
+	frames   chan []byte
+	perr     chan error
 
 	// readTime accumulates wall time blocked in next() waiting for
 	// frames — what the evaluator actually spent on the table stream
@@ -713,8 +603,8 @@ type tableRun struct {
 	readTime time.Duration
 }
 
-func startTableRun(conn transport.FrameConn, async bool, total int, pending []byte) *tableRun {
-	tr := &tableRun{conn: conn, async: async && total > 0, total: total, pending: pending[:0]}
+func startTableRun(conn transport.FrameConn, async bool, total int, recycle func([]byte)) *tableRun {
+	tr := &tableRun{conn: conn, async: async && total > 0, total: total, recycle: recycle}
 	if tr.async {
 		tr.frames = make(chan []byte, frameRingDepth)
 		tr.perr = make(chan error, 1)
@@ -762,43 +652,65 @@ func (tr *tableRun) next() ([]byte, error) {
 	return tr.conn.Recv(transport.MsgTables)
 }
 
+// fetch makes the following frame the one being drawn from; the previous
+// one is spent.
+func (tr *tableRun) fetch() error {
+	if tr.recycle != nil && tr.whole != nil {
+		tr.recycle(tr.whole)
+	}
+	tr.whole, tr.rest = nil, nil
+	t0 := time.Now()
+	p, err := tr.next()
+	tr.readTime += time.Since(t0)
+	if err != nil {
+		return err
+	}
+	if tr.got += len(p); tr.got > tr.total {
+		return fmt.Errorf("core: garbled-table overrun (%d surplus bytes in run)", tr.got-tr.total)
+	}
+	tr.whole, tr.rest = p, p
+	return nil
+}
+
 // level returns the next need contiguous bytes of the run's table
-// stream, receiving frames until they cover the request.
+// stream, valid until the next call.
 func (tr *tableRun) level(need int) ([]byte, error) {
-	pending, off := tr.pending, tr.off
-	for len(pending)-off < need {
-		t0 := time.Now()
-		p, err := tr.next()
-		tr.readTime += time.Since(t0)
-		if err != nil {
-			tr.pending = pending
-			tr.off = off
+	for len(tr.rest) < need {
+		if len(tr.rest) > 0 {
+			return tr.assemble(need)
+		}
+		if err := tr.fetch(); err != nil {
 			return nil, err
 		}
-		tr.got += len(p)
-		if tr.got > tr.total {
-			tr.pending = pending
-			tr.off = off
-			return nil, fmt.Errorf("core: garbled-table overrun (%d surplus bytes in run)", tr.got-tr.total)
-		}
-		if off > 0 && len(pending)+len(p) > cap(pending) {
-			// Compact consumed bytes instead of growing.
-			pending = pending[:copy(pending, pending[off:])]
-			off = 0
-		}
-		pending = append(pending, p...)
 	}
-	tr.pending = pending
-	tr.off = off + need
-	return pending[off : off+need], nil
+	block := tr.rest[:need]
+	tr.rest = tr.rest[need:]
+	return block, nil
+}
+
+// assemble copies together a level that spans frames.
+func (tr *tableRun) assemble(need int) ([]byte, error) {
+	tr.straddle = append(tr.straddle[:0], tr.rest...)
+	for len(tr.straddle) < need {
+		if err := tr.fetch(); err != nil {
+			return nil, err
+		}
+		n := min(need-len(tr.straddle), len(tr.rest))
+		tr.straddle = append(tr.straddle, tr.rest[:n]...)
+		tr.rest = tr.rest[n:]
+	}
+	return tr.straddle, nil
 }
 
 // finish validates the run's stream accounting and drains the
-// prefetcher; err is the level loop's verdict. It returns the recycled
-// pending buffer and the run's final error.
-func (tr *tableRun) finish(err error) ([]byte, error) {
-	if err == nil && tr.off != len(tr.pending) {
-		err = fmt.Errorf("core: %d unconsumed garbled-table bytes at run boundary", len(tr.pending)-tr.off)
+// prefetcher; err is the level loop's verdict. It returns the run's final
+// error.
+func (tr *tableRun) finish(err error) error {
+	if err == nil && len(tr.rest) != 0 {
+		err = fmt.Errorf("core: %d unconsumed garbled-table bytes at run boundary", len(tr.rest))
+	}
+	if tr.recycle != nil && tr.whole != nil {
+		tr.recycle(tr.whole)
 	}
 	if tr.async {
 		// Drain the ring so the prefetcher can exit, then collect its
@@ -823,5 +735,5 @@ func (tr *tableRun) finish(err error) ([]byte, error) {
 			err = fmt.Errorf("core: run received %d table bytes, want %d", tr.got, tr.total)
 		}
 	}
-	return tr.pending[:0], err
+	return err
 }

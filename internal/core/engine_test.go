@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"io"
 	"math/rand"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -225,11 +226,13 @@ func runEngines(t *testing.T, sched *circuit.Schedule, gBits, eBits []bool, cfg 
 			evalDone <- evalResult{err}
 			return
 		}
+		otp := precomp.NewReceiverPool(eConn, ots, rng, precomp.PoolConfig{})
 		en := &evalEngine{
 			sched: sched,
 			pool:  gc.NewPool(cfg.workers()),
 			conn:  eConn,
-			ots:   precomp.NewReceiverPool(eConn, ots, rng, precomp.PoolConfig{}),
+			ots:   otp,
+			otr:   otp.Reserve(1),
 			cfg:   cfg,
 		}
 		for k := 0; k < nInfer; k++ {
@@ -273,6 +276,7 @@ func runEngines(t *testing.T, sched *circuit.Schedule, gBits, eBits []bool, cfg 
 	if err != nil {
 		t.Fatalf("workers=%d: ot sender: %v", workers, err)
 	}
+	otp := precomp.NewSenderPool(gConn, ots, rng)
 	pool := cfg.newPool()
 	free := make(chan []byte, 3)
 	for k := 0; k < nInfer; k++ {
@@ -292,7 +296,8 @@ func runEngines(t *testing.T, sched *circuit.Schedule, gBits, eBits []bool, cfg 
 			g:         g,
 			pool:      pool,
 			conn:      gConn,
-			ots:       precomp.NewSenderPool(gConn, ots, rng),
+			ots:       otp,
+			otr:       otp.Reserve(1),
 			cfg:       cfg,
 			inputBits: gBits,
 			free:      free,
@@ -548,5 +553,74 @@ func TestEvalEngineDeadPeer(t *testing.T) {
 		case <-time.After(10 * time.Second):
 			t.Fatalf("workers=%d: engine hung on a dead peer", workers)
 		}
+	}
+}
+
+// frameFeed is a FrameConn that hands out prepared table frames.
+type frameFeed struct {
+	transport.FrameConn
+	frames [][]byte
+}
+
+func (f *frameFeed) Recv(want transport.MsgType) ([]byte, error) {
+	if len(f.frames) == 0 {
+		return nil, io.EOF
+	}
+	p := f.frames[0]
+	f.frames = f.frames[1:]
+	return p, nil
+}
+
+// TestTableRunReassemblesAnyFraming pins the evaluator's frame handling
+// for a garbler that does not cut frames at level boundaries: levels that
+// lie inside one frame are served in place, levels that span frames are
+// assembled, every frame is recycled exactly once, and the run's byte
+// accounting catches both a surplus and a remainder.
+func TestTableRunReassemblesAnyFraming(t *testing.T) {
+	stream := make([]byte, 40)
+	for i := range stream {
+		stream[i] = byte(i + 1)
+	}
+	cut := func(sizes ...int) [][]byte {
+		var out [][]byte
+		off := 0
+		for _, n := range sizes {
+			out = append(out, append([]byte(nil), stream[off:off+n]...))
+			off += n
+		}
+		return out
+	}
+	levels := []int{4, 6, 0, 8, 1, 21}
+	for _, sizes := range [][]int{{40}, {10, 8, 22}, {3, 3, 3, 3, 28}, {1, 39}, {4, 6, 8, 1, 21}} {
+		recycled := 0
+		tr := startTableRun(&frameFeed{frames: cut(sizes...)}, false, len(stream), func([]byte) { recycled++ })
+		off := 0
+		for _, need := range levels {
+			block, err := tr.level(need)
+			if err != nil {
+				t.Fatalf("frames %v: level of %d bytes: %v", sizes, need, err)
+			}
+			if !bytes.Equal(block, stream[off:off+need]) {
+				t.Fatalf("frames %v: level at %d got %v, want %v", sizes, off, block, stream[off:off+need])
+			}
+			off += need
+		}
+		if err := tr.finish(nil); err != nil {
+			t.Fatalf("frames %v: finish: %v", sizes, err)
+		}
+		if recycled != len(sizes) {
+			t.Fatalf("frames %v: %d frames recycled, want each once", sizes, recycled)
+		}
+	}
+	tr := startTableRun(&frameFeed{frames: cut(30, 10)}, false, 35, nil)
+	if _, err := tr.level(35); err == nil || !strings.Contains(err.Error(), "overrun") {
+		t.Fatalf("frames beyond the run's budget: err = %v, want an overrun", err)
+	}
+	tr = startTableRun(&frameFeed{frames: cut(40)}, false, 40, nil)
+	if _, err := tr.level(30); err != nil {
+		t.Fatal(err)
+	}
+	if err := tr.finish(nil); err == nil || !strings.Contains(err.Error(), "unconsumed") {
+		t.Fatalf("bytes left at the run boundary: err = %v, want unconsumed", err)
 	}
 }

@@ -15,24 +15,36 @@ import (
 	"deepsecure/internal/transport"
 )
 
-// This file is the server side of cross-inference pipelining (protocol
-// v4): one reader goroutine demultiplexes the connection's tagged frames
-// into per-inference evaluation contexts, so the server can evaluate
-// inference k while the client is already streaming inference k+1 —
-// hiding the output-label round-trip and the evaluation tail that
-// previously serialized consecutive inferences. The pieces:
+// This file is the server side of a session: one reader goroutine
+// demultiplexes the connection's tagged frames into per-inference
+// evaluation contexts, so the server can evaluate inference k while the
+// client is already streaming inference k+1. The pieces:
 //
 //	reader ──▶ per-inference inbox ──▶ evalCtx goroutine (evalEngine)
-//	       └─▶ OT inbox ─────────────▶ whichever ctx holds the pool turn
+//	       ├─▶ OT pool (refill answers, banked in wire order)
+//	       └─▶ OT inbox (direct-IKNP answers when the pool is off)
 //	evalCtx ──▶ muxConn (mutex-serialized writes) ──▶ conn
 //
 // The in-flight window (transport.Window, depth = EngineConfig.Pipeline)
-// bounds concurrent contexts, and a precomp.Sequencer serializes the
-// contexts' access to the session's strictly-FIFO OT state into the
-// deterministic order both parties derive from inference ids. Writes
-// from contexts interleave at frame granularity; at depth 1 a single
-// context exists at a time, so the wire stream is byte-identical to the
-// serial path (pinned by TestPipelineDepth1Conformance).
+// bounds concurrent contexts. Each context owns a disjoint range of the
+// session's OT pool, reserved by the reader when the begin frame arrives,
+// so contexts never wait on each other. Writes from contexts interleave
+// at frame granularity; at depth 1 a single context exists at a time, so
+// the wire stream is byte-identical to the serial path (pinned by
+// TestPipelineDepth1Conformance).
+//
+// An inference is one client→server burst answered by one output frame,
+// and nothing here can turn that into a deadlock:
+//
+//   - The reader never waits on a writer. It writes nothing itself, and a
+//     context writes only where no frame of its own can be pending behind
+//     it: the refills its range depends on before its first receive (the
+//     client is then blocked reading for exactly those, see
+//     precomp.ReceiverPool.Cover), everything else after its last. So a
+//     full inbox always drains and the client's burst always lands.
+//   - The client never waits on a write the server is not reading: it
+//     reads only between bursts, or for a refill its begin frame (flushed
+//     by that read) made the reader decide.
 
 // frame is one routed protocol frame, its inference tag already stripped
 // and its type mapped back to the logical (untagged) protocol type.
@@ -57,9 +69,9 @@ const routeStallTimeout = 5 * time.Minute
 
 // muxConn is the shared half of a demultiplexed session connection: it
 // serializes writes from concurrent contexts and, once the reader is
-// started, serves OT-frame receives from the reader's routing instead of
-// the socket. Before start it is a passthrough, so session setup (base
-// OT phase, pool announcement) runs on it unchanged.
+// started, serves direct-IKNP answer receives from the reader's routing
+// instead of the socket. Before start it is a passthrough, so session
+// setup (base OT phase, pool announcement) runs on it unchanged.
 type muxConn struct {
 	conn *transport.Conn
 
@@ -91,6 +103,9 @@ func (m *muxConn) Flush() error {
 	defer m.wmu.Unlock()
 	return m.conn.Flush()
 }
+
+// SetLimit lets the OT pool pin the size of the refill frame it expects.
+func (m *muxConn) SetLimit(t transport.MsgType, n int) { m.conn.SetLimit(t, n) }
 
 func (m *muxConn) Recv(want transport.MsgType) ([]byte, error) {
 	_, p, err := m.RecvAny(want)
@@ -138,7 +153,8 @@ func recvRouted(flush func() error, ch <-chan frame, stop <-chan struct{}, scope
 type evalCtx struct {
 	id    uint64
 	batch int
-	start time.Time // admission time, for the per-inference latency histogram
+	otr   precomp.Range // the inference's OT-pool entries
+	start time.Time     // admission time, for the per-inference latency histogram
 	inbox chan frame
 	dead  chan struct{}
 	// deadline is this inference's independent watchdog timer (nil when
@@ -194,22 +210,19 @@ type muxEvent struct {
 	err        error
 }
 
-// sessionMux runs one demultiplexed v4/v5 session on the server:
+// sessionMux runs one demultiplexed session on the server:
 // single-inference (MsgInfer*) and batched (MsgBatch*) sub-streams
-// share the window, the routing, and the OT order.
+// share the window, the routing, and the OT pool.
 type sessionMux struct {
 	srv   *Server
 	conn  *transport.Conn
 	mc    *muxConn
 	otp   *precomp.ReceiverPool
-	seqr  *precomp.Sequencer
 	win   *transport.Window
 	sched *circuit.Schedule
 	cfg   EngineConfig
 
 	weightBits []bool
-	evalSteps  int       // evaluator-input steps per inference (from the schedule)
-	spec       bool      // speculative OT issue/collect is active this session
 	wd         *watchdog // session phase watchdog (nil = no deadlines armed)
 
 	events     chan muxEvent
@@ -217,7 +230,6 @@ type sessionMux struct {
 	ctxs       map[uint64]*evalCtx
 	sharedPool *gc.Pool      // one shared-scheduler pool for every context, nil in private mode
 	pools      chan *gc.Pool // private mode: circulating per-context pools
-	bufs       chan []byte   // recycled table-pending buffers, see getBuf
 	spawned    int           // reader-owned until readerDone, then main-owned
 
 	// In-flight accounting for Stats: time with ≥2 inferences active is
@@ -235,25 +247,12 @@ type sessionMux struct {
 }
 
 func newSessionMux(srv *Server, conn *transport.Conn, mc *muxConn, otp *precomp.ReceiverPool, sched *circuit.Schedule, weightBits []bool) *sessionMux {
-	evalSteps := 0
-	for i := range sched.Steps {
-		st := &sched.Steps[i]
-		if st.Kind == circuit.StepInputs && st.Party == circuit.Evaluator {
-			evalSteps++
-		}
-	}
+	// A masked-label frame carries one evaluator-input step: bound it by
+	// the widest one (plus the inference tag) before the first arrives.
+	_, widest := evalInputWires(sched)
+	conn.SetLimit(transport.MsgInferMasked, binary.MaxVarintLen64+widest*2*gc.LabelSize)
+	conn.SetLimit(transport.MsgBatchMasked, binary.MaxVarintLen64+widest*2*gc.LabelSize*srv.Engine.maxBatch())
 	depth := srv.Engine.pipeline()
-	// Speculative OT needs pooled entries to issue against and at least
-	// one evaluator-input step to speculate on; otherwise it degrades to
-	// the strict per-inference order with zero behavior change.
-	spec := srv.Engine.SpeculativeOT && otp.Pooled() && evalSteps > 0
-	if spec {
-		// Every in-flight inference may have all of its responses routed
-		// but uncollected at once; resize the OT inbox so legitimate
-		// speculative traffic never trips the unsolicited-frame check.
-		// Safe here: the mux is not started, no reader routes yet.
-		mc.otCh = make(chan frame, 2+depth*evalSteps)
-	}
 	var sharedPool *gc.Pool
 	if !srv.Engine.PrivatePool {
 		sharedPool = srv.Engine.newPool()
@@ -264,18 +263,14 @@ func newSessionMux(srv *Server, conn *transport.Conn, mc *muxConn, otp *precomp.
 		mc:         mc,
 		otp:        otp,
 		sharedPool: sharedPool,
-		seqr:       precomp.NewSequencer(1),
 		win:        transport.NewWindow(depth),
 		sched:      sched,
 		cfg:        srv.Engine,
 		weightBits: weightBits,
-		evalSteps:  evalSteps,
-		spec:       spec,
 		events:     make(chan muxEvent, 1),
 		stop:       mc.stop,
 		ctxs:       make(map[uint64]*evalCtx, depth),
 		pools:      make(chan *gc.Pool, depth),
-		bufs:       make(chan []byte, depth),
 	}
 }
 
@@ -283,14 +278,13 @@ func newSessionMux(srv *Server, conn *transport.Conn, mc *muxConn, otp *precomp.
 // inference boundary, or an error tears it down. It fills st with the
 // session's inference and overlap counters. Error priority: a context's
 // own protocol error (bad frame contents, failed evaluation) returns
-// immediately; teardown-consequence errors (closed routing channels,
-// aborted pool turns) only surface if no root cause — the reader's
-// protocol error, or a boundary-clean disconnect — explains them.
+// immediately; teardown-consequence errors (closed routing channels)
+// only surface if no root cause — the reader's protocol error, or a
+// boundary-clean disconnect — explains them.
 func (m *sessionMux) run(st *Stats) error {
 	m.mc.started = true
 	go m.readLoop()
-	defer m.seqr.Abort() // unblock any context still gated on the pool order
-	defer m.otp.Abort()  // and any speculative collector gated on the ticket order
+	defer m.otp.Abort()
 	defer close(m.stop)
 
 	done := 0
@@ -302,26 +296,15 @@ func (m *sessionMux) run(st *Stats) error {
 		if ev.readerDone {
 			readerDone = true
 			readerErr = ev.err
-			// The reader has closed every routing channel, so no context
-			// can make further progress — abort the pool order now, not
-			// just on return. A torn context skips Release (engine.go), so
-			// a later context blocked in Acquire would otherwise never
-			// emit its event and this loop would wait for it forever.
-			m.seqr.Abort()
-			m.otp.Abort()
 		} else {
 			done++
 			switch {
 			case ev.err == nil:
 				st.Inferences += ev.inferences
-			case errors.Is(ev.err, errSessionTorn) || errors.Is(ev.err, precomp.ErrSequencerAborted):
+			case errors.Is(ev.err, errSessionTorn):
 				if tornErr == nil {
 					tornErr = ev.err
 				}
-				// A torn context may have died holding its pool turn
-				// without Releasing; wake any context gated behind it.
-				m.seqr.Abort()
-				m.otp.Abort()
 			default:
 				m.finishStats(st)
 				return ev.err
@@ -370,10 +353,10 @@ func (m *sessionMux) emit(ev muxEvent) {
 
 // readLoop drains the connection, validating inference tags against the
 // window and routing frames to their contexts (tagged per-inference
-// frames) or to the shared OT inbox (the untagged, order-serialized OT
-// responses). It exits on end-of-session, disconnect, or a protocol
-// violation, then closes every routing channel so blocked contexts fail
-// fast instead of hanging.
+// frames) or to the session's OT state (the untagged refill and
+// direct-IKNP answers). It exits on end-of-session, disconnect, or a
+// protocol violation, then closes every routing channel so blocked
+// contexts fail fast instead of hanging.
 func (m *sessionMux) readLoop() {
 	var err error
 	// Contain reader panics: the reader owns the routing channels, and an
@@ -427,8 +410,8 @@ func (m *sessionMux) readLoop() {
 				break
 			}
 			err = m.beginCtx(id, int(bsz))
-		case transport.MsgInferConst, transport.MsgInferInputs, transport.MsgInferTables,
-			transport.MsgBatchConst, transport.MsgBatchInputs, transport.MsgBatchTables:
+		case transport.MsgInferConst, transport.MsgInferInputs, transport.MsgInferMasked, transport.MsgInferTables,
+			transport.MsgBatchConst, transport.MsgBatchInputs, transport.MsgBatchMasked, transport.MsgBatchTables:
 			var id uint64
 			var content []byte
 			id, content, err = transport.SplitTag(payload)
@@ -444,7 +427,7 @@ func (m *sessionMux) readLoop() {
 				break
 			}
 			if batchFrame := typ == transport.MsgBatchConst || typ == transport.MsgBatchInputs ||
-				typ == transport.MsgBatchTables; batchFrame != (c.batch > 0) {
+				typ == transport.MsgBatchMasked || typ == transport.MsgBatchTables; batchFrame != (c.batch > 0) {
 				err = fmt.Errorf("core: %v frame for inference %d does not match its sub-stream kind", typ, id)
 				break
 			}
@@ -475,18 +458,25 @@ func (m *sessionMux) readLoop() {
 				}
 				stall.Stop()
 			}
-		case transport.MsgOTExtY, transport.MsgOTDerandM:
-			// OT exchanges are strictly request/response and serialized
-			// by the pool order, so at most one response is legitimately
-			// in flight; a frame that doesn't fit the (deliberately
-			// slack) buffer was never requested.
+		case transport.MsgOTExtY:
+			if m.otp.Pooled() {
+				// A refill answer. Banking it here, in wire order, is what
+				// lets contexts use the new entries without waiting: the
+				// masked frames that need them are behind it on the wire.
+				err = m.otp.FinishRefill(payload)
+				break
+			}
+			// Direct IKNP is strictly request/response and one exchange
+			// at a time, so at most one answer is legitimately in flight;
+			// a frame that doesn't fit the (deliberately slack) buffer
+			// was never requested.
 			select {
 			case m.mc.otCh <- frame{typ, payload}:
 			default:
 				err = fmt.Errorf("core: unsolicited %v frame", typ)
 			}
 		default:
-			err = fmt.Errorf("core: unexpected %v frame on a v5 session", typ)
+			err = fmt.Errorf("core: unexpected %v frame on a session", typ)
 		}
 	}
 }
@@ -499,6 +489,9 @@ func (m *sessionMux) beginCtx(id uint64, batch int) error {
 	}
 	m.beginInFlight()
 	c := &evalCtx{id: id, batch: batch, start: time.Now(), inbox: make(chan frame, 4), dead: make(chan struct{})}
+	// Ranges go out in begin order, which is the order the client
+	// reserved them in.
+	c.otr = m.otp.Reserve(int(c.samples()))
 	if d := m.cfg.Deadlines.Inference; d > 0 && m.wd != nil {
 		c.deadline = m.wd.after("inference", d)
 	}
@@ -517,6 +510,8 @@ func logicalType(t transport.MsgType) transport.MsgType {
 		return transport.MsgConstLabels
 	case transport.MsgInferInputs, transport.MsgBatchInputs:
 		return transport.MsgInputLabels
+	case transport.MsgInferMasked, transport.MsgBatchMasked:
+		return transport.MsgOTMasked
 	case transport.MsgInferTables, transport.MsgBatchTables:
 		return transport.MsgTables
 	default:
@@ -586,33 +581,6 @@ func (m *sessionMux) putPool(p *gc.Pool) {
 	}
 }
 
-// getBuf takes a recycled table-pending buffer (the evaluation engine's
-// level-assembly scratch) or starts a fresh one; up to window-depth
-// buffers circulate, so a long session reallocates none after warm-up
-// instead of growing a new chunk-sized buffer per inference.
-func (m *sessionMux) getBuf() []byte {
-	select {
-	case b := <-m.bufs:
-		return b
-	default:
-		return nil
-	}
-}
-
-func (m *sessionMux) putBuf(b []byte) {
-	// Only single-inference-scale scratch is worth keeping: a large
-	// batch grows its pending buffer B× past the chunk size, and
-	// recycling that would pin batch-sized memory for the session's
-	// lifetime just to hand it to every later single inference.
-	if b == nil || cap(b) > 4*m.cfg.chunkBytes() {
-		return
-	}
-	select {
-	case m.bufs <- b[:0]:
-	default:
-	}
-}
-
 // runCtx executes one inference's evaluation to completion and reports
 // the outcome to the session's main loop.
 func (m *sessionMux) runCtx(c *evalCtx) {
@@ -655,6 +623,11 @@ func (m *sessionMux) serveInference(c *evalCtx) error {
 		evalPanicHook(c.id, c.batch)
 	}
 	view := &ctxConn{m: m, c: c}
+	// Before the first receive: a client whose pool is short of this range
+	// sends nothing more until the refills that cover it arrive.
+	if err := m.otp.Cover(c.otr); err != nil {
+		return err
+	}
 	constLabels, err := view.Recv(transport.MsgConstLabels)
 	if err != nil {
 		return err
@@ -663,11 +636,10 @@ func (m *sessionMux) serveInference(c *evalCtx) error {
 	defer m.putPool(pool)
 
 	// The two evaluator kinds share everything but the label state:
-	// install the const labels per kind, then run and recycle through
-	// one epilogue (run/putBuf/outLabels pointers come from whichever
-	// engine the branch built).
+	// install the const labels per kind, then run through one epilogue
+	// (run and the outLabels/time pointers come from whichever engine the
+	// branch built).
 	var run func() error
-	var pendingRef *[]byte
 	var outRef *[]gc.Label
 	var gtRef, readRef *time.Duration
 	if c.batch > 0 {
@@ -694,17 +666,14 @@ func (m *sessionMux) serveInference(c *evalCtx) error {
 			pool:      pool,
 			conn:      view,
 			ots:       m.otp,
+			otr:       c.otr,
 			cfg:       m.cfg,
 			b:         c.batch,
 			inputBits: m.weightBits,
-			seq:       m.seqr,
-			seqTurn:   int64(c.id),
-			evalSteps: m.evalSteps,
-			spec:      m.spec,
 			progress:  &m.conn.Progress,
-			pending:   m.getBuf(),
+			recycle:   m.conn.Recycle,
 		}
-		run, pendingRef, outRef, gtRef, readRef = en.run, &en.pending, &en.outLabels, &en.gateTime, &en.readTime
+		run, outRef, gtRef, readRef = en.run, &en.outLabels, &en.gateTime, &en.readTime
 	} else {
 		if len(constLabels) != 2*gc.LabelSize {
 			return fmt.Errorf("core: const-label frame has %d bytes", len(constLabels))
@@ -721,20 +690,15 @@ func (m *sessionMux) serveInference(c *evalCtx) error {
 			pool:      pool,
 			conn:      view,
 			ots:       m.otp,
+			otr:       c.otr,
 			cfg:       m.cfg,
 			inputBits: m.weightBits,
-			seq:       m.seqr,
-			seqTurn:   int64(c.id),
-			evalSteps: m.evalSteps,
-			spec:      m.spec,
 			progress:  &m.conn.Progress,
-			pending:   m.getBuf(),
+			recycle:   m.conn.Recycle,
 		}
-		run, pendingRef, outRef, gtRef, readRef = en.run, &en.pending, &en.outLabels, &en.gateTime, &en.readTime
+		run, outRef, gtRef, readRef = en.run, &en.outLabels, &en.gateTime, &en.readTime
 	}
-	err = run()
-	m.putBuf(*pendingRef)
-	if err != nil {
+	if err := run(); err != nil {
 		return err
 	}
 	// Fold the crypto-core counters: gate-instance counts derive from the
@@ -755,6 +719,13 @@ func (m *sessionMux) serveInference(c *evalCtx) error {
 	payload := make([]byte, 0, len(outLabels)*gc.LabelSize)
 	for _, l := range outLabels {
 		payload = append(payload, l[:]...)
+	}
+	// Every frame of this inference is consumed, so writing cannot hold the
+	// reader up: announce what the pool policy decided meanwhile. Ahead of
+	// the outputs, so the client has answered by the time it sees them and
+	// a session's transcript does not depend on scheduling.
+	if err := m.otp.SendRefills(); err != nil {
+		return err
 	}
 	// Retire the window slot BEFORE the output labels can reach the
 	// client: its next begin may arrive the instant the flush lands (and

@@ -1,0 +1,343 @@
+package core
+
+import (
+	"errors"
+	"io"
+	"math/rand"
+	"sync"
+	"testing"
+
+	"deepsecure/internal/act"
+	"deepsecure/internal/fixed"
+	"deepsecure/internal/nn"
+	"deepsecure/internal/ot"
+	"deepsecure/internal/ot/precomp"
+	"deepsecure/internal/testutil"
+	"deepsecure/internal/transport"
+)
+
+// testNetWeightBits is W for testNet at fixed.Default: (6·5+5 + 5·4+4)
+// parameters of 16 bits.
+const testNetWeightBits = 59 * 16
+
+// dirLog records, on the client's side of the wire, the direction of
+// every run of bytes moved: 'w' when the client writes after reading (or
+// first), 'r' when it reads after writing.
+type dirLog struct {
+	io.ReadWriter
+	mu   sync.Mutex
+	runs []byte
+}
+
+func (d *dirLog) moved(dir byte, n int) {
+	if n <= 0 {
+		return
+	}
+	d.mu.Lock()
+	if len(d.runs) == 0 || d.runs[len(d.runs)-1] != dir {
+		d.runs = append(d.runs, dir)
+	}
+	d.mu.Unlock()
+}
+
+func (d *dirLog) Write(b []byte) (int, error) {
+	n, err := d.ReadWriter.Write(b)
+	d.moved('w', n)
+	return n, err
+}
+
+func (d *dirLog) Read(b []byte) (int, error) {
+	n, err := d.ReadWriter.Read(b)
+	d.moved('r', n)
+	return n, err
+}
+
+// take returns the directions logged since the last call.
+func (d *dirLog) take() string {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	s := string(d.runs)
+	d.runs = nil
+	return s
+}
+
+// poolSession opens a client session against a server with the given pool
+// and window over a recording pipe; end closes the session, waits for the
+// server and returns its stats and both byte transcripts.
+func poolSession(t *testing.T, net *nn.Network, pool precomp.PoolConfig, window int) (sess *Session, wire *dirLog, end func() (srvStats *Stats, c2s, s2c []byte)) {
+	t.Helper()
+	c2sHalf, s2cHalf := newLogHalf(), newLogHalf()
+	wire = &dirLog{ReadWriter: logDuplex{r: s2cHalf, w: c2sHalf}}
+	cfg := EngineConfig{Workers: 1, ChunkBytes: 4096, Pipeline: window}
+	srv := &Server{Net: net, Fmt: fixed.Default, Rng: rand.New(rand.NewSource(11)), Engine: cfg, OTPool: pool}
+	var wg sync.WaitGroup
+	var srvStats *Stats
+	var srvErr error
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		srvStats, srvErr = srv.ServeSession(transport.New(logDuplex{r: c2sHalf, w: s2cHalf}))
+	}()
+	cli := &Client{Rng: rand.New(rand.NewSource(12)), Engine: cfg}
+	sess, err := cli.NewSession(transport.New(wire))
+	if err != nil {
+		t.Fatalf("open session: %v", err)
+	}
+	return sess, wire, func() (*Stats, []byte, []byte) {
+		t.Helper()
+		if err := sess.Close(); err != nil {
+			t.Fatalf("close: %v", err)
+		}
+		wg.Wait()
+		if srvErr != nil {
+			t.Fatalf("server: %v", srvErr)
+		}
+		return srvStats, c2sHalf.bytesWritten(), s2cHalf.bytesWritten()
+	}
+}
+
+func randSamples(seed int64, n int) [][]float64 {
+	rng := rand.New(rand.NewSource(seed))
+	xs := make([][]float64, n)
+	for i := range xs {
+		xs[i] = make([]float64, 6)
+		for j := range xs[i] {
+			xs[i][j] = rng.Float64()*2 - 1
+		}
+	}
+	return xs
+}
+
+// TestOneFlightWireShape pins the protocol's shape on a warm pool: a
+// single inference, a window's worth of asynchronous ones and a batch are
+// each one client burst answered by one server burst — the client moves
+// no byte toward itself between its begin frame and its final flush, and
+// the server sends nothing the client has to answer.
+func TestOneFlightWireShape(t *testing.T) {
+	net := testNet(t, act.ReLU, 31)
+	f := fixed.Default
+	// Warm for the whole test: 1 + 2 + 4 samples, no low-water crossing.
+	pool := precomp.PoolConfig{Capacity: 16 * testNetWeightBits, RefillLowWater: 1}
+	sess, wire, end := poolSession(t, net, pool, 2)
+	xs := randSamples(32, 7)
+	want := make([]int, len(xs))
+	for i, x := range xs {
+		want[i] = net.PredictFixed(f, x)
+	}
+	wire.take() // setup is a conversation; the inferences are not
+
+	label, _, err := sess.Infer(xs[0])
+	if err != nil || label != want[0] {
+		t.Fatalf("Infer = %d, %v; want %d", label, err, want[0])
+	}
+	if got := wire.take(); got != "wr" {
+		t.Errorf("Infer moved bytes %q, want one burst out and one back (\"wr\")", got)
+	}
+
+	var ps []*PendingInference
+	for i := 1; i <= sess.Window(); i++ {
+		p, err := sess.InferAsync(xs[i])
+		if err != nil {
+			t.Fatal(err)
+		}
+		ps = append(ps, p)
+	}
+	if got := wire.take(); got != "w" {
+		t.Errorf("%d× InferAsync moved bytes %q before any Wait, want writes only", len(ps), got)
+	}
+	for i, p := range ps {
+		if label, _, err := p.Wait(); err != nil || label != want[1+i] {
+			t.Fatalf("async inference %d = %d, %v; want %d", i, label, err, want[1+i])
+		}
+	}
+	if got := wire.take(); got != "r" {
+		t.Errorf("settling the window moved bytes %q, want reads only", got)
+	}
+
+	labels, _, err := sess.InferBatch(xs[3:7])
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, l := range labels {
+		if l != want[3+i] {
+			t.Fatalf("batch sample %d = %d, want %d", i, l, want[3+i])
+		}
+	}
+	if got := wire.take(); got != "wr" {
+		t.Errorf("InferBatch(4) moved bytes %q, want \"wr\"", got)
+	}
+	srvStats, _, s2c := end()
+	if srvStats.OTRefills != 1 || srvStats.OTsConsumed != 7*testNetWeightBits {
+		t.Errorf("server pool: %d fills, %d consumed; want the setup fill and 7 samples' worth", srvStats.OTRefills, srvStats.OTsConsumed)
+	}
+	// After setup the server's whole side of the conversation is outputs.
+	seenOutputs := false
+	for _, fr := range parseFrames(t, s2c) {
+		switch fr.typ {
+		case transport.MsgInferOutputs, transport.MsgBatchOutputs:
+			seenOutputs = true
+		default:
+			if seenOutputs {
+				t.Errorf("server sent a %v frame after its first outputs", fr.typ)
+			}
+		}
+	}
+}
+
+// TestPoolRefillShapes drives sessions whose pools cannot hold the
+// traffic: a refill after every inference (Capacity = W+1), on-demand
+// refills in the middle of pipelined batches (Capacity < W, window 2,
+// B = 3) and fills that wrap around the key (Capacity not a multiple of
+// W). Every label must equal nn.PredictFixed, both parties must hand out
+// the same consecutive ranges, every announced refill must be answered
+// before the session ends, and nothing may linger afterwards.
+func TestPoolRefillShapes(t *testing.T) {
+	const w = testNetWeightBits
+	net := testNet(t, act.ReLU, 33)
+	f := fixed.Default
+	for _, tc := range []struct {
+		name   string
+		pool   precomp.PoolConfig
+		window int
+		batch  int // samples per operation; 1 = InferAsync
+		ops    int
+	}{
+		{"refillEveryInference", precomp.PoolConfig{Capacity: w + 1}, 1, 1, 5},
+		{"refillEveryInferenceBackground", precomp.PoolConfig{Capacity: w + 1, Background: true}, 2, 1, 5},
+		{"onDemandMidBatch", precomp.PoolConfig{Capacity: w - 100}, 2, 3, 4},
+		{"wrapAround", precomp.PoolConfig{Capacity: 2*w + w/2, RefillLowWater: w}, 2, 1, 7},
+		{"wrapAroundBatch", precomp.PoolConfig{Capacity: 2*w + w/3}, 2, 2, 5},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			checkLeaks := testutil.VerifyNoLeaks(t)
+			sess, _, end := poolSession(t, net, tc.pool, tc.window)
+			type op struct {
+				xs   [][]float64
+				wait func() ([]int, error)
+			}
+			var inflight []op
+			settle := func() {
+				t.Helper()
+				o := inflight[0]
+				inflight = inflight[1:]
+				labels, err := o.wait()
+				if err != nil {
+					t.Fatal(err)
+				}
+				for i, x := range o.xs {
+					if want := net.PredictFixed(f, x); labels[i] != want {
+						t.Fatalf("label %d, nn.PredictFixed says %d", labels[i], want)
+					}
+				}
+			}
+			for i := 0; i < tc.ops; i++ {
+				if len(inflight) == sess.Window() {
+					settle()
+				}
+				xs := randSamples(int64(100+i), tc.batch)
+				seq0 := sess.ots.Seq()
+				o := op{xs: xs}
+				if tc.batch == 1 {
+					p, err := sess.InferAsync(xs[0])
+					if err != nil {
+						t.Fatal(err)
+					}
+					o.wait = func() ([]int, error) { l, _, err := p.Wait(); return []int{l}, err }
+				} else {
+					pb, err := sess.InferBatchAsync(xs)
+					if err != nil {
+						t.Fatal(err)
+					}
+					o.wait = func() ([]int, error) { ls, _, err := pb.Wait(); return ls, err }
+				}
+				// The operation owns exactly [seq0, seq0 + B·W): ranges of
+				// successive operations are consecutive, hence disjoint.
+				if got, want := sess.ots.Seq(), seq0+int64(tc.batch*w); got != want || seq0 != int64(i*tc.batch*w) {
+					t.Fatalf("op %d reserved [%d, %d), want [%d, %d)", i, seq0, got, i*tc.batch*w, want)
+				}
+				inflight = append(inflight, o)
+			}
+			for len(inflight) > 0 {
+				settle()
+			}
+			cliStats := sess.Stats()
+			srvStats, c2s, s2c := end()
+			total := int64(tc.ops * tc.batch * w)
+			if srvStats.OTsConsumed != total || cliStats.OTsConsumed != total {
+				t.Errorf("consumed %d (server) / %d (client) pooled OTs, want %d", srvStats.OTsConsumed, cliStats.OTsConsumed, total)
+			}
+			if srvStats.OTRefills < 3 || srvStats.OTsDirect != 0 {
+				t.Errorf("server pool: %d fills, %d direct OTs; want refills and no direct IKNP", srvStats.OTRefills, srvStats.OTsDirect)
+			}
+			// Every refill the server announced was answered, and the last
+			// thing the server said was an inference's outputs: a client
+			// holding all its results owes the server nothing at Close.
+			asked, answered := 0, 0
+			frames := parseFrames(t, s2c)
+			for _, fr := range frames {
+				if fr.typ == transport.MsgOTExtU {
+					asked++
+				}
+			}
+			for _, fr := range parseFrames(t, c2s) {
+				if fr.typ == transport.MsgOTExtY {
+					answered++
+				}
+			}
+			if asked != answered || int64(asked) != srvStats.OTRefills {
+				t.Errorf("%d refills announced, %d answered, %d banked", asked, answered, srvStats.OTRefills)
+			}
+			if last := frames[len(frames)-1].typ; last != transport.MsgInferOutputs && last != transport.MsgBatchOutputs {
+				t.Errorf("server's last frame is %v, want outputs", last)
+			}
+			checkLeaks()
+		})
+	}
+}
+
+// TestPoolWidthMismatchRefusedAtSetup pins that the two parties agree on
+// W before any inference: a server whose pool is keyed for a different
+// number of weight bits than the client's netlist takes is refused by
+// NewSession with a typed error.
+func TestPoolWidthMismatchRefusedAtSetup(t *testing.T) {
+	net := testNet(t, act.ReLU, 35)
+	f := fixed.Default
+	for _, pool := range []precomp.PoolConfig{{}, {Capacity: 2048}} {
+		cConn, sConn, closer := transport.Pipe()
+		done := make(chan error, 1)
+		go func() { // a server that keys its pool one bit too wide
+			done <- func() error {
+				if _, err := sConn.Recv(transport.MsgHello); err != nil {
+					return err
+				}
+				spec, err := net.Spec(f).Marshal()
+				if err != nil {
+					return err
+				}
+				if err := sConn.Send(transport.MsgArch, spec); err != nil {
+					return err
+				}
+				if err := sConn.Send(transport.MsgPipeline, []byte{2, 32}); err != nil {
+					return err
+				}
+				rng := rand.New(rand.NewSource(36))
+				ots, err := ot.NewExtReceiver(sConn, rng)
+				if err != nil {
+					return err
+				}
+				otp := precomp.NewReceiverPool(sConn, ots, rng, pool)
+				otp.SetKey(make([]bool, testNetWeightBits+1))
+				return otp.Announce()
+			}()
+		}()
+		_, err := (&Client{Rng: rand.New(rand.NewSource(37))}).NewSession(cConn)
+		var mismatch *PoolMismatchError
+		if !errors.As(err, &mismatch) || mismatch.Announced != testNetWeightBits+1 || mismatch.Compiled != testNetWeightBits {
+			t.Errorf("pool %+v: NewSession = %v, want a PoolMismatchError %d vs %d", pool, err, testNetWeightBits+1, testNetWeightBits)
+		}
+		if err := <-done; err != nil {
+			t.Errorf("pool %+v: mismatching server's own setup: %v", pool, err)
+		}
+		closer.Close()
+	}
+}

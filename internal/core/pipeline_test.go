@@ -74,7 +74,7 @@ func stripV4(t *testing.T, frames []wireFrame) []wireFrame {
 	for _, f := range frames {
 		switch f.typ {
 		case transport.MsgHello:
-			if string(f.payload) != "deepsecure/7" {
+			if string(f.payload) != "deepsecure/8" {
 				t.Fatalf("hello = %q", f.payload)
 			}
 		case transport.MsgArch, transport.MsgEndSession:
@@ -109,24 +109,51 @@ func stripV4(t *testing.T, frames []wireFrame) []wireFrame {
 			out = append(out, strip(f, transport.MsgConstLabels, cur))
 		case transport.MsgInferInputs, transport.MsgBatchInputs:
 			out = append(out, strip(f, transport.MsgInputLabels, cur))
+		case transport.MsgInferMasked, transport.MsgBatchMasked:
+			out = append(out, strip(f, transport.MsgOTMasked, cur))
 		case transport.MsgInferTables, transport.MsgBatchTables:
 			out = append(out, strip(f, transport.MsgTables, cur))
 		case transport.MsgInferOutputs, transport.MsgBatchOutputs:
 			out = append(out, strip(f, transport.MsgOutputLabels, nextOut))
 			nextOut++
 		default:
-			// OT traffic (base, extension, refill, derandomization) is
-			// untagged in v4 and compares as-is.
+			// Session-level OT traffic (base, extension, refill) is
+			// untagged and compares as-is.
 			out = append(out, f)
 		}
 	}
 	return out
 }
 
-// referenceSerialRun replays the pre-pipelining (v3) serial wire
-// protocol from the raw building blocks — shared OT extension and pools,
-// untagged frames, strictly alternating inferences — recording both
-// directions. Its randomness consumption matches the session path's
+// refillBanking is the reference evaluator's receive face on a pooled
+// session: it banks refill answers wherever they arrive in the garbler's
+// stream, which is what a session's reader does.
+type refillBanking struct {
+	*transport.Conn
+	otp *precomp.ReceiverPool
+}
+
+func (v refillBanking) Recv(want transport.MsgType) ([]byte, error) {
+	_, p, err := v.RecvAny(want)
+	return p, err
+}
+
+func (v refillBanking) RecvAny(want ...transport.MsgType) (transport.MsgType, []byte, error) {
+	for {
+		typ, p, err := v.Conn.RecvAny(append(want, transport.MsgOTExtY)...)
+		if err != nil || typ != transport.MsgOTExtY {
+			return typ, p, err
+		}
+		if err := v.otp.FinishRefill(p); err != nil {
+			return 0, nil, err
+		}
+	}
+}
+
+// referenceSerialRun replays the serial wire protocol from the raw
+// building blocks — shared OT extension and pools, untagged frames,
+// strictly alternating inferences, refills announced where a session's
+// contexts announce them — recording both directions. Its randomness consumption matches the session path's
 // (extension base phase, pool fill, one garbler per inference), so with
 // equal seeds the frame contents must match a depth-1 v4 session's.
 func referenceSerialRun(t *testing.T, net *nn.Network, xs [][]float64, poolCfg precomp.PoolConfig, cliSeed, srvSeed int64) (g2e, e2g []byte) {
@@ -152,12 +179,22 @@ func referenceSerialRun(t *testing.T, net *nn.Network, xs [][]float64, poolCfg p
 			return
 		}
 		otp := precomp.NewReceiverPool(eConn, ots, rng, poolCfg)
+		otp.SetKey(weightBits)
 		if err := otp.Announce(); err != nil {
 			evalDone <- err
 			return
 		}
 		pool := gc.NewPool(1)
+		var eConn transport.FrameConn = eConn
+		if otp.Pooled() {
+			eConn = refillBanking{eConn.(*transport.Conn), otp}
+		}
 		for range xs {
+			otr := otp.Reserve(1)
+			if err := otp.Cover(otr); err != nil {
+				evalDone <- err
+				return
+			}
 			constLabels, err := eConn.Recv(transport.MsgConstLabels)
 			if err != nil {
 				evalDone <- err
@@ -175,10 +212,15 @@ func referenceSerialRun(t *testing.T, net *nn.Network, xs [][]float64, poolCfg p
 				pool:      pool,
 				conn:      eConn,
 				ots:       otp,
+				otr:       otr,
 				cfg:       cfg,
 				inputBits: weightBits,
 			}
 			if err := en.run(); err != nil {
+				evalDone <- err
+				return
+			}
+			if err := otp.SendRefills(); err != nil {
 				evalDone <- err
 				return
 			}
@@ -213,6 +255,10 @@ func referenceSerialRun(t *testing.T, net *nn.Network, xs [][]float64, poolCfg p
 		for _, v := range x {
 			bits = append(bits, f.FromFloatSat(v).Bits()...)
 		}
+		otr := otp.Reserve(1)
+		if err := otp.Cover(otr); err != nil {
+			t.Fatal(err)
+		}
 		g, err := gc.NewGarbler(rng)
 		if err != nil {
 			t.Fatal(err)
@@ -230,6 +276,7 @@ func referenceSerialRun(t *testing.T, net *nn.Network, xs [][]float64, poolCfg p
 			pool:      pool,
 			conn:      gConn,
 			ots:       otp,
+			otr:       otr,
 			cfg:       cfg,
 			inputBits: bits,
 			free:      make(chan []byte, 3),
@@ -237,11 +284,18 @@ func referenceSerialRun(t *testing.T, net *nn.Network, xs [][]float64, poolCfg p
 		if err := en.run(); err != nil {
 			t.Fatal(err)
 		}
-		if err := gConn.Flush(); err != nil {
-			t.Fatal(err)
-		}
-		if _, err := gConn.Recv(transport.MsgOutputLabels); err != nil {
-			t.Fatal(err)
+		// The answer, behind any refill the evaluator announced meanwhile.
+		for {
+			typ, payload, err := gConn.RecvAny(transport.MsgOutputLabels, transport.MsgOTRefill)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if typ == transport.MsgOutputLabels {
+				break
+			}
+			if err := otp.HandleRefill(payload); err != nil {
+				t.Fatal(err)
+			}
 		}
 	}
 	if err := <-evalDone; err != nil {
@@ -588,14 +642,21 @@ func TestPipelineStatsOverlap(t *testing.T) {
 }
 
 // TestPipelineUnsolicitedOTFrameRejected pins the reader's flood
-// backstop: OT response frames nobody requested must error the session
-// out instead of wedging the demux reader behind a full routing channel
-// (which would pin the connection beyond the reach of idle timeouts).
+// backstop: OT answer frames nobody requested must error the session
+// out — a direct-IKNP answer instead of wedging the demux reader behind a
+// full routing channel (which would pin the connection beyond the reach
+// of idle timeouts), a refill answer instead of being banked.
 func TestPipelineUnsolicitedOTFrameRejected(t *testing.T) {
+	for _, poolCfg := range []precomp.PoolConfig{{}, {Capacity: 512}} {
+		testUnsolicitedOTFrame(t, poolCfg)
+	}
+}
+
+func testUnsolicitedOTFrame(t *testing.T, poolCfg precomp.PoolConfig) {
 	net := testNet(t, act.ReLU, 70)
 	cConn, sConn, closer := transport.Pipe()
 	defer closer.Close()
-	srv := &Server{Net: net, Fmt: fixed.Default, Rng: rand.New(rand.NewSource(88))}
+	srv := &Server{Net: net, Fmt: fixed.Default, Rng: rand.New(rand.NewSource(88)), OTPool: poolCfg}
 	var wg sync.WaitGroup
 	var srvErr error
 	wg.Add(1)
@@ -609,7 +670,7 @@ func TestPipelineUnsolicitedOTFrameRejected(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i < 3; i++ {
-		if err := sess.conn.Send(transport.MsgOTDerandM, []byte("nobody asked")); err != nil {
+		if err := sess.conn.Send(transport.MsgOTExtY, nil); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -618,16 +679,14 @@ func TestPipelineUnsolicitedOTFrameRejected(t *testing.T) {
 	}
 	wg.Wait()
 	if srvErr == nil || !strings.Contains(srvErr.Error(), "unsolicited") {
-		t.Fatalf("server error = %v, want unsolicited-frame rejection", srvErr)
+		t.Fatalf("pool %+v: server error = %v, want unsolicited-frame rejection", poolCfg, srvErr)
 	}
 }
 
 // TestPipelineMidOTDisconnectTerminates pins the teardown path where the
-// client vanishes while inference 1 holds the OT pool turn mid-exchange
-// and inference 2 is gated behind it in Sequencer.Acquire: the turn is
-// never Released (a failed exchange deliberately skips it), so unless
-// run() aborts the sequencer eagerly on reader death, inference 2 never
-// wakes, never emits its event, and ServeSession hangs forever.
+// client vanishes while inference 1 is mid direct-IKNP exchange (no pool)
+// and inference 2 waits behind it for the extension: both must unwind
+// when the reader dies, or ServeSession hangs forever.
 func TestPipelineMidOTDisconnectTerminates(t *testing.T) {
 	checkLeaks := testutil.VerifyNoLeaks(t)
 	f := fixed.Default
@@ -649,8 +708,7 @@ func TestPipelineMidOTDisconnectTerminates(t *testing.T) {
 	// context exactly to its first evaluator-input step (the same program
 	// the server schedules from, so frame sizes line up; label contents
 	// are irrelevant — evaluation never starts). Context 1 then sends its
-	// OT request and waits for the response; context 2 blocks in
-	// Acquire(2) behind the held turn.
+	// OT request and waits for the response; context 2 blocks behind it.
 	prog, err := netgen.Compile(net, f, netgen.Options{})
 	if err != nil {
 		t.Fatal(err)
@@ -682,14 +740,14 @@ func TestPipelineMidOTDisconnectTerminates(t *testing.T) {
 	if err := cConn.Flush(); err != nil {
 		t.Fatal(err)
 	}
-	// Wait until inference 1's OT request is on the wire — its context
-	// now holds the pool turn — then disconnect without answering.
+	// Wait until inference 1's OT request is on the wire, then disconnect
+	// without answering.
 	for {
 		typ, _, err := cConn.ReadFrame()
 		if err != nil {
 			t.Fatalf("reading server frames: %v", err)
 		}
-		if typ == transport.MsgOTDerandC || typ == transport.MsgOTExtU || typ == transport.MsgOTRefill {
+		if typ == transport.MsgOTExtU {
 			break
 		}
 	}

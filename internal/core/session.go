@@ -39,36 +39,46 @@ import (
 	"deepsecure/internal/transport"
 )
 
-// protocolHello identifies the session protocol. Version 5 adds batched
-// inference to version 4's cross-inference pipelining: a MsgBatchBegin
-// sub-stream fuses B independent samples into one schedule walk — one
-// tagged stream of interleaved per-level tables, and one OT
-// derandomization exchange per input step covering all B samples
-// (collapsing 2·B round-trips to 2 per batch) — occupying a single slot
-// of the pipeline window. The server's MsgPipeline announcement now
-// carries two uvarints: the in-flight window depth and the batch-size
-// cap. Single inferences still run as v4 MsgInfer* sub-streams,
-// byte-identical to v4 modulo the handshake (and a B=1 batch is
-// byte-identical to a single inference modulo framing, pinned by
-// TestBatchSize1Conformance). OT frames stay untagged — the pool's
-// strict FIFO order already serializes them into the inference-id order
-// both parties derive independently.
+// protocolHello identifies the session protocol; exactly one version is
+// accepted. The hello carries no program digest, so any change to the
+// frames or to the netlist a given architecture compiles to takes a new
+// version: an older peer is refused at the handshake instead of failing
+// label authentication mid-stream.
 //
-// Version 6 adds the admission path to version 5: a server under load
-// may answer MsgHello with MsgBusy (uvarint retry-after milliseconds)
-// instead of MsgArch and close the connection; clients surface it as a
-// retryable *BusyError. Admitted sessions are wire-identical to v5
-// modulo the hello string.
+// Setup, in order: client MsgHello; server MsgArch (or MsgBusy with a
+// uvarint retry-after in ms, then close) and MsgPipeline (uvarint
+// in-flight window, uvarint batch cap); the OT-extension base phase
+// (MsgOTBase); the server's pool announcement MsgOTRefill (uvarint
+// capacity, 0 = no pool; uvarint W, the evaluator-input bits per sample)
+// and, with a pool, its initial fill — MsgOTRefill (uvarint n) and
+// MsgOTExtU from the server, MsgOTExtY back.
 //
-// Version 7 changes no frame: stdcell.MulFixed became a different (smaller)
-// netlist, so the same architecture compiles to a different gate stream.
-// The hello carries no program digest; without the bump a v6 peer would
-// pass the handshake and fail mid-stream on label authentication instead
-// of being refused here.
-const protocolHello = "deepsecure/7"
+// An inference is one client→server burst answered by one frame. The
+// burst: MsgInferBegin (uvarint id, sequential from 1), then with every
+// payload prefixed by that id MsgInferConst (the two constant labels) and,
+// in schedule order, MsgInferInputs (the client's active input labels of
+// one step), MsgInferMasked (one evaluator-input step: per wire the label
+// pair masked with the inference's next two pool halves) and
+// MsgInferTables (garbled tables, chunked at level boundaries). The answer
+// is MsgInferOutputs (id, the output labels). Inference id owns pool
+// entries (id-1)·W … id·W-1 in the absence of batches; in general ranges
+// are handed out in begin order.
+//
+// A batch of B samples is the same burst under MsgBatchBegin (id, B) and
+// the MsgBatch* types, every payload wire-major with samples innermost; at
+// B=1 the payloads are byte-identical to a single inference's. It owns
+// B·W pool entries, sample s's bit c at q0 + s·W + c.
+//
+// Up to the announced window of inferences may be in flight; answers come
+// back in completion order. Between bursts the server may announce a pool
+// refill (MsgOTRefill n, MsgOTExtU), which the client answers (MsgOTExtY)
+// when it next reads. Without a pool every evaluator-input step is instead
+// a direct IKNP round trip (MsgOTExtU from the server, MsgOTExtY back).
+// MsgEndSession from the client ends the session.
+const protocolHello = "deepsecure/8"
 
 // BusyError is returned by NewSession when the server sheds the session
-// at admission (protocol v6 MsgBusy): the server is saturated and asks
+// at admission (MsgBusy): the server is saturated and asks
 // the client to come back after RetryAfter. The connection is closed by
 // the server; a retry must dial fresh. Detect it with errors.As and
 // back off at least RetryAfter before retrying.
@@ -79,6 +89,19 @@ type BusyError struct {
 
 func (e *BusyError) Error() string {
 	return fmt.Sprintf("deepsecure: server busy, retry after %v", e.RetryAfter)
+}
+
+// PoolMismatchError is returned by NewSession when the server keyed its OT
+// pool for a different number of evaluator-input bits than the client's
+// compiled schedule transfers per sample: the two would disagree on every
+// inference's pool range, so the session is refused at setup.
+type PoolMismatchError struct {
+	Announced int // W in the server's pool announcement
+	Compiled  int // evaluator-input wires in the client's schedule
+}
+
+func (e *PoolMismatchError) Error() string {
+	return fmt.Sprintf("deepsecure: server transfers %d weight bits per sample, this client's netlist takes %d", e.Announced, e.Compiled)
 }
 
 // Stats summarizes one secure inference — or, for session-level calls, a
@@ -92,17 +115,17 @@ type Stats struct {
 	Inferences    int64
 
 	// Offline/online OT split (Beaver-style precomputation): offline
-	// covers the extension base phase and random-OT pool fills — crypto
-	// paid at session setup and in refill gaps — while online is the OT
-	// work left on the inference critical path (per-batch
-	// derandomization, or full IKNP when pooling is off).
+	// covers the extension base phase and OT pool fills — crypto paid at
+	// session setup and in refill gaps — while online is the OT work left
+	// on the inference critical path (per-step masking and unmasking, or
+	// full IKNP when pooling is off).
 	OTOfflineTime time.Duration
 	OTOnlineTime  time.Duration
-	OTsPooled     int64 // random OTs bulk-generated into the pool
-	OTsConsumed   int64 // pooled OTs spent by derandomization
+	OTsPooled     int64 // OTs bulk-generated into the pool
+	OTsConsumed   int64 // pooled OTs spent on input steps
 	OTsDirect     int64 // OTs served by direct (unpooled) IKNP
 	OTRefills     int64 // pool fill exchanges, the initial fill included
-	OTBatches     int64 // online OT exchanges (one per input batch)
+	OTBatches     int64 // online OT transfers (one per input step)
 
 	// Cross-inference pipelining (server-side session measurement): the
 	// peak number of concurrently in-flight inferences and the wall time
@@ -181,10 +204,11 @@ type Server struct {
 	// Engine tunes the level-scheduled evaluation engine (worker count,
 	// table chunking). The zero value derives workers from GOMAXPROCS.
 	Engine EngineConfig
-	// OTPool sizes the offline random-OT pool each session precomputes at
-	// setup and refills in idle gaps (the server owns the policy; clients
-	// follow whatever it announces). The zero value disables pooling and
-	// every input batch runs IKNP online.
+	// OTPool sizes the offline OT pool each session precomputes at setup,
+	// keyed to the model's weight bits, and refills between inferences
+	// (the server owns the policy; clients follow whatever it announces).
+	// The zero value disables pooling and every input step runs IKNP
+	// online.
 	OTPool precomp.PoolConfig
 
 	compileOnce sync.Once
@@ -228,7 +252,7 @@ func (s *Server) Serve(conn *transport.Conn) error {
 // the session (or disconnects at an inference boundary, which is treated
 // as an implicit close). The handshake, OT-extension base phase, and
 // netlist compilation happen once; each inference replays the compiled
-// tape with fresh evaluation state. Inferences arrive as tagged v4
+// tape with fresh evaluation state. Inferences arrive as tagged
 // sub-streams and up to EngineConfig.Pipeline of them are evaluated
 // concurrently, overlapping one inference's evaluation tail and output
 // round-trip with the next one's garbled stream. Returns per-session
@@ -284,8 +308,8 @@ func (s *Server) ServeSession(conn *transport.Conn) (*Stats, error) {
 	weightBits := nn.WeightBits(s.Net, s.Fmt)
 
 	// Everything below speaks through the mux-aware connection: a
-	// passthrough during setup, and the contexts' serialized write /
-	// routed OT-receive face once the session mux starts.
+	// passthrough during setup, and the contexts' serialized write face
+	// once the session mux starts.
 	mc := newMuxConn(conn)
 
 	// OT-extension base phase: once per session, amortized over every
@@ -298,9 +322,11 @@ func (s *Server) ServeSession(conn *transport.Conn) (*Stats, error) {
 	}
 	st.OTOfflineTime += time.Since(baseStart)
 
-	// Random-OT pool: announce the server's policy and, when enabled,
-	// bulk-fill at setup so per-inference batches only derandomize.
+	// OT pool: announce the server's policy and, when enabled, bulk-fill
+	// at setup with the weight bits as choices, so an inference's input
+	// steps only unmask.
 	otp := precomp.NewReceiverPool(mc, ots, rng, s.OTPool)
+	otp.SetKey(weightBits)
 	otBase := otp.Stats()
 	defer func() { st.addOT(otDelta(otp.Stats(), otBase)) }()
 	if err := otp.Announce(); err != nil {
@@ -433,9 +459,9 @@ type Session struct {
 
 	// The session's garbling engine state, reused across inferences: the
 	// worker pool (with its per-worker hashers), the recycled table-chunk
-	// ring, the label payload buffer, and the begin-frame tag scratch
-	// (pre-sized so AppendTag never reallocates on the per-inference
-	// path).
+	// ring, the label payload buffer (input labels and masked weight-label
+	// pairs alike), and the begin-frame tag scratch (pre-sized so
+	// AppendTag never reallocates on the per-inference path).
 	cfg      EngineConfig
 	pool     *gc.Pool
 	freeBufs chan []byte
@@ -455,10 +481,12 @@ type Session struct {
 
 // clientOTConn is the client session's OT-protocol face: a passthrough
 // to the connection that additionally resolves output-label frames of
-// earlier in-flight inferences arriving interleaved with the current
-// inference's OT exchange (the server answers inference k's outputs
-// while already serving inference k+1's input batches).
+// earlier in-flight inferences arriving ahead of the refill (or, without
+// a pool, the direct-IKNP request) the OT stack is reading for.
 type clientOTConn struct{ s *Session }
+
+// SetLimit lets the OT pool pin the size of the refill frame it expects.
+func (v clientOTConn) SetLimit(t transport.MsgType, n int) { v.s.conn.SetLimit(t, n) }
 
 func (v clientOTConn) Send(t transport.MsgType, payload []byte) error {
 	return v.s.conn.Send(t, payload)
@@ -494,23 +522,23 @@ func (v clientOTConn) RecvAny(want ...transport.MsgType) (transport.MsgType, []b
 
 // garbleConn is the garble engine's view for one inference sub-stream,
 // single or batched: the engine's logical frames go out tagged with the
-// inference id as the sub-stream's const/inputs/tables variants, OT
-// frames pass through untagged, and receives route through the
-// output-resolving OT face.
+// inference id as the sub-stream's const/inputs/masked/tables variants,
+// direct-IKNP frames pass through untagged, and receives route through
+// the output-resolving OT face.
 type garbleConn struct {
 	s  *Session
 	id uint64
-	// The sub-stream's tagged frame-type triple: MsgInfer* for a single
+	// The sub-stream's tagged frame types: MsgInfer* for a single
 	// inference, MsgBatch* for a batch.
-	constT, inputsT, tablesT transport.MsgType
+	constT, inputsT, maskedT, tablesT transport.MsgType
 }
 
 func singleGarbleConn(s *Session, id uint64) garbleConn {
-	return garbleConn{s, id, transport.MsgInferConst, transport.MsgInferInputs, transport.MsgInferTables}
+	return garbleConn{s, id, transport.MsgInferConst, transport.MsgInferInputs, transport.MsgInferMasked, transport.MsgInferTables}
 }
 
 func batchGarbleConn(s *Session, id uint64) garbleConn {
-	return garbleConn{s, id, transport.MsgBatchConst, transport.MsgBatchInputs, transport.MsgBatchTables}
+	return garbleConn{s, id, transport.MsgBatchConst, transport.MsgBatchInputs, transport.MsgBatchMasked, transport.MsgBatchTables}
 }
 
 func (v garbleConn) Send(t transport.MsgType, payload []byte) error {
@@ -519,6 +547,8 @@ func (v garbleConn) Send(t transport.MsgType, payload []byte) error {
 		return v.s.conn.SendTagged(v.constT, v.id, payload)
 	case transport.MsgInputLabels:
 		return v.s.conn.SendTagged(v.inputsT, v.id, payload)
+	case transport.MsgOTMasked:
+		return v.s.conn.SendTagged(v.maskedT, v.id, payload)
 	case transport.MsgTables:
 		return v.s.conn.SendTagged(v.tablesT, v.id, payload)
 	default:
@@ -625,11 +655,15 @@ func (c *Client) NewSession(conn *transport.Conn) (sess *Session, err error) {
 	}
 	s.baseTime = time.Since(baseStart)
 	// Pool announcement: the server says whether this session
-	// precomputes OTs; with an enabled pool the initial bulk fill happens
-	// here, as part of session setup.
+	// precomputes OTs and how many it transfers per sample; with an
+	// enabled pool the initial bulk fill happens here, as part of session
+	// setup.
 	otp := precomp.NewSenderPool(clientOTConn{s}, ots, rng)
 	if err := otp.HandleAnnounce(); err != nil {
 		return nil, err
+	}
+	if compiled, _ := evalInputWires(prog.Schedule); otp.Width() != compiled {
+		return nil, &PoolMismatchError{Announced: otp.Width(), Compiled: compiled}
 	}
 	s.ots = otp
 	// Garble-ahead bank: the initial fill is this session's offline
@@ -722,14 +756,27 @@ func (p *PendingInference) wait() error {
 // Done reports whether the result is already in (Wait will not block).
 func (p *PendingInference) Done() bool { return p.done }
 
-// resolveNext reads the next output-label frame and resolves the
-// in-flight inference it belongs to.
+// resolveNext reads the next frame the server sends between bursts: an
+// output-label frame, which resolves the in-flight inference it belongs
+// to, or a pool refill announcement, which is answered on the spot.
+// Callers loop until the result they wait for is in.
 func (s *Session) resolveNext() error {
-	typ, payload, err := s.conn.RecvAny(transport.MsgInferOutputs, transport.MsgBatchOutputs)
+	typ, payload, err := s.conn.RecvAny(transport.MsgInferOutputs, transport.MsgBatchOutputs, transport.MsgOTRefill)
 	if err != nil {
 		return err
 	}
+	if typ == transport.MsgOTRefill {
+		return s.ots.HandleRefill(payload)
+	}
 	return s.resolveOutput(typ, payload)
+}
+
+// reserveOTs assigns the next b samples' worth of the session's OT pool to
+// the inference whose begin frame was just sent, and answers refills until
+// the pool covers it. On a warm pool it reads nothing.
+func (s *Session) reserveOTs(b int) (precomp.Range, error) {
+	r := s.ots.Reserve(b)
+	return r, s.ots.Cover(r)
 }
 
 // resolveOutput authenticates one output-label frame against its
@@ -858,6 +905,10 @@ func (s *Session) InferAsync(x []float64) (*PendingInference, error) {
 	if err := s.conn.Send(transport.MsgInferBegin, s.tagBuf); err != nil {
 		return fail(err)
 	}
+	otr, err := s.reserveOTs(1)
+	if err != nil {
+		return fail(err)
+	}
 	// Garble-ahead fast path: a banked execution already holds this
 	// inference's delta, labels, and full table stream — the online work
 	// is label selection and zero-copy stream writes, byte-identical to
@@ -868,7 +919,7 @@ func (s *Session) InferAsync(x []float64) (*PendingInference, error) {
 	if s.bank != nil {
 		ex, _ := s.bank.Take()
 		if ex != nil {
-			return s.inferBanked(p, id, bits, ex)
+			return s.inferBanked(p, id, otr, bits, ex)
 		}
 		p.bankMiss = true
 		s.bankMisses++
@@ -893,6 +944,7 @@ func (s *Session) InferAsync(x []float64) (*PendingInference, error) {
 		pool:      s.pool,
 		conn:      singleGarbleConn(s, id),
 		ots:       s.ots,
+		otr:       otr,
 		cfg:       s.cfg,
 		inputBits: bits,
 		labelBuf:  s.labelBuf[:0],
@@ -929,7 +981,7 @@ func (s *Session) InferAsync(x []float64) (*PendingInference, error) {
 // (the begin frame is already out). The execution is off the bank for
 // good: on a mid-stream error it is released and discarded with the
 // broken session — single-use, never re-issued.
-func (s *Session) inferBanked(p *PendingInference, id uint64, bits []bool, ex *bank.Execution) (*PendingInference, error) {
+func (s *Session) inferBanked(p *PendingInference, id uint64, otr precomp.Range, bits []bool, ex *bank.Execution) (*PendingInference, error) {
 	fail := func(err error) (*PendingInference, error) {
 		ex.Release()
 		s.failed = true
@@ -944,6 +996,7 @@ func (s *Session) inferBanked(p *PendingInference, id uint64, bits []bool, ex *b
 		ex:        ex,
 		conn:      singleGarbleConn(s, id),
 		ots:       s.ots,
+		otr:       otr,
 		cfg:       s.cfg,
 		inputBits: bits,
 		labelBuf:  s.labelBuf[:0],
@@ -1001,8 +1054,8 @@ func (pb *PendingBatch) Size() int { return pb.p.batch }
 
 // InferBatchAsync garbles and streams one batched inference of
 // len(xs) independent samples as a single fused pass — one schedule
-// walk, one interleaved table stream, and one OT derandomization
-// exchange per input step for the whole batch — without waiting for
+// walk, one interleaved table stream, and one OT transfer per input step
+// for the whole batch — without waiting for
 // the results. The batch occupies one slot of the pipeline window, so
 // batches and single inferences compose on one session. Validation
 // errors (empty batch, batch beyond the negotiated MaxBatch, ragged
@@ -1063,6 +1116,10 @@ func (s *Session) InferBatchAsync(xs [][]float64) (*PendingBatch, error) {
 	if err := s.conn.Send(transport.MsgBatchBegin, s.tagBuf); err != nil {
 		return fail(err)
 	}
+	otr, err := s.reserveOTs(b)
+	if err != nil {
+		return fail(err)
+	}
 	// Garble-ahead fast path: a batch consumes B banked single
 	// executions (all-or-nothing) and interleaves their table streams
 	// into the fused wire format — each sample keeps its own delta and
@@ -1070,7 +1127,7 @@ func (s *Session) InferBatchAsync(xs [][]float64) (*PendingBatch, error) {
 	if s.bank != nil {
 		exs, _ := s.bank.TakeN(b)
 		if exs != nil {
-			return s.inferBatchBanked(p, id, bits, exs)
+			return s.inferBatchBanked(p, id, otr, bits, exs)
 		}
 		p.bankMiss = true
 		s.bankMisses += int64(b)
@@ -1095,6 +1152,7 @@ func (s *Session) InferBatchAsync(xs [][]float64) (*PendingBatch, error) {
 		pool:      s.pool,
 		conn:      batchGarbleConn(s, id),
 		ots:       s.ots,
+		otr:       otr,
 		cfg:       s.cfg,
 		b:         b,
 		inputBits: bits,
@@ -1128,7 +1186,7 @@ func (s *Session) InferBatchAsync(xs [][]float64) (*PendingBatch, error) {
 // sub-stream (the begin frame is already out). Like the single path,
 // the executions are gone from the bank whatever happens: a mid-stream
 // error discards them with the broken session.
-func (s *Session) inferBatchBanked(p *PendingInference, id uint64, bits [][]bool, exs []*bank.Execution) (*PendingBatch, error) {
+func (s *Session) inferBatchBanked(p *PendingInference, id uint64, otr precomp.Range, bits [][]bool, exs []*bank.Execution) (*PendingBatch, error) {
 	b := len(exs)
 	release := func() {
 		for _, ex := range exs {
@@ -1157,6 +1215,7 @@ func (s *Session) inferBatchBanked(p *PendingInference, id uint64, bits [][]bool
 		exs:       exs,
 		conn:      batchGarbleConn(s, id),
 		ots:       s.ots,
+		otr:       otr,
 		cfg:       s.cfg,
 		b:         b,
 		inputBits: bits,
@@ -1349,10 +1408,9 @@ func (c *Client) InferMany(conn *transport.Conn, xs [][]float64) ([]int, *Stats,
 }
 
 // InferBatch opens one session, classifies every sample in a single
-// fused batched inference (protocol v5), and closes the session: one
-// handshake, one OT base phase, one schedule walk, one interleaved
-// table stream, and one OT derandomization exchange per input step for
-// the whole batch. len(xs) must fit the negotiated batch cap (the
+// fused batched inference, and closes the session: one handshake, one
+// OT base phase, one schedule walk, one interleaved table stream, and
+// one OT transfer per input step for the whole batch. len(xs) must fit the negotiated batch cap (the
 // min of this client's EngineConfig.MaxBatch and the server's
 // announcement); for larger workloads, split into batches on an open
 // Session (InferBatch/InferBatchAsync compose with the pipeline

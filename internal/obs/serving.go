@@ -51,12 +51,10 @@ const (
 	// PhaseTableRead is time the evaluator spends waiting on table
 	// frames from the wire.
 	PhaseTableRead
-	// PhaseOTDerand is the online Beaver-style OT derandomization
-	// exchange (both pool sides).
+	// PhaseOTDerand is the online half of the precomputed OTs: masking
+	// one input step's label pairs (garbler) or unmasking them
+	// (evaluator).
 	PhaseOTDerand
-	// PhaseSpecCollect is time collecting responses of speculatively
-	// issued OT corrections.
-	PhaseSpecCollect
 	// PhaseEval is the evaluator's per-level crypto (the evaluation
 	// engine's GateTime).
 	PhaseEval
@@ -66,8 +64,7 @@ const (
 	// PhaseBankRefill is background garble-ahead bank refill work, per
 	// pre-garbled execution.
 	PhaseBankRefill
-	// PhaseOTRefill is background random-OT pool refill work, per
-	// extension run.
+	// PhaseOTRefill is OT pool refill work, per extension run.
 	PhaseOTRefill
 
 	numPhases
@@ -79,7 +76,6 @@ var phaseNames = [numPhases]string{
 	"table_write",
 	"table_read",
 	"ot_derand",
-	"spec_collect",
 	"eval",
 	"output_roundtrip",
 	"bank_refill",

@@ -36,6 +36,10 @@ func prgNext(s cipher.Stream, n int) []byte {
 	return out
 }
 
+// ExtULen returns the size in bytes of the U matrix of an m-OT extension
+// batch: what a sender about to read one may bound the frame to.
+func ExtULen(m int) int { return k * ((m + 7) / 8) }
+
 // packBits packs bools LSB-first into bytes.
 func packBits(bits []bool) []byte {
 	out := make([]byte, (len(bits)+7)/8)
@@ -125,8 +129,8 @@ func (es *ExtSender) SendWithU(pairs [][2]Msg, u []byte) error {
 		return nil
 	}
 	mBytes := (m + 7) / 8
-	if len(u) != k*mBytes {
-		return fmt.Errorf("ot: U matrix is %d bytes, want %d", len(u), k*mBytes)
+	if len(u) != ExtULen(m) {
+		return fmt.Errorf("ot: U matrix is %d bytes, want %d", len(u), ExtULen(m))
 	}
 	cols := make([][]byte, k)
 	for i := 0; i < k; i++ {

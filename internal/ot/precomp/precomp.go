@@ -1,34 +1,39 @@
-// Package precomp is the offline OT-precomputation subsystem: a random-OT
-// pool that moves the IKNP extension's cryptography off the inference
-// critical path (Beaver-style OT derandomization).
+// Package precomp is the offline OT-precomputation subsystem: a keyed OT
+// pool that moves the IKNP extension off the inference critical path and
+// leaves the online phase without a single receiver→sender message.
 //
-// Offline, the two parties bulk-generate random OTs over the existing
-// extension — the sender banks n uniformly random label pairs (r0, r1),
-// the receiver banks n random choice bits c and the corresponding r_c.
-// Online, transferring a real pair (x0, x1) under a real choice bit b
-// costs one message each way and XORs only:
+// The receiver (the evaluator) asks for the same choice bits in the same
+// order in every inference of a session: the model's weight bits, W of
+// them. So the pool is keyed with them. Pool entry q — an absolute
+// sequence number, never reused — is generated by a chosen-choice IKNP
+// extension with receiver choice key[q mod W]: the sender banks a random
+// pair (r0[q], r1[q]), the receiver banks r_key[q]. That is exactly the
+// exchange the unpooled path (Capacity 0) runs per input step, run early.
+// Online, transferring a real pair (x0, x1) through entry q is one
+// message, sender to receiver, and XORs only:
 //
-//	receiver → sender:  d = b ⊕ c                (MsgOTDerandC, m/8 bytes)
-//	sender → receiver:  y0 = x0 ⊕ r_d, y1 = x1 ⊕ r_{1⊕d}   (MsgOTDerandM)
-//	receiver:           x_b = y_b ⊕ r_c
+//	sender → receiver:  y0 = x0 ⊕ r0[q], y1 = x1 ⊕ r1[q]      (MsgOTMasked)
+//	receiver:           x_key = y_key ⊕ r_key[q]
 //
-// The receiver side (the evaluator, whose choice bits are the model's
-// weight bits) owns the pool policy: it announces the pool after the
-// OT-extension base phase with a MsgOTRefill frame (count 0 disables
-// pooling), performs the initial bulk fill there, and announces further
-// refills in-band before an online batch whenever the pool runs low. The
-// sender side is fully adaptive — it dispatches on the frame it sees
-// (direct-IKNP U, a refill announcement, or derandomization corrections),
-// so only one party needs configuring and the two ends can never disagree
-// about the mode.
+// Each (r0, r1) masks one label pair once, the receiver holds exactly one
+// of the two, and no function of the choice bits is ever sent.
 //
-// Every pooled OT is consumed at most once: the pools are strict FIFOs
-// over an absolute sequence number, entries are zeroed as they are taken,
-// and exhaustion blocks on a refill exchange instead of ever reusing an
-// entry. With Background enabled, the receiver precomputes the next
-// refill's PRG expansion and matrix transpose on a helper goroutine while
-// the evaluator is compute-bound, so a refill exchange at the next batch
-// boundary only pays the wire round trip and the hash-decrypt step.
+// An inference owns a Range of B·W consecutive entries (B samples), which
+// both parties assign in inference order with Reserve. Nothing holds a
+// turn across a network wait: ranges are disjoint, so in-flight inferences
+// consume their entries in any interleaving.
+//
+// The receiver owns the pool policy: it announces the pool after the
+// OT-extension base phase (capacity 0 disables pooling, and every input
+// step runs direct IKNP), performs the initial fill there, and announces a
+// refill (MsgOTRefill + MsgOTExtU) whenever a Reserve leaves the pool
+// below low water or short of the range itself. The sender answers a
+// refill (MsgOTExtY) wherever it happens to read, and waits for one only
+// when its own pool does not cover the range it is about to mask.
+//
+// Every entry is consumed at most once: consumed entries are zeroed, a
+// zero entry refuses to be taken again, and exhaustion waits on a refill
+// instead of ever reusing an entry.
 package precomp
 
 import (
@@ -43,19 +48,19 @@ import (
 	"deepsecure/internal/transport"
 )
 
-// PoolConfig sizes the receiver-driven random-OT pool.
+// PoolConfig sizes the receiver-driven OT pool.
 type PoolConfig struct {
 	// Capacity is the pool size targeted by the initial fill and by each
 	// refill. 0 disables precomputation entirely (every online batch runs
 	// direct IKNP, the pre-pool protocol).
 	Capacity int
-	// RefillLowWater triggers a refill once the unconsumed pool drops
+	// RefillLowWater triggers a refill once the unassigned pool drops
 	// below it. 0 defaults to Capacity/4. A refill also triggers
-	// unconditionally when a batch needs more OTs than remain.
+	// unconditionally when a range needs more OTs than remain.
 	RefillLowWater int
-	// Background precomputes each refill's receiver-side crypto (PRG
-	// expansion + transpose) on a helper goroutine while the evaluator is
-	// busy, so the exchange at the next batch boundary is wire-bound.
+	// Background starts each refill's receiver-side crypto (PRG expansion
+	// + transpose) on a helper goroutine the moment the refill is decided,
+	// instead of on the goroutine that later announces it.
 	Background bool
 }
 
@@ -75,10 +80,9 @@ func (c PoolConfig) lowWater() int {
 		lw = c.RefillLowWater
 	}
 	// A low-water mark at or above capacity would demand a refill from a
-	// full pool (a zero-count exchange the sender rejects): clamp it so
-	// "full" always satisfies the policy and misconfigured flags degrade
-	// to refill-to-capacity after every batch instead of wedging the
-	// session.
+	// full pool: clamp it so "full" always satisfies the policy and
+	// misconfigured flags degrade to refill-to-capacity after every range
+	// instead of wedging the session.
 	if c.Enabled() && lw >= c.Capacity {
 		lw = c.Capacity - 1
 	}
@@ -90,561 +94,584 @@ func (c PoolConfig) lowWater() int {
 const maxRefill = 1 << 26
 
 // Stats counts a pool's offline and online work. The durations separate
-// the protocol's two phases: OfflineTime covers bulk random-OT generation
-// (fills and refills, crypto that can hide in setup and idle gaps) and
-// OnlineTime the per-batch work left on the inference critical path
-// (derandomization, or full IKNP when the pool is disabled).
+// the protocol's two phases: OfflineTime covers bulk OT generation (fills
+// and refills, crypto that hides in setup and idle gaps) and OnlineTime
+// the per-step work left on the inference critical path (masking and
+// unmasking, or full IKNP when the pool is disabled).
 type Stats struct {
-	Generated int64 // random OTs produced into the pool
-	Consumed  int64 // pooled OTs spent by derandomization
+	Generated int64 // OTs produced into the pool
+	Consumed  int64 // pooled OTs spent on input steps
 	Direct    int64 // OTs served by direct IKNP (pool disabled)
 	Refills   int64 // fill exchanges, the initial fill included
-	Batches   int64 // online exchanges (one per input batch, either mode)
+	Batches   int64 // online transfers (one per input step, either mode)
 
 	OfflineTime time.Duration
 	OnlineTime  time.Duration
 }
 
-// readCount parses a MsgOTRefill payload.
-func readCount(payload []byte) (int, error) {
-	n, read := binary.Uvarint(payload)
-	if read <= 0 || read != len(payload) {
-		return 0, fmt.Errorf("precomp: malformed refill count frame (%d bytes)", len(payload))
-	}
-	if n > maxRefill {
-		return 0, fmt.Errorf("precomp: refill count %d exceeds limit %d", n, maxRefill)
-	}
-	return int(n), nil
+func (st *Stats) add(d Stats) {
+	st.Generated += d.Generated
+	st.Consumed += d.Consumed
+	st.Direct += d.Direct
+	st.Refills += d.Refills
+	st.Batches += d.Batches
+	st.OfflineTime += d.OfflineTime
+	st.OnlineTime += d.OnlineTime
 }
 
-func countPayload(n int) []byte {
-	buf := make([]byte, binary.MaxVarintLen64)
-	return buf[:binary.PutUvarint(buf, uint64(n))]
+// readCounts parses a MsgOTRefill payload of exactly want uvarints.
+func readCounts(payload []byte, want int) ([2]int, error) {
+	var out [2]int
+	for i := 0; i < want; i++ {
+		v, n := binary.Uvarint(payload)
+		if n <= 0 {
+			return out, fmt.Errorf("precomp: malformed refill frame")
+		}
+		if v > maxRefill {
+			return out, fmt.Errorf("precomp: refill count %d exceeds limit %d", v, maxRefill)
+		}
+		out[i], payload = int(v), payload[n:]
+	}
+	if len(payload) != 0 {
+		return out, fmt.Errorf("precomp: %d trailing bytes in refill frame", len(payload))
+	}
+	return out, nil
 }
 
-func randBits(rng io.Reader, n int) ([]bool, error) {
-	raw := make([]byte, (n+7)/8)
-	if _, err := io.ReadFull(rng, raw); err != nil {
-		return nil, fmt.Errorf("precomp: choice randomness: %w", err)
+func countsPayload(vs ...int) []byte {
+	buf := make([]byte, 0, len(vs)*binary.MaxVarintLen64)
+	for _, v := range vs {
+		buf = binary.AppendUvarint(buf, uint64(v))
 	}
-	bits := make([]bool, n)
-	for i := range bits {
-		bits[i] = raw[i/8]&(1<<uint(i%8)) != 0
-	}
-	return bits, nil
+	return buf
 }
 
-// ReceiverPool is the evaluator-side pool: it banks (c, r_c) tuples, owns
-// the refill policy, and drives the wire protocol (the sender reacts to
-// its announcements). One pool per session; consumers must be serialized
-// (a pipelined session uses a Sequencer), but Stats is safe to read
-// concurrently.
+// setLimit pins the size of the next type-t frame on connections whose
+// reader can refuse a frame by its header, before allocating the payload
+// (transport.Conn and the session's views of it).
+func setLimit(conn transport.FrameConn, t transport.MsgType, n int) {
+	if l, ok := conn.(interface {
+		SetLimit(transport.MsgType, int)
+	}); ok {
+		l.SetLimit(t, n)
+	}
+}
+
+// Range is the run of pool entries one inference owns: B·W consecutive
+// sequence numbers from Q0, sample s's evaluator-input bit c at
+// Q0 + s·W + c. A B=1 range is the plain run Q0 … Q0+W-1, so a one-sample
+// batch consumes exactly what a single inference does.
+type Range struct {
+	Q0   int64
+	B, W int
+}
+
+// At returns the entry of sample s's evaluator-input bit c.
+func (r Range) At(s, c int) int64 { return r.Q0 + int64(s)*int64(r.W) + int64(c) }
+
+// End returns one past the range's last entry.
+func (r Range) End() int64 { return r.Q0 + int64(r.B)*int64(r.W) }
+
+// chunk is one fill's entries, sequence numbers start … start+len(e)-1.
+type chunk[T comparable] struct {
+	start int64
+	e     []T
+	left  int // entries not yet taken; the chunk is dropped at zero
+}
+
+// store banks pool entries by absolute sequence number. Ranges are taken
+// in any interleaving, so there is no head to advance: a taken entry is
+// zeroed where it lies, and a fill's chunk is released once all of it is
+// gone.
+type store[T comparable] struct {
+	chunks []*chunk[T]
+	end    int64 // one past the last banked sequence number
+}
+
+func (s *store[T]) add(e []T) {
+	s.chunks = append(s.chunks, &chunk[T]{start: s.end, e: e, left: len(e)})
+	s.end += int64(len(e))
+}
+
+// take removes entry q. A zero entry is one that was taken before (a
+// generated one is zero with probability 2^-128): it is refused, so a
+// reuse is an error here and not a two-time pad on the wire.
+func (s *store[T]) take(q int64) (T, error) {
+	var zero T
+	for i, c := range s.chunks {
+		if q < c.start || q >= c.start+int64(len(c.e)) {
+			continue
+		}
+		v := c.e[q-c.start]
+		if v == zero {
+			return zero, fmt.Errorf("precomp: pooled OT %d was already consumed", q)
+		}
+		c.e[q-c.start] = zero
+		if c.left--; c.left == 0 {
+			s.chunks = append(s.chunks[:i], s.chunks[i+1:]...)
+		}
+		return v, nil
+	}
+	return zero, fmt.Errorf("precomp: OT %d is not pooled (pool ends at %d)", q, s.end)
+}
+
+// refill is one decided fill exchange on the receiver.
+type refill struct {
+	start int64 // first sequence number it generates
+	n     int
+	// pr is the prepared receiver state; written once under prepMu and
+	// mu, before the refill is announced.
+	pr *ot.PreparedReceive
+}
+
+// ReceiverPool is the evaluator-side pool: it banks r_key[q], owns the
+// refill policy, and announces every fill (the sender reacts). One pool
+// per session. Reserve, FinishRefill, RecvStep, Cover and SendRefills may
+// be called from different goroutines (a pipelined session's reader and
+// its in-flight inferences); refill announcements go out on whichever
+// goroutine calls Cover/SendRefills, so conn must serialize writes when
+// more than one does.
 type ReceiverPool struct {
 	conn transport.FrameConn
 	ots  *ot.ExtReceiver
-	rng  io.Reader
 	cfg  PoolConfig
 
-	// FIFO of unconsumed random OTs: entry i (absolute sequence seq+i)
-	// holds choice bit bits[head+i] and message msgs[head+i]. head only
-	// advances; consumed entries are zeroed so any accidental reuse
-	// produces garbage labels (caught by output authentication) instead
-	// of a silent two-time use.
-	bits []bool
-	msgs []ot.Msg
-	head int
-	seq  int64 // absolute sequence number of the first unconsumed entry
+	// directMu serializes whole direct-IKNP exchanges when the pool is
+	// disabled: the extension is stateful and the sender answers one U at
+	// a time. A plain mutex gives the order the sender expects — inference
+	// k+1's frames only leave the garbler after it has answered k's last
+	// step, and that step's context holds the lock until the answer is in.
+	directMu sync.Mutex
 
-	// pending is an in-flight background precompute for the next refill;
-	// nil when none. Resolved (and its U put on the wire) before any
-	// other use of the ExtReceiver, preserving stream/hash ordering.
-	pending chan pendingFill
+	mu  sync.Mutex
+	key []bool // choice bit of entry q is key[q mod len(key)]; unkeyed = all false
+	// next is the first unassigned sequence number and asked one past the
+	// last entry any decided refill generates (asked ≥ next: a range that
+	// the pool cannot cover decides the refill that does). refills holds
+	// the decided fills whose answer has not been banked, oldest first;
+	// the first sent of them are on the wire and sentEnd is one past the
+	// last entry those generate.
+	next, asked, sentEnd int64
+	refills              []*refill
+	sent                 int
+	bank                 store[ot.Msg]
+	aborted              bool
+	st                   Stats
 
-	// st is guarded by stMu: consumers are serialized (by the session,
-	// or by a Sequencer on pipelined sessions), but Stats may be read
-	// concurrently — e.g. a session tearing down on one inference's
-	// error snapshots counters while another inference's exchange is
-	// still unwinding.
-	stMu sync.Mutex
-	st   Stats
-
-	// Speculative out-of-inference-order consumption (IssueAll/Collect):
-	// collectSeq orders response collection by issue ticket — the wire
-	// carries derand responses in correction order, so collects must
-	// read in that order even when inference walks interleave.
-	// outstanding counts issued-but-uncollected batches; refills barrier
-	// on it draining (a refill's Y frame queues behind every pending
-	// response on the shared OT stream). Guarded by outMu; outCond wakes
-	// the barrier. specAborted mirrors the sequencer's aborted flag for
-	// barrier waiters.
-	collectSeq  *Sequencer
-	outMu       sync.Mutex
-	outCond     *sync.Cond
-	outstanding int
-	specAborted bool
-	nextTicket  int64
+	prepMu sync.Mutex // serializes ExtReceiver.Prepare, in refill order
+	sendMu sync.Mutex // serializes SendRefills
 }
 
-type pendingFill struct {
-	n       int
-	choices []bool
-	pr      *ot.PreparedReceive
-	err     error
+// NewReceiverPool wraps a session's extension receiver. The receiver
+// draws no randomness of its own (its choice bits are the key); the rng
+// parameter remains for callers written against the sender's signature.
+func NewReceiverPool(conn transport.FrameConn, ots *ot.ExtReceiver, _ io.Reader, cfg PoolConfig) *ReceiverPool {
+	return &ReceiverPool{conn: conn, ots: ots, cfg: cfg}
 }
 
-// NewReceiverPool wraps a session's extension receiver. rng sources the
-// pool's random choice bits (and must match the session's randomness
-// policy for concurrency).
-func NewReceiverPool(conn transport.FrameConn, ots *ot.ExtReceiver, rng io.Reader, cfg PoolConfig) *ReceiverPool {
-	p := &ReceiverPool{conn: conn, ots: ots, rng: rng, cfg: cfg, collectSeq: NewSequencer(0)}
-	p.outCond = sync.NewCond(&p.outMu)
-	return p
+// SetKey installs the choice bits every fill is generated with: entry q
+// gets bits[q mod len(bits)]. Call before Announce. Without a key the
+// pool is the all-false key of width 0.
+func (p *ReceiverPool) SetKey(bits []bool) { p.key = bits }
+
+func (p *ReceiverPool) keyBit(q int64) bool {
+	return len(p.key) > 0 && p.key[q%int64(len(p.key))]
 }
 
 // Stats returns a snapshot of the pool's counters. Safe to call
-// concurrently with a consumer (teardown-path snapshots).
+// concurrently with every other method.
 func (p *ReceiverPool) Stats() Stats {
-	p.stMu.Lock()
-	defer p.stMu.Unlock()
+	p.mu.Lock()
+	defer p.mu.Unlock()
 	return p.st
 }
 
-// stAdd folds a delta into the guarded counters.
 func (p *ReceiverPool) stAdd(d Stats) {
-	p.stMu.Lock()
-	p.st.Generated += d.Generated
-	p.st.Consumed += d.Consumed
-	p.st.Direct += d.Direct
-	p.st.Refills += d.Refills
-	p.st.Batches += d.Batches
-	p.st.OfflineTime += d.OfflineTime
-	p.st.OnlineTime += d.OnlineTime
-	p.stMu.Unlock()
+	p.mu.Lock()
+	p.st.add(d)
+	p.mu.Unlock()
 }
 
-// Seq returns the absolute sequence number of the next pooled OT to be
-// consumed. It is strictly monotone: tests use it to prove that consumed
-// ranges never overlap (single-use safety).
-func (p *ReceiverPool) Seq() int64 { return p.seq }
+// Seq returns the first sequence number no range owns yet. It is strictly
+// monotone: tests use it to prove that ranges never overlap.
+func (p *ReceiverPool) Seq() int64 {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	return p.next
+}
 
-// Available returns the number of unconsumed pooled OTs.
-func (p *ReceiverPool) Available() int { return len(p.bits) - p.head }
+// Available returns the number of banked OTs no range owns yet.
+func (p *ReceiverPool) Available() int {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	return p.available()
+}
+
+func (p *ReceiverPool) available() int { return int(max(p.bank.end-p.next, 0)) }
+
+// Pooled reports whether this pool's configuration enables pooling.
+func (p *ReceiverPool) Pooled() bool { return p.cfg.Enabled() }
+
+// Abort stops the pool deciding further refills: session teardown.
+func (p *ReceiverPool) Abort() {
+	p.mu.Lock()
+	p.aborted = true
+	p.mu.Unlock()
+}
 
 // Announce opens the pool protocol after the OT base phase: it tells the
-// sender whether pooling is on (count 0 = disabled) and, when on,
-// performs the initial bulk fill — the session-setup offline phase. A
-// capacity beyond the protocol's refill limit fails here, locally,
-// before any frame reaches the peer.
+// sender the pool's capacity (0 = disabled) and key width and, when
+// pooling is on, performs the initial bulk fill — the session-setup
+// offline phase. A capacity beyond the protocol's refill limit fails here,
+// locally, before any frame reaches the peer.
 func (p *ReceiverPool) Announce() error {
-	if !p.cfg.Enabled() {
-		if err := p.conn.Send(transport.MsgOTRefill, countPayload(0)); err != nil {
-			return err
-		}
-		return p.conn.Flush()
-	}
 	if p.cfg.Capacity > maxRefill {
 		return fmt.Errorf("precomp: pool capacity %d exceeds limit %d", p.cfg.Capacity, maxRefill)
 	}
-	return p.refill(p.cfg.Capacity)
-}
-
-// refill runs one announced fill exchange of n random OTs: announce,
-// send U, receive Y, bank the results. Offline-phase work.
-func (p *ReceiverPool) refill(n int) error {
-	if n <= 0 {
-		// Defense in depth: a zero-count refill would desynchronize the
-		// sender (which rejects it); the policy clamps should make this
-		// unreachable.
-		return nil
-	}
-	if n > maxRefill {
-		return fmt.Errorf("precomp: pool fill of %d OTs exceeds limit %d (lower Capacity)", n, maxRefill)
-	}
-	start := time.Now()
-	choices, err := randBits(p.rng, n)
-	if err != nil {
+	if err := p.conn.Send(transport.MsgOTRefill, countsPayload(p.cfg.Capacity, len(p.key))); err != nil {
 		return err
 	}
-	pr := p.ots.Prepare(choices)
-	if err := p.finishRefill(n, choices, pr); err != nil {
-		return err
+	if !p.cfg.Enabled() {
+		return p.conn.Flush()
 	}
-	elapsed := time.Since(start)
-	p.stAdd(Stats{OfflineTime: elapsed})
-	obs.ObservePhase(obs.PhaseOTRefill, elapsed)
-	return nil
-}
-
-// finishRefill performs the wire half of a fill whose receiver crypto is
-// already prepared.
-func (p *ReceiverPool) finishRefill(n int, choices []bool, pr *ot.PreparedReceive) error {
-	if err := p.conn.Send(transport.MsgOTRefill, countPayload(n)); err != nil {
-		return err
-	}
-	if err := p.conn.Send(transport.MsgOTExtU, pr.U); err != nil {
+	p.mu.Lock()
+	p.decide(p.cfg.Capacity)
+	p.mu.Unlock()
+	if err := p.SendRefills(); err != nil {
 		return err
 	}
 	y, err := p.conn.Recv(transport.MsgOTExtY)
 	if err != nil {
 		return err
 	}
-	msgs, err := p.ots.Finish(pr, y)
+	return p.FinishRefill(y)
+}
+
+// Reserve assigns the next b·W entries to one inference of b samples and
+// decides the refill the policy calls for. Both parties reserve in
+// inference order, so they agree on every range without a message.
+func (p *ReceiverPool) Reserve(b int) Range {
+	r := Range{B: b, W: len(p.key)}
+	if p.cfg.Enabled() {
+		p.mu.Lock()
+		r.Q0 = p.reserve(b * r.W)
+		p.mu.Unlock()
+	}
+	return r
+}
+
+// reserve assigns the next n sequence numbers. The thresholds are those of
+// a pool that refills between batches: refill to capacity once the
+// unassigned remainder is below low water, and when the range itself is
+// short, generate what it lacks — to at least a pool's worth. The caller
+// holds mu.
+func (p *ReceiverPool) reserve(n int) int64 {
+	q0 := p.next
+	avail := int(p.asked - p.next)
+	p.next += int64(n)
+	switch left := avail - n; {
+	case p.aborted:
+	case left < 0:
+		p.decide(max(p.cfg.Capacity, n) - avail)
+	case left < p.cfg.lowWater():
+		p.decide(p.cfg.Capacity - left)
+	}
+	obs.SetOTPoolDepth(obs.OTReceiver, p.available())
+	return q0
+}
+
+// decide queues the refill of n entries (several, when n is beyond what
+// one exchange may carry). The caller holds mu.
+func (p *ReceiverPool) decide(n int) {
+	if n > maxRefill {
+		p.decide(n - maxRefill)
+		n = maxRefill
+	}
+	p.refills = append(p.refills, &refill{start: p.asked, n: n})
+	p.asked += int64(n)
+	if p.cfg.Background {
+		// The helper ends when the crypto does — bounded work, no I/O — so
+		// nothing waits for it: a session that ends first never looks at
+		// the result.
+		go func() {
+			// A panic here must not take the process down with it; the
+			// refill stays unprepared and SendRefills prepares it inline.
+			defer func() {
+				if v := recover(); v != nil {
+					_ = obs.Panicked("precomp: background refill", v)
+				}
+			}()
+			p.prepareNext()
+		}()
+	}
+}
+
+// prepareNext runs the receiver crypto of the oldest unprepared refill.
+// Prepare only advances the extension's PRG streams and FinishRefill only
+// its hash counter, so the two may overlap; Prepares themselves must run
+// in refill order, which prepMu and oldest-first give.
+func (p *ReceiverPool) prepareNext() {
+	p.prepMu.Lock()
+	defer p.prepMu.Unlock()
+	p.mu.Lock()
+	var job *refill
+	for _, f := range p.refills {
+		if f.pr == nil {
+			job = f
+			break
+		}
+	}
+	p.mu.Unlock()
+	if job == nil {
+		return
+	}
+	start := time.Now()
+	choices := make([]bool, job.n)
+	for i := range choices {
+		choices[i] = p.keyBit(job.start + int64(i))
+	}
+	pr := p.ots.Prepare(choices)
+	p.mu.Lock()
+	job.pr = pr
+	p.st.OfflineTime += time.Since(start)
+	p.mu.Unlock()
+}
+
+// Cover puts on the wire every refill that r's entries depend on. A
+// sender whose pool does not cover r is blocked reading for exactly
+// these, so a caller may write them even while the sender's own burst is
+// unread.
+func (p *ReceiverPool) Cover(r Range) error {
+	p.mu.Lock()
+	short := p.sentEnd < r.End()
+	p.mu.Unlock()
+	if !short {
+		return nil
+	}
+	return p.SendRefills()
+}
+
+// SendRefills announces every decided refill that is not on the wire yet,
+// oldest first: MsgOTRefill with the count, then the prepared U.
+func (p *ReceiverPool) SendRefills() error {
+	p.sendMu.Lock()
+	defer p.sendMu.Unlock()
+	for {
+		p.mu.Lock()
+		if p.sent == len(p.refills) {
+			p.mu.Unlock()
+			return nil
+		}
+		job := p.refills[p.sent]
+		if job.pr == nil {
+			p.mu.Unlock()
+			p.prepareNext()
+			continue
+		}
+		// In flight from here on: the answer may arrive before Flush
+		// returns.
+		p.sent++
+		p.sentEnd = job.start + int64(job.n)
+		if p.sent == 1 {
+			setLimit(p.conn, transport.MsgOTExtY, job.n*2*ot.MsgLen)
+		}
+		p.mu.Unlock()
+		start := time.Now()
+		if err := p.conn.Send(transport.MsgOTRefill, countsPayload(job.n)); err != nil {
+			return err
+		}
+		if err := p.conn.Send(transport.MsgOTExtU, job.pr.U); err != nil {
+			return err
+		}
+		if err := p.conn.Flush(); err != nil {
+			return err
+		}
+		p.stAdd(Stats{OfflineTime: time.Since(start)})
+	}
+}
+
+// FinishRefill banks the sender's answer (a MsgOTExtY payload) to the
+// oldest refill in flight. Call it in the wire order of the answers, from
+// the goroutine that reads them: a masked frame that uses the new entries
+// follows its refill's answer on the wire, so reading in order is all the
+// synchronization consumers need.
+func (p *ReceiverPool) FinishRefill(y []byte) error {
+	p.mu.Lock()
+	if p.sent == 0 {
+		p.mu.Unlock()
+		return fmt.Errorf("precomp: unsolicited refill answer (%d bytes)", len(y))
+	}
+	job := p.refills[0]
+	p.refills = p.refills[1:]
+	p.sent--
+	next := 0
+	if p.sent > 0 {
+		next = p.refills[0].n * 2 * ot.MsgLen
+	}
+	setLimit(p.conn, transport.MsgOTExtY, next)
+	p.mu.Unlock()
+
+	start := time.Now()
+	msgs, err := p.ots.Finish(job.pr, y)
 	if err != nil {
 		return err
 	}
-	p.compact()
-	p.bits = append(p.bits, choices...)
-	p.msgs = append(p.msgs, msgs...)
-	p.stAdd(Stats{Generated: int64(n), Refills: 1})
-	obs.AddOTPooled(int64(n))
+	elapsed := time.Since(start)
+	p.mu.Lock()
+	p.bank.add(msgs)
+	p.st.add(Stats{Generated: int64(job.n), Refills: 1, OfflineTime: elapsed})
+	obs.SetOTPoolDepth(obs.OTReceiver, p.available())
+	p.mu.Unlock()
+	obs.ObservePhase(obs.PhaseOTRefill, elapsed)
+	obs.AddOTPooled(int64(job.n))
 	obs.IncOTRefills()
-	obs.SetOTPoolDepth(obs.OTReceiver, p.Available())
 	return nil
 }
 
-// compact drops the consumed prefix so the backing arrays don't grow with
-// session lifetime.
-func (p *ReceiverPool) compact() {
-	if p.head == 0 {
-		return
-	}
-	p.bits = append(p.bits[:0], p.bits[p.head:]...)
-	p.msgs = append(p.msgs[:0], p.msgs[p.head:]...)
-	p.head = 0
-}
-
-// resolvePending completes an in-flight background precompute, putting
-// its exchange on the wire now. Must run before any other ExtReceiver use
-// so stream and hash ordering match the wire.
-func (p *ReceiverPool) resolvePending() error {
-	if p.pending == nil {
+// RecvStep obtains the labels of one evaluator-input step: wire i of the
+// step is evaluator-input bit c0+i with choice bits[i], and set receives
+// the label of wire i for each sample s of r. Pooled, it unmasks the
+// sender's MsgOTMasked frame (read from conn — the inference's own view of
+// the connection) with r's entries; the bits must equal the key at those
+// entries, they are not what selects. Unpooled, it runs one direct IKNP
+// exchange with the bits repeated per sample.
+func (p *ReceiverPool) RecvStep(conn transport.FrameConn, r Range, c0 int, bits []bool, set func(i, s int, m ot.Msg)) error {
+	if len(bits) == 0 {
 		return nil
 	}
-	start := time.Now()
-	f := <-p.pending // blocks until the precompute goroutine is done
-	p.pending = nil
-	if f.err != nil {
-		return f.err
-	}
-	err := p.finishRefill(f.n, f.choices, f.pr)
-	elapsed := time.Since(start)
-	p.stAdd(Stats{OfflineTime: elapsed})
-	obs.ObservePhase(obs.PhaseOTRefill, elapsed)
-	return err
-}
-
-// maybeStartBackground kicks off the next refill's precompute after a
-// consume left the pool below low water.
-func (p *ReceiverPool) maybeStartBackground() {
-	if !p.cfg.Background || p.pending != nil || p.Available() >= p.cfg.lowWater() {
-		return
-	}
-	n := p.cfg.Capacity - p.Available()
-	if n <= 0 {
-		return
-	}
-	start := time.Now()
-	choices, err := randBits(p.rng, n)
-	if err != nil {
-		p.stAdd(Stats{OfflineTime: time.Since(start)})
-		// Surface the randomness failure at the next exchange point.
-		ch := make(chan pendingFill, 1)
-		ch <- pendingFill{err: err}
-		p.pending = ch
-		return
-	}
-	ch := make(chan pendingFill, 1)
-	p.pending = ch
-	go func() {
-		// Only this goroutine touches the ExtReceiver until the session
-		// goroutine blocks on the channel in resolvePending. A panic in
-		// the precompute must still deliver a fill on the channel —
-		// otherwise resolvePending blocks forever on a goroutine that no
-		// longer exists — so it is contained into the fill's error.
-		defer func() {
-			if v := recover(); v != nil {
-				ch <- pendingFill{err: obs.Panicked("precomp: background refill", v)}
-			}
-		}()
-		pr := p.ots.Prepare(choices)
-		ch <- pendingFill{n: n, choices: choices, pr: pr}
-	}()
-	p.stAdd(Stats{OfflineTime: time.Since(start)})
-}
-
-// Receive obliviously obtains the messages selected by choices, like
-// ot.ExtReceiver.Receive, but from the pool: pending refills resolve
-// first (blocking until the pool covers the batch — never reusing an
-// entry), then one derandomization exchange moves the labels.
-func (p *ReceiverPool) Receive(choices []bool) ([]ot.Msg, error) {
-	m := len(choices)
-	if m == 0 {
-		return nil, nil
+	if r.B < 1 {
+		return fmt.Errorf("precomp: input step on an empty range (no Reserve)")
 	}
 	if !p.cfg.Enabled() {
-		start := time.Now()
-		msgs, err := p.ots.Receive(choices)
-		p.stAdd(Stats{OnlineTime: time.Since(start), Direct: int64(m), Batches: 1})
-		return msgs, err
-	}
-	// A background precompute already advanced the PRG streams: its U
-	// must be the next U on the wire, so it resolves before any further
-	// fill.
-	if err := p.resolvePending(); err != nil {
-		return nil, err
-	}
-	if avail := p.Available(); avail < m || avail < p.cfg.lowWater() {
-		n := p.cfg.Capacity - avail
-		if n < m-avail {
-			n = m - avail
+		choices := make([]bool, 0, len(bits)*r.B)
+		for _, b := range bits {
+			for s := 0; s < r.B; s++ {
+				choices = append(choices, b)
+			}
 		}
-		if err := p.refill(n); err != nil {
-			return nil, err
+		msgs, err := p.direct(choices)
+		if err != nil {
+			return err
+		}
+		for j, m := range msgs {
+			set(j/r.B, j%r.B, m)
+		}
+		return nil
+	}
+	var payload []byte
+	for payload == nil {
+		// Only a connection nobody demultiplexes delivers refill answers
+		// here; a session's reader banks them itself.
+		typ, frame, err := conn.RecvAny(transport.MsgOTMasked, transport.MsgOTExtY)
+		if err != nil {
+			return err
+		}
+		if typ == transport.MsgOTMasked {
+			payload = frame
+		} else if err := p.FinishRefill(frame); err != nil {
+			return err
 		}
 	}
-
-	// Online derandomization: one message each way, XORs only.
 	start := time.Now()
-	d := make([]byte, (m+7)/8)
-	for j, b := range choices {
-		if b != p.bits[p.head+j] {
-			d[j/8] |= 1 << uint(j%8)
-		}
+	m := len(bits) * r.B
+	if len(payload) != m*2*ot.MsgLen {
+		return fmt.Errorf("precomp: masked-label frame is %d bytes, want %d for %d OTs", len(payload), m*2*ot.MsgLen, m)
 	}
-	if err := p.conn.Send(transport.MsgOTDerandC, d); err != nil {
-		return nil, err
-	}
-	y, err := p.conn.Recv(transport.MsgOTDerandM)
-	if err != nil {
-		return nil, err
-	}
-	if len(y) != m*2*ot.MsgLen {
-		return nil, fmt.Errorf("precomp: derand payload is %d bytes, want %d", len(y), m*2*ot.MsgLen)
-	}
-	out := make([]ot.Msg, m)
-	for j, b := range choices {
-		off := j * 2 * ot.MsgLen
-		if b {
+	// Unmask in place under the lock, hand the labels out after it: the
+	// frame is this call's to scribble on, and set is the caller's code.
+	chosen := func(i, s int) []byte {
+		off := (i*r.B + s) * 2 * ot.MsgLen
+		if bits[i] {
 			off += ot.MsgLen
 		}
-		r := &p.msgs[p.head+j]
-		for i := 0; i < ot.MsgLen; i++ {
-			out[j][i] = y[off+i] ^ r[i]
-		}
-		// Single-use: zero the entry as it is consumed.
-		*r = ot.Msg{}
-		p.bits[p.head+j] = false
+		return payload[off : off+ot.MsgLen]
 	}
-	p.head += m
-	p.seq += int64(m)
+	if err := p.unmask(r, c0, bits, chosen); err != nil {
+		return err
+	}
+	for i := range bits {
+		for s := 0; s < r.B; s++ {
+			set(i, s, ot.Msg(chosen(i, s)))
+		}
+	}
 	elapsed := time.Since(start)
 	p.stAdd(Stats{Consumed: int64(m), Batches: 1, OnlineTime: elapsed})
 	obs.ObservePhase(obs.PhaseOTDerand, elapsed)
 	obs.AddOTConsumed(int64(m))
-	obs.SetOTPoolDepth(obs.OTReceiver, p.Available())
-	p.maybeStartBackground()
-	return out, nil
+	return nil
 }
 
-// Pooled reports whether this pool's configuration enables pooling —
-// the precondition for speculative issue (IssueAll needs banked entries
-// to derandomize against; direct IKNP is inherently request/response).
-func (p *ReceiverPool) Pooled() bool { return p.cfg.Enabled() }
-
-// Abort unblocks every speculative waiter — collects gated on the ticket
-// order and issuers gated on the outstanding-drain barrier — with a
-// teardown error. Call alongside the session Sequencer's Abort.
-func (p *ReceiverPool) Abort() {
-	p.collectSeq.Abort()
-	p.outMu.Lock()
-	p.specAborted = true
-	p.outCond.Broadcast()
-	p.outMu.Unlock()
-}
-
-// PendingReceive is one issued-but-uncollected speculative batch: the
-// corrections are on the wire, the consumed pool entries are copied out
-// (and the pool's own copies zeroed), and Collect unmasks the sender's
-// response when the walk reaches the step.
-type PendingReceive struct {
-	p       *ReceiverPool
-	ticket  int64
-	choices []bool
-	bits    []bool
-	msgs    []ot.Msg
-}
-
-// IssueAll speculatively issues the derandomization corrections for ALL
-// of an inference's input-step batches in one flight: each step's
-// corrections are computed against consecutive pool entries and sent
-// back-to-back (one Flush at the end), and the caller gets one
-// PendingReceive per step to Collect in walk order. The point: the
-// caller can release its pool-order turn the moment IssueAll returns —
-// the pool's FIFO state is fully advanced — so the next inference's
-// corrections overlap this one's evaluation instead of waiting for its
-// last Collect.
-//
-// Callers must still be serialized against each other (the session
-// Sequencer); Collects order themselves by ticket. Requires an enabled
-// pool.
-func (p *ReceiverPool) IssueAll(steps [][]bool) ([]*PendingReceive, error) {
-	if !p.cfg.Enabled() {
-		return nil, fmt.Errorf("precomp: speculative issue requires an enabled pool")
-	}
-	total := 0
-	for _, c := range steps {
-		total += len(c)
-	}
-	// A refill (or a pending background fill's resolution) reads a
-	// MsgOTExtY off the shared OT stream — which carries the responses to
-	// every outstanding correction first. Barrier until earlier
-	// inferences' collects drain those responses before touching the
-	// wire. Deadlock-free: collects need only the ticket order, not the
-	// pool turn this caller holds.
-	if p.pending != nil || p.Available() < total || p.Available() < p.cfg.lowWater() {
-		p.outMu.Lock()
-		for p.outstanding > 0 && !p.specAborted {
-			p.outCond.Wait()
-		}
-		aborted := p.specAborted
-		p.outMu.Unlock()
-		if aborted {
-			return nil, ErrSequencerAborted
-		}
-		if err := p.resolvePending(); err != nil {
-			return nil, err
-		}
-		if avail := p.Available(); avail < total || avail < p.cfg.lowWater() {
-			// One upfront refill covers the whole inference: refilling
-			// mid-issue would deadlock on our own outstanding responses.
-			n := p.cfg.Capacity - avail
-			if n < total-avail {
-				n = total - avail
+// unmask XORs r's pool entries for the step into the chosen halves of its
+// masked pairs, consuming the entries.
+func (p *ReceiverPool) unmask(r Range, c0 int, bits []bool, chosen func(i, s int) []byte) error {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	for i, bit := range bits {
+		for s := 0; s < r.B; s++ {
+			q := r.At(s, c0+i)
+			if bit != p.keyBit(q) {
+				return fmt.Errorf("precomp: choice bit of OT %d differs from the pool key", q)
 			}
-			if err := p.refill(n); err != nil {
-				return nil, err
+			mask, err := p.bank.take(q)
+			if err != nil {
+				return err
+			}
+			dst := chosen(i, s)
+			for k := range dst {
+				dst[k] ^= mask[k]
 			}
 		}
 	}
+	return nil
+}
 
+// direct runs one whole IKNP exchange on the pool's connection.
+func (p *ReceiverPool) direct(choices []bool) ([]ot.Msg, error) {
+	p.directMu.Lock()
+	defer p.directMu.Unlock()
 	start := time.Now()
-	prs := make([]*PendingReceive, len(steps))
-	for si, choices := range steps {
-		m := len(choices)
-		pr := &PendingReceive{p: p, choices: choices}
-		prs[si] = pr
-		p.outMu.Lock()
-		pr.ticket = p.nextTicket
-		p.nextTicket++
-		p.outstanding++
-		p.outMu.Unlock()
-		if m == 0 {
-			continue
-		}
-		// Copy the consumed entries out for Collect and zero the pool's
-		// own copies now: the FIFO advances here, single-use holds even
-		// if the Collect never runs.
-		pr.bits = make([]bool, m)
-		pr.msgs = make([]ot.Msg, m)
-		copy(pr.bits, p.bits[p.head:p.head+m])
-		copy(pr.msgs, p.msgs[p.head:p.head+m])
-		d := make([]byte, (m+7)/8)
-		for j, b := range choices {
-			if b != pr.bits[j] {
-				d[j/8] |= 1 << uint(j%8)
-			}
-			p.msgs[p.head+j] = ot.Msg{}
-			p.bits[p.head+j] = false
-		}
-		p.head += m
-		p.seq += int64(m)
-		if err := p.conn.Send(transport.MsgOTDerandC, d); err != nil {
-			return nil, err
-		}
-	}
-	// One flush for the whole flight: the sender answers each correction
-	// in order, so responses stream back while the walk evaluates.
-	if err := p.conn.Flush(); err != nil {
-		return nil, err
-	}
-	elapsed := time.Since(start)
-	p.stAdd(Stats{Consumed: int64(total), Batches: int64(len(steps)), OnlineTime: elapsed})
-	obs.ObservePhase(obs.PhaseOTDerand, elapsed)
-	obs.AddOTConsumed(int64(total))
-	obs.SetOTPoolDepth(obs.OTReceiver, p.Available())
-	p.maybeStartBackground()
-	return prs, nil
+	setLimit(p.conn, transport.MsgOTExtY, len(choices)*2*ot.MsgLen)
+	msgs, err := p.ots.Receive(choices)
+	p.stAdd(Stats{OnlineTime: time.Since(start), Direct: int64(len(choices)), Batches: 1})
+	return msgs, err
 }
 
-// Collect receives and unmasks the sender's response for one issued
-// batch. Collects self-serialize into issue order (the wire order of the
-// responses); a failed receive aborts the pool's speculative state
-// instead of releasing the ticket — the stream is desynchronized and no
-// later collect can legitimately proceed.
-func (pr *PendingReceive) Collect() ([]ot.Msg, error) {
-	p := pr.p
-	if err := p.collectSeq.Acquire(pr.ticket); err != nil {
-		return nil, err
-	}
-	m := len(pr.choices)
-	if m == 0 {
-		p.collectSeq.Release(pr.ticket)
-		p.outMu.Lock()
-		p.outstanding--
-		p.outCond.Broadcast()
-		p.outMu.Unlock()
+// Receive obliviously obtains the messages selected by choices, like
+// ot.ExtReceiver.Receive, on a connection this goroutine alone reads and
+// writes (lock-step with SenderPool.Send): it reserves len(choices)
+// consecutive entries, announces what the policy decided, and unmasks the
+// sender's frame. The choices must be the key's bits at those entries.
+func (p *ReceiverPool) Receive(choices []bool) ([]ot.Msg, error) {
+	if len(choices) == 0 {
 		return nil, nil
 	}
-	start := time.Now()
-	y, err := p.conn.Recv(transport.MsgOTDerandM)
-	if err != nil {
-		p.Abort()
+	if !p.cfg.Enabled() {
+		return p.direct(choices)
+	}
+	p.mu.Lock()
+	r := Range{Q0: p.reserve(len(choices)), B: 1, W: len(choices)}
+	p.mu.Unlock()
+	if err := p.SendRefills(); err != nil {
 		return nil, err
 	}
-	if len(y) != m*2*ot.MsgLen {
-		p.Abort()
-		return nil, fmt.Errorf("precomp: derand payload is %d bytes, want %d", len(y), m*2*ot.MsgLen)
-	}
-	out := make([]ot.Msg, m)
-	for j, b := range pr.choices {
-		off := j * 2 * ot.MsgLen
-		if b {
-			off += ot.MsgLen
-		}
-		r := &pr.msgs[j]
-		for i := 0; i < ot.MsgLen; i++ {
-			out[j][i] = y[off+i] ^ r[i]
-		}
-		// Single-use: the pending copies die with the collect.
-		*r = ot.Msg{}
-		pr.bits[j] = false
-	}
-	pr.msgs, pr.bits = nil, nil
-	p.collectSeq.Release(pr.ticket)
-	p.outMu.Lock()
-	p.outstanding--
-	p.outCond.Broadcast()
-	p.outMu.Unlock()
-	elapsed := time.Since(start)
-	p.stAdd(Stats{OnlineTime: elapsed})
-	obs.ObservePhase(obs.PhaseSpecCollect, elapsed)
-	return out, nil
+	out := make([]ot.Msg, len(choices))
+	err := p.RecvStep(p.conn, r, 0, choices, func(i, _ int, m ot.Msg) { out[i] = m })
+	return out, err
 }
 
 // SenderPool is the garbler-side pool: it banks random label pairs and
-// follows the receiver's protocol — direct IKNP, a refill, or a
-// derandomized batch, whichever frame arrives. Not safe for concurrent
-// use; one pool per session.
+// follows the receiver's protocol — a direct IKNP exchange per step when
+// pooling is off, refills whenever they are announced. Not safe for
+// concurrent use; one pool per session.
 type SenderPool struct {
 	conn transport.FrameConn
 	ots  *ot.ExtSender
 	rng  io.Reader
 
-	pairs [][2]ot.Msg
-	head  int
-	seq   int64
-
 	pooled bool // the receiver announced an enabled pool
+	width  int  // the receiver's key width W
+	next   int64
+	bank   store[[2]ot.Msg]
 	st     Stats
 }
 
@@ -657,37 +684,60 @@ func NewSenderPool(conn transport.FrameConn, ots *ot.ExtSender, rng io.Reader) *
 // Stats returns a snapshot of the pool's counters.
 func (p *SenderPool) Stats() Stats { return p.st }
 
-// Seq returns the absolute sequence number of the next pooled pair to be
-// consumed (single-use safety instrumentation, like ReceiverPool.Seq).
-func (p *SenderPool) Seq() int64 { return p.seq }
+// Seq returns the first sequence number no range owns yet (single-use
+// instrumentation, like ReceiverPool.Seq).
+func (p *SenderPool) Seq() int64 { return p.next }
 
-// Available returns the number of unconsumed pooled pairs.
-func (p *SenderPool) Available() int { return len(p.pairs) - p.head }
+// Available returns the number of banked pairs no range owns yet.
+func (p *SenderPool) Available() int { return int(max(p.bank.end-p.next, 0)) }
 
 // Pooled reports whether the receiver announced an enabled pool.
 func (p *SenderPool) Pooled() bool { return p.pooled }
 
+// Width returns the key width W the receiver announced: the number of
+// evaluator-input bits it will ask for per sample.
+func (p *SenderPool) Width() int { return p.width }
+
 // HandleAnnounce consumes the receiver's pool announcement after the OT
-// base phase and, when pooling is on, participates in the initial fill.
+// base phase and, when pooling is on, answers the initial fill.
 func (p *SenderPool) HandleAnnounce() error {
 	payload, err := p.conn.Recv(transport.MsgOTRefill)
 	if err != nil {
 		return err
 	}
-	n, err := readCount(payload)
+	c, err := readCounts(payload, 2)
 	if err != nil {
 		return err
 	}
-	if n == 0 {
+	p.width = c[1]
+	if c[0] == 0 {
 		return nil
 	}
 	p.pooled = true
-	return p.fill(n)
+	if payload, err = p.conn.Recv(transport.MsgOTRefill); err != nil {
+		return err
+	}
+	return p.HandleRefill(payload)
 }
 
-// fill banks n fresh random pairs through one announced refill exchange.
-func (p *SenderPool) fill(n int) error {
+// HandleRefill answers one announced refill given its MsgOTRefill payload:
+// it reads the receiver's U, banks n fresh random pairs and sends them
+// through the extension (MsgOTExtY, flushed).
+func (p *SenderPool) HandleRefill(payload []byte) error {
+	c, err := readCounts(payload, 1)
+	if err != nil {
+		return err
+	}
+	n := c[0]
+	if n == 0 || !p.pooled {
+		return fmt.Errorf("precomp: unexpected refill of %d OTs", n)
+	}
 	start := time.Now()
+	setLimit(p.conn, transport.MsgOTExtU, ot.ExtULen(n))
+	u, err := p.conn.Recv(transport.MsgOTExtU)
+	if err != nil {
+		return err
+	}
 	// One bulk read for all 2n labels: per-label ReadFull calls would
 	// cost 2n separate rng round trips (getrandom syscalls under
 	// crypto/rand) at every session setup.
@@ -700,22 +750,12 @@ func (p *SenderPool) fill(n int) error {
 		copy(fresh[i][0][:], raw[i*2*ot.MsgLen:])
 		copy(fresh[i][1][:], raw[i*2*ot.MsgLen+ot.MsgLen:])
 	}
-	u, err := p.conn.Recv(transport.MsgOTExtU)
-	if err != nil {
-		return err
-	}
 	if err := p.ots.SendWithU(fresh, u); err != nil {
 		return err
 	}
-	if p.head > 0 {
-		p.pairs = append(p.pairs[:0], p.pairs[p.head:]...)
-		p.head = 0
-	}
-	p.pairs = append(p.pairs, fresh...)
-	p.st.Generated += int64(n)
-	p.st.Refills++
+	p.bank.add(fresh)
 	elapsed := time.Since(start)
-	p.st.OfflineTime += elapsed
+	p.st.add(Stats{Generated: int64(n), Refills: 1, OfflineTime: elapsed})
 	obs.ObservePhase(obs.PhaseOTRefill, elapsed)
 	obs.AddOTPooled(int64(n))
 	obs.IncOTRefills()
@@ -723,87 +763,116 @@ func (p *SenderPool) fill(n int) error {
 	return nil
 }
 
-// Send obliviously transfers pairs[j][b_j] for the receiver's hidden
-// choice bits, like ot.ExtSender.Send, but following whatever protocol
-// the receiver drives: refill announcements are serviced until the
-// batch's own frame (direct-IKNP U or derandomization corrections)
-// arrives.
-func (p *SenderPool) Send(pairs [][2]ot.Msg) error {
-	m := len(pairs)
-	if m == 0 {
-		return nil
+// Reserve assigns the next b·W entries to one inference of b samples: the
+// sender's half of ReceiverPool.Reserve.
+func (p *SenderPool) Reserve(b int) Range {
+	r := Range{Q0: p.next, B: b, W: p.width}
+	if p.pooled {
+		p.next = r.End()
 	}
-	for {
-		typ, payload, err := p.conn.RecvAny(
-			transport.MsgOTExtU, transport.MsgOTDerandC, transport.MsgOTRefill)
+	return r
+}
+
+// Cover makes sure the pool banks all of r, answering announced refills
+// until it does. It reads only when the pool falls short — the receiver
+// decided the refill that covers r when it reserved the same range.
+func (p *SenderPool) Cover(r Range) error {
+	for p.pooled && p.bank.end < r.End() {
+		payload, err := p.conn.Recv(transport.MsgOTRefill)
 		if err != nil {
 			return err
 		}
-		switch typ {
-		case transport.MsgOTRefill:
-			n, err := readCount(payload)
-			if err != nil {
-				return err
-			}
-			if n == 0 {
-				return fmt.Errorf("precomp: zero-count refill mid-session")
-			}
-			p.pooled = true
-			if err := p.fill(n); err != nil {
-				return err
-			}
-		case transport.MsgOTExtU:
-			start := time.Now()
-			err := p.ots.SendWithU(pairs, payload)
-			p.st.OnlineTime += time.Since(start)
-			p.st.Direct += int64(m)
-			p.st.Batches++
+		if err := p.HandleRefill(payload); err != nil {
 			return err
-		case transport.MsgOTDerandC:
-			return p.derand(pairs, payload)
 		}
 	}
+	return nil
 }
 
-// derand answers one online batch: the receiver's corrections d select
-// which pooled pair element masks which real label.
-func (p *SenderPool) derand(pairs [][2]ot.Msg, d []byte) error {
+// SendStep transfers the label pairs of one evaluator-input step: wire i
+// of the step is evaluator-input bit c0+i, and pair(i, s) yields its
+// zero-label and Free-XOR delta for sample s of r (the pair is x0,
+// x0⊕delta). Pooled, the pairs are masked with r's entries (which Cover
+// must have banked) straight into buf and sent on conn — the inference's
+// own view of the connection — as one MsgOTMasked frame, wire-major with
+// samples innermost; nothing is read. Unpooled, it answers one direct IKNP
+// exchange. It returns buf, possibly grown, for reuse.
+func (p *SenderPool) SendStep(conn transport.FrameConn, r Range, c0, wires int, buf []byte, pair func(i, s int) (x0, delta ot.Msg, err error)) ([]byte, error) {
+	if wires == 0 {
+		return buf, nil
+	}
+	if r.B < 1 {
+		return buf, fmt.Errorf("precomp: input step on an empty range (no Reserve)")
+	}
+	m := wires * r.B
 	start := time.Now()
-	m := len(pairs)
-	if len(d) != (m+7)/8 {
-		return fmt.Errorf("precomp: correction payload is %d bytes, want %d for %d OTs", len(d), (m+7)/8, m)
-	}
-	if p.Available() < m {
-		return fmt.Errorf("precomp: receiver derandomizes %d OTs but only %d are pooled", m, p.Available())
-	}
-	out := make([]byte, 0, m*2*ot.MsgLen)
-	for j := range pairs {
-		dj := 0
-		if d[j/8]&(1<<uint(j%8)) != 0 {
-			dj = 1
+	if !p.pooled {
+		pairs := make([][2]ot.Msg, 0, m)
+		for i := 0; i < wires; i++ {
+			for s := 0; s < r.B; s++ {
+				x0, delta, err := pair(i, s)
+				if err != nil {
+					return buf, err
+				}
+				x1 := x0
+				for k := range x1 {
+					x1[k] ^= delta[k]
+				}
+				pairs = append(pairs, [2]ot.Msg{x0, x1})
+			}
 		}
-		r := &p.pairs[p.head+j]
-		var y0, y1 ot.Msg
-		for i := 0; i < ot.MsgLen; i++ {
-			y0[i] = pairs[j][0][i] ^ r[dj][i]
-			y1[i] = pairs[j][1][i] ^ r[1-dj][i]
+		setLimit(p.conn, transport.MsgOTExtU, ot.ExtULen(m))
+		err := p.ots.Send(pairs)
+		p.st.add(Stats{Direct: int64(m), Batches: 1, OnlineTime: time.Since(start)})
+		return buf, err
+	}
+	payload := buf[:0]
+	for i := 0; i < wires; i++ {
+		for s := 0; s < r.B; s++ {
+			x0, delta, err := pair(i, s)
+			if err != nil {
+				return buf, err
+			}
+			mask, err := p.bank.take(r.At(s, c0+i))
+			if err != nil {
+				return buf, err
+			}
+			for k := range x0 {
+				mask[0][k] ^= x0[k]
+				mask[1][k] ^= x0[k] ^ delta[k]
+			}
+			payload = append(append(payload, mask[0][:]...), mask[1][:]...)
 		}
-		out = append(out, y0[:]...)
-		out = append(out, y1[:]...)
-		// Single-use: zero the pair as it is consumed.
-		*r = [2]ot.Msg{}
 	}
-	p.head += m
-	p.seq += int64(m)
-	p.st.Consumed += int64(m)
-	p.st.Batches++
-	if err := p.conn.Send(transport.MsgOTDerandM, out); err != nil {
-		return err
-	}
-	err := p.conn.Flush()
+	err := conn.Send(transport.MsgOTMasked, payload)
 	elapsed := time.Since(start)
-	p.st.OnlineTime += elapsed
+	p.st.add(Stats{Consumed: int64(m), Batches: 1, OnlineTime: elapsed})
 	obs.ObservePhase(obs.PhaseOTDerand, elapsed)
 	obs.SetOTPoolDepth(obs.OTSender, p.Available())
-	return err
+	return payload[:0], err
+}
+
+// Send obliviously transfers pairs[j][b_j] for the receiver's hidden
+// choice bits, like ot.ExtSender.Send, in lock-step with
+// ReceiverPool.Receive: it reserves len(pairs) consecutive entries, waits
+// for the refills that cover them, and sends the masked pairs.
+func (p *SenderPool) Send(pairs [][2]ot.Msg) error {
+	r := Range{Q0: p.next, B: 1, W: len(pairs)}
+	if p.pooled {
+		p.next = r.End()
+	}
+	if err := p.Cover(r); err != nil {
+		return err
+	}
+	_, err := p.SendStep(p.conn, r, 0, len(pairs), nil, func(i, _ int) (x0, delta ot.Msg, err error) {
+		x0 = pairs[i][0]
+		for k := range delta {
+			delta[k] = x0[k] ^ pairs[i][1][k]
+		}
+		return x0, delta, nil
+	})
+	if err != nil {
+		return err
+	}
+	return p.conn.Flush()
 }

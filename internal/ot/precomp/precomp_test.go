@@ -2,6 +2,7 @@ package precomp
 
 import (
 	"math/rand"
+	"strings"
 	"sync"
 	"testing"
 
@@ -10,8 +11,9 @@ import (
 )
 
 // pools builds a connected sender/receiver pool pair over an in-memory
-// pipe, running the base phase and the announcement handshake.
-func pools(t *testing.T, cfg PoolConfig, seed int64) (*SenderPool, *ReceiverPool, func()) {
+// pipe, running the base phase and the announcement handshake. key is the
+// receiver's choice-bit key (nil = unkeyed, all false).
+func pools(t *testing.T, cfg PoolConfig, key []bool, seed int64) (*SenderPool, *ReceiverPool, func()) {
 	t.Helper()
 	sConn, rConn, closer := transport.Pipe()
 
@@ -33,7 +35,8 @@ func pools(t *testing.T, cfg PoolConfig, seed int64) (*SenderPool, *ReceiverPool
 	if err != nil {
 		t.Fatal(err)
 	}
-	rp := NewReceiverPool(rConn, otr, rand.New(rand.NewSource(seed+3)), cfg)
+	rp := NewReceiverPool(rConn, otr, nil, cfg)
+	rp.SetKey(key)
 	if err := rp.Announce(); err != nil {
 		t.Fatal(err)
 	}
@@ -41,12 +44,24 @@ func pools(t *testing.T, cfg PoolConfig, seed int64) (*SenderPool, *ReceiverPool
 	if senderErr != nil {
 		t.Fatal(senderErr)
 	}
+	if sp.Width() != len(key) {
+		t.Fatalf("sender learned key width %d, want %d", sp.Width(), len(key))
+	}
 	return sp, rp, func() { closer.Close() }
 }
 
-// transfer runs one oblivious batch through the pools: the sender's Send
-// on a goroutine (it reacts to the receiver's frames), the receiver's
-// Receive inline.
+// keyAt returns the key's choice bits at sequence numbers q0 … q0+n-1:
+// what a lock-step Receive must be called with.
+func keyAt(key []bool, q0 int64, n int) []bool {
+	out := make([]bool, n)
+	for i := range out {
+		out[i] = len(key) > 0 && key[(q0+int64(i))%int64(len(key))]
+	}
+	return out
+}
+
+// transfer runs one oblivious batch through the pools in lock-step: the
+// sender's Send on a goroutine, the receiver's Receive inline.
 func transfer(t *testing.T, sp *SenderPool, rp *ReceiverPool, pairs [][2]ot.Msg, choices []bool) []ot.Msg {
 	t.Helper()
 	var wg sync.WaitGroup
@@ -84,9 +99,25 @@ func randChoices(rng *rand.Rand, n int) []bool {
 	return out
 }
 
+func checkTransfer(t *testing.T, what string, got []ot.Msg, pairs [][2]ot.Msg, choices []bool) {
+	t.Helper()
+	if len(got) != len(pairs) {
+		t.Fatalf("%s: %d transfers for %d pairs", what, len(got), len(pairs))
+	}
+	for j, b := range choices {
+		want := pairs[j][0]
+		if b {
+			want = pairs[j][1]
+		}
+		if got[j] != want {
+			t.Fatalf("%s OT %d: wrong transfer for choice %v", what, j, b)
+		}
+	}
+}
+
 // directIKNP runs the same batch over raw ExtSender/ExtReceiver and
-// returns the receiver's output — the reference the derandomized path
-// must match bit for bit.
+// returns the receiver's output — the reference the pooled path must
+// match bit for bit.
 func directIKNP(t *testing.T, pairs [][2]ot.Msg, choices []bool, seed int64) []ot.Msg {
 	t.Helper()
 	sConn, rConn, closer := transport.Pipe()
@@ -118,32 +149,25 @@ func directIKNP(t *testing.T, pairs [][2]ot.Msg, choices []bool, seed int64) []o
 	return got
 }
 
-// TestDerandConformance is the tentpole property test: for random choice
-// vectors and label pairs, the pooled+derandomized transfer must equal
-// the direct IKNP transfer bit for bit (both must yield pairs[j][b_j]),
-// across batch sizes that cross the 8-bit packing boundary.
-func TestDerandConformance(t *testing.T) {
+// TestKeyedConformance is the pool's property test: for a random key and
+// random label pairs, the pooled transfer must equal the direct IKNP
+// transfer bit for bit (both must yield pairs[j][key bit]), across batch
+// sizes that cross the 8-bit packing boundary and a capacity that is not
+// a multiple of the key width (fills wrap around the key).
+func TestKeyedConformance(t *testing.T) {
 	rng := rand.New(rand.NewSource(41))
-	sp, rp, done := pools(t, PoolConfig{Capacity: 300, RefillLowWater: 40}, 50)
+	key := randChoices(rng, 37)
+	sp, rp, done := pools(t, PoolConfig{Capacity: 300, RefillLowWater: 40}, key, 50)
 	defer done()
 	for trial, m := range []int{1, 7, 8, 9, 63, 64, 65, 100, 200} {
 		pairs := randPairs(rng, m)
-		choices := randChoices(rng, m)
+		choices := keyAt(key, rp.Seq(), m)
 		pooled := transfer(t, sp, rp, pairs, choices)
 		direct := directIKNP(t, pairs, choices, int64(1000+trial))
-		if len(pooled) != m || len(direct) != m {
-			t.Fatalf("m=%d: got %d pooled / %d direct transfers", m, len(pooled), len(direct))
-		}
-		for j, b := range choices {
-			want := pairs[j][0]
-			if b {
-				want = pairs[j][1]
-			}
-			if pooled[j] != want {
-				t.Fatalf("m=%d OT %d: derandomized output wrong for choice %v", m, j, b)
-			}
+		checkTransfer(t, "pooled", pooled, pairs, choices)
+		for j := range pooled {
 			if pooled[j] != direct[j] {
-				t.Fatalf("m=%d OT %d: derandomized output differs from direct IKNP", m, j)
+				t.Fatalf("m=%d OT %d: pooled output differs from direct IKNP", m, j)
 			}
 		}
 	}
@@ -152,14 +176,31 @@ func TestDerandConformance(t *testing.T) {
 	}
 }
 
-// TestSingleUseSafety proves no pooled OT instance is ever consumed
-// twice: consumed sequence ranges are strictly increasing and disjoint
-// on both sides, exhaustion triggers a refill (never reuse), and the
-// generated/consumed accounting stays consistent throughout.
+// TestChoiceMustMatchKey pins that the receiver's argument is checked
+// against the key, not used to select: asking for the other label fails
+// instead of yielding it.
+func TestChoiceMustMatchKey(t *testing.T) {
+	rng := rand.New(rand.NewSource(46))
+	key := randChoices(rng, 16)
+	sp, rp, done := pools(t, PoolConfig{Capacity: 64}, key, 55)
+	defer done()
+	choices := keyAt(key, 0, 8)
+	choices[3] = !choices[3]
+	go sp.Send(randPairs(rng, 8)) //nolint:errcheck — the receiver's verdict is the test
+	if _, err := rp.Receive(choices); err == nil || !strings.Contains(err.Error(), "differs from the pool key") {
+		t.Fatalf("Receive with a choice bit off the key = %v, want a key-mismatch error", err)
+	}
+}
+
+// TestSingleUseSafety proves no pooled OT is ever consumed twice:
+// reserved ranges are strictly increasing and disjoint on both sides,
+// exhaustion triggers a refill (never reuse), the accounting stays
+// consistent, and every consumed entry is zeroed in both banks.
 func TestSingleUseSafety(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
+	key := randChoices(rng, 11)
 	// Tiny pool so nearly every batch forces a refill exchange.
-	sp, rp, done := pools(t, PoolConfig{Capacity: 32, RefillLowWater: 8}, 60)
+	sp, rp, done := pools(t, PoolConfig{Capacity: 32, RefillLowWater: 8}, key, 60)
 	defer done()
 
 	var consumed int64
@@ -167,28 +208,15 @@ func TestSingleUseSafety(t *testing.T) {
 	for trial := 0; trial < 20; trial++ {
 		m := 1 + rng.Intn(70) // frequently exceeds capacity remnants
 		pairs := randPairs(rng, m)
-		choices := randChoices(rng, m)
-
-		sBefore, rBefore := sp.Seq(), rp.Seq()
-		if sBefore != nextSeq || rBefore != nextSeq {
-			t.Fatalf("trial %d: seq diverged (sender %d, receiver %d, want %d)", trial, sBefore, rBefore, nextSeq)
+		if sp.Seq() != nextSeq || rp.Seq() != nextSeq {
+			t.Fatalf("trial %d: seq diverged (sender %d, receiver %d, want %d)", trial, sp.Seq(), rp.Seq(), nextSeq)
 		}
-		got := transfer(t, sp, rp, pairs, choices)
-		for j, b := range choices {
-			want := pairs[j][0]
-			if b {
-				want = pairs[j][1]
-			}
-			if got[j] != want {
-				t.Fatalf("trial %d OT %d: wrong transfer", trial, j)
-			}
-		}
-		// The consumed range is exactly [nextSeq, nextSeq+m): no entry
-		// before nextSeq can be touched again (seq is monotone), so
-		// ranges across trials are pairwise disjoint.
+		choices := keyAt(key, nextSeq, m)
+		checkTransfer(t, "tiny pool", transfer(t, sp, rp, pairs, choices), pairs, choices)
+		// The consumed range is exactly [nextSeq, nextSeq+m): seq is
+		// monotone, so ranges across trials are pairwise disjoint.
 		if sp.Seq() != nextSeq+int64(m) || rp.Seq() != nextSeq+int64(m) {
-			t.Fatalf("trial %d: consumed range not exactly m=%d wide (sender %d, receiver %d)",
-				trial, m, sp.Seq(), rp.Seq())
+			t.Fatalf("trial %d: range not exactly m=%d wide (sender %d, receiver %d)", trial, m, sp.Seq(), rp.Seq())
 		}
 		nextSeq += int64(m)
 		consumed += int64(m)
@@ -198,43 +226,142 @@ func TestSingleUseSafety(t *testing.T) {
 			t.Fatalf("trial %d: receiver consumed %d, want %d", trial, st.Consumed, consumed)
 		}
 		if st.Generated < st.Consumed {
-			t.Fatalf("trial %d: consumed %d exceeds generated %d — an entry was reused",
-				trial, st.Consumed, st.Generated)
+			t.Fatalf("trial %d: consumed %d exceeds generated %d — an entry was reused", trial, st.Consumed, st.Generated)
 		}
-		if got, want := int64(rp.Available()), st.Generated-st.Consumed; got != want {
-			t.Fatalf("trial %d: %d available, want generated-consumed=%d", trial, got, want)
+		// Every banked entry below the frontier is spent and zeroed.
+		for _, c := range rp.bank.chunks {
+			for i, e := range c.e {
+				if c.start+int64(i) < nextSeq && e != (ot.Msg{}) {
+					t.Fatalf("trial %d: receiver entry %d consumed but not zeroed", trial, c.start+int64(i))
+				}
+			}
+		}
+		for _, c := range sp.bank.chunks {
+			for i, e := range c.e {
+				if c.start+int64(i) < nextSeq && e != ([2]ot.Msg{}) {
+					t.Fatalf("trial %d: sender entry %d consumed but not zeroed", trial, c.start+int64(i))
+				}
+			}
 		}
 	}
 	if st := rp.Stats(); st.Refills < 5 {
 		t.Errorf("tiny pool under sustained traffic performed only %d refills", st.Refills)
 	}
-	if ss := sp.Stats(); ss.Generated != rp.Stats().Generated || ss.Consumed != rp.Stats().Consumed {
+	// The receiver may have banked a refill the sender's last Send did not
+	// need to wait for; what is consumed must agree exactly.
+	if ss := sp.Stats(); ss.Consumed != rp.Stats().Consumed || ss.Generated > rp.Stats().Generated+int64(64) {
 		t.Errorf("sender accounting (%d/%d) diverges from receiver (%d/%d)",
 			ss.Generated, ss.Consumed, rp.Stats().Generated, rp.Stats().Consumed)
+	}
+	// A spent entry refuses a second take on either side.
+	if _, err := rp.bank.take(nextSeq - 1); err == nil {
+		t.Error("receiver bank handed out a consumed entry")
+	}
+	if _, err := sp.bank.take(nextSeq - 1); err == nil {
+		t.Error("sender bank handed out a consumed entry")
+	}
+}
+
+// TestRangesInterleave drives the engine-facing API the way a pipelined
+// session does: two inferences (the second a 3-sample batch) own disjoint
+// ranges and their input steps run interleaved — inference 2's first step
+// before inference 1's last. A pool smaller than one sample's key forces
+// on-demand refills; every label must still be the keyed one.
+func TestRangesInterleave(t *testing.T) {
+	rng := rand.New(rand.NewSource(47))
+	const w = 40
+	key := randChoices(rng, w)
+	sp, rp, done := pools(t, PoolConfig{Capacity: 25, RefillLowWater: 5, Background: true}, key, 65)
+	defer done()
+	sConn, rConn := sp.conn, rp.conn
+
+	type inference struct {
+		sr, rr Range
+		x0     [][]ot.Msg // [sample][bit] zero-labels
+		delta  []ot.Msg   // per sample
+	}
+	mk := func(b int) *inference {
+		in := &inference{delta: make([]ot.Msg, b), x0: make([][]ot.Msg, b)}
+		for s := range in.x0 {
+			rng.Read(in.delta[s][:])
+			in.x0[s] = make([]ot.Msg, w)
+			for c := range in.x0[s] {
+				rng.Read(in.x0[s][c][:])
+			}
+		}
+		return in
+	}
+	// step transfers evaluator-input bits [c0, c1) of one inference.
+	step := func(in *inference, c0, c1 int) {
+		t.Helper()
+		var wg sync.WaitGroup
+		var sendErr error
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			if sendErr = sp.Cover(in.sr); sendErr != nil {
+				return
+			}
+			_, sendErr = sp.SendStep(sConn, in.sr, c0, c1-c0, nil, func(i, s int) (ot.Msg, ot.Msg, error) {
+				return in.x0[s][c0+i], in.delta[s], nil
+			})
+			if sendErr == nil {
+				sendErr = sConn.Flush()
+			}
+		}()
+		if err := rp.Cover(in.rr); err != nil {
+			t.Fatal(err)
+		}
+		err := rp.RecvStep(rConn, in.rr, c0, key[c0:c1], func(i, s int, m ot.Msg) {
+			want := in.x0[s][c0+i]
+			if key[c0+i] {
+				for k := range want {
+					want[k] ^= in.delta[s][k]
+				}
+			}
+			if m != want {
+				t.Errorf("range %d sample %d bit %d: wrong label", in.rr.Q0, s, c0+i)
+			}
+		})
+		wg.Wait()
+		if sendErr != nil || err != nil {
+			t.Fatalf("step [%d,%d): sender %v, receiver %v", c0, c1, sendErr, err)
+		}
+	}
+	one, two := mk(1), mk(3)
+	one.sr, one.rr = sp.Reserve(1), rp.Reserve(1)
+	two.sr, two.rr = sp.Reserve(3), rp.Reserve(3)
+	if one.sr != one.rr || two.sr != two.rr {
+		t.Fatalf("parties disagree on ranges: %+v/%+v, %+v/%+v", one.sr, one.rr, two.sr, two.rr)
+	}
+	if one.rr.End() != two.rr.Q0 || two.rr.End() != two.rr.Q0+3*w || rp.Seq() != 4*w {
+		t.Fatalf("ranges not consecutive: %+v then %+v, seq %d", one.rr, two.rr, rp.Seq())
+	}
+	step(one, 0, 17)
+	step(two, 0, 17)
+	step(one, 17, w)
+	step(two, 17, w)
+	if st := rp.Stats(); st.Consumed != 4*w || st.Generated < st.Consumed {
+		t.Errorf("stats after two inferences: %+v", st)
+	}
+	if err := rp.SendRefills(); err != nil {
+		t.Fatal(err)
 	}
 }
 
 // TestBackgroundRefill exercises the helper-goroutine precompute path
-// (run under -race in CI): refills triggered at low water must resolve
-// before the pool runs dry and keep transfers correct.
+// (run under -race in CI): refills decided at low water must keep
+// transfers correct.
 func TestBackgroundRefill(t *testing.T) {
 	rng := rand.New(rand.NewSource(43))
-	sp, rp, done := pools(t, PoolConfig{Capacity: 64, RefillLowWater: 48, Background: true}, 70)
+	key := randChoices(rng, 13)
+	sp, rp, done := pools(t, PoolConfig{Capacity: 64, RefillLowWater: 48, Background: true}, key, 70)
 	defer done()
 	for trial := 0; trial < 30; trial++ {
 		m := 1 + rng.Intn(40)
 		pairs := randPairs(rng, m)
-		choices := randChoices(rng, m)
-		got := transfer(t, sp, rp, pairs, choices)
-		for j, b := range choices {
-			want := pairs[j][0]
-			if b {
-				want = pairs[j][1]
-			}
-			if got[j] != want {
-				t.Fatalf("trial %d OT %d: wrong transfer", trial, j)
-			}
-		}
+		choices := keyAt(key, rp.Seq(), m)
+		checkTransfer(t, "background", transfer(t, sp, rp, pairs, choices), pairs, choices)
 	}
 	st := rp.Stats()
 	if st.Refills < 2 {
@@ -245,10 +372,45 @@ func TestBackgroundRefill(t *testing.T) {
 	}
 }
 
+// TestUnkeyedPoolIsAllFalse pins the unkeyed pool: all-false choices
+// work, in lock-step, exactly as with a key.
+func TestUnkeyedPoolIsAllFalse(t *testing.T) {
+	rng := rand.New(rand.NewSource(48))
+	sp, rp, done := pools(t, PoolConfig{Capacity: 64, Background: true}, nil, 75)
+	defer done()
+	for _, m := range []int{40, 30, 70} {
+		pairs := randPairs(rng, m)
+		choices := make([]bool, m)
+		checkTransfer(t, "unkeyed", transfer(t, sp, rp, pairs, choices), pairs, choices)
+	}
+	rp.Abort()
+}
+
+// TestUnsolicitedRefillAnswer pins that an answer nobody asked for is an
+// error, not a banked fill.
+func TestUnsolicitedRefillAnswer(t *testing.T) {
+	_, rp, done := pools(t, PoolConfig{Capacity: 16}, nil, 77)
+	defer done()
+	if err := rp.FinishRefill(make([]byte, 32)); err == nil || !strings.Contains(err.Error(), "unsolicited") {
+		t.Fatalf("FinishRefill with nothing in flight = %v", err)
+	}
+}
+
+// TestOversizedRefillSplits pins that a refill beyond what one exchange
+// may carry is decided as several consecutive ones.
+func TestOversizedRefillSplits(t *testing.T) {
+	p := NewReceiverPool(nil, nil, nil, PoolConfig{Capacity: 16})
+	p.decide(maxRefill + 5)
+	if len(p.refills) != 2 || p.refills[0].start != 0 || p.refills[0].n != 5 ||
+		p.refills[1].start != 5 || p.refills[1].n != maxRefill || p.asked != maxRefill+5 {
+		t.Fatalf("decide(maxRefill+5) queued %+v, asked %d", p.refills, p.asked)
+	}
+}
+
 // TestEmptyBatch pins that a zero-length batch touches neither the wire
 // nor the pool on either side.
 func TestEmptyBatch(t *testing.T) {
-	sp, rp, done := pools(t, PoolConfig{Capacity: 16}, 80)
+	sp, rp, done := pools(t, PoolConfig{Capacity: 16}, nil, 80)
 	defer done()
 	sent0 := rp.conn.(*transport.Conn).BytesSent.Load()
 	got, err := rp.Receive(nil)
@@ -267,10 +429,11 @@ func TestEmptyBatch(t *testing.T) {
 }
 
 // TestDisabledPoolPassthrough pins the compatibility mode: a zero config
-// announces count 0 and every batch runs direct IKNP, counted as such.
+// announces capacity 0 and every batch runs direct IKNP with the caller's
+// own choices, counted as such.
 func TestDisabledPoolPassthrough(t *testing.T) {
 	rng := rand.New(rand.NewSource(44))
-	sp, rp, done := pools(t, PoolConfig{}, 90)
+	sp, rp, done := pools(t, PoolConfig{}, nil, 90)
 	defer done()
 	if sp.Pooled() {
 		t.Fatal("disabled pool announced as enabled")
@@ -278,16 +441,7 @@ func TestDisabledPoolPassthrough(t *testing.T) {
 	m := 33
 	pairs := randPairs(rng, m)
 	choices := randChoices(rng, m)
-	got := transfer(t, sp, rp, pairs, choices)
-	for j, b := range choices {
-		want := pairs[j][0]
-		if b {
-			want = pairs[j][1]
-		}
-		if got[j] != want {
-			t.Fatalf("OT %d: wrong transfer", j)
-		}
-	}
+	checkTransfer(t, "direct", transfer(t, sp, rp, pairs, choices), pairs, choices)
 	if st := rp.Stats(); st.Direct != int64(m) || st.Generated != 0 || st.Consumed != 0 {
 		t.Errorf("disabled-pool stats: %+v", st)
 	}
@@ -298,22 +452,13 @@ func TestDisabledPoolPassthrough(t *testing.T) {
 // not wedge the session in a zero-count refill exchange.
 func TestLowWaterAboveCapacity(t *testing.T) {
 	rng := rand.New(rand.NewSource(45))
-	sp, rp, done := pools(t, PoolConfig{Capacity: 16, RefillLowWater: 64}, 97)
+	sp, rp, done := pools(t, PoolConfig{Capacity: 16, RefillLowWater: 64}, nil, 97)
 	defer done()
 	for trial := 0; trial < 4; trial++ {
 		m := 1 + rng.Intn(12)
 		pairs := randPairs(rng, m)
-		choices := randChoices(rng, m)
-		got := transfer(t, sp, rp, pairs, choices)
-		for j, b := range choices {
-			want := pairs[j][0]
-			if b {
-				want = pairs[j][1]
-			}
-			if got[j] != want {
-				t.Fatalf("trial %d OT %d: wrong transfer", trial, j)
-			}
-		}
+		choices := make([]bool, m)
+		checkTransfer(t, "clamped", transfer(t, sp, rp, pairs, choices), pairs, choices)
 	}
 	if st := rp.Stats(); st.Generated < st.Consumed {
 		t.Errorf("consumed %d exceeds generated %d", st.Consumed, st.Generated)
@@ -337,7 +482,7 @@ func TestOversizedCapacityFailsLocally(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rp := NewReceiverPool(rConn, otr, rand.New(rand.NewSource(100)), PoolConfig{Capacity: maxRefill + 1})
+	rp := NewReceiverPool(rConn, otr, nil, PoolConfig{Capacity: maxRefill + 1})
 	sent0 := rConn.BytesSent.Load()
 	if err := rp.Announce(); err == nil {
 		t.Fatal("oversized capacity must fail Announce")
@@ -350,7 +495,7 @@ func TestOversizedCapacityFailsLocally(t *testing.T) {
 // TestAnnouncedFillAtSetup pins that an enabled pool is bulk-filled
 // during the announcement handshake — before any online batch.
 func TestAnnouncedFillAtSetup(t *testing.T) {
-	sp, rp, done := pools(t, PoolConfig{Capacity: 128}, 95)
+	sp, rp, done := pools(t, PoolConfig{Capacity: 128}, nil, 95)
 	defer done()
 	if !sp.Pooled() {
 		t.Fatal("enabled pool not announced")

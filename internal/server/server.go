@@ -118,12 +118,13 @@ func WithEngine(cfg core.EngineConfig) Option {
 	return func(s *Server) { s.core.Engine = cfg }
 }
 
-// WithOTPool sizes the offline random-OT pool every session of this
-// server precomputes at setup and refills in idle gaps (Beaver-style OT
-// derandomization): per-batch weight transfers then cost one
-// correction/masked-label exchange with no cryptography on the critical
-// path. The zero config disables pooling and every input batch runs IKNP
-// online. The server owns the policy; clients follow the announcement.
+// WithOTPool sizes the offline OT pool every session of this server
+// precomputes at setup, keyed to the model's weight bits, and refills
+// between inferences (Beaver-style OT precomputation): a weight transfer
+// then costs the client one masked-label frame and XORs, with no reply
+// and no cryptography on the critical path. The zero config disables
+// pooling and every input step runs IKNP online. The server owns the
+// policy; clients follow the announcement.
 func WithOTPool(cfg precomp.PoolConfig) Option {
 	return func(s *Server) { s.core.OTPool = cfg }
 }
@@ -148,32 +149,13 @@ func WithMaxBatch(n int) Option {
 }
 
 // WithBank installs the garble-ahead execution-bank policy in the
-// engine configuration this server's sessions run with, and — the part
-// that matters on the evaluator side — enables speculative OT
-// consumption when the bank is enabled. The bank itself lives with the
-// garbling party (clients pre-garble; see core.EngineConfig.Bank), so a
-// plain server never fills one; but banked clients make the ordered OT
-// exchange the dominant online step, and a server that expects them
-// should loosen it. WithBank(cfg) with cfg.Enabled() is therefore
-// shorthand for carrying the policy in the shared EngineConfig plus
-// WithSpeculativeOT(true); a zero cfg clears both.
+// engine configuration this server's sessions run with. The bank itself
+// lives with the garbling party (clients pre-garble; see
+// core.EngineConfig.Bank), so a plain server never fills one; the option
+// carries the policy for deployments that share one EngineConfig between
+// both roles.
 func WithBank(cfg bank.Config) Option {
-	return func(s *Server) {
-		s.core.Engine.Bank = cfg
-		s.core.Engine.SpeculativeOT = cfg.Enabled()
-	}
-}
-
-// WithSpeculativeOT toggles speculative OT consumption: an inference
-// issues all of its input steps' derandomization corrections in one
-// flight at its first evaluator step and releases the OT-pool turn
-// immediately, so deep pipeline windows (and garble-ahead clients, whose
-// online path is otherwise just label selection and streaming) are not
-// serialized on per-step OT round-trips. Requires an enabled OT pool
-// (no-op otherwise); off by default because it shifts server→client
-// frame timing relative to the strict-order v5 transcript.
-func WithSpeculativeOT(on bool) Option {
-	return func(s *Server) { s.core.Engine.SpeculativeOT = on }
+	return func(s *Server) { s.core.Engine.Bank = cfg }
 }
 
 // WithIdleTimeout bounds how long a session connection may sit idle.
@@ -423,7 +405,7 @@ func (s *Server) serveConn(conn net.Conn) {
 			conn.RemoteAddr(), sessionInferences(st), err)
 		return
 	}
-	s.logf("session from %s: %d inference(s), %.2f MB out, %.2f MB in, %v (OT offline %v / online %v, %d pooled, %d derandomized, %d refill(s); pipeline peak %d in flight, %v overlapped; crypto core %.2f Mgates/s over %v)",
+	s.logf("session from %s: %d inference(s), %.2f MB out, %.2f MB in, %v (OT offline %v / online %v, %d pooled, %d consumed, %d refill(s); pipeline peak %d in flight, %v overlapped; crypto core %.2f Mgates/s over %v)",
 		conn.RemoteAddr(), sessionInferences(st),
 		float64(st.BytesSent)/1e6, float64(st.BytesReceived)/1e6,
 		time.Since(start).Round(time.Millisecond),

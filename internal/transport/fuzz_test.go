@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"io"
+	"runtime"
 	"strings"
 	"testing"
 )
@@ -88,6 +89,67 @@ func TestReadFrameCorruptionClasses(t *testing.T) {
 				t.Errorf("errors.Is(err, %v) = false: %v", tc.wantIs, err)
 			}
 		})
+	}
+}
+
+// TestFrameLimitsRefuseBeforeAllocating pins the per-type caps: five bytes
+// from a peer — a header claiming a gigabyte — are refused from the header
+// alone, for a hello by default and for any type once SetLimit has pinned
+// it, and a frame within its limit still reads.
+func TestFrameLimitsRefuseBeforeAllocating(t *testing.T) {
+	huge := func(typ MsgType) []byte {
+		hdr := frame(typ, nil)
+		binary.LittleEndian.PutUint32(hdr[1:], MaxFrame)
+		return hdr
+	}
+	c := rawConn(huge(MsgHello))
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, _, err := c.ReadFrame()
+	runtime.ReadMemStats(&after)
+	if err == nil || err.Error() != "transport: hello frame of 1073741824 bytes exceeds its limit of 64" {
+		t.Fatalf("1 GiB hello: err = %v", err)
+	}
+	if grew := after.TotalAlloc - before.TotalAlloc; grew > 1<<20 {
+		t.Fatalf("refusing a 1 GiB hello allocated %d bytes", grew)
+	}
+
+	c = rawConn(append(huge(MsgOTExtY), frame(MsgOTExtY, make([]byte, 64))...))
+	c.SetLimit(MsgOTExtY, 64)
+	if _, _, err := c.ReadFrame(); err == nil || !strings.Contains(err.Error(), "exceeds its limit of 64") {
+		t.Fatalf("oversized ot-ext-y under SetLimit: err = %v", err)
+	}
+	if typ, p, err := c.ReadFrame(); err != nil || typ != MsgOTExtY || len(p) != 64 {
+		t.Fatalf("ot-ext-y at its limit = %v, %d bytes, %v", typ, len(p), err)
+	}
+	c = rawConn(frame(MsgOTExtY, []byte{1}))
+	c.SetLimit(MsgOTExtY, 0)
+	if _, _, err := c.ReadFrame(); err == nil {
+		t.Fatal("a limit of 0 must refuse every non-empty frame of the type")
+	}
+}
+
+// TestRecycleReusesPayloadBuffers pins the free list: a recycled payload
+// backs the next frame of similar size, and is left alone by small ones.
+func TestRecycleReusesPayloadBuffers(t *testing.T) {
+	big := bytes.Repeat([]byte{7}, 4096)
+	stream := append(frame(MsgTables, big), frame(MsgInferBegin, []byte{1})...)
+	stream = append(stream, frame(MsgTables, big[:3000])...)
+	c := rawConn(stream)
+	_, first, err := c.ReadFrame()
+	if err != nil {
+		t.Fatal(err)
+	}
+	c.Recycle(first)
+	if _, small, err := c.ReadFrame(); err != nil || cap(small) >= 4096 {
+		t.Fatalf("one-byte frame took the recycled buffer (cap %d, err %v)", cap(small), err)
+	}
+	_, again, err := c.ReadFrame()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if &again[0] != &first[:1][0] || !bytes.Equal(again, big[:3000]) {
+		t.Fatal("a similar-sized frame did not reuse the recycled buffer intact")
 	}
 }
 

@@ -39,14 +39,13 @@ const (
 	MsgNextInfer
 	MsgEndSession
 	// OT precomputation (offline/online split): MsgOTRefill announces a
-	// bulk random-OT generation of n extended OTs (uvarint payload; n=0
-	// in the session-setup announcement means the pool is disabled),
-	// MsgOTDerandC carries the receiver's packed choice-bit corrections
-	// for one online batch, and MsgOTDerandM the sender's two masked
-	// labels per OT in response.
+	// bulk generation of n extended OTs (uvarint n; the session-setup
+	// announcement appends the uvarint key width W, and n=0 there means
+	// the pool is disabled) and is followed by the receiver's MsgOTExtU;
+	// MsgOTMasked carries the sender's two pool-masked labels per OT of
+	// one evaluator-input step. Nothing flows back online.
 	MsgOTRefill
-	MsgOTDerandC
-	MsgOTDerandM
+	MsgOTMasked
 	// Cross-inference pipelining (protocol v4): MsgPipeline is the
 	// server's in-flight window announcement (uvarint depth, sent once
 	// after the architecture), MsgInferBegin opens the per-inference
@@ -54,13 +53,13 @@ const (
 	// frames are the tagged v4 variants of the per-inference traffic —
 	// each payload starts with the uvarint inference id (AppendTag /
 	// SplitTag) so frames of overlapped inferences can share one
-	// connection. OT frames stay untagged: the pool's strict FIFO order
-	// already serializes them into a total order both parties derive
-	// from the inference ids.
+	// connection. MsgInferMasked is the tagged MsgOTMasked; refill frames
+	// stay untagged (they belong to the session's pool, not an inference).
 	MsgPipeline
 	MsgInferBegin
 	MsgInferConst
 	MsgInferInputs
+	MsgInferMasked
 	MsgInferTables
 	MsgInferOutputs
 	// Batched inference (protocol v5): MsgBatchBegin opens a batched
@@ -75,6 +74,7 @@ const (
 	MsgBatchBegin
 	MsgBatchConst
 	MsgBatchInputs
+	MsgBatchMasked
 	MsgBatchTables
 	MsgBatchOutputs
 	// MsgBusy (protocol v6) is the admission controller's shed response:
@@ -103,15 +103,15 @@ var msgNames = map[MsgType]string{
 	MsgOutputLabels: "output-labels", MsgResult: "result",
 	MsgShare: "share", MsgArch: "arch",
 	MsgNextInfer: "next-infer", MsgEndSession: "end-session",
-	MsgOTRefill: "ot-refill", MsgOTDerandC: "ot-derand-c",
-	MsgOTDerandM: "ot-derand-m",
-	MsgPipeline:  "pipeline", MsgInferBegin: "infer-begin",
+	MsgOTRefill: "ot-refill", MsgOTMasked: "ot-masked",
+	MsgPipeline: "pipeline", MsgInferBegin: "infer-begin",
 	MsgInferConst: "infer-const", MsgInferInputs: "infer-inputs",
+	MsgInferMasked: "infer-masked",
 	MsgInferTables: "infer-tables", MsgInferOutputs: "infer-outputs",
 	MsgBatchBegin: "batch-begin", MsgBatchConst: "batch-const",
-	MsgBatchInputs: "batch-inputs", MsgBatchTables: "batch-tables",
-	MsgBatchOutputs: "batch-outputs",
-	MsgBusy:         "busy",
+	MsgBatchInputs: "batch-inputs", MsgBatchMasked: "batch-masked",
+	MsgBatchTables: "batch-tables", MsgBatchOutputs: "batch-outputs",
+	MsgBusy: "busy",
 }
 
 // String names the message type.
@@ -123,8 +123,14 @@ func (m MsgType) String() string {
 }
 
 // MaxFrame bounds a single frame payload (1 GiB) so corrupted length
-// prefixes fail fast instead of attempting absurd allocations.
+// prefixes fail fast instead of attempting absurd allocations. It is the
+// default per-type limit; SetLimit tightens it for types whose legitimate
+// size the protocol state knows.
 const MaxFrame = 1 << 30
+
+// maxHello bounds a MsgHello payload: the version string of a peer that
+// has not been authenticated in any way yet.
+const maxHello = 64
 
 // FrameConn is the frame-level interface the protocol layers speak: a
 // *Conn satisfies it directly, and pipelined sessions satisfy it with
@@ -163,10 +169,62 @@ type Conn struct {
 	// breaker, when installed, forcibly fails the connection's pending
 	// and future I/O (see SetBreaker).
 	breaker func() error
+
+	// limits[t] is the largest payload ReadFrame accepts for type t,
+	// checked against the header before the payload is allocated. Atomic:
+	// writers set limits while the demux reader is in ReadFrame.
+	limits [msgTypeEnd]atomic.Uint32
+
+	// free holds a payload buffer handed back through Recycle for ReadFrame
+	// to reuse. One spare is what a reader one frame ahead of its consumer
+	// turns over; more would only pin memory (a megabyte each, and twice
+	// that in heap headroom).
+	free chan []byte
 }
 
 // New wraps a byte stream in a framed connection.
-func New(rw io.ReadWriter) *Conn { return &Conn{rw: rw} }
+func New(rw io.ReadWriter) *Conn {
+	c := &Conn{rw: rw, free: make(chan []byte, 1)}
+	for t := range c.limits {
+		c.limits[t].Store(MaxFrame)
+	}
+	c.limits[MsgHello].Store(maxHello)
+	return c
+}
+
+// SetLimit bounds the payload of type-t frames this connection will read:
+// a header announcing more is refused before any allocation. Safe to call
+// while another goroutine is in ReadFrame.
+func (c *Conn) SetLimit(t MsgType, n int) {
+	if t < msgTypeEnd {
+		c.limits[t].Store(uint32(min(max(n, 0), MaxFrame)))
+	}
+}
+
+// Recycle hands a payload returned by ReadFrame (or a suffix of it, e.g.
+// with the inference tag split off) back for reuse. The caller must hold
+// no reference into it afterwards; frames whose bytes are retained are
+// simply never recycled.
+func (c *Conn) Recycle(buf []byte) {
+	select {
+	case c.free <- buf[:0]:
+	default:
+	}
+}
+
+// payloadBuf returns an n-byte buffer for an incoming payload, reusing a
+// recycled one when it fits without wasting more than half of it.
+func (c *Conn) payloadBuf(n int) []byte {
+	select {
+	case b := <-c.free:
+		if cap(b) >= n && cap(b) <= 2*n {
+			return b[:n]
+		}
+		c.Recycle(b)
+	default:
+	}
+	return make([]byte, n)
+}
 
 // SetBreaker installs a hook that forcibly fails the connection's
 // pending and future I/O — typically the underlying net.Conn's Close.
@@ -188,15 +246,15 @@ func (c *Conn) Break() error {
 	return c.breaker()
 }
 
-// Send buffers one frame. Frames accumulate until Flush (or an implicit
-// flush in Recv) so streamed garbled tables batch into large writes.
+// Send buffers one frame, or writes it through when its payload is large
+// (see directWrite): the payload is the caller's again when Send returns.
+// Small frames accumulate until Flush (or an implicit flush in Recv).
 func (c *Conn) Send(t MsgType, payload []byte) error {
 	return c.send(t, nil, payload)
 }
 
-// SendTagged buffers one v4 sub-stream frame whose payload is the
-// uvarint inference id followed by payload. The tag is framed in place —
-// no copy of the (often megabyte-sized) table payload is made.
+// SendTagged sends one sub-stream frame whose payload is the uvarint
+// inference id followed by payload. The tag is framed in place.
 func (c *Conn) SendTagged(t MsgType, id uint64, payload []byte) error {
 	var tag [binary.MaxVarintLen64]byte
 	n := binary.PutUvarint(tag[:], id)
@@ -212,6 +270,12 @@ func (c *Conn) send(t MsgType, tag, payload []byte) error {
 	binary.LittleEndian.PutUint32(hdr[1:], uint32(len(tag)+len(payload)))
 	c.wbuf = append(c.wbuf, hdr[:]...)
 	c.wbuf = append(c.wbuf, tag...)
+	if len(payload) >= directWrite {
+		if err := c.Flush(); err != nil {
+			return err
+		}
+		return c.write(payload)
+	}
 	c.wbuf = append(c.wbuf, payload...)
 	if len(c.wbuf) >= 1<<20 {
 		return c.Flush()
@@ -219,15 +283,27 @@ func (c *Conn) send(t MsgType, tag, payload []byte) error {
 	return nil
 }
 
+// directWrite is the payload size from which a frame bypasses the write
+// buffer: whatever is buffered goes out, then the payload is written from
+// the caller's slice. Table chunks are a megabyte each; batching them
+// would buy nothing and keep a second copy of every chunk resident for
+// as long as the connection lives.
+const directWrite = 64 << 10
+
 // Flush writes all buffered frames to the underlying stream.
 func (c *Conn) Flush() error {
 	if len(c.wbuf) == 0 {
 		return nil
 	}
-	n, err := c.rw.Write(c.wbuf)
+	err := c.write(c.wbuf)
+	c.wbuf = c.wbuf[:0]
+	return err
+}
+
+func (c *Conn) write(b []byte) error {
+	n, err := c.rw.Write(b)
 	c.BytesSent.Add(int64(n))
 	obs.AddBytesSent(int64(n))
-	c.wbuf = c.wbuf[:0]
 	if err != nil {
 		return fmt.Errorf("transport: write: %w", err)
 	}
@@ -278,7 +354,12 @@ func (c *Conn) ReadFrame() (MsgType, []byte, error) {
 	if n > MaxFrame {
 		return 0, nil, fmt.Errorf("transport: frame length %d exceeds limit", n)
 	}
-	payload := make([]byte, n)
+	if got < msgTypeEnd {
+		if limit := c.limits[got].Load(); n > limit {
+			return 0, nil, fmt.Errorf("transport: %v frame of %d bytes exceeds its limit of %d", got, n, limit)
+		}
+	}
+	payload := c.payloadBuf(int(n))
 	if _, err := io.ReadFull(c.rw, payload); err != nil {
 		return 0, nil, fmt.Errorf("transport: read %v payload: %w", got, err)
 	}

@@ -263,8 +263,8 @@ func TestMsgTypeString(t *testing.T) {
 	}
 	for m, want := range map[MsgType]string{
 		MsgOTRefill:     "ot-refill",
-		MsgOTDerandC:    "ot-derand-c",
-		MsgOTDerandM:    "ot-derand-m",
+		MsgOTMasked:     "ot-masked",
+		MsgInferMasked:  "infer-masked",
 		MsgPipeline:     "pipeline",
 		MsgInferBegin:   "infer-begin",
 		MsgInferTables:  "infer-tables",
