@@ -778,13 +778,10 @@ func BenchmarkSessionThroughput(b *testing.B) {
 }
 
 // BenchmarkSharedPool drives S concurrent in-process sessions through
-// one server, comparing the process-wide shared work-stealing scheduler
-// against dedicated per-session pools (PrivatePool). This is the
-// in-process half of the BENCH_load.json story — per-session pools
-// oversubscribe the machine as S grows, the shared pool keeps the
-// worker count fixed — and doubles as the per-PR deadlock canary for
-// the scheduler's steal paths: CI runs one iteration, so a regression
-// that wedges concurrent Do submissions hangs here, not in production.
+// one server on the process-wide shared work-stealing scheduler, which
+// keeps the worker count fixed as S grows (BENCH_load.json records it
+// against the retired per-session worker sets). A regression that wedges
+// concurrent Do submissions in the scheduler's steal paths hangs here.
 func BenchmarkSharedPool(b *testing.B) {
 	net, err := nn.NewNetwork(nn.Vec(32),
 		nn.NewDense(16),
@@ -804,50 +801,44 @@ func BenchmarkSharedPool(b *testing.B) {
 			xs[i][j] = rng.Float64()*2 - 1
 		}
 	}
-	for _, mode := range []struct {
-		name    string
-		private bool
-	}{{"shared", false}, {"private", true}} {
-		for _, sessions := range []int{4, 16} {
-			b.Run(fmt.Sprintf("%s/sessions=%d", mode.name, sessions), func(b *testing.B) {
-				cfg := core.EngineConfig{PrivatePool: mode.private}
-				srv := &core.Server{Net: net, Fmt: fixed.Default, Engine: cfg}
-				if err := srv.Precompile(); err != nil {
-					b.Fatal(err)
-				}
-				cli := &core.Client{Engine: cfg}
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					var wg sync.WaitGroup
-					errs := make(chan error, 2*sessions)
-					for s := 0; s < sessions; s++ {
-						wg.Add(1)
+	for _, sessions := range []int{4, 16} {
+		b.Run(fmt.Sprintf("shared/sessions=%d", sessions), func(b *testing.B) {
+			srv := &core.Server{Net: net, Fmt: fixed.Default}
+			if err := srv.Precompile(); err != nil {
+				b.Fatal(err)
+			}
+			cli := &core.Client{}
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				var wg sync.WaitGroup
+				errs := make(chan error, 2*sessions)
+				for s := 0; s < sessions; s++ {
+					wg.Add(1)
+					go func() {
+						defer wg.Done()
+						cConn, sConn, closer := transport.Pipe()
+						defer closer.Close()
+						srvDone := make(chan struct{})
 						go func() {
-							defer wg.Done()
-							cConn, sConn, closer := transport.Pipe()
-							defer closer.Close()
-							srvDone := make(chan struct{})
-							go func() {
-								defer close(srvDone)
-								if _, err := srv.ServeSession(sConn); err != nil {
-									errs <- err
-								}
-							}()
-							if _, _, err := cli.InferMany(cConn, xs); err != nil {
+							defer close(srvDone)
+							if _, err := srv.ServeSession(sConn); err != nil {
 								errs <- err
 							}
-							<-srvDone
 						}()
-					}
-					wg.Wait()
-					close(errs)
-					for err := range errs {
-						b.Fatal(err)
-					}
+						if _, _, err := cli.InferMany(cConn, xs); err != nil {
+							errs <- err
+						}
+						<-srvDone
+					}()
 				}
-				b.ReportMetric(float64(sessions*k*b.N)/b.Elapsed().Seconds(), "inf/s")
-			})
-		}
+				wg.Wait()
+				close(errs)
+				for err := range errs {
+					b.Fatal(err)
+				}
+			}
+			b.ReportMetric(float64(sessions*k*b.N)/b.Elapsed().Seconds(), "inf/s")
+		})
 	}
 }
 
@@ -1188,8 +1179,8 @@ func BenchmarkSessionPipeline(b *testing.B) {
 	}
 }
 
-// BenchmarkSessionBatch measures vectorized batch inference (protocol
-// v5): one InferBatch call fuses B samples into a single schedule walk,
+// BenchmarkSessionBatch measures vectorized batch inference: one
+// InferBatch call fuses B samples into a single schedule walk,
 // one interleaved table stream, and one OT derandomization exchange per
 // input step — versus B=1, which pays the full protocol machinery per
 // sample. Two link models isolate the two gains: "cpu" (zero-latency

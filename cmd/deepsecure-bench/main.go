@@ -101,9 +101,9 @@ func main() {
 }
 
 // runLiveBatch compares N serial inferences on one session against one
-// fused InferBatch of the same N samples (protocol v5): the batch walks
-// the compiled schedule once and pays one OT derandomization exchange
-// per input step for all samples.
+// fused InferBatch of the same N samples: the batch walks the compiled
+// schedule once and sends one masked-label frame per input step for all
+// samples.
 func runLiveBatch(n int) {
 	fmt.Printf("== Live run: %d samples, serial session vs fused batch ==\n", n)
 	net, err := nn.NewNetwork(nn.Vec(64),

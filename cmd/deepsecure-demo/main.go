@@ -51,7 +51,7 @@ func main() {
 	model := flag.String("model", "small", "b1|b2|b3|b4|small")
 	seed := flag.Int64("seed", 1, "sample/weight seed")
 	n := flag.Int("n", 1, "client: inferences to run on one session")
-	batch := flag.Bool("batch", false, "client: fuse the -n samples into one batched inference (protocol v5)")
+	batch := flag.Bool("batch", false, "client: fuse the -n samples into one batched inference")
 	bankDepth := flag.Int("bank", 0, "client: pre-garble this many executions offline before inferring (garble-ahead bank depth; 0 = off)")
 	flag.Parse()
 

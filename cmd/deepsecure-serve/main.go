@@ -67,12 +67,8 @@ func main() {
 	otPool := flag.Int("ot-pool", 1<<16, "OT pool capacity per session (0 = no precomputation, IKNP online)")
 	otLowWater := flag.Int("ot-low-water", 0, "refill the OT pool when fewer remain (0 = capacity/4)")
 	otBackground := flag.Bool("ot-background", true, "precompute OT refills on a background goroutine")
-	bankDepth := flag.Int("bank-depth", 0, "garble-ahead bank policy depth in the session engine config (0 = banking off; the bank itself fills on garbling clients)")
-	bankLowWater := flag.Int("bank-low-water", 0, "refill the garble-ahead bank when fewer executions remain (0 = depth/4)")
-	bankBackground := flag.Bool("bank-background", true, "refill the garble-ahead bank on a background goroutine")
 	metricsAddr := flag.String("metrics-addr", "", "serve /metrics (Prometheus text) and /debug/stats (JSON) on this address (empty disables)")
 	pprofOn := flag.Bool("pprof", false, "also mount net/http/pprof under /debug/pprof/ on the metrics address")
-	privatePool := flag.Bool("private-pool", false, "give every session its own engine worker set instead of the process-wide shared scheduler (baseline mode; oversubscribes cores under concurrent sessions)")
 	maxSessions := flag.Int("max-sessions", 0, "admission control: max concurrent sessions in the protocol (0 disables admission)")
 	maxQueue := flag.Int("max-queue", 0, "admission control: max sessions waiting for a slot before new arrivals are shed")
 	queueTimeout := flag.Duration("queue-timeout", 10*time.Second, "admission control: max wait in the queue before a session is shed")
@@ -92,9 +88,6 @@ func main() {
 	if *maxBatch < 0 {
 		log.Fatalf("-max-batch %d: must be >= 0 (0 selects the default cap %d)", *maxBatch, deepsecure.DefaultMaxBatch)
 	}
-	if *bankDepth < 0 {
-		log.Fatalf("-bank-depth %d: must be >= 0 (0 disables garble-ahead banking)", *bankDepth)
-	}
 
 	net0, err := buildModel(*model)
 	if err != nil {
@@ -107,11 +100,6 @@ func main() {
 		Capacity:       *otPool,
 		RefillLowWater: *otLowWater,
 		Background:     *otBackground,
-	}
-	bankCfg := deepsecure.BankConfig{
-		Depth:      *bankDepth,
-		LowWater:   *bankLowWater,
-		Background: *bankBackground,
 	}
 	admCfg := deepsecure.AdmissionConfig{
 		MaxActive:    *maxSessions,
@@ -133,12 +121,11 @@ func main() {
 		log.Fatal(err)
 	}
 	srv, err := deepsecure.NewServer(net0, deepsecure.DefaultFormat,
-		deepsecure.WithEngine(deepsecure.EngineConfig{Workers: *workers, ChunkBytes: *chunkKB << 10, PrivatePool: *privatePool, Deadlines: deadlines}),
+		deepsecure.WithEngine(deepsecure.EngineConfig{Workers: *workers, ChunkBytes: *chunkKB << 10, Deadlines: deadlines}),
 		deepsecure.WithIdleTimeout(*idle),
 		deepsecure.WithOTPool(poolCfg),
 		deepsecure.WithPipeline(*pipeline),
 		deepsecure.WithMaxBatch(*maxBatch),
-		deepsecure.WithBank(bankCfg),
 		deepsecure.WithAdmission(admCfg))
 	if err != nil {
 		log.Fatal(err)
@@ -153,20 +140,12 @@ func main() {
 	} else {
 		log.Printf("OT precomputation off: weight transfers run IKNP online")
 	}
-	if eff := bankCfg.Effective(); eff.Enabled() {
-		log.Printf("garble-ahead bank policy: depth %d, refill below %d (background=%v); banks fill on garbling clients",
-			eff.Depth, eff.LowWater, eff.Background)
-	}
 	fanout := *workers
 	if fanout <= 0 {
 		fanout = runtime.GOMAXPROCS(0)
 	}
-	if *privatePool {
-		log.Printf("engine pool: private per-session worker sets of %d (shared scheduler off)", fanout)
-	} else {
-		log.Printf("engine pool: shared work-stealing scheduler, %d worker(s) process-wide, per-session fan-out %d",
-			sched.Default().Workers(), fanout)
-	}
+	log.Printf("engine pool: shared work-stealing scheduler, %d worker(s) process-wide, per-session fan-out %d",
+		sched.Default().Workers(), fanout)
 	if admCfg.Enabled() {
 		log.Printf("admission control on: %d active session(s) max, queue %d (timeout %v), retry-after %v, p99 guard %v",
 			admCfg.MaxActive, admCfg.MaxQueue, *queueTimeout, *retryAfter, *maxP99)

@@ -167,10 +167,6 @@ var (
 	// announces and enforces: one InferBatch call fuses up to n samples
 	// into a single schedule walk and OT exchange (0 = DefaultMaxBatch).
 	WithMaxBatch = server.WithMaxBatch
-	// WithBank installs the garble-ahead bank policy in the server's
-	// session engine configuration (the bank itself fills on garbling
-	// clients).
-	WithBank = server.WithBank
 	// WithAdmission installs the global admission controller: sessions
 	// past the configured limits are refused with a busy frame (clients
 	// see *BusyError) instead of degrading every admitted session.
@@ -252,10 +248,9 @@ func InferMany(conn *Conn, xs [][]float64) ([]int, *InferStats, error) {
 	return c.InferMany(conn, xs)
 }
 
-// InferBatch classifies every sample in ONE fused batched inference
-// (protocol v5): one session, one schedule walk, one interleaved
-// garbled-table stream, and one OT derandomization exchange per input
-// step for the whole batch — the embarrassingly parallel same-model
+// InferBatch classifies every sample in ONE fused batched inference:
+// one session, one schedule walk, one interleaved garbled-table stream,
+// and one masked-label frame per input step for the whole batch — the embarrassingly parallel same-model
 // serving pattern. len(xs) must fit the negotiated batch cap
 // (DefaultMaxBatch unless configured via EngineConfig.MaxBatch /
 // WithMaxBatch); batching composes with pipelining, so larger workloads

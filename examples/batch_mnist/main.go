@@ -1,4 +1,4 @@
-// Batched-inference example (protocol v5): an MNIST-like classifier
+// Batched-inference example: an MNIST-like classifier
 // serving a tray of samples in ONE fused InferBatch call. The batch
 // walks the compiled netlist schedule once, streams all samples' garbled
 // tables interleaved, and pays a single OT derandomization exchange per
@@ -66,7 +66,7 @@ func main() {
 		batchSize, serialTime.Round(time.Millisecond),
 		float64(batchSize)/serialTime.Seconds(), serialStats.OTBatches)
 
-	// Fused batch: the whole tray as one v5 batched inference.
+	// Fused batch: the whole tray as one batched inference.
 	batchConn, batchSrv, closer2 := deepsecure.Pipe()
 	defer closer2.Close()
 	go serve(batchSrv, net)

@@ -1,8 +1,10 @@
 package chaos
 
 import (
+	"fmt"
 	"math/rand"
 	"net"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -51,9 +53,10 @@ func sweepNet(t testing.TB) *nn.Network {
 // leaves the pool below low water, and a 3-sample batch outruns it.
 var sweepPool = precomp.PoolConfig{Capacity: 1000}
 
-// startSweepServer runs the sweep's server on a loopback listener; stop
-// closes it and waits for the accept loop.
-func startSweepServer(t *testing.T, model *nn.Network) (srv *server.Server, addr string, stop func()) {
+// startSweepServer runs the sweep's server on a loopback listener,
+// logging sessions to logf when that is set; stop closes it and waits for
+// the accept loop.
+func startSweepServer(t *testing.T, model *nn.Network, logf func(string, ...any)) (srv *server.Server, addr string, stop func()) {
 	t.Helper()
 	srv, err := server.New(model, fixed.Default,
 		server.WithEngine(core.EngineConfig{
@@ -76,6 +79,7 @@ func startSweepServer(t *testing.T, model *nn.Network) (srv *server.Server, addr
 	if err != nil {
 		t.Fatal(err)
 	}
+	srv.Logf = logf
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -102,7 +106,7 @@ func TestChaosSweep(t *testing.T) {
 
 	f := fixed.Default
 	model := sweepNet(t)
-	srv, addr, stop := startSweepServer(t, model)
+	srv, addr, stop := startSweepServer(t, model, nil)
 
 	// Fault offsets should be able to land anywhere in a session's table
 	// stream, not just the handshake.
@@ -291,7 +295,7 @@ func TestChaosCutBetweenRefillAndAnswer(t *testing.T) {
 	checkLeaks := testutil.VerifyNoLeaks(t)
 	f := fixed.Default
 	model := sweepNet(t)
-	srv, addr, stop := startSweepServer(t, model)
+	srv, addr, stop := startSweepServer(t, model, nil)
 	x := []float64{0.3, -0.2, 0.9, -0.7, 0.1, 0.5}
 	want := model.PredictFixed(f, x)
 	cli := &core.Client{Engine: core.EngineConfig{Workers: 2}}
@@ -335,5 +339,134 @@ func TestChaosCutBetweenRefillAndAnswer(t *testing.T) {
 		t.Error("server did not count the cut session as failed")
 	}
 	stop()
+	checkLeaks()
+}
+
+// beginFlipper flips one bit of the sample-count varint — the last payload
+// byte — of the first MsgInferBegin frame written through it.
+type beginFlipper struct {
+	net.Conn
+	bit     uint
+	armed   bool // the frame being written is the begin frame to corrupt
+	flipped bool
+	skip    int // payload bytes left of the frame being written
+	hdr     []byte
+}
+
+func (c *beginFlipper) Write(b []byte) (int, error) {
+	out := append([]byte(nil), b...) // a Writer must not scribble on its caller's bytes
+	for i, x := range b {
+		if c.skip > 0 {
+			if c.skip--; c.skip == 0 && c.armed {
+				out[i] ^= 1 << c.bit
+				c.armed, c.flipped = false, true
+			}
+			continue
+		}
+		if c.hdr = append(c.hdr, x); len(c.hdr) < 5 {
+			continue
+		}
+		c.skip = int(c.hdr[1]) | int(c.hdr[2])<<8 | int(c.hdr[3])<<16 | int(c.hdr[4])<<24
+		c.armed = transport.MsgType(c.hdr[0]) == transport.MsgInferBegin && !c.flipped
+		c.hdr = c.hdr[:0]
+	}
+	return c.Conn.Write(out)
+}
+
+// TestChaosFlipBeginBatchSize aims a bit-flip at the one field every
+// inference now carries: the sample count B in its begin frame. Each of
+// the eight flips of a one-sample begin turns B into 0, a larger batch
+// within the cap (whose frames then have the wrong sizes), a batch past
+// the cap, or a truncated varint. The server must end every such session
+// in a protocol error it names, reserve nothing from the OT pool beyond
+// what a batch at the cap could own, leak nothing, and keep serving.
+func TestChaosFlipBeginBatchSize(t *testing.T) {
+	checkLeaks := testutil.VerifyNoLeaks(t)
+	panics0 := obs.PanicCount()
+	f := fixed.Default
+	model := sweepNet(t)
+	var logMu sync.Mutex
+	var failures []string
+	srv, addr, stop := startSweepServer(t, model, func(format string, args ...any) {
+		if line := fmt.Sprintf(format, args...); strings.Contains(line, "failed after") {
+			logMu.Lock()
+			failures = append(failures, line)
+			logMu.Unlock()
+		}
+	})
+	x := []float64{0.3, -0.2, 0.9, -0.7, 0.1, 0.5}
+	cli := &core.Client{Engine: core.EngineConfig{Workers: 2}}
+	// What a single batch at the announced cap may take from the pool, on
+	// top of the setup fill.
+	capOTs := int64(core.DefaultMaxBatch * len(nn.WeightBits(model, f)))
+
+	for bit := uint(0); bit < 8; bit++ {
+		before := srv.Stats()
+		nc, err := net.Dial("tcp", addr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		flip := &beginFlipper{Conn: nc, bit: bit}
+		sess, err := cli.NewSession(transport.New(flip))
+		if err != nil {
+			t.Fatalf("bit %d: setup sends no begin frame and must survive: %v", bit, err)
+		}
+		if label, _, err := sess.Infer(x); err == nil {
+			t.Errorf("bit %d: inference whose begin frame was corrupted returned label %d", bit, label)
+		}
+		if !flip.flipped {
+			t.Fatalf("bit %d: no begin frame went through the flipper", bit)
+		}
+		sess.Close() //nolint:errcheck — a broken session withholds the end marker and reports nothing new
+		nc.Close()
+		// The server settles the session on its own goroutine.
+		deadline := time.Now().Add(10 * time.Second)
+		for srv.Stats().Errors == before.Errors && time.Now().Before(deadline) {
+			time.Sleep(5 * time.Millisecond)
+		}
+		after := srv.Stats()
+		if after.Errors != before.Errors+1 {
+			t.Fatalf("bit %d: server counted %d failed sessions, want 1", bit, after.Errors-before.Errors)
+		}
+		if pooled := after.OTsPooled - before.OTsPooled; pooled > int64(sweepPool.Capacity)+capOTs {
+			t.Errorf("bit %d: session generated %d pooled OTs, more than the setup fill plus one batch at the cap (%d)",
+				bit, pooled, int64(sweepPool.Capacity)+capOTs)
+		}
+		if after.Inferences != before.Inferences {
+			t.Errorf("bit %d: server counted an inference for a corrupted begin frame", bit)
+		}
+	}
+	logMu.Lock()
+	for i, line := range failures {
+		t.Log(line)
+		if !strings.Contains(line, "core: ") {
+			t.Errorf("failed session %d did not end in a named protocol error: %s", i, line)
+		}
+	}
+	if len(failures) != 8 {
+		t.Errorf("server logged %d failed sessions, want 8", len(failures))
+	}
+	logMu.Unlock()
+
+	// The server shrugged all of it off.
+	nc, err := net.Dial("tcp", addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sess, err := cli.NewSession(transport.New(nc))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, _, err := sess.Infer(x); err != nil || got != model.PredictFixed(f, x) {
+		t.Fatalf("inference after the flips: label %d (want %d), err %v", got, model.PredictFixed(f, x), err)
+	}
+	if err := sess.Close(); err != nil {
+		t.Fatal(err)
+	}
+	nc.Close()
+	stop()
+	if dp := obs.PanicCount() - panics0; dp != 0 {
+		t.Errorf("corrupted begin frames caused %d recovered panic(s)", dp)
+	}
 	checkLeaks()
 }

@@ -3,6 +3,7 @@ package core
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"math/rand"
 	"sync"
 	"sync/atomic"
@@ -163,73 +164,151 @@ func TestBankExhaustionFallback(t *testing.T) {
 	}
 }
 
-// TestBankBatchFallbackAndHits covers the batched path: a batch served
-// from B banked executions and a batch that exceeds the bank and falls
-// back to the live fused garbler both classify correctly.
-func TestBankBatchFallbackAndHits(t *testing.T) {
+// differentialRun is one session of TestInferenceDifferential: two
+// InferBatch calls of b samples each, every label checked against want.
+type differentialRun struct {
+	perInfer     []*Stats
+	session, srv *Stats
+	c2s, s2c     []byte
+}
+
+func runDifferentialSession(t *testing.T, name string, b, bankDepth, workers, pool int, samples [][]float64, want []int) differentialRun {
+	t.Helper()
 	f := fixed.Default
 	net := testNet(t, act.ReLU, 21)
-	rng := rand.New(rand.NewSource(79))
-	const b = 3
-	xs := make([][]float64, b)
-	want := make([]int, b)
-	for i := range xs {
-		xs[i] = make([]float64, 6)
-		for j := range xs[i] {
-			xs[i][j] = rng.Float64()*2 - 1
-		}
-		want[i] = net.PredictFixed(f, xs[i])
-	}
-
-	cConn, sConn, closer := transport.Pipe()
-	defer closer.Close()
-	srv := &Server{Net: net, Fmt: f, Rng: rand.New(rand.NewSource(503)), OTPool: precomp.PoolConfig{Capacity: 256}}
+	c2s, s2c := newLogHalf(), newLogHalf()
+	cConn := transport.New(logDuplex{r: s2c, w: c2s})
+	sConn := transport.New(logDuplex{r: c2s, w: s2c})
+	srv := &Server{Net: net, Fmt: f, Rng: rand.New(rand.NewSource(503)),
+		Engine: EngineConfig{Workers: workers}, OTPool: precomp.PoolConfig{Capacity: pool}}
 	var wg sync.WaitGroup
 	var srvErr error
+	var out differentialRun
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
-		_, srvErr = srv.ServeSession(sConn)
+		out.srv, srvErr = srv.ServeSession(sConn)
 	}()
-
-	cli := &Client{Rng: rand.New(rand.NewSource(504)), Engine: EngineConfig{Bank: bank.Config{Depth: b}}}
+	cli := &Client{Rng: rand.New(rand.NewSource(504)),
+		Engine: EngineConfig{Workers: workers, ChunkBytes: 2048, Bank: bank.Config{Depth: bankDepth}}}
 	defer cli.Close()
 	sess, err := cli.NewSession(cConn)
 	if err != nil {
-		t.Fatal(err)
+		t.Fatalf("%s: %v", name, err)
 	}
-	// First batch: exactly the bank's depth — all-or-nothing take hits.
-	got, st1, err := sess.InferBatch(xs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("banked batch sample %d: label %d, want %d", i, got[i], want[i])
+	for k := 0; k < 2; k++ {
+		labels, st, err := sess.InferBatch(samples[k*b : (k+1)*b])
+		if err != nil {
+			t.Fatalf("%s inference %d: %v", name, k, err)
 		}
-	}
-	if st1.BankHits != b || st1.GateTime != 0 {
-		t.Fatalf("banked batch stats: %d hits, %v gate time, want %d hits and 0", st1.BankHits, st1.GateTime, b)
-	}
-	// Second batch: the bank is drained (Background off) — live fallback.
-	got, st2, err := sess.InferBatch(xs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("fallback batch sample %d: label %d, want %d", i, got[i], want[i])
+		for i, l := range labels {
+			if l != want[k*b+i] {
+				t.Fatalf("%s inference %d sample %d: label %d, plaintext %d", name, k, i, l, want[k*b+i])
+			}
 		}
+		out.perInfer = append(out.perInfer, st)
 	}
-	if st2.BankMisses != b || st2.GateTime <= 0 {
-		t.Fatalf("fallback batch stats: %d misses, %v gate time", st2.BankMisses, st2.GateTime)
-	}
+	out.session = sess.Stats()
 	if err := sess.Close(); err != nil {
-		t.Fatal(err)
+		t.Fatalf("%s: close: %v", name, err)
 	}
 	wg.Wait()
 	if srvErr != nil {
-		t.Fatalf("server: %v", srvErr)
+		t.Fatalf("%s: server: %v", name, srvErr)
+	}
+	out.c2s, out.s2c = c2s.bytesWritten(), s2c.bytesWritten()
+	return out
+}
+
+// TestInferenceDifferential runs the one inference path across everything
+// that selects a branch inside it — batch size B ∈ {1, 3} × table source
+// {live, bank hit, bank drained mid-batch} × Workers ∈ {1, 4} × OT pool
+// {on, Capacity 0} — two inferences of B samples per session. Every label
+// must equal PredictFixed; the Stats must count samples, gate instances,
+// bank hits and misses the same way on every path; a bank hit pays no
+// online garble time and a miss does; the wire bytes must not depend on
+// the worker count; and at B=1 a bank hit (and the hit-then-miss drained
+// session) must be byte-for-byte what live garbling sends.
+func TestInferenceDifferential(t *testing.T) {
+	f := fixed.Default
+	net := testNet(t, act.ReLU, 21)
+	prog, err := (&Server{Net: net, Fmt: f}).Program()
+	if err != nil {
+		t.Fatal(err)
+	}
+	ands := prog.Schedule.ANDs
+	rng := rand.New(rand.NewSource(79))
+	samples := make([][]float64, 6)
+	want := make([]int, len(samples))
+	for i := range samples {
+		samples[i] = make([]float64, 6)
+		for j := range samples[i] {
+			samples[i][j] = rng.Float64()*2 - 1
+		}
+		want[i] = net.PredictFixed(f, samples[i])
+	}
+	type source struct {
+		name  string
+		depth func(b int) int
+		// hits[k] says whether the session's k-th inference hits the bank.
+		hits [2]bool
+	}
+	sources := []source{
+		{"live", func(int) int { return 0 }, [2]bool{false, false}},
+		{"bankHit", func(b int) int { return 2 * b }, [2]bool{true, true}},
+		// The second inference finds b-1 executions left: TakeN is
+		// all-or-nothing, so it misses and garbles live.
+		{"bankDrained", func(b int) int { return 2*b - 1 }, [2]bool{true, false}},
+	}
+	for _, b := range []int{1, 3} {
+		n := int64(b)
+		// Pool on = big enough never to refill mid-session: a refill draws
+		// the client rng, and garbling ahead would move where that draw
+		// lands relative to the label draws (see TestBankStreamConformance).
+		for _, pool := range []int{8192, 0} {
+			// first[ref] is the first transcript recorded under ref: scheduling
+			// never shows on the wire, and at B=1 neither does the table source.
+			first := make(map[string]differentialRun)
+			for _, src := range sources {
+				for _, workers := range []int{1, 4} {
+					name := fmt.Sprintf("B=%d/%s/workers=%d/pool=%d", b, src.name, workers, pool)
+					banked := src.depth(b) > 0
+					run := runDifferentialSession(t, name, b, src.depth(b), workers, pool, samples, want)
+					var hits, misses int64
+					for k, st := range run.perInfer {
+						var h, m int64
+						if banked && src.hits[k] {
+							h = n
+						} else if banked {
+							m = n
+						}
+						if st.Inferences != n || st.ANDGates != ands*n || st.BankHits != h || st.BankMisses != m {
+							t.Fatalf("%s inference %d stats: %+v", name, k, st)
+						}
+						if (h > 0) != (st.GateTime == 0) {
+							t.Fatalf("%s inference %d: %d bank hit(s) but online garble time %v", name, k, h, st.GateTime)
+						}
+						hits, misses = hits+h, misses+m
+					}
+					if st := run.session; st.Inferences != 2*n || st.ANDGates != 2*ands*n ||
+						st.BankHits != hits || st.BankMisses != misses {
+						t.Fatalf("%s session stats: %+v", name, st)
+					}
+					if st := run.srv; st.Inferences != 2*n || st.ANDGates != 2*ands*n {
+						t.Fatalf("%s server stats: %+v", name, st)
+					}
+					ref := src.name
+					if b == 1 {
+						ref = "live"
+					}
+					if prev, ok := first[ref]; !ok {
+						first[ref] = run
+					} else if !bytes.Equal(prev.c2s, run.c2s) || !bytes.Equal(prev.s2c, run.s2c) {
+						t.Fatalf("%s: transcript differs from the first %s run's", name, ref)
+					}
+				}
+			}
+		}
 	}
 }
 

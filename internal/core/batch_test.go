@@ -14,7 +14,7 @@ import (
 	"deepsecure/internal/transport"
 )
 
-// batchSessionRun records a full v5 session that classifies xs as ONE
+// batchSessionRun records a full session that classifies xs as ONE
 // fused batched inference (Client/Server API) over a logging pipe.
 func batchSessionRun(t *testing.T, xs [][]float64, poolCfg precomp.PoolConfig, cliSeed, srvSeed int64) (labels []int, g2e, e2g []byte, srvStats *Stats) {
 	t.Helper()
@@ -44,16 +44,14 @@ func batchSessionRun(t *testing.T, xs [][]float64, poolCfg precomp.PoolConfig, c
 	return labels, gToE.bytesWritten(), eToG.bytesWritten(), srvStats
 }
 
-// TestBatchSize1Conformance pins the v5 acceptance criterion: a batch
-// of ONE sample produces frame contents byte-identical to the
-// single-inference (v4-style) sub-stream modulo framing — same labels,
-// same tables, same OT exchanges — with the OT pool on and off. Both
-// streams are reduced by dropping session framing and stripping tags
-// (stripV4 handles the MsgInfer* and MsgBatch* variants uniformly) and
-// must then match byte-for-byte in both directions. Chained with
-// TestPipelineDepth1Conformance, which pins the single sub-stream to
-// the serial v3 reference, this anchors the batched protocol all the
-// way back to the raw building blocks.
+// TestBatchSize1Conformance is the B=1 transcript pin: from the same rng
+// seeds, a session that classifies x with Infer and one that classifies it
+// with InferBatch([x]) put the same bytes on the wire — frame types,
+// tags and payloads, client→server and back — with the OT pool on and
+// off. A lone inference IS a batch of one. Chained with
+// TestPipelineDepth1Conformance, which pins the session stream to a
+// serial run of the raw building blocks, this anchors every batch size's
+// framing to one reference.
 func TestBatchSize1Conformance(t *testing.T) {
 	net := testNet(t, act.ReLU, 61)
 	rng := rand.New(rand.NewSource(62))
@@ -69,30 +67,14 @@ func TestBatchSize1Conformance(t *testing.T) {
 			const cliSeed, srvSeed = 8801, 8802
 			singleLabels, sgG2E, sgE2G, _ := sessionRun(t, net, [][]float64{x}, poolCfg, 1, cliSeed, srvSeed)
 			batchLabels, btG2E, btE2G, _ := batchSessionRun(t, [][]float64{x}, poolCfg, cliSeed, srvSeed)
-			if batchLabels[0] != singleLabels[0] {
-				t.Fatalf("B=1 batch classified %d, single inference %d", batchLabels[0], singleLabels[0])
+			if want := net.PredictFixed(fixed.Default, x); batchLabels[0] != want || singleLabels[0] != want {
+				t.Fatalf("InferBatch([x]) classified %d, Infer(x) %d, plaintext %d", batchLabels[0], singleLabels[0], want)
 			}
-			for _, dir := range []struct {
-				name          string
-				batch, single []byte
-			}{
-				{"garbler→evaluator", btG2E, sgG2E},
-				{"evaluator→garbler", btE2G, sgE2G},
-			} {
-				got := stripV4(t, parseFrames(t, dir.batch))
-				want := stripV4(t, parseFrames(t, dir.single))
-				if len(got) != len(want) {
-					t.Fatalf("%s: %d content frames, single-inference run has %d", dir.name, len(got), len(want))
-				}
-				for i := range got {
-					if got[i].typ != want[i].typ {
-						t.Fatalf("%s frame %d: type %v, single-inference run %v", dir.name, i, got[i].typ, want[i].typ)
-					}
-					if !bytes.Equal(got[i].payload, want[i].payload) {
-						t.Fatalf("%s frame %d (%v): payload differs from the single-inference run (%d vs %d bytes)",
-							dir.name, i, got[i].typ, len(got[i].payload), len(want[i].payload))
-					}
-				}
+			if !bytes.Equal(btG2E, sgG2E) {
+				t.Fatalf("client→server: InferBatch([x]) sent %d bytes that differ from Infer(x)'s %d", len(btG2E), len(sgG2E))
+			}
+			if !bytes.Equal(btE2G, sgE2G) {
+				t.Fatalf("server→client: InferBatch([x]) got %d bytes that differ from Infer(x)'s %d", len(btE2G), len(sgE2G))
 			}
 		})
 	}
@@ -162,7 +144,7 @@ func TestBatchMatchesPlaintext(t *testing.T) {
 	}
 }
 
-// TestBatchComposesWithPipeline interleaves single and batched
+// TestBatchComposesWithPipeline interleaves one-sample and batched
 // inferences on one pipelined session: a batch occupies one window slot
 // and the results resolve per sub-stream, in any arrival order.
 func TestBatchComposesWithPipeline(t *testing.T) {
@@ -343,37 +325,53 @@ func TestBatchValidation(t *testing.T) {
 	}
 }
 
-// TestBatchServerEnforcesMax pins the server-side cap: a hand-crafted
-// batch-begin beyond the announced maximum is a protocol error, not an
-// allocation.
+// TestBatchServerEnforcesMax pins the server-side range check on the begin
+// frame's sample count: a hand-crafted begin beyond the announced maximum,
+// or with no samples at all, is a protocol error before anything is
+// reserved — not an allocation.
 func TestBatchServerEnforcesMax(t *testing.T) {
 	net := testNet(t, act.ReLU, 76)
-	cConn, sConn, closer := transport.Pipe()
-	defer closer.Close()
-	srv := &Server{Net: net, Fmt: fixed.Default, Rng: rand.New(rand.NewSource(93)), Engine: EngineConfig{MaxBatch: 2}}
-	var wg sync.WaitGroup
-	var srvErr error
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		_, srvErr = srv.ServeSession(sConn)
-	}()
-	cli := &Client{Rng: rand.New(rand.NewSource(94))}
-	sess, err := cli.NewSession(cConn)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Bypass the client's own validation and begin a 3-sample batch at a
-	// server that announced 2.
-	payload := transport.AppendTag(transport.AppendTag(nil, 1), 3)
-	if err := sess.conn.Send(transport.MsgBatchBegin, payload); err != nil {
-		t.Fatal(err)
-	}
-	if err := sess.conn.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	wg.Wait()
-	if srvErr == nil || !strings.Contains(srvErr.Error(), "exceeds the announced maximum 2") {
-		t.Fatalf("server error = %v, want batch-cap rejection", srvErr)
+	for _, tc := range []struct {
+		b       uint64
+		wantErr string
+	}{
+		{3, "exceeds the announced maximum 2"},
+		{0, "malformed infer-begin"},
+	} {
+		cConn, sConn, closer := transport.Pipe()
+		srv := &Server{Net: net, Fmt: fixed.Default, Rng: rand.New(rand.NewSource(93)), Engine: EngineConfig{MaxBatch: 2},
+			OTPool: precomp.PoolConfig{Capacity: 64}}
+		var wg sync.WaitGroup
+		var srvErr error
+		var srvStats *Stats
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			srvStats, srvErr = srv.ServeSession(sConn)
+		}()
+		cli := &Client{Rng: rand.New(rand.NewSource(94))}
+		sess, err := cli.NewSession(cConn)
+		if err != nil {
+			t.Fatal(err)
+		}
+		// Bypass the client's own validation: begin inference 1 with B
+		// samples at a server that announced 2.
+		payload := transport.AppendTag(transport.AppendTag(nil, 1), tc.b)
+		if err := sess.conn.Send(transport.MsgInferBegin, payload); err != nil {
+			t.Fatal(err)
+		}
+		if err := sess.conn.Flush(); err != nil {
+			t.Fatal(err)
+		}
+		wg.Wait()
+		closer.Close()
+		if srvErr == nil || !strings.Contains(srvErr.Error(), tc.wantErr) {
+			t.Fatalf("B=%d: server error = %v, want %q", tc.b, srvErr, tc.wantErr)
+		}
+		// Nothing past the setup fill: no refill, no OT consumed.
+		if srvStats.OTRefills != 1 || srvStats.OTsConsumed != 0 {
+			t.Fatalf("B=%d: refused begin cost %d refill(s) and %d pooled OTs, want the setup fill only",
+				tc.b, srvStats.OTRefills, srvStats.OTsConsumed)
+		}
 	}
 }

@@ -166,10 +166,10 @@ func TestOutsourcedInference(t *testing.T) {
 }
 
 func TestBadHelloRejected(t *testing.T) {
-	// "deepsecure/7" is the previous version: its OT pool answers
-	// correction frames this one never sends, so it must be refused here
-	// and not stall mid-stream.
-	for _, hello := range []string{"bogus/9", "deepsecure/7"} {
+	// "deepsecure/8" is the previous version: its begin frames carry no
+	// sample count and its frame types are numbered differently, so it
+	// must be refused here and not fail mid-stream.
+	for _, hello := range []string{"bogus/9", "deepsecure/7", "deepsecure/8"} {
 		cConn, sConn, closer := transport.Pipe()
 		net := testNet(t, act.ReLU, 8)
 		srv := &Server{Net: net, Fmt: fixed.Default, Rng: rand.New(rand.NewSource(1))}

@@ -3,6 +3,7 @@ package core
 import (
 	"errors"
 	"fmt"
+	"io"
 	"runtime"
 	"sync/atomic"
 	"time"
@@ -17,28 +18,41 @@ import (
 	"deepsecure/internal/transport"
 )
 
-// This file is the level-scheduled execution engine behind multi-inference
-// sessions. Where the sinks in sinks.go drive the GC core one gate at a
-// time on the transport goroutine, the engine executes the compiled
+// This file is the level-scheduled execution engine every session
+// inference runs on. Where the sinks in sinks.go drive the GC core one
+// gate at a time on the transport goroutine (the §3.3 outsourced path,
+// which never materialises its netlist), the engine executes the compiled
 // circuit.Schedule as a staged pipeline:
 //
-//	garbler:   [garble workers] → chunk buffer → [writer goroutine] → conn
+//	garbler:   [table source] → chunk buffer → [writer goroutine] → conn
 //	evaluator: conn → [prefetch goroutine] → frame ring → [eval workers]
 //
-// Each level's gates are garbled/evaluated by a gc.Pool; completed table
-// chunks stream to the peer while the next level is being garbled, and on
-// the evaluator a prefetcher keeps a bounded ring of table frames ahead
-// of the worker pool, so neither AES throughput nor transport latency
-// idles the other. Input, OT, and output steps are barriers executed on
-// the engine's goroutine, exactly where the tape recorded them, which
-// keeps the wire protocol's frame sequence identical to the sequential
-// engine's.
+// There is one garble-side walk and one eval-side walk, both over a batch
+// of B ≥ 1 independent samples (a lone inference is B=1): the schedule is
+// walked ONCE for the whole batch, samples iterate innermost inside every
+// gate (gc.BatchGarbler/BatchEvaluator), all B samples of an input step
+// share one OT transfer, and a level's tables interleave gate-major with
+// samples innermost (gate rank i, sample s at (i*B+s)*TableSize). Each
+// sample keeps its own delta and fresh labels, so the security argument
+// is that of B separate inferences — only the schedule walk, the framing
+// and the OT round-trips amortize.
+//
+// The garble side draws its label material and table bytes from a table
+// source: live (a gc.BatchGarbler garbling each level on a gc.Pool) or
+// banked (B pre-garbled bank.Executions, bankengine.go). Completed table
+// chunks stream to the peer while the next level is being produced, and
+// on the evaluator a prefetcher keeps a bounded ring of table frames
+// ahead of the worker pool, so neither AES throughput nor transport
+// latency idles the other. Input, OT, and output steps are barriers
+// executed on the engine's goroutine, exactly where the tape recorded
+// them.
 //
 // Determinism: hash tweaks and table offsets come from the schedule
 // (GIDBase + in-level rank), and chunk flushing depends only on the
-// schedule and ChunkBytes — so the byte stream is identical for any
-// worker count, and Workers=1 is the sequential mode the conformance
-// tests pin against.
+// schedule, B and ChunkBytes — so the byte stream is identical for any
+// worker count and, at B=1, for either table source (a banked batch draws
+// its samples' randomness in a different order), which is what the
+// conformance tests pin.
 
 // EngineConfig tunes the level-scheduled execution engine.
 type EngineConfig struct {
@@ -57,18 +71,17 @@ type EngineConfig struct {
 	// client garbles inference k+1 while inference k's output round-trip
 	// and evaluation tail are still pending, and the server evaluates up
 	// to d inferences concurrently. 0 defaults to DefaultPipelineDepth;
-	// 1 disables overlap (inference framing stays serial, the v3
-	// behavior modulo tags). On a server this is also the announced
-	// window clients are validated against; a client's effective window
-	// is min(its own depth, the server's announcement).
+	// 1 disables overlap (inferences run serially). On a server this is
+	// also the announced window clients are validated against; a client's
+	// effective window is min(its own depth, the server's announcement).
 	Pipeline int
-	// MaxBatch bounds how many samples one batched inference
-	// (InferBatch, protocol v5) may fuse into a single schedule walk. A
-	// batch occupies one pipeline-window slot but needs B× the label and
-	// table memory of a single inference, so the server owns a policy
-	// cap announced alongside the window; a client's effective maximum
-	// is min(its own MaxBatch, the announcement). 0 defaults to
-	// DefaultMaxBatch; values clamp to [1, 256].
+	// MaxBatch bounds how many samples one inference (InferBatch) may
+	// fuse into a single schedule walk. A batch occupies one
+	// pipeline-window slot but needs B× the label and table memory of a
+	// one-sample inference, so the server owns a policy cap announced
+	// alongside the window; a client's effective maximum is min(its own
+	// MaxBatch, the announcement). 0 defaults to DefaultMaxBatch; values
+	// clamp to [1, 256].
 	MaxBatch int
 	// Bank, when enabled (Depth > 0), pre-garbles whole inferences on
 	// the client during idle time (garble-ahead execution banks): the
@@ -80,17 +93,6 @@ type EngineConfig struct {
 	// execution ≈ the circuit's table bytes (ANDs × 32) plus input and
 	// output labels — budget Depth accordingly or set Bank.SpillDir.
 	Bank bank.Config
-	// PrivatePool opts this engine out of the process-wide shared
-	// work-stealing scheduler (internal/sched). By default every
-	// session's level runs submit chunks to one sched.Default() worker
-	// set sized to the machine, so S concurrent sessions share
-	// GOMAXPROCS workers instead of spawning S×Workers goroutines.
-	// Setting PrivatePool restores a dedicated per-pool worker set —
-	// the pre-shared behavior, useful for isolation benchmarks and as
-	// the baseline the shared-vs-private conformance tests pin against.
-	// Either way the produced byte streams are identical; only
-	// scheduling changes.
-	PrivatePool bool
 	// Deadlines bounds the protocol's phases (handshake, OT setup,
 	// per-inference) by wall time, complementing the transport-level
 	// idle timeout: the idle timeout catches peers that stop moving
@@ -117,13 +119,12 @@ func (c EngineConfig) workers() int {
 	return runtime.GOMAXPROCS(0)
 }
 
-// newPool builds the gc.Pool this configuration calls for: a view of
-// the process-wide shared scheduler fanning out at most workers() ways,
-// or a dedicated worker set when PrivatePool is set.
+// newPool builds this configuration's gc.Pool: a view of the
+// process-wide shared scheduler (internal/sched) fanning out at most
+// workers() ways, so S concurrent sessions share GOMAXPROCS workers
+// instead of spawning S×Workers goroutines. Such a pool keeps no per-call
+// state, so one instance serves concurrent level runs.
 func (c EngineConfig) newPool() *gc.Pool {
-	if c.PrivatePool {
-		return gc.NewPool(c.workers())
-	}
 	return gc.NewSharedPool(sched.Default(), c.workers())
 }
 
@@ -238,30 +239,122 @@ func (w *tableWriter) finish() error {
 	return <-w.done
 }
 
-// garbleEngine runs the garbler's side of one inference over a compiled
-// schedule. It is the pipelined replacement for garblerSink; the session
-// reuses its buffers across inferences.
+// tableSource is where the garble-side walk gets its label material and
+// table bytes: a live garbler (liveSource) or B banked executions
+// (bankSource). The walk asks for steps in schedule order.
+type tableSource interface {
+	// consts appends the constant wires' active labels to dst: the B
+	// false-labels, then the B true-labels.
+	consts(dst []byte) ([]byte, error)
+	// deltas returns each sample's Free-XOR delta.
+	deltas() []gc.Label
+	// inputs makes st the current input step.
+	inputs(st *circuit.Step) error
+	// zero returns sample s's zero-label of the current input step's i-th
+	// wire.
+	zero(i, s int) (gc.Label, error)
+	// run makes st the current level run.
+	run(st *circuit.Step) error
+	// level writes the current run's next level — lv.ANDs·B·TableSize
+	// bytes, gate-major with samples innermost — to dst.
+	level(lv *circuit.Level, dst []byte) error
+	// outputs appends output step st's zero-labels to dst, wire-major with
+	// samples innermost.
+	outputs(st *circuit.Step, dst []gc.Label) ([]gc.Label, error)
+}
+
+// liveSource garbles online: every sample gets a fresh Free-XOR delta and
+// fresh wire labels, so the samples of a batch are as unlinkable as
+// separate inferences.
+type liveSource struct {
+	sched *circuit.Schedule
+	g     *gc.BatchGarbler
+	pool  *gc.Pool
+	wires []uint32 // the current input step's
+}
+
+func newLiveSource(rng io.Reader, b int, sched *circuit.Schedule, pool *gc.Pool) (*liveSource, error) {
+	g, err := gc.NewBatchGarbler(rng, b)
+	if err != nil {
+		return nil, err
+	}
+	g.Grow(sched.NumWires)
+	return &liveSource{sched: sched, g: g, pool: pool}, nil
+}
+
+func (l *liveSource) consts(dst []byte) ([]byte, error) { return l.g.AppendConstLabels(dst) }
+
+func (l *liveSource) deltas() []gc.Label { return l.g.R }
+
+func (l *liveSource) inputs(st *circuit.Step) error {
+	for _, w := range st.Wires {
+		if err := l.g.AssignInput(w); err != nil {
+			return err
+		}
+	}
+	l.wires = st.Wires
+	return nil
+}
+
+func (l *liveSource) zero(i, s int) (gc.Label, error) { return l.g.ZeroLabel(l.wires[i], s) }
+
+func (l *liveSource) run(st *circuit.Step) error {
+	for _, w := range st.PreDrops {
+		l.g.Drop(w)
+	}
+	return nil
+}
+
+func (l *liveSource) level(lv *circuit.Level, dst []byte) error {
+	ands, frees := l.sched.LevelGates(lv)
+	if err := l.g.GarbleLevel(ands, frees, lv.GIDBase, dst, l.pool); err != nil {
+		return err
+	}
+	for _, w := range lv.Drops {
+		l.g.Drop(w)
+	}
+	return nil
+}
+
+func (l *liveSource) outputs(st *circuit.Step, dst []gc.Label) ([]gc.Label, error) {
+	for _, w := range st.Wires {
+		for s := 0; s < l.g.B(); s++ {
+			z, err := l.g.ZeroLabel(w, s)
+			if err != nil {
+				return dst, err
+			}
+			dst = append(dst, z)
+		}
+	}
+	return dst, nil
+}
+
+// garbleEngine runs the garbler's side of one inference of b =
+// len(inputBits) samples over a compiled schedule; the session reuses its
+// buffers across inferences.
 type garbleEngine struct {
 	sched *circuit.Schedule
-	g     *gc.Garbler
-	pool  *gc.Pool
+	src   tableSource
 	conn  transport.FrameConn
 	ots   *precomp.SenderPool
-	otr   precomp.Range // the inference's OT-pool entries
+	otr   precomp.Range // the inference's OT-pool entries, b samples wide
 	cfg   EngineConfig
 
-	inputBits []bool
+	// inputBits holds each of the b samples' input bit stream; all samples
+	// share the schedule's cursor (they walk the same wire sequence).
+	inputBits [][]bool
 	cursor    int
 	evalBit   int // evaluator-input bits transferred so far
 
 	labelBuf []byte
-	outZero  []gc.Label
+	outZero  []gc.Label // wire-major, samples innermost
 
 	cur  []byte      // table chunk being filled
 	free chan []byte // recycled chunk buffers
 
-	// gateTime accumulates the wall time of the per-level GarbleBatch
-	// calls — the hash-core cost this inference paid, transport excluded.
+	// gateTime accumulates the wall time of the per-level source calls —
+	// with a live source, the hash-core cost this inference paid,
+	// transport excluded.
 	gateTime time.Duration
 	// writeTime accumulates wall time pushing table chunks into the
 	// transport (the table_write phase; from the writer goroutine when
@@ -270,7 +363,6 @@ type garbleEngine struct {
 }
 
 func (en *garbleEngine) run() error {
-	en.g.Grow(en.sched.NumWires)
 	for si := range en.sched.Steps {
 		st := &en.sched.Steps[si]
 		var err error
@@ -278,7 +370,7 @@ func (en *garbleEngine) run() error {
 		case circuit.StepInputs:
 			err = en.doInputs(st)
 		case circuit.StepOutputs:
-			err = en.doOutputs(st)
+			en.outZero, err = en.src.outputs(st, en.outZero)
 		case circuit.StepLevels:
 			err = en.doLevels(st)
 		}
@@ -290,75 +382,66 @@ func (en *garbleEngine) run() error {
 }
 
 func (en *garbleEngine) doInputs(st *circuit.Step) error {
+	if err := en.src.inputs(st); err != nil {
+		return err
+	}
+	deltas := en.src.deltas()
 	if st.Party == circuit.Garbler {
 		payload := en.labelBuf[:0]
-		for _, w := range st.Wires {
-			if _, err := en.g.AssignInput(w); err != nil {
-				return err
-			}
-			if en.cursor >= len(en.inputBits) {
+		for i, w := range st.Wires {
+			if en.cursor >= len(en.inputBits[0]) {
 				return fmt.Errorf("core: garbler input underrun at wire %d", w)
 			}
-			l, err := en.g.ActiveLabel(w, en.inputBits[en.cursor])
-			if err != nil {
-				return err
+			for s, bits := range en.inputBits {
+				l, err := en.src.zero(i, s)
+				if err != nil {
+					return err
+				}
+				if bits[en.cursor] {
+					l = l.XOR(deltas[s])
+				}
+				payload = append(payload, l[:]...)
 			}
 			en.cursor++
-			payload = append(payload, l[:]...)
 		}
 		en.labelBuf = payload[:0] // keep the (possibly grown) buffer
 		return en.conn.Send(transport.MsgInputLabels, payload)
 	}
-	// Evaluator inputs travel by OT: one transfer per step, masked with
-	// the inference's pool entries when the session has a pool, or by
-	// direct IKNP otherwise.
+	// Evaluator inputs travel by OT — ONE transfer for all b samples of
+	// the step (wire-major, samples innermost), masked with the
+	// inference's pool entries when the session has a pool, or by direct
+	// IKNP otherwise.
 	var err error
 	en.labelBuf, err = en.ots.SendStep(en.conn, en.otr, en.evalBit, len(st.Wires), en.labelBuf,
-		func(i, _ int) (ot.Msg, ot.Msg, error) {
-			l0, err := en.g.AssignInput(st.Wires[i])
-			return ot.Msg(l0), ot.Msg(en.g.R), err
+		func(i, s int) (ot.Msg, ot.Msg, error) {
+			l0, err := en.src.zero(i, s)
+			return ot.Msg(l0), ot.Msg(deltas[s]), err
 		})
 	en.evalBit += len(st.Wires)
 	return err
 }
 
-func (en *garbleEngine) doOutputs(st *circuit.Step) error {
-	for _, w := range st.Wires {
-		l, err := en.g.ZeroLabel(w)
-		if err != nil {
-			return err
-		}
-		en.outZero = append(en.outZero, l)
-	}
-	return nil
-}
-
-// grab returns an empty chunk buffer, recycling a spent one when the
-// writer has returned it.
+// grab returns an empty chunk buffer: a spent one the writer has handed
+// back, or a new one sized for the streaming chunk plus slack.
 func (en *garbleEngine) grab() []byte {
-	return grabChunk(en.free, en.cfg.chunkBytes())
-}
-
-// grabChunk takes an empty chunk buffer from the recycle channel, or
-// allocates one sized for the streaming chunk plus slack (shared by the
-// single and batched garble engines).
-func grabChunk(free chan []byte, chunkBytes int) []byte {
 	select {
-	case buf := <-free:
+	case buf := <-en.free:
 		return buf
 	default:
-		return make([]byte, 0, chunkBytes+chunkBytes/4)
+		chunk := en.cfg.chunkBytes()
+		return make([]byte, 0, chunk+chunk/4)
 	}
 }
 
-// doLevels executes one run of gate levels, streaming table chunks
-// through the writer goroutine while subsequent levels garble.
+// doLevels executes one run of gate levels for the whole batch, streaming
+// table chunks through the writer goroutine while subsequent levels are
+// produced; each level contributes ANDs×b tables.
 func (en *garbleEngine) doLevels(st *circuit.Step) (err error) {
-	for _, w := range st.PreDrops {
-		en.g.Drop(w)
+	if err := en.src.run(st); err != nil {
+		return err
 	}
 	chunk := en.cfg.chunkBytes()
-	async := en.pool.Workers() > 1
+	async := en.cfg.workers() > 1
 	var wr *tableWriter
 	if async {
 		wr = startTableWriter(en.conn, en.free)
@@ -380,21 +463,17 @@ func (en *garbleEngine) doLevels(st *circuit.Step) (err error) {
 	cur := en.cur[:0]
 	for li := st.First; li < st.First+st.N && err == nil; li++ {
 		lv := &en.sched.Levels[li]
-		ands, frees := en.sched.LevelGates(lv)
-		need := lv.ANDs * gc.TableSize
+		need := lv.ANDs * len(en.inputBits) * gc.TableSize
 		off := len(cur)
 		for cap(cur) < off+need {
 			cur = append(cur[:cap(cur)], 0)
 		}
 		cur = cur[:off+need]
 		t0 := time.Now()
-		err = en.g.GarbleBatch(ands, frees, lv.GIDBase, cur[off:off+need], en.pool)
+		err = en.src.level(lv, cur[off:off+need])
 		en.gateTime += time.Since(t0)
 		if err != nil {
 			break
-		}
-		for _, w := range lv.Drops {
-			en.g.Drop(w)
 		}
 		if len(cur) >= chunk {
 			if err = emit(cur); err != nil {
@@ -430,17 +509,18 @@ const frameRingDepth = 4
 // perr) is the authoritative cause.
 var errPrefetchStopped = errors.New("core: table prefetch stopped early")
 
-// evalEngine runs the evaluator's side of one inference over a compiled
-// schedule: the pipelined replacement for evaluatorSink's gate loop.
+// evalEngine runs the evaluator's side of one inference of b = e.B()
+// samples over a compiled schedule.
 type evalEngine struct {
 	sched *circuit.Schedule
-	e     *gc.Evaluator
+	e     *gc.BatchEvaluator
 	pool  *gc.Pool
 	conn  transport.FrameConn
 	ots   *precomp.ReceiverPool
-	otr   precomp.Range // the inference's OT-pool entries
-	cfg   EngineConfig
+	otr   precomp.Range // the inference's OT-pool entries, b samples wide
 
+	// inputBits is the evaluator's bit stream (the model's weight bits)
+	// — identical for every sample; only the labels differ per sample.
 	inputBits []bool
 	cursor    int
 
@@ -450,9 +530,9 @@ type evalEngine struct {
 	progress *atomic.Int64
 
 	recycle   func([]byte) // takes spent table frames back, may be nil
-	outLabels []gc.Label
+	outLabels []gc.Label   // wire-major, samples innermost
 
-	// gateTime accumulates the wall time of the per-level EvaluateBatch
+	// gateTime accumulates the wall time of the per-level EvaluateLevel
 	// calls (table waits excluded — tr.level blocks outside the window).
 	gateTime time.Duration
 	// readTime accumulates wall time blocked on table frames from the
@@ -486,22 +566,28 @@ func (en *evalEngine) doInputs(st *circuit.Step) error {
 		if err != nil {
 			return err
 		}
-		if len(payload) != len(st.Wires)*gc.LabelSize {
-			return fmt.Errorf("core: input-label frame has %d bytes, want %d", len(payload), len(st.Wires)*gc.LabelSize)
+		b := en.e.B()
+		if len(payload) != len(st.Wires)*b*gc.LabelSize {
+			return fmt.Errorf("core: input-label frame has %d bytes, want %d",
+				len(payload), len(st.Wires)*b*gc.LabelSize)
 		}
 		for i, w := range st.Wires {
-			var l gc.Label
-			copy(l[:], payload[i*gc.LabelSize:])
-			en.e.SetLabel(w, l)
+			for s := 0; s < b; s++ {
+				var l gc.Label
+				copy(l[:], payload[(i*b+s)*gc.LabelSize:])
+				en.e.SetLabel(w, s, l)
+			}
 		}
 		return nil
 	}
+	// One OT transfer covers all b samples of the step: every sample
+	// selects with the same weight bit, each receiving its own label.
 	bits, err := evalStepBits(en.inputBits, en.cursor, st)
 	if err != nil {
 		return err
 	}
-	err = en.ots.RecvStep(en.conn, en.otr, en.cursor, bits, func(i, _ int, m ot.Msg) {
-		en.e.SetLabel(st.Wires[i], gc.Label(m))
+	err = en.ots.RecvStep(en.conn, en.otr, en.cursor, bits, func(i, s int, m ot.Msg) {
+		en.e.SetLabel(st.Wires[i], s, gc.Label(m))
 	})
 	en.cursor += len(bits)
 	return err
@@ -531,33 +617,37 @@ func evalStepBits(inputBits []bool, cursor int, st *circuit.Step) ([]bool, error
 
 func (en *evalEngine) doOutputs(st *circuit.Step) error {
 	for _, w := range st.Wires {
-		l, err := en.e.Label(w)
-		if err != nil {
-			return err
+		for s := 0; s < en.e.B(); s++ {
+			l, err := en.e.Label(w, s)
+			if err != nil {
+				return err
+			}
+			en.outLabels = append(en.outLabels, l)
 		}
-		en.outLabels = append(en.outLabels, l)
 	}
 	return nil
 }
 
-// doLevels evaluates one run of gate levels, drawing each level's table
-// block from a tableRun (which prefetches frames on a goroutine when the
-// engine is parallel).
+// doLevels evaluates one run of gate levels for the whole batch, drawing
+// each level's table block from a tableRun (which prefetches frames on a
+// goroutine when the engine is parallel); the run's table budget is the
+// schedule's, scaled by b.
 func (en *evalEngine) doLevels(st *circuit.Step) error {
 	for _, w := range st.PreDrops {
 		en.e.Drop(w)
 	}
-	tr := startTableRun(en.conn, en.pool.Workers() > 1, st.TableBytes, en.recycle)
+	b := en.e.B()
+	tr := startTableRun(en.conn, en.pool.Workers() > 1, st.TableBytes*b, en.recycle)
 	var err error
 	for li := st.First; li < st.First+st.N && err == nil; li++ {
 		lv := &en.sched.Levels[li]
 		ands, frees := en.sched.LevelGates(lv)
 		var block []byte
-		if block, err = tr.level(lv.ANDs * gc.TableSize); err != nil {
+		if block, err = tr.level(lv.ANDs * b * gc.TableSize); err != nil {
 			break
 		}
 		t0 := time.Now()
-		err = en.e.EvaluateBatch(ands, frees, lv.GIDBase, block, en.pool)
+		err = en.e.EvaluateLevel(ands, frees, lv.GIDBase, block, en.pool)
 		en.gateTime += time.Since(t0)
 		if err != nil {
 			break
@@ -576,8 +666,8 @@ func (en *evalEngine) doLevels(st *circuit.Step) error {
 
 // tableRun streams one level run's garbled tables to an evaluation
 // engine: constructed per StepLevels step with the run's total byte
-// budget (the schedule's TableBytes, scaled by the batch size for
-// batched inferences), it hands back exactly the requested bytes per
+// budget (the schedule's TableBytes, scaled by the batch size), it hands
+// back exactly the requested bytes per
 // level. With async set, a prefetch goroutine receives table frames into
 // a bounded ring ahead of the evaluate pool — preserving the §3.5
 // bounded-memory property — while a sequential engine receives frames

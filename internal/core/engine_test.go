@@ -229,11 +229,10 @@ func runEngines(t *testing.T, sched *circuit.Schedule, gBits, eBits []bool, cfg 
 		otp := precomp.NewReceiverPool(eConn, ots, rng, precomp.PoolConfig{})
 		en := &evalEngine{
 			sched: sched,
-			pool:  gc.NewPool(cfg.workers()),
+			pool:  cfg.newPool(),
 			conn:  eConn,
 			ots:   otp,
 			otr:   otp.Reserve(1),
-			cfg:   cfg,
 		}
 		for k := 0; k < nInfer; k++ {
 			constLabels, err := eConn.Recv(transport.MsgConstLabels)
@@ -241,13 +240,7 @@ func runEngines(t *testing.T, sched *circuit.Schedule, gBits, eBits []bool, cfg 
 				evalDone <- evalResult{err}
 				return
 			}
-			e := gc.NewEvaluator()
-			var lf, lt gc.Label
-			copy(lf[:], constLabels[:gc.LabelSize])
-			copy(lt[:], constLabels[gc.LabelSize:])
-			e.SetLabel(circuit.WFalse, lf)
-			e.SetLabel(circuit.WTrue, lt)
-			en.e = e
+			en.e = newTestEvaluator(constLabels)
 			en.cursor = 0
 			en.inputBits = eBits
 			en.outLabels = en.outLabels[:0]
@@ -280,26 +273,25 @@ func runEngines(t *testing.T, sched *circuit.Schedule, gBits, eBits []bool, cfg 
 	pool := cfg.newPool()
 	free := make(chan []byte, 3)
 	for k := 0; k < nInfer; k++ {
-		g, err := gc.NewGarbler(rng)
+		src, err := newLiveSource(rng, 1, sched, pool)
 		if err != nil {
 			t.Fatal(err)
 		}
-		lf, lt, err := g.ConstLabels()
+		consts, err := src.consts(nil)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := gConn.Send(transport.MsgConstLabels, append(append([]byte{}, lf[:]...), lt[:]...)); err != nil {
+		if err := gConn.Send(transport.MsgConstLabels, consts); err != nil {
 			t.Fatal(err)
 		}
 		en := &garbleEngine{
 			sched:     sched,
-			g:         g,
-			pool:      pool,
+			src:       src,
 			conn:      gConn,
 			ots:       otp,
 			otr:       otp.Reserve(1),
 			cfg:       cfg,
-			inputBits: gBits,
+			inputBits: [][]bool{gBits},
 			free:      free,
 		}
 		if err := en.run(); err != nil {
@@ -322,7 +314,7 @@ func runEngines(t *testing.T, sched *circuit.Schedule, gBits, eBits []bool, cfg 
 			switch l {
 			case en.outZero[i]:
 				bits[i] = false
-			case en.outZero[i].XOR(g.R):
+			case en.outZero[i].XOR(src.deltas()[0]):
 				bits[i] = true
 			default:
 				t.Fatalf("workers=%d infer %d: output label %d failed authentication", workers, k, i)
@@ -336,11 +328,22 @@ func runEngines(t *testing.T, sched *circuit.Schedule, gBits, eBits []bool, cfg 
 	return outs, gToE.bytesWritten(), eToG.bytesWritten()
 }
 
-// engineTestConfig is the runEngines baseline configuration: dedicated
-// per-engine pools (the pre-shared behavior) and small chunks so a run
-// produces many frames.
+// newTestEvaluator returns a one-sample evaluator holding the const
+// labels of a B=1 const-label frame.
+func newTestEvaluator(constLabels []byte) *gc.BatchEvaluator {
+	e, _ := gc.NewBatchEvaluator(1) // only b < 1 fails
+	var lf, lt gc.Label
+	copy(lf[:], constLabels[:gc.LabelSize])
+	copy(lt[:], constLabels[gc.LabelSize:])
+	e.SetLabel(circuit.WFalse, 0, lf)
+	e.SetLabel(circuit.WTrue, 0, lt)
+	return e
+}
+
+// engineTestConfig is the runEngines baseline configuration: small
+// chunks so a run produces many frames.
 func engineTestConfig(workers int) EngineConfig {
-	return EngineConfig{Workers: workers, ChunkBytes: 512, PrivatePool: true}
+	return EngineConfig{Workers: workers, ChunkBytes: 512}
 }
 
 // TestEngineConformance is the cross-mode property test: random recycled
@@ -443,12 +446,12 @@ func TestEngineSessionConformance(t *testing.T) {
 	}
 }
 
-// TestEngineSharedPoolConformance is the tentpole's byte-determinism
-// proof at the session-engine layer: for workers∈{1,2,4}, the shared
-// scheduler pool must produce wire streams byte-identical to the
-// dedicated per-session pool baseline, with 1, 2, and 4 sessions
-// running concurrently on the one process-wide scheduler. Run with
-// -race: concurrent sessions steal chunks from each other's regions.
+// TestEngineSharedPoolConformance is the byte-determinism proof at the
+// session-engine layer — wire bytes do not depend on scheduling: for
+// workers∈{2,4}, with 1, 2, and 4 sessions running concurrently on the
+// one process-wide scheduler, every session's streams must be
+// byte-identical to a lone sequential (workers=1) run. Run with -race:
+// concurrent sessions steal chunks from each other's regions.
 func TestEngineSharedPoolConformance(t *testing.T) {
 	r := rand.New(rand.NewSource(424))
 	tape, nG, nE := randomEngineTape(r)
@@ -466,11 +469,8 @@ func TestEngineSharedPoolConformance(t *testing.T) {
 	}
 	const nInfer = 2
 	seed := int64(88000)
-	for _, w := range []int{1, 2, 4} {
-		private := engineTestConfig(w)
-		_, wantG2E, wantE2G := runEngines(t, sched, gBits, eBits, private, nInfer, seed)
-		shared := private
-		shared.PrivatePool = false
+	_, wantG2E, wantE2G := runEngines(t, sched, gBits, eBits, engineTestConfig(1), nInfer, seed)
+	for _, w := range []int{2, 4} {
 		for _, sessions := range []int{1, 2, 4} {
 			g2e := make([][]byte, sessions)
 			e2g := make([][]byte, sessions)
@@ -479,7 +479,7 @@ func TestEngineSharedPoolConformance(t *testing.T) {
 				wg.Add(1)
 				go func(s int) {
 					defer wg.Done()
-					_, g2e[s], e2g[s] = runEngines(t, sched, gBits, eBits, shared, nInfer, seed)
+					_, g2e[s], e2g[s] = runEngines(t, sched, gBits, eBits, engineTestConfig(w), nInfer, seed)
 				}(s)
 			}
 			wg.Wait()
@@ -488,10 +488,10 @@ func TestEngineSharedPoolConformance(t *testing.T) {
 			}
 			for s := 0; s < sessions; s++ {
 				if !bytes.Equal(wantG2E, g2e[s]) {
-					t.Fatalf("workers=%d sessions=%d: session %d garbler stream differs from private-pool baseline", w, sessions, s)
+					t.Fatalf("workers=%d sessions=%d: session %d garbler stream differs from the sequential run", w, sessions, s)
 				}
 				if !bytes.Equal(wantE2G, e2g[s]) {
-					t.Fatalf("workers=%d sessions=%d: session %d evaluator stream differs from private-pool baseline", w, sessions, s)
+					t.Fatalf("workers=%d sessions=%d: session %d evaluator stream differs from the sequential run", w, sessions, s)
 				}
 			}
 		}
@@ -533,15 +533,11 @@ func TestEvalEngineDeadPeer(t *testing.T) {
 		}
 		closer.Close()
 
-		e := gc.NewEvaluator()
-		e.SetLabel(circuit.WFalse, gc.Label{1})
-		e.SetLabel(circuit.WTrue, gc.Label{2})
 		en := &evalEngine{
 			sched: sched,
-			e:     e,
+			e:     newTestEvaluator(make([]byte, 2*gc.LabelSize)),
 			pool:  gc.NewPool(workers),
 			conn:  eConn,
-			cfg:   EngineConfig{Workers: workers},
 		}
 		done := make(chan error, 1)
 		go func() { done <- en.run() }()

@@ -30,8 +30,8 @@ import (
 // session's OT pool, reserved by the reader when the begin frame arrives,
 // so contexts never wait on each other. Writes from contexts interleave
 // at frame granularity; at depth 1 a single context exists at a time, so
-// the wire stream is byte-identical to the serial path (pinned by
-// TestPipelineDepth1Conformance).
+// the wire stream is byte-identical to a strictly serial run of the
+// engines (pinned by TestPipelineDepth1Conformance).
 //
 // An inference is one client→server burst answered by one output frame,
 // and nothing here can turn that into a deadlock:
@@ -148,8 +148,8 @@ func recvRouted(flush func() error, ch <-chan frame, stop <-chan struct{}, scope
 
 // evalCtx is one in-flight inference on the server: its routed frame
 // inbox and its death marker (closed when the context goroutine exits,
-// so the reader stops routing to it). batch is the fused sample count
-// of a batched (MsgBatchBegin) sub-stream, 0 for a single inference.
+// so the reader stops routing to it). batch is the sub-stream's sample
+// count B ≥ 1 from its begin frame.
 type evalCtx struct {
 	id    uint64
 	batch int
@@ -163,14 +163,6 @@ type evalCtx struct {
 	deadline *time.Timer
 }
 
-// samples returns how many inferences this context settles.
-func (c *evalCtx) samples() int64 {
-	if c.batch > 0 {
-		return int64(c.batch)
-	}
-	return 1
-}
-
 // ctxConn is an evalCtx's view of the session connection: receives come
 // from the context's routed inbox, sends are tagged with the inference
 // id and serialized through the muxConn.
@@ -181,11 +173,7 @@ type ctxConn struct {
 
 func (v *ctxConn) Send(t transport.MsgType, payload []byte) error {
 	if t == transport.MsgOutputLabels {
-		out := transport.MsgInferOutputs
-		if v.c.batch > 0 {
-			out = transport.MsgBatchOutputs
-		}
-		return v.m.mc.sendTagged(out, v.c.id, payload)
+		return v.m.mc.sendTagged(transport.MsgInferOutputs, v.c.id, payload)
 	}
 	return v.m.mc.Send(t, payload)
 }
@@ -202,22 +190,25 @@ func (v *ctxConn) RecvAny(want ...transport.MsgType) (transport.MsgType, []byte,
 }
 
 // muxEvent is a completion notification to the session's main loop.
-// inferences is the settled sample count of a finished context (B for a
-// batch, 1 for a single inference), counted only on success.
+// inferences is the settled sample count of a finished context, counted
+// only on success.
 type muxEvent struct {
 	readerDone bool
 	inferences int64
 	err        error
 }
 
-// sessionMux runs one demultiplexed session on the server:
-// single-inference (MsgInfer*) and batched (MsgBatch*) sub-streams
-// share the window, the routing, and the OT pool.
+// sessionMux runs one demultiplexed session on the server: its
+// inference sub-streams share the window, the routing, the OT pool and
+// one worker pool (a shared-scheduler gc.Pool carries no per-call state,
+// so concurrent contexts' level runs all land on the process-wide worker
+// set).
 type sessionMux struct {
 	srv   *Server
 	conn  *transport.Conn
 	mc    *muxConn
 	otp   *precomp.ReceiverPool
+	pool  *gc.Pool
 	win   *transport.Window
 	sched *circuit.Schedule
 	cfg   EngineConfig
@@ -225,12 +216,10 @@ type sessionMux struct {
 	weightBits []bool
 	wd         *watchdog // session phase watchdog (nil = no deadlines armed)
 
-	events     chan muxEvent
-	stop       chan struct{}
-	ctxs       map[uint64]*evalCtx
-	sharedPool *gc.Pool      // one shared-scheduler pool for every context, nil in private mode
-	pools      chan *gc.Pool // private mode: circulating per-context pools
-	spawned    int           // reader-owned until readerDone, then main-owned
+	events  chan muxEvent
+	stop    chan struct{}
+	ctxs    map[uint64]*evalCtx
+	spawned int // reader-owned until readerDone, then main-owned
 
 	// In-flight accounting for Stats: time with ≥2 inferences active is
 	// the session's measured overlap. gateTime and the gate counters
@@ -247,22 +236,18 @@ type sessionMux struct {
 }
 
 func newSessionMux(srv *Server, conn *transport.Conn, mc *muxConn, otp *precomp.ReceiverPool, sched *circuit.Schedule, weightBits []bool) *sessionMux {
-	// A masked-label frame carries one evaluator-input step: bound it by
-	// the widest one (plus the inference tag) before the first arrives.
+	// A masked-label frame carries one evaluator-input step of every
+	// sample: bound it by the widest step at the batch cap (plus the
+	// inference tag) before the first arrives.
 	_, widest := evalInputWires(sched)
-	conn.SetLimit(transport.MsgInferMasked, binary.MaxVarintLen64+widest*2*gc.LabelSize)
-	conn.SetLimit(transport.MsgBatchMasked, binary.MaxVarintLen64+widest*2*gc.LabelSize*srv.Engine.maxBatch())
+	conn.SetLimit(transport.MsgInferMasked, binary.MaxVarintLen64+widest*2*gc.LabelSize*srv.Engine.maxBatch())
 	depth := srv.Engine.pipeline()
-	var sharedPool *gc.Pool
-	if !srv.Engine.PrivatePool {
-		sharedPool = srv.Engine.newPool()
-	}
 	return &sessionMux{
 		srv:        srv,
 		conn:       conn,
 		mc:         mc,
 		otp:        otp,
-		sharedPool: sharedPool,
+		pool:       srv.Engine.newPool(),
 		win:        transport.NewWindow(depth),
 		sched:      sched,
 		cfg:        srv.Engine,
@@ -270,7 +255,6 @@ func newSessionMux(srv *Server, conn *transport.Conn, mc *muxConn, otp *precomp.
 		events:     make(chan muxEvent, 1),
 		stop:       mc.stop,
 		ctxs:       make(map[uint64]*evalCtx, depth),
-		pools:      make(chan *gc.Pool, depth),
 	}
 }
 
@@ -322,7 +306,7 @@ func (m *sessionMux) run(st *Stats) error {
 		return tornErr
 	case errors.Is(readerErr, io.EOF) && tornErr == nil:
 		// A disconnect with every inference settled is a valid way to
-		// end a session (the v3 boundary-EOF semantics).
+		// end a session.
 		return nil
 	default:
 		return readerErr
@@ -388,21 +372,12 @@ func (m *sessionMux) readLoop() {
 		case transport.MsgEndSession:
 			end = true
 		case transport.MsgInferBegin:
-			id, n := binary.Uvarint(payload)
-			if n <= 0 || n != len(payload) {
+			// Refused here, before anything is reserved: a malformed
+			// payload, B < 1, B past the announced cap.
+			id, rest, tagErr := transport.SplitTag(payload)
+			bsz, n := binary.Uvarint(rest)
+			if tagErr != nil || n <= 0 || n != len(rest) || bsz < 1 {
 				err = fmt.Errorf("core: malformed infer-begin payload (%d bytes)", len(payload))
-				break
-			}
-			err = m.beginCtx(id, 0)
-		case transport.MsgBatchBegin:
-			id, n := binary.Uvarint(payload)
-			if n <= 0 {
-				err = fmt.Errorf("core: malformed batch-begin payload (%d bytes)", len(payload))
-				break
-			}
-			bsz, n2 := binary.Uvarint(payload[n:])
-			if n2 <= 0 || n+n2 != len(payload) || bsz < 1 {
-				err = fmt.Errorf("core: malformed batch-begin payload (%d bytes)", len(payload))
 				break
 			}
 			if max := uint64(m.cfg.maxBatch()); bsz > max {
@@ -410,8 +385,7 @@ func (m *sessionMux) readLoop() {
 				break
 			}
 			err = m.beginCtx(id, int(bsz))
-		case transport.MsgInferConst, transport.MsgInferInputs, transport.MsgInferMasked, transport.MsgInferTables,
-			transport.MsgBatchConst, transport.MsgBatchInputs, transport.MsgBatchMasked, transport.MsgBatchTables:
+		case transport.MsgInferConst, transport.MsgInferInputs, transport.MsgInferMasked, transport.MsgInferTables:
 			var id uint64
 			var content []byte
 			id, content, err = transport.SplitTag(payload)
@@ -424,11 +398,6 @@ func (m *sessionMux) readLoop() {
 			c := m.ctxs[id]
 			if c == nil {
 				err = fmt.Errorf("core: no context for in-window inference %d", id)
-				break
-			}
-			if batchFrame := typ == transport.MsgBatchConst || typ == transport.MsgBatchInputs ||
-				typ == transport.MsgBatchMasked || typ == transport.MsgBatchTables; batchFrame != (c.batch > 0) {
-				err = fmt.Errorf("core: %v frame for inference %d does not match its sub-stream kind", typ, id)
 				break
 			}
 			f := frame{logicalType(typ), content}
@@ -481,8 +450,8 @@ func (m *sessionMux) readLoop() {
 	}
 }
 
-// beginCtx admits a new inference sub-stream (batch = 0 for a single
-// inference, the fused sample count otherwise) and spawns its context.
+// beginCtx admits a new inference sub-stream of batch samples and spawns
+// its context.
 func (m *sessionMux) beginCtx(id uint64, batch int) error {
 	if err := m.win.Begin(id); err != nil {
 		return err
@@ -491,7 +460,7 @@ func (m *sessionMux) beginCtx(id uint64, batch int) error {
 	c := &evalCtx{id: id, batch: batch, start: time.Now(), inbox: make(chan frame, 4), dead: make(chan struct{})}
 	// Ranges go out in begin order, which is the order the client
 	// reserved them in.
-	c.otr = m.otp.Reserve(int(c.samples()))
+	c.otr = m.otp.Reserve(batch)
 	if d := m.cfg.Deadlines.Inference; d > 0 && m.wd != nil {
 		c.deadline = m.wd.after("inference", d)
 	}
@@ -502,17 +471,17 @@ func (m *sessionMux) beginCtx(id uint64, batch int) error {
 	return nil
 }
 
-// logicalType maps a tagged v4/v5 frame type to the logical protocol
-// type the engines were written against.
+// logicalType maps a tagged frame type to the logical protocol type the
+// engines were written against (the inverse of garbleConn.Send).
 func logicalType(t transport.MsgType) transport.MsgType {
 	switch t {
-	case transport.MsgInferConst, transport.MsgBatchConst:
+	case transport.MsgInferConst:
 		return transport.MsgConstLabels
-	case transport.MsgInferInputs, transport.MsgBatchInputs:
+	case transport.MsgInferInputs:
 		return transport.MsgInputLabels
-	case transport.MsgInferMasked, transport.MsgBatchMasked:
+	case transport.MsgInferMasked:
 		return transport.MsgOTMasked
-	case transport.MsgInferTables, transport.MsgBatchTables:
+	case transport.MsgInferTables:
 		return transport.MsgTables
 	default:
 		return t
@@ -553,34 +522,6 @@ func (m *sessionMux) endInFlight() {
 	m.inFlight--
 }
 
-// getPool hands a context its worker pool. In shared mode one
-// scheduler-backed pool serves every in-flight context (its batch calls
-// carry no per-call state, so concurrent contexts are safe — chunks all
-// land on the process-wide worker set). In private mode up to
-// window-depth dedicated pools circulate, because a private gc.Pool's
-// batch calls are exclusive per caller.
-func (m *sessionMux) getPool() *gc.Pool {
-	if m.sharedPool != nil {
-		return m.sharedPool
-	}
-	select {
-	case p := <-m.pools:
-		return p
-	default:
-		return gc.NewPool(m.cfg.workers())
-	}
-}
-
-func (m *sessionMux) putPool(p *gc.Pool) {
-	if m.sharedPool != nil {
-		return
-	}
-	select {
-	case m.pools <- p:
-	default:
-	}
-}
-
 // runCtx executes one inference's evaluation to completion and reports
 // the outcome to the session's main loop.
 func (m *sessionMux) runCtx(c *evalCtx) {
@@ -601,13 +542,13 @@ func (m *sessionMux) runCtx(c *evalCtx) {
 	m.endInFlight()
 	if err == nil {
 		obs.ObserveInference(time.Since(c.start))
-		obs.AddInferences(c.samples())
-		if c.batch > 0 {
+		obs.AddInferences(int64(c.batch))
+		if c.batch > 1 {
 			obs.IncBatches()
 		}
 	}
 	close(c.dead)
-	m.emit(muxEvent{err: err, inferences: c.samples()})
+	m.emit(muxEvent{err: err, inferences: int64(c.batch)})
 }
 
 // evalPanicHook, when set by a test, runs at the top of every
@@ -615,9 +556,8 @@ func (m *sessionMux) runCtx(c *evalCtx) {
 // detonate inside one session's evaluation goroutine.
 var evalPanicHook func(id uint64, batch int)
 
-// serveInference is the per-context body: the pipelined analogue of the
-// serial path's serveOne, running the evaluation engine (single or
-// fused-batch) over the context's routed frames.
+// serveInference is the per-context body: it runs the evaluation engine
+// over the context's routed frames and answers with the output labels.
 func (m *sessionMux) serveInference(c *evalCtx) error {
 	if evalPanicHook != nil {
 		evalPanicHook(c.id, c.batch)
@@ -628,96 +568,56 @@ func (m *sessionMux) serveInference(c *evalCtx) error {
 	if err := m.otp.Cover(c.otr); err != nil {
 		return err
 	}
+	// Const labels arrive wire-major like every frame: the B
+	// false-labels, then the B true-labels.
 	constLabels, err := view.Recv(transport.MsgConstLabels)
 	if err != nil {
 		return err
 	}
-	pool := m.getPool()
-	defer m.putPool(pool)
-
-	// The two evaluator kinds share everything but the label state:
-	// install the const labels per kind, then run through one epilogue
-	// (run and the outLabels/time pointers come from whichever engine the
-	// branch built).
-	var run func() error
-	var outRef *[]gc.Label
-	var gtRef, readRef *time.Duration
-	if c.batch > 0 {
-		// Batched sub-stream: const labels arrive wire-major (the B
-		// false-labels, then the B true-labels), like every batch frame.
-		if len(constLabels) != 2*c.batch*gc.LabelSize {
-			return fmt.Errorf("core: batch const-label frame has %d bytes, want %d",
-				len(constLabels), 2*c.batch*gc.LabelSize)
-		}
-		e, err := gc.NewBatchEvaluator(c.batch)
-		if err != nil {
-			return err
-		}
-		for s := 0; s < c.batch; s++ {
-			var lf, lt gc.Label
-			copy(lf[:], constLabels[s*gc.LabelSize:])
-			copy(lt[:], constLabels[(c.batch+s)*gc.LabelSize:])
-			e.SetLabel(circuit.WFalse, s, lf)
-			e.SetLabel(circuit.WTrue, s, lt)
-		}
-		en := &batchEvalEngine{
-			sched:     m.sched,
-			e:         e,
-			pool:      pool,
-			conn:      view,
-			ots:       m.otp,
-			otr:       c.otr,
-			cfg:       m.cfg,
-			b:         c.batch,
-			inputBits: m.weightBits,
-			progress:  &m.conn.Progress,
-			recycle:   m.conn.Recycle,
-		}
-		run, outRef, gtRef, readRef = en.run, &en.outLabels, &en.gateTime, &en.readTime
-	} else {
-		if len(constLabels) != 2*gc.LabelSize {
-			return fmt.Errorf("core: const-label frame has %d bytes", len(constLabels))
-		}
-		e := gc.NewEvaluator()
-		var lf, lt gc.Label
-		copy(lf[:], constLabels[:gc.LabelSize])
-		copy(lt[:], constLabels[gc.LabelSize:])
-		e.SetLabel(circuit.WFalse, lf)
-		e.SetLabel(circuit.WTrue, lt)
-		en := &evalEngine{
-			sched:     m.sched,
-			e:         e,
-			pool:      pool,
-			conn:      view,
-			ots:       m.otp,
-			otr:       c.otr,
-			cfg:       m.cfg,
-			inputBits: m.weightBits,
-			progress:  &m.conn.Progress,
-			recycle:   m.conn.Recycle,
-		}
-		run, outRef, gtRef, readRef = en.run, &en.outLabels, &en.gateTime, &en.readTime
+	if len(constLabels) != 2*c.batch*gc.LabelSize {
+		return fmt.Errorf("core: const-label frame has %d bytes, want %d", len(constLabels), 2*c.batch*gc.LabelSize)
 	}
-	if err := run(); err != nil {
+	e, err := gc.NewBatchEvaluator(c.batch)
+	if err != nil {
+		return err
+	}
+	for s := 0; s < c.batch; s++ {
+		var lf, lt gc.Label
+		copy(lf[:], constLabels[s*gc.LabelSize:])
+		copy(lt[:], constLabels[(c.batch+s)*gc.LabelSize:])
+		e.SetLabel(circuit.WFalse, s, lf)
+		e.SetLabel(circuit.WTrue, s, lt)
+	}
+	en := &evalEngine{
+		sched:     m.sched,
+		e:         e,
+		pool:      m.pool,
+		conn:      view,
+		ots:       m.otp,
+		otr:       c.otr,
+		inputBits: m.weightBits,
+		progress:  &m.conn.Progress,
+		recycle:   m.conn.Recycle,
+	}
+	if err := en.run(); err != nil {
 		return err
 	}
 	// Fold the crypto-core counters: gate-instance counts derive from the
 	// schedule (every context walks it once per sample), kernel time from
 	// the engine's measurement. The registry observations reuse the same
 	// engine clocks that back Stats, so the two surfaces agree.
-	ands := m.sched.ANDs * c.samples()
-	frees := (int64(len(m.sched.Gates)) - m.sched.ANDs) * c.samples()
+	ands := m.sched.ANDs * int64(c.batch)
+	frees := (int64(len(m.sched.Gates)) - m.sched.ANDs) * int64(c.batch)
 	m.statMu.Lock()
-	m.gateTime += *gtRef
+	m.gateTime += en.gateTime
 	m.andGates += ands
 	m.freeGates += frees
 	m.statMu.Unlock()
-	obs.ObservePhase(obs.PhaseEval, *gtRef)
-	obs.ObservePhase(obs.PhaseTableRead, *readRef)
-	obs.AddGates(ands, frees, *gtRef)
-	outLabels := *outRef
-	payload := make([]byte, 0, len(outLabels)*gc.LabelSize)
-	for _, l := range outLabels {
+	obs.ObservePhase(obs.PhaseEval, en.gateTime)
+	obs.ObservePhase(obs.PhaseTableRead, en.readTime)
+	obs.AddGates(ands, frees, en.gateTime)
+	payload := make([]byte, 0, len(en.outLabels)*gc.LabelSize)
+	for _, l := range en.outLabels {
 		payload = append(payload, l[:]...)
 	}
 	// Every frame of this inference is consumed, so writing cannot hold the

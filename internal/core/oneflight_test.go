@@ -174,7 +174,7 @@ func TestOneFlightWireShape(t *testing.T) {
 	seenOutputs := false
 	for _, fr := range parseFrames(t, s2c) {
 		switch fr.typ {
-		case transport.MsgInferOutputs, transport.MsgBatchOutputs:
+		case transport.MsgInferOutputs:
 			seenOutputs = true
 		default:
 			if seenOutputs {
@@ -287,7 +287,7 @@ func TestPoolRefillShapes(t *testing.T) {
 			if asked != answered || int64(asked) != srvStats.OTRefills {
 				t.Errorf("%d refills announced, %d answered, %d banked", asked, answered, srvStats.OTRefills)
 			}
-			if last := frames[len(frames)-1].typ; last != transport.MsgInferOutputs && last != transport.MsgBatchOutputs {
+			if last := frames[len(frames)-1].typ; last != transport.MsgInferOutputs {
 				t.Errorf("server's last frame is %v, want outputs", last)
 			}
 			checkLeaks()

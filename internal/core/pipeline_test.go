@@ -46,16 +46,15 @@ func parseFrames(t *testing.T, raw []byte) []wireFrame {
 	return out
 }
 
-// stripV4 reduces one direction of a v4/v5 session's frame stream to
-// its v3 content: session and sub-stream framing is dropped (hello /
-// arch / pipeline / begin / end — after validating payloads and tags),
-// tagged per-inference frames — the MsgInfer* single sub-streams and
-// the MsgBatch* batched ones alike — map to their untagged v3 types
-// with the tag removed, and OT frames pass through. The garbler streams
+// stripTags reduces one direction of a session's frame stream to its
+// engine-level content: session and sub-stream framing is dropped (hello
+// / arch / pipeline / begin / end — after validating payloads and tags),
+// tagged per-inference frames map to their untagged logical types with
+// the tag removed, and OT frames pass through. The garbler streams
 // inferences serially, so its tagged frames must carry the latest begun
 // id; the evaluator's output frames must tag inferences in completion
 // order (sequential on a depth-1 session).
-func stripV4(t *testing.T, frames []wireFrame) []wireFrame {
+func stripTags(t *testing.T, frames []wireFrame) []wireFrame {
 	t.Helper()
 	var out []wireFrame
 	nextBegin := uint64(1)
@@ -74,7 +73,7 @@ func stripV4(t *testing.T, frames []wireFrame) []wireFrame {
 	for _, f := range frames {
 		switch f.typ {
 		case transport.MsgHello:
-			if string(f.payload) != "deepsecure/8" {
+			if string(f.payload) != protocolHello {
 				t.Fatalf("hello = %q", f.payload)
 			}
 		case transport.MsgArch, transport.MsgEndSession:
@@ -89,31 +88,18 @@ func stripV4(t *testing.T, frames []wireFrame) []wireFrame {
 			}
 		case transport.MsgInferBegin:
 			id, n := binary.Uvarint(f.payload)
-			if n != len(f.payload) || id != nextBegin {
-				t.Fatalf("begin payload %v, want uvarint %d", f.payload, nextBegin)
-			}
-			cur = id
-			nextBegin++
-		case transport.MsgBatchBegin:
-			id, n := binary.Uvarint(f.payload)
 			if n <= 0 || id != nextBegin {
-				t.Fatalf("batch-begin payload %v, want id %d", f.payload, nextBegin)
+				t.Fatalf("begin payload %v, want id %d", f.payload, nextBegin)
 			}
 			bsz, n2 := binary.Uvarint(f.payload[n:])
 			if n2 <= 0 || n+n2 != len(f.payload) || bsz < 1 {
-				t.Fatalf("batch-begin payload %v carries no valid batch size", f.payload)
+				t.Fatalf("begin payload %v carries no valid sample count", f.payload)
 			}
 			cur = id
 			nextBegin++
-		case transport.MsgInferConst, transport.MsgBatchConst:
-			out = append(out, strip(f, transport.MsgConstLabels, cur))
-		case transport.MsgInferInputs, transport.MsgBatchInputs:
-			out = append(out, strip(f, transport.MsgInputLabels, cur))
-		case transport.MsgInferMasked, transport.MsgBatchMasked:
-			out = append(out, strip(f, transport.MsgOTMasked, cur))
-		case transport.MsgInferTables, transport.MsgBatchTables:
-			out = append(out, strip(f, transport.MsgTables, cur))
-		case transport.MsgInferOutputs, transport.MsgBatchOutputs:
+		case transport.MsgInferConst, transport.MsgInferInputs, transport.MsgInferMasked, transport.MsgInferTables:
+			out = append(out, strip(f, logicalType(f.typ), cur))
+		case transport.MsgInferOutputs:
 			out = append(out, strip(f, transport.MsgOutputLabels, nextOut))
 			nextOut++
 		default:
@@ -150,12 +136,13 @@ func (v refillBanking) RecvAny(want ...transport.MsgType) (transport.MsgType, []
 	}
 }
 
-// referenceSerialRun replays the serial wire protocol from the raw
+// referenceSerialRun replays a strictly serial protocol from the raw
 // building blocks — shared OT extension and pools, untagged frames,
 // strictly alternating inferences, refills announced where a session's
-// contexts announce them — recording both directions. Its randomness consumption matches the session path's
-// (extension base phase, pool fill, one garbler per inference), so with
-// equal seeds the frame contents must match a depth-1 v4 session's.
+// contexts announce them — recording both directions. Its randomness
+// consumption matches the session path's (extension base phase, pool
+// fill, one garbler per inference), so with equal seeds the frame
+// contents must match a depth-1 session's.
 func referenceSerialRun(t *testing.T, net *nn.Network, xs [][]float64, poolCfg precomp.PoolConfig, cliSeed, srvSeed int64) (g2e, e2g []byte) {
 	t.Helper()
 	f := fixed.Default
@@ -200,20 +187,13 @@ func referenceSerialRun(t *testing.T, net *nn.Network, xs [][]float64, poolCfg p
 				evalDone <- err
 				return
 			}
-			e := gc.NewEvaluator()
-			var lf, lt gc.Label
-			copy(lf[:], constLabels[:gc.LabelSize])
-			copy(lt[:], constLabels[gc.LabelSize:])
-			e.SetLabel(circuit.WFalse, lf)
-			e.SetLabel(circuit.WTrue, lt)
 			en := &evalEngine{
 				sched:     prog.Schedule,
-				e:         e,
+				e:         newTestEvaluator(constLabels),
 				pool:      pool,
 				conn:      eConn,
 				ots:       otp,
 				otr:       otr,
-				cfg:       cfg,
 				inputBits: weightBits,
 			}
 			if err := en.run(); err != nil {
@@ -259,26 +239,25 @@ func referenceSerialRun(t *testing.T, net *nn.Network, xs [][]float64, poolCfg p
 		if err := otp.Cover(otr); err != nil {
 			t.Fatal(err)
 		}
-		g, err := gc.NewGarbler(rng)
+		src, err := newLiveSource(rng, 1, prog.Schedule, pool)
 		if err != nil {
 			t.Fatal(err)
 		}
-		lf, lt, err := g.ConstLabels()
+		consts, err := src.consts(nil)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := gConn.Send(transport.MsgConstLabels, append(append([]byte{}, lf[:]...), lt[:]...)); err != nil {
+		if err := gConn.Send(transport.MsgConstLabels, consts); err != nil {
 			t.Fatal(err)
 		}
 		en := &garbleEngine{
 			sched:     prog.Schedule,
-			g:         g,
-			pool:      pool,
+			src:       src,
 			conn:      gConn,
 			ots:       otp,
 			otr:       otr,
 			cfg:       cfg,
-			inputBits: bits,
+			inputBits: [][]bool{bits},
 			free:      make(chan []byte, 3),
 		}
 		if err := en.run(); err != nil {
@@ -304,7 +283,7 @@ func referenceSerialRun(t *testing.T, net *nn.Network, xs [][]float64, poolCfg p
 	return gToE.bytesWritten(), eToG.bytesWritten()
 }
 
-// sessionRun records a full v4 session (Client/Server API) at the given
+// sessionRun records a full session (Client/Server API) at the given
 // pipeline depth over a logging pipe.
 func sessionRun(t *testing.T, net *nn.Network, xs [][]float64, poolCfg precomp.PoolConfig, depth int, cliSeed, srvSeed int64) (labels []int, g2e, e2g []byte, srvStats *Stats) {
 	t.Helper()
@@ -333,13 +312,13 @@ func sessionRun(t *testing.T, net *nn.Network, xs [][]float64, poolCfg precomp.P
 	return labels, gToE.bytesWritten(), eToG.bytesWritten(), srvStats
 }
 
-// TestPipelineDepth1Conformance pins the v4 acceptance criterion: at
-// depth 1 the session protocol's frame contents are byte-identical to
-// the serial v3 path modulo the sub-stream tags. The reference stream is
-// regenerated from the raw protocol building blocks (the code path the
-// v3 server loop was made of), and the v4 stream is reduced by dropping
-// session framing and stripping tags; the two frame sequences must then
-// match byte-for-byte in both directions — with the OT pool on and off.
+// TestPipelineDepth1Conformance pins pipeline depth 1 ≡ serial: at
+// depth 1 the session protocol's frame contents are byte-identical to a
+// strictly serial run of the engines modulo the sub-stream tags. The
+// reference stream is regenerated from the raw protocol building blocks,
+// and the session stream is reduced by dropping session framing and
+// stripping tags; the two frame sequences must then match byte-for-byte
+// in both directions — with the OT pool on and off.
 func TestPipelineDepth1Conformance(t *testing.T) {
 	net := testNet(t, act.ReLU, 61)
 	rng := rand.New(rand.NewSource(62))
@@ -367,7 +346,7 @@ func TestPipelineDepth1Conformance(t *testing.T) {
 				{"garbler→evaluator", v4G2E, refG2E, 0},
 				{"evaluator→garbler", v4E2G, refE2G, 0},
 			} {
-				got := stripV4(t, parseFrames(t, dir.v4))
+				got := stripTags(t, parseFrames(t, dir.v4))
 				want := parseFrames(t, dir.ref)
 				if len(got) != len(want) {
 					t.Fatalf("%s: %d content frames, reference has %d", dir.name, len(got), len(want))
@@ -532,7 +511,7 @@ func TestPipelineWindowRejectsRunahead(t *testing.T) {
 	}
 	// Bypass the client's own window and run three begins at the server.
 	for id := uint64(1); id <= 3; id++ {
-		if err := sess.conn.Send(transport.MsgInferBegin, transport.AppendTag(nil, id)); err != nil {
+		if err := sess.conn.Send(transport.MsgInferBegin, transport.AppendTag(transport.AppendTag(nil, id), 1)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -714,9 +693,7 @@ func TestPipelineMidOTDisconnectTerminates(t *testing.T) {
 		t.Fatal(err)
 	}
 	for id := uint64(1); id <= 2; id++ {
-		var begin [binary.MaxVarintLen64]byte
-		n := binary.PutUvarint(begin[:], id)
-		if err := cConn.Send(transport.MsgInferBegin, begin[:n]); err != nil {
+		if err := cConn.Send(transport.MsgInferBegin, transport.AppendTag(transport.AppendTag(nil, id), 1)); err != nil {
 			t.Fatal(err)
 		}
 		if err := cConn.SendTagged(transport.MsgInferConst, id, make([]byte, 2*gc.LabelSize)); err != nil {

@@ -9,9 +9,8 @@
 // architecture exchange, OT-extension base phase) and compile the public
 // netlist once into a replayable tape (netgen.Compile); each further
 // inference on the session only pays for fresh labels, garbling, and the
-// streamed tables. The wire protocol frames each inference with
-// MsgNextInfer and ends with MsgEndSession. One-shot Serve/Infer remain
-// as single-inference sessions.
+// streamed tables (protocolHello describes the frames). One-shot
+// Serve/Infer remain as single-inference sessions.
 //
 // The package also implements the secure-outsourcing deployment (§3.3,
 // Fig. 4) where a resource-constrained client XOR-shares its input between
@@ -53,21 +52,19 @@ import (
 // and, with a pool, its initial fill — MsgOTRefill (uvarint n) and
 // MsgOTExtU from the server, MsgOTExtY back.
 //
-// An inference is one client→server burst answered by one frame. The
-// burst: MsgInferBegin (uvarint id, sequential from 1), then with every
-// payload prefixed by that id MsgInferConst (the two constant labels) and,
-// in schedule order, MsgInferInputs (the client's active input labels of
-// one step), MsgInferMasked (one evaluator-input step: per wire the label
-// pair masked with the inference's next two pool halves) and
-// MsgInferTables (garbled tables, chunked at level boundaries). The answer
-// is MsgInferOutputs (id, the output labels). Inference id owns pool
-// entries (id-1)·W … id·W-1 in the absence of batches; in general ranges
-// are handed out in begin order.
-//
-// A batch of B samples is the same burst under MsgBatchBegin (id, B) and
-// the MsgBatch* types, every payload wire-major with samples innermost; at
-// B=1 the payloads are byte-identical to a single inference's. It owns
-// B·W pool entries, sample s's bit c at q0 + s·W + c.
+// An inference classifies B ≥ 1 samples and is one client→server burst
+// answered by one frame. The burst: MsgInferBegin (uvarint id, sequential
+// from 1; uvarint B, at most the announced batch cap), then with every
+// payload prefixed by that id MsgInferConst (the B false-labels, then the
+// B true-labels) and, in schedule order, MsgInferInputs (the client's
+// active input labels of one step), MsgInferMasked (one evaluator-input
+// step: per wire and sample the label pair masked with the inference's
+// next two pool halves) and MsgInferTables (garbled tables, chunked at
+// level boundaries). Every payload is wire-major with samples innermost:
+// gate rank i, sample s of a level's tables lies at (i·B+s)·TableSize.
+// The answer is MsgInferOutputs (id, the output labels). An inference owns
+// B·W pool entries, sample s's bit c at q0 + s·W + c; ranges are handed
+// out in begin order.
 //
 // Up to the announced window of inferences may be in flight; answers come
 // back in completion order. Between bursts the server may announce a pool
@@ -75,7 +72,7 @@ import (
 // when it next reads. Without a pool every evaluator-input step is instead
 // a direct IKNP round trip (MsgOTExtU from the server, MsgOTExtY back).
 // MsgEndSession from the client ends the session.
-const protocolHello = "deepsecure/8"
+const protocolHello = "deepsecure/9"
 
 // BusyError is returned by NewSession when the server sheds the session
 // at admission (MsgBusy): the server is saturated and asks
@@ -458,10 +455,11 @@ type Session struct {
 	inflight []*PendingInference
 
 	// The session's garbling engine state, reused across inferences: the
-	// worker pool (with its per-worker hashers), the recycled table-chunk
-	// ring, the label payload buffer (input labels and masked weight-label
-	// pairs alike), and the begin-frame tag scratch (pre-sized so
-	// AppendTag never reallocates on the per-inference path).
+	// worker pool (a view of the shared scheduler), the recycled
+	// table-chunk ring, the label payload buffer (input labels and masked
+	// weight-label pairs alike), and the begin-frame tag scratch
+	// (pre-sized so AppendTag never reallocates on the per-inference
+	// path).
 	cfg      EngineConfig
 	pool     *gc.Pool
 	freeBufs chan []byte
@@ -500,18 +498,17 @@ func (v clientOTConn) Recv(want transport.MsgType) ([]byte, error) {
 }
 
 func (v clientOTConn) RecvAny(want ...transport.MsgType) (transport.MsgType, []byte, error) {
-	// Stack-allocated want set for the per-batch hot path (the pools ask
+	// Stack-allocated want set for the per-step hot path (the pools ask
 	// for at most three types).
-	var buf [5]transport.MsgType
-	wants := append(buf[:0], want...)
-	wants = append(wants, transport.MsgInferOutputs, transport.MsgBatchOutputs)
+	var buf [4]transport.MsgType
+	wants := append(append(buf[:0], want...), transport.MsgInferOutputs)
 	for {
 		typ, p, err := v.s.conn.RecvAny(wants...)
 		if err != nil {
 			return 0, nil, err
 		}
-		if typ == transport.MsgInferOutputs || typ == transport.MsgBatchOutputs {
-			if err := v.s.resolveOutput(typ, p); err != nil {
+		if typ == transport.MsgInferOutputs {
+			if err := v.s.resolveOutput(p); err != nil {
 				return 0, nil, err
 			}
 			continue
@@ -520,40 +517,29 @@ func (v clientOTConn) RecvAny(want ...transport.MsgType) (transport.MsgType, []b
 	}
 }
 
-// garbleConn is the garble engine's view for one inference sub-stream,
-// single or batched: the engine's logical frames go out tagged with the
-// inference id as the sub-stream's const/inputs/masked/tables variants,
-// direct-IKNP frames pass through untagged, and receives route through
-// the output-resolving OT face.
+// garbleConn is the garble engine's view for one inference sub-stream:
+// the engine's logical frames go out tagged with the inference id as
+// their MsgInfer* variants, direct-IKNP frames pass through untagged, and
+// receives route through the output-resolving OT face.
 type garbleConn struct {
 	s  *Session
 	id uint64
-	// The sub-stream's tagged frame types: MsgInfer* for a single
-	// inference, MsgBatch* for a batch.
-	constT, inputsT, maskedT, tablesT transport.MsgType
-}
-
-func singleGarbleConn(s *Session, id uint64) garbleConn {
-	return garbleConn{s, id, transport.MsgInferConst, transport.MsgInferInputs, transport.MsgInferMasked, transport.MsgInferTables}
-}
-
-func batchGarbleConn(s *Session, id uint64) garbleConn {
-	return garbleConn{s, id, transport.MsgBatchConst, transport.MsgBatchInputs, transport.MsgBatchMasked, transport.MsgBatchTables}
 }
 
 func (v garbleConn) Send(t transport.MsgType, payload []byte) error {
 	switch t {
 	case transport.MsgConstLabels:
-		return v.s.conn.SendTagged(v.constT, v.id, payload)
+		t = transport.MsgInferConst
 	case transport.MsgInputLabels:
-		return v.s.conn.SendTagged(v.inputsT, v.id, payload)
+		t = transport.MsgInferInputs
 	case transport.MsgOTMasked:
-		return v.s.conn.SendTagged(v.maskedT, v.id, payload)
+		t = transport.MsgInferMasked
 	case transport.MsgTables:
-		return v.s.conn.SendTagged(v.tablesT, v.id, payload)
+		t = transport.MsgInferTables
 	default:
 		return v.s.conn.Send(t, payload)
 	}
+	return v.s.conn.SendTagged(t, v.id, payload)
 }
 
 func (v garbleConn) Flush() error { return v.s.conn.Flush() }
@@ -695,15 +681,14 @@ func (s *Session) MaxBatch() int { return s.maxBatch }
 
 // PendingInference is an inference whose garbled stream is on the wire
 // but whose output labels may not have returned yet. Wait blocks until
-// the result is in, driving the session's receive side as needed. The
-// same structure backs batched inferences (batch > 1, wrapped in a
-// PendingBatch): outZero is wire-major with samples innermost and
-// deltas holds each sample's Free-XOR offset.
+// the result is in, driving the session's receive side as needed. It
+// holds batch ≥ 1 samples (more than one when wrapped in a PendingBatch):
+// outZero is wire-major with samples innermost and deltas holds each
+// sample's Free-XOR offset.
 type PendingInference struct {
 	s       *Session
 	id      uint64
 	batch   int
-	batched bool // opened as a MsgBatchBegin sub-stream
 	deltas  []gc.Label
 	outZero []gc.Label
 	start   time.Time
@@ -716,7 +701,7 @@ type PendingInference struct {
 	// itself, with its schedule-sized label array, is released as soon
 	// as the stream is flushed). A bank hit garbles nothing online, so
 	// its gateTime is zero while the gate counters still report the
-	// banked execution's circuit size.
+	// circuit's size.
 	andGates  int64
 	freeGates int64
 	gateTime  time.Duration
@@ -761,14 +746,14 @@ func (p *PendingInference) Done() bool { return p.done }
 // to, or a pool refill announcement, which is answered on the spot.
 // Callers loop until the result they wait for is in.
 func (s *Session) resolveNext() error {
-	typ, payload, err := s.conn.RecvAny(transport.MsgInferOutputs, transport.MsgBatchOutputs, transport.MsgOTRefill)
+	typ, payload, err := s.conn.RecvAny(transport.MsgInferOutputs, transport.MsgOTRefill)
 	if err != nil {
 		return err
 	}
 	if typ == transport.MsgOTRefill {
 		return s.ots.HandleRefill(payload)
 	}
-	return s.resolveOutput(typ, payload)
+	return s.resolveOutput(payload)
 }
 
 // reserveOTs assigns the next b samples' worth of the session's OT pool to
@@ -782,9 +767,9 @@ func (s *Session) reserveOTs(b int) (precomp.Range, error) {
 // resolveOutput authenticates one output-label frame against its
 // in-flight inference and settles the result (§2.2.2 step iv): a
 // tampered or corrupted evaluation cannot yield a silently wrong label,
-// it fails here. Batched inferences resolve all B sample labels from
-// their single MsgBatchOutputs frame (wire-major, samples innermost).
-func (s *Session) resolveOutput(typ transport.MsgType, payload []byte) error {
+// it fails here. All B sample labels of the inference resolve from its
+// single output frame (wire-major, samples innermost).
+func (s *Session) resolveOutput(payload []byte) error {
 	id, content, err := transport.SplitTag(payload)
 	if err != nil {
 		return err
@@ -800,9 +785,6 @@ func (s *Session) resolveOutput(typ transport.MsgType, payload []byte) error {
 		return fmt.Errorf("core: output frame for unknown inference %d", id)
 	}
 	p := s.inflight[idx]
-	if p.batched != (typ == transport.MsgBatchOutputs) {
-		return fmt.Errorf("core: %v frame for inference %d does not match its sub-stream kind", typ, id)
-	}
 	if len(content) != len(p.outZero)*gc.LabelSize {
 		return fmt.Errorf("core: output-label frame has %d bytes, want %d",
 			len(content), len(p.outZero)*gc.LabelSize)
@@ -857,179 +839,23 @@ func (s *Session) resolveOutput(typ transport.MsgType, payload []byte) error {
 }
 
 // InferAsync garbles and streams one inference without waiting for its
-// result: the cross-inference pipelining entry point. While the window
-// has room it returns as soon as the garbled stream is flushed — the
-// output round-trip and the server's evaluation tail overlap the next
-// InferAsync's garbling. When the window is full it first settles the
-// oldest in-flight result.
+// result: the cross-inference pipelining entry point, InferBatchAsync of
+// one sample. While the window has room it returns as soon as the garbled
+// stream is flushed — the output round-trip and the server's evaluation
+// tail overlap the next InferAsync's garbling. When the window is full it
+// first settles the oldest in-flight result.
 func (s *Session) InferAsync(x []float64) (*PendingInference, error) {
-	if s.closed {
-		return nil, errors.New("core: session is closed")
-	}
-	if s.failed {
-		return nil, errors.New("core: session is broken by an earlier protocol error")
-	}
-	if got, want := len(x), s.inputLen; got != want {
-		// Validated before any frame is sent: the session stays usable.
-		return nil, fmt.Errorf("core: sample has %d features, model wants %d", got, want)
-	}
-	for len(s.inflight) >= s.window {
-		if err := s.resolveNext(); err != nil {
-			s.failed = true
-			return nil, err
-		}
-	}
-	bits := make([]bool, 0, len(x)*s.f.Bits())
-	for _, v := range x {
-		bits = append(bits, s.f.FromFloatSat(v).Bits()...)
-	}
-
-	// Any error past this point leaves the wire mid-inference: mark the
-	// session broken so a retry can't desynchronize the protocol.
-	fail := func(err error) (*PendingInference, error) {
-		s.failed = true
+	pb, err := s.InferBatchAsync([][]float64{x})
+	if err != nil {
 		return nil, err
 	}
-	id := s.nextID
-	s.nextID++
-	p := &PendingInference{
-		s:     s,
-		id:    id,
-		batch: 1,
-		start: time.Now(),
-		sent0: s.conn.BytesSent.Load(),
-		recv0: s.conn.BytesReceived.Load(),
-		ot0:   s.ots.Stats(),
-	}
-	s.tagBuf = transport.AppendTag(s.tagBuf[:0], id)
-	if err := s.conn.Send(transport.MsgInferBegin, s.tagBuf); err != nil {
-		return fail(err)
-	}
-	otr, err := s.reserveOTs(1)
-	if err != nil {
-		return fail(err)
-	}
-	// Garble-ahead fast path: a banked execution already holds this
-	// inference's delta, labels, and full table stream — the online work
-	// is label selection and zero-copy stream writes, byte-identical to
-	// what live garbling would produce from the same rng state. A miss
-	// (bank off, drained, or its spilled tables unreadable — the take
-	// error degrades to a miss because the live path below is always
-	// correct) falls through to live garbling.
-	if s.bank != nil {
-		ex, _ := s.bank.Take()
-		if ex != nil {
-			return s.inferBanked(p, id, otr, bits, ex)
-		}
-		p.bankMiss = true
-		s.bankMisses++
-	}
-	// Fresh garbling state per inference: a new Free-XOR delta and new
-	// wire labels, so transcripts of different inferences are unlinkable.
-	g, err := gc.NewGarbler(s.rng)
-	if err != nil {
-		return fail(err)
-	}
-	lf, lt, err := g.ConstLabels()
-	if err != nil {
-		return fail(err)
-	}
-	constPayload := append(append(s.labelBuf[:0], lf[:]...), lt[:]...)
-	if err := s.conn.SendTagged(transport.MsgInferConst, id, constPayload); err != nil {
-		return fail(err)
-	}
-	en := &garbleEngine{
-		sched:     s.prog.Schedule,
-		g:         g,
-		pool:      s.pool,
-		conn:      singleGarbleConn(s, id),
-		ots:       s.ots,
-		otr:       otr,
-		cfg:       s.cfg,
-		inputBits: bits,
-		labelBuf:  s.labelBuf[:0],
-		// outZero is NOT recycled across inferences here: in-flight
-		// inferences hold theirs until their outputs authenticate.
-		cur:  s.chunkBuf,
-		free: s.freeBufs,
-	}
-	if err := en.run(); err != nil {
-		return fail(err)
-	}
-	if err := s.conn.Flush(); err != nil {
-		return fail(err)
-	}
-	p.flushed = time.Now()
-	obs.ObservePhase(obs.PhaseGarbleLive, en.gateTime)
-	obs.ObservePhase(obs.PhaseTableWrite, en.writeTime)
-	// Hand the grown buffers back for the next inference on this session.
-	s.chunkBuf = en.cur
-	s.labelBuf = en.labelBuf
-	// Keep only what output authentication needs: the garbler (with its
-	// schedule-sized label array) is released here, not when the outputs
-	// return.
-	p.deltas = []gc.Label{g.R}
-	p.outZero = en.outZero
-	p.andGates = g.ANDGates
-	p.freeGates = g.FreeGates
-	p.gateTime = en.gateTime
-	s.inflight = append(s.inflight, p)
-	return p, nil
+	return pb.p, nil
 }
 
-// inferBanked streams one banked execution as inference id's sub-stream
-// (the begin frame is already out). The execution is off the bank for
-// good: on a mid-stream error it is released and discarded with the
-// broken session — single-use, never re-issued.
-func (s *Session) inferBanked(p *PendingInference, id uint64, otr precomp.Range, bits []bool, ex *bank.Execution) (*PendingInference, error) {
-	fail := func(err error) (*PendingInference, error) {
-		ex.Release()
-		s.failed = true
-		return nil, err
-	}
-	constPayload := append(append(s.labelBuf[:0], ex.ConstFalse[:]...), ex.ConstTrue[:]...)
-	if err := s.conn.SendTagged(transport.MsgInferConst, id, constPayload); err != nil {
-		return fail(err)
-	}
-	en := &bankStreamEngine{
-		sched:     s.prog.Schedule,
-		ex:        ex,
-		conn:      singleGarbleConn(s, id),
-		ots:       s.ots,
-		otr:       otr,
-		cfg:       s.cfg,
-		inputBits: bits,
-		labelBuf:  s.labelBuf[:0],
-	}
-	// The bank hit's online cost IS the streaming: label selection plus
-	// zero-copy stream writes, garbling excluded — the garble_bank span
-	// covers the run and its flush.
-	sp := obs.Span(obs.PhaseGarbleBank)
-	if err := en.run(); err != nil {
-		return fail(err)
-	}
-	if err := s.conn.Flush(); err != nil {
-		return fail(err)
-	}
-	sp.End()
-	p.flushed = time.Now()
-	s.labelBuf = en.labelBuf
-	// Output authentication keeps value copies of the delta and the
-	// zero-labels; the streamed material is zeroed now.
-	p.deltas = []gc.Label{ex.R}
-	p.outZero = ex.OutZero
-	p.andGates = ex.ANDGates
-	p.freeGates = ex.FreeGates
-	p.bankHit = true
-	ex.Release()
-	s.bankHits++
-	s.inflight = append(s.inflight, p)
-	return p, nil
-}
-
-// PendingBatch is a batched inference whose fused garbled stream is on
-// the wire but whose output labels may not have returned yet: the
-// batch counterpart of PendingInference, returned by InferBatchAsync.
+// PendingBatch is an inference of several samples whose fused garbled
+// stream is on the wire but whose output labels may not have returned
+// yet: PendingInference with every sample's label, returned by
+// InferBatchAsync.
 type PendingBatch struct {
 	p *PendingInference
 }
@@ -1052,15 +878,14 @@ func (pb *PendingBatch) Done() bool { return pb.p.done }
 // Size returns the batch's sample count.
 func (pb *PendingBatch) Size() int { return pb.p.batch }
 
-// InferBatchAsync garbles and streams one batched inference of
-// len(xs) independent samples as a single fused pass — one schedule
-// walk, one interleaved table stream, and one OT transfer per input step
-// for the whole batch — without waiting for
-// the results. The batch occupies one slot of the pipeline window, so
-// batches and single inferences compose on one session. Validation
-// errors (empty batch, batch beyond the negotiated MaxBatch, ragged
-// sample widths) are reported before any frame is sent and leave the
-// session usable.
+// InferBatchAsync garbles and streams one inference of len(xs)
+// independent samples as a single fused pass — one schedule walk, one
+// interleaved table stream, and one OT transfer per input step for the
+// whole batch — without waiting for the results. The batch occupies one
+// slot of the pipeline window whatever its size. Validation errors
+// (empty batch, batch beyond the negotiated MaxBatch, wrong sample
+// widths) are reported before any frame is sent and leave the session
+// usable.
 func (s *Session) InferBatchAsync(xs [][]float64) (*PendingBatch, error) {
 	if s.closed {
 		return nil, errors.New("core: session is closed")
@@ -1077,7 +902,7 @@ func (s *Session) InferBatchAsync(xs [][]float64) (*PendingBatch, error) {
 	}
 	for i, x := range xs {
 		if got, want := len(x), s.inputLen; got != want {
-			return nil, fmt.Errorf("core: batch sample %d has %d features, model wants %d", i, got, want)
+			return nil, fmt.Errorf("core: sample %d has %d features, model wants %d", i, got, want)
 		}
 	}
 	for len(s.inflight) >= s.window {
@@ -1103,58 +928,68 @@ func (s *Session) InferBatchAsync(xs [][]float64) (*PendingBatch, error) {
 	id := s.nextID
 	s.nextID++
 	p := &PendingInference{
-		s:       s,
-		id:      id,
-		batch:   b,
-		batched: true,
-		start:   time.Now(),
-		sent0:   s.conn.BytesSent.Load(),
-		recv0:   s.conn.BytesReceived.Load(),
-		ot0:     s.ots.Stats(),
+		s:     s,
+		id:    id,
+		batch: b,
+		start: time.Now(),
+		sent0: s.conn.BytesSent.Load(),
+		recv0: s.conn.BytesReceived.Load(),
+		ot0:   s.ots.Stats(),
 	}
 	s.tagBuf = transport.AppendTag(transport.AppendTag(s.tagBuf[:0], id), uint64(b))
-	if err := s.conn.Send(transport.MsgBatchBegin, s.tagBuf); err != nil {
+	if err := s.conn.Send(transport.MsgInferBegin, s.tagBuf); err != nil {
 		return fail(err)
 	}
 	otr, err := s.reserveOTs(b)
 	if err != nil {
 		return fail(err)
 	}
-	// Garble-ahead fast path: a batch consumes B banked single
-	// executions (all-or-nothing) and interleaves their table streams
-	// into the fused wire format — each sample keeps its own delta and
-	// labels, exactly as the live batch garbler would have drawn them.
+	// Table source. Garble-ahead fast path: b banked executions
+	// (all-or-nothing) already hold the samples' deltas, labels and full
+	// table streams, so the online work is label selection and copying
+	// tables into the stream. They are off the bank for good: released
+	// when this call returns, mid-stream error included — single-use,
+	// never re-issued. A miss (bank off, drained, or its spilled tables
+	// unreadable — the take error degrades to a miss because live garbling
+	// is always correct) garbles live.
+	var src tableSource
 	if s.bank != nil {
 		exs, _ := s.bank.TakeN(b)
 		if exs != nil {
-			return s.inferBatchBanked(p, id, otr, bits, exs)
+			defer func() {
+				for _, ex := range exs {
+					ex.Release()
+				}
+			}()
+			src = newBankSource(exs)
+			p.bankHit = true
+			s.bankHits += int64(b)
+		} else {
+			p.bankMiss = true
+			s.bankMisses += int64(b)
 		}
-		p.bankMiss = true
-		s.bankMisses += int64(b)
 	}
-	// Fresh garbling state per sample: every sample has its own Free-XOR
-	// delta and its own wire labels, so the samples of a batch are as
-	// unlinkable as separate inferences.
-	bg, err := gc.NewBatchGarbler(s.rng, b)
+	if src == nil {
+		if src, err = newLiveSource(s.rng, b, s.prog.Schedule, s.pool); err != nil {
+			return fail(err)
+		}
+	}
+	streamStart := time.Now()
+	constPayload, err := src.consts(s.labelBuf[:0])
 	if err != nil {
 		return fail(err)
 	}
-	constPayload, err := bg.AppendConstLabels(s.labelBuf[:0])
-	if err != nil {
+	conn := garbleConn{s, id}
+	if err := conn.Send(transport.MsgConstLabels, constPayload); err != nil {
 		return fail(err)
 	}
-	if err := s.conn.SendTagged(transport.MsgBatchConst, id, constPayload); err != nil {
-		return fail(err)
-	}
-	en := &batchGarbleEngine{
+	en := &garbleEngine{
 		sched:     s.prog.Schedule,
-		g:         bg,
-		pool:      s.pool,
-		conn:      batchGarbleConn(s, id),
+		src:       src,
+		conn:      conn,
 		ots:       s.ots,
 		otr:       otr,
 		cfg:       s.cfg,
-		b:         b,
 		inputBits: bits,
 		labelBuf:  constPayload[:0],
 		// outZero is NOT recycled across inferences here: in-flight
@@ -1169,87 +1004,28 @@ func (s *Session) InferBatchAsync(xs [][]float64) (*PendingBatch, error) {
 		return fail(err)
 	}
 	p.flushed = time.Now()
-	obs.ObservePhase(obs.PhaseGarbleLive, en.gateTime)
-	obs.ObservePhase(obs.PhaseTableWrite, en.writeTime)
+	// Hand the grown buffers back for the next inference on this session.
 	s.chunkBuf = en.cur
 	s.labelBuf = en.labelBuf
-	p.deltas = bg.R
+	// Keep only what output authentication needs — the deltas and the
+	// output zero-labels: the garbler (with its schedule-sized label
+	// array) or the banked material is released here, not when the
+	// outputs return. Gate-instance counts derive from the schedule,
+	// walked once per sample.
+	p.deltas = src.deltas()
 	p.outZero = en.outZero
-	p.andGates = bg.ANDGates
-	p.freeGates = bg.FreeGates
-	p.gateTime = en.gateTime
-	s.inflight = append(s.inflight, p)
-	return &PendingBatch{p: p}, nil
-}
-
-// inferBatchBanked streams B banked executions as batch id's fused
-// sub-stream (the begin frame is already out). Like the single path,
-// the executions are gone from the bank whatever happens: a mid-stream
-// error discards them with the broken session.
-func (s *Session) inferBatchBanked(p *PendingInference, id uint64, otr precomp.Range, bits [][]bool, exs []*bank.Execution) (*PendingBatch, error) {
-	b := len(exs)
-	release := func() {
-		for _, ex := range exs {
-			ex.Release()
-		}
+	p.andGates = s.prog.Schedule.ANDs * int64(b)
+	p.freeGates = (int64(len(s.prog.Schedule.Gates)) - s.prog.Schedule.ANDs) * int64(b)
+	if p.bankHit {
+		// A hit's online cost IS the streaming — label selection, table
+		// copies and writes, garbling excluded: the garble_bank phase
+		// covers the walk and its flush.
+		obs.ObservePhase(obs.PhaseGarbleBank, p.flushed.Sub(streamStart))
+	} else {
+		obs.ObservePhase(obs.PhaseGarbleLive, en.gateTime)
+		obs.ObservePhase(obs.PhaseTableWrite, en.writeTime)
+		p.gateTime = en.gateTime
 	}
-	fail := func(err error) (*PendingBatch, error) {
-		release()
-		s.failed = true
-		return nil, err
-	}
-	// Const payload in the batch wire layout: the B false-labels, then
-	// the B true-labels.
-	constPayload := s.labelBuf[:0]
-	for _, ex := range exs {
-		constPayload = append(constPayload, ex.ConstFalse[:]...)
-	}
-	for _, ex := range exs {
-		constPayload = append(constPayload, ex.ConstTrue[:]...)
-	}
-	if err := s.conn.SendTagged(transport.MsgBatchConst, id, constPayload); err != nil {
-		return fail(err)
-	}
-	en := &bankBatchEngine{
-		sched:     s.prog.Schedule,
-		exs:       exs,
-		conn:      batchGarbleConn(s, id),
-		ots:       s.ots,
-		otr:       otr,
-		cfg:       s.cfg,
-		b:         b,
-		inputBits: bits,
-		labelBuf:  constPayload[:0],
-		cur:       s.chunkBuf,
-		free:      s.freeBufs,
-	}
-	// Bank-hit online cost: the interleave copy plus stream writes (see
-	// inferBanked — same phase, fused wire format).
-	sp := obs.Span(obs.PhaseGarbleBank)
-	if err := en.run(); err != nil {
-		return fail(err)
-	}
-	if err := s.conn.Flush(); err != nil {
-		return fail(err)
-	}
-	sp.End()
-	p.flushed = time.Now()
-	s.chunkBuf = en.cur
-	s.labelBuf = en.labelBuf
-	p.deltas = make([]gc.Label, b)
-	outWires := len(exs[0].OutZero)
-	p.outZero = make([]gc.Label, outWires*b)
-	for sm, ex := range exs {
-		p.deltas[sm] = ex.R
-		for i := 0; i < outWires; i++ {
-			p.outZero[i*b+sm] = ex.OutZero[i]
-		}
-		p.andGates += ex.ANDGates
-		p.freeGates += ex.FreeGates
-	}
-	p.bankHit = true
-	release()
-	s.bankHits += int64(b)
 	s.inflight = append(s.inflight, p)
 	return &PendingBatch{p: p}, nil
 }
@@ -1408,11 +1184,12 @@ func (c *Client) InferMany(conn *transport.Conn, xs [][]float64) ([]int, *Stats,
 }
 
 // InferBatch opens one session, classifies every sample in a single
-// fused batched inference, and closes the session: one handshake, one
-// OT base phase, one schedule walk, one interleaved table stream, and
-// one OT transfer per input step for the whole batch. len(xs) must fit the negotiated batch cap (the
-// min of this client's EngineConfig.MaxBatch and the server's
-// announcement); for larger workloads, split into batches on an open
+// fused inference, and closes the session: one handshake, one OT base
+// phase, one schedule walk, one interleaved table stream, and one OT
+// transfer per input step for the whole batch. len(xs) must fit the
+// negotiated batch cap (the min of this client's EngineConfig.MaxBatch
+// and the server's announcement); for larger workloads, split into
+// batches on an open
 // Session (InferBatch/InferBatchAsync compose with the pipeline
 // window) or fall back to InferMany. The returned stats are session
 // totals.

@@ -70,13 +70,6 @@ type Config struct {
 // Enabled reports whether this configuration turns banking on.
 func (c Config) Enabled() bool { return c.Depth > 0 }
 
-// Effective returns the configuration with defaults resolved (the
-// low-water mark an enabled bank actually refills at).
-func (c Config) Effective() Config {
-	c.LowWater = c.lowWater()
-	return c
-}
-
 func (c Config) lowWater() int {
 	lw := c.Depth / 4
 	if c.LowWater > 0 {
@@ -454,15 +447,17 @@ func (b *Bank) Close() {
 // contiguously in run order, so the recorded bytes are what live
 // garbling would have streamed from the same rng state.
 func (b *Bank) garbleOne() (*Execution, error) {
-	g, err := gc.NewGarbler(b.rng)
+	g, err := gc.NewBatchGarbler(b.rng, 1)
 	if err != nil {
 		return nil, err
 	}
-	lf, lt, err := g.ConstLabels()
-	if err != nil {
+	ex := &Execution{R: g.R[0]}
+	if ex.ConstFalse, err = g.ActiveLabel(circuit.WFalse, 0, false); err != nil {
 		return nil, err
 	}
-	ex := &Execution{R: g.R, ConstFalse: lf, ConstTrue: lt}
+	if ex.ConstTrue, err = g.ActiveLabel(circuit.WTrue, 0, true); err != nil {
+		return nil, err
+	}
 	g.Grow(b.sched.NumWires)
 	for si := range b.sched.Steps {
 		st := &b.sched.Steps[si]
@@ -470,14 +465,17 @@ func (b *Bank) garbleOne() (*Execution, error) {
 		case circuit.StepInputs:
 			zs := make([]gc.Label, len(st.Wires))
 			for i, w := range st.Wires {
-				if zs[i], err = g.AssignInput(w); err != nil {
+				if err := g.AssignInput(w); err != nil {
+					return nil, err
+				}
+				if zs[i], err = g.ZeroLabel(w, 0); err != nil {
 					return nil, err
 				}
 			}
 			ex.InputZero = append(ex.InputZero, zs)
 		case circuit.StepOutputs:
 			for _, w := range st.Wires {
-				l, err := g.ZeroLabel(w)
+				l, err := g.ZeroLabel(w, 0)
 				if err != nil {
 					return nil, err
 				}
@@ -493,7 +491,7 @@ func (b *Bank) garbleOne() (*Execution, error) {
 				lv := &b.sched.Levels[li]
 				ands, frees := b.sched.LevelGates(lv)
 				need := lv.ANDs * gc.TableSize
-				if err := g.GarbleBatch(ands, frees, lv.GIDBase, run[off:off+need], b.pool); err != nil {
+				if err := g.GarbleLevel(ands, frees, lv.GIDBase, run[off:off+need], b.pool); err != nil {
 					return nil, err
 				}
 				off += need

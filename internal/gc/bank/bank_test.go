@@ -100,17 +100,16 @@ func (s *plainEval) OnOutputs(ws []uint32) error {
 
 func (s *plainEval) OnDrop(w uint32) error { return nil }
 
-// evalExecution runs a banked execution through gc.Evaluator against the
-// schedule, selecting input labels from the banked zero-labels and the
-// given bits, and decodes the outputs against OutZero — proving the
-// banked material is a complete, valid garbling.
+// evalExecution runs a banked execution through the per-gate reference
+// gc.Evaluator in schedule order (its internal AND counter then lands on
+// every level's GIDBase), selecting input labels from the banked
+// zero-labels and the given bits, and decodes the outputs against
+// OutZero — proving the banked material is a complete, valid garbling.
 func evalExecution(t *testing.T, sched *circuit.Schedule, ex *Execution, gBits, eBits []bool) []bool {
 	t.Helper()
 	e := gc.NewEvaluator()
 	e.SetLabel(circuit.WFalse, ex.ConstFalse)
 	e.SetLabel(circuit.WTrue, ex.ConstTrue)
-	e.Grow(sched.NumWires)
-	pool := gc.NewPool(1)
 	inOrd, tabOrd := 0, 0
 	gCur, eCur := gBits, eBits
 	var outs []bool
@@ -150,15 +149,17 @@ func evalExecution(t *testing.T, sched *circuit.Schedule, ex *Execution, gBits, 
 		case circuit.StepLevels:
 			run := ex.Tables[tabOrd]
 			tabOrd++
-			off := 0
 			for li := st.First; li < st.First+st.N; li++ {
-				lv := &sched.Levels[li]
-				ands, frees := sched.LevelGates(lv)
-				need := lv.ANDs * gc.TableSize
-				if err := e.EvaluateBatch(ands, frees, lv.GIDBase, run[off:off+need], pool); err != nil {
-					t.Fatal(err)
+				ands, frees := sched.LevelGates(&sched.Levels[li])
+				for _, gate := range append(append([]circuit.Gate{}, ands...), frees...) {
+					var err error
+					if run, err = e.Eval(gate, run); err != nil {
+						t.Fatal(err)
+					}
 				}
-				off += need
+			}
+			if len(run) != 0 {
+				t.Fatalf("run %d: %d table bytes left unevaluated", tabOrd-1, len(run))
 			}
 		}
 	}

@@ -9,15 +9,14 @@ import (
 	"deepsecure/internal/sched"
 )
 
-// This file is the level-batch face of the GC engine: where Garble/Eval
-// consume one gate at a time with implicit state (the internal AND
-// counter that keys hash tweaks, the append-grown table slice), the batch
-// APIs process a whole stratum of mutually independent gates — as
-// produced by circuit.NewSchedule — against explicit coordinates: the
-// level's global AND index base fixes every tweak, and each AND gate
-// writes its two ciphertexts at rank*TableSize inside a caller-provided
-// table block. Nothing depends on execution order inside a level, so a
-// Pool can stripe the gates across workers while the produced bytes stay
+// This file holds what the per-gate face (Garble/Eval) and the level
+// kernel (BatchGarbler.GarbleLevel/BatchEvaluator.EvaluateLevel, vec.go)
+// share: the worker Pool that stripes a level of mutually independent
+// gates — as produced by circuit.NewSchedule — and the half-gates AND
+// cryptography against explicit coordinates. A level's global AND index
+// base fixes every tweak, and each AND gate writes its two ciphertexts at
+// a rank-derived offset inside a caller-provided table block, so nothing
+// depends on execution order inside a level and the produced bytes are
 // identical for any worker count.
 
 // Pool is a reusable worker set for batch garbling/evaluation, in one
@@ -111,17 +110,14 @@ const (
 // AND gate to the first workers and leave the rest doing only label
 // XORs. Small batches run inline (goroutine handoff would cost more than
 // the AES work saved). The first error wins.
-func (p *Pool) run(nAND, nFree int, fn func(h *Hasher, andLo, andHi, freeLo, freeHi int) error) error {
-	return p.runScaled(nAND, nFree, 1, fn)
-}
-
-// runScaled is run with a per-gate work multiplier: the vectorized batch
-// engine processes scale (= batch size B) samples inside every gate
-// visit, so the fan-out thresholds compare nAND×scale gate-instances —
-// a level of 8 ANDs at B=16 is 128 AES-heavy units and worth striping —
-// while the spans handed to workers remain gate ranges (samples stay
-// innermost, per worker, for cache locality).
-func (p *Pool) runScaled(nAND, nFree, scale int, fn func(h *Hasher, andLo, andHi, freeLo, freeHi int) error) error {
+//
+// scale is the per-gate work multiplier: the level kernel processes
+// scale (= batch size B) samples inside every gate visit, so the fan-out
+// thresholds compare nAND×scale gate-instances — a level of 8 ANDs at
+// B=16 is 128 AES-heavy units and worth striping — while the spans
+// handed to workers remain gate ranges (samples stay innermost, per
+// worker, for cache locality).
+func (p *Pool) run(nAND, nFree, scale int, fn func(h *Hasher, andLo, andHi, freeLo, freeHi int) error) error {
 	w := p.Workers()
 	if n := nAND + nFree; w > n {
 		w = n
@@ -197,122 +193,10 @@ func (p *Pool) runScaled(nAND, nFree, scale int, fn func(h *Hasher, andLo, andHi
 	return nil
 }
 
-// Grow pre-sizes the garbler's label storage for wires [0, n). Batch
-// calls never grow storage (growth would race between workers), so the
-// engine must Grow to the schedule's namespace once per inference.
-// Unlike the incremental ensure, Grow allocates the exact final size in
-// one step — a fresh garbler per inference would otherwise pay ~2× the
-// label array in append-doubling garbage.
-func (g *Garbler) Grow(n uint32) {
-	if uint32(len(g.labels)) >= n {
-		return
-	}
-	labels := make([]Label, n)
-	copy(labels, g.labels)
-	g.labels = labels
-	have := make([]bool, n)
-	copy(have, g.have)
-	g.have = have
-}
-
-// Grow pre-sizes the evaluator's label storage for wires [0, n) in one
-// exact-size allocation.
-func (e *Evaluator) Grow(n uint32) {
-	if uint32(len(e.labels)) >= n {
-		return
-	}
-	labels := make([]Label, n)
-	copy(labels, e.labels)
-	e.labels = labels
-	have := make([]bool, n)
-	copy(have, e.have)
-	e.have = have
-}
-
-// GarbleBatch garbles one level of mutually independent gates: ands are
-// the level's AND gates and frees its XOR/INV gates. The i-th AND gate
-// has global AND index gidBase+i (keying its hash tweaks) and writes its
-// two half-gate ciphertexts at table[i*TableSize:]; table must therefore
-// hold exactly len(ands)*TableSize bytes. Gates are striped over pool's
-// workers; the caller must guarantee level independence (distinct output
-// wires, no gate reading a wire another gate in the batch writes) — which
-// circuit.NewSchedule establishes — and must have Grown the garbler past
-// every wire id in the batch.
-func (g *Garbler) GarbleBatch(ands, frees []circuit.Gate, gidBase uint64, table []byte, pool *Pool) error {
-	if len(table) != len(ands)*TableSize {
-		return fmt.Errorf("gc: garble batch table is %d bytes, want %d", len(table), len(ands)*TableSize)
-	}
-	err := pool.run(len(ands), len(frees), func(h *Hasher, andLo, andHi, freeLo, freeHi int) error {
-		// Gather garbleUnits AND gates per multi-lane hash flush; level
-		// independence makes the deferred output-label writes safe.
-		var us [garbleUnits]andUnit
-		var outs [garbleUnits]Label
-		var outw [garbleUnits]uint32
-		nu := 0
-		flush := func() error {
-			garbleANDWide(h, &us, nu)
-			for k := 0; k < nu; k++ {
-				if err := g.setLabel(outw[k], outs[k]); err != nil {
-					return err
-				}
-			}
-			nu = 0
-			return nil
-		}
-		for i := andLo; i < andHi; i++ {
-			gate := ands[i]
-			a0, err := g.ZeroLabel(gate.A)
-			if err != nil {
-				return err
-			}
-			b0, err := g.ZeroLabel(gate.B)
-			if err != nil {
-				return err
-			}
-			gid := gidBase + uint64(i)
-			us[nu] = andUnit{
-				a0: a0, b0: b0, r: g.R, r2: g.r2,
-				j0: 2 * gid, j1: 2*gid + 1,
-				dst: table[i*TableSize : (i+1)*TableSize],
-				out: &outs[nu],
-			}
-			outw[nu] = gate.Out
-			nu++
-			if nu == garbleUnits {
-				if err := flush(); err != nil {
-					return err
-				}
-			}
-		}
-		if err := flush(); err != nil {
-			return err
-		}
-		for i := freeLo; i < freeHi; i++ {
-			if err := g.garbleFree(frees[i]); err != nil {
-				return err
-			}
-		}
-		return nil
-	})
-	if err != nil {
-		return err
-	}
-	g.ANDGates += int64(len(ands))
-	g.FreeGates += int64(len(frees))
-	return nil
-}
-
-func (g *Garbler) setLabel(w uint32, l Label) error {
-	if uint32(len(g.labels)) <= w {
-		return fmt.Errorf("gc: garbler label storage not grown past wire %d", w)
-	}
-	g.labels[w] = l
-	g.have[w] = true
-	return nil
-}
-
 // garbleAND is the half-gates AND garbler against explicit coordinates:
-// hasher h, global AND index gid, destination table block dst.
+// hasher h, global AND index gid, destination table block dst. Like
+// garbleFree it writes the output label in place: Garble has grown the
+// storage past gate.Out.
 func (g *Garbler) garbleAND(h *Hasher, gate circuit.Gate, gid uint64, dst []byte) error {
 	a0, err := g.ZeroLabel(gate.A)
 	if err != nil {
@@ -326,7 +210,8 @@ func (g *Garbler) garbleAND(h *Hasher, gate circuit.Gate, gid uint64, dst []byte
 	var out Label
 	us[0] = andUnit{a0: a0, b0: b0, r: g.R, r2: g.r2, j0: 2 * gid, j1: 2*gid + 1, dst: dst, out: &out}
 	garbleANDWide(h, &us, 1)
-	return g.setLabel(gate.Out, out)
+	g.labels[gate.Out], g.have[gate.Out] = out, true
+	return nil
 }
 
 // garbleUnits is how many AND gate-instances fill the hasher's lanes on
@@ -401,9 +286,9 @@ func garbleANDWide(h *Hasher, us *[garbleUnits]andUnit, n int) {
 	}
 }
 
-// garbleFree handles the tableless gates (XOR, INV) in batch mode.
+// garbleFree handles the tableless gates (XOR, INV).
 func (g *Garbler) garbleFree(gate circuit.Gate) error {
-	a, err := g.ZeroLabel(gate.A)
+	out, err := g.ZeroLabel(gate.A)
 	if err != nil {
 		return err
 	}
@@ -413,82 +298,13 @@ func (g *Garbler) garbleFree(gate circuit.Gate) error {
 		if err != nil {
 			return err
 		}
-		return g.setLabel(gate.Out, a.XOR(b))
+		out = out.XOR(b)
 	case circuit.INV:
-		return g.setLabel(gate.Out, a.XOR(g.R))
+		out = out.XOR(g.R)
 	default:
-		return fmt.Errorf("gc: cannot batch-garble op %v", gate.Op)
+		return fmt.Errorf("gc: cannot garble op %v", gate.Op)
 	}
-}
-
-// EvaluateBatch evaluates one level of mutually independent gates, the
-// mirror of GarbleBatch: the i-th AND gate consumes the TableSize bytes
-// at table[i*TableSize:] under tweaks derived from gidBase+i. The same
-// independence and Grow preconditions apply.
-func (e *Evaluator) EvaluateBatch(ands, frees []circuit.Gate, gidBase uint64, table []byte, pool *Pool) error {
-	if len(table) != len(ands)*TableSize {
-		return fmt.Errorf("gc: evaluate batch table is %d bytes, want %d", len(table), len(ands)*TableSize)
-	}
-	return pool.run(len(ands), len(frees), func(h *Hasher, andLo, andHi, freeLo, freeHi int) error {
-		// Gather evalUnits AND gates per multi-lane hash flush, the mirror
-		// of the GarbleBatch gathering.
-		var us [evalUnits]evalUnit
-		var outs [evalUnits]Label
-		var outw [evalUnits]uint32
-		nu := 0
-		flush := func() error {
-			evalANDWide(h, &us, nu)
-			for k := 0; k < nu; k++ {
-				if err := e.setBatchLabel(outw[k], outs[k]); err != nil {
-					return err
-				}
-			}
-			nu = 0
-			return nil
-		}
-		for i := andLo; i < andHi; i++ {
-			gate := ands[i]
-			a, err := e.Label(gate.A)
-			if err != nil {
-				return err
-			}
-			b, err := e.Label(gate.B)
-			if err != nil {
-				return err
-			}
-			gid := gidBase + uint64(i)
-			us[nu] = evalUnit{
-				a: a, b: b,
-				j0: 2 * gid, j1: 2*gid + 1,
-				tab: table[i*TableSize : (i+1)*TableSize],
-				out: &outs[nu],
-			}
-			outw[nu] = gate.Out
-			nu++
-			if nu == evalUnits {
-				if err := flush(); err != nil {
-					return err
-				}
-			}
-		}
-		if err := flush(); err != nil {
-			return err
-		}
-		for i := freeLo; i < freeHi; i++ {
-			if err := e.evalFree(frees[i]); err != nil {
-				return err
-			}
-		}
-		return nil
-	})
-}
-
-func (e *Evaluator) setBatchLabel(w uint32, l Label) error {
-	if uint32(len(e.labels)) <= w {
-		return fmt.Errorf("gc: evaluator label storage not grown past wire %d", w)
-	}
-	e.labels[w] = l
-	e.have[w] = true
+	g.labels[gate.Out], g.have[gate.Out] = out, true
 	return nil
 }
 
@@ -506,7 +322,8 @@ func (e *Evaluator) evalAND(h *Hasher, gate circuit.Gate, gid uint64, tab []byte
 	var out Label
 	us[0] = evalUnit{a: a, b: b, j0: 2 * gid, j1: 2*gid + 1, tab: tab, out: &out}
 	evalANDWide(h, &us, 1)
-	return e.setBatchLabel(gate.Out, out)
+	e.labels[gate.Out], e.have[gate.Out] = out, true
+	return nil
 }
 
 // evalUnit is one staged AND gate-instance on the evaluate side: the two
@@ -548,9 +365,9 @@ func evalANDWide(h *Hasher, us *[evalUnits]evalUnit, n int) {
 	}
 }
 
-// evalFree handles the tableless gates (XOR, INV) in batch mode.
+// evalFree handles the tableless gates (XOR, INV).
 func (e *Evaluator) evalFree(gate circuit.Gate) error {
-	a, err := e.Label(gate.A)
+	out, err := e.Label(gate.A)
 	if err != nil {
 		return err
 	}
@@ -560,12 +377,13 @@ func (e *Evaluator) evalFree(gate circuit.Gate) error {
 		if err != nil {
 			return err
 		}
-		return e.setBatchLabel(gate.Out, a.XOR(b))
+		out = out.XOR(b)
 	case circuit.INV:
 		// Free inversion: the label carries through; only the garbler's
 		// semantics map flips.
-		return e.setBatchLabel(gate.Out, a)
 	default:
-		return fmt.Errorf("gc: cannot batch-evaluate op %v", gate.Op)
+		return fmt.Errorf("gc: cannot evaluate op %v", gate.Op)
 	}
+	e.labels[gate.Out], e.have[gate.Out] = out, true
+	return nil
 }

@@ -56,14 +56,14 @@ func TestIsZero(t *testing.T) {
 	}
 }
 
-// independentLevel builds a batch of mutually independent gates over
-// pre-assigned input wires: nAND AND gates followed by free gates, with
-// disjoint output wires.
-func independentLevel(t *testing.T, g *Garbler, rng *rand.Rand, nAND, nFree int) (ands, frees []circuit.Gate, maxWire uint32) {
+// independentLevel builds a level of mutually independent gates over
+// input wires 2..17 (assigned through assign): nAND AND gates followed by
+// free gates, with disjoint output wires.
+func independentLevel(t *testing.T, assign func(w uint32) error, rng *rand.Rand, nAND, nFree int) (ands, frees []circuit.Gate, maxWire uint32) {
 	t.Helper()
 	nIn := uint32(16)
 	for w := uint32(2); w < 2+nIn; w++ {
-		if _, err := g.AssignInput(w); err != nil {
+		if err := assign(w); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -85,10 +85,12 @@ func independentLevel(t *testing.T, g *Garbler, rng *rand.Rand, nAND, nFree int)
 	return ands, frees, next
 }
 
-// TestBatchMatchesSequential pins the batch path to the per-gate path:
-// for one level of independent gates, GarbleBatch with any worker count
-// must produce byte-identical tables and the same output labels as the
-// internal-counter Garble loop, and EvaluateBatch must decode them.
+// TestBatchMatchesSequential pins the level kernel to the per-gate
+// reference: for one level of independent gates, GarbleLevel at B=1 with
+// any worker count must produce byte-identical tables and the same
+// zero-labels as the internal-counter Garbler.Garble loop, and
+// EvaluateLevel the same active labels as the Evaluator.Eval loop — which
+// must be the garbler's labels for the plaintext values.
 func TestBatchMatchesSequential(t *testing.T) {
 	for _, workers := range []int{1, 4} {
 		rng := rand.New(rand.NewSource(31))
@@ -96,41 +98,39 @@ func TestBatchMatchesSequential(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		gBatch, err := NewGarbler(rand.New(rand.NewSource(32)))
+		gLevel, err := NewBatchGarbler(rand.New(rand.NewSource(32)), 1)
 		if err != nil {
 			t.Fatal(err)
 		}
-		ands, frees, maxWire := independentLevel(t, gSeq, rng, 200, 100)
-		rng2 := rand.New(rand.NewSource(31))
-		ands2, frees2, _ := independentLevel(t, gBatch, rng2, 200, 100)
-		_ = ands2
-		_ = frees2
+		ands, frees, maxWire := independentLevel(t, func(w uint32) error {
+			_, err := gSeq.AssignInput(w)
+			return err
+		}, rng, 200, 100)
+		independentLevel(t, gLevel.AssignInput, rand.New(rand.NewSource(31)), 200, 100)
 
-		// Sequential: ANDs first, then frees, matching batch order.
+		// Sequential: ANDs first, then frees, matching level order.
 		var seqTables []byte
-		for _, gate := range ands {
-			if seqTables, err = gSeq.Garble(gate, seqTables); err != nil {
-				t.Fatal(err)
-			}
-		}
-		for _, gate := range frees {
+		for _, gate := range append(append([]circuit.Gate{}, ands...), frees...) {
 			if seqTables, err = gSeq.Garble(gate, seqTables); err != nil {
 				t.Fatal(err)
 			}
 		}
 
 		pool := NewPool(workers)
-		gBatch.Grow(maxWire)
-		batchTables := make([]byte, len(ands)*TableSize)
-		if err := gBatch.GarbleBatch(ands, frees, 0, batchTables, pool); err != nil {
+		gLevel.Grow(maxWire)
+		levelTables := make([]byte, len(ands)*TableSize)
+		if err := gLevel.GarbleLevel(ands, frees, 0, levelTables, pool); err != nil {
 			t.Fatal(err)
 		}
-		if !bytes.Equal(seqTables, batchTables) {
-			t.Fatalf("workers=%d: batch tables differ from sequential garbling", workers)
+		if !bytes.Equal(seqTables, levelTables) {
+			t.Fatalf("workers=%d: level tables differ from per-gate garbling", workers)
+		}
+		if gSeq.R != gLevel.R[0] {
+			t.Fatalf("workers=%d: delta differs", workers)
 		}
 		for w := uint32(0); w < maxWire; w++ {
 			ls, err1 := gSeq.ZeroLabel(w)
-			lb, err2 := gBatch.ZeroLabel(w)
+			lb, err2 := gLevel.ZeroLabel(w, 0)
 			if (err1 == nil) != (err2 == nil) {
 				t.Fatalf("workers=%d: wire %d presence differs", workers, w)
 			}
@@ -139,24 +139,36 @@ func TestBatchMatchesSequential(t *testing.T) {
 			}
 		}
 
-		// Evaluate the batch tables with the batch evaluator and check
-		// against the garbler's semantics on random plaintext inputs.
-		ev := NewEvaluator()
-		ev.Grow(maxWire)
-		bits := make(map[uint32]bool)
-		ev.SetLabel(circuit.WFalse, mustActive(t, gBatch, circuit.WFalse, false))
-		ev.SetLabel(circuit.WTrue, mustActive(t, gBatch, circuit.WTrue, true))
-		bits[circuit.WFalse] = false
-		bits[circuit.WTrue] = true
-		for w := uint32(2); w < 18; w++ {
-			bit := rng.Intn(2) == 1
-			bits[w] = bit
-			ev.SetLabel(w, mustActive(t, gBatch, w, bit))
-		}
-		if err := ev.EvaluateBatch(ands, frees, 0, batchTables, pool); err != nil {
+		// Evaluate the tables per gate and through the level kernel on
+		// random plaintext inputs.
+		evSeq := NewEvaluator()
+		evLevel, err := NewBatchEvaluator(1)
+		if err != nil {
 			t.Fatal(err)
 		}
-		check := func(gate circuit.Gate) {
+		evLevel.Grow(maxWire)
+		bits := map[uint32]bool{circuit.WFalse: false, circuit.WTrue: true}
+		for w := uint32(2); w < 18; w++ {
+			bits[w] = rng.Intn(2) == 1
+		}
+		for w, bit := range bits {
+			l := mustActive(t, gSeq, w, bit)
+			evSeq.SetLabel(w, l)
+			evLevel.SetLabel(w, 0, l)
+		}
+		rest := seqTables
+		for _, gate := range append(append([]circuit.Gate{}, ands...), frees...) {
+			if rest, err = evSeq.Eval(gate, rest); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if len(rest) != 0 {
+			t.Fatalf("workers=%d: per-gate evaluation left %d table bytes", workers, len(rest))
+		}
+		if err := evLevel.EvaluateLevel(ands, frees, 0, levelTables, pool); err != nil {
+			t.Fatal(err)
+		}
+		for _, gate := range append(append([]circuit.Gate{}, ands...), frees...) {
 			var want bool
 			switch gate.Op {
 			case circuit.AND:
@@ -166,20 +178,17 @@ func TestBatchMatchesSequential(t *testing.T) {
 			case circuit.INV:
 				want = !bits[gate.A]
 			}
-			got, err := ev.Label(gate.Out)
+			ref, err := evSeq.Label(gate.Out)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if wl := mustActive(t, gBatch, gate.Out, want); got != wl {
+			got, err := evLevel.Label(gate.Out, 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if wl := mustActive(t, gSeq, gate.Out, want); got != wl || ref != wl {
 				t.Fatalf("workers=%d: gate %+v evaluated to wrong label", workers, gate)
 			}
-			bits[gate.Out] = want
-		}
-		for _, gate := range ands {
-			check(gate)
-		}
-		for _, gate := range frees {
-			check(gate)
 		}
 	}
 }
@@ -193,26 +202,44 @@ func mustActive(t *testing.T, g *Garbler, w uint32, bit bool) Label {
 	return l
 }
 
-// TestBatchErrors covers the batch preconditions.
+// TestBatchErrors covers the level kernel's preconditions.
 func TestBatchErrors(t *testing.T) {
-	g, err := NewGarbler(rand.New(rand.NewSource(41)))
+	g, err := NewBatchGarbler(rand.New(rand.NewSource(41)), 1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	pool := NewPool(2)
 	and := []circuit.Gate{{Op: circuit.AND, A: 2, B: 3, Out: 4}}
-	if err := g.GarbleBatch(and, nil, 0, make([]byte, 1), pool); err == nil {
+	if err := g.GarbleLevel(and, nil, 0, make([]byte, 1), pool); err == nil {
 		t.Fatal("short table accepted")
 	}
 	// Unassigned input wires must fail, not garble garbage.
 	g.Grow(8)
-	if err := g.GarbleBatch(and, nil, 0, make([]byte, TableSize), pool); err == nil {
+	if err := g.GarbleLevel(and, nil, 0, make([]byte, TableSize), pool); err == nil {
 		t.Fatal("garbling over missing labels accepted")
 	}
-	e := NewEvaluator()
+	// An output wire past grown storage must fail, not grow under workers.
+	for w := uint32(2); w <= 3; w++ {
+		if err := g.AssignInput(w); err != nil {
+			t.Fatal(err)
+		}
+	}
+	far := []circuit.Gate{{Op: circuit.AND, A: 2, B: 3, Out: 99}}
+	if err := g.GarbleLevel(far, nil, 0, make([]byte, TableSize), pool); err == nil {
+		t.Fatal("garbling into ungrown storage accepted")
+	}
+	e, err := NewBatchEvaluator(1)
+	if err != nil {
+		t.Fatal(err)
+	}
 	e.Grow(8)
-	if err := e.EvaluateBatch(and, nil, 0, make([]byte, 1), pool); err == nil {
+	if err := e.EvaluateLevel(and, nil, 0, make([]byte, 1), pool); err == nil {
 		t.Fatal("short table accepted by evaluator")
+	}
+	e.SetLabel(2, 0, Label{1})
+	e.SetLabel(3, 0, Label{2})
+	if err := e.EvaluateLevel(far, nil, 0, make([]byte, TableSize), pool); err == nil {
+		t.Fatal("evaluating into ungrown storage accepted")
 	}
 }
 
@@ -229,9 +256,9 @@ func BenchmarkGarbleGate(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
-	g.Grow(16)
 	h := NewHasher()
 	gate := circuit.Gate{Op: circuit.AND, A: 2, B: 3, Out: 9}
+	g.ensure(gate.Out)
 	dst := make([]byte, TableSize)
 	b.SetBytes(TableSize)
 	b.ResetTimer()
@@ -272,12 +299,12 @@ func BenchmarkLabelIsZero(b *testing.B) {
 	}
 }
 
-// BenchmarkGarbleBatch measures level-batch garbling throughput across
-// worker counts (the tentpole's compute kernel).
-func BenchmarkGarbleBatch(b *testing.B) {
+// BenchmarkGarbleLevelWorkers measures the level kernel's garbling
+// throughput at B=1 across worker counts.
+func BenchmarkGarbleLevelWorkers(b *testing.B) {
 	for _, workers := range []int{1, 2, 4} {
 		b.Run(map[int]string{1: "workers=1", 2: "workers=2", 4: "workers=4"}[workers], func(b *testing.B) {
-			g, err := NewGarbler(rand.New(rand.NewSource(53)))
+			g, err := NewBatchGarbler(rand.New(rand.NewSource(53)), 1)
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -285,7 +312,7 @@ func BenchmarkGarbleBatch(b *testing.B) {
 			const nAND = 4096
 			nIn := uint32(64)
 			for w := uint32(2); w < 2+nIn; w++ {
-				if _, err := g.AssignInput(w); err != nil {
+				if err := g.AssignInput(w); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -302,7 +329,7 @@ func BenchmarkGarbleBatch(b *testing.B) {
 			b.SetBytes(int64(len(table)))
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if err := g.GarbleBatch(ands, nil, 0, table, pool); err != nil {
+				if err := g.GarbleLevel(ands, nil, 0, table, pool); err != nil {
 					b.Fatal(err)
 				}
 			}

@@ -46,8 +46,8 @@ func (e *Evaluator) Label(w uint32) (Label, error) {
 // Eval processes one gate against the internal AND counter, the
 // streaming face of the engine: for AND gates it consumes TableSize
 // bytes from table and returns the remainder; XOR and INV gates consume
-// nothing. The cryptography itself lives in evalAND/evalFree (batch.go),
-// shared with the level-batch engine.
+// nothing. The cryptography itself lives in evalAND/evalFree (batch.go);
+// evalANDWide is shared with the level kernel.
 func (e *Evaluator) Eval(gate circuit.Gate, table []byte) ([]byte, error) {
 	e.ensure(gate.Out)
 	switch gate.Op {

@@ -98,8 +98,8 @@ func (g *Garbler) ConstLabels() (lFalse, lTrue Label, err error) {
 // streaming face of the engine: for AND gates it appends the two
 // half-gate ciphertexts (TableSize bytes) to table and returns the
 // extended slice; XOR and INV gates are free and return table unchanged.
-// The cryptography itself lives in garbleAND/garbleFree (batch.go),
-// shared with the level-batch engine.
+// The cryptography itself lives in garbleAND/garbleFree (batch.go);
+// garbleANDWide is shared with the level kernel.
 func (g *Garbler) Garble(gate circuit.Gate, table []byte) ([]byte, error) {
 	g.ensure(gate.Out)
 	switch gate.Op {

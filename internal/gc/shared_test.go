@@ -14,14 +14,14 @@ import (
 // the same seeds garbles the identical level with identical labels.
 func garbleLevelTables(t *testing.T, pool *Pool, nAND, nFree int) []byte {
 	t.Helper()
-	g, err := NewGarbler(rand.New(rand.NewSource(61)))
+	g, err := NewBatchGarbler(rand.New(rand.NewSource(61)), 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ands, frees, maxWire := independentLevel(t, g, rand.New(rand.NewSource(62)), nAND, nFree)
+	ands, frees, maxWire := independentLevel(t, g.AssignInput, rand.New(rand.NewSource(62)), nAND, nFree)
 	g.Grow(maxWire)
 	tables := make([]byte, nAND*TableSize)
-	if err := g.GarbleBatch(ands, frees, 0, tables, pool); err != nil {
+	if err := g.GarbleLevel(ands, frees, 0, tables, pool); err != nil {
 		t.Fatal(err)
 	}
 	return tables

@@ -8,29 +8,29 @@ import (
 	"deepsecure/internal/circuit"
 )
 
-// This file is the vectorized (batched-inference) face of the GC engine:
-// one garbling state covering B independent sample instances of the same
-// circuit. Labels are stored structure-of-arrays — B contiguous labels
-// per wire slot, sample s of wire w at labels[w*B+s] — so the level
-// engines walk the gate schedule ONCE per level and iterate samples
-// innermost: one tweak derivation, one gate decode, and one bounds check
-// per gate for all B samples, with the B label loads/stores on adjacent
-// cache lines. Every sample has its own fresh Free-XOR delta and fresh
-// wire labels (drawn from the same rng stream a single inference would
-// use), so the transcript of each sample is exactly the transcript a
-// lone inference would produce under the same randomness — batching
-// amortizes the schedule walk, not the cryptography — and B=1 is
-// byte-identical to the single-inference path (pinned by tests here and
-// by the core package's conformance suite).
+// This file is the level kernel of the GC engine: one garbling state
+// covering B ≥ 1 independent sample instances of the same circuit, which
+// is what every session inference runs on (a lone inference is B=1).
+// Labels are stored structure-of-arrays — B contiguous labels per wire
+// slot, sample s of wire w at labels[w*B+s] — so the kernel walks the
+// gate schedule ONCE per level and iterates samples innermost: one tweak
+// derivation, one gate decode, and one bounds check per gate for all B
+// samples, with the B label loads/stores on adjacent cache lines. Every
+// sample has its own fresh Free-XOR delta and fresh wire labels, so the
+// transcript of each sample is exactly what a lone inference would
+// produce under the same randomness — batching amortizes the schedule
+// walk, not the cryptography — and at B=1 the tables and labels are
+// byte-identical to the per-gate reference Garbler.Garble/Evaluator.Eval
+// (pinned by the tests here).
 //
 // The garbled tables of a level are likewise interleaved gate-major with
 // samples innermost: AND gate rank i, sample s writes its two
 // ciphertexts at (i*B+s)*TableSize. Both parties derive the layout from
 // the schedule and B alone.
 
-// BatchGarbler is the garbling state for one batched inference of B
-// independent samples. It is the vectorized counterpart of Garbler; the
-// two share the half-gates cryptography (garbleANDWide).
+// BatchGarbler is the garbling state for one inference of B independent
+// samples. It shares the half-gates cryptography (garbleANDWide) with the
+// per-gate Garbler.
 type BatchGarbler struct {
 	// R holds the per-sample Free-XOR deltas (len B): samples are
 	// cryptographically independent instances, exactly as if each ran its
@@ -89,8 +89,10 @@ func (g *BatchGarbler) ensure(w uint32) {
 }
 
 // Grow pre-sizes label storage for wires [0, n) in one exact-size
-// allocation; like the single-path Grow, level batches never grow
-// storage themselves (growth would race between workers).
+// allocation. GarbleLevel never grows storage itself (growth would race
+// between workers), so the engine must Grow to the schedule's namespace
+// once per inference; the exact size also spares a fresh garbler the ~2×
+// append-doubling garbage of the incremental ensure.
 func (g *BatchGarbler) Grow(n uint32) {
 	if uint32(len(g.have)) >= n {
 		return
@@ -148,8 +150,7 @@ func (g *BatchGarbler) ActiveLabel(w uint32, s int, bit bool) (Label, error) {
 
 // AppendConstLabels appends the batch's constant-wire active labels to
 // dst in the protocol's wire-major layout: the B false-labels, then the
-// B true-labels. At B=1 the payload equals the single path's
-// ConstLabels frame.
+// B true-labels.
 func (g *BatchGarbler) AppendConstLabels(dst []byte) ([]byte, error) {
 	for s := 0; s < g.b; s++ {
 		l, err := g.ActiveLabel(circuit.WFalse, s, false)
@@ -180,14 +181,16 @@ func (g *BatchGarbler) Drop(w uint32) {
 // sample, computed once — and sample s writes its ciphertexts at
 // table[(i*B+s)*TableSize:]; table must hold len(ands)*B*TableSize
 // bytes. Gates are striped over pool's workers with the batch size as
-// the work multiplier; the level-independence and Grow preconditions of
-// GarbleBatch apply unchanged.
+// the work multiplier. The caller must guarantee level independence
+// (distinct output wires, no gate reading a wire another gate of the
+// level writes) — which circuit.NewSchedule establishes — and must have
+// Grown the garbler past every wire id in the level.
 func (g *BatchGarbler) GarbleLevel(ands, frees []circuit.Gate, gidBase uint64, table []byte, pool *Pool) error {
 	b := g.b
 	if len(table) != len(ands)*b*TableSize {
 		return fmt.Errorf("gc: batch garble table is %d bytes, want %d", len(table), len(ands)*b*TableSize)
 	}
-	err := pool.runScaled(len(ands), len(frees), b, func(h *Hasher, andLo, andHi, freeLo, freeHi int) error {
+	err := pool.run(len(ands), len(frees), b, func(h *Hasher, andLo, andHi, freeLo, freeHi int) error {
 		// Lanes gather over flattened (gate, sample) instances: samples
 		// within a gate fill first, and units carry across gate boundaries
 		// so small-B batches still run full 8-lane waves. out points
@@ -394,7 +397,7 @@ func (e *BatchEvaluator) EvaluateLevel(ands, frees []circuit.Gate, gidBase uint6
 	if len(table) != len(ands)*b*TableSize {
 		return fmt.Errorf("gc: batch evaluate table is %d bytes, want %d", len(table), len(ands)*b*TableSize)
 	}
-	return pool.runScaled(len(ands), len(frees), b, func(h *Hasher, andLo, andHi, freeLo, freeHi int) error {
+	return pool.run(len(ands), len(frees), b, func(h *Hasher, andLo, andHi, freeLo, freeHi int) error {
 		// Flattened (gate, sample) lane gathering, the mirror of
 		// GarbleLevel's.
 		var us [evalUnits]evalUnit

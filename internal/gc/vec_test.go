@@ -95,11 +95,10 @@ func vecTestLevels() []vecTestLevel {
 	}
 }
 
-// TestBatchGarblerB1MatchesSingle pins the vectorized path's B=1 output
-// to the single-inference Garbler: same seed, same schedule, identical
-// table bytes and identical zero-labels on every wire. This is the
-// gc-level half of the batched-protocol conformance chain (the core
-// package pins the full wire stream).
+// TestBatchGarblerB1MatchesSingle pins the level kernel's B=1 output to
+// the per-gate reference Garbler: same seed, same schedule, identical
+// rng draws, table bytes and zero-labels on every wire, across dependent
+// levels.
 func TestBatchGarblerB1MatchesSingle(t *testing.T) {
 	const seed = 4401
 	levels := vecTestLevels()
@@ -108,7 +107,6 @@ func TestBatchGarblerB1MatchesSingle(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	g.Grow(10)
 	bg, err := NewBatchGarbler(rand.New(rand.NewSource(seed)), 1)
 	if err != nil {
 		t.Fatal(err)
@@ -125,16 +123,20 @@ func TestBatchGarblerB1MatchesSingle(t *testing.T) {
 
 	pool := NewPool(1)
 	for li, lv := range levels {
-		single := make([]byte, len(lv.ands)*TableSize)
-		batched := make([]byte, len(lv.ands)*TableSize)
-		if err := g.GarbleBatch(lv.ands, lv.frees, lv.gidBase, single, pool); err != nil {
-			t.Fatalf("level %d single: %v", li, err)
+		// The per-gate garbler's internal AND counter runs level by
+		// level, so it lands on each level's gidBase.
+		var single []byte
+		for _, gate := range append(append([]circuit.Gate{}, lv.ands...), lv.frees...) {
+			if single, err = g.Garble(gate, single); err != nil {
+				t.Fatalf("level %d single: %v", li, err)
+			}
 		}
+		batched := make([]byte, len(lv.ands)*TableSize)
 		if err := bg.GarbleLevel(lv.ands, lv.frees, lv.gidBase, batched, pool); err != nil {
 			t.Fatalf("level %d batched: %v", li, err)
 		}
 		if !bytes.Equal(single, batched) {
-			t.Fatalf("level %d: B=1 batched tables differ from the single path", li)
+			t.Fatalf("level %d: B=1 tables differ from the per-gate reference", li)
 		}
 	}
 	for w := uint32(0); w <= 9; w++ {
@@ -147,13 +149,13 @@ func TestBatchGarblerB1MatchesSingle(t *testing.T) {
 			t.Fatalf("wire %d batched: %v", w, err)
 		}
 		if sl != bl {
-			t.Fatalf("wire %d: B=1 batched zero-label differs from the single path", w)
+			t.Fatalf("wire %d: B=1 batched zero-label differs from the per-gate reference", w)
 		}
 	}
 	if g.R != bg.R[0] {
-		t.Fatal("B=1 batched delta differs from the single path")
+		t.Fatal("B=1 batched delta differs from the per-gate reference")
 	}
-	// The const-label payload must be the single path's frame.
+	// The const-label payload is the per-gate garbler's two const labels.
 	lf, lt, err := g.ConstLabels()
 	if err != nil {
 		t.Fatal(err)
@@ -163,7 +165,7 @@ func TestBatchGarblerB1MatchesSingle(t *testing.T) {
 		t.Fatal(err)
 	}
 	if want := append(append([]byte{}, lf[:]...), lt[:]...); !bytes.Equal(payload, want) {
-		t.Fatal("B=1 const-label payload differs from the single path")
+		t.Fatal("B=1 const-label payload differs from the per-gate reference")
 	}
 }
 

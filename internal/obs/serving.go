@@ -130,7 +130,7 @@ var (
 	mInferences = Default.Counter(Desc{Name: "deepsecure_inferences_total",
 		Help: "Inferences completed (each sample of a batch counts once)."})
 	mBatches = Default.Counter(Desc{Name: "deepsecure_batches_total",
-		Help: "Fused batched inferences (protocol v5) completed."})
+		Help: "Inferences of more than one sample (fused batches) completed."})
 	mErrors = Default.Counter(Desc{Name: "deepsecure_session_errors_total",
 		Help: "Sessions that ended with a protocol or transport error."})
 

@@ -21,7 +21,6 @@ import (
 
 	"deepsecure/internal/core"
 	"deepsecure/internal/fixed"
-	"deepsecure/internal/gc/bank"
 	"deepsecure/internal/nn"
 	"deepsecure/internal/obs"
 	"deepsecure/internal/ot/precomp"
@@ -139,23 +138,12 @@ func WithPipeline(depth int) Option {
 }
 
 // WithMaxBatch sets the batched-inference sample cap the server
-// announces and enforces (protocol v5): one InferBatch call fuses up to
-// n samples into a single schedule walk, table stream, and per-step OT
-// exchange, at the cost of n× the per-inference label and table memory
-// on the server. 0 keeps the default (core.DefaultMaxBatch); values
+// announces and enforces: one InferBatch call fuses up to n samples into
+// a single schedule walk, table stream, and per-step OT exchange, at the
+// cost of n× the per-inference label and table memory on the server. 0 keeps the default (core.DefaultMaxBatch); values
 // clamp to [1, 256].
 func WithMaxBatch(n int) Option {
 	return func(s *Server) { s.core.Engine.MaxBatch = n }
-}
-
-// WithBank installs the garble-ahead execution-bank policy in the
-// engine configuration this server's sessions run with. The bank itself
-// lives with the garbling party (clients pre-garble; see
-// core.EngineConfig.Bank), so a plain server never fills one; the option
-// carries the policy for deployments that share one EngineConfig between
-// both roles.
-func WithBank(cfg bank.Config) Option {
-	return func(s *Server) { s.core.Engine.Bank = cfg }
 }
 
 // WithIdleTimeout bounds how long a session connection may sit idle.
@@ -263,7 +251,7 @@ func (s *Server) ServeContext(ctx context.Context, ln net.Listener) error {
 // but stops draining its receive window (which would otherwise pin the
 // server in a blocked Write that no read deadline can interrupt).
 //
-// On a pipelined (v4) session the demux reader always has a read
+// On a session the demux reader always has a read
 // pending, including during an inference's evaluation tail, when a
 // conforming client is legitimately silent (it is waiting for the
 // output labels). A timed-out read therefore only counts as a stall if

@@ -32,11 +32,8 @@ const (
 	MsgResult
 	MsgShare
 	MsgArch
-	// Session framing: a client announces each further inference on an
-	// open session with MsgNextInfer and ends the session with
-	// MsgEndSession, so a server can amortize its handshake, OT base
-	// phase, and compiled netlist across many inferences.
-	MsgNextInfer
+	// MsgEndSession is the client's end-of-session marker on a
+	// multi-inference session.
 	MsgEndSession
 	// OT precomputation (offline/online split): MsgOTRefill announces a
 	// bulk generation of n extended OTs (uvarint n; the session-setup
@@ -46,15 +43,19 @@ const (
 	// one evaluator-input step. Nothing flows back online.
 	MsgOTRefill
 	MsgOTMasked
-	// Cross-inference pipelining (protocol v4): MsgPipeline is the
-	// server's in-flight window announcement (uvarint depth, sent once
-	// after the architecture), MsgInferBegin opens the per-inference
-	// sub-stream carrying its uvarint inference id, and the MsgInfer*
-	// frames are the tagged v4 variants of the per-inference traffic —
-	// each payload starts with the uvarint inference id (AppendTag /
-	// SplitTag) so frames of overlapped inferences can share one
-	// connection. MsgInferMasked is the tagged MsgOTMasked; refill frames
-	// stay untagged (they belong to the session's pool, not an inference).
+	// Session inferences: MsgPipeline is the server's announcement of its
+	// in-flight window and batch cap (two uvarints, sent once after the
+	// architecture). MsgInferBegin opens an inference sub-stream (uvarint
+	// inference id, uvarint sample count B ≥ 1) that occupies one window
+	// slot; the other MsgInfer* frames are its tagged traffic — each
+	// payload starts with the uvarint inference id (AppendTag / SplitTag)
+	// so frames of overlapped inferences can share one connection, and
+	// carries all B samples wire-major with samples innermost (gate rank
+	// i, sample s of a level's tables at (i*B+s)*TableSize).
+	// MsgInferConst/Inputs/Masked/Tables/Outputs are the tagged
+	// MsgConstLabels/InputLabels/OTMasked/Tables/OutputLabels; refill
+	// frames stay untagged (they belong to the session's pool, not to an
+	// inference).
 	MsgPipeline
 	MsgInferBegin
 	MsgInferConst
@@ -62,25 +63,10 @@ const (
 	MsgInferMasked
 	MsgInferTables
 	MsgInferOutputs
-	// Batched inference (protocol v5): MsgBatchBegin opens a batched
-	// sub-stream (uvarint inference id ++ uvarint batch size B) that
-	// occupies one slot of the pipeline window and fuses B independent
-	// sample instances into one schedule walk. The MsgBatch* frames are
-	// the batch counterparts of the MsgInfer* ones — same uvarint id
-	// prefix, payloads carrying all B samples wire-major with samples
-	// innermost (gate rank i, sample s of a level's tables at
-	// (i*B+s)*TableSize). At B=1 every payload is byte-identical to its
-	// MsgInfer* counterpart.
-	MsgBatchBegin
-	MsgBatchConst
-	MsgBatchInputs
-	MsgBatchMasked
-	MsgBatchTables
-	MsgBatchOutputs
-	// MsgBusy (protocol v6) is the admission controller's shed response:
-	// sent by the server in place of MsgArch when it cannot take the
-	// session, carrying a uvarint retry-after hint in milliseconds. The
-	// server closes the connection after it; the client surfaces a typed
+	// MsgBusy is the admission controller's shed response: sent by the
+	// server in place of MsgArch when it cannot take the session,
+	// carrying a uvarint retry-after hint in milliseconds. The server
+	// closes the connection after it; the client surfaces a typed
 	// retryable error instead of a timeout.
 	MsgBusy
 
@@ -102,15 +88,12 @@ var msgNames = map[MsgType]string{
 	MsgOTBase: "ot-base", MsgOTExtU: "ot-ext-u", MsgOTExtY: "ot-ext-y",
 	MsgOutputLabels: "output-labels", MsgResult: "result",
 	MsgShare: "share", MsgArch: "arch",
-	MsgNextInfer: "next-infer", MsgEndSession: "end-session",
-	MsgOTRefill: "ot-refill", MsgOTMasked: "ot-masked",
+	MsgEndSession: "end-session",
+	MsgOTRefill:   "ot-refill", MsgOTMasked: "ot-masked",
 	MsgPipeline: "pipeline", MsgInferBegin: "infer-begin",
 	MsgInferConst: "infer-const", MsgInferInputs: "infer-inputs",
 	MsgInferMasked: "infer-masked",
 	MsgInferTables: "infer-tables", MsgInferOutputs: "infer-outputs",
-	MsgBatchBegin: "batch-begin", MsgBatchConst: "batch-const",
-	MsgBatchInputs: "batch-inputs", MsgBatchMasked: "batch-masked",
-	MsgBatchTables: "batch-tables", MsgBatchOutputs: "batch-outputs",
 	MsgBusy: "busy",
 }
 
@@ -320,9 +303,8 @@ func (c *Conn) Recv(want MsgType) ([]byte, error) {
 }
 
 // RecvAny reads the next frame, requiring its type to be one of want —
-// the session-boundary receive, where a server accepts either a
-// next-inference announcement or an end-of-session marker. Like Recv it
-// flushes pending writes first.
+// e.g. a client between bursts, which accepts an output frame or a pool
+// refill announcement. Like Recv it flushes pending writes first.
 func (c *Conn) RecvAny(want ...MsgType) (MsgType, []byte, error) {
 	if err := c.Flush(); err != nil {
 		return 0, nil, err

@@ -203,7 +203,7 @@ func TestClosedPipeEOF(t *testing.T) {
 func TestRecvAny(t *testing.T) {
 	a, b, closer := Pipe()
 	defer closer.Close()
-	for _, typ := range []MsgType{MsgNextInfer, MsgEndSession} {
+	for _, typ := range []MsgType{MsgInferOutputs, MsgEndSession} {
 		if err := a.Send(typ, nil); err != nil {
 			t.Fatal(err)
 		}
@@ -211,14 +211,14 @@ func TestRecvAny(t *testing.T) {
 	if err := a.Flush(); err != nil {
 		t.Fatal(err)
 	}
-	got, _, err := b.RecvAny(MsgNextInfer, MsgEndSession)
+	got, _, err := b.RecvAny(MsgInferOutputs, MsgEndSession)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got != MsgNextInfer {
-		t.Fatalf("got %v, want %v", got, MsgNextInfer)
+	if got != MsgInferOutputs {
+		t.Fatalf("got %v, want %v", got, MsgInferOutputs)
 	}
-	got, _, err = b.RecvAny(MsgNextInfer, MsgEndSession)
+	got, _, err = b.RecvAny(MsgInferOutputs, MsgEndSession)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -236,11 +236,11 @@ func TestRecvAnyMismatch(t *testing.T) {
 	if err := a.Flush(); err != nil {
 		t.Fatal(err)
 	}
-	_, _, err := b.RecvAny(MsgNextInfer, MsgEndSession)
+	_, _, err := b.RecvAny(MsgInferOutputs, MsgEndSession)
 	if err == nil || !strings.Contains(err.Error(), "desync") {
 		t.Errorf("mismatch should report desync naming both types, got %v", err)
 	}
-	if err != nil && !strings.Contains(err.Error(), "next-infer|end-session") {
+	if err != nil && !strings.Contains(err.Error(), "infer-outputs|end-session") {
 		t.Errorf("error should name the accepted set, got %v", err)
 	}
 }

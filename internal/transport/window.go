@@ -6,7 +6,7 @@ import (
 	"sync"
 )
 
-// This file is the v4 sub-stream layer: per-inference frame tags and the
+// This file is the sub-stream layer: per-inference frame tags and the
 // bounded in-flight window that validates them. Tagging lets frames of
 // overlapped inferences share one connection (cross-inference
 // pipelining); the window bounds how far a peer may run ahead and turns
@@ -14,14 +14,14 @@ import (
 // descriptive protocol errors instead of silent state corruption.
 
 // AppendTag appends the uvarint inference id to dst — the payload prefix
-// of every tagged v4 frame.
+// of every tagged frame.
 func AppendTag(dst []byte, id uint64) []byte {
 	var buf [binary.MaxVarintLen64]byte
 	n := binary.PutUvarint(buf[:], id)
 	return append(dst, buf[:n]...)
 }
 
-// SplitTag splits a tagged v4 payload into its inference id and the
+// SplitTag splits a tagged payload into its inference id and the
 // frame content. The content aliases payload (no copy).
 func SplitTag(payload []byte) (id uint64, content []byte, err error) {
 	id, n := binary.Uvarint(payload)
@@ -31,7 +31,7 @@ func SplitTag(payload []byte) (id uint64, content []byte, err error) {
 	return id, payload[n:], nil
 }
 
-// Window tracks the inference sub-streams open on one v4 session and
+// Window tracks the inference sub-streams open on one session and
 // enforces the in-flight depth. Inference ids are issued by the client
 // strictly sequentially from 1; Begin admits the next id only while
 // fewer than depth inferences are in flight, Check admits tagged frames
