@@ -1,15 +1,19 @@
 package deepsecure
 
 // Benchmark harness: one benchmark per table and figure of the paper's
-// evaluation section (§4). Experiment outputs are attached as custom
-// benchmark metrics (gates, MB, seconds, folds) so `go test -bench` output
-// doubles as the reproduction record; EXPERIMENTS.md interprets the rows
-// against the paper's published numbers.
+// evaluation section (§4), plus the kernel micro-benchmarks. Experiment
+// outputs are attached as custom benchmark metrics (gates, MB, seconds,
+// folds) so `go test -bench` output doubles as the reproduction record.
+//
+// Session-level performance is measured by the live benchmark in bench/
+// (`bash bench/run.sh`, BENCHMARK.json), not here. Two session benchmarks
+// stay because each guards something no bench/ workload does and bench/
+// could not gain a workload when the others were retired:
+// BenchmarkSessionOffline (a warm garble-ahead bank beats bank-off online)
+// and BenchmarkInstrumentationOverhead (the obs registry costs < 2 %).
 
 import (
-	"errors"
 	"fmt"
-	"io"
 	"math/rand"
 	"runtime"
 	"sync"
@@ -438,7 +442,7 @@ func BenchmarkOTExtension(b *testing.B) {
 // multi-lane HN face instead of per-row scalar H calls. Both rows run the
 // identical full exchange — PRG expansion, transpose, transport — with
 // only the hashing kernel toggled, so the scalar→wide delta is the
-// row-hash win. The rows are recorded in BENCH_ot.json.
+// row-hash win.
 func BenchmarkOTRowHash(b *testing.B) {
 	const m = 4096
 	rng := rand.New(rand.NewSource(47))
@@ -703,596 +707,18 @@ func BenchmarkFullB3GateCount(b *testing.B) {
 	b.ReportMetric(float64(s.MaxLive), "maxLiveWires")
 }
 
-// BenchmarkSessionThroughput compares K independent one-shot sessions
-// against one multi-inference session of K inferences. The multi
-// variant pays the handshake, OT base phase, and netlist generation once
-// and replays the compiled tape thereafter; its inferences/sec must be
-// measurably higher.
-func BenchmarkSessionThroughput(b *testing.B) {
-	net, err := nn.NewNetwork(nn.Vec(64),
-		nn.NewDense(24),
-		nn.NewActivation(act.ReLU),
-		nn.NewDense(8),
-	)
-	if err != nil {
-		b.Fatal(err)
-	}
-	net.InitWeights(rand.New(rand.NewSource(21)))
-	const k = 8
-	rng := rand.New(rand.NewSource(22))
-	xs := make([][]float64, k)
-	for i := range xs {
-		xs[i] = make([]float64, 64)
-		for j := range xs[i] {
-			xs[i][j] = rng.Float64()*2 - 1
-		}
-	}
-
-	b.Run("oneShotSessions", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			// A fresh connection, server state, and client per sample:
-			// every inference re-negotiates and regenerates.
-			for _, x := range xs {
-				cConn, sConn, closer := transport.Pipe()
-				srv := &core.Server{Net: net, Fmt: fixed.Default}
-				var wg sync.WaitGroup
-				wg.Add(1)
-				go func() {
-					defer wg.Done()
-					if err := srv.Serve(sConn); err != nil {
-						b.Error(err)
-					}
-				}()
-				cli := &core.Client{}
-				if _, _, err := cli.Infer(cConn, x); err != nil {
-					b.Fatal(err)
-				}
-				wg.Wait()
-				closer.Close()
-			}
-		}
-		b.ReportMetric(float64(k*b.N)/b.Elapsed().Seconds(), "inf/s")
-	})
-
-	b.Run("multiInferenceSession", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			cConn, sConn, closer := transport.Pipe()
-			srv := &core.Server{Net: net, Fmt: fixed.Default}
-			var wg sync.WaitGroup
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				if _, err := srv.ServeSession(sConn); err != nil {
-					b.Error(err)
-				}
-			}()
-			cli := &core.Client{}
-			if _, _, err := cli.InferMany(cConn, xs); err != nil {
-				b.Fatal(err)
-			}
-			wg.Wait()
-			closer.Close()
-		}
-		b.ReportMetric(float64(k*b.N)/b.Elapsed().Seconds(), "inf/s")
-	})
-}
-
-// BenchmarkSharedPool drives S concurrent in-process sessions through
-// one server on the process-wide shared work-stealing scheduler, which
-// keeps the worker count fixed as S grows (BENCH_load.json records it
-// against the retired per-session worker sets). A regression that wedges
-// concurrent Do submissions in the scheduler's steal paths hangs here.
-func BenchmarkSharedPool(b *testing.B) {
-	net, err := nn.NewNetwork(nn.Vec(32),
-		nn.NewDense(16),
-		nn.NewActivation(act.ReLU),
-		nn.NewDense(4),
-	)
-	if err != nil {
-		b.Fatal(err)
-	}
-	net.InitWeights(rand.New(rand.NewSource(71)))
-	rng := rand.New(rand.NewSource(72))
-	const k = 2 // inferences per session
-	xs := make([][]float64, k)
-	for i := range xs {
-		xs[i] = make([]float64, 32)
-		for j := range xs[i] {
-			xs[i][j] = rng.Float64()*2 - 1
-		}
-	}
-	for _, sessions := range []int{4, 16} {
-		b.Run(fmt.Sprintf("shared/sessions=%d", sessions), func(b *testing.B) {
-			srv := &core.Server{Net: net, Fmt: fixed.Default}
-			if err := srv.Precompile(); err != nil {
-				b.Fatal(err)
-			}
-			cli := &core.Client{}
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				var wg sync.WaitGroup
-				errs := make(chan error, 2*sessions)
-				for s := 0; s < sessions; s++ {
-					wg.Add(1)
-					go func() {
-						defer wg.Done()
-						cConn, sConn, closer := transport.Pipe()
-						defer closer.Close()
-						srvDone := make(chan struct{})
-						go func() {
-							defer close(srvDone)
-							if _, err := srv.ServeSession(sConn); err != nil {
-								errs <- err
-							}
-						}()
-						if _, _, err := cli.InferMany(cConn, xs); err != nil {
-							errs <- err
-						}
-						<-srvDone
-					}()
-				}
-				wg.Wait()
-				close(errs)
-				for err := range errs {
-					b.Fatal(err)
-				}
-			}
-			b.ReportMetric(float64(sessions*k*b.N)/b.Elapsed().Seconds(), "inf/s")
-		})
-	}
-}
-
-// BenchmarkEngineThroughput compares the sequential engine (Workers=1)
-// against the level-scheduled parallel engine (Workers=GOMAXPROCS) on
-// the same session workload: both parties run the same mode, so the row
-// pair isolates the engine's contribution to inferences/sec. Results are
-// committed as BENCH_engine.json. On a single-core host the two modes
-// should be within noise of each other; the parallel win appears from
-// ~4 cores up (see ISSUE 2's acceptance criterion).
-func BenchmarkEngineThroughput(b *testing.B) {
-	net, err := nn.NewNetwork(nn.Vec(96),
-		nn.NewDense(32),
-		nn.NewActivation(act.ReLU),
-		nn.NewDense(10),
-	)
-	if err != nil {
-		b.Fatal(err)
-	}
-	net.InitWeights(rand.New(rand.NewSource(61)))
-	const k = 2
-	rng := rand.New(rand.NewSource(62))
-	xs := make([][]float64, k)
-	for i := range xs {
-		xs[i] = make([]float64, 96)
-		for j := range xs[i] {
-			xs[i][j] = rng.Float64()*2 - 1
-		}
-	}
-	modes := []struct {
-		name string
-		cfg  core.EngineConfig
-	}{
-		{"sequential", core.EngineConfig{Workers: 1}},
-		{"parallel", core.EngineConfig{Workers: 0 /* GOMAXPROCS */}},
-	}
-	for _, mode := range modes {
-		mode := mode
-		b.Run(mode.name, func(b *testing.B) {
-			srv := &core.Server{Net: net, Fmt: fixed.Default, Engine: mode.cfg}
-			if err := srv.Precompile(); err != nil {
-				b.Fatal(err)
-			}
-			cli := &core.Client{Engine: mode.cfg}
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				cConn, sConn, closer := transport.Pipe()
-				var wg sync.WaitGroup
-				wg.Add(1)
-				go func() {
-					defer wg.Done()
-					if _, err := srv.ServeSession(sConn); err != nil {
-						b.Error(err)
-					}
-				}()
-				if _, _, err := cli.InferMany(cConn, xs); err != nil {
-					b.Fatal(err)
-				}
-				wg.Wait()
-				closer.Close()
-			}
-			b.ReportMetric(float64(k*b.N)/b.Elapsed().Seconds(), "inf/s")
-			b.ReportMetric(float64(runtime.GOMAXPROCS(0)), "cores")
-		})
-	}
-}
-
-// BenchmarkOTOnline measures the per-inference online OT cost with the
-// precomputed random-OT pool on versus off (same model and session shape
-// as BenchmarkEngineThroughput). Pool off, every input batch runs the
-// full IKNP exchange — PRG expansion, 16m-byte U matrix, transpose, and
-// 2m hashes — on the critical path; pool on, the same batch is one
-// derandomization exchange (an m/8-byte correction vector against
-// pre-generated OTs, XORs only) and the IKNP crypto moves into session
-// setup and refill gaps. Results are committed as BENCH_ot.json.
-func BenchmarkOTOnline(b *testing.B) {
-	net, err := nn.NewNetwork(nn.Vec(96),
-		nn.NewDense(32),
-		nn.NewActivation(act.ReLU),
-		nn.NewDense(10),
-	)
-	if err != nil {
-		b.Fatal(err)
-	}
-	net.InitWeights(rand.New(rand.NewSource(81)))
-	const k = 4
-	rng := rand.New(rand.NewSource(82))
-	xs := make([][]float64, k)
-	for i := range xs {
-		xs[i] = make([]float64, 96)
-		for j := range xs[i] {
-			xs[i][j] = rng.Float64()*2 - 1
-		}
-	}
-	modes := []struct {
-		name string
-		cfg  precomp.PoolConfig
-	}{
-		{"poolOff", precomp.PoolConfig{}},
-		{"poolOn", precomp.PoolConfig{Capacity: 1 << 16, RefillLowWater: 1 << 14, Background: true}},
-	}
-	for _, mode := range modes {
-		mode := mode
-		b.Run(mode.name, func(b *testing.B) {
-			srv := &core.Server{Net: net, Fmt: fixed.Default, OTPool: mode.cfg}
-			if err := srv.Precompile(); err != nil {
-				b.Fatal(err)
-			}
-			cli := &core.Client{}
-			var srvStats core.Stats
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				cConn, sConn, closer := transport.Pipe()
-				var wg sync.WaitGroup
-				wg.Add(1)
-				go func() {
-					defer wg.Done()
-					st, err := srv.ServeSession(sConn)
-					if err != nil {
-						b.Error(err)
-						return
-					}
-					srvStats.OTOnlineTime += st.OTOnlineTime
-					srvStats.OTOfflineTime += st.OTOfflineTime
-					srvStats.OTsConsumed += st.OTsConsumed
-					srvStats.OTsDirect += st.OTsDirect
-					srvStats.OTBatches += st.OTBatches
-					srvStats.OTRefills += st.OTRefills
-					srvStats.Inferences += st.Inferences
-				}()
-				if _, _, err := cli.InferMany(cConn, xs); err != nil {
-					b.Fatal(err)
-				}
-				wg.Wait()
-				closer.Close()
-			}
-			inf := float64(srvStats.Inferences)
-			b.ReportMetric(srvStats.OTOnlineTime.Seconds()*1e3/inf, "otOnlineMs/inf")
-			b.ReportMetric(srvStats.OTOfflineTime.Seconds()*1e3/inf, "otOfflineMs/inf")
-			b.ReportMetric(float64(srvStats.OTBatches)/inf, "otExchanges/inf")
-			b.ReportMetric(float64(srvStats.OTsConsumed+srvStats.OTsDirect)/inf, "OTs/inf")
-			b.ReportMetric(float64(srvStats.OTRefills)/inf, "refills/inf")
-			b.ReportMetric(float64(k*b.N)/b.Elapsed().Seconds(), "inf/s")
-		})
-	}
-}
-
-// delayHalf is one direction of an in-memory pipe that delivers writes
-// to the reader only after a one-way delay — a WAN link model for the
-// pipeline benchmark's latency-hiding rows.
-type delayHalf struct {
-	mu     sync.Mutex
-	cond   *sync.Cond
-	chunks []delayChunk
-	closed bool
-	delay  time.Duration
-}
-
-type delayChunk struct {
-	at   time.Time
-	data []byte
-}
-
-func newDelayHalf(d time.Duration) *delayHalf {
-	h := &delayHalf{delay: d}
-	h.cond = sync.NewCond(&h.mu)
-	return h
-}
-
-func (h *delayHalf) Write(b []byte) (int, error) {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	if h.closed {
-		return 0, errors.New("delay pipe closed")
-	}
-	h.chunks = append(h.chunks, delayChunk{at: time.Now().Add(h.delay), data: append([]byte(nil), b...)})
-	h.cond.Broadcast()
-	return len(b), nil
-}
-
-func (h *delayHalf) Read(b []byte) (int, error) {
-	h.mu.Lock()
-	for len(h.chunks) == 0 {
-		if h.closed {
-			h.mu.Unlock()
-			return 0, io.EOF
-		}
-		h.cond.Wait()
-	}
-	c := &h.chunks[0]
-	if wait := time.Until(c.at); wait > 0 {
-		h.mu.Unlock()
-		time.Sleep(wait)
-		h.mu.Lock()
-		c = &h.chunks[0]
-	}
-	n := copy(b, c.data)
-	c.data = c.data[n:]
-	if len(c.data) == 0 {
-		h.chunks = h.chunks[1:]
-	}
-	h.mu.Unlock()
-	return n, nil
-}
-
-func (h *delayHalf) Close() error {
-	h.mu.Lock()
-	h.closed = true
-	h.cond.Broadcast()
-	h.mu.Unlock()
-	return nil
-}
-
-type delayDuplex struct {
-	r, w *delayHalf
-}
-
-func (d delayDuplex) Read(b []byte) (int, error)  { return d.r.Read(b) }
-func (d delayDuplex) Write(b []byte) (int, error) { return d.w.Write(b) }
-func (d delayDuplex) Close() error                { d.r.Close(); return d.w.Close() }
-
-// latencyPipe returns two framed channels joined by links with a one-way
-// delay of d each direction.
-func latencyPipe(d time.Duration) (*transport.Conn, *transport.Conn, io.Closer) {
-	ab, ba := newDelayHalf(d), newDelayHalf(d)
-	a := delayDuplex{r: ba, w: ab}
-	bb := delayDuplex{r: ab, w: ba}
-	return transport.New(a), transport.New(bb), a
-}
-
-// BenchmarkSessionPipeline measures cross-inference pipelining: the same
-// multi-inference session workload with the in-flight window at depth 1
-// (serial — the garbler idles for a full output-label round-trip plus
-// the server's evaluation tail between inferences) and depth 2
-// (inference k+1 garbles and starts evaluating while inference k
-// finishes). The OT pool is on in both modes so input batches are
-// derandomization-only and the overlap is not hidden behind inline IKNP.
-// Two link models isolate the two gains: "cpu" (zero-latency pipe) shows
-// the compute overlap — garble(k+1), eval(k), and eval(k+1) on separate
-// cores, so the win appears from ~4 cores up and a single-core host runs
-// within noise — while "wan" (25 ms one-way link, small model) shows the
-// round-trip hiding, which holds on any core count: serially each
-// inference pays its OT exchanges plus a dead output round-trip, while
-// depth 2 garbles the next inference into that gap. Results are
-// committed as BENCH_session.json.
-func BenchmarkSessionPipeline(b *testing.B) {
-	cpuNet, err := nn.NewNetwork(nn.Vec(64),
-		nn.NewDense(24),
-		nn.NewActivation(act.ReLU),
-		nn.NewDense(8),
-	)
-	if err != nil {
-		b.Fatal(err)
-	}
-	cpuNet.InitWeights(rand.New(rand.NewSource(91)))
-	wanNet, err := nn.NewNetwork(nn.Vec(6),
-		nn.NewDense(5),
-		nn.NewActivation(act.ReLU),
-		nn.NewDense(4),
-	)
-	if err != nil {
-		b.Fatal(err)
-	}
-	wanNet.InitWeights(rand.New(rand.NewSource(93)))
-
-	links := []struct {
-		name  string
-		net   *nn.Network
-		inLen int
-		k     int
-		delay time.Duration
-	}{
-		{"cpu", cpuNet, 64, 6, 0},
-		{"wan", wanNet, 6, 8, 25 * time.Millisecond},
-	}
-	pool := precomp.PoolConfig{Capacity: 1 << 16, RefillLowWater: 1 << 14, Background: true}
-	for _, link := range links {
-		link := link
-		rng := rand.New(rand.NewSource(92))
-		xs := make([][]float64, link.k)
-		for i := range xs {
-			xs[i] = make([]float64, link.inLen)
-			for j := range xs[i] {
-				xs[i][j] = rng.Float64()*2 - 1
-			}
-		}
-		for _, depth := range []int{1, 2} {
-			depth := depth
-			b.Run(fmt.Sprintf("%s/depth=%d", link.name, depth), func(b *testing.B) {
-				cfg := core.EngineConfig{Pipeline: depth}
-				srv := &core.Server{Net: link.net, Fmt: fixed.Default, Engine: cfg, OTPool: pool}
-				if err := srv.Precompile(); err != nil {
-					b.Fatal(err)
-				}
-				cli := &core.Client{Engine: cfg}
-				var maxInFlight int64
-				var overlap time.Duration
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					var cConn, sConn *transport.Conn
-					var closer io.Closer
-					if link.delay > 0 {
-						cConn, sConn, closer = latencyPipe(link.delay)
-					} else {
-						cConn, sConn, closer = transport.Pipe()
-					}
-					var wg sync.WaitGroup
-					wg.Add(1)
-					go func() {
-						defer wg.Done()
-						st, err := srv.ServeSession(sConn)
-						if err != nil {
-							b.Error(err)
-							// Unblock the client side so a server-side
-							// regression fails the bench instead of
-							// wedging it.
-							closer.Close()
-							return
-						}
-						if st.MaxInFlight > maxInFlight {
-							maxInFlight = st.MaxInFlight
-						}
-						overlap += st.OverlapTime
-					}()
-					if _, _, err := cli.InferMany(cConn, xs); err != nil {
-						closer.Close()
-						b.Fatal(err)
-					}
-					wg.Wait()
-					closer.Close()
-				}
-				b.ReportMetric(float64(link.k*b.N)/b.Elapsed().Seconds(), "inf/s")
-				b.ReportMetric(float64(maxInFlight), "peakInFlight")
-				b.ReportMetric(overlap.Seconds()*1e3/float64(link.k*b.N), "overlapMs/inf")
-				b.ReportMetric(float64(runtime.GOMAXPROCS(0)), "cores")
-			})
-		}
-	}
-}
-
-// BenchmarkSessionBatch measures vectorized batch inference: one
-// InferBatch call fuses B samples into a single schedule walk,
-// one interleaved table stream, and one OT derandomization exchange per
-// input step — versus B=1, which pays the full protocol machinery per
-// sample. Two link models isolate the two gains: "cpu" (zero-latency
-// pipe) shows the amortized schedule walk and per-inference overheads,
-// while "wan" (25 ms one-way link, small model) shows the OT and output
-// round-trip amortization, which holds on any core count — serially B
-// samples pay B× the per-inference round-trips, while a batch pays them
-// once (the ≥1.5× B=16-vs-B=1 acceptance row). Every iteration includes
-// session setup, which the batch also amortizes. Results are committed
-// as BENCH_batch.json.
-func BenchmarkSessionBatch(b *testing.B) {
-	cpuNet, err := nn.NewNetwork(nn.Vec(64),
-		nn.NewDense(24),
-		nn.NewActivation(act.ReLU),
-		nn.NewDense(8),
-	)
-	if err != nil {
-		b.Fatal(err)
-	}
-	cpuNet.InitWeights(rand.New(rand.NewSource(95)))
-	wanNet, err := nn.NewNetwork(nn.Vec(6),
-		nn.NewDense(5),
-		nn.NewActivation(act.ReLU),
-		nn.NewDense(4),
-	)
-	if err != nil {
-		b.Fatal(err)
-	}
-	wanNet.InitWeights(rand.New(rand.NewSource(96)))
-
-	links := []struct {
-		name  string
-		net   *nn.Network
-		inLen int
-		delay time.Duration
-	}{
-		{"cpu", cpuNet, 64, 0},
-		{"wan", wanNet, 6, 25 * time.Millisecond},
-	}
-	pool := precomp.PoolConfig{Capacity: 1 << 16, RefillLowWater: 1 << 14, Background: true}
-	for _, link := range links {
-		link := link
-		rng := rand.New(rand.NewSource(97))
-		xs := make([][]float64, 16)
-		for i := range xs {
-			xs[i] = make([]float64, link.inLen)
-			for j := range xs[i] {
-				xs[i][j] = rng.Float64()*2 - 1
-			}
-		}
-		for _, batch := range []int{1, 4, 16} {
-			batch := batch
-			b.Run(fmt.Sprintf("%s/B=%d", link.name, batch), func(b *testing.B) {
-				cfg := core.EngineConfig{MaxBatch: batch}
-				srv := &core.Server{Net: link.net, Fmt: fixed.Default, Engine: cfg, OTPool: pool}
-				if err := srv.Precompile(); err != nil {
-					b.Fatal(err)
-				}
-				cli := &core.Client{Engine: cfg}
-				var otExchanges int64
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					var cConn, sConn *transport.Conn
-					var closer io.Closer
-					if link.delay > 0 {
-						cConn, sConn, closer = latencyPipe(link.delay)
-					} else {
-						cConn, sConn, closer = transport.Pipe()
-					}
-					var wg sync.WaitGroup
-					wg.Add(1)
-					go func() {
-						defer wg.Done()
-						st, err := srv.ServeSession(sConn)
-						if err != nil {
-							b.Error(err)
-							// Unblock the client side so a server-side
-							// regression fails the bench instead of
-							// wedging it.
-							closer.Close()
-							return
-						}
-						otExchanges += st.OTBatches
-					}()
-					if _, _, err := cli.InferBatch(cConn, xs[:batch]); err != nil {
-						closer.Close()
-						b.Fatal(err)
-					}
-					wg.Wait()
-					closer.Close()
-				}
-				b.ReportMetric(float64(batch*b.N)/b.Elapsed().Seconds(), "inf/s")
-				b.ReportMetric(float64(otExchanges)/float64(batch*b.N), "otExchanges/inf")
-				b.ReportMetric(float64(runtime.GOMAXPROCS(0)), "cores")
-			})
-		}
-	}
-}
-
 // BenchmarkSessionOffline measures the garble-ahead execution bank: the
-// offline/online split extended from OTs to whole inferences, on a 25 ms
-// WAN model. Session setup — handshake, OT base phase, the pool's bulk
+// offline/online split extended from OTs to whole inferences, over an
+// in-memory pipe. Session setup — handshake, OT base phase, the pool's bulk
 // OT fill, and the bank fill (Session.FillBank) — runs outside the
 // timer: that is the offline phase the bank exists to absorb. The timed
 // region is the online path only: with a warm bank it is input-label
 // selection, pool masking and stream writes from the bank; bank-off it
 // additionally garbles every gate live. The OT pool is sized to cover a
 // whole iteration so no refill crypto lands in the timed region. B=1
-// runs four pipelined single
-// inferences per iteration; B=16 one fused batch. The ≥2× bankWarm vs
-// bankOff acceptance row at B=1 and the ~0 onlineGarbleMs/inf for bank
-// hits are committed as BENCH_offline.json.
+// runs four pipelined single inferences per iteration; B=16 one fused
+// batch. The claim it guards: bankWarm's inf/s beats bankOff's at B=1, and
+// onlineGarbleMs/inf is ~0 for bank hits.
 func BenchmarkSessionOffline(b *testing.B) {
 	net, err := nn.NewNetwork(nn.Vec(64),
 		nn.NewDense(24),
@@ -1303,7 +729,6 @@ func BenchmarkSessionOffline(b *testing.B) {
 		b.Fatal(err)
 	}
 	net.InitWeights(rand.New(rand.NewSource(98)))
-	const delay = 25 * time.Millisecond
 	rng := rand.New(rand.NewSource(99))
 	xs := make([][]float64, 16)
 	for i := range xs {
@@ -1347,7 +772,7 @@ func BenchmarkSessionOffline(b *testing.B) {
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
 					b.StopTimer()
-					cConn, sConn, closer := latencyPipe(delay)
+					cConn, sConn, closer := transport.Pipe()
 					var wg sync.WaitGroup
 					wg.Add(1)
 					go func() {
@@ -1419,8 +844,8 @@ func BenchmarkSessionOffline(b *testing.B) {
 func nowNs() int64 { return time.Now().UnixNano() }
 
 // BenchmarkInstrumentationOverhead pins the acceptance bound on the
-// internal/obs metrics layer: the BenchmarkSessionBatch cpu/B=16
-// workload with recording on (the default) versus off. Spans read the
+// internal/obs metrics layer: one fused batch of 16 over an in-memory
+// pipe with recording on (the default) versus off. Spans read the
 // monotonic clock in both modes — core.Stats is backfilled from the
 // same span durations, so the clock reads are part of the product, not
 // the instrumentation — which makes the off mode isolate exactly what
@@ -1428,15 +853,13 @@ func nowNs() int64 { return time.Now().UnixNano() }
 //
 // Run-to-run noise of this workload on a loaded single-core host (~±10%,
 // dominated by background-OT-refill scheduling) swamps a sub-2% effect
-// in independent on-vs-off runs, so two things differ from the batch
-// bench proper: each iteration measures a PAIR — one metrics-on and one
+// in independent on-vs-off runs, so each iteration measures a PAIR — one metrics-on and one
 // metrics-off session back to back, order alternating per iteration to
 // cancel drift and order bias — and the pool refill runs synchronously
 // (Background: false) so the refill crypto lands at a deterministic
 // point instead of racing the critical path; the refill instrumentation
 // is still exercised, just inline. The overhead_pct metric is the
-// paired on-vs-off delta; the committed BENCH_engine.json row asserts
-// it stays under 2%.
+// paired on-vs-off delta; the acceptance bound is 2%.
 func BenchmarkInstrumentationOverhead(b *testing.B) {
 	net, err := nn.NewNetwork(nn.Vec(64),
 		nn.NewDense(24),

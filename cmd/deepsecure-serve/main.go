@@ -64,9 +64,7 @@ func main() {
 	pipeline := flag.Int("pipeline", 0, "in-flight inferences per session (0 = default 2, 1 = serial)")
 	maxBatch := flag.Int("max-batch", 0, "samples per fused batched inference (0 = default 32)")
 	idle := flag.Duration("idle-timeout", 2*time.Minute, "per-session idle read deadline (0 disables)")
-	otPool := flag.Int("ot-pool", 1<<16, "OT pool capacity per session (0 = no precomputation, IKNP online)")
-	otLowWater := flag.Int("ot-low-water", 0, "refill the OT pool when fewer remain (0 = capacity/4)")
-	otBackground := flag.Bool("ot-background", true, "precompute OT refills on a background goroutine")
+	otPool := flag.Int("ot-pool", 1<<16, "OT pool capacity per session (0 = sized from the model: weight bits × in-flight window)")
 	metricsAddr := flag.String("metrics-addr", "", "serve /metrics (Prometheus text) and /debug/stats (JSON) on this address (empty disables)")
 	pprofOn := flag.Bool("pprof", false, "also mount net/http/pprof under /debug/pprof/ on the metrics address")
 	maxSessions := flag.Int("max-sessions", 0, "admission control: max concurrent sessions in the protocol (0 disables admission)")
@@ -85,6 +83,9 @@ func main() {
 	if *pipeline < 0 {
 		log.Fatalf("-pipeline %d: must be >= 0 (0 selects the default depth %d, 1 is serial)", *pipeline, deepsecure.DefaultPipelineDepth)
 	}
+	if *otPool < 0 {
+		log.Fatalf("-ot-pool %d: must be >= 0 (0 sizes the pool from the model)", *otPool)
+	}
 	if *maxBatch < 0 {
 		log.Fatalf("-max-batch %d: must be >= 0 (0 selects the default cap %d)", *maxBatch, deepsecure.DefaultMaxBatch)
 	}
@@ -96,11 +97,7 @@ func main() {
 	net0.InitWeights(rand.New(rand.NewSource(*seed)))
 
 	start := time.Now()
-	poolCfg := deepsecure.PoolConfig{
-		Capacity:       *otPool,
-		RefillLowWater: *otLowWater,
-		Background:     *otBackground,
-	}
+	poolCfg := deepsecure.PoolConfig{Capacity: *otPool, Background: true}
 	admCfg := deepsecure.AdmissionConfig{
 		MaxActive:    *maxSessions,
 		MaxQueue:     *maxQueue,
@@ -134,12 +131,9 @@ func main() {
 	andGates, totalGates := srv.ProgramStats()
 	log.Printf("compiled %s netlist in %v: %d gates (%d non-XOR)",
 		net0.Arch(), time.Since(start).Round(time.Millisecond), totalGates, andGates)
-	if eff := poolCfg.Effective(); eff.Enabled() {
-		log.Printf("OT precomputation on: %d weight-keyed OTs per session at setup, refill below %d (background=%v)",
-			eff.Capacity, eff.RefillLowWater, eff.Background)
-	} else {
-		log.Printf("OT precomputation off: weight transfers run IKNP online")
-	}
+	depth := (deepsecure.EngineConfig{Pipeline: *pipeline}).PipelineDepth()
+	eff := poolCfg.Sized(len(nn.WeightBits(net0, deepsecure.DefaultFormat)), depth)
+	log.Printf("OT pool: %d weight-keyed OTs per session at setup, refill below %d", eff.Capacity, eff.RefillLowWater)
 	fanout := *workers
 	if fanout <= 0 {
 		fanout = runtime.GOMAXPROCS(0)
@@ -154,7 +148,7 @@ func main() {
 		log.Printf("phase deadlines on: handshake %v, ot-setup %v, inference %v (0 = unbounded)",
 			deadlines.Handshake, deadlines.OTSetup, deadlines.Inference)
 	}
-	if depth := (deepsecure.EngineConfig{Pipeline: *pipeline}).PipelineDepth(); depth == 1 {
+	if depth == 1 {
 		log.Printf("cross-inference pipelining off: inferences on a session run serially")
 	} else {
 		log.Printf("cross-inference pipelining on: up to %d inference(s) in flight per session", depth)

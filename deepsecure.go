@@ -98,13 +98,14 @@ type (
 	// batched-inference sample cap (0 defaults to DefaultMaxBatch). Set
 	// it on a Client, or pass it to NewServer via WithEngine.
 	EngineConfig = core.EngineConfig
-	// PoolConfig sizes the offline OT pool (Beaver-style OT
-	// precomputation, keyed to the model's weight bits): Capacity OTs are
-	// bulk-generated at session setup and refilled once fewer than
-	// RefillLowWater remain unassigned; Background starts the refill
-	// crypto on a helper goroutine the moment a refill is decided. The
-	// zero value disables pooling. Set it on a SessionServer, or pass it to
-	// NewServer via WithOTPool; clients need no configuration (they
+	// PoolConfig sizes the offline OT pool every session transfers its
+	// weight labels through (chosen-choice OTs keyed to the model's weight
+	// bits): Capacity OTs are bulk-generated at session setup and refilled
+	// once fewer than RefillLowWater remain unassigned; Background starts
+	// the refill crypto on a helper goroutine the moment a refill is
+	// decided. The zero value sizes the pool from the model: its weight
+	// bits × the in-flight window. Set it on a SessionServer, or pass it
+	// to NewServer via WithOTPool; clients need no configuration (they
 	// follow the server's in-band announcement).
 	PoolConfig = precomp.PoolConfig
 	// BankConfig sizes a garble-ahead execution bank (the offline/online

@@ -109,7 +109,7 @@ func main() {
 	}
 	fmt.Printf("secure inference: label %d (true %d), %.1f MB, %v\n",
 		label, set.TestY[0], float64(st.BytesSent+st.BytesReceived)/1e6, st.Duration)
-	fmt.Printf("  OT split: %v offline (base phase), %v online (%d direct IKNP; enable a pool to derandomize)\n",
-		st.OTOfflineTime.Round(time.Millisecond), st.OTOnlineTime.Round(time.Millisecond), st.OTsDirect)
+	fmt.Printf("  OT split: %v offline (base phase + pool fill), %v online (%d pooled OTs unmasked)\n",
+		st.OTOfflineTime.Round(time.Millisecond), st.OTOnlineTime.Round(time.Millisecond), st.OTsConsumed)
 	fmt.Printf("total example time: %v\n", time.Since(start).Round(time.Millisecond))
 }

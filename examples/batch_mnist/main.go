@@ -1,8 +1,8 @@
 // Batched-inference example: an MNIST-like classifier
 // serving a tray of samples in ONE fused InferBatch call. The batch
 // walks the compiled netlist schedule once, streams all samples' garbled
-// tables interleaved, and pays a single OT derandomization exchange per
-// weight batch — the embarrassingly parallel same-model serving pattern
+// tables interleaved, and sends each weight step's masked labels for all
+// samples in one frame — the embarrassingly parallel same-model serving pattern
 // the DeepSecure scalability argument targets. A serial session over the
 // same samples runs first for comparison.
 package main
@@ -92,8 +92,8 @@ func main() {
 	fmt.Printf("labels agree across both modes; %d/%d correct\n", hits, batchSize)
 }
 
-// serve answers one session with the private model, with an OT pool so
-// weight transfers are derandomization-only.
+// serve answers one session with the private model, with an OT pool big
+// enough for the whole batch so no refill lands mid-session.
 func serve(conn *deepsecure.Conn, net *deepsecure.Network) {
 	srv := &deepsecure.SessionServer{Net: net, Fmt: deepsecure.DefaultFormat,
 		OTPool: deepsecure.PoolConfig{Capacity: 1 << 16, Background: true}}

@@ -52,13 +52,12 @@ func main() {
 
 	// Client and server connected by an in-memory pipe; swap in a TCP
 	// connection for the distributed deployment (see cmd/deepsecure-demo).
-	// The server precomputes a random-OT pool at session setup, so each
-	// inference's weight transfer is one derandomization exchange with no
-	// cryptography on the critical path.
+	// The server precomputes a weight-keyed OT pool at session setup (sized
+	// from the model unless OTPool says otherwise), so each inference is
+	// one burst and one answer with no OT cryptography on the critical path.
 	clientConn, serverConn, closer := deepsecure.Pipe()
 	defer closer.Close()
-	srv := &deepsecure.SessionServer{Net: net, Fmt: deepsecure.DefaultFormat,
-		OTPool: deepsecure.PoolConfig{Capacity: 1 << 13, Background: true}}
+	srv := &deepsecure.SessionServer{Net: net, Fmt: deepsecure.DefaultFormat}
 	go func() {
 		if err := srv.Serve(serverConn); err != nil {
 			log.Fatal(err)

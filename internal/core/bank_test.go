@@ -22,8 +22,13 @@ import (
 // returns the labels, both directions' byte transcripts, and the
 // session stats. The client and server rngs are seeded identically
 // across calls, so two runs differing only in bank config are
-// transcript-comparable.
-func runBankedSession(t *testing.T, cliCfg EngineConfig, pool int, k int, xs [][]float64) ([]int, []byte, []byte, *Stats) {
+// transcript-comparable — on an OT pool big enough never to refill
+// mid-session: sender-side refills draw the client rng, and moving
+// garbling offline shifts where mid-inference refill draws land in the rng
+// stream, so the transcripts would differ in the pair randomness, not in
+// the garbled material. (Real deployments use crypto/rand, where draw order
+// is meaningless; only deterministic-seed pins care.)
+func runBankedSession(t *testing.T, cliCfg EngineConfig, k int, xs [][]float64) ([]int, []byte, []byte, *Stats) {
 	t.Helper()
 	f := fixed.Default
 	net := testNet(t, act.ReLU, 21)
@@ -32,10 +37,7 @@ func runBankedSession(t *testing.T, cliCfg EngineConfig, pool int, k int, xs [][
 	cConn := transport.New(logDuplex{r: s2c, w: c2s})
 	sConn := transport.New(logDuplex{r: c2s, w: s2c})
 
-	srv := &Server{Net: net, Fmt: f, Rng: rand.New(rand.NewSource(501))}
-	if pool > 0 {
-		srv.OTPool.Capacity = pool
-	}
+	srv := &Server{Net: net, Fmt: f, Rng: rand.New(rand.NewSource(501)), OTPool: precomp.PoolConfig{Capacity: 8192}}
 	var wg sync.WaitGroup
 	var srvErr error
 	wg.Add(1)
@@ -85,43 +87,32 @@ func TestBankStreamConformance(t *testing.T) {
 			xs[i][j] = rng.Float64()*2 - 1
 		}
 	}
-	// The pooled run uses a pool big enough to never refill mid-session:
-	// sender-side refills draw the client rng, and moving garbling
-	// offline shifts where mid-inference refill draws land in the rng
-	// stream — the transcripts would differ in the pair randomness, not
-	// in the garbled material. (Real deployments use crypto/rand, where
-	// draw order is meaningless; only this deterministic-seed pin cares.)
-	for _, pool := range []int{0, 8192} {
-		off, offC2S, offS2C, offSt := runBankedSession(t, EngineConfig{}, pool, 2, xs)
-		on, onC2S, onS2C, onSt := runBankedSession(t,
-			EngineConfig{Bank: bank.Config{Depth: 2}}, pool, 2, xs)
-		for i := range off {
-			if off[i] != on[i] {
-				t.Fatalf("pool=%d: inference %d label %d banked, %d live", pool, i, on[i], off[i])
-			}
+	off, offC2S, offS2C, offSt := runBankedSession(t, EngineConfig{}, 2, xs)
+	on, onC2S, onS2C, onSt := runBankedSession(t, EngineConfig{Bank: bank.Config{Depth: 2}}, 2, xs)
+	for i := range off {
+		if off[i] != on[i] {
+			t.Fatalf("inference %d label %d banked, %d live", i, on[i], off[i])
 		}
-		if !bytes.Equal(offC2S, onC2S) {
-			t.Fatalf("pool=%d: client→server transcript differs between bank-on and bank-off (%d vs %d bytes)",
-				pool, len(onC2S), len(offC2S))
-		}
-		if !bytes.Equal(offS2C, onS2C) {
-			t.Fatalf("pool=%d: server→client transcript differs between bank-on and bank-off (%d vs %d bytes)",
-				pool, len(onS2C), len(offS2C))
-		}
-		if onSt.BankHits != 2 || onSt.BankMisses != 0 {
-			t.Fatalf("pool=%d: bank-on stats %d hits / %d misses, want 2 / 0", pool, onSt.BankHits, onSt.BankMisses)
-		}
-		if offSt.BankHits != 0 || offSt.BankMisses != 0 {
-			t.Fatalf("pool=%d: bank-off stats claim bank traffic: %+v", pool, offSt)
-		}
-		// The headline property: bank hits pay no online garbling, so
-		// the hash-core time on the critical path is zero.
-		if onSt.GateTime != 0 {
-			t.Fatalf("pool=%d: banked session reports %v online garble time, want 0", pool, onSt.GateTime)
-		}
-		if onSt.BankRefillTime <= 0 {
-			t.Fatalf("pool=%d: banked session reports no offline refill time", pool)
-		}
+	}
+	if !bytes.Equal(offC2S, onC2S) {
+		t.Fatalf("client→server transcript differs between bank-on and bank-off (%d vs %d bytes)", len(onC2S), len(offC2S))
+	}
+	if !bytes.Equal(offS2C, onS2C) {
+		t.Fatalf("server→client transcript differs between bank-on and bank-off (%d vs %d bytes)", len(onS2C), len(offS2C))
+	}
+	if onSt.BankHits != 2 || onSt.BankMisses != 0 {
+		t.Fatalf("bank-on stats %d hits / %d misses, want 2 / 0", onSt.BankHits, onSt.BankMisses)
+	}
+	if offSt.BankHits != 0 || offSt.BankMisses != 0 {
+		t.Fatalf("bank-off stats claim bank traffic: %+v", offSt)
+	}
+	// The headline property: bank hits pay no online garbling, so the
+	// hash-core time on the critical path is zero.
+	if onSt.GateTime != 0 {
+		t.Fatalf("banked session reports %v online garble time, want 0", onSt.GateTime)
+	}
+	if onSt.BankRefillTime <= 0 {
+		t.Fatalf("banked session reports no offline refill time")
 	}
 }
 
@@ -141,11 +132,8 @@ func TestBankExhaustionFallback(t *testing.T) {
 	}
 	f := fixed.Default
 	net := testNet(t, act.ReLU, 21)
-	// Pool sized to never refill mid-session (see
-	// TestBankStreamConformance for why refills would shift rng draws).
-	off, offC2S, offS2C, _ := runBankedSession(t, EngineConfig{}, 8192, 4, xs)
-	on, onC2S, onS2C, onSt := runBankedSession(t,
-		EngineConfig{Bank: bank.Config{Depth: 1}}, 8192, 4, xs)
+	off, offC2S, offS2C, _ := runBankedSession(t, EngineConfig{}, 4, xs)
+	on, onC2S, onS2C, onSt := runBankedSession(t, EngineConfig{Bank: bank.Config{Depth: 1}}, 4, xs)
 	for i := range off {
 		want := net.PredictFixed(f, xs[i])
 		if off[i] != want || on[i] != want {
@@ -172,15 +160,16 @@ type differentialRun struct {
 	c2s, s2c     []byte
 }
 
-func runDifferentialSession(t *testing.T, name string, b, bankDepth, workers, pool int, samples [][]float64, want []int) differentialRun {
+func runDifferentialSession(t *testing.T, name string, b, bankDepth, workers int, samples [][]float64, want []int) differentialRun {
 	t.Helper()
 	f := fixed.Default
 	net := testNet(t, act.ReLU, 21)
 	c2s, s2c := newLogHalf(), newLogHalf()
 	cConn := transport.New(logDuplex{r: s2c, w: c2s})
 	sConn := transport.New(logDuplex{r: c2s, w: s2c})
+	// A pool big enough never to refill mid-session: see runBankedSession.
 	srv := &Server{Net: net, Fmt: f, Rng: rand.New(rand.NewSource(503)),
-		Engine: EngineConfig{Workers: workers}, OTPool: precomp.PoolConfig{Capacity: pool}}
+		Engine: EngineConfig{Workers: workers}, OTPool: precomp.PoolConfig{Capacity: 8192}}
 	var wg sync.WaitGroup
 	var srvErr error
 	var out differentialRun
@@ -222,8 +211,8 @@ func runDifferentialSession(t *testing.T, name string, b, bankDepth, workers, po
 
 // TestInferenceDifferential runs the one inference path across everything
 // that selects a branch inside it — batch size B ∈ {1, 3} × table source
-// {live, bank hit, bank drained mid-batch} × Workers ∈ {1, 4} × OT pool
-// {on, Capacity 0} — two inferences of B samples per session. Every label
+// {live, bank hit, bank drained mid-batch} × Workers ∈ {1, 4} — two
+// inferences of B samples per session. Every label
 // must equal PredictFixed; the Stats must count samples, gate instances,
 // bank hits and misses the same way on every path; a bank hit pays no
 // online garble time and a miss does; the wire bytes must not depend on
@@ -262,50 +251,45 @@ func TestInferenceDifferential(t *testing.T) {
 	}
 	for _, b := range []int{1, 3} {
 		n := int64(b)
-		// Pool on = big enough never to refill mid-session: a refill draws
-		// the client rng, and garbling ahead would move where that draw
-		// lands relative to the label draws (see TestBankStreamConformance).
-		for _, pool := range []int{8192, 0} {
-			// first[ref] is the first transcript recorded under ref: scheduling
-			// never shows on the wire, and at B=1 neither does the table source.
-			first := make(map[string]differentialRun)
-			for _, src := range sources {
-				for _, workers := range []int{1, 4} {
-					name := fmt.Sprintf("B=%d/%s/workers=%d/pool=%d", b, src.name, workers, pool)
-					banked := src.depth(b) > 0
-					run := runDifferentialSession(t, name, b, src.depth(b), workers, pool, samples, want)
-					var hits, misses int64
-					for k, st := range run.perInfer {
-						var h, m int64
-						if banked && src.hits[k] {
-							h = n
-						} else if banked {
-							m = n
-						}
-						if st.Inferences != n || st.ANDGates != ands*n || st.BankHits != h || st.BankMisses != m {
-							t.Fatalf("%s inference %d stats: %+v", name, k, st)
-						}
-						if (h > 0) != (st.GateTime == 0) {
-							t.Fatalf("%s inference %d: %d bank hit(s) but online garble time %v", name, k, h, st.GateTime)
-						}
-						hits, misses = hits+h, misses+m
+		// first[ref] is the first transcript recorded under ref: scheduling
+		// never shows on the wire, and at B=1 neither does the table source.
+		first := make(map[string]differentialRun)
+		for _, src := range sources {
+			for _, workers := range []int{1, 4} {
+				name := fmt.Sprintf("B=%d/%s/workers=%d", b, src.name, workers)
+				banked := src.depth(b) > 0
+				run := runDifferentialSession(t, name, b, src.depth(b), workers, samples, want)
+				var hits, misses int64
+				for k, st := range run.perInfer {
+					var h, m int64
+					if banked && src.hits[k] {
+						h = n
+					} else if banked {
+						m = n
 					}
-					if st := run.session; st.Inferences != 2*n || st.ANDGates != 2*ands*n ||
-						st.BankHits != hits || st.BankMisses != misses {
-						t.Fatalf("%s session stats: %+v", name, st)
+					if st.Inferences != n || st.ANDGates != ands*n || st.BankHits != h || st.BankMisses != m {
+						t.Fatalf("%s inference %d stats: %+v", name, k, st)
 					}
-					if st := run.srv; st.Inferences != 2*n || st.ANDGates != 2*ands*n {
-						t.Fatalf("%s server stats: %+v", name, st)
+					if (h > 0) != (st.GateTime == 0) {
+						t.Fatalf("%s inference %d: %d bank hit(s) but online garble time %v", name, k, h, st.GateTime)
 					}
-					ref := src.name
-					if b == 1 {
-						ref = "live"
-					}
-					if prev, ok := first[ref]; !ok {
-						first[ref] = run
-					} else if !bytes.Equal(prev.c2s, run.c2s) || !bytes.Equal(prev.s2c, run.s2c) {
-						t.Fatalf("%s: transcript differs from the first %s run's", name, ref)
-					}
+					hits, misses = hits+h, misses+m
+				}
+				if st := run.session; st.Inferences != 2*n || st.ANDGates != 2*ands*n ||
+					st.BankHits != hits || st.BankMisses != misses {
+					t.Fatalf("%s session stats: %+v", name, st)
+				}
+				if st := run.srv; st.Inferences != 2*n || st.ANDGates != 2*ands*n {
+					t.Fatalf("%s server stats: %+v", name, st)
+				}
+				ref := src.name
+				if b == 1 {
+					ref = "live"
+				}
+				if prev, ok := first[ref]; !ok {
+					first[ref] = run
+				} else if !bytes.Equal(prev.c2s, run.c2s) || !bytes.Equal(prev.s2c, run.s2c) {
+					t.Fatalf("%s: transcript differs from the first %s run's", name, ref)
 				}
 			}
 		}

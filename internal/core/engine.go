@@ -409,8 +409,7 @@ func (en *garbleEngine) doInputs(st *circuit.Step) error {
 	}
 	// Evaluator inputs travel by OT — ONE transfer for all b samples of
 	// the step (wire-major, samples innermost), masked with the
-	// inference's pool entries when the session has a pool, or by direct
-	// IKNP otherwise.
+	// inference's pool entries.
 	var err error
 	en.labelBuf, err = en.ots.SendStep(en.conn, en.otr, en.evalBit, len(st.Wires), en.labelBuf,
 		func(i, s int) (ot.Msg, ot.Msg, error) {

@@ -226,15 +226,22 @@ func runEngines(t *testing.T, sched *circuit.Schedule, gBits, eBits []bool, cfg 
 			evalDone <- evalResult{err}
 			return
 		}
-		otp := precomp.NewReceiverPool(eConn, ots, rng, precomp.PoolConfig{})
+		// A pool keyed to the evaluator's bits that holds every inference
+		// of the run: the setup fill is the only OT exchange.
+		otp := precomp.NewReceiverPool(eConn, ots, rng, precomp.PoolConfig{Capacity: nInfer*len(eBits) + 1, RefillLowWater: 1})
+		otp.SetKey(eBits)
+		if err := otp.Announce(); err != nil {
+			evalDone <- evalResult{err}
+			return
+		}
 		en := &evalEngine{
 			sched: sched,
 			pool:  cfg.newPool(),
 			conn:  eConn,
 			ots:   otp,
-			otr:   otp.Reserve(1),
 		}
 		for k := 0; k < nInfer; k++ {
+			en.otr = otp.Reserve(1)
 			constLabels, err := eConn.Recv(transport.MsgConstLabels)
 			if err != nil {
 				evalDone <- evalResult{err}
@@ -270,6 +277,9 @@ func runEngines(t *testing.T, sched *circuit.Schedule, gBits, eBits []bool, cfg 
 		t.Fatalf("workers=%d: ot sender: %v", workers, err)
 	}
 	otp := precomp.NewSenderPool(gConn, ots, rng)
+	if err := otp.HandleAnnounce(); err != nil {
+		t.Fatalf("workers=%d: pool fill: %v", workers, err)
+	}
 	pool := cfg.newPool()
 	free := make(chan []byte, 3)
 	for k := 0; k < nInfer; k++ {

@@ -21,8 +21,7 @@ import (
 // client is already streaming inference k+1. The pieces:
 //
 //	reader ──▶ per-inference inbox ──▶ evalCtx goroutine (evalEngine)
-//	       ├─▶ OT pool (refill answers, banked in wire order)
-//	       └─▶ OT inbox (direct-IKNP answers when the pool is off)
+//	       └─▶ OT pool (refill answers, banked in wire order)
 //	evalCtx ──▶ muxConn (mutex-serialized writes) ──▶ conn
 //
 // The in-flight window (transport.Window, depth = EngineConfig.Pipeline)
@@ -67,83 +66,32 @@ var errSessionTorn = errors.New("core: session torn down")
 // instead of pinning the reader forever.
 const routeStallTimeout = 5 * time.Minute
 
-// muxConn is the shared half of a demultiplexed session connection: it
-// serializes writes from concurrent contexts and, once the reader is
-// started, serves direct-IKNP answer receives from the reader's routing
-// instead of the socket. Before start it is a passthrough, so session
-// setup (base OT phase, pool announcement) runs on it unchanged.
+// muxConn is the shared half of a demultiplexed session connection: the
+// connection with its writes serialized, for concurrent contexts. Session
+// setup (base OT phase, pool announcement and fill) also receives through
+// it; once the reader starts, the reader alone reads and a muxConn only
+// writes.
 type muxConn struct {
-	conn *transport.Conn
-
-	wmu  sync.Mutex
-	otCh chan frame
-	stop chan struct{}
-
-	started bool
-}
-
-func newMuxConn(conn *transport.Conn) *muxConn {
-	return &muxConn{conn: conn, otCh: make(chan frame, 2), stop: make(chan struct{})}
+	*transport.Conn
+	wmu sync.Mutex
 }
 
 func (m *muxConn) Send(t transport.MsgType, payload []byte) error {
 	m.wmu.Lock()
 	defer m.wmu.Unlock()
-	return m.conn.Send(t, payload)
+	return m.Conn.Send(t, payload)
 }
 
-func (m *muxConn) sendTagged(t transport.MsgType, id uint64, payload []byte) error {
+func (m *muxConn) SendTagged(t transport.MsgType, id uint64, payload []byte) error {
 	m.wmu.Lock()
 	defer m.wmu.Unlock()
-	return m.conn.SendTagged(t, id, payload)
+	return m.Conn.SendTagged(t, id, payload)
 }
 
 func (m *muxConn) Flush() error {
 	m.wmu.Lock()
 	defer m.wmu.Unlock()
-	return m.conn.Flush()
-}
-
-// SetLimit lets the OT pool pin the size of the refill frame it expects.
-func (m *muxConn) SetLimit(t transport.MsgType, n int) { m.conn.SetLimit(t, n) }
-
-func (m *muxConn) Recv(want transport.MsgType) ([]byte, error) {
-	_, p, err := m.RecvAny(want)
-	return p, err
-}
-
-// RecvAny receives the next OT frame routed by the reader (or reads the
-// connection directly before the mux starts). It flushes pending writes
-// first — the request this receive answers may still be buffered.
-func (m *muxConn) RecvAny(want ...transport.MsgType) (transport.MsgType, []byte, error) {
-	if !m.started {
-		return m.conn.RecvAny(want...)
-	}
-	return recvRouted(m.Flush, m.otCh, m.stop, "mid-OT-exchange", want)
-}
-
-// recvRouted is the shared routed-receive shape of a demultiplexed
-// session: flush pending writes (the request this receive answers may
-// still be buffered), then take the next routed frame, failing fast with
-// a teardown-tagged error when the reader or the session is gone.
-func recvRouted(flush func() error, ch <-chan frame, stop <-chan struct{}, scope string, want []transport.MsgType) (transport.MsgType, []byte, error) {
-	if err := flush(); err != nil {
-		return 0, nil, err
-	}
-	select {
-	case f, ok := <-ch:
-		if !ok {
-			return 0, nil, fmt.Errorf("core: session ended %s: %w", scope, errSessionTorn)
-		}
-		for _, w := range want {
-			if f.typ == w {
-				return f.typ, f.payload, nil
-			}
-		}
-		return 0, nil, fmt.Errorf("core: protocol desync %s: got %v frame, want %v", scope, f.typ, want)
-	case <-stop:
-		return 0, nil, fmt.Errorf("core: teardown %s: %w", scope, errSessionTorn)
-	}
+	return m.Conn.Flush()
 }
 
 // evalCtx is one in-flight inference on the server: its routed frame
@@ -173,7 +121,7 @@ type ctxConn struct {
 
 func (v *ctxConn) Send(t transport.MsgType, payload []byte) error {
 	if t == transport.MsgOutputLabels {
-		return v.m.mc.sendTagged(transport.MsgInferOutputs, v.c.id, payload)
+		return v.m.mc.SendTagged(transport.MsgInferOutputs, v.c.id, payload)
 	}
 	return v.m.mc.Send(t, payload)
 }
@@ -185,8 +133,28 @@ func (v *ctxConn) Recv(want transport.MsgType) ([]byte, error) {
 	return p, err
 }
 
+// RecvAny takes the context's next routed frame, failing fast with a
+// teardown-tagged error when the reader or the session is gone. It flushes
+// pending writes first: refills the awaited frame depends on may still be
+// buffered.
 func (v *ctxConn) RecvAny(want ...transport.MsgType) (transport.MsgType, []byte, error) {
-	return recvRouted(v.m.mc.Flush, v.c.inbox, v.m.stop, fmt.Sprintf("mid-inference %d", v.c.id), want)
+	if err := v.m.mc.Flush(); err != nil {
+		return 0, nil, err
+	}
+	select {
+	case f, ok := <-v.c.inbox:
+		if !ok {
+			return 0, nil, fmt.Errorf("core: session ended mid-inference %d: %w", v.c.id, errSessionTorn)
+		}
+		for _, w := range want {
+			if f.typ == w {
+				return f.typ, f.payload, nil
+			}
+		}
+		return 0, nil, fmt.Errorf("core: protocol desync mid-inference %d: got %v frame, want %v", v.c.id, f.typ, want)
+	case <-v.m.stop:
+		return 0, nil, fmt.Errorf("core: teardown mid-inference %d: %w", v.c.id, errSessionTorn)
+	}
 }
 
 // muxEvent is a completion notification to the session's main loop.
@@ -253,7 +221,7 @@ func newSessionMux(srv *Server, conn *transport.Conn, mc *muxConn, otp *precomp.
 		cfg:        srv.Engine,
 		weightBits: weightBits,
 		events:     make(chan muxEvent, 1),
-		stop:       mc.stop,
+		stop:       make(chan struct{}),
 		ctxs:       make(map[uint64]*evalCtx, depth),
 	}
 }
@@ -266,7 +234,6 @@ func newSessionMux(srv *Server, conn *transport.Conn, mc *muxConn, otp *precomp.
 // only surface if no root cause — the reader's protocol error, or a
 // boundary-clean disconnect — explains them.
 func (m *sessionMux) run(st *Stats) error {
-	m.mc.started = true
 	go m.readLoop()
 	defer m.otp.Abort()
 	defer close(m.stop)
@@ -337,8 +304,8 @@ func (m *sessionMux) emit(ev muxEvent) {
 
 // readLoop drains the connection, validating inference tags against the
 // window and routing frames to their contexts (tagged per-inference
-// frames) or to the session's OT state (the untagged refill and
-// direct-IKNP answers). It exits on end-of-session, disconnect, or a
+// frames) or to the session's OT pool (the untagged refill answers). It
+// exits on end-of-session, disconnect, or a
 // protocol violation, then closes every routing channel so blocked
 // contexts fail fast instead of hanging.
 func (m *sessionMux) readLoop() {
@@ -354,7 +321,6 @@ func (m *sessionMux) readLoop() {
 		}
 		// Unblock everything still waiting on routed frames. Only the
 		// reader sends on these channels, so closing here is safe.
-		close(m.mc.otCh)
 		for _, c := range m.ctxs {
 			close(c.inbox)
 		}
@@ -428,22 +394,10 @@ func (m *sessionMux) readLoop() {
 				stall.Stop()
 			}
 		case transport.MsgOTExtY:
-			if m.otp.Pooled() {
-				// A refill answer. Banking it here, in wire order, is what
-				// lets contexts use the new entries without waiting: the
-				// masked frames that need them are behind it on the wire.
-				err = m.otp.FinishRefill(payload)
-				break
-			}
-			// Direct IKNP is strictly request/response and one exchange
-			// at a time, so at most one answer is legitimately in flight;
-			// a frame that doesn't fit the (deliberately slack) buffer
-			// was never requested.
-			select {
-			case m.mc.otCh <- frame{typ, payload}:
-			default:
-				err = fmt.Errorf("core: unsolicited %v frame", typ)
-			}
+			// A refill answer. Banking it here, in wire order, is what lets
+			// contexts use the new entries without waiting: the masked
+			// frames that need them are behind it on the wire.
+			err = m.otp.FinishRefill(payload)
 		default:
 			err = fmt.Errorf("core: unexpected %v frame on a session", typ)
 		}

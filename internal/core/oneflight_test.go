@@ -1,9 +1,11 @@
 package core
 
 import (
+	"encoding/binary"
 	"errors"
 	"io"
 	"math/rand"
+	"slices"
 	"sync"
 	"testing"
 
@@ -66,10 +68,18 @@ func (d *dirLog) take() string {
 // server and returns its stats and both byte transcripts.
 func poolSession(t *testing.T, net *nn.Network, pool precomp.PoolConfig, window int) (sess *Session, wire *dirLog, end func() (srvStats *Stats, c2s, s2c []byte)) {
 	t.Helper()
+	cfg := EngineConfig{Workers: 1, ChunkBytes: 4096, Pipeline: window}
+	return wireSession(t,
+		&Server{Net: net, Fmt: fixed.Default, Rng: rand.New(rand.NewSource(11)), Engine: cfg, OTPool: pool},
+		&Client{Rng: rand.New(rand.NewSource(12)), Engine: cfg})
+}
+
+// wireSession opens a session of cli against srv over a recording pipe;
+// end is as in poolSession.
+func wireSession(t *testing.T, srv *Server, cli *Client) (sess *Session, wire *dirLog, end func() (srvStats *Stats, c2s, s2c []byte)) {
+	t.Helper()
 	c2sHalf, s2cHalf := newLogHalf(), newLogHalf()
 	wire = &dirLog{ReadWriter: logDuplex{r: s2cHalf, w: c2sHalf}}
-	cfg := EngineConfig{Workers: 1, ChunkBytes: 4096, Pipeline: window}
-	srv := &Server{Net: net, Fmt: fixed.Default, Rng: rand.New(rand.NewSource(11)), Engine: cfg, OTPool: pool}
 	var wg sync.WaitGroup
 	var srvStats *Stats
 	var srvErr error
@@ -78,7 +88,6 @@ func poolSession(t *testing.T, net *nn.Network, pool precomp.PoolConfig, window 
 		defer wg.Done()
 		srvStats, srvErr = srv.ServeSession(transport.New(logDuplex{r: c2sHalf, w: s2cHalf}))
 	}()
-	cli := &Client{Rng: rand.New(rand.NewSource(12)), Engine: cfg}
 	sess, err := cli.NewSession(transport.New(wire))
 	if err != nil {
 		t.Fatalf("open session: %v", err)
@@ -108,12 +117,18 @@ func randSamples(seed int64, n int) [][]float64 {
 	return xs
 }
 
-// TestOneFlightWireShape pins the protocol's shape on a warm pool: a
-// single inference, a window's worth of asynchronous ones and a batch are
-// each one client burst answered by one server burst — the client moves
-// no byte toward itself between its begin frame and its final flush, and
-// the server sends nothing the client has to answer.
+// TestOneFlightWireShape pins the protocol's shape, on a warm pool and with
+// no option set anywhere.
 func TestOneFlightWireShape(t *testing.T) {
+	t.Run("warmPool", testOneFlightWarmPool)
+	t.Run("zeroConfig", testOneFlightZeroConfig)
+}
+
+// On a warm pool a single inference, a window's worth of asynchronous ones
+// and a batch are each one client burst answered by one server burst — the
+// client moves no byte toward itself between its begin frame and its final
+// flush, and the server sends nothing the client has to answer.
+func testOneFlightWarmPool(t *testing.T) {
 	net := testNet(t, act.ReLU, 31)
 	f := fixed.Default
 	// Warm for the whole test: 1 + 2 + 4 samples, no low-water crossing.
@@ -184,11 +199,178 @@ func TestOneFlightWireShape(t *testing.T) {
 	}
 }
 
+// One flight is the protocol, not a configuration: a server and a client
+// with no option set at all
+// (deepsecure.Serve ↔ deepsecure.Infer) run every inference as one client
+// burst answered by one server burst. The server's burst is the outputs,
+// preceded — when the derived pool (W × window) ran low — by a refill
+// announcement, whose answer is the only other thing the client writes and
+// which nothing waits for.
+func testOneFlightZeroConfig(t *testing.T) {
+	checkLeaks := testutil.VerifyNoLeaks(t)
+	const w = testNetWeightBits
+	net := testNet(t, act.ReLU, 38)
+	f := fixed.Default
+	sess, wire, end := wireSession(t, &Server{Net: net, Fmt: f}, &Client{})
+	wire.take() // setup is a conversation; the inferences are not
+	xs := randSamples(39, 5)
+	for i, x := range xs {
+		label, _, err := sess.Infer(x)
+		if want := net.PredictFixed(f, x); err != nil || label != want {
+			t.Fatalf("inference %d = %d, %v; want %d", i, label, err, want)
+		}
+		// The fill covers a window of 2, so a refill rides every second
+		// answer.
+		want := "wr"
+		if i%2 == 1 {
+			want = "wrwr" // burst, refill + outputs read, refill answered, read on
+		}
+		if got := wire.take(); got != want {
+			t.Errorf("inference %d moved bytes %q, want %q", i, got, want)
+		}
+	}
+	srvStats, c2s, s2c := end()
+	// The derived capacity is W × window: the setup fill and the refills
+	// after inferences 2 and 4, of a whole pool each.
+	if srvStats.OTRefills != 3 || srvStats.OTsPooled != 3*2*w || srvStats.OTsConsumed != 5*w {
+		t.Errorf("server pool: %d fills, %d pooled, %d consumed; want 3, %d, %d",
+			srvStats.OTRefills, srvStats.OTsPooled, srvStats.OTsConsumed, 3*2*w, 5*w)
+	}
+	// No OT frame sits inside a burst: the client's refill answers precede
+	// a begin (or the end marker), the server's requests an outputs frame.
+	follows := func(dir string, frames []wireFrame, typ transport.MsgType, next ...transport.MsgType) {
+		for i, fr := range frames {
+			if fr.typ == typ && (i+1 == len(frames) || !slices.Contains(next, frames[i+1].typ)) {
+				t.Errorf("%s frame %d: %v is not followed by one of %v", dir, i, typ, next)
+			}
+		}
+	}
+	follows("client→server", parseFrames(t, c2s), transport.MsgOTExtY, transport.MsgInferBegin, transport.MsgEndSession)
+	follows("server→client", parseFrames(t, s2c), transport.MsgOTExtU, transport.MsgInferOutputs)
+	checkLeaks()
+}
+
+// TestDerivedPoolOneShot pins what the derived default costs the shortest
+// session there is: one inference generates at most one range more than it
+// consumes, at either end of the window range.
+func TestDerivedPoolOneShot(t *testing.T) {
+	const w = testNetWeightBits
+	net := testNet(t, act.ReLU, 40)
+	for _, window := range []int{1, 2} {
+		cConn, sConn, closer := transport.Pipe()
+		srv := &Server{Net: net, Fmt: fixed.Default, Engine: EngineConfig{Pipeline: window}}
+		done := make(chan *Stats, 1)
+		go func() {
+			st, err := srv.ServeSession(sConn)
+			if err != nil {
+				t.Errorf("window %d: server: %v", window, err)
+			}
+			done <- st
+		}()
+		x := randSamples(41, 1)[0]
+		label, _, err := (&Client{}).Infer(cConn, x)
+		if want := net.PredictFixed(fixed.Default, x); err != nil || label != want {
+			t.Fatalf("window %d: Infer = %d, %v; want %d", window, label, err, want)
+		}
+		if st := <-done; st.OTsConsumed != w || st.OTsPooled < w || st.OTsPooled > 2*w {
+			t.Errorf("window %d: one-shot session pooled %d OTs and consumed %d, want at most one range (%d) spare",
+				window, st.OTsPooled, st.OTsConsumed, w)
+		}
+		closer.Close()
+	}
+}
+
+// hostileServer plays a server up to the end of the OT base phase on sConn
+// and then hands over to rest, whose error it returns on the channel.
+func hostileServer(net *nn.Network, sConn *transport.Conn, rest func(ots *ot.ExtReceiver, rng *rand.Rand) error) <-chan error {
+	done := make(chan error, 1)
+	go func() {
+		done <- func() error {
+			if _, err := sConn.Recv(transport.MsgHello); err != nil {
+				return err
+			}
+			spec, err := net.Spec(fixed.Default).Marshal()
+			if err != nil {
+				return err
+			}
+			if err := sConn.Send(transport.MsgArch, spec); err != nil {
+				return err
+			}
+			if err := sConn.Send(transport.MsgPipeline, []byte{2, 32}); err != nil {
+				return err
+			}
+			rng := rand.New(rand.NewSource(36))
+			ots, err := ot.NewExtReceiver(sConn, rng)
+			if err != nil {
+				return err
+			}
+			return rest(ots, rng)
+		}()
+	}()
+	return done
+}
+
+// TestUnpooledServerRefused pins both ways a server can still ask for the
+// per-step IKNP exchange this protocol no longer has, and that the client
+// refuses each at that frame with a typed error and nothing left running:
+// a pool announcement of capacity 0 fails NewSession, an extension request
+// inside an inference (no refill announced) fails the inference.
+func TestUnpooledServerRefused(t *testing.T) {
+	checkLeaks := testutil.VerifyNoLeaks(t)
+	net := testNet(t, act.ReLU, 42)
+	var pe *precomp.PeerError
+
+	cConn, sConn, closer := transport.Pipe()
+	done := hostileServer(net, sConn, func(*ot.ExtReceiver, *rand.Rand) error {
+		announce := binary.AppendUvarint(binary.AppendUvarint(nil, 0), testNetWeightBits)
+		if err := sConn.Send(transport.MsgOTRefill, announce); err != nil {
+			return err
+		}
+		return sConn.Flush()
+	})
+	if _, err := (&Client{}).NewSession(cConn); !errors.As(err, &pe) {
+		t.Errorf("NewSession against a capacity-0 announcement = %v, want a precomp.PeerError", err)
+	}
+	if err := <-done; err != nil {
+		t.Errorf("capacity-0 server's own setup: %v", err)
+	}
+	closer.Close()
+
+	cConn, sConn, closer = transport.Pipe()
+	done = hostileServer(net, sConn, func(ots *ot.ExtReceiver, rng *rand.Rand) error {
+		otp := precomp.NewReceiverPool(sConn, ots, rng, precomp.PoolConfig{Capacity: 2048})
+		otp.SetKey(nn.WeightBits(net, fixed.Default))
+		if err := otp.Announce(); err != nil {
+			return err
+		}
+		if _, err := sConn.Recv(transport.MsgInferBegin); err != nil {
+			return err
+		}
+		if err := sConn.Send(transport.MsgOTExtU, make([]byte, ot.ExtULen(8))); err != nil {
+			return err
+		}
+		return sConn.Flush()
+	})
+	sess, err := (&Client{}).NewSession(cConn)
+	if err != nil {
+		t.Fatalf("NewSession against a pooled announcement: %v", err)
+	}
+	if label, _, err := sess.Infer(randSamples(43, 1)[0]); !errors.As(err, &pe) {
+		t.Errorf("Infer answered by ot-ext-u = %d, %v; want a precomp.PeerError", label, err)
+	}
+	if err := <-done; err != nil {
+		t.Errorf("ot-ext-u server's own run: %v", err)
+	}
+	closer.Close()
+	checkLeaks()
+}
+
 // TestPoolRefillShapes drives sessions whose pools cannot hold the
 // traffic: a refill after every inference (Capacity = W+1), on-demand
 // refills in the middle of pipelined batches (Capacity < W, window 2,
 // B = 3) and fills that wrap around the key (Capacity not a multiple of
-// W). Every label must equal nn.PredictFixed, both parties must hand out
+// W) — and one on the derived default, which refills every second
+// inference. Every label must equal nn.PredictFixed, both parties must hand out
 // the same consecutive ranges, every announced refill must be answered
 // before the session ends, and nothing may linger afterwards.
 func TestPoolRefillShapes(t *testing.T) {
@@ -202,6 +384,7 @@ func TestPoolRefillShapes(t *testing.T) {
 		batch  int // samples per operation; 1 = InferAsync
 		ops    int
 	}{
+		{"derivedDefault", precomp.PoolConfig{}, 2, 1, 6},
 		{"refillEveryInference", precomp.PoolConfig{Capacity: w + 1}, 1, 1, 5},
 		{"refillEveryInferenceBackground", precomp.PoolConfig{Capacity: w + 1, Background: true}, 2, 1, 5},
 		{"onDemandMidBatch", precomp.PoolConfig{Capacity: w - 100}, 2, 3, 4},
@@ -266,8 +449,8 @@ func TestPoolRefillShapes(t *testing.T) {
 			if srvStats.OTsConsumed != total || cliStats.OTsConsumed != total {
 				t.Errorf("consumed %d (server) / %d (client) pooled OTs, want %d", srvStats.OTsConsumed, cliStats.OTsConsumed, total)
 			}
-			if srvStats.OTRefills < 3 || srvStats.OTsDirect != 0 {
-				t.Errorf("server pool: %d fills, %d direct OTs; want refills and no direct IKNP", srvStats.OTRefills, srvStats.OTsDirect)
+			if srvStats.OTRefills < 3 {
+				t.Errorf("server pool: %d fills, want a refill per operation or more", srvStats.OTRefills)
 			}
 			// Every refill the server announced was answered, and the last
 			// thing the server said was an inference's outputs: a client
@@ -301,43 +484,20 @@ func TestPoolRefillShapes(t *testing.T) {
 // NewSession with a typed error.
 func TestPoolWidthMismatchRefusedAtSetup(t *testing.T) {
 	net := testNet(t, act.ReLU, 35)
-	f := fixed.Default
-	for _, pool := range []precomp.PoolConfig{{}, {Capacity: 2048}} {
-		cConn, sConn, closer := transport.Pipe()
-		done := make(chan error, 1)
-		go func() { // a server that keys its pool one bit too wide
-			done <- func() error {
-				if _, err := sConn.Recv(transport.MsgHello); err != nil {
-					return err
-				}
-				spec, err := net.Spec(f).Marshal()
-				if err != nil {
-					return err
-				}
-				if err := sConn.Send(transport.MsgArch, spec); err != nil {
-					return err
-				}
-				if err := sConn.Send(transport.MsgPipeline, []byte{2, 32}); err != nil {
-					return err
-				}
-				rng := rand.New(rand.NewSource(36))
-				ots, err := ot.NewExtReceiver(sConn, rng)
-				if err != nil {
-					return err
-				}
-				otp := precomp.NewReceiverPool(sConn, ots, rng, pool)
-				otp.SetKey(make([]bool, testNetWeightBits+1))
-				return otp.Announce()
-			}()
-		}()
-		_, err := (&Client{Rng: rand.New(rand.NewSource(37))}).NewSession(cConn)
-		var mismatch *PoolMismatchError
-		if !errors.As(err, &mismatch) || mismatch.Announced != testNetWeightBits+1 || mismatch.Compiled != testNetWeightBits {
-			t.Errorf("pool %+v: NewSession = %v, want a PoolMismatchError %d vs %d", pool, err, testNetWeightBits+1, testNetWeightBits)
-		}
-		if err := <-done; err != nil {
-			t.Errorf("pool %+v: mismatching server's own setup: %v", pool, err)
-		}
-		closer.Close()
+	cConn, sConn, closer := transport.Pipe()
+	// A server that keys its pool one bit too wide.
+	done := hostileServer(net, sConn, func(ots *ot.ExtReceiver, rng *rand.Rand) error {
+		otp := precomp.NewReceiverPool(sConn, ots, rng, precomp.PoolConfig{Capacity: 2048})
+		otp.SetKey(make([]bool, testNetWeightBits+1))
+		return otp.Announce()
+	})
+	_, err := (&Client{Rng: rand.New(rand.NewSource(37))}).NewSession(cConn)
+	var mismatch *PoolMismatchError
+	if !errors.As(err, &mismatch) || mismatch.Announced != testNetWeightBits+1 || mismatch.Compiled != testNetWeightBits {
+		t.Errorf("NewSession = %v, want a PoolMismatchError %d vs %d", err, testNetWeightBits+1, testNetWeightBits)
 	}
+	if err := <-done; err != nil {
+		t.Errorf("mismatching server's own setup: %v", err)
+	}
+	closer.Close()
 }

@@ -172,10 +172,7 @@ func referenceSerialRun(t *testing.T, net *nn.Network, xs [][]float64, poolCfg p
 			return
 		}
 		pool := gc.NewPool(1)
-		var eConn transport.FrameConn = eConn
-		if otp.Pooled() {
-			eConn = refillBanking{eConn.(*transport.Conn), otp}
-		}
+		eConn := refillBanking{eConn, otp}
 		for range xs {
 			otr := otp.Reserve(1)
 			if err := otp.Cover(otr); err != nil {
@@ -272,7 +269,7 @@ func referenceSerialRun(t *testing.T, net *nn.Network, xs [][]float64, poolCfg p
 			if typ == transport.MsgOutputLabels {
 				break
 			}
-			if err := otp.HandleRefill(payload); err != nil {
+			if err := otp.HandleRefill(typ, payload); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -318,7 +315,8 @@ func sessionRun(t *testing.T, net *nn.Network, xs [][]float64, poolCfg precomp.P
 // reference stream is regenerated from the raw protocol building blocks,
 // and the session stream is reduced by dropping session framing and
 // stripping tags; the two frame sequences must then match byte-for-byte
-// in both directions — with the OT pool on and off.
+// in both directions — on a pool that never refills mid-session and on one
+// that does.
 func TestPipelineDepth1Conformance(t *testing.T) {
 	net := testNet(t, act.ReLU, 61)
 	rng := rand.New(rand.NewSource(62))
@@ -330,8 +328,8 @@ func TestPipelineDepth1Conformance(t *testing.T) {
 		}
 	}
 	for name, poolCfg := range map[string]precomp.PoolConfig{
-		"poolOff": {},
-		"poolOn":  {Capacity: 2048, RefillLowWater: 512},
+		"warm":      {Capacity: 4 * testNetWeightBits, RefillLowWater: 1},
+		"refilling": {Capacity: 2048, RefillLowWater: 512},
 	} {
 		t.Run(name, func(t *testing.T) {
 			const cliSeed, srvSeed = 8801, 8802
@@ -366,8 +364,9 @@ func TestPipelineDepth1Conformance(t *testing.T) {
 }
 
 // TestPipelineOverlapConformance is the depth-2 acceptance test: labels
-// must match the plaintext reference and the depth-1 run with the OT
-// pool on and off, the in-flight window must actually be used (the
+// must match the plaintext reference and the depth-1 run on the derived
+// default pool, an explicit one and a tiny one, the in-flight window must
+// actually be used (the
 // client runs ahead — begin k+1 hits the wire before output k is read),
 // and the window invariant MaxInFlight <= depth must hold.
 func TestPipelineOverlapConformance(t *testing.T) {
@@ -384,9 +383,9 @@ func TestPipelineOverlapConformance(t *testing.T) {
 		want[i] = net.PredictFixed(f, xs[i])
 	}
 	for name, poolCfg := range map[string]precomp.PoolConfig{
-		"poolOff": {},
-		"poolOn":  {Capacity: 2048, RefillLowWater: 512},
-		"tiny":    {Capacity: 64, RefillLowWater: 16},
+		"derived":  {},
+		"explicit": {Capacity: 2048, RefillLowWater: 512},
+		"tiny":     {Capacity: 64, RefillLowWater: 16},
 	} {
 		t.Run(name, func(t *testing.T) {
 			labels1, _, _, _ := sessionRun(t, net, xs, poolCfg, 1, 9901, 9902)
@@ -620,22 +619,13 @@ func TestPipelineStatsOverlap(t *testing.T) {
 	}
 }
 
-// TestPipelineUnsolicitedOTFrameRejected pins the reader's flood
-// backstop: OT answer frames nobody requested must error the session
-// out — a direct-IKNP answer instead of wedging the demux reader behind a
-// full routing channel (which would pin the connection beyond the reach
-// of idle timeouts), a refill answer instead of being banked.
+// TestPipelineUnsolicitedOTFrameRejected pins that refill answers nobody
+// asked for error the session out instead of being banked.
 func TestPipelineUnsolicitedOTFrameRejected(t *testing.T) {
-	for _, poolCfg := range []precomp.PoolConfig{{}, {Capacity: 512}} {
-		testUnsolicitedOTFrame(t, poolCfg)
-	}
-}
-
-func testUnsolicitedOTFrame(t *testing.T, poolCfg precomp.PoolConfig) {
 	net := testNet(t, act.ReLU, 70)
 	cConn, sConn, closer := transport.Pipe()
 	defer closer.Close()
-	srv := &Server{Net: net, Fmt: fixed.Default, Rng: rand.New(rand.NewSource(88)), OTPool: poolCfg}
+	srv := &Server{Net: net, Fmt: fixed.Default, Rng: rand.New(rand.NewSource(88))}
 	var wg sync.WaitGroup
 	var srvErr error
 	wg.Add(1)
@@ -658,14 +648,15 @@ func testUnsolicitedOTFrame(t *testing.T, poolCfg precomp.PoolConfig) {
 	}
 	wg.Wait()
 	if srvErr == nil || !strings.Contains(srvErr.Error(), "unsolicited") {
-		t.Fatalf("pool %+v: server error = %v, want unsolicited-frame rejection", poolCfg, srvErr)
+		t.Fatalf("server error = %v, want unsolicited-frame rejection", srvErr)
 	}
 }
 
 // TestPipelineMidOTDisconnectTerminates pins the teardown path where the
-// client vanishes while inference 1 is mid direct-IKNP exchange (no pool)
-// and inference 2 waits behind it for the extension: both must unwind
-// when the reader dies, or ServeSession hangs forever.
+// client vanishes while two inferences are parked at their first
+// evaluator-input step, each waiting for a masked-label frame that never
+// comes: both must unwind when the reader dies, or ServeSession hangs
+// forever.
 func TestPipelineMidOTDisconnectTerminates(t *testing.T) {
 	checkLeaks := testutil.VerifyNoLeaks(t)
 	f := fixed.Default
@@ -686,8 +677,8 @@ func TestPipelineMidOTDisconnectTerminates(t *testing.T) {
 	// Hand-craft two inference sub-streams that each walk the server's
 	// context exactly to its first evaluator-input step (the same program
 	// the server schedules from, so frame sizes line up; label contents
-	// are irrelevant — evaluation never starts). Context 1 then sends its
-	// OT request and waits for the response; context 2 blocks behind it.
+	// are irrelevant — evaluation never starts). Both contexts then wait
+	// for their masked labels.
 	prog, err := netgen.Compile(net, f, netgen.Options{})
 	if err != nil {
 		t.Fatal(err)
@@ -717,17 +708,7 @@ func TestPipelineMidOTDisconnectTerminates(t *testing.T) {
 	if err := cConn.Flush(); err != nil {
 		t.Fatal(err)
 	}
-	// Wait until inference 1's OT request is on the wire, then disconnect
-	// without answering.
-	for {
-		typ, _, err := cConn.ReadFrame()
-		if err != nil {
-			t.Fatalf("reading server frames: %v", err)
-		}
-		if typ == transport.MsgOTExtU {
-			break
-		}
-	}
+	// Disconnect without ever sending them.
 	closer.Close()
 	select {
 	case err := <-done:

@@ -48,9 +48,9 @@ import (
 // uvarint retry-after in ms, then close) and MsgPipeline (uvarint
 // in-flight window, uvarint batch cap); the OT-extension base phase
 // (MsgOTBase); the server's pool announcement MsgOTRefill (uvarint
-// capacity, 0 = no pool; uvarint W, the evaluator-input bits per sample)
-// and, with a pool, its initial fill — MsgOTRefill (uvarint n) and
-// MsgOTExtU from the server, MsgOTExtY back.
+// capacity ≥ 1; uvarint W, the evaluator-input bits per sample) and its
+// initial fill — MsgOTRefill (uvarint n) and MsgOTExtU from the server,
+// MsgOTExtY back.
 //
 // An inference classifies B ≥ 1 samples and is one client→server burst
 // answered by one frame. The burst: MsgInferBegin (uvarint id, sequential
@@ -69,8 +69,7 @@ import (
 // Up to the announced window of inferences may be in flight; answers come
 // back in completion order. Between bursts the server may announce a pool
 // refill (MsgOTRefill n, MsgOTExtU), which the client answers (MsgOTExtY)
-// when it next reads. Without a pool every evaluator-input step is instead
-// a direct IKNP round trip (MsgOTExtU from the server, MsgOTExtY back).
+// when it next reads; that is the only OT traffic after setup.
 // MsgEndSession from the client ends the session.
 const protocolHello = "deepsecure/9"
 
@@ -111,16 +110,14 @@ type Stats struct {
 	FreeGates     int64
 	Inferences    int64
 
-	// Offline/online OT split (Beaver-style precomputation): offline
-	// covers the extension base phase and OT pool fills — crypto paid at
-	// session setup and in refill gaps — while online is the OT work left
-	// on the inference critical path (per-step masking and unmasking, or
-	// full IKNP when pooling is off).
+	// Offline/online OT split: offline covers the extension base phase and
+	// OT pool fills — crypto paid at session setup and in refill gaps —
+	// while online is the OT work left on the inference critical path
+	// (per-step masking and unmasking).
 	OTOfflineTime time.Duration
 	OTOnlineTime  time.Duration
 	OTsPooled     int64 // OTs bulk-generated into the pool
 	OTsConsumed   int64 // pooled OTs spent on input steps
-	OTsDirect     int64 // OTs served by direct (unpooled) IKNP
 	OTRefills     int64 // pool fill exchanges, the initial fill included
 	OTBatches     int64 // online OT transfers (one per input step)
 
@@ -161,13 +158,35 @@ func (st *Stats) GatesPerSec() float64 {
 	return float64(st.ANDGates+st.FreeGates) / st.GateTime.Seconds()
 }
 
+// Add folds another session's (or inference's) statistics into st: every
+// counter and duration sums, MaxInFlight keeps the higher peak.
+func (st *Stats) Add(o *Stats) {
+	st.BytesSent += o.BytesSent
+	st.BytesReceived += o.BytesReceived
+	st.Duration += o.Duration
+	st.ANDGates += o.ANDGates
+	st.FreeGates += o.FreeGates
+	st.Inferences += o.Inferences
+	st.OTOfflineTime += o.OTOfflineTime
+	st.OTOnlineTime += o.OTOnlineTime
+	st.OTsPooled += o.OTsPooled
+	st.OTsConsumed += o.OTsConsumed
+	st.OTRefills += o.OTRefills
+	st.OTBatches += o.OTBatches
+	st.MaxInFlight = max(st.MaxInFlight, o.MaxInFlight)
+	st.OverlapTime += o.OverlapTime
+	st.GateTime += o.GateTime
+	st.BankHits += o.BankHits
+	st.BankMisses += o.BankMisses
+	st.BankRefillTime += o.BankRefillTime
+}
+
 // addOT folds a pool-stats delta into the Stats.
 func (st *Stats) addOT(d precomp.Stats) {
 	st.OTOfflineTime += d.OfflineTime
 	st.OTOnlineTime += d.OnlineTime
 	st.OTsPooled += d.Generated
 	st.OTsConsumed += d.Consumed
-	st.OTsDirect += d.Direct
 	st.OTRefills += d.Refills
 	st.OTBatches += d.Batches
 }
@@ -177,7 +196,6 @@ func otDelta(after, before precomp.Stats) precomp.Stats {
 	return precomp.Stats{
 		Generated:   after.Generated - before.Generated,
 		Consumed:    after.Consumed - before.Consumed,
-		Direct:      after.Direct - before.Direct,
 		Refills:     after.Refills - before.Refills,
 		Batches:     after.Batches - before.Batches,
 		OfflineTime: after.OfflineTime - before.OfflineTime,
@@ -204,8 +222,8 @@ type Server struct {
 	// OTPool sizes the offline OT pool each session precomputes at setup,
 	// keyed to the model's weight bits, and refills between inferences
 	// (the server owns the policy; clients follow whatever it announces).
-	// The zero value disables pooling and every input step runs IKNP
-	// online.
+	// The zero value sizes it from the program: W weight bits × the
+	// announced in-flight window (precomp.PoolConfig.Sized).
 	OTPool precomp.PoolConfig
 
 	compileOnce sync.Once
@@ -253,7 +271,8 @@ func (s *Server) Serve(conn *transport.Conn) error {
 // sub-streams and up to EngineConfig.Pipeline of them are evaluated
 // concurrently, overlapping one inference's evaluation tail and output
 // round-trip with the next one's garbled stream. Returns per-session
-// statistics. On a torn-down session the demux reader goroutine may
+// statistics — never nil: with an error, what the session got to. On a
+// torn-down session the demux reader goroutine may
 // survive until the caller closes the underlying connection.
 func (s *Server) ServeSession(conn *transport.Conn) (*Stats, error) {
 	start := time.Now()
@@ -307,7 +326,7 @@ func (s *Server) ServeSession(conn *transport.Conn) (*Stats, error) {
 	// Everything below speaks through the mux-aware connection: a
 	// passthrough during setup, and the contexts' serialized write face
 	// once the session mux starts.
-	mc := newMuxConn(conn)
+	mc := &muxConn{Conn: conn}
 
 	// OT-extension base phase: once per session, amortized over every
 	// weight transfer of every inference. Base-phase and pool-fill time
@@ -319,10 +338,9 @@ func (s *Server) ServeSession(conn *transport.Conn) (*Stats, error) {
 	}
 	st.OTOfflineTime += time.Since(baseStart)
 
-	// OT pool: announce the server's policy and, when enabled, bulk-fill
-	// at setup with the weight bits as choices, so an inference's input
-	// steps only unmask.
-	otp := precomp.NewReceiverPool(mc, ots, rng, s.OTPool)
+	// OT pool: announce the server's policy and bulk-fill at setup with the
+	// weight bits as choices, so an inference's input steps only unmask.
+	otp := precomp.NewReceiverPool(mc, ots, rng, s.OTPool.Sized(len(weightBits), s.Engine.pipeline()))
 	otp.SetKey(weightBits)
 	otBase := otp.Stats()
 	defer func() { st.addOT(otDelta(otp.Stats(), otBase)) }()
@@ -479,8 +497,8 @@ type Session struct {
 
 // clientOTConn is the client session's OT-protocol face: a passthrough
 // to the connection that additionally resolves output-label frames of
-// earlier in-flight inferences arriving ahead of the refill (or, without
-// a pool, the direct-IKNP request) the OT stack is reading for.
+// earlier in-flight inferences arriving ahead of the refill the OT stack
+// is reading for.
 type clientOTConn struct{ s *Session }
 
 // SetLimit lets the OT pool pin the size of the refill frame it expects.
@@ -517,12 +535,11 @@ func (v clientOTConn) RecvAny(want ...transport.MsgType) (transport.MsgType, []b
 	}
 }
 
-// garbleConn is the garble engine's view for one inference sub-stream:
-// the engine's logical frames go out tagged with the inference id as
-// their MsgInfer* variants, direct-IKNP frames pass through untagged, and
-// receives route through the output-resolving OT face.
+// garbleConn is the garble engine's view for one inference sub-stream: the
+// session's OT face, except that the engine's logical frames go out tagged
+// with the inference id as their MsgInfer* variants.
 type garbleConn struct {
-	s  *Session
+	clientOTConn
 	id uint64
 }
 
@@ -540,16 +557,6 @@ func (v garbleConn) Send(t transport.MsgType, payload []byte) error {
 		return v.s.conn.Send(t, payload)
 	}
 	return v.s.conn.SendTagged(t, v.id, payload)
-}
-
-func (v garbleConn) Flush() error { return v.s.conn.Flush() }
-
-func (v garbleConn) Recv(want transport.MsgType) ([]byte, error) {
-	return clientOTConn{v.s}.Recv(want)
-}
-
-func (v garbleConn) RecvAny(want ...transport.MsgType) (transport.MsgType, []byte, error) {
-	return clientOTConn{v.s}.RecvAny(want...)
 }
 
 // NewSession opens a session: protocol hello, architecture download,
@@ -640,10 +647,9 @@ func (c *Client) NewSession(conn *transport.Conn) (sess *Session, err error) {
 		return nil, err
 	}
 	s.baseTime = time.Since(baseStart)
-	// Pool announcement: the server says whether this session
-	// precomputes OTs and how many it transfers per sample; with an
-	// enabled pool the initial bulk fill happens here, as part of session
-	// setup.
+	// Pool announcement: the server says how many OTs this session
+	// precomputes and how many it transfers per sample; the initial bulk
+	// fill happens here, as part of session setup.
 	otp := precomp.NewSenderPool(clientOTConn{s}, ots, rng)
 	if err := otp.HandleAnnounce(); err != nil {
 		return nil, err
@@ -743,25 +749,18 @@ func (p *PendingInference) Done() bool { return p.done }
 
 // resolveNext reads the next frame the server sends between bursts: an
 // output-label frame, which resolves the in-flight inference it belongs
-// to, or a pool refill announcement, which is answered on the spot.
-// Callers loop until the result they wait for is in.
+// to, or a pool refill announcement, which is answered on the spot; an
+// extension request that no refill announced is handed to the pool too,
+// which refuses it. Callers loop until the result they wait for is in.
 func (s *Session) resolveNext() error {
-	typ, payload, err := s.conn.RecvAny(transport.MsgInferOutputs, transport.MsgOTRefill)
+	typ, payload, err := s.conn.RecvAny(transport.MsgInferOutputs, transport.MsgOTRefill, transport.MsgOTExtU)
 	if err != nil {
 		return err
 	}
-	if typ == transport.MsgOTRefill {
-		return s.ots.HandleRefill(payload)
+	if typ == transport.MsgInferOutputs {
+		return s.resolveOutput(payload)
 	}
-	return s.resolveOutput(payload)
-}
-
-// reserveOTs assigns the next b samples' worth of the session's OT pool to
-// the inference whose begin frame was just sent, and answers refills until
-// the pool covers it. On a warm pool it reads nothing.
-func (s *Session) reserveOTs(b int) (precomp.Range, error) {
-	r := s.ots.Reserve(b)
-	return r, s.ots.Cover(r)
+	return s.ots.HandleRefill(typ, payload)
 }
 
 // resolveOutput authenticates one output-label frame against its
@@ -940,7 +939,10 @@ func (s *Session) InferBatchAsync(xs [][]float64) (*PendingBatch, error) {
 	if err := s.conn.Send(transport.MsgInferBegin, s.tagBuf); err != nil {
 		return fail(err)
 	}
-	otr, err := s.reserveOTs(b)
+	// The inference's pool entries: the next b samples' worth, with refills
+	// answered until the pool covers them. On a warm pool this reads nothing.
+	otr := s.ots.Reserve(b)
+	err := s.ots.Cover(otr)
 	if err != nil {
 		return fail(err)
 	}
@@ -979,7 +981,7 @@ func (s *Session) InferBatchAsync(xs [][]float64) (*PendingBatch, error) {
 	if err != nil {
 		return fail(err)
 	}
-	conn := garbleConn{s, id}
+	conn := garbleConn{clientOTConn{s}, id}
 	if err := conn.Send(transport.MsgConstLabels, constPayload); err != nil {
 		return fail(err)
 	}
@@ -1128,10 +1130,6 @@ func (s *Session) FillBank() error {
 	}
 	return s.bank.Fill()
 }
-
-// OTPooled reports whether the server enabled OT precomputation for this
-// session.
-func (s *Session) OTPooled() bool { return s.ots.Pooled() }
 
 // Infer classifies one sample over a fresh single-inference session
 // (Fig. 3 client side) and returns the inference label. The reported

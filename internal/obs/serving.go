@@ -165,16 +165,16 @@ var (
 			d := Desc{Name: "deepsecure_ot_pool_depth",
 				Labels: []Label{{"role", role}}}
 			if i == 0 {
-				d.Help = "Precomputed random OTs currently available in the pool."
+				d.Help = "Precomputed OTs currently available in the pool."
 			}
 			gs[i] = Default.Gauge(d)
 		}
 		return gs
 	}()
 	mOTPooled = Default.Counter(Desc{Name: "deepsecure_ot_pooled_total",
-		Help: "Random OTs precomputed into pools since process start."})
+		Help: "Weight-keyed OTs precomputed into pools since process start."})
 	mOTConsumed = Default.Counter(Desc{Name: "deepsecure_ot_consumed_total",
-		Help: "Pooled random OTs consumed by derandomization."})
+		Help: "Pooled OTs spent masking or unmasking a weight-label pair."})
 	mOTRefills = Default.Counter(Desc{Name: "deepsecure_ot_refills_total",
 		Help: "OT pool refill runs (setup fills and background refills)."})
 
@@ -309,14 +309,14 @@ func SetOTPoolDepth(role OTRole, n int) {
 	}
 }
 
-// AddOTPooled counts random OTs precomputed into a pool.
+// AddOTPooled counts weight-keyed OTs precomputed into a pool.
 func AddOTPooled(n int64) {
 	if enabled.Load() {
 		mOTPooled.Add(n)
 	}
 }
 
-// AddOTConsumed counts pooled OTs consumed by derandomization.
+// AddOTConsumed counts pooled OTs spent masking or unmasking a label pair.
 func AddOTConsumed(n int64) {
 	if enabled.Load() {
 		mOTConsumed.Add(n)

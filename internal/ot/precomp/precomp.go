@@ -7,9 +7,8 @@
 // them. So the pool is keyed with them. Pool entry q — an absolute
 // sequence number, never reused — is generated by a chosen-choice IKNP
 // extension with receiver choice key[q mod W]: the sender banks a random
-// pair (r0[q], r1[q]), the receiver banks r_key[q]. That is exactly the
-// exchange the unpooled path (Capacity 0) runs per input step, run early.
-// Online, transferring a real pair (x0, x1) through entry q is one
+// pair (r0[q], r1[q]), the receiver banks r_key[q]. Online, transferring a
+// real pair (x0, x1) through entry q is one
 // message, sender to receiver, and XORs only:
 //
 //	sender → receiver:  y0 = x0 ⊕ r0[q], y1 = x1 ⊕ r1[q]      (MsgOTMasked)
@@ -24,8 +23,7 @@
 // consume their entries in any interleaving.
 //
 // The receiver owns the pool policy: it announces the pool after the
-// OT-extension base phase (capacity 0 disables pooling, and every input
-// step runs direct IKNP), performs the initial fill there, and announces a
+// OT-extension base phase, performs the initial fill there, and announces a
 // refill (MsgOTRefill + MsgOTExtU) whenever a Reserve leaves the pool
 // below low water or short of the range itself. The sender answers a
 // refill (MsgOTExtY) wherever it happens to read, and waits for one only
@@ -34,6 +32,10 @@
 // Every entry is consumed at most once: consumed entries are zeroed, a
 // zero entry refuses to be taken again, and exhaustion waits on a refill
 // instead of ever reusing an entry.
+//
+// This is the only way evaluator-input labels are transferred: there is no
+// per-step IKNP exchange to fall back to, and a peer that asks for one (a
+// pool of capacity 0, a MsgOTExtU no refill announced) gets a PeerError.
 package precomp
 
 import (
@@ -51,8 +53,7 @@ import (
 // PoolConfig sizes the receiver-driven OT pool.
 type PoolConfig struct {
 	// Capacity is the pool size targeted by the initial fill and by each
-	// refill. 0 disables precomputation entirely (every online batch runs
-	// direct IKNP, the pre-pool protocol).
+	// refill. 0 sizes the pool from the program (see Sized).
 	Capacity int
 	// RefillLowWater triggers a refill once the unassigned pool drops
 	// below it. 0 defaults to Capacity/4. A refill also triggers
@@ -64,12 +65,15 @@ type PoolConfig struct {
 	Background bool
 }
 
-// Enabled reports whether this configuration turns pooling on.
-func (c PoolConfig) Enabled() bool { return c.Capacity > 0 }
-
-// Effective returns the configuration with defaults resolved (the
-// low-water mark an enabled pool actually refills at).
-func (c PoolConfig) Effective() PoolConfig {
+// Sized returns the configuration a pool keyed with w choice bits runs
+// with on a session of up to window inferences in flight, defaults
+// resolved: a zero Capacity becomes w × window — one fill covers every
+// range a full window can own — within what a single refill may carry, and
+// RefillLowWater the mark the pool actually refills at.
+func (c PoolConfig) Sized(w, window int) PoolConfig {
+	if c.Capacity == 0 {
+		c.Capacity = min(max(w*window, 1), maxRefill)
+	}
 	c.RefillLowWater = c.lowWater()
 	return c
 }
@@ -83,7 +87,7 @@ func (c PoolConfig) lowWater() int {
 	// full pool: clamp it so "full" always satisfies the policy and
 	// misconfigured flags degrade to refill-to-capacity after every range
 	// instead of wedging the session.
-	if c.Enabled() && lw >= c.Capacity {
+	if lw >= c.Capacity {
 		lw = c.Capacity - 1
 	}
 	return lw
@@ -93,17 +97,23 @@ func (c PoolConfig) lowWater() int {
 // count fails fast instead of forcing an absurd allocation.
 const maxRefill = 1 << 26
 
+// PeerError reports a peer that left the pool protocol for the per-step
+// IKNP exchange this protocol does not have: it announced a pool of
+// capacity 0, or sent an extension request no refill announced.
+type PeerError struct{ Did string }
+
+func (e *PeerError) Error() string { return "precomp: peer " + e.Did }
+
 // Stats counts a pool's offline and online work. The durations separate
 // the protocol's two phases: OfflineTime covers bulk OT generation (fills
 // and refills, crypto that hides in setup and idle gaps) and OnlineTime
 // the per-step work left on the inference critical path (masking and
-// unmasking, or full IKNP when the pool is disabled).
+// unmasking).
 type Stats struct {
 	Generated int64 // OTs produced into the pool
 	Consumed  int64 // pooled OTs spent on input steps
-	Direct    int64 // OTs served by direct IKNP (pool disabled)
 	Refills   int64 // fill exchanges, the initial fill included
-	Batches   int64 // online transfers (one per input step, either mode)
+	Batches   int64 // online transfers (one per input step)
 
 	OfflineTime time.Duration
 	OnlineTime  time.Duration
@@ -112,7 +122,6 @@ type Stats struct {
 func (st *Stats) add(d Stats) {
 	st.Generated += d.Generated
 	st.Consumed += d.Consumed
-	st.Direct += d.Direct
 	st.Refills += d.Refills
 	st.Batches += d.Batches
 	st.OfflineTime += d.OfflineTime
@@ -236,13 +245,6 @@ type ReceiverPool struct {
 	ots  *ot.ExtReceiver
 	cfg  PoolConfig
 
-	// directMu serializes whole direct-IKNP exchanges when the pool is
-	// disabled: the extension is stateful and the sender answers one U at
-	// a time. A plain mutex gives the order the sender expects — inference
-	// k+1's frames only leave the garbler after it has answered k's last
-	// step, and that step's context holds the lock until the answer is in.
-	directMu sync.Mutex
-
 	mu  sync.Mutex
 	key []bool // choice bit of entry q is key[q mod len(key)]; unkeyed = all false
 	// next is the first unassigned sequence number and asked one past the
@@ -309,9 +311,6 @@ func (p *ReceiverPool) Available() int {
 
 func (p *ReceiverPool) available() int { return int(max(p.bank.end-p.next, 0)) }
 
-// Pooled reports whether this pool's configuration enables pooling.
-func (p *ReceiverPool) Pooled() bool { return p.cfg.Enabled() }
-
 // Abort stops the pool deciding further refills: session teardown.
 func (p *ReceiverPool) Abort() {
 	p.mu.Lock()
@@ -320,19 +319,16 @@ func (p *ReceiverPool) Abort() {
 }
 
 // Announce opens the pool protocol after the OT base phase: it tells the
-// sender the pool's capacity (0 = disabled) and key width and, when
-// pooling is on, performs the initial bulk fill — the session-setup
-// offline phase. A capacity beyond the protocol's refill limit fails here,
-// locally, before any frame reaches the peer.
+// sender the pool's capacity and key width and performs the initial bulk
+// fill — the session-setup offline phase. A capacity outside [1, maxRefill]
+// (a zero one is PoolConfig.Sized's to resolve first) fails here, locally,
+// before any frame reaches the peer.
 func (p *ReceiverPool) Announce() error {
-	if p.cfg.Capacity > maxRefill {
-		return fmt.Errorf("precomp: pool capacity %d exceeds limit %d", p.cfg.Capacity, maxRefill)
+	if p.cfg.Capacity < 1 || p.cfg.Capacity > maxRefill {
+		return fmt.Errorf("precomp: pool capacity %d outside [1, %d]", p.cfg.Capacity, maxRefill)
 	}
 	if err := p.conn.Send(transport.MsgOTRefill, countsPayload(p.cfg.Capacity, len(p.key))); err != nil {
 		return err
-	}
-	if !p.cfg.Enabled() {
-		return p.conn.Flush()
 	}
 	p.mu.Lock()
 	p.decide(p.cfg.Capacity)
@@ -351,13 +347,9 @@ func (p *ReceiverPool) Announce() error {
 // decides the refill the policy calls for. Both parties reserve in
 // inference order, so they agree on every range without a message.
 func (p *ReceiverPool) Reserve(b int) Range {
-	r := Range{B: b, W: len(p.key)}
-	if p.cfg.Enabled() {
-		p.mu.Lock()
-		r.Q0 = p.reserve(b * r.W)
-		p.mu.Unlock()
-	}
-	return r
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	return Range{Q0: p.reserve(b * len(p.key)), B: b, W: len(p.key)}
 }
 
 // reserve assigns the next n sequence numbers. The thresholds are those of
@@ -530,33 +522,16 @@ func (p *ReceiverPool) FinishRefill(y []byte) error {
 
 // RecvStep obtains the labels of one evaluator-input step: wire i of the
 // step is evaluator-input bit c0+i with choice bits[i], and set receives
-// the label of wire i for each sample s of r. Pooled, it unmasks the
-// sender's MsgOTMasked frame (read from conn — the inference's own view of
-// the connection) with r's entries; the bits must equal the key at those
-// entries, they are not what selects. Unpooled, it runs one direct IKNP
-// exchange with the bits repeated per sample.
+// the label of wire i for each sample s of r. It unmasks the sender's
+// MsgOTMasked frame (read from conn — the inference's own view of the
+// connection) with r's entries; the bits must equal the key at those
+// entries, they are not what selects.
 func (p *ReceiverPool) RecvStep(conn transport.FrameConn, r Range, c0 int, bits []bool, set func(i, s int, m ot.Msg)) error {
 	if len(bits) == 0 {
 		return nil
 	}
 	if r.B < 1 {
 		return fmt.Errorf("precomp: input step on an empty range (no Reserve)")
-	}
-	if !p.cfg.Enabled() {
-		choices := make([]bool, 0, len(bits)*r.B)
-		for _, b := range bits {
-			for s := 0; s < r.B; s++ {
-				choices = append(choices, b)
-			}
-		}
-		msgs, err := p.direct(choices)
-		if err != nil {
-			return err
-		}
-		for j, m := range msgs {
-			set(j/r.B, j%r.B, m)
-		}
-		return nil
 	}
 	var payload []byte
 	for payload == nil {
@@ -625,17 +600,6 @@ func (p *ReceiverPool) unmask(r Range, c0 int, bits []bool, chosen func(i, s int
 	return nil
 }
 
-// direct runs one whole IKNP exchange on the pool's connection.
-func (p *ReceiverPool) direct(choices []bool) ([]ot.Msg, error) {
-	p.directMu.Lock()
-	defer p.directMu.Unlock()
-	start := time.Now()
-	setLimit(p.conn, transport.MsgOTExtY, len(choices)*2*ot.MsgLen)
-	msgs, err := p.ots.Receive(choices)
-	p.stAdd(Stats{OnlineTime: time.Since(start), Direct: int64(len(choices)), Batches: 1})
-	return msgs, err
-}
-
 // Receive obliviously obtains the messages selected by choices, like
 // ot.ExtReceiver.Receive, on a connection this goroutine alone reads and
 // writes (lock-step with SenderPool.Send): it reserves len(choices)
@@ -644,9 +608,6 @@ func (p *ReceiverPool) direct(choices []bool) ([]ot.Msg, error) {
 func (p *ReceiverPool) Receive(choices []bool) ([]ot.Msg, error) {
 	if len(choices) == 0 {
 		return nil, nil
-	}
-	if !p.cfg.Enabled() {
-		return p.direct(choices)
 	}
 	p.mu.Lock()
 	r := Range{Q0: p.reserve(len(choices)), B: 1, W: len(choices)}
@@ -660,19 +621,17 @@ func (p *ReceiverPool) Receive(choices []bool) ([]ot.Msg, error) {
 }
 
 // SenderPool is the garbler-side pool: it banks random label pairs and
-// follows the receiver's protocol — a direct IKNP exchange per step when
-// pooling is off, refills whenever they are announced. Not safe for
-// concurrent use; one pool per session.
+// follows the receiver's protocol, answering refills whenever they are
+// announced. Not safe for concurrent use; one pool per session.
 type SenderPool struct {
 	conn transport.FrameConn
 	ots  *ot.ExtSender
 	rng  io.Reader
 
-	pooled bool // the receiver announced an enabled pool
-	width  int  // the receiver's key width W
-	next   int64
-	bank   store[[2]ot.Msg]
-	st     Stats
+	width int // the receiver's key width W
+	next  int64
+	bank  store[[2]ot.Msg]
+	st    Stats
 }
 
 // NewSenderPool wraps a session's extension sender. rng sources the
@@ -691,15 +650,12 @@ func (p *SenderPool) Seq() int64 { return p.next }
 // Available returns the number of banked pairs no range owns yet.
 func (p *SenderPool) Available() int { return int(max(p.bank.end-p.next, 0)) }
 
-// Pooled reports whether the receiver announced an enabled pool.
-func (p *SenderPool) Pooled() bool { return p.pooled }
-
 // Width returns the key width W the receiver announced: the number of
 // evaluator-input bits it will ask for per sample.
 func (p *SenderPool) Width() int { return p.width }
 
 // HandleAnnounce consumes the receiver's pool announcement after the OT
-// base phase and, when pooling is on, answers the initial fill.
+// base phase and answers the initial fill.
 func (p *SenderPool) HandleAnnounce() error {
 	payload, err := p.conn.Recv(transport.MsgOTRefill)
 	if err != nil {
@@ -711,26 +667,36 @@ func (p *SenderPool) HandleAnnounce() error {
 	}
 	p.width = c[1]
 	if c[0] == 0 {
-		return nil
+		return &PeerError{"announced an OT pool of capacity 0"}
 	}
-	p.pooled = true
-	if payload, err = p.conn.Recv(transport.MsgOTRefill); err != nil {
-		return err
-	}
-	return p.HandleRefill(payload)
+	return p.answerNext()
 }
 
-// HandleRefill answers one announced refill given its MsgOTRefill payload:
-// it reads the receiver's U, banks n fresh random pairs and sends them
-// through the extension (MsgOTExtY, flushed).
-func (p *SenderPool) HandleRefill(payload []byte) error {
+// answerNext reads the receiver's next pool frame and answers it.
+func (p *SenderPool) answerNext() error {
+	typ, payload, err := p.conn.RecvAny(transport.MsgOTRefill, transport.MsgOTExtU)
+	if err != nil {
+		return err
+	}
+	return p.HandleRefill(typ, payload)
+}
+
+// HandleRefill answers the receiver's next pool frame, already read off the
+// session. It can only be a refill announcement (MsgOTRefill): HandleRefill
+// then reads the receiver's U, banks n fresh random pairs and sends them
+// through the extension (MsgOTExtY, flushed). A MsgOTExtU that no
+// announcement precedes opens a per-step IKNP exchange and is refused.
+func (p *SenderPool) HandleRefill(typ transport.MsgType, payload []byte) error {
+	if typ != transport.MsgOTRefill {
+		return &PeerError{fmt.Sprintf("sent %v with no refill announced", typ)}
+	}
 	c, err := readCounts(payload, 1)
 	if err != nil {
 		return err
 	}
 	n := c[0]
-	if n == 0 || !p.pooled {
-		return fmt.Errorf("precomp: unexpected refill of %d OTs", n)
+	if n == 0 {
+		return fmt.Errorf("precomp: refill of 0 OTs")
 	}
 	start := time.Now()
 	setLimit(p.conn, transport.MsgOTExtU, ot.ExtULen(n))
@@ -767,9 +733,7 @@ func (p *SenderPool) HandleRefill(payload []byte) error {
 // sender's half of ReceiverPool.Reserve.
 func (p *SenderPool) Reserve(b int) Range {
 	r := Range{Q0: p.next, B: b, W: p.width}
-	if p.pooled {
-		p.next = r.End()
-	}
+	p.next = r.End()
 	return r
 }
 
@@ -777,12 +741,8 @@ func (p *SenderPool) Reserve(b int) Range {
 // until it does. It reads only when the pool falls short — the receiver
 // decided the refill that covers r when it reserved the same range.
 func (p *SenderPool) Cover(r Range) error {
-	for p.pooled && p.bank.end < r.End() {
-		payload, err := p.conn.Recv(transport.MsgOTRefill)
-		if err != nil {
-			return err
-		}
-		if err := p.HandleRefill(payload); err != nil {
+	for p.bank.end < r.End() {
+		if err := p.answerNext(); err != nil {
 			return err
 		}
 	}
@@ -792,11 +752,10 @@ func (p *SenderPool) Cover(r Range) error {
 // SendStep transfers the label pairs of one evaluator-input step: wire i
 // of the step is evaluator-input bit c0+i, and pair(i, s) yields its
 // zero-label and Free-XOR delta for sample s of r (the pair is x0,
-// x0⊕delta). Pooled, the pairs are masked with r's entries (which Cover
-// must have banked) straight into buf and sent on conn — the inference's
-// own view of the connection — as one MsgOTMasked frame, wire-major with
-// samples innermost; nothing is read. Unpooled, it answers one direct IKNP
-// exchange. It returns buf, possibly grown, for reuse.
+// x0⊕delta). The pairs are masked with r's entries (which Cover must have
+// banked) straight into buf and sent on conn — the inference's own view of
+// the connection — as one MsgOTMasked frame, wire-major with samples
+// innermost; nothing is read. It returns buf, possibly grown, for reuse.
 func (p *SenderPool) SendStep(conn transport.FrameConn, r Range, c0, wires int, buf []byte, pair func(i, s int) (x0, delta ot.Msg, err error)) ([]byte, error) {
 	if wires == 0 {
 		return buf, nil
@@ -806,26 +765,6 @@ func (p *SenderPool) SendStep(conn transport.FrameConn, r Range, c0, wires int, 
 	}
 	m := wires * r.B
 	start := time.Now()
-	if !p.pooled {
-		pairs := make([][2]ot.Msg, 0, m)
-		for i := 0; i < wires; i++ {
-			for s := 0; s < r.B; s++ {
-				x0, delta, err := pair(i, s)
-				if err != nil {
-					return buf, err
-				}
-				x1 := x0
-				for k := range x1 {
-					x1[k] ^= delta[k]
-				}
-				pairs = append(pairs, [2]ot.Msg{x0, x1})
-			}
-		}
-		setLimit(p.conn, transport.MsgOTExtU, ot.ExtULen(m))
-		err := p.ots.Send(pairs)
-		p.st.add(Stats{Direct: int64(m), Batches: 1, OnlineTime: time.Since(start)})
-		return buf, err
-	}
 	payload := buf[:0]
 	for i := 0; i < wires; i++ {
 		for s := 0; s < r.B; s++ {
@@ -858,9 +797,7 @@ func (p *SenderPool) SendStep(conn transport.FrameConn, r Range, c0, wires int, 
 // for the refills that cover them, and sends the masked pairs.
 func (p *SenderPool) Send(pairs [][2]ot.Msg) error {
 	r := Range{Q0: p.next, B: 1, W: len(pairs)}
-	if p.pooled {
-		p.next = r.End()
-	}
+	p.next = r.End()
 	if err := p.Cover(r); err != nil {
 		return err
 	}

@@ -1,6 +1,7 @@
 package precomp
 
 import (
+	"errors"
 	"math/rand"
 	"strings"
 	"sync"
@@ -171,9 +172,6 @@ func TestKeyedConformance(t *testing.T) {
 			}
 		}
 	}
-	if st := rp.Stats(); st.Direct != 0 {
-		t.Errorf("pooled session used %d direct IKNP OTs", st.Direct)
-	}
 }
 
 // TestChoiceMustMatchKey pins that the receiver's argument is checked
@@ -195,12 +193,18 @@ func TestChoiceMustMatchKey(t *testing.T) {
 // TestSingleUseSafety proves no pooled OT is ever consumed twice:
 // reserved ranges are strictly increasing and disjoint on both sides,
 // exhaustion triggers a refill (never reuse), the accounting stays
-// consistent, and every consumed entry is zeroed in both banks.
+// consistent, and every consumed entry is zeroed in both banks — on a tiny
+// explicit pool and on the one a zero config derives from the key (W × a
+// window of 2), so nearly every batch forces a refill exchange.
 func TestSingleUseSafety(t *testing.T) {
+	t.Run("explicit", func(t *testing.T) { testSingleUse(t, PoolConfig{Capacity: 32, RefillLowWater: 8}) })
+	t.Run("derived", func(t *testing.T) { testSingleUse(t, PoolConfig{}.Sized(11, 2)) })
+}
+
+func testSingleUse(t *testing.T, cfg PoolConfig) {
 	rng := rand.New(rand.NewSource(42))
 	key := randChoices(rng, 11)
-	// Tiny pool so nearly every batch forces a refill exchange.
-	sp, rp, done := pools(t, PoolConfig{Capacity: 32, RefillLowWater: 8}, key, 60)
+	sp, rp, done := pools(t, cfg, key, 60)
 	defer done()
 
 	var consumed int64
@@ -428,22 +432,99 @@ func TestEmptyBatch(t *testing.T) {
 	}
 }
 
-// TestDisabledPoolPassthrough pins the compatibility mode: a zero config
-// announces capacity 0 and every batch runs direct IKNP with the caller's
-// own choices, counted as such.
-func TestDisabledPoolPassthrough(t *testing.T) {
-	rng := rand.New(rand.NewSource(44))
-	sp, rp, done := pools(t, PoolConfig{}, nil, 90)
-	defer done()
-	if sp.Pooled() {
-		t.Fatal("disabled pool announced as enabled")
+// TestSizedDefault pins what a zero Capacity means: the pool is sized from
+// the program, W × window, within [1, maxRefill] — so a model whose W ×
+// window is beyond one refill still announces a capacity Announce accepts —
+// and an explicit capacity is left alone. Either way the low-water default
+// is resolved.
+func TestSizedDefault(t *testing.T) {
+	for _, tc := range []struct {
+		cfg       PoolConfig
+		w, window int
+		want      PoolConfig
+	}{
+		{PoolConfig{}, 944, 2, PoolConfig{Capacity: 1888, RefillLowWater: 472}},
+		{PoolConfig{Background: true}, 944, 1, PoolConfig{Capacity: 944, RefillLowWater: 236, Background: true}},
+		{PoolConfig{}, 0, 2, PoolConfig{Capacity: 1, RefillLowWater: 0}},
+		{PoolConfig{}, maxRefill/2 + 1, 2, PoolConfig{Capacity: maxRefill, RefillLowWater: maxRefill / 4}},
+		{PoolConfig{Capacity: 100}, 944, 2, PoolConfig{Capacity: 100, RefillLowWater: 25}},
+		{PoolConfig{Capacity: 100, RefillLowWater: 7}, 944, 2, PoolConfig{Capacity: 100, RefillLowWater: 7}},
+	} {
+		got := tc.cfg.Sized(tc.w, tc.window)
+		if got != tc.want {
+			t.Errorf("%+v.Sized(%d, %d) = %+v, want %+v", tc.cfg, tc.w, tc.window, got, tc.want)
+		}
+		if got.Capacity < 1 || got.Capacity > maxRefill {
+			t.Errorf("%+v.Sized(%d, %d): capacity %d is one Announce refuses", tc.cfg, tc.w, tc.window, got.Capacity)
+		}
 	}
-	m := 33
-	pairs := randPairs(rng, m)
-	choices := randChoices(rng, m)
-	checkTransfer(t, "direct", transfer(t, sp, rp, pairs, choices), pairs, choices)
-	if st := rp.Stats(); st.Direct != int64(m) || st.Generated != 0 || st.Consumed != 0 {
-		t.Errorf("disabled-pool stats: %+v", st)
+}
+
+// TestZeroCapacityRefused pins that a pool of capacity 0 no longer means
+// "transfer by IKNP per step": an unsized zero config fails Announce
+// locally, and a sender that is told capacity 0 by its peer refuses the
+// session with a PeerError.
+func TestZeroCapacityRefused(t *testing.T) {
+	sConn, rConn, closer := transport.Pipe()
+	defer closer.Close()
+	senderErr := make(chan error, 1)
+	go func() {
+		ots, err := ot.NewExtSender(sConn, rand.New(rand.NewSource(91)))
+		if err == nil {
+			err = NewSenderPool(sConn, ots, rand.New(rand.NewSource(92))).HandleAnnounce()
+		}
+		senderErr <- err
+	}()
+	otr, err := ot.NewExtReceiver(rConn, rand.New(rand.NewSource(93)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	sent0 := rConn.BytesSent.Load()
+	if err := NewReceiverPool(rConn, otr, nil, PoolConfig{}).Announce(); err == nil {
+		t.Fatal("Announce with an unsized zero capacity succeeded")
+	}
+	if rConn.BytesSent.Load() != sent0 {
+		t.Error("an unsized pool leaked frames onto the wire")
+	}
+	// What a peer still speaking the unpooled protocol would send.
+	if err := rConn.Send(transport.MsgOTRefill, countsPayload(0, 8)); err != nil {
+		t.Fatal(err)
+	}
+	if err := rConn.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	var pe *PeerError
+	if err := <-senderErr; !errors.As(err, &pe) {
+		t.Fatalf("HandleAnnounce of a capacity-0 announcement = %v, want a PeerError", err)
+	}
+}
+
+// TestUnannouncedExtURefused pins the other half: an extension request
+// (MsgOTExtU) that no refill announcement precedes is the opening of a
+// per-step IKNP exchange, and the sender refuses it with a PeerError
+// wherever it reads its next pool frame, answering nothing.
+func TestUnannouncedExtURefused(t *testing.T) {
+	sp, rp, done := pools(t, PoolConfig{Capacity: 16}, nil, 94)
+	defer done()
+	rConn := rp.conn.(*transport.Conn)
+	if err := rConn.Send(transport.MsgOTExtU, make([]byte, ot.ExtULen(8))); err != nil {
+		t.Fatal(err)
+	}
+	if err := rConn.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	sent0 := sp.conn.(*transport.Conn).BytesSent.Load()
+	var pe *PeerError
+	// A range past the setup fill makes Cover read for the refill that
+	// should have been announced.
+	if err := sp.Cover(Range{Q0: 0, B: 1, W: 17}); !errors.As(err, &pe) {
+		t.Fatalf("Cover reading an unannounced ot-ext-u = %v, want a PeerError", err)
+	}
+	if err := sp.HandleRefill(transport.MsgOTExtU, nil); !errors.As(err, &pe) {
+		t.Fatalf("HandleRefill(ot-ext-u) = %v, want a PeerError", err)
+	}
+	if sp.conn.(*transport.Conn).BytesSent.Load() != sent0 || sp.Available() != 16 {
+		t.Error("the refused request was answered or banked")
 	}
 }
 
@@ -492,14 +573,11 @@ func TestOversizedCapacityFailsLocally(t *testing.T) {
 	}
 }
 
-// TestAnnouncedFillAtSetup pins that an enabled pool is bulk-filled
-// during the announcement handshake — before any online batch.
+// TestAnnouncedFillAtSetup pins that the pool is bulk-filled during the
+// announcement handshake — before any online batch.
 func TestAnnouncedFillAtSetup(t *testing.T) {
 	sp, rp, done := pools(t, PoolConfig{Capacity: 128}, nil, 95)
 	defer done()
-	if !sp.Pooled() {
-		t.Fatal("enabled pool not announced")
-	}
 	if rp.Available() != 128 || sp.Available() != 128 {
 		t.Fatalf("setup fill left %d/%d available, want 128/128", rp.Available(), sp.Available())
 	}

@@ -27,14 +27,14 @@ import (
 	"deepsecure/internal/transport"
 )
 
-// Stats is a snapshot of a server's lifetime counters.
+// Stats is a snapshot of a server's lifetime counters: what the server
+// itself counts — sessions and admission — and, embedded, the core.Stats of
+// every finished session folded into one (sums; MaxInFlight is the highest
+// any session reached, Duration the session time served).
 type Stats struct {
 	Sessions       int64 // sessions accepted
 	ActiveSessions int64 // sessions currently being served
-	Inferences     int64 // inferences completed across all sessions
 	Errors         int64 // sessions that ended with a protocol error
-	BytesSent      int64 // protocol bytes sent across all sessions
-	BytesReceived  int64 // protocol bytes received across all sessions
 
 	// Admission accounting (zero unless WithAdmission is configured):
 	// sessions that waited in the admission queue, sessions refused with
@@ -43,35 +43,7 @@ type Stats struct {
 	ShedSessions   int64
 	QueueDepth     int64
 
-	// Offline/online OT accounting across all sessions (see
-	// core.Stats): pooled random OTs generated, pooled OTs consumed by
-	// online derandomization, and refill exchanges performed.
-	OTsPooled   int64
-	OTsConsumed int64
-	OTRefills   int64
-
-	// Cross-inference pipelining across all sessions: the highest
-	// in-flight inference count any session reached, and the cumulative
-	// wall time sessions spent with at least two inferences overlapped.
-	MaxInFlight int64
-	OverlapTime time.Duration
-
-	// Crypto-core throughput across all sessions: gate instances
-	// evaluated (AND and free, summed over samples) and the cumulative
-	// wall time spent inside the per-level evaluation kernels — transport
-	// waits and OT excluded, so GatesPerSec isolates the hashing core.
-	ANDGates  int64
-	FreeGates int64
-	GateTime  time.Duration
-}
-
-// GatesPerSec returns the lifetime crypto-core throughput in gate
-// instances per second of kernel time, or 0 before any gates ran.
-func (st Stats) GatesPerSec() float64 {
-	if st.GateTime <= 0 {
-		return 0
-	}
-	return float64(st.ANDGates+st.FreeGates) / st.GateTime.Seconds()
+	core.Stats
 }
 
 // Server serves secure-inference sessions over TCP (or any net.Listener).
@@ -92,20 +64,12 @@ type Server struct {
 	wg       sync.WaitGroup
 	closed   bool
 
-	sessions    atomic.Int64
-	active      atomic.Int64
-	inferences  atomic.Int64
-	errors      atomic.Int64
-	bytesSent   atomic.Int64
-	bytesRecv   atomic.Int64
-	otsPooled   atomic.Int64
-	otsConsumed atomic.Int64
-	otRefills   atomic.Int64
-	maxInFlight atomic.Int64
-	overlapNs   atomic.Int64
-	andGates    atomic.Int64
-	freeGates   atomic.Int64
-	gateTimeNs  atomic.Int64
+	sessions atomic.Int64
+	active   atomic.Int64
+	errors   atomic.Int64
+
+	totalMu sync.Mutex
+	total   core.Stats // finished sessions, folded
 }
 
 // Option configures a Server at construction.
@@ -119,11 +83,11 @@ func WithEngine(cfg core.EngineConfig) Option {
 
 // WithOTPool sizes the offline OT pool every session of this server
 // precomputes at setup, keyed to the model's weight bits, and refills
-// between inferences (Beaver-style OT precomputation): a weight transfer
-// then costs the client one masked-label frame and XORs, with no reply
-// and no cryptography on the critical path. The zero config disables
-// pooling and every input step runs IKNP online. The server owns the
-// policy; clients follow the announcement.
+// between inferences: a weight transfer costs the client one masked-label
+// frame and XORs, with no reply and no cryptography on the critical path.
+// Without it (or with a zero Capacity) the pool is sized from the model:
+// its weight bits × the in-flight window. The server owns the policy;
+// clients follow the announcement.
 func WithOTPool(cfg precomp.PoolConfig) Option {
 	return func(s *Server) { s.core.OTPool = cfg }
 }
@@ -368,46 +332,24 @@ func (s *Server) serveConn(conn net.Conn) {
 	// error into the DeadlineError that explains it.
 	tc.SetBreaker(conn.Close)
 	st, err := s.core.ServeSession(tc)
-	if st != nil {
-		s.inferences.Add(st.Inferences)
-		s.bytesSent.Add(st.BytesSent)
-		s.bytesRecv.Add(st.BytesReceived)
-		s.otsPooled.Add(st.OTsPooled)
-		s.otsConsumed.Add(st.OTsConsumed)
-		s.otRefills.Add(st.OTRefills)
-		s.overlapNs.Add(int64(st.OverlapTime))
-		s.andGates.Add(st.ANDGates)
-		s.freeGates.Add(st.FreeGates)
-		s.gateTimeNs.Add(int64(st.GateTime))
-		for {
-			cur := s.maxInFlight.Load()
-			if st.MaxInFlight <= cur || s.maxInFlight.CompareAndSwap(cur, st.MaxInFlight) {
-				break
-			}
-		}
-	}
+	s.totalMu.Lock()
+	s.total.Add(st)
+	s.totalMu.Unlock()
 	if err != nil && !errors.Is(err, io.EOF) && !errors.Is(err, net.ErrClosed) {
 		s.errors.Add(1)
 		obs.IncErrors()
 		s.logf("session from %s failed after %d inference(s): %v",
-			conn.RemoteAddr(), sessionInferences(st), err)
+			conn.RemoteAddr(), st.Inferences, err)
 		return
 	}
 	s.logf("session from %s: %d inference(s), %.2f MB out, %.2f MB in, %v (OT offline %v / online %v, %d pooled, %d consumed, %d refill(s); pipeline peak %d in flight, %v overlapped; crypto core %.2f Mgates/s over %v)",
-		conn.RemoteAddr(), sessionInferences(st),
+		conn.RemoteAddr(), st.Inferences,
 		float64(st.BytesSent)/1e6, float64(st.BytesReceived)/1e6,
 		time.Since(start).Round(time.Millisecond),
 		st.OTOfflineTime.Round(time.Millisecond), st.OTOnlineTime.Round(time.Millisecond),
 		st.OTsPooled, st.OTsConsumed, st.OTRefills,
 		st.MaxInFlight, st.OverlapTime.Round(time.Millisecond),
 		st.GatesPerSec()/1e6, st.GateTime.Round(time.Millisecond))
-}
-
-func sessionInferences(st *core.Stats) int64 {
-	if st == nil {
-		return 0
-	}
-	return st.Inferences
 }
 
 func (s *Server) logf(format string, args ...any) {
@@ -421,19 +363,11 @@ func (s *Server) Stats() Stats {
 	st := Stats{
 		Sessions:       s.sessions.Load(),
 		ActiveSessions: s.active.Load(),
-		Inferences:     s.inferences.Load(),
 		Errors:         s.errors.Load(),
-		BytesSent:      s.bytesSent.Load(),
-		BytesReceived:  s.bytesRecv.Load(),
-		OTsPooled:      s.otsPooled.Load(),
-		OTsConsumed:    s.otsConsumed.Load(),
-		OTRefills:      s.otRefills.Load(),
-		MaxInFlight:    s.maxInFlight.Load(),
-		OverlapTime:    time.Duration(s.overlapNs.Load()),
-		ANDGates:       s.andGates.Load(),
-		FreeGates:      s.freeGates.Load(),
-		GateTime:       time.Duration(s.gateTimeNs.Load()),
 	}
+	s.totalMu.Lock()
+	st.Stats = s.total
+	s.totalMu.Unlock()
 	if s.adm != nil {
 		st.QueuedSessions = s.adm.queued.Load()
 		st.ShedSessions = s.adm.shed.Load()

@@ -36,9 +36,9 @@ const (
 	// multi-inference session.
 	MsgEndSession
 	// OT precomputation (offline/online split): MsgOTRefill announces a
-	// bulk generation of n extended OTs (uvarint n; the session-setup
-	// announcement appends the uvarint key width W, and n=0 there means
-	// the pool is disabled) and is followed by the receiver's MsgOTExtU;
+	// bulk generation of n ≥ 1 extended OTs (uvarint n) and is followed by
+	// the receiver's MsgOTExtU — the first one of a session instead carries
+	// the pool's capacity ≥ 1 and the uvarint key width W, nothing follows;
 	// MsgOTMasked carries the sender's two pool-masked labels per OT of
 	// one evaluator-input step. Nothing flows back online.
 	MsgOTRefill
