@@ -6,11 +6,10 @@ package deepsecure
 // folds) so `go test -bench` output doubles as the reproduction record.
 //
 // Session-level performance is measured by the live benchmark in bench/
-// (`bash bench/run.sh`, BENCHMARK.json), not here. Two session benchmarks
-// stay because each guards something no bench/ workload does and bench/
+// (`bash bench/run.sh`, BENCHMARK.json), not here. One session benchmark
+// stays because it guards something no bench/ workload does and bench/
 // could not gain a workload when the others were retired:
-// BenchmarkSessionOffline (a warm garble-ahead bank beats bank-off online)
-// and BenchmarkInstrumentationOverhead (the obs registry costs < 2 %).
+// BenchmarkSessionOffline (a warm garble-ahead bank beats bank-off online).
 
 import (
 	"fmt"
@@ -31,7 +30,6 @@ import (
 	"deepsecure/internal/hebaseline"
 	"deepsecure/internal/netgen"
 	"deepsecure/internal/nn"
-	"deepsecure/internal/obs"
 	"deepsecure/internal/ot"
 	"deepsecure/internal/ot/precomp"
 	"deepsecure/internal/stdcell"
@@ -177,7 +175,8 @@ func BenchmarkTable5(b *testing.B) {
 }
 
 // BenchmarkTable6CryptoNets measures the HE baseline's constant per-batch
-// cost (scaled-down ring; see EXPERIMENTS.md for the N=8192 run).
+// cost on a scaled-down ring (deepsecure-bench -table 6 -hesize 8192 runs
+// the paper's ring dimension).
 func BenchmarkTable6CryptoNets(b *testing.B) {
 	scheme, err := hebaseline.NewScheme(hebaseline.EvalParams(1024))
 	if err != nil {
@@ -842,106 +841,3 @@ func BenchmarkSessionOffline(b *testing.B) {
 }
 
 func nowNs() int64 { return time.Now().UnixNano() }
-
-// BenchmarkInstrumentationOverhead pins the acceptance bound on the
-// internal/obs metrics layer: one fused batch of 16 over an in-memory
-// pipe with recording on (the default) versus off. Spans read the
-// monotonic clock in both modes — core.Stats is backfilled from the
-// same span durations, so the clock reads are part of the product, not
-// the instrumentation — which makes the off mode isolate exactly what
-// the registry adds: the atomic counter and histogram writes.
-//
-// Run-to-run noise of this workload on a loaded single-core host (~±10%,
-// dominated by background-OT-refill scheduling) swamps a sub-2% effect
-// in independent on-vs-off runs, so each iteration measures a PAIR — one metrics-on and one
-// metrics-off session back to back, order alternating per iteration to
-// cancel drift and order bias — and the pool refill runs synchronously
-// (Background: false) so the refill crypto lands at a deterministic
-// point instead of racing the critical path; the refill instrumentation
-// is still exercised, just inline. The overhead_pct metric is the
-// paired on-vs-off delta; the acceptance bound is 2%.
-func BenchmarkInstrumentationOverhead(b *testing.B) {
-	net, err := nn.NewNetwork(nn.Vec(64),
-		nn.NewDense(24),
-		nn.NewActivation(act.ReLU),
-		nn.NewDense(8),
-	)
-	if err != nil {
-		b.Fatal(err)
-	}
-	net.InitWeights(rand.New(rand.NewSource(95)))
-	rng := rand.New(rand.NewSource(97))
-	const batch = 16
-	xs := make([][]float64, batch)
-	for i := range xs {
-		xs[i] = make([]float64, 64)
-		for j := range xs[i] {
-			xs[i][j] = rng.Float64()*2 - 1
-		}
-	}
-	pool := precomp.PoolConfig{Capacity: 1 << 16, RefillLowWater: 1 << 14, Background: false}
-	cfg := core.EngineConfig{MaxBatch: batch}
-	srv := &core.Server{Net: net, Fmt: fixed.Default, Engine: cfg, OTPool: pool}
-	if err := srv.Precompile(); err != nil {
-		b.Fatal(err)
-	}
-	cli := &core.Client{Engine: cfg}
-	oneSession := func() (wall, cpu time.Duration) {
-		// Start every session from a collected heap: the workload
-		// allocates ~1.5 GB/session, and whichever session a GC cycle
-		// happens to land in otherwise absorbs its whole cost — ±15%
-		// per-session noise that buries the effect being measured.
-		runtime.GC()
-		cConn, sConn, closer := transport.Pipe()
-		var wg sync.WaitGroup
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			if _, err := srv.ServeSession(sConn); err != nil {
-				b.Error(err)
-				closer.Close()
-			}
-		}()
-		c0 := processCPUTime()
-		t0 := time.Now()
-		if _, _, err := cli.InferBatch(cConn, xs[:batch]); err != nil {
-			closer.Close()
-			b.Fatal(err)
-		}
-		wg.Wait()
-		wall = time.Since(t0)
-		cpu = processCPUTime() - c0
-		closer.Close()
-		return wall, cpu
-	}
-	defer obs.SetEnabled(true)
-	var onNs, offNs, onCPU, offCPU int64
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		for k := 0; k < 2; k++ {
-			on := (i+k)%2 == 0
-			obs.SetEnabled(on)
-			wall, cpu := oneSession()
-			if on {
-				onNs += int64(wall)
-				onCPU += int64(cpu)
-			} else {
-				offNs += int64(wall)
-				offCPU += int64(cpu)
-			}
-		}
-	}
-	b.ReportMetric(float64(2*batch*b.N)/b.Elapsed().Seconds(), "inf/s")
-	b.ReportMetric(float64(onNs)/float64(b.N), "on_ns/session")
-	b.ReportMetric(float64(offNs)/float64(b.N), "off_ns/session")
-	if offNs > 0 {
-		b.ReportMetric(100*(float64(onNs)-float64(offNs))/float64(offNs), "overhead_pct")
-	}
-	if offCPU > 0 {
-		// The clean signal: CPU seconds consumed by the whole process per
-		// session (both parties + GC), which the host's wall-clock
-		// scheduling jitter cannot touch.
-		b.ReportMetric(100*(float64(onCPU)-float64(offCPU))/float64(offCPU), "cpu_overhead_pct")
-	}
-	b.ReportMetric(float64(runtime.GOMAXPROCS(0)), "cores")
-}

@@ -11,7 +11,7 @@
 //	deepsecure-bench -all            everything
 //
 // Each row prints this run's measurement next to the paper's published
-// number; EXPERIMENTS.md records a full comparison.
+// number.
 package main
 
 import (
@@ -42,7 +42,6 @@ func main() {
 	figure := flag.Int("figure", 0, "regenerate Figure 6")
 	calibrate := flag.Bool("calibrate", false, "run the §4.3 per-gate calibration")
 	live := flag.Bool("live", false, "run a real end-to-end GC inference of benchmark 3")
-	batch := flag.Int("batch", 0, "run a live fused-batch throughput comparison at this batch size")
 	all := flag.Bool("all", false, "run everything")
 	heN := flag.Int("hesize", 2048, "HE ring dimension for the CryptoNets measurements")
 	flag.Parse()
@@ -87,84 +86,10 @@ func main() {
 		runLiveB3()
 		ran = true
 	}
-	if *all && *batch == 0 {
-		*batch = 8
-	}
-	if *batch > 0 {
-		runLiveBatch(*batch)
-		ran = true
-	}
 	if !ran && !*calibrate {
 		flag.Usage()
 		os.Exit(2)
 	}
-}
-
-// runLiveBatch compares N serial inferences on one session against one
-// fused InferBatch of the same N samples: the batch walks the compiled
-// schedule once and sends one masked-label frame per input step for all
-// samples.
-func runLiveBatch(n int) {
-	fmt.Printf("== Live run: %d samples, serial session vs fused batch ==\n", n)
-	net, err := nn.NewNetwork(nn.Vec(64),
-		nn.NewDense(24),
-		nn.NewActivation(act.ReLU),
-		nn.NewDense(8),
-	)
-	if err != nil {
-		log.Fatal(err)
-	}
-	net.InitWeights(rand.New(rand.NewSource(5)))
-	rng := rand.New(rand.NewSource(6))
-	xs := make([][]float64, n)
-	for i := range xs {
-		xs[i] = make([]float64, 64)
-		for j := range xs[i] {
-			xs[i][j] = rng.Float64()*2 - 1
-		}
-	}
-	run := func(name string, infer func(conn *deepsecure.Conn) ([]int, *deepsecure.InferStats, error)) []int {
-		cConn, sConn, closer := deepsecure.Pipe()
-		defer closer.Close()
-		srv := &deepsecure.SessionServer{Net: net, Fmt: deepsecure.DefaultFormat,
-			Engine: deepsecure.EngineConfig{MaxBatch: n},
-			OTPool: deepsecure.PoolConfig{Capacity: 1 << 16, Background: true}}
-		var wg sync.WaitGroup
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			if _, err := srv.ServeSession(sConn); err != nil {
-				log.Fatal(err)
-			}
-		}()
-		start := time.Now()
-		labels, st, err := infer(cConn)
-		if err != nil {
-			// Exit before joining the server goroutine: a failed session
-			// withholds the end marker, so the server would block on the
-			// open pipe and wg.Wait would hang instead of reporting.
-			log.Fatal(err)
-		}
-		wg.Wait()
-		el := time.Since(start)
-		fmt.Printf("%-14s %8.2f inf/s  (%v total, %.1f MB sent, %d OT exchange(s))\n",
-			name, float64(n)/el.Seconds(), el.Round(time.Millisecond),
-			float64(st.BytesSent)/1e6, st.OTBatches)
-		return labels
-	}
-	cli := &deepsecure.Client{Engine: deepsecure.EngineConfig{MaxBatch: n}}
-	serial := run("serial", func(conn *deepsecure.Conn) ([]int, *deepsecure.InferStats, error) {
-		return cli.InferMany(conn, xs)
-	})
-	batched := run("fused batch", func(conn *deepsecure.Conn) ([]int, *deepsecure.InferStats, error) {
-		return cli.InferBatch(conn, xs)
-	})
-	for i := range serial {
-		if serial[i] != batched[i] {
-			log.Fatalf("sample %d: serial label %d != batched label %d", i, serial[i], batched[i])
-		}
-	}
-	fmt.Printf("labels agree across both modes\n\n")
 }
 
 // runTable3 prints the circuit-component table: gate counts from our

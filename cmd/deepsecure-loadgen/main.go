@@ -14,7 +14,7 @@
 // overload shows up as busy_responses and queue waits, not as client
 // timeouts. The JSON report (stdout, or -json FILE) carries session
 // outcomes, aggregate inferences/sec, and setup/inference latency
-// percentiles from obs histograms.
+// percentiles taken from the exact per-operation samples.
 package main
 
 import (
@@ -23,14 +23,15 @@ import (
 	"flag"
 	"fmt"
 	"log"
+	"math"
 	"math/rand"
 	"os"
+	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
 
 	"deepsecure"
-	"deepsecure/internal/obs"
 )
 
 type config struct {
@@ -71,14 +72,34 @@ type report struct {
 	SetupMs   histReport `json:"setup_ms"`
 }
 
-func msReport(s obs.HistogramSnapshot) histReport {
-	const ms = 1e6 // histogram values are nanoseconds
-	return histReport{
-		P50:  s.Quantile(0.50) / ms,
-		P95:  s.Quantile(0.95) / ms,
-		P99:  s.Quantile(0.99) / ms,
-		Mean: s.Mean() / ms,
+// samples collects one latency per operation from every session
+// goroutine.
+type samples struct {
+	mu sync.Mutex
+	d  []time.Duration
+}
+
+func (s *samples) add(d time.Duration) {
+	s.mu.Lock()
+	s.d = append(s.d, d)
+	s.mu.Unlock()
+}
+
+// report sorts the samples and reads the percentiles off them: the q-th is
+// the smallest sample with at least a share q of all samples at or below
+// it.
+func (s *samples) report() histReport {
+	if len(s.d) == 0 {
+		return histReport{}
 	}
+	sort.Slice(s.d, func(i, j int) bool { return s.d[i] < s.d[j] })
+	ms := func(d time.Duration) float64 { return float64(d) / float64(time.Millisecond) }
+	at := func(q float64) float64 { return ms(s.d[int(math.Ceil(q*float64(len(s.d))))-1]) }
+	var sum time.Duration
+	for _, d := range s.d {
+		sum += d
+	}
+	return histReport{P50: at(0.50), P95: at(0.95), P99: at(0.99), Mean: ms(sum) / float64(len(s.d))}
 }
 
 func main() {
@@ -96,9 +117,7 @@ func main() {
 	dialTimeout := flag.Duration("dial-timeout", 10*time.Second, "per-dial timeout")
 	flag.Parse()
 
-	reg := obs.NewRegistry()
-	setupHist := reg.Histogram(obs.Desc{Name: "loadgen_setup_seconds", Scale: 1e-9}, obs.DefaultLatencyBounds)
-	inferHist := reg.Histogram(obs.Desc{Name: "loadgen_inference_seconds", Scale: 1e-9}, obs.DefaultLatencyBounds)
+	var setupLat, inferLat samples
 
 	// One shared client: the compiled netlist is cached per model spec,
 	// so only the first session pays compilation — matching a real
@@ -141,7 +160,7 @@ func main() {
 			failed.Add(1)
 			return
 		}
-		setupHist.Observe(int64(time.Since(t0)))
+		setupLat.add(time.Since(t0))
 		defer conn.Close()
 
 		x := make([]float64, sess.InputLen())
@@ -167,7 +186,7 @@ func main() {
 					failed.Add(1)
 					return
 				}
-				inferHist.Observe(int64(time.Since(t0)))
+				inferLat.add(time.Since(t0))
 				inferences.Add(int64(n))
 				done += n
 			} else {
@@ -177,7 +196,7 @@ func main() {
 					failed.Add(1)
 					return
 				}
-				inferHist.Observe(int64(time.Since(t0)))
+				inferLat.add(time.Since(t0))
 				inferences.Add(1)
 				done++
 			}
@@ -231,8 +250,8 @@ func main() {
 	rep.Sessions.Dropped = dropped.Load()
 	rep.Inferences.Total = inferences.Load()
 	rep.Inferences.PerSec = float64(inferences.Load()) / wall.Seconds()
-	rep.LatencyMs = msReport(inferHist.Snapshot())
-	rep.SetupMs = msReport(setupHist.Snapshot())
+	rep.LatencyMs = inferLat.report()
+	rep.SetupMs = setupLat.report()
 
 	out, err := json.MarshalIndent(rep, "", "  ")
 	if err != nil {

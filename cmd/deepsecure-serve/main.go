@@ -53,14 +53,16 @@ func buildModel(name string) (*nn.Network, error) {
 	}
 }
 
+// drainTimeout bounds the graceful shutdown: how long in-flight sessions
+// get to finish after the first interrupt.
+const drainTimeout = 30 * time.Second
+
 func main() {
 	listen := flag.String("listen", ":9090", "listen address")
 	model := flag.String("model", "small", "b1|b2|b3|b4|small")
 	seed := flag.Int64("seed", 1, "weight-initialization seed")
 	statsEvery := flag.Duration("stats", time.Minute, "stats log interval (0 disables)")
-	drain := flag.Duration("drain", 30*time.Second, "graceful-shutdown drain timeout")
 	workers := flag.Int("workers", 0, "engine workers per session (0 = GOMAXPROCS, 1 = sequential)")
-	chunkKB := flag.Int("chunk-kb", 0, "garbled-table streaming chunk in KiB (0 = default 1024)")
 	pipeline := flag.Int("pipeline", 0, "in-flight inferences per session (0 = default 2, 1 = serial)")
 	maxBatch := flag.Int("max-batch", 0, "samples per fused batched inference (0 = default 32)")
 	idle := flag.Duration("idle-timeout", 2*time.Minute, "per-session idle read deadline (0 disables)")
@@ -72,7 +74,6 @@ func main() {
 	queueTimeout := flag.Duration("queue-timeout", 10*time.Second, "admission control: max wait in the queue before a session is shed")
 	retryAfter := flag.Duration("retry-after", time.Second, "admission control: backoff hint sent with busy responses")
 	maxP99 := flag.Duration("max-p99", 0, "admission control: shed new sessions while the windowed inference p99 exceeds this (0 disables the latency guard)")
-	shedTimeout := flag.Duration("shed-timeout", 0, "admission control: bound on the shed handshake with a refused client (0 = default 2s)")
 	handshakeTimeout := flag.Duration("handshake-timeout", 0, "per-session handshake deadline (0 disables)")
 	otSetupTimeout := flag.Duration("ot-setup-timeout", 0, "per-session OT-setup deadline (0 disables)")
 	inferTimeout := flag.Duration("infer-timeout", 0, "per-inference deadline, fused batches included (0 disables)")
@@ -104,7 +105,6 @@ func main() {
 		QueueTimeout: *queueTimeout,
 		RetryAfter:   *retryAfter,
 		MaxP99:       *maxP99,
-		ShedTimeout:  *shedTimeout,
 	}
 	if err := admCfg.Validate(); err != nil {
 		log.Fatal(err)
@@ -117,12 +117,11 @@ func main() {
 	if err := deadlines.Validate(); err != nil {
 		log.Fatal(err)
 	}
+	engine := deepsecure.EngineConfig{Workers: *workers, Pipeline: *pipeline, MaxBatch: *maxBatch, Deadlines: deadlines}
 	srv, err := deepsecure.NewServer(net0, deepsecure.DefaultFormat,
-		deepsecure.WithEngine(deepsecure.EngineConfig{Workers: *workers, ChunkBytes: *chunkKB << 10, Deadlines: deadlines}),
+		deepsecure.WithEngine(engine),
 		deepsecure.WithIdleTimeout(*idle),
 		deepsecure.WithOTPool(poolCfg),
-		deepsecure.WithPipeline(*pipeline),
-		deepsecure.WithMaxBatch(*maxBatch),
 		deepsecure.WithAdmission(admCfg))
 	if err != nil {
 		log.Fatal(err)
@@ -131,7 +130,7 @@ func main() {
 	andGates, totalGates := srv.ProgramStats()
 	log.Printf("compiled %s netlist in %v: %d gates (%d non-XOR)",
 		net0.Arch(), time.Since(start).Round(time.Millisecond), totalGates, andGates)
-	depth := (deepsecure.EngineConfig{Pipeline: *pipeline}).PipelineDepth()
+	depth := engine.PipelineDepth()
 	eff := poolCfg.Sized(len(nn.WeightBits(net0, deepsecure.DefaultFormat)), depth)
 	log.Printf("OT pool: %d weight-keyed OTs per session at setup, refill below %d", eff.Capacity, eff.RefillLowWater)
 	fanout := *workers
@@ -153,8 +152,7 @@ func main() {
 	} else {
 		log.Printf("cross-inference pipelining on: up to %d inference(s) in flight per session", depth)
 	}
-	log.Printf("batched inference: up to %d sample(s) per fused InferBatch call",
-		(deepsecure.EngineConfig{MaxBatch: *maxBatch}).MaxBatchSize())
+	log.Printf("batched inference: up to %d sample(s) per fused InferBatch call", engine.MaxBatchSize())
 	if deepsecure.WideHashAvailable() {
 		log.Printf("garbling hash core: 8-block pipelined AES-NI kernel")
 	} else {
@@ -187,8 +185,8 @@ func main() {
 	signal.Notify(sigs, os.Interrupt, syscall.SIGTERM)
 	go func() {
 		<-sigs
-		log.Printf("shutting down (draining up to %v; interrupt again to force)", *drain)
-		ctx, cancel := context.WithTimeout(context.Background(), *drain)
+		log.Printf("shutting down (draining up to %v; interrupt again to force)", drainTimeout)
+		ctx, cancel := context.WithTimeout(context.Background(), drainTimeout)
 		defer cancel()
 		go func() {
 			<-sigs

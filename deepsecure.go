@@ -149,7 +149,8 @@ type (
 // Server construction options.
 var (
 	// WithEngine selects the execution-engine configuration for every
-	// session the server answers.
+	// session the server answers, the in-flight window (Pipeline) and the
+	// batch cap (MaxBatch) it announces and enforces included.
 	WithEngine = server.WithEngine
 	// WithIdleTimeout bounds how long a session connection may sit idle
 	// between reads before it is reaped.
@@ -158,16 +159,6 @@ var (
 	// setup and refills between inferences, leaving one masked-label
 	// frame per input step, and no reply, on the critical path.
 	WithOTPool = server.WithOTPool
-	// WithPipeline sets the cross-inference pipelining depth the server
-	// announces and enforces: up to depth inferences of one session in
-	// flight at once, later ones garbling while earlier ones finish
-	// evaluating and round-trip their output labels (1 = serial, 0 =
-	// DefaultPipelineDepth).
-	WithPipeline = server.WithPipeline
-	// WithMaxBatch sets the batched-inference sample cap the server
-	// announces and enforces: one InferBatch call fuses up to n samples
-	// into a single schedule walk and OT exchange (0 = DefaultMaxBatch).
-	WithMaxBatch = server.WithMaxBatch
 	// WithAdmission installs the global admission controller: sessions
 	// past the configured limits are refused with a busy frame (clients
 	// see *BusyError) instead of degrading every admitted session.
@@ -253,8 +244,8 @@ func InferMany(conn *Conn, xs [][]float64) ([]int, *InferStats, error) {
 // one session, one schedule walk, one interleaved garbled-table stream,
 // and one masked-label frame per input step for the whole batch — the embarrassingly parallel same-model
 // serving pattern. len(xs) must fit the negotiated batch cap
-// (DefaultMaxBatch unless configured via EngineConfig.MaxBatch /
-// WithMaxBatch); batching composes with pipelining, so larger workloads
+// (DefaultMaxBatch unless configured via EngineConfig.MaxBatch on either
+// side); batching composes with pipelining, so larger workloads
 // can split into several InferBatch calls on an open Session. Returned
 // stats are session totals.
 func InferBatch(conn *Conn, xs [][]float64) ([]int, *InferStats, error) {
@@ -358,9 +349,11 @@ func WideHashAvailable() bool { return gc.WideAvailable() }
 // MetricsHandler serves the process-wide metrics registry — per-phase
 // latency histograms, session/inference/batch totals, bank hit/miss,
 // OT pool depth, per-direction byte counters — in Prometheus text
-// exposition format (the /metrics endpoint). All protocol code in this
-// module records into the same registry, so mounting this handler is
-// the only wiring a host process needs.
+// exposition format (the /metrics endpoint). Every connection, session,
+// inference and server in the process records in a ledger that adds up
+// to this registry — the same ledgers InferStats and ServerStats are read
+// from — in client processes as in server ones, so mounting this handler
+// is the only wiring a host process needs.
 func MetricsHandler() http.Handler { return obs.MetricsHandler(obs.Default) }
 
 // LiveStatsHandler serves the same registry as a JSON snapshot:
@@ -373,9 +366,3 @@ func LiveStatsHandler() http.Handler { return obs.StatsHandler(obs.Default) }
 // because profiles leak timing detail — net/http/pprof under
 // /debug/pprof/.
 func MetricsMux(withPprof bool) http.Handler { return obs.ServeMux(obs.Default, withPprof) }
-
-// SetMetricsEnabled toggles metric recording process-wide. Recording is
-// on by default and is allocation-free on the hot path; disabling stops
-// histogram and counter updates (spans still time themselves, so
-// per-call InferStats stay exact).
-func SetMetricsEnabled(on bool) { obs.SetEnabled(on) }

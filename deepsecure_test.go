@@ -2,10 +2,14 @@ package deepsecure
 
 import (
 	"math/rand"
+	"net/http/httptest"
+	"regexp"
+	"strconv"
 	"sync"
 	"testing"
 
 	"deepsecure/internal/datasets"
+	"deepsecure/internal/obs"
 )
 
 // TestPublicAPIRoundTrip exercises the whole facade the way the README's
@@ -79,7 +83,7 @@ func TestPublicAPIRoundTrip(t *testing.T) {
 }
 
 // TestInferBatchFacade exercises the batched-inference facade: one
-// fused InferBatch call against a WithMaxBatch-configured server, with
+// fused InferBatch call against a server with a configured batch cap, with
 // every sample's label checked against the plaintext forward pass.
 func TestInferBatchFacade(t *testing.T) {
 	net, err := NewNetwork(Vec(6),
@@ -127,6 +131,71 @@ func TestInferBatchFacade(t *testing.T) {
 	}
 	if st.Inferences != b {
 		t.Fatalf("stats count %d inferences, want %d", st.Inferences, b)
+	}
+}
+
+// TestClientProcessExportsItsInferences scrapes MetricsHandler the way a
+// client process's operator would. The server runs in this process too, so
+// its sessions are put under a ledger of their own, off the registry: what
+// the scrape gains is then exactly what the client recorded — its
+// inferences, its one batch, their latency, and the pooled OTs it spent
+// masking weight labels.
+func TestClientProcessExportsItsInferences(t *testing.T) {
+	net, err := NewNetwork(Vec(6), NewDense(5), NewActivation(ReLU), NewDense(3))
+	if err != nil {
+		t.Fatal(err)
+	}
+	net.InitWeights(rand.New(rand.NewSource(11)))
+	scrape := func() map[string]float64 {
+		rec := httptest.NewRecorder()
+		MetricsHandler().ServeHTTP(rec, httptest.NewRequest("GET", "/metrics", nil))
+		out := map[string]float64{}
+		for _, m := range regexp.MustCompile(`(?m)^(deepsecure_\w+) (\S+)$`).FindAllStringSubmatch(rec.Body.String(), -1) {
+			out[m[1]], _ = strconv.ParseFloat(m[2], 64)
+		}
+		return out
+	}
+	before := scrape()
+
+	cConn, sConn, closer := Pipe()
+	defer closer.Close()
+	srv := &SessionServer{Net: net, Fmt: DefaultFormat}
+	srv.SetMetrics(obs.NewSet(nil))
+	served := make(chan error, 1)
+	go func() { served <- srv.Serve(sConn) }()
+	sess, err := OpenSession(cConn)
+	if err != nil {
+		t.Fatal(err)
+	}
+	x := make([]float64, 6)
+	if _, _, err := sess.Infer(x); err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := sess.InferBatch([][]float64{x, x}); err != nil {
+		t.Fatal(err)
+	}
+	if err := sess.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if err := <-served; err != nil {
+		t.Fatal(err)
+	}
+
+	after := scrape()
+	st := sess.Stats()
+	for name, want := range map[string]float64{
+		"deepsecure_inferences_total":        3,
+		"deepsecure_batches_total":           1,
+		"deepsecure_inference_seconds_count": 2,
+		"deepsecure_ot_consumed_total":       float64(st.OTsConsumed),
+		"deepsecure_sessions_total":          0, // the server's to count, and it is off the registry
+	} {
+		if got := after[name] - before[name]; got != want {
+			t.Errorf("%s moved by %v, want %v", name, got, want)
+		}
+	}
+	if st.OTsConsumed == 0 {
+		t.Error("the session consumed no pooled OTs")
 	}
 }
 

@@ -119,8 +119,8 @@ var All = []Benchmark{
 // parameter layer is masked to the target density (network pruning). The
 // sparsity pattern is a deterministic pseudo-random mask — the *count* is
 // what determines gate numbers; the measured compaction ratios come from
-// the pre-processing pipeline run on the synthetic datasets (see
-// EXPERIMENTS.md).
+// the pre-processing pipeline run on the synthetic datasets
+// (examples/preprocessing).
 func Compacted(b Benchmark) (*nn.Network, error) {
 	net, err := b.Build()
 	if err != nil {

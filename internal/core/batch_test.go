@@ -296,12 +296,12 @@ func TestBatchValidation(t *testing.T) {
 		{"ragged widths", [][]float64{good(), make([]float64, 5), good()}, "sample 1 has 5 features"},
 		{"beyond negotiated max", [][]float64{good(), good(), good(), good(), good()}, "exceeds the negotiated maximum 4"},
 	} {
-		sent := cConn.BytesSent.Load()
+		sent := cConn.Metrics().BytesSent.Value()
 		_, _, err := sess.InferBatch(tc.xs)
 		if err == nil || !strings.Contains(err.Error(), tc.wantErr) {
 			t.Fatalf("%s: err = %v, want substring %q", tc.name, err, tc.wantErr)
 		}
-		if got := cConn.BytesSent.Load(); got != sent {
+		if got := cConn.Metrics().BytesSent.Value(); got != sent {
 			t.Fatalf("%s: %d bytes hit the wire before validation", tc.name, got-sent)
 		}
 	}

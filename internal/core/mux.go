@@ -158,11 +158,8 @@ func (v *ctxConn) RecvAny(want ...transport.MsgType) (transport.MsgType, []byte,
 }
 
 // muxEvent is a completion notification to the session's main loop.
-// inferences is the settled sample count of a finished context, counted
-// only on success.
 type muxEvent struct {
 	readerDone bool
-	inferences int64
 	err        error
 }
 
@@ -183,24 +180,19 @@ type sessionMux struct {
 
 	weightBits []bool
 	wd         *watchdog // session phase watchdog (nil = no deadlines armed)
+	set        *obs.Set  // the session's ledger
 
 	events  chan muxEvent
 	stop    chan struct{}
 	ctxs    map[uint64]*evalCtx
 	spawned int // reader-owned until readerDone, then main-owned
 
-	// In-flight accounting for Stats: time with ≥2 inferences active is
-	// the session's measured overlap. gateTime and the gate counters
-	// accumulate per finished context (counts derived from the schedule,
-	// kernel time measured by the engine).
+	// In-flight tracking: the ledger gets the peak and, interval by
+	// interval, the time with ≥2 inferences active — the session's measured
+	// overlap. overlapSince is zero while no such interval is open.
 	statMu       sync.Mutex
 	inFlight     int
-	maxInFlight  int
 	overlapSince time.Time
-	overlap      time.Duration
-	gateTime     time.Duration
-	andGates     int64
-	freeGates    int64
 }
 
 func newSessionMux(srv *Server, conn *transport.Conn, mc *muxConn, otp *precomp.ReceiverPool, sched *circuit.Schedule, weightBits []bool) *sessionMux {
@@ -227,16 +219,20 @@ func newSessionMux(srv *Server, conn *transport.Conn, mc *muxConn, otp *precomp.
 }
 
 // run serves the session until the client ends it, disconnects at an
-// inference boundary, or an error tears it down. It fills st with the
-// session's inference and overlap counters. Error priority: a context's
+// inference boundary, or an error tears it down. Error priority: a context's
 // own protocol error (bad frame contents, failed evaluation) returns
 // immediately; teardown-consequence errors (closed routing channels)
 // only surface if no root cause — the reader's protocol error, or a
 // boundary-clean disconnect — explains them.
-func (m *sessionMux) run(st *Stats) error {
+func (m *sessionMux) run() error {
 	go m.readLoop()
 	defer m.otp.Abort()
 	defer close(m.stop)
+	defer func() {
+		m.statMu.Lock()
+		m.closeOverlap()
+		m.statMu.Unlock()
+	}()
 
 	done := 0
 	readerDone := false
@@ -251,13 +247,11 @@ func (m *sessionMux) run(st *Stats) error {
 			done++
 			switch {
 			case ev.err == nil:
-				st.Inferences += ev.inferences
 			case errors.Is(ev.err, errSessionTorn):
 				if tornErr == nil {
 					tornErr = ev.err
 				}
 			default:
-				m.finishStats(st)
 				return ev.err
 			}
 		}
@@ -265,7 +259,6 @@ func (m *sessionMux) run(st *Stats) error {
 			break
 		}
 	}
-	m.finishStats(st)
 	switch {
 	case readerErr == nil:
 		// Clean end marker; torn contexts can only mean the client ended
@@ -278,21 +271,6 @@ func (m *sessionMux) run(st *Stats) error {
 	default:
 		return readerErr
 	}
-}
-
-// finishStats folds the session's terminal counters into st. Terminal
-// only: it closes any open overlap interval without restarting one.
-func (m *sessionMux) finishStats(st *Stats) {
-	m.statMu.Lock()
-	defer m.statMu.Unlock()
-	if m.inFlight >= 2 {
-		m.overlap += time.Since(m.overlapSince)
-	}
-	st.MaxInFlight = int64(m.maxInFlight)
-	st.OverlapTime = m.overlap
-	st.GateTime = m.gateTime
-	st.ANDGates = m.andGates
-	st.FreeGates = m.freeGates
 }
 
 func (m *sessionMux) emit(ev muxEvent) {
@@ -459,9 +437,7 @@ func (m *sessionMux) beginInFlight() {
 	m.statMu.Lock()
 	defer m.statMu.Unlock()
 	m.inFlight++
-	if m.inFlight > m.maxInFlight {
-		m.maxInFlight = m.inFlight
-	}
+	m.set.InFlightPeak.Raise(int64(m.inFlight))
 	if m.inFlight == 2 {
 		m.overlapSince = time.Now()
 	}
@@ -470,10 +446,20 @@ func (m *sessionMux) beginInFlight() {
 func (m *sessionMux) endInFlight() {
 	m.statMu.Lock()
 	defer m.statMu.Unlock()
-	if m.inFlight == 2 {
-		m.overlap += time.Since(m.overlapSince)
-	}
 	m.inFlight--
+	if m.inFlight < 2 {
+		m.closeOverlap()
+	}
+}
+
+// closeOverlap books the open overlap interval, if there is one: when the
+// session drops below two inferences in flight, and at teardown, whatever
+// is still running. The caller holds statMu.
+func (m *sessionMux) closeOverlap() {
+	if !m.overlapSince.IsZero() {
+		m.set.OverlapTime.Add(int64(time.Since(m.overlapSince)))
+		m.overlapSince = time.Time{}
+	}
 }
 
 // runCtx executes one inference's evaluation to completion and reports
@@ -495,14 +481,14 @@ func (m *sessionMux) runCtx(c *evalCtx) {
 	}
 	m.endInFlight()
 	if err == nil {
-		obs.ObserveInference(time.Since(c.start))
-		obs.AddInferences(int64(c.batch))
+		m.set.InferenceSeconds.Observe(int64(time.Since(c.start)))
+		m.set.Inferences.Add(int64(c.batch))
 		if c.batch > 1 {
-			obs.IncBatches()
+			m.set.Batches.Inc()
 		}
 	}
 	close(c.dead)
-	m.emit(muxEvent{err: err, inferences: int64(c.batch)})
+	m.emit(muxEvent{err: err})
 }
 
 // evalPanicHook, when set by a test, runs at the top of every
@@ -556,20 +542,14 @@ func (m *sessionMux) serveInference(c *evalCtx) error {
 	if err := en.run(); err != nil {
 		return err
 	}
-	// Fold the crypto-core counters: gate-instance counts derive from the
+	// The crypto-core figures: gate-instance counts derive from the
 	// schedule (every context walks it once per sample), kernel time from
-	// the engine's measurement. The registry observations reuse the same
-	// engine clocks that back Stats, so the two surfaces agree.
-	ands := m.sched.ANDs * int64(c.batch)
-	frees := (int64(len(m.sched.Gates)) - m.sched.ANDs) * int64(c.batch)
-	m.statMu.Lock()
-	m.gateTime += en.gateTime
-	m.andGates += ands
-	m.freeGates += frees
-	m.statMu.Unlock()
-	obs.ObservePhase(obs.PhaseEval, en.gateTime)
-	obs.ObservePhase(obs.PhaseTableRead, en.readTime)
-	obs.AddGates(ands, frees, en.gateTime)
+	// the engine's measurement.
+	m.set.GatesAnd.Add(m.sched.ANDs * int64(c.batch))
+	m.set.GatesFree.Add((int64(len(m.sched.Gates)) - m.sched.ANDs) * int64(c.batch))
+	m.set.GateTime.Add(int64(en.gateTime))
+	m.set.Phase[obs.PhaseEval].Observe(int64(en.gateTime))
+	m.set.Phase[obs.PhaseTableRead].Observe(int64(en.readTime))
 	payload := make([]byte, 0, len(en.outLabels)*gc.LabelSize)
 	for _, l := range en.outLabels {
 		payload = append(payload, l[:]...)

@@ -8,6 +8,7 @@ import (
 	"deepsecure/internal/circuit"
 	"deepsecure/internal/netgen"
 	"deepsecure/internal/nn"
+	"deepsecure/internal/obs"
 	"deepsecure/internal/outsource"
 	"deepsecure/internal/transport"
 )
@@ -30,6 +31,10 @@ import (
 // vectors (the paper's "almost free of charge" client workload).
 func (c *Client) InferOutsourced(proxyConn, serverConn *transport.Conn, x []float64) (int, *Stats, error) {
 	start := time.Now()
+	// One ledger for the call: both connections record in it.
+	set := obs.NewSet(c.ledger())
+	proxyConn.SetMetrics(set)
+	serverConn.SetMetrics(set)
 	rng := rngOrDefault(c.Rng)
 	if err := proxyConn.Send(transport.MsgHello, []byte(protocolHello)); err != nil {
 		return 0, nil, err
@@ -92,11 +97,8 @@ func (c *Client) InferOutsourced(proxyConn, serverConn *transport.Conn, x []floa
 			label |= 1 << uint(i)
 		}
 	}
-	st := &Stats{
-		BytesSent:     proxyConn.BytesSent.Load() + serverConn.BytesSent.Load(),
-		BytesReceived: proxyConn.BytesReceived.Load() + serverConn.BytesReceived.Load(),
-		Duration:      time.Since(start),
-	}
+	st := StatsOf(set)
+	st.Duration = time.Since(start)
 	return label, st, nil
 }
 

@@ -101,7 +101,8 @@ func (e *PoolMismatchError) Error() string {
 }
 
 // Stats summarizes one secure inference — or, for session-level calls, a
-// whole session of them.
+// whole session of them. It is a read-out of the obs.Set the inference or
+// the session records in (StatsOf): nothing is counted here.
 type Stats struct {
 	BytesSent     int64
 	BytesReceived int64
@@ -158,48 +159,34 @@ func (st *Stats) GatesPerSec() float64 {
 	return float64(st.ANDGates+st.FreeGates) / st.GateTime.Seconds()
 }
 
-// Add folds another session's (or inference's) statistics into st: every
-// counter and duration sums, MaxInFlight keeps the higher peak.
-func (st *Stats) Add(o *Stats) {
-	st.BytesSent += o.BytesSent
-	st.BytesReceived += o.BytesReceived
-	st.Duration += o.Duration
-	st.ANDGates += o.ANDGates
-	st.FreeGates += o.FreeGates
-	st.Inferences += o.Inferences
-	st.OTOfflineTime += o.OTOfflineTime
-	st.OTOnlineTime += o.OTOnlineTime
-	st.OTsPooled += o.OTsPooled
-	st.OTsConsumed += o.OTsConsumed
-	st.OTRefills += o.OTRefills
-	st.OTBatches += o.OTBatches
-	st.MaxInFlight = max(st.MaxInFlight, o.MaxInFlight)
-	st.OverlapTime += o.OverlapTime
-	st.GateTime += o.GateTime
-	st.BankHits += o.BankHits
-	st.BankMisses += o.BankMisses
-	st.BankRefillTime += o.BankRefillTime
-}
-
-// addOT folds a pool-stats delta into the Stats.
-func (st *Stats) addOT(d precomp.Stats) {
-	st.OTOfflineTime += d.OfflineTime
-	st.OTOnlineTime += d.OnlineTime
-	st.OTsPooled += d.Generated
-	st.OTsConsumed += d.Consumed
-	st.OTRefills += d.Refills
-	st.OTBatches += d.Batches
-}
-
-// otDelta subtracts two pool-stat snapshots.
-func otDelta(after, before precomp.Stats) precomp.Stats {
-	return precomp.Stats{
-		Generated:   after.Generated - before.Generated,
-		Consumed:    after.Consumed - before.Consumed,
-		Refills:     after.Refills - before.Refills,
-		Batches:     after.Batches - before.Batches,
-		OfflineTime: after.OfflineTime - before.OfflineTime,
-		OnlineTime:  after.OnlineTime - before.OnlineTime,
+// StatsOf reads a Stats out of a ledger — an inference's, a session's, a
+// server's: the one place the fields are told which counter they are. An
+// input step is one observation of the ot_derand phase and a banked
+// execution one of bank_refill, so those histograms hold the online OT and
+// the bank refill figures. Duration is the finished server sessions' wall
+// time; a client session or inference, which is still running or was timed
+// by its caller, overwrites it.
+func StatsOf(s *obs.Set) *Stats {
+	derand := s.Phase[obs.PhaseOTDerand]
+	return &Stats{
+		BytesSent:      s.BytesSent.Value(),
+		BytesReceived:  s.BytesReceived.Value(),
+		Duration:       time.Duration(s.SessionTime.Value()),
+		ANDGates:       s.GatesAnd.Value(),
+		FreeGates:      s.GatesFree.Value(),
+		Inferences:     s.Inferences.Value(),
+		OTOfflineTime:  time.Duration(s.OTOfflineTime.Value()),
+		OTOnlineTime:   time.Duration(derand.Sum()),
+		OTsPooled:      s.OTPooled.Value(),
+		OTsConsumed:    s.OTConsumed.Value(),
+		OTRefills:      s.OTRefills.Value(),
+		OTBatches:      derand.Count(),
+		MaxInFlight:    s.InFlightPeak.Value(),
+		OverlapTime:    time.Duration(s.OverlapTime.Value()),
+		GateTime:       time.Duration(s.GateTime.Value()),
+		BankHits:       s.BankHits.Value(),
+		BankMisses:     s.BankMisses.Value(),
+		BankRefillTime: time.Duration(s.Phase[obs.PhaseBankRefill].Sum()),
 	}
 }
 
@@ -229,7 +216,14 @@ type Server struct {
 	compileOnce sync.Once
 	prog        *netgen.Program
 	compileErr  error
+
+	metrics *obs.Set // parent of every session's ledger; obs.Root when nil
 }
+
+// SetMetrics puts the ledgers of the server's sessions under parent — the
+// owning network server's — instead of directly under obs.Root. Call
+// before the first session.
+func (s *Server) SetMetrics(parent *obs.Set) { s.metrics = parent }
 
 func rngOrDefault(r io.Reader) io.Reader {
 	if r == nil {
@@ -276,13 +270,17 @@ func (s *Server) Serve(conn *transport.Conn) error {
 // survive until the caller closes the underlying connection.
 func (s *Server) ServeSession(conn *transport.Conn) (*Stats, error) {
 	start := time.Now()
-	sent0, recv0 := conn.BytesSent.Load(), conn.BytesReceived.Load()
-	st := &Stats{}
+	parent := s.metrics
+	if parent == nil {
+		parent = obs.Root
+	}
+	// The session's ledger: the connection, the OT pool and the inference
+	// contexts all record here, and the returned Stats is its read-out.
+	set := obs.NewSet(parent)
+	conn.SetMetrics(set)
 	finish := func() *Stats {
-		st.BytesSent = conn.BytesSent.Load() - sent0
-		st.BytesReceived = conn.BytesReceived.Load() - recv0
-		st.Duration = time.Since(start)
-		return st
+		set.SessionTime.Add(int64(time.Since(start)))
+		return StatsOf(set)
 	}
 	// Phase watchdog: serial setup phases (handshake, OT setup) are
 	// bracketed by arm/disarm here; the per-inference deadline is handed
@@ -336,14 +334,13 @@ func (s *Server) ServeSession(conn *transport.Conn) (*Stats, error) {
 	if err != nil {
 		return fail(err)
 	}
-	st.OTOfflineTime += time.Since(baseStart)
+	set.OTOfflineTime.Add(int64(time.Since(baseStart)))
 
 	// OT pool: announce the server's policy and bulk-fill at setup with the
 	// weight bits as choices, so an inference's input steps only unmask.
 	otp := precomp.NewReceiverPool(mc, ots, rng, s.OTPool.Sized(len(weightBits), s.Engine.pipeline()))
 	otp.SetKey(weightBits)
-	otBase := otp.Stats()
-	defer func() { st.addOT(otDelta(otp.Stats(), otBase)) }()
+	otp.SetMetrics(set)
 	if err := otp.Announce(); err != nil {
 		return fail(err)
 	}
@@ -351,8 +348,8 @@ func (s *Server) ServeSession(conn *transport.Conn) (*Stats, error) {
 
 	m := newSessionMux(s, conn, mc, otp, prog.Schedule, weightBits)
 	m.wd = wd
-	err = m.run(st)
-	return finish(), wd.wrap(err)
+	m.set = set
+	return fail(m.run())
 }
 
 // Client runs secure inferences against a server. A Client caches the
@@ -371,6 +368,18 @@ type Client struct {
 	mu    sync.Mutex
 	progs map[string]*netgen.Program
 	banks map[string]*bank.Bank
+	set   *obs.Set // the client's ledger, made on first use
+}
+
+// ledger returns the client's ledger: the parent of its sessions' ledgers
+// and the one its banks record in.
+func (c *Client) ledger() *obs.Set {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if c.set == nil {
+		c.set = obs.NewSet(obs.Root)
+	}
+	return c.set
 }
 
 // bankFor returns the client's garble-ahead bank for the given spec,
@@ -379,6 +388,7 @@ type Client struct {
 // model: banked executions are program-scoped, not session-scoped.
 func (c *Client) bankFor(specData []byte, prog *netgen.Program) *bank.Bank {
 	key := string(specData)
+	set := c.ledger()
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if b, ok := c.banks[key]; ok {
@@ -388,6 +398,7 @@ func (c *Client) bankFor(specData []byte, prog *netgen.Program) *bank.Bank {
 		c.banks = make(map[string]*bank.Bank)
 	}
 	b := bank.NewWithPool(prog.Schedule, rngOrDefault(c.Rng), c.Engine.newPool(), c.Engine.Bank)
+	b.SetMetrics(set)
 	c.banks[key] = b
 	return b
 }
@@ -445,21 +456,13 @@ type Session struct {
 	ots   *precomp.SenderPool
 	start time.Time
 
-	// baseTime is the OT-extension base-phase duration (offline cost,
-	// reported once in session Stats).
-	baseTime time.Duration
+	// set is the session's ledger: the connection and the OT pool record
+	// here, each inference in a child of it, and Stats is its read-out.
+	set *obs.Set
 
-	// Connection byte counters at session start, so Stats reports this
-	// session's traffic even when the conn carried earlier sessions.
-	sent0, recv0 int64
-
-	inputLen   int
-	inferences int64
-	andGates   int64
-	freeGates  int64
-	gateTime   time.Duration
-	closed     bool
-	failed     bool // a mid-protocol error desynchronized the stream
+	inputLen int
+	closed   bool
+	failed   bool // a mid-protocol error desynchronized the stream
 
 	// Cross-inference pipelining: window is the negotiated in-flight cap
 	// (min of this client's EngineConfig.Pipeline and the server's
@@ -486,13 +489,10 @@ type Session struct {
 	tagBuf   []byte
 
 	// Garble-ahead execution bank (nil when EngineConfig.Bank is off):
-	// shared per program across the client's sessions; bank0 snapshots
-	// its refill-time counter at session start so Stats reports this
-	// session's share.
-	bank       *bank.Bank
-	bank0      bank.Stats
-	bankHits   int64
-	bankMisses int64
+	// shared per program across the client's sessions; bankRefill0 is its
+	// refill time at session start, so Stats reports what was spent since.
+	bank        *bank.Bank
+	bankRefill0 time.Duration
 }
 
 // clientOTConn is the client session's OT-protocol face: a passthrough
@@ -576,7 +576,8 @@ func (c *Client) NewSession(conn *transport.Conn) (sess *Session, err error) {
 		}()
 	}
 	start := time.Now()
-	sent0, recv0 := conn.BytesSent.Load(), conn.BytesReceived.Load()
+	set := obs.NewSet(c.ledger())
+	conn.SetMetrics(set)
 	rng := rngOrDefault(c.Rng)
 	if err := conn.Send(transport.MsgHello, []byte(protocolHello)); err != nil {
 		return nil, err
@@ -630,8 +631,7 @@ func (c *Client) NewSession(conn *transport.Conn) (sess *Session, err error) {
 		f:        spec.Format,
 		prog:     prog,
 		start:    start,
-		sent0:    sent0,
-		recv0:    recv0,
+		set:      set,
 		inputLen: net.In.Len(),
 		window:   window,
 		maxBatch: maxBatch,
@@ -646,11 +646,12 @@ func (c *Client) NewSession(conn *transport.Conn) (sess *Session, err error) {
 	if err != nil {
 		return nil, err
 	}
-	s.baseTime = time.Since(baseStart)
+	set.OTOfflineTime.Add(int64(time.Since(baseStart)))
 	// Pool announcement: the server says how many OTs this session
 	// precomputes and how many it transfers per sample; the initial bulk
 	// fill happens here, as part of session setup.
 	otp := precomp.NewSenderPool(clientOTConn{s}, ots, rng)
+	otp.SetMetrics(set)
 	if err := otp.HandleAnnounce(); err != nil {
 		return nil, err
 	}
@@ -664,7 +665,7 @@ func (c *Client) NewSession(conn *transport.Conn) (sess *Session, err error) {
 	// bank-off session's — the transcript-conformance property).
 	if c.Engine.Bank.Enabled() {
 		bk := c.bankFor(specData, prog)
-		s.bank0 = bk.Stats() // before the fill: its cost is this session's offline time
+		s.bankRefill0 = bk.Stats().RefillTime // before the fill: its cost is this session's offline time
 		if err := bk.Fill(); err != nil {
 			return nil, err
 		}
@@ -699,20 +700,14 @@ type PendingInference struct {
 	outZero []gc.Label
 	start   time.Time
 	flushed time.Time // garbled stream fully on the wire; starts the output round-trip
-	sent0   int64
-	recv0   int64
-	ot0     precomp.Stats
 
-	// Gate counters and kernel time captured at garble time (the garbler
-	// itself, with its schedule-sized label array, is released as soon
-	// as the stream is flushed). A bank hit garbles nothing online, so
-	// its gateTime is zero while the gate counters still report the
-	// circuit's size.
-	andGates  int64
-	freeGates int64
-	gateTime  time.Duration
-	bankHit   bool
-	bankMiss  bool
+	// set is the inference's own ledger, under the session's: its gates,
+	// kernel time, bank outcome and latency. before is the session's
+	// read-out when the inference began — the wire and the OT pool are the
+	// session's, so the inference's share of them is what they moved while
+	// it was in flight.
+	set    *obs.Set
+	before *Stats
 
 	done   bool
 	labels []int
@@ -806,34 +801,27 @@ func (s *Session) resolveOutput(payload []byte) error {
 	}
 	s.inflight = append(s.inflight[:idx], s.inflight[idx+1:]...)
 	p.labels = labels
-	p.st = &Stats{
-		BytesSent:     s.conn.BytesSent.Load() - p.sent0,
-		BytesReceived: s.conn.BytesReceived.Load() - p.recv0,
-		Duration:      time.Since(p.start),
-		ANDGates:      p.andGates,
-		FreeGates:     p.freeGates,
-		GateTime:      p.gateTime,
-		Inferences:    int64(p.batch),
-	}
-	if p.bankHit {
-		p.st.BankHits = int64(p.batch)
-	}
-	if p.bankMiss {
-		p.st.BankMisses = int64(p.batch)
-	}
-	p.st.addOT(otDelta(s.ots.Stats(), p.ot0))
 	p.done = true
-	s.inferences += int64(p.batch)
-	s.andGates += p.andGates
-	s.freeGates += p.freeGates
-	s.gateTime += p.gateTime
-	// The registry sees the same measurements Stats was just built from:
-	// the output round-trip from the flush timestamp, gates from the
-	// garble-time counters.
-	if !p.flushed.IsZero() {
-		obs.ObservePhase(obs.PhaseOutputRoundTrip, time.Since(p.flushed))
+	// The inference is complete for this party now: its latency runs from
+	// the InferBatchAsync call to here.
+	took := time.Since(p.start)
+	p.set.InferenceSeconds.Observe(int64(took))
+	p.set.Phase[obs.PhaseOutputRoundTrip].Observe(int64(time.Since(p.flushed)))
+	p.set.Inferences.Add(int64(p.batch))
+	if p.batch > 1 {
+		p.set.Batches.Inc()
 	}
-	obs.AddGates(p.andGates, p.freeGates, p.gateTime)
+	p.st = StatsOf(p.set)
+	p.st.Duration = took
+	now := StatsOf(s.set)
+	p.st.BytesSent = now.BytesSent - p.before.BytesSent
+	p.st.BytesReceived = now.BytesReceived - p.before.BytesReceived
+	p.st.OTOfflineTime = now.OTOfflineTime - p.before.OTOfflineTime
+	p.st.OTOnlineTime = now.OTOnlineTime - p.before.OTOnlineTime
+	p.st.OTsPooled = now.OTsPooled - p.before.OTsPooled
+	p.st.OTsConsumed = now.OTsConsumed - p.before.OTsConsumed
+	p.st.OTRefills = now.OTRefills - p.before.OTRefills
+	p.st.OTBatches = now.OTBatches - p.before.OTBatches
 	return nil
 }
 
@@ -927,13 +915,12 @@ func (s *Session) InferBatchAsync(xs [][]float64) (*PendingBatch, error) {
 	id := s.nextID
 	s.nextID++
 	p := &PendingInference{
-		s:     s,
-		id:    id,
-		batch: b,
-		start: time.Now(),
-		sent0: s.conn.BytesSent.Load(),
-		recv0: s.conn.BytesReceived.Load(),
-		ot0:   s.ots.Stats(),
+		s:      s,
+		id:     id,
+		batch:  b,
+		start:  time.Now(),
+		set:    obs.NewSet(s.set),
+		before: StatsOf(s.set),
 	}
 	s.tagBuf = transport.AppendTag(transport.AppendTag(s.tagBuf[:0], id), uint64(b))
 	if err := s.conn.Send(transport.MsgInferBegin, s.tagBuf); err != nil {
@@ -956,21 +943,16 @@ func (s *Session) InferBatchAsync(xs [][]float64) (*PendingBatch, error) {
 	// is always correct) garbles live.
 	var src tableSource
 	if s.bank != nil {
-		exs, _ := s.bank.TakeN(b)
-		if exs != nil {
+		if exs, _ := s.bank.TakeN(b, p.set); exs != nil {
 			defer func() {
 				for _, ex := range exs {
 					ex.Release()
 				}
 			}()
 			src = newBankSource(exs)
-			p.bankHit = true
-			s.bankHits += int64(b)
-		} else {
-			p.bankMiss = true
-			s.bankMisses += int64(b)
 		}
 	}
+	hit := src != nil
 	if src == nil {
 		if src, err = newLiveSource(s.rng, b, s.prog.Schedule, s.pool); err != nil {
 			return fail(err)
@@ -1016,17 +998,19 @@ func (s *Session) InferBatchAsync(xs [][]float64) (*PendingBatch, error) {
 	// walked once per sample.
 	p.deltas = src.deltas()
 	p.outZero = en.outZero
-	p.andGates = s.prog.Schedule.ANDs * int64(b)
-	p.freeGates = (int64(len(s.prog.Schedule.Gates)) - s.prog.Schedule.ANDs) * int64(b)
-	if p.bankHit {
+	p.set.GatesAnd.Add(s.prog.Schedule.ANDs * int64(b))
+	p.set.GatesFree.Add((int64(len(s.prog.Schedule.Gates)) - s.prog.Schedule.ANDs) * int64(b))
+	if hit {
 		// A hit's online cost IS the streaming — label selection, table
 		// copies and writes, garbling excluded: the garble_bank phase
-		// covers the walk and its flush.
-		obs.ObservePhase(obs.PhaseGarbleBank, p.flushed.Sub(streamStart))
+		// covers the walk and its flush. It garbles nothing online, so it
+		// adds no gate time while the gate counters still report the
+		// circuit's size.
+		p.set.Phase[obs.PhaseGarbleBank].Observe(int64(p.flushed.Sub(streamStart)))
 	} else {
-		obs.ObservePhase(obs.PhaseGarbleLive, en.gateTime)
-		obs.ObservePhase(obs.PhaseTableWrite, en.writeTime)
-		p.gateTime = en.gateTime
+		p.set.GateTime.Add(int64(en.gateTime))
+		p.set.Phase[obs.PhaseGarbleLive].Observe(int64(en.gateTime))
+		p.set.Phase[obs.PhaseTableWrite].Observe(int64(en.writeTime))
 	}
 	s.inflight = append(s.inflight, p)
 	return &PendingBatch{p: p}, nil
@@ -1089,29 +1073,18 @@ func (s *Session) Close() error {
 // Stats returns cumulative statistics for the whole session so far,
 // including the handshake and OT base phase.
 func (s *Session) Stats() *Stats {
-	st := &Stats{
-		BytesSent:     s.conn.BytesSent.Load() - s.sent0,
-		BytesReceived: s.conn.BytesReceived.Load() - s.recv0,
-		Duration:      time.Since(s.start),
-		ANDGates:      s.andGates,
-		FreeGates:     s.freeGates,
-		GateTime:      s.gateTime,
-		Inferences:    s.inferences,
-		OTOfflineTime: s.baseTime,
-	}
-	st.addOT(s.ots.Stats())
+	st := StatsOf(s.set)
+	st.Duration = time.Since(s.start)
 	if s.bank != nil {
-		st.BankHits = s.bankHits
-		st.BankMisses = s.bankMisses
-		st.BankRefillTime = s.bank.Stats().RefillTime - s.bank0.RefillTime
+		st.BankRefillTime = s.bank.Stats().RefillTime - s.bankRefill0
 	}
 	return st
 }
 
 // BankStats returns the session's garble-ahead bank counters (zero
-// value when banking is off): the bank itself is shared per program
-// across the client's sessions, so Banked/Available reflect the shared
-// pool while the session's own hit/miss split lives in Stats.
+// value when banking is off): the bank is shared per program across the
+// client's sessions and records in the client's ledger, so these are the
+// client's totals while the session's own hit/miss split lives in Stats.
 func (s *Session) BankStats() bank.Stats {
 	if s.bank == nil {
 		return bank.Stats{}

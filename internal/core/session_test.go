@@ -211,9 +211,9 @@ func TestBrokenSessionRefusesRetry(t *testing.T) {
 		t.Fatal("inference over a dead transport should fail")
 	}
 	// The retry must be refused without touching the wire.
-	sent := cConn.BytesSent.Load()
-	if _, _, err := sess.Infer(x); err == nil || cConn.BytesSent.Load() != sent {
-		t.Fatalf("retry on broken session: err=%v, sent %d extra bytes", err, cConn.BytesSent.Load()-sent)
+	sent := cConn.Metrics().BytesSent.Value()
+	if _, _, err := sess.Infer(x); err == nil || cConn.Metrics().BytesSent.Value() != sent {
+		t.Fatalf("retry on broken session: err=%v, sent %d extra bytes", err, cConn.Metrics().BytesSent.Value()-sent)
 	}
 	// A wrong-length sample, by contrast, never touches the wire and
 	// must not break an open session.

@@ -5,31 +5,27 @@ import (
 	"reflect"
 	"testing"
 	"time"
+
+	"deepsecure/internal/obs"
 )
 
-// TestStatsAddCoversEveryField pins Add against the struct: folding a
-// Stats whose every field is 3 into one whose every field is 2 must leave
-// 5 everywhere except MaxInFlight, which keeps the higher peak. A field
-// added to Stats without a line in Add fails here.
-func TestStatsAddCoversEveryField(t *testing.T) {
-	fill := func(v int64) *Stats {
-		st := &Stats{}
-		rv := reflect.ValueOf(st).Elem()
-		for i := 0; i < rv.NumField(); i++ {
-			rv.Field(i).SetInt(v)
-		}
-		return st
+// TestStatsOfCoversEveryField pins the read-out against the struct: from a
+// ledger in which every counter moved, StatsOf must leave no field zero. A
+// field added to Stats without a line in StatsOf fails here.
+func TestStatsOfCoversEveryField(t *testing.T) {
+	s := obs.NewSet(nil)
+	for _, c := range []*obs.Counter{s.BytesSent, s.BytesReceived, s.SessionTime, s.GatesAnd, s.GatesFree,
+		s.Inferences, s.OTOfflineTime, s.OTPooled, s.OTConsumed, s.OTRefills, s.OverlapTime, s.GateTime,
+		s.BankHits, s.BankMisses} {
+		c.Add(3)
 	}
-	got := fill(2)
-	got.Add(fill(3))
-	rv := reflect.ValueOf(got).Elem()
+	s.InFlightPeak.Raise(2)
+	s.Phase[obs.PhaseOTDerand].Observe(5)
+	s.Phase[obs.PhaseBankRefill].Observe(7)
+	rv := reflect.ValueOf(StatsOf(s)).Elem()
 	for i := 0; i < rv.NumField(); i++ {
-		name, want := rv.Type().Field(i).Name, int64(5)
-		if name == "MaxInFlight" {
-			want = 3
-		}
-		if rv.Field(i).Int() != want {
-			t.Errorf("Add left %s = %d, want %d", name, rv.Field(i).Int(), want)
+		if rv.Field(i).Int() == 0 {
+			t.Errorf("StatsOf left %s zero", rv.Type().Field(i).Name)
 		}
 	}
 }

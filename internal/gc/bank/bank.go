@@ -86,13 +86,13 @@ func (c Config) lowWater() int {
 	return lw
 }
 
-// Stats counts a bank's offline and online activity. RefillTime is the
-// wall time spent garbling executions into the bank — the crypto the
-// online path no longer pays; it accumulates on whichever goroutine ran
-// the fill.
+// Stats is a bank's read-out of its ledger: its offline and online
+// activity. RefillTime is the wall time spent garbling executions into the
+// bank — the crypto the online path no longer pays; it accumulates on
+// whichever goroutine ran the fill.
 type Stats struct {
-	Hits   int64 // Takes served from the bank
-	Misses int64 // Takes that found the bank empty (or short, for TakeN)
+	Hits   int64 // executions taken from the bank
+	Misses int64 // executions asked of a bank that was empty, short or unreadable
 	Banked int64 // executions garbled into the bank
 	Spills int64 // executions whose tables were spilled to disk
 
@@ -193,8 +193,9 @@ type Bank struct {
 	refilling bool
 	closed    bool
 	fillErr   error // sticky background-fill failure (bank stops refilling)
-	st        Stats
 	wg        sync.WaitGroup
+
+	set *obs.Set // the ledger this bank records in
 }
 
 // New creates a bank for one compiled schedule. workers sizes the bank's
@@ -210,17 +211,35 @@ func New(sched *circuit.Schedule, rng io.Reader, workers int, cfg Config) *Bank 
 // goroutines. The bank serializes its own fills (one stateful schedule
 // walk at a time), so any pool safe for batch calls works here.
 func NewWithPool(sched *circuit.Schedule, rng io.Reader, pool *gc.Pool, cfg Config) *Bank {
-	return &Bank{sched: sched, rng: rng, cfg: cfg, pool: pool}
+	return &Bank{sched: sched, rng: rng, cfg: cfg, pool: pool, set: obs.NewSet(obs.Root)}
 }
+
+// Metrics returns the ledger the bank records in: one of its own under
+// obs.Root, until SetMetrics.
+func (b *Bank) Metrics() *obs.Set { return b.set }
+
+// SetMetrics makes the bank record into its owner's ledger — the client's,
+// which the ledgers of the sessions that take from the bank are under, so
+// that their hits and misses land in it too. Banks that share an owner
+// share its ledger: Stats then counts them together. Call before the
+// first Fill.
+func (b *Bank) SetMetrics(s *obs.Set) { b.set = s }
 
 // Config returns the bank's (raw) configuration.
 func (b *Bank) Config() Config { return b.cfg }
 
-// Stats returns a snapshot of the bank's counters.
+// Stats reads the bank's counters out of its ledger. An execution banked
+// is one observation of the bank_refill phase, so that histogram holds the
+// refill time.
 func (b *Bank) Stats() Stats {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	return b.st
+	return Stats{
+		Hits:       b.set.BankHits.Value(),
+		Misses:     b.set.BankMisses.Value(),
+		Banked:     b.set.BankRefills.Value(),
+		Spills:     b.set.BankSpills.Value(),
+		Refills:    b.set.BankFills.Value(),
+		RefillTime: time.Duration(b.set.Phase[obs.PhaseBankRefill].Sum()),
+	}
 }
 
 // Err returns the sticky background-fill error, if any: the bank stops
@@ -270,7 +289,7 @@ func (b *Bank) fillLocked() error {
 		b.mu.Lock()
 		if b.closed || b.available() >= b.cfg.Depth {
 			if banked {
-				b.st.Refills++
+				b.set.BankFills.Inc()
 			}
 			b.mu.Unlock()
 			return nil
@@ -302,13 +321,11 @@ func (b *Bank) insert(ex *Execution, dt time.Duration) {
 		b.head = 0
 	}
 	b.fifo = append(b.fifo, ex)
-	b.st.Banked++
-	b.st.RefillTime += dt
 	avail := b.available()
 	b.mu.Unlock()
-	obs.ObservePhase(obs.PhaseBankRefill, dt)
-	obs.IncBankRefills()
-	obs.SetBankAvailable(avail)
+	b.set.Phase[obs.PhaseBankRefill].Observe(int64(dt))
+	b.set.BankRefills.Inc()
+	b.set.BankAvailable.Set(int64(avail))
 }
 
 // Take removes and returns the oldest banked execution, or (nil, nil)
@@ -317,7 +334,7 @@ func (b *Bank) insert(ex *Execution, dt time.Duration) {
 // consumer's fate. A background refill is kicked off when the take
 // leaves the bank below low water.
 func (b *Bank) Take() (*Execution, error) {
-	exs, err := b.TakeN(1)
+	exs, err := b.TakeN(1, b.set)
 	if err != nil || exs == nil {
 		return nil, err
 	}
@@ -325,15 +342,16 @@ func (b *Bank) Take() (*Execution, error) {
 }
 
 // TakeN removes and returns the n oldest banked executions —
-// all-or-nothing: a bank holding fewer than n banks none of them and
-// reports (nil, nil), one miss. Batched consumers assemble their fused
-// stream from n single executions.
-func (b *Bank) TakeN(n int) ([]*Execution, error) {
+// all-or-nothing: a bank holding fewer than n hands out none of them and
+// reports (nil, nil). Batched consumers assemble their fused stream from n
+// single executions. The outcome — n hits or n misses, one per sample the
+// taker will garble — is recorded in rec, the taker's ledger (the bank's
+// own or one under it).
+func (b *Bank) TakeN(n int, rec *obs.Set) ([]*Execution, error) {
 	b.mu.Lock()
 	if b.available() < n {
-		b.st.Misses++
 		b.mu.Unlock()
-		obs.AddBankMisses(1)
+		rec.BankMisses.Add(int64(n))
 		b.maybeRefill()
 		return nil, nil
 	}
@@ -359,20 +377,12 @@ func (b *Bank) TakeN(n int) ([]*Execution, error) {
 			ex.zero(true)
 		}
 	}
-	b.mu.Lock()
 	if loadErr != nil {
-		b.st.Misses++
+		rec.BankMisses.Add(int64(n))
 	} else {
-		b.st.Hits += int64(n)
+		rec.BankHits.Add(int64(n))
 	}
-	avail := b.available()
-	b.mu.Unlock()
-	if loadErr != nil {
-		obs.AddBankMisses(1)
-	} else {
-		obs.AddBankHits(int64(n))
-	}
-	obs.SetBankAvailable(avail)
+	b.set.BankAvailable.Set(int64(b.Available()))
 	b.maybeRefill()
 	if loadErr != nil {
 		return nil, loadErr
@@ -545,10 +555,7 @@ func (b *Bank) spillTables(ex *Execution) error {
 	}
 	ex.Tables = nil
 	ex.spill = name
-	b.mu.Lock()
-	b.st.Spills++
-	b.mu.Unlock()
-	obs.IncBankSpills()
+	b.set.BankSpills.Inc()
 	return nil
 }
 

@@ -311,10 +311,10 @@ func TestBankTakeN(t *testing.T) {
 	if err := b.Fill(); err != nil {
 		t.Fatal(err)
 	}
-	if exs, err := b.TakeN(3); err != nil || exs != nil {
+	if exs, err := b.TakeN(3, b.Metrics()); err != nil || exs != nil {
 		t.Fatalf("TakeN(3) on depth-2 bank = (%v, %v), want miss", exs, err)
 	}
-	exs, err := b.TakeN(2)
+	exs, err := b.TakeN(2, b.Metrics())
 	if err != nil || len(exs) != 2 {
 		t.Fatalf("TakeN(2) = (%v, %v)", exs, err)
 	}
@@ -323,6 +323,11 @@ func TestBankTakeN(t *testing.T) {
 	}
 	if b.Available() != 0 {
 		t.Fatalf("%d executions left after TakeN(2)", b.Available())
+	}
+	// A miss is counted in samples, like a hit: the three the short bank
+	// could not serve.
+	if st := b.Stats(); st.Misses != 3 || st.Hits != 2 {
+		t.Fatalf("stats = %+v, want 3 misses / 2 hits", st)
 	}
 }
 

@@ -9,7 +9,7 @@
 // server — records into it without import cycles. Hot-path
 // instrumentation is allocation-free: histogram buckets are preallocated
 // at registration and an observation is one bounds scan plus two atomic
-// adds.
+// adds per ledger it lands in (see Set).
 package obs
 
 import (
@@ -45,26 +45,64 @@ func (k Kind) String() string {
 	return "unknown"
 }
 
-// Counter is a monotonically increasing atomic int64.
-type Counter struct{ v atomic.Int64 }
+// Counter is a monotonically increasing atomic int64. A counter with a
+// parent also adds to it (and so to every ancestor): that is how one
+// recorded event lands in each ledger above the one that saw it.
+type Counter struct {
+	v      atomic.Int64
+	parent *Counter
+}
 
-// Add increments the counter by n.
-func (c *Counter) Add(n int64) { c.v.Add(n) }
+// Add increments the counter and its ancestors by n.
+func (c *Counter) Add(n int64) {
+	for ; c != nil; c = c.parent {
+		c.v.Add(n)
+	}
+}
 
-// Inc increments the counter by one.
-func (c *Counter) Inc() { c.v.Add(1) }
+// Inc increments the counter and its ancestors by one.
+func (c *Counter) Inc() { c.Add(1) }
 
 // Value returns the current count.
 func (c *Counter) Value() int64 { return c.v.Load() }
 
-// Gauge is an instantaneous atomic int64.
-type Gauge struct{ v atomic.Int64 }
+// Gauge is an instantaneous atomic int64. Like a Counter it writes
+// through to its ancestors: Add keeps an ancestor the sum of its
+// descendants, Set and Raise leave it at the last value written below it.
+type Gauge struct {
+	v      atomic.Int64
+	parent *Gauge
+}
 
-// Set replaces the gauge value.
-func (g *Gauge) Set(n int64) { g.v.Store(n) }
+// Set replaces the gauge value, here and in every ancestor.
+func (g *Gauge) Set(n int64) {
+	for ; g != nil; g = g.parent {
+		g.v.Store(n)
+	}
+}
 
-// Add moves the gauge by n (negative to decrease).
-func (g *Gauge) Add(n int64) { g.v.Add(n) }
+// Add moves the gauge and its ancestors by n (negative to decrease) and
+// returns this gauge's own new value.
+func (g *Gauge) Add(n int64) int64 {
+	own := g.v.Add(n)
+	for p := g.parent; p != nil; p = p.parent {
+		p.v.Add(n)
+	}
+	return own
+}
+
+// Raise lifts the gauge, and each ancestor, to at least n: a high-water
+// mark.
+func (g *Gauge) Raise(n int64) {
+	for ; g != nil; g = g.parent {
+		for {
+			cur := g.v.Load()
+			if n <= cur || g.v.CompareAndSwap(cur, n) {
+				break
+			}
+		}
+	}
+}
 
 // Value returns the current gauge value.
 func (g *Gauge) Value() int64 { return g.v.Load() }
@@ -73,13 +111,20 @@ func (g *Gauge) Value() int64 { return g.v.Load() }
 // upper bounds are set at registration, in base units (nanoseconds for
 // latency series, bytes for size series). Values above the last bound
 // land in a preallocated overflow bucket, so Observe never allocates.
+// A histogram with a parent (same bounds) observes into it too.
 type Histogram struct {
 	bounds []int64
 	counts []atomic.Int64 // len(bounds)+1; the last is the overflow bucket
 	sum    atomic.Int64
+	parent *Histogram
 }
 
-// Observe records one value. Negative values clamp to zero.
+func newHistogram(bounds []int64, parent *Histogram) *Histogram {
+	return &Histogram{bounds: bounds, counts: make([]atomic.Int64, len(bounds)+1), parent: parent}
+}
+
+// Observe records one value, here and in every ancestor. Negative values
+// clamp to zero.
 func (h *Histogram) Observe(v int64) {
 	if v < 0 {
 		v = 0
@@ -88,8 +133,22 @@ func (h *Histogram) Observe(v int64) {
 	for i < len(h.bounds) && v > h.bounds[i] {
 		i++
 	}
-	h.counts[i].Add(1)
-	h.sum.Add(v)
+	for ; h != nil; h = h.parent {
+		h.counts[i].Add(1)
+		h.sum.Add(v)
+	}
+}
+
+// Sum returns the total of the observed values.
+func (h *Histogram) Sum() int64 { return h.sum.Load() }
+
+// Count returns the number of observations.
+func (h *Histogram) Count() int64 {
+	var n int64
+	for i := range h.counts {
+		n += h.counts[i].Load()
+	}
+	return n
 }
 
 // Snapshot copies the current bucket counts and sum. Buckets are read
@@ -346,7 +405,7 @@ func (r *Registry) Histogram(d Desc, bounds []int64) *Histogram {
 				uniq = append(uniq, b)
 			}
 		}
-		m.h = &Histogram{bounds: uniq, counts: make([]atomic.Int64, len(uniq)+1)}
+		m.h = newHistogram(uniq, nil)
 	}
 	return m.h
 }

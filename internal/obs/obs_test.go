@@ -251,39 +251,71 @@ drained:
 	}
 }
 
-func TestSpanObserves(t *testing.T) {
-	if !Enabled() {
-		t.Fatal("recording must default to enabled")
+// TestSetRecordsUpTheTree pins the ledger's one rule: an event recorded
+// in a set lands there and in every ancestor — Root and its registered
+// series included — and nowhere else.
+func TestSetRecordsUpTheTree(t *testing.T) {
+	rootBefore := Root.BytesSent.Value()
+	promBefore, _ := Default.Snapshot().Get("deepsecure_bytes_total", Label{"direction", "sent"})
+	server := NewSet(Root)
+	session, sibling := NewSet(server), NewSet(server)
+	inference := NewSet(session)
+
+	inference.BytesSent.Add(7)
+	session.BytesSent.Add(5)
+	for _, c := range []struct {
+		name string
+		set  *Set
+		want int64
+	}{{"inference", inference, 7}, {"session", session, 12}, {"server", server, 12}, {"sibling", sibling, 0}} {
+		if got := c.set.BytesSent.Value(); got != c.want {
+			t.Errorf("%s ledger: BytesSent = %d, want %d", c.name, got, c.want)
+		}
 	}
-	before, _ := Default.Snapshot().Get("deepsecure_phase_seconds", Label{"phase", "eval"})
-	sp := Span(PhaseEval)
-	time.Sleep(time.Millisecond)
-	d := sp.End()
-	if d <= 0 {
-		t.Fatalf("span duration = %v, want > 0", d)
+	if got := Root.BytesSent.Value() - rootBefore; got != 12 {
+		t.Errorf("Root moved by %d, want 12", got)
 	}
-	after, _ := Default.Snapshot().Get("deepsecure_phase_seconds", Label{"phase", "eval"})
-	if after.Hist.Count() != before.Hist.Count()+1 {
-		t.Fatalf("span did not observe: count %d -> %d", before.Hist.Count(), after.Hist.Count())
+	promAfter, _ := Default.Snapshot().Get("deepsecure_bytes_total", Label{"direction", "sent"})
+	if got := promAfter.Value - promBefore.Value; got != 12 {
+		t.Errorf("registered series moved by %d, want 12", got)
 	}
-	// Disabled recording still returns the duration but drops the
-	// observation — that is what the overhead benchmark's baseline
-	// mode relies on.
-	SetEnabled(false)
-	defer SetEnabled(true)
-	d = Span(PhaseEval).End()
-	if d < 0 {
-		t.Fatalf("disabled span duration = %v", d)
+	if got := server.BytesReceived.Value(); got != 0 {
+		t.Errorf("a different series moved: BytesReceived = %d", got)
 	}
-	final, _ := Default.Snapshot().Get("deepsecure_phase_seconds", Label{"phase", "eval"})
-	if final.Hist.Count() != after.Hist.Count() {
-		t.Fatal("disabled span must not observe")
+
+	// Histograms observe upwards too, gauges add up, and a raised peak is
+	// the highest any descendant reached.
+	inference.Phase[PhaseEval].Observe(int64(3 * time.Millisecond))
+	sibling.Phase[PhaseEval].Observe(int64(time.Millisecond))
+	if h := server.Phase[PhaseEval]; h.Count() != 2 || h.Sum() != int64(4*time.Millisecond) {
+		t.Errorf("server eval phase: count %d sum %d, want 2 and 4ms", h.Count(), h.Sum())
+	}
+	if h := session.Phase[PhaseEval]; h.Count() != 1 {
+		t.Errorf("session eval phase: count %d, want 1", h.Count())
+	}
+	if own := session.SessionsActive.Add(1); own != 1 {
+		t.Errorf("Gauge.Add returned %d, want this gauge's own value 1", own)
+	}
+	sibling.SessionsActive.Add(1)
+	if got := server.SessionsActive.Value(); got != 2 {
+		t.Errorf("server SessionsActive = %d, want 2", got)
+	}
+	session.InFlightPeak.Raise(3)
+	sibling.InFlightPeak.Raise(2)
+	if got := server.InFlightPeak.Value(); got != 3 {
+		t.Errorf("server InFlightPeak = %d, want 3", got)
+	}
+
+	// A set under nothing is a ledger of its own.
+	NewSet(nil).BytesSent.Add(100)
+	if got := Root.BytesSent.Value() - rootBefore; got != 12 {
+		t.Errorf("a detached set moved Root by %d", got-12)
 	}
 }
 
 func TestPhaseNames(t *testing.T) {
 	seen := map[string]bool{}
-	for _, p := range Phases() {
+	for p := Phase(0); p < numPhases; p++ {
 		name := p.String()
 		if name == "" || name == "unknown" {
 			t.Fatalf("phase %d has no name", p)

@@ -5,35 +5,17 @@ import (
 	"log"
 	"runtime/debug"
 	"strings"
-	"sync/atomic"
 	"time"
 )
 
-// This file defines the deepsecure serving metric set on the Default
-// registry, the per-phase span API threaded through the protocol hot
-// path, and the log-line renderer deepsecure-serve prints — all fed
-// from the same registry snapshot as /metrics and /debug/stats.
+// This file defines the deepsecure serving metric set — a ledger every
+// instrumented layer records into — its process root on the Default
+// registry, and the log-line renderer deepsecure-serve prints, fed from
+// the same registry snapshot as /metrics and /debug/stats.
 
-// Default is the process-global registry every instrumented deepsecure
-// layer records into. A process is one protocol party in production, so
-// global aggregation is the natural scope; in-process tests that run
-// both parties (or several servers) fold them together here, which the
-// per-instance core.Stats / server.Stats APIs still keep apart.
+// Default is the process-global registry: Root's series, which every
+// ledger in the process adds up to.
 var Default = NewRegistry()
-
-// enabled gates every recording helper in this file. Disabling freezes
-// the registry (observations are dropped, clocks still run), which is
-// how the committed instrumentation-overhead benchmark measures the
-// uninstrumented baseline on the same binary.
-var enabled atomic.Bool
-
-func init() { enabled.Store(true) }
-
-// SetEnabled turns hot-path recording on or off process-wide.
-func SetEnabled(on bool) { enabled.Store(on) }
-
-// Enabled reports whether hot-path recording is on.
-func Enabled() bool { return enabled.Load() }
 
 // Phase names one timed stage of the secure-inference protocol.
 type Phase uint8
@@ -89,15 +71,6 @@ func (p Phase) String() string {
 	return "unknown"
 }
 
-// Phases lists every protocol phase, for tests and docs.
-func Phases() []Phase {
-	ps := make([]Phase, numPhases)
-	for i := range ps {
-		ps[i] = Phase(i)
-	}
-	return ps
-}
-
 // DefaultLatencyBounds are the shared latency bucket edges in
 // nanoseconds, 50µs to 60s roughly ×2–2.5 apart: tight enough at the
 // bottom for bank-hit streaming and single derand exchanges, wide
@@ -120,271 +93,188 @@ const (
 	numOTRoles
 )
 
-// The deepsecure serving metric set. Everything is registered up front
-// so the hot path never touches the registry lock.
-var (
-	mSessions = Default.Counter(Desc{Name: "deepsecure_sessions_total",
+// Set is one ledger of the serving metric set. Sets form a tree —
+// inference → session → server (or the client's bank) → Root — and an
+// event recorded in a set also lands in each of its ancestors, so every
+// count is written at one site, once, and every surface is a read-out of
+// some set: core.Stats of an inference's or a session's, server.Stats of a
+// server's, /metrics, /debug/stats and the log line of Root's. A layer
+// records into the set its owner attached (SetMetrics) and into one of its
+// own under Root until then. All fields are safe for concurrent use.
+type Set struct {
+	Sessions       *Counter
+	SessionsActive *Gauge
+	Inferences     *Counter // samples: a batch of B counts B
+	Batches        *Counter
+	Errors         *Counter
+
+	BytesSent, BytesReceived *Counter
+
+	InferenceSeconds *Histogram
+	Phase            [numPhases]*Histogram
+
+	OTPoolDepth [numOTRoles]*Gauge
+	OTPooled    *Counter
+	OTConsumed  *Counter
+	OTRefills   *Counter
+
+	BankHits, BankMisses *Counter // samples, like Inferences
+	BankAvailable        *Gauge
+	BankRefills          *Counter
+	BankSpills           *Counter
+
+	AdmissionQueueDepth *Gauge
+	SessionsQueued      *Counter
+	SessionsShed        *Counter
+
+	// Panics is recorded at Root only: a recover() site has no ledger at
+	// hand (see Panicked).
+	Panics *Counter
+
+	GatesAnd, GatesFree *Counter
+	GateTime            *Counter // ns
+
+	// Counted like the rest and read by the Stats read-outs, but not
+	// exported as series: OT offline time (base phase, refill crypto and
+	// exchanges; ns), bank fill rounds, the time a session had two or more
+	// inferences in flight (ns) and the most it ever had, and the wall time
+	// of finished server sessions (ns).
+	OTOfflineTime *Counter
+	BankFills     *Counter
+	OverlapTime   *Counter
+	InFlightPeak  *Gauge
+	SessionTime   *Counter
+
+	// Every series in creation order, so that a child finds its twin.
+	counters []*Counter
+	gauges   []*Gauge
+	hists    []*Histogram
+}
+
+// Root is the process ledger: the one set whose series are registered on
+// Default.
+var Root = newSet(Default, nil)
+
+// NewSet returns an empty ledger under parent (nil: under nothing).
+func NewSet(parent *Set) *Set { return newSet(nil, parent) }
+
+// newSet makes every series once, in /metrics order: the named ones
+// registered on reg if there is one, each parented to p's series in the
+// same position if there is a p.
+func newSet(reg *Registry, p *Set) *Set {
+	s := &Set{}
+	counter := func(d Desc) *Counter {
+		c := &Counter{}
+		if reg != nil && d.Name != "" {
+			c = reg.Counter(d)
+		}
+		if p != nil {
+			c.parent = p.counters[len(s.counters)]
+		}
+		s.counters = append(s.counters, c)
+		return c
+	}
+	gauge := func(d Desc) *Gauge {
+		g := &Gauge{}
+		if reg != nil && d.Name != "" {
+			g = reg.Gauge(d)
+		}
+		if p != nil {
+			g.parent = p.gauges[len(s.gauges)]
+		}
+		s.gauges = append(s.gauges, g)
+		return g
+	}
+	latency := func(d Desc) *Histogram {
+		h := newHistogram(DefaultLatencyBounds, nil)
+		if reg != nil {
+			d.Scale = 1e-9
+			h = reg.Histogram(d, DefaultLatencyBounds)
+		}
+		if p != nil {
+			h.parent = p.hists[len(s.hists)]
+		}
+		s.hists = append(s.hists, h)
+		return h
+	}
+
+	s.Sessions = counter(Desc{Name: "deepsecure_sessions_total",
 		Help: "Protocol sessions accepted since process start."})
-	mActive = Default.Gauge(Desc{Name: "deepsecure_sessions_active",
+	s.SessionsActive = gauge(Desc{Name: "deepsecure_sessions_active",
 		Help: "Sessions currently being served."})
-	mInferences = Default.Counter(Desc{Name: "deepsecure_inferences_total",
+	s.Inferences = counter(Desc{Name: "deepsecure_inferences_total",
 		Help: "Inferences completed (each sample of a batch counts once)."})
-	mBatches = Default.Counter(Desc{Name: "deepsecure_batches_total",
+	s.Batches = counter(Desc{Name: "deepsecure_batches_total",
 		Help: "Inferences of more than one sample (fused batches) completed."})
-	mErrors = Default.Counter(Desc{Name: "deepsecure_session_errors_total",
+	s.Errors = counter(Desc{Name: "deepsecure_session_errors_total",
 		Help: "Sessions that ended with a protocol or transport error."})
 
-	mBytesSent = Default.Counter(Desc{Name: "deepsecure_bytes_total",
+	s.BytesSent = counter(Desc{Name: "deepsecure_bytes_total",
 		Help:   "Transport bytes moved by this process, by direction.",
 		Labels: []Label{{"direction", "sent"}}})
-	mBytesRecv = Default.Counter(Desc{Name: "deepsecure_bytes_total",
+	s.BytesReceived = counter(Desc{Name: "deepsecure_bytes_total",
 		Labels: []Label{{"direction", "received"}}})
 
-	mInferenceSeconds = Default.Histogram(Desc{Name: "deepsecure_inference_seconds",
-		Help:  "End-to-end per-inference (or per-batch) latency.",
-		Scale: 1e-9}, DefaultLatencyBounds)
-
-	mPhaseSeconds = func() [numPhases]*Histogram {
-		var hs [numPhases]*Histogram
-		for p := Phase(0); p < numPhases; p++ {
-			d := Desc{Name: "deepsecure_phase_seconds",
-				Scale:  1e-9,
-				Labels: []Label{{"phase", p.String()}}}
-			if p == 0 {
-				d.Help = "Per-phase wall time of the secure-inference protocol."
-			}
-			hs[p] = Default.Histogram(d, DefaultLatencyBounds)
+	s.InferenceSeconds = latency(Desc{Name: "deepsecure_inference_seconds",
+		Help: "End-to-end per-inference (or per-batch) latency."})
+	for ph := range s.Phase {
+		d := Desc{Name: "deepsecure_phase_seconds", Labels: []Label{{"phase", Phase(ph).String()}}}
+		if ph == 0 {
+			d.Help = "Per-phase wall time of the secure-inference protocol."
 		}
-		return hs
-	}()
+		s.Phase[ph] = latency(d)
+	}
 
-	mOTPoolDepth = func() [numOTRoles]*Gauge {
-		roles := [numOTRoles]string{"receiver", "sender"}
-		var gs [numOTRoles]*Gauge
-		for i, role := range roles {
-			d := Desc{Name: "deepsecure_ot_pool_depth",
-				Labels: []Label{{"role", role}}}
-			if i == 0 {
-				d.Help = "Precomputed OTs currently available in the pool."
-			}
-			gs[i] = Default.Gauge(d)
+	for role, name := range [numOTRoles]string{"receiver", "sender"} {
+		d := Desc{Name: "deepsecure_ot_pool_depth", Labels: []Label{{"role", name}}}
+		if role == 0 {
+			d.Help = "Precomputed OTs currently available in the pool."
 		}
-		return gs
-	}()
-	mOTPooled = Default.Counter(Desc{Name: "deepsecure_ot_pooled_total",
+		s.OTPoolDepth[role] = gauge(d)
+	}
+	s.OTPooled = counter(Desc{Name: "deepsecure_ot_pooled_total",
 		Help: "Weight-keyed OTs precomputed into pools since process start."})
-	mOTConsumed = Default.Counter(Desc{Name: "deepsecure_ot_consumed_total",
+	s.OTConsumed = counter(Desc{Name: "deepsecure_ot_consumed_total",
 		Help: "Pooled OTs spent masking or unmasking a weight-label pair."})
-	mOTRefills = Default.Counter(Desc{Name: "deepsecure_ot_refills_total",
+	s.OTRefills = counter(Desc{Name: "deepsecure_ot_refills_total",
 		Help: "OT pool refill runs (setup fills and background refills)."})
 
-	mBankHits = Default.Counter(Desc{Name: "deepsecure_bank_hits_total",
+	s.BankHits = counter(Desc{Name: "deepsecure_bank_hits_total",
 		Help: "Inferences served from a pre-garbled bank entry."})
-	mBankMisses = Default.Counter(Desc{Name: "deepsecure_bank_misses_total",
+	s.BankMisses = counter(Desc{Name: "deepsecure_bank_misses_total",
 		Help: "Inferences that fell back to live garbling with a bank configured."})
-	mBankAvailable = Default.Gauge(Desc{Name: "deepsecure_bank_available",
+	s.BankAvailable = gauge(Desc{Name: "deepsecure_bank_available",
 		Help: "Pre-garbled executions currently banked."})
-	mBankRefills = Default.Counter(Desc{Name: "deepsecure_bank_refills_total",
+	s.BankRefills = counter(Desc{Name: "deepsecure_bank_refills_total",
 		Help: "Executions garbled ahead into banks (setup fills and background refills)."})
-	mBankSpills = Default.Counter(Desc{Name: "deepsecure_bank_spills_total",
+	s.BankSpills = counter(Desc{Name: "deepsecure_bank_spills_total",
 		Help: "Banked executions spilled to disk."})
 
-	mAdmissionQueueDepth = Default.Gauge(Desc{Name: "deepsecure_admission_queue_depth",
+	s.AdmissionQueueDepth = gauge(Desc{Name: "deepsecure_admission_queue_depth",
 		Help: "Sessions currently waiting in the admission queue."})
-	mSessionsQueued = Default.Counter(Desc{Name: "deepsecure_sessions_queued_total",
+	s.SessionsQueued = counter(Desc{Name: "deepsecure_sessions_queued_total",
 		Help: "Sessions that waited in the admission queue before being served."})
-	mSessionsShed = Default.Counter(Desc{Name: "deepsecure_sessions_shed_total",
+	s.SessionsShed = counter(Desc{Name: "deepsecure_sessions_shed_total",
 		Help: "Sessions refused with MsgBusy by the admission controller."})
 
-	mPanics = Default.Counter(Desc{Name: "deepsecure_panics_total",
+	s.Panics = counter(Desc{Name: "deepsecure_panics_total",
 		Help: "Panics recovered at session-owned goroutine boundaries and converted into session errors."})
 
-	mGatesAnd = Default.Counter(Desc{Name: "deepsecure_gates_total",
+	s.GatesAnd = counter(Desc{Name: "deepsecure_gates_total",
 		Help:   "Gates processed by the crypto cores, by kind.",
 		Labels: []Label{{"kind", "and"}}})
-	mGatesFree = Default.Counter(Desc{Name: "deepsecure_gates_total",
+	s.GatesFree = counter(Desc{Name: "deepsecure_gates_total",
 		Labels: []Label{{"kind", "free"}}})
-	mGateTime = Default.Counter(Desc{Name: "deepsecure_gate_time_seconds_total",
+	s.GateTime = counter(Desc{Name: "deepsecure_gate_time_seconds_total",
 		Help:  "Cumulative crypto-core time (garbling + evaluation kernels).",
 		Scale: 1e-9})
-)
 
-// ActiveSpan is a started phase timer. It is a value type — starting
-// and ending a span allocates nothing.
-type ActiveSpan struct {
-	phase Phase
-	t0    time.Time
-}
-
-// Span starts a timer for one protocol phase. End observes the elapsed
-// time into the phase histogram and returns it, so callers backfill
-// their per-call Stats from the same clock reading the registry saw —
-// the two can never disagree.
-func Span(p Phase) ActiveSpan { return ActiveSpan{phase: p, t0: time.Now()} }
-
-// End stops the span. The duration is returned even when recording is
-// disabled (the clock always runs; only the histogram write is gated).
-func (s ActiveSpan) End() time.Duration {
-	d := time.Since(s.t0)
-	if enabled.Load() {
-		mPhaseSeconds[s.phase].Observe(int64(d))
-	}
-	return d
-}
-
-// ObservePhase records an externally measured duration for a phase.
-// Engines that already accumulate a phase across levels observe the
-// total once per inference through this.
-func ObservePhase(p Phase, d time.Duration) {
-	if !enabled.Load() {
-		return
-	}
-	mPhaseSeconds[p].Observe(int64(d))
-}
-
-// ObserveInference records one end-to-end inference (or fused batch)
-// latency.
-func ObserveInference(d time.Duration) {
-	if !enabled.Load() {
-		return
-	}
-	mInferenceSeconds.Observe(int64(d))
-}
-
-// IncSessions counts an accepted session.
-func IncSessions() {
-	if enabled.Load() {
-		mSessions.Inc()
-	}
-}
-
-// AddActiveSessions moves the active-session gauge (+1 on accept, -1 on
-// close).
-func AddActiveSessions(delta int64) {
-	if enabled.Load() {
-		mActive.Add(delta)
-	}
-}
-
-// IncErrors counts a session that ended in error.
-func IncErrors() {
-	if enabled.Load() {
-		mErrors.Inc()
-	}
-}
-
-// AddInferences counts completed inferences (batch size for a fused
-// batch).
-func AddInferences(n int64) {
-	if enabled.Load() {
-		mInferences.Add(n)
-	}
-}
-
-// IncBatches counts a completed fused batch.
-func IncBatches() {
-	if enabled.Load() {
-		mBatches.Inc()
-	}
-}
-
-// AddBytesSent counts transport bytes flushed to the wire.
-func AddBytesSent(n int64) {
-	if enabled.Load() {
-		mBytesSent.Add(n)
-	}
-}
-
-// AddBytesReceived counts transport bytes read off the wire.
-func AddBytesReceived(n int64) {
-	if enabled.Load() {
-		mBytesRecv.Add(n)
-	}
-}
-
-// SetOTPoolDepth publishes a pool's available random-OT count.
-func SetOTPoolDepth(role OTRole, n int) {
-	if enabled.Load() && role < numOTRoles {
-		mOTPoolDepth[role].Set(int64(n))
-	}
-}
-
-// AddOTPooled counts weight-keyed OTs precomputed into a pool.
-func AddOTPooled(n int64) {
-	if enabled.Load() {
-		mOTPooled.Add(n)
-	}
-}
-
-// AddOTConsumed counts pooled OTs spent masking or unmasking a label pair.
-func AddOTConsumed(n int64) {
-	if enabled.Load() {
-		mOTConsumed.Add(n)
-	}
-}
-
-// IncOTRefills counts one pool refill run.
-func IncOTRefills() {
-	if enabled.Load() {
-		mOTRefills.Inc()
-	}
-}
-
-// AddBankHits / AddBankMisses count banked-vs-live garbling decisions.
-func AddBankHits(n int64) {
-	if enabled.Load() {
-		mBankHits.Add(n)
-	}
-}
-
-// AddBankMisses counts bank fallbacks to live garbling.
-func AddBankMisses(n int64) {
-	if enabled.Load() {
-		mBankMisses.Add(n)
-	}
-}
-
-// SetBankAvailable publishes the bank depth gauge.
-func SetBankAvailable(n int) {
-	if enabled.Load() {
-		mBankAvailable.Set(int64(n))
-	}
-}
-
-// IncBankRefills counts one execution garbled ahead into a bank.
-func IncBankRefills() {
-	if enabled.Load() {
-		mBankRefills.Inc()
-	}
-}
-
-// IncBankSpills counts one banked execution spilled to disk.
-func IncBankSpills() {
-	if enabled.Load() {
-		mBankSpills.Inc()
-	}
-}
-
-// AddAdmissionQueueDepth moves the admission queue-depth gauge (+1 on
-// enqueue, -1 on dequeue).
-func AddAdmissionQueueDepth(delta int64) {
-	if enabled.Load() {
-		mAdmissionQueueDepth.Add(delta)
-	}
-}
-
-// IncSessionsQueued counts a session that waited in the admission queue.
-func IncSessionsQueued() {
-	if enabled.Load() {
-		mSessionsQueued.Inc()
-	}
-}
-
-// IncSessionsShed counts a session refused with MsgBusy.
-func IncSessionsShed() {
-	if enabled.Load() {
-		mSessionsShed.Inc()
-	}
+	s.OTOfflineTime = counter(Desc{})
+	s.BankFills = counter(Desc{})
+	s.OverlapTime = counter(Desc{})
+	s.InFlightPeak = gauge(Desc{})
+	s.SessionTime = counter(Desc{})
+	return s
 }
 
 // Panicked converts a recovered panic value into a session error and
@@ -394,35 +284,14 @@ func IncSessionsShed() {
 // "a bug fired but the process kept serving" signal. The returned error
 // carries the panic site and value; the goroutine stack goes to stderr
 // via log so the trace survives even when the session error is dropped.
-// Unlike the recording helpers above, Panicked ignores SetEnabled: a
-// contained panic must never be invisible.
 func Panicked(site string, v any) error {
-	mPanics.Inc()
+	Root.Panics.Inc()
 	log.Printf("obs: recovered panic in %s: %v\n%s", site, v, debug.Stack())
 	return fmt.Errorf("%s: recovered panic: %v", site, v)
 }
 
 // PanicCount returns the number of panics recovered so far, for tests.
-func PanicCount() int64 { return mPanics.Value() }
-
-// InferenceLatencySnapshot returns the current cumulative end-to-end
-// inference latency histogram — the signal the admission controller's
-// windowed p99 guard differences (via HistogramSnapshot.Delta) to see
-// recent latency instead of the process lifetime.
-func InferenceLatencySnapshot() HistogramSnapshot {
-	return mInferenceSeconds.Snapshot()
-}
-
-// AddGates folds a finished engine run's gate counts and crypto-core
-// time into the global gate counters.
-func AddGates(and, free int64, gateTime time.Duration) {
-	if !enabled.Load() {
-		return
-	}
-	mGatesAnd.Add(and)
-	mGatesFree.Add(free)
-	mGateTime.Add(int64(gateTime))
-}
+func PanicCount() int64 { return Root.Panics.Value() }
 
 // ServingLine renders the one-line operational summary deepsecure-serve
 // logs periodically. It is computed from a registry Snapshot — the same

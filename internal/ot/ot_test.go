@@ -223,7 +223,7 @@ func TestExtensionEmptyBatch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sent0 := b.BytesSent.Load()
+	sent0 := b.Metrics().BytesSent.Value()
 	empty, err := r.Receive(nil)
 	if err != nil {
 		t.Fatalf("empty Receive: %v", err)
@@ -231,7 +231,7 @@ func TestExtensionEmptyBatch(t *testing.T) {
 	if empty != nil {
 		t.Errorf("empty Receive returned %d messages", len(empty))
 	}
-	if b.BytesSent.Load() != sent0 {
+	if b.Metrics().BytesSent.Value() != sent0 {
 		t.Error("empty batch put frames on the wire")
 	}
 	got, err := r.Receive(choices)

@@ -104,10 +104,10 @@ type PeerError struct{ Did string }
 
 func (e *PeerError) Error() string { return "precomp: peer " + e.Did }
 
-// Stats counts a pool's offline and online work. The durations separate
-// the protocol's two phases: OfflineTime covers bulk OT generation (fills
-// and refills, crypto that hides in setup and idle gaps) and OnlineTime
-// the per-step work left on the inference critical path (masking and
+// Stats is a pool's read-out of its ledger. The durations separate the
+// protocol's two phases: OfflineTime covers bulk OT generation (fills and
+// refills, crypto that hides in setup and idle gaps) and OnlineTime the
+// per-step work left on the inference critical path (masking and
 // unmasking).
 type Stats struct {
 	Generated int64 // OTs produced into the pool
@@ -119,13 +119,35 @@ type Stats struct {
 	OnlineTime  time.Duration
 }
 
-func (st *Stats) add(d Stats) {
-	st.Generated += d.Generated
-	st.Consumed += d.Consumed
-	st.Refills += d.Refills
-	st.Batches += d.Batches
-	st.OfflineTime += d.OfflineTime
-	st.OnlineTime += d.OnlineTime
+// statsOf reads a pool's Stats out of the ledger it records in. An input
+// step is one observation of the ot_derand phase, so that histogram holds
+// the online count and time.
+func statsOf(s *obs.Set) Stats {
+	derand := s.Phase[obs.PhaseOTDerand]
+	return Stats{
+		Generated:   s.OTPooled.Value(),
+		Consumed:    s.OTConsumed.Value(),
+		Refills:     s.OTRefills.Value(),
+		Batches:     derand.Count(),
+		OfflineTime: time.Duration(s.OTOfflineTime.Value()),
+		OnlineTime:  time.Duration(derand.Sum()),
+	}
+}
+
+// recordRefill books one banked fill of n entries whose exchange took
+// elapsed, and the pool depth it leaves.
+func recordRefill(s *obs.Set, role obs.OTRole, n int, elapsed time.Duration, depth int) {
+	s.OTPooled.Add(int64(n))
+	s.OTRefills.Inc()
+	s.OTOfflineTime.Add(int64(elapsed))
+	s.Phase[obs.PhaseOTRefill].Observe(int64(elapsed))
+	s.OTPoolDepth[role].Set(int64(depth))
+}
+
+// recordStep books one input step of m pooled OTs that took elapsed.
+func recordStep(s *obs.Set, m int, elapsed time.Duration) {
+	s.OTConsumed.Add(int64(m))
+	s.Phase[obs.PhaseOTDerand].Observe(int64(elapsed))
 }
 
 // readCounts parses a MsgOTRefill payload of exactly want uvarints.
@@ -258,7 +280,8 @@ type ReceiverPool struct {
 	sent                 int
 	bank                 store[ot.Msg]
 	aborted              bool
-	st                   Stats
+
+	set *obs.Set // the ledger this pool records in
 
 	prepMu sync.Mutex // serializes ExtReceiver.Prepare, in refill order
 	sendMu sync.Mutex // serializes SendRefills
@@ -268,8 +291,13 @@ type ReceiverPool struct {
 // draws no randomness of its own (its choice bits are the key); the rng
 // parameter remains for callers written against the sender's signature.
 func NewReceiverPool(conn transport.FrameConn, ots *ot.ExtReceiver, _ io.Reader, cfg PoolConfig) *ReceiverPool {
-	return &ReceiverPool{conn: conn, ots: ots, cfg: cfg}
+	return &ReceiverPool{conn: conn, ots: ots, cfg: cfg, set: obs.NewSet(obs.Root)}
 }
+
+// SetMetrics makes the pool record into its owner's ledger — the
+// session's — instead of one of its own under obs.Root. Call before
+// Announce.
+func (p *ReceiverPool) SetMetrics(s *obs.Set) { p.set = s }
 
 // SetKey installs the choice bits every fill is generated with: entry q
 // gets bits[q mod len(bits)]. Call before Announce. Without a key the
@@ -280,19 +308,9 @@ func (p *ReceiverPool) keyBit(q int64) bool {
 	return len(p.key) > 0 && p.key[q%int64(len(p.key))]
 }
 
-// Stats returns a snapshot of the pool's counters. Safe to call
+// Stats reads the pool's counters out of its ledger. Safe to call
 // concurrently with every other method.
-func (p *ReceiverPool) Stats() Stats {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return p.st
-}
-
-func (p *ReceiverPool) stAdd(d Stats) {
-	p.mu.Lock()
-	p.st.add(d)
-	p.mu.Unlock()
-}
+func (p *ReceiverPool) Stats() Stats { return statsOf(p.set) }
 
 // Seq returns the first sequence number no range owns yet. It is strictly
 // monotone: tests use it to prove that ranges never overlap.
@@ -368,7 +386,7 @@ func (p *ReceiverPool) reserve(n int) int64 {
 	case left < p.cfg.lowWater():
 		p.decide(p.cfg.Capacity - left)
 	}
-	obs.SetOTPoolDepth(obs.OTReceiver, p.available())
+	p.set.OTPoolDepth[obs.OTReceiver].Set(int64(p.available()))
 	return q0
 }
 
@@ -425,8 +443,8 @@ func (p *ReceiverPool) prepareNext() {
 	pr := p.ots.Prepare(choices)
 	p.mu.Lock()
 	job.pr = pr
-	p.st.OfflineTime += time.Since(start)
 	p.mu.Unlock()
+	p.set.OTOfflineTime.Add(int64(time.Since(start)))
 }
 
 // Cover puts on the wire every refill that r's entries depend on. A
@@ -478,7 +496,7 @@ func (p *ReceiverPool) SendRefills() error {
 		if err := p.conn.Flush(); err != nil {
 			return err
 		}
-		p.stAdd(Stats{OfflineTime: time.Since(start)})
+		p.set.OTOfflineTime.Add(int64(time.Since(start)))
 	}
 }
 
@@ -511,12 +529,8 @@ func (p *ReceiverPool) FinishRefill(y []byte) error {
 	elapsed := time.Since(start)
 	p.mu.Lock()
 	p.bank.add(msgs)
-	p.st.add(Stats{Generated: int64(job.n), Refills: 1, OfflineTime: elapsed})
-	obs.SetOTPoolDepth(obs.OTReceiver, p.available())
+	recordRefill(p.set, obs.OTReceiver, job.n, elapsed, p.available())
 	p.mu.Unlock()
-	obs.ObservePhase(obs.PhaseOTRefill, elapsed)
-	obs.AddOTPooled(int64(job.n))
-	obs.IncOTRefills()
 	return nil
 }
 
@@ -569,10 +583,7 @@ func (p *ReceiverPool) RecvStep(conn transport.FrameConn, r Range, c0 int, bits 
 			set(i, s, ot.Msg(chosen(i, s)))
 		}
 	}
-	elapsed := time.Since(start)
-	p.stAdd(Stats{Consumed: int64(m), Batches: 1, OnlineTime: elapsed})
-	obs.ObservePhase(obs.PhaseOTDerand, elapsed)
-	obs.AddOTConsumed(int64(m))
+	recordStep(p.set, m, time.Since(start))
 	return nil
 }
 
@@ -631,17 +642,23 @@ type SenderPool struct {
 	width int // the receiver's key width W
 	next  int64
 	bank  store[[2]ot.Msg]
-	st    Stats
+
+	set *obs.Set // the ledger this pool records in
 }
 
 // NewSenderPool wraps a session's extension sender. rng sources the
 // pool's random label pairs.
 func NewSenderPool(conn transport.FrameConn, ots *ot.ExtSender, rng io.Reader) *SenderPool {
-	return &SenderPool{conn: conn, ots: ots, rng: rng}
+	return &SenderPool{conn: conn, ots: ots, rng: rng, set: obs.NewSet(obs.Root)}
 }
 
-// Stats returns a snapshot of the pool's counters.
-func (p *SenderPool) Stats() Stats { return p.st }
+// SetMetrics makes the pool record into its owner's ledger — the
+// session's — instead of one of its own under obs.Root. Call before
+// HandleAnnounce.
+func (p *SenderPool) SetMetrics(s *obs.Set) { p.set = s }
+
+// Stats reads the pool's counters out of its ledger.
+func (p *SenderPool) Stats() Stats { return statsOf(p.set) }
 
 // Seq returns the first sequence number no range owns yet (single-use
 // instrumentation, like ReceiverPool.Seq).
@@ -720,12 +737,7 @@ func (p *SenderPool) HandleRefill(typ transport.MsgType, payload []byte) error {
 		return err
 	}
 	p.bank.add(fresh)
-	elapsed := time.Since(start)
-	p.st.add(Stats{Generated: int64(n), Refills: 1, OfflineTime: elapsed})
-	obs.ObservePhase(obs.PhaseOTRefill, elapsed)
-	obs.AddOTPooled(int64(n))
-	obs.IncOTRefills()
-	obs.SetOTPoolDepth(obs.OTSender, p.Available())
+	recordRefill(p.set, obs.OTSender, n, time.Since(start), p.Available())
 	return nil
 }
 
@@ -784,10 +796,8 @@ func (p *SenderPool) SendStep(conn transport.FrameConn, r Range, c0, wires int, 
 		}
 	}
 	err := conn.Send(transport.MsgOTMasked, payload)
-	elapsed := time.Since(start)
-	p.st.add(Stats{Consumed: int64(m), Batches: 1, OnlineTime: elapsed})
-	obs.ObservePhase(obs.PhaseOTDerand, elapsed)
-	obs.SetOTPoolDepth(obs.OTSender, p.Available())
+	recordStep(p.set, m, time.Since(start))
+	p.set.OTPoolDepth[obs.OTSender].Set(int64(p.Available()))
 	return payload[:0], err
 }
 

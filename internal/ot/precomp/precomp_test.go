@@ -416,7 +416,7 @@ func TestOversizedRefillSplits(t *testing.T) {
 func TestEmptyBatch(t *testing.T) {
 	sp, rp, done := pools(t, PoolConfig{Capacity: 16}, nil, 80)
 	defer done()
-	sent0 := rp.conn.(*transport.Conn).BytesSent.Load()
+	sent0 := rp.conn.(*transport.Conn).Metrics().BytesSent.Value()
 	got, err := rp.Receive(nil)
 	if err != nil || got != nil {
 		t.Fatalf("empty Receive = (%v, %v)", got, err)
@@ -424,7 +424,7 @@ func TestEmptyBatch(t *testing.T) {
 	if err := sp.Send(nil); err != nil {
 		t.Fatalf("empty Send: %v", err)
 	}
-	if rp.conn.(*transport.Conn).BytesSent.Load() != sent0 {
+	if rp.conn.(*transport.Conn).Metrics().BytesSent.Value() != sent0 {
 		t.Error("empty batch put frames on the wire")
 	}
 	if rp.Stats().Consumed != 0 || sp.Stats().Consumed != 0 {
@@ -479,11 +479,11 @@ func TestZeroCapacityRefused(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sent0 := rConn.BytesSent.Load()
+	sent0 := rConn.Metrics().BytesSent.Value()
 	if err := NewReceiverPool(rConn, otr, nil, PoolConfig{}).Announce(); err == nil {
 		t.Fatal("Announce with an unsized zero capacity succeeded")
 	}
-	if rConn.BytesSent.Load() != sent0 {
+	if rConn.Metrics().BytesSent.Value() != sent0 {
 		t.Error("an unsized pool leaked frames onto the wire")
 	}
 	// What a peer still speaking the unpooled protocol would send.
@@ -513,7 +513,7 @@ func TestUnannouncedExtURefused(t *testing.T) {
 	if err := rConn.Flush(); err != nil {
 		t.Fatal(err)
 	}
-	sent0 := sp.conn.(*transport.Conn).BytesSent.Load()
+	sent0 := sp.conn.(*transport.Conn).Metrics().BytesSent.Value()
 	var pe *PeerError
 	// A range past the setup fill makes Cover read for the refill that
 	// should have been announced.
@@ -523,7 +523,7 @@ func TestUnannouncedExtURefused(t *testing.T) {
 	if err := sp.HandleRefill(transport.MsgOTExtU, nil); !errors.As(err, &pe) {
 		t.Fatalf("HandleRefill(ot-ext-u) = %v, want a PeerError", err)
 	}
-	if sp.conn.(*transport.Conn).BytesSent.Load() != sent0 || sp.Available() != 16 {
+	if sp.conn.(*transport.Conn).Metrics().BytesSent.Value() != sent0 || sp.Available() != 16 {
 		t.Error("the refused request was answered or banked")
 	}
 }
@@ -564,11 +564,11 @@ func TestOversizedCapacityFailsLocally(t *testing.T) {
 		t.Fatal(err)
 	}
 	rp := NewReceiverPool(rConn, otr, nil, PoolConfig{Capacity: maxRefill + 1})
-	sent0 := rConn.BytesSent.Load()
+	sent0 := rConn.Metrics().BytesSent.Value()
 	if err := rp.Announce(); err == nil {
 		t.Fatal("oversized capacity must fail Announce")
 	}
-	if rConn.BytesSent.Load() != sent0 {
+	if rConn.Metrics().BytesSent.Value() != sent0 {
 		t.Error("oversized capacity leaked frames onto the wire")
 	}
 }

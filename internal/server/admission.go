@@ -3,7 +3,6 @@ package server
 import (
 	"fmt"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"deepsecure/internal/obs"
@@ -16,9 +15,8 @@ import (
 // an optional windowed-p99 latency guard — and are shed with a protocol
 // MsgBusy (plus retry-after hint) when the server is past its limits,
 // so clients degrade to backoff-and-retry instead of timing out
-// mid-handshake. Queue depth and queued/shed counts are exported on the
-// obs Default registry next to the session gauges they are derived
-// from, and in server.Stats.
+// mid-handshake. Queue depth and queued/shed counts are recorded in the
+// server's ledger, next to the session gauges they are derived from.
 
 // AdmissionConfig tunes the admission controller. The zero value
 // disables admission entirely (every connection is served immediately).
@@ -43,9 +41,9 @@ type AdmissionConfig struct {
 	// answer MsgBusy): a shed must never pin a goroutine on a slow or
 	// hostile peer. 0 defaults to 2s.
 	ShedTimeout time.Duration
-	// MaxP99, when set, adds a latency guard: if the windowed p99 of
-	// end-to-end inference latency (from the obs Default registry)
-	// exceeds it, new sessions are shed even when slots are free —
+	// MaxP99, when set, adds a latency guard: if the windowed p99 of this
+	// server's end-to-end inference latency exceeds it, new sessions are
+	// shed even when slots are free —
 	// queueing more work onto a server that is already missing its
 	// latency target only makes every client slower.
 	MaxP99 time.Duration
@@ -108,10 +106,7 @@ const admissionGuardMinSamples = 8
 type admission struct {
 	cfg   AdmissionConfig
 	slots chan struct{}
-
-	queueDepth atomic.Int64
-	queued     atomic.Int64
-	shed       atomic.Int64
+	set   *obs.Set // the server's ledger
 
 	stopOnce sync.Once
 	stop     chan struct{}
@@ -122,10 +117,11 @@ type admission struct {
 	overloaded bool
 }
 
-func newAdmission(cfg AdmissionConfig) *admission {
+func newAdmission(cfg AdmissionConfig, set *obs.Set) *admission {
 	return &admission{
 		cfg:   cfg,
 		slots: make(chan struct{}, cfg.MaxActive),
+		set:   set,
 		stop:  make(chan struct{}),
 	}
 }
@@ -142,7 +138,7 @@ func (a *admission) latencyOverloaded() bool {
 	defer a.guardMu.Unlock()
 	now := time.Now()
 	if now.Sub(a.lastCheck) >= admissionGuardInterval {
-		cur := obs.InferenceLatencySnapshot()
+		cur := a.set.InferenceSeconds.Snapshot()
 		delta, err := cur.Delta(a.lastSnap)
 		if err == nil && delta.Count() >= admissionGuardMinSamples {
 			// Histogram values are nanoseconds (scale 1e-9 to seconds).
@@ -162,7 +158,7 @@ func (a *admission) latencyOverloaded() bool {
 // caller answers MsgBusy.
 func (a *admission) acquire() (release func(), ok bool) {
 	if a.latencyOverloaded() {
-		a.recordShed()
+		a.set.SessionsShed.Inc()
 		return nil, false
 	}
 	select {
@@ -170,40 +166,34 @@ func (a *admission) acquire() (release func(), ok bool) {
 		return a.release, true
 	default:
 	}
-	if int(a.queueDepth.Add(1)) > a.cfg.MaxQueue {
-		a.queueDepth.Add(-1)
-		a.recordShed()
+	// The depth gauge is the queue's occupancy: a session counts from the
+	// moment it asks for a place, so one turned away at a full queue shows
+	// for an instant.
+	depth := a.set.AdmissionQueueDepth
+	waiting := depth.Add(1)
+	defer depth.Add(-1)
+	if int(waiting) > a.cfg.MaxQueue {
+		a.set.SessionsShed.Inc()
 		return nil, false
 	}
-	a.queued.Add(1)
-	obs.IncSessionsQueued()
-	obs.AddAdmissionQueueDepth(1)
-	defer func() {
-		a.queueDepth.Add(-1)
-		obs.AddAdmissionQueueDepth(-1)
-	}()
+	a.set.SessionsQueued.Inc()
 	t := time.NewTimer(a.cfg.queueTimeout())
 	defer t.Stop()
 	select {
 	case a.slots <- struct{}{}:
 		return a.release, true
 	case <-t.C:
-		a.recordShed()
+		a.set.SessionsShed.Inc()
 		return nil, false
 	case <-a.stop:
 		// Server shutting down; shed so the waiter unblocks and the
 		// client gets a definitive answer instead of a hang.
-		a.recordShed()
+		a.set.SessionsShed.Inc()
 		return nil, false
 	}
 }
 
 func (a *admission) release() { <-a.slots }
-
-func (a *admission) recordShed() {
-	a.shed.Add(1)
-	obs.IncSessionsShed()
-}
 
 // WithAdmission installs the global admission controller: at most
 // cfg.MaxActive sessions in flight, up to cfg.MaxQueue more waiting
@@ -214,7 +204,7 @@ func (a *admission) recordShed() {
 func WithAdmission(cfg AdmissionConfig) Option {
 	return func(s *Server) {
 		if cfg.Enabled() {
-			s.adm = newAdmission(cfg)
+			s.adm = newAdmission(cfg, s.set)
 		} else {
 			s.adm = nil
 		}

@@ -27,10 +27,11 @@ import (
 	"deepsecure/internal/transport"
 )
 
-// Stats is a snapshot of a server's lifetime counters: what the server
-// itself counts — sessions and admission — and, embedded, the core.Stats of
-// every finished session folded into one (sums; MaxInFlight is the highest
-// any session reached, Duration the session time served).
+// Stats is a read-out of a server's ledger: what the server itself
+// records — sessions and admission — and, embedded, the core.Stats of all
+// its sessions' work so far, which lands in the same ledger from theirs
+// (sums; MaxInFlight is the highest any session reached, Duration the
+// wall time of the finished sessions).
 type Stats struct {
 	Sessions       int64 // sessions accepted
 	ActiveSessions int64 // sessions currently being served
@@ -64,19 +65,19 @@ type Server struct {
 	wg       sync.WaitGroup
 	closed   bool
 
-	sessions atomic.Int64
-	active   atomic.Int64
-	errors   atomic.Int64
-
-	totalMu sync.Mutex
-	total   core.Stats // finished sessions, folded
+	// set is the server's ledger, under obs.Root and above each of its
+	// sessions': accepts, errors and admission are recorded here, and Stats
+	// is its read-out.
+	set *obs.Set
 }
 
 // Option configures a Server at construction.
 type Option func(*Server)
 
-// WithEngine selects the session execution-engine configuration (worker
-// count, table chunk size) every session of this server evaluates with.
+// WithEngine selects the session execution-engine configuration every
+// session of this server evaluates with: worker count, table chunk size,
+// the in-flight window (Pipeline) and batch cap (MaxBatch) the server
+// announces and enforces, and the phase deadlines.
 func WithEngine(cfg core.EngineConfig) Option {
 	return func(s *Server) { s.core.Engine = cfg }
 }
@@ -90,24 +91,6 @@ func WithEngine(cfg core.EngineConfig) Option {
 // clients follow the announcement.
 func WithOTPool(cfg precomp.PoolConfig) Option {
 	return func(s *Server) { s.core.OTPool = cfg }
-}
-
-// WithPipeline sets the cross-inference pipelining depth the server
-// announces and enforces: up to depth inferences of one session may be
-// in flight at once, the later ones garbling while the earlier ones
-// finish evaluating and round-trip their output labels. Depth 1
-// disables overlap; 0 keeps the default (core.DefaultPipelineDepth).
-func WithPipeline(depth int) Option {
-	return func(s *Server) { s.core.Engine.Pipeline = depth }
-}
-
-// WithMaxBatch sets the batched-inference sample cap the server
-// announces and enforces: one InferBatch call fuses up to n samples into
-// a single schedule walk, table stream, and per-step OT exchange, at the
-// cost of n× the per-inference label and table memory on the server. 0 keeps the default (core.DefaultMaxBatch); values
-// clamp to [1, 256].
-func WithMaxBatch(n int) Option {
-	return func(s *Server) { s.core.Engine.MaxBatch = n }
 }
 
 // WithIdleTimeout bounds how long a session connection may sit idle.
@@ -125,7 +108,8 @@ func WithIdleTimeout(d time.Duration) Option {
 // and every session replays the same shared program.
 func New(model *nn.Network, f fixed.Format, opts ...Option) (*Server, error) {
 	cs := &core.Server{Net: model, Fmt: f}
-	s := &Server{core: cs, conns: make(map[net.Conn]struct{})}
+	s := &Server{core: cs, conns: make(map[net.Conn]struct{}), set: obs.NewSet(obs.Root)}
+	cs.SetMetrics(s.set)
 	for _, o := range opts {
 		o(s)
 	}
@@ -267,6 +251,7 @@ func (c *idleConn) Write(p []byte) (int, error) {
 func (s *Server) shed(conn net.Conn) {
 	conn.SetDeadline(time.Now().Add(s.adm.cfg.shedTimeout()))
 	tc := transport.New(conn)
+	tc.SetMetrics(s.set)
 	if _, err := tc.Recv(transport.MsgHello); err != nil {
 		return
 	}
@@ -288,8 +273,7 @@ func (s *Server) serveConn(conn net.Conn) {
 	defer func() {
 		if v := recover(); v != nil {
 			err := obs.Panicked(fmt.Sprintf("server: connection from %s", conn.RemoteAddr()), v)
-			s.errors.Add(1)
-			obs.IncErrors()
+			s.set.Errors.Inc()
 			s.logf("session from %s: %v", conn.RemoteAddr(), err)
 		}
 	}()
@@ -307,14 +291,9 @@ func (s *Server) serveConn(conn net.Conn) {
 		}
 		defer release()
 	}
-	s.sessions.Add(1)
-	s.active.Add(1)
-	obs.IncSessions()
-	obs.AddActiveSessions(1)
-	defer func() {
-		s.active.Add(-1)
-		obs.AddActiveSessions(-1)
-	}()
+	s.set.Sessions.Inc()
+	s.set.SessionsActive.Add(1)
+	defer s.set.SessionsActive.Add(-1)
 
 	start := time.Now()
 	rw := io.ReadWriter(conn)
@@ -332,12 +311,8 @@ func (s *Server) serveConn(conn net.Conn) {
 	// error into the DeadlineError that explains it.
 	tc.SetBreaker(conn.Close)
 	st, err := s.core.ServeSession(tc)
-	s.totalMu.Lock()
-	s.total.Add(st)
-	s.totalMu.Unlock()
 	if err != nil && !errors.Is(err, io.EOF) && !errors.Is(err, net.ErrClosed) {
-		s.errors.Add(1)
-		obs.IncErrors()
+		s.set.Errors.Inc()
 		s.logf("session from %s failed after %d inference(s): %v",
 			conn.RemoteAddr(), st.Inferences, err)
 		return
@@ -358,22 +333,17 @@ func (s *Server) logf(format string, args ...any) {
 	}
 }
 
-// Stats returns a snapshot of the lifetime counters.
+// Stats reads the server's counters out of its ledger.
 func (s *Server) Stats() Stats {
-	st := Stats{
-		Sessions:       s.sessions.Load(),
-		ActiveSessions: s.active.Load(),
-		Errors:         s.errors.Load(),
+	return Stats{
+		Sessions:       s.set.Sessions.Value(),
+		ActiveSessions: s.set.SessionsActive.Value(),
+		Errors:         s.set.Errors.Value(),
+		QueuedSessions: s.set.SessionsQueued.Value(),
+		ShedSessions:   s.set.SessionsShed.Value(),
+		QueueDepth:     s.set.AdmissionQueueDepth.Value(),
+		Stats:          *core.StatsOf(s.set),
 	}
-	s.totalMu.Lock()
-	st.Stats = s.total
-	s.totalMu.Unlock()
-	if s.adm != nil {
-		st.QueuedSessions = s.adm.queued.Load()
-		st.ShedSessions = s.adm.shed.Load()
-		st.QueueDepth = s.adm.queueDepth.Load()
-	}
-	return st
 }
 
 // Shutdown stops accepting new connections and waits for in-flight

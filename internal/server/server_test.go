@@ -483,7 +483,7 @@ func TestPipelinedSessionsOverTCP(t *testing.T) {
 	// all touch one connection.
 	model := testModel(t)
 	srv, err := New(model, fixed.Default,
-		WithPipeline(2),
+		WithEngine(core.EngineConfig{Pipeline: 2}),
 		WithOTPool(precomp.PoolConfig{Capacity: 4096, RefillLowWater: 1024, Background: true}))
 	if err != nil {
 		t.Fatal(err)

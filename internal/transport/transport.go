@@ -137,10 +137,10 @@ type Conn struct {
 	wbuf    []byte
 	scratch [5]byte
 
-	// Stats mirror the paper's communication accounting. Atomics so a
-	// demux reader and the senders can account concurrently.
-	BytesSent     atomic.Int64
-	BytesReceived atomic.Int64
+	// set is the ledger whose BytesSent/BytesReceived this connection
+	// adds to, per write and per frame read (the paper's communication
+	// accounting).
+	set *obs.Set
 
 	// Progress is a generic session-activity counter: protocol layers
 	// above may bump it on compute progress (e.g. per evaluated gate
@@ -167,13 +167,22 @@ type Conn struct {
 
 // New wraps a byte stream in a framed connection.
 func New(rw io.ReadWriter) *Conn {
-	c := &Conn{rw: rw, free: make(chan []byte, 1)}
+	c := &Conn{rw: rw, set: obs.NewSet(obs.Root), free: make(chan []byte, 1)}
 	for t := range c.limits {
 		c.limits[t].Store(MaxFrame)
 	}
 	c.limits[MsgHello].Store(maxHello)
 	return c
 }
+
+// Metrics returns the ledger the connection records its bytes in: one of
+// its own under obs.Root, until SetMetrics.
+func (c *Conn) Metrics() *obs.Set { return c.set }
+
+// SetMetrics makes the connection record into its owner's ledger — a
+// session's, typically — from here on. Call it while nothing else uses the
+// connection.
+func (c *Conn) SetMetrics(s *obs.Set) { c.set = s }
 
 // SetLimit bounds the payload of type-t frames this connection will read:
 // a header announcing more is refused before any allocation. Safe to call
@@ -285,8 +294,7 @@ func (c *Conn) Flush() error {
 
 func (c *Conn) write(b []byte) error {
 	n, err := c.rw.Write(b)
-	c.BytesSent.Add(int64(n))
-	obs.AddBytesSent(int64(n))
+	c.set.BytesSent.Add(int64(n))
 	if err != nil {
 		return fmt.Errorf("transport: write: %w", err)
 	}
@@ -345,8 +353,7 @@ func (c *Conn) ReadFrame() (MsgType, []byte, error) {
 	if _, err := io.ReadFull(c.rw, payload); err != nil {
 		return 0, nil, fmt.Errorf("transport: read %v payload: %w", got, err)
 	}
-	c.BytesReceived.Add(int64(5 + n))
-	obs.AddBytesReceived(int64(5 + n))
+	c.set.BytesReceived.Add(int64(5 + n))
 	return got, payload, nil
 }
 

@@ -140,11 +140,11 @@ func TestStatsAccounting(t *testing.T) {
 	if _, err := b.Recv(MsgTables); err != nil {
 		t.Fatal(err)
 	}
-	if a.BytesSent.Load() != 1005 {
-		t.Errorf("BytesSent = %d, want 1005", a.BytesSent.Load())
+	if a.Metrics().BytesSent.Value() != 1005 {
+		t.Errorf("BytesSent = %d, want 1005", a.Metrics().BytesSent.Value())
 	}
-	if b.BytesReceived.Load() != 1005 {
-		t.Errorf("BytesReceived = %d, want 1005", b.BytesReceived.Load())
+	if b.Metrics().BytesReceived.Value() != 1005 {
+		t.Errorf("BytesReceived = %d, want 1005", b.Metrics().BytesReceived.Value())
 	}
 }
 

@@ -53,8 +53,8 @@ func TestTaggedFrameRoundTrip(t *testing.T) {
 		t.Fatalf("tag round trip: id=%d content=%q", id, content)
 	}
 	// SendTagged must cost exactly the uvarint on top of the payload.
-	if want := int64(5 + 2 + len(payload)); a.BytesSent.Load() != want {
-		t.Errorf("tagged frame used %d bytes, want %d", a.BytesSent.Load(), want)
+	if want := int64(5 + 2 + len(payload)); a.Metrics().BytesSent.Value() != want {
+		t.Errorf("tagged frame used %d bytes, want %d", a.Metrics().BytesSent.Value(), want)
 	}
 }
 
