@@ -757,7 +757,7 @@ func BenchmarkSessionOffline(b *testing.B) {
 				pool := precomp.PoolConfig{Capacity: 1 << 19, RefillLowWater: 1}
 				srvCfg := core.EngineConfig{Pipeline: 2, MaxBatch: batch}
 				srv := &core.Server{Net: net, Fmt: fixed.Default, Engine: srvCfg, OTPool: pool}
-				if err := srv.Precompile(); err != nil {
+				if _, err := srv.Program(); err != nil {
 					b.Fatal(err)
 				}
 				cliCfg := core.EngineConfig{Pipeline: 2, MaxBatch: batch}

@@ -15,7 +15,6 @@ package main
 import (
 	"context"
 	"flag"
-	"fmt"
 	"log"
 	"math/rand"
 	"net/http"
@@ -31,27 +30,6 @@ import (
 	"deepsecure/internal/obs"
 	"deepsecure/internal/sched"
 )
-
-func buildModel(name string) (*nn.Network, error) {
-	switch name {
-	case "b1":
-		return benchmarks.B1()
-	case "b2":
-		return benchmarks.B2()
-	case "b3":
-		return benchmarks.B3()
-	case "b4":
-		return benchmarks.B4()
-	case "small":
-		return nn.NewNetwork(nn.Vec(32),
-			deepsecure.NewDense(16),
-			deepsecure.NewActivation(deepsecure.TanhCORDIC),
-			deepsecure.NewDense(4),
-		)
-	default:
-		return nil, fmt.Errorf("unknown model %q (want b1|b2|b3|b4|small)", name)
-	}
-}
 
 // drainTimeout bounds the graceful shutdown: how long in-flight sessions
 // get to finish after the first interrupt.
@@ -91,7 +69,7 @@ func main() {
 		log.Fatalf("-max-batch %d: must be >= 0 (0 selects the default cap %d)", *maxBatch, deepsecure.DefaultMaxBatch)
 	}
 
-	net0, err := buildModel(*model)
+	net0, err := benchmarks.ByName(*model)
 	if err != nil {
 		log.Fatal(err)
 	}

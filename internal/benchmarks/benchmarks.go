@@ -86,6 +86,31 @@ func B4() (*nn.Network, error) {
 	)
 }
 
+// ByName builds the model the command-line tools call name: b1..b4, or
+// small, a 32-16FC-TanhCORDIC-4FC network that infers in a fraction of a
+// second. A daemon and the client driving it must agree on it, so both
+// ask here.
+func ByName(name string) (*nn.Network, error) {
+	switch name {
+	case "b1":
+		return B1()
+	case "b2":
+		return B2()
+	case "b3":
+		return B3()
+	case "b4":
+		return B4()
+	case "small":
+		return nn.NewNetwork(nn.Vec(32),
+			nn.NewDense(16),
+			nn.NewActivation(act.TanhCORDIC),
+			nn.NewDense(4),
+		)
+	default:
+		return nil, fmt.Errorf("unknown model %q (want b1|b2|b3|b4|small)", name)
+	}
+}
+
 // All lists the four benchmarks with the paper's published rows.
 var All = []Benchmark{
 	{

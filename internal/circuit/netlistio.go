@@ -4,14 +4,12 @@ import (
 	"bufio"
 	"fmt"
 	"io"
-	"strconv"
-	"strings"
 )
 
 // WriteNetlist serializes a materialized circuit in the repository's plain
 // text netlist format. The format plays the role of the synthesized
 // netlists that the paper exports from its logic-synthesis flow: it can be
-// inspected, diffed, and re-imported.
+// inspected and diffed.
 //
 //	deepsecure-netlist v1
 //	garbler_inputs <w>...
@@ -39,97 +37,4 @@ func writeWireLine(w io.Writer, name string, ws []uint32) {
 		fmt.Fprintf(w, " %d", x)
 	}
 	fmt.Fprintln(w)
-}
-
-// ReadNetlist parses the text netlist format back into a Circuit.
-func ReadNetlist(r io.Reader) (*Circuit, error) {
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 1<<20), 1<<24)
-	c := &Circuit{NWires: 2}
-	line := 0
-	sawHeader, sawEnd := false, false
-	bump := func(ws ...uint32) {
-		for _, w := range ws {
-			if w+1 > c.NWires {
-				c.NWires = w + 1
-			}
-		}
-	}
-	for sc.Scan() {
-		line++
-		text := strings.TrimSpace(sc.Text())
-		if text == "" || strings.HasPrefix(text, "#") {
-			continue
-		}
-		fields := strings.Fields(text)
-		switch fields[0] {
-		case "deepsecure-netlist":
-			if len(fields) != 2 || fields[1] != "v1" {
-				return nil, fmt.Errorf("netlist line %d: unsupported version %q", line, text)
-			}
-			sawHeader = true
-		case "garbler_inputs", "evaluator_inputs", "outputs":
-			ws, err := parseWires(fields[1:])
-			if err != nil {
-				return nil, fmt.Errorf("netlist line %d: %w", line, err)
-			}
-			bump(ws...)
-			switch fields[0] {
-			case "garbler_inputs":
-				c.GarblerInputs = ws
-			case "evaluator_inputs":
-				c.EvaluatorInputs = ws
-			default:
-				c.Outputs = ws
-			}
-		case "gate":
-			if len(fields) != 5 {
-				return nil, fmt.Errorf("netlist line %d: malformed gate %q", line, text)
-			}
-			var op Op
-			switch fields[1] {
-			case "XOR":
-				op = XOR
-			case "AND":
-				op = AND
-			case "INV":
-				op = INV
-			default:
-				return nil, fmt.Errorf("netlist line %d: unknown op %q", line, fields[1])
-			}
-			ws, err := parseWires(fields[2:])
-			if err != nil {
-				return nil, fmt.Errorf("netlist line %d: %w", line, err)
-			}
-			g := Gate{Op: op, A: ws[0], B: ws[1], Out: ws[2]}
-			bump(g.A, g.B, g.Out)
-			c.Gates = append(c.Gates, g)
-		case "end":
-			sawEnd = true
-		default:
-			return nil, fmt.Errorf("netlist line %d: unknown directive %q", line, fields[0])
-		}
-	}
-	if err := sc.Err(); err != nil {
-		return nil, err
-	}
-	if !sawHeader {
-		return nil, fmt.Errorf("netlist: missing header")
-	}
-	if !sawEnd {
-		return nil, fmt.Errorf("netlist: missing end marker (truncated file?)")
-	}
-	return c, nil
-}
-
-func parseWires(fields []string) ([]uint32, error) {
-	ws := make([]uint32, 0, len(fields))
-	for _, f := range fields {
-		v, err := strconv.ParseUint(f, 10, 32)
-		if err != nil {
-			return nil, fmt.Errorf("bad wire id %q: %w", f, err)
-		}
-		ws = append(ws, uint32(v))
-	}
-	return ws, nil
 }

@@ -12,6 +12,7 @@ import (
 	"deepsecure/internal/act"
 	"deepsecure/internal/fixed"
 	"deepsecure/internal/gc/bank"
+	"deepsecure/internal/nn"
 	"deepsecure/internal/ot/precomp"
 	"deepsecure/internal/testutil"
 	"deepsecure/internal/transport"
@@ -160,16 +161,15 @@ type differentialRun struct {
 	c2s, s2c     []byte
 }
 
-func runDifferentialSession(t *testing.T, name string, b, bankDepth, workers int, samples [][]float64, want []int) differentialRun {
+func runDifferentialSession(t *testing.T, name string, net *nn.Network, f fixed.Format, b, bankDepth, workers int, samples [][]float64, want []int) differentialRun {
 	t.Helper()
-	f := fixed.Default
-	net := testNet(t, act.ReLU, 21)
 	c2s, s2c := newLogHalf(), newLogHalf()
 	cConn := transport.New(logDuplex{r: s2c, w: c2s})
 	sConn := transport.New(logDuplex{r: c2s, w: s2c})
-	// A pool big enough never to refill mid-session: see runBankedSession.
-	srv := &Server{Net: net, Fmt: f, Rng: rand.New(rand.NewSource(503)),
-		Engine: EngineConfig{Workers: workers}, OTPool: precomp.PoolConfig{Capacity: 8192}}
+	// A pool that holds the session's 2·B ≤ 6 samples and never refills
+	// before it ends: see runBankedSession.
+	srv := &Server{Net: net, Fmt: f, Rng: rand.New(rand.NewSource(503)), Engine: EngineConfig{Workers: workers},
+		OTPool: precomp.PoolConfig{Capacity: 6*len(nn.WeightBits(net, f)) + 1, RefillLowWater: 1}}
 	var wg sync.WaitGroup
 	var srvErr error
 	var out differentialRun
@@ -209,32 +209,98 @@ func runDifferentialSession(t *testing.T, name string, b, bankDepth, workers int
 	return out
 }
 
+// randomModel draws a small network around activation kind: a dense stack
+// (each layer pruned by a random public mask, or not) or a convolution
+// under a max- or mean-pool, every size from r. The look-up-table
+// realisations grow with 2^width, so they get an 8-bit format.
+func randomModel(t *testing.T, r *rand.Rand, kind act.Kind) (*nn.Network, fixed.Format) {
+	t.Helper()
+	f := fixed.Default
+	switch kind {
+	case act.TanhLUT, act.TanhTrunc, act.SigmoidLUT, act.SigmoidTrunc:
+		f = fixed.Format{IntBits: 2, FracBits: 5}
+	}
+	in, layers := nn.Vec(3+r.Intn(3)), []nn.Layer{nn.NewDense(2 + r.Intn(3))}
+	if r.Intn(2) == 0 {
+		pool := nn.Layer(nn.NewMaxPool2D(2, 2))
+		if r.Intn(2) == 0 {
+			pool = nn.NewMeanPool2D(2)
+		}
+		in, layers = nn.Shape{C: 1, H: 4, W: 4}, []nn.Layer{nn.NewConv2D(1+r.Intn(2), 2, 2, 0), pool}
+	}
+	layers = append(layers, nn.NewActivation(kind), nn.NewDense(2+r.Intn(3)))
+	net, err := nn.NewNetwork(in, layers...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	net.InitWeights(r)
+	for _, l := range net.Layers {
+		if d, ok := l.(*nn.Dense); ok && r.Intn(2) == 0 {
+			for i := range d.Mask {
+				d.Mask[i] = r.Intn(3) > 0
+			}
+		}
+	}
+	return net, f
+}
+
 // TestInferenceDifferential runs the one inference path across everything
 // that selects a branch inside it — batch size B ∈ {1, 3} × table source
 // {live, bank hit, bank drained mid-batch} × Workers ∈ {1, 4} — two
-// inferences of B samples per session. Every label
-// must equal PredictFixed; the Stats must count samples, gate instances,
-// bank hits and misses the same way on every path; a bank hit pays no
-// online garble time and a miss does; the wire bytes must not depend on
-// the worker count; and at B=1 a bank hit (and the hit-then-miss drained
-// session) must be byte-for-byte what live garbling sends.
+// inferences of B samples per session, plus one outsourced inference, on
+// networks drawn from a seeded generator: one per activation realisation
+// (the look-up-table ones skipped under -short), between them every layer
+// kind. Every label must equal PredictFixed; the Stats must count samples,
+// gate instances, bank hits and misses the same way on every path; a bank
+// hit pays no online garble time and a miss does; the wire bytes must not
+// depend on the worker count; and at B=1 a bank hit (and the hit-then-miss
+// drained session) must be byte-for-byte what live garbling sends.
 func TestInferenceDifferential(t *testing.T) {
-	f := fixed.Default
-	net := testNet(t, act.ReLU, 21)
+	kinds := []act.Kind{act.ReLU, act.TanhPL, act.TanhCORDIC, act.SigmoidPLAN, act.SigmoidCORDIC}
+	if !testing.Short() {
+		kinds = append(kinds, act.TanhLUT, act.TanhTrunc, act.SigmoidLUT, act.SigmoidTrunc)
+	}
+	rng := rand.New(rand.NewSource(79))
+	drawn := make(map[string]bool)
+	for _, kind := range kinds {
+		net, f := randomModel(t, rng, kind)
+		for _, l := range net.Layers {
+			name := fmt.Sprintf("%T", l)
+			if d, ok := l.(*nn.Dense); ok && d.ActiveWeights() != len(d.W) {
+				name += "+Mask"
+			}
+			drawn[name] = true
+		}
+		samples := make([][]float64, 6)
+		want := make([]int, len(samples))
+		for i := range samples {
+			samples[i] = make([]float64, net.In.Len())
+			for j := range samples[i] {
+				samples[i][j] = rng.Float64()*2 - 1
+			}
+			want[i] = net.PredictFixed(f, samples[i])
+		}
+		t.Run(fmt.Sprintf("%v/%s", kind, net.Arch()), func(t *testing.T) {
+			t.Parallel()
+			differential(t, net, f, samples, want)
+		})
+	}
+	for _, name := range []string{"*nn.Dense", "*nn.Dense+Mask", "*nn.Conv2D", "*nn.MaxPool2D", "*nn.MeanPool2D"} {
+		if !drawn[name] {
+			t.Errorf("no drawn network has a %s layer: pick another seed", name)
+		}
+	}
+}
+
+// differential is TestInferenceDifferential on one network.
+func differential(t *testing.T, net *nn.Network, f fixed.Format, samples [][]float64, want []int) {
 	prog, err := (&Server{Net: net, Fmt: f}).Program()
 	if err != nil {
 		t.Fatal(err)
 	}
 	ands := prog.Schedule.ANDs
-	rng := rand.New(rand.NewSource(79))
-	samples := make([][]float64, 6)
-	want := make([]int, len(samples))
-	for i := range samples {
-		samples[i] = make([]float64, 6)
-		for j := range samples[i] {
-			samples[i][j] = rng.Float64()*2 - 1
-		}
-		want[i] = net.PredictFixed(f, samples[i])
+	if label, _, err := outsourcedInfer(t, net, f, samples[0]); err != nil || label != want[0] {
+		t.Fatalf("outsourced: label %d, %v; plaintext %d", label, err, want[0])
 	}
 	type source struct {
 		name  string
@@ -258,7 +324,7 @@ func TestInferenceDifferential(t *testing.T) {
 			for _, workers := range []int{1, 4} {
 				name := fmt.Sprintf("B=%d/%s/workers=%d", b, src.name, workers)
 				banked := src.depth(b) > 0
-				run := runDifferentialSession(t, name, b, src.depth(b), workers, samples, want)
+				run := runDifferentialSession(t, name, net, f, b, src.depth(b), workers, samples, want)
 				var hits, misses int64
 				for k, st := range run.perInfer {
 					var h, m int64

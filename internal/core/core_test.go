@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"math/rand"
 	"strings"
 	"sync"
@@ -112,10 +113,12 @@ func TestSecureInferenceCommMatchesGateCount(t *testing.T) {
 	}
 }
 
-func TestOutsourcedInference(t *testing.T) {
-	f := fixed.Default
-	net := testNet(t, act.ReLU, 6)
-
+// outsourcedInfer runs one §3.3 inference — constrained client, proxy and
+// main server over in-memory pipes — and returns what the client got. A
+// client that gives up before its shares are out leaves the other two
+// waiting for them; closing the pipes releases both.
+func outsourcedInfer(t *testing.T, net *nn.Network, f fixed.Format, x []float64) (int, *Stats, error) {
+	t.Helper()
 	cpConn, pcConn, closer1 := transport.Pipe() // client ↔ proxy
 	defer closer1.Close()
 	csConn, scConn, closer2 := transport.Pipe() // client ↔ server
@@ -138,13 +141,15 @@ func TestOutsourcedInference(t *testing.T) {
 		prxErr = prx.Run(pcConn, psConn)
 	}()
 
-	rng := rand.New(rand.NewSource(7))
-	x := make([]float64, 6)
-	for i := range x {
-		x[i] = rng.Float64()*2 - 1
-	}
 	cli := &Client{Rng: rand.New(rand.NewSource(203))}
 	label, st, err := cli.InferOutsourced(cpConn, csConn, x)
+	if err != nil {
+		closer1.Close()
+		closer2.Close()
+		closer3.Close()
+		wg.Wait()
+		return 0, nil, err
+	}
 	wg.Wait()
 	if srvErr != nil {
 		t.Fatalf("server: %v", srvErr)
@@ -152,16 +157,37 @@ func TestOutsourcedInference(t *testing.T) {
 	if prxErr != nil {
 		t.Fatalf("proxy: %v", prxErr)
 	}
+	return label, st, nil
+}
+
+func TestOutsourcedInference(t *testing.T) {
+	f := fixed.Default
+	net := testNet(t, act.ReLU, 6)
+	rng := rand.New(rand.NewSource(7))
+	x := make([]float64, 9)
+	for i := range x {
+		x[i] = rng.Float64()*2 - 1
+	}
+	label, st, err := outsourcedInfer(t, net, f, x[:6])
 	if err != nil {
 		t.Fatalf("client: %v", err)
 	}
-	if want := net.PredictFixed(f, x); label != want {
+	if want := net.PredictFixed(f, x[:6]); label != want {
 		t.Fatalf("outsourced label %d, want %d", label, want)
 	}
 	// The constrained client's traffic must be tiny: shares out, two bit
 	// vectors in — no garbled tables.
 	if st.BytesSent > 1000 || st.BytesReceived > 1000 {
 		t.Errorf("outsourced client traffic too high: %+v", st)
+	}
+	// A sample of the wrong width is refused before any share is sent: too
+	// wide used to be truncated into a label for a different sample, too
+	// narrow left the client waiting on two servers that had both failed.
+	for _, n := range []int{9, 3} {
+		want := fmt.Sprintf("core: sample has %d features, model wants 6", n)
+		if _, _, err := outsourcedInfer(t, net, f, x[:n]); err == nil || err.Error() != want {
+			t.Fatalf("%d features against a 6-feature model: err = %v, want %q", n, err, want)
+		}
 	}
 }
 

@@ -3,7 +3,6 @@ package core
 import (
 	"errors"
 	"fmt"
-	"io"
 	"runtime"
 	"sync/atomic"
 	"time"
@@ -37,9 +36,11 @@ import (
 // is that of B separate inferences — only the schedule walk, the framing
 // and the OT round-trips amortize.
 //
-// The garble side draws its label material and table bytes from a table
-// source: live (a gc.BatchGarbler garbling each level on a gc.Pool) or
-// banked (B pre-garbled bank.Executions, bankengine.go). Completed table
+// The garble side draws its label material and table bytes from a
+// bank.Source: live (a gc.BatchGarbler garbling each level on a gc.Pool) or
+// banked (B pre-garbled executions); the sources, and with them the
+// garbling side's knowledge of how a level runs and of what an execution
+// stores, live in internal/gc/bank. Completed table
 // chunks stream to the peer while the next level is being produced, and
 // on the evaluator a prefetcher keeps a bounded ring of table frames
 // ahead of the worker pool, so neither AES throughput nor transport
@@ -128,24 +129,16 @@ func (c EngineConfig) newPool() *gc.Pool {
 	return gc.NewSharedPool(sched.Default(), c.workers())
 }
 
-func (c EngineConfig) pipeline() int {
+// PipelineDepth returns the effective in-flight window this
+// configuration resolves to (defaults applied, clamped to [1, 32]) —
+// what a server announces and enforces.
+func (c EngineConfig) PipelineDepth() int {
 	d := c.Pipeline
 	if d == 0 {
 		d = DefaultPipelineDepth
 	}
-	if d < 1 {
-		d = 1
-	}
-	if d > maxPipelineDepth {
-		d = maxPipelineDepth
-	}
-	return d
+	return min(max(d, 1), maxPipelineDepth)
 }
-
-// PipelineDepth returns the effective in-flight window this
-// configuration resolves to (defaults applied, clamped to [1, 32]) —
-// what a server announces and enforces.
-func (c EngineConfig) PipelineDepth() int { return c.pipeline() }
 
 // DefaultMaxBatch is the batched-inference sample cap applied when
 // EngineConfig.MaxBatch is zero.
@@ -156,24 +149,16 @@ const DefaultMaxBatch = 32
 // and tables scale linearly with B).
 const maxBatchCap = 256
 
-func (c EngineConfig) maxBatch() int {
+// MaxBatchSize returns the effective batched-inference sample cap this
+// configuration resolves to (defaults applied, clamped to [1, 256]) —
+// what a server announces and enforces.
+func (c EngineConfig) MaxBatchSize() int {
 	b := c.MaxBatch
 	if b == 0 {
 		b = DefaultMaxBatch
 	}
-	if b < 1 {
-		b = 1
-	}
-	if b > maxBatchCap {
-		b = maxBatchCap
-	}
-	return b
+	return min(max(b, 1), maxBatchCap)
 }
-
-// MaxBatchSize returns the effective batched-inference sample cap this
-// configuration resolves to (defaults applied, clamped to [1, 256]) —
-// what a server announces and enforces.
-func (c EngineConfig) MaxBatchSize() int { return c.maxBatch() }
 
 func (c EngineConfig) chunkBytes() int {
 	if c.ChunkBytes > 0 {
@@ -239,102 +224,12 @@ func (w *tableWriter) finish() error {
 	return <-w.done
 }
 
-// tableSource is where the garble-side walk gets its label material and
-// table bytes: a live garbler (liveSource) or B banked executions
-// (bankSource). The walk asks for steps in schedule order.
-type tableSource interface {
-	// consts appends the constant wires' active labels to dst: the B
-	// false-labels, then the B true-labels.
-	consts(dst []byte) ([]byte, error)
-	// deltas returns each sample's Free-XOR delta.
-	deltas() []gc.Label
-	// inputs makes st the current input step.
-	inputs(st *circuit.Step) error
-	// zero returns sample s's zero-label of the current input step's i-th
-	// wire.
-	zero(i, s int) (gc.Label, error)
-	// run makes st the current level run.
-	run(st *circuit.Step) error
-	// level writes the current run's next level — lv.ANDs·B·TableSize
-	// bytes, gate-major with samples innermost — to dst.
-	level(lv *circuit.Level, dst []byte) error
-	// outputs appends output step st's zero-labels to dst, wire-major with
-	// samples innermost.
-	outputs(st *circuit.Step, dst []gc.Label) ([]gc.Label, error)
-}
-
-// liveSource garbles online: every sample gets a fresh Free-XOR delta and
-// fresh wire labels, so the samples of a batch are as unlinkable as
-// separate inferences.
-type liveSource struct {
-	sched *circuit.Schedule
-	g     *gc.BatchGarbler
-	pool  *gc.Pool
-	wires []uint32 // the current input step's
-}
-
-func newLiveSource(rng io.Reader, b int, sched *circuit.Schedule, pool *gc.Pool) (*liveSource, error) {
-	g, err := gc.NewBatchGarbler(rng, b)
-	if err != nil {
-		return nil, err
-	}
-	g.Grow(sched.NumWires)
-	return &liveSource{sched: sched, g: g, pool: pool}, nil
-}
-
-func (l *liveSource) consts(dst []byte) ([]byte, error) { return l.g.AppendConstLabels(dst) }
-
-func (l *liveSource) deltas() []gc.Label { return l.g.R }
-
-func (l *liveSource) inputs(st *circuit.Step) error {
-	for _, w := range st.Wires {
-		if err := l.g.AssignInput(w); err != nil {
-			return err
-		}
-	}
-	l.wires = st.Wires
-	return nil
-}
-
-func (l *liveSource) zero(i, s int) (gc.Label, error) { return l.g.ZeroLabel(l.wires[i], s) }
-
-func (l *liveSource) run(st *circuit.Step) error {
-	for _, w := range st.PreDrops {
-		l.g.Drop(w)
-	}
-	return nil
-}
-
-func (l *liveSource) level(lv *circuit.Level, dst []byte) error {
-	ands, frees := l.sched.LevelGates(lv)
-	if err := l.g.GarbleLevel(ands, frees, lv.GIDBase, dst, l.pool); err != nil {
-		return err
-	}
-	for _, w := range lv.Drops {
-		l.g.Drop(w)
-	}
-	return nil
-}
-
-func (l *liveSource) outputs(st *circuit.Step, dst []gc.Label) ([]gc.Label, error) {
-	for _, w := range st.Wires {
-		for s := 0; s < l.g.B(); s++ {
-			z, err := l.g.ZeroLabel(w, s)
-			if err != nil {
-				return dst, err
-			}
-			dst = append(dst, z)
-		}
-	}
-	return dst, nil
-}
-
 // garbleEngine runs the garbler's side of one inference of b =
 // len(inputBits) samples over a compiled schedule; the session reuses its
 // buffers across inferences.
 type garbleEngine struct {
 	sched *circuit.Schedule
-	src   tableSource
+	src   bank.Source
 	conn  transport.FrameConn
 	ots   *precomp.SenderPool
 	otr   precomp.Range // the inference's OT-pool entries, b samples wide
@@ -370,7 +265,7 @@ func (en *garbleEngine) run() error {
 		case circuit.StepInputs:
 			err = en.doInputs(st)
 		case circuit.StepOutputs:
-			en.outZero, err = en.src.outputs(st, en.outZero)
+			en.outZero, err = en.src.Outputs(st, en.outZero)
 		case circuit.StepLevels:
 			err = en.doLevels(st)
 		}
@@ -382,10 +277,10 @@ func (en *garbleEngine) run() error {
 }
 
 func (en *garbleEngine) doInputs(st *circuit.Step) error {
-	if err := en.src.inputs(st); err != nil {
+	if err := en.src.Inputs(st); err != nil {
 		return err
 	}
-	deltas := en.src.deltas()
+	deltas := en.src.Deltas()
 	if st.Party == circuit.Garbler {
 		payload := en.labelBuf[:0]
 		for i, w := range st.Wires {
@@ -393,7 +288,7 @@ func (en *garbleEngine) doInputs(st *circuit.Step) error {
 				return fmt.Errorf("core: garbler input underrun at wire %d", w)
 			}
 			for s, bits := range en.inputBits {
-				l, err := en.src.zero(i, s)
+				l, err := en.src.Zero(i, s)
 				if err != nil {
 					return err
 				}
@@ -413,7 +308,7 @@ func (en *garbleEngine) doInputs(st *circuit.Step) error {
 	var err error
 	en.labelBuf, err = en.ots.SendStep(en.conn, en.otr, en.evalBit, len(st.Wires), en.labelBuf,
 		func(i, s int) (ot.Msg, ot.Msg, error) {
-			l0, err := en.src.zero(i, s)
+			l0, err := en.src.Zero(i, s)
 			return ot.Msg(l0), ot.Msg(deltas[s]), err
 		})
 	en.evalBit += len(st.Wires)
@@ -436,9 +331,6 @@ func (en *garbleEngine) grab() []byte {
 // table chunks through the writer goroutine while subsequent levels are
 // produced; each level contributes ANDs×b tables.
 func (en *garbleEngine) doLevels(st *circuit.Step) (err error) {
-	if err := en.src.run(st); err != nil {
-		return err
-	}
 	chunk := en.cfg.chunkBytes()
 	async := en.cfg.workers() > 1
 	var wr *tableWriter
@@ -461,15 +353,14 @@ func (en *garbleEngine) doLevels(st *circuit.Step) (err error) {
 	}
 	cur := en.cur[:0]
 	for li := st.First; li < st.First+st.N && err == nil; li++ {
-		lv := &en.sched.Levels[li]
-		need := lv.ANDs * len(en.inputBits) * gc.TableSize
+		need := en.sched.Levels[li].ANDs * len(en.inputBits) * gc.TableSize
 		off := len(cur)
 		for cap(cur) < off+need {
 			cur = append(cur[:cap(cur)], 0)
 		}
 		cur = cur[:off+need]
 		t0 := time.Now()
-		err = en.src.level(lv, cur[off:off+need])
+		err = en.src.Level(st, li, cur[off:off+need])
 		en.gateTime += time.Since(t0)
 		if err != nil {
 			break

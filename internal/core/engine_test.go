@@ -14,6 +14,7 @@ import (
 	"deepsecure/internal/circuit"
 	"deepsecure/internal/fixed"
 	"deepsecure/internal/gc"
+	"deepsecure/internal/gc/bank"
 	"deepsecure/internal/ot"
 	"deepsecure/internal/ot/precomp"
 	"deepsecure/internal/transport"
@@ -283,11 +284,11 @@ func runEngines(t *testing.T, sched *circuit.Schedule, gBits, eBits []bool, cfg 
 	pool := cfg.newPool()
 	free := make(chan []byte, 3)
 	for k := 0; k < nInfer; k++ {
-		src, err := newLiveSource(rng, 1, sched, pool)
+		src, err := bank.NewLive(rng, 1, sched, pool)
 		if err != nil {
 			t.Fatal(err)
 		}
-		consts, err := src.consts(nil)
+		consts, err := src.Consts(nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -324,7 +325,7 @@ func runEngines(t *testing.T, sched *circuit.Schedule, gBits, eBits []bool, cfg 
 			switch l {
 			case en.outZero[i]:
 				bits[i] = false
-			case en.outZero[i].XOR(src.deltas()[0]):
+			case en.outZero[i].XOR(src.Deltas()[0]):
 				bits[i] = true
 			default:
 				t.Fatalf("workers=%d infer %d: output label %d failed authentication", workers, k, i)
@@ -458,10 +459,12 @@ func TestEngineSessionConformance(t *testing.T) {
 
 // TestEngineSharedPoolConformance is the byte-determinism proof at the
 // session-engine layer — wire bytes do not depend on scheduling: for
-// workers∈{2,4}, with 1, 2, and 4 sessions running concurrently on the
-// one process-wide scheduler, every session's streams must be
-// byte-identical to a lone sequential (workers=1) run. Run with -race:
-// concurrent sessions steal chunks from each other's regions.
+// widths 2 and 4, with 1, 2, and 4 sessions running concurrently on the one
+// process-wide scheduler, every session's streams must be byte-identical to
+// a lone width-1 run, which never leaves its goroutine (and whose tables the
+// gc layer pins to the per-gate Garbler.Garble reference:
+// TestSharedPoolMatchesPrivate, TestBatchMatchesSequential). Run with
+// -race: concurrent sessions steal chunks from each other's regions.
 func TestEngineSharedPoolConformance(t *testing.T) {
 	r := rand.New(rand.NewSource(424))
 	tape, nG, nE := randomEngineTape(r)

@@ -200,8 +200,8 @@ func newSessionMux(srv *Server, conn *transport.Conn, mc *muxConn, otp *precomp.
 	// sample: bound it by the widest step at the batch cap (plus the
 	// inference tag) before the first arrives.
 	_, widest := evalInputWires(sched)
-	conn.SetLimit(transport.MsgInferMasked, binary.MaxVarintLen64+widest*2*gc.LabelSize*srv.Engine.maxBatch())
-	depth := srv.Engine.pipeline()
+	conn.SetLimit(transport.MsgInferMasked, binary.MaxVarintLen64+widest*2*gc.LabelSize*srv.Engine.MaxBatchSize())
+	depth := srv.Engine.PipelineDepth()
 	return &sessionMux{
 		srv:        srv,
 		conn:       conn,
@@ -324,7 +324,7 @@ func (m *sessionMux) readLoop() {
 				err = fmt.Errorf("core: malformed infer-begin payload (%d bytes)", len(payload))
 				break
 			}
-			if max := uint64(m.cfg.maxBatch()); bsz > max {
+			if max := uint64(m.cfg.MaxBatchSize()); bsz > max {
 				err = fmt.Errorf("core: batch of %d samples exceeds the announced maximum %d", bsz, max)
 				break
 			}

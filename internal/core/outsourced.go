@@ -47,8 +47,12 @@ func (c *Client) InferOutsourced(proxyConn, serverConn *transport.Conn, x []floa
 	if err != nil {
 		return 0, nil, err
 	}
+	// Before any share leaves: the two servers would truncate or refuse a
+	// wrong-width sample, and neither can tell the client.
+	if got, want := len(x), spec.In.Len(); got != want {
+		return 0, nil, fmt.Errorf("core: sample has %d features, model wants %d", got, want)
+	}
 	f := spec.Format
-
 	bits := make([]bool, 0, len(x)*f.Bits())
 	for _, v := range x {
 		bits = append(bits, f.FromFloatSat(v).Bits()...)

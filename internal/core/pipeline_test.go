@@ -13,6 +13,7 @@ import (
 	"deepsecure/internal/circuit"
 	"deepsecure/internal/fixed"
 	"deepsecure/internal/gc"
+	"deepsecure/internal/gc/bank"
 	"deepsecure/internal/netgen"
 	"deepsecure/internal/nn"
 	"deepsecure/internal/ot"
@@ -236,11 +237,11 @@ func referenceSerialRun(t *testing.T, net *nn.Network, xs [][]float64, poolCfg p
 		if err := otp.Cover(otr); err != nil {
 			t.Fatal(err)
 		}
-		src, err := newLiveSource(rng, 1, prog.Schedule, pool)
+		src, err := bank.NewLive(rng, 1, prog.Schedule, pool)
 		if err != nil {
 			t.Fatal(err)
 		}
-		consts, err := src.consts(nil)
+		consts, err := src.Consts(nil)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -192,7 +192,7 @@ func StatsOf(s *obs.Set) *Stats {
 
 // Server hosts the private model and evaluates garbled circuits for
 // clients. A Server may serve many sessions concurrently: the compiled
-// netlist program is built once (lazily, or eagerly via Precompile) and
+// netlist program is built once (lazily, or eagerly via Program) and
 // shared read-only across all of them. Net and Fmt must not change after
 // the first session.
 type Server struct {
@@ -232,15 +232,9 @@ func rngOrDefault(r io.Reader) io.Reader {
 	return r
 }
 
-// Precompile builds the server's netlist program now instead of on the
-// first session. Safe to call concurrently; only the first call compiles.
-func (s *Server) Precompile() error {
-	_, err := s.Program()
-	return err
-}
-
 // Program returns the server's compiled netlist tape, compiling it on
-// first use. The result is shared by every session.
+// first use (call it ahead of the first session to compile eagerly). Safe
+// to call concurrently; the result is shared by every session.
 func (s *Server) Program() (*netgen.Program, error) {
 	s.compileOnce.Do(func() {
 		s.prog, s.compileErr = netgen.Compile(s.Net, s.Fmt, netgen.Options{})
@@ -309,8 +303,8 @@ func (s *Server) ServeSession(conn *transport.Conn) (*Stats, error) {
 	// In-flight window and batch-cap announcement: the server owns both
 	// policies, clients clamp their own pipelining and batching to them.
 	plBuf := make([]byte, 0, 2*binary.MaxVarintLen64)
-	plBuf = transport.AppendTag(plBuf, uint64(s.Engine.pipeline()))
-	plBuf = transport.AppendTag(plBuf, uint64(s.Engine.maxBatch()))
+	plBuf = transport.AppendTag(plBuf, uint64(s.Engine.PipelineDepth()))
+	plBuf = transport.AppendTag(plBuf, uint64(s.Engine.MaxBatchSize()))
 	if err := conn.Send(transport.MsgPipeline, plBuf); err != nil {
 		return fail(err)
 	}
@@ -338,7 +332,7 @@ func (s *Server) ServeSession(conn *transport.Conn) (*Stats, error) {
 
 	// OT pool: announce the server's policy and bulk-fill at setup with the
 	// weight bits as choices, so an inference's input steps only unmask.
-	otp := precomp.NewReceiverPool(mc, ots, rng, s.OTPool.Sized(len(weightBits), s.Engine.pipeline()))
+	otp := precomp.NewReceiverPool(mc, ots, rng, s.OTPool.Sized(len(weightBits), s.Engine.PipelineDepth()))
 	otp.SetKey(weightBits)
 	otp.SetMetrics(set)
 	if err := otp.Announce(); err != nil {
@@ -366,7 +360,7 @@ type Client struct {
 	Engine EngineConfig
 
 	mu    sync.Mutex
-	progs map[string]*netgen.Program
+	progs map[string]*compiled
 	banks map[string]*bank.Bank
 	set   *obs.Set // the client's ledger, made on first use
 }
@@ -397,7 +391,7 @@ func (c *Client) bankFor(specData []byte, prog *netgen.Program) *bank.Bank {
 	if c.banks == nil {
 		c.banks = make(map[string]*bank.Bank)
 	}
-	b := bank.NewWithPool(prog.Schedule, rngOrDefault(c.Rng), c.Engine.newPool(), c.Engine.Bank)
+	b := bank.New(prog.Schedule, rngOrDefault(c.Rng), c.Engine.newPool(), c.Engine.Bank)
 	b.SetMetrics(set)
 	c.banks[key] = b
 	return b
@@ -417,32 +411,30 @@ func (c *Client) Close() {
 	}
 }
 
+// compiled is one spec's entry in the client's program cache: whoever gets
+// there first compiles, everyone else waits for that result.
+type compiled struct {
+	once sync.Once
+	prog *netgen.Program
+	err  error
+}
+
 // program returns the compiled tape for the given public spec, compiling
-// at most once per distinct spec.
+// once per distinct spec however many sessions open on it at the same time.
 func (c *Client) program(specData []byte, net *nn.Network, f fixed.Format) (*netgen.Program, error) {
 	key := string(specData)
 	c.mu.Lock()
-	prog, ok := c.progs[key]
-	c.mu.Unlock()
-	if ok {
-		return prog, nil
-	}
-	prog, err := netgen.Compile(net, f, netgen.Options{})
-	if err != nil {
-		return nil, err
-	}
-	c.mu.Lock()
 	if c.progs == nil {
-		c.progs = make(map[string]*netgen.Program)
+		c.progs = make(map[string]*compiled)
 	}
-	// Keep whichever compile won the race; they are identical.
-	if prior, ok := c.progs[key]; ok {
-		prog = prior
-	} else {
-		c.progs[key] = prog
+	e := c.progs[key]
+	if e == nil {
+		e = new(compiled)
+		c.progs[key] = e
 	}
 	c.mu.Unlock()
-	return prog, nil
+	e.once.Do(func() { e.prog, e.err = netgen.Compile(net, f, netgen.Options{}) })
+	return e.prog, e.err
 }
 
 // Session is an open multi-inference protocol session from the client
@@ -617,11 +609,11 @@ func (c *Client) NewSession(conn *transport.Conn) (sess *Session, err error) {
 	if err != nil {
 		return nil, err
 	}
-	window := c.Engine.pipeline()
+	window := c.Engine.PipelineDepth()
 	if announced < uint64(window) {
 		window = int(announced)
 	}
-	maxBatch := c.Engine.maxBatch()
+	maxBatch := c.Engine.MaxBatchSize()
 	if announcedBatch < uint64(maxBatch) {
 		maxBatch = int(announcedBatch)
 	}
@@ -941,7 +933,7 @@ func (s *Session) InferBatchAsync(xs [][]float64) (*PendingBatch, error) {
 	// never re-issued. A miss (bank off, drained, or its spilled tables
 	// unreadable — the take error degrades to a miss because live garbling
 	// is always correct) garbles live.
-	var src tableSource
+	var src bank.Source
 	if s.bank != nil {
 		if exs, _ := s.bank.TakeN(b, p.set); exs != nil {
 			defer func() {
@@ -949,17 +941,17 @@ func (s *Session) InferBatchAsync(xs [][]float64) (*PendingBatch, error) {
 					ex.Release()
 				}
 			}()
-			src = newBankSource(exs)
+			src = bank.Banked(exs)
 		}
 	}
 	hit := src != nil
 	if src == nil {
-		if src, err = newLiveSource(s.rng, b, s.prog.Schedule, s.pool); err != nil {
+		if src, err = bank.NewLive(s.rng, b, s.prog.Schedule, s.pool); err != nil {
 			return fail(err)
 		}
 	}
 	streamStart := time.Now()
-	constPayload, err := src.consts(s.labelBuf[:0])
+	constPayload, err := src.Consts(s.labelBuf[:0])
 	if err != nil {
 		return fail(err)
 	}
@@ -996,7 +988,7 @@ func (s *Session) InferBatchAsync(xs [][]float64) (*PendingBatch, error) {
 	// array) or the banked material is released here, not when the
 	// outputs return. Gate-instance counts derive from the schedule,
 	// walked once per sample.
-	p.deltas = src.deltas()
+	p.deltas = src.Deltas()
 	p.outZero = en.outZero
 	p.set.GatesAnd.Add(s.prog.Schedule.ANDs * int64(b))
 	p.set.GatesFree.Add((int64(len(s.prog.Schedule.Gates)) - s.prog.Schedule.ANDs) * int64(b))

@@ -2,6 +2,7 @@ package core
 
 import (
 	"math/rand"
+	"runtime"
 	"sync"
 	"testing"
 
@@ -262,30 +263,65 @@ func TestValidationErrorKeepsSessionUsable(t *testing.T) {
 }
 
 func TestClientProgramCacheSharedAcrossSessions(t *testing.T) {
-	// Two sessions against the same model must compile the client-side
-	// netlist once (the cache is keyed by the public spec).
+	// Sessions against the same model compile the client-side netlist once
+	// (the cache is keyed by the public spec) — also when they are the
+	// client's first sessions and open at the same time.
 	f := fixed.Default
 	net := testNet(t, act.ReLU, 24)
-	cli := &Client{Rng: rand.New(rand.NewSource(331))}
-	for i := 0; i < 2; i++ {
+	const n = 4
+	cli := &Client{}
+	srv := &Server{Net: net, Fmt: f}
+	var wg sync.WaitGroup
+	for i := 0; i < n; i++ {
 		cConn, sConn, closer := transport.Pipe()
-		srv := &Server{Net: net, Fmt: f, Rng: rand.New(rand.NewSource(int64(332 + i)))}
-		var wg sync.WaitGroup
-		wg.Add(1)
+		defer closer.Close()
+		wg.Add(2)
 		go func() {
 			defer wg.Done()
 			if _, err := srv.ServeSession(sConn); err != nil {
 				t.Errorf("server: %v", err)
 			}
 		}()
-		x := make([]float64, 6)
-		if _, _, err := cli.Infer(cConn, x); err != nil {
-			t.Fatalf("session %d: %v", i, err)
-		}
-		wg.Wait()
-		closer.Close()
+		go func() {
+			defer wg.Done()
+			if _, _, err := cli.Infer(cConn, make([]float64, 6)); err != nil {
+				t.Errorf("session %d: %v", i, err)
+			}
+		}()
 	}
-	if n := len(cli.progs); n != 1 {
-		t.Fatalf("client cached %d programs, want 1", n)
+	wg.Wait()
+	if got := len(cli.progs); got != 1 {
+		t.Fatalf("client cached %d programs, want 1", got)
+	}
+	// The n racing look-ups of a fresh client together allocate about what
+	// one compile does: each used to compile for itself, and all but one
+	// result was thrown away.
+	specData, err := net.Spec(f).Marshal()
+	if err != nil {
+		t.Fatal(err)
+	}
+	allocated := func(lookups int) uint64 {
+		c := &Client{}
+		var before, after runtime.MemStats
+		var wg sync.WaitGroup
+		start := make(chan struct{})
+		runtime.ReadMemStats(&before)
+		for i := 0; i < lookups; i++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				<-start
+				if _, err := c.program(specData, net, f); err != nil {
+					t.Error(err)
+				}
+			}()
+		}
+		close(start)
+		wg.Wait()
+		runtime.ReadMemStats(&after)
+		return after.TotalAlloc - before.TotalAlloc
+	}
+	if one, many := allocated(1), allocated(n); many > 2*one {
+		t.Fatalf("%d concurrent first look-ups allocated %d bytes, one compile %d: the spec was compiled more than once", n, many, one)
 	}
 }

@@ -13,24 +13,26 @@
 // refiller that garbles on a helper goroutine while the session is
 // wire-bound. Banked executions are strictly single-use: they are
 // seq-numbered at garble time, handed out in FIFO order, removed from the
-// bank permanently on Take (a consumer that dies mid-stream discards its
+// bank permanently on TakeN (a consumer that dies mid-stream discards its
 // execution; it is never re-issued), and zeroed on release. Exhaustion
-// never blocks — Take reports a miss and the caller falls back to live
+// never blocks — TakeN reports a miss and the caller falls back to live
 // garbling, so a cold or drained bank degrades to exactly the bank-off
 // protocol.
 //
 // With SpillDir set, each banked execution's table bytes (the dominant
 // memory cost, ANDs×32 bytes per execution) are spilled to disk and read
-// back (and the file deleted — single-use on disk too) on Take; labels
+// back (and the file deleted — single-use on disk too) on TakeN; labels
 // stay in memory. Spilled tables are plaintext garbled tables: protect
 // the directory like any key material.
 //
-// Determinism: the fill's garble walk draws randomness in exactly the
-// order the live garbling engine does (delta, constant-wire labels, then
-// input labels in schedule-step order) and stores each level run's tables
-// contiguously, so for the same rng state a banked execution's bytes are
-// identical to what live garbling would have put on the wire — the
-// conformance property the core tests pin.
+// Determinism: a fill garbles each execution by driving a one-sample live
+// table source — the one an inference without a bank garbles through —
+// along the engine's walk and recording what it hands out (source.go), so
+// for the same rng state a banked execution's bytes are identical to what
+// live garbling would have put on the wire: the conformance property the
+// core tests pin. This package is also the only one that knows what an
+// execution stores: the engine reads one back through the same Source
+// interface it garbles live through.
 package bank
 
 import (
@@ -55,7 +57,7 @@ type Config struct {
 	// LowWater triggers a background refill once the unconsumed bank
 	// drops below it. 0 defaults to Depth/4 (minimum 1).
 	LowWater int
-	// Background refills the bank on a helper goroutine after a Take
+	// Background refills the bank on a helper goroutine after a TakeN
 	// leaves it below low water, so banked executions regenerate while
 	// the session is wire-bound. Requires an rng that is safe for
 	// concurrent use (crypto/rand; deterministic test readers are only
@@ -63,7 +65,7 @@ type Config struct {
 	Background bool
 	// SpillDir, when non-empty, spills each banked execution's table
 	// bytes to a file under the directory instead of holding them in
-	// memory; Take reads the file back and deletes it.
+	// memory; TakeN reads the file back and deletes it.
 	SpillDir string
 }
 
@@ -102,32 +104,30 @@ type Stats struct {
 
 // Execution is one pre-garbled inference: everything the garbler's side
 // of the protocol produces except the input-bit-dependent label
-// selection. Fields are read-only to consumers; Release zeroes the
+// selection, each kind as one flat sequence in the order the walk asks for
+// it. Consumers read it through a Source (Banked); Release zeroes the
 // secret material when the consumer is done (or has died mid-stream).
 type Execution struct {
 	seq int64
 
-	// R is the execution's Free-XOR delta; the active label of input bit
-	// b on a wire with zero-label Z is Z ⊕ b·R.
-	R gc.Label
-	// ConstFalse/ConstTrue are the active constant-wire labels the
-	// garbler sends at inference start.
-	ConstFalse, ConstTrue gc.Label
-	// InputZero holds, per StepInputs step of the schedule (both
-	// parties' steps, in schedule order), the zero-labels of the step's
-	// wires in declaration order.
-	InputZero [][]gc.Label
-	// Tables holds, per StepLevels step of the schedule, the run's full
-	// garbled-table byte stream (levels contiguous, gate rank within a
-	// level fixing each table's offset — the exact bytes live garbling
-	// streams).
-	Tables [][]byte
-	// OutZero are the output wires' zero-labels, what output
+	// r is the execution's Free-XOR delta; the active label of input bit
+	// b on a wire with zero-label Z is Z ⊕ b·r.
+	r gc.Label
+	// consts holds the active constant-wire labels the garbler sends at
+	// inference start: false, then true.
+	consts []byte
+	// inZero holds the zero-labels of every input wire, both parties'
+	// steps in schedule order, each step's wires in declaration order.
+	inZero []gc.Label
+	// tables holds the full garbled-table byte stream (level runs and
+	// their levels contiguous, gate rank within a level fixing each
+	// table's offset — the exact bytes live garbling streams); nil while
+	// spilled.
+	tables []byte
+	// outZero are the output wires' zero-labels, what output
 	// authentication needs. Release keeps them: ownership transfers to
 	// the pending inference.
-	OutZero []gc.Label
-
-	ANDGates, FreeGates int64
+	outZero []gc.Label
 
 	spill string // path of the spilled tables file, "" when in memory
 }
@@ -140,39 +140,28 @@ func (ex *Execution) Seq() int64 { return ex.seq }
 // Release zeroes the execution's table bytes and input labels. Call it
 // once the stream is flushed — or on a failed inference, where the
 // execution is discarded (it was already removed from the bank, so it
-// can never be re-issued). OutZero and R are kept: output authentication
-// still needs them after the stream is gone.
+// can never be re-issued). The output zero-labels and the delta are kept:
+// output authentication still needs them after the stream is gone.
 func (ex *Execution) Release() { ex.zero(false) }
 
 func (ex *Execution) zero(full bool) {
-	for _, run := range ex.Tables {
-		for i := range run {
-			run[i] = 0
-		}
-	}
-	ex.Tables = nil
-	for _, zs := range ex.InputZero {
-		for i := range zs {
-			zs[i] = gc.Label{}
-		}
-	}
-	ex.InputZero = nil
-	ex.ConstFalse, ex.ConstTrue = gc.Label{}, gc.Label{}
+	clear(ex.tables)
+	clear(ex.inZero)
+	clear(ex.consts)
+	ex.tables, ex.inZero, ex.consts = nil, nil, nil
 	if ex.spill != "" {
 		os.Remove(ex.spill) //nolint:errcheck — best-effort cleanup
 		ex.spill = ""
 	}
 	if full {
-		for i := range ex.OutZero {
-			ex.OutZero[i] = gc.Label{}
-		}
-		ex.OutZero = nil
-		ex.R = gc.Label{}
+		clear(ex.outZero)
+		ex.outZero = nil
+		ex.r = gc.Label{}
 	}
 }
 
 // Bank is a FIFO of pre-garbled executions for one compiled schedule.
-// Take/TakeN/Fill/Stats are safe for concurrent use (a client may share
+// TakeN/Fill/Stats are safe for concurrent use (a client may share
 // one bank across sessions of the same program); the rng must then be
 // concurrency-safe too, like any multi-session randomness source.
 type Bank struct {
@@ -198,19 +187,11 @@ type Bank struct {
 	set *obs.Set // the ledger this bank records in
 }
 
-// New creates a bank for one compiled schedule. workers sizes the bank's
-// private garbling worker pool (0 derives it from GOMAXPROCS via
-// gc.NewPool semantics — pass the engine's resolved worker count).
-func New(sched *circuit.Schedule, rng io.Reader, workers int, cfg Config) *Bank {
-	return NewWithPool(sched, rng, gc.NewPool(workers), cfg)
-}
-
-// NewWithPool creates a bank that garbles on the caller's pool instead
-// of a private worker set — typically a shared-scheduler pool, so
-// background bank fills steal idle machine capacity rather than adding
-// goroutines. The bank serializes its own fills (one stateful schedule
-// walk at a time), so any pool safe for batch calls works here.
-func NewWithPool(sched *circuit.Schedule, rng io.Reader, pool *gc.Pool, cfg Config) *Bank {
+// New creates a bank for one compiled schedule that garbles on the
+// caller's pool — the engine's view of the shared scheduler, so background
+// fills steal idle machine capacity rather than adding goroutines. The bank
+// serializes its own fills (one stateful schedule walk at a time).
+func New(sched *circuit.Schedule, rng io.Reader, pool *gc.Pool, cfg Config) *Bank {
 	return &Bank{sched: sched, rng: rng, cfg: cfg, pool: pool, set: obs.NewSet(obs.Root)}
 }
 
@@ -224,9 +205,6 @@ func (b *Bank) Metrics() *obs.Set { return b.set }
 // share its ledger: Stats then counts them together. Call before the
 // first Fill.
 func (b *Bank) SetMetrics(s *obs.Set) { b.set = s }
-
-// Config returns the bank's (raw) configuration.
-func (b *Bank) Config() Config { return b.cfg }
 
 // Stats reads the bank's counters out of its ledger. An execution banked
 // is one observation of the bank_refill phase, so that histogram holds the
@@ -328,25 +306,15 @@ func (b *Bank) insert(ex *Execution, dt time.Duration) {
 	b.set.BankAvailable.Set(int64(avail))
 }
 
-// Take removes and returns the oldest banked execution, or (nil, nil)
-// on an empty bank — the miss that tells the caller to garble live. A
-// taken execution is gone from the bank permanently, whatever its
-// consumer's fate. A background refill is kicked off when the take
-// leaves the bank below low water.
-func (b *Bank) Take() (*Execution, error) {
-	exs, err := b.TakeN(1, b.set)
-	if err != nil || exs == nil {
-		return nil, err
-	}
-	return exs[0], nil
-}
-
 // TakeN removes and returns the n oldest banked executions —
 // all-or-nothing: a bank holding fewer than n hands out none of them and
-// reports (nil, nil). Batched consumers assemble their fused stream from n
-// single executions. The outcome — n hits or n misses, one per sample the
-// taker will garble — is recorded in rec, the taker's ledger (the bank's
-// own or one under it).
+// reports (nil, nil), the miss that tells the caller to garble live; it
+// never blocks. Batched consumers assemble their fused stream from n
+// single executions (Banked). A taken execution is gone from the bank
+// permanently, whatever its consumer's fate, and a take that leaves the
+// bank below low water kicks off a background refill. The outcome — n
+// hits or n misses, one per sample the taker will garble — is recorded in
+// rec, the taker's ledger (the bank's own or one under it).
 func (b *Bank) TakeN(n int, rec *obs.Set) ([]*Execution, error) {
 	b.mu.Lock()
 	if b.available() < n {
@@ -450,83 +418,18 @@ func (b *Bank) Close() {
 	b.mu.Unlock()
 }
 
-// garbleOne pre-garbles one execution: the recording twin of the live
-// garbling engine's schedule walk. The rng draw order — delta, constant
-// labels, then one fresh label per input wire in schedule-step order —
-// matches live garbling exactly, and each level run's tables land
-// contiguously in run order, so the recorded bytes are what live
-// garbling would have streamed from the same rng state.
+// garbleOne records one execution (source.go) and, with a SpillDir, moves
+// its tables to disk.
 func (b *Bank) garbleOne() (*Execution, error) {
-	g, err := gc.NewBatchGarbler(b.rng, 1)
-	if err != nil {
-		return nil, err
+	ex, err := record(b.rng, b.sched, b.pool)
+	if err == nil && b.cfg.SpillDir != "" {
+		err = b.spillTables(ex)
 	}
-	ex := &Execution{R: g.R[0]}
-	if ex.ConstFalse, err = g.ActiveLabel(circuit.WFalse, 0, false); err != nil {
-		return nil, err
-	}
-	if ex.ConstTrue, err = g.ActiveLabel(circuit.WTrue, 0, true); err != nil {
-		return nil, err
-	}
-	g.Grow(b.sched.NumWires)
-	for si := range b.sched.Steps {
-		st := &b.sched.Steps[si]
-		switch st.Kind {
-		case circuit.StepInputs:
-			zs := make([]gc.Label, len(st.Wires))
-			for i, w := range st.Wires {
-				if err := g.AssignInput(w); err != nil {
-					return nil, err
-				}
-				if zs[i], err = g.ZeroLabel(w, 0); err != nil {
-					return nil, err
-				}
-			}
-			ex.InputZero = append(ex.InputZero, zs)
-		case circuit.StepOutputs:
-			for _, w := range st.Wires {
-				l, err := g.ZeroLabel(w, 0)
-				if err != nil {
-					return nil, err
-				}
-				ex.OutZero = append(ex.OutZero, l)
-			}
-		case circuit.StepLevels:
-			for _, w := range st.PreDrops {
-				g.Drop(w)
-			}
-			run := make([]byte, st.TableBytes)
-			off := 0
-			for li := st.First; li < st.First+st.N; li++ {
-				lv := &b.sched.Levels[li]
-				ands, frees := b.sched.LevelGates(lv)
-				need := lv.ANDs * gc.TableSize
-				if err := g.GarbleLevel(ands, frees, lv.GIDBase, run[off:off+need], b.pool); err != nil {
-					return nil, err
-				}
-				off += need
-				for _, w := range lv.Drops {
-					g.Drop(w)
-				}
-			}
-			if off != len(run) {
-				return nil, fmt.Errorf("bank: run garbled %d table bytes, schedule says %d", off, len(run))
-			}
-			ex.Tables = append(ex.Tables, run)
-		}
-	}
-	ex.ANDGates, ex.FreeGates = g.ANDGates, g.FreeGates
-	if b.cfg.SpillDir != "" {
-		if err := b.spillTables(ex); err != nil {
-			return nil, err
-		}
-	}
-	return ex, nil
+	return ex, err
 }
 
-// spillTables writes the execution's table runs (concatenated — run
-// lengths are schedule-derived, so the split needs no framing) to a
-// fresh file and drops them from memory.
+// spillTables writes the execution's tables to a fresh file and drops them
+// from memory.
 func (b *Bank) spillTables(ex *Execution) error {
 	b.mu.Lock()
 	n := b.nextSeq + int64(b.available()) // unique enough: inserts are serialized by fillMu
@@ -534,34 +437,27 @@ func (b *Bank) spillTables(ex *Execution) error {
 	b.mu.Unlock()
 	name := filepath.Join(b.cfg.SpillDir, spillID)
 	f, err := os.OpenFile(name, os.O_WRONLY|os.O_CREATE|os.O_EXCL, 0o600)
+	if err == nil {
+		_, err = f.Write(ex.tables)
+		if cerr := f.Close(); err == nil {
+			err = cerr
+		}
+		if err != nil {
+			os.Remove(name) //nolint:errcheck — best-effort cleanup
+		}
+	}
 	if err != nil {
 		return fmt.Errorf("bank: spill: %w", err)
 	}
-	for _, run := range ex.Tables {
-		if _, err := f.Write(run); err != nil {
-			f.Close()
-			os.Remove(name) //nolint:errcheck — best-effort cleanup
-			return fmt.Errorf("bank: spill: %w", err)
-		}
-	}
-	if err := f.Close(); err != nil {
-		os.Remove(name) //nolint:errcheck — best-effort cleanup
-		return fmt.Errorf("bank: spill: %w", err)
-	}
-	for _, run := range ex.Tables {
-		for i := range run {
-			run[i] = 0
-		}
-	}
-	ex.Tables = nil
+	clear(ex.tables)
+	ex.tables = nil
 	ex.spill = name
 	b.set.BankSpills.Inc()
 	return nil
 }
 
 // load reads a spilled execution's tables back (deleting the file —
-// single-use on disk too) and splits them into per-run slices by the
-// schedule's byte accounting.
+// single-use on disk too).
 func (b *Bank) load(ex *Execution) error {
 	data, err := os.ReadFile(ex.spill)
 	os.Remove(ex.spill) //nolint:errcheck — single-use: gone either way
@@ -569,20 +465,9 @@ func (b *Bank) load(ex *Execution) error {
 	if err != nil {
 		return fmt.Errorf("bank: spill load: %w", err)
 	}
-	off := 0
-	for si := range b.sched.Steps {
-		st := &b.sched.Steps[si]
-		if st.Kind != circuit.StepLevels {
-			continue
-		}
-		if off+st.TableBytes > len(data) {
-			return fmt.Errorf("bank: spill file is %d bytes, schedule wants more", len(data))
-		}
-		ex.Tables = append(ex.Tables, data[off:off+st.TableBytes])
-		off += st.TableBytes
+	if want := b.sched.ANDs * gc.TableSize; int64(len(data)) != want {
+		return fmt.Errorf("bank: spill file is %d bytes, schedule wants %d", len(data), want)
 	}
-	if off != len(data) {
-		return fmt.Errorf("bank: spill file has %d surplus bytes", len(data)-off)
-	}
+	ex.tables = data
 	return nil
 }

@@ -100,33 +100,45 @@ func (s *plainEval) OnOutputs(ws []uint32) error {
 
 func (s *plainEval) OnDrop(w uint32) error { return nil }
 
+// take is TakeN(1): the oldest banked execution, or nil on a miss.
+func take(t *testing.T, b *Bank) *Execution {
+	t.Helper()
+	exs, err := b.TakeN(1, b.Metrics())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if exs == nil {
+		return nil
+	}
+	return exs[0]
+}
+
 // evalExecution runs a banked execution through the per-gate reference
 // gc.Evaluator in schedule order (its internal AND counter then lands on
 // every level's GIDBase), selecting input labels from the banked
 // zero-labels and the given bits, and decodes the outputs against
-// OutZero — proving the banked material is a complete, valid garbling.
+// outZero — proving the banked material is a complete, valid garbling.
 func evalExecution(t *testing.T, sched *circuit.Schedule, ex *Execution, gBits, eBits []bool) []bool {
 	t.Helper()
 	e := gc.NewEvaluator()
-	e.SetLabel(circuit.WFalse, ex.ConstFalse)
-	e.SetLabel(circuit.WTrue, ex.ConstTrue)
-	inOrd, tabOrd := 0, 0
+	e.SetLabel(circuit.WFalse, gc.Label(ex.consts[:gc.LabelSize]))
+	e.SetLabel(circuit.WTrue, gc.Label(ex.consts[gc.LabelSize:]))
+	zs, tables := ex.inZero, ex.tables
 	gCur, eCur := gBits, eBits
 	var outs []bool
 	for si := range sched.Steps {
 		st := &sched.Steps[si]
 		switch st.Kind {
 		case circuit.StepInputs:
-			zs := ex.InputZero[inOrd]
-			inOrd++
 			bits := &gCur
 			if st.Party == circuit.Evaluator {
 				bits = &eCur
 			}
-			for i, w := range st.Wires {
-				l := zs[i]
+			for _, w := range st.Wires {
+				l := zs[0]
+				zs = zs[1:]
 				if (*bits)[0] {
-					l = l.XOR(ex.R)
+					l = l.XOR(ex.r)
 				}
 				*bits = (*bits)[1:]
 				e.SetLabel(w, l)
@@ -138,30 +150,28 @@ func evalExecution(t *testing.T, sched *circuit.Schedule, ex *Execution, gBits, 
 					t.Fatal(err)
 				}
 				switch l {
-				case ex.OutZero[len(outs)]:
+				case ex.outZero[len(outs)]:
 					outs = append(outs, false)
-				case ex.OutZero[len(outs)].XOR(ex.R):
+				case ex.outZero[len(outs)].XOR(ex.r):
 					outs = append(outs, true)
 				default:
 					t.Fatalf("output %d label failed authentication", oi)
 				}
 			}
 		case circuit.StepLevels:
-			run := ex.Tables[tabOrd]
-			tabOrd++
 			for li := st.First; li < st.First+st.N; li++ {
 				ands, frees := sched.LevelGates(&sched.Levels[li])
 				for _, gate := range append(append([]circuit.Gate{}, ands...), frees...) {
 					var err error
-					if run, err = e.Eval(gate, run); err != nil {
+					if tables, err = e.Eval(gate, tables); err != nil {
 						t.Fatal(err)
 					}
 				}
 			}
-			if len(run) != 0 {
-				t.Fatalf("run %d: %d table bytes left unevaluated", tabOrd-1, len(run))
-			}
 		}
+	}
+	if len(tables) != 0 {
+		t.Fatalf("%d table bytes left unevaluated", len(tables))
 	}
 	return outs
 }
@@ -175,7 +185,7 @@ func TestBankExecutionCorrectness(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	b := New(sched, rand.New(rand.NewSource(7)), 1, Config{Depth: 2})
+	b := New(sched, rand.New(rand.NewSource(7)), gc.NewPool(1), Config{Depth: 2})
 	if err := b.Fill(); err != nil {
 		t.Fatal(err)
 	}
@@ -194,10 +204,7 @@ func TestBankExecutionCorrectness(t *testing.T) {
 		if err := tape.Replay(ref); err != nil {
 			t.Fatal(err)
 		}
-		ex, err := b.Take()
-		if err != nil {
-			t.Fatal(err)
-		}
+		ex := take(t, b)
 		if ex == nil {
 			t.Fatal("bank empty after fill")
 		}
@@ -217,8 +224,8 @@ func TestBankExecutionCorrectness(t *testing.T) {
 // state).
 func TestBankDeterminism(t *testing.T) {
 	sched := testSchedule(t, 42)
-	b1 := New(sched, rand.New(rand.NewSource(5)), 1, Config{Depth: 3})
-	b2 := New(sched, rand.New(rand.NewSource(5)), 4, Config{Depth: 3})
+	b1 := New(sched, rand.New(rand.NewSource(5)), gc.NewPool(1), Config{Depth: 3})
+	b2 := New(sched, rand.New(rand.NewSource(5)), gc.NewPool(4), Config{Depth: 3})
 	if err := b1.Fill(); err != nil {
 		t.Fatal(err)
 	}
@@ -226,27 +233,15 @@ func TestBankDeterminism(t *testing.T) {
 		t.Fatal(err)
 	}
 	for k := 0; k < 3; k++ {
-		x1, err := b1.Take()
-		if err != nil {
-			t.Fatal(err)
-		}
-		x2, err := b2.Take()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if x1.R != x2.R || x1.ConstFalse != x2.ConstFalse || x1.ConstTrue != x2.ConstTrue {
+		x1, x2 := take(t, b1), take(t, b2)
+		if x1.r != x2.r || !bytes.Equal(x1.consts, x2.consts) {
 			t.Fatalf("exec %d: deltas/const labels differ across workers", k)
 		}
-		if len(x1.Tables) != len(x2.Tables) {
-			t.Fatalf("exec %d: table run counts differ", k)
+		if !bytes.Equal(x1.tables, x2.tables) {
+			t.Fatalf("exec %d: table bytes differ between workers=1 and workers=4", k)
 		}
-		for i := range x1.Tables {
-			if !bytes.Equal(x1.Tables[i], x2.Tables[i]) {
-				t.Fatalf("exec %d run %d: table bytes differ between workers=1 and workers=4", k, i)
-			}
-		}
-		for i := range x1.OutZero {
-			if x1.OutZero[i] != x2.OutZero[i] {
+		for i := range x1.outZero {
+			if x1.outZero[i] != x2.outZero[i] {
 				t.Fatalf("exec %d: output zero-label %d differs", k, i)
 			}
 		}
@@ -259,16 +254,13 @@ func TestBankDeterminism(t *testing.T) {
 // authentication needs.
 func TestBankSingleUse(t *testing.T) {
 	sched := testSchedule(t, 43)
-	b := New(sched, rand.New(rand.NewSource(11)), 1, Config{Depth: 3})
+	b := New(sched, rand.New(rand.NewSource(11)), gc.NewPool(1), Config{Depth: 3})
 	if err := b.Fill(); err != nil {
 		t.Fatal(err)
 	}
 	var last int64 = -1
 	for k := 0; k < 3; k++ {
-		ex, err := b.Take()
-		if err != nil {
-			t.Fatal(err)
-		}
+		ex := take(t, b)
 		if ex.Seq() <= last {
 			t.Fatalf("take %d: seq %d not after %d", k, ex.Seq(), last)
 		}
@@ -276,26 +268,23 @@ func TestBankSingleUse(t *testing.T) {
 		if b.Seq() != ex.Seq()+1 {
 			t.Fatalf("bank seq %d after consuming %d", b.Seq(), ex.Seq())
 		}
-		tabs := ex.Tables
+		tabs := ex.tables
 		ex.Release()
-		if ex.Tables != nil || ex.InputZero != nil {
+		if ex.tables != nil || ex.inZero != nil {
 			t.Fatal("Release kept stream material")
 		}
-		for _, run := range tabs {
-			for _, c := range run {
-				if c != 0 {
-					t.Fatal("Release left table bytes unzeroed")
-				}
+		for _, c := range tabs {
+			if c != 0 {
+				t.Fatal("Release left table bytes unzeroed")
 			}
 		}
-		if len(ex.OutZero) == 0 {
+		if len(ex.outZero) == 0 {
 			t.Fatal("Release dropped output zero-labels")
 		}
 	}
 	// Drained: the next take is a miss, not a block and not a reuse.
-	ex, err := b.Take()
-	if err != nil || ex != nil {
-		t.Fatalf("empty bank Take = (%v, %v), want (nil, nil)", ex, err)
+	if ex := take(t, b); ex != nil {
+		t.Fatalf("empty bank take = %v, want a miss", ex)
 	}
 	st := b.Stats()
 	if st.Hits != 3 || st.Misses != 1 || st.Banked != 3 {
@@ -307,7 +296,7 @@ func TestBankSingleUse(t *testing.T) {
 // takes none of them and the available ones remain consumable.
 func TestBankTakeN(t *testing.T) {
 	sched := testSchedule(t, 44)
-	b := New(sched, rand.New(rand.NewSource(13)), 1, Config{Depth: 2})
+	b := New(sched, rand.New(rand.NewSource(13)), gc.NewPool(1), Config{Depth: 2})
 	if err := b.Fill(); err != nil {
 		t.Fatal(err)
 	}
@@ -337,8 +326,8 @@ func TestBankTakeN(t *testing.T) {
 func TestBankSpill(t *testing.T) {
 	sched := testSchedule(t, 45)
 	dir := t.TempDir()
-	bm := New(sched, rand.New(rand.NewSource(17)), 1, Config{Depth: 2})
-	bs := New(sched, rand.New(rand.NewSource(17)), 1, Config{Depth: 2, SpillDir: dir})
+	bm := New(sched, rand.New(rand.NewSource(17)), gc.NewPool(1), Config{Depth: 2})
+	bs := New(sched, rand.New(rand.NewSource(17)), gc.NewPool(1), Config{Depth: 2, SpillDir: dir})
 	if err := bm.Fill(); err != nil {
 		t.Fatal(err)
 	}
@@ -360,21 +349,8 @@ func TestBankSpill(t *testing.T) {
 		t.Fatalf("spill file mode %v, want 0600", fi.Mode().Perm())
 	}
 	for k := 0; k < 2; k++ {
-		xm, err := bm.Take()
-		if err != nil {
-			t.Fatal(err)
-		}
-		xs, err := bs.Take()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(xm.Tables) != len(xs.Tables) {
-			t.Fatalf("exec %d: run counts differ", k)
-		}
-		for i := range xm.Tables {
-			if !bytes.Equal(xm.Tables[i], xs.Tables[i]) {
-				t.Fatalf("exec %d run %d: spilled tables differ from in-memory", k, i)
-			}
+		if xm, xs := take(t, bm), take(t, bs); !bytes.Equal(xm.tables, xs.tables) {
+			t.Fatalf("exec %d: spilled tables differ from in-memory", k)
 		}
 	}
 	ents, err = os.ReadDir(dir)
@@ -395,13 +371,13 @@ func TestBankBackgroundRefill(t *testing.T) {
 	sched := testSchedule(t, 46)
 	// crand-style concurrency-safe rng not needed: refills serialize on
 	// fillMu and the foreground never garbles in this test.
-	b := New(sched, rand.New(rand.NewSource(19)), 1, Config{Depth: 4, LowWater: 3, Background: true})
+	b := New(sched, rand.New(rand.NewSource(19)), gc.NewPool(1), Config{Depth: 4, LowWater: 3, Background: true})
 	if err := b.Fill(); err != nil {
 		t.Fatal(err)
 	}
 	for k := 0; k < 2; k++ {
-		if ex, err := b.Take(); err != nil || ex == nil {
-			t.Fatalf("take %d: (%v, %v)", k, ex, err)
+		if take(t, b) == nil {
+			t.Fatalf("take %d missed", k)
 		}
 	}
 	deadline := time.Now().Add(5 * time.Second)
@@ -415,7 +391,7 @@ func TestBankBackgroundRefill(t *testing.T) {
 		t.Fatalf("stats = %+v, want the initial fill plus a background refill", st)
 	}
 	b.Close()
-	if ex, _ := b.Take(); ex != nil {
+	if take(t, b) != nil {
 		t.Fatal("closed bank still serving executions")
 	}
 }

@@ -5,7 +5,6 @@ import (
 	"sync"
 
 	"deepsecure/internal/circuit"
-	"deepsecure/internal/obs"
 	"deepsecure/internal/sched"
 )
 
@@ -19,72 +18,39 @@ import (
 // depends on execution order inside a level and the produced bytes are
 // identical for any worker count.
 
-// Pool is a reusable worker set for batch garbling/evaluation, in one
-// of two modes. A private pool (NewPool) owns per-worker goroutines
-// spawned per batch call, each with a private Hasher so the fixed-key
-// AES state is never shared across goroutines; a single batch call uses
-// a private pool exclusively. A shared pool (NewSharedPool) owns no
-// workers at all: batch calls submit their per-worker spans as chunks
-// to a process-wide sched.Pool, whose fixed worker set steals work
-// across every session's level runs. A shared-mode Pool keeps no
-// per-call state (hashers come from a recycling pool per chunk), so —
-// unlike private mode — it IS safe for concurrent batch calls and one
-// instance can back a whole server.
+// Pool is a width-capped view of a sched.Pool: it owns no workers, and a
+// level run submits its per-worker spans as chunks of one scheduler region,
+// which the scheduler's fixed worker set (and the caller) claim across every
+// session's runs. A Pool keeps no per-call state — each span borrows a
+// Hasher for its lifetime — so one instance is safe for concurrent level
+// runs and can back a whole server.
 //
-// Either mode stripes gates with identical span arithmetic, so the
-// bytes produced never depend on the mode or on which goroutine ran a
-// span (pinned by TestSharedPoolConformance).
+// Span arithmetic depends on the width and the level alone, and every table
+// lands at a rank-derived offset, so the bytes produced never depend on the
+// width or on which goroutine ran a span (TestSharedPoolMatchesPrivate).
 type Pool struct {
-	hashers []*Hasher
-
-	// Shared mode: submit spans to this scheduler, fanning out at most
-	// width ways. hashers is nil in shared mode.
-	shared *sched.Pool
-	width  int
+	sched *sched.Pool
+	width int
 }
 
-// NewPool builds a private pool of n workers (n < 1 is clamped to 1,
-// the sequential mode).
-func NewPool(n int) *Pool {
-	if n < 1 {
-		n = 1
-	}
-	hs := make([]*Hasher, n)
-	for i := range hs {
-		hs[i] = NewHasher()
-	}
-	return &Pool{hashers: hs}
-}
+// NewPool builds a pool of width n on the process-wide scheduler.
+func NewPool(n int) *Pool { return NewSharedPool(sched.Default(), n) }
 
-// NewSharedPool builds a pool that submits its level runs to the shared
-// scheduler s, fanning each run out at most width ways (width < 1 is
-// clamped to 1). The returned Pool is safe for concurrent batch calls;
-// the byte streams it produces are identical to a width-worker private
-// pool's.
+// NewSharedPool builds a pool that submits its level runs to the scheduler
+// s, fanning each run out at most width ways (width < 1 is clamped to 1,
+// which runs every level inline).
 func NewSharedPool(s *sched.Pool, width int) *Pool {
 	if width < 1 {
 		width = 1
 	}
-	return &Pool{shared: s, width: width}
+	return &Pool{sched: s, width: width}
 }
 
-// Workers returns the pool's fan-out width: the worker count of a
-// private pool, the per-run width cap of a shared one.
-func (p *Pool) Workers() int {
-	if p.shared != nil {
-		return p.width
-	}
-	return len(p.hashers)
-}
+// Workers returns the pool's fan-out width.
+func (p *Pool) Workers() int { return p.width }
 
-// Shared reports whether this pool submits to a shared scheduler (and
-// is therefore safe for concurrent batch calls).
-func (p *Pool) Shared() bool { return p.shared != nil }
-
-// hasherPool recycles Hashers for shared-mode chunks: a shared gc.Pool
-// owns no workers, so each executed chunk borrows a hasher for its
-// lifetime. The AES round keys are fixed, so any hasher is
-// interchangeable with any other.
+// hasherPool recycles Hashers: a span borrows one for its lifetime. The AES
+// round keys are fixed, so any hasher is interchangeable with any other.
 var hasherPool = sync.Pool{New: func() any { return NewHasher() }}
 
 // parallelMinANDs is the smallest AND count worth fanning out: below it,
@@ -118,7 +84,7 @@ const (
 // handed to workers remain gate ranges (samples stay innermost, per
 // worker, for cache locality).
 func (p *Pool) run(nAND, nFree, scale int, fn func(h *Hasher, andLo, andHi, freeLo, freeHi int) error) error {
-	w := p.Workers()
+	w := p.width
 	if n := nAND + nFree; w > n {
 		w = n
 	}
@@ -131,66 +97,29 @@ func (p *Pool) run(nAND, nFree, scale int, fn func(h *Hasher, andLo, andHi, free
 	// produced, so the clamp is a pure scheduling choice.
 	if lim := (nAND*scale)/laneMinANDs + (nFree*scale)/laneMinFrees; w > lim {
 		w = lim
-		if w < 1 {
-			w = 1
-		}
 	}
 	if w <= 1 || (nAND*scale < parallelMinANDs && (nAND+nFree)*scale < parallelMinGates) {
-		if p.shared != nil {
-			h := hasherPool.Get().(*Hasher)
-			err := fn(h, 0, nAND, 0, nFree)
-			hasherPool.Put(h)
-			return err
-		}
-		return fn(p.hashers[0], 0, nAND, 0, nFree)
+		return span(fn, 0, nAND, 0, nFree)
 	}
-	if p.shared != nil {
-		// Shared mode: the same w spans, as chunks of one scheduler
-		// region. Workers (and this goroutine) steal chunks across every
-		// active region in the process; span arithmetic is untouched, so
-		// the produced bytes match private mode exactly.
-		return p.shared.Do(w, func(i int) error {
-			andLo, andHi := i*nAND/w, (i+1)*nAND/w
-			freeLo, freeHi := i*nFree/w, (i+1)*nFree/w
-			if andLo == andHi && freeLo == freeHi {
-				return nil
-			}
-			h := hasherPool.Get().(*Hasher)
-			err := fn(h, andLo, andHi, freeLo, freeHi)
-			hasherPool.Put(h)
-			return err
-		})
-	}
-	errs := make([]error, w)
-	var wg sync.WaitGroup
-	for i := 0; i < w; i++ {
+	// The w spans are the chunks of one scheduler region: workers (and this
+	// goroutine) steal chunks across every active region in the process, and
+	// a panicking span comes back as the region's error.
+	return p.sched.Do(w, func(i int) error {
 		andLo, andHi := i*nAND/w, (i+1)*nAND/w
 		freeLo, freeHi := i*nFree/w, (i+1)*nFree/w
 		if andLo == andHi && freeLo == freeHi {
-			continue
+			return nil
 		}
-		wg.Add(1)
-		go func(i, andLo, andHi, freeLo, freeHi int) {
-			defer wg.Done()
-			// Contain span panics like the shared scheduler does: a
-			// private pool's workers are still session-owned goroutines,
-			// and an escaped panic would kill the whole process instead
-			// of failing this one level run.
-			defer func() {
-				if v := recover(); v != nil {
-					errs[i] = obs.Panicked(fmt.Sprintf("gc: worker %d", i), v)
-				}
-			}()
-			errs[i] = fn(p.hashers[i], andLo, andHi, freeLo, freeHi)
-		}(i, andLo, andHi, freeLo, freeHi)
-	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return err
-		}
-	}
-	return nil
+		return span(fn, andLo, andHi, freeLo, freeHi)
+	})
+}
+
+// span runs fn over one span with a borrowed hasher.
+func span(fn func(h *Hasher, andLo, andHi, freeLo, freeHi int) error, andLo, andHi, freeLo, freeHi int) error {
+	h := hasherPool.Get().(*Hasher)
+	err := fn(h, andLo, andHi, freeLo, freeHi)
+	hasherPool.Put(h)
+	return err
 }
 
 // garbleAND is the half-gates AND garbler against explicit coordinates:

@@ -27,33 +27,52 @@ func garbleLevelTables(t *testing.T, pool *Pool, nAND, nFree int) []byte {
 	return tables
 }
 
-// TestSharedPoolMatchesPrivate pins the tentpole's byte-determinism
-// claim at the gc layer: a shared-scheduler pool of width w produces the
-// exact table bytes a private pool of w workers produces, for every
-// width and for level sizes on both sides of the parallel clamps.
+// perGateTables garbles the level garbleLevelTables garbles, from the same
+// seeds, one gate at a time on the reference Garbler.
+func perGateTables(t *testing.T, nAND, nFree int) []byte {
+	t.Helper()
+	g, err := NewGarbler(rand.New(rand.NewSource(61)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	assign := func(w uint32) error { _, err := g.AssignInput(w); return err }
+	ands, frees, _ := independentLevel(t, assign, rand.New(rand.NewSource(62)), nAND, nFree)
+	var tables []byte
+	for _, gate := range append(ands, frees...) {
+		if tables, err = g.Garble(gate, tables); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return tables
+}
+
+// TestSharedPoolMatchesPrivate pins byte-determinism at the gc layer: on
+// one scheduler, a pool of width 1 (every level inline) and pools of width
+// 2 and 4 (levels fanned out as scheduler chunks) produce the exact table
+// bytes the per-gate Garbler.Garble reference produces, for level sizes on
+// both sides of the parallel clamps.
 func TestSharedPoolMatchesPrivate(t *testing.T) {
 	s := sched.New(4)
 	defer s.Close()
-	for _, w := range []int{1, 2, 4} {
-		for _, sz := range []struct{ nAND, nFree int }{{8, 4}, {200, 100}, {1024, 512}} {
-			private := garbleLevelTables(t, NewPool(w), sz.nAND, sz.nFree)
-			shared := garbleLevelTables(t, NewSharedPool(s, w), sz.nAND, sz.nFree)
-			if !bytes.Equal(private, shared) {
-				t.Fatalf("width=%d nAND=%d nFree=%d: shared-pool tables differ from private-pool tables", w, sz.nAND, sz.nFree)
+	for _, sz := range []struct{ nAND, nFree int }{{8, 4}, {200, 100}, {1024, 512}} {
+		want := perGateTables(t, sz.nAND, sz.nFree)
+		for _, w := range []int{1, 2, 4} {
+			if got := garbleLevelTables(t, NewSharedPool(s, w), sz.nAND, sz.nFree); !bytes.Equal(want, got) {
+				t.Fatalf("width=%d nAND=%d nFree=%d: tables differ from the per-gate reference", w, sz.nAND, sz.nFree)
 			}
 		}
 	}
 }
 
-// TestSharedPoolConcurrentSessions drives one shared scheduler from many
+// TestSharedPoolConcurrentSessions drives one scheduler from many
 // concurrent "sessions" (independent garblers) and checks every stream
-// still matches its private-pool baseline — the multi-tenant shape the
+// still matches the inline (width 1) baseline — the multi-tenant shape the
 // server runs, where chunk stealing interleaves sessions arbitrarily.
 // Run with -race.
 func TestSharedPoolConcurrentSessions(t *testing.T) {
 	s := sched.New(4)
 	defer s.Close()
-	want := garbleLevelTables(t, NewPool(4), 512, 256)
+	want := garbleLevelTables(t, NewSharedPool(s, 1), 512, 256)
 	const sessions = 8
 	var wg sync.WaitGroup
 	errs := make(chan string, sessions)
@@ -63,7 +82,7 @@ func TestSharedPoolConcurrentSessions(t *testing.T) {
 			defer wg.Done()
 			got := garbleLevelTables(t, NewSharedPool(s, 4), 512, 256)
 			if !bytes.Equal(want, got) {
-				errs <- "concurrent shared-pool stream diverged from private baseline"
+				errs <- "concurrent stream diverged from the inline baseline"
 			}
 		}()
 	}
@@ -74,15 +93,15 @@ func TestSharedPoolConcurrentSessions(t *testing.T) {
 	}
 }
 
-// TestSharedPoolOnClosedScheduler checks graceful degradation: a shared
-// pool over a closed scheduler still garbles correctly (inline), so
-// engine shutdown ordering can never corrupt a trailing level run.
+// TestSharedPoolOnClosedScheduler checks graceful degradation: a pool over
+// a closed scheduler still garbles correctly (inline), so engine shutdown
+// ordering can never corrupt a trailing level run.
 func TestSharedPoolOnClosedScheduler(t *testing.T) {
 	s := sched.New(2)
 	s.Close()
-	want := garbleLevelTables(t, NewPool(2), 200, 100)
+	want := perGateTables(t, 200, 100)
 	got := garbleLevelTables(t, NewSharedPool(s, 2), 200, 100)
 	if !bytes.Equal(want, got) {
-		t.Fatal("closed-scheduler shared pool produced different tables")
+		t.Fatal("closed-scheduler pool produced different tables")
 	}
 }

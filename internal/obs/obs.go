@@ -421,10 +421,6 @@ type MetricSnapshot struct {
 	Hist   HistogramSnapshot // set when Kind == KindHistogram
 }
 
-// ScaledValue returns the counter/gauge value with the render scale
-// applied.
-func (m MetricSnapshot) ScaledValue() float64 { return float64(m.Value) * m.Scale }
-
 // Snapshot is a point-in-time copy of every series in a registry, in
 // registration order. It is the single source for the Prometheus
 // exposition, the JSON live view, and the periodic log line, so the

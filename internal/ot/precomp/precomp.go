@@ -104,36 +104,6 @@ type PeerError struct{ Did string }
 
 func (e *PeerError) Error() string { return "precomp: peer " + e.Did }
 
-// Stats is a pool's read-out of its ledger. The durations separate the
-// protocol's two phases: OfflineTime covers bulk OT generation (fills and
-// refills, crypto that hides in setup and idle gaps) and OnlineTime the
-// per-step work left on the inference critical path (masking and
-// unmasking).
-type Stats struct {
-	Generated int64 // OTs produced into the pool
-	Consumed  int64 // pooled OTs spent on input steps
-	Refills   int64 // fill exchanges, the initial fill included
-	Batches   int64 // online transfers (one per input step)
-
-	OfflineTime time.Duration
-	OnlineTime  time.Duration
-}
-
-// statsOf reads a pool's Stats out of the ledger it records in. An input
-// step is one observation of the ot_derand phase, so that histogram holds
-// the online count and time.
-func statsOf(s *obs.Set) Stats {
-	derand := s.Phase[obs.PhaseOTDerand]
-	return Stats{
-		Generated:   s.OTPooled.Value(),
-		Consumed:    s.OTConsumed.Value(),
-		Refills:     s.OTRefills.Value(),
-		Batches:     derand.Count(),
-		OfflineTime: time.Duration(s.OTOfflineTime.Value()),
-		OnlineTime:  time.Duration(derand.Sum()),
-	}
-}
-
 // recordRefill books one banked fill of n entries whose exchange took
 // elapsed, and the pool depth it leaves.
 func recordRefill(s *obs.Set, role obs.OTRole, n int, elapsed time.Duration, depth int) {
@@ -307,10 +277,6 @@ func (p *ReceiverPool) SetKey(bits []bool) { p.key = bits }
 func (p *ReceiverPool) keyBit(q int64) bool {
 	return len(p.key) > 0 && p.key[q%int64(len(p.key))]
 }
-
-// Stats reads the pool's counters out of its ledger. Safe to call
-// concurrently with every other method.
-func (p *ReceiverPool) Stats() Stats { return statsOf(p.set) }
 
 // Seq returns the first sequence number no range owns yet. It is strictly
 // monotone: tests use it to prove that ranges never overlap.
@@ -656,9 +622,6 @@ func NewSenderPool(conn transport.FrameConn, ots *ot.ExtSender, rng io.Reader) *
 // session's — instead of one of its own under obs.Root. Call before
 // HandleAnnounce.
 func (p *SenderPool) SetMetrics(s *obs.Set) { p.set = s }
-
-// Stats reads the pool's counters out of its ledger.
-func (p *SenderPool) Stats() Stats { return statsOf(p.set) }
 
 // Seq returns the first sequence number no range owns yet (single-use
 // instrumentation, like ReceiverPool.Seq).

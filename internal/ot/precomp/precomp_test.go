@@ -7,6 +7,7 @@ import (
 	"sync"
 	"testing"
 
+	"deepsecure/internal/obs"
 	"deepsecure/internal/ot"
 	"deepsecure/internal/transport"
 )
@@ -225,12 +226,12 @@ func testSingleUse(t *testing.T, cfg PoolConfig) {
 		nextSeq += int64(m)
 		consumed += int64(m)
 
-		st := rp.Stats()
-		if st.Consumed != consumed {
-			t.Fatalf("trial %d: receiver consumed %d, want %d", trial, st.Consumed, consumed)
+		st := rp.set
+		if st.OTConsumed.Value() != consumed {
+			t.Fatalf("trial %d: receiver consumed %d, want %d", trial, st.OTConsumed.Value(), consumed)
 		}
-		if st.Generated < st.Consumed {
-			t.Fatalf("trial %d: consumed %d exceeds generated %d — an entry was reused", trial, st.Consumed, st.Generated)
+		if st.OTPooled.Value() < st.OTConsumed.Value() {
+			t.Fatalf("trial %d: consumed %d exceeds generated %d — an entry was reused", trial, st.OTConsumed.Value(), st.OTPooled.Value())
 		}
 		// Every banked entry below the frontier is spent and zeroed.
 		for _, c := range rp.bank.chunks {
@@ -248,14 +249,14 @@ func testSingleUse(t *testing.T, cfg PoolConfig) {
 			}
 		}
 	}
-	if st := rp.Stats(); st.Refills < 5 {
-		t.Errorf("tiny pool under sustained traffic performed only %d refills", st.Refills)
+	if n := rp.set.OTRefills.Value(); n < 5 {
+		t.Errorf("tiny pool under sustained traffic performed only %d refills", n)
 	}
 	// The receiver may have banked a refill the sender's last Send did not
 	// need to wait for; what is consumed must agree exactly.
-	if ss := sp.Stats(); ss.Consumed != rp.Stats().Consumed || ss.Generated > rp.Stats().Generated+int64(64) {
+	if ss, rs := sp.set, rp.set; ss.OTConsumed.Value() != rs.OTConsumed.Value() || ss.OTPooled.Value() > rs.OTPooled.Value()+64 {
 		t.Errorf("sender accounting (%d/%d) diverges from receiver (%d/%d)",
-			ss.Generated, ss.Consumed, rp.Stats().Generated, rp.Stats().Consumed)
+			ss.OTPooled.Value(), ss.OTConsumed.Value(), rs.OTPooled.Value(), rs.OTConsumed.Value())
 	}
 	// A spent entry refuses a second take on either side.
 	if _, err := rp.bank.take(nextSeq - 1); err == nil {
@@ -345,8 +346,8 @@ func TestRangesInterleave(t *testing.T) {
 	step(two, 0, 17)
 	step(one, 17, w)
 	step(two, 17, w)
-	if st := rp.Stats(); st.Consumed != 4*w || st.Generated < st.Consumed {
-		t.Errorf("stats after two inferences: %+v", st)
+	if c, g := rp.set.OTConsumed.Value(), rp.set.OTPooled.Value(); c != 4*w || g < c {
+		t.Errorf("after two inferences: %d consumed, %d generated", c, g)
 	}
 	if err := rp.SendRefills(); err != nil {
 		t.Fatal(err)
@@ -367,12 +368,11 @@ func TestBackgroundRefill(t *testing.T) {
 		choices := keyAt(key, rp.Seq(), m)
 		checkTransfer(t, "background", transfer(t, sp, rp, pairs, choices), pairs, choices)
 	}
-	st := rp.Stats()
-	if st.Refills < 2 {
-		t.Errorf("background mode performed only %d fills", st.Refills)
+	if n := rp.set.OTRefills.Value(); n < 2 {
+		t.Errorf("background mode performed only %d fills", n)
 	}
-	if st.Generated < st.Consumed {
-		t.Errorf("consumed %d exceeds generated %d", st.Consumed, st.Generated)
+	if c, g := rp.set.OTConsumed.Value(), rp.set.OTPooled.Value(); g < c {
+		t.Errorf("consumed %d exceeds generated %d", c, g)
 	}
 }
 
@@ -427,7 +427,7 @@ func TestEmptyBatch(t *testing.T) {
 	if rp.conn.(*transport.Conn).Metrics().BytesSent.Value() != sent0 {
 		t.Error("empty batch put frames on the wire")
 	}
-	if rp.Stats().Consumed != 0 || sp.Stats().Consumed != 0 {
+	if rp.set.OTConsumed.Value() != 0 || sp.set.OTConsumed.Value() != 0 {
 		t.Error("empty batch consumed pooled OTs")
 	}
 }
@@ -541,8 +541,8 @@ func TestLowWaterAboveCapacity(t *testing.T) {
 		choices := make([]bool, m)
 		checkTransfer(t, "clamped", transfer(t, sp, rp, pairs, choices), pairs, choices)
 	}
-	if st := rp.Stats(); st.Generated < st.Consumed {
-		t.Errorf("consumed %d exceeds generated %d", st.Consumed, st.Generated)
+	if c, g := rp.set.OTConsumed.Value(), rp.set.OTPooled.Value(); g < c {
+		t.Errorf("consumed %d exceeds generated %d", c, g)
 	}
 }
 
@@ -581,10 +581,10 @@ func TestAnnouncedFillAtSetup(t *testing.T) {
 	if rp.Available() != 128 || sp.Available() != 128 {
 		t.Fatalf("setup fill left %d/%d available, want 128/128", rp.Available(), sp.Available())
 	}
-	if st := rp.Stats(); st.Generated != 128 || st.Refills != 1 || st.OfflineTime <= 0 {
-		t.Errorf("setup-fill stats: %+v", st)
+	if st := rp.set; st.OTPooled.Value() != 128 || st.OTRefills.Value() != 1 || st.OTOfflineTime.Value() <= 0 {
+		t.Errorf("setup fill: %d generated in %d fill(s), %d ns offline", st.OTPooled.Value(), st.OTRefills.Value(), st.OTOfflineTime.Value())
 	}
-	if rp.Stats().OnlineTime != 0 {
+	if rp.set.Phase[obs.PhaseOTDerand].Sum() != 0 {
 		t.Error("setup fill charged online time")
 	}
 }

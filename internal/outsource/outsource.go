@@ -51,10 +51,12 @@ func PackBits(bits []bool) []byte {
 	return out
 }
 
-// UnpackBits deserializes n bits from data.
+// UnpackBits deserializes n bits from data, which must be exactly the bytes
+// PackBits makes of n bits: a longer buffer is a sender that meant another
+// width, not padding to drop.
 func UnpackBits(data []byte, n int) ([]bool, error) {
-	if len(data) < (n+7)/8 {
-		return nil, fmt.Errorf("outsource: %d bytes cannot hold %d bits", len(data), n)
+	if len(data) != (n+7)/8 {
+		return nil, fmt.Errorf("outsource: %d bytes do not hold exactly %d bits", len(data), n)
 	}
 	out := make([]bool, n)
 	for i := range out {

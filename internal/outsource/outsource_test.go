@@ -95,4 +95,7 @@ func TestUnpackShortBuffer(t *testing.T) {
 	if _, err := UnpackBits([]byte{0xff}, 9); err == nil {
 		t.Error("short buffer accepted")
 	}
+	if _, err := UnpackBits([]byte{0xff, 0x01, 0x00}, 9); err == nil {
+		t.Error("surplus byte silently dropped")
+	}
 }

@@ -113,7 +113,7 @@ func New(model *nn.Network, f fixed.Format, opts ...Option) (*Server, error) {
 	for _, o := range opts {
 		o(s)
 	}
-	if err := cs.Precompile(); err != nil {
+	if _, err := cs.Program(); err != nil {
 		return nil, fmt.Errorf("server: compile netlist: %w", err)
 	}
 	return s, nil
