@@ -34,7 +34,6 @@ import (
 	"deepsecure/internal/hebaseline"
 	"deepsecure/internal/netgen"
 	"deepsecure/internal/nn"
-	"deepsecure/internal/stdcell"
 )
 
 func main() {
@@ -99,69 +98,18 @@ func runTable3() {
 	fmt.Printf("%-16s %10s %10s %12s   %s\n", "Name", "#XOR", "#non-XOR", "MaxError", "paper #non-XOR")
 	f := fixed.Default
 
-	row := func(name string, gen func(b *circuit.Builder), errStr, paper string) {
-		s, err := circuit.Count(gen)
+	for _, c := range benchmarks.Table3 {
+		s, err := circuit.Count(func(b *circuit.Builder) { c.Gen(b, f) })
 		if err != nil {
 			log.Fatal(err)
 		}
-		fmt.Printf("%-16s %10d %10d %12s   %s\n", name, s.FreeXOR(), s.NonXOR(), errStr, paper)
+		maxErr := "0"
+		if c.Kind != act.Identity {
+			worst, _ := act.New(c.Kind, f).MaxError()
+			maxErr = fmt.Sprintf("%.2e", worst)
+		}
+		fmt.Printf("%-16s %10d %10d %12s   %s\n", c.Name, s.FreeXOR(), s.NonXOR(), maxErr, c.Paper)
 	}
-	actRow := func(kind act.Kind, paper string) {
-		a := act.New(kind, f)
-		worst, _ := a.MaxError()
-		row(kind.String(), func(b *circuit.Builder) {
-			x := stdcell.Input(b, circuit.Garbler, f.Bits())
-			b.Outputs(a.Circuit(b, x)...)
-		}, fmt.Sprintf("%.2e", worst), paper)
-	}
-
-	actRow(act.TanhLUT, "149745")
-	actRow(act.TanhTrunc, "1746 (2.10.12)")
-	actRow(act.TanhPL, "206")
-	actRow(act.TanhCORDIC, "3900")
-	actRow(act.SigmoidLUT, "142523")
-	actRow(act.SigmoidTrunc, "2107 (3.10.12)")
-	actRow(act.SigmoidPLAN, "73")
-	actRow(act.SigmoidCORDIC, "3932")
-
-	bin := func(name string, op func(b *circuit.Builder, x, y stdcell.Word) stdcell.Word, paper string) {
-		row(name, func(b *circuit.Builder) {
-			x := stdcell.Input(b, circuit.Garbler, f.Bits())
-			y := stdcell.Input(b, circuit.Garbler, f.Bits())
-			b.Outputs(op(b, x, y)...)
-		}, "0", paper)
-	}
-	bin("ADD", func(b *circuit.Builder, x, y stdcell.Word) stdcell.Word { return stdcell.Add(b, x, y) }, "16")
-	bin("MULT", func(b *circuit.Builder, x, y stdcell.Word) stdcell.Word {
-		return stdcell.MulFixed(b, x, y, f.FracBits)
-	}, "212")
-	bin("DIV", func(b *circuit.Builder, x, y stdcell.Word) stdcell.Word {
-		return stdcell.DivFixed(b, x, y, f.FracBits)
-	}, "361")
-	row("ReLu", func(b *circuit.Builder) {
-		x := stdcell.Input(b, circuit.Garbler, f.Bits())
-		b.Outputs(stdcell.ReLU(b, x)...)
-	}, "0", "15")
-	row("Softmax(n=10)", func(b *circuit.Builder) {
-		vals := make([]stdcell.Word, 10)
-		for i := range vals {
-			vals[i] = stdcell.Input(b, circuit.Garbler, f.Bits())
-		}
-		b.Outputs(stdcell.ArgMax(b, vals)...)
-	}, "0", "(n-1)*32 = 288")
-	row("MVM 1x8 * 8x4", func(b *circuit.Builder) {
-		x := make([]stdcell.Word, 8)
-		for i := range x {
-			x[i] = stdcell.Input(b, circuit.Garbler, f.Bits())
-		}
-		w := make([]stdcell.Word, 32)
-		for i := range w {
-			w[i] = stdcell.Input(b, circuit.Evaluator, f.Bits())
-		}
-		for _, o := range stdcell.MatVec(b, w, x, 4, 8, f.FracBits) {
-			b.Outputs(o...)
-		}
-	}, "0", "228mn-16n = 7232")
 	fmt.Printf("(MULT/MVM vs the paper: %d of MULT's ANDs compute the exact carry out of the %d discarded fraction columns; dropping them needs a truncated product with fixed.Num.Mul changed in lock-step, a numerics decision not taken)\n",
 		f.FracBits*f.FracBits, f.FracBits)
 	e := cordic.New(f)

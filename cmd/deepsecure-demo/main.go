@@ -56,10 +56,13 @@ func main() {
 	if *bankDepth > 0 {
 		// Garble-ahead path: open the session and fill the bank
 		// before the clock starts, so the printed rate is the
-		// online (label-selection + streaming) rate.
+		// online (label-selection + streaming) rate. The client draws
+		// from crypto/rand, so the bank may refill itself in the
+		// background once it runs low.
 		cli := &deepsecure.Client{Engine: deepsecure.EngineConfig{
-			Bank: deepsecure.BankConfig{Depth: *bankDepth},
+			Bank: deepsecure.BankConfig{Depth: *bankDepth, Background: true},
 		}}
+		defer cli.Close()
 		fillStart := time.Now()
 		sess, err := cli.NewSession(deepsecure.NewConn(conn))
 		if err != nil {

@@ -35,6 +35,9 @@ import (
 // get to finish after the first interrupt.
 const drainTimeout = 30 * time.Second
 
+// idleTimeout reaps a session whose client has moved no byte for this long.
+const idleTimeout = 2 * time.Minute
+
 func main() {
 	listen := flag.String("listen", ":9090", "listen address")
 	model := flag.String("model", "small", "b1|b2|b3|b4|small")
@@ -42,8 +45,6 @@ func main() {
 	statsEvery := flag.Duration("stats", time.Minute, "stats log interval (0 disables)")
 	workers := flag.Int("workers", 0, "engine workers per session (0 = GOMAXPROCS, 1 = sequential)")
 	pipeline := flag.Int("pipeline", 0, "in-flight inferences per session (0 = default 2, 1 = serial)")
-	maxBatch := flag.Int("max-batch", 0, "samples per fused batched inference (0 = default 32)")
-	idle := flag.Duration("idle-timeout", 2*time.Minute, "per-session idle read deadline (0 disables)")
 	otPool := flag.Int("ot-pool", 1<<16, "OT pool capacity per session (0 = sized from the model: weight bits × in-flight window)")
 	metricsAddr := flag.String("metrics-addr", "", "serve /metrics (Prometheus text) and /debug/stats (JSON) on this address (empty disables)")
 	pprofOn := flag.Bool("pprof", false, "also mount net/http/pprof under /debug/pprof/ on the metrics address")
@@ -64,9 +65,6 @@ func main() {
 	}
 	if *otPool < 0 {
 		log.Fatalf("-ot-pool %d: must be >= 0 (0 sizes the pool from the model)", *otPool)
-	}
-	if *maxBatch < 0 {
-		log.Fatalf("-max-batch %d: must be >= 0 (0 selects the default cap %d)", *maxBatch, deepsecure.DefaultMaxBatch)
 	}
 
 	net0, err := benchmarks.ByName(*model)
@@ -95,10 +93,10 @@ func main() {
 	if err := deadlines.Validate(); err != nil {
 		log.Fatal(err)
 	}
-	engine := deepsecure.EngineConfig{Workers: *workers, Pipeline: *pipeline, MaxBatch: *maxBatch, Deadlines: deadlines}
+	engine := deepsecure.EngineConfig{Workers: *workers, Pipeline: *pipeline, Deadlines: deadlines}
 	srv, err := deepsecure.NewServer(net0, deepsecure.DefaultFormat,
 		deepsecure.WithEngine(engine),
-		deepsecure.WithIdleTimeout(*idle),
+		deepsecure.WithIdleTimeout(idleTimeout),
 		deepsecure.WithOTPool(poolCfg),
 		deepsecure.WithAdmission(admCfg))
 	if err != nil {

@@ -13,74 +13,14 @@ import (
 	"log"
 	"os"
 
-	"deepsecure/internal/act"
 	"deepsecure/internal/benchmarks"
 	"deepsecure/internal/circuit"
 	"deepsecure/internal/fixed"
 	"deepsecure/internal/netgen"
-	"deepsecure/internal/stdcell"
 )
 
-var components = map[string]func(b *circuit.Builder, f fixed.Format){
-	"add": func(b *circuit.Builder, f fixed.Format) {
-		x := stdcell.Input(b, circuit.Garbler, f.Bits())
-		y := stdcell.Input(b, circuit.Garbler, f.Bits())
-		b.Outputs(stdcell.Add(b, x, y)...)
-	},
-	"mult": func(b *circuit.Builder, f fixed.Format) {
-		x := stdcell.Input(b, circuit.Garbler, f.Bits())
-		y := stdcell.Input(b, circuit.Garbler, f.Bits())
-		b.Outputs(stdcell.MulFixed(b, x, y, f.FracBits)...)
-	},
-	"div": func(b *circuit.Builder, f fixed.Format) {
-		x := stdcell.Input(b, circuit.Garbler, f.Bits())
-		y := stdcell.Input(b, circuit.Garbler, f.Bits())
-		b.Outputs(stdcell.DivFixed(b, x, y, f.FracBits)...)
-	},
-	"relu": func(b *circuit.Builder, f fixed.Format) {
-		x := stdcell.Input(b, circuit.Garbler, f.Bits())
-		b.Outputs(stdcell.ReLU(b, x)...)
-	},
-}
-
-func init() {
-	for _, kind := range []act.Kind{
-		act.TanhLUT, act.TanhTrunc, act.TanhPL, act.TanhCORDIC,
-		act.SigmoidLUT, act.SigmoidTrunc, act.SigmoidPLAN, act.SigmoidCORDIC,
-	} {
-		kind := kind
-		components[kindFlag(kind)] = func(b *circuit.Builder, f fixed.Format) {
-			a := act.New(kind, f)
-			x := stdcell.Input(b, circuit.Garbler, f.Bits())
-			b.Outputs(a.Circuit(b, x)...)
-		}
-	}
-}
-
-func kindFlag(k act.Kind) string {
-	switch k {
-	case act.TanhLUT:
-		return "tanh-lut"
-	case act.TanhTrunc:
-		return "tanh-trunc"
-	case act.TanhPL:
-		return "tanh-pl"
-	case act.TanhCORDIC:
-		return "tanh-cordic"
-	case act.SigmoidLUT:
-		return "sigmoid-lut"
-	case act.SigmoidTrunc:
-		return "sigmoid-trunc"
-	case act.SigmoidPLAN:
-		return "sigmoid-plan"
-	case act.SigmoidCORDIC:
-		return "sigmoid-cordic"
-	}
-	return k.String()
-}
-
 func main() {
-	component := flag.String("component", "", "component name (add|mult|div|relu|tanh-*|sigmoid-*)")
+	component := flag.String("component", "", "Table 3 component name (add|mult|div|relu|softmax|mvm|tanh-*|sigmoid-*)")
 	model := flag.String("model", "", "benchmark model (b1|b2|b3|b4)")
 	export := flag.String("export", "", "write the materialized netlist to this file")
 	flag.Parse()
@@ -88,11 +28,16 @@ func main() {
 
 	switch {
 	case *component != "":
-		gen, ok := components[*component]
-		if !ok {
+		var gen func(*circuit.Builder, fixed.Format)
+		for _, c := range benchmarks.Table3 {
+			if c.Key == *component {
+				gen = c.Gen
+			}
+		}
+		if gen == nil {
 			fmt.Fprintln(os.Stderr, "known components:")
-			for name := range components {
-				fmt.Fprintln(os.Stderr, "  "+name)
+			for _, c := range benchmarks.Table3 {
+				fmt.Fprintln(os.Stderr, "  "+c.Key)
 			}
 			os.Exit(2)
 		}

@@ -110,18 +110,13 @@ type (
 	PoolConfig = precomp.PoolConfig
 	// BankConfig sizes a garble-ahead execution bank (the offline/online
 	// split extended from OTs to whole inferences): Depth pre-garbled
-	// executions are filled at session setup and refilled below LowWater
-	// (Background moves refills onto a helper goroutine); SpillDir spills
-	// each execution's table bytes to disk. Set it on a Client via
-	// EngineConfig.Bank — the client is the garbler, so the bank lives
-	// there; a session whose take hits the bank skips online garbling
+	// executions, held in memory, are filled at session setup; with
+	// Background a helper goroutine refills the bank once it drops below a
+	// quarter of Depth, without it only Session.FillBank does. Set it on a
+	// Client via EngineConfig.Bank — the client is the garbler, so the bank
+	// lives there; a session whose take hits the bank skips online garbling
 	// entirely. The zero value disables banking.
 	BankConfig = bank.Config
-	// BankStats counts a bank's offline and online activity (hits,
-	// misses, executions banked, refill wall time). Session.BankStats
-	// reports the shared per-program bank; per-session hit/miss splits
-	// ride InferStats.
-	BankStats = bank.Stats
 	// SessionServer answers secure-inference sessions on caller-provided
 	// connections (the conn-level counterpart of InferenceServer) with
 	// explicit randomness, engine, and OT-pool configuration.

@@ -1,0 +1,81 @@
+package benchmarks
+
+import (
+	"deepsecure/internal/act"
+	"deepsecure/internal/circuit"
+	"deepsecure/internal/fixed"
+	"deepsecure/internal/stdcell"
+)
+
+// Component is one row of the paper's Table 3: a circuit component of the
+// synthesis library, with the paper's published non-XOR count.
+type Component struct {
+	Key   string // command-line name (netlist-stats -component)
+	Name  string // the row's name in Table 3
+	Paper string // the paper's non-XOR count
+	// Kind is the activation the row realises; act.Identity on the
+	// arithmetic rows, which are exact in fixed point.
+	Kind act.Kind
+	// Gen emits the component over format f, inputs and outputs included.
+	Gen func(b *circuit.Builder, f fixed.Format)
+}
+
+// Table3 lists the components in the order the table prints them; the
+// commands that count them and the test that pins the counts range over it.
+var Table3 = []Component{
+	activation("tanh-lut", act.TanhLUT, "149745"),
+	activation("tanh-trunc", act.TanhTrunc, "1746 (2.10.12)"),
+	activation("tanh-pl", act.TanhPL, "206"),
+	activation("tanh-cordic", act.TanhCORDIC, "3900"),
+	activation("sigmoid-lut", act.SigmoidLUT, "142523"),
+	activation("sigmoid-trunc", act.SigmoidTrunc, "2107 (3.10.12)"),
+	activation("sigmoid-plan", act.SigmoidPLAN, "73"),
+	activation("sigmoid-cordic", act.SigmoidCORDIC, "3932"),
+	binary("add", "ADD", "16", func(b *circuit.Builder, x, y stdcell.Word, _ fixed.Format) stdcell.Word {
+		return stdcell.Add(b, x, y)
+	}),
+	binary("mult", "MULT", "212", func(b *circuit.Builder, x, y stdcell.Word, f fixed.Format) stdcell.Word {
+		return stdcell.MulFixed(b, x, y, f.FracBits)
+	}),
+	binary("div", "DIV", "361", func(b *circuit.Builder, x, y stdcell.Word, f fixed.Format) stdcell.Word {
+		return stdcell.DivFixed(b, x, y, f.FracBits)
+	}),
+	{Key: "relu", Name: "ReLu", Paper: "15", Gen: func(b *circuit.Builder, f fixed.Format) {
+		b.Outputs(stdcell.ReLU(b, stdcell.Input(b, circuit.Garbler, f.Bits()))...)
+	}},
+	{Key: "softmax", Name: "Softmax(n=10)", Paper: "(n-1)*32 = 288", Gen: func(b *circuit.Builder, f fixed.Format) {
+		b.Outputs(stdcell.ArgMax(b, inputs(b, circuit.Garbler, 10, f))...)
+	}},
+	{Key: "mvm", Name: "MVM 1x8 * 8x4", Paper: "228mn-16n = 7232", Gen: func(b *circuit.Builder, f fixed.Format) {
+		x := inputs(b, circuit.Garbler, 8, f)
+		w := inputs(b, circuit.Evaluator, 32, f)
+		for _, o := range stdcell.MatVec(b, w, x, 4, 8, f.FracBits) {
+			b.Outputs(o...)
+		}
+	}},
+}
+
+func activation(key string, kind act.Kind, paper string) Component {
+	return Component{Key: key, Name: kind.String(), Paper: paper, Kind: kind,
+		Gen: func(b *circuit.Builder, f fixed.Format) {
+			x := stdcell.Input(b, circuit.Garbler, f.Bits())
+			b.Outputs(act.New(kind, f).Circuit(b, x)...)
+		}}
+}
+
+func binary(key, name, paper string, op func(b *circuit.Builder, x, y stdcell.Word, f fixed.Format) stdcell.Word) Component {
+	return Component{Key: key, Name: name, Paper: paper, Gen: func(b *circuit.Builder, f fixed.Format) {
+		x := stdcell.Input(b, circuit.Garbler, f.Bits())
+		y := stdcell.Input(b, circuit.Garbler, f.Bits())
+		b.Outputs(op(b, x, y, f)...)
+	}}
+}
+
+// inputs declares n words of party's input.
+func inputs(b *circuit.Builder, party circuit.Party, n int, f fixed.Format) []stdcell.Word {
+	ws := make([]stdcell.Word, n)
+	for i := range ws {
+		ws[i] = stdcell.Input(b, party, f.Bits())
+	}
+	return ws
+}

@@ -72,7 +72,7 @@ type Step struct {
 	// before level First.
 	PreDrops []uint32
 	// TableBytes is the total garbled-table byte count of the run — the
-	// evaluator's prefetch budget (AND gates × table size).
+	// evaluator's byte budget for it (AND gates × table size).
 	TableBytes int
 }
 

@@ -471,8 +471,8 @@ func TestBankMidStreamDeathSingleUse(t *testing.T) {
 	if bk.Seq() != 2 {
 		t.Fatalf("bank seq %d after second session's inference, want 2", bk.Seq())
 	}
-	if st := bk.Stats(); st.Hits != 2 {
-		t.Fatalf("bank stats %+v, want 2 hits (the dead take counts: its execution is spent)", st)
+	if hits := bk.Metrics().BankHits.Value(); hits != 2 {
+		t.Fatalf("%d bank hit(s), want 2 (the dead take counts: its execution is spent)", hits)
 	}
 	if err := sess2.Close(); err != nil {
 		t.Fatal(err)

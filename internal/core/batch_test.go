@@ -2,8 +2,10 @@ package core
 
 import (
 	"bytes"
+	"encoding/binary"
 	"fmt"
 	"math/rand"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -370,6 +372,47 @@ func TestBatchServerEnforcesMax(t *testing.T) {
 		if srvStats.OTRefills != 1 || srvStats.OTsConsumed != 0 {
 			t.Fatalf("B=%d: refused begin cost %d refill(s) and %d pooled OTs, want the setup fill only",
 				tc.b, srvStats.OTRefills, srvStats.OTsConsumed)
+		}
+	}
+}
+
+// TestSessionFrameCapsRefuseBeforeAllocating: a live session bounds every
+// frame type a client sends outside the table stream, so five bytes — a
+// header announcing a gigabyte — are refused from the header alone instead
+// of being read whole into the inbox for the engine to measure.
+func TestSessionFrameCapsRefuseBeforeAllocating(t *testing.T) {
+	net := testNet(t, act.ReLU, 77)
+	for _, typ := range []transport.MsgType{
+		transport.MsgInferBegin, transport.MsgInferConst, transport.MsgInferInputs,
+		transport.MsgInferMasked, transport.MsgEndSession,
+	} {
+		c2s, s2c := newLogHalf(), newLogHalf()
+		srv := &Server{Net: net, Fmt: fixed.Default, Rng: rand.New(rand.NewSource(95)), Engine: EngineConfig{MaxBatch: 2}}
+		var wg sync.WaitGroup
+		var srvErr error
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			_, srvErr = srv.ServeSession(transport.New(logDuplex{r: c2s, w: s2c}))
+		}()
+		cli := &Client{Rng: rand.New(rand.NewSource(96))}
+		if _, err := cli.NewSession(transport.New(logDuplex{r: s2c, w: c2s})); err != nil {
+			t.Fatal(err)
+		}
+		hdr := [5]byte{byte(typ)}
+		binary.LittleEndian.PutUint32(hdr[1:], transport.MaxFrame)
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		if _, err := c2s.Write(hdr[:]); err != nil {
+			t.Fatal(err)
+		}
+		wg.Wait()
+		runtime.ReadMemStats(&after)
+		if want := fmt.Sprintf("transport: %v frame of %d bytes exceeds its limit of ", typ, transport.MaxFrame); srvErr == nil || !strings.HasPrefix(srvErr.Error(), want) {
+			t.Errorf("1 GiB %v header: server error = %v, want %q…", typ, srvErr, want)
+		}
+		if grew := after.TotalAlloc - before.TotalAlloc; grew > 1<<20 {
+			t.Errorf("refusing a 1 GiB %v header allocated %d bytes", typ, grew)
 		}
 	}
 }

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"errors"
 	"fmt"
 	"runtime"
 	"sync/atomic"
@@ -24,7 +23,7 @@ import (
 // circuit.Schedule as a staged pipeline:
 //
 //	garbler:   [table source] → chunk buffer → [writer goroutine] → conn
-//	evaluator: conn → [prefetch goroutine] → frame ring → [eval workers]
+//	evaluator: conn → table cursor → [eval workers]
 //
 // There is one garble-side walk and one eval-side walk, both over a batch
 // of B ≥ 1 independent samples (a lone inference is B=1): the schedule is
@@ -42,11 +41,11 @@ import (
 // garbling side's knowledge of how a level runs and of what an execution
 // stores, live in internal/gc/bank. Completed table
 // chunks stream to the peer while the next level is being produced, and
-// on the evaluator a prefetcher keeps a bounded ring of table frames
-// ahead of the worker pool, so neither AES throughput nor transport
-// latency idles the other. Input, OT, and output steps are barriers
-// executed on the engine's goroutine, exactly where the tape recorded
-// them.
+// on the evaluator the session's reader keeps the inference's inbox — one
+// bounded ring of table frames — ahead of the worker pool, so neither AES
+// throughput nor transport latency idles the other. Input, OT, and output
+// steps are barriers executed on the engine's goroutine, exactly where the
+// tape recorded them.
 //
 // Determinism: hash tweaks and table offsets come from the schedule
 // (GIDBase + in-level rank), and chunk flushing depends only on the
@@ -65,7 +64,9 @@ type EngineConfig struct {
 	// hands a table buffer to its writer goroutine whenever it grows past
 	// this threshold (at a level boundary). 0 defaults to 1 MiB. Both
 	// parties may use different values; the evaluator reassembles frames
-	// regardless of their boundaries.
+	// regardless of their boundaries. Every non-test caller runs the
+	// default; the field stays because the conformance tests force chunk
+	// boundaries with it.
 	ChunkBytes int
 	// Pipeline bounds how many inferences may be in flight on one
 	// session at once (cross-inference pipelining): with depth d > 1 the
@@ -85,14 +86,16 @@ type EngineConfig struct {
 	// clamp to [1, 256].
 	MaxBatch int
 	// Bank, when enabled (Depth > 0), pre-garbles whole inferences on
-	// the client during idle time (garble-ahead execution banks): the
-	// session fills a per-program bank at setup and refills it behind a
-	// low-water policy, and each inference that finds a banked execution
-	// skips garbling entirely — the online critical path is label
-	// selection, pool masking and stream writes from the bank. Exhaustion transparently falls back to live garbling.
-	// Client-side only; servers ignore it. Memory cost per banked
-	// execution ≈ the circuit's table bytes (ANDs × 32) plus input and
-	// output labels — budget Depth accordingly or set Bank.SpillDir.
+	// the client (garble-ahead execution banks): the session fills a
+	// per-program bank at setup, and each inference that finds a banked
+	// execution skips garbling entirely — the online critical path is
+	// label selection, pool masking and stream writes from the bank.
+	// Only a Bank.Background bank refills itself, on a helper goroutine
+	// once it drops below a quarter of Depth; any other is refilled by
+	// Session.FillBank alone. Exhaustion transparently falls back to live
+	// garbling. Client-side only; servers ignore it. Memory cost per
+	// banked execution ≈ the circuit's table bytes (ANDs × 32) plus input
+	// and output labels, all held in memory: Depth is the budget.
 	Bank bank.Config
 	// Deadlines bounds the protocol's phases (handshake, OT setup,
 	// per-inference) by wall time, complementing the transport-level
@@ -171,6 +174,11 @@ func (c EngineConfig) chunkBytes() int {
 // transport writes overlap the next level's garbling. Buffers cycle
 // through the free channel (transport.Conn has written or copied a payload
 // by the time Send returns, so a chunk is reusable the moment it does).
+// The evaluator has no counterpart (the mux reader fills its inbox ahead of
+// it); on this side nothing in-process stands in for the goroutine's overlap
+// with socket back-pressure, and a trial with both forks forced inline (26.4
+// vs 27.1 inf/s median on tanh_lan at -procs 2, six alternating pairs spread
+// 23.8–29.0) did not resolve either way — so it stays.
 type tableWriter struct {
 	ch   chan []byte
 	done chan error
@@ -389,16 +397,6 @@ func (en *garbleEngine) doLevels(st *circuit.Step) (err error) {
 	return err
 }
 
-// frameRingDepth bounds the evaluator's prefetched table frames: the
-// prefetch goroutine stays at most this many frames ahead of the
-// evaluate pool, preserving the §3.5 bounded-memory property.
-const frameRingDepth = 4
-
-// errPrefetchStopped is the in-band signal that the prefetch ring closed
-// before the run's table budget was met; the prefetcher's own error (on
-// perr) is the authoritative cause.
-var errPrefetchStopped = errors.New("core: table prefetch stopped early")
-
 // evalEngine runs the evaluator's side of one inference of b = e.B()
 // samples over a compiled schedule.
 type evalEngine struct {
@@ -483,11 +481,12 @@ func (en *evalEngine) doInputs(st *circuit.Step) error {
 	return err
 }
 
-// evalInputWires counts the evaluator-input wires of a schedule — W, the
-// weight bits one sample transfers by OT — and the widest single step.
-func evalInputWires(sched *circuit.Schedule) (total, widest int) {
+// inputWires counts one party's input wires in a schedule — for the
+// evaluator W, the weight bits one sample transfers by OT — and the widest
+// single step.
+func inputWires(sched *circuit.Schedule, party circuit.Party) (total, widest int) {
 	for i := range sched.Steps {
-		if st := &sched.Steps[i]; st.Kind == circuit.StepInputs && st.Party == circuit.Evaluator {
+		if st := &sched.Steps[i]; st.Kind == circuit.StepInputs && st.Party == party {
 			total += len(st.Wires)
 			widest = max(widest, len(st.Wires))
 		}
@@ -519,15 +518,14 @@ func (en *evalEngine) doOutputs(st *circuit.Step) error {
 }
 
 // doLevels evaluates one run of gate levels for the whole batch, drawing
-// each level's table block from a tableRun (which prefetches frames on a
-// goroutine when the engine is parallel); the run's table budget is the
+// each level's table block from a tableRun; the run's table budget is the
 // schedule's, scaled by b.
 func (en *evalEngine) doLevels(st *circuit.Step) error {
 	for _, w := range st.PreDrops {
 		en.e.Drop(w)
 	}
 	b := en.e.B()
-	tr := startTableRun(en.conn, en.pool.Workers() > 1, st.TableBytes*b, en.recycle)
+	tr := startTableRun(en.conn, st.TableBytes*b, en.recycle)
 	var err error
 	for li := st.First; li < st.First+st.N && err == nil; li++ {
 		lv := &en.sched.Levels[li]
@@ -557,79 +555,33 @@ func (en *evalEngine) doLevels(st *circuit.Step) error {
 // tableRun streams one level run's garbled tables to an evaluation
 // engine: constructed per StepLevels step with the run's total byte
 // budget (the schedule's TableBytes, scaled by the batch size), it hands
-// back exactly the requested bytes per
-// level. With async set, a prefetch goroutine receives table frames into
-// a bounded ring ahead of the evaluate pool — preserving the §3.5
-// bounded-memory property — while a sequential engine receives frames
-// inline. A level is evaluated where its frame lies (the garbler cuts
+// back exactly the requested bytes per level. It is a cursor over the
+// frames its connection hands it and starts no goroutine: on a session the
+// connection is the inference's inbox, which the mux reader fills ahead of
+// the evaluate pool — the one bounded ring of table frames an in-flight
+// inference holds (§3.5) — and anywhere else a blocking Recv is all a
+// cursor needs. A level is evaluated where its frame lies (the garbler cuts
 // frames at level boundaries, so that is every level of a conforming
 // peer); each frame goes back to the connection's free list once drawn
 // dry.
 type tableRun struct {
 	conn     transport.FrameConn
-	async    bool
 	total    int
 	whole    []byte       // the frame being drawn from, as received
 	rest     []byte       // its bytes not handed out yet
 	straddle []byte       // assembly scratch for a level that spans frames
 	recycle  func([]byte) // takes spent frames back, may be nil
 	got      int
-	frames   chan []byte
-	perr     chan error
 
-	// readTime accumulates wall time blocked in next() waiting for
-	// frames — what the evaluator actually spent on the table stream
-	// (ring hits cost ~nothing; a dry ring charges the wire wait here).
+	// readTime accumulates wall time blocked in fetch waiting for frames —
+	// what the evaluator actually spent on the table stream (a frame
+	// already in the inbox costs ~nothing; a dry one charges the wire wait
+	// here).
 	readTime time.Duration
 }
 
-func startTableRun(conn transport.FrameConn, async bool, total int, recycle func([]byte)) *tableRun {
-	tr := &tableRun{conn: conn, async: async && total > 0, total: total, recycle: recycle}
-	if tr.async {
-		tr.frames = make(chan []byte, frameRingDepth)
-		tr.perr = make(chan error, 1)
-		go func(total int) {
-			defer close(tr.frames)
-			// Contain prefetcher panics: perr must carry exactly one value
-			// or finish would block forever on a goroutine that died.
-			defer func() {
-				if v := recover(); v != nil {
-					tr.perr <- obs.Panicked("core: table prefetcher", v)
-				}
-			}()
-			rem := total
-			for rem > 0 {
-				p, err := tr.conn.Recv(transport.MsgTables)
-				if err != nil {
-					tr.perr <- err
-					return
-				}
-				if len(p) > rem {
-					tr.perr <- fmt.Errorf("core: garbled-table overrun (%d surplus bytes in run)", len(p)-rem)
-					return
-				}
-				rem -= len(p)
-				tr.frames <- p
-			}
-			tr.perr <- nil
-		}(total)
-	}
-	return tr
-}
-
-// next yields the following table frame. In async mode a closed ring
-// means the prefetcher exited early; it reports errPrefetchStopped and
-// finish collects the prefetcher's actual verdict — perr carries exactly
-// one value, consumed exactly once, there.
-func (tr *tableRun) next() ([]byte, error) {
-	if tr.async {
-		p, ok := <-tr.frames
-		if !ok {
-			return nil, errPrefetchStopped
-		}
-		return p, nil
-	}
-	return tr.conn.Recv(transport.MsgTables)
+func startTableRun(conn transport.FrameConn, total int, recycle func([]byte)) *tableRun {
+	return &tableRun{conn: conn, total: total, recycle: recycle}
 }
 
 // fetch makes the following frame the one being drawn from; the previous
@@ -640,7 +592,7 @@ func (tr *tableRun) fetch() error {
 	}
 	tr.whole, tr.rest = nil, nil
 	t0 := time.Now()
-	p, err := tr.next()
+	p, err := tr.conn.Recv(transport.MsgTables)
 	tr.readTime += time.Since(t0)
 	if err != nil {
 		return err
@@ -682,38 +634,14 @@ func (tr *tableRun) assemble(need int) ([]byte, error) {
 	return tr.straddle, nil
 }
 
-// finish validates the run's stream accounting and drains the
-// prefetcher; err is the level loop's verdict. It returns the run's final
-// error.
+// finish validates the run's stream accounting and hands the last frame
+// back; err is the level loop's verdict. It returns the run's final error.
 func (tr *tableRun) finish(err error) error {
 	if err == nil && len(tr.rest) != 0 {
 		err = fmt.Errorf("core: %d unconsumed garbled-table bytes at run boundary", len(tr.rest))
 	}
 	if tr.recycle != nil && tr.whole != nil {
 		tr.recycle(tr.whole)
-	}
-	if tr.async {
-		// Drain the ring so the prefetcher can exit, then collect its
-		// verdict (the channel's single value); it must not outlive the
-		// run holding the connection.
-		for range tr.frames {
-		}
-		perr := <-tr.perr
-		switch {
-		case err == errPrefetchStopped:
-			// The ring closed under the main loop: the prefetcher's
-			// error is the real one (a nil verdict here would mean the
-			// run's table accounting is inconsistent).
-			err = perr
-			if err == nil {
-				err = fmt.Errorf("core: table stream ended %d bytes short of the run's %d", tr.got, tr.total)
-			}
-		case err == nil && perr != nil:
-			err = perr
-		}
-		if err == nil && tr.got != tr.total {
-			err = fmt.Errorf("core: run received %d table bytes, want %d", tr.got, tr.total)
-		}
 	}
 	return err
 }

@@ -17,12 +17,13 @@ import (
 	"deepsecure/internal/gc/bank"
 	"deepsecure/internal/ot"
 	"deepsecure/internal/ot/precomp"
+	"deepsecure/internal/testutil"
 	"deepsecure/internal/transport"
 )
 
 // TestScheduleTableSizePin pins circuit.NewSchedule's table accounting to
 // gc.TableSize: the schedule mirrors the constant (it cannot import gc)
-// and the engine trusts Step.TableBytes for prefetching.
+// and the engine trusts Step.TableBytes as a level run's byte budget.
 func TestScheduleTableSizePin(t *testing.T) {
 	tape := circuit.NewTape()
 	b := circuit.NewBuilder(tape, circuit.WithRecycling())
@@ -362,7 +363,7 @@ func engineTestConfig(workers int) EngineConfig {
 // outputs under Workers=1 and Workers=4, and (c) byte-identical wire
 // traffic in both directions between the two modes. Run it with -race:
 // the Workers=4 mode exercises the garble pool + writer goroutine and
-// the prefetch ring + evaluate pool concurrently.
+// the evaluate pool concurrently.
 func TestEngineConformance(t *testing.T) {
 	iters := 12
 	if testing.Short() {
@@ -511,12 +512,12 @@ func TestEngineSharedPoolConformance(t *testing.T) {
 	}
 }
 
-// TestEvalEngineDeadPeer is the regression test for a pipelining
-// deadlock: when the garbler's connection dies mid-run, the evaluator's
-// prefetch ring closes early and the engine must surface the transport
-// error — not block forever waiting for a second verdict from the
-// prefetcher (whose error channel carries exactly one value).
+// TestEvalEngineDeadPeer: when the garbler's connection dies mid-run the
+// evaluator surfaces the transport error, at either worker count, and
+// leaves no goroutine behind — its table cursor reads on the engine's own
+// goroutine, so there is nothing to drain.
 func TestEvalEngineDeadPeer(t *testing.T) {
+	defer testutil.VerifyNoLeaks(t)()
 	// Two dependent AND levels: 64 table bytes expected, only 32 sent.
 	tape := circuit.NewTape()
 	b := circuit.NewBuilder(tape, circuit.WithRecycling())
@@ -552,17 +553,108 @@ func TestEvalEngineDeadPeer(t *testing.T) {
 			pool:  gc.NewPool(workers),
 			conn:  eConn,
 		}
-		done := make(chan error, 1)
-		go func() { done <- en.run() }()
-		select {
-		case err := <-done:
-			if err == nil {
-				t.Fatalf("workers=%d: engine succeeded on a truncated table stream", workers)
-			}
-		case <-time.After(10 * time.Second):
-			t.Fatalf("workers=%d: engine hung on a dead peer", workers)
+		if err := en.run(); err == nil || !strings.HasPrefix(err.Error(), "transport: ") {
+			t.Fatalf("workers=%d: engine on a truncated table stream returned %v, want the transport error", workers, err)
 		}
 	}
+}
+
+// heldDuplex is a client's end of an in-memory link whose writes can be
+// parked mid-stream: once budget is set, the write that would exceed it
+// delivers what fits, closes held and waits for release.
+type heldDuplex struct {
+	r, w          *logHalf
+	budget        int // bytes still let through; negative = no limit
+	held, release chan struct{}
+}
+
+func (d *heldDuplex) Read(b []byte) (int, error) { return d.r.Read(b) }
+
+func (d *heldDuplex) Write(b []byte) (int, error) {
+	if d.budget < 0 || len(b) <= d.budget {
+		if d.budget >= 0 {
+			d.budget -= len(b)
+		}
+		return d.w.Write(b)
+	}
+	n := d.budget
+	d.budget = -1
+	d.w.Write(b[:n]) //nolint:errcheck — a logHalf write fails only once closed, and the next write reports that
+	close(d.held)
+	<-d.release
+	m, err := d.w.Write(b[n:])
+	return n + m, err
+}
+
+// TestEvaluatorAddsNoGoroutinePerRun pins the evaluator's one prefetch stage:
+// with the table feed of an inference held mid-run on a Workers: 4 server
+// session, the only goroutines the session has started are its reader and the
+// inference's context (the shared scheduler's workers are process-wide) —
+// nothing per level run stands between the inbox and the engine.
+func TestEvaluatorAddsNoGoroutinePerRun(t *testing.T) {
+	checkLeaks := testutil.VerifyNoLeaks(t)
+	checkHeld := testutil.VerifyNoLeaks(t,
+		"core.(*sessionMux).run(", "core.(*sessionMux).readLoop(", "core.(*sessionMux).runCtx(", "core.(*Session).Infer(")
+	f := fixed.Default
+	net := testNet(t, act.ReLU, 31)
+	x := []float64{0.5, -0.25, 0.75, -1, 0.125, 0.3}
+
+	c2s, s2c := newLogHalf(), newLogHalf()
+	link := &heldDuplex{r: s2c, w: c2s, budget: -1, held: make(chan struct{}), release: make(chan struct{})}
+	sConn := transport.New(logDuplex{r: c2s, w: s2c})
+	srv := &Server{Net: net, Fmt: f, Rng: rand.New(rand.NewSource(601)), Engine: EngineConfig{Workers: 4},
+		OTPool: precomp.PoolConfig{Capacity: 8 * testNetWeightBits}}
+	var wg sync.WaitGroup
+	var srvErr error
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		_, srvErr = srv.ServeSession(sConn)
+	}()
+	// Sequential garbling in small chunks: every write is on the Infer
+	// goroutine, and each level run spans several table frames.
+	cli := &Client{Rng: rand.New(rand.NewSource(602)), Engine: EngineConfig{Workers: 1, ChunkBytes: 1024}}
+	sess, err := cli.NewSession(transport.New(link))
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := net.PredictFixed(f, x)
+	// The first inference measures the burst; the second is held with the
+	// tail of its last table frame unsent.
+	before := len(c2s.bytesWritten())
+	if label, _, err := sess.Infer(x); err != nil || label != want {
+		t.Fatalf("first inference = %d, %v; want %d", label, err, want)
+	}
+	link.budget = len(c2s.bytesWritten()) - before - gc.TableSize
+	levels := sConn.Progress.Load()
+	type result struct {
+		label int
+		err   error
+	}
+	done := make(chan result, 1)
+	go func() {
+		label, _, err := sess.Infer(x)
+		done <- result{label, err}
+	}()
+	<-link.held
+	for deadline := time.Now().Add(10 * time.Second); sConn.Progress.Load() == levels; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatal("the held inference never evaluated a level")
+		}
+	}
+	checkHeld()
+	close(link.release)
+	if r := <-done; r.err != nil || r.label != want {
+		t.Fatalf("held inference = %d, %v; want %d", r.label, r.err, want)
+	}
+	if err := sess.Close(); err != nil {
+		t.Fatal(err)
+	}
+	wg.Wait()
+	if srvErr != nil {
+		t.Fatalf("server: %v", srvErr)
+	}
+	checkLeaks()
 }
 
 // frameFeed is a FrameConn that hands out prepared table frames.
@@ -602,7 +694,7 @@ func TestTableRunReassemblesAnyFraming(t *testing.T) {
 	levels := []int{4, 6, 0, 8, 1, 21}
 	for _, sizes := range [][]int{{40}, {10, 8, 22}, {3, 3, 3, 3, 28}, {1, 39}, {4, 6, 8, 1, 21}} {
 		recycled := 0
-		tr := startTableRun(&frameFeed{frames: cut(sizes...)}, false, len(stream), func([]byte) { recycled++ })
+		tr := startTableRun(&frameFeed{frames: cut(sizes...)}, len(stream), func([]byte) { recycled++ })
 		off := 0
 		for _, need := range levels {
 			block, err := tr.level(need)
@@ -621,11 +713,11 @@ func TestTableRunReassemblesAnyFraming(t *testing.T) {
 			t.Fatalf("frames %v: %d frames recycled, want each once", sizes, recycled)
 		}
 	}
-	tr := startTableRun(&frameFeed{frames: cut(30, 10)}, false, 35, nil)
+	tr := startTableRun(&frameFeed{frames: cut(30, 10)}, 35, nil)
 	if _, err := tr.level(35); err == nil || !strings.Contains(err.Error(), "overrun") {
 		t.Fatalf("frames beyond the run's budget: err = %v, want an overrun", err)
 	}
-	tr = startTableRun(&frameFeed{frames: cut(40)}, false, 40, nil)
+	tr = startTableRun(&frameFeed{frames: cut(40)}, 40, nil)
 	if _, err := tr.level(30); err != nil {
 		t.Fatal(err)
 	}

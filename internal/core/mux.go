@@ -196,11 +196,20 @@ type sessionMux struct {
 }
 
 func newSessionMux(srv *Server, conn *transport.Conn, mc *muxConn, otp *precomp.ReceiverPool, sched *circuit.Schedule, weightBits []bool) *sessionMux {
-	// A masked-label frame carries one evaluator-input step of every
-	// sample: bound it by the widest step at the batch cap (plus the
-	// inference tag) before the first arrives.
-	_, widest := evalInputWires(sched)
-	conn.SetLimit(transport.MsgInferMasked, binary.MaxVarintLen64+widest*2*gc.LabelSize*srv.Engine.MaxBatchSize())
+	// Bound every frame a client sends outside the table stream before the
+	// first arrives, so that a header announcing more is refused unread: an
+	// input frame carries one step of every sample (a label per garbler
+	// wire, a masked pair per evaluator wire), so the widest step at the
+	// batch cap bounds it; each after the inference tag.
+	const tag = binary.MaxVarintLen64
+	labels := gc.LabelSize * srv.Engine.MaxBatchSize()
+	_, widestG := inputWires(sched, circuit.Garbler)
+	_, widestE := inputWires(sched, circuit.Evaluator)
+	conn.SetLimit(transport.MsgInferBegin, tag+binary.MaxVarintLen64)
+	conn.SetLimit(transport.MsgInferConst, tag+2*labels)
+	conn.SetLimit(transport.MsgInferInputs, tag+widestG*labels)
+	conn.SetLimit(transport.MsgInferMasked, tag+widestE*2*labels)
+	conn.SetLimit(transport.MsgEndSession, 0)
 	depth := srv.Engine.PipelineDepth()
 	return &sessionMux{
 		srv:        srv,

@@ -27,6 +27,7 @@ import (
 	"sync"
 	"time"
 
+	"deepsecure/internal/circuit"
 	"deepsecure/internal/fixed"
 	"deepsecure/internal/gc"
 	"deepsecure/internal/gc/bank"
@@ -137,8 +138,8 @@ type Stats struct {
 
 	// Garble-ahead execution banks (client-side): inferences served from
 	// a pre-garbled banked execution vs. ones that fell back to live
-	// garbling (bank disabled, drained, or its spill unreadable), and
-	// the offline wall time this client spent garbling executions into
+	// garbling (bank disabled, drained or short of the batch), and the
+	// offline wall time this client spent garbling executions into
 	// the bank since the session opened. A bank hit pays no online
 	// garbling, so its GateTime contribution is zero. The bank is shared
 	// per program across the client's sessions, so concurrent sessions'
@@ -398,7 +399,7 @@ func (c *Client) bankFor(specData []byte, prog *netgen.Program) *bank.Bank {
 }
 
 // Close releases the client's garble-ahead banks: background refills
-// stop and every banked execution is zeroed (spill files removed).
+// stop and every banked execution is zeroed.
 // Open sessions keep working — their takes just miss and fall back to
 // live garbling. A Client without banks needs no Close.
 func (c *Client) Close() {
@@ -647,7 +648,7 @@ func (c *Client) NewSession(conn *transport.Conn) (sess *Session, err error) {
 	if err := otp.HandleAnnounce(); err != nil {
 		return nil, err
 	}
-	if compiled, _ := evalInputWires(prog.Schedule); otp.Width() != compiled {
+	if compiled, _ := inputWires(prog.Schedule, circuit.Evaluator); otp.Width() != compiled {
 		return nil, &PoolMismatchError{Announced: otp.Width(), Compiled: compiled}
 	}
 	s.ots = otp
@@ -657,7 +658,7 @@ func (c *Client) NewSession(conn *transport.Conn) (sess *Session, err error) {
 	// bank-off session's — the transcript-conformance property).
 	if c.Engine.Bank.Enabled() {
 		bk := c.bankFor(specData, prog)
-		s.bankRefill0 = bk.Stats().RefillTime // before the fill: its cost is this session's offline time
+		s.bankRefill0 = bankRefillTime(bk) // before the fill: its cost is this session's offline time
 		if err := bk.Fill(); err != nil {
 			return nil, err
 		}
@@ -930,12 +931,10 @@ func (s *Session) InferBatchAsync(xs [][]float64) (*PendingBatch, error) {
 	// table streams, so the online work is label selection and copying
 	// tables into the stream. They are off the bank for good: released
 	// when this call returns, mid-stream error included — single-use,
-	// never re-issued. A miss (bank off, drained, or its spilled tables
-	// unreadable — the take error degrades to a miss because live garbling
-	// is always correct) garbles live.
+	// never re-issued. A miss (bank off, drained or short) garbles live.
 	var src bank.Source
 	if s.bank != nil {
-		if exs, _ := s.bank.TakeN(b, p.set); exs != nil {
+		if exs := s.bank.TakeN(b, p.set); exs != nil {
 			defer func() {
 				for _, ex := range exs {
 					ex.Release()
@@ -1068,27 +1067,23 @@ func (s *Session) Stats() *Stats {
 	st := StatsOf(s.set)
 	st.Duration = time.Since(s.start)
 	if s.bank != nil {
-		st.BankRefillTime = s.bank.Stats().RefillTime - s.bankRefill0
+		st.BankRefillTime = bankRefillTime(s.bank) - s.bankRefill0
 	}
 	return st
 }
 
-// BankStats returns the session's garble-ahead bank counters (zero
-// value when banking is off): the bank is shared per program across the
-// client's sessions and records in the client's ledger, so these are the
-// client's totals while the session's own hit/miss split lives in Stats.
-func (s *Session) BankStats() bank.Stats {
-	if s.bank == nil {
-		return bank.Stats{}
-	}
-	return s.bank.Stats()
+// bankRefillTime reads the wall time spent garbling executions into b off
+// its ledger: an execution banked is one observation of the bank_refill
+// phase.
+func bankRefillTime(b *bank.Bank) time.Duration {
+	return time.Duration(b.Metrics().Phase[obs.PhaseBankRefill].Sum())
 }
 
 // FillBank synchronously refills the session's garble-ahead bank to its
 // configured depth — an explicit offline phase for callers that know a
 // request burst is coming and want every inference in it to hit the
-// bank, rather than waiting for the low-water refill to catch up.
-// Without a bank it is a no-op.
+// bank; it is the only refill of a bank without Background. Without a
+// bank it is a no-op.
 func (s *Session) FillBank() error {
 	if s.bank == nil {
 		return nil

@@ -19,11 +19,9 @@
 // garbling, so a cold or drained bank degrades to exactly the bank-off
 // protocol.
 //
-// With SpillDir set, each banked execution's table bytes (the dominant
-// memory cost, ANDs×32 bytes per execution) are spilled to disk and read
-// back (and the file deleted — single-use on disk too) on TakeN; labels
-// stay in memory. Spilled tables are plaintext garbled tables: protect
-// the directory like any key material.
+// A banked execution lives in memory only — its table bytes (ANDs×32 per
+// execution) are key material and are never written anywhere else — so
+// Depth is the bank's memory budget.
 //
 // Determinism: a fill garbles each execution by driving a one-sample live
 // table source — the one an inference without a bank garbles through —
@@ -36,10 +34,7 @@
 package bank
 
 import (
-	"fmt"
 	"io"
-	"os"
-	"path/filepath"
 	"sync"
 	"time"
 
@@ -54,53 +49,18 @@ type Config struct {
 	// initial fill and by each refill. 0 disables banking entirely (every
 	// inference garbles live, the bank-off protocol).
 	Depth int
-	// LowWater triggers a background refill once the unconsumed bank
-	// drops below it. 0 defaults to Depth/4 (minimum 1).
-	LowWater int
 	// Background refills the bank on a helper goroutine after a TakeN
-	// leaves it below low water, so banked executions regenerate while
-	// the session is wire-bound. Requires an rng that is safe for
-	// concurrent use (crypto/rand; deterministic test readers are only
-	// for Background=false banks).
+	// leaves it below low water (a quarter of Depth, at least 1), so
+	// banked executions regenerate while the session is wire-bound; without
+	// it only Fill garbles. Requires an rng that is safe for concurrent use
+	// (crypto/rand; deterministic test readers are only for
+	// Background=false banks — the reason this is a field and not the one
+	// mode).
 	Background bool
-	// SpillDir, when non-empty, spills each banked execution's table
-	// bytes to a file under the directory instead of holding them in
-	// memory; TakeN reads the file back and deletes it.
-	SpillDir string
 }
 
 // Enabled reports whether this configuration turns banking on.
 func (c Config) Enabled() bool { return c.Depth > 0 }
-
-func (c Config) lowWater() int {
-	lw := c.Depth / 4
-	if c.LowWater > 0 {
-		lw = c.LowWater
-	}
-	if c.Enabled() && lw < 1 {
-		lw = 1
-	}
-	// A low-water mark above depth would demand a refill from a full
-	// bank: clamp so "full" always satisfies the policy.
-	if c.Enabled() && lw > c.Depth {
-		lw = c.Depth
-	}
-	return lw
-}
-
-// Stats is a bank's read-out of its ledger: its offline and online
-// activity. RefillTime is the wall time spent garbling executions into the
-// bank — the crypto the online path no longer pays; it accumulates on
-// whichever goroutine ran the fill.
-type Stats struct {
-	Hits   int64 // executions taken from the bank
-	Misses int64 // executions asked of a bank that was empty, short or unreadable
-	Banked int64 // executions garbled into the bank
-	Spills int64 // executions whose tables were spilled to disk
-
-	Refills    int64 // fill rounds (the initial fill included)
-	RefillTime time.Duration
-}
 
 // Execution is one pre-garbled inference: everything the garbler's side
 // of the protocol produces except the input-bit-dependent label
@@ -121,15 +81,12 @@ type Execution struct {
 	inZero []gc.Label
 	// tables holds the full garbled-table byte stream (level runs and
 	// their levels contiguous, gate rank within a level fixing each
-	// table's offset — the exact bytes live garbling streams); nil while
-	// spilled.
+	// table's offset — the exact bytes live garbling streams).
 	tables []byte
 	// outZero are the output wires' zero-labels, what output
 	// authentication needs. Release keeps them: ownership transfers to
 	// the pending inference.
 	outZero []gc.Label
-
-	spill string // path of the spilled tables file, "" when in memory
 }
 
 // Seq returns the execution's bank sequence number (strictly monotone
@@ -149,10 +106,6 @@ func (ex *Execution) zero(full bool) {
 	clear(ex.inZero)
 	clear(ex.consts)
 	ex.tables, ex.inZero, ex.consts = nil, nil, nil
-	if ex.spill != "" {
-		os.Remove(ex.spill) //nolint:errcheck — best-effort cleanup
-		ex.spill = ""
-	}
 	if full {
 		clear(ex.outZero)
 		ex.outZero = nil
@@ -161,7 +114,7 @@ func (ex *Execution) zero(full bool) {
 }
 
 // Bank is a FIFO of pre-garbled executions for one compiled schedule.
-// TakeN/Fill/Stats are safe for concurrent use (a client may share
+// TakeN/Fill are safe for concurrent use (a client may share
 // one bank across sessions of the same program); the rng must then be
 // concurrency-safe too, like any multi-session randomness source.
 type Bank struct {
@@ -202,23 +155,9 @@ func (b *Bank) Metrics() *obs.Set { return b.set }
 // SetMetrics makes the bank record into its owner's ledger — the client's,
 // which the ledgers of the sessions that take from the bank are under, so
 // that their hits and misses land in it too. Banks that share an owner
-// share its ledger: Stats then counts them together. Call before the
-// first Fill.
+// share its ledger, which then counts them together. Call before the first
+// Fill.
 func (b *Bank) SetMetrics(s *obs.Set) { b.set = s }
-
-// Stats reads the bank's counters out of its ledger. An execution banked
-// is one observation of the bank_refill phase, so that histogram holds the
-// refill time.
-func (b *Bank) Stats() Stats {
-	return Stats{
-		Hits:       b.set.BankHits.Value(),
-		Misses:     b.set.BankMisses.Value(),
-		Banked:     b.set.BankRefills.Value(),
-		Spills:     b.set.BankSpills.Value(),
-		Refills:    b.set.BankFills.Value(),
-		RefillTime: time.Duration(b.set.Phase[obs.PhaseBankRefill].Sum()),
-	}
-}
 
 // Err returns the sticky background-fill error, if any: the bank stops
 // refilling after one, and consumers fall back to live garbling.
@@ -274,7 +213,7 @@ func (b *Bank) fillLocked() error {
 		}
 		b.mu.Unlock()
 		start := time.Now()
-		ex, err := b.garbleOne()
+		ex, err := record(b.rng, b.sched, b.pool)
 		if err != nil {
 			return err
 		}
@@ -308,20 +247,20 @@ func (b *Bank) insert(ex *Execution, dt time.Duration) {
 
 // TakeN removes and returns the n oldest banked executions —
 // all-or-nothing: a bank holding fewer than n hands out none of them and
-// reports (nil, nil), the miss that tells the caller to garble live; it
+// returns nil, the miss that tells the caller to garble live; it
 // never blocks. Batched consumers assemble their fused stream from n
 // single executions (Banked). A taken execution is gone from the bank
 // permanently, whatever its consumer's fate, and a take that leaves the
 // bank below low water kicks off a background refill. The outcome — n
 // hits or n misses, one per sample the taker will garble — is recorded in
 // rec, the taker's ledger (the bank's own or one under it).
-func (b *Bank) TakeN(n int, rec *obs.Set) ([]*Execution, error) {
+func (b *Bank) TakeN(n int, rec *obs.Set) []*Execution {
 	b.mu.Lock()
 	if b.available() < n {
 		b.mu.Unlock()
 		rec.BankMisses.Add(int64(n))
 		b.maybeRefill()
-		return nil, nil
+		return nil
 	}
 	exs := make([]*Execution, n)
 	copy(exs, b.fifo[b.head:b.head+n])
@@ -332,30 +271,10 @@ func (b *Bank) TakeN(n int, rec *obs.Set) ([]*Execution, error) {
 	b.seq = exs[n-1].seq + 1
 	b.mu.Unlock()
 
-	var loadErr error
-	for _, ex := range exs {
-		if loadErr == nil && ex.spill != "" {
-			loadErr = b.load(ex)
-		}
-		if loadErr != nil {
-			// A lost spill file loses the whole take (the executions are
-			// already off the bank — single-use means no re-banking):
-			// zero the survivors and report the miss; the caller garbles
-			// live and the protocol proceeds.
-			ex.zero(true)
-		}
-	}
-	if loadErr != nil {
-		rec.BankMisses.Add(int64(n))
-	} else {
-		rec.BankHits.Add(int64(n))
-	}
+	rec.BankHits.Add(int64(n))
 	b.set.BankAvailable.Set(int64(b.Available()))
 	b.maybeRefill()
-	if loadErr != nil {
-		return nil, loadErr
-	}
-	return exs, nil
+	return exs
 }
 
 // maybeRefill starts the background refiller when the policy calls for
@@ -365,7 +284,7 @@ func (b *Bank) maybeRefill() {
 		return
 	}
 	b.mu.Lock()
-	if b.closed || b.refilling || b.fillErr != nil || b.available() >= b.cfg.lowWater() {
+	if b.closed || b.refilling || b.fillErr != nil || b.available() >= max(b.cfg.Depth/4, 1) {
 		b.mu.Unlock()
 		return
 	}
@@ -398,7 +317,7 @@ func (b *Bank) maybeRefill() {
 }
 
 // Close stops background refilling, waits for an in-flight refill to
-// finish, and zeroes every banked execution (removing spill files).
+// finish, and zeroes every banked execution.
 // Further Takes miss; a closed bank is a permanent fallback to live
 // garbling.
 func (b *Bank) Close() {
@@ -416,58 +335,4 @@ func (b *Bank) Close() {
 	}
 	b.fifo, b.head = nil, 0
 	b.mu.Unlock()
-}
-
-// garbleOne records one execution (source.go) and, with a SpillDir, moves
-// its tables to disk.
-func (b *Bank) garbleOne() (*Execution, error) {
-	ex, err := record(b.rng, b.sched, b.pool)
-	if err == nil && b.cfg.SpillDir != "" {
-		err = b.spillTables(ex)
-	}
-	return ex, err
-}
-
-// spillTables writes the execution's tables to a fresh file and drops them
-// from memory.
-func (b *Bank) spillTables(ex *Execution) error {
-	b.mu.Lock()
-	n := b.nextSeq + int64(b.available()) // unique enough: inserts are serialized by fillMu
-	spillID := fmt.Sprintf("exec-%d-%d.tables", n, time.Now().UnixNano())
-	b.mu.Unlock()
-	name := filepath.Join(b.cfg.SpillDir, spillID)
-	f, err := os.OpenFile(name, os.O_WRONLY|os.O_CREATE|os.O_EXCL, 0o600)
-	if err == nil {
-		_, err = f.Write(ex.tables)
-		if cerr := f.Close(); err == nil {
-			err = cerr
-		}
-		if err != nil {
-			os.Remove(name) //nolint:errcheck — best-effort cleanup
-		}
-	}
-	if err != nil {
-		return fmt.Errorf("bank: spill: %w", err)
-	}
-	clear(ex.tables)
-	ex.tables = nil
-	ex.spill = name
-	b.set.BankSpills.Inc()
-	return nil
-}
-
-// load reads a spilled execution's tables back (deleting the file —
-// single-use on disk too).
-func (b *Bank) load(ex *Execution) error {
-	data, err := os.ReadFile(ex.spill)
-	os.Remove(ex.spill) //nolint:errcheck — single-use: gone either way
-	ex.spill = ""
-	if err != nil {
-		return fmt.Errorf("bank: spill load: %w", err)
-	}
-	if want := b.sched.ANDs * gc.TableSize; int64(len(data)) != want {
-		return fmt.Errorf("bank: spill file is %d bytes, schedule wants %d", len(data), want)
-	}
-	ex.tables = data
-	return nil
 }

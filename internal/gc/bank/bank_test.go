@@ -3,8 +3,6 @@ package bank
 import (
 	"bytes"
 	"math/rand"
-	"os"
-	"path/filepath"
 	"testing"
 	"time"
 
@@ -103,10 +101,7 @@ func (s *plainEval) OnDrop(w uint32) error { return nil }
 // take is TakeN(1): the oldest banked execution, or nil on a miss.
 func take(t *testing.T, b *Bank) *Execution {
 	t.Helper()
-	exs, err := b.TakeN(1, b.Metrics())
-	if err != nil {
-		t.Fatal(err)
-	}
+	exs := b.TakeN(1, b.Metrics())
 	if exs == nil {
 		return nil
 	}
@@ -286,9 +281,9 @@ func TestBankSingleUse(t *testing.T) {
 	if ex := take(t, b); ex != nil {
 		t.Fatalf("empty bank take = %v, want a miss", ex)
 	}
-	st := b.Stats()
-	if st.Hits != 3 || st.Misses != 1 || st.Banked != 3 {
-		t.Fatalf("stats = %+v, want 3 hits / 1 miss / 3 banked", st)
+	m := b.Metrics()
+	if h, mi, bk := m.BankHits.Value(), m.BankMisses.Value(), m.BankRefills.Value(); h != 3 || mi != 1 || bk != 3 {
+		t.Fatalf("ledger = %d hits / %d misses / %d banked, want 3 / 1 / 3", h, mi, bk)
 	}
 }
 
@@ -300,12 +295,12 @@ func TestBankTakeN(t *testing.T) {
 	if err := b.Fill(); err != nil {
 		t.Fatal(err)
 	}
-	if exs, err := b.TakeN(3, b.Metrics()); err != nil || exs != nil {
-		t.Fatalf("TakeN(3) on depth-2 bank = (%v, %v), want miss", exs, err)
+	if exs := b.TakeN(3, b.Metrics()); exs != nil {
+		t.Fatalf("TakeN(3) on depth-2 bank = %v, want miss", exs)
 	}
-	exs, err := b.TakeN(2, b.Metrics())
-	if err != nil || len(exs) != 2 {
-		t.Fatalf("TakeN(2) = (%v, %v)", exs, err)
+	exs := b.TakeN(2, b.Metrics())
+	if len(exs) != 2 {
+		t.Fatalf("TakeN(2) = %v", exs)
 	}
 	if exs[0].Seq() != 0 || exs[1].Seq() != 1 {
 		t.Fatalf("TakeN seqs %d,%d, want 0,1", exs[0].Seq(), exs[1].Seq())
@@ -315,67 +310,22 @@ func TestBankTakeN(t *testing.T) {
 	}
 	// A miss is counted in samples, like a hit: the three the short bank
 	// could not serve.
-	if st := b.Stats(); st.Misses != 3 || st.Hits != 2 {
-		t.Fatalf("stats = %+v, want 3 misses / 2 hits", st)
-	}
-}
-
-// TestBankSpill: spilled executions round-trip — a SpillDir bank hands
-// out byte-identical tables to an in-memory bank from the same seed, the
-// spill files are mode 0600, and they are gone after the take.
-func TestBankSpill(t *testing.T) {
-	sched := testSchedule(t, 45)
-	dir := t.TempDir()
-	bm := New(sched, rand.New(rand.NewSource(17)), gc.NewPool(1), Config{Depth: 2})
-	bs := New(sched, rand.New(rand.NewSource(17)), gc.NewPool(1), Config{Depth: 2, SpillDir: dir})
-	if err := bm.Fill(); err != nil {
-		t.Fatal(err)
-	}
-	if err := bs.Fill(); err != nil {
-		t.Fatal(err)
-	}
-	ents, err := os.ReadDir(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(ents) != 2 {
-		t.Fatalf("%d spill files after fill, want 2", len(ents))
-	}
-	fi, err := os.Stat(filepath.Join(dir, ents[0].Name()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if fi.Mode().Perm() != 0o600 {
-		t.Fatalf("spill file mode %v, want 0600", fi.Mode().Perm())
-	}
-	for k := 0; k < 2; k++ {
-		if xm, xs := take(t, bm), take(t, bs); !bytes.Equal(xm.tables, xs.tables) {
-			t.Fatalf("exec %d: spilled tables differ from in-memory", k)
-		}
-	}
-	ents, err = os.ReadDir(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(ents) != 0 {
-		t.Fatalf("%d spill files remain after consuming the bank", len(ents))
-	}
-	if st := bs.Stats(); st.Spills != 2 {
-		t.Fatalf("spill stats = %+v, want 2 spills", st)
+	if m := b.Metrics(); m.BankMisses.Value() != 3 || m.BankHits.Value() != 2 {
+		t.Fatalf("ledger = %d misses / %d hits, want 3 / 2", m.BankMisses.Value(), m.BankHits.Value())
 	}
 }
 
 // TestBankBackgroundRefill: a take that leaves the bank below low water
-// regenerates it to depth on the helper goroutine.
+// (Depth/4) regenerates it to depth on the helper goroutine.
 func TestBankBackgroundRefill(t *testing.T) {
 	sched := testSchedule(t, 46)
 	// crand-style concurrency-safe rng not needed: refills serialize on
 	// fillMu and the foreground never garbles in this test.
-	b := New(sched, rand.New(rand.NewSource(19)), gc.NewPool(1), Config{Depth: 4, LowWater: 3, Background: true})
+	b := New(sched, rand.New(rand.NewSource(19)), gc.NewPool(1), Config{Depth: 4, Background: true})
 	if err := b.Fill(); err != nil {
 		t.Fatal(err)
 	}
-	for k := 0; k < 2; k++ {
+	for k := 0; k < 4; k++ {
 		if take(t, b) == nil {
 			t.Fatalf("take %d missed", k)
 		}
@@ -387,8 +337,8 @@ func TestBankBackgroundRefill(t *testing.T) {
 		}
 		time.Sleep(time.Millisecond)
 	}
-	if st := b.Stats(); st.Refills < 2 {
-		t.Fatalf("stats = %+v, want the initial fill plus a background refill", st)
+	if n := b.Metrics().BankFills.Value(); n < 2 {
+		t.Fatalf("%d fill round(s), want the initial fill plus a background refill", n)
 	}
 	b.Close()
 	if take(t, b) != nil {

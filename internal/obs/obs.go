@@ -230,30 +230,6 @@ func (s HistogramSnapshot) Quantile(q float64) float64 {
 	return float64(s.Bounds[len(s.Bounds)-1])
 }
 
-// Merge adds o's counts and sum into s. The two snapshots must have
-// identical bounds; merging into a zero-value snapshot adopts o.
-func (s *HistogramSnapshot) Merge(o HistogramSnapshot) error {
-	if len(s.Bounds) == 0 && len(s.Counts) == 0 {
-		s.Bounds = append([]int64(nil), o.Bounds...)
-		s.Counts = append([]int64(nil), o.Counts...)
-		s.Sum = o.Sum
-		return nil
-	}
-	if len(s.Bounds) != len(o.Bounds) || len(s.Counts) != len(o.Counts) {
-		return errBoundsMismatch
-	}
-	for i, b := range s.Bounds {
-		if b != o.Bounds[i] {
-			return errBoundsMismatch
-		}
-	}
-	for i, c := range o.Counts {
-		s.Counts[i] += c
-	}
-	s.Sum += o.Sum
-	return nil
-}
-
 // Delta returns s minus an earlier snapshot of the same histogram: the
 // observations recorded in the window between the two. This is how the
 // admission controller's p99 guard sees recent latency from a cumulative

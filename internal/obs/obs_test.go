@@ -122,55 +122,6 @@ func TestQuantileEmpty(t *testing.T) {
 	}
 }
 
-func TestHistogramMerge(t *testing.T) {
-	bounds := []int64{10, 100, 1000, 10000}
-	r := NewRegistry()
-	a := r.Histogram(Desc{Name: "a"}, bounds)
-	b := r.Histogram(Desc{Name: "b"}, bounds)
-	all := r.Histogram(Desc{Name: "all"}, bounds)
-	rng := rand.New(rand.NewSource(3))
-	for i := 0; i < 5000; i++ {
-		v := int64(rng.Intn(20000))
-		all.Observe(v)
-		if i%2 == 0 {
-			a.Observe(v)
-		} else {
-			b.Observe(v)
-		}
-	}
-	merged := a.Snapshot()
-	if err := merged.Merge(b.Snapshot()); err != nil {
-		t.Fatal(err)
-	}
-	want := all.Snapshot()
-	if merged.Sum != want.Sum || merged.Count() != want.Count() {
-		t.Fatalf("merged sum/count = %d/%d, want %d/%d", merged.Sum, merged.Count(), want.Sum, want.Count())
-	}
-	for i := range want.Counts {
-		if merged.Counts[i] != want.Counts[i] {
-			t.Fatalf("merged bucket %d = %d, want %d", i, merged.Counts[i], want.Counts[i])
-		}
-	}
-	for _, q := range []float64{0.5, 0.95, 0.99} {
-		if merged.Quantile(q) != want.Quantile(q) {
-			t.Fatalf("q=%v: merged %v != combined %v", q, merged.Quantile(q), want.Quantile(q))
-		}
-	}
-	// Mismatched bounds must refuse to merge.
-	other := r.Histogram(Desc{Name: "other"}, []int64{1, 2, 3}).Snapshot()
-	if err := merged.Merge(other); err == nil {
-		t.Fatal("merge with mismatched bounds must error")
-	}
-	// Merging into a zero snapshot adopts the source.
-	var zero HistogramSnapshot
-	if err := zero.Merge(want); err != nil {
-		t.Fatal(err)
-	}
-	if zero.Count() != want.Count() {
-		t.Fatal("zero-merge must adopt the source counts")
-	}
-}
-
 // TestConcurrentHammer drives one registry from many goroutines — the
 // -race CI job runs this package — and checks the totals are exact and
 // snapshots taken mid-flight are internally consistent.

@@ -121,7 +121,6 @@ type Set struct {
 	BankHits, BankMisses *Counter // samples, like Inferences
 	BankAvailable        *Gauge
 	BankRefills          *Counter
-	BankSpills           *Counter
 
 	AdmissionQueueDepth *Gauge
 	SessionsQueued      *Counter
@@ -247,8 +246,6 @@ func newSet(reg *Registry, p *Set) *Set {
 		Help: "Pre-garbled executions currently banked."})
 	s.BankRefills = counter(Desc{Name: "deepsecure_bank_refills_total",
 		Help: "Executions garbled ahead into banks (setup fills and background refills)."})
-	s.BankSpills = counter(Desc{Name: "deepsecure_bank_spills_total",
-		Help: "Banked executions spilled to disk."})
 
 	s.AdmissionQueueDepth = gauge(Desc{Name: "deepsecure_admission_queue_depth",
 		Help: "Sessions currently waiting in the admission queue."})

@@ -56,8 +56,10 @@ type PoolConfig struct {
 	// refill. 0 sizes the pool from the program (see Sized).
 	Capacity int
 	// RefillLowWater triggers a refill once the unassigned pool drops
-	// below it. 0 defaults to Capacity/4. A refill also triggers
-	// unconditionally when a range needs more OTs than remain.
+	// below it. 0 defaults to Capacity/4, what every non-test caller runs;
+	// the field stays because the refill-shape tests force mid-inference
+	// refills with it. A refill also triggers unconditionally when a range
+	// needs more OTs than remain.
 	RefillLowWater int
 	// Background starts each refill's receiver-side crypto (PRG expansion
 	// + transpose) on a helper goroutine the moment the refill is decided,

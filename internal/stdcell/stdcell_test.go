@@ -686,62 +686,3 @@ func TestWidthMismatchPanics(t *testing.T) {
 		Add(b, x, y)
 	})
 }
-
-func TestGateCountTable3Style(t *testing.T) {
-	// Exact pins on the component costs we report in Table 3 and on the
-	// MAC that is 99.8 % of an MLP's gates: these are this implementation's
-	// counts (not the paper's), so any netlist change, up or down, shows up
-	// here as an edited number.
-	f := fixed.Default
-	n := f.Bits()
-	mac := func(b *circuit.Builder, x Word) {
-		w := Input(b, circuit.Evaluator, n)
-		acc := Input(b, circuit.Garbler, n)
-		b.Outputs(Add(b, acc, MulFixed(b, x, w, f.FracBits))...)
-	}
-	for _, tc := range []struct {
-		name string
-		and  int64
-		gen  func(b *circuit.Builder)
-	}{
-		{"MULT", 480, func(b *circuit.Builder) {
-			x, y := twoInputs(n)(b)
-			b.Outputs(MulFixed(b, x, y, f.FracBits)...)
-		}},
-		{"MAC", 495, func(b *circuit.Builder) { mac(b, Input(b, circuit.Garbler, n)) }},
-		{"MAC after ReLU", 471, func(b *circuit.Builder) {
-			mac(b, postReLU(b, n))
-		}},
-		{"MVM 1x8 * 8x4", 15780, func(b *circuit.Builder) {
-			x := make([]Word, 8)
-			for i := range x {
-				x[i] = Input(b, circuit.Garbler, n)
-			}
-			w := make([]Word, 32)
-			for i := range w {
-				w[i] = Input(b, circuit.Evaluator, n)
-			}
-			for _, o := range MatVec(b, w, x, 4, 8, f.FracBits) {
-				b.Outputs(o...)
-			}
-		}},
-	} {
-		s, err := circuit.Count(tc.gen)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if s.AND != tc.and {
-			t.Errorf("%s non-XOR = %d, want %d", tc.name, s.AND, tc.and)
-		}
-	}
-	divs, err := circuit.Count(func(b *circuit.Builder) {
-		x, y := twoInputs(n)(b)
-		b.Outputs(DivFixed(b, x, y, f.FracBits)...)
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if divs.AND == 0 || divs.AND > 3000 {
-		t.Errorf("DivFixed non-XOR = %d, outside sane range", divs.AND)
-	}
-}

@@ -1,0 +1,56 @@
+package stdcell_test
+
+import (
+	"testing"
+
+	"deepsecure/internal/benchmarks"
+	"deepsecure/internal/circuit"
+	"deepsecure/internal/fixed"
+	"deepsecure/internal/stdcell"
+)
+
+// TestGateCountTable3Style pins, exactly, the cost of every component we
+// report in Table 3 (benchmarks.Table3, the list deepsecure-bench and
+// netlist-stats print) and of the MAC that is 99.8 % of an MLP's gates:
+// these are this implementation's counts (not the paper's), so any netlist
+// change, up or down, shows up here as an edited number. An external test
+// package because the catalogue imports stdcell.
+func TestGateCountTable3Style(t *testing.T) {
+	f := fixed.Default
+	n := f.Bits()
+	want := map[string]int64{
+		"TanhLUT": 7892, "TanhTrunc": 5139, "TanhPL": 160, "TanhCORDIC": 4312,
+		"SigmoidLUT": 8950, "SigmoidTrunc": 5918, "SigmoidPLAN": 143, "SigmoidCORDIC": 4269,
+		"ADD": 15, "MULT": 480, "DIV": 1186, "ReLu": 15,
+		"Softmax(n=10)": 309, "MVM 1x8 * 8x4": 15780,
+		"MAC": 495, "MAC after ReLU": 471,
+	}
+	mac := func(name string, signed bool) benchmarks.Component {
+		return benchmarks.Component{Name: name, Gen: func(b *circuit.Builder, f fixed.Format) {
+			x := stdcell.Input(b, circuit.Garbler, n)
+			if !signed {
+				// Shaped like a ReLU output: the sign wire is the constant 0.
+				x[n-1] = circuit.WFalse
+			}
+			w := stdcell.Input(b, circuit.Evaluator, n)
+			acc := stdcell.Input(b, circuit.Garbler, n)
+			b.Outputs(stdcell.Add(b, acc, stdcell.MulFixed(b, x, w, f.FracBits))...)
+		}}
+	}
+	rows := append(append([]benchmarks.Component{}, benchmarks.Table3...), mac("MAC", true), mac("MAC after ReLU", false))
+	for _, c := range rows {
+		s, err := circuit.Count(func(b *circuit.Builder) { c.Gen(b, f) })
+		if err != nil {
+			t.Fatal(err)
+		}
+		and, pinned := want[c.Name]
+		if !pinned {
+			t.Errorf("%s has no pinned count (it counts %d non-XOR)", c.Name, s.AND)
+		} else if s.AND != and {
+			t.Errorf("%s non-XOR = %d, want %d", c.Name, s.AND, and)
+		}
+	}
+	if len(rows) != len(want) {
+		t.Errorf("%d rows counted, %d pinned", len(rows), len(want))
+	}
+}
