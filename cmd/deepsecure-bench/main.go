@@ -95,7 +95,7 @@ func main() {
 // synthesis library plus the measured approximation error.
 func runTable3() {
 	fmt.Println("== Table 3: GC-optimized DL circuit components (16-bit Q3.12) ==")
-	fmt.Printf("%-16s %10s %10s %12s   %s\n", "Name", "#XOR", "#non-XOR", "MaxError", "paper #non-XOR")
+	fmt.Printf("%-16s %10s %10s %12s %12s   %s\n", "Name", "#XOR", "#non-XOR", "MaxError", "MeanError", "paper #non-XOR")
 	f := fixed.Default
 
 	for _, c := range benchmarks.Table3 {
@@ -103,15 +103,17 @@ func runTable3() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		maxErr := "0"
-		if c.Kind != act.Identity {
-			worst, _ := act.New(c.Kind, f).MaxError()
-			maxErr = fmt.Sprintf("%.2e", worst)
+		maxErr, meanErr := "-", "-"
+		if worst, mean, ok := c.Error(f); ok && worst == 0 {
+			maxErr, meanErr = "0", "0"
+		} else if ok {
+			maxErr, meanErr = fmt.Sprintf("%.2e", worst), fmt.Sprintf("%.2e", mean)
 		}
-		fmt.Printf("%-16s %10d %10d %12s   %s\n", c.Name, s.FreeXOR(), s.NonXOR(), maxErr, c.Paper)
+		fmt.Printf("%-16s %10d %10d %12s %12s   %s\n", c.Name, s.FreeXOR(), s.NonXOR(), maxErr, meanErr, c.Paper)
 	}
-	fmt.Printf("(MULT/MVM vs the paper: %d of MULT's ANDs compute the exact carry out of the %d discarded fraction columns; dropping them needs a truncated product with fixed.Num.Mul changed in lock-step, a numerics decision not taken)\n",
-		f.FracBits*f.FracBits, f.FracBits)
+	cols, centre := fixed.MulTruncation(f.FracBits)
+	fmt.Printf("(MULT/MVM: a truncated product — the partial products of the %d lowest of the %d fraction columns are replaced by the constant %d, fixed.Num.Mul being the same function; its error is against the floor of the real product, 1 ulp = %.2e)\n",
+		cols, f.FracBits, centre, 1/f.Scale())
 	e := cordic.New(f)
 	fmt.Printf("(CORDIC schedule: %d iterations incl. range expansion)\n\n", e.Iterations())
 }

@@ -3,6 +3,7 @@ package benchmarks
 import (
 	"testing"
 
+	"deepsecure/internal/fixed"
 	"deepsecure/internal/netgen"
 	"deepsecure/internal/nn"
 )
@@ -100,5 +101,30 @@ func TestCompactedDensity(t *testing.T) {
 	}
 	if net.In.Len() != b.ProjDim {
 		t.Errorf("B4 projected input = %d, want %d", net.In.Len(), b.ProjDim)
+	}
+}
+
+// TestTable3ErrorColumn: ADD, DIV and ReLU are exact in fixed point,
+// measured and not assumed; MULT, a truncated product, is within one ulp
+// of the floor of the real product; every activation row reports an error.
+func TestTable3ErrorColumn(t *testing.T) {
+	f := fixed.Default
+	ulp := 1 / f.Scale()
+	for _, c := range Table3 {
+		worst, mean, ok := c.Error(f)
+		switch c.Name {
+		case "ADD", "DIV", "ReLu":
+			if !ok || worst != 0 {
+				t.Errorf("%s: error %g (measured: %v), want exactly 0", c.Name, worst, ok)
+			}
+		case "MULT":
+			if !ok || worst != ulp || mean <= 0 || mean > ulp/2 {
+				t.Errorf("MULT: worst %g, mean %g (measured: %v), want worst = 1 ulp = %g and 0 < mean ≤ ulp/2", worst, mean, ok, ulp)
+			}
+		default:
+			if measured := c.Model != nil || c.Kind.IsTanh() || c.Kind.IsSigmoid(); ok != measured {
+				t.Errorf("%s: error measured = %v, want %v", c.Name, ok, measured)
+			}
+		}
 	}
 }

@@ -1,6 +1,9 @@
 package benchmarks
 
 import (
+	"math"
+	"math/rand"
+
 	"deepsecure/internal/act"
 	"deepsecure/internal/circuit"
 	"deepsecure/internal/fixed"
@@ -14,10 +17,38 @@ type Component struct {
 	Name  string // the row's name in Table 3
 	Paper string // the paper's non-XOR count
 	// Kind is the activation the row realises; act.Identity on the
-	// arithmetic rows, which are exact in fixed point.
+	// arithmetic rows.
 	Kind act.Kind
 	// Gen emits the component over format f, inputs and outputs included.
 	Gen func(b *circuit.Builder, f fixed.Format)
+	// Model, on the arithmetic rows, returns the raw result of the row's
+	// software model (bit for bit the circuit, by stdcell's tests) and of
+	// the same operation on real numbers rounded once to the format.
+	Model func(x, y fixed.Num) (got, exact int64)
+}
+
+// Error is the row's Error column: the worst and mean absolute deviation
+// from its reference, as values of the format. An activation's reference is
+// the real function, swept over its domain; an arithmetic row's is Model's
+// exact result, over a seeded sample of operand pairs. ok is false on the
+// rows that have neither.
+func (c Component) Error(f fixed.Format) (worst, mean float64, ok bool) {
+	if c.Kind != act.Identity {
+		worst, mean = act.New(c.Kind, f).MaxError()
+		return worst, mean, true
+	}
+	if c.Model == nil {
+		return 0, 0, false
+	}
+	const pairs = 1 << 16
+	rng := rand.New(rand.NewSource(3))
+	for i := 0; i < pairs; i++ {
+		got, exact := c.Model(f.FromRaw(rng.Int63()), f.FromRaw(rng.Int63()))
+		d := math.Abs(float64(f.Wrap(got-exact))) / f.Scale()
+		worst = math.Max(worst, d)
+		mean += d / pairs
+	}
+	return worst, mean, true
 }
 
 // Table3 lists the components in the order the table prints them; the
@@ -33,16 +64,23 @@ var Table3 = []Component{
 	activation("sigmoid-cordic", act.SigmoidCORDIC, "3932"),
 	binary("add", "ADD", "16", func(b *circuit.Builder, x, y stdcell.Word, _ fixed.Format) stdcell.Word {
 		return stdcell.Add(b, x, y)
-	}),
+	}, func(x, y fixed.Num) (int64, int64) { return x.Add(y).Raw(), x.Raw() + y.Raw() }),
 	binary("mult", "MULT", "212", func(b *circuit.Builder, x, y stdcell.Word, f fixed.Format) stdcell.Word {
 		return stdcell.MulFixed(b, x, y, f.FracBits)
+	}, func(x, y fixed.Num) (int64, int64) { // exact: the floor of the real product
+		return x.Mul(y).Raw(), x.Raw() * y.Raw() >> uint(x.Format().FracBits)
 	}),
 	binary("div", "DIV", "361", func(b *circuit.Builder, x, y stdcell.Word, f fixed.Format) stdcell.Word {
-		return stdcell.DivFixed(b, x, y, f.FracBits)
+		return stdcell.DivFixed(b, x, y, f.FracBits, f.Bits()+f.FracBits)
+	}, func(x, y fixed.Num) (int64, int64) { // exact: the real quotient toward zero
+		if y.Raw() == 0 {
+			return 0, 0 // no real quotient; the saturation is stdcell's to test
+		}
+		return x.Div(y).Raw(), x.Raw() << uint(x.Format().FracBits) / y.Raw()
 	}),
 	{Key: "relu", Name: "ReLu", Paper: "15", Gen: func(b *circuit.Builder, f fixed.Format) {
 		b.Outputs(stdcell.ReLU(b, stdcell.Input(b, circuit.Garbler, f.Bits()))...)
-	}},
+	}, Model: func(x, _ fixed.Num) (int64, int64) { return x.ReLU().Raw(), max(x.Raw(), 0) }},
 	{Key: "softmax", Name: "Softmax(n=10)", Paper: "(n-1)*32 = 288", Gen: func(b *circuit.Builder, f fixed.Format) {
 		b.Outputs(stdcell.ArgMax(b, inputs(b, circuit.Garbler, 10, f))...)
 	}},
@@ -63,8 +101,8 @@ func activation(key string, kind act.Kind, paper string) Component {
 		}}
 }
 
-func binary(key, name, paper string, op func(b *circuit.Builder, x, y stdcell.Word, f fixed.Format) stdcell.Word) Component {
-	return Component{Key: key, Name: name, Paper: paper, Gen: func(b *circuit.Builder, f fixed.Format) {
+func binary(key, name, paper string, op func(b *circuit.Builder, x, y stdcell.Word, f fixed.Format) stdcell.Word, model func(x, y fixed.Num) (got, exact int64)) Component {
+	return Component{Key: key, Name: name, Paper: paper, Model: model, Gen: func(b *circuit.Builder, f fixed.Format) {
 		x := stdcell.Input(b, circuit.Garbler, f.Bits())
 		y := stdcell.Input(b, circuit.Garbler, f.Bits())
 		b.Outputs(op(b, x, y, f)...)

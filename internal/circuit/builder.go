@@ -306,21 +306,12 @@ func (b *Builder) INV(x uint32) uint32 {
 }
 
 // Derived gates, lowered onto {XOR, AND, INV}. OR costs one AND (by
-// De Morgan with free INVs), XNOR is a free XOR+INV, etc.
+// De Morgan with free INVs).
 
 // OR returns a | b (one non-XOR gate).
 func (b *Builder) OR(x, y uint32) uint32 {
 	return b.INV(b.AND(b.INV(x), b.INV(y)))
 }
-
-// NAND returns !(a & b).
-func (b *Builder) NAND(x, y uint32) uint32 { return b.INV(b.AND(x, y)) }
-
-// NOR returns !(a | b).
-func (b *Builder) NOR(x, y uint32) uint32 { return b.AND(b.INV(x), b.INV(y)) }
-
-// XNOR returns !(a ^ b).
-func (b *Builder) XNOR(x, y uint32) uint32 { return b.INV(b.XOR(x, y)) }
 
 // MUX returns t when sel is 1, f when sel is 0, costing a single AND:
 // out = f ^ (sel & (t ^ f)).

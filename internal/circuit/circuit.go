@@ -4,7 +4,7 @@
 // namespace (paper §2.2.2). Following the Free-XOR cost model (§2.3), the
 // gate set is restricted to XOR, AND, and INV: XOR and INV are free to
 // garble, AND costs two 128-bit ciphertexts (half-gates). Richer gates
-// (OR, NAND, XNOR, MUX, ...) are lowered by the Builder.
+// (OR, MUX) are lowered by the Builder.
 //
 // Wire ids 0 and 1 are reserved for the constants false and true. The
 // Builder performs constant folding, so emitted gates never have constant
@@ -165,33 +165,55 @@ func (c *Circuit) Stats() Stats {
 // declaration order, then evaluator inputs. It returns output bits in
 // output-declaration order.
 func (c *Circuit) Eval(garblerBits, evaluatorBits []bool) ([]bool, error) {
-	if len(garblerBits) != len(c.GarblerInputs) {
-		return nil, fmt.Errorf("circuit: got %d garbler bits, want %d", len(garblerBits), len(c.GarblerInputs))
+	lanes, err := c.EvalLanes(toLanes(garblerBits), toLanes(evaluatorBits))
+	out := make([]bool, len(lanes))
+	for i, v := range lanes {
+		out[i] = v&1 == 1
 	}
-	if len(evaluatorBits) != len(c.EvaluatorInputs) {
-		return nil, fmt.Errorf("circuit: got %d evaluator bits, want %d", len(evaluatorBits), len(c.EvaluatorInputs))
+	return out, err
+}
+
+func toLanes(bits []bool) []uint64 {
+	out := make([]uint64, len(bits))
+	for i, v := range bits {
+		if v {
+			out[i] = 1
+		}
 	}
-	vals := make([]bool, c.NWires)
-	vals[WTrue] = true
+	return out
+}
+
+// EvalLanes is Eval on 64 independent assignments at once: bit l of every
+// input and output word belongs to assignment l. Exhaustive equivalence
+// tests sweep whole input spaces with it.
+func (c *Circuit) EvalLanes(garbler, evaluator []uint64) ([]uint64, error) {
+	if len(garbler) != len(c.GarblerInputs) {
+		return nil, fmt.Errorf("circuit: got %d garbler bits, want %d", len(garbler), len(c.GarblerInputs))
+	}
+	if len(evaluator) != len(c.EvaluatorInputs) {
+		return nil, fmt.Errorf("circuit: got %d evaluator bits, want %d", len(evaluator), len(c.EvaluatorInputs))
+	}
+	vals := make([]uint64, c.NWires)
+	vals[WTrue] = ^uint64(0)
 	for i, w := range c.GarblerInputs {
-		vals[w] = garblerBits[i]
+		vals[w] = garbler[i]
 	}
 	for i, w := range c.EvaluatorInputs {
-		vals[w] = evaluatorBits[i]
+		vals[w] = evaluator[i]
 	}
 	for _, g := range c.Gates {
 		switch g.Op {
 		case XOR:
-			vals[g.Out] = vals[g.A] != vals[g.B]
+			vals[g.Out] = vals[g.A] ^ vals[g.B]
 		case AND:
-			vals[g.Out] = vals[g.A] && vals[g.B]
+			vals[g.Out] = vals[g.A] & vals[g.B]
 		case INV:
-			vals[g.Out] = !vals[g.A]
+			vals[g.Out] = ^vals[g.A]
 		default:
 			return nil, fmt.Errorf("circuit: unknown op %v", g.Op)
 		}
 	}
-	out := make([]bool, len(c.Outputs))
+	out := make([]uint64, len(c.Outputs))
 	for i, w := range c.Outputs {
 		out[i] = vals[w]
 	}

@@ -126,9 +126,6 @@ func TestDerivedGates(t *testing.T) {
 		a, bb, s := in[0], in[1], in[2]
 		b.Outputs(
 			b.OR(a, bb),
-			b.NAND(a, bb),
-			b.NOR(a, bb),
-			b.XNOR(a, bb),
 			b.MUX(s, a, bb),
 		)
 	})
@@ -145,9 +142,6 @@ func TestDerivedGates(t *testing.T) {
 				}
 				want := []bool{
 					av || bv,
-					!(av && bv),
-					!(av || bv),
-					av == bv,
 					(sv && av) || (!sv && bv),
 				}
 				for i := range want {

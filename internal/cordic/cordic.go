@@ -15,6 +15,7 @@
 package cordic
 
 import (
+	"fmt"
 	"math"
 
 	"deepsecure/internal/circuit"
@@ -48,6 +49,10 @@ func New(f fixed.Format) *Engine {
 	// e^{maxZ} bounds every datapath quantity; add 2 guard bits.
 	intW := int(math.Ceil(math.Log2(math.Cosh(maxZ)))) + 3
 	internal := fixed.Format{IntBits: intW, FracBits: f.FracBits}
+	if err := internal.Validate(); err != nil {
+		// fixed.Num.Div, the oracle of the divider circuit, would wrap.
+		panic(fmt.Sprintf("cordic: format %+v needs the internal datapath %+v: %v", f, internal, err))
+	}
 
 	e := &Engine{Fmt: f, Internal: internal}
 	scale := internal.Scale()
@@ -126,6 +131,13 @@ func (e *Engine) Rotate(z fixed.Num) (coshRaw, sinhRaw int64) {
 	return x, y
 }
 
+// quotientBits is the width of the divider the circuits emit: |tanh| and
+// sigmoid are at most 1.0 = 2^FracBits, so the magnitude quotient fits
+// FracBits+1 bits and one more absorbs the rotation's rounding. The full
+// internal-width quotient would cost three times the divider steps for
+// leading bits that are provably zero.
+func (e *Engine) quotientBits() int { return e.Fmt.FracBits + 2 }
+
 // Tanh computes tanh(z) = sinh(z)/cosh(z) in the external format. The
 // CORDIC gain cancels in the quotient, and the fixed-point division
 // matches the DivFixed circuit bit-for-bit.
@@ -143,17 +155,6 @@ func (e *Engine) Sigmoid(z fixed.Num) fixed.Num {
 	den := e.Internal.Wrap(e.oneI + x - y)
 	q := e.Internal.FromRaw(e.oneI).Div(e.Internal.FromRaw(den))
 	return e.Fmt.FromRaw(q.Raw())
-}
-
-// addSub emits a conditional add/subtract: out = a + t when sub=0,
-// a - t when sub=1 (one adder; the operand XORs are free).
-func addSub(b *circuit.Builder, a, t stdcell.Word, sub uint32) stdcell.Word {
-	flipped := make(stdcell.Word, len(t))
-	for i := range t {
-		flipped[i] = b.XOR(t[i], sub)
-	}
-	out, _ := stdcell.AddCarry(b, a, flipped, sub)
-	return out
 }
 
 // RotateCircuit emits the CORDIC datapath for input word z (external
@@ -176,11 +177,11 @@ func (e *Engine) RotateCircuit(b *circuit.Builder, z stdcell.Word) (cosh, sinh s
 			tx = stdcell.ShrArith(b, y, it.Shift)
 			ty = stdcell.ShrArith(b, x, it.Shift)
 		}
-		nx := addSub(b, x, tx, s)
-		ny := addSub(b, y, ty, s)
+		nx := stdcell.AddSub(b, x, tx, s)
+		ny := stdcell.AddSub(b, y, ty, s)
 		// z update: z -= d*theta ⇒ add theta when s=1, subtract when s=0.
 		theta := stdcell.Const(b, w, it.Theta)
-		nz := addSub(b, zz, theta, b.INV(s))
+		nz := stdcell.AddSub(b, zz, theta, b.INV(s))
 		x, y, zz = nx, ny, nz
 	}
 	return x, y
@@ -189,7 +190,7 @@ func (e *Engine) RotateCircuit(b *circuit.Builder, z stdcell.Word) (cosh, sinh s
 // TanhCircuit emits tanh(z) as a circuit over the external format.
 func (e *Engine) TanhCircuit(b *circuit.Builder, z stdcell.Word) stdcell.Word {
 	x, y := e.RotateCircuit(b, z)
-	q := stdcell.DivFixed(b, y, x, e.Internal.FracBits)
+	q := stdcell.DivFixed(b, y, x, e.Internal.FracBits, e.quotientBits())
 	return q[:e.Fmt.Bits()].Clone()
 }
 
@@ -198,6 +199,6 @@ func (e *Engine) SigmoidCircuit(b *circuit.Builder, z stdcell.Word) stdcell.Word
 	x, y := e.RotateCircuit(b, z)
 	one := stdcell.Const(b, e.Internal.Bits(), e.oneI)
 	den := stdcell.Sub(b, stdcell.Add(b, one, x), y)
-	q := stdcell.DivFixed(b, one, den, e.Internal.FracBits)
+	q := stdcell.DivFixed(b, one, den, e.Internal.FracBits, e.quotientBits())
 	return q[:e.Fmt.Bits()].Clone()
 }

@@ -2,6 +2,7 @@ package cordic
 
 import (
 	"math"
+	"strings"
 	"testing"
 
 	"deepsecure/internal/circuit"
@@ -65,40 +66,89 @@ func TestRotateMatchesMathSinhCosh(t *testing.T) {
 	}
 }
 
+// allInputs lists every raw value of f.
+func allInputs(f fixed.Format) []int64 {
+	var zs []int64
+	for z := f.MinRaw(); z <= f.MaxRaw(); z++ {
+		zs = append(zs, z)
+	}
+	return zs
+}
+
+// evalAll runs a one-word-in, one-word-out circuit on every z, 64 per pass
+// over the netlist.
+func evalAll(t *testing.T, f fixed.Format, zs []int64, gen func(b *circuit.Builder, z stdcell.Word) stdcell.Word) []int64 {
+	t.Helper()
+	c, err := circuit.Build(func(b *circuit.Builder) {
+		b.Outputs(gen(b, stdcell.Input(b, circuit.Garbler, f.Bits()))...)
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	out := make([]int64, len(zs))
+	in := make([]uint64, f.Bits())
+	for base := 0; base < len(zs); base += 64 {
+		clear(in)
+		lanes := min(64, len(zs)-base)
+		for l := 0; l < lanes; l++ {
+			for i := range in {
+				in[i] |= uint64(zs[base+l]) >> uint(i) & 1 << uint(l)
+			}
+		}
+		res, err := c.EvalLanes(in, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for l := 0; l < lanes; l++ {
+			var v int64
+			for i, r := range res {
+				v |= int64(r>>uint(l)&1) << uint(i)
+			}
+			out[base+l] = f.Wrap(v)
+		}
+	}
+	return out
+}
+
+// TestCircuitBitExactWithSoftware sweeps every input of Q3.12 and of the
+// 8-bit format the LUT tests use: the circuits, bounded divider included,
+// equal the software model, whose Div is the full-width one.
 func TestCircuitBitExactWithSoftware(t *testing.T) {
-	e := New(fixed.Default)
-	f := fixed.Default
-	tanhC, err := circuit.Build(func(b *circuit.Builder) {
-		z := stdcell.Input(b, circuit.Garbler, f.Bits())
-		b.Outputs(e.TanhCircuit(b, z)...)
-	})
-	if err != nil {
-		t.Fatal(err)
+	for _, f := range []fixed.Format{fixed.Default, {IntBits: 3, FracBits: 4}} {
+		e := New(f)
+		zs := allInputs(f)
+		tanh := evalAll(t, f, zs, e.TanhCircuit)
+		sig := evalAll(t, f, zs, e.SigmoidCircuit)
+		for i, z := range zs {
+			in := f.FromRaw(z)
+			if want := e.Tanh(in).Raw(); tanh[i] != want {
+				t.Fatalf("%+v: tanh circuit(%d) = %d, software %d", f, z, tanh[i], want)
+			}
+			if want := e.Sigmoid(in).Raw(); sig[i] != want {
+				t.Fatalf("%+v: sigmoid circuit(%d) = %d, software %d", f, z, sig[i], want)
+			}
+		}
 	}
-	sigC, err := circuit.Build(func(b *circuit.Builder) {
-		z := stdcell.Input(b, circuit.Garbler, f.Bits())
-		b.Outputs(e.SigmoidCircuit(b, z)...)
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for x := -7.9; x <= 7.9; x += 0.61 {
-		in := f.FromFloat(x)
-		out, err := tanhC.Eval(in.Bits(), nil)
-		if err != nil {
-			t.Fatal(err)
+}
+
+// TestQuotientFitsDivider is the precondition of the bounded divider, in
+// software: for every input the magnitude quotient Tanh and Sigmoid ask
+// for is below 2^quotientBits and the divisor is not zero. A format that
+// breaks the bound fails here, not by wrapping inside the circuit.
+func TestQuotientFitsDivider(t *testing.T) {
+	for _, f := range []fixed.Format{fixed.Default, {IntBits: 3, FracBits: 4}, {IntBits: 2, FracBits: 9}} {
+		e := New(f)
+		limit := int64(1) << uint(e.quotientBits())
+		check := func(name string, z, num, den int64) {
+			num, den = max(num, -num), max(den, -den)
+			if den == 0 || num<<uint(f.FracBits)/den >= limit {
+				t.Fatalf("%+v: %s(%d) divides %d by %d: the quotient does not fit %d bits", f, name, z, num, den, e.quotientBits())
+			}
 		}
-		got, _ := f.FromBits(out)
-		if want := e.Tanh(in); got.Raw() != want.Raw() {
-			t.Errorf("tanh circuit(%g) = %d, software %d", x, got.Raw(), want.Raw())
-		}
-		out, err = sigC.Eval(in.Bits(), nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		got, _ = f.FromBits(out)
-		if want := e.Sigmoid(in); got.Raw() != want.Raw() {
-			t.Errorf("sigmoid circuit(%g) = %d, software %d", x, got.Raw(), want.Raw())
+		for _, z := range allInputs(f) {
+			x, y := e.Rotate(f.FromRaw(z))
+			check("tanh", z, y, x)
+			check("sigmoid", z, e.oneI, e.Internal.Wrap(e.oneI+x-y))
 		}
 	}
 }
@@ -106,19 +156,30 @@ func TestCircuitBitExactWithSoftware(t *testing.T) {
 func TestGateCountsReasonable(t *testing.T) {
 	e := New(fixed.Default)
 	f := fixed.Default
-	s, err := circuit.Count(func(b *circuit.Builder) {
-		z := stdcell.Input(b, circuit.Garbler, f.Bits())
-		b.Outputs(e.TanhCircuit(b, z)...)
-	})
-	if err != nil {
-		t.Fatal(err)
+	for name, gen := range map[string]func(*circuit.Builder, stdcell.Word) stdcell.Word{"TanhCORDIC": e.TanhCircuit, "SigmoidCORDIC": e.SigmoidCircuit} {
+		s, err := circuit.Count(func(b *circuit.Builder) {
+			b.Outputs(gen(b, stdcell.Input(b, circuit.Garbler, f.Bits()))...)
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		// The paper's TanhCORDIC is 3900 non-XOR, its SigmoidCORDIC 3932.
+		if s.AND > 3900 {
+			t.Errorf("%s non-XOR = %d, above the paper's 3900", name, s.AND)
+		}
+		t.Logf("%s: %v over %d iterations", name, s, e.Iterations())
 	}
-	// Paper's TanhCORDIC: 8415 XOR / 3900 non-XOR. Ours should land in
-	// the same order of magnitude (same datapath, different synthesis).
-	if s.AND < 1000 || s.AND > 20000 {
-		t.Errorf("TanhCORDIC non-XOR = %d, outside expected range", s.AND)
-	}
-	t.Logf("TanhCORDIC: %v over %d iterations", s, e.Iterations())
+}
+
+// TestNewRefusesWideDatapath: a format whose internal datapath is wider
+// than fixed can divide exactly is refused at construction.
+func TestNewRefusesWideDatapath(t *testing.T) {
+	defer func() {
+		if msg, _ := recover().(string); !strings.Contains(msg, "internal datapath") {
+			t.Errorf("New(Q5.10) panicked with %q, want the internal-datapath message", msg)
+		}
+	}()
+	New(fixed.Format{IntBits: 5, FracBits: 10})
 }
 
 func TestOddAndBoundedProperties(t *testing.T) {

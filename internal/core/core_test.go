@@ -192,10 +192,11 @@ func TestOutsourcedInference(t *testing.T) {
 }
 
 func TestBadHelloRejected(t *testing.T) {
-	// "deepsecure/8" is the previous version: its begin frames carry no
-	// sample count and its frame types are numbered differently, so it
-	// must be refused here and not fail mid-stream.
-	for _, hello := range []string{"bogus/9", "deepsecure/7", "deepsecure/8"} {
+	// "deepsecure/9" is the previous version: same frames, but its netlist
+	// has the exact-floor multiplier and the restoring divider, so its
+	// tables would not authenticate; it must be refused here and not fail
+	// mid-stream.
+	for _, hello := range []string{"bogus/10", "deepsecure/8", "deepsecure/9"} {
 		cConn, sConn, closer := transport.Pipe()
 		net := testNet(t, act.ReLU, 8)
 		srv := &Server{Net: net, Fmt: fixed.Default, Rng: rand.New(rand.NewSource(1))}

@@ -72,7 +72,7 @@ import (
 // refill (MsgOTRefill n, MsgOTExtU), which the client answers (MsgOTExtY)
 // when it next reads; that is the only OT traffic after setup.
 // MsgEndSession from the client ends the session.
-const protocolHello = "deepsecure/9"
+const protocolHello = "deepsecure/10"
 
 // BusyError is returned by NewSession when the server sheds the session
 // at admission (MsgBusy): the server is saturated and asks

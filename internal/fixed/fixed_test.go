@@ -2,6 +2,8 @@ package fixed
 
 import (
 	"math"
+	"math/big"
+	"math/rand"
 	"testing"
 	"testing/quick"
 )
@@ -30,7 +32,10 @@ func TestFormatValidate(t *testing.T) {
 		{Format{-1, 12}, false},
 		{Format{3, -1}, false},
 		{Format{40, 40}, false}, // width 81
-		{Format{30, 32}, true},  // width 63
+		{Format{30, 32}, false}, // width 63: Mul's raw product overflows int64
+		{Format{15, 16}, true},  // width 32 = MaxBits
+		{Format{0, 31}, true},   // width 32, the widest dividend shift
+		{Format{16, 16}, false}, // width 33
 	}
 	for _, c := range cases {
 		err := c.f.Validate()
@@ -106,15 +111,110 @@ func TestAddSubWrapAgreesWithInt64(t *testing.T) {
 	}
 }
 
+// TestMulMatchesShiftedProduct pins the definition of the product against
+// a partial-product-by-partial-product reference: the exact product, less
+// every x[i]∧y[j] of the dropped columns, plus the centring constant,
+// shifted. Without fraction bits (and below four) nothing is dropped.
 func TestMulMatchesShiftedProduct(t *testing.T) {
-	f := Default
-	check := func(a, b int64) bool {
-		x, y := f.FromRaw(a), f.FromRaw(b)
-		want := f.Wrap((x.Raw() * y.Raw()) >> 12)
-		return x.Mul(y).Raw() == want
+	for _, f := range []Format{Default, {IntBits: 0, FracBits: 7}, {IntBits: 3, FracBits: 4}, {IntBits: 4, FracBits: 3}, {IntBits: 7, FracBits: 0}, {IntBits: 1, FracBits: 30}} {
+		cols, centre := MulTruncation(f.FracBits)
+		if f == Default && (cols != 9 || centre != 1<<10) {
+			t.Fatalf("Q3.12 drops %d columns and adds %d, want 9 and 1024", cols, centre)
+		}
+		if f.FracBits <= 3 && (cols != 0 || centre != 0) {
+			t.Fatalf("%+v drops %d columns and adds %d, want none", f, cols, centre)
+		}
+		check := func(a, b int64) bool {
+			x, y := f.FromRaw(a), f.FromRaw(b)
+			prod := x.Raw()*y.Raw() + centre
+			for i := 0; i < cols; i++ {
+				for j := 0; i+j < cols; j++ {
+					prod -= (x.Raw() >> uint(i) & 1) * (y.Raw() >> uint(j) & 1) << uint(i+j)
+				}
+			}
+			return x.Mul(y).Raw() == f.Wrap(prod>>uint(f.FracBits))
+		}
+		if err := quick.Check(check, nil); err != nil {
+			t.Errorf("%+v: %v", f, err)
+		}
 	}
-	if err := quick.Check(check, nil); err != nil {
-		t.Error(err)
+}
+
+// TestMulTruncationError bounds what the truncation costs against the
+// exact floor(x·y/2^frac): never more than one ulp, and no bias.
+func TestMulTruncationError(t *testing.T) {
+	f := Default
+	rng := rand.New(rand.NewSource(29))
+	var sum, n int64
+	for i := 0; i < 4_000_000; i++ {
+		x, y := f.FromRaw(rng.Int63()), f.FromRaw(rng.Int63())
+		// Compare unwrapped: a product near ±8 may wrap on one side only.
+		exact := x.Raw() * y.Raw() >> uint(f.FracBits)
+		d := f.Wrap(x.Mul(y).Raw() - exact)
+		if d < -1 || d > 1 {
+			t.Fatalf("Mul(%d, %d) is %d ulp from the exact floor", x.Raw(), y.Raw(), d)
+		}
+		sum += d
+		n++
+	}
+	if mean := float64(sum) / float64(n); math.Abs(mean) >= 0.1 {
+		t.Errorf("mean deviation from the exact floor = %+.4f ulp, want |mean| < 0.1", mean)
+	} else {
+		t.Logf("mean deviation from the exact floor: %+.4f ulp over %d pairs", mean, n)
+	}
+	// The 8-bit formats of the LUT tests, exhaustively.
+	for _, f := range []Format{{IntBits: 3, FracBits: 4}, {IntBits: 0, FracBits: 7}} {
+		for a := f.MinRaw(); a <= f.MaxRaw(); a++ {
+			for b := f.MinRaw(); b <= f.MaxRaw(); b++ {
+				if d := f.Wrap(f.FromRaw(a).Mul(f.FromRaw(b)).Raw() - a*b>>uint(f.FracBits)); d < -1 || d > 1 {
+					t.Fatalf("%+v: Mul(%d, %d) is %d ulp from the exact floor", f, a, b, d)
+				}
+			}
+		}
+	}
+}
+
+// TestWidestFormatAgainstBig checks Mul and Div at the widest formats
+// Validate admits against arbitrary-precision arithmetic: the operands
+// whose intermediate products and shifted dividends are largest.
+func TestWidestFormatAgainstBig(t *testing.T) {
+	for _, f := range []Format{{IntBits: 15, FracBits: 16}, {IntBits: 0, FracBits: 31}, {IntBits: 31, FracBits: 0}} {
+		if err := f.Validate(); err != nil {
+			t.Fatal(err)
+		}
+		wrap := func(v *big.Int) int64 {
+			m := new(big.Int).Lsh(big.NewInt(1), uint(f.Bits()))
+			v.Mod(v, m) // Euclidean: in [0, m)
+			if v.Bit(f.Bits()-1) == 1 {
+				v.Sub(v, m)
+			}
+			return v.Int64()
+		}
+		cols, centre := MulTruncation(f.FracBits)
+		vals := []int64{f.MinRaw(), f.MinRaw() + 1, -1, 1, f.MaxRaw() - 1, f.MaxRaw(), f.One().Raw(), -f.One().Raw()}
+		for _, a := range vals {
+			for _, b := range vals {
+				x, y := f.FromRaw(a), f.FromRaw(b)
+				prod := new(big.Int).Mul(big.NewInt(x.Raw()), big.NewInt(y.Raw()))
+				prod.Add(prod, big.NewInt(centre))
+				for i := 0; i < cols; i++ {
+					for j := 0; i+j < cols; j++ {
+						if x.Raw()>>uint(i)&1 == 1 && y.Raw()>>uint(j)&1 == 1 {
+							prod.Sub(prod, new(big.Int).Lsh(big.NewInt(1), uint(i+j)))
+						}
+					}
+				}
+				prod.Rsh(prod, uint(f.FracBits)) // floors, like >> on int64
+				if got, want := x.Mul(y).Raw(), wrap(prod); got != want {
+					t.Errorf("%+v: Mul(%d, %d) = %d, big says %d", f, a, b, got, want)
+				}
+				num := new(big.Int).Lsh(big.NewInt(x.Raw()), uint(f.FracBits))
+				quo := num.Quo(num, big.NewInt(y.Raw())) // truncates toward zero
+				if got, want := x.Div(y).Raw(), wrap(quo); got != want {
+					t.Errorf("%+v: Div(%d, %d) = %d, big says %d", f, a, b, got, want)
+				}
+			}
+		}
 	}
 }
 
@@ -162,23 +262,6 @@ func TestDivByZeroSaturates(t *testing.T) {
 	}
 	if got := f.FromFloat(-1).Div(f.Zero()); got.Raw() != f.MinRaw() {
 		t.Errorf("-1/0 = %v, want Min", got)
-	}
-}
-
-func TestSaturatingOps(t *testing.T) {
-	f := Default
-	max := f.Max()
-	if got := max.AddSat(f.One()); got.Raw() != f.MaxRaw() {
-		t.Errorf("Max+1 (sat) = %v, want Max", got)
-	}
-	if got := f.Min().AddSat(f.FromFloat(-1)); got.Raw() != f.MinRaw() {
-		t.Errorf("Min-1 (sat) = %v, want Min", got)
-	}
-	if got := f.FromFloat(4).MulSat(f.FromFloat(4)); got.Raw() != f.MaxRaw() {
-		t.Errorf("4*4 (sat) = %v, want Max", got)
-	}
-	if got := f.FromFloat(-4).MulSat(f.FromFloat(4)); got.Raw() != f.MinRaw() {
-		t.Errorf("-4*4 (sat) = %v, want Min", got)
 	}
 }
 

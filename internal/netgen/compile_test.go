@@ -144,29 +144,43 @@ func TestCompiledTapeEvaluates(t *testing.T) {
 
 // TestCompiledDepthPinned is the depth half of stdcell's gate-count pins
 // (it lives here because the compiled program does): every level is a
-// barrier the engines pay for, so a multiplier that saved gates by getting
-// deeper would move cost, not remove it. The model is the benchmark's
-// mlp_wan / mlp_batch16 one; 412 levels is what the ripple-row multiplier
-// before the column-compressed array compiled to.
+// barrier the engines pay for, so a cell that saved gates by getting
+// deeper would move cost, not remove it. The models are the benchmark's
+// mlp_wan / mlp_batch16 one — 412 levels is what the ripple-row multiplier
+// before the column-compressed array compiled to — and its tanh_lan one,
+// whose depth is the CORDIC cell's: 20 rotations and a 14-step divider
+// (5529 levels while the divider ran all 40 steps of the datapath width).
 func TestCompiledDepthPinned(t *testing.T) {
-	net, err := nn.NewNetwork(nn.Vec(16),
-		nn.NewDense(8),
-		nn.NewActivation(act.ReLU),
-		nn.NewDense(4),
-	)
-	if err != nil {
-		t.Fatal(err)
-	}
-	net.InitWeights(rand.New(rand.NewSource(1)))
-	prog, err := Compile(net, fixed.Default, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := prog.Schedule.NumLevels(); got > 412 {
-		t.Errorf("schedule has %d levels, want at most 412", got)
-	}
-	// 128 MACs, 32 post-ReLU MACs, 8 ReLUs, one 4-way argmax.
-	if got, want := prog.Stats.AND, int64(128*495+32*471+8*15+99); got != want {
-		t.Errorf("program has %d non-XOR gates, want %d", got, want)
+	for _, c := range []struct {
+		kind      act.Kind
+		maxLevels int
+		ands      int64
+	}{
+		// 128 MACs, 32 post-ReLU MACs, 8 ReLUs, one 4-way argmax.
+		{act.ReLU, 412, 128*403 + 32*379 + 8*15 + 99},
+		// A Tanh output keeps its sign: 160 full MACs, 8 CORDIC cells.
+		{act.TanhCORDIC, 3300, 160*403 + 8*2178 + 99},
+	} {
+		net, err := nn.NewNetwork(nn.Vec(16),
+			nn.NewDense(8),
+			nn.NewActivation(c.kind),
+			nn.NewDense(4),
+		)
+		if err != nil {
+			t.Fatal(err)
+		}
+		net.InitWeights(rand.New(rand.NewSource(1)))
+		prog, err := Compile(net, fixed.Default, Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := prog.Schedule.NumLevels(); got > c.maxLevels {
+			t.Errorf("%v: schedule has %d levels, want at most %d", c.kind, got, c.maxLevels)
+		} else {
+			t.Logf("%v: %d levels, %d non-XOR gates", c.kind, got, prog.Stats.AND)
+		}
+		if got := prog.Stats.AND; got != c.ands {
+			t.Errorf("%v: program has %d non-XOR gates, want %d", c.kind, got, c.ands)
+		}
 	}
 }

@@ -171,6 +171,7 @@ func TestPredictConsistency(t *testing.T) {
 	if agree < n*9/10 {
 		t.Errorf("float/fixed predictions agree only %d/%d", agree, n)
 	}
+	t.Logf("float/fixed predictions agree on %d/%d samples", agree, n)
 }
 
 func TestArchString(t *testing.T) {

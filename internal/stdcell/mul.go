@@ -2,36 +2,50 @@ package stdcell
 
 // Multiplication. MulFixed is the one multiplier: a Baugh-Wooley signed
 // array restricted to the columns the kept bits depend on, reduced column
-// by column. At Q3.12 it costs 480 non-XOR gates (250 partial products +
-// 230 adders); frac² = 144 of them only produce the exact carry out of the
-// discarded fraction columns, which floor(x·y/2^frac) = fixed.Num.Mul
-// requires. Dot and MatVec are MACs over it.
+// by column, and truncated below three guard columns: the partial products
+// of the lowest frac−3 columns only ever reach a kept bit as a carry, so
+// they are dropped and their mean added as a constant instead
+// (fixed.MulTruncation; fixed.Num.Mul is defined as the same function). At
+// Q3.12 that is 388 non-XOR gates (205 partial products + 183 adders), 92
+// below the exact floor(x·y/2^frac), for a product within one ulp of it;
+// with two guard columns the error reaches 2 ulp. Dot and MatVec are MACs
+// over it.
 
 import (
 	"deepsecure/internal/circuit"
+	"deepsecure/internal/fixed"
 )
 
 // MulFixed returns the fixed-point product of two n-bit words with
-// fracBits fractional bits: bits [fracBits, fracBits+n) of the exact
-// signed product, i.e. floor((x*y)/2^frac) wrapped to n bits — exactly
-// fixed.Num.Mul (fracBits = 0 is the plain wrapping product).
+// fracBits < n fractional bits: bits [fracBits, fracBits+n) of the signed
+// product less its dropped partial products plus their centring constant —
+// exactly fixed.Num.Mul (fracBits = 0 is the plain wrapping product).
 //
 // The product mod 2^m, m = n+fracBits, determines every kept bit, so only
-// the partial products x[i]∧y[j] of columns i+j < m are emitted. The two
-// sign rows weigh −2^(i+j); since −p = ¬p − 1 they enter their column
-// inverted (free) and their −1s, summed here, leave the constant
-// 2^n − 2^(2n−1). A partial product the builder folds to a constant
-// (post-ReLU sign bit, constant weight) joins that constant instead of a
-// column. Columns are then reduced lowest first with 1-AND full adders,
-// each column a FIFO — inputs from the front, sum to the back, carry to
-// the back of the next column — so the adder trees stay balanced.
-// Generation order is fixed: both parties derive the same gate stream.
+// the partial products x[i]∧y[j] of columns i+j < m are emitted, and of
+// those only the columns fixed.MulTruncation keeps (the dropped ones lie
+// below the sign rows, which start at column n−1). The two sign rows weigh
+// −2^(i+j); since −p = ¬p − 1 they enter their column inverted (free) and
+// their −1s, summed here, leave the constant 2^n − 2^(2n−1). A partial
+// product the builder folds to a constant (post-ReLU sign bit, constant
+// weight) joins that constant instead of a column. Columns are then reduced
+// lowest first with 1-AND full adders, each column a FIFO — inputs from the
+// front, sum to the back, carry to the back of the next column — so the
+// adder trees stay balanced. Generation order is fixed: both parties derive
+// the same gate stream.
 func MulFixed(b *circuit.Builder, x, y Word, fracBits int) Word {
 	sameWidth(x, y)
 	n := len(x)
 	m := n + fracBits
+	if fracBits >= n {
+		panic("stdcell: MulFixed needs fracBits below the word width")
+	}
+	drop, centre := fixed.MulTruncation(fracBits)
 	cols := make([][]uint32, m)
 	ones := make([]int, m+1) // constant addend: count of 1s per column
+	for k := 0; k < m; k++ {
+		ones[k] = int(centre >> uint(k) & 1)
+	}
 	if n < m {
 		ones[n]++
 	}
@@ -39,7 +53,7 @@ func MulFixed(b *circuit.Builder, x, y Word, fracBits int) Word {
 		ones[k]++
 	}
 	for i := 0; i < n; i++ {
-		for j := 0; j < n && i+j < m; j++ {
+		for j := max(drop-i, 0); j < n && i+j < m; j++ {
 			p := b.AND(x[i], y[j])
 			if (i == n-1) != (j == n-1) {
 				p = b.INV(p)
@@ -91,9 +105,10 @@ func MulFixed(b *circuit.Builder, x, y Word, fracBits int) Word {
 // Dot computes the fixed-point dot product Σ xs[i]*ws[i] with n-bit
 // wrapping accumulation — the paper's matrix–vector multiplication row
 // (Table 3 last row): m multipliers and m-1 adders per output element.
-// Each product is reduced to n bits on its own before it is added, because
-// fixed.Num floors every product separately (a sum of floors is not the
-// floor of the sum), so the products cannot share one column array.
+// Each product is reduced to n bits on its own before it is added: one
+// column array per row would round once instead of m times, which is more
+// accurate but no cheaper (every partial-product bit still needs its own
+// 1-AND adder), and fixed.Num rounds every product separately.
 func Dot(b *circuit.Builder, xs, ws []Word, fracBits int) Word {
 	if len(xs) != len(ws) {
 		panic("stdcell: Dot operand count mismatch")

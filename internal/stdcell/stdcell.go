@@ -51,102 +51,47 @@ func sameWidth(x, y Word) {
 	}
 }
 
-// SignExtend widens x to width bits by replicating the sign wire (free).
-// If width <= len(x) it truncates instead.
-func SignExtend(b *circuit.Builder, x Word, width int) Word {
-	if width <= len(x) {
-		return x[:width].Clone()
-	}
+// extend returns x cut or widened to width bits, the new bits wired to fill.
+func extend(x Word, width int, fill uint32) Word {
 	out := make(Word, width)
-	copy(out, x)
-	s := x.Sign()
-	for i := len(x); i < width; i++ {
-		out[i] = s
+	for i := copy(out, x); i < width; i++ {
+		out[i] = fill
 	}
 	return out
 }
 
+// SignExtend widens x to width bits by replicating the sign wire (free).
+// If width <= len(x) it truncates instead.
+func SignExtend(b *circuit.Builder, x Word, width int) Word { return extend(x, width, x.Sign()) }
+
 // ZeroExtend widens x to width bits with constant-zero fill.
-func ZeroExtend(b *circuit.Builder, x Word, width int) Word {
-	if width <= len(x) {
-		return x[:width].Clone()
-	}
-	out := make(Word, width)
-	copy(out, x)
-	for i := len(x); i < width; i++ {
-		out[i] = circuit.WFalse
-	}
-	return out
-}
+func ZeroExtend(b *circuit.Builder, x Word, width int) Word { return extend(x, width, circuit.WFalse) }
 
 // ShlConst shifts left by k within the word width (zero fill, free).
 func ShlConst(b *circuit.Builder, x Word, k int) Word {
-	n := len(x)
-	if k >= n {
-		return Zeros(b, n)
-	}
-	out := make(Word, n)
-	for i := 0; i < k; i++ {
-		out[i] = circuit.WFalse
-	}
-	copy(out[k:], x[:n-k])
-	return out
+	k = min(k, len(x))
+	return append(Zeros(b, k), x[:len(x)-k]...)
 }
 
 // ShrArith shifts right arithmetically by k within the word width (sign
 // fill, free).
 func ShrArith(b *circuit.Builder, x Word, k int) Word {
-	n := len(x)
-	s := x.Sign()
-	out := make(Word, n)
-	for i := 0; i < n; i++ {
-		if i+k < n {
-			out[i] = x[i+k]
-		} else {
-			out[i] = s
-		}
-	}
-	return out
+	return extend(x[min(k, len(x)):], len(x), x.Sign())
 }
 
 // ShrLogic shifts right logically by k (zero fill, free).
 func ShrLogic(b *circuit.Builder, x Word, k int) Word {
-	n := len(x)
-	out := make(Word, n)
-	for i := 0; i < n; i++ {
-		if i+k < n {
-			out[i] = x[i+k]
-		} else {
-			out[i] = circuit.WFalse
-		}
-	}
-	return out
+	return extend(x[min(k, len(x)):], len(x), circuit.WFalse)
 }
 
-// AddCarry returns x+y+cin (wrapping) and the carry-out wire. The full
-// adder uses the 1-AND construction: s = a⊕b⊕c, c' = c ⊕ ((a⊕c)∧(b⊕c)),
-// so an n-bit adder costs n non-XOR gates (n-1 when the carry-out is
-// discarded by Add).
-func AddCarry(b *circuit.Builder, x, y Word, cin uint32) (Word, uint32) {
+// addCin returns x+y+cin wrapped to the word width. The full adder uses the
+// 1-AND construction: s = a⊕b⊕c, c' = c ⊕ ((a⊕c)∧(b⊕c)); the carry out of
+// the top bit is never formed, so an n-bit adder costs n-1 non-XOR gates.
+func addCin(b *circuit.Builder, x, y Word, cin uint32) Word {
 	sameWidth(x, y)
 	n := len(x)
 	out := make(Word, n)
 	c := cin
-	for i := 0; i < n; i++ {
-		t1 := b.XOR(x[i], c)
-		t2 := b.XOR(y[i], c)
-		out[i] = b.XOR(t1, y[i])
-		c = b.XOR(c, b.AND(t1, t2))
-	}
-	return out, c
-}
-
-// Add returns x+y wrapped to the word width (n-1 non-XOR gates).
-func Add(b *circuit.Builder, x, y Word) Word {
-	sameWidth(x, y)
-	n := len(x)
-	out := make(Word, n)
-	c := circuit.WFalse
 	for i := 0; i < n; i++ {
 		t1 := b.XOR(x[i], c)
 		t2 := b.XOR(y[i], c)
@@ -158,23 +103,21 @@ func Add(b *circuit.Builder, x, y Word) Word {
 	return out
 }
 
-// SubBorrow returns x-y (wrapping) and a borrow-out wire (1 when x < y as
-// unsigned integers). Implemented as x + ^y + 1; borrow = NOT carry.
-func SubBorrow(b *circuit.Builder, x, y Word) (Word, uint32) {
-	sameWidth(x, y)
-	ny := make(Word, len(y))
+// Add returns x+y wrapped to the word width (n-1 non-XOR gates).
+func Add(b *circuit.Builder, x, y Word) Word { return addCin(b, x, y, circuit.WFalse) }
+
+// AddSub returns x+y when sub=0 and x-y when sub=1, wrapped to the word
+// width: x + (y⊕sub) + sub, one adder — the operand XORs are free.
+func AddSub(b *circuit.Builder, x, y Word, sub uint32) Word {
+	flipped := make(Word, len(y))
 	for i := range y {
-		ny[i] = b.INV(y[i])
+		flipped[i] = b.XOR(y[i], sub)
 	}
-	d, c := AddCarry(b, x, ny, circuit.WTrue)
-	return d, b.INV(c)
+	return addCin(b, x, flipped, sub)
 }
 
 // Sub returns x-y wrapped to the word width.
-func Sub(b *circuit.Builder, x, y Word) Word {
-	d, _ := SubBorrow(b, x, y)
-	return d
-}
+func Sub(b *circuit.Builder, x, y Word) Word { return AddSub(b, x, y, circuit.WTrue) }
 
 // Neg returns -x (two's complement, wrapping: -Min = Min).
 func Neg(b *circuit.Builder, x Word) Word {
@@ -214,22 +157,6 @@ func GT(b *circuit.Builder, x, y Word) uint32 {
 	return GTU(b, xf, yf)
 }
 
-// GE returns the wire (x >= y) signed.
-func GE(b *circuit.Builder, x, y Word) uint32 { return b.INV(GT(b, y, x)) }
-
-// LT returns the wire (x < y) signed.
-func LT(b *circuit.Builder, x, y Word) uint32 { return GT(b, y, x) }
-
-// EQ returns the wire (x == y): an AND tree of XNORs, n-1 non-XOR gates.
-func EQ(b *circuit.Builder, x, y Word) uint32 {
-	sameWidth(x, y)
-	bits := make([]uint32, len(x))
-	for i := range x {
-		bits[i] = b.XNOR(x[i], y[i])
-	}
-	return andTree(b, bits)
-}
-
 // IsZero returns the wire (x == 0): n-1 non-XOR gates.
 func IsZero(b *circuit.Builder, x Word) uint32 {
 	bits := make([]uint32, len(x))
@@ -258,11 +185,6 @@ func Max(b *circuit.Builder, x, y Word) Word {
 	return Mux(b, GT(b, x, y), x, y)
 }
 
-// Min returns min(x, y) signed.
-func Min(b *circuit.Builder, x, y Word) Word {
-	return Mux(b, GT(b, x, y), y, x)
-}
-
 // ReLU returns max(0, x): every bit ANDed with the negated sign, and the
 // sign bit itself forced to zero — n-1 non-XOR gates for an n-bit word,
 // matching the paper's Table 3 ReLU cost.
@@ -277,7 +199,9 @@ func ReLU(b *circuit.Builder, x Word) Word {
 	return out
 }
 
-// Abs returns |x| (wrapping at Min like two's-complement hardware).
+// Abs returns |x| (wrapping at Min like two's-complement hardware; read as
+// an unsigned word the result is exact, |Min| = 2^(n-1)): 0 − x when the
+// sign is set, 0 + x otherwise, n-1 non-XOR gates.
 func Abs(b *circuit.Builder, x Word) Word {
-	return Mux(b, x.Sign(), Neg(b, x), x)
+	return AddSub(b, Zeros(b, len(x)), x, x.Sign())
 }

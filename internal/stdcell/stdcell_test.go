@@ -47,6 +47,76 @@ func evalBits(t *testing.T, c *circuit.Circuit, in []bool) []bool {
 	return out
 }
 
+// evalWords runs c — garbler-input words of f's width in, one word out — on
+// every row of operands at once, 64 rows per pass over the netlist
+// (circuit.EvalLanes): words[k][r] is the raw value of input word k in row
+// r. It returns each row's output word, sign-extended.
+func evalWords(t *testing.T, c *circuit.Circuit, f fixed.Format, words ...[]int64) []int64 {
+	t.Helper()
+	n := f.Bits()
+	out := make([]int64, len(words[0]))
+	in := make([]uint64, n*len(words))
+	for base := 0; base < len(out); base += 64 {
+		clear(in)
+		lanes := min(64, len(out)-base)
+		for k, w := range words {
+			for l := 0; l < lanes; l++ {
+				for i := 0; i < n; i++ {
+					in[k*n+i] |= uint64(w[base+l]) >> uint(i) & 1 << uint(l)
+				}
+			}
+		}
+		res, err := c.EvalLanes(in, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for l := 0; l < lanes; l++ {
+			var v int64
+			for i, r := range res {
+				v |= int64(r>>uint(l)&1) << uint(i)
+			}
+			out[base+l] = f.Wrap(v)
+		}
+	}
+	return out
+}
+
+// allPairs lists every pair of raw values of f, for exhaustive sweeps of
+// the 8-bit formats.
+func allPairs(f fixed.Format) (xs, ys []int64) {
+	for a := f.MinRaw(); a <= f.MaxRaw(); a++ {
+		for b := f.MinRaw(); b <= f.MaxRaw(); b++ {
+			xs, ys = append(xs, a), append(ys, b)
+		}
+	}
+	return xs, ys
+}
+
+// randomPairs draws count pairs of raw values of f, the corner values
+// (Min, ±1, 0, Max and their neighbours) crossed with each other first.
+func randomPairs(f fixed.Format, seed int64, count int) (xs, ys []int64) {
+	for _, a := range corners(f) {
+		for _, b := range corners(f) {
+			xs, ys = append(xs, a), append(ys, b)
+		}
+	}
+	rng := rand.New(rand.NewSource(seed))
+	for len(xs) < count {
+		xs, ys = append(xs, f.Wrap(rng.Int63())), append(ys, f.Wrap(rng.Int63()))
+	}
+	return xs, ys
+}
+
+// checkBinOp compares c with the software operation on every pair.
+func checkBinOp(t *testing.T, name string, c *circuit.Circuit, f fixed.Format, xs, ys []int64, op func(x, y fixed.Num) fixed.Num) {
+	t.Helper()
+	for i, got := range evalWords(t, c, f, xs, ys) {
+		if want := op(f.FromRaw(xs[i]), f.FromRaw(ys[i])).Raw(); got != want {
+			t.Fatalf("%s %+v: circuit(%d, %d) = %d, software %d", name, f, xs[i], ys[i], got, want)
+		}
+	}
+}
+
 func TestAddMatchesFixed(t *testing.T) {
 	f := fixed.Default
 	c := buildBinOp(t, f, func(b *circuit.Builder, x, y Word) Word { return Add(b, x, y) })
@@ -156,36 +226,24 @@ func corners(f fixed.Format) []int64 {
 }
 
 func TestMulFixedExhaustive8Bit(t *testing.T) {
+	// frac 7 drops four columns, frac 4 one, frac 0 none.
 	for _, frac := range []int{0, 4, 7} {
 		f := fixed.Format{IntBits: 7 - frac, FracBits: frac}
-		c := buildMul(t, false, frac, twoInputs(8))
-		for a := f.MinRaw(); a <= f.MaxRaw(); a++ {
-			for bb := f.MinRaw(); bb <= f.MaxRaw(); bb++ {
-				x, y := f.FromRaw(a), f.FromRaw(bb)
-				checkMul(t, c, x, y, x, y)
-			}
+		xs, ys := allPairs(f)
+		for _, shared := range []bool{false, true} {
+			checkBinOp(t, "MulFixed", buildMul(t, shared, frac, twoInputs(8)), f, xs, ys, fixed.Num.Mul)
 		}
 	}
 }
 
 func TestMulFixedMatchesFixed(t *testing.T) {
 	f := fixed.Default
-	c := buildMul(t, false, f.FracBits, twoInputs(f.Bits()))
-	for _, a := range corners(f) {
-		for _, bb := range corners(f) {
-			x, y := f.FromRaw(a), f.FromRaw(bb)
-			checkMul(t, c, x, y, x, y)
-		}
-	}
-	rng := rand.New(rand.NewSource(13))
-	pairs := 100000
+	pairs := 1_000_000
 	if testing.Short() { // the -race sweep: same code paths, ~20x slower
-		pairs = 2000
+		pairs = 50_000
 	}
-	for i := 0; i < pairs; i++ {
-		x, y := f.FromRaw(rng.Int63()), f.FromRaw(rng.Int63())
-		checkMul(t, c, x, y, x, y)
-	}
+	xs, ys := randomPairs(f, 13, pairs)
+	checkBinOp(t, "MulFixed", buildMul(t, false, f.FracBits, twoInputs(f.Bits())), f, xs, ys, fixed.Num.Mul)
 }
 
 func TestMulFixedWrapSmallExhaustive(t *testing.T) {
@@ -276,24 +334,64 @@ func TestMulFixedOperandShapes(t *testing.T) {
 	}
 }
 
-func TestDivFixedMatchesFixed(t *testing.T) {
-	f := fixed.Default
-	c := buildBinOp(t, f, func(b *circuit.Builder, x, y Word) Word {
-		return DivFixed(b, x, y, f.FracBits)
+// buildDiv materializes DivFixed with a qbits-wide quotient array.
+func buildDiv(t *testing.T, f fixed.Format, qbits int) *circuit.Circuit {
+	return buildBinOp(t, f, func(b *circuit.Builder, x, y Word) Word {
+		return DivFixed(b, x, y, f.FracBits, qbits)
 	})
-	check := func(a, bb int64) bool {
-		x, y := f.FromRaw(a), f.FromRaw(bb)
-		return evalBin(t, c, f, x, y).Raw() == x.Div(y).Raw()
+}
+
+// quotientFits keeps the pairs DivFixed's contract covers at qbits: the
+// magnitude quotient is below 2^qbits, or the divisor is zero.
+func quotientFits(f fixed.Format, qbits int, xs, ys []int64) (fx, fy []int64) {
+	for i := range xs {
+		ax, ay := max(xs[i], -xs[i]), max(ys[i], -ys[i])
+		if ay == 0 || ax<<uint(f.FracBits)/ay < 1<<uint(qbits) {
+			fx, fy = append(fx, xs[i]), append(fy, ys[i])
+		}
 	}
-	if err := quick.Check(check, &quick.Config{MaxCount: 100}); err != nil {
-		t.Error(err)
+	return fx, fy
+}
+
+func TestDivFixedMatchesFixed(t *testing.T) {
+	// 8 bits, every pair (÷0 and Min/−1 among them), at the full quotient
+	// width and at every bounded one on the pairs whose quotient fits it.
+	for _, frac := range []int{0, 4, 7} {
+		f := fixed.Format{IntBits: 7 - frac, FracBits: frac}
+		xs, ys := allPairs(f)
+		for qbits := 1; qbits <= f.Bits()+frac; qbits++ {
+			fx, fy := quotientFits(f, qbits, xs, ys)
+			if qbits == f.Bits()+frac && len(fx) != len(xs) {
+				t.Fatalf("%+v: the full width covers %d of %d pairs", f, len(fx), len(xs))
+			}
+			checkBinOp(t, "DivFixed", buildDiv(t, f, qbits), f, fx, fy, fixed.Num.Div)
+		}
 	}
+
+	// Q3.12: random pairs at the full width, and at the width cordic asks
+	// for on pairs scaled so that most quotients fit it.
+	f := fixed.Default
+	pairs := 200_000
+	if testing.Short() {
+		pairs = 20_000
+	}
+	xs, ys := randomPairs(f, 19, pairs)
+	checkBinOp(t, "DivFixed", buildDiv(t, f, f.Bits()+f.FracBits), f, xs, ys, fixed.Num.Div)
+	qbits := f.FracBits + 2
+	for i := range xs {
+		xs[i] >>= uint(i % 4) // |x/y| < 4 is what fits FracBits+2 bits
+	}
+	fx, fy := quotientFits(f, qbits, xs, ys)
+	if len(fx) < pairs/2 {
+		t.Fatalf("only %d of %d pairs fit %d quotient bits", len(fx), pairs, qbits)
+	}
+	checkBinOp(t, "DivFixed bounded", buildDiv(t, f, qbits), f, fx, fy, fixed.Num.Div)
 }
 
 func TestDivByZeroCircuitSaturates(t *testing.T) {
 	f := fixed.Default
 	c := buildBinOp(t, f, func(b *circuit.Builder, x, y Word) Word {
-		return DivFixed(b, x, y, f.FracBits)
+		return DivFixed(b, x, y, f.FracBits, f.Bits()+f.FracBits)
 	})
 	pos := evalBin(t, c, f, f.FromFloat(1), f.Zero())
 	if pos.Raw() != f.MaxRaw() {
@@ -305,48 +403,12 @@ func TestDivByZeroCircuitSaturates(t *testing.T) {
 	}
 }
 
-func TestDivUSmallExhaustive(t *testing.T) {
-	c, err := circuit.Build(func(b *circuit.Builder) {
-		x := Input(b, circuit.Garbler, 6)
-		y := Input(b, circuit.Garbler, 6)
-		b.Outputs(DivU(b, x, y)...)
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	toBits := func(v int64, n int) []bool {
-		out := make([]bool, n)
-		for i := 0; i < n; i++ {
-			out[i] = (v>>uint(i))&1 == 1
-		}
-		return out
-	}
-	fromBits := func(bs []bool) int64 {
-		var v int64
-		for i, b := range bs {
-			if b {
-				v |= 1 << uint(i)
-			}
-		}
-		return v
-	}
-	for a := int64(0); a < 64; a += 3 {
-		for bb := int64(1); bb < 64; bb += 5 {
-			in := append(toBits(a, 6), toBits(bb, 6)...)
-			got := fromBits(evalBits(t, c, in))
-			if got != a/bb {
-				t.Fatalf("DivU(%d,%d) = %d, want %d", a, bb, got, a/bb)
-			}
-		}
-	}
-}
-
 func TestComparisons(t *testing.T) {
 	f := fixed.Default
 	c, err := circuit.Build(func(b *circuit.Builder) {
 		x := Input(b, circuit.Garbler, f.Bits())
 		y := Input(b, circuit.Garbler, f.Bits())
-		b.Outputs(GT(b, x, y), GE(b, x, y), LT(b, x, y), EQ(b, x, y), IsZero(b, x))
+		b.Outputs(GT(b, x, y), IsZero(b, x))
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -354,20 +416,17 @@ func TestComparisons(t *testing.T) {
 	check := func(a, bb int64) bool {
 		x, y := f.FromRaw(a), f.FromRaw(bb)
 		out := evalBits(t, c, append(x.Bits(), y.Bits()...))
-		return out[0] == (x.Cmp(y) > 0) &&
-			out[1] == (x.Cmp(y) >= 0) &&
-			out[2] == (x.Cmp(y) < 0) &&
-			out[3] == (x.Cmp(y) == 0) &&
-			out[4] == (x.Raw() == 0)
+		return out[0] == (x.Cmp(y) > 0) && out[1] == (x.Raw() == 0)
 	}
 	if err := quick.Check(check, nil); err != nil {
 		t.Error(err)
 	}
-	// Equality must hold for identical raws too (quick rarely hits it).
-	x := f.FromFloat(1.25)
-	out := evalBits(t, c, append(x.Bits(), x.Bits()...))
-	if out[0] || !out[1] || out[2] || !out[3] {
-		t.Errorf("self-comparison wrong: %v", out)
+	// Equal operands and zero (quick rarely hits either).
+	for _, x := range []fixed.Num{f.FromFloat(1.25), f.Zero()} {
+		out := evalBits(t, c, append(x.Bits(), x.Bits()...))
+		if out[0] || out[1] != (x.Raw() == 0) {
+			t.Errorf("self-comparison of %v wrong: %v", x, out)
+		}
 	}
 }
 
@@ -379,7 +438,6 @@ func TestMuxMaxMinAbsReLU(t *testing.T) {
 		s := Input(b, circuit.Garbler, 1)
 		b.Outputs(Mux(b, s[0], x, y)...)
 		b.Outputs(Max(b, x, y)...)
-		b.Outputs(Min(b, x, y)...)
 		b.Outputs(Abs(b, x)...)
 		b.Outputs(ReLU(b, x)...)
 	})
@@ -399,14 +457,13 @@ func TestMuxMaxMinAbsReLU(t *testing.T) {
 		if sel && mux.Raw() != x.Raw() || !sel && mux.Raw() != y.Raw() {
 			return false
 		}
-		wantMax, wantMin := x, y
+		wantMax := x
 		if x.Cmp(y) < 0 {
-			wantMax, wantMin = y, x
+			wantMax = y
 		}
 		return word(1).Raw() == wantMax.Raw() &&
-			word(2).Raw() == wantMin.Raw() &&
-			word(3).Raw() == x.Abs().Raw() &&
-			word(4).Raw() == x.ReLU().Raw()
+			word(2).Raw() == x.Abs().Raw() &&
+			word(3).Raw() == x.ReLU().Raw()
 	}
 	if err := quick.Check(check, &quick.Config{MaxCount: 200}); err != nil {
 		t.Error(err)

@@ -19,11 +19,11 @@ func TestGateCountTable3Style(t *testing.T) {
 	f := fixed.Default
 	n := f.Bits()
 	want := map[string]int64{
-		"TanhLUT": 7892, "TanhTrunc": 5139, "TanhPL": 160, "TanhCORDIC": 4312,
-		"SigmoidLUT": 8950, "SigmoidTrunc": 5918, "SigmoidPLAN": 143, "SigmoidCORDIC": 4269,
-		"ADD": 15, "MULT": 480, "DIV": 1186, "ReLu": 15,
-		"Softmax(n=10)": 309, "MVM 1x8 * 8x4": 15780,
-		"MAC": 495, "MAC after ReLU": 471,
+		"TanhLUT": 7872, "TanhTrunc": 5119, "TanhPL": 124, "TanhCORDIC": 2178,
+		"SigmoidLUT": 8930, "SigmoidTrunc": 5898, "SigmoidPLAN": 108, "SigmoidCORDIC": 2190,
+		"ADD": 15, "MULT": 388, "DIV": 496, "ReLu": 15,
+		"Softmax(n=10)": 309, "MVM 1x8 * 8x4": 12836,
+		"MAC": 403, "MAC after ReLU": 379,
 	}
 	mac := func(name string, signed bool) benchmarks.Component {
 		return benchmarks.Component{Name: name, Gen: func(b *circuit.Builder, f fixed.Format) {
