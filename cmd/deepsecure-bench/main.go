@@ -7,7 +7,7 @@
 //	deepsecure-bench -table 6        DeepSecure vs CryptoNets (benchmark 1)
 //	deepsecure-bench -figure 6       delay vs batch size + crossovers
 //	deepsecure-bench -calibrate      §4.3 per-gate cost characterization
-//	deepsecure-bench -live           real end-to-end GC run of benchmark 3
+//	deepsecure-bench -live           real end-to-end GC run of benchmark 3 (§3.3 streaming deployment)
 //	deepsecure-bench -all            everything
 //
 // Each row prints this run's measurement next to the paper's published
@@ -25,7 +25,6 @@ import (
 	"time"
 
 	"deepsecure"
-	"deepsecure/internal/act"
 	"deepsecure/internal/benchmarks"
 	"deepsecure/internal/circuit"
 	"deepsecure/internal/cordic"
@@ -33,14 +32,13 @@ import (
 	"deepsecure/internal/fixed"
 	"deepsecure/internal/hebaseline"
 	"deepsecure/internal/netgen"
-	"deepsecure/internal/nn"
 )
 
 func main() {
 	table := flag.Int("table", 0, "regenerate Table 3|4|5|6")
 	figure := flag.Int("figure", 0, "regenerate Figure 6")
 	calibrate := flag.Bool("calibrate", false, "run the §4.3 per-gate calibration")
-	live := flag.Bool("live", false, "run a real end-to-end GC inference of benchmark 3")
+	live := flag.Bool("live", false, "run a real end-to-end GC inference of benchmark 3 (proxy garbles, server evaluates, streaming)")
 	all := flag.Bool("all", false, "run everything")
 	heN := flag.Int("hesize", 2048, "HE ring dimension for the CryptoNets measurements")
 	flag.Parse()
@@ -237,42 +235,58 @@ func runTable6Figure6(co costmodel.Coefficients, heN int, withFigure bool) {
 	}
 }
 
-// runLiveB3 executes benchmark 3 end-to-end through the real GC protocol.
+// runLiveB3 executes benchmark 3 end-to-end through the real GC protocol in
+// its §3.3 streaming deployment: the proxy garbles gate by gate as the
+// generator emits them and the server evaluates as the tables arrive, so
+// no party holds the 13 M-gate program (a compiled session does, and needs
+// ~10 GB for it).
 func runLiveB3() {
-	fmt.Println("== Live run: benchmark 3 through the full GC protocol ==")
-	net, err := nn.NewNetwork(nn.Vec(617),
-		nn.NewDense(50),
-		nn.NewActivation(act.TanhCORDIC),
-		nn.NewDense(26),
-	)
+	fmt.Println("== Live run: benchmark 3 through the full GC protocol (proxy garbles, server evaluates) ==")
+	net, err := benchmarks.B3()
 	if err != nil {
 		log.Fatal(err)
 	}
 	net.InitWeights(rand.New(rand.NewSource(3)))
-	x := make([]float64, 617)
+	x := make([]float64, net.In.Len())
 	rng := rand.New(rand.NewSource(4))
 	for i := range x {
 		x[i] = rng.Float64()*2 - 1
 	}
 
-	cConn, sConn, closer := deepsecure.Pipe()
-	defer closer.Close()
+	clientProxy, proxyClient, c1 := deepsecure.Pipe()
+	defer c1.Close()
+	clientServer, serverClient, c2 := deepsecure.Pipe()
+	defer c2.Close()
+	proxyServer, serverProxy, c3 := deepsecure.Pipe()
+	defer c3.Close()
 	var wg sync.WaitGroup
-	wg.Add(1)
+	wg.Add(2)
 	go func() {
 		defer wg.Done()
-		if err := deepsecure.Serve(sConn, net, deepsecure.DefaultFormat); err != nil {
-			log.Fatal(err)
+		if err := deepsecure.ServeOutsourced(serverProxy, serverClient, net, deepsecure.DefaultFormat); err != nil {
+			log.Fatal("server: ", err)
+		}
+	}()
+	go func() {
+		defer wg.Done()
+		if err := deepsecure.RunProxy(proxyClient, proxyServer); err != nil {
+			log.Fatal("proxy: ", err)
 		}
 	}()
 	start := time.Now()
-	label, st, err := deepsecure.Infer(cConn, x)
+	label, _, err := deepsecure.InferOutsourced(clientProxy, clientServer, x)
+	if err != nil {
+		log.Fatal("client: ", err)
+	}
 	wg.Wait()
+	if want := net.PredictFixed(deepsecure.DefaultFormat, x); label != want {
+		log.Fatalf("label %d, plaintext fixed-point model says %d", label, want)
+	}
+	st, _, err := netgen.FastCount(net, deepsecure.DefaultFormat, netgen.Options{Outsourced: true})
 	if err != nil {
 		log.Fatal(err)
 	}
-	want := net.PredictFixed(deepsecure.DefaultFormat, x)
-	fmt.Printf("label %d (plaintext check %d), %v\n", label, want, time.Since(start).Round(time.Millisecond))
-	fmt.Printf("%d AND gates, %.1f MB sent (paper B3: 7.54e6 non-XOR, 241MB, 2.95s)\n\n",
-		st.ANDGates, float64(st.BytesSent)/1e6)
+	fmt.Printf("label %d (matches the plaintext check), %v\n", label, time.Since(start).Round(time.Millisecond))
+	fmt.Printf("%d AND gates, %.1f MB garbled stream (paper B3: 7.54e6 non-XOR, 241MB, 2.95s)\n\n",
+		st.AND, float64(proxyServer.Metrics().BytesSent.Value())/1e6)
 }

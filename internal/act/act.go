@@ -63,6 +63,9 @@ func (k Kind) String() string {
 	}
 }
 
+// Valid reports whether k names one of the realizations above.
+func (k Kind) Valid() bool { return k >= Identity && k <= SigmoidCORDIC }
+
 // IsTanh reports whether the kind approximates tanh.
 func (k Kind) IsTanh() bool {
 	return k == TanhLUT || k == TanhTrunc || k == TanhPL || k == TanhCORDIC

@@ -1,0 +1,73 @@
+package core
+
+import (
+	"testing"
+
+	"deepsecure/internal/transport"
+)
+
+// hostileArchFrames are architecture frames a server could answer a hello
+// with. Each crashed the client process before nn.Spec.Build validated
+// its input (divide by zero, makeslice out of range, or a multi-GB
+// allocation); internal/nn's TestHostileSpecsReturnErrors holds the
+// longer table.
+var hostileArchFrames = map[string]string{
+	"pool window 0":      `{"in":{"C":1,"H":4,"W":4},"format":{"IntBits":3,"FracBits":12},"layers":[{"type":"maxpool"}]}`,
+	"dense width -1":     `{"in":{"C":1,"H":1,"W":4},"format":{"IntBits":3,"FracBits":12},"layers":[{"type":"dense","out":-1}]}`,
+	"conv maps -2":       `{"in":{"C":1,"H":4,"W":4},"format":{"IntBits":3,"FracBits":12},"layers":[{"type":"conv","outc":-2,"k":1,"stride":1}]}`,
+	"1e14 weights":       `{"in":{"C":1,"H":1,"W":1000000},"format":{"IntBits":3,"FracBits":12},"layers":[{"type":"dense","out":100000000}]}`,
+	"unknown activation": `{"in":{"C":1,"H":1,"W":4},"format":{"IntBits":3,"FracBits":12},"layers":[{"type":"act","act":99}]}`,
+}
+
+// serveArch plays a server (or, for the proxy, the main server behind it)
+// that answers the hello with the given architecture frame.
+func serveArch(conn *transport.Conn, frame string) <-chan error {
+	done := make(chan error, 1)
+	go func() {
+		if _, err := conn.Recv(transport.MsgHello); err != nil {
+			done <- err
+			return
+		}
+		if err := conn.Send(transport.MsgArch, []byte(frame)); err != nil {
+			done <- err
+			return
+		}
+		done <- conn.Flush()
+	}()
+	return done
+}
+
+func TestHostileArchFrameIsAnError(t *testing.T) {
+	for name, frame := range hostileArchFrames {
+		t.Run(name, func(t *testing.T) {
+			cConn, sConn, closer := transport.Pipe()
+			defer closer.Close()
+			done := serveArch(sConn, frame)
+			if sess, err := (&Client{}).NewSession(cConn); err == nil {
+				t.Errorf("NewSession accepted the architecture (session %v)", sess)
+			}
+			if err := <-done; err != nil {
+				t.Errorf("hostile server's own writes: %v", err)
+			}
+
+			// The proxy builds the same frame on behalf of its client.
+			pcConn, cpConn, closer2 := transport.Pipe()
+			defer closer2.Close()
+			psConn, spConn, closer3 := transport.Pipe()
+			defer closer3.Close()
+			if err := cpConn.Send(transport.MsgHello, []byte(protocolHello)); err != nil {
+				t.Fatal(err)
+			}
+			if err := cpConn.Flush(); err != nil {
+				t.Fatal(err)
+			}
+			done = serveArch(spConn, frame)
+			if err := (&Proxy{}).Run(pcConn, psConn); err == nil {
+				t.Error("Proxy.Run accepted the architecture")
+			}
+			if err := <-done; err != nil {
+				t.Errorf("hostile server's own writes: %v", err)
+			}
+		})
+	}
+}

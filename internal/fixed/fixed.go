@@ -110,9 +110,6 @@ func (f Format) Zero() Num { return Num{fmt: f} }
 // One returns 1.0 in this format (wraps if IntBits == 0).
 func (f Format) One() Num { return f.FromRaw(int64(1) << uint(f.FracBits)) }
 
-// Eps returns the smallest positive representable value (one ULP).
-func (f Format) Eps() Num { return f.FromRaw(1) }
-
 // Raw returns the sign-extended raw integer value.
 func (n Num) Raw() int64 { return n.raw }
 
@@ -305,15 +302,6 @@ func (f Format) Vec(xs []float64) []Num {
 	out := make([]Num, len(xs))
 	for i, x := range xs {
 		out[i] = f.FromFloatSat(x)
-	}
-	return out
-}
-
-// Floats converts a fixed-point slice back to floats.
-func Floats(xs []Num) []float64 {
-	out := make([]float64, len(xs))
-	for i, x := range xs {
-		out[i] = x.Float()
 	}
 	return out
 }

@@ -313,11 +313,9 @@ func TestNegWrapsAtMin(t *testing.T) {
 func TestVecHelpers(t *testing.T) {
 	f := Default
 	xs := []float64{0.5, -1, 2}
-	ns := f.Vec(xs)
-	back := Floats(ns)
-	for i := range xs {
-		if math.Abs(back[i]-xs[i]) > 1.0/f.Scale() {
-			t.Errorf("vec round trip idx %d: %g -> %g", i, xs[i], back[i])
+	for i, n := range f.Vec(xs) {
+		if back := n.Float(); math.Abs(back-xs[i]) > 1.0/f.Scale() {
+			t.Errorf("vec round trip idx %d: %g -> %g", i, xs[i], back)
 		}
 	}
 }
@@ -352,7 +350,7 @@ func TestOneEps(t *testing.T) {
 	if f.One().Float() != 1.0 {
 		t.Errorf("One = %g", f.One().Float())
 	}
-	if f.Eps().Raw() != 1 {
-		t.Errorf("Eps raw = %d", f.Eps().Raw())
+	if ulp := f.FromRaw(1).Float(); ulp != 1/f.Scale() {
+		t.Errorf("one ulp = %g, want %g", ulp, 1/f.Scale())
 	}
 }

@@ -20,21 +20,6 @@ func New(rows, cols int) *Mat {
 	return &Mat{Rows: rows, Cols: cols, Data: make([]float64, rows*cols)}
 }
 
-// FromRows builds a matrix from row slices.
-func FromRows(rows [][]float64) *Mat {
-	if len(rows) == 0 {
-		return New(0, 0)
-	}
-	m := New(len(rows), len(rows[0]))
-	for i, r := range rows {
-		if len(r) != m.Cols {
-			panic(fmt.Sprintf("linalg: ragged row %d: %d vs %d", i, len(r), m.Cols))
-		}
-		copy(m.Data[i*m.Cols:], r)
-	}
-	return m
-}
-
 // At returns element (i, j).
 func (m *Mat) At(i, j int) float64 { return m.Data[i*m.Cols+j] }
 
@@ -186,44 +171,6 @@ func Projector(d *Mat) (*Mat, error) {
 		return nil, fmt.Errorf("linalg: projector: %w", err)
 	}
 	return d.Mul(inv).Mul(d.T()), nil
-}
-
-// PInv returns the left pseudo-inverse D⁺ = (DᵀD)⁻¹Dᵀ.
-func PInv(d *Mat) (*Mat, error) {
-	gram := d.T().Mul(d)
-	inv, err := gram.Inverse()
-	if err != nil {
-		return nil, fmt.Errorf("linalg: pinv: %w", err)
-	}
-	return inv.Mul(d.T()), nil
-}
-
-// Orthonormalize returns an orthonormal basis U (m×r) of the column space
-// of D via modified Gram-Schmidt, dropping near-dependent columns.
-func Orthonormalize(d *Mat) *Mat {
-	cols := make([][]float64, 0, d.Cols)
-	for j := 0; j < d.Cols; j++ {
-		v := d.Col(j)
-		for _, u := range cols {
-			dot := Dot(u, v)
-			for i := range v {
-				v[i] -= dot * u[i]
-			}
-		}
-		n := Norm(v)
-		if n < 1e-10 {
-			continue
-		}
-		for i := range v {
-			v[i] /= n
-		}
-		cols = append(cols, v)
-	}
-	u := New(d.Rows, len(cols))
-	for j, c := range cols {
-		u.SetCol(j, c)
-	}
-	return u
 }
 
 // Dot returns ⟨a, b⟩.

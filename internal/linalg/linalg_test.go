@@ -15,8 +15,8 @@ func randMat(rng *rand.Rand, r, c int) *Mat {
 }
 
 func TestMulKnown(t *testing.T) {
-	a := FromRows([][]float64{{1, 2}, {3, 4}})
-	b := FromRows([][]float64{{5, 6}, {7, 8}})
+	a := &Mat{Rows: 2, Cols: 2, Data: []float64{1, 2, 3, 4}}
+	b := &Mat{Rows: 2, Cols: 2, Data: []float64{5, 6, 7, 8}}
 	c := a.Mul(b)
 	want := [][]float64{{19, 22}, {43, 50}}
 	for i := 0; i < 2; i++ {
@@ -61,7 +61,7 @@ func TestInverse(t *testing.T) {
 }
 
 func TestSingularInverseFails(t *testing.T) {
-	m := FromRows([][]float64{{1, 2}, {2, 4}})
+	m := &Mat{Rows: 2, Cols: 2, Data: []float64{1, 2, 2, 4}}
 	if _, err := m.Inverse(); err == nil {
 		t.Error("singular matrix inverted")
 	}
@@ -97,58 +97,35 @@ func TestProjectorProperties(t *testing.T) {
 
 func TestProjectorEqualsUUT(t *testing.T) {
 	// The paper's security argument: W = UUᵀ for an orthonormal basis U
-	// of col(D). Check numerically.
+	// of col(D). U is the first four columns of a Householder reflection
+	// (orthogonal by construction) and D = U·A for an invertible A, so
+	// col(D) = col(U) while D itself is far from orthonormal.
 	rng := rand.New(rand.NewSource(4))
-	d := randMat(rng, 10, 4)
-	w, err := Projector(d)
+	v := randMat(rng, 10, 1).Data
+	u := New(10, 4)
+	for i := 0; i < 10; i++ {
+		for j := 0; j < 4; j++ {
+			u.Set(i, j, -2*v[i]*v[j]/Dot(v, v))
+		}
+		if i < 4 {
+			u.Set(i, i, u.At(i, i)+1)
+		}
+	}
+	a := randMat(rng, 4, 4)
+	for i := 0; i < 4; i++ {
+		a.Set(i, i, a.At(i, i)+4)
+	}
+	w, err := Projector(u.Mul(a))
 	if err != nil {
 		t.Fatal(err)
 	}
-	u := Orthonormalize(d)
-	uut := u.Mul(u.T())
-	if diff := w.Sub(uut).FrobNorm(); diff > 1e-8 {
+	if diff := w.Sub(u.Mul(u.T())).FrobNorm(); diff > 1e-8 {
 		t.Errorf("W ≠ UUᵀ: %g", diff)
 	}
 }
 
-func TestPInv(t *testing.T) {
-	rng := rand.New(rand.NewSource(5))
-	d := randMat(rng, 7, 3)
-	p, err := PInv(d)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Left inverse: D⁺·D = I.
-	if diff := p.Mul(d).Sub(Identity(3)).FrobNorm(); diff > 1e-9 {
-		t.Errorf("D⁺D ≠ I: %g", diff)
-	}
-}
-
-func TestOrthonormalize(t *testing.T) {
-	rng := rand.New(rand.NewSource(6))
-	d := randMat(rng, 6, 3)
-	u := Orthonormalize(d)
-	if u.Cols != 3 {
-		t.Fatalf("rank lost: %d cols", u.Cols)
-	}
-	utu := u.T().Mul(u)
-	if diff := utu.Sub(Identity(3)).FrobNorm(); diff > 1e-9 {
-		t.Errorf("UᵀU ≠ I: %g", diff)
-	}
-	// Dependent columns get dropped.
-	dup := New(6, 4)
-	for j := 0; j < 3; j++ {
-		dup.SetCol(j, d.Col(j))
-	}
-	dup.SetCol(3, d.Col(0)) // duplicate
-	u2 := Orthonormalize(dup)
-	if u2.Cols != 3 {
-		t.Errorf("duplicate column not dropped: %d cols", u2.Cols)
-	}
-}
-
 func TestMulVec(t *testing.T) {
-	m := FromRows([][]float64{{1, 2, 3}, {4, 5, 6}})
+	m := &Mat{Rows: 2, Cols: 3, Data: []float64{1, 2, 3, 4, 5, 6}}
 	got := m.MulVec([]float64{1, 1, 1})
 	if got[0] != 6 || got[1] != 15 {
 		t.Errorf("MulVec = %v", got)

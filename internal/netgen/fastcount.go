@@ -10,13 +10,15 @@ import (
 	"deepsecure/internal/stdcell"
 )
 
-// FastCount computes the exact gate statistics of a network's netlist
-// analytically: it probes each repeated sub-circuit (one MAC, one
-// activation instance, one pooling window) once and multiplies by its
-// multiplicity — the same characterization methodology as the paper's
-// Table 2. The result is identical to streaming Count (asserted by the
-// package tests) but runs in milliseconds even for benchmark 4's ~10⁹
-// gates, which is how the paper-scale Table 4/5 rows are produced.
+// FastCount computes the exact gate statistics of a network's netlist as
+// instances × cell cost: it probes each repeated sub-circuit (one MAC, one
+// activation instance, one pooling window) once and multiplies by the
+// number of instances the layer's lowering yields (nn.Linear.Rows,
+// nn.Windowed.Windows: the walk Generate emits gates from) — the same
+// characterization methodology as the paper's Table 2. The result is
+// identical to streaming Count (asserted by the package tests) but runs in
+// milliseconds even for benchmark 4's ~10⁹ gates, which is how the
+// paper-scale Table 4/5 rows are produced.
 //
 // The builder's constant folding makes gate costs depend on the
 // *structure* of operand words, not just their width: a ReLU output has a
@@ -62,59 +64,25 @@ func FastCount(net *nn.Network, f fixed.Format, opt Options) (circuit.Stats, *La
 		})
 	}
 
-	windowCost := func(k int, mean, nonneg bool) circuit.Stats {
-		return probe(func(b *circuit.Builder) {
-			w := make([]stdcell.Word, k*k)
+	poolCost := func(p nn.Windowed, cell func(*circuit.Builder, []stdcell.Word) stdcell.Word, nonneg bool) {
+		var windows int64
+		size := 0
+		p.Windows(func(_ int, in []int) { windows, size = windows+1, len(in) })
+		addStats(&total, probe(func(b *circuit.Builder) {
+			w := make([]stdcell.Word, size)
 			for i := range w {
 				w[i] = word(b, nonneg)
 			}
-			if mean {
-				stdcell.MeanPool(b, w)
-			} else {
-				stdcell.MaxPool(b, w)
-			}
-		})
+			cell(b, w)
+		}), windows)
 	}
 
 	nonneg := false // whether the current activations have const-0 signs
 	for li, layer := range net.Layers {
 		switch v := layer.(type) {
-		case *nn.Dense:
-			addStats(&total, macCost(nonneg), int64(v.ActiveWeights()))
-			lay.WeightBits += (v.ActiveWeights() + len(v.Biases())) * bits
-			nonneg = false
-
-		case *nn.Conv2D:
-			in := net.In
-			if li > 0 {
-				in = net.ShapeAt(li - 1)
-			}
-			out := net.ShapeAt(li)
-			_, mask := v.Weights()
+		case nn.Linear:
 			var macs int64
-			for oy := 0; oy < out.H; oy++ {
-				for ox := 0; ox < out.W; ox++ {
-					for ky := 0; ky < v.K; ky++ {
-						iy := oy*v.Stride - v.Pad + ky
-						if iy < 0 || iy >= in.H {
-							continue
-						}
-						for kx := 0; kx < v.K; kx++ {
-							ix := ox*v.Stride - v.Pad + kx
-							if ix < 0 || ix >= in.W {
-								continue
-							}
-							for oc := 0; oc < v.OutC; oc++ {
-								for ic := 0; ic < in.C; ic++ {
-									if mask[((oc*in.C+ic)*v.K+ky)*v.K+kx] {
-										macs++
-									}
-								}
-							}
-						}
-					}
-				}
-			}
+			v.Rows(func(_, _ int, taps []nn.Tap) { macs += int64(len(taps)) })
 			addStats(&total, macCost(nonneg), macs)
 			lay.WeightBits += (v.ActiveWeights() + len(v.Biases())) * bits
 			nonneg = false
@@ -123,21 +91,15 @@ func FastCount(net *nn.Network, f fixed.Format, opt Options) (circuit.Stats, *La
 			if v.Kind == act.Identity {
 				continue
 			}
-			in := net.In
-			if li > 0 {
-				in = net.ShapeAt(li - 1)
-			}
-			addStats(&total, actCost(v.Kind, nonneg), int64(in.Len()))
+			addStats(&total, actCost(v.Kind, nonneg), int64(net.ShapeAt(li).Len()))
 			nonneg = v.Kind == act.ReLU
 
 		case *nn.MaxPool2D:
-			out := net.ShapeAt(li)
-			addStats(&total, windowCost(v.K, false, nonneg), int64(out.Len()))
+			poolCost(v, stdcell.MaxPool, nonneg)
 			// Mux chains preserve a shared constant sign bit.
 
 		case *nn.MeanPool2D:
-			out := net.ShapeAt(li)
-			addStats(&total, windowCost(v.K, true, nonneg), int64(out.Len()))
+			poolCost(v, stdcell.MeanPool, nonneg)
 			nonneg = false // the summed sign bit is a live carry wire
 
 		default:

@@ -77,23 +77,19 @@ func Generate(b *circuit.Builder, net *nn.Network, f fixed.Format, opt Options) 
 	}
 
 	for li, layer := range net.Layers {
-		var err error
 		switch v := layer.(type) {
 		case *nn.Dense:
-			x, err = genDense(b, v, x, f, lay)
+			x = genLinear(b, v, false, x, f, lay)
 		case *nn.Conv2D:
-			x, err = genConv(b, v, net, li, x, f, lay)
+			x = genLinear(b, v, true, x, f, lay)
 		case *nn.Activation:
-			x, err = genAct(b, v, x, f)
+			x = genAct(b, v, x, f)
 		case *nn.MaxPool2D:
-			x, err = genMaxPool(b, v, net, li, x)
+			x = genPool(b, v, stdcell.MaxPool, x)
 		case *nn.MeanPool2D:
-			x, err = genMeanPool(b, v, net, li, x)
+			x = genPool(b, v, stdcell.MeanPool, x)
 		default:
-			err = fmt.Errorf("netgen: unsupported layer type %T", layer)
-		}
-		if err != nil {
-			return nil, fmt.Errorf("netgen: layer %d (%s): %w", li, layer.Name(), err)
+			return nil, fmt.Errorf("netgen: layer %d (%s): unsupported layer type %T", li, layer.Name(), layer)
 		}
 		if err := b.Err(); err != nil {
 			return nil, err
@@ -134,145 +130,72 @@ func dropWords(b *circuit.Builder, ws []stdcell.Word) {
 }
 
 // declareParams declares the layer's evaluator-input wires in the
-// canonical nn.WeightBits order: active weights flat, then biases.
-func declareParams(b *circuit.Builder, p nn.ParamLayer, bits int, lay *Layout) (weights map[int]stdcell.Word, biases []stdcell.Word) {
+// canonical nn.WeightBits order: active weights flat, then biases. weights
+// is indexed like the layer's weight slice; a pruned weight has no word.
+func declareParams(b *circuit.Builder, p nn.ParamLayer, bits int, lay *Layout) (weights, biases []stdcell.Word) {
 	_, mask := p.Weights()
-	nw := p.ActiveWeights()
 	nb := len(p.Biases())
-	flat := b.Inputs(circuit.Evaluator, (nw+nb)*bits)
-	lay.WeightBits += (nw + nb) * bits
-	weights = make(map[int]stdcell.Word, nw)
-	cursor := 0
+	n := (p.ActiveWeights() + nb) * bits
+	flat := b.Inputs(circuit.Evaluator, n)
+	lay.WeightBits += n
+	weights = make([]stdcell.Word, len(mask))
 	for i, m := range mask {
-		if !m {
-			continue
+		if m {
+			weights[i], flat = stdcell.Word(flat[:bits]), flat[bits:]
 		}
-		weights[i] = stdcell.Word(flat[cursor : cursor+bits])
-		cursor += bits
 	}
 	biases = make([]stdcell.Word, nb)
-	for o := 0; o < nb; o++ {
-		biases[o] = stdcell.Word(flat[cursor : cursor+bits])
-		cursor += bits
+	for o := range biases {
+		biases[o], flat = stdcell.Word(flat[:bits]), flat[bits:]
 	}
 	return weights, biases
 }
 
-// mac folds one multiply-accumulate into acc inside a scope, then retires
-// the previous accumulator and the consumed weight word.
-func mac(b *circuit.Builder, acc, x, w stdcell.Word, frac int, dropWeight bool) stdcell.Word {
-	b.BeginScope()
-	p := stdcell.MulFixed(b, x, w, frac)
-	next := stdcell.Add(b, acc, p)
-	b.EndScope(next...)
-	b.Drop(acc...)
-	if dropWeight {
-		b.Drop(w...)
-	}
-	return next
-}
-
-func genDense(b *circuit.Builder, d *nn.Dense, x []stdcell.Word, f fixed.Format, lay *Layout) ([]stdcell.Word, error) {
-	if len(x) != d.InN {
-		return nil, fmt.Errorf("dense: got %d inputs, want %d", len(x), d.InN)
-	}
-	weights, biases := declareParams(b, d, f.Bits(), lay)
-	out := make([]stdcell.Word, d.OutN)
-	_, mask := d.Weights()
-	for o := 0; o < d.OutN; o++ {
-		acc := biases[o]
-		for i := 0; i < d.InN; i++ {
-			wi := o*d.InN + i
-			if !mask[wi] {
-				continue
+// genLinear emits a Dense or Conv2D layer from its lowering: one MAC chain
+// per output element over the row's taps, seeded with the bias word. What
+// differs between the two is who else reads a parameter word. A dense
+// weight or bias has one reader, so each MAC retires the weight and the
+// accumulator it consumed; a convolution's are shared by every position
+// of the map, so they stay live to the end of the layer, except a bias
+// that is itself an output (a window with no active tap), which the next
+// layer retires.
+func genLinear(b *circuit.Builder, l nn.Linear, shared bool, x []stdcell.Word, f fixed.Format, lay *Layout) []stdcell.Word {
+	weights, biases := declareParams(b, l, f.Bits(), lay)
+	var out []stdcell.Word
+	escaped := make([]bool, len(biases))
+	l.Rows(func(_, bias int, taps []nn.Tap) {
+		acc := biases[bias]
+		for i, t := range taps {
+			b.BeginScope()
+			p := stdcell.MulFixed(b, x[t.In], weights[t.W], f.FracBits)
+			next := stdcell.Add(b, acc, p)
+			b.EndScope(next...)
+			if !shared || i > 0 {
+				b.Drop(acc...)
 			}
-			acc = mac(b, acc, x[i], weights[wi], f.FracBits, true)
+			if !shared {
+				b.Drop(weights[t.W]...)
+			}
+			acc = next
 		}
-		out[o] = acc
-	}
-	dropWords(b, x)
-	return out, nil
-}
-
-func genConv(b *circuit.Builder, c *nn.Conv2D, net *nn.Network, li int, x []stdcell.Word, f fixed.Format, lay *Layout) ([]stdcell.Word, error) {
-	in := net.In
-	if li > 0 {
-		in = net.ShapeAt(li - 1)
-	}
-	outShape := net.ShapeAt(li)
-	if len(x) != in.Len() {
-		return nil, fmt.Errorf("conv: got %d inputs, want %d", len(x), in.Len())
-	}
-	weights, biases := declareParams(b, c, f.Bits(), lay)
-	_, mask := c.Weights()
-	out := make([]stdcell.Word, outShape.Len())
-	wIdx := func(oc, ic, ky, kx int) int { return ((oc*in.C+ic)*c.K+ky)*c.K + kx }
-	inIdx := func(ic, y, xx int) int { return (ic*in.H+y)*in.W + xx }
-	biasEscaped := make([]bool, len(biases))
-	o := 0
-	for oc := 0; oc < c.OutC; oc++ {
-		for oy := 0; oy < outShape.H; oy++ {
-			for ox := 0; ox < outShape.W; ox++ {
-				acc := biases[oc].Clone()
-				first := true
-				for ic := 0; ic < in.C; ic++ {
-					for ky := 0; ky < c.K; ky++ {
-						iy := oy*c.Stride - c.Pad + ky
-						if iy < 0 || iy >= in.H {
-							continue
-						}
-						for kx := 0; kx < c.K; kx++ {
-							ix := ox*c.Stride - c.Pad + kx
-							if ix < 0 || ix >= in.W {
-								continue
-							}
-							wi := wIdx(oc, ic, ky, kx)
-							if !mask[wi] {
-								continue
-							}
-							b.BeginScope()
-							p := stdcell.MulFixed(b, x[inIdx(ic, iy, ix)], weights[wi], f.FracBits)
-							next := stdcell.Add(b, acc, p)
-							b.EndScope(next...)
-							if !first {
-								b.Drop(acc...) // bias words are shared across positions
-							}
-							first = false
-							acc = next
-						}
-					}
-				}
-				if first {
-					// No active tap in this window: the output IS the
-					// bias word, which must then outlive the layer.
-					biasEscaped[oc] = true
-				}
-				out[o] = acc
-				o++
+		escaped[bias] = escaped[bias] || len(taps) == 0
+		out = append(out, acc)
+	})
+	if shared {
+		dropWords(b, weights)
+		for i, bw := range biases {
+			if !escaped[i] {
+				b.Drop(bw...)
 			}
 		}
 	}
-	// Conv weights and biases are reused across positions: retire at end
-	// (except bias words that escaped as outputs). Iterate the mask, not
-	// the map: generation must be deterministic, or the two parties'
-	// recycled wire ids (and now the compiled schedules) would diverge.
-	for i, m := range mask {
-		if m {
-			b.Drop(weights[i]...)
-		}
-	}
-	for i, bw := range biases {
-		if !biasEscaped[i] {
-			b.Drop(bw...)
-		}
-	}
 	dropWords(b, x)
-	return out, nil
+	return out
 }
 
-func genAct(b *circuit.Builder, a *nn.Activation, x []stdcell.Word, f fixed.Format) ([]stdcell.Word, error) {
+func genAct(b *circuit.Builder, a *nn.Activation, x []stdcell.Word, f fixed.Format) []stdcell.Word {
 	if a.Kind == act.Identity {
-		return x, nil
+		return x
 	}
 	impl := a.Impl(f)
 	out := make([]stdcell.Word, len(x))
@@ -283,65 +206,25 @@ func genAct(b *circuit.Builder, a *nn.Activation, x []stdcell.Word, f fixed.Form
 		b.Drop(w...)
 		out[i] = y
 	}
-	return out, nil
+	return out
 }
 
-func genMaxPool(b *circuit.Builder, p *nn.MaxPool2D, net *nn.Network, li int, x []stdcell.Word) ([]stdcell.Word, error) {
-	in := net.In
-	if li > 0 {
-		in = net.ShapeAt(li - 1)
-	}
-	outShape := net.ShapeAt(li)
-	out := make([]stdcell.Word, 0, outShape.Len())
-	for c := 0; c < in.C; c++ {
-		for oy := 0; oy < outShape.H; oy++ {
-			for ox := 0; ox < outShape.W; ox++ {
-				var window []stdcell.Word
-				for ky := 0; ky < p.K; ky++ {
-					for kx := 0; kx < p.K; kx++ {
-						iy := oy*p.Stride + ky
-						ix := ox*p.Stride + kx
-						window = append(window, x[(c*in.H+iy)*in.W+ix])
-					}
-				}
-				b.BeginScope()
-				m := stdcell.MaxPool(b, window)
-				b.EndScope(m...)
-				out = append(out, m)
-			}
+// genPool emits a pooling layer from its lowering: one reduction cell per
+// window.
+func genPool(b *circuit.Builder, p nn.Windowed, cell func(*circuit.Builder, []stdcell.Word) stdcell.Word, x []stdcell.Word) []stdcell.Word {
+	var out, window []stdcell.Word
+	p.Windows(func(_ int, in []int) {
+		window = window[:0]
+		for _, i := range in {
+			window = append(window, x[i])
 		}
-	}
+		b.BeginScope()
+		m := cell(b, window)
+		b.EndScope(m...)
+		out = append(out, m)
+	})
 	dropWords(b, x)
-	return out, nil
-}
-
-func genMeanPool(b *circuit.Builder, p *nn.MeanPool2D, net *nn.Network, li int, x []stdcell.Word) ([]stdcell.Word, error) {
-	in := net.In
-	if li > 0 {
-		in = net.ShapeAt(li - 1)
-	}
-	outShape := net.ShapeAt(li)
-	out := make([]stdcell.Word, 0, outShape.Len())
-	for c := 0; c < in.C; c++ {
-		for oy := 0; oy < outShape.H; oy++ {
-			for ox := 0; ox < outShape.W; ox++ {
-				var window []stdcell.Word
-				for ky := 0; ky < p.K; ky++ {
-					for kx := 0; kx < p.K; kx++ {
-						iy := oy*p.K + ky
-						ix := ox*p.K + kx
-						window = append(window, x[(c*in.H+iy)*in.W+ix])
-					}
-				}
-				b.BeginScope()
-				m := stdcell.MeanPool(b, window)
-				b.EndScope(m...)
-				out = append(out, m)
-			}
-		}
-	}
-	dropWords(b, x)
-	return out, nil
+	return out
 }
 
 // Count returns the gate statistics of the network's netlist without

@@ -1,6 +1,7 @@
 package nn
 
 import (
+	"fmt"
 	"math"
 
 	"deepsecure/internal/act"
@@ -13,7 +14,6 @@ import (
 type Activation struct {
 	Kind act.Kind
 	impl actImpl
-	n    int
 
 	lastOut []float64
 	lastIn  []float64
@@ -40,7 +40,9 @@ func (a *Activation) Name() string {
 
 // Bind implements Layer.
 func (a *Activation) Bind(in Shape) (Shape, error) {
-	a.n = in.Len()
+	if !a.Kind.Valid() {
+		return Shape{}, fmt.Errorf("activation: unknown kind %v", a.Kind)
+	}
 	return in, nil
 }
 

@@ -2,7 +2,6 @@ package nn
 
 import (
 	"fmt"
-	"math"
 	"math/rand"
 
 	"deepsecure/internal/fixed"
@@ -13,17 +12,9 @@ import (
 type Conv2D struct {
 	OutC, K, Stride, Pad int
 
-	in   Shape
-	out  Shape
-	W    []float64 // [OutC][InC][K][K] flattened
-	B    []float64
-	Mask []bool
-
-	lastIn []float64
-	gradW  []float64
-	gradB  []float64
-	velW   []float64
-	velB   []float64
+	in  Shape
+	out Shape
+	params
 }
 
 // NewConv2D builds a convolution layer.
@@ -36,206 +27,69 @@ func (c *Conv2D) Name() string { return fmt.Sprintf("%dC%d", c.OutC, c.Stride) }
 
 // Bind implements Layer.
 func (c *Conv2D) Bind(in Shape) (Shape, error) {
+	if c.K < 1 || c.Stride < 1 || c.Pad < 0 || c.Pad > MaxWeights {
+		return Shape{}, fmt.Errorf("conv: kernel %d, stride %d, pad %d: want kernel and stride >= 1, pad >= 0", c.K, c.Stride, c.Pad)
+	}
 	if in.H < c.K || in.W < c.K {
 		return Shape{}, fmt.Errorf("conv: input %v smaller than kernel %d", in, c.K)
 	}
-	if c.Stride < 1 {
-		return Shape{}, fmt.Errorf("conv: stride %d", c.Stride)
+	out := Shape{C: c.OutC, H: (in.H+2*c.Pad-c.K)/c.Stride + 1, W: (in.W+2*c.Pad-c.K)/c.Stride + 1}
+	nw, ok := sized(c.OutC, in.C, c.K, c.K)
+	if !ok || !out.valid() {
+		return Shape{}, fmt.Errorf("conv: %d maps over %v: want 1 to %d weights and outputs", c.OutC, in, MaxWeights)
 	}
-	c.in = in
-	oh := (in.H+2*c.Pad-c.K)/c.Stride + 1
-	ow := (in.W+2*c.Pad-c.K)/c.Stride + 1
-	c.out = Shape{C: c.OutC, H: oh, W: ow}
-	n := c.OutC * in.C * c.K * c.K
-	if c.W == nil {
-		c.W = make([]float64, n)
-		c.B = make([]float64, c.OutC)
-		c.Mask = make([]bool, n)
-		for i := range c.Mask {
-			c.Mask[i] = true
-		}
-	}
-	if len(c.W) != n {
-		return Shape{}, fmt.Errorf("conv: weights sized %d, need %d", len(c.W), n)
+	c.in, c.out = in, out
+	if !c.size(nw, c.OutC) {
+		return Shape{}, fmt.Errorf("conv: weights sized %d, need %d", len(c.W), nw)
 	}
 	return c.out, nil
 }
 
-func (c *Conv2D) initWeights(rng *rand.Rand) {
-	fanIn := float64(c.in.C * c.K * c.K)
-	scale := math.Sqrt(2.0 / fanIn)
-	for i := range c.W {
-		c.W[i] = rng.NormFloat64() * scale
-	}
-	for i := range c.B {
-		c.B[i] = 0
-	}
-}
+func (c *Conv2D) initWeights(rng *rand.Rand) { c.init(rng, c.in.C*c.K*c.K) }
 
-// Weights implements ParamLayer.
-func (c *Conv2D) Weights() ([]float64, []bool) { return c.W, c.Mask }
-
-// Biases implements ParamLayer.
-func (c *Conv2D) Biases() []float64 { return c.B }
-
-// ActiveWeights implements ParamLayer.
-func (c *Conv2D) ActiveWeights() int {
-	n := 0
-	for _, m := range c.Mask {
-		if m {
-			n++
+// Rows implements Linear: output (oc, oy, ox) meets its window in
+// (ic, ky, kx) order, minus the taps that fall on padding.
+func (c *Conv2D) Rows(yield func(out, bias int, taps []Tap)) {
+	taps := make([]Tap, 0, c.in.C*c.K*c.K)
+	out := 0
+	for oc := 0; oc < c.OutC; oc++ {
+		for oy := 0; oy < c.out.H; oy++ {
+			for ox := 0; ox < c.out.W; ox++ {
+				taps = taps[:0]
+				for ic := 0; ic < c.in.C; ic++ {
+					for ky := 0; ky < c.K; ky++ {
+						iy := oy*c.Stride - c.Pad + ky
+						if iy < 0 || iy >= c.in.H {
+							continue
+						}
+						for kx := 0; kx < c.K; kx++ {
+							ix := ox*c.Stride - c.Pad + kx
+							if ix < 0 || ix >= c.in.W {
+								continue
+							}
+							if wi := ((oc*c.in.C+ic)*c.K+ky)*c.K + kx; c.Mask[wi] {
+								taps = append(taps, Tap{In: (ic*c.in.H+iy)*c.in.W + ix, W: wi})
+							}
+						}
+					}
+				}
+				yield(out, oc, taps)
+				out++
+			}
 		}
 	}
-	return n
-}
-
-func (c *Conv2D) wIdx(oc, ic, ky, kx int) int {
-	return ((oc*c.in.C+ic)*c.K+ky)*c.K + kx
-}
-
-func (c *Conv2D) inIdx(ic, y, x int) int {
-	return (ic*c.in.H+y)*c.in.W + x
-}
-
-func (c *Conv2D) outIdx(oc, y, x int) int {
-	return (oc*c.out.H+y)*c.out.W + x
 }
 
 // Forward implements Layer.
-func (c *Conv2D) Forward(x []float64) []float64 {
-	out := make([]float64, c.out.Len())
-	for oc := 0; oc < c.OutC; oc++ {
-		for oy := 0; oy < c.out.H; oy++ {
-			for ox := 0; ox < c.out.W; ox++ {
-				acc := c.B[oc]
-				for ic := 0; ic < c.in.C; ic++ {
-					for ky := 0; ky < c.K; ky++ {
-						iy := oy*c.Stride - c.Pad + ky
-						if iy < 0 || iy >= c.in.H {
-							continue
-						}
-						for kx := 0; kx < c.K; kx++ {
-							ix := ox*c.Stride - c.Pad + kx
-							if ix < 0 || ix >= c.in.W {
-								continue
-							}
-							wi := c.wIdx(oc, ic, ky, kx)
-							if c.Mask[wi] {
-								acc += c.W[wi] * x[c.inIdx(ic, iy, ix)]
-							}
-						}
-					}
-				}
-				out[c.outIdx(oc, oy, ox)] = acc
-			}
-		}
-	}
-	return out
-}
+func (c *Conv2D) Forward(x []float64) []float64 { return c.forward(c.Rows, c.out.Len(), x) }
 
-// ForwardFixed implements Layer with the canonical wrap-accumulate order:
-// bias, then (ic, ky, kx) lexicographic, skipping pad and masked taps.
+// ForwardFixed implements Layer.
 func (c *Conv2D) ForwardFixed(f fixed.Format, x []fixed.Num) []fixed.Num {
-	out := make([]fixed.Num, c.out.Len())
-	for oc := 0; oc < c.OutC; oc++ {
-		for oy := 0; oy < c.out.H; oy++ {
-			for ox := 0; ox < c.out.W; ox++ {
-				acc := f.FromFloatSat(c.B[oc])
-				for ic := 0; ic < c.in.C; ic++ {
-					for ky := 0; ky < c.K; ky++ {
-						iy := oy*c.Stride - c.Pad + ky
-						if iy < 0 || iy >= c.in.H {
-							continue
-						}
-						for kx := 0; kx < c.K; kx++ {
-							ix := ox*c.Stride - c.Pad + kx
-							if ix < 0 || ix >= c.in.W {
-								continue
-							}
-							wi := c.wIdx(oc, ic, ky, kx)
-							if !c.Mask[wi] {
-								continue
-							}
-							w := f.FromFloatSat(c.W[wi])
-							acc = acc.Add(x[c.inIdx(ic, iy, ix)].Mul(w))
-						}
-					}
-				}
-				out[c.outIdx(oc, oy, ox)] = acc
-			}
-		}
-	}
-	return out
+	return c.forwardFixed(c.Rows, c.out.Len(), f, x)
 }
 
 // ForwardT implements Backprop.
-func (c *Conv2D) ForwardT(x []float64) []float64 {
-	c.lastIn = append(c.lastIn[:0], x...)
-	return c.Forward(x)
-}
+func (c *Conv2D) ForwardT(x []float64) []float64 { return c.forwardT(c.Rows, c.out.Len(), x) }
 
 // Backward implements Backprop.
-func (c *Conv2D) Backward(grad []float64) []float64 {
-	if c.gradW == nil {
-		c.gradW = make([]float64, len(c.W))
-		c.gradB = make([]float64, len(c.B))
-	}
-	din := make([]float64, c.in.Len())
-	for oc := 0; oc < c.OutC; oc++ {
-		for oy := 0; oy < c.out.H; oy++ {
-			for ox := 0; ox < c.out.W; ox++ {
-				g := grad[c.outIdx(oc, oy, ox)]
-				c.gradB[oc] += g
-				for ic := 0; ic < c.in.C; ic++ {
-					for ky := 0; ky < c.K; ky++ {
-						iy := oy*c.Stride - c.Pad + ky
-						if iy < 0 || iy >= c.in.H {
-							continue
-						}
-						for kx := 0; kx < c.K; kx++ {
-							ix := ox*c.Stride - c.Pad + kx
-							if ix < 0 || ix >= c.in.W {
-								continue
-							}
-							wi := c.wIdx(oc, ic, ky, kx)
-							if !c.Mask[wi] {
-								continue
-							}
-							ii := c.inIdx(ic, iy, ix)
-							c.gradW[wi] += g * c.lastIn[ii]
-							din[ii] += g * c.W[wi]
-						}
-					}
-				}
-			}
-		}
-	}
-	return din
-}
-
-// Step implements Backprop.
-func (c *Conv2D) Step(lr float64, batch int) {
-	if c.gradW == nil {
-		return
-	}
-	if c.velW == nil {
-		c.velW = make([]float64, len(c.W))
-		c.velB = make([]float64, len(c.B))
-	}
-	scale := lr / float64(batch)
-	const mom = 0.9
-	for i := range c.W {
-		c.velW[i] = mom*c.velW[i] - scale*c.gradW[i]
-		if c.Mask[i] {
-			c.W[i] += c.velW[i]
-		} else {
-			c.W[i] = 0
-		}
-		c.gradW[i] = 0
-	}
-	for i := range c.B {
-		c.velB[i] = mom*c.velB[i] - scale*c.gradB[i]
-		c.B[i] += c.velB[i]
-		c.gradB[i] = 0
-	}
-}
+func (c *Conv2D) Backward(grad []float64) []float64 { return c.backward(c.Rows, c.in.Len(), grad) }

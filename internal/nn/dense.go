@@ -2,7 +2,6 @@ package nn
 
 import (
 	"fmt"
-	"math"
 	"math/rand"
 
 	"deepsecure/internal/fixed"
@@ -12,16 +11,7 @@ import (
 // over W (Table 1's Fully-Connected / matrix-vector multiplication row).
 type Dense struct {
 	InN, OutN int
-	W         []float64 // OutN×InN row-major
-	B         []float64
-	Mask      []bool // parallel to W, true = active
-
-	// training state
-	lastIn []float64
-	gradW  []float64
-	gradB  []float64
-	velW   []float64
-	velB   []float64
+	params
 }
 
 // NewDense builds an untrained fully-connected layer with all weights
@@ -34,137 +24,43 @@ func (d *Dense) Name() string { return fmt.Sprintf("%dFC", d.OutN) }
 // Bind implements Layer.
 func (d *Dense) Bind(in Shape) (Shape, error) {
 	n := in.Len()
-	if n == 0 {
-		return Shape{}, fmt.Errorf("dense: empty input shape")
+	nw, ok := sized(d.OutN, n)
+	if !ok {
+		return Shape{}, fmt.Errorf("dense: %d outputs of %d inputs: want 1 to %d weights", d.OutN, n, MaxWeights)
 	}
 	d.InN = n
-	if d.W == nil {
-		d.W = make([]float64, d.OutN*n)
-		d.B = make([]float64, d.OutN)
-		d.Mask = make([]bool, d.OutN*n)
-		for i := range d.Mask {
-			d.Mask[i] = true
-		}
-	}
-	if len(d.W) != d.OutN*n {
+	if !d.size(nw, d.OutN) {
 		return Shape{}, fmt.Errorf("dense: weights shaped for %d inputs, got %d", len(d.W)/d.OutN, n)
 	}
 	return Vec(d.OutN), nil
 }
 
-func (d *Dense) initWeights(rng *rand.Rand) {
-	scale := math.Sqrt(2.0 / float64(d.InN))
-	for i := range d.W {
-		d.W[i] = rng.NormFloat64() * scale
-	}
-	for i := range d.B {
-		d.B[i] = 0
-	}
-}
+func (d *Dense) initWeights(rng *rand.Rand) { d.init(rng, d.InN) }
 
-// Weights implements ParamLayer.
-func (d *Dense) Weights() ([]float64, []bool) { return d.W, d.Mask }
-
-// Biases implements ParamLayer.
-func (d *Dense) Biases() []float64 { return d.B }
-
-// ActiveWeights implements ParamLayer.
-func (d *Dense) ActiveWeights() int {
-	n := 0
-	for _, m := range d.Mask {
-		if m {
-			n++
+// Rows implements Linear: row o meets inputs 0..InN-1 ascending.
+func (d *Dense) Rows(yield func(out, bias int, taps []Tap)) {
+	taps := make([]Tap, 0, d.InN)
+	for o := 0; o < d.OutN; o++ {
+		taps = taps[:0]
+		for i := 0; i < d.InN; i++ {
+			if wi := o*d.InN + i; d.Mask[wi] {
+				taps = append(taps, Tap{In: i, W: wi})
+			}
 		}
+		yield(o, o, taps)
 	}
-	return n
 }
 
 // Forward implements Layer.
-func (d *Dense) Forward(x []float64) []float64 {
-	out := make([]float64, d.OutN)
-	for o := 0; o < d.OutN; o++ {
-		acc := d.B[o]
-		row := d.W[o*d.InN : (o+1)*d.InN]
-		msk := d.Mask[o*d.InN : (o+1)*d.InN]
-		for i, w := range row {
-			if msk[i] {
-				acc += w * x[i]
-			}
-		}
-		out[o] = acc
-	}
-	return out
-}
+func (d *Dense) Forward(x []float64) []float64 { return d.forward(d.Rows, d.OutN, x) }
 
-// ForwardFixed implements Layer: the canonical MAC order is bias first,
-// then inputs ascending, wrapping at every step — exactly the circuit.
+// ForwardFixed implements Layer.
 func (d *Dense) ForwardFixed(f fixed.Format, x []fixed.Num) []fixed.Num {
-	out := make([]fixed.Num, d.OutN)
-	for o := 0; o < d.OutN; o++ {
-		acc := f.FromFloatSat(d.B[o])
-		for i := 0; i < d.InN; i++ {
-			if !d.Mask[o*d.InN+i] {
-				continue
-			}
-			w := f.FromFloatSat(d.W[o*d.InN+i])
-			acc = acc.Add(x[i].Mul(w))
-		}
-		out[o] = acc
-	}
-	return out
+	return d.forwardFixed(d.Rows, d.OutN, f, x)
 }
 
 // ForwardT implements Backprop.
-func (d *Dense) ForwardT(x []float64) []float64 {
-	d.lastIn = append(d.lastIn[:0], x...)
-	return d.Forward(x)
-}
+func (d *Dense) ForwardT(x []float64) []float64 { return d.forwardT(d.Rows, d.OutN, x) }
 
 // Backward implements Backprop.
-func (d *Dense) Backward(grad []float64) []float64 {
-	if d.gradW == nil {
-		d.gradW = make([]float64, len(d.W))
-		d.gradB = make([]float64, len(d.B))
-	}
-	in := make([]float64, d.InN)
-	for o := 0; o < d.OutN; o++ {
-		g := grad[o]
-		d.gradB[o] += g
-		base := o * d.InN
-		for i := 0; i < d.InN; i++ {
-			if !d.Mask[base+i] {
-				continue
-			}
-			d.gradW[base+i] += g * d.lastIn[i]
-			in[i] += g * d.W[base+i]
-		}
-	}
-	return in
-}
-
-// Step implements Backprop (SGD with momentum 0.9).
-func (d *Dense) Step(lr float64, batch int) {
-	if d.gradW == nil {
-		return
-	}
-	if d.velW == nil {
-		d.velW = make([]float64, len(d.W))
-		d.velB = make([]float64, len(d.B))
-	}
-	scale := lr / float64(batch)
-	const mom = 0.9
-	for i := range d.W {
-		d.velW[i] = mom*d.velW[i] - scale*d.gradW[i]
-		if d.Mask[i] {
-			d.W[i] += d.velW[i]
-		} else {
-			d.W[i] = 0
-		}
-		d.gradW[i] = 0
-	}
-	for i := range d.B {
-		d.velB[i] = mom*d.velB[i] - scale*d.gradB[i]
-		d.B[i] += d.velB[i]
-		d.gradB[i] = 0
-	}
-}
+func (d *Dense) Backward(grad []float64) []float64 { return d.backward(d.Rows, d.InN, grad) }

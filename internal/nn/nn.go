@@ -36,6 +36,34 @@ func Vec(n int) Shape { return Shape{C: 1, H: 1, W: n} }
 // String renders the shape.
 func (s Shape) String() string { return fmt.Sprintf("%dx%dx%d", s.C, s.H, s.W) }
 
+// MaxWeights caps the weights of a network and the elements of any tensor
+// in it. Architectures arrive from the peer (a client builds the server's
+// Spec), so every size is checked against it before anything is
+// allocated: a hostile Spec costs an error, at most 2·MaxWeights weights
+// of memory on the way to it, and never a panic. Raw benchmark 4, the
+// paper's largest model, has 12.3 M weights.
+const MaxWeights = 1 << 24
+
+// sized multiplies dimensions, reporting false when one is not positive or
+// the product leaves [1, MaxWeights] (which also rules out overflow).
+func sized(dims ...int) (int, bool) {
+	n := int64(1)
+	for _, d := range dims {
+		if d < 1 || d > MaxWeights {
+			return 0, false
+		}
+		if n *= int64(d); n > MaxWeights {
+			return 0, false
+		}
+	}
+	return int(n), true
+}
+
+func (s Shape) valid() bool {
+	_, ok := sized(s.C, s.H, s.W)
+	return ok
+}
+
 // Layer is one network stage. Shapes are bound once by NewNetwork.
 type Layer interface {
 	// Name returns a short architecture mnemonic ("300FC", "5C2", ...).
@@ -84,12 +112,22 @@ type Network struct {
 
 // NewNetwork binds the layer stack to the input shape.
 func NewNetwork(in Shape, layers ...Layer) (*Network, error) {
+	if !in.valid() {
+		return nil, fmt.Errorf("nn: input shape %v: want 1 to %d elements", in, MaxWeights)
+	}
 	n := &Network{In: in, Layers: layers}
 	cur := in
+	weights := 0
 	for i, l := range layers {
 		out, err := l.Bind(cur)
 		if err != nil {
 			return nil, fmt.Errorf("nn: layer %d (%s): %w", i, l.Name(), err)
+		}
+		if p, ok := l.(ParamLayer); ok {
+			w, _ := p.Weights()
+			if weights += len(w) + len(p.Biases()); weights > MaxWeights {
+				return nil, fmt.Errorf("nn: layer %d (%s): network has more than %d weights", i, l.Name(), MaxWeights)
+			}
 		}
 		n.shapes = append(n.shapes, out)
 		cur = out

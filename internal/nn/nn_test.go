@@ -388,3 +388,44 @@ func TestBindErrors(t *testing.T) {
 		t.Error("empty input must fail to bind")
 	}
 }
+
+// hostileSpecs are architecture frames a peer could send: each must cost
+// the process that builds it an error, never a panic or an allocation
+// sized by the peer.
+var hostileSpecs = map[string]string{
+	"pool window and stride 0":  `{"in":{"C":1,"H":4,"W":4},"format":{"IntBits":3,"FracBits":12},"layers":[{"type":"maxpool"}]}`,
+	"pool stride negative":      `{"in":{"C":1,"H":4,"W":4},"format":{"IntBits":3,"FracBits":12},"layers":[{"type":"maxpool","k":2,"stride":-1}]}`,
+	"dense width negative":      `{"in":{"C":1,"H":1,"W":4},"format":{"IntBits":3,"FracBits":12},"layers":[{"type":"dense","out":-1}]}`,
+	"conv maps negative":        `{"in":{"C":1,"H":4,"W":4},"format":{"IntBits":3,"FracBits":12},"layers":[{"type":"conv","outc":-2,"k":1,"stride":1}]}`,
+	"conv kernel 0":             `{"in":{"C":1,"H":4,"W":4},"format":{"IntBits":3,"FracBits":12},"layers":[{"type":"conv","outc":1,"k":0,"stride":1}]}`,
+	"conv stride 0":             `{"in":{"C":1,"H":4,"W":4},"format":{"IntBits":3,"FracBits":12},"layers":[{"type":"conv","outc":1,"k":1}]}`,
+	"conv pad negative":         `{"in":{"C":1,"H":4,"W":4},"format":{"IntBits":3,"FracBits":12},"layers":[{"type":"conv","outc":1,"k":1,"stride":1,"pad":-3}]}`,
+	"conv pad huge":             `{"in":{"C":1,"H":4,"W":4},"format":{"IntBits":3,"FracBits":12},"layers":[{"type":"conv","outc":1,"k":1,"stride":1,"pad":4611686018427387904}]}`,
+	"weights beyond any memory": `{"in":{"C":1,"H":1,"W":1000000},"format":{"IntBits":3,"FracBits":12},"layers":[{"type":"dense","out":100000000}]}`,
+	"weights of a few GB":       `{"in":{"C":1,"H":1,"W":100000},"format":{"IntBits":3,"FracBits":12},"layers":[{"type":"dense","out":10000}]}`,
+	"shape product overflows":   `{"in":{"C":3037000500,"H":3037000500,"W":2},"format":{"IntBits":3,"FracBits":12},"layers":[{"type":"dense","out":1}]}`,
+	"input dimension negative":  `{"in":{"C":-1,"H":-1,"W":4},"format":{"IntBits":3,"FracBits":12},"layers":[{"type":"dense","out":1}]}`,
+	"unknown activation":        `{"in":{"C":1,"H":1,"W":4},"format":{"IntBits":3,"FracBits":12},"layers":[{"type":"act","act":99}]}`,
+	"format too wide":           `{"in":{"C":1,"H":1,"W":4},"format":{"IntBits":40,"FracBits":40},"layers":[{"type":"dense","out":1}]}`,
+	"format negative":           `{"in":{"C":1,"H":1,"W":4},"format":{"IntBits":-3,"FracBits":12},"layers":[{"type":"dense","out":1}]}`,
+	"mask of the wrong length":  `{"in":{"C":1,"H":1,"W":4},"format":{"IntBits":3,"FracBits":12},"layers":[{"type":"dense","out":2,"mask":[true]}]}`,
+}
+
+func TestHostileSpecsReturnErrors(t *testing.T) {
+	for name, data := range hostileSpecs {
+		t.Run(name, func(t *testing.T) {
+			spec, err := UnmarshalSpec([]byte(data))
+			if err != nil {
+				t.Fatalf("the frame itself must decode (the test is of Build): %v", err)
+			}
+			net, err := spec.Build()
+			if err == nil {
+				t.Fatalf("Build accepted the spec: %s", net.Arch())
+			}
+		})
+	}
+	// The cap sits above the paper's largest model.
+	if w := 5625*2000 + 2000*500 + 500*19 + 2000 + 500 + 19; w > MaxWeights {
+		t.Fatalf("raw benchmark 4 has %d weights, over MaxWeights %d", w, MaxWeights)
+	}
+}

@@ -3,6 +3,7 @@ package nn
 import (
 	"fmt"
 	"math"
+	"math/bits"
 
 	"deepsecure/internal/fixed"
 )
@@ -13,7 +14,6 @@ type MaxPool2D struct {
 	K, Stride int
 	in, out   Shape
 
-	lastIn  []float64
 	lastArg []int
 }
 
@@ -30,6 +30,9 @@ func (p *MaxPool2D) Name() string { return fmt.Sprintf("M1P%d", p.K) }
 
 // Bind implements Layer.
 func (p *MaxPool2D) Bind(in Shape) (Shape, error) {
+	if p.K < 1 || p.Stride < 1 {
+		return Shape{}, fmt.Errorf("maxpool: window %d, stride %d: want both >= 1", p.K, p.Stride)
+	}
 	if in.H < p.K || in.W < p.K {
 		return Shape{}, fmt.Errorf("maxpool: input %v smaller than window %d", in, p.K)
 	}
@@ -38,85 +41,53 @@ func (p *MaxPool2D) Bind(in Shape) (Shape, error) {
 	return p.out, nil
 }
 
-func (p *MaxPool2D) window(c, oy, ox int) []int {
-	idx := make([]int, 0, p.K*p.K)
-	for ky := 0; ky < p.K; ky++ {
-		for kx := 0; kx < p.K; kx++ {
-			iy := oy*p.Stride + ky
-			ix := ox*p.Stride + kx
-			idx = append(idx, (c*p.in.H+iy)*p.in.W+ix)
-		}
-	}
-	return idx
+// Windows implements Windowed.
+func (p *MaxPool2D) Windows(yield func(out int, in []int)) {
+	windows(p.in, p.out, p.K, p.Stride, yield)
 }
 
-// Forward implements Layer.
-func (p *MaxPool2D) Forward(x []float64) []float64 {
+// forward takes the maximum of every window and, when training, records
+// which input won it.
+func (p *MaxPool2D) forward(x []float64, record bool) []float64 {
 	out := make([]float64, p.out.Len())
-	o := 0
-	for c := 0; c < p.in.C; c++ {
-		for oy := 0; oy < p.out.H; oy++ {
-			for ox := 0; ox < p.out.W; ox++ {
-				best := math.Inf(-1)
-				for _, i := range p.window(c, oy, ox) {
-					if x[i] > best {
-						best = x[i]
-					}
-				}
-				out[o] = best
-				o++
+	p.Windows(func(o int, in []int) {
+		best, bestI := math.Inf(-1), -1
+		for _, i := range in {
+			if x[i] > best {
+				best, bestI = x[i], i
 			}
 		}
-	}
+		out[o] = best
+		if record {
+			p.lastArg = append(p.lastArg, bestI)
+		}
+	})
 	return out
 }
 
-// ForwardFixed implements Layer: a left-to-right max chain, matching the
-// comparator tree emitted by netgen.
+// Forward implements Layer.
+func (p *MaxPool2D) Forward(x []float64) []float64 { return p.forward(x, false) }
+
+// ForwardFixed implements Layer: a left-to-right max chain over the
+// window, the comparator chain netgen emits from the same Windows.
 func (p *MaxPool2D) ForwardFixed(f fixed.Format, x []fixed.Num) []fixed.Num {
 	out := make([]fixed.Num, p.out.Len())
-	o := 0
-	for c := 0; c < p.in.C; c++ {
-		for oy := 0; oy < p.out.H; oy++ {
-			for ox := 0; ox < p.out.W; ox++ {
-				idx := p.window(c, oy, ox)
-				best := x[idx[0]]
-				for _, i := range idx[1:] {
-					if x[i].Cmp(best) > 0 {
-						best = x[i]
-					}
-				}
-				out[o] = best
-				o++
+	p.Windows(func(o int, in []int) {
+		best := x[in[0]]
+		for _, i := range in[1:] {
+			if x[i].Cmp(best) > 0 {
+				best = x[i]
 			}
 		}
-	}
+		out[o] = best
+	})
 	return out
 }
 
 // ForwardT implements Backprop.
 func (p *MaxPool2D) ForwardT(x []float64) []float64 {
-	p.lastIn = append(p.lastIn[:0], x...)
 	p.lastArg = p.lastArg[:0]
-	out := make([]float64, p.out.Len())
-	o := 0
-	for c := 0; c < p.in.C; c++ {
-		for oy := 0; oy < p.out.H; oy++ {
-			for ox := 0; ox < p.out.W; ox++ {
-				bestI := -1
-				best := math.Inf(-1)
-				for _, i := range p.window(c, oy, ox) {
-					if x[i] > best {
-						best, bestI = x[i], i
-					}
-				}
-				out[o] = best
-				p.lastArg = append(p.lastArg, bestI)
-				o++
-			}
-		}
-	}
-	return out
+	return p.forward(x, true)
 }
 
 // Backward implements Backprop.
@@ -146,7 +117,7 @@ func (p *MeanPool2D) Name() string { return fmt.Sprintf("M2P%d", p.K) }
 
 // Bind implements Layer.
 func (p *MeanPool2D) Bind(in Shape) (Shape, error) {
-	if p.K < 1 || (p.K*p.K)&(p.K*p.K-1) != 0 {
+	if p.K < 1 || p.K&(p.K-1) != 0 {
 		return Shape{}, fmt.Errorf("meanpool: window %d² must be a power of two", p.K)
 	}
 	if in.H < p.K || in.W < p.K {
@@ -157,35 +128,22 @@ func (p *MeanPool2D) Bind(in Shape) (Shape, error) {
 	return p.out, nil
 }
 
-func (p *MeanPool2D) window(c, oy, ox int) []int {
-	idx := make([]int, 0, p.K*p.K)
-	for ky := 0; ky < p.K; ky++ {
-		for kx := 0; kx < p.K; kx++ {
-			iy := oy*p.K + ky
-			ix := ox*p.K + kx
-			idx = append(idx, (c*p.in.H+iy)*p.in.W+ix)
-		}
-	}
-	return idx
+// Windows implements Windowed.
+func (p *MeanPool2D) Windows(yield func(out int, in []int)) {
+	windows(p.in, p.out, p.K, p.K, yield)
 }
 
 // Forward implements Layer.
 func (p *MeanPool2D) Forward(x []float64) []float64 {
 	out := make([]float64, p.out.Len())
-	o := 0
 	inv := 1.0 / float64(p.K*p.K)
-	for c := 0; c < p.in.C; c++ {
-		for oy := 0; oy < p.out.H; oy++ {
-			for ox := 0; ox < p.out.W; ox++ {
-				sum := 0.0
-				for _, i := range p.window(c, oy, ox) {
-					sum += x[i]
-				}
-				out[o] = sum * inv
-				o++
-			}
+	p.Windows(func(o int, in []int) {
+		sum := 0.0
+		for _, i := range in {
+			sum += x[i]
 		}
-	}
+		out[o] = sum * inv
+	})
 	return out
 }
 
@@ -193,23 +151,14 @@ func (p *MeanPool2D) Forward(x []float64) []float64 {
 // stdcell.MeanPool.
 func (p *MeanPool2D) ForwardFixed(f fixed.Format, x []fixed.Num) []fixed.Num {
 	out := make([]fixed.Num, p.out.Len())
-	log := 0
-	for 1<<uint(log) < p.K*p.K {
-		log++
-	}
-	o := 0
-	for c := 0; c < p.in.C; c++ {
-		for oy := 0; oy < p.out.H; oy++ {
-			for ox := 0; ox < p.out.W; ox++ {
-				var sum int64
-				for _, i := range p.window(c, oy, ox) {
-					sum += x[i].Raw()
-				}
-				out[o] = f.FromRaw(sum >> uint(log))
-				o++
-			}
+	log := uint(bits.TrailingZeros(uint(p.K * p.K)))
+	p.Windows(func(o int, in []int) {
+		var sum int64
+		for _, i := range in {
+			sum += x[i].Raw()
 		}
-	}
+		out[o] = f.FromRaw(sum >> log)
+	})
 	return out
 }
 
@@ -220,17 +169,11 @@ func (p *MeanPool2D) ForwardT(x []float64) []float64 { return p.Forward(x) }
 func (p *MeanPool2D) Backward(grad []float64) []float64 {
 	din := make([]float64, p.in.Len())
 	inv := 1.0 / float64(p.K*p.K)
-	o := 0
-	for c := 0; c < p.in.C; c++ {
-		for oy := 0; oy < p.out.H; oy++ {
-			for ox := 0; ox < p.out.W; ox++ {
-				for _, i := range p.window(c, oy, ox) {
-					din[i] += grad[o] * inv
-				}
-				o++
-			}
+	p.Windows(func(o int, in []int) {
+		for _, i := range in {
+			din[i] += grad[o] * inv
 		}
-	}
+	})
 	return din
 }
 

@@ -65,8 +65,13 @@ func (n *Network) Spec(f fixed.Format) *Spec {
 
 // Build reconstructs a weight-less network with the spec's architecture
 // and sparsity maps — what the client (who never sees weights) uses to
-// generate its copy of the netlist.
+// generate its copy of the netlist. The spec is the peer's: Build checks
+// the format, every layer parameter and every size (see MaxWeights) before
+// allocating, and answers a hostile one with an error.
 func (s *Spec) Build() (*Network, error) {
+	if err := s.Format.Validate(); err != nil {
+		return nil, fmt.Errorf("nn: spec: %w", err)
+	}
 	var layers []Layer
 	for i, ls := range s.Layers {
 		switch ls.Type {

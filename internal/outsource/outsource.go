@@ -28,18 +28,6 @@ func Split(bits []bool, rng io.Reader) (s, t []bool, err error) {
 	return s, t, nil
 }
 
-// Combine reconstructs the input from its two shares.
-func Combine(s, t []bool) ([]bool, error) {
-	if len(s) != len(t) {
-		return nil, fmt.Errorf("outsource: share length mismatch %d vs %d", len(s), len(t))
-	}
-	out := make([]bool, len(s))
-	for i := range s {
-		out[i] = s[i] != t[i]
-	}
-	return out, nil
-}
-
 // PackBits serializes bits LSB-first into bytes for transport.
 func PackBits(bits []bool) []byte {
 	out := make([]byte, (len(bits)+7)/8)

@@ -57,13 +57,6 @@ func NewWindow(depth int) *Window {
 // Depth returns the window's in-flight capacity.
 func (w *Window) Depth() int { return w.depth }
 
-// InFlight returns the number of inferences begun and not yet closed.
-func (w *Window) InFlight() int {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	return len(w.active)
-}
-
 // Begin admits a MsgInferBegin for id.
 func (w *Window) Begin(id uint64) error {
 	w.mu.Lock()

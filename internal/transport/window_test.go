@@ -155,27 +155,6 @@ func TestWindowValidation(t *testing.T) {
 	}
 }
 
-func TestWindowInFlight(t *testing.T) {
-	w := NewWindow(3)
-	if w.Depth() != 3 || w.InFlight() != 0 {
-		t.Fatalf("fresh window: depth=%d inflight=%d", w.Depth(), w.InFlight())
-	}
-	for id := uint64(1); id <= 3; id++ {
-		if err := w.Begin(id); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if w.InFlight() != 3 {
-		t.Fatalf("inflight = %d, want 3", w.InFlight())
-	}
-	if err := w.Close(2); err != nil {
-		t.Fatal(err)
-	}
-	if w.InFlight() != 2 {
-		t.Fatalf("inflight = %d, want 2", w.InFlight())
-	}
-}
-
 // FuzzSplitTag fuzzes the v4 tag decoder: no input may panic, and every
 // accepted payload must decode consistently after re-encoding.
 func FuzzSplitTag(f *testing.F) {
