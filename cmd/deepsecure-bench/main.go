@@ -54,8 +54,8 @@ func main() {
 			log.Fatal(err)
 		}
 		xput, nput := costmodel.Throughput(measured)
-		fmt.Printf("this machine: XOR %.1f ns/gate, non-XOR %.1f ns/gate (%s)\n",
-			measured.XORNs, measured.NonXORNs, measured.Source)
+		fmt.Printf("this machine: XOR %.1f ns/gate, non-XOR %.1f ns/gate, half AND %.1f ns/gate (%s)\n",
+			measured.XORNs, measured.NonXORNs, measured.HalfANDNs, measured.Source)
 		fmt.Printf("throughput: %.2fM XOR/s, %.2fM non-XOR/s (paper: 5.11M / 2.56M)\n",
 			xput/1e6, nput/1e6)
 		co = measured
@@ -93,7 +93,7 @@ func main() {
 // synthesis library plus the measured approximation error.
 func runTable3() {
 	fmt.Println("== Table 3: GC-optimized DL circuit components (16-bit Q3.12) ==")
-	fmt.Printf("%-16s %10s %10s %12s %12s   %s\n", "Name", "#XOR", "#non-XOR", "MaxError", "MeanError", "paper #non-XOR")
+	fmt.Printf("%-16s %10s %10s %10s %12s %12s   %s\n", "Name", "#XOR", "#non-XOR", "#ciphertxt", "MaxError", "MeanError", "paper #non-XOR (x2 ciphertexts)")
 	f := fixed.Default
 
 	for _, c := range benchmarks.Table3 {
@@ -107,12 +107,15 @@ func runTable3() {
 		} else if ok {
 			maxErr, meanErr = fmt.Sprintf("%.2e", worst), fmt.Sprintf("%.2e", mean)
 		}
-		fmt.Printf("%-16s %10d %10d %12s %12s   %s\n", c.Name, s.FreeXOR(), s.NonXOR(), maxErr, meanErr, c.Paper)
+		fmt.Printf("%-16s %10d %10d %10d %12s %12s   %s\n", c.Name, s.FreeXOR(), s.NonXOR(), s.Ciphertexts(), maxErr, meanErr, c.Paper)
 	}
 	cols, centre := fixed.MulTruncation(f.FracBits)
-	fmt.Printf("(MULT/MVM: a truncated product — the partial products of the %d lowest of the %d fraction columns are replaced by the constant %d, fixed.Num.Mul being the same function; its error is against the floor of the real product, 1 ulp = %.2e)\n",
+	fmt.Printf("(MULT/MVM: the weight operand is the evaluator's own input, as in every MAC of a model, so each partial product is a half AND of one ciphertext; a truncated product — the partial products of the %d lowest of the %d fraction columns are replaced by the constant %d, fixed.Num.Mul being the same function; its error is against the floor of the real product, 1 ulp = %.2e)\n",
 		cols, f.FracBits, centre, 1/f.Scale())
-	e := cordic.New(f)
+	e, err := cordic.New(f)
+	if err != nil {
+		log.Fatal(err)
+	}
 	fmt.Printf("(CORDIC schedule: %d iterations incl. range expansion)\n\n", e.Iterations())
 }
 
@@ -123,8 +126,8 @@ func runTable45(co costmodel.Coefficients, compacted bool) {
 	} else {
 		fmt.Println("== Table 4: benchmarks WITHOUT pre-processing ==")
 	}
-	fmt.Printf("%-12s %10s %10s %10s %9s %9s   %s\n",
-		"Name", "#XOR", "#non-XOR", "Comm(MB)", "Comp(s)", "Exec(s)", "paper exec")
+	fmt.Printf("%-12s %10s %10s %10s %10s %9s %9s   %s\n",
+		"Name", "#XOR", "#non-XOR", "#ciphertxt", "Comm(MB)", "Comp(s)", "Exec(s)", "paper exec")
 	for _, b := range benchmarks.All {
 		net, err := b.Build()
 		if err != nil {
@@ -143,8 +146,8 @@ func runTable45(co costmodel.Coefficients, compacted bool) {
 			log.Fatal(err)
 		}
 		est := costmodel.FromStats(s, co)
-		fmt.Printf("%-12s %10.3g %10.3g %10.1f %9.2f %9.2f   %.2f\n",
-			b.Name, float64(est.XOR), float64(est.NonXOR), est.CommMB, est.CompS, est.ExecS, paperExec)
+		fmt.Printf("%-12s %10.3g %10.3g %10.3g %10.1f %9.2f %9.2f   %.2f\n",
+			b.Name, float64(est.XOR), float64(est.NonXOR), float64(est.Ciphertexts), est.CommMB, est.CompS, est.ExecS, paperExec)
 	}
 	if compacted {
 		fmt.Println("improvement folds (ours vs paper):")
@@ -287,6 +290,6 @@ func runLiveB3() {
 		log.Fatal(err)
 	}
 	fmt.Printf("label %d (matches the plaintext check), %v\n", label, time.Since(start).Round(time.Millisecond))
-	fmt.Printf("%d AND gates, %.1f MB garbled stream (paper B3: 7.54e6 non-XOR, 241MB, 2.95s)\n\n",
-		st.AND, float64(proxyServer.Metrics().BytesSent.Value())/1e6)
+	fmt.Printf("%d AND gates, %d ciphertexts, %.1f MB garbled stream (paper B3: 7.54e6 non-XOR = 1.51e7 ciphertexts, 241MB, 2.95s)\n\n",
+		st.AND, st.Ciphertexts(), float64(proxyServer.Metrics().BytesSent.Value())/1e6)
 }

@@ -84,7 +84,7 @@ func main() {
 		fmt.Printf("  inputs: %d data bits (client), %d weight bits (server via OT)\n",
 			lay.DataBits, lay.WeightBits)
 		fmt.Printf("  output: %d label bits\n", lay.OutputBits)
-		fmt.Printf("  garbled tables: %.1f MB\n", float64(s.NonXOR())*32/1e6)
+		fmt.Printf("  garbled tables: %.1f MB\n", float64(s.Ciphertexts())*circuit.CiphertextSize/1e6)
 
 	default:
 		flag.Usage()

@@ -139,6 +139,11 @@ type (
 	// pool is keyed for a different number of weight bits than the
 	// client's compiled netlist takes. Detect it with errors.As.
 	PoolMismatchError = core.PoolMismatchError
+	// ProgramMismatchError is returned by NewSession when the server
+	// evaluates another netlist than the client compiles from the same
+	// architecture (two builds whose generators differ): permanent, not
+	// retried. Detect it with errors.As.
+	ProgramMismatchError = core.ProgramMismatchError
 )
 
 // Server construction options.

@@ -88,22 +88,33 @@ type Impl struct {
 	satIdx   int64
 }
 
-// New builds an activation implementation for the format.
-func New(kind Kind, f fixed.Format) *Impl {
+// MaxLUTBits caps a LUT realization's index width: 2^20 entries is 8 MB of
+// table and millions of gates per activation, far past anything Table 3
+// considers; a format that asks for more (Q15.16: 2^29) is refused.
+const MaxLUTBits = 20
+
+// New builds an activation implementation for the format. A valid format
+// can still be one a realization has no datapath for — CORDIC's internal
+// format too wide, a LUT past MaxLUTBits — and it may be a peer's
+// (nn.Spec.Build), so that is an error.
+func New(kind Kind, f fixed.Format) (*Impl, error) {
 	a := &Impl{Kind: kind, Fmt: f}
 	switch kind {
 	case TanhCORDIC, SigmoidCORDIC:
-		a.eng = cordic.New(f)
+		var err error
+		if a.eng, err = cordic.New(f); err != nil {
+			return nil, fmt.Errorf("act: %v: %w", kind, err)
+		}
 	case TanhLUT, SigmoidLUT:
 		// Index = magnitude bits [1 .. 1+idxBits) — the LSB is dropped,
 		// halving the table while staying within ~1 ULP.
-		a.buildLUT(1)
+		return a, a.buildLUT(1)
 	case TanhTrunc, SigmoidTrunc:
 		// Paper's 2.10.12-style truncation: drop 2 LSB fraction bits (and
 		// the saturation comparison handles the top integer bit).
-		a.buildLUT(2)
+		return a, a.buildLUT(2)
 	}
-	return a
+	return a, nil
 }
 
 // buildLUT fills the magnitude-domain table. For tanh the domain is
@@ -112,7 +123,7 @@ func New(kind Kind, f fixed.Format) *Impl {
 // slowly (σ(4) ≈ 0.982), so its table spans the full [0, 2^IntBits)
 // magnitude range. Symmetry reconstructs negative inputs:
 // tanh(-x) = -tanh(x) and sigmoid(-x) = 1 - sigmoid(x).
-func (a *Impl) buildLUT(drop int) {
+func (a *Impl) buildLUT(drop int) error {
 	f := a.Fmt
 	a.idxShift = drop
 	intBits := f.IntBits - 1
@@ -120,6 +131,9 @@ func (a *Impl) buildLUT(drop int) {
 		intBits = f.IntBits
 	}
 	a.idxBits = intBits + f.FracBits - drop
+	if a.idxBits < 0 || a.idxBits > MaxLUTBits {
+		return fmt.Errorf("act: %v at %+v needs a table of 2^%d entries, outside [2^0, 2^%d]", a.Kind, f, a.idxBits, MaxLUTBits)
+	}
 	n := 1 << uint(a.idxBits)
 	a.table = make([]int64, n)
 	step := float64(int64(1)<<uint(drop)) / f.Scale()
@@ -135,6 +149,7 @@ func (a *Impl) buildLUT(drop int) {
 		a.table[i] = f.FromFloatSat(y).Raw()
 	}
 	a.satIdx = int64(n) << uint(drop) // first magnitude beyond the table
+	return nil
 }
 
 // RefFloat is the exact real-valued function the realization approximates.

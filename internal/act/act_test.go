@@ -32,7 +32,7 @@ func TestCircuitBitExactWithEval(t *testing.T) {
 	for _, k := range allKinds {
 		k := k
 		t.Run(k.String(), func(t *testing.T) {
-			a := New(k, f)
+			a := mustNew(t, k, f)
 			c := buildAct(t, a)
 			// Sweep including the nasty corners: 0, ±Max, Min, ±1, ±4.
 			raws := []int64{0, 1, -1, f.MaxRaw(), f.MinRaw(), f.One().Raw(), -f.One().Raw(),
@@ -73,7 +73,7 @@ func TestErrorBounds(t *testing.T) {
 		Identity:      0.0001,
 	}
 	for k, bound := range bounds {
-		a := New(k, f)
+		a := mustNew(t, k, f)
 		worst, mean := a.MaxError()
 		if worst > bound {
 			t.Errorf("%s worst error %g > bound %g", k, worst, bound)
@@ -87,7 +87,7 @@ func TestErrorBounds(t *testing.T) {
 func TestGateCostOrdering(t *testing.T) {
 	f := fixed.Default
 	count := func(k Kind) int64 {
-		a := New(k, f)
+		a := mustNew(t, k, f)
 		s, err := circuit.Count(func(b *circuit.Builder) {
 			x := stdcell.Input(b, circuit.Garbler, f.Bits())
 			b.Outputs(a.Circuit(b, x)...)
@@ -113,7 +113,7 @@ func TestGateCostOrdering(t *testing.T) {
 
 func TestSigmoidPLANKnownPoints(t *testing.T) {
 	f := fixed.Default
-	a := New(SigmoidPLAN, f)
+	a := mustNew(t, SigmoidPLAN, f)
 	cases := []struct{ x, want float64 }{
 		{0, 0.5},
 		{1, 0.75},    // boundary: second segment 1/8+0.625 = 0.75
@@ -134,7 +134,7 @@ func TestSigmoidPLANKnownPoints(t *testing.T) {
 func TestTanhVariantsOddSymmetry(t *testing.T) {
 	f := fixed.Default
 	for _, k := range []Kind{TanhLUT, TanhTrunc, TanhPL} {
-		a := New(k, f)
+		a := mustNew(t, k, f)
 		for x := 0.1; x < 7.5; x += 0.37 {
 			p := a.Eval(f.FromFloat(x)).Raw()
 			n := a.Eval(f.FromFloat(-x)).Raw()
@@ -149,7 +149,7 @@ func TestSigmoidComplementSymmetry(t *testing.T) {
 	f := fixed.Default
 	one := f.One().Raw()
 	for _, k := range []Kind{SigmoidLUT, SigmoidTrunc, SigmoidPLAN} {
-		a := New(k, f)
+		a := mustNew(t, k, f)
 		for x := 0.1; x < 7.5; x += 0.41 {
 			p := a.Eval(f.FromFloat(x)).Raw()
 			n := a.Eval(f.FromFloat(-x)).Raw()
@@ -182,7 +182,7 @@ func TestKindPredicates(t *testing.T) {
 func TestMinInputDoesNotPanic(t *testing.T) {
 	f := fixed.Default
 	for _, k := range allKinds {
-		a := New(k, f)
+		a := mustNew(t, k, f)
 		got := a.Eval(f.Min())
 		// tanh(Min) ≈ -1, sigmoid(Min) ≈ 0 — Min wraps to |Min| territory;
 		// the clamp keeps the result in the function range.
@@ -191,6 +191,45 @@ func TestMinInputDoesNotPanic(t *testing.T) {
 		}
 		if k.IsSigmoid() && math.Abs(got.Float()) > 0.01 {
 			t.Errorf("%s(Min) = %g, want ≈ 0", k, got.Float())
+		}
+	}
+}
+
+func mustNew(t *testing.T, k Kind, f fixed.Format) *Impl {
+	t.Helper()
+	a, err := New(k, f)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return a
+}
+
+// TestNewRefusesFormatsWithoutADatapath: a valid format can still be one a
+// realization cannot run at, and since the format may be a peer's
+// (nn.Spec.Build) that is an error, not cordic.New's panic or a 4 GB table.
+func TestNewRefusesFormatsWithoutADatapath(t *testing.T) {
+	for _, c := range []struct {
+		kind Kind
+		f    fixed.Format
+	}{
+		{TanhCORDIC, fixed.Format{IntBits: 8, FracBits: 12}},
+		{SigmoidCORDIC, fixed.Format{IntBits: 5, FracBits: 10}},
+		{TanhLUT, fixed.Format{IntBits: 15, FracBits: 16}},
+		{SigmoidLUT, fixed.Format{IntBits: 11, FracBits: 12}},
+		{SigmoidTrunc, fixed.Format{IntBits: 10, FracBits: 20}},
+		{TanhTrunc, fixed.Format{IntBits: 0, FracBits: 2}}, // narrower than the bits it drops
+	} {
+		if err := c.f.Validate(); err != nil {
+			t.Fatalf("%v: the format itself must be valid: %v", c.f, err)
+		}
+		if a, err := New(c.kind, c.f); err == nil {
+			t.Errorf("New(%v, %+v) built %+v, want an error", c.kind, c.f, a.Kind)
+		}
+	}
+	// The table cap sits above every LUT the default format builds.
+	for _, k := range []Kind{TanhLUT, TanhTrunc, SigmoidLUT, SigmoidTrunc} {
+		if a := mustNew(t, k, fixed.Default); a.idxBits > MaxLUTBits {
+			t.Errorf("%v indexes %d bits at the default format, over the cap", k, a.idxBits)
 		}
 	}
 }

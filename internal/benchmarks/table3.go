@@ -11,7 +11,8 @@ import (
 )
 
 // Component is one row of the paper's Table 3: a circuit component of the
-// synthesis library, with the paper's published non-XOR count.
+// synthesis library, with the paper's published non-XOR count (which the
+// paper charges two ciphertexts each, Eq. 4).
 type Component struct {
 	Key   string // command-line name (netlist-stats -component)
 	Name  string // the row's name in Table 3
@@ -34,7 +35,7 @@ type Component struct {
 // rows that have neither.
 func (c Component) Error(f fixed.Format) (worst, mean float64, ok bool) {
 	if c.Kind != act.Identity {
-		worst, mean = act.New(c.Kind, f).MaxError()
+		worst, mean = realize(c.Kind, f).MaxError()
 		return worst, mean, true
 	}
 	if c.Model == nil {
@@ -62,15 +63,15 @@ var Table3 = []Component{
 	activation("sigmoid-trunc", act.SigmoidTrunc, "2107 (3.10.12)"),
 	activation("sigmoid-plan", act.SigmoidPLAN, "73"),
 	activation("sigmoid-cordic", act.SigmoidCORDIC, "3932"),
-	binary("add", "ADD", "16", func(b *circuit.Builder, x, y stdcell.Word, _ fixed.Format) stdcell.Word {
+	binary("add", "ADD", "16", circuit.Garbler, func(b *circuit.Builder, x, y stdcell.Word, _ fixed.Format) stdcell.Word {
 		return stdcell.Add(b, x, y)
 	}, func(x, y fixed.Num) (int64, int64) { return x.Add(y).Raw(), x.Raw() + y.Raw() }),
-	binary("mult", "MULT", "212", func(b *circuit.Builder, x, y stdcell.Word, f fixed.Format) stdcell.Word {
+	binary("mult", "MULT", "212", circuit.Evaluator, func(b *circuit.Builder, x, y stdcell.Word, f fixed.Format) stdcell.Word {
 		return stdcell.MulFixed(b, x, y, f.FracBits)
 	}, func(x, y fixed.Num) (int64, int64) { // exact: the floor of the real product
 		return x.Mul(y).Raw(), x.Raw() * y.Raw() >> uint(x.Format().FracBits)
 	}),
-	binary("div", "DIV", "361", func(b *circuit.Builder, x, y stdcell.Word, f fixed.Format) stdcell.Word {
+	binary("div", "DIV", "361", circuit.Garbler, func(b *circuit.Builder, x, y stdcell.Word, f fixed.Format) stdcell.Word {
 		return stdcell.DivFixed(b, x, y, f.FracBits, f.Bits()+f.FracBits)
 	}, func(x, y fixed.Num) (int64, int64) { // exact: the real quotient toward zero
 		if y.Raw() == 0 {
@@ -97,14 +98,27 @@ func activation(key string, kind act.Kind, paper string) Component {
 	return Component{Key: key, Name: kind.String(), Paper: paper, Kind: kind,
 		Gen: func(b *circuit.Builder, f fixed.Format) {
 			x := stdcell.Input(b, circuit.Garbler, f.Bits())
-			b.Outputs(act.New(kind, f).Circuit(b, x)...)
+			b.Outputs(realize(kind, f).Circuit(b, x)...)
 		}}
 }
 
-func binary(key, name, paper string, op func(b *circuit.Builder, x, y stdcell.Word, f fixed.Format) stdcell.Word, model func(x, y fixed.Num) (got, exact int64)) Component {
+// realize is act.New at a format the catalogue's caller chose itself, so
+// one the kind cannot run at is that caller's bug.
+func realize(kind act.Kind, f fixed.Format) *act.Impl {
+	impl, err := act.New(kind, f)
+	if err != nil {
+		panic(err.Error())
+	}
+	return impl
+}
+
+// binary is a two-operand arithmetic row. yOwner owns the second operand:
+// MULT's is the evaluator's, as the weight of every MAC in a model is (so
+// its partial products are half ANDs); the others see two computed words.
+func binary(key, name, paper string, yOwner circuit.Party, op func(b *circuit.Builder, x, y stdcell.Word, f fixed.Format) stdcell.Word, model func(x, y fixed.Num) (got, exact int64)) Component {
 	return Component{Key: key, Name: name, Paper: paper, Model: model, Gen: func(b *circuit.Builder, f fixed.Format) {
 		x := stdcell.Input(b, circuit.Garbler, f.Bits())
-		y := stdcell.Input(b, circuit.Garbler, f.Bits())
+		y := stdcell.Input(b, yOwner, f.Bits())
 		b.Outputs(op(b, x, y, f)...)
 	}}
 }

@@ -12,6 +12,12 @@ import "fmt"
 // list so that arbitrarily large netlists use a bounded wire namespace —
 // the sequential-circuit memory-footprint property of §3.5. Recycling and
 // hash-consing are mutually exclusive.
+//
+// The Builder is also the one place the half AND is chosen: Inputs tags the
+// evaluator's wires and AND emits a HalfAND, tagged operand in slot B, when
+// an operand carries the tag. The tag names a raw input wire: no gate's
+// output inherits it (its permute bit is secret again) and allocating the
+// id afresh clears it.
 type Builder struct {
 	sink Sink
 	next uint32
@@ -27,6 +33,8 @@ type Builder struct {
 	recycle bool
 	dead    []bool     // idempotent-Drop guard when recycling (ids stay small)
 	scopes  [][]uint32 // wires allocated per open scope
+
+	evalIn []bool // per allocated wire id: is a raw evaluator-input wire
 
 	stats Stats
 	live  int64
@@ -52,8 +60,9 @@ func WithRecycling() Option { return func(b *Builder) { b.recycle = true } }
 // NewBuilder returns a Builder feeding the given sink.
 func NewBuilder(sink Sink, opts ...Option) *Builder {
 	b := &Builder{
-		sink: sink,
-		next: 2, // 0 and 1 reserved for constants
+		sink:   sink,
+		next:   2, // 0 and 1 reserved for constants
+		evalIn: make([]bool, 2),
 	}
 	for _, o := range opts {
 		o(b)
@@ -73,11 +82,7 @@ func NewBuilder(sink Sink, opts ...Option) *Builder {
 func (b *Builder) Err() error { return b.err }
 
 // Stats returns the statistics accumulated so far.
-func (b *Builder) Stats() Stats {
-	s := b.stats
-	s.MaxLive = b.stats.MaxLive
-	return s
-}
+func (b *Builder) Stats() Stats { return b.stats }
 
 func (b *Builder) fail(err error) uint32 {
 	if b.err == nil {
@@ -91,10 +96,11 @@ func (b *Builder) alloc() uint32 {
 	if b.recycle && len(b.free) > 0 {
 		w = b.free[len(b.free)-1]
 		b.free = b.free[:len(b.free)-1]
-		b.dead[w] = false
+		b.dead[w], b.evalIn[w] = false, false
 	} else {
 		w = b.next
 		b.next++
+		b.evalIn = append(b.evalIn, false)
 	}
 	if n := len(b.scopes); n > 0 {
 		b.scopes[n-1] = append(b.scopes[n-1], w)
@@ -133,6 +139,9 @@ func (b *Builder) Inputs(party Party, n int) []uint32 {
 		b.stats.GarblerInputs += int64(n)
 	} else {
 		b.stats.EvaluatorInputs += int64(n)
+		for _, w := range ws {
+			b.evalIn[w] = true
+		}
 	}
 	if err := b.sink.OnInputs(party, ws); err != nil {
 		b.fail(err)
@@ -237,14 +246,7 @@ func (b *Builder) emit(op Op, a, bb uint32) uint32 {
 	}
 	out := b.alloc()
 	b.grew()
-	switch op {
-	case XOR:
-		b.stats.XOR++
-	case AND:
-		b.stats.AND++
-	case INV:
-		b.stats.INV++
-	}
+	b.stats.count(op)
 	if err := b.sink.OnGate(Gate{Op: op, A: a, B: bb, Out: out}); err != nil {
 		return b.fail(err)
 	}
@@ -274,7 +276,9 @@ func (b *Builder) XOR(x, y uint32) uint32 {
 	return b.emit(XOR, x, y)
 }
 
-// AND returns a & b with constant folding.
+// AND returns a & b with constant folding. An operand that is a raw
+// evaluator-input wire makes it a HalfAND with that operand in slot B (y
+// when both are).
 func (b *Builder) AND(x, y uint32) uint32 {
 	switch {
 	case x == y:
@@ -285,6 +289,12 @@ func (b *Builder) AND(x, y uint32) uint32 {
 		return y
 	case y == WTrue:
 		return x
+	}
+	switch {
+	case b.evalIn[y]:
+		return b.emit(HalfAND, x, y)
+	case b.evalIn[x]:
+		return b.emit(HalfAND, y, x)
 	}
 	return b.emit(AND, x, y)
 }

@@ -3,8 +3,10 @@
 // A netlist is a topologically ordered list of 2-input gates over a wire
 // namespace (paper §2.2.2). Following the Free-XOR cost model (§2.3), the
 // gate set is restricted to XOR, AND, and INV: XOR and INV are free to
-// garble, AND costs two 128-bit ciphertexts (half-gates). Richer gates
-// (OR, MUX) are lowered by the Builder.
+// garble, and an AND costs two 128-bit ciphertexts (half-gates) — or one,
+// as a HalfAND, when an operand is a raw evaluator-input wire, whose bit the
+// evaluator holds in the clear; the Builder picks that kind and nothing
+// else does. Richer gates (OR, MUX) are lowered by the Builder.
 //
 // Wire ids 0 and 1 are reserved for the constants false and true. The
 // Builder performs constant folding, so emitted gates never have constant
@@ -22,12 +24,29 @@ import "fmt"
 // Op is a gate operation.
 type Op uint8
 
-// Gate operations. INV is unary (B is ignored).
+// Gate operations. INV is unary (B is ignored). HalfAND is the AND whose B
+// operand is a raw evaluator-input wire: the same function, half the table.
 const (
 	XOR Op = iota
 	AND
 	INV
+	HalfAND
 )
+
+// CiphertextSize is the byte size of one garbled-table ciphertext
+// (gc.LabelSize; core's TestScheduleTableSizePin holds the two together).
+const CiphertextSize = 16
+
+// TableBytes returns the garbled-table size of one gate of this kind.
+func (o Op) TableBytes() int {
+	switch o {
+	case AND:
+		return 2 * CiphertextSize
+	case HalfAND:
+		return CiphertextSize
+	}
+	return 0
+}
 
 // String returns the conventional netlist mnemonic for the op.
 func (o Op) String() string {
@@ -38,6 +57,8 @@ func (o Op) String() string {
 		return "AND"
 	case INV:
 		return "INV"
+	case HalfAND:
+		return "HAND"
 	default:
 		return fmt.Sprintf("Op(%d)", uint8(o))
 	}
@@ -68,7 +89,8 @@ func (p Party) String() string {
 }
 
 // Gate is one netlist entry. Out is always a freshly allocated (or
-// recycled) wire; A and B are already-defined wires. For INV, B is unused.
+// recycled) wire; A and B are already-defined wires. For INV, B is unused;
+// for HalfAND, B is the evaluator-input wire.
 type Gate struct {
 	Op   Op
 	A, B uint32
@@ -77,11 +99,13 @@ type Gate struct {
 
 // Stats aggregates gate counts for a netlist. XOR and INV gates are free
 // under Free-XOR; AND gates are the non-XOR population that determines
-// both communication and most of the computation (Table 2).
+// both communication and most of the computation (Table 2). AND counts
+// every table-bearing gate, HalfAND the one-ciphertext subset of them.
 type Stats struct {
-	XOR int64
-	AND int64
-	INV int64
+	XOR     int64
+	AND     int64
+	HalfAND int64
+	INV     int64
 
 	GarblerInputs   int64
 	EvaluatorInputs int64
@@ -91,6 +115,10 @@ type Stats struct {
 
 // NonXOR returns the number of gates that need garbled tables.
 func (s Stats) NonXOR() int64 { return s.AND }
+
+// Ciphertexts returns the number of 128-bit ciphertexts in the netlist's
+// garbled tables, the unit of the paper's Eq. 4.
+func (s Stats) Ciphertexts() int64 { return 2*s.AND - s.HalfAND }
 
 // FreeXOR returns the number of gates that garble for free (XOR + INV).
 func (s Stats) FreeXOR() int64 { return s.XOR + s.INV }
@@ -102,6 +130,7 @@ func (s Stats) Total() int64 { return s.XOR + s.AND + s.INV }
 func (s *Stats) Add(o Stats) {
 	s.XOR += o.XOR
 	s.AND += o.AND
+	s.HalfAND += o.HalfAND
 	s.INV += o.INV
 	s.GarblerInputs += o.GarblerInputs
 	s.EvaluatorInputs += o.EvaluatorInputs
@@ -111,10 +140,25 @@ func (s *Stats) Add(o Stats) {
 	}
 }
 
+// count tallies one gate of kind op.
+func (s *Stats) count(op Op) {
+	switch op {
+	case XOR:
+		s.XOR++
+	case HalfAND:
+		s.HalfAND++
+		s.AND++
+	case AND:
+		s.AND++
+	case INV:
+		s.INV++
+	}
+}
+
 // String renders the stats in the Table 3/4 style.
 func (s Stats) String() string {
-	return fmt.Sprintf("#XOR=%d #non-XOR=%d (#INV=%d, in_g=%d, in_e=%d, out=%d)",
-		s.XOR, s.AND, s.INV, s.GarblerInputs, s.EvaluatorInputs, s.Outputs)
+	return fmt.Sprintf("#XOR=%d #non-XOR=%d #ciphertexts=%d (#INV=%d, in_g=%d, in_e=%d, out=%d)",
+		s.XOR, s.AND, s.Ciphertexts(), s.INV, s.GarblerInputs, s.EvaluatorInputs, s.Outputs)
 }
 
 // Sink consumes netlist events in generation order. Implementations must
@@ -146,14 +190,7 @@ type Circuit struct {
 func (c *Circuit) Stats() Stats {
 	var s Stats
 	for _, g := range c.Gates {
-		switch g.Op {
-		case XOR:
-			s.XOR++
-		case AND:
-			s.AND++
-		case INV:
-			s.INV++
-		}
+		s.count(g.Op)
 	}
 	s.GarblerInputs = int64(len(c.GarblerInputs))
 	s.EvaluatorInputs = int64(len(c.EvaluatorInputs))
@@ -205,7 +242,7 @@ func (c *Circuit) EvalLanes(garbler, evaluator []uint64) ([]uint64, error) {
 		switch g.Op {
 		case XOR:
 			vals[g.Out] = vals[g.A] ^ vals[g.B]
-		case AND:
+		case AND, HalfAND:
 			vals[g.Out] = vals[g.A] & vals[g.B]
 		case INV:
 			vals[g.Out] = ^vals[g.A]

@@ -256,9 +256,9 @@ func TestWriteNetlistGolden(t *testing.T) {
 garbler_inputs 2 3
 evaluator_inputs 4 5
 gate XOR 2 3 6
-gate AND 6 4 7
+gate HAND 6 4 7
 gate INV 7 0 8
-gate AND 8 5 9
+gate HAND 8 5 9
 gate XOR 9 6 10
 outputs 10 8
 end
@@ -269,22 +269,22 @@ end
 }
 
 func TestStatsArithmetic(t *testing.T) {
-	a := Stats{XOR: 1, AND: 2, INV: 3, MaxLive: 10}
-	b := Stats{XOR: 10, AND: 20, INV: 30, MaxLive: 5}
+	a := Stats{XOR: 1, AND: 2, HalfAND: 1, INV: 3, MaxLive: 10}
+	b := Stats{XOR: 10, AND: 20, HalfAND: 4, INV: 30, MaxLive: 5}
 	a.Add(b)
-	if a.XOR != 11 || a.AND != 22 || a.INV != 33 || a.MaxLive != 10 {
+	if a.XOR != 11 || a.AND != 22 || a.HalfAND != 5 || a.INV != 33 || a.MaxLive != 10 {
 		t.Errorf("Add wrong: %+v", a)
 	}
-	if a.NonXOR() != 22 || a.FreeXOR() != 44 || a.Total() != 66 {
+	if a.NonXOR() != 22 || a.FreeXOR() != 44 || a.Total() != 66 || a.Ciphertexts() != 39 {
 		t.Errorf("derived stats wrong: %+v", a)
 	}
-	if !strings.Contains(a.String(), "#non-XOR=22") {
+	if !strings.Contains(a.String(), "#non-XOR=22 #ciphertexts=39") {
 		t.Errorf("String() = %q", a.String())
 	}
 }
 
 func TestOpString(t *testing.T) {
-	if XOR.String() != "XOR" || AND.String() != "AND" || INV.String() != "INV" {
+	if XOR.String() != "XOR" || AND.String() != "AND" || INV.String() != "INV" || HalfAND.String() != "HAND" {
 		t.Error("op names wrong")
 	}
 	if Op(99).String() == "" {
@@ -309,5 +309,116 @@ func TestOutputsCanBeConstants(t *testing.T) {
 	}
 	if !got[0] || got[1] {
 		t.Errorf("constant outputs = %v, want [true false]", got)
+	}
+}
+
+// tagLog records the gates a builder emits.
+type tagLog struct {
+	Counter
+	gates []Gate
+}
+
+func (l *tagLog) OnGate(g Gate) error { l.gates = append(l.gates, g); return nil }
+
+// TestHalfANDTagging pins the one rule that picks the gate kind: Inputs
+// tags the evaluator's wires, the tag puts that operand in slot B of a
+// HalfAND, no gate's output inherits it, and an id allocated afresh has
+// lost it.
+func TestHalfANDTagging(t *testing.T) {
+	log := &tagLog{}
+	b := NewBuilder(log, WithRecycling())
+	g := b.Inputs(Garbler, 2)
+	e := b.Inputs(Evaluator, 3)
+	last := func() Gate { return log.gates[len(log.gates)-1] }
+
+	full := b.AND(g[0], g[1])
+	if got := last(); got.Op != AND {
+		t.Errorf("AND of two garbler wires is %+v", got)
+	}
+	b.AND(e[0], g[0])
+	if got := last(); got.Op != HalfAND || got.A != g[0] || got.B != e[0] {
+		t.Errorf("AND(evaluator, garbler) = %+v, want HalfAND with the evaluator's wire in B", got)
+	}
+	b.AND(g[0], e[0])
+	if got := last(); got.Op != HalfAND || got.A != g[0] || got.B != e[0] {
+		t.Errorf("AND(garbler, evaluator) = %+v, want HalfAND with the evaluator's wire in B", got)
+	}
+	// Both tagged (a bias bit against a bias bit): one of them is B, and
+	// either is right.
+	b.AND(e[0], e[1])
+	if got := last(); got.Op != HalfAND || got.A != e[0] || got.B != e[1] {
+		t.Errorf("AND of two evaluator wires = %+v, want HalfAND %d %d", got, e[0], e[1])
+	}
+	// The tag does not pass through XOR, INV, AND or HalfAND.
+	for name, w := range map[string]uint32{
+		"XOR":     b.XOR(e[0], e[1]),
+		"INV":     b.INV(e[0]),
+		"AND":     full,
+		"HalfAND": b.AND(g[1], e[1]),
+		"OR":      b.OR(e[0], e[1]),
+		"MUX":     b.MUX(e[0], e[1], e[2]),
+	} {
+		b.AND(w, g[1])
+		if got := last(); got.Op != AND {
+			t.Errorf("AND of a %s output = %+v, want a full AND", name, got)
+		}
+	}
+	// Recycling: the evaluator's id comes back as a gate output, untagged;
+	// a garbler's id comes back as an evaluator input, tagged.
+	b.Drop(e[2])
+	if y := b.XOR(g[0], g[1]); y != e[2] {
+		t.Fatalf("recycling handed out wire %d, want %d", y, e[2])
+	}
+	b.AND(e[2], g[0])
+	if got := last(); got.Op != AND {
+		t.Errorf("AND of a recycled id = %+v, want a full AND", got)
+	}
+	b.Drop(g[1])
+	e2 := b.Inputs(Evaluator, 1)
+	if e2[0] != g[1] {
+		t.Fatalf("recycling handed out wire %d, want %d", e2[0], g[1])
+	}
+	b.AND(g[0], e2[0])
+	if got := last(); got.Op != HalfAND || got.B != e2[0] {
+		t.Errorf("AND with a fresh evaluator input on a recycled id = %+v", got)
+	}
+	st := b.Stats()
+	var ands, halves int64
+	for _, gt := range log.gates {
+		switch gt.Op {
+		case HalfAND:
+			halves++
+			ands++
+		case AND:
+			ands++
+		}
+	}
+	if st.AND != ands || st.HalfAND != halves || st.Ciphertexts() != 2*ands-halves {
+		t.Errorf("builder stats %+v, emitted %d ANDs of which %d half", st, ands, halves)
+	}
+}
+
+// TestHalfANDHashConsing: with sharing, the operand order of a both-tagged
+// AND does not make a second gate.
+func TestHalfANDHashConsing(t *testing.T) {
+	c, err := Build(func(b *Builder) {
+		e := b.Inputs(Evaluator, 2)
+		g := b.Inputs(Garbler, 1)
+		x, y := b.AND(e[0], e[1]), b.AND(e[1], e[0])
+		p, q := b.AND(g[0], e[0]), b.AND(e[0], g[0])
+		if x != y || p != q {
+			t.Errorf("commuted ANDs built twice: %d %d, %d %d", x, y, p, q)
+		}
+		b.Outputs(x, p)
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st := c.Stats(); st.AND != 2 || st.HalfAND != 2 {
+		t.Errorf("stats %+v, want 2 half ANDs", st)
+	}
+	out, err := c.Eval([]bool{true}, []bool{true, false})
+	if err != nil || out[0] || !out[1] {
+		t.Errorf("eval = %v, %v; want [false true]", out, err)
 	}
 }

@@ -23,9 +23,10 @@ import "fmt"
 // footprint of the sequential one.
 //
 // Determinism: the schedule is a pure function of the tape, gates keep
-// tape order within each level, and every AND gate has a fixed global
-// index (GIDBase + rank) that keys its hash tweak and its table's offset
-// in the streamed byte sequence. Two parties compiling the same tape
+// tape order within each level (the full ANDs, then the half ANDs, then
+// the free gates), and every AND gate has a fixed global index (GIDBase +
+// rank) that keys its hash tweak and its table's offset in the streamed
+// byte sequence. Two parties compiling the same tape
 // therefore agree on tweaks and table order for any worker count, and the
 // garbler's byte stream is identical for Workers=1 and Workers=N.
 type Schedule struct {
@@ -36,8 +37,10 @@ type Schedule struct {
 	// NumWires is the size of the renamed wire namespace (ids are in
 	// [0, NumWires), with 0 and 1 the constants).
 	NumWires uint32
-	// ANDs is the total AND-gate count (= table count on the wire).
-	ANDs int64
+	// ANDs is the total AND-gate count (= table count on the wire), half
+	// ANDs included; Halves counts those.
+	ANDs   int64
+	Halves int64
 	// MaxWidth is the largest number of gates in any single level.
 	MaxWidth int
 	// MaxLevelANDs is the largest AND count in any single level.
@@ -72,25 +75,33 @@ type Step struct {
 	// before level First.
 	PreDrops []uint32
 	// TableBytes is the total garbled-table byte count of the run — the
-	// evaluator's byte budget for it (AND gates × table size).
+	// evaluator's byte budget for it (the sum of its levels' TableBytes).
 	TableBytes int
 }
 
 // Level is one stratum of mutually independent gates.
-// Gates[Off:Off+ANDs] are the level's AND gates and
-// Gates[Off+ANDs:Off+ANDs+Frees] its XOR/INV gates, each group in tape
-// order. The i-th AND gate of the level has global AND index GIDBase+i,
-// which fixes both its hash-tweak pair and the offset of its garbled
-// table within the level's table block.
+// Gates[Off:Off+ANDs] are the level's AND gates — the last Halves of them
+// its half ANDs — and Gates[Off+ANDs:Off+ANDs+Frees] its XOR/INV gates,
+// each group in tape order. The i-th AND gate of the level has global AND
+// index GIDBase+i, which fixes its hash tweaks; its garbled table lies at
+// rank × table size inside its kind's region of the level's table block,
+// the full ANDs' region first.
 type Level struct {
 	Off     int
 	ANDs    int
+	Halves  int
 	Frees   int
 	GIDBase uint64
 	// Drops are wires whose values die once this level completes; the
 	// engine retires them between this level and the next.
 	Drops []uint32
 }
+
+// TableBytes returns the size of the level's table block for one sample.
+func (lv *Level) TableBytes() int { return (2*lv.ANDs - lv.Halves) * CiphertextSize }
+
+// TableBytes returns the size of one sample's whole table stream.
+func (s *Schedule) TableBytes() int64 { return (2*s.ANDs - s.Halves) * CiphertextSize }
 
 // ssaInfo tracks one SSA value (a single wire incarnation) during
 // schedule construction.
@@ -109,6 +120,7 @@ type ssaInfo struct {
 // buildLevel accumulates one stratum in SSA form.
 type buildLevel struct {
 	ands  []Gate
+	halfs []Gate
 	frees []Gate
 	drops []uint32 // SSA ids dying at this level
 }
@@ -245,9 +257,18 @@ func (sc *scheduler) onGate(g Gate) error {
 	}
 	bl := &sc.run.levels[lvl]
 	sg := Gate{Op: g.Op, A: a, B: b, Out: out}
-	if g.Op == AND {
+	switch g.Op {
+	case AND:
 		bl.ands = append(bl.ands, sg)
-	} else {
+	case HalfAND:
+		// Colour = value is arranged for evaluator-input wires alone, so a
+		// half AND anywhere else would evaluate to the wrong label.
+		if ib := &sc.ssa[b]; ib.defLevel >= 0 || ib.defStep < 0 ||
+			sc.steps[ib.defStep].Kind != StepInputs || sc.steps[ib.defStep].Party != Evaluator {
+			return fmt.Errorf("circuit: half AND reads wire %d in slot B, which is not an evaluator input", g.B)
+		}
+		bl.halfs = append(bl.halfs, sg)
+	default:
 		bl.frees = append(bl.frees, sg)
 	}
 	sc.numGates++
@@ -317,7 +338,7 @@ func (sc *scheduler) walk(t *Tape) error {
 	code := t.code
 	for i := 0; i < len(code); {
 		switch code[i] {
-		case opXOR, opAND:
+		case opXOR, opAND, opHalfAND:
 			if err := sc.onGate(Gate{Op: Op(code[i]), A: code[i+1], B: code[i+2], Out: code[i+3]}); err != nil {
 				return err
 			}
@@ -414,27 +435,24 @@ func (sc *scheduler) rename() (*Schedule, error) {
 				bl := &run.levels[li]
 				lv := Level{
 					Off:     len(s.Gates),
-					ANDs:    len(bl.ands),
+					ANDs:    len(bl.ands) + len(bl.halfs),
+					Halves:  len(bl.halfs),
 					Frees:   len(bl.frees),
 					GIDBase: uint64(s.ANDs),
 				}
 				// Outputs allocate before the level's drops release, so
 				// an id read at this level is never redefined in it.
-				for _, g := range bl.ands {
-					s.Gates = append(s.Gates, sc.renameGate(g, alloc))
-				}
-				for _, g := range bl.frees {
-					s.Gates = append(s.Gates, sc.renameGate(g, alloc))
+				for _, gs := range [][]Gate{bl.ands, bl.halfs, bl.frees} {
+					for _, g := range gs {
+						s.Gates = append(s.Gates, sc.renameGate(g, alloc))
+					}
 				}
 				lv.Drops = release(bl.drops)
-				s.ANDs += int64(len(bl.ands))
-				st.TableBytes += len(bl.ands) * tableSizeForSchedule
-				if w := len(bl.ands) + len(bl.frees); w > s.MaxWidth {
-					s.MaxWidth = w
-				}
-				if len(bl.ands) > s.MaxLevelANDs {
-					s.MaxLevelANDs = len(bl.ands)
-				}
+				s.ANDs += int64(lv.ANDs)
+				s.Halves += int64(lv.Halves)
+				st.TableBytes += lv.TableBytes()
+				s.MaxWidth = max(s.MaxWidth, lv.ANDs+lv.Frees)
+				s.MaxLevelANDs = max(s.MaxLevelANDs, lv.ANDs)
 				s.Levels = append(s.Levels, lv)
 			}
 		}
@@ -442,11 +460,6 @@ func (sc *scheduler) rename() (*Schedule, error) {
 	s.NumWires = next
 	return s, nil
 }
-
-// tableSizeForSchedule mirrors gc.TableSize (two 128-bit half-gate
-// ciphertexts per AND gate) without importing the gc package; a unit test
-// in the core package pins the two constants together.
-const tableSizeForSchedule = 32
 
 func (sc *scheduler) renameGate(g Gate, alloc func(uint32) uint32) Gate {
 	a := sc.ssa[g.A].renamed
@@ -467,6 +480,6 @@ func (s *Schedule) LevelGates(lv *Level) (ands, frees []Gate) {
 
 // String summarizes the schedule's shape.
 func (s *Schedule) String() string {
-	return fmt.Sprintf("schedule: %d steps, %d levels, %d gates (%d AND), %d wires, max width %d",
-		len(s.Steps), len(s.Levels), len(s.Gates), s.ANDs, s.NumWires, s.MaxWidth)
+	return fmt.Sprintf("schedule: %d steps, %d levels, %d gates (%d AND, %d of them half), %d wires, max width %d",
+		len(s.Steps), len(s.Levels), len(s.Gates), s.ANDs, s.Halves, s.NumWires, s.MaxWidth)
 }

@@ -30,7 +30,7 @@ func (s *tapePlainSink) OnGate(g Gate) error {
 	switch g.Op {
 	case XOR:
 		s.vals[g.Out] = s.vals[g.A] != s.vals[g.B]
-	case AND:
+	case AND, HalfAND:
 		s.vals[g.Out] = s.vals[g.A] && s.vals[g.B]
 	case INV:
 		s.vals[g.Out] = !s.vals[g.A]
@@ -63,12 +63,15 @@ func tapePlainEval(t *testing.T, tape *Tape, gb, eb []bool) []bool {
 
 // schedPlainEval executes the schedule step by step, enforcing the
 // engine's contract as it goes: a value must be present when read, levels
-// must not read a wire written in the same level nor write one twice, and
-// drops must not kill values that are still needed.
+// must not read a wire written in the same level nor write one twice,
+// drops must not kill values that are still needed, a level's half ANDs
+// trail its full ones, and a half AND's B still holds what an evaluator
+// input step put there.
 func schedPlainEval(t *testing.T, s *Schedule, gb, eb []bool) []bool {
 	t.Helper()
 	vals := make([]bool, s.NumWires)
 	have := make([]bool, s.NumWires)
+	evalIn := make([]bool, s.NumWires) // holds a raw evaluator input
 	vals[WTrue] = true
 	have[WFalse] = true
 	have[WTrue] = true
@@ -105,6 +108,7 @@ func schedPlainEval(t *testing.T, s *Schedule, gb, eb []bool) []bool {
 				}
 				vals[w] = (*src)[0]
 				have[w] = true
+				evalIn[w] = st.Party == Evaluator
 				*src = (*src)[1:]
 			}
 		case StepOutputs:
@@ -120,8 +124,21 @@ func schedPlainEval(t *testing.T, s *Schedule, gb, eb []bool) []bool {
 					t.Fatalf("level %d has GIDBase %d, want %d", li, lv.GIDBase, gid)
 				}
 				gid += uint64(lv.ANDs)
-				tableBytes += lv.ANDs * tableSizeForSchedule
+				tableBytes += lv.TableBytes()
 				ands, frees := s.LevelGates(lv)
+				levelBytes := 0
+				for i, g := range ands {
+					levelBytes += g.Op.TableBytes()
+					if want := map[bool]Op{false: AND, true: HalfAND}[i >= lv.ANDs-lv.Halves]; g.Op != want {
+						t.Fatalf("level %d: AND rank %d of %d (%d half) is a %v", li, i, lv.ANDs, lv.Halves, g.Op)
+					}
+					if g.Op == HalfAND && !evalIn[g.B] {
+						t.Fatalf("level %d: half AND reads wire %d in slot B, not an evaluator input", li, g.B)
+					}
+				}
+				if levelBytes != lv.TableBytes() {
+					t.Fatalf("level %d reports %d table bytes, its gates sum to %d", li, lv.TableBytes(), levelBytes)
+				}
 				written := make(map[uint32]bool, len(ands)+len(frees))
 				// Read phase: all operands against pre-level state.
 				results := make([]bool, 0, len(ands)+len(frees))
@@ -134,7 +151,7 @@ func schedPlainEval(t *testing.T, s *Schedule, gb, eb []bool) []bool {
 					checkOperand(g.A)
 					var v bool
 					switch g.Op {
-					case AND:
+					case AND, HalfAND:
 						checkOperand(g.B)
 						v = read(g.A, "gate") && read(g.B, "gate")
 					case XOR:
@@ -156,6 +173,7 @@ func schedPlainEval(t *testing.T, s *Schedule, gb, eb []bool) []bool {
 				for _, g := range append(append([]Gate{}, ands...), frees...) {
 					vals[g.Out] = results[i]
 					have[g.Out] = true
+					evalIn[g.Out] = false
 					i++
 				}
 				drop(lv.Drops)
@@ -167,6 +185,9 @@ func schedPlainEval(t *testing.T, s *Schedule, gb, eb []bool) []bool {
 	}
 	if want := int64(gid); want != s.ANDs {
 		t.Fatalf("schedule reports %d ANDs, levels carry %d", s.ANDs, want)
+	}
+	if want := 16 * (2*s.ANDs - s.Halves); s.TableBytes() != want {
+		t.Fatalf("schedule reports %d table bytes, want 16 per ciphertext = %d", s.TableBytes(), want)
 	}
 	return out
 }
@@ -261,6 +282,12 @@ func TestScheduleMatchesTape(t *testing.T) {
 	if testing.Short() {
 		iters = 20
 	}
+	var halves int64
+	defer func() {
+		if halves == 0 && !t.Failed() {
+			t.Error("no random tape held a half AND: the kind went untested")
+		}
+	}()
 	for it := 0; it < iters; it++ {
 		r := rand.New(rand.NewSource(int64(7000 + it)))
 		tape, nG, nE, _ := buildRandomTape(r)
@@ -273,9 +300,10 @@ func TestScheduleMatchesTape(t *testing.T) {
 		if got := int64(len(sched.Gates)); got != st.Total() {
 			t.Fatalf("iter %d: schedule has %d gates, tape has %d", it, got, st.Total())
 		}
-		if sched.ANDs != st.AND {
-			t.Fatalf("iter %d: schedule has %d ANDs, tape has %d", it, sched.ANDs, st.AND)
+		if sched.ANDs != st.AND || sched.Halves != st.HalfAND {
+			t.Fatalf("iter %d: schedule has %d ANDs (%d half), tape has %d (%d)", it, sched.ANDs, sched.Halves, st.AND, st.HalfAND)
 		}
+		halves += st.HalfAND
 		for trial := 0; trial < 4; trial++ {
 			gb := randomBits(r, nG)
 			eb := randomBits(r, nE)
@@ -330,14 +358,14 @@ func TestScheduleUndoesRecycling(t *testing.T) {
 	}
 }
 
-// TestScheduleWireFormatConstants pins the table-size mirror constant to
-// the real one (see core's engine tests for the cross-package check).
+// TestScheduleTableBytes pins the schedule's byte accounting to the paper's
+// unit: 16 bytes per ciphertext, two for a full AND and one for a half AND.
 func TestScheduleTableBytes(t *testing.T) {
 	tape := NewTape()
 	b := NewBuilder(tape, WithRecycling())
 	in := b.Inputs(Garbler, 2)
-	out := b.AND(in[0], in[1])
-	b.Outputs(out)
+	w := b.Inputs(Evaluator, 1)
+	b.Outputs(b.AND(in[0], in[1]), b.AND(in[0], w[0]))
 	sched, err := NewSchedule(tape)
 	if err != nil {
 		t.Fatal(err)
@@ -346,7 +374,62 @@ func TestScheduleTableBytes(t *testing.T) {
 	for i := range sched.Steps {
 		total += sched.Steps[i].TableBytes
 	}
-	if total != tableSizeForSchedule {
-		t.Fatalf("one AND gate yields %d table bytes, want %d", total, tableSizeForSchedule)
+	st := tape.Stats()
+	if st.AND != 2 || st.HalfAND != 1 || st.Ciphertexts() != 3 {
+		t.Fatalf("tape stats %+v, want 2 ANDs of which 1 half = 3 ciphertexts", st)
+	}
+	if want := 16 * int(st.Ciphertexts()); total != want || sched.TableBytes() != int64(want) {
+		t.Fatalf("a full and a half AND yield %d step bytes, %d schedule bytes, want %d", total, sched.TableBytes(), want)
+	}
+	if lv := &sched.Levels[0]; lv.ANDs != 2 || lv.Halves != 1 || lv.TableBytes() != 48 {
+		t.Fatalf("level %+v, want 2 ANDs, 1 half, 48 bytes", lv)
+	}
+	if ands, _ := sched.LevelGates(&sched.Levels[0]); ands[0].Op != AND || ands[1].Op != HalfAND {
+		t.Fatalf("level gates %+v, want the full AND before the half AND", ands)
+	}
+}
+
+// TestScheduleRefusesHalfANDOffInput: colour = value is arranged for
+// evaluator-input wires alone, so a hand-built tape whose half AND names
+// anything else in slot B must not compile.
+func TestScheduleRefusesHalfANDOffInput(t *testing.T) {
+	for name, gate := range map[string]func(g, e []uint32, x uint32) Gate{
+		"garbler input": func(g, e []uint32, x uint32) Gate { return Gate{Op: HalfAND, A: e[0], B: g[0], Out: 40} },
+		"gate output":   func(g, e []uint32, x uint32) Gate { return Gate{Op: HalfAND, A: g[0], B: x, Out: 40} },
+		"constant":      func(g, e []uint32, x uint32) Gate { return Gate{Op: HalfAND, A: g[0], B: WTrue, Out: 40} },
+		"recycled id":   nil,
+	} {
+		tape := NewTape()
+		b := NewBuilder(tape, WithRecycling())
+		g := b.Inputs(Garbler, 2)
+		e := b.Inputs(Evaluator, 1)
+		x := b.XOR(g[0], e[0])
+		bad := Gate{Op: HalfAND, A: g[1], B: e[0], Out: 40}
+		if gate != nil {
+			bad = gate(g, e, x)
+		} else {
+			// The evaluator's wire dies and its id comes back as a gate's.
+			b.Drop(e[0])
+			if y := b.XOR(g[0], g[1]); y != e[0] {
+				t.Fatalf("%s: recycling handed out wire %d, want %d", name, y, e[0])
+			}
+		}
+		if err := tape.OnGate(bad); err != nil {
+			t.Fatal(err)
+		}
+		tape.OnOutputs([]uint32{40})
+		if _, err := NewSchedule(tape); err == nil {
+			t.Errorf("%s: NewSchedule accepted half AND %+v", name, bad)
+		}
+	}
+	// The same shape with the evaluator's wire in B compiles.
+	tape := NewTape()
+	b := NewBuilder(tape, WithRecycling())
+	g := b.Inputs(Garbler, 1)
+	e := b.Inputs(Evaluator, 1)
+	tape.OnGate(Gate{Op: HalfAND, A: g[0], B: e[0], Out: 40})
+	tape.OnOutputs([]uint32{40})
+	if _, err := NewSchedule(tape); err != nil {
+		t.Errorf("half AND on an evaluator input: %v", err)
 	}
 }

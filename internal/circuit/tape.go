@@ -1,6 +1,10 @@
 package circuit
 
-import "fmt"
+import (
+	"crypto/sha256"
+	"encoding/binary"
+	"fmt"
+)
 
 // Tape is a compact recording of a netlist's event stream. It implements
 // Sink, so a Builder (or any other producer) can write into it once; the
@@ -17,8 +21,8 @@ import "fmt"
 //
 // Events are packed into a single []uint32 stream:
 //
-//	opXOR/opAND  a b out
-//	opINV        a out
+//	opXOR/opAND/opHalfAND  a b out
+//	opINV                  a out
 //	opInputsG/E  n w0 ... w{n-1}
 //	opOutputs    n w0 ... w{n-1}
 //	opDrop       w
@@ -34,13 +38,14 @@ type Tape struct {
 // Tape event opcodes. Gate opcodes deliberately mirror Op values so the
 // hot replay path converts without a lookup.
 const (
-	opXOR     uint32 = uint32(XOR) // a b out
-	opAND     uint32 = uint32(AND) // a b out
-	opINV     uint32 = uint32(INV) // a out
-	opInputsG uint32 = 3           // n wires...
-	opInputsE uint32 = 4           // n wires...
-	opOutputs uint32 = 5           // n wires...
-	opDrop    uint32 = 6           // w
+	opXOR     uint32 = uint32(XOR)     // a b out
+	opAND     uint32 = uint32(AND)     // a b out
+	opINV     uint32 = uint32(INV)     // a out
+	opHalfAND uint32 = uint32(HalfAND) // a b out
+	opInputsG uint32 = 4               // n wires...
+	opInputsE uint32 = 5               // n wires...
+	opOutputs uint32 = 6               // n wires...
+	opDrop    uint32 = 7               // w
 )
 
 // NewTape returns an empty recording.
@@ -51,6 +56,22 @@ func (t *Tape) Len() int { return len(t.code) }
 
 // Stats returns the gate statistics of the recorded netlist.
 func (t *Tape) Stats() Stats { return t.stats }
+
+// Digest returns the sha256 of the recorded event stream, every word
+// little-endian in recording order: two tapes with one digest replay the
+// same netlist.
+func (t *Tape) Digest() [sha256.Size]byte {
+	h := sha256.New()
+	buf := make([]byte, 0, 1<<16)
+	for _, w := range t.code {
+		if buf = binary.LittleEndian.AppendUint32(buf, w); len(buf) == cap(buf) {
+			h.Write(buf)
+			buf = buf[:0]
+		}
+	}
+	h.Write(buf)
+	return [sha256.Size]byte(h.Sum(nil))
+}
 
 // OnInputs implements Sink.
 func (t *Tape) OnInputs(p Party, ws []uint32) error {
@@ -69,18 +90,14 @@ func (t *Tape) OnInputs(p Party, ws []uint32) error {
 // OnGate implements Sink.
 func (t *Tape) OnGate(g Gate) error {
 	switch g.Op {
-	case XOR:
-		t.stats.XOR++
-		t.code = append(t.code, opXOR, g.A, g.B, g.Out)
-	case AND:
-		t.stats.AND++
-		t.code = append(t.code, opAND, g.A, g.B, g.Out)
+	case XOR, AND, HalfAND:
+		t.code = append(t.code, uint32(g.Op), g.A, g.B, g.Out)
 	case INV:
-		t.stats.INV++
 		t.code = append(t.code, opINV, g.A, g.Out)
 	default:
 		return fmt.Errorf("circuit: tape cannot record op %v", g.Op)
 	}
+	t.stats.count(g.Op)
 	return nil
 }
 
@@ -105,7 +122,7 @@ func (t *Tape) Replay(sink Sink) error {
 	code := t.code
 	for i := 0; i < len(code); {
 		switch code[i] {
-		case opXOR, opAND:
+		case opXOR, opAND, opHalfAND:
 			if err := sink.OnGate(Gate{Op: Op(code[i]), A: code[i+1], B: code[i+2], Out: code[i+3]}); err != nil {
 				return err
 			}

@@ -43,15 +43,17 @@ type Engine struct {
 	oneI     int64 // 1.0 in internal fixed point
 }
 
-// New builds an engine for the given external format.
-func New(f fixed.Format) *Engine {
+// New builds an engine for the given external format, or says why there is
+// none: a format with more than a few integer bits needs a datapath wider
+// than fixed.Num.Div, the oracle of the divider circuit, is exact for (and
+// the format may be a peer's: nn.Spec.Build asks through act.New).
+func New(f fixed.Format) (*Engine, error) {
 	maxZ := math.Exp2(float64(f.IntBits)) // |z| < 2^IntBits
 	// e^{maxZ} bounds every datapath quantity; add 2 guard bits.
 	intW := int(math.Ceil(math.Log2(math.Cosh(maxZ)))) + 3
 	internal := fixed.Format{IntBits: intW, FracBits: f.FracBits}
 	if err := internal.Validate(); err != nil {
-		// fixed.Num.Div, the oracle of the divider circuit, would wrap.
-		panic(fmt.Sprintf("cordic: format %+v needs the internal datapath %+v: %v", f, internal, err))
+		return nil, fmt.Errorf("cordic: format %+v needs the internal datapath %+v: %w", f, internal, err)
 	}
 
 	e := &Engine{Fmt: f, Internal: internal}
@@ -94,7 +96,7 @@ func New(f fixed.Format) *Engine {
 	e.schedule = append(neg, pos...)
 	e.x0 = int64(math.Round(scale / gain))
 	e.oneI = int64(scale)
-	return e
+	return e, nil
 }
 
 // Iterations returns the number of CORDIC stages in the schedule.

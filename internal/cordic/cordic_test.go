@@ -11,7 +11,7 @@ import (
 )
 
 func TestTanhAccuracy(t *testing.T) {
-	e := New(fixed.Default)
+	e := mustNew(t, fixed.Default)
 	f := fixed.Default
 	worst := 0.0
 	for x := -7.99; x <= 7.99; x += 0.037 {
@@ -29,7 +29,7 @@ func TestTanhAccuracy(t *testing.T) {
 }
 
 func TestSigmoidAccuracy(t *testing.T) {
-	e := New(fixed.Default)
+	e := mustNew(t, fixed.Default)
 	f := fixed.Default
 	worst := 0.0
 	for x := -7.99; x <= 7.99; x += 0.041 {
@@ -46,7 +46,7 @@ func TestSigmoidAccuracy(t *testing.T) {
 }
 
 func TestRotateMatchesMathSinhCosh(t *testing.T) {
-	e := New(fixed.Default)
+	e := mustNew(t, fixed.Default)
 	f := fixed.Default
 	for _, x := range []float64{0, 0.5, -0.5, 1, -1, 2.5, -2.5, 5, -5, 7.5, -7.5} {
 		in := f.FromFloat(x)
@@ -115,7 +115,7 @@ func evalAll(t *testing.T, f fixed.Format, zs []int64, gen func(b *circuit.Build
 // equal the software model, whose Div is the full-width one.
 func TestCircuitBitExactWithSoftware(t *testing.T) {
 	for _, f := range []fixed.Format{fixed.Default, {IntBits: 3, FracBits: 4}} {
-		e := New(f)
+		e := mustNew(t, f)
 		zs := allInputs(f)
 		tanh := evalAll(t, f, zs, e.TanhCircuit)
 		sig := evalAll(t, f, zs, e.SigmoidCircuit)
@@ -137,7 +137,7 @@ func TestCircuitBitExactWithSoftware(t *testing.T) {
 // breaks the bound fails here, not by wrapping inside the circuit.
 func TestQuotientFitsDivider(t *testing.T) {
 	for _, f := range []fixed.Format{fixed.Default, {IntBits: 3, FracBits: 4}, {IntBits: 2, FracBits: 9}} {
-		e := New(f)
+		e := mustNew(t, f)
 		limit := int64(1) << uint(e.quotientBits())
 		check := func(name string, z, num, den int64) {
 			num, den = max(num, -num), max(den, -den)
@@ -154,7 +154,7 @@ func TestQuotientFitsDivider(t *testing.T) {
 }
 
 func TestGateCountsReasonable(t *testing.T) {
-	e := New(fixed.Default)
+	e := mustNew(t, fixed.Default)
 	f := fixed.Default
 	for name, gen := range map[string]func(*circuit.Builder, stdcell.Word) stdcell.Word{"TanhCORDIC": e.TanhCircuit, "SigmoidCORDIC": e.SigmoidCircuit} {
 		s, err := circuit.Count(func(b *circuit.Builder) {
@@ -174,16 +174,22 @@ func TestGateCountsReasonable(t *testing.T) {
 // TestNewRefusesWideDatapath: a format whose internal datapath is wider
 // than fixed can divide exactly is refused at construction.
 func TestNewRefusesWideDatapath(t *testing.T) {
-	defer func() {
-		if msg, _ := recover().(string); !strings.Contains(msg, "internal datapath") {
-			t.Errorf("New(Q5.10) panicked with %q, want the internal-datapath message", msg)
-		}
-	}()
-	New(fixed.Format{IntBits: 5, FracBits: 10})
+	if e, err := New(fixed.Format{IntBits: 5, FracBits: 10}); err == nil || !strings.Contains(err.Error(), "internal datapath") {
+		t.Errorf("New(Q5.10) = %v, %v; want the internal-datapath error", e, err)
+	}
+}
+
+func mustNew(t testing.TB, f fixed.Format) *Engine {
+	t.Helper()
+	e, err := New(f)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return e
 }
 
 func TestOddAndBoundedProperties(t *testing.T) {
-	e := New(fixed.Default)
+	e := mustNew(t, fixed.Default)
 	f := fixed.Default
 	one := f.One().Raw()
 	for x := 0.1; x < 7.9; x += 0.23 {
@@ -207,7 +213,7 @@ func TestOddAndBoundedProperties(t *testing.T) {
 func TestNarrowFormat(t *testing.T) {
 	// CORDIC must also work for other formats, e.g. 1+2+9 = 12-bit.
 	f := fixed.Format{IntBits: 2, FracBits: 9}
-	e := New(f)
+	e := mustNew(t, f)
 	worst := 0.0
 	for x := -3.9; x <= 3.9; x += 0.13 {
 		in := f.FromFloat(x)

@@ -9,6 +9,7 @@ import (
 
 	"deepsecure/internal/act"
 	"deepsecure/internal/fixed"
+	"deepsecure/internal/netgen"
 	"deepsecure/internal/nn"
 	"deepsecure/internal/transport"
 )
@@ -95,13 +96,21 @@ func TestSecureInferenceWithPrunedModel(t *testing.T) {
 }
 
 func TestSecureInferenceCommMatchesGateCount(t *testing.T) {
-	// Paper Eq. 4: garbled-table traffic = #non-XOR × 2 × 128 bits. Our
-	// measured client send bytes must be dominated by exactly that.
+	// Paper Eq. 4: garbled-table traffic = #ciphertexts × 128 bits, two
+	// per non-XOR gate less one per half AND. Our measured client send
+	// bytes must be dominated by exactly that.
 	f := fixed.Default
 	net := testNet(t, act.ReLU, 5)
 	x := make([]float64, 6)
 	_, st := secureInfer(t, net, f, x)
-	tableBytes := st.ANDGates * 32
+	count, _, err := netgen.Count(net, f, netgen.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if count.AND != st.ANDGates || count.HalfAND == 0 {
+		t.Fatalf("netlist has %d ANDs (%d half), the session reports %d", count.AND, count.HalfAND, st.ANDGates)
+	}
+	tableBytes := 16 * count.Ciphertexts()
 	if st.BytesSent < tableBytes {
 		t.Fatalf("sent %d bytes < table bytes %d", st.BytesSent, tableBytes)
 	}

@@ -30,7 +30,8 @@ import (
 // walked ONCE for the whole batch, samples iterate innermost inside every
 // gate (gc.BatchGarbler/BatchEvaluator), all B samples of an input step
 // share one OT transfer, and a level's tables interleave gate-major with
-// samples innermost (gate rank i, sample s at (i*B+s)*TableSize). Each
+// samples innermost, the full ANDs' region before the half ANDs' (rank i,
+// sample s at i*B+s tables into its region; gc/vec.go). Each
 // sample keeps its own delta and fresh labels, so the security argument
 // is that of B separate inferences — only the schedule walk, the framing
 // and the OT round-trips amortize.
@@ -94,8 +95,8 @@ type EngineConfig struct {
 	// once it drops below a quarter of Depth; any other is refilled by
 	// Session.FillBank alone. Exhaustion transparently falls back to live
 	// garbling. Client-side only; servers ignore it. Memory cost per
-	// banked execution ≈ the circuit's table bytes (ANDs × 32) plus input
-	// and output labels, all held in memory: Depth is the budget.
+	// banked execution ≈ the circuit's table bytes (Schedule.TableBytes)
+	// plus input and output labels, all held in memory: Depth is the budget.
 	Bank bank.Config
 	// Deadlines bounds the protocol's phases (handshake, OT setup,
 	// per-inference) by wall time, complementing the transport-level
@@ -337,7 +338,7 @@ func (en *garbleEngine) grab() []byte {
 
 // doLevels executes one run of gate levels for the whole batch, streaming
 // table chunks through the writer goroutine while subsequent levels are
-// produced; each level contributes ANDs×b tables.
+// produced; each level contributes b times its TableBytes.
 func (en *garbleEngine) doLevels(st *circuit.Step) (err error) {
 	chunk := en.cfg.chunkBytes()
 	async := en.cfg.workers() > 1
@@ -361,7 +362,7 @@ func (en *garbleEngine) doLevels(st *circuit.Step) (err error) {
 	}
 	cur := en.cur[:0]
 	for li := st.First; li < st.First+st.N && err == nil; li++ {
-		need := en.sched.Levels[li].ANDs * len(en.inputBits) * gc.TableSize
+		need := en.sched.Levels[li].TableBytes() * len(en.inputBits)
 		off := len(cur)
 		for cap(cur) < off+need {
 			cur = append(cur[:cap(cur)], 0)
@@ -531,7 +532,7 @@ func (en *evalEngine) doLevels(st *circuit.Step) error {
 		lv := &en.sched.Levels[li]
 		ands, frees := en.sched.LevelGates(lv)
 		var block []byte
-		if block, err = tr.level(lv.ANDs * b * gc.TableSize); err != nil {
+		if block, err = tr.level(lv.TableBytes() * b); err != nil {
 			break
 		}
 		t0 := time.Now()

@@ -22,13 +22,20 @@ import (
 )
 
 // TestScheduleTableSizePin pins circuit.NewSchedule's table accounting to
-// gc.TableSize: the schedule mirrors the constant (it cannot import gc)
-// and the engine trusts Step.TableBytes as a level run's byte budget.
+// gc's sizes: circuit cannot import gc, so it states the ciphertext size
+// itself, and the engines trust Step.TableBytes and Level.TableBytes as the
+// byte budgets of what gc's kernels write — 16 bytes per ciphertext, two
+// for a full AND (gc.TableSize) and one for a half AND.
 func TestScheduleTableSizePin(t *testing.T) {
+	if circuit.CiphertextSize != gc.LabelSize || circuit.AND.TableBytes() != gc.TableSize || circuit.HalfAND.TableBytes() != gc.LabelSize {
+		t.Fatalf("circuit sizes a ciphertext at %d bytes, an AND at %d and a half AND at %d; gc.LabelSize is %d, gc.TableSize %d",
+			circuit.CiphertextSize, circuit.AND.TableBytes(), circuit.HalfAND.TableBytes(), gc.LabelSize, gc.TableSize)
+	}
 	tape := circuit.NewTape()
 	b := circuit.NewBuilder(tape, circuit.WithRecycling())
 	in := b.Inputs(circuit.Garbler, 2)
-	b.Outputs(b.AND(in[0], in[1]))
+	w := b.Inputs(circuit.Evaluator, 1)
+	b.Outputs(b.AND(in[0], in[1]), b.AND(in[1], w[0]))
 	sched, err := circuit.NewSchedule(tape)
 	if err != nil {
 		t.Fatal(err)
@@ -37,8 +44,8 @@ func TestScheduleTableSizePin(t *testing.T) {
 	for i := range sched.Steps {
 		total += sched.Steps[i].TableBytes
 	}
-	if total != gc.TableSize {
-		t.Fatalf("schedule accounts %d bytes per AND gate, gc.TableSize is %d", total, gc.TableSize)
+	if want := 16 * int(tape.Stats().Ciphertexts()); total != want || want != gc.TableSize+gc.LabelSize {
+		t.Fatalf("schedule accounts %d bytes for a full and a half AND, want 16 per ciphertext = %d", total, want)
 	}
 }
 
@@ -185,7 +192,7 @@ func (s *plainTapeEval) OnGate(g circuit.Gate) error {
 	switch g.Op {
 	case circuit.XOR:
 		s.vals[g.Out] = s.vals[g.A] != s.vals[g.B]
-	case circuit.AND:
+	case circuit.AND, circuit.HalfAND:
 		s.vals[g.Out] = s.vals[g.A] && s.vals[g.B]
 	case circuit.INV:
 		s.vals[g.Out] = !s.vals[g.A]
@@ -369,12 +376,26 @@ func TestEngineConformance(t *testing.T) {
 	if testing.Short() {
 		iters = 5
 	}
+	// The random tapes must put the half AND in play, and at an odd count
+	// in some level: that level's block ends 16 bytes off a 32-byte
+	// boundary, so the chunk cut behind it (chunks are 512 bytes here)
+	// falls between two one-ciphertext tables.
+	var halves, oddLevels int
+	defer func() {
+		if !t.Failed() && (halves == 0 || oddLevels == 0) {
+			t.Errorf("%d half ANDs and %d levels of an odd count of them over all tapes: the kind went untested", halves, oddLevels)
+		}
+	}()
 	for it := 0; it < iters; it++ {
 		r := rand.New(rand.NewSource(int64(9100 + it)))
 		tape, nG, nE := randomEngineTape(r)
 		sched, err := circuit.NewSchedule(tape)
 		if err != nil {
 			t.Fatalf("iter %d: %v", it, err)
+		}
+		halves += int(sched.Halves)
+		for li := range sched.Levels {
+			oddLevels += sched.Levels[li].Halves % 2
 		}
 		gBits := make([]bool, nG)
 		eBits := make([]bool, nE)
@@ -411,6 +432,11 @@ func TestEngineConformance(t *testing.T) {
 		if !bytes.Equal(seqE2G, parE2G) {
 			t.Fatalf("iter %d: evaluator→garbler streams differ between Workers=1 (%d bytes) and Workers=4 (%d bytes)",
 				it, len(seqE2G), len(parE2G))
+		}
+		// The stream carries 16 bytes per ciphertext and not a byte more
+		// than the frames around them need.
+		if tables := nInfer * int(sched.TableBytes()); len(seqG2E) < tables || sched.TableBytes() != 16*(2*sched.ANDs-sched.Halves) {
+			t.Fatalf("iter %d: %d bytes streamed, the schedule's tables alone are %d", it, len(seqG2E), tables)
 		}
 	}
 }

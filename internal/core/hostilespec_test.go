@@ -17,18 +17,31 @@ var hostileArchFrames = map[string]string{
 	"conv maps -2":       `{"in":{"C":1,"H":4,"W":4},"format":{"IntBits":3,"FracBits":12},"layers":[{"type":"conv","outc":-2,"k":1,"stride":1}]}`,
 	"1e14 weights":       `{"in":{"C":1,"H":1,"W":1000000},"format":{"IntBits":3,"FracBits":12},"layers":[{"type":"dense","out":100000000}]}`,
 	"unknown activation": `{"in":{"C":1,"H":1,"W":4},"format":{"IntBits":3,"FracBits":12},"layers":[{"type":"act","act":99}]}`,
+	// Valid formats an activation realization has no datapath for: Q8.12
+	// puts the CORDIC engine (act 5 = TanhCORDIC) on an internal format
+	// wider than fixed allows, Q15.16 asks a LUT (act 2 = TanhLUT) for 2^29
+	// entries. Each reached a panic, or the allocation, through
+	// netgen.Compile on whoever compiled the frame.
+	"cordic at Q8.12": `{"in":{"C":1,"H":1,"W":4},"format":{"IntBits":8,"FracBits":12},"layers":[{"type":"dense","out":2},{"type":"act","act":5}]}`,
+	"lut at Q15.16":   `{"in":{"C":1,"H":1,"W":4},"format":{"IntBits":15,"FracBits":16},"layers":[{"type":"dense","out":2},{"type":"act","act":2}]}`,
 }
 
 // serveArch plays a server (or, for the proxy, the main server behind it)
-// that answers the hello with the given architecture frame.
-func serveArch(conn *transport.Conn, frame string) <-chan error {
+// that answers the hello with the given architecture frame — behind a
+// program digest when it is a session's; the §3.3 deployment's frame is
+// the spec alone.
+func serveArch(conn *transport.Conn, frame string, session bool) <-chan error {
 	done := make(chan error, 1)
 	go func() {
 		if _, err := conn.Recv(transport.MsgHello); err != nil {
 			done <- err
 			return
 		}
-		if err := conn.Send(transport.MsgArch, []byte(frame)); err != nil {
+		payload := []byte(frame)
+		if session {
+			payload = append(make([]byte, digestSize), payload...)
+		}
+		if err := conn.Send(transport.MsgArch, payload); err != nil {
 			done <- err
 			return
 		}
@@ -42,7 +55,7 @@ func TestHostileArchFrameIsAnError(t *testing.T) {
 		t.Run(name, func(t *testing.T) {
 			cConn, sConn, closer := transport.Pipe()
 			defer closer.Close()
-			done := serveArch(sConn, frame)
+			done := serveArch(sConn, frame, true)
 			if sess, err := (&Client{}).NewSession(cConn); err == nil {
 				t.Errorf("NewSession accepted the architecture (session %v)", sess)
 			}
@@ -61,7 +74,7 @@ func TestHostileArchFrameIsAnError(t *testing.T) {
 			if err := cpConn.Flush(); err != nil {
 				t.Fatal(err)
 			}
-			done = serveArch(spConn, frame)
+			done = serveArch(spConn, frame, false)
 			if err := (&Proxy{}).Run(pcConn, psConn); err == nil {
 				t.Error("Proxy.Run accepted the architecture")
 			}

@@ -11,6 +11,7 @@ import (
 
 	"deepsecure/internal/act"
 	"deepsecure/internal/fixed"
+	"deepsecure/internal/netgen"
 	"deepsecure/internal/nn"
 	"deepsecure/internal/ot"
 	"deepsecure/internal/ot/precomp"
@@ -293,7 +294,11 @@ func hostileServer(net *nn.Network, sConn *transport.Conn, rest func(ots *ot.Ext
 			if err != nil {
 				return err
 			}
-			if err := sConn.Send(transport.MsgArch, spec); err != nil {
+			prog, err := netgen.Compile(net, fixed.Default, netgen.Options{})
+			if err != nil {
+				return err
+			}
+			if err := sConn.Send(transport.MsgArch, append(prog.Digest[:], spec...)); err != nil {
 				return err
 			}
 			if err := sConn.Send(transport.MsgPipeline, []byte{2, 32}); err != nil {
@@ -363,6 +368,81 @@ func TestUnpooledServerRefused(t *testing.T) {
 	}
 	closer.Close()
 	checkLeaks()
+}
+
+// TestDoctoredProgramDigestRefused: a server whose architecture frame names
+// another program than the one this client compiles from the architecture
+// in it — a peer built from a different netlist generator, here one flipped
+// digest bit — is refused by NewSession with a typed error before the OT
+// base phase (the server reads no frame after the hello), with no session
+// and nothing left running. An honest pair passes the same check in every
+// other session test.
+func TestDoctoredProgramDigestRefused(t *testing.T) {
+	checkLeaks := testutil.VerifyNoLeaks(t)
+	net := testNet(t, act.ReLU, 44)
+	prog, err := netgen.Compile(net, fixed.Default, netgen.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	doctored := prog.Digest
+	doctored[7] ^= 0x10
+	spec, err := net.Spec(fixed.Default).Marshal()
+	if err != nil {
+		t.Fatal(err)
+	}
+	cConn, sConn, closer := transport.Pipe()
+	type next struct {
+		typ transport.MsgType
+		err error
+	}
+	done := make(chan next, 1)
+	go func() {
+		_, err := sConn.Recv(transport.MsgHello)
+		if err == nil {
+			err = sConn.Send(transport.MsgArch, append(doctored[:], spec...))
+		}
+		if err == nil {
+			err = sConn.Send(transport.MsgPipeline, []byte{2, 32})
+		}
+		if err == nil {
+			err = sConn.Flush()
+		}
+		if err != nil {
+			t.Errorf("doctoring server's own setup: %v", err)
+		}
+		typ, _, err := sConn.ReadFrame()
+		done <- next{typ, err}
+	}()
+	sess, err := (&Client{}).NewSession(cConn)
+	var pm *ProgramMismatchError
+	if !errors.As(err, &pm) || sess != nil {
+		t.Fatalf("NewSession against a doctored digest = %v, %v; want no session and a *ProgramMismatchError", sess, err)
+	}
+	if pm.Server != doctored || pm.Client != prog.Digest {
+		t.Errorf("error names programs %x / %x, want the doctored %x and the compiled %x", pm.Server, pm.Client, doctored, prog.Digest)
+	}
+	closer.Close()
+	if n := <-done; n.err == nil {
+		t.Errorf("the refused client still sent a %v frame after its hello", n.typ)
+	}
+	checkLeaks()
+
+	// The digest separates what must not be confused: options and formats.
+	other, err := netgen.Compile(net, fixed.Default, netgen.Options{Outsourced: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	narrow, err := netgen.Compile(net, fixed.Format{IntBits: 3, FracBits: 8}, netgen.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	again, err := netgen.Compile(net, fixed.Default, netgen.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if other.Digest == prog.Digest || narrow.Digest == prog.Digest || again.Digest != prog.Digest {
+		t.Errorf("program digests: %x twice %x, outsourced %x, Q3.8 %x", prog.Digest[:4], again.Digest[:4], other.Digest[:4], narrow.Digest[:4])
+	}
 }
 
 // TestPoolRefillShapes drives sessions whose pools cannot hold the

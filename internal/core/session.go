@@ -40,14 +40,21 @@ import (
 )
 
 // protocolHello identifies the session protocol; exactly one version is
-// accepted. The hello carries no program digest, so any change to the
-// frames or to the netlist a given architecture compiles to takes a new
-// version: an older peer is refused at the handshake instead of failing
-// label authentication mid-stream.
+// accepted, and it changes when the frames do. What they carry is bound
+// separately: the server's architecture frame opens with its program's
+// digest (netgen.Program.Digest), the client compares it with that of what
+// it compiled from the same architecture, and a difference is a
+// *ProgramMismatchError from NewSession before the OT base phase. So a
+// change to the netlist an architecture compiles to changes the digest and
+// not this string: a peer built from another generator is refused at the
+// handshake either way, never by a label that fails to authenticate
+// mid-stream. (The §3.3 streaming deployment compiles no tape; its peers
+// agree on this string alone.)
 //
-// Setup, in order: client MsgHello; server MsgArch (or MsgBusy with a
-// uvarint retry-after in ms, then close) and MsgPipeline (uvarint
-// in-flight window, uvarint batch cap); the OT-extension base phase
+// Setup, in order: client MsgHello; server MsgArch (the 32-byte program
+// digest, then the public spec; or MsgBusy with a uvarint retry-after in
+// ms, then close) and MsgPipeline (uvarint in-flight window, uvarint batch
+// cap); the OT-extension base phase
 // (MsgOTBase); the server's pool announcement MsgOTRefill (uvarint
 // capacity ≥ 1; uvarint W, the evaluator-input bits per sample) and its
 // initial fill — MsgOTRefill (uvarint n) and MsgOTExtU from the server,
@@ -61,8 +68,9 @@ import (
 // active input labels of one step), MsgInferMasked (one evaluator-input
 // step: per wire and sample the label pair masked with the inference's
 // next two pool halves) and MsgInferTables (garbled tables, chunked at
-// level boundaries). Every payload is wire-major with samples innermost:
-// gate rank i, sample s of a level's tables lies at (i·B+s)·TableSize.
+// level boundaries). Every payload is wire-major with samples innermost;
+// a level's tables are its full ANDs' (rank i, sample s at (i·B+s)·32),
+// then its half ANDs' (rank j among them, sample s at (j·B+s)·16 behind).
 // The answer is MsgInferOutputs (id, the output labels). An inference owns
 // B·W pool entries, sample s's bit c at q0 + s·W + c; ranges are handed
 // out in begin order.
@@ -72,7 +80,23 @@ import (
 // refill (MsgOTRefill n, MsgOTExtU), which the client answers (MsgOTExtY)
 // when it next reads; that is the only OT traffic after setup.
 // MsgEndSession from the client ends the session.
-const protocolHello = "deepsecure/10"
+const protocolHello = "deepsecure/11"
+
+// digestSize is the length of the program digest that opens a session's
+// architecture frame.
+const digestSize = len(netgen.Program{}.Digest)
+
+// ProgramMismatchError is returned by NewSession when the program the
+// client compiled from the server's architecture is not the one the server
+// evaluates — the two binaries generate different netlists for one model —
+// so every label the server returned would fail authentication.
+type ProgramMismatchError struct {
+	Server, Client [digestSize]byte
+}
+
+func (e *ProgramMismatchError) Error() string {
+	return fmt.Sprintf("deepsecure: server evaluates program %x, this client compiled %x from the same architecture", e.Server[:8], e.Client[:8])
+}
 
 // BusyError is returned by NewSession when the server sheds the session
 // at admission (MsgBusy): the server is saturated and asks
@@ -294,11 +318,15 @@ func (s *Server) ServeSession(conn *transport.Conn) (*Stats, error) {
 	if string(hello) != protocolHello {
 		return finish(), fmt.Errorf("core: unknown protocol %q", hello)
 	}
+	prog, err := s.Program()
+	if err != nil {
+		return finish(), err
+	}
 	spec, err := s.Net.Spec(s.Fmt).Marshal()
 	if err != nil {
 		return finish(), err
 	}
-	if err := conn.Send(transport.MsgArch, spec); err != nil {
+	if err := conn.Send(transport.MsgArch, append(prog.Digest[:], spec...)); err != nil {
 		return finish(), err
 	}
 	// In-flight window and batch-cap announcement: the server owns both
@@ -310,10 +338,6 @@ func (s *Server) ServeSession(conn *transport.Conn) (*Stats, error) {
 		return fail(err)
 	}
 	wd.arm("ot-setup", s.Engine.Deadlines.OTSetup)
-	prog, err := s.Program()
-	if err != nil {
-		return finish(), err
-	}
 	weightBits := nn.WeightBits(s.Net, s.Fmt)
 
 	// Everything below speaks through the mux-aware connection: a
@@ -586,6 +610,10 @@ func (c *Client) NewSession(conn *transport.Conn) (sess *Session, err error) {
 		}
 		return nil, &BusyError{RetryAfter: time.Duration(ms) * time.Millisecond}
 	}
+	if len(specData) < digestSize {
+		return nil, fmt.Errorf("core: architecture frame of %d bytes carries no program digest", len(specData))
+	}
+	serverDigest, specData := [digestSize]byte(specData[:digestSize]), specData[digestSize:]
 	spec, err := nn.UnmarshalSpec(specData)
 	if err != nil {
 		return nil, err
@@ -609,6 +637,9 @@ func (c *Client) NewSession(conn *transport.Conn) (sess *Session, err error) {
 	prog, err := c.program(specData, net, spec.Format)
 	if err != nil {
 		return nil, err
+	}
+	if prog.Digest != serverDigest {
+		return nil, &ProgramMismatchError{Server: serverDigest, Client: prog.Digest}
 	}
 	window := c.Engine.PipelineDepth()
 	if announced < uint64(window) {
@@ -940,7 +971,7 @@ func (s *Session) InferBatchAsync(xs [][]float64) (*PendingBatch, error) {
 					ex.Release()
 				}
 			}()
-			src = bank.Banked(exs)
+			src = bank.Banked(s.prog.Schedule, exs)
 		}
 	}
 	hit := src != nil

@@ -69,9 +69,11 @@ func (s *garblerSink) OnInputs(p circuit.Party, ws []uint32) error {
 		return s.conn.Send(transport.MsgInputLabels, payload)
 	}
 	// Evaluator inputs travel by OT extension: one batch per declaration.
+	// Their zero-labels carry permute bit 0 (colour = value), which the
+	// netlist's half ANDs rest on.
 	pairs := make([][2]ot.Msg, len(ws))
 	for i, w := range ws {
-		l0, err := s.g.AssignInput(w)
+		l0, err := s.g.AssignEvaluatorInput(w)
 		if err != nil {
 			return err
 		}
@@ -225,7 +227,7 @@ func (s *evaluatorSink) OnInputs(p circuit.Party, ws []uint32) error {
 
 // OnGate implements circuit.Sink.
 func (s *evaluatorSink) OnGate(g circuit.Gate) error {
-	if g.Op == circuit.AND && len(s.pending) < gc.TableSize {
+	if len(s.pending) < g.Op.TableBytes() {
 		chunk, err := s.conn.Recv(transport.MsgTables)
 		if err != nil {
 			return err

@@ -1,6 +1,7 @@
 // Package costmodel implements the paper's GC performance characterization
 // (Table 2, Eq. 3/4, §4.3): per-gate computation coefficients, the
-// 2×128-bit-per-non-XOR communication constant, and the execution-time
+// 128-bit-per-ciphertext communication constant (two per non-XOR gate, one
+// for a half AND), and the execution-time
 // model Texec = Tcomp + Tcomm that regenerates the Table 4/5/6 rows from
 // gate counts. Calibrate measures this machine's per-gate costs the same
 // way the paper's "set of subroutines" does.
@@ -18,8 +19,9 @@ import (
 
 // Coefficients hold per-gate costs and the channel model.
 type Coefficients struct {
-	// XORNs / NonXORNs: combined garble+evaluate nanoseconds per gate.
-	XORNs, NonXORNs float64
+	// XORNs / NonXORNs / HalfANDNs: combined garble+evaluate nanoseconds
+	// per free gate, full AND and half AND.
+	XORNs, NonXORNs, HalfANDNs float64
 	// BandwidthMbps models the client↔server channel.
 	BandwidthMbps float64
 	// Source describes where the numbers came from.
@@ -28,12 +30,15 @@ type Coefficients struct {
 
 // Paper returns the paper's coefficients (§4.3): 62 and 164 CPU cycles
 // per XOR / non-XOR gate at 3.4 GHz, and the ~824 Mb/s effective channel
-// implied by Table 4's benchmark-1 row (791 MB moved in 9.67−1.98 s).
+// implied by Table 4's benchmark-1 row (791 MB moved in 9.67−1.98 s). A
+// half AND, which the paper has not, is charged three of the gate's six
+// hashes.
 func Paper() Coefficients {
 	const ghz = 3.4
 	return Coefficients{
 		XORNs:         62 / ghz,
 		NonXORNs:      164 / ghz,
+		HalfANDNs:     164 / ghz / 2,
 		BandwidthMbps: 824,
 		Source:        "paper §4.3 (i7-2600 @ 3.4 GHz)",
 	}
@@ -105,9 +110,16 @@ func Calibrate(n int) (Coefficients, error) {
 	if err != nil {
 		return Coefficients{}, err
 	}
+	// Any wire serves as a half AND's B for timing: the kernel reads the
+	// permute bit it finds.
+	halfNs, err := measure(circuit.HalfAND)
+	if err != nil {
+		return Coefficients{}, err
+	}
 	return Coefficients{
 		XORNs:         xorNs,
 		NonXORNs:      andNs,
+		HalfANDNs:     halfNs,
 		BandwidthMbps: 1000,
 		Source:        fmt.Sprintf("calibrated over %d gates/class", n),
 	}, nil
@@ -116,32 +128,35 @@ func Calibrate(n int) (Coefficients, error) {
 // Estimate is one Table 4/5-style row.
 type Estimate struct {
 	XOR, NonXOR int64
+	Ciphertexts int64   // 2 per non-XOR gate, 1 per half AND: Eq. 4's unit
 	CommMB      float64 // garbled tables only, Eq. 4
 	CompS       float64 // Eq. 3 over the whole netlist
 	ExecS       float64 // Tcomp + Tcomm
 }
 
-// FromStats applies Table 2's model to a netlist's gate counts.
+// FromStats applies Table 2's model to a netlist's gate counts: Eq. 4 over
+// its ciphertexts, Eq. 3 with each gate kind at its own cost.
 func FromStats(s circuit.Stats, co Coefficients) Estimate {
 	free := s.FreeXOR()
 	non := s.NonXOR()
-	commBits := float64(non) * 2 * float64(gc.SecurityBits) // Eq. 4
+	commBits := float64(s.Ciphertexts()) * float64(gc.SecurityBits) // Eq. 4
 	commMB := commBits / 8 / 1e6
-	compS := (float64(free)*co.XORNs + float64(non)*co.NonXORNs) / 1e9
+	compS := (float64(free)*co.XORNs + float64(non-s.HalfAND)*co.NonXORNs + float64(s.HalfAND)*co.HalfANDNs) / 1e9
 	execS := compS + commBits/(co.BandwidthMbps*1e6)
 	return Estimate{
-		XOR:    free,
-		NonXOR: non,
-		CommMB: commMB,
-		CompS:  compS,
-		ExecS:  execS,
+		XOR:         free,
+		NonXOR:      non,
+		Ciphertexts: s.Ciphertexts(),
+		CommMB:      commMB,
+		CompS:       compS,
+		ExecS:       execS,
 	}
 }
 
 // String renders the estimate as a Table 4 row fragment.
 func (e Estimate) String() string {
-	return fmt.Sprintf("#XOR=%.2e #non-XOR=%.2e Comm=%.3gMB Comp=%.3gs Exec=%.3gs",
-		float64(e.XOR), float64(e.NonXOR), e.CommMB, e.CompS, e.ExecS)
+	return fmt.Sprintf("#XOR=%.2e #non-XOR=%.2e #ciphertexts=%.2e Comm=%.3gMB Comp=%.3gs Exec=%.3gs",
+		float64(e.XOR), float64(e.NonXOR), float64(e.Ciphertexts), e.CommMB, e.CompS, e.ExecS)
 }
 
 // Throughput reports effective gates/second for each class under the

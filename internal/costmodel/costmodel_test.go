@@ -54,7 +54,12 @@ func TestCalibrate(t *testing.T) {
 	if co.NonXORNs > 10000 && !raceEnabled {
 		t.Errorf("AND cost %.1fns implausibly slow", co.NonXORNs)
 	}
-	t.Logf("calibrated: XOR %.1f ns, non-XOR %.1f ns (%s)", co.XORNs, co.NonXORNs, co.Source)
+	// A half AND is three of the full AND's six hashes: its measured cost
+	// must sit between a free gate's and a full AND's.
+	if co.HalfANDNs <= co.XORNs || co.HalfANDNs >= co.NonXORNs {
+		t.Errorf("half AND %.1fns is not between XOR %.1fns and AND %.1fns", co.HalfANDNs, co.XORNs, co.NonXORNs)
+	}
+	t.Logf("calibrated: XOR %.1f ns, non-XOR %.1f ns, half AND %.1f ns (%s)", co.XORNs, co.NonXORNs, co.HalfANDNs, co.Source)
 }
 
 func TestEstimateString(t *testing.T) {
@@ -112,5 +117,17 @@ func TestCommMatchesEq4Exactly(t *testing.T) {
 	// One AND gate = 2×128 bits = 32 bytes.
 	if math.Abs(est.CommMB-32e-6) > 1e-12 {
 		t.Errorf("comm for one AND = %g MB, want 32e-6", est.CommMB)
+	}
+	// Eq. 4 counts ciphertexts: a half AND is one, 16 bytes.
+	s = circuit.Stats{XOR: 1000, AND: 388, HalfAND: 205}
+	est = FromStats(s, Paper())
+	if want := 16e-6 * float64(s.Ciphertexts()); s.Ciphertexts() != 571 || est.Ciphertexts != 571 || math.Abs(est.CommMB-want) > 1e-12 {
+		t.Errorf("comm for a multiplier = %g MB over %d ciphertexts, want %g over 571", est.CommMB, est.Ciphertexts, want)
+	}
+	// Tcomp charges each kind its own cost.
+	co := Paper()
+	full := FromStats(circuit.Stats{AND: 388}, co)
+	if want := full.CompS - 205*(co.NonXORNs-co.HalfANDNs)/1e9; math.Abs(FromStats(circuit.Stats{AND: 388, HalfAND: 205}, co).CompS-want) > 1e-15 {
+		t.Errorf("comp for a multiplier with half ANDs = %g s, want %g", FromStats(circuit.Stats{AND: 388, HalfAND: 205}, co).CompS, want)
 	}
 }

@@ -19,8 +19,8 @@
 // garbling, so a cold or drained bank degrades to exactly the bank-off
 // protocol.
 //
-// A banked execution lives in memory only — its table bytes (ANDs×32 per
-// execution) are key material and are never written anywhere else — so
+// A banked execution lives in memory only — its table bytes (the
+// schedule's TableBytes per execution) are key material and are never written anywhere else — so
 // Depth is the bank's memory budget.
 //
 // Determinism: a fill garbles each execution by driving a one-sample live

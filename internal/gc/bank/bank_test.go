@@ -81,7 +81,7 @@ func (s *plainEval) OnGate(g circuit.Gate) error {
 	switch g.Op {
 	case circuit.XOR:
 		s.vals[g.Out] = s.vals[g.A] != s.vals[g.B]
-	case circuit.AND:
+	case circuit.AND, circuit.HalfAND:
 		s.vals[g.Out] = s.vals[g.A] && s.vals[g.B]
 	case circuit.INV:
 		s.vals[g.Out] = !s.vals[g.A]
@@ -343,5 +343,59 @@ func TestBankBackgroundRefill(t *testing.T) {
 	b.Close()
 	if take(t, b) != nil {
 		t.Fatal("closed bank still serving executions")
+	}
+}
+
+// TestEvaluatorZeroLabelsHaveColourZero pins the convention half ANDs rest
+// on, where the labels are made: every zero-label a source hands out for an
+// evaluator input step — what the engine passes to the OT pool's SendStep —
+// has permute bit 0, so the active label's colour is the evaluator's own
+// bit. It holds for the live source and, since a fill records one, for
+// banked executions; garbler steps keep a free permute bit.
+func TestEvaluatorZeroLabelsHaveColourZero(t *testing.T) {
+	sched := testSchedule(t, 47)
+	for _, b := range []int{1, 16} {
+		live, err := NewLive(rand.New(rand.NewSource(23)), b, sched, gc.NewPool(1))
+		if err != nil {
+			t.Fatal(err)
+		}
+		bk := New(sched, rand.New(rand.NewSource(29)), gc.NewPool(1), Config{Depth: b})
+		if err := bk.Fill(); err != nil {
+			t.Fatal(err)
+		}
+		for name, src := range map[string]Source{"live": live, "banked": Banked(sched, bk.TakeN(b, bk.Metrics()))} {
+			checked, garblerOnes := 0, 0
+			for si := range sched.Steps {
+				st := &sched.Steps[si]
+				if st.Kind != circuit.StepInputs {
+					continue
+				}
+				if err := src.Inputs(st); err != nil {
+					t.Fatal(err)
+				}
+				for i := range st.Wires {
+					for s := 0; s < b; s++ {
+						z, err := src.Zero(i, s)
+						if err != nil {
+							t.Fatal(err)
+						}
+						switch {
+						case st.Party == circuit.Evaluator && z.LSB():
+							t.Fatalf("%s B=%d: evaluator step %d wire %d sample %d has a zero-label of colour 1", name, b, si, i, s)
+						case st.Party == circuit.Evaluator:
+							checked++
+						case z.LSB():
+							garblerOnes++
+						}
+					}
+				}
+			}
+			if checked != 3*b {
+				t.Fatalf("%s B=%d: checked %d evaluator zero-labels, want %d", name, b, checked, 3*b)
+			}
+			if b == 16 && garblerOnes == 0 {
+				t.Errorf("%s: all 64 garbler zero-labels have colour 0 too: the clearing is not party-specific", name)
+			}
+		}
 	}
 }

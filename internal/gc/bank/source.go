@@ -23,8 +23,9 @@ type Source interface {
 	// Zero returns sample s's zero-label of the current input step's i-th
 	// wire.
 	Zero(i, s int) (gc.Label, error)
-	// Level writes level li of level run st — the level's ANDs·B·TableSize
-	// table bytes, gate-major with samples innermost — to dst.
+	// Level writes level li of level run st — the level's B·TableBytes
+	// table bytes, each gate kind's region gate-major with samples
+	// innermost — to dst.
 	Level(st *circuit.Step, li int, dst []byte) error
 	// Outputs appends output step st's zero-labels to dst, wire-major with
 	// samples innermost.
@@ -58,9 +59,15 @@ func (l *live) Consts(dst []byte) ([]byte, error) { return l.g.AppendConstLabels
 
 func (l *live) Deltas() []gc.Label { return l.g.R }
 
+// Inputs draws the step's zero-labels — an evaluator step's with permute
+// bit 0, the colour = value convention half ANDs rest on.
 func (l *live) Inputs(st *circuit.Step) error {
+	assign := l.g.AssignInput
+	if st.Party == circuit.Evaluator {
+		assign = l.g.AssignEvaluatorInput
+	}
 	for _, w := range st.Wires {
-		if err := l.g.AssignInput(w); err != nil {
+		if err := assign(w); err != nil {
 			return err
 		}
 	}
@@ -113,7 +120,7 @@ func record(rng io.Reader, sched *circuit.Schedule, pool *gc.Pool) (*Execution, 
 	if err != nil {
 		return nil, err
 	}
-	ex := &Execution{r: src.Deltas()[0], tables: make([]byte, sched.ANDs*gc.TableSize)}
+	ex := &Execution{r: src.Deltas()[0], tables: make([]byte, sched.TableBytes())}
 	if ex.consts, err = src.Consts(nil); err != nil {
 		return nil, err
 	}
@@ -138,7 +145,7 @@ func record(rng io.Reader, sched *circuit.Schedule, pool *gc.Pool) (*Execution, 
 			}
 		case circuit.StepLevels:
 			for li := st.First; li < st.First+st.N; li++ {
-				end := off + sched.Levels[li].ANDs*gc.TableSize
+				end := off + sched.Levels[li].TableBytes()
 				if err := src.Level(st, li, ex.tables[off:end]); err != nil {
 					return nil, err
 				}
@@ -154,25 +161,27 @@ func record(rng io.Reader, sched *circuit.Schedule, pool *gc.Pool) (*Execution, 
 // the banked table bytes, so the online walk garbles nothing. An execution
 // stores its input zero-labels, its table bytes and its output zero-labels
 // each as one flat sequence in walk order, so the source is three cursors
-// and knows nothing of the schedule. At B=1, for the same rng state, what it
-// hands out is byte for byte what the live source would (record drives one;
-// pinned by core's TestBankStreamConformance). At B>1 each sample keeps its
+// and asks the schedule only where a level's table regions part. At B=1,
+// for the same rng state, what it hands out is byte for byte what the live
+// source would (record drives one; pinned by core's
+// TestBankStreamConformance). At B>1 each sample keeps its
 // own execution's delta and labels, exactly as gc.BatchGarbler would have
 // drawn them, only the draw order differs from the live source (so the batch
 // conformance is at label level, not transcript level).
 type banked struct {
-	exs []*Execution
-	rs  []gc.Label // exs' deltas
+	sched *circuit.Schedule
+	exs   []*Execution
+	rs    []gc.Label // exs' deltas
 
 	in, nextIn int // input zero-labels: the current step's first, the next step's first
 	out        int // output zero-labels handed out so far
 	off        int // table bytes handed out so far, per execution
 }
 
-// Banked returns the source that replays exs, which the caller took from a
-// bank (TakeN) and releases once the walk is over.
-func Banked(exs []*Execution) Source {
-	b := &banked{exs: exs, rs: make([]gc.Label, len(exs))}
+// Banked returns the source that replays exs — garbled over sched, which the
+// caller took from its bank (TakeN) and releases once the walk is over.
+func Banked(sched *circuit.Schedule, exs []*Execution) Source {
+	b := &banked{sched: sched, exs: exs, rs: make([]gc.Label, len(exs))}
 	for s, ex := range exs {
 		b.rs[s] = ex.r
 	}
@@ -198,23 +207,32 @@ func (b *banked) Inputs(st *circuit.Step) error {
 
 func (b *banked) Zero(i, s int) (gc.Label, error) { return b.exs[s].inZero[b.in+i], nil }
 
-// Level interleaves the B banked levels into the batch stream: gate rank i,
-// sample s lands at (i*B+s)*TableSize — the copy is the whole online table
-// cost of a bank hit.
-func (b *banked) Level(_ *circuit.Step, _ int, dst []byte) error {
-	stride := len(b.exs) * gc.TableSize
-	width := len(dst) / len(b.exs)
+// Level interleaves the B banked levels into the batch stream, one table
+// region at a time: a region's gate rank i, sample s lands at i*B+s tables
+// into it — the copy is the whole online table cost of a bank hit.
+func (b *banked) Level(_ *circuit.Step, li int, dst []byte) error {
+	lv := &b.sched.Levels[li]
+	width := lv.TableBytes()
 	if have := len(b.exs[0].tables); b.off+width > have {
 		return fmt.Errorf("bank: execution holds %d table bytes, the walk asks for %d", have, b.off+width)
 	}
+	n := len(b.exs)
+	full := width - lv.Halves*circuit.HalfAND.TableBytes()
 	for s, ex := range b.exs {
 		src := ex.tables[b.off : b.off+width]
-		for i := 0; i*gc.TableSize < width; i++ {
-			copy(dst[i*stride+s*gc.TableSize:], src[i*gc.TableSize:(i+1)*gc.TableSize])
-		}
+		interleave(dst[:full*n], src[:full], circuit.AND.TableBytes(), s, n)
+		interleave(dst[full*n:], src[full:], circuit.HalfAND.TableBytes(), s, n)
 	}
 	b.off += width
 	return nil
+}
+
+// interleave copies src's tables of size bytes each to every n-th table
+// slot of dst, starting at slot s.
+func interleave(dst, src []byte, size, s, n int) {
+	for i := 0; i*size < len(src); i++ {
+		copy(dst[(i*n+s)*size:], src[i*size:(i+1)*size])
+	}
 }
 
 func (b *banked) Outputs(st *circuit.Step, dst []gc.Label) ([]gc.Label, error) {

@@ -13,8 +13,8 @@ import (
 // share: the worker Pool that stripes a level of mutually independent
 // gates — as produced by circuit.NewSchedule — and the half-gates AND
 // cryptography against explicit coordinates. A level's global AND index
-// base fixes every tweak, and each AND gate writes its two ciphertexts at
-// a rank-derived offset inside a caller-provided table block, so nothing
+// base fixes every tweak, and each AND gate writes its ciphertexts at a
+// rank-derived offset inside a caller-provided table block, so nothing
 // depends on execution order inside a level and the produced bytes are
 // identical for any worker count.
 
@@ -138,21 +138,22 @@ func (g *Garbler) garbleAND(h *Hasher, gate circuit.Gate, gid uint64, dst []byte
 	var us [garbleUnits]andUnit
 	var out Label
 	us[0] = andUnit{a0: a0, b0: b0, r: g.R, r2: g.r2, j0: 2 * gid, j1: 2*gid + 1, dst: dst, out: &out}
-	garbleANDWide(h, &us, 1)
+	garbleANDWide(h, &us, 1, gate.Op == circuit.HalfAND)
 	g.labels[gate.Out], g.have[gate.Out] = out, true
 	return nil
 }
 
-// garbleUnits is how many AND gate-instances fill the hasher's lanes on
-// the garble side (4 half-gate hashes each), and evalUnits on the
-// evaluate side (2 hashes each).
+// garbleUnits is how many half-AND gate-instances fill the hasher's lanes
+// on the garble side (2 hashes each) and evalUnits on the evaluate side (1
+// hash each); a full AND takes twice the hashes, so half as many fill a
+// wave.
 const (
-	garbleUnits = HashLanes / 4
-	evalUnits   = HashLanes / 2
+	garbleUnits = HashLanes / 2
+	evalUnits   = HashLanes
 )
 
 // andUnit is one staged AND gate-instance on the garble side: the
-// half-gates inputs plus where its two ciphertexts (dst) and output
+// half-gates inputs plus where its ciphertexts (dst) and output
 // zero-label (out) go. Inputs are captured by value at staging time, so
 // completing a unit later — after other units' lanes hashed alongside it
 // — is safe even when out aliases the live label array (level
@@ -165,52 +166,70 @@ type andUnit struct {
 	out    *Label
 }
 
-// garbleANDWide is the half-gates AND cryptography over up to
-// garbleUnits staged gate-instances: all units' hashes — 2 labels × 2
-// tweaks each, every label doubled once with the ⊕R variant derived via
-// the cached 2R — issue as ONE multi-lane hash call, then each unit's
-// half-gate combination completes from the returned lanes. The
-// single-unit call is the scalar conformance shape (the one-gate
-// Garbler.Garble path); multi-unit calls produce byte-identical tables
-// by construction, pinned by the wide-vs-scalar tests.
-func garbleANDWide(h *Hasher, us *[garbleUnits]andUnit, n int) {
-	for i := 0; i < n; i++ {
-		u := &us[i]
-		// Hoisted doubling: 2a0 once per label, 2a1 = 2a0 ⊕ 2R.
-		da0 := double(u.a0)
-		db0 := double(u.b0)
-		h.lanes[4*i+0] = xorTweak(da0, u.j0)
-		h.lanes[4*i+1] = xorTweak(da0.XOR(u.r2), u.j0)
-		h.lanes[4*i+2] = xorTweak(db0, u.j1)
-		h.lanes[4*i+3] = xorTweak(db0.XOR(u.r2), u.j1)
+// garbleANDWide is the half-gates AND cryptography over the n staged
+// gate-instances of one kind: all units' hashes — every label doubled once
+// with the ⊕R variant derived via the cached 2R — issue as ONE multi-lane
+// hash call, then each unit's combination completes from the returned
+// lanes. A full AND is a generator half (A's labels under j0; it corrects
+// for B's permute bit) plus an evaluator half (B's labels under j1; it
+// computes a ∧ colour(B)), a ciphertext each. A half AND is the evaluator
+// half alone: its B is an evaluator-input wire, drawn with permute bit 0,
+// so colour(B) is b (with any other permute bit p it garbles a ∧ (b ⊕ p),
+// still on authentic labels). The single-unit call is the scalar
+// conformance shape (the one-gate Garbler.Garble path); multi-unit calls
+// produce byte-identical tables by construction, pinned by the
+// wide-vs-scalar tests.
+func garbleANDWide(h *Hasher, us *[garbleUnits]andUnit, n int, half bool) {
+	per := 4
+	if half {
+		per = 2
 	}
-	h.hashStaged(4 * n)
 	for i := 0; i < n; i++ {
 		u := &us[i]
-		ha0, ha1 := h.lanes[4*i+0], h.lanes[4*i+1]
-		hb0, hb1 := h.lanes[4*i+2], h.lanes[4*i+3]
-		pa := u.a0.LSB()
+		k := per * i
+		if !half {
+			// Hoisted doubling: 2a0 once per label, 2a1 = 2a0 ⊕ 2R.
+			da0 := double(u.a0)
+			h.lanes[k] = xorTweak(da0, u.j0)
+			h.lanes[k+1] = xorTweak(da0.XOR(u.r2), u.j0)
+			k += 2
+		}
+		db0 := double(u.b0)
+		h.lanes[k] = xorTweak(db0, u.j1)
+		h.lanes[k+1] = xorTweak(db0.XOR(u.r2), u.j1)
+	}
+	h.hashStaged(per * n)
+	for i := 0; i < n; i++ {
+		u := &us[i]
+		k := per * i
+		dst := u.dst
 		pb := u.b0.LSB()
 
 		// Generator half-gate.
-		tg := ha0.XOR(ha1)
-		if pb {
-			tg = tg.XOR(u.r)
-		}
-		wg := ha0
-		if pa {
-			wg = wg.XOR(tg)
+		var wg Label
+		if !half {
+			ha0, ha1 := h.lanes[k], h.lanes[k+1]
+			tg := ha0.XOR(ha1)
+			if pb {
+				tg = tg.XOR(u.r)
+			}
+			wg = ha0
+			if u.a0.LSB() {
+				wg = wg.XOR(tg)
+			}
+			copy(dst[:LabelSize], tg[:])
+			dst = dst[LabelSize:]
+			k += 2
 		}
 
 		// Evaluator half-gate.
+		hb0, hb1 := h.lanes[k], h.lanes[k+1]
 		te := hb0.XOR(hb1).XOR(u.a0)
 		we := hb0
 		if pb {
 			we = we.XOR(te).XOR(u.a0)
 		}
-
-		copy(u.dst[:LabelSize], tg[:])
-		copy(u.dst[LabelSize:TableSize], te[:])
+		copy(dst[:LabelSize], te[:])
 		*u.out = wg.XOR(we)
 	}
 }
@@ -250,7 +269,7 @@ func (e *Evaluator) evalAND(h *Hasher, gate circuit.Gate, gid uint64, tab []byte
 	var us [evalUnits]evalUnit
 	var out Label
 	us[0] = evalUnit{a: a, b: b, j0: 2 * gid, j1: 2*gid + 1, tab: tab, out: &out}
-	evalANDWide(h, &us, 1)
+	evalANDWide(h, &us, 1, gate.Op == circuit.HalfAND)
 	e.labels[gate.Out], e.have[gate.Out] = out, true
 	return nil
 }
@@ -266,27 +285,42 @@ type evalUnit struct {
 	out    *Label
 }
 
-// evalANDWide is the half-gates AND evaluation over up to evalUnits
-// staged gate-instances: all units' hashes (2 per gate — one active
-// label per half-gate) issue as one multi-lane hash call, then each
-// unit's ciphertext combination completes from the returned lanes.
-func evalANDWide(h *Hasher, us *[evalUnits]evalUnit, n int) {
-	for i := 0; i < n; i++ {
-		u := &us[i]
-		h.lanes[2*i+0] = xorTweak(double(u.a), u.j0)
-		h.lanes[2*i+1] = xorTweak(double(u.b), u.j1)
+// evalANDWide is the half-gates AND evaluation over the n staged
+// gate-instances of one kind: all units' hashes (one active label per
+// half-gate) issue as one multi-lane hash call, then each unit's
+// ciphertext combination completes from the returned lanes.
+func evalANDWide(h *Hasher, us *[evalUnits]evalUnit, n int, half bool) {
+	per := 2
+	if half {
+		per = 1
 	}
-	h.hashStaged(2 * n)
 	for i := 0; i < n; i++ {
 		u := &us[i]
-		var tg, te Label
-		copy(tg[:], u.tab[:LabelSize])
-		copy(te[:], u.tab[LabelSize:TableSize])
-		wg := h.lanes[2*i+0]
-		if u.a.LSB() {
-			wg = wg.XOR(tg)
+		k := per * i
+		if !half {
+			h.lanes[k] = xorTweak(double(u.a), u.j0)
+			k++
 		}
-		we := h.lanes[2*i+1]
+		h.lanes[k] = xorTweak(double(u.b), u.j1)
+	}
+	h.hashStaged(per * n)
+	for i := 0; i < n; i++ {
+		u := &us[i]
+		k := per * i
+		tab := u.tab
+		var wg, te Label
+		if !half {
+			var tg Label
+			copy(tg[:], tab[:LabelSize])
+			wg = h.lanes[k]
+			if u.a.LSB() {
+				wg = wg.XOR(tg)
+			}
+			tab = tab[LabelSize:]
+			k++
+		}
+		copy(te[:], tab[:LabelSize])
+		we := h.lanes[k]
 		if u.b.LSB() {
 			we = we.XOR(te).XOR(u.a)
 		}

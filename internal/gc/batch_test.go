@@ -56,21 +56,36 @@ func TestIsZero(t *testing.T) {
 	}
 }
 
+// packedBytes is the size of the table block a level's AND gates garble to
+// for b samples: two ciphertexts per full AND, one per half AND.
+func packedBytes(ands []circuit.Gate, b int) int {
+	n := 0
+	for _, g := range ands {
+		n += g.Op.TableBytes() * b
+	}
+	return n
+}
+
 // independentLevel builds a level of mutually independent gates over
-// input wires 2..17 (assigned through assign): nAND AND gates followed by
-// free gates, with disjoint output wires.
-func independentLevel(t *testing.T, assign func(w uint32) error, rng *rand.Rand, nAND, nFree int) (ands, frees []circuit.Gate, maxWire uint32) {
+// input wires 2..17 (assigned through assign, the last six as the
+// evaluator's): nAND AND gates — the last third of them half ANDs on an
+// evaluator wire — followed by free gates, with disjoint output wires.
+func independentLevel(t *testing.T, assign func(w uint32, evaluator bool) error, rng *rand.Rand, nAND, nFree int) (ands, frees []circuit.Gate, maxWire uint32) {
 	t.Helper()
-	nIn := uint32(16)
+	const nIn, nEval = uint32(16), 6
 	for w := uint32(2); w < 2+nIn; w++ {
-		if err := assign(w); err != nil {
+		if err := assign(w, w >= 2+nIn-nEval); err != nil {
 			t.Fatal(err)
 		}
 	}
 	next := 2 + nIn
 	in := func() uint32 { return 2 + uint32(rng.Intn(int(nIn))) }
 	for i := 0; i < nAND; i++ {
-		ands = append(ands, circuit.Gate{Op: circuit.AND, A: in(), B: in(), Out: next})
+		gate := circuit.Gate{Op: circuit.AND, A: in(), B: in(), Out: next}
+		if i >= nAND-nAND/3 {
+			gate.Op, gate.B = circuit.HalfAND, 2+nIn-nEval+uint32(rng.Intn(nEval))
+		}
+		ands = append(ands, gate)
 		next++
 	}
 	for i := 0; i < nFree; i++ {
@@ -102,11 +117,8 @@ func TestBatchMatchesSequential(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		ands, frees, maxWire := independentLevel(t, func(w uint32) error {
-			_, err := gSeq.AssignInput(w)
-			return err
-		}, rng, 200, 100)
-		independentLevel(t, gLevel.AssignInput, rand.New(rand.NewSource(31)), 200, 100)
+		ands, frees, maxWire := independentLevel(t, assignSingle(gSeq), rng, 200, 100)
+		independentLevel(t, assignBatch(gLevel), rand.New(rand.NewSource(31)), 200, 100)
 
 		// Sequential: ANDs first, then frees, matching level order.
 		var seqTables []byte
@@ -118,7 +130,10 @@ func TestBatchMatchesSequential(t *testing.T) {
 
 		pool := NewPool(workers)
 		gLevel.Grow(maxWire)
-		levelTables := make([]byte, len(ands)*TableSize)
+		levelTables := make([]byte, packedBytes(ands, 1))
+		if len(levelTables) != (200-66)*TableSize+66*LabelSize {
+			t.Fatalf("level block is %d bytes, want 134 full and 66 half tables", len(levelTables))
+		}
 		if err := gLevel.GarbleLevel(ands, frees, 0, levelTables, pool); err != nil {
 			t.Fatal(err)
 		}
@@ -171,7 +186,7 @@ func TestBatchMatchesSequential(t *testing.T) {
 		for _, gate := range append(append([]circuit.Gate{}, ands...), frees...) {
 			var want bool
 			switch gate.Op {
-			case circuit.AND:
+			case circuit.AND, circuit.HalfAND:
 				want = bits[gate.A] && bits[gate.B]
 			case circuit.XOR:
 				want = bits[gate.A] != bits[gate.B]
@@ -190,6 +205,28 @@ func TestBatchMatchesSequential(t *testing.T) {
 				t.Fatalf("workers=%d: gate %+v evaluated to wrong label", workers, gate)
 			}
 		}
+	}
+}
+
+// assignSingle and assignBatch are independentLevel's assign for the two
+// garbler kinds: an evaluator's wire gets its zero-label with permute bit 0.
+func assignSingle(g *Garbler) func(uint32, bool) error {
+	return func(w uint32, evaluator bool) (err error) {
+		if evaluator {
+			_, err = g.AssignEvaluatorInput(w)
+		} else {
+			_, err = g.AssignInput(w)
+		}
+		return err
+	}
+}
+
+func assignBatch(g *BatchGarbler) func(uint32, bool) error {
+	return func(w uint32, evaluator bool) error {
+		if evaluator {
+			return g.AssignEvaluatorInput(w)
+		}
+		return g.AssignInput(w)
 	}
 }
 

@@ -44,25 +44,26 @@ func (e *Evaluator) Label(w uint32) (Label, error) {
 }
 
 // Eval processes one gate against the internal AND counter, the
-// streaming face of the engine: for AND gates it consumes TableSize
-// bytes from table and returns the remainder; XOR and INV gates consume
-// nothing. The cryptography itself lives in evalAND/evalFree (batch.go);
-// evalANDWide is shared with the level kernel.
+// streaming face of the engine: for AND gates it consumes the gate's
+// ciphertexts (its Op's TableBytes) from table and returns the remainder;
+// XOR and INV gates consume nothing. The cryptography itself lives in
+// evalAND/evalFree (batch.go); evalANDWide is shared with the level kernel.
 func (e *Evaluator) Eval(gate circuit.Gate, table []byte) ([]byte, error) {
 	e.ensure(gate.Out)
 	switch gate.Op {
 	case circuit.XOR, circuit.INV:
 		return table, e.evalFree(gate)
 
-	case circuit.AND:
-		if len(table) < TableSize {
-			return table, fmt.Errorf("gc: garbled table underrun (have %d bytes, need %d)", len(table), TableSize)
+	case circuit.AND, circuit.HalfAND:
+		n := gate.Op.TableBytes()
+		if len(table) < n {
+			return table, fmt.Errorf("gc: garbled table underrun (have %d bytes, need %d)", len(table), n)
 		}
-		if err := e.evalAND(e.h, gate, e.gid, table[:TableSize]); err != nil {
+		if err := e.evalAND(e.h, gate, e.gid, table[:n]); err != nil {
 			return table, err
 		}
 		e.gid++
-		return table[TableSize:], nil
+		return table[n:], nil
 
 	default:
 		return table, fmt.Errorf("gc: cannot evaluate op %v", gate.Op)

@@ -62,6 +62,19 @@ func (g *Garbler) AssignInput(w uint32) (Label, error) {
 	return l, nil
 }
 
+// AssignEvaluatorInput is AssignInput for a wire whose bit the evaluator
+// chooses: the zero-label gets permute bit 0, so the colour of the label
+// that party receives is the bit it chose, and a half AND may take the wire
+// in slot B. It costs one of the label's 128 bits, as RandomDelta's does R.
+func (g *Garbler) AssignEvaluatorInput(w uint32) (Label, error) {
+	l, err := g.AssignInput(w)
+	l[0] &^= 1
+	if err == nil {
+		g.labels[w] = l
+	}
+	return l, err
+}
+
 // ZeroLabel returns the zero-semantics label of wire w.
 func (g *Garbler) ZeroLabel(w uint32) (Label, error) {
 	if uint32(len(g.labels)) <= w || !g.have[w] {
@@ -95,9 +108,9 @@ func (g *Garbler) ConstLabels() (lFalse, lTrue Label, err error) {
 }
 
 // Garble processes one gate against the internal AND counter, the
-// streaming face of the engine: for AND gates it appends the two
-// half-gate ciphertexts (TableSize bytes) to table and returns the
-// extended slice; XOR and INV gates are free and return table unchanged.
+// streaming face of the engine: for AND gates it appends the gate's
+// ciphertexts (its Op's TableBytes) to table and returns the extended
+// slice; XOR and INV gates are free and return table unchanged.
 // The cryptography itself lives in garbleAND/garbleFree (batch.go);
 // garbleANDWide is shared with the level kernel.
 func (g *Garbler) Garble(gate circuit.Gate, table []byte) ([]byte, error) {
@@ -110,10 +123,10 @@ func (g *Garbler) Garble(gate circuit.Gate, table []byte) ([]byte, error) {
 		g.FreeGates++
 		return table, nil
 
-	case circuit.AND:
+	case circuit.AND, circuit.HalfAND:
 		off := len(table)
-		table = append(table, make([]byte, TableSize)...)
-		if err := g.garbleAND(g.h, gate, g.gid, table[off:off+TableSize]); err != nil {
+		table = append(table, make([]byte, gate.Op.TableBytes())...)
+		if err := g.garbleAND(g.h, gate, g.gid, table[off:]); err != nil {
 			return table[:off], err
 		}
 		g.gid++

@@ -46,10 +46,13 @@ func runGCSeed(t *testing.T, c *circuit.Circuit, gBits, eBits []bool, corrupt fu
 		e.SetLabel(w, l)
 	}
 	// Evaluator inputs: in the real protocol these arrive via OT; here we
-	// model the OT result directly.
+	// model the OT result directly. Their zero-labels have permute bit 0,
+	// which the circuit's half ANDs rest on.
 	for i, w := range c.EvaluatorInputs {
-		if _, err := g.AssignInput(w); err != nil {
+		if z, err := g.AssignEvaluatorInput(w); err != nil {
 			t.Fatal(err)
+		} else if z.LSB() {
+			t.Fatalf("evaluator input wire %d got a zero-label with permute bit 1", w)
 		}
 		l, err := g.ActiveLabel(w, eBits[i])
 		if err != nil {
@@ -227,23 +230,48 @@ func TestTamperedTableNeverSilentlyWrong(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	detected := 0
+	if st := c.Stats(); st.AND != 2 || st.HalfAND != 1 {
+		t.Fatalf("circuit %+v, want a full AND feeding a half AND", st)
+	}
+	// The stream is the full AND's two ciphertexts, then the half AND's one.
+	for name, span := range map[string][2]int{
+		"every byte":           {0, TableSize + LabelSize},
+		"the half AND's table": {TableSize, TableSize + LabelSize},
+	} {
+		detected := 0
+		for seed := int64(0); seed < 20; seed++ {
+			got, err := runGCSeed(t, c, []bool{true, true}, []bool{true}, func(tables []byte) {
+				if len(tables) != TableSize+LabelSize {
+					t.Fatalf("table stream is %d bytes, want %d", len(tables), TableSize+LabelSize)
+				}
+				for i := span[0]; i < span[1]; i++ {
+					tables[i] ^= 0xa5
+				}
+			}, seed)
+			if err != nil {
+				detected++
+				continue
+			}
+			if got[0] != want[0] {
+				t.Fatalf("%s, seed %d: tampering produced a silently wrong answer", name, seed)
+			}
+		}
+		if detected == 0 {
+			t.Errorf("%s: tampering was never detected across 20 seeds (authentication broken?)", name)
+		}
+	}
+	// The evaluator's bit is 1, so colour = value makes it read the half
+	// AND's ciphertext on every seed; with bit 0 it never does, and the
+	// answer stands.
 	for seed := int64(0); seed < 20; seed++ {
-		got, err := runGCSeed(t, c, []bool{true, true}, []bool{true}, func(tables []byte) {
-			for i := range tables {
+		got, err := runGCSeed(t, c, []bool{true, true}, []bool{false}, func(tables []byte) {
+			for i := TableSize; i < len(tables); i++ {
 				tables[i] ^= 0xa5
 			}
 		}, seed)
-		if err != nil {
-			detected++
-			continue
+		if err != nil || got[0] {
+			t.Fatalf("seed %d: an unread half-AND table changed the answer: %v, %v", seed, got, err)
 		}
-		if got[0] != want[0] {
-			t.Fatalf("seed %d: tampering produced a silently wrong answer", seed)
-		}
-	}
-	if detected == 0 {
-		t.Error("tampering was never detected across 20 seeds (authentication broken?)")
 	}
 }
 

@@ -127,10 +127,15 @@ func FuzzHN(f *testing.F) {
 	})
 }
 
+// randomEvalInputs is how many of randomTestLevels' input wires, the
+// highest-numbered ones, are the evaluator's.
+const randomEvalInputs = 3
+
 // randomTestLevels builds a random layered netlist over nInputs input
-// wires (ids 2..2+nInputs-1): each level's gates read only constants,
-// inputs, or outputs of strictly earlier levels, which is exactly the
-// level-independence contract of the batch engines. Returns the levels
+// wires (ids 2..2+nInputs-1, the last randomEvalInputs the evaluator's):
+// each level's gates read only constants, inputs, or outputs of strictly
+// earlier levels, which is exactly the level-independence contract of the
+// batch engines, and its half ANDs trail its full ones. Returns the levels
 // and the wire-namespace size.
 func randomTestLevels(rng *rand.Rand, nInputs, nLevels, gatesPerLevel int) ([]vecTestLevel, uint32) {
 	avail := []uint32{circuit.WFalse, circuit.WTrue}
@@ -139,19 +144,23 @@ func randomTestLevels(rng *rand.Rand, nInputs, nLevels, gatesPerLevel int) ([]ve
 		avail = append(avail, next)
 		next++
 	}
+	evalIn := func() uint32 { return 2 + uint32(nInputs-1-rng.Intn(randomEvalInputs)) }
 	var levels []vecTestLevel
 	var gid uint64
 	for l := 0; l < nLevels; l++ {
 		lv := vecTestLevel{gidBase: gid}
 		var outs []uint32
+		var halves []circuit.Gate
 		for g := 0; g < gatesPerLevel; g++ {
 			a := avail[rng.Intn(len(avail))]
 			b := avail[rng.Intn(len(avail))]
 			out := next
 			next++
-			switch rng.Intn(4) {
+			switch rng.Intn(5) {
 			case 0, 1: // bias toward ANDs: they are the hashed population
 				lv.ands = append(lv.ands, circuit.Gate{Op: circuit.AND, A: a, B: b, Out: out})
+			case 4:
+				halves = append(halves, circuit.Gate{Op: circuit.HalfAND, A: a, B: evalIn(), Out: out})
 			case 2:
 				lv.frees = append(lv.frees, circuit.Gate{Op: circuit.XOR, A: a, B: b, Out: out})
 			default:
@@ -159,6 +168,7 @@ func randomTestLevels(rng *rand.Rand, nInputs, nLevels, gatesPerLevel int) ([]ve
 			}
 			outs = append(outs, out)
 		}
+		lv.ands = append(lv.ands, halves...)
 		gid += uint64(len(lv.ands))
 		avail = append(avail, outs...)
 		levels = append(levels, lv)
@@ -177,14 +187,14 @@ func garbleLevelsRun(t *testing.T, levels []vecTestLevel, numWires uint32, nInpu
 	}
 	bg.Grow(numWires)
 	for w := uint32(2); w < 2+uint32(nInputs); w++ {
-		if err := bg.AssignInput(w); err != nil {
+		if err := assignBatch(bg)(w, w >= 2+uint32(nInputs-randomEvalInputs)); err != nil {
 			t.Fatal(err)
 		}
 	}
 	pool := NewPool(workers)
 	var tables [][]byte
 	for li, lv := range levels {
-		tab := make([]byte, len(lv.ands)*b*TableSize)
+		tab := make([]byte, packedBytes(lv.ands, b))
 		if err := bg.GarbleLevel(lv.ands, lv.frees, lv.gidBase, tab, pool); err != nil {
 			t.Fatalf("garble level %d (b=%d workers=%d): %v", li, b, workers, err)
 		}
@@ -315,8 +325,13 @@ func TestWideVsScalarSinglePath(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, w := range append(append([]uint32{}, c.GarblerInputs...), c.EvaluatorInputs...) {
+		for _, w := range c.GarblerInputs {
 			if _, err := g.AssignInput(w); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for _, w := range c.EvaluatorInputs {
+			if _, err := g.AssignEvaluatorInput(w); err != nil {
 				t.Fatal(err)
 			}
 		}

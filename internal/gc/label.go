@@ -1,7 +1,8 @@
 // Package gc implements Yao's garbled-circuit protocol core with the full
 // optimization stack the paper relies on (§2.3): point-and-permute,
 // Free-XOR (and free INV), row-reduction + half-gates (two 128-bit
-// ciphertexts per AND gate), and fixed-key block-cipher garbling
+// ciphertexts per AND gate, one when an operand is the evaluator's own
+// input), and fixed-key block-cipher garbling
 // (JustGarble-style AES Davies–Meyer hashing, which uses AES-NI through
 // Go's crypto/aes on amd64).
 //
@@ -29,9 +30,10 @@ const SecurityBits = 128
 // LabelSize is the size of a wire label in bytes.
 const LabelSize = SecurityBits / 8
 
-// TableSize is the size of the garbled table per AND gate: two ciphertexts
-// under half-gates (§2.3 Row-Reduction + Half-Gates ⇒ 2 × 128 bits, the
-// constant in the paper's Eq. 4).
+// TableSize is the size of the garbled table of a full AND gate: two
+// ciphertexts under half-gates (§2.3 Row-Reduction + Half-Gates ⇒ 2 × 128
+// bits, the constant in the paper's Eq. 4). A circuit.HalfAND's is the
+// evaluator half's ciphertext alone, LabelSize bytes.
 const TableSize = 2 * LabelSize
 
 // Label is a 128-bit wire label.

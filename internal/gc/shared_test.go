@@ -18,9 +18,9 @@ func garbleLevelTables(t *testing.T, pool *Pool, nAND, nFree int) []byte {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ands, frees, maxWire := independentLevel(t, g.AssignInput, rand.New(rand.NewSource(62)), nAND, nFree)
+	ands, frees, maxWire := independentLevel(t, assignBatch(g), rand.New(rand.NewSource(62)), nAND, nFree)
 	g.Grow(maxWire)
-	tables := make([]byte, nAND*TableSize)
+	tables := make([]byte, packedBytes(ands, 1))
 	if err := g.GarbleLevel(ands, frees, 0, tables, pool); err != nil {
 		t.Fatal(err)
 	}
@@ -35,8 +35,7 @@ func perGateTables(t *testing.T, nAND, nFree int) []byte {
 	if err != nil {
 		t.Fatal(err)
 	}
-	assign := func(w uint32) error { _, err := g.AssignInput(w); return err }
-	ands, frees, _ := independentLevel(t, assign, rand.New(rand.NewSource(62)), nAND, nFree)
+	ands, frees, _ := independentLevel(t, assignSingle(g), rand.New(rand.NewSource(62)), nAND, nFree)
 	var tables []byte
 	for _, gate := range append(ands, frees...) {
 		if tables, err = g.Garble(gate, tables); err != nil {

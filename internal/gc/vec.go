@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"io"
+	"sort"
 
 	"deepsecure/internal/circuit"
 )
@@ -24,9 +25,10 @@ import (
 // (pinned by the tests here).
 //
 // The garbled tables of a level are likewise interleaved gate-major with
-// samples innermost: AND gate rank i, sample s writes its two
-// ciphertexts at (i*B+s)*TableSize. Both parties derive the layout from
-// the schedule and B alone.
+// samples innermost, one region per gate kind: full AND rank i, sample s
+// writes its two ciphertexts at (i*B+s)*TableSize, and behind the last of
+// those the j-th half AND writes its one at (j*B+s)*LabelSize. Both
+// parties derive the layout from the schedule and B alone.
 
 // BatchGarbler is the garbling state for one inference of B independent
 // samples. It shares the half-gates cryptography (garbleANDWide) with the
@@ -41,11 +43,9 @@ type BatchGarbler struct {
 	// zero-label's double with one XOR.
 	r2 []Label
 
-	b      int
-	rng    io.Reader
-	labels []Label // zero-labels, wire-major: sample s of wire w at [w*b+s]
-	have   []bool  // per wire (all B samples assign and drop together)
-	buf    []byte  // randomness staging for bulk label draws
+	labelStore // the zero-labels
+	rng        io.Reader
+	buf        []byte // randomness staging for bulk label draws
 
 	// Stats count gate-instances: each gate contributes B to the counter,
 	// matching the AES work done and the table bytes on the wire.
@@ -61,7 +61,7 @@ func NewBatchGarbler(rng io.Reader, b int) (*BatchGarbler, error) {
 	if b < 1 {
 		return nil, fmt.Errorf("gc: batch size %d < 1", b)
 	}
-	g := &BatchGarbler{b: b, rng: rng, R: make([]Label, b), r2: make([]Label, b)}
+	g := &BatchGarbler{labelStore: labelStore{b: b}, rng: rng, R: make([]Label, b), r2: make([]Label, b)}
 	for s := range g.R {
 		r, err := RandomDelta(rng)
 		if err != nil {
@@ -78,31 +78,65 @@ func NewBatchGarbler(rng io.Reader, b int) (*BatchGarbler, error) {
 	return g, nil
 }
 
-// B returns the batch size.
-func (g *BatchGarbler) B() int { return g.b }
+// labelStore is the label array both batch states keep: B contiguous
+// labels per wire slot, sample s of wire w at labels[w*b+s], and per wire
+// whether it carries a value (all B samples assign and drop together).
+type labelStore struct {
+	b      int
+	labels []Label
+	have   []bool
+}
 
-func (g *BatchGarbler) ensure(w uint32) {
-	for uint32(len(g.have)) <= w {
-		g.labels = append(g.labels, make([]Label, g.b)...)
-		g.have = append(g.have, false)
+// B returns the batch size.
+func (st *labelStore) B() int { return st.b }
+
+func (st *labelStore) ensure(w uint32) {
+	for uint32(len(st.have)) <= w {
+		st.labels = append(st.labels, make([]Label, st.b)...)
+		st.have = append(st.have, false)
 	}
 }
 
 // Grow pre-sizes label storage for wires [0, n) in one exact-size
-// allocation. GarbleLevel never grows storage itself (growth would race
-// between workers), so the engine must Grow to the schedule's namespace
-// once per inference; the exact size also spares a fresh garbler the ~2×
-// append-doubling garbage of the incremental ensure.
-func (g *BatchGarbler) Grow(n uint32) {
-	if uint32(len(g.have)) >= n {
+// allocation. The level kernels never grow storage themselves (growth
+// would race between workers), so the engine must Grow to the schedule's
+// namespace once per inference; the exact size also spares a fresh state
+// the ~2× append-doubling garbage of the incremental ensure.
+func (st *labelStore) Grow(n uint32) {
+	if uint32(len(st.have)) >= n {
 		return
 	}
-	labels := make([]Label, int(n)*g.b)
-	copy(labels, g.labels)
-	g.labels = labels
+	labels := make([]Label, int(n)*st.b)
+	copy(labels, st.labels)
+	st.labels = labels
 	have := make([]bool, n)
-	copy(have, g.have)
-	g.have = have
+	copy(have, st.have)
+	st.have = have
+}
+
+// Drop forgets all B labels of a dead wire (its id may be recycled).
+func (st *labelStore) Drop(w uint32) {
+	if uint32(len(st.have)) > w {
+		st.have[w] = false
+	}
+}
+
+// base returns the label-array offset of wire w, which must carry a
+// value.
+func (st *labelStore) base(w uint32) (int, error) {
+	if uint32(len(st.have)) <= w || !st.have[w] {
+		return 0, fmt.Errorf("gc: batch state has no label for wire %d", w)
+	}
+	return int(w) * st.b, nil
+}
+
+// outBase returns the label-array offset of output wire w, which must be
+// within grown storage.
+func (st *labelStore) outBase(w uint32) (int, error) {
+	if uint32(len(st.have)) <= w {
+		return 0, fmt.Errorf("gc: batch label storage not grown past wire %d", w)
+	}
+	return int(w) * st.b, nil
 }
 
 // AssignInput draws B fresh zero-labels for wire w, sample-innermost
@@ -127,12 +161,25 @@ func (g *BatchGarbler) AssignInput(w uint32) error {
 	return nil
 }
 
+// AssignEvaluatorInput is AssignInput with permute bit 0 on all B
+// zero-labels (see Garbler.AssignEvaluatorInput).
+func (g *BatchGarbler) AssignEvaluatorInput(w uint32) error {
+	if err := g.AssignInput(w); err != nil {
+		return err
+	}
+	for s := 0; s < g.b; s++ {
+		g.labels[int(w)*g.b+s][0] &^= 1
+	}
+	return nil
+}
+
 // ZeroLabel returns sample s's zero-semantics label of wire w.
 func (g *BatchGarbler) ZeroLabel(w uint32, s int) (Label, error) {
-	if uint32(len(g.have)) <= w || !g.have[w] {
-		return Label{}, fmt.Errorf("gc: batch garbler has no label for wire %d", w)
+	base, err := g.base(w)
+	if err != nil {
+		return Label{}, err
 	}
-	return g.labels[int(w)*g.b+s], nil
+	return g.labels[base+s], nil
 }
 
 // ActiveLabel returns sample s's label encoding the given plaintext bit
@@ -169,36 +216,43 @@ func (g *BatchGarbler) AppendConstLabels(dst []byte) ([]byte, error) {
 	return dst, nil
 }
 
-// Drop forgets all B labels of a dead wire (its id may be recycled).
-func (g *BatchGarbler) Drop(w uint32) {
-	if uint32(len(g.have)) > w {
-		g.have[w] = false
+// levelLayout finds where the half ANDs start in ands — a level's AND
+// gates or any contiguous run of them — and where their region does in
+// table, after checking that table holds the packed block for b samples.
+func levelLayout(ands []circuit.Gate, b int, table []byte) (nFull int, halves []byte, err error) {
+	nFull = sort.Search(len(ands), func(i int) bool { return ands[i].Op == circuit.HalfAND })
+	if need := (nFull*TableSize + (len(ands)-nFull)*LabelSize) * b; len(table) < need {
+		return 0, nil, fmt.Errorf("gc: level table block is %d bytes, want %d", len(table), need)
 	}
+	return nFull, table[nFull*b*TableSize:], nil
 }
 
 // GarbleLevel garbles one schedule level for all B samples: the i-th AND
-// gate has global AND index gidBase+i — the same tweak pair for every
-// sample, computed once — and sample s writes its ciphertexts at
-// table[(i*B+s)*TableSize:]; table must hold len(ands)*B*TableSize
-// bytes. Gates are striped over pool's workers with the batch size as
-// the work multiplier. The caller must guarantee level independence
-// (distinct output wires, no gate reading a wire another gate of the
-// level writes) — which circuit.NewSchedule establishes — and must have
-// Grown the garbler past every wire id in the level.
+// gate has global AND index gidBase+i — the same tweaks for every sample,
+// computed once — and sample s writes its ciphertexts at its rank's place
+// in its kind's region of table (see the file comment), packed from the
+// front; a longer table's tail is left alone. ands may be any contiguous
+// run of a level's AND gates. Gates are striped over pool's workers with
+// the batch size as the work multiplier. The caller must guarantee level
+// independence (distinct output wires, no gate reading a wire another gate
+// of the level writes) — which circuit.NewSchedule establishes — and must
+// have Grown the garbler past every wire id in the level.
 func (g *BatchGarbler) GarbleLevel(ands, frees []circuit.Gate, gidBase uint64, table []byte, pool *Pool) error {
 	b := g.b
-	if len(table) != len(ands)*b*TableSize {
-		return fmt.Errorf("gc: batch garble table is %d bytes, want %d", len(table), len(ands)*b*TableSize)
+	nFull, halves, err := levelLayout(ands, b, table)
+	if err != nil {
+		return err
 	}
-	err := pool.run(len(ands), len(frees), b, func(h *Hasher, andLo, andHi, freeLo, freeHi int) error {
+	err = pool.run(len(ands), len(frees), b, func(h *Hasher, andLo, andHi, freeLo, freeHi int) error {
 		// Lanes gather over flattened (gate, sample) instances: samples
 		// within a gate fill first, and units carry across gate boundaries
-		// so small-B batches still run full 8-lane waves. out points
-		// straight into the label array — safe because units capture their
-		// inputs by value and level independence keeps staged reads and
-		// writes disjoint.
+		// (of one kind: a wave is all full ANDs or all half ANDs) so
+		// small-B batches still run full 8-lane waves. out points straight
+		// into the label array — safe because units capture their inputs
+		// by value and level independence keeps staged reads and writes
+		// disjoint.
 		var us [garbleUnits]andUnit
-		nu := 0
+		nu, half := 0, false
 		for i := andLo; i < andHi; i++ {
 			gt := ands[i]
 			aBase, err := g.base(gt.A)
@@ -213,26 +267,36 @@ func (g *BatchGarbler) GarbleLevel(ands, frees []circuit.Gate, gidBase uint64, t
 			if err != nil {
 				return err
 			}
+			region, rank, size, wave := table, i, TableSize, garbleUnits/2
+			if i >= nFull {
+				if !half && nu > 0 {
+					garbleANDWide(h, &us, nu, false)
+					nu = 0
+				}
+				half, region, rank, size, wave = true, halves, i-nFull, LabelSize, garbleUnits
+			}
 			gid := gidBase + uint64(i)
 			j0, j1 := 2*gid, 2*gid+1
-			dst := table[i*b*TableSize : (i+1)*b*TableSize]
+			dst := region[rank*b*size : (rank+1)*b*size]
 			for s := 0; s < b; s++ {
 				us[nu] = andUnit{
 					a0: g.labels[aBase+s], b0: g.labels[bBase+s],
 					r: g.R[s], r2: g.r2[s],
 					j0: j0, j1: j1,
-					dst: dst[s*TableSize : (s+1)*TableSize],
+					dst: dst[s*size : (s+1)*size],
 					out: &g.labels[oBase+s],
 				}
 				nu++
-				if nu == garbleUnits {
-					garbleANDWide(h, &us, nu)
+				if nu == wave {
+					garbleANDWide(h, &us, nu, half)
 					nu = 0
 				}
 			}
 			g.have[gt.Out] = true
 		}
-		garbleANDWide(h, &us, nu)
+		if nu > 0 {
+			garbleANDWide(h, &us, nu, half)
+		}
 		for i := freeLo; i < freeHi; i++ {
 			if err := g.garbleFreeVec(frees[i]); err != nil {
 				return err
@@ -246,24 +310,6 @@ func (g *BatchGarbler) GarbleLevel(ands, frees []circuit.Gate, gidBase uint64, t
 	g.ANDGates += int64(len(ands) * b)
 	g.FreeGates += int64(len(frees) * b)
 	return nil
-}
-
-// base returns the label-array offset of wire w, which must carry a
-// value.
-func (g *BatchGarbler) base(w uint32) (int, error) {
-	if uint32(len(g.have)) <= w || !g.have[w] {
-		return 0, fmt.Errorf("gc: batch garbler has no label for wire %d", w)
-	}
-	return int(w) * g.b, nil
-}
-
-// outBase returns the label-array offset of output wire w, which must be
-// within grown storage.
-func (g *BatchGarbler) outBase(w uint32) (int, error) {
-	if uint32(len(g.have)) <= w {
-		return 0, fmt.Errorf("gc: batch garbler label storage not grown past wire %d", w)
-	}
-	return int(w) * g.b, nil
 }
 
 // garbleFreeVec handles the tableless gates (XOR, INV) for all samples.
@@ -313,9 +359,7 @@ func xorLabels(dst, a, b []Label) {
 // BatchEvaluator is the evaluation state for one batched inference: the
 // B active labels per live wire, stored wire-major like BatchGarbler's.
 type BatchEvaluator struct {
-	b      int
-	labels []Label
-	have   []bool
+	labelStore
 }
 
 // NewBatchEvaluator creates an evaluator for a batch of b samples.
@@ -323,31 +367,7 @@ func NewBatchEvaluator(b int) (*BatchEvaluator, error) {
 	if b < 1 {
 		return nil, fmt.Errorf("gc: batch size %d < 1", b)
 	}
-	return &BatchEvaluator{b: b}, nil
-}
-
-// B returns the batch size.
-func (e *BatchEvaluator) B() int { return e.b }
-
-func (e *BatchEvaluator) ensure(w uint32) {
-	for uint32(len(e.have)) <= w {
-		e.labels = append(e.labels, make([]Label, e.b)...)
-		e.have = append(e.have, false)
-	}
-}
-
-// Grow pre-sizes label storage for wires [0, n) in one exact-size
-// allocation.
-func (e *BatchEvaluator) Grow(n uint32) {
-	if uint32(len(e.have)) >= n {
-		return
-	}
-	labels := make([]Label, int(n)*e.b)
-	copy(labels, e.labels)
-	e.labels = labels
-	have := make([]bool, n)
-	copy(have, e.have)
-	e.have = have
+	return &BatchEvaluator{labelStore{b: b}}, nil
 }
 
 // SetLabel installs sample s's active label for wire w (inputs,
@@ -361,47 +381,28 @@ func (e *BatchEvaluator) SetLabel(w uint32, s int, l Label) {
 
 // Label returns sample s's active label of wire w.
 func (e *BatchEvaluator) Label(w uint32, s int) (Label, error) {
-	if uint32(len(e.have)) <= w || !e.have[w] {
-		return Label{}, fmt.Errorf("gc: batch evaluator has no label for wire %d", w)
+	base, err := e.base(w)
+	if err != nil {
+		return Label{}, err
 	}
-	return e.labels[int(w)*e.b+s], nil
-}
-
-// Drop forgets a dead wire's labels.
-func (e *BatchEvaluator) Drop(w uint32) {
-	if uint32(len(e.have)) > w {
-		e.have[w] = false
-	}
-}
-
-func (e *BatchEvaluator) base(w uint32) (int, error) {
-	if uint32(len(e.have)) <= w || !e.have[w] {
-		return 0, fmt.Errorf("gc: batch evaluator has no label for wire %d", w)
-	}
-	return int(w) * e.b, nil
-}
-
-func (e *BatchEvaluator) outBase(w uint32) (int, error) {
-	if uint32(len(e.have)) <= w {
-		return 0, fmt.Errorf("gc: batch evaluator label storage not grown past wire %d", w)
-	}
-	return int(w) * e.b, nil
+	return e.labels[base+s], nil
 }
 
 // EvaluateLevel evaluates one schedule level for all B samples, the
-// mirror of GarbleLevel: AND gate rank i, sample s consumes the
-// TableSize bytes at table[(i*B+s)*TableSize:] under the tweak pair of
+// mirror of GarbleLevel: every gate-instance consumes its ciphertexts from
+// its rank's place in its kind's region of table under the tweaks of
 // gidBase+i.
 func (e *BatchEvaluator) EvaluateLevel(ands, frees []circuit.Gate, gidBase uint64, table []byte, pool *Pool) error {
 	b := e.b
-	if len(table) != len(ands)*b*TableSize {
-		return fmt.Errorf("gc: batch evaluate table is %d bytes, want %d", len(table), len(ands)*b*TableSize)
+	nFull, halves, err := levelLayout(ands, b, table)
+	if err != nil {
+		return err
 	}
 	return pool.run(len(ands), len(frees), b, func(h *Hasher, andLo, andHi, freeLo, freeHi int) error {
 		// Flattened (gate, sample) lane gathering, the mirror of
 		// GarbleLevel's.
 		var us [evalUnits]evalUnit
-		nu := 0
+		nu, half := 0, false
 		for i := andLo; i < andHi; i++ {
 			gt := ands[i]
 			aBase, err := e.base(gt.A)
@@ -416,25 +417,35 @@ func (e *BatchEvaluator) EvaluateLevel(ands, frees []circuit.Gate, gidBase uint6
 			if err != nil {
 				return err
 			}
+			region, rank, size, wave := table, i, TableSize, evalUnits/2
+			if i >= nFull {
+				if !half && nu > 0 {
+					evalANDWide(h, &us, nu, false)
+					nu = 0
+				}
+				half, region, rank, size, wave = true, halves, i-nFull, LabelSize, evalUnits
+			}
 			gid := gidBase + uint64(i)
 			j0, j1 := 2*gid, 2*gid+1
-			tab := table[i*b*TableSize : (i+1)*b*TableSize]
+			tab := region[rank*b*size : (rank+1)*b*size]
 			for s := 0; s < b; s++ {
 				us[nu] = evalUnit{
 					a: e.labels[aBase+s], b: e.labels[bBase+s],
 					j0: j0, j1: j1,
-					tab: tab[s*TableSize : (s+1)*TableSize],
+					tab: tab[s*size : (s+1)*size],
 					out: &e.labels[oBase+s],
 				}
 				nu++
-				if nu == evalUnits {
-					evalANDWide(h, &us, nu)
+				if nu == wave {
+					evalANDWide(h, &us, nu, half)
 					nu = 0
 				}
 			}
 			e.have[gt.Out] = true
 		}
-		evalANDWide(h, &us, nu)
+		if nu > 0 {
+			evalANDWide(h, &us, nu, half)
+		}
 		for i := freeLo; i < freeHi; i++ {
 			if err := e.evalFreeVec(frees[i]); err != nil {
 				return err

@@ -73,25 +73,45 @@ func BenchmarkXORLabels(b *testing.B) {
 	})
 }
 
-// vecTestLevels is a tiny two-level circuit over input wires 2..5:
-// level 0: AND(2,3)→6, XOR(4,5)→7; level 1: AND(6,7)→8, INV(6)→9.
+// vecTestLevels is a tiny two-level circuit over input wires 2..5, wire 5
+// the evaluator's (vecAssign): level 0: AND(2,3)→6, HalfAND(4,5)→10,
+// XOR(4,5)→7; level 1: AND(6,7)→8, HalfAND(6,5)→11, INV(6)→9.
 type vecTestLevel struct {
 	ands, frees []circuit.Gate
 	gidBase     uint64
 }
 
+const vecTestWires = 12
+
 func vecTestLevels() []vecTestLevel {
 	return []vecTestLevel{
 		{
-			ands:    []circuit.Gate{{Op: circuit.AND, A: 2, B: 3, Out: 6}},
+			ands: []circuit.Gate{
+				{Op: circuit.AND, A: 2, B: 3, Out: 6},
+				{Op: circuit.HalfAND, A: 4, B: 5, Out: 10},
+			},
 			frees:   []circuit.Gate{{Op: circuit.XOR, A: 4, B: 5, Out: 7}},
 			gidBase: 0,
 		},
 		{
-			ands:    []circuit.Gate{{Op: circuit.AND, A: 6, B: 7, Out: 8}},
+			ands: []circuit.Gate{
+				{Op: circuit.AND, A: 6, B: 7, Out: 8},
+				{Op: circuit.HalfAND, A: 6, B: 5, Out: 11},
+			},
 			frees:   []circuit.Gate{{Op: circuit.INV, A: 6, Out: 9}},
-			gidBase: 1,
+			gidBase: 2,
 		},
+	}
+}
+
+// vecAssign assigns vecTestLevels' input wires through assign
+// (assignSingle / assignBatch).
+func vecAssign(t *testing.T, assign func(w uint32, evaluator bool) error) {
+	t.Helper()
+	for w := uint32(2); w <= 5; w++ {
+		if err := assign(w, w == 5); err != nil {
+			t.Fatal(err)
+		}
 	}
 }
 
@@ -111,15 +131,10 @@ func TestBatchGarblerB1MatchesSingle(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	bg.Grow(10)
-	for w := uint32(2); w <= 5; w++ {
-		if _, err := g.AssignInput(w); err != nil {
-			t.Fatal(err)
-		}
-		if err := bg.AssignInput(w); err != nil {
-			t.Fatal(err)
-		}
-	}
+	bg.Grow(vecTestWires)
+	// Interleaved, so both draw wire by wire from identical rng streams.
+	vecAssign(t, assignSingle(g))
+	vecAssign(t, assignBatch(bg))
 
 	pool := NewPool(1)
 	for li, lv := range levels {
@@ -131,7 +146,10 @@ func TestBatchGarblerB1MatchesSingle(t *testing.T) {
 				t.Fatalf("level %d single: %v", li, err)
 			}
 		}
-		batched := make([]byte, len(lv.ands)*TableSize)
+		batched := make([]byte, packedBytes(lv.ands, 1))
+		if len(batched) != TableSize+LabelSize {
+			t.Fatalf("level %d packs to %d bytes, want a full and a half table", li, len(batched))
+		}
 		if err := bg.GarbleLevel(lv.ands, lv.frees, lv.gidBase, batched, pool); err != nil {
 			t.Fatalf("level %d batched: %v", li, err)
 		}
@@ -139,7 +157,7 @@ func TestBatchGarblerB1MatchesSingle(t *testing.T) {
 			t.Fatalf("level %d: B=1 tables differ from the per-gate reference", li)
 		}
 	}
-	for w := uint32(0); w <= 9; w++ {
+	for w := uint32(0); w < vecTestWires; w++ {
 		sl, err := g.ZeroLabel(w)
 		if err != nil {
 			t.Fatalf("wire %d single: %v", w, err)
@@ -193,16 +211,12 @@ func TestBatchGarbleEvaluateCorrectness(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		bg.Grow(10)
-		for w := uint32(2); w <= 5; w++ {
-			if err := bg.AssignInput(w); err != nil {
-				t.Fatal(err)
-			}
-		}
+		bg.Grow(vecTestWires)
+		vecAssign(t, assignBatch(bg))
 		pool := NewPool(workers)
 		var tables [][]byte
 		for li, lv := range levels {
-			tab := make([]byte, len(lv.ands)*b*TableSize)
+			tab := make([]byte, packedBytes(lv.ands, b))
 			if err := bg.GarbleLevel(lv.ands, lv.frees, lv.gidBase, tab, pool); err != nil {
 				t.Fatalf("workers=%d level %d: %v", workers, li, err)
 			}
@@ -218,16 +232,16 @@ func TestBatchGarbleEvaluateCorrectness(t *testing.T) {
 			t.Fatalf("level %d: tables differ between 1 and 4 workers", li)
 		}
 	}
-	if bg.ANDGates != 2*b || bg.FreeGates != 2*b {
+	if bg.ANDGates != 4*b || bg.FreeGates != 2*b {
 		t.Fatalf("gate-instance counters = %d AND / %d free, want %d / %d",
-			bg.ANDGates, bg.FreeGates, 2*b, 2*b)
+			bg.ANDGates, bg.FreeGates, 4*b, 2*b)
 	}
 
 	ev, err := NewBatchEvaluator(b)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ev.Grow(10)
+	ev.Grow(vecTestWires)
 	for s := 0; s < b; s++ {
 		lf, err := bg.ActiveLabel(circuit.WFalse, s, false)
 		if err != nil {
@@ -258,10 +272,12 @@ func TestBatchGarbleEvaluateCorrectness(t *testing.T) {
 		and1 := bits[2][s] && bits[3][s]
 		xor1 := bits[4][s] != bits[5][s]
 		want := map[uint32]bool{
-			6: and1,
-			7: xor1,
-			8: and1 && xor1,
-			9: !and1, // INV carries the label; semantics flip at decode
+			6:  and1,
+			7:  xor1,
+			8:  and1 && xor1,
+			9:  !and1, // INV carries the label; semantics flip at decode
+			10: bits[4][s] && bits[5][s],
+			11: and1 && bits[5][s],
 		}
 		for w, wb := range want {
 			got, err := ev.Label(w, s)
@@ -288,5 +304,144 @@ func TestBatchGarbleEvaluateCorrectness(t *testing.T) {
 				t.Fatalf("sample %d wire %d: decoded %v, want %v", s, w, bit, wb)
 			}
 		}
+	}
+}
+
+// TestGarbleLevelSubSlice pins what a caller that splits a level relies on
+// (the benchmark's layer pass garbles wide levels in runs of 2^16 gates,
+// each into a block sized for full tables): GarbleLevel and EvaluateLevel
+// on any contiguous run of a level's AND gates, with gidBase moved along
+// and a table longer than the run packs to, find the full/half boundary
+// from the gates themselves, write and read the packed front of the table
+// and leave the rest alone, and produce the bytes and labels the
+// whole-level call does.
+func TestGarbleLevelSubSlice(t *testing.T) {
+	const b, nAND, gidBase = 2, 30, 100 // 20 full ANDs, then 10 half ANDs
+	build := func() (*BatchGarbler, []circuit.Gate, []circuit.Gate) {
+		g, err := NewBatchGarbler(rand.New(rand.NewSource(71)), b)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ands, frees, maxWire := independentLevel(t, assignBatch(g), rand.New(rand.NewSource(72)), nAND, 8)
+		g.Grow(maxWire)
+		return g, ands, frees
+	}
+	pool := NewPool(1)
+	whole, ands, frees := build()
+	ref := make([]byte, packedBytes(ands, b))
+	if err := whole.GarbleLevel(ands, frees, gidBase, ref, pool); err != nil {
+		t.Fatal(err)
+	}
+	nFull := nAND - nAND/3
+	fullRegion, halfRegion := ref[:nFull*b*TableSize], ref[nFull*b*TableSize:]
+
+	for _, cut := range []int{0, 7, nFull, nFull + 3, nAND} {
+		split, _, _ := build()
+		var blocks [2][]byte
+		for i, part := range [2][]circuit.Gate{ands[:cut], ands[cut:]} {
+			lo, fr := 0, frees
+			if i == 1 {
+				lo, fr = cut, nil // the free gates went with the first call
+			}
+			// Sized as if every gate were a full AND, and pre-filled so a
+			// write past the packed block shows.
+			blocks[i] = bytes.Repeat([]byte{0xee}, len(part)*b*TableSize)
+			if err := split.GarbleLevel(part, fr, gidBase+uint64(lo), blocks[i], pool); err != nil {
+				t.Fatalf("cut %d part %d: %v", cut, i, err)
+			}
+			packed := packedBytes(part, b)
+			for _, x := range blocks[i][packed:] {
+				if x != 0xee {
+					t.Fatalf("cut %d part %d: wrote past the packed %d bytes", cut, i, packed)
+				}
+			}
+			full := min(max(nFull-lo, 0), len(part)) * b * TableSize
+			wantFull := fullRegion[min(lo, nFull)*b*TableSize:][:full]
+			wantHalf := halfRegion[max(lo-nFull, 0)*b*LabelSize:][:packed-full]
+			if !bytes.Equal(blocks[i][:full], wantFull) || !bytes.Equal(blocks[i][full:packed], wantHalf) {
+				t.Fatalf("cut %d part %d: tables differ from the whole-level call's", cut, i)
+			}
+		}
+		if !labelsEqual(split.labels, whole.labels) {
+			t.Fatalf("cut %d: zero-labels differ from the whole-level call's", cut)
+		}
+
+		// The evaluator's mirror, on all-zero inputs, over the same blocks.
+		evaluate := func(run func(e *BatchEvaluator) error) []Label {
+			e, err := NewBatchEvaluator(b)
+			if err != nil {
+				t.Fatal(err)
+			}
+			e.Grow(uint32(len(whole.have)))
+			for w := uint32(2); w < 18; w++ {
+				for s := 0; s < b; s++ {
+					z, _ := whole.ZeroLabel(w, s)
+					e.SetLabel(w, s, z)
+				}
+			}
+			if err := run(e); err != nil {
+				t.Fatalf("cut %d: %v", cut, err)
+			}
+			return e.labels
+		}
+		want := evaluate(func(e *BatchEvaluator) error { return e.EvaluateLevel(ands, frees, gidBase, ref, pool) })
+		got := evaluate(func(e *BatchEvaluator) error {
+			if err := e.EvaluateLevel(ands[:cut], frees, gidBase, blocks[0], pool); err != nil {
+				return err
+			}
+			return e.EvaluateLevel(ands[cut:], nil, gidBase+uint64(cut), blocks[1], pool)
+		})
+		if !labelsEqual(got, want) {
+			t.Fatalf("cut %d: evaluated labels differ from the whole-level call's", cut)
+		}
+	}
+}
+
+// TestHalfANDAnyPermuteBit: the half kernel reads B's permute bit off the
+// label it is given rather than assuming the 0 the protocol arranges, so
+// on a wire assigned party-blind (as the benchmark's layer pass assigns
+// every input) it garbles a ∧ (b ⊕ p) on authentic labels — and with p = 0,
+// the protocol's case, a ∧ b.
+func TestHalfANDAnyPermuteBit(t *testing.T) {
+	gate := []circuit.Gate{{Op: circuit.HalfAND, A: 2, B: 3, Out: 4}}
+	pool := NewPool(1)
+	seen := map[bool]bool{}
+	for seed := int64(0); seed < 16; seed++ {
+		g, err := NewBatchGarbler(rand.New(rand.NewSource(seed)), 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		g.Grow(5)
+		for w := uint32(2); w <= 3; w++ {
+			if err := g.AssignInput(w); err != nil {
+				t.Fatal(err)
+			}
+		}
+		table := make([]byte, LabelSize)
+		if err := g.GarbleLevel(gate, nil, 9, table, pool); err != nil {
+			t.Fatal(err)
+		}
+		zb, _ := g.ZeroLabel(3, 0)
+		p := zb.LSB()
+		seen[p] = true
+		for mask := 0; mask < 4; mask++ {
+			a, bb := mask&1 == 1, mask&2 == 2
+			e, _ := NewBatchEvaluator(1)
+			e.Grow(5)
+			la, _ := g.ActiveLabel(2, 0, a)
+			lb, _ := g.ActiveLabel(3, 0, bb)
+			e.SetLabel(2, 0, la)
+			e.SetLabel(3, 0, lb)
+			if err := e.EvaluateLevel(gate, nil, 9, table, pool); err != nil {
+				t.Fatal(err)
+			}
+			got, _ := e.Label(4, 0)
+			if want, _ := g.ActiveLabel(4, 0, a && (bb != p)); got != want {
+				t.Fatalf("seed %d a=%v b=%v p=%v: output is not the label of a ∧ (b ⊕ p)", seed, a, bb, p)
+			}
+		}
+	}
+	if !seen[false] || !seen[true] {
+		t.Fatal("16 seeds drew one permute bit only")
 	}
 }

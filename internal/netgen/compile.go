@@ -1,6 +1,9 @@
 package netgen
 
 import (
+	"crypto/sha256"
+	"fmt"
+
 	"deepsecure/internal/circuit"
 	"deepsecure/internal/fixed"
 	"deepsecure/internal/nn"
@@ -25,6 +28,10 @@ type Program struct {
 	Schedule *circuit.Schedule
 	Layout   *Layout
 	Stats    circuit.Stats
+	// Digest names the program: sha256 over the tape's digest, the format
+	// and the options. Parties whose digests agree replay the same netlist
+	// at the same word width; the session handshake compares them.
+	Digest [sha256.Size]byte
 }
 
 // Compile generates the network's netlist once, recording it as a
@@ -45,5 +52,7 @@ func Compile(net *nn.Network, f fixed.Format, opt Options) (*Program, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Program{Tape: tape, Schedule: sched, Layout: lay, Stats: b.Stats()}, nil
+	td := tape.Digest()
+	digest := sha256.Sum256(fmt.Appendf(td[:], "|Q%d.%d|%+v", f.IntBits, f.FracBits, opt))
+	return &Program{Tape: tape, Schedule: sched, Layout: lay, Stats: b.Stats(), Digest: digest}, nil
 }

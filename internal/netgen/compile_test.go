@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"deepsecure/internal/act"
+	"deepsecure/internal/benchmarks"
 	"deepsecure/internal/circuit"
 	"deepsecure/internal/fixed"
 	"deepsecure/internal/nn"
@@ -75,7 +76,7 @@ func (s *plainSink) OnGate(g circuit.Gate) error {
 	switch g.Op {
 	case circuit.XOR:
 		s.vals[g.Out] = s.vals[g.A] != s.vals[g.B]
-	case circuit.AND:
+	case circuit.AND, circuit.HalfAND:
 		s.vals[g.Out] = s.vals[g.A] && s.vals[g.B]
 	case circuit.INV:
 		s.vals[g.Out] = !s.vals[g.A]
@@ -149,22 +150,29 @@ func TestCompiledTapeEvaluates(t *testing.T) {
 // mlp_wan / mlp_batch16 one — 412 levels is what the ripple-row multiplier
 // before the column-compressed array compiled to — and its tanh_lan one,
 // whose depth is the CORDIC cell's: 20 rotations and a 14-step divider
-// (5529 levels while the divider ran all 40 steps of the datapath width).
+// (5529 levels while the divider ran all 40 steps of the datapath width) —
+// and mlp_churn's. The half-AND counts are pinned with them: one per
+// partial product (205 a MAC, 192 after a ReLU) plus one per row, where the
+// first adder's lowest bit meets the raw bias bit; the CORDIC cells, which
+// see no weight, add none.
 func TestCompiledDepthPinned(t *testing.T) {
 	for _, c := range []struct {
-		kind      act.Kind
-		maxLevels int
-		ands      int64
+		in, hidden, out int
+		kind            act.Kind
+		maxLevels       int
+		ands, halves    int64
 	}{
 		// 128 MACs, 32 post-ReLU MACs, 8 ReLUs, one 4-way argmax.
-		{act.ReLU, 412, 128*403 + 32*379 + 8*15 + 99},
+		{16, 8, 4, act.ReLU, 412, 128*403 + 32*379 + 8*15 + 99, 128*205 + 32*192 + 12},
 		// A Tanh output keeps its sign: 160 full MACs, 8 CORDIC cells.
-		{act.TanhCORDIC, 3300, 160*403 + 8*2178 + 99},
+		{16, 8, 4, act.TanhCORDIC, 3300, 160*403 + 8*2178 + 99, 160*205 + 12},
+		// 32 MACs, 8 post-ReLU MACs, 4 ReLUs, one 2-way argmax.
+		{8, 4, 2, act.ReLU, 412, 16020, 32*205 + 8*192 + 6},
 	} {
-		net, err := nn.NewNetwork(nn.Vec(16),
-			nn.NewDense(8),
+		net, err := nn.NewNetwork(nn.Vec(c.in),
+			nn.NewDense(c.hidden),
 			nn.NewActivation(c.kind),
-			nn.NewDense(4),
+			nn.NewDense(c.out),
 		)
 		if err != nil {
 			t.Fatal(err)
@@ -182,5 +190,52 @@ func TestCompiledDepthPinned(t *testing.T) {
 		if got := prog.Stats.AND; got != c.ands {
 			t.Errorf("%v: program has %d non-XOR gates, want %d", c.kind, got, c.ands)
 		}
+		if got := prog.Stats.HalfAND; got != c.halves || prog.Schedule.Halves != got {
+			t.Errorf("%v: program has %d half ANDs (its schedule %d), want %d", c.kind, got, prog.Schedule.Halves, c.halves)
+		}
+		if got, want := prog.Schedule.TableBytes(), 16*prog.Stats.Ciphertexts(); got != want {
+			t.Errorf("%v: schedule streams %d table bytes, want 16 per ciphertext = %d", c.kind, got, want)
+		}
+	}
+}
+
+// TestHalfANDCountsPinned pins the workloads' half-AND counts as the
+// benchmark's issue states them, and compacted B3's through FastCount.
+func TestHalfANDCountsPinned(t *testing.T) {
+	for _, c := range []struct {
+		name         string
+		count        func() (circuit.Stats, error)
+		ands, halves int64
+	}{
+		{"mlp(16,8,4,ReLU)", countMLP(16, 8, 4, act.ReLU), 63931, 32396},
+		{"mlp(16,8,4,TanhCORDIC)", countMLP(16, 8, 4, act.TanhCORDIC), 82003, 32812},
+		{"mlp(8,4,2,ReLU)", countMLP(8, 4, 2, act.ReLU), 16020, 8102},
+		{"compacted B3", func() (circuit.Stats, error) {
+			net, err := benchmarks.Compacted(benchmarks.All[2])
+			if err != nil {
+				return circuit.Stats{}, err
+			}
+			s, _, err := FastCount(net, benchmarks.Format, Options{})
+			return s, err
+		}, 2478225, 1204861},
+	} {
+		s, err := c.count()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if s.AND != c.ands || s.HalfAND != c.halves {
+			t.Errorf("%s: %d non-XOR gates of which %d half, want %d and %d", c.name, s.AND, s.HalfAND, c.ands, c.halves)
+		}
+	}
+}
+
+func countMLP(in, hidden, out int, kind act.Kind) func() (circuit.Stats, error) {
+	return func() (circuit.Stats, error) {
+		net, err := nn.NewNetwork(nn.Vec(in), nn.NewDense(hidden), nn.NewActivation(kind), nn.NewDense(out))
+		if err != nil {
+			return circuit.Stats{}, err
+		}
+		s, _, err := Count(net, fixed.Default, Options{})
+		return s, err
 	}
 }

@@ -20,6 +20,10 @@ import (
 type digestSink struct {
 	h   hash.Hash
 	buf []byte
+	// blind hashes the function and not its cost: a half AND as an AND,
+	// either's operands in wire order (the builder moves the evaluator's
+	// wire to slot B).
+	blind bool
 }
 
 func newDigestSink() *digestSink { return &digestSink{h: sha256.New()} }
@@ -42,6 +46,9 @@ func (d *digestSink) OnInputs(p circuit.Party, ws []uint32) error {
 }
 
 func (d *digestSink) OnGate(g circuit.Gate) error {
+	if d.blind && (g.Op == circuit.AND || g.Op == circuit.HalfAND) {
+		g.Op, g.A, g.B = circuit.AND, min(g.A, g.B), max(g.A, g.B)
+	}
 	d.event('G', uint32(g.Op), g.A, g.B, g.Out)
 	return nil
 }
@@ -61,6 +68,29 @@ func (d *digestSink) sum() string {
 	d.h.Write(d.buf)
 	d.buf = d.buf[:0]
 	return hex.EncodeToString(d.h.Sum(nil))
+}
+
+// tee feeds one event stream to two digests.
+type tee [2]*digestSink
+
+func (t tee) OnInputs(p circuit.Party, ws []uint32) error {
+	t[0].OnInputs(p, ws)
+	return t[1].OnInputs(p, ws)
+}
+
+func (t tee) OnGate(g circuit.Gate) error {
+	t[0].OnGate(g)
+	return t[1].OnGate(g)
+}
+
+func (t tee) OnOutputs(ws []uint32) error {
+	t[0].OnOutputs(ws)
+	return t[1].OnOutputs(ws)
+}
+
+func (t tee) OnDrop(w uint32) error {
+	t[0].OnDrop(w)
+	return t[1].OnDrop(w)
 }
 
 // pooledNet covers what the benchmark models do not: a padded, strided
@@ -86,13 +116,18 @@ func pooledNet() (*nn.Network, error) {
 	return net, nil
 }
 
-// TestTapeDigestPinned pins the recorded netlist of five programs event
-// for event. The values were recorded before the layer lowering moved
-// into nn (PR 21): a generator refactor that claims "no netlist byte
-// moves" must leave them alone, and one that means to move the netlist
-// re-records them next to the hello bump. The event stream a Tape replays
-// is the one its builder emitted, so the paper-scale models hash the
-// builder's stream directly instead of holding a gigabyte of tape.
+// TestTapeDigestPinned pins the recorded netlist of six programs event
+// for event, twice. want is the stream as emitted, recorded at PR 22, which
+// introduced the half AND: a generator refactor that claims "no netlist
+// byte moves" must leave it alone, and one that means to move the netlist
+// re-records it (the handshake's program digest moves with it; the hello
+// string need not). blind is the same stream with every half AND read as
+// an AND on the same two wires: it is what the parent of PR 22 generates
+// too (checked there against a clone of that commit), so it says PR 22
+// changed what gates cost and not what they compute — a later change of
+// which ANDs are half must leave blind alone. The event stream a Tape
+// replays is the one its builder emitted, so the paper-scale models hash
+// the builder's stream directly instead of holding a gigabyte of tape.
 func TestTapeDigestPinned(t *testing.T) {
 	b1 := benchmarks.All[0]
 	cases := []struct {
@@ -101,19 +136,27 @@ func TestTapeDigestPinned(t *testing.T) {
 		opt   netgen.Options
 		heavy bool // tens of millions of gates: skipped under -short
 		want  string
+		blind string
 	}{
 		{name: "small", build: func() (*nn.Network, error) { return benchmarks.ByName("small") },
-			want: "b6226785ff67157bef3438cbac54598adb45036cec8e886c03e89b977e0ac2d2"},
+			want:  "23544c908c845dc92f9d08d287acd8628162c855793b841f72056a58c7265f9b",
+			blind: "25f6cf336373ecc08ff872320231b52ead1d0c793bb06f53e2b03386ef36c22a"},
 		{name: "small-outsourced", build: func() (*nn.Network, error) { return benchmarks.ByName("small") },
-			opt: netgen.Options{Outsourced: true}, want: "404069144f9ca37afd107135faae5df2f982b4107de100b6a0d57e7f24efa0ce"},
+			opt:   netgen.Options{Outsourced: true},
+			want:  "47d0ae81395ff66065c20bb4d156fce2ada4b03e22e1a17ad5118277249aac72",
+			blind: "4f7f746ecb35b9880eb142c8190718454b96d8c52613de316f585947d7591cdb"},
 		{name: "pools-and-pruned-rows", build: pooledNet,
-			want: "20814314864fac3b866979168d1e6b5fd7098317f55c868ca8f2362263f2eaaf"},
+			want:  "a89067f594cdc49ccb463aaa1bb57b6936a1f865e4701bcbfd215f9c4a407d20",
+			blind: "acc57cd616a1936798dd98d23c181e5978dc8594166ec24de4019c388683d5eb"},
 		{name: "b1", build: benchmarks.B1, heavy: true,
-			want: "ce19ba1a2dd0dafca8b95c59e5c039f67fac65285e6329cd026d9c084aaa0a8e"},
+			want:  "9a2b83803635bd9ce2eac0194ca4d6a06379cdb9f7665929ac1d0de8807b46fe",
+			blind: "cc34380ec4d5f29e50263a1a94ec672002d9059d4bd56022b742b89b6cf874f7"},
 		{name: "b1-compacted", build: func() (*nn.Network, error) { return benchmarks.Compacted(b1) }, heavy: true,
-			want: "5e1b9b1d1723dfecac2fb4eabefb1ed9134f4b86fb3dd26e38c84110e52f55cc"},
+			want:  "cc99d551d8494f493c653b74bd224ff45f163f617df5527821799e2f1e47b797",
+			blind: "2ffeb2756cb4083d473ee79a9ff91f5bb7073e2a53d5cb2ec3a25a5d787e2d6c"},
 		{name: "b3", build: benchmarks.B3, heavy: true,
-			want: "87785d8a0168a7e7841fd504aa0d44ca2c7bbe8c5ee77464e36c6461fe3acfbd"},
+			want:  "45f525ace754f1b7735b5dcc9d27af5d3a42c373eea7c94b61cc6b61f3f8eb8a",
+			blind: "04596bb98b83c984404cc84a2bed3be96fcb64b4bbf7ad8ef1af7e62556a069e"},
 	}
 	for _, tc := range cases {
 		tc := tc
@@ -125,13 +168,17 @@ func TestTapeDigestPinned(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			live := newDigestSink()
-			if _, err := netgen.Generate(circuit.NewBuilder(live, circuit.WithRecycling()), net, benchmarks.Format, tc.opt); err != nil {
+			live, blind := newDigestSink(), newDigestSink()
+			blind.blind = true
+			if _, err := netgen.Generate(circuit.NewBuilder(tee{live, blind}, circuit.WithRecycling()), net, benchmarks.Format, tc.opt); err != nil {
 				t.Fatal(err)
 			}
 			got := live.sum()
 			if got != tc.want {
 				t.Errorf("netlist digest %s, pinned %s", got, tc.want)
+			}
+			if got := blind.sum(); got != tc.blind {
+				t.Errorf("kind-blind netlist digest %s, pinned %s", got, tc.blind)
 			}
 			if tc.heavy {
 				return

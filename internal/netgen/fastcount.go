@@ -25,7 +25,12 @@ import (
 // constant-zero sign bit, so every multiplier fed by it drops the
 // partial-product rows of the replicated sign. FastCount therefore tracks
 // whether each layer's activations are structurally non-negative and uses
-// matching probes.
+// matching probes. Which ANDs are half ANDs depends on who owns an operand,
+// so the probes declare theirs as Generate does: a weight word is the
+// evaluator's, and so is the bias word — the accumulator of a row's first
+// MAC, and the operand of an activation behind a row with no active tap.
+// (A bias word that reaches a pooling window or the argmax undisturbed is
+// counted as an ordinary operand: HalfAND is short by that cell's few.)
 func FastCount(net *nn.Network, f fixed.Format, opt Options) (circuit.Stats, *Layout, error) {
 	bits := f.Bits()
 	lay := &Layout{}
@@ -47,20 +52,15 @@ func FastCount(net *nn.Network, f fixed.Format, opt Options) (circuit.Stats, *La
 		return append(w.Clone(), circuit.WFalse)
 	}
 
-	macCost := func(nonneg bool) circuit.Stats {
+	// macCost probes one MAC whose accumulator is acc's: the evaluator's
+	// in a row's first MAC (the bias word), a computed sum after that.
+	macCost := func(nonneg bool, acc circuit.Party) circuit.Stats {
 		return probe(func(b *circuit.Builder) {
 			x := word(b, nonneg)
-			w := stdcell.Input(b, circuit.Garbler, bits)
-			acc := stdcell.Input(b, circuit.Garbler, bits)
+			w := stdcell.Input(b, circuit.Evaluator, bits)
+			a := stdcell.Input(b, acc, bits)
 			p := stdcell.MulFixed(b, x, w, f.FracBits)
-			stdcell.Add(b, acc, p)
-		})
-	}
-
-	actCost := func(kind act.Kind, nonneg bool) circuit.Stats {
-		impl := act.New(kind, f)
-		return probe(func(b *circuit.Builder) {
-			impl.Circuit(b, word(b, nonneg))
+			stdcell.Add(b, a, p)
 		})
 	}
 
@@ -78,20 +78,39 @@ func FastCount(net *nn.Network, f fixed.Format, opt Options) (circuit.Stats, *La
 	}
 
 	nonneg := false // whether the current activations have const-0 signs
+	var bare int64  // how many of them are a bias word and nothing else
 	for li, layer := range net.Layers {
+		wasBare := bare
+		bare = 0
 		switch v := layer.(type) {
 		case nn.Linear:
-			var macs int64
-			v.Rows(func(_, _ int, taps []nn.Tap) { macs += int64(len(taps)) })
-			addStats(&total, macCost(nonneg), macs)
+			var macs, rows int64
+			v.Rows(func(_, _ int, taps []nn.Tap) {
+				macs += int64(len(taps))
+				if len(taps) > 0 {
+					rows++
+				} else {
+					bare++
+				}
+			})
+			addStats(&total, macCost(nonneg, circuit.Evaluator), rows)
+			addStats(&total, macCost(nonneg, circuit.Garbler), macs-rows)
 			lay.WeightBits += (v.ActiveWeights() + len(v.Biases())) * bits
 			nonneg = false
 
 		case *nn.Activation:
 			if v.Kind == act.Identity {
+				bare = wasBare
 				continue
 			}
-			addStats(&total, actCost(v.Kind, nonneg), int64(net.ShapeAt(li).Len()))
+			impl, err := v.Impl(f)
+			if err != nil {
+				return circuit.Stats{}, nil, err
+			}
+			addStats(&total, probe(func(b *circuit.Builder) { impl.Circuit(b, word(b, nonneg)) }), int64(net.ShapeAt(li).Len())-wasBare)
+			if wasBare > 0 {
+				addStats(&total, probe(func(b *circuit.Builder) { impl.Circuit(b, stdcell.Input(b, circuit.Evaluator, bits)) }), wasBare)
+			}
 			nonneg = v.Kind == act.ReLU
 
 		case *nn.MaxPool2D:
@@ -144,5 +163,6 @@ func probe(gen func(b *circuit.Builder)) circuit.Stats {
 func addStats(total *circuit.Stats, unit circuit.Stats, times int64) {
 	total.XOR += unit.XOR * times
 	total.AND += unit.AND * times
+	total.HalfAND += unit.HalfAND * times
 	total.INV += unit.INV * times
 }

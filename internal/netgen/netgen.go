@@ -83,7 +83,10 @@ func Generate(b *circuit.Builder, net *nn.Network, f fixed.Format, opt Options) 
 		case *nn.Conv2D:
 			x = genLinear(b, v, true, x, f, lay)
 		case *nn.Activation:
-			x = genAct(b, v, x, f)
+			var err error
+			if x, err = genAct(b, v, x, f); err != nil {
+				return nil, fmt.Errorf("netgen: layer %d: %w", li, err)
+			}
 		case *nn.MaxPool2D:
 			x = genPool(b, v, stdcell.MaxPool, x)
 		case *nn.MeanPool2D:
@@ -193,11 +196,14 @@ func genLinear(b *circuit.Builder, l nn.Linear, shared bool, x []stdcell.Word, f
 	return out
 }
 
-func genAct(b *circuit.Builder, a *nn.Activation, x []stdcell.Word, f fixed.Format) []stdcell.Word {
+func genAct(b *circuit.Builder, a *nn.Activation, x []stdcell.Word, f fixed.Format) ([]stdcell.Word, error) {
 	if a.Kind == act.Identity {
-		return x
+		return x, nil
 	}
-	impl := a.Impl(f)
+	impl, err := a.Impl(f)
+	if err != nil {
+		return nil, err
+	}
 	out := make([]stdcell.Word, len(x))
 	for i, w := range x {
 		b.BeginScope()
@@ -206,7 +212,7 @@ func genAct(b *circuit.Builder, a *nn.Activation, x []stdcell.Word, f fixed.Form
 		b.Drop(w...)
 		out[i] = y
 	}
-	return out
+	return out, nil
 }
 
 // genPool emits a pooling layer from its lowering: one reduction cell per

@@ -95,6 +95,11 @@ func TestNetlistMatchesForwardFixedDense(t *testing.T) {
 		if lay.WeightBits != nn.WeightBitCount(net, f) {
 			t.Fatalf("%v: layout weight bits %d != canonical %d", kind, lay.WeightBits, nn.WeightBitCount(net, f))
 		}
+		// The weights are the evaluator's inputs, so every MAC's partial
+		// products are half ANDs and the equivalence below covers them.
+		if st := c.Stats(); st.HalfAND == 0 || st.HalfAND >= st.AND {
+			t.Fatalf("%v: netlist %+v has no half ANDs to check", kind, st)
+		}
 		rng := rand.New(rand.NewSource(7))
 		for trial := 0; trial < 10; trial++ {
 			x := make([]float64, 4)
@@ -125,6 +130,9 @@ func TestNetlistMatchesForwardFixedConv(t *testing.T) {
 	f := fixed.Default
 	for _, net := range []*nn.Network{smallConvNet(t), meanPoolNet(t)} {
 		c, _ := buildNetlist(t, net, f, Options{RawScores: true})
+		if st := c.Stats(); st.HalfAND == 0 {
+			t.Fatalf("%s: netlist %+v has no half ANDs to check", net.Arch(), st)
+		}
 		rng := rand.New(rand.NewSource(8))
 		x := make([]float64, net.In.Len())
 		for i := range x {
@@ -371,6 +379,17 @@ func TestFastCountMatchesStreamingCount(t *testing.T) {
 		d.Mask[i] = false
 	}
 	nets = append(nets, pruned)
+	// And rows pruned to nothing: their output is the bias word itself, an
+	// evaluator input that reaches the activation (and, through Identity,
+	// the next layer's multipliers) untouched.
+	for _, kind := range []act.Kind{act.ReLU, act.SigmoidPLAN, act.Identity} {
+		bare := smallDenseNet(t, kind)
+		d = bare.Layers[0].(*nn.Dense)
+		for i := range d.Mask {
+			d.Mask[i] = i/d.InN != 1 && i != 0
+		}
+		nets = append(nets, bare)
+	}
 
 	for _, net := range nets {
 		for _, opt := range []Options{{}, {RawScores: true}, {Outsourced: true}} {
@@ -382,8 +401,11 @@ func TestFastCountMatchesStreamingCount(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if slow.AND != fast.AND || slow.XOR != fast.XOR || slow.INV != fast.INV {
-				t.Errorf("%s %+v: fast %v vs streaming %v", net.Arch(), opt, fast, slow)
+			if slow.AND != fast.AND || slow.HalfAND != fast.HalfAND || slow.XOR != fast.XOR || slow.INV != fast.INV {
+				t.Errorf("%s %+v: fast %v (%d half) vs streaming %v (%d half)", net.Arch(), opt, fast, fast.HalfAND, slow, slow.HalfAND)
+			}
+			if slow.HalfAND == 0 || slow.Ciphertexts() != fast.Ciphertexts() {
+				t.Errorf("%s %+v: %d half ANDs; %d ciphertexts streaming, %d fast", net.Arch(), opt, slow.HalfAND, slow.Ciphertexts(), fast.Ciphertexts())
 			}
 			if layS.WeightBits != layF.WeightBits || layS.DataBits != layF.DataBits ||
 				layS.OutputBits != layF.OutputBits || layS.ShareBits != layF.ShareBits {

@@ -84,9 +84,14 @@ func (a *Activation) Forward(x []float64) []float64 {
 	return out
 }
 
-// ForwardFixed implements Layer.
+// ForwardFixed implements Layer. A format the realization has no datapath
+// for is the caller's mistake here (Spec.Build refuses a peer's), so it
+// panics.
 func (a *Activation) ForwardFixed(f fixed.Format, x []fixed.Num) []fixed.Num {
-	impl := a.impl.get(f)
+	impl, err := a.impl.get(f)
+	if err != nil {
+		panic(err.Error())
+	}
 	out := make([]fixed.Num, len(x))
 	for i, v := range x {
 		out[i] = impl.Eval(v)
@@ -94,8 +99,9 @@ func (a *Activation) ForwardFixed(f fixed.Format, x []fixed.Num) []fixed.Num {
 	return out
 }
 
-// Impl exposes the per-format activation realization (used by netgen).
-func (a *Activation) Impl(f fixed.Format) *act.Impl { return a.impl.get(f) }
+// Impl exposes the per-format activation realization (used by netgen), or
+// the reason the format has none.
+func (a *Activation) Impl(f fixed.Format) (*act.Impl, error) { return a.impl.get(f) }
 
 // ForwardT implements Backprop.
 func (a *Activation) ForwardT(x []float64) []float64 {

@@ -280,14 +280,17 @@ type actImpl struct {
 	impls map[fixed.Format]*act.Impl
 }
 
-func (a *actImpl) get(f fixed.Format) *act.Impl {
+func (a *actImpl) get(f fixed.Format) (*act.Impl, error) {
 	if a.impls == nil {
 		a.impls = make(map[fixed.Format]*act.Impl)
 	}
 	if impl, ok := a.impls[f]; ok {
-		return impl
+		return impl, nil
 	}
-	impl := act.New(a.kind, f)
+	impl, err := act.New(a.kind, f)
+	if err != nil {
+		return nil, err
+	}
 	a.impls[f] = impl
-	return impl
+	return impl, nil
 }

@@ -409,6 +409,12 @@ var hostileSpecs = map[string]string{
 	"format too wide":           `{"in":{"C":1,"H":1,"W":4},"format":{"IntBits":40,"FracBits":40},"layers":[{"type":"dense","out":1}]}`,
 	"format negative":           `{"in":{"C":1,"H":1,"W":4},"format":{"IntBits":-3,"FracBits":12},"layers":[{"type":"dense","out":1}]}`,
 	"mask of the wrong length":  `{"in":{"C":1,"H":1,"W":4},"format":{"IntBits":3,"FracBits":12},"layers":[{"type":"dense","out":2,"mask":[true]}]}`,
+	// Valid formats, but not for the activation named (5 TanhCORDIC, 9
+	// SigmoidCORDIC, 2 TanhLUT, 7 SigmoidTrunc).
+	"cordic datapath too wide": `{"in":{"C":1,"H":1,"W":4},"format":{"IntBits":8,"FracBits":12},"layers":[{"type":"act","act":5}]}`,
+	"sigmoid cordic too wide":  `{"in":{"C":1,"H":1,"W":4},"format":{"IntBits":6,"FracBits":20},"layers":[{"type":"act","act":9}]}`,
+	"lut of 2^29 entries":      `{"in":{"C":1,"H":1,"W":4},"format":{"IntBits":15,"FracBits":16},"layers":[{"type":"act","act":2}]}`,
+	"truncated lut past cap":   `{"in":{"C":1,"H":1,"W":4},"format":{"IntBits":10,"FracBits":20},"layers":[{"type":"act","act":7}]}`,
 }
 
 func TestHostileSpecsReturnErrors(t *testing.T) {

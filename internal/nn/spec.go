@@ -66,8 +66,9 @@ func (n *Network) Spec(f fixed.Format) *Spec {
 // Build reconstructs a weight-less network with the spec's architecture
 // and sparsity maps — what the client (who never sees weights) uses to
 // generate its copy of the netlist. The spec is the peer's: Build checks
-// the format, every layer parameter and every size (see MaxWeights) before
-// allocating, and answers a hostile one with an error.
+// the format, every layer parameter, every size (see MaxWeights) and that
+// every activation has a realization at the format before allocating, and
+// answers a hostile one with an error.
 func (s *Spec) Build() (*Network, error) {
 	if err := s.Format.Validate(); err != nil {
 		return nil, fmt.Errorf("nn: spec: %w", err)
@@ -85,7 +86,13 @@ func (s *Spec) Build() (*Network, error) {
 		case "meanpool":
 			layers = append(layers, NewMeanPool2D(ls.K))
 		case "act":
-			layers = append(layers, NewActivation(ls.Act))
+			a := NewActivation(ls.Act)
+			// A valid format can still be one this realization cannot run
+			// at (CORDIC datapath too wide, LUT past its cap).
+			if _, err := a.Impl(s.Format); err != nil {
+				return nil, fmt.Errorf("nn: spec layer %d: %w", i, err)
+			}
+			layers = append(layers, a)
 		default:
 			return nil, fmt.Errorf("nn: spec layer %d has unknown type %q", i, ls.Type)
 		}

@@ -47,8 +47,9 @@ func evalBits(t *testing.T, c *circuit.Circuit, in []bool) []bool {
 	return out
 }
 
-// evalWords runs c — garbler-input words of f's width in, one word out — on
-// every row of operands at once, 64 rows per pass over the netlist
+// evalWords runs c — input words of f's width in (the garbler's first, then
+// the evaluator's, if it has any), one word out — on every row of operands
+// at once, 64 rows per pass over the netlist
 // (circuit.EvalLanes): words[k][r] is the raw value of input word k in row
 // r. It returns each row's output word, sign-extended.
 func evalWords(t *testing.T, c *circuit.Circuit, f fixed.Format, words ...[]int64) []int64 {
@@ -66,7 +67,7 @@ func evalWords(t *testing.T, c *circuit.Circuit, f fixed.Format, words ...[]int6
 				}
 			}
 		}
-		res, err := c.EvalLanes(in, nil)
+		res, err := c.EvalLanes(in[:len(c.GarblerInputs)], in[len(c.GarblerInputs):])
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -210,6 +211,14 @@ func twoInputs(n int) func(b *circuit.Builder) (x, y Word) {
 	}
 }
 
+// weightInput is twoInputs with the second operand the evaluator's, as a
+// model's weights are: its partial products come out as half ANDs.
+func weightInput(n int) func(b *circuit.Builder) (x, y Word) {
+	return func(b *circuit.Builder) (x, y Word) {
+		return Input(b, circuit.Garbler, n), Input(b, circuit.Evaluator, n)
+	}
+}
+
 // postReLU declares a word shaped like a ReLU output: the sign wire is the
 // constant 0 (the input bit declared for it stays unconnected, so callers
 // can still feed whole words).
@@ -232,6 +241,13 @@ func TestMulFixedExhaustive8Bit(t *testing.T) {
 		xs, ys := allPairs(f)
 		for _, shared := range []bool{false, true} {
 			checkBinOp(t, "MulFixed", buildMul(t, shared, frac, twoInputs(8)), f, xs, ys, fixed.Num.Mul)
+			// The same function with the weight evaluator-owned: every
+			// partial product is a half AND, nothing else is.
+			c := buildMul(t, shared, frac, weightInput(8))
+			checkBinOp(t, "MulFixed on a weight", c, f, xs, ys, fixed.Num.Mul)
+			if st, ref := c.Stats(), buildMul(t, shared, frac, twoInputs(8)).Stats(); st.HalfAND == 0 || st.HalfAND >= st.AND || st.AND != ref.AND || ref.HalfAND != 0 {
+				t.Errorf("frac %d: %+v with an evaluator-owned operand, %+v without", frac, st, ref)
+			}
 		}
 	}
 }

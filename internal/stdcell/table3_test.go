@@ -37,6 +37,10 @@ func TestGateCountTable3Style(t *testing.T) {
 			b.Outputs(stdcell.Add(b, acc, stdcell.MulFixed(b, x, w, f.FracBits))...)
 		}}
 	}
+	// The rows with an evaluator-owned weight operand pay one ciphertext,
+	// not two, for each partial product (205 of a signed multiplier's 388
+	// gates, 192 after a ReLU); every other row pays two per gate.
+	halves := map[string]int64{"MULT": 205, "MVM 1x8 * 8x4": 32 * 205, "MAC": 205, "MAC after ReLU": 192}
 	rows := append(append([]benchmarks.Component{}, benchmarks.Table3...), mac("MAC", true), mac("MAC after ReLU", false))
 	for _, c := range rows {
 		s, err := circuit.Count(func(b *circuit.Builder) { c.Gen(b, f) })
@@ -48,6 +52,9 @@ func TestGateCountTable3Style(t *testing.T) {
 			t.Errorf("%s has no pinned count (it counts %d non-XOR)", c.Name, s.AND)
 		} else if s.AND != and {
 			t.Errorf("%s non-XOR = %d, want %d", c.Name, s.AND, and)
+		}
+		if s.HalfAND != halves[c.Name] || s.Ciphertexts() != 2*and-halves[c.Name] {
+			t.Errorf("%s: %d half ANDs, %d ciphertexts; want %d and %d", c.Name, s.HalfAND, s.Ciphertexts(), halves[c.Name], 2*and-halves[c.Name])
 		}
 	}
 	if len(rows) != len(want) {
