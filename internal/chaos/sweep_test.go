@@ -32,6 +32,13 @@ import (
 // either a clean error or a provably correct output. Never a hang,
 // never a leaked goroutine, never a silently wrong label, and never a
 // panic (deepsecure_panics_total stays flat under pure network faults).
+//
+// The two shared clients have visited the server before the first fault, so
+// their runs are repeat sessions — one server flight of set-up, keyed to a
+// stored OT base correlation — and every fourth run brings a client of its
+// own, whose base phase runs under the faults. A cut can leave a base filed
+// on one side only, or evicted from neither; whatever the stores hold
+// afterwards, the next clean session of each client classifies.
 
 const sweepRunBudget = 30 * time.Second // per-run hard termination bound
 
@@ -136,6 +143,25 @@ func TestChaosSweep(t *testing.T) {
 		return x
 	}
 
+	// cleanVisit is one fault-free session of cli: it must classify.
+	cleanVisit := func(what string, cli *core.Client, seed int64) {
+		t.Helper()
+		nc, err := net.Dial("tcp", addr)
+		if err != nil {
+			t.Fatalf("%s: dial: %v", what, err)
+		}
+		defer nc.Close()
+		tc := transport.New(nc)
+		tc.SetBreaker(nc.Close)
+		x := sampleFor(seed, 0)
+		if got, _, err := cli.Infer(tc, x); err != nil || got != model.PredictFixed(f, x) {
+			t.Errorf("%s: label %d, %v; want %d", what, got, err, model.PredictFixed(f, x))
+		}
+	}
+	cleanVisit("plain client's first visit", plain, -1)
+	cleanVisit("banked client's first visit", banked, -2)
+	resumed0 := srv.Stats().SessionsResumed
+
 	var successes, cleanErrors, forced atomic.Int64
 	runOne := func(seed int64) {
 		script := NewScript(seed, span)
@@ -163,8 +189,11 @@ func TestChaosSweep(t *testing.T) {
 		defer backstop.Stop()
 
 		cli := plain
-		if seed%3 == 2 {
+		switch {
+		case seed%3 == 2:
 			cli = banked
+		case seed%4 == 0:
+			cli = &core.Client{Engine: plain.Engine} // a first visit: the base phase under faults
 		}
 		tc := transport.New(cc)
 		tc.SetBreaker(cc.Close)
@@ -236,6 +265,13 @@ func TestChaosSweep(t *testing.T) {
 	close(work)
 	wg.Wait()
 
+	// The repeat sessions were repeat sessions, and neither a cut set-up nor
+	// a half-filed base keeps a client from its next one.
+	if got := srv.Stats().SessionsResumed - resumed0; got < int64(seeds)/2 {
+		t.Errorf("the server resumed %d of %d chaos runs, want the shared clients' (about three in four)", got, seeds)
+	}
+	cleanVisit("plain client after the sweep", plain, -3)
+	cleanVisit("banked client after the sweep", banked, -4)
 	stop()
 
 	t.Logf("chaos sweep: %d seeds, %d succeeded, %d clean errors, %d backstop closes",
@@ -255,17 +291,19 @@ func TestChaosSweep(t *testing.T) {
 	checkLeaks()
 }
 
-// refillCutter closes the connection the moment the header of the nth
-// MsgOTRefill frame has been read from it: after a refill announcement
-// reached the client, before the client can answer it.
-type refillCutter struct {
+// frameCutter closes the connection the moment the header of the nth
+// frame of type typ has been read from it: with MsgOTRefill, after a
+// refill announcement reached the client and before the client can answer
+// it.
+type frameCutter struct {
 	net.Conn
+	typ  transport.MsgType
 	n    int
 	skip int // payload bytes left of the frame being read
 	hdr  []byte
 }
 
-func (c *refillCutter) Read(b []byte) (int, error) {
+func (c *frameCutter) Read(b []byte) (int, error) {
 	got, err := c.Conn.Read(b)
 	for _, x := range b[:got] {
 		if c.skip > 0 {
@@ -276,7 +314,7 @@ func (c *refillCutter) Read(b []byte) (int, error) {
 			continue
 		}
 		c.skip = int(c.hdr[1]) | int(c.hdr[2])<<8 | int(c.hdr[3])<<16 | int(c.hdr[4])<<24
-		if transport.MsgType(c.hdr[0]) == transport.MsgOTRefill {
+		if transport.MsgType(c.hdr[0]) == c.typ {
 			if c.n--; c.n == 0 {
 				c.Conn.Close()
 			}
@@ -306,7 +344,7 @@ func TestChaosCutBetweenRefillAndAnswer(t *testing.T) {
 	}
 	// Refill frames 1 and 2 are the pool announcement and the setup fill;
 	// the 3rd is the refill the first inference leaves the pool owing.
-	cut := &refillCutter{Conn: nc, n: 3}
+	cut := &frameCutter{Conn: nc, typ: transport.MsgOTRefill, n: 3}
 	sess, err := cli.NewSession(transport.New(cut))
 	if err != nil {
 		t.Fatalf("setup must survive (the cut is armed for the first mid-session refill): %v", err)
@@ -339,6 +377,50 @@ func TestChaosCutBetweenRefillAndAnswer(t *testing.T) {
 		t.Error("server did not count the cut session as failed")
 	}
 	stop()
+	checkLeaks()
+}
+
+// TestChaosCutInsideBasePhase leaves an OT base correlation filed on one
+// side only: the connection dies as the base phase's last frame — the
+// server's ciphertexts, after which the server has filed its half — reaches
+// the client, which therefore files nothing. That is a first visit next
+// time, not a hang and not a session on half a correlation; and once it has
+// gone through, the visit after it resumes.
+func TestChaosCutInsideBasePhase(t *testing.T) {
+	checkLeaks := testutil.VerifyNoLeaks(t)
+	f := fixed.Default
+	model := sweepNet(t)
+	srv, addr, stop := startSweepServer(t, model, nil)
+	x := []float64{0.3, -0.2, 0.9, -0.7, 0.1, 0.5}
+	cli := &core.Client{Engine: core.EngineConfig{Workers: 2}}
+
+	nc, err := net.Dial("tcp", addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The server's base-OT frames are its point A and the ciphertexts.
+	if sess, err := cli.NewSession(transport.New(&frameCutter{Conn: nc, typ: transport.MsgOTBase, n: 2})); err == nil {
+		t.Fatalf("set-up over a connection cut inside the base phase opened a session (%v)", sess)
+	}
+	nc.Close()
+	for visit, wantResumed := range []int64{0, 1} {
+		nc, err := net.Dial("tcp", addr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, st, err := cli.Infer(transport.New(nc), x)
+		nc.Close()
+		if err != nil || got != model.PredictFixed(f, x) {
+			t.Fatalf("visit %d after the cut: label %d, %v; want %d", visit, got, err, model.PredictFixed(f, x))
+		}
+		if st.SessionsResumed != wantResumed || st.ResumeMisses != 0 {
+			t.Errorf("visit %d after the cut: %d resumed, %d missed; want %d, 0", visit, st.SessionsResumed, st.ResumeMisses, wantResumed)
+		}
+	}
+	stop()
+	if st := srv.Stats(); st.Errors != 1 || st.SessionsResumed != 1 {
+		t.Errorf("server counted %d failed and %d resumed sessions, want 1 and 1", st.Errors, st.SessionsResumed)
+	}
 	checkLeaks()
 }
 

@@ -201,11 +201,22 @@ func TestOutsourcedInference(t *testing.T) {
 }
 
 func TestBadHelloRejected(t *testing.T) {
-	// "deepsecure/9" is the previous version: same frames, but its netlist
-	// has the exact-floor multiplier and the restoring divider, so its
-	// tables would not authenticate; it must be refused here and not fail
-	// mid-stream.
-	for _, hello := range []string{"bogus/10", "deepsecure/8", "deepsecure/9"} {
+	// "deepsecure/11" is the previous version, whose hello is the bare
+	// string and whose sessions always run the base phase: it must be
+	// refused here and not fail mid-stream. A hello of this version is
+	// refused when what follows the string is not a session counter and a
+	// whole number of base ids, at most maxClientBases of them.
+	good := string(helloFrame(7, []baseID{{1}, {2}}))
+	for hello, want := range map[string]string{
+		"bogus/10":             "unknown protocol",
+		"deepsecure/9":         "unknown protocol",
+		"deepsecure/11":        "unknown protocol",
+		protocolHello:          "malformed hello",
+		protocolHello + "\x00": "malformed hello",
+		good[:len(good)-1]:     "malformed hello", // an id cut short
+		good[:len(good)-20]:    "malformed hello", // between two ids
+		string(helloFrame(7, make([]baseID, maxClientBases+1))): "malformed hello",
+	} {
 		cConn, sConn, closer := transport.Pipe()
 		net := testNet(t, act.ReLU, 8)
 		srv := &Server{Net: net, Fmt: fixed.Default, Rng: rand.New(rand.NewSource(1))}
@@ -224,8 +235,8 @@ func TestBadHelloRejected(t *testing.T) {
 		}
 		wg.Wait()
 		closer.Close()
-		if srvErr == nil || !strings.Contains(srvErr.Error(), "unknown protocol") {
-			t.Fatalf("hello %q: server returned %v, want an unknown-protocol error", hello, srvErr)
+		if srvErr == nil || !strings.Contains(srvErr.Error(), want) {
+			t.Fatalf("hello %q: server returned %v, want a %q error", hello, srvErr, want)
 		}
 	}
 }
@@ -267,5 +278,43 @@ func TestConvModelSecureInference(t *testing.T) {
 	got, _ := secureInfer(t, net, f, x)
 	if got != want {
 		t.Fatalf("conv secure label %d, want %d", got, want)
+	}
+}
+
+// TestSharedBareBiasSecureInference: a convolution map whose only kernel
+// weight falls on padding along the top row and the left column puts its
+// bias word at eleven positions; the activation behind it reads that word
+// once. The compiled session and the §3.3 streaming deployment — which has no
+// schedule to refuse a wire read after it was retired, and used to garble
+// from a recycled one — both return the plaintext label.
+func TestSharedBareBiasSecureInference(t *testing.T) {
+	f := fixed.Default
+	net, err := nn.NewNetwork(nn.Shape{C: 1, H: 6, W: 6},
+		nn.NewConv2D(2, 3, 1, 1),
+		nn.NewActivation(act.ReLU),
+		nn.NewMaxPool2D(2, 0),
+		nn.NewDense(3),
+	)
+	if err != nil {
+		t.Fatal(err)
+	}
+	net.InitWeights(rand.New(rand.NewSource(13)))
+	conv := net.Layers[0].(*nn.Conv2D)
+	for i := 1; i < 9; i++ {
+		conv.Mask[i] = false
+	}
+	rng := rand.New(rand.NewSource(14))
+	for trial := 0; trial < 3; trial++ {
+		x := make([]float64, 36)
+		for i := range x {
+			x[i] = rng.Float64()*2 - 1
+		}
+		want := net.PredictFixed(f, x)
+		if got, _ := secureInfer(t, net, f, x); got != want {
+			t.Errorf("trial %d: session label %d, want %d", trial, got, want)
+		}
+		if got, _, err := outsourcedInfer(t, net, f, x); err != nil || got != want {
+			t.Errorf("trial %d: outsourced label %d, %v; want %d", trial, got, err, want)
+		}
 	}
 }

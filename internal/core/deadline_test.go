@@ -71,7 +71,7 @@ func TestOTSetupDeadlineCutsStalledClient(t *testing.T) {
 	cConn, sConn, closer := transport.Pipe()
 	defer closer.Close()
 	done := serveWithDeadlines(t, sConn, closer, DeadlineConfig{OTSetup: limit})
-	if err := cConn.Send(transport.MsgHello, []byte(protocolHello)); err != nil {
+	if err := cConn.Send(transport.MsgHello, helloFrame(1, nil)); err != nil {
 		t.Fatal(err)
 	}
 	if err := cConn.Flush(); err != nil {

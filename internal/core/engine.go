@@ -361,6 +361,12 @@ func (en *garbleEngine) doLevels(st *circuit.Step) (err error) {
 		return err
 	}
 	cur := en.cur[:0]
+	if cur == nil {
+		// A session's first run: one buffer of the run's size (a chunk's at
+		// most) instead of a doubling ladder up to it, which a session of
+		// one inference would climb and throw away every time.
+		cur = make([]byte, 0, min(st.TableBytes*len(en.inputBits), chunk+chunk/4))
+	}
 	for li := st.First; li < st.First+st.N && err == nil; li++ {
 		need := en.sched.Levels[li].TableBytes() * len(en.inputBits)
 		off := len(cur)

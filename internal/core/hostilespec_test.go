@@ -28,8 +28,8 @@ var hostileArchFrames = map[string]string{
 
 // serveArch plays a server (or, for the proxy, the main server behind it)
 // that answers the hello with the given architecture frame — behind a
-// program digest when it is a session's; the §3.3 deployment's frame is
-// the spec alone.
+// program digest, a base id and a session counter when it is a session's;
+// the §3.3 deployment's frame is the spec alone.
 func serveArch(conn *transport.Conn, frame string, session bool) <-chan error {
 	done := make(chan error, 1)
 	go func() {
@@ -39,7 +39,7 @@ func serveArch(conn *transport.Conn, frame string, session bool) <-chan error {
 		}
 		payload := []byte(frame)
 		if session {
-			payload = append(make([]byte, digestSize), payload...)
+			payload = archFrame([digestSize]byte{}, baseID{}, 1, payload)
 		}
 		if err := conn.Send(transport.MsgArch, payload); err != nil {
 			done <- err

@@ -287,7 +287,12 @@ func hostileServer(net *nn.Network, sConn *transport.Conn, rest func(ots *ot.Ext
 	done := make(chan error, 1)
 	go func() {
 		done <- func() error {
-			if _, err := sConn.Recv(transport.MsgHello); err != nil {
+			hello, err := sConn.Recv(transport.MsgHello)
+			if err != nil {
+				return err
+			}
+			cid, _, err := parseHello(hello)
+			if err != nil {
 				return err
 			}
 			spec, err := net.Spec(fixed.Default).Marshal()
@@ -298,18 +303,18 @@ func hostileServer(net *nn.Network, sConn *transport.Conn, rest func(ots *ot.Ext
 			if err != nil {
 				return err
 			}
-			if err := sConn.Send(transport.MsgArch, append(prog.Digest[:], spec...)); err != nil {
+			if err := sConn.Send(transport.MsgArch, archFrame(prog.Digest, baseID{1}, 1, spec)); err != nil {
 				return err
 			}
 			if err := sConn.Send(transport.MsgPipeline, []byte{2, 32}); err != nil {
 				return err
 			}
 			rng := rand.New(rand.NewSource(36))
-			ots, err := ot.NewExtReceiver(sConn, rng)
+			base, err := ot.NewReceiverBase(sConn, rng)
 			if err != nil {
 				return err
 			}
-			return rest(ots, rng)
+			return rest(base.Session(sConn, ot.SessionNonce(cid, 1)), rng)
 		}()
 	}()
 	return done
@@ -399,7 +404,7 @@ func TestDoctoredProgramDigestRefused(t *testing.T) {
 	go func() {
 		_, err := sConn.Recv(transport.MsgHello)
 		if err == nil {
-			err = sConn.Send(transport.MsgArch, append(doctored[:], spec...))
+			err = sConn.Send(transport.MsgArch, archFrame(doctored, baseID{1}, 1, spec))
 		}
 		if err == nil {
 			err = sConn.Send(transport.MsgPipeline, []byte{2, 32})

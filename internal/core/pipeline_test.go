@@ -3,6 +3,7 @@ package core
 import (
 	"bytes"
 	"encoding/binary"
+	"io"
 	"math/rand"
 	"strings"
 	"sync"
@@ -74,8 +75,8 @@ func stripTags(t *testing.T, frames []wireFrame) []wireFrame {
 	for _, f := range frames {
 		switch f.typ {
 		case transport.MsgHello:
-			if string(f.payload) != protocolHello {
-				t.Fatalf("hello = %q", f.payload)
+			if _, _, err := parseHello(f.payload); err != nil {
+				t.Fatalf("hello = %q: %v", f.payload, err)
 			}
 		case transport.MsgArch, transport.MsgEndSession:
 		case transport.MsgPipeline:
@@ -141,9 +142,13 @@ func (v refillBanking) RecvAny(want ...transport.MsgType) (transport.MsgType, []
 // building blocks — shared OT extension and pools, untagged frames,
 // strictly alternating inferences, refills announced where a session's
 // contexts announce them — recording both directions. Its randomness
-// consumption matches the session path's (extension base phase, pool
-// fill, one garbler per inference), so with equal seeds the frame
+// consumption matches the session path's (base id, extension base phase,
+// pool fill, one garbler per inference), so with equal seeds the frame
 // contents must match a depth-1 session's.
+// firstSession is the OT nonce of a fresh Client's first session with a
+// fresh Server.
+var firstSession = ot.SessionNonce(1, 1)
+
 func referenceSerialRun(t *testing.T, net *nn.Network, xs [][]float64, poolCfg precomp.PoolConfig, cliSeed, srvSeed int64) (g2e, e2g []byte) {
 	t.Helper()
 	f := fixed.Default
@@ -161,11 +166,17 @@ func referenceSerialRun(t *testing.T, net *nn.Network, xs [][]float64, poolCfg p
 	evalDone := make(chan error, 1)
 	go func() {
 		rng := rand.New(rand.NewSource(srvSeed))
-		ots, err := ot.NewExtReceiver(eConn, rng)
+		var id baseID // a session's server mints one before the base phase
+		if _, err := io.ReadFull(rng, id[:]); err != nil {
+			evalDone <- err
+			return
+		}
+		base, err := ot.NewReceiverBase(eConn, rng)
 		if err != nil {
 			evalDone <- err
 			return
 		}
+		ots := base.Session(eConn, firstSession)
 		otp := precomp.NewReceiverPool(eConn, ots, rng, poolCfg)
 		otp.SetKey(weightBits)
 		if err := otp.Announce(); err != nil {
@@ -219,11 +230,11 @@ func referenceSerialRun(t *testing.T, net *nn.Network, xs [][]float64, poolCfg p
 	}()
 
 	rng := rand.New(rand.NewSource(cliSeed))
-	ots, err := ot.NewExtSender(gConn, rng)
+	base, err := ot.NewSenderBase(gConn, rng)
 	if err != nil {
 		t.Fatal(err)
 	}
-	otp := precomp.NewSenderPool(gConn, ots, rng)
+	otp := precomp.NewSenderPool(gConn, base.Session(gConn, firstSession), rng)
 	if err := otp.HandleAnnounce(); err != nil {
 		t.Fatal(err)
 	}

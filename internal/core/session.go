@@ -6,11 +6,15 @@
 // learning the inference label.
 //
 // Sessions are multi-inference: the parties negotiate once (hello,
-// architecture exchange, OT-extension base phase) and compile the public
-// netlist once into a replayable tape (netgen.Compile); each further
-// inference on the session only pays for fresh labels, garbling, and the
-// streamed tables (protocolHello describes the frames). One-shot
-// Serve/Infer remain as single-inference sessions.
+// architecture exchange, OT pool fill) and compile the public netlist once
+// into a replayable tape (netgen.Compile); each further inference on the
+// session only pays for fresh labels, garbling, and the streamed tables
+// (protocolHello describes the frames). One-shot Serve/Infer remain as
+// single-inference sessions. The OT-extension base phase is paid once per
+// Client–Server pair: each keeps its half of the base correlation (the
+// Client for 8 servers, the Server for 4096 clients, in memory), and every
+// session of the pair, the first included, derives its IKNP streams from it
+// under a nonce made of the two parties' own session counters.
 //
 // The package also implements the secure-outsourcing deployment (§3.3,
 // Fig. 4) where a resource-constrained client XOR-shares its input between
@@ -19,12 +23,16 @@
 package core
 
 import (
+	"bytes"
+	"container/list"
 	"crypto/rand"
 	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
+	"slices"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"deepsecure/internal/circuit"
@@ -51,14 +59,24 @@ import (
 // mid-stream. (The §3.3 streaming deployment compiles no tape; its peers
 // agree on this string alone.)
 //
-// Setup, in order: client MsgHello; server MsgArch (the 32-byte program
-// digest, then the public spec; or MsgBusy with a uvarint retry-after in
-// ms, then close) and MsgPipeline (uvarint in-flight window, uvarint batch
-// cap); the OT-extension base phase
-// (MsgOTBase); the server's pool announcement MsgOTRefill (uvarint
-// capacity ≥ 1; uvarint W, the evaluator-input bits per sample) and its
-// initial fill — MsgOTRefill (uvarint n) and MsgOTExtU from the server,
-// MsgOTExtY back.
+// Setup, in order: client MsgHello (this string, a zero byte, the client's
+// session counter cid as 8 big-endian bytes, then the 16-byte id of every
+// OT base correlation the client holds, at most 8); server MsgArch (the
+// 32-byte program digest, the id of the base correlation the session
+// extends — the first offered one the server holds, else a freshly minted
+// one — the server's session counter sid as 8 big-endian bytes, then the
+// public spec; or MsgBusy with a uvarint retry-after in ms, then close) and
+// MsgPipeline (uvarint in-flight window, uvarint batch cap); the
+// OT-extension base phase (MsgOTBase) unless the id is one the client
+// offered, each party filing its half under the id afterwards; the server's
+// pool announcement MsgOTRefill (uvarint capacity ≥ 1; uvarint W, the
+// evaluator-input bits per sample) and its initial fill — MsgOTRefill
+// (uvarint n) and MsgOTExtU from the server, MsgOTExtY back. Fresh or
+// repeat, the session's IKNP streams are the base's derivation under the
+// nonce cid ‖ sid, so a repeat session's set-up is the hello, one server
+// flight and the client's Y, which the first inference's burst follows
+// without a read in between. (The §3.3 streaming deployment sends the bare
+// string as its hello and runs its own base phase per connection.)
 //
 // An inference classifies B ≥ 1 samples and is one client→server burst
 // answered by one frame. The burst: MsgInferBegin (uvarint id, sequential
@@ -80,11 +98,101 @@ import (
 // refill (MsgOTRefill n, MsgOTExtU), which the client answers (MsgOTExtY)
 // when it next reads; that is the only OT traffic after setup.
 // MsgEndSession from the client ends the session.
-const protocolHello = "deepsecure/11"
+const protocolHello = "deepsecure/12"
 
 // digestSize is the length of the program digest that opens a session's
 // architecture frame.
 const digestSize = len(netgen.Program{}.Digest)
+
+// baseID names one OT base correlation between a client and a server. The
+// server mints it when the base phase runs; it is a name, not a secret:
+// whoever presents a copied one gets a session keyed to seeds it does not
+// have. A Client keeps maxClientBases correlations (so a hello carries at
+// most that many ids) and a Server maxServerBases — 4 KiB of seeds each,
+// 16 MiB in all — both dropping the least recently used first.
+type baseID [16]byte
+
+const (
+	maxClientBases = 8
+	maxServerBases = 4096
+)
+
+// helloFrame is the client's opening frame: the protocol version, a zero
+// byte, the client's session counter (8 bytes, big-endian) and every base
+// id it holds.
+func helloFrame(cid uint64, ids []baseID) []byte {
+	p := binary.BigEndian.AppendUint64(append([]byte(protocolHello), 0), cid)
+	for _, id := range ids {
+		p = append(p, id[:]...)
+	}
+	return p
+}
+
+// parseHello is the server's reading of a hello frame.
+func parseHello(p []byte) (cid uint64, ids []baseID, err error) {
+	version, rest, terminated := bytes.Cut(p, []byte{0})
+	if string(version) != protocolHello {
+		return 0, nil, fmt.Errorf("core: unknown protocol %q", version)
+	}
+	const idLen = len(baseID{})
+	if !terminated || len(rest) < 8 || (len(rest)-8)%idLen != 0 || (len(rest)-8)/idLen > maxClientBases {
+		return 0, nil, fmt.Errorf("core: malformed hello: %d bytes after the protocol version", len(rest))
+	}
+	for r := rest[8:]; len(r) > 0; r = r[idLen:] {
+		ids = append(ids, baseID(r))
+	}
+	return binary.BigEndian.Uint64(rest), ids, nil
+}
+
+// archHeader is what precedes the spec in the server's architecture frame:
+// its program's digest, the id of the base correlation the session extends
+// and the server's session counter (8 bytes, big-endian).
+const archHeader = digestSize + len(baseID{}) + 8
+
+func archFrame(digest [digestSize]byte, id baseID, sid uint64, spec []byte) []byte {
+	return slices.Concat(digest[:], id[:], binary.BigEndian.AppendUint64(nil, sid), spec)
+}
+
+// receiverBases is a server's store of base correlations, by id. There is
+// no expiry — a base is as good on its thousandth session as on its first —
+// and nothing is persisted: a new process holds none, and its clients'
+// offers are misses that cost them one base phase.
+type receiverBases struct {
+	mu    sync.Mutex
+	byID  map[baseID]*list.Element
+	order list.List // of receiverBaseEntry, most recently used first
+}
+
+type receiverBaseEntry struct {
+	id   baseID
+	base *ot.ReceiverBase
+}
+
+// first returns the first of the offered bases the store holds, marking it
+// used, or a nil base.
+func (b *receiverBases) first(offered []baseID) (baseID, *ot.ReceiverBase) {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	for _, id := range offered {
+		if el, ok := b.byID[id]; ok {
+			b.order.MoveToFront(el)
+			return id, el.Value.(receiverBaseEntry).base
+		}
+	}
+	return baseID{}, nil
+}
+
+func (b *receiverBases) put(id baseID, base *ot.ReceiverBase) {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	if b.byID == nil {
+		b.byID = make(map[baseID]*list.Element)
+	}
+	b.byID[id] = b.order.PushFront(receiverBaseEntry{id, base})
+	for b.order.Len() > maxServerBases {
+		delete(b.byID, b.order.Remove(b.order.Back()).(receiverBaseEntry).id)
+	}
+}
 
 // ProgramMismatchError is returned by NewSession when the program the
 // client compiled from the server's architecture is not the one the server
@@ -135,6 +243,11 @@ type Stats struct {
 	ANDGates      int64
 	FreeGates     int64
 	Inferences    int64
+
+	// Sessions that extended a stored OT base correlation instead of running
+	// the base phase, and sessions that offered some the server held none of.
+	SessionsResumed int64
+	ResumeMisses    int64
 
 	// Offline/online OT split: offline covers the extension base phase and
 	// OT pool fills — crypto paid at session setup and in refill gaps —
@@ -194,24 +307,26 @@ func (st *Stats) GatesPerSec() float64 {
 func StatsOf(s *obs.Set) *Stats {
 	derand := s.Phase[obs.PhaseOTDerand]
 	return &Stats{
-		BytesSent:      s.BytesSent.Value(),
-		BytesReceived:  s.BytesReceived.Value(),
-		Duration:       time.Duration(s.SessionTime.Value()),
-		ANDGates:       s.GatesAnd.Value(),
-		FreeGates:      s.GatesFree.Value(),
-		Inferences:     s.Inferences.Value(),
-		OTOfflineTime:  time.Duration(s.OTOfflineTime.Value()),
-		OTOnlineTime:   time.Duration(derand.Sum()),
-		OTsPooled:      s.OTPooled.Value(),
-		OTsConsumed:    s.OTConsumed.Value(),
-		OTRefills:      s.OTRefills.Value(),
-		OTBatches:      derand.Count(),
-		MaxInFlight:    s.InFlightPeak.Value(),
-		OverlapTime:    time.Duration(s.OverlapTime.Value()),
-		GateTime:       time.Duration(s.GateTime.Value()),
-		BankHits:       s.BankHits.Value(),
-		BankMisses:     s.BankMisses.Value(),
-		BankRefillTime: time.Duration(s.Phase[obs.PhaseBankRefill].Sum()),
+		BytesSent:       s.BytesSent.Value(),
+		BytesReceived:   s.BytesReceived.Value(),
+		Duration:        time.Duration(s.SessionTime.Value()),
+		ANDGates:        s.GatesAnd.Value(),
+		FreeGates:       s.GatesFree.Value(),
+		Inferences:      s.Inferences.Value(),
+		SessionsResumed: s.SessionsResumed.Value(),
+		ResumeMisses:    s.ResumeMisses.Value(),
+		OTOfflineTime:   time.Duration(s.OTOfflineTime.Value()),
+		OTOnlineTime:    time.Duration(derand.Sum()),
+		OTsPooled:       s.OTPooled.Value(),
+		OTsConsumed:     s.OTConsumed.Value(),
+		OTRefills:       s.OTRefills.Value(),
+		OTBatches:       derand.Count(),
+		MaxInFlight:     s.InFlightPeak.Value(),
+		OverlapTime:     time.Duration(s.OverlapTime.Value()),
+		GateTime:        time.Duration(s.GateTime.Value()),
+		BankHits:        s.BankHits.Value(),
+		BankMisses:      s.BankMisses.Value(),
+		BankRefillTime:  time.Duration(s.Phase[obs.PhaseBankRefill].Sum()),
 	}
 }
 
@@ -238,9 +353,16 @@ type Server struct {
 	// announced in-flight window (precomp.PoolConfig.Sized).
 	OTPool precomp.PoolConfig
 
+	// Fixed per server, made once, shared read-only by every session: the
+	// program, the marshalled spec and the weight bits that key the OT pools.
 	compileOnce sync.Once
 	prog        *netgen.Program
+	spec        []byte
+	weightBits  []bool
 	compileErr  error
+
+	sessions atomic.Uint64 // sid of the latest session: this server's half of every nonce
+	bases    receiverBases
 
 	metrics *obs.Set // parent of every session's ledger; obs.Root when nil
 }
@@ -262,7 +384,11 @@ func rngOrDefault(r io.Reader) io.Reader {
 // to call concurrently; the result is shared by every session.
 func (s *Server) Program() (*netgen.Program, error) {
 	s.compileOnce.Do(func() {
-		s.prog, s.compileErr = netgen.Compile(s.Net, s.Fmt, netgen.Options{})
+		if s.prog, s.compileErr = netgen.Compile(s.Net, s.Fmt, netgen.Options{}); s.compileErr != nil {
+			return
+		}
+		s.spec, s.compileErr = s.Net.Spec(s.Fmt).Marshal()
+		s.weightBits = nn.WeightBits(s.Net, s.Fmt)
 	})
 	return s.prog, s.compileErr
 }
@@ -315,18 +441,26 @@ func (s *Server) ServeSession(conn *transport.Conn) (*Stats, error) {
 	if err != nil {
 		return fail(err)
 	}
-	if string(hello) != protocolHello {
-		return finish(), fmt.Errorf("core: unknown protocol %q", hello)
+	cid, offered, err := parseHello(hello)
+	if err != nil {
+		return finish(), err
 	}
 	prog, err := s.Program()
 	if err != nil {
 		return finish(), err
 	}
-	spec, err := s.Net.Spec(s.Fmt).Marshal()
-	if err != nil {
-		return finish(), err
+	// The base correlation this session extends: the first offered one this
+	// server still holds, or one the base phase below makes, under a fresh
+	// id. The session is number sid of this server, whatever the client
+	// says its own number is.
+	sid := s.sessions.Add(1)
+	id, base := s.bases.first(offered)
+	if base == nil {
+		if _, err := io.ReadFull(rng, id[:]); err != nil {
+			return finish(), fmt.Errorf("core: base id randomness: %w", err)
+		}
 	}
-	if err := conn.Send(transport.MsgArch, append(prog.Digest[:], spec...)); err != nil {
+	if err := conn.Send(transport.MsgArch, archFrame(prog.Digest, id, sid, s.spec)); err != nil {
 		return finish(), err
 	}
 	// In-flight window and batch-cap announcement: the server owns both
@@ -338,21 +472,32 @@ func (s *Server) ServeSession(conn *transport.Conn) (*Stats, error) {
 		return fail(err)
 	}
 	wd.arm("ot-setup", s.Engine.Deadlines.OTSetup)
-	weightBits := nn.WeightBits(s.Net, s.Fmt)
+	weightBits := s.weightBits
 
 	// Everything below speaks through the mux-aware connection: a
 	// passthrough during setup, and the contexts' serialized write face
 	// once the session mux starts.
 	mc := &muxConn{Conn: conn}
 
-	// OT-extension base phase: once per session, amortized over every
-	// weight transfer of every inference. Base-phase and pool-fill time
-	// are the protocol's offline OT cost.
+	// OT-extension base phase: once per client–server pair, amortized over
+	// every weight transfer of every session the pair runs. A repeat
+	// session skips it — no MsgOTBase frame, no public-key operation — and
+	// differs in nothing else: fresh or repeat, the session is the base's
+	// derivation under its own nonce. Base-phase and pool-fill time are the
+	// protocol's offline OT cost.
 	baseStart := time.Now()
-	ots, err := ot.NewExtReceiver(mc, rng)
-	if err != nil {
-		return fail(err)
+	if base != nil {
+		set.SessionsResumed.Inc()
+	} else {
+		if len(offered) > 0 {
+			set.ResumeMisses.Inc()
+		}
+		if base, err = ot.NewReceiverBase(mc, rng); err != nil {
+			return fail(err)
+		}
+		s.bases.put(id, base)
 	}
+	ots := base.Session(mc, ot.SessionNonce(cid, sid))
 	set.OTOfflineTime.Add(int64(time.Since(baseStart)))
 
 	// OT pool: announce the server's policy and bulk-fill at setup with the
@@ -373,9 +518,11 @@ func (s *Server) ServeSession(conn *transport.Conn) (*Stats, error) {
 
 // Client runs secure inferences against a server. A Client caches the
 // compiled netlist program per public model spec, so repeated sessions
-// against the same model skip generation entirely. Safe for concurrent
-// use by multiple sessions, provided Rng is nil or itself safe for
-// concurrent use (deterministic readers like *math/rand.Rand are only
+// against the same model skip generation entirely, and the OT base
+// correlation per server (up to eight 4 KiB sets of seeds, in memory only),
+// so repeated sessions with the same server skip the base phase. Safe for
+// concurrent use by multiple sessions, provided Rng is nil or itself safe
+// for concurrent use (deterministic readers like *math/rand.Rand are only
 // for single-session tests).
 type Client struct {
 	// Rng sources protocol randomness (crypto/rand when nil).
@@ -384,10 +531,57 @@ type Client struct {
 	// table chunking). The zero value derives workers from GOMAXPROCS.
 	Engine EngineConfig
 
+	sessions atomic.Uint64 // cid of the latest session: this client's half of every nonce
+
 	mu    sync.Mutex
 	progs map[string]*compiled
 	banks map[string]*bank.Bank
-	set   *obs.Set // the client's ledger, made on first use
+	bases []senderBaseEntry // most recently used first, at most maxClientBases
+	set   *obs.Set          // the client's ledger, made on first use
+}
+
+type senderBaseEntry struct {
+	id   baseID
+	base *ot.SenderBase
+}
+
+// baseIDs returns the ids of the base correlations the client holds, most
+// recently used first: what a hello offers.
+func (c *Client) baseIDs() []baseID {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	ids := make([]baseID, len(c.bases))
+	for i, e := range c.bases {
+		ids[i] = e.id
+	}
+	return ids
+}
+
+// fileBase keeps a base correlation under the id the server minted for it,
+// wiping the least recently used one beyond maxClientBases.
+func (c *Client) fileBase(id baseID, base *ot.SenderBase) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if len(c.bases) == maxClientBases {
+		c.bases[maxClientBases-1].base.Zero()
+		c.bases = c.bases[:maxClientBases-1]
+	}
+	c.bases = slices.Insert(c.bases, 0, senderBaseEntry{id, base})
+}
+
+// resume derives the extension sender of session nonce from the base filed
+// under id, marking it used — under the client's lock, because Close wipes
+// the seeds the derivation reads. It returns nil when the base is gone.
+func (c *Client) resume(id baseID, conn transport.FrameConn, nonce ot.Nonce) *ot.ExtSender {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	i := slices.IndexFunc(c.bases, func(e senderBaseEntry) bool { return e.id == id })
+	if i < 0 {
+		return nil
+	}
+	e := c.bases[i]
+	c.bases = slices.Insert(slices.Delete(c.bases, i, i+1), 0, e)
+	return e.base.Session(conn, nonce)
 }
 
 // ledger returns the client's ledger: the parent of its sessions' ledgers
@@ -422,14 +616,20 @@ func (c *Client) bankFor(specData []byte, prog *netgen.Program) *bank.Bank {
 	return b
 }
 
-// Close releases the client's garble-ahead banks: background refills
-// stop and every banked execution is zeroed.
+// Close releases the client's garble-ahead banks and its OT base
+// correlations: background refills stop, every banked execution and every
+// base seed is zeroed.
 // Open sessions keep working — their takes just miss and fall back to
-// live garbling. A Client without banks needs no Close.
+// live garbling — and the next session with each server pays the base
+// phase again.
 func (c *Client) Close() {
 	c.mu.Lock()
 	banks := c.banks
 	c.banks = nil
+	for _, e := range c.bases {
+		e.base.Zero()
+	}
+	c.bases = nil
 	c.mu.Unlock()
 	for _, b := range banks {
 		b.Close()
@@ -437,29 +637,46 @@ func (c *Client) Close() {
 }
 
 // compiled is one spec's entry in the client's program cache: whoever gets
-// there first compiles, everyone else waits for that result.
+// there first builds the network and compiles it, everyone else waits for
+// that result. Only what a session needs of the network is kept.
 type compiled struct {
-	once sync.Once
-	prog *netgen.Program
-	err  error
+	once     sync.Once
+	prog     *netgen.Program
+	f        fixed.Format
+	inputLen int
+	err      error
 }
 
-// program returns the compiled tape for the given public spec, compiling
-// once per distinct spec however many sessions open on it at the same time.
-func (c *Client) program(specData []byte, net *nn.Network, f fixed.Format) (*netgen.Program, error) {
-	key := string(specData)
-	c.mu.Lock()
-	if c.progs == nil {
-		c.progs = make(map[string]*compiled)
+func (e *compiled) build(specData []byte) error {
+	spec, err := nn.UnmarshalSpec(specData)
+	if err != nil {
+		return err
 	}
-	e := c.progs[key]
+	net, err := spec.Build()
+	if err != nil {
+		return err
+	}
+	e.f, e.inputLen = spec.Format, net.In.Len()
+	e.prog, err = netgen.Compile(net, spec.Format, netgen.Options{})
+	return err
+}
+
+// program returns the cache entry of the given public spec, building it
+// once per distinct spec however many sessions open on it at the same time;
+// a later open allocates nothing.
+func (c *Client) program(specData []byte) (*compiled, error) {
+	c.mu.Lock()
+	e := c.progs[string(specData)]
 	if e == nil {
+		if c.progs == nil {
+			c.progs = make(map[string]*compiled)
+		}
 		e = new(compiled)
-		c.progs[key] = e
+		c.progs[string(specData)] = e
 	}
 	c.mu.Unlock()
-	e.once.Do(func() { e.prog, e.err = netgen.Compile(net, f, netgen.Options{}) })
-	return e.prog, e.err
+	e.once.Do(func() { e.err = e.build(specData) })
+	return e, e.err
 }
 
 // Session is an open multi-inference protocol session from the client
@@ -577,8 +794,9 @@ func (v garbleConn) Send(t transport.MsgType, payload []byte) error {
 }
 
 // NewSession opens a session: protocol hello, architecture download,
-// pipeline-window negotiation, netlist compilation (cached per spec),
-// and the OT-extension base phase. With Engine.Deadlines.Handshake set
+// pipeline-window negotiation, netlist compilation (cached per spec), the
+// OT-extension base phase (on the first visit to a server; a repeat visit
+// extends the stored base) and the pool fill. With Engine.Deadlines.Handshake set
 // (and a breaker installed on conn), the whole call is bounded by that
 // deadline: a server that accepts and then stalls — or trickles the
 // setup exchanges forever — surfaces as a DeadlineError instead of a
@@ -596,32 +814,36 @@ func (c *Client) NewSession(conn *transport.Conn) (sess *Session, err error) {
 	set := obs.NewSet(c.ledger())
 	conn.SetMetrics(set)
 	rng := rngOrDefault(c.Rng)
-	if err := conn.Send(transport.MsgHello, []byte(protocolHello)); err != nil {
+	// Session number cid of this client, whatever the server numbers it: the
+	// half of the OT nonce that is the client's to keep from repeating.
+	cid := c.sessions.Add(1)
+	offered := c.baseIDs()
+	if err := conn.Send(transport.MsgHello, helloFrame(cid, offered)); err != nil {
 		return nil, err
 	}
-	mt, specData, err := conn.RecvAny(transport.MsgArch, transport.MsgBusy)
+	mt, arch, err := conn.RecvAny(transport.MsgArch, transport.MsgBusy)
 	if err != nil {
 		return nil, err
 	}
 	if mt == transport.MsgBusy {
-		ms, n := binary.Uvarint(specData)
+		ms, n := binary.Uvarint(arch)
 		if n <= 0 {
 			return nil, fmt.Errorf("deepsecure: malformed busy frame")
 		}
 		return nil, &BusyError{RetryAfter: time.Duration(ms) * time.Millisecond}
 	}
-	if len(specData) < digestSize {
-		return nil, fmt.Errorf("core: architecture frame of %d bytes carries no program digest", len(specData))
+	if len(arch) < archHeader {
+		return nil, fmt.Errorf("core: architecture frame of %d bytes is shorter than its %d-byte header", len(arch), archHeader)
 	}
-	serverDigest, specData := [digestSize]byte(specData[:digestSize]), specData[digestSize:]
-	spec, err := nn.UnmarshalSpec(specData)
+	serverDigest := [digestSize]byte(arch)
+	id := baseID(arch[digestSize:])
+	sid := binary.BigEndian.Uint64(arch[archHeader-8:])
+	specData := arch[archHeader:]
+	cp, err := c.program(specData)
 	if err != nil {
 		return nil, err
 	}
-	net, err := spec.Build()
-	if err != nil {
-		return nil, err
-	}
+	prog := cp.prog
 	plPayload, err := conn.Recv(transport.MsgPipeline)
 	if err != nil {
 		return nil, err
@@ -633,10 +855,6 @@ func (c *Client) NewSession(conn *transport.Conn) (sess *Session, err error) {
 	announcedBatch, n2 := binary.Uvarint(plPayload[n:])
 	if n2 <= 0 || n+n2 != len(plPayload) || announcedBatch < 1 {
 		return nil, fmt.Errorf("core: malformed pipeline announcement (%d bytes)", len(plPayload))
-	}
-	prog, err := c.program(specData, net, spec.Format)
-	if err != nil {
-		return nil, err
 	}
 	if prog.Digest != serverDigest {
 		return nil, &ProgramMismatchError{Server: serverDigest, Client: prog.Digest}
@@ -652,11 +870,11 @@ func (c *Client) NewSession(conn *transport.Conn) (sess *Session, err error) {
 	s := &Session{
 		conn:     conn,
 		rng:      rng,
-		f:        spec.Format,
+		f:        cp.f,
 		prog:     prog,
 		start:    start,
 		set:      set,
-		inputLen: net.In.Len(),
+		inputLen: cp.inputLen,
 		window:   window,
 		maxBatch: maxBatch,
 		nextID:   1,
@@ -665,10 +883,27 @@ func (c *Client) NewSession(conn *transport.Conn) (sess *Session, err error) {
 		freeBufs: make(chan []byte, 3),
 		tagBuf:   make([]byte, 0, 2*binary.MaxVarintLen64),
 	}
+	// The session's extension sender: derived from the base the server
+	// named if this client offered it — no base phase — and otherwise from
+	// the one the phase makes now, filed under the server's id for it.
 	baseStart := time.Now()
-	ots, err := ot.NewExtSender(clientOTConn{s}, rng)
-	if err != nil {
-		return nil, err
+	nonce := ot.SessionNonce(cid, sid)
+	var ots *ot.ExtSender
+	if slices.Contains(offered, id) {
+		if ots = c.resume(id, clientOTConn{s}, nonce); ots == nil {
+			return nil, errors.New("core: client closed while the session opened")
+		}
+		set.SessionsResumed.Inc()
+	} else {
+		if len(offered) > 0 {
+			set.ResumeMisses.Inc()
+		}
+		base, err := ot.NewSenderBase(clientOTConn{s}, rng)
+		if err != nil {
+			return nil, err
+		}
+		c.fileBase(id, base)
+		ots = base.Session(clientOTConn{s}, nonce)
 	}
 	set.OTOfflineTime.Add(int64(time.Since(baseStart)))
 	// Pool announcement: the server says how many OTs this session

@@ -311,7 +311,7 @@ func TestClientProgramCacheSharedAcrossSessions(t *testing.T) {
 			go func() {
 				defer wg.Done()
 				<-start
-				if _, err := c.program(specData, net, f); err != nil {
+				if _, err := c.program(specData); err != nil {
 					t.Error(err)
 				}
 			}()
@@ -323,5 +323,18 @@ func TestClientProgramCacheSharedAcrossSessions(t *testing.T) {
 	}
 	if one, many := allocated(1), allocated(n); many > 2*one {
 		t.Fatalf("%d concurrent first look-ups allocated %d bytes, one compile %d: the spec was compiled more than once", n, many, one)
+	}
+	// A later open finds the program, the format and the input width in the
+	// entry: it parses no spec, builds no network and allocates nothing.
+	first, err := cli.program(specData)
+	if err != nil || first.inputLen != 6 || first.f != f {
+		t.Fatalf("cached entry: %d inputs at %v, %v; want 6 at %v", first.inputLen, first.f, err, f)
+	}
+	if allocs := testing.AllocsPerRun(20, func() {
+		if again, _ := cli.program(specData); again != first {
+			t.Error("a second look-up returned another entry")
+		}
+	}); allocs != 0 {
+		t.Errorf("a repeat look-up of a cached spec made %v allocations, want none", allocs)
 	}
 }

@@ -15,7 +15,7 @@ import (
 func TestStatsOfCoversEveryField(t *testing.T) {
 	s := obs.NewSet(nil)
 	for _, c := range []*obs.Counter{s.BytesSent, s.BytesReceived, s.SessionTime, s.GatesAnd, s.GatesFree,
-		s.Inferences, s.OTOfflineTime, s.OTPooled, s.OTConsumed, s.OTRefills, s.OverlapTime, s.GateTime,
+		s.Inferences, s.SessionsResumed, s.ResumeMisses, s.OTOfflineTime, s.OTPooled, s.OTConsumed, s.OTRefills, s.OverlapTime, s.GateTime,
 		s.BankHits, s.BankMisses} {
 		c.Add(3)
 	}

@@ -152,8 +152,12 @@ func TestTapeDigestPinned(t *testing.T) {
 			want:  "9a2b83803635bd9ce2eac0194ca4d6a06379cdb9f7665929ac1d0de8807b46fe",
 			blind: "cc34380ec4d5f29e50263a1a94ec672002d9059d4bd56022b742b89b6cf874f7"},
 		{name: "b1-compacted", build: func() (*nn.Network, error) { return benchmarks.Compacted(b1) }, heavy: true,
-			want:  "cc99d551d8494f493c653b74bd224ff45f163f617df5527821799e2f1e47b797",
-			blind: "2ffeb2756cb4083d473ee79a9ff91f5bb7073e2a53d5cb2ec3a25a5d787e2d6c"},
+			// Re-recorded at PR 23: compacted B1's pruned convolution leaves
+			// maps whose bias word sits at several positions, and the stream
+			// pinned before read that word after retiring it (the schedule
+			// refused the program; only this unscheduled stream existed).
+			want:  "30903877922d90d31088f5a84367dacea2f50c1d8366aa68396d69426a8520d2",
+			blind: "b74ca7e34a5fcd48aa3a77422f9620ef918075fc86be5df5a908ad47fa52fc3a"},
 		{name: "b3", build: benchmarks.B3, heavy: true,
 			want:  "45f525ace754f1b7735b5dcc9d27af5d3a42c373eea7c94b61cc6b61f3f8eb8a",
 			blind: "04596bb98b83c984404cc84a2bed3be96fcb64b4bbf7ad8ef1af7e62556a069e"},

@@ -23,14 +23,22 @@ import (
 // The builder's constant folding makes gate costs depend on the
 // *structure* of operand words, not just their width: a ReLU output has a
 // constant-zero sign bit, so every multiplier fed by it drops the
-// partial-product rows of the replicated sign. FastCount therefore tracks
-// whether each layer's activations are structurally non-negative and uses
-// matching probes. Which ANDs are half ANDs depends on who owns an operand,
-// so the probes declare theirs as Generate does: a weight word is the
-// evaluator's, and so is the bias word — the accumulator of a row's first
-// MAC, and the operand of an activation behind a row with no active tap.
-// (A bias word that reaches a pooling window or the argmax undisturbed is
-// counted as an ordinary operand: HalfAND is short by that cell's few.)
+// partial-product rows of the replicated sign, and a piecewise-linear
+// activation's output carries constant and repeated bits of its own.
+// FastCount therefore carries the producer of the current activations — the
+// cell that emits them, on operands shaped like its own — and probes every
+// consumer on the word that producer actually emits: producer and consumer
+// in one probe builder, minus the producer alone. Which ANDs are half ANDs
+// depends on who owns an operand, so the probes declare theirs as Generate
+// does: a weight word is the evaluator's, and so is the bias word — the
+// accumulator of a row's first MAC, and the operand of an activation behind
+// a row with no active tap (one instance per distinct bias word: the bare
+// positions of one convolution map share theirs). (A bias word that
+// reaches a pooling window or the argmax undisturbed is counted as an
+// ordinary operand: HalfAND is short by that cell's few. And a window that
+// holds one such shared word at several positions folds the comparisons
+// among them, which a per-cell probe cannot see: the count is high by
+// those.)
 func FastCount(net *nn.Network, f fixed.Format, opt Options) (circuit.Stats, *Layout, error) {
 	bits := f.Bits()
 	lay := &Layout{}
@@ -42,84 +50,90 @@ func FastCount(net *nn.Network, f fixed.Format, opt Options) (circuit.Stats, *La
 		total.XOR += int64(n * bits) // recombination layer
 	}
 
-	// word materializes a probe operand: full-width input word, or one
-	// with a constant-zero sign bit (post-ReLU shape).
-	word := func(b *circuit.Builder, nonneg bool) stdcell.Word {
-		if !nonneg {
-			return stdcell.Input(b, circuit.Garbler, bits)
+	// prod emits the cell the current activations come out of and returns
+	// one of its output words: a plain word for the network's input and
+	// behind a linear layer, whose sums have no structure to fold.
+	type producer func(b *circuit.Builder) stdcell.Word
+	plain := producer(func(b *circuit.Builder) stdcell.Word { return stdcell.Input(b, circuit.Garbler, bits) })
+	prod := plain
+	words := func(b *circuit.Builder, p producer, n int) []stdcell.Word {
+		x := make([]stdcell.Word, n)
+		for i := range x {
+			x[i] = p(b)
 		}
-		w := stdcell.Input(b, circuit.Garbler, bits-1)
-		return append(w.Clone(), circuit.WFalse)
+		return x
 	}
-
-	// macCost probes one MAC whose accumulator is acc's: the evaluator's
-	// in a row's first MAC (the bias word), a computed sum after that.
-	macCost := func(nonneg bool, acc circuit.Party) circuit.Stats {
-		return probe(func(b *circuit.Builder) {
-			x := word(b, nonneg)
+	// consume adds times instances of a cell that reads operands words of
+	// the current producer.
+	consume := func(times int64, operands int, cell func(b *circuit.Builder, x []stdcell.Word)) {
+		if times == 0 {
+			return
+		}
+		addStats(&total, probe(func(b *circuit.Builder) { cell(b, words(b, prod, operands)) }), times)
+		addStats(&total, probe(func(b *circuit.Builder) { words(b, prod, operands) }), -times)
+	}
+	// mac is one MAC whose accumulator is acc's: the evaluator's in a row's
+	// first MAC (the bias word), a computed sum after that.
+	mac := func(acc circuit.Party) func(*circuit.Builder, []stdcell.Word) {
+		return func(b *circuit.Builder, x []stdcell.Word) {
 			w := stdcell.Input(b, circuit.Evaluator, bits)
 			a := stdcell.Input(b, acc, bits)
-			p := stdcell.MulFixed(b, x, w, f.FracBits)
-			stdcell.Add(b, a, p)
-		})
+			stdcell.Add(b, a, stdcell.MulFixed(b, x[0], w, f.FracBits))
+		}
 	}
-
-	poolCost := func(p nn.Windowed, cell func(*circuit.Builder, []stdcell.Word) stdcell.Word, nonneg bool) {
+	pool := func(p nn.Windowed, cell func(*circuit.Builder, []stdcell.Word) stdcell.Word) {
 		var windows int64
 		size := 0
 		p.Windows(func(_ int, in []int) { windows, size = windows+1, len(in) })
-		addStats(&total, probe(func(b *circuit.Builder) {
-			w := make([]stdcell.Word, size)
-			for i := range w {
-				w[i] = word(b, nonneg)
-			}
-			cell(b, w)
-		}), windows)
+		consume(windows, size, func(b *circuit.Builder, x []stdcell.Word) { cell(b, x) })
+		of := prod
+		prod = func(b *circuit.Builder) stdcell.Word { return cell(b, words(b, of, size)) }
 	}
 
-	nonneg := false // whether the current activations have const-0 signs
-	var bare int64  // how many of them are a bias word and nothing else
+	var bare, bareWords int64 // activations that are a bias word and nothing else; distinct words among them
 	for li, layer := range net.Layers {
-		wasBare := bare
-		bare = 0
+		wasBare, wasBareWords := bare, bareWords
+		bare, bareWords = 0, 0
 		switch v := layer.(type) {
 		case nn.Linear:
 			var macs, rows int64
-			v.Rows(func(_, _ int, taps []nn.Tap) {
+			bareBias := make(map[int]bool)
+			v.Rows(func(_, bias int, taps []nn.Tap) {
 				macs += int64(len(taps))
 				if len(taps) > 0 {
 					rows++
 				} else {
 					bare++
+					bareBias[bias] = true
 				}
 			})
-			addStats(&total, macCost(nonneg, circuit.Evaluator), rows)
-			addStats(&total, macCost(nonneg, circuit.Garbler), macs-rows)
+			bareWords = int64(len(bareBias))
+			consume(rows, 1, mac(circuit.Evaluator))
+			consume(macs-rows, 1, mac(circuit.Garbler))
 			lay.WeightBits += (v.ActiveWeights() + len(v.Biases())) * bits
-			nonneg = false
+			prod = plain
 
 		case *nn.Activation:
 			if v.Kind == act.Identity {
-				bare = wasBare
+				bare, bareWords = wasBare, wasBareWords
 				continue
 			}
 			impl, err := v.Impl(f)
 			if err != nil {
 				return circuit.Stats{}, nil, err
 			}
-			addStats(&total, probe(func(b *circuit.Builder) { impl.Circuit(b, word(b, nonneg)) }), int64(net.ShapeAt(li).Len())-wasBare)
-			if wasBare > 0 {
-				addStats(&total, probe(func(b *circuit.Builder) { impl.Circuit(b, stdcell.Input(b, circuit.Evaluator, bits)) }), wasBare)
+			consume(int64(net.ShapeAt(li).Len())-wasBare, 1, func(b *circuit.Builder, x []stdcell.Word) { impl.Circuit(b, x[0]) })
+			if wasBareWords > 0 {
+				addStats(&total, probe(func(b *circuit.Builder) { impl.Circuit(b, stdcell.Input(b, circuit.Evaluator, bits)) }), wasBareWords)
 			}
-			nonneg = v.Kind == act.ReLU
+			of := prod
+			prod = func(b *circuit.Builder) stdcell.Word { return impl.Circuit(b, of(b)) }
 
 		case *nn.MaxPool2D:
-			poolCost(v, stdcell.MaxPool, nonneg)
-			// Mux chains preserve a shared constant sign bit.
+			pool(v, stdcell.MaxPool)
 
 		case *nn.MeanPool2D:
-			poolCost(v, stdcell.MeanPool, nonneg)
-			nonneg = false // the summed sign bit is a live carry wire
+			pool(v, stdcell.MeanPool)
 
 		default:
 			return circuit.Stats{}, nil, fmt.Errorf("netgen: FastCount: unsupported layer %T", layer)
@@ -130,15 +144,7 @@ func FastCount(net *nn.Network, f fixed.Format, opt Options) (circuit.Stats, *La
 		lay.OutputBits = net.Out().Len() * bits
 	} else {
 		outN := net.Out().Len()
-		nn := nonneg
-		argCost := probe(func(b *circuit.Builder) {
-			vals := make([]stdcell.Word, outN)
-			for i := range vals {
-				vals[i] = word(b, nn)
-			}
-			stdcell.ArgMax(b, vals)
-		})
-		addStats(&total, argCost, 1)
+		consume(1, outN, func(b *circuit.Builder, x []stdcell.Word) { stdcell.ArgMax(b, x) })
 		idxBits := 1
 		for (1 << uint(idxBits)) < outN {
 			idxBits++

@@ -126,9 +126,16 @@ func inputWords(b *circuit.Builder, p circuit.Party, n, bits int) []stdcell.Word
 	return out
 }
 
+// dropWords retires each distinct word of ws once: a layer's activations may
+// hold one word at several positions (see genLinear), and the words of one
+// list are live together, so a word is its first wire.
 func dropWords(b *circuit.Builder, ws []stdcell.Word) {
+	seen := make(map[uint32]bool, len(ws))
 	for _, w := range ws {
-		b.Drop(w...)
+		if len(w) > 0 && !seen[w[0]] {
+			seen[w[0]] = true
+			b.Drop(w...)
+		}
 	}
 }
 
@@ -160,8 +167,8 @@ func declareParams(b *circuit.Builder, p nn.ParamLayer, bits int, lay *Layout) (
 // weight or bias has one reader, so each MAC retires the weight and the
 // accumulator it consumed; a convolution's are shared by every position
 // of the map, so they stay live to the end of the layer, except a bias
-// that is itself an output (a window with no active tap), which the next
-// layer retires.
+// that is itself an output (a window with no active tap — the one word at
+// every such position of its map), which the next layer retires, once.
 func genLinear(b *circuit.Builder, l nn.Linear, shared bool, x []stdcell.Word, f fixed.Format, lay *Layout) []stdcell.Word {
 	weights, biases := declareParams(b, l, f.Bits(), lay)
 	var out []stdcell.Word
@@ -204,12 +211,19 @@ func genAct(b *circuit.Builder, a *nn.Activation, x []stdcell.Word, f fixed.Form
 	if err != nil {
 		return nil, err
 	}
+	// A word that sits at several positions is activated once and its
+	// output shared the same way.
 	out := make([]stdcell.Word, len(x))
+	done := make(map[uint32]stdcell.Word, len(x))
 	for i, w := range x {
-		b.BeginScope()
-		y := impl.Circuit(b, w)
-		b.EndScope(y...)
-		b.Drop(w...)
+		y, ok := done[w[0]]
+		if !ok {
+			b.BeginScope()
+			y = impl.Circuit(b, w)
+			b.EndScope(y...)
+			b.Drop(w...)
+			done[w[0]] = y
+		}
 		out[i] = y
 	}
 	return out, nil

@@ -39,6 +39,29 @@ func smallConvNet(t *testing.T) *nn.Network {
 	return net
 }
 
+// bareConvNet is a convolution whose first map keeps one kernel weight, the
+// top-left one, under a padding of 1: at the eleven positions of the top row
+// and the left column that tap falls on padding, so the map's output there
+// is its bias word itself — one word at eleven positions, which the
+// activation behind it must read once and the layer after retire once.
+func bareConvNet(t *testing.T, kind act.Kind, pooled bool) *nn.Network {
+	t.Helper()
+	layers := []nn.Layer{nn.NewConv2D(2, 3, 1, 1), nn.NewActivation(kind)}
+	if pooled {
+		layers = append(layers, nn.NewMaxPool2D(2, 0))
+	}
+	net, err := nn.NewNetwork(nn.Shape{C: 1, H: 6, W: 6}, append(layers, nn.NewDense(3))...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	net.InitWeights(rand.New(rand.NewSource(4)))
+	c := net.Layers[0].(*nn.Conv2D)
+	for i := 1; i < 9; i++ {
+		c.Mask[i] = false
+	}
+	return net
+}
+
 func meanPoolNet(t *testing.T) *nn.Network {
 	t.Helper()
 	net, err := nn.NewNetwork(nn.Shape{C: 1, H: 4, W: 4},
@@ -128,7 +151,8 @@ func boolWeights(net *nn.Network, f fixed.Format) []bool {
 
 func TestNetlistMatchesForwardFixedConv(t *testing.T) {
 	f := fixed.Default
-	for _, net := range []*nn.Network{smallConvNet(t), meanPoolNet(t)} {
+	for _, net := range []*nn.Network{smallConvNet(t), meanPoolNet(t),
+		bareConvNet(t, act.ReLU, false), bareConvNet(t, act.TanhPL, true), bareConvNet(t, act.Identity, true)} {
 		c, _ := buildNetlist(t, net, f, Options{RawScores: true})
 		if st := c.Stats(); st.HalfAND == 0 {
 			t.Fatalf("%s: netlist %+v has no half ANDs to check", net.Arch(), st)
@@ -147,6 +171,26 @@ func TestNetlistMatchesForwardFixedConv(t *testing.T) {
 		for i := range want {
 			if gotN[i].Raw() != want[i].Raw() {
 				t.Fatalf("%s out %d: circuit %d vs software %d", net.Arch(), i, gotN[i].Raw(), want[i].Raw())
+			}
+		}
+	}
+}
+
+// TestSharedBareBiasCompiles: a convolution pruned to nothing at several
+// positions of one map, with an activation behind it, used to read its bias
+// word after retiring it — "undefined wire" from the schedule, a recycled
+// wire on the streaming path. It compiles, with and without a pooling layer
+// (whose windows hold the shared word more than once) and outsourced.
+func TestSharedBareBiasCompiles(t *testing.T) {
+	for _, pooled := range []bool{false, true} {
+		for _, opt := range []Options{{}, {Outsourced: true}} {
+			net := bareConvNet(t, act.ReLU, pooled)
+			prog, err := Compile(net, fixed.Default, opt)
+			if err != nil {
+				t.Fatalf("%s %+v: %v", net.Arch(), opt, err)
+			}
+			if slow, _, err := Count(net, fixed.Default, opt); err != nil || slow.AND != prog.Schedule.ANDs {
+				t.Errorf("%s %+v: streaming count %v (%v), compiled %d ANDs", net.Arch(), opt, slow, err, prog.Schedule.ANDs)
 			}
 		}
 	}
@@ -369,8 +413,15 @@ func TestFastCountMatchesStreamingCount(t *testing.T) {
 	nets := []*nn.Network{
 		smallDenseNet(t, act.TanhCORDIC),
 		smallDenseNet(t, act.SigmoidPLAN),
+		// Activations whose output word has structure of its own —
+		// constant and repeated bits the next layer's multipliers fold.
+		smallDenseNet(t, act.TanhPL),
+		smallDenseNet(t, act.TanhLUT),
 		smallConvNet(t),
 		meanPoolNet(t),
+		// One bias word at several positions of a map, activated once.
+		bareConvNet(t, act.ReLU, false),
+		bareConvNet(t, act.TanhPL, false),
 	}
 	// Add a pruned variant.
 	pruned := smallDenseNet(t, act.ReLU)

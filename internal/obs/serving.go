@@ -108,6 +108,12 @@ type Set struct {
 	Batches        *Counter
 	Errors         *Counter
 
+	// SessionsResumed counts sessions that extended a stored OT base
+	// correlation instead of running the base phase, ResumeMisses those
+	// whose hello offered stored ones of which the server held none; each
+	// party counts its own sessions.
+	SessionsResumed, ResumeMisses *Counter
+
 	BytesSent, BytesReceived *Counter
 
 	InferenceSeconds *Histogram
@@ -207,6 +213,10 @@ func newSet(reg *Registry, p *Set) *Set {
 		Help: "Inferences of more than one sample (fused batches) completed."})
 	s.Errors = counter(Desc{Name: "deepsecure_session_errors_total",
 		Help: "Sessions that ended with a protocol or transport error."})
+	s.SessionsResumed = counter(Desc{Name: "deepsecure_sessions_resumed_total",
+		Help: "Sessions that extended a stored OT base correlation, skipping the base phase."})
+	s.ResumeMisses = counter(Desc{Name: "deepsecure_resume_misses_total",
+		Help: "Sessions that offered stored OT base correlations of which the server held none."})
 
 	s.BytesSent = counter(Desc{Name: "deepsecure_bytes_total",
 		Help:   "Transport bytes moved by this process, by direction.",

@@ -3,6 +3,18 @@
 // extension that turns 128 base OTs into millions of fast extended OTs —
 // one per evaluator-input bit of the garbled circuit (the DL model's
 // weight bits in DeepSecure, §3.1 step ii).
+//
+// The base phase yields a value, the base correlation (SenderBase: the
+// secret vector s and the seeds k_{s_i}; ReceiverBase: the 128 seed pairs),
+// and an extension session is a derivation from it: column i of the
+// session named by a 16-byte Nonce runs on the AES-CTR keystream under
+// AES_{seed_i}(nonce), its row hashes on tweaks from the nonce's client
+// half · 2^32. A pair of parties runs the phase once and derives as many
+// sessions as it likes, at once or years apart; what it must never do is
+// derive one nonce twice — no keystream byte under a base seed, and no
+// (tweak, s) pair, may be produced twice — which each party ensures by
+// putting a counter of its own in its half of the nonce. NewExtSender and
+// NewExtReceiver are the base phase followed by the zero nonce's session.
 package ot
 
 import (

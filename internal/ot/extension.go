@@ -3,6 +3,8 @@ package ot
 import (
 	"crypto/aes"
 	"crypto/cipher"
+	"crypto/subtle"
+	"encoding/binary"
 	"fmt"
 	"io"
 
@@ -13,19 +15,26 @@ import (
 // k is the OT-extension security parameter: the number of base OTs.
 const k = 128
 
-// prgStream returns the AES-CTR keystream generator for a 16-byte seed.
-// Each extension party keeps one stateful stream per base-OT seed and
-// draws the NEXT keystream bytes for every batch: masks are never reused
-// across batches, so observing two u-matrices reveals nothing about the
-// receiver's choice bits (reusing the stream from offset 0 would leak
+// prgStream returns the column stream a base seed yields for the session
+// nonce names: the AES-CTR keystream under the session key AES_seed(nonce).
+// The seed keys nothing but that one block per session, so distinct nonces
+// give streams under (pseudo)independent keys and no keystream byte is
+// produced twice. Each extension party keeps one stateful stream per seed
+// and draws the NEXT keystream bytes for every batch: masks are never
+// reused across batches, so observing two u-matrices reveals nothing about
+// the receiver's choice bits (reusing the stream from offset 0 would leak
 // their XOR). Both parties consume exactly mBytes per batch per seed,
 // keeping the streams synchronized without communication.
-func prgStream(seed Msg) cipher.Stream {
+func prgStream(seed Msg, nonce Nonce) cipher.Stream {
+	var key, iv Msg
 	block, err := aes.NewCipher(seed[:])
+	if err == nil {
+		block.Encrypt(key[:], nonce[:])
+		block, err = aes.NewCipher(key[:])
+	}
 	if err != nil {
 		panic(fmt.Sprintf("ot: prg cipher: %v", err))
 	}
-	var iv [16]byte
 	return cipher.NewCTR(block, iv[:])
 }
 
@@ -35,6 +44,26 @@ func prgNext(s cipher.Stream, n int) []byte {
 	s.XORKeyStream(out, out)
 	return out
 }
+
+// Nonce names one extension session among all that are derived from one
+// base correlation: the client's 8-byte big-endian session counter, then
+// the server's. Each party draws its half from a counter of its own that
+// never repeats while it holds the base, so no two sessions of one base
+// share a nonce whatever the peer puts in the other half.
+type Nonce [16]byte
+
+// SessionNonce builds the nonce cid ‖ sid.
+func SessionNonce(cid, sid uint64) (n Nonce) {
+	binary.BigEndian.PutUint64(n[:8], cid)
+	binary.BigEndian.PutUint64(n[8:], sid)
+	return n
+}
+
+// firstTweak is where a session's row-hash counter starts: the client's
+// half of the nonce, shifted past any plausible session's OT count (2^32),
+// so the sender — the client, whose s is the same in every session of a
+// base — never hashes under one (tweak, s) pair twice.
+func firstTweak(nonce Nonce) uint64 { return binary.BigEndian.Uint64(nonce[:8]) << 32 }
 
 // ExtULen returns the size in bytes of the U matrix of an m-OT extension
 // batch: what a sender about to read one may bound the frame to.
@@ -53,55 +82,100 @@ func packBits(bits []bool) []byte {
 
 // transposeToRows converts 128 column bit-vectors (each m bits packed in
 // mBytes) into m rows of 16 bytes each (row j holds bit j of every
-// column).
+// column). It moves 64 bits at a time: byte b of the eight columns of group
+// g is an 8 × 8 bit matrix, transposed in a register, whose rows are byte g
+// of rows 8b … 8b+7 (fewer in a ragged tail, whose padding bits are dropped).
 func transposeToRows(cols [][]byte, m int) [][16]byte {
 	rows := make([][16]byte, m)
-	for i := 0; i < k; i++ {
-		col := cols[i]
-		byteIdx := i / 8
-		bitMask := byte(1 << uint(i%8))
-		for j := 0; j < m; j++ {
-			if col[j/8]&(1<<uint(j%8)) != 0 {
-				rows[j][byteIdx] |= bitMask
+	mBytes := (m + 7) / 8
+	for g := 0; g < k/8; g++ {
+		c := cols[8*g : 8*g+8]
+		c0, c1, c2, c3 := c[0][:mBytes], c[1][:mBytes], c[2][:mBytes], c[3][:mBytes]
+		c4, c5, c6, c7 := c[4][:mBytes], c[5][:mBytes], c[6][:mBytes], c[7][:mBytes]
+		for b := 0; b < mBytes; b++ {
+			x := uint64(c0[b]) | uint64(c1[b])<<8 | uint64(c2[b])<<16 | uint64(c3[b])<<24 |
+				uint64(c4[b])<<32 | uint64(c5[b])<<40 | uint64(c6[b])<<48 | uint64(c7[b])<<56
+			// Hacker's Delight §7-3: swap the off-diagonal 1 × 1, 2 × 2 and
+			// 4 × 4 blocks.
+			t := (x ^ x>>7) & 0x00AA00AA00AA00AA
+			x ^= t ^ t<<7
+			t = (x ^ x>>14) & 0x0000CCCC0000CCCC
+			x ^= t ^ t<<14
+			t = (x ^ x>>28) & 0x00000000F0F0F0F0
+			x ^= t ^ t<<28
+			out := rows[8*b : min(8*b+8, m)]
+			for r := range out {
+				out[r][g] = byte(x >> (8 * r))
 			}
 		}
 	}
 	return rows
 }
 
-// ExtSender is the IKNP sender: it holds the message pairs in each
-// extended OT (the garbler, whose pairs are wire-label pairs).
-type ExtSender struct {
-	conn    transport.FrameConn
-	s       []bool // secret base-OT choices
-	sRow    [16]byte
-	streams []cipher.Stream // stateful PRG per k_{s_i}, advanced per batch
-	h       *gc.Hasher
-	idx     uint64
+// SenderBase is the extension sender's half of the base correlation with
+// one peer: its secret choice vector s and the 128 seeds k_{s_i} the base
+// OTs delivered. It is immutable — a session is a derivation from it
+// (Session), not a consumer of it — so any number of sessions, concurrent
+// ones included, extend the one base phase.
+type SenderBase struct {
+	s     [k / 8]byte // packed LSB-first: the row every H(q_j ⊕ s) XORs in
+	seeds [k]Msg
 }
 
-// NewExtSender runs the base phase (as base-OT receiver with a secret
-// choice vector) and returns a sender ready for Send batches.
-func NewExtSender(conn transport.FrameConn, rng io.Reader) (*ExtSender, error) {
-	s := make([]bool, k)
-	var buf [k / 8]byte
-	if _, err := io.ReadFull(rng, buf[:]); err != nil {
+// NewSenderBase runs the base phase over conn as base-OT receiver with a
+// fresh secret choice vector: 128 public-key OTs, once per pair of parties.
+func NewSenderBase(conn transport.FrameConn, rng io.Reader) (*SenderBase, error) {
+	b := new(SenderBase)
+	if _, err := io.ReadFull(rng, b.s[:]); err != nil {
 		return nil, fmt.Errorf("ot: sender randomness: %w", err)
 	}
+	s := make([]bool, k)
 	for i := range s {
-		s[i] = buf[i/8]&(1<<uint(i%8)) != 0
+		s[i] = b.bit(i)
 	}
 	seeds, err := BaseReceive(conn, rng, s)
 	if err != nil {
 		return nil, fmt.Errorf("ot: extension base phase (receive): %w", err)
 	}
-	es := &ExtSender{conn: conn, s: s, h: gc.NewHasher()}
-	es.streams = make([]cipher.Stream, k)
-	for i, seed := range seeds {
-		es.streams[i] = prgStream(seed)
+	copy(b.seeds[:], seeds)
+	return b, nil
+}
+
+func (b *SenderBase) bit(i int) bool { return b.s[i/8]&(1<<uint(i%8)) != 0 }
+
+// Zero wipes the correlation. Sessions derived before it keep working (they
+// hold session keys, not the seeds); nothing may be derived after it.
+func (b *SenderBase) Zero() { *b = SenderBase{} }
+
+// Session derives the extension sender of the session nonce names, speaking
+// over conn. The caller must never pass one base the same nonce twice.
+func (b *SenderBase) Session(conn transport.FrameConn, nonce Nonce) *ExtSender {
+	es := &ExtSender{conn: conn, s: b.s, h: gc.NewHasher(), idx: firstTweak(nonce)}
+	for i, seed := range b.seeds {
+		es.streams[i] = prgStream(seed, nonce)
 	}
-	copy(es.sRow[:], packBits(s))
-	return es, nil
+	return es
+}
+
+// ExtSender is the IKNP sender: it holds the message pairs in each
+// extended OT (the garbler, whose pairs are wire-label pairs).
+type ExtSender struct {
+	conn    transport.FrameConn
+	s       [k / 8]byte      // secret base-OT choices, packed
+	streams [k]cipher.Stream // stateful PRG per k_{s_i}, advanced per batch
+	h       *gc.Hasher
+	idx     uint64
+}
+
+// NewExtSender runs the base phase (as base-OT receiver with a secret
+// choice vector) and returns a sender ready for Send batches: the session
+// of the zero nonce on a base nobody else holds.
+func NewExtSender(conn transport.FrameConn, rng io.Reader) (*ExtSender, error) {
+	b, err := NewSenderBase(conn, rng)
+	if err != nil {
+		return nil, err
+	}
+	return b.Session(conn, Nonce{}), nil
 }
 
 // Send runs one extension batch, obliviously transferring pairs[j][r_j]
@@ -135,11 +209,8 @@ func (es *ExtSender) SendWithU(pairs [][2]Msg, u []byte) error {
 	cols := make([][]byte, k)
 	for i := 0; i < k; i++ {
 		q := prgNext(es.streams[i], mBytes)
-		if es.s[i] {
-			ui := u[i*mBytes : (i+1)*mBytes]
-			for j := range q {
-				q[j] ^= ui[j]
-			}
+		if es.s[i/8]&(1<<uint(i%8)) != 0 {
+			subtle.XORBytes(q, q, u[i*mBytes:(i+1)*mBytes])
 		}
 		cols[i] = q
 	}
@@ -153,7 +224,7 @@ func (es *ExtSender) SendWithU(pairs [][2]Msg, u []byte) error {
 	h0s := make([]gc.Label, m)
 	h1s := make([]gc.Label, m)
 	tweaks := make([]uint64, m)
-	sRow := gc.Label(es.sRow)
+	sRow := gc.Label(es.s)
 	for j := 0; j < m; j++ {
 		qj := gc.Label(rows[j])
 		h0s[j] = qj
@@ -180,39 +251,61 @@ func (es *ExtSender) SendWithU(pairs [][2]Msg, u []byte) error {
 	return es.conn.Flush()
 }
 
+// ReceiverBase is the extension receiver's half of the base correlation
+// with one peer: the 128 seed pairs it offered in the base OTs. Immutable,
+// like SenderBase.
+type ReceiverBase struct {
+	seeds [k][2]Msg
+}
+
+// NewReceiverBase runs the base phase over conn as base-OT sender with
+// random seed pairs.
+func NewReceiverBase(conn transport.FrameConn, rng io.Reader) (*ReceiverBase, error) {
+	b := new(ReceiverBase)
+	for i := range b.seeds {
+		for c := range b.seeds[i] {
+			if _, err := io.ReadFull(rng, b.seeds[i][c][:]); err != nil {
+				return nil, fmt.Errorf("ot: receiver randomness: %w", err)
+			}
+		}
+	}
+	if err := BaseSend(conn, rng, b.seeds[:]); err != nil {
+		return nil, fmt.Errorf("ot: extension base phase (send): %w", err)
+	}
+	return b, nil
+}
+
+// Session derives the extension receiver of the session nonce names,
+// speaking over conn. The caller must never pass one base the same nonce
+// twice.
+func (b *ReceiverBase) Session(conn transport.FrameConn, nonce Nonce) *ExtReceiver {
+	er := &ExtReceiver{conn: conn, h: gc.NewHasher(), idx: firstTweak(nonce)}
+	for i, pair := range b.seeds {
+		er.streams0[i] = prgStream(pair[0], nonce)
+		er.streams1[i] = prgStream(pair[1], nonce)
+	}
+	return er
+}
+
 // ExtReceiver is the IKNP receiver (the evaluator, whose choice bits are
 // its private input bits).
 type ExtReceiver struct {
 	conn     transport.FrameConn
-	streams0 []cipher.Stream // stateful PRGs, advanced per batch
-	streams1 []cipher.Stream
+	streams0 [k]cipher.Stream // stateful PRGs, advanced per batch
+	streams1 [k]cipher.Stream
 	h        *gc.Hasher
 	idx      uint64
 }
 
 // NewExtReceiver runs the base phase (as base-OT sender with random seed
-// pairs) and returns a receiver ready for Receive batches.
+// pairs) and returns a receiver ready for Receive batches: the session of
+// the zero nonce on a base nobody else holds.
 func NewExtReceiver(conn transport.FrameConn, rng io.Reader) (*ExtReceiver, error) {
-	er := &ExtReceiver{conn: conn, h: gc.NewHasher()}
-	pairs := make([][2]Msg, k)
-	er.streams0 = make([]cipher.Stream, k)
-	er.streams1 = make([]cipher.Stream, k)
-	for i := 0; i < k; i++ {
-		var seed0, seed1 Msg
-		if _, err := io.ReadFull(rng, seed0[:]); err != nil {
-			return nil, fmt.Errorf("ot: receiver randomness: %w", err)
-		}
-		if _, err := io.ReadFull(rng, seed1[:]); err != nil {
-			return nil, fmt.Errorf("ot: receiver randomness: %w", err)
-		}
-		er.streams0[i] = prgStream(seed0)
-		er.streams1[i] = prgStream(seed1)
-		pairs[i] = [2]Msg{seed0, seed1}
+	b, err := NewReceiverBase(conn, rng)
+	if err != nil {
+		return nil, err
 	}
-	if err := BaseSend(er.conn, rng, pairs); err != nil {
-		return nil, fmt.Errorf("ot: extension base phase (send): %w", err)
-	}
-	return er, nil
+	return b.Session(conn, Nonce{}), nil
 }
 
 // PreparedReceive carries the receiver-side state of one extension batch
@@ -240,16 +333,13 @@ func (er *ExtReceiver) Prepare(choices []bool) *PreparedReceive {
 	r := packBits(choices)
 
 	tCols := make([][]byte, k)
-	u := make([]byte, 0, k*mBytes)
+	u := make([]byte, k*mBytes)
 	for i := 0; i < k; i++ {
 		t := prgNext(er.streams0[i], mBytes)
-		g1 := prgNext(er.streams1[i], mBytes)
-		ui := make([]byte, mBytes)
-		for j := range ui {
-			ui[j] = t[j] ^ g1[j] ^ r[j]
-		}
+		ui := u[i*mBytes : (i+1)*mBytes]
+		er.streams1[i].XORKeyStream(ui, t) // t ⊕ G(k1)
+		subtle.XORBytes(ui, ui, r)
 		tCols[i] = t
-		u = append(u, ui...)
 	}
 	return &PreparedReceive{
 		U:       u,

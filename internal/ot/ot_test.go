@@ -411,9 +411,9 @@ func TestTransposeRoundTrip(t *testing.T) {
 func TestPRGDeterministicAndDistinct(t *testing.T) {
 	var s1, s2 Msg
 	s2[0] = 1
-	a := prgNext(prgStream(s1), 64)
-	b := prgNext(prgStream(s1), 64)
-	c := prgNext(prgStream(s2), 64)
+	a := prgNext(prgStream(s1, Nonce{}), 64)
+	b := prgNext(prgStream(s1, Nonce{}), 64)
+	c := prgNext(prgStream(s2, Nonce{}), 64)
 	if !bytes.Equal(a, b) {
 		t.Error("prg not deterministic")
 	}
@@ -430,7 +430,7 @@ func TestPRGStreamAdvancesAcrossDraws(t *testing.T) {
 	// Consecutive draws from one stream must never repeat keystream:
 	// reusing a mask across OT batches would leak the XOR of the
 	// receiver's choice bits between batches.
-	s := prgStream(Msg{})
+	s := prgStream(Msg{}, Nonce{})
 	a := prgNext(s, 64)
 	b := prgNext(s, 64)
 	if bytes.Equal(a, b) {
@@ -438,7 +438,7 @@ func TestPRGStreamAdvancesAcrossDraws(t *testing.T) {
 	}
 	// Draw boundaries don't matter, only total bytes: both parties stay
 	// synchronized even when batch sizes differ over time.
-	s1, s2 := prgStream(Msg{0: 7}), prgStream(Msg{0: 7})
+	s1, s2 := prgStream(Msg{0: 7}, Nonce{}), prgStream(Msg{0: 7}, Nonce{})
 	x := append(prgNext(s1, 10), prgNext(s1, 22)...)
 	y := prgNext(s2, 32)
 	if !bytes.Equal(x, y) {
@@ -590,6 +590,41 @@ func TestUMatrixMasksNotReusedAcrossBatches(t *testing.T) {
 	if bytes.Equal(us[0], us[1]) {
 		t.Fatal("u-matrix reused across batches: PRG masks repeat, choice bits leak")
 	}
+
+	// The same across sessions derived from one base correlation: with
+	// identical choices, the u-matrices of two sessions whose nonces differ
+	// in the client's counter alone, or in the server's alone, share no
+	// column — so each party keeps the masks apart with its own counter,
+	// whatever the peer replays in the other half. And on the sender's side
+	// no column stream repeats either, so no q row is formed twice.
+	t.Run("derivedSessions", func(t *testing.T) {
+		sb, rb := testBases(t, 34, 35)
+		nonces := []Nonce{SessionNonce(1, 1), SessionNonce(2, 1), SessionNonce(1, 2)}
+		var us, qs [][]byte
+		for _, n := range nonces {
+			us = append(us, rb.Session(nil, n).Prepare(choices).U)
+			var q []byte
+			for _, st := range sb.Session(nil, n).streams {
+				q = append(q, prgNext(st, m/8)...)
+			}
+			qs = append(qs, q)
+		}
+		for _, pair := range [][2]int{{0, 1}, {0, 2}, {1, 2}} {
+			x, y := pair[0], pair[1]
+			for i := 0; i < k; i++ {
+				col := func(mat []byte) []byte { return mat[i*m/8 : (i+1)*m/8] }
+				if bytes.Equal(col(us[x]), col(us[y])) {
+					t.Fatalf("sessions %x and %x put the same u column %d on the wire: masks repeat, choice bits leak", nonces[x], nonces[y], i)
+				}
+				if bytes.Equal(col(qs[x]), col(qs[y])) {
+					t.Fatalf("sessions %x and %x draw the same sender keystream for column %d", nonces[x], nonces[y], i)
+				}
+			}
+		}
+		if again := rb.Session(nil, nonces[0]).Prepare(choices).U; !bytes.Equal(again, us[0]) {
+			t.Error("a session is not a function of the base and the nonce")
+		}
+	})
 }
 
 func TestPackBits(t *testing.T) {

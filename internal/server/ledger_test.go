@@ -176,7 +176,6 @@ func TestOneLedger(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Session 3 fails: a peer that sends garbage for a hello.
 	waitFor := func(what string, ok func(Stats) bool) {
 		t.Helper()
 		for deadline := time.Now().Add(10 * time.Second); !ok(srv.Stats()); {
@@ -187,6 +186,20 @@ func TestOneLedger(t *testing.T) {
 		}
 	}
 	waitFor("sessions 1 and 2 finished", func(st Stats) bool { return st.Sessions == 2 && st.ActiveSessions == 0 })
+
+	// Session 3 is the plain client's second visit: it extends the OT base
+	// correlation session 2 left behind, and comes for nothing else.
+	sess3, nc3, err := openSession(t, plain, addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer nc3.Close()
+	if err := sess3.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	// Session 4 fails: a peer that sends garbage for a hello.
+	waitFor("sessions 1 to 3 finished", func(st Stats) bool { return st.Sessions == 3 && st.ActiveSessions == 0 })
 	junk, err := net.Dial("tcp", addr)
 	if err != nil {
 		t.Fatal(err)
@@ -195,7 +208,7 @@ func TestOneLedger(t *testing.T) {
 	if _, err := junk.Write([]byte{0xff, 0xff, 0xff, 0xff, 0xff}); err != nil {
 		t.Fatal(err)
 	}
-	waitFor("session 3 failed", func(st Stats) bool { return st.Errors == 1 && st.ActiveSessions == 0 })
+	waitFor("session 4 failed", func(st Stats) bool { return st.Errors == 1 && st.ActiveSessions == 0 })
 
 	// One set of books. The refused attempt has no Session to ask, but its
 	// connection was recording in a ledger like any other.
@@ -210,7 +223,7 @@ func TestOneLedger(t *testing.T) {
 		return a.Value - b.Value
 	}
 	server := srv.Stats()
-	clients := []*core.Stats{sess1.Stats(), sess2.Stats(), core.StatsOf(shedConn.Metrics())}
+	clients := []*core.Stats{sess1.Stats(), sess2.Stats(), sess3.Stats(), core.StatsOf(shedConn.Metrics())}
 	for _, c := range []struct {
 		what  string
 		root  int64
@@ -219,6 +232,7 @@ func TestOneLedger(t *testing.T) {
 		{"bytes sent", delta("deepsecure_bytes_total", obs.Label{Key: "direction", Value: "sent"}), func(s *core.Stats) int64 { return s.BytesSent }},
 		{"bytes received", delta("deepsecure_bytes_total", obs.Label{Key: "direction", Value: "received"}), func(s *core.Stats) int64 { return s.BytesReceived }},
 		{"inferences", delta("deepsecure_inferences_total"), func(s *core.Stats) int64 { return s.Inferences }},
+		{"sessions resumed", delta("deepsecure_sessions_resumed_total"), func(s *core.Stats) int64 { return s.SessionsResumed }},
 		{"AND gates", delta("deepsecure_gates_total", obs.Label{Key: "kind", Value: "and"}), func(s *core.Stats) int64 { return s.ANDGates }},
 		{"free gates", delta("deepsecure_gates_total", obs.Label{Key: "kind", Value: "free"}), func(s *core.Stats) int64 { return s.FreeGates }},
 		{"gate time", delta("deepsecure_gate_time_seconds_total"), func(s *core.Stats) int64 { return int64(s.GateTime) }},
@@ -241,7 +255,8 @@ func TestOneLedger(t *testing.T) {
 		root, want int64
 		stat       int64
 	}{
-		{"sessions", delta("deepsecure_sessions_total"), 3, server.Sessions},
+		{"sessions", delta("deepsecure_sessions_total"), 4, server.Sessions},
+		{"resume misses", delta("deepsecure_resume_misses_total"), 0, server.ResumeMisses},
 		{"session errors", delta("deepsecure_session_errors_total"), 1, server.Errors},
 		{"sessions queued", delta("deepsecure_sessions_queued_total"), 1, server.QueuedSessions},
 		{"sessions shed", delta("deepsecure_sessions_shed_total"), 1, server.ShedSessions},

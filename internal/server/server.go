@@ -317,12 +317,16 @@ func (s *Server) serveConn(conn net.Conn) {
 			conn.RemoteAddr(), st.Inferences, err)
 		return
 	}
-	s.logf("session from %s: %d inference(s), %.2f MB out, %.2f MB in, %v (OT offline %v / online %v, %d pooled, %d consumed, %d refill(s); pipeline peak %d in flight, %v overlapped; crypto core %.2f Mgates/s over %v)",
+	base := "fresh" // the session ran the OT base phase, or extended a stored correlation
+	if st.SessionsResumed > 0 {
+		base = "resumed"
+	}
+	s.logf("session from %s: %d inference(s), %.2f MB out, %.2f MB in, %v (OT offline %v / online %v, %d pooled, %d consumed, %d refill(s), base %s; pipeline peak %d in flight, %v overlapped; crypto core %.2f Mgates/s over %v)",
 		conn.RemoteAddr(), st.Inferences,
 		float64(st.BytesSent)/1e6, float64(st.BytesReceived)/1e6,
 		time.Since(start).Round(time.Millisecond),
 		st.OTOfflineTime.Round(time.Millisecond), st.OTOnlineTime.Round(time.Millisecond),
-		st.OTsPooled, st.OTsConsumed, st.OTRefills,
+		st.OTsPooled, st.OTsConsumed, st.OTRefills, base,
 		st.MaxInFlight, st.OverlapTime.Round(time.Millisecond),
 		st.GatesPerSec()/1e6, st.GateTime.Round(time.Millisecond))
 }

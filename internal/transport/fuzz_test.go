@@ -107,7 +107,7 @@ func TestFrameLimitsRefuseBeforeAllocating(t *testing.T) {
 	runtime.ReadMemStats(&before)
 	_, _, err := c.ReadFrame()
 	runtime.ReadMemStats(&after)
-	if err == nil || err.Error() != "transport: hello frame of 1073741824 bytes exceeds its limit of 64" {
+	if err == nil || err.Error() != "transport: hello frame of 1073741824 bytes exceeds its limit of 192" {
 		t.Fatalf("1 GiB hello: err = %v", err)
 	}
 	if grew := after.TotalAlloc - before.TotalAlloc; grew > 1<<20 {

@@ -111,9 +111,10 @@ func (m MsgType) String() string {
 // size the protocol state knows.
 const MaxFrame = 1 << 30
 
-// maxHello bounds a MsgHello payload: the version string of a peer that
-// has not been authenticated in any way yet.
-const maxHello = 64
+// maxHello bounds a MsgHello payload — a version string, a session counter
+// and at most eight 16-byte base-correlation ids — from a peer that has not
+// been authenticated in any way yet.
+const maxHello = 192
 
 // FrameConn is the frame-level interface the protocol layers speak: a
 // *Conn satisfies it directly, and pipelined sessions satisfy it with
