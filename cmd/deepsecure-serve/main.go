@@ -178,7 +178,6 @@ func main() {
 		log.Fatal(err)
 	}
 	st := srv.Stats()
-	log.Printf("served %d session(s), %d inference(s) total; pipeline peak %d in flight, %v overlapped",
-		st.Sessions, st.Inferences, st.MaxInFlight, st.OverlapTime.Round(time.Millisecond))
+	log.Printf("served %d session(s), %d inference(s) total", st.Sessions, st.Inferences)
 	log.Printf("final: %s", obs.ServingLine(obs.Default.Snapshot()))
 }

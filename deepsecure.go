@@ -94,7 +94,8 @@ type (
 	// sets the garble/evaluate pool size (0 derives it from GOMAXPROCS,
 	// 1 is the sequential mode), ChunkBytes the garbled-table streaming
 	// chunk, Pipeline the cross-inference in-flight window (0 defaults
-	// to DefaultPipelineDepth, 1 is serial), and MaxBatch the
+	// to DefaultPipelineDepth, 1 is serial; a server evaluates a session's
+	// inferences in begin order whatever the window), and MaxBatch the
 	// batched-inference sample cap (0 defaults to DefaultMaxBatch). Set
 	// it on a Client, or pass it to NewServer via WithEngine.
 	EngineConfig = core.EngineConfig
@@ -233,8 +234,8 @@ func Infer(conn *Conn, x []float64) (int, *InferStats, error) {
 // amortized over all inferences, and consecutive inferences pipeline
 // across the session's in-flight window (inference k+1 garbles while
 // inference k's output round-trip and evaluation tail are pending),
-// with results streaming in as they complete. Returned stats are
-// session totals.
+// with results streaming in, in order, as they complete. Returned stats
+// are session totals.
 func InferMany(conn *Conn, xs [][]float64) ([]int, *InferStats, error) {
 	c := &core.Client{}
 	return c.InferMany(conn, xs)

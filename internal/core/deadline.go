@@ -30,9 +30,9 @@ type DeadlineConfig struct {
 	// OTSetup bounds the per-session OT setup: the base-OT phase plus
 	// the initial random-OT pool fill and its announcement.
 	OTSetup time.Duration
-	// Inference bounds each inference (or fused batch) from admission
-	// of its begin frame to its outputs being flushed. Pipelined
-	// inferences are timed independently.
+	// Inference bounds each inference (or fused batch) from the arrival
+	// of its begin frame to its outputs being flushed, the wait behind
+	// the inferences begun before it included.
 	Inference time.Duration
 }
 
@@ -62,8 +62,8 @@ func (e *DeadlineError) Error() string {
 }
 
 // watchdog enforces phase deadlines over one session. arm/disarm bracket
-// the serial setup phases; after marks independently timed spans (one
-// per in-flight inference). Expiry records the first deadline to fire
+// the serial setup phases; after times a span that began earlier (an
+// inference, from its begin frame). Expiry records the first deadline to fire
 // and breaks the connection; wrap then rewrites the resulting teardown
 // error into that DeadlineError. A nil watchdog is inert, so unarmed
 // paths pay nothing.
@@ -97,10 +97,14 @@ func (w *watchdog) arm(phase string, d time.Duration) {
 // disarm cancels the serial-phase timer.
 func (w *watchdog) disarm() { w.arm("", 0) }
 
-// after starts an independent timer for a concurrent span (one
-// in-flight inference); the caller stops it when the span settles.
-func (w *watchdog) after(phase string, d time.Duration) *time.Timer {
-	return time.AfterFunc(d, func() { w.expire(phase, d) })
+// after times a span limited to d that began at start (it fires at once
+// when nothing of d remains); the caller calls stop when its part of the
+// span settles. d <= 0 times nothing.
+func (w *watchdog) after(phase string, d time.Duration, start time.Time) (stop func() bool) {
+	if d <= 0 {
+		return func() bool { return false }
+	}
+	return time.AfterFunc(time.Until(start.Add(d)), func() { w.expire(phase, d) }).Stop
 }
 
 func (w *watchdog) expire(phase string, d time.Duration) {

@@ -42,7 +42,7 @@ import (
 // garbling side's knowledge of how a level runs and of what an execution
 // stores, live in internal/gc/bank. Completed table
 // chunks stream to the peer while the next level is being produced, and
-// on the evaluator the session's reader keeps the inference's inbox — one
+// on the evaluator the session's reader keeps the session's FIFO — one
 // bounded ring of table frames — ahead of the worker pool, so neither AES
 // throughput nor transport latency idles the other. Input, OT, and output
 // steps are barriers executed on the engine's goroutine, exactly where the
@@ -69,14 +69,16 @@ type EngineConfig struct {
 	// default; the field stays because the conformance tests force chunk
 	// boundaries with it.
 	ChunkBytes int
-	// Pipeline bounds how many inferences may be in flight on one
-	// session at once (cross-inference pipelining): with depth d > 1 the
-	// client garbles inference k+1 while inference k's output round-trip
-	// and evaluation tail are still pending, and the server evaluates up
-	// to d inferences concurrently. 0 defaults to DefaultPipelineDepth;
-	// 1 disables overlap (inferences run serially). On a server this is
-	// also the announced window clients are validated against; a client's
-	// effective window is min(its own depth, the server's announcement).
+	// Pipeline bounds how many inferences may be in flight — begun and
+	// not yet answered — on one session at once (cross-inference
+	// pipelining): with depth d > 1 the client garbles inference k+1
+	// while inference k's output round-trip and evaluation tail are still
+	// pending. The server evaluates them one at a time, in begin order;
+	// what overlaps an evaluation is the next burst's arrival. 0 defaults
+	// to DefaultPipelineDepth; 1 disables overlap (inferences run
+	// serially). On a server this is also the announced window clients are
+	// validated against; a client's effective window is min(its own
+	// depth, the server's announcement).
 	Pipeline int
 	// MaxBatch bounds how many samples one inference (InferBatch) may
 	// fuse into a single schedule walk. A batch occupies one
@@ -113,8 +115,8 @@ type EngineConfig struct {
 // in its output round-trip.
 const DefaultPipelineDepth = 2
 
-// maxPipelineDepth caps the window so a misconfigured or hostile peer
-// cannot demand unbounded per-inference server state.
+// maxPipelineDepth caps the window a server announces: an OT pool sized
+// from the model grows with it.
 const maxPipelineDepth = 32
 
 func (c EngineConfig) workers() int {
@@ -175,8 +177,8 @@ func (c EngineConfig) chunkBytes() int {
 // transport writes overlap the next level's garbling. Buffers cycle
 // through the free channel (transport.Conn has written or copied a payload
 // by the time Send returns, so a chunk is reusable the moment it does).
-// The evaluator has no counterpart (the mux reader fills its inbox ahead of
-// it); on this side nothing in-process stands in for the goroutine's overlap
+// The evaluator has no counterpart (the session reader fills the FIFO ahead
+// of it); on this side nothing in-process stands in for the goroutine's overlap
 // with socket back-pressure, and a trial with both forks forced inline (26.4
 // vs 27.1 inf/s median on tanh_lan at -procs 2, six alternating pairs spread
 // 23.8–29.0) did not resolve either way — so it stays.
@@ -564,9 +566,9 @@ func (en *evalEngine) doLevels(st *circuit.Step) error {
 // budget (the schedule's TableBytes, scaled by the batch size), it hands
 // back exactly the requested bytes per level. It is a cursor over the
 // frames its connection hands it and starts no goroutine: on a session the
-// connection is the inference's inbox, which the mux reader fills ahead of
-// the evaluate pool — the one bounded ring of table frames an in-flight
-// inference holds (§3.5) — and anywhere else a blocking Recv is all a
+// connection is the session's FIFO, which the reader fills ahead of
+// the evaluate pool — the one bounded ring of table frames a session
+// holds (§3.5) — and anywhere else a blocking Recv is all a
 // cursor needs. A level is evaluated where its frame lies (the garbler cuts
 // frames at level boundaries, so that is every level of a conforming
 // peer); each frame goes back to the connection's free list once drawn
@@ -582,7 +584,7 @@ type tableRun struct {
 
 	// readTime accumulates wall time blocked in fetch waiting for frames —
 	// what the evaluator actually spent on the table stream (a frame
-	// already in the inbox costs ~nothing; a dry one charges the wire wait
+	// already in the ring costs ~nothing; a dry one charges the wire wait
 	// here).
 	readTime time.Duration
 }

@@ -614,13 +614,13 @@ func (d *heldDuplex) Write(b []byte) (int, error) {
 
 // TestEvaluatorAddsNoGoroutinePerRun pins the evaluator's one prefetch stage:
 // with the table feed of an inference held mid-run on a Workers: 4 server
-// session, the only goroutines the session has started are its reader and the
-// inference's context (the shared scheduler's workers are process-wide) —
-// nothing per level run stands between the inbox and the engine.
+// session, the only goroutines the session has started are its reader and its
+// writer (the shared scheduler's workers are process-wide) — nothing per
+// level run stands between the ring and the engine.
 func TestEvaluatorAddsNoGoroutinePerRun(t *testing.T) {
 	checkLeaks := testutil.VerifyNoLeaks(t)
 	checkHeld := testutil.VerifyNoLeaks(t,
-		"core.(*sessionMux).run(", "core.(*sessionMux).readLoop(", "core.(*sessionMux).runCtx(", "core.(*Session).Infer(")
+		"core.(*sessionMux).run(", "core.(*sessionMux).readLoop(", "core.(*sessionMux).writeLoop(", "core.(*Session).Infer(")
 	f := fixed.Default
 	net := testNet(t, act.ReLU, 31)
 	x := []float64{0.5, -0.25, 0.75, -1, 0.125, 0.3}

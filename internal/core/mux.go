@@ -5,7 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"sync"
+	"sync/atomic"
 	"time"
 
 	"deepsecure/internal/circuit"
@@ -15,401 +15,382 @@ import (
 	"deepsecure/internal/transport"
 )
 
-// This file is the server side of a session: one reader goroutine
-// demultiplexes the connection's tagged frames into per-inference
-// evaluation contexts, so the server can evaluate inference k while the
-// client is already streaming inference k+1. The pieces:
+// This file is the server side of a session, and a session is a FIFO: one
+// reader goroutine drains the connection into one bounded channel, the
+// goroutine that called ServeSession pops it, evaluating the session's
+// inferences one after the other in the order their begin frames arrived,
+// and one writer goroutine puts what they answer on the wire in that order —
+// three goroutines, whatever the window.
 //
-//	reader ──▶ per-inference inbox ──▶ evalCtx goroutine (evalEngine)
+//	reader ──▶ fifo (ringFrames) ──▶ session goroutine (evalEngine) ──▶ out ──▶ writer
 //	       └─▶ OT pool (refill answers, banked in wire order)
-//	evalCtx ──▶ muxConn (mutex-serialized writes) ──▶ conn
 //
-// The in-flight window (transport.Window, depth = EngineConfig.Pipeline)
-// bounds concurrent contexts. Each context owns a disjoint range of the
-// session's OT pool, reserved by the reader when the begin frame arrives,
-// so contexts never wait on each other. Writes from contexts interleave
-// at frame granularity; at depth 1 a single context exists at a time, so
-// the wire stream is byte-identical to a strictly serial run of the
-// engines (pinned by TestPipelineDepth1Conformance).
+// A client garbles an inference to completion and flushes before it begins
+// the next, so frames of two inferences never interleave: the tag on a
+// frame is checked, nothing is routed by it. What the in-flight window
+// (EngineConfig.Pipeline) buys is the round trip and the evaluation tail —
+// through the ring, inference k+1's burst arrives while k's last levels are
+// evaluated and its outputs travel back. The window is two integers: the id
+// the next begin must carry and the count of begun-but-unanswered
+// inferences. More cores are reached inside an inference (level fan-out on
+// internal/sched) and through more sessions, never by a second evaluator on
+// this one. What the server writes is a function of what it read, up to
+// which answer a decided refill rides ahead of (whether begin k+1 was read
+// before answer k was written).
 //
-// An inference is one client→server burst answered by one output frame,
-// and nothing here can turn that into a deadlock:
+// An inference is one client→server burst answered by one output frame, and
+// nothing here can turn that into a deadlock, however little the path holds:
 //
-//   - The reader never waits on a writer. It writes nothing itself, and a
-//     context writes only where no frame of its own can be pending behind
-//     it: the refills its range depends on before its first receive (the
-//     client is then blocked reading for exactly those, see
-//     precomp.ReceiverPool.Cover), everything else after its last. So a
-//     full inbox always drains and the client's burst always lands.
+//   - The reader never waits on a writer. It writes nothing and waits on
+//     nothing but the ring. The session goroutine, the ring's one consumer,
+//     waits on nothing but the ring either: what an inference wants written
+//     — before its first receive the refills its pool range depends on
+//     (precomp.ReceiverPool.Cover), after its last the refills decided
+//     meanwhile and its outputs — it queues on out, which always has room
+//     (see send), and a frame it cannot legally take ends the session the
+//     moment it is popped. So a full ring always drains and the client's
+//     burst always lands, while the writer (after set-up the connection's
+//     only one: the pool's background helper prepares a refill, it never
+//     sends one) may be parked in a 1 MiB refill U that the client reads
+//     once its burst is out.
 //   - The client never waits on a write the server is not reading: it
 //     reads only between bursts, or for a refill its begin frame (flushed
 //     by that read) made the reader decide.
 
-// frame is one routed protocol frame, its inference tag already stripped
-// and its type mapped back to the logical (untagged) protocol type.
+// ringFrames is the FIFO's capacity: the one bounded ring of table frames
+// an evaluator holds (§3.5). Four keeps the reader a frame or two ahead of
+// the level kernel, which is all the overlap one evaluator can use; a slot
+// is a frame of up to the table cap set in newSessionMux, so a deeper ring
+// would only raise the session's memory bound (README, "Pipelined
+// sessions").
+const ringFrames = 4
+
+// frame is one entry of the FIFO: an admitted begin, or a frame of the
+// latest begun inference with its tag checked and stripped and its type
+// mapped back to the logical (untagged) protocol type.
 type frame struct {
 	typ     transport.MsgType
 	payload []byte
+	begin   *inference // the admitted inference, on a MsgInferBegin entry
 }
 
-// errSessionTorn marks errors that are consequences of session teardown
-// (closed routing channels, aborted pool turns) rather than root causes:
-// the main loop prefers the reader's protocol error or another context's
-// hard error over these.
-var errSessionTorn = errors.New("core: session torn down")
-
-// routeStallTimeout bounds how long the demux reader will wait to route
-// a frame into a context's inbox: far beyond any legitimate
-// backpressure pause (consuming one inbox slot means evaluating at most
-// a few gate levels), it exists so a hostile client flooding frames a
-// context cannot legally consume wedges the session with an error
-// instead of pinning the reader forever.
-const routeStallTimeout = 5 * time.Minute
-
-// muxConn is the shared half of a demultiplexed session connection: the
-// connection with its writes serialized, for concurrent contexts. Session
-// setup (base OT phase, pool announcement and fill) also receives through
-// it; once the reader starts, the reader alone reads and a muxConn only
-// writes.
-type muxConn struct {
-	*transport.Conn
-	wmu sync.Mutex
-}
-
-func (m *muxConn) Send(t transport.MsgType, payload []byte) error {
-	m.wmu.Lock()
-	defer m.wmu.Unlock()
-	return m.Conn.Send(t, payload)
-}
-
-func (m *muxConn) SendTagged(t transport.MsgType, id uint64, payload []byte) error {
-	m.wmu.Lock()
-	defer m.wmu.Unlock()
-	return m.Conn.SendTagged(t, id, payload)
-}
-
-func (m *muxConn) Flush() error {
-	m.wmu.Lock()
-	defer m.wmu.Unlock()
-	return m.Conn.Flush()
-}
-
-// evalCtx is one in-flight inference on the server: its routed frame
-// inbox and its death marker (closed when the context goroutine exits,
-// so the reader stops routing to it). batch is the sub-stream's sample
-// count B ≥ 1 from its begin frame.
-type evalCtx struct {
+// inference is one begun inference of batch ≥ 1 samples: what the reader
+// fixed when its begin frame arrived.
+type inference struct {
 	id    uint64
 	batch int
-	otr   precomp.Range // the inference's OT-pool entries
-	start time.Time     // admission time, for the per-inference latency histogram
-	inbox chan frame
-	dead  chan struct{}
-	// deadline is this inference's independent watchdog timer (nil when
-	// no per-inference deadline is configured); runCtx stops it when the
-	// context settles.
-	deadline *time.Timer
+	otr   precomp.Range // its OT-pool entries
+	start time.Time     // arrival of its begin frame: latency and deadline run from here
 }
 
-// ctxConn is an evalCtx's view of the session connection: receives come
-// from the context's routed inbox, sends are tagged with the inference
-// id and serialized through the muxConn.
+// answer is one entry of the writer's queue: what inference inf wants on the
+// wire, in queue order. Before its first receive that is cover, the refills
+// its pool range depends on; after its last, the refills decided meanwhile
+// and then its output labels.
+type answer struct {
+	inf     *inference
+	cover   bool
+	outputs []byte
+}
+
+// errRingClosed is what a pop reports once the reader has ended; the
+// reader's own error, when it has one, is the cause.
+var errRingClosed = errors.New("core: session ended")
+
+// ctxConn is the evaluation engine's view of the session connection while
+// inference id is being evaluated: a receive pops the FIFO, and it sends
+// nothing (what an inference writes goes through the writer's queue).
 type ctxConn struct {
-	m *sessionMux
-	c *evalCtx
+	m  *sessionMux
+	id uint64
 }
 
-func (v *ctxConn) Send(t transport.MsgType, payload []byte) error {
-	if t == transport.MsgOutputLabels {
-		return v.m.mc.SendTagged(transport.MsgInferOutputs, v.c.id, payload)
-	}
-	return v.m.mc.Send(t, payload)
+func (v ctxConn) Send(t transport.MsgType, _ []byte) error {
+	return fmt.Errorf("core: evaluator sent a %v frame mid-inference %d", t, v.id)
 }
 
-func (v *ctxConn) Flush() error { return v.m.mc.Flush() }
+func (v ctxConn) Flush() error { return nil }
 
-func (v *ctxConn) Recv(want transport.MsgType) ([]byte, error) {
+func (v ctxConn) Recv(want transport.MsgType) ([]byte, error) {
 	_, p, err := v.RecvAny(want)
 	return p, err
 }
 
-// RecvAny takes the context's next routed frame, failing fast with a
-// teardown-tagged error when the reader or the session is gone. It flushes
-// pending writes first: refills the awaited frame depends on may still be
-// buffered.
-func (v *ctxConn) RecvAny(want ...transport.MsgType) (transport.MsgType, []byte, error) {
-	if err := v.m.mc.Flush(); err != nil {
-		return 0, nil, err
+func (v ctxConn) RecvAny(want ...transport.MsgType) (transport.MsgType, []byte, error) {
+	f, err := v.m.pop()
+	if err != nil {
+		return 0, nil, fmt.Errorf("%w mid-inference %d", err, v.id)
 	}
-	select {
-	case f, ok := <-v.c.inbox:
-		if !ok {
-			return 0, nil, fmt.Errorf("core: session ended mid-inference %d: %w", v.c.id, errSessionTorn)
+	for _, w := range want {
+		if f.typ == w {
+			return f.typ, f.payload, nil
 		}
-		for _, w := range want {
-			if f.typ == w {
-				return f.typ, f.payload, nil
-			}
-		}
-		return 0, nil, fmt.Errorf("core: protocol desync mid-inference %d: got %v frame, want %v", v.c.id, f.typ, want)
-	case <-v.m.stop:
-		return 0, nil, fmt.Errorf("core: teardown mid-inference %d: %w", v.c.id, errSessionTorn)
 	}
+	return 0, nil, fmt.Errorf("core: protocol desync mid-inference %d: got %v frame, want %v", v.id, f.typ, want)
 }
 
-// muxEvent is a completion notification to the session's main loop.
-type muxEvent struct {
-	readerDone bool
-	err        error
-}
-
-// sessionMux runs one demultiplexed session on the server: its
-// inference sub-streams share the window, the routing, the OT pool and
-// one worker pool (a shared-scheduler gc.Pool carries no per-call state,
-// so concurrent contexts' level runs all land on the process-wide worker
-// set).
+// sessionMux runs one session on the server: the reader, the FIFO, the
+// window, the writer, the OT pool and one worker pool (a view of the
+// process-wide scheduler, on which an inference's levels fan out).
 type sessionMux struct {
-	srv   *Server
 	conn  *transport.Conn
-	mc    *muxConn
 	otp   *precomp.ReceiverPool
 	pool  *gc.Pool
-	win   *transport.Window
 	sched *circuit.Schedule
 	cfg   EngineConfig
 
 	weightBits []bool
-	wd         *watchdog // session phase watchdog (nil = no deadlines armed)
+	wd         *watchdog // the session's phase watchdog
 	set        *obs.Set  // the session's ledger
 
-	events  chan muxEvent
-	stop    chan struct{}
-	ctxs    map[uint64]*evalCtx
-	spawned int // reader-owned until readerDone, then main-owned
+	fifo chan frame
+	stop chan struct{} // closed when run returns: a reader parked on a full ring leaves
+	// readErr is why the reader ended (nil after end-session). The reader
+	// writes it before it closes fifo, run reads it after.
+	readErr error
 
-	// In-flight tracking: the ledger gets the peak and, interval by
-	// interval, the time with ≥2 inferences active — the session's measured
-	// overlap. overlapSince is zero while no such interval is open.
-	statMu       sync.Mutex
-	inFlight     int
-	overlapSince time.Time
+	next uint64       // reader-owned: the id the next begin must carry
+	open atomic.Int32 // begun and not yet answered: what the window bounds
+
+	out  chan answer // the writer's queue, two entries per window slot (see send)
+	werr chan error  // the writer's verdict, sent once as it ends: early means it failed
 }
 
-func newSessionMux(srv *Server, conn *transport.Conn, mc *muxConn, otp *precomp.ReceiverPool, sched *circuit.Schedule, weightBits []bool) *sessionMux {
-	// Bound every frame a client sends outside the table stream before the
-	// first arrives, so that a header announcing more is refused unread: an
-	// input frame carries one step of every sample (a label per garbler
-	// wire, a masked pair per evaluator wire), so the widest step at the
-	// batch cap bounds it; each after the inference tag.
+func newSessionMux(srv *Server, conn *transport.Conn, otp *precomp.ReceiverPool, sched *circuit.Schedule, wd *watchdog, set *obs.Set) *sessionMux {
+	// Bound every frame a client sends before the first arrives, so that a
+	// header announcing more is refused unread: an input frame carries one
+	// step of every sample (a label per garbler wire, a masked pair per
+	// evaluator wire), so the widest step at the batch cap bounds it; a table
+	// frame never spans two level runs (garbleEngine.doLevels emits at every
+	// run's end, whatever its chunk size), so the largest run does; each
+	// after the inference tag.
 	const tag = binary.MaxVarintLen64
-	labels := gc.LabelSize * srv.Engine.MaxBatchSize()
+	batch := srv.Engine.MaxBatchSize()
+	labels := gc.LabelSize * batch
 	_, widestG := inputWires(sched, circuit.Garbler)
 	_, widestE := inputWires(sched, circuit.Evaluator)
+	largestRun := 0
+	for i := range sched.Steps {
+		if st := &sched.Steps[i]; st.Kind == circuit.StepLevels {
+			largestRun = max(largestRun, st.TableBytes)
+		}
+	}
 	conn.SetLimit(transport.MsgInferBegin, tag+binary.MaxVarintLen64)
 	conn.SetLimit(transport.MsgInferConst, tag+2*labels)
 	conn.SetLimit(transport.MsgInferInputs, tag+widestG*labels)
 	conn.SetLimit(transport.MsgInferMasked, tag+widestE*2*labels)
+	conn.SetLimit(transport.MsgInferTables, tag+min(transport.MaxFrame, largestRun*batch))
 	conn.SetLimit(transport.MsgEndSession, 0)
-	depth := srv.Engine.PipelineDepth()
 	return &sessionMux{
-		srv:        srv,
 		conn:       conn,
-		mc:         mc,
 		otp:        otp,
 		pool:       srv.Engine.newPool(),
-		win:        transport.NewWindow(depth),
 		sched:      sched,
 		cfg:        srv.Engine,
-		weightBits: weightBits,
-		events:     make(chan muxEvent, 1),
+		weightBits: srv.weightBits,
+		wd:         wd,
+		set:        set,
+		fifo:       make(chan frame, ringFrames),
 		stop:       make(chan struct{}),
-		ctxs:       make(map[uint64]*evalCtx, depth),
+		next:       1,
+		out:        make(chan answer, 2*srv.Engine.PipelineDepth()),
+		werr:       make(chan error, 1),
 	}
 }
 
 // run serves the session until the client ends it, disconnects at an
-// inference boundary, or an error tears it down. Error priority: a context's
-// own protocol error (bad frame contents, failed evaluation) returns
-// immediately; teardown-consequence errors (closed routing channels)
-// only surface if no root cause — the reader's protocol error, or a
-// boundary-clean disconnect — explains them.
-func (m *sessionMux) run() error {
+// inference boundary, or an error tears it down. An inference's own error is
+// the session's; one that only saw the ring close under it yields to the
+// reader's, which is the cause. After an error the reader may be parked in a
+// read and the writer in a write: both leave when the caller closes the
+// connection.
+func (m *sessionMux) run() (err error) {
 	go m.readLoop()
+	go m.writeLoop()
 	defer m.otp.Abort()
 	defer close(m.stop)
 	defer func() {
-		m.statMu.Lock()
-		m.closeOverlap()
-		m.statMu.Unlock()
+		close(m.out)
+		if err == nil { // a clean end: see the queued answers out
+			err = <-m.werr
+		}
 	}()
-
-	done := 0
-	readerDone := false
-	var readerErr error
-	var tornErr error
 	for {
-		ev := <-m.events
-		if ev.readerDone {
-			readerDone = true
-			readerErr = ev.err
-		} else {
-			done++
-			switch {
-			case ev.err == nil:
-			case errors.Is(ev.err, errSessionTorn):
-				if tornErr == nil {
-					tornErr = ev.err
-				}
-			default:
-				return ev.err
-			}
+		f, perr := m.pop()
+		switch {
+		case errors.Is(perr, errRingClosed) && errors.Is(m.readErr, io.EOF):
+			return nil // a disconnect with nothing open is a valid end, like the end marker
+		case errors.Is(perr, errRingClosed):
+			return m.readErr
+		case perr != nil:
+			return perr
+		case f.begin == nil:
+			return fmt.Errorf("core: protocol desync: %v frame between inferences", f.typ)
 		}
-		if readerDone && done == m.spawned {
-			break
+		if err := m.evaluate(f.begin); errors.Is(err, errRingClosed) && m.readErr != nil {
+			return m.readErr
+		} else if err != nil {
+			return err
 		}
-	}
-	switch {
-	case readerErr == nil:
-		// Clean end marker; torn contexts can only mean the client ended
-		// the session with inferences still open.
-		return tornErr
-	case errors.Is(readerErr, io.EOF) && tornErr == nil:
-		// A disconnect with every inference settled is a valid way to
-		// end a session.
-		return nil
-	default:
-		return readerErr
 	}
 }
 
-func (m *sessionMux) emit(ev muxEvent) {
+// pop takes the next frame off the ring. It is the one place the session
+// goroutine waits, and a writer that failed ends the wait.
+func (m *sessionMux) pop() (frame, error) {
 	select {
-	case m.events <- ev:
-	case <-m.stop:
+	case f, ok := <-m.fifo:
+		if !ok {
+			return f, errRingClosed
+		}
+		return f, nil
+	case err := <-m.werr:
+		return frame{}, err
 	}
 }
 
-// readLoop drains the connection, validating inference tags against the
-// window and routing frames to their contexts (tagged per-inference
-// frames) or to the session's OT pool (the untagged refill answers). It
-// exits on end-of-session, disconnect, or a
-// protocol violation, then closes every routing channel so blocked
-// contexts fail fast instead of hanging.
-func (m *sessionMux) readLoop() {
+// send queues a for the writer without waiting. An inference queues a cover
+// and an answer, and its window slot is retired only when the writer has
+// taken the answer, so behind the at most depth−1 inferences ahead of it
+// the queue always has room for both.
+func (m *sessionMux) send(a answer) error {
+	select {
+	case m.out <- a:
+		return nil
+	case err := <-m.werr:
+		return err
+	}
+}
+
+// writeLoop puts the queued answers on the wire, in order. It ends with the
+// queue, or on the first error, which the session goroutine then finds at
+// its next pop or send.
+func (m *sessionMux) writeLoop() {
 	var err error
-	// Contain reader panics: the reader owns the routing channels, and an
-	// escaped panic would kill the process before the deferred closes run,
-	// wedging every context blocked on a routed receive.
 	defer func() {
 		if v := recover(); v != nil {
-			if err == nil {
-				err = obs.Panicked("core: session reader", v)
-			}
+			err = obs.Panicked("core: session writer", v)
 		}
-		// Unblock everything still waiting on routed frames. Only the
-		// reader sends on these channels, so closing here is safe.
-		for _, c := range m.ctxs {
-			close(c.inbox)
-		}
-		m.emit(muxEvent{readerDone: true, err: err})
+		m.werr <- err
 	}()
-	end := false
-	for !end && err == nil {
-		var typ transport.MsgType
-		var payload []byte
-		typ, payload, err = m.conn.ReadFrame()
-		if err != nil {
-			break
+	for a := range m.out {
+		if err = m.write(a); err != nil {
+			return
 		}
+	}
+}
+
+// write is the writer's half of an inference, under the inference's
+// deadline like the evaluation before it (the wait in between is behind an
+// older inference's write, which that one's deadline bounds).
+func (m *sessionMux) write(a answer) error {
+	defer m.wd.after("inference", m.cfg.Deadlines.Inference, a.inf.start)()
+	if a.cover {
+		// A client whose pool is short of this range sends nothing more
+		// until the refills that cover it arrive.
+		return m.otp.Cover(a.inf.otr)
+	}
+	// What the pool policy decided meanwhile goes ahead of the outputs, so
+	// the client has answered it by the time it sees them.
+	if err := m.otp.SendRefills(); err != nil {
+		return err
+	}
+	// Retire the window slot BEFORE the outputs can reach the client: its
+	// next begin may arrive the instant the flush lands, and the reader's
+	// admission check must not refuse it. The client sends nothing further
+	// for this inference, so retiring first is safe.
+	m.open.Add(-1)
+	if err := m.conn.SendTagged(transport.MsgInferOutputs, a.inf.id, a.outputs); err != nil {
+		return err
+	}
+	if err := m.conn.Flush(); err != nil {
+		return err
+	}
+	m.set.InferenceSeconds.Observe(int64(time.Since(a.inf.start)))
+	m.set.Inferences.Add(int64(a.inf.batch))
+	if a.inf.batch > 1 {
+		m.set.Batches.Inc()
+	}
+	return nil
+}
+
+// readLoop drains the connection into the FIFO: begins are admitted against
+// the window and get their pool range here, in begin order; the other
+// inference frames must carry the latest begun id; refill answers go to the
+// OT pool. It exits on end-of-session, disconnect or a protocol violation
+// and closes the FIFO, so a blocked evaluation fails fast instead of hanging
+// (a reader panic included, which would otherwise take the process down).
+func (m *sessionMux) readLoop() {
+	defer func() {
+		if v := recover(); v != nil {
+			m.readErr = obs.Panicked("core: session reader", v)
+		}
+		close(m.fifo)
+	}()
+	for {
+		typ, payload, err := m.conn.ReadFrame()
+		if err != nil {
+			m.readErr = err
+			return
+		}
+		f := frame{typ: logicalType(typ)}
 		switch typ {
 		case transport.MsgEndSession:
-			end = true
+			return
 		case transport.MsgInferBegin:
-			// Refused here, before anything is reserved: a malformed
-			// payload, B < 1, B past the announced cap.
-			id, rest, tagErr := transport.SplitTag(payload)
-			bsz, n := binary.Uvarint(rest)
-			if tagErr != nil || n <= 0 || n != len(rest) || bsz < 1 {
-				err = fmt.Errorf("core: malformed infer-begin payload (%d bytes)", len(payload))
-				break
-			}
-			if max := uint64(m.cfg.MaxBatchSize()); bsz > max {
-				err = fmt.Errorf("core: batch of %d samples exceeds the announced maximum %d", bsz, max)
-				break
-			}
-			err = m.beginCtx(id, int(bsz))
+			f.begin, err = m.admit(payload)
 		case transport.MsgInferConst, transport.MsgInferInputs, transport.MsgInferMasked, transport.MsgInferTables:
 			var id uint64
-			var content []byte
-			id, content, err = transport.SplitTag(payload)
-			if err != nil {
-				break
-			}
-			if err = m.win.Check(id); err != nil {
-				break
-			}
-			c := m.ctxs[id]
-			if c == nil {
-				err = fmt.Errorf("core: no context for in-window inference %d", id)
-				break
-			}
-			f := frame{logicalType(typ), content}
-			select {
-			case c.inbox <- f: // common case: room in the inbox, no timer
-			default:
-				// A full inbox is normal backpressure (the evaluator
-				// paces the garbler, preserving bounded memory), so this
-				// send blocks — but with a generous backstop: a context
-				// that cannot consume for this long is wedged by a
-				// protocol violation (e.g. a client flooding frames a
-				// context cannot legally receive yet), and without the
-				// backstop the reader would hang with no read pending
-				// for the idle timeout to reap.
-				stall := time.NewTimer(routeStallTimeout)
-				select {
-				case c.inbox <- f:
-				case <-c.dead:
-					// The context died; its error reaches the main loop.
-					// Drop the frame and keep draining so the reader
-					// never wedges behind a dead context's full inbox.
-				case <-stall.C:
-					err = fmt.Errorf("core: frame routing to inference %d stalled for %v", id, routeStallTimeout)
-				case <-m.stop:
-					stall.Stop()
-					return
-				}
-				stall.Stop()
+			id, f.payload, err = transport.SplitTag(payload)
+			if err == nil && id != m.next-1 {
+				err = fmt.Errorf("core: %v frame tagged for unknown inference %d (the latest begun is %d)", typ, id, m.next-1)
 			}
 		case transport.MsgOTExtY:
-			// A refill answer. Banking it here, in wire order, is what lets
-			// contexts use the new entries without waiting: the masked
-			// frames that need them are behind it on the wire.
-			err = m.otp.FinishRefill(payload)
+			// A refill answer, banked in wire order: the masked frames that
+			// need the new entries are behind it on the wire.
+			if err = m.otp.FinishRefill(payload); err == nil {
+				continue
+			}
 		default:
 			err = fmt.Errorf("core: unexpected %v frame on a session", typ)
 		}
+		if err != nil {
+			m.readErr = err
+			return
+		}
+		// A full ring is back-pressure: the evaluator paces the garbler, which
+		// is what keeps the session's memory bounded.
+		select {
+		case m.fifo <- f:
+		case <-m.stop:
+			return
+		}
 	}
 }
 
-// beginCtx admits a new inference sub-stream of batch samples and spawns
-// its context.
-func (m *sessionMux) beginCtx(id uint64, batch int) error {
-	if err := m.win.Begin(id); err != nil {
-		return err
+// admit checks a begin frame — a well-formed (id, B), B within the announced
+// cap, the id the next in sequence, room in the window — and reserves the
+// inference's pool range: ranges go out in begin order, which is the order
+// the client reserved them in.
+func (m *sessionMux) admit(payload []byte) (*inference, error) {
+	id, rest, tagErr := transport.SplitTag(payload)
+	bsz, n := binary.Uvarint(rest)
+	depth := m.cfg.PipelineDepth()
+	switch limit := uint64(m.cfg.MaxBatchSize()); {
+	case tagErr != nil || n <= 0 || n != len(rest) || bsz < 1:
+		return nil, fmt.Errorf("core: malformed infer-begin payload (%d bytes)", len(payload))
+	case bsz > limit:
+		return nil, fmt.Errorf("core: batch of %d samples exceeds the announced maximum %d", bsz, limit)
+	case id < m.next:
+		return nil, fmt.Errorf("core: duplicate inference id %d (ids are single-use, next is %d)", id, m.next)
+	case id > m.next:
+		return nil, fmt.Errorf("core: inference id %d skips ahead (want %d; ids are sequential)", id, m.next)
+	case int(m.open.Load()) >= depth:
+		return nil, fmt.Errorf("core: inference id %d exceeds the in-flight window (depth %d)", id, depth)
 	}
-	m.beginInFlight()
-	c := &evalCtx{id: id, batch: batch, start: time.Now(), inbox: make(chan frame, 4), dead: make(chan struct{})}
-	// Ranges go out in begin order, which is the order the client
-	// reserved them in.
-	c.otr = m.otp.Reserve(batch)
-	if d := m.cfg.Deadlines.Inference; d > 0 && m.wd != nil {
-		c.deadline = m.wd.after("inference", d)
-	}
-	m.pruneCtxs()
-	m.ctxs[id] = c
-	m.spawned++
-	go m.runCtx(c)
-	return nil
+	m.next++
+	m.open.Add(1)
+	return &inference{id: id, batch: int(bsz), otr: m.otp.Reserve(int(bsz)), start: time.Now()}, nil
 }
 
 // logicalType maps a tagged frame type to the logical protocol type the
@@ -429,111 +410,46 @@ func logicalType(t transport.MsgType) transport.MsgType {
 	}
 }
 
-// pruneCtxs drops routing entries for contexts that have exited; at most
-// window-depth contexts are live, so the map stays bounded over a
-// session of any length.
-func (m *sessionMux) pruneCtxs() {
-	for id, c := range m.ctxs {
-		select {
-		case <-c.dead:
-			delete(m.ctxs, id)
-		default:
-		}
-	}
-}
-
-func (m *sessionMux) beginInFlight() {
-	m.statMu.Lock()
-	defer m.statMu.Unlock()
-	m.inFlight++
-	m.set.InFlightPeak.Raise(int64(m.inFlight))
-	if m.inFlight == 2 {
-		m.overlapSince = time.Now()
-	}
-}
-
-func (m *sessionMux) endInFlight() {
-	m.statMu.Lock()
-	defer m.statMu.Unlock()
-	m.inFlight--
-	if m.inFlight < 2 {
-		m.closeOverlap()
-	}
-}
-
-// closeOverlap books the open overlap interval, if there is one: when the
-// session drops below two inferences in flight, and at teardown, whatever
-// is still running. The caller holds statMu.
-func (m *sessionMux) closeOverlap() {
-	if !m.overlapSince.IsZero() {
-		m.set.OverlapTime.Add(int64(time.Since(m.overlapSince)))
-		m.overlapSince = time.Time{}
-	}
-}
-
-// runCtx executes one inference's evaluation to completion and reports
-// the outcome to the session's main loop.
-func (m *sessionMux) runCtx(c *evalCtx) {
-	err := func() (err error) {
-		// Contain evaluation panics to this inference: the error tears
-		// down this session through the normal event path while every
-		// other session in the process keeps serving.
-		defer func() {
-			if v := recover(); v != nil {
-				err = obs.Panicked(fmt.Sprintf("core: inference %d", c.id), v)
-			}
-		}()
-		return m.serveInference(c)
-	}()
-	if c.deadline != nil {
-		c.deadline.Stop()
-	}
-	m.endInFlight()
-	if err == nil {
-		m.set.InferenceSeconds.Observe(int64(time.Since(c.start)))
-		m.set.Inferences.Add(int64(c.batch))
-		if c.batch > 1 {
-			m.set.Batches.Inc()
-		}
-	}
-	close(c.dead)
-	m.emit(muxEvent{err: err})
-}
-
-// evalPanicHook, when set by a test, runs at the top of every
-// serveInference call — the seam the panic-containment pin uses to
-// detonate inside one session's evaluation goroutine.
+// evalPanicHook, when set by a test, runs at the top of every evaluate
+// call — the seam the panic-containment pin uses to detonate inside one
+// session's evaluation.
 var evalPanicHook func(id uint64, batch int)
 
-// serveInference is the per-context body: it runs the evaluation engine
-// over the context's routed frames and answers with the output labels.
-func (m *sessionMux) serveInference(c *evalCtx) error {
+// evaluate runs the evaluation engine over one inference's frames and
+// queues the output labels, under the inference's deadline.
+func (m *sessionMux) evaluate(inf *inference) (err error) {
+	defer m.wd.after("inference", m.cfg.Deadlines.Inference, inf.start)()
+	// Contain evaluation panics to this session: the error tears it down
+	// through the normal path while every other session keeps serving.
+	defer func() {
+		if v := recover(); v != nil {
+			err = obs.Panicked(fmt.Sprintf("core: inference %d", inf.id), v)
+		}
+	}()
 	if evalPanicHook != nil {
-		evalPanicHook(c.id, c.batch)
+		evalPanicHook(inf.id, inf.batch)
 	}
-	view := &ctxConn{m: m, c: c}
-	// Before the first receive: a client whose pool is short of this range
-	// sends nothing more until the refills that cover it arrive.
-	if err := m.otp.Cover(c.otr); err != nil {
+	view := ctxConn{m, inf.id}
+	// Before the first receive: the refills this range depends on.
+	if err := m.send(answer{inf: inf, cover: true}); err != nil {
 		return err
 	}
-	// Const labels arrive wire-major like every frame: the B
-	// false-labels, then the B true-labels.
+	// Const labels arrive wire-major: B false-labels, then B true-labels.
 	constLabels, err := view.Recv(transport.MsgConstLabels)
 	if err != nil {
 		return err
 	}
-	if len(constLabels) != 2*c.batch*gc.LabelSize {
-		return fmt.Errorf("core: const-label frame has %d bytes, want %d", len(constLabels), 2*c.batch*gc.LabelSize)
+	if len(constLabels) != 2*inf.batch*gc.LabelSize {
+		return fmt.Errorf("core: const-label frame has %d bytes, want %d", len(constLabels), 2*inf.batch*gc.LabelSize)
 	}
-	e, err := gc.NewBatchEvaluator(c.batch)
+	e, err := gc.NewBatchEvaluator(inf.batch)
 	if err != nil {
 		return err
 	}
-	for s := 0; s < c.batch; s++ {
+	for s := 0; s < inf.batch; s++ {
 		var lf, lt gc.Label
 		copy(lf[:], constLabels[s*gc.LabelSize:])
-		copy(lt[:], constLabels[(c.batch+s)*gc.LabelSize:])
+		copy(lt[:], constLabels[(inf.batch+s)*gc.LabelSize:])
 		e.SetLabel(circuit.WFalse, s, lf)
 		e.SetLabel(circuit.WTrue, s, lt)
 	}
@@ -543,7 +459,7 @@ func (m *sessionMux) serveInference(c *evalCtx) error {
 		pool:      m.pool,
 		conn:      view,
 		ots:       m.otp,
-		otr:       c.otr,
+		otr:       inf.otr,
 		inputBits: m.weightBits,
 		progress:  &m.conn.Progress,
 		recycle:   m.conn.Recycle,
@@ -551,11 +467,10 @@ func (m *sessionMux) serveInference(c *evalCtx) error {
 	if err := en.run(); err != nil {
 		return err
 	}
-	// The crypto-core figures: gate-instance counts derive from the
-	// schedule (every context walks it once per sample), kernel time from
-	// the engine's measurement.
-	m.set.GatesAnd.Add(m.sched.ANDs * int64(c.batch))
-	m.set.GatesFree.Add((int64(len(m.sched.Gates)) - m.sched.ANDs) * int64(c.batch))
+	// The crypto-core figures: gate counts from the schedule (walked once
+	// per sample), kernel time from the engine's measurement.
+	m.set.GatesAnd.Add(m.sched.ANDs * int64(inf.batch))
+	m.set.GatesFree.Add((int64(len(m.sched.Gates)) - m.sched.ANDs) * int64(inf.batch))
 	m.set.GateTime.Add(int64(en.gateTime))
 	m.set.Phase[obs.PhaseEval].Observe(int64(en.gateTime))
 	m.set.Phase[obs.PhaseTableRead].Observe(int64(en.readTime))
@@ -563,26 +478,5 @@ func (m *sessionMux) serveInference(c *evalCtx) error {
 	for _, l := range en.outLabels {
 		payload = append(payload, l[:]...)
 	}
-	// Every frame of this inference is consumed, so writing cannot hold the
-	// reader up: announce what the pool policy decided meanwhile. Ahead of
-	// the outputs, so the client has answered by the time it sees them and
-	// a session's transcript does not depend on scheduling.
-	if err := m.otp.SendRefills(); err != nil {
-		return err
-	}
-	// Retire the window slot BEFORE the output labels can reach the
-	// client: its next begin may arrive the instant the flush lands (and
-	// another context's send can flush our buffered outputs even
-	// earlier), so closing after the send races the reader's
-	// window-admission check and could reject a conforming client.
-	// Closing first is safe — the client sends nothing further for this
-	// inference, and a begin can only follow the outputs it hasn't
-	// received yet.
-	if err := m.win.Close(c.id); err != nil {
-		return err
-	}
-	if err := view.Send(transport.MsgOutputLabels, payload); err != nil {
-		return err
-	}
-	return view.Flush()
+	return m.send(answer{inf: inf, outputs: payload})
 }

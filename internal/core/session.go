@@ -94,7 +94,7 @@ import (
 // out in begin order.
 //
 // Up to the announced window of inferences may be in flight; answers come
-// back in completion order. Between bursts the server may announce a pool
+// back in begin order. Between bursts the server may announce a pool
 // refill (MsgOTRefill n, MsgOTExtU), which the client answers (MsgOTExtY)
 // when it next reads; that is the only OT traffic after setup.
 // MsgEndSession from the client ends the session.
@@ -260,17 +260,9 @@ type Stats struct {
 	OTRefills     int64 // pool fill exchanges, the initial fill included
 	OTBatches     int64 // online OT transfers (one per input step)
 
-	// Cross-inference pipelining (server-side session measurement): the
-	// peak number of concurrently in-flight inferences and the wall time
-	// during which at least two overlapped. MaxInFlight 1 on a pipelined
-	// session means the client never ran ahead (or depth is 1).
-	MaxInFlight int64
-	OverlapTime time.Duration
-
 	// GateTime is the wall time spent inside the per-level garble/evaluate
 	// kernel calls — the hash-core cost alone, transport waits and OT
-	// excluded. With pipelining, concurrent inferences' kernel intervals
-	// may overlap, so GateTime can exceed the session's wall time.
+	// excluded.
 	GateTime time.Duration
 
 	// Garble-ahead execution banks (client-side): inferences served from
@@ -321,8 +313,6 @@ func StatsOf(s *obs.Set) *Stats {
 		OTsConsumed:     s.OTConsumed.Value(),
 		OTRefills:       s.OTRefills.Value(),
 		OTBatches:       derand.Count(),
-		MaxInFlight:     s.InFlightPeak.Value(),
-		OverlapTime:     time.Duration(s.OverlapTime.Value()),
 		GateTime:        time.Duration(s.GateTime.Value()),
 		BankHits:        s.BankHits.Value(),
 		BankMisses:      s.BankMisses.Value(),
@@ -406,21 +396,23 @@ func (s *Server) Serve(conn *transport.Conn) error {
 // the session (or disconnects at an inference boundary, which is treated
 // as an implicit close). The handshake, OT-extension base phase, and
 // netlist compilation happen once; each inference replays the compiled
-// tape with fresh evaluation state. Inferences arrive as tagged
-// sub-streams and up to EngineConfig.Pipeline of them are evaluated
-// concurrently, overlapping one inference's evaluation tail and output
-// round-trip with the next one's garbled stream. Returns per-session
+// tape with fresh evaluation state. Up to EngineConfig.Pipeline inferences
+// may be begun and unanswered; they are evaluated one at a time, in begin
+// order, on the calling goroutine, while a reader goroutine takes the next
+// one's garbled stream off the wire and a writer goroutine sends the answers
+// — so one inference's evaluation tail and output round-trip overlap the
+// next one's arrival, on any path (see mux.go). Returns per-session
 // statistics — never nil: with an error, what the session got to. On a
-// torn-down session the demux reader goroutine may
-// survive until the caller closes the underlying connection.
+// torn-down session the reader and writer goroutines may survive until the
+// caller closes the underlying connection.
 func (s *Server) ServeSession(conn *transport.Conn) (*Stats, error) {
 	start := time.Now()
 	parent := s.metrics
 	if parent == nil {
 		parent = obs.Root
 	}
-	// The session's ledger: the connection, the OT pool and the inference
-	// contexts all record here, and the returned Stats is its read-out.
+	// The session's ledger: the connection, the OT pool and the inferences
+	// all record here, and the returned Stats is its read-out.
 	set := obs.NewSet(parent)
 	conn.SetMetrics(set)
 	finish := func() *Stats {
@@ -428,8 +420,8 @@ func (s *Server) ServeSession(conn *transport.Conn) (*Stats, error) {
 		return StatsOf(set)
 	}
 	// Phase watchdog: serial setup phases (handshake, OT setup) are
-	// bracketed by arm/disarm here; the per-inference deadline is handed
-	// to the mux. Enforcement breaks the connection, and wd.wrap rewrites
+	// bracketed by arm/disarm here; the mux times each inference.
+	// Enforcement breaks the connection, and wd.wrap rewrites
 	// the resulting I/O error into the DeadlineError that explains it.
 	wd := newWatchdog(conn.Break)
 	defer wd.disarm()
@@ -457,11 +449,14 @@ func (s *Server) ServeSession(conn *transport.Conn) (*Stats, error) {
 	id, base := s.bases.first(offered)
 	if base == nil {
 		if _, err := io.ReadFull(rng, id[:]); err != nil {
-			return finish(), fmt.Errorf("core: base id randomness: %w", err)
+			return fail(fmt.Errorf("core: base id randomness: %w", err))
 		}
 	}
+	// A spec of directWrite bytes or more (a pruned model's carries its
+	// sparsity map) is written through here, so this Send can be where the
+	// handshake deadline finds a client that stopped reading.
 	if err := conn.Send(transport.MsgArch, archFrame(prog.Digest, id, sid, s.spec)); err != nil {
-		return finish(), err
+		return fail(err)
 	}
 	// In-flight window and batch-cap announcement: the server owns both
 	// policies, clients clamp their own pipelining and batching to them.
@@ -472,12 +467,6 @@ func (s *Server) ServeSession(conn *transport.Conn) (*Stats, error) {
 		return fail(err)
 	}
 	wd.arm("ot-setup", s.Engine.Deadlines.OTSetup)
-	weightBits := s.weightBits
-
-	// Everything below speaks through the mux-aware connection: a
-	// passthrough during setup, and the contexts' serialized write face
-	// once the session mux starts.
-	mc := &muxConn{Conn: conn}
 
 	// OT-extension base phase: once per client–server pair, amortized over
 	// every weight transfer of every session the pair runs. A repeat
@@ -492,28 +481,25 @@ func (s *Server) ServeSession(conn *transport.Conn) (*Stats, error) {
 		if len(offered) > 0 {
 			set.ResumeMisses.Inc()
 		}
-		if base, err = ot.NewReceiverBase(mc, rng); err != nil {
+		if base, err = ot.NewReceiverBase(conn, rng); err != nil {
 			return fail(err)
 		}
 		s.bases.put(id, base)
 	}
-	ots := base.Session(mc, ot.SessionNonce(cid, sid))
+	ots := base.Session(conn, ot.SessionNonce(cid, sid))
 	set.OTOfflineTime.Add(int64(time.Since(baseStart)))
 
 	// OT pool: announce the server's policy and bulk-fill at setup with the
 	// weight bits as choices, so an inference's input steps only unmask.
-	otp := precomp.NewReceiverPool(mc, ots, rng, s.OTPool.Sized(len(weightBits), s.Engine.PipelineDepth()))
-	otp.SetKey(weightBits)
+	otp := precomp.NewReceiverPool(conn, ots, rng, s.OTPool.Sized(len(s.weightBits), s.Engine.PipelineDepth()))
+	otp.SetKey(s.weightBits)
 	otp.SetMetrics(set)
 	if err := otp.Announce(); err != nil {
 		return fail(err)
 	}
 	wd.disarm()
 
-	m := newSessionMux(s, conn, mc, otp, prog.Schedule, weightBits)
-	m.wd = wd
-	m.set = set
-	return fail(m.run())
+	return fail(newSessionMux(s, conn, otp, prog.Schedule, wd, set).run())
 }
 
 // Client runs secure inferences against a server. A Client caches the
@@ -1002,8 +988,8 @@ func (p *PendingInference) wait() error {
 func (p *PendingInference) Done() bool { return p.done }
 
 // resolveNext reads the next frame the server sends between bursts: an
-// output-label frame, which resolves the in-flight inference it belongs
-// to, or a pool refill announcement, which is answered on the spot; an
+// output-label frame, which resolves the oldest in-flight inference, or a
+// pool refill announcement, which is answered on the spot; an
 // extension request that no refill announced is handed to the pool too,
 // which refuses it. Callers loop until the result they wait for is in.
 func (s *Session) resolveNext() error {
@@ -1017,7 +1003,7 @@ func (s *Session) resolveNext() error {
 	return s.ots.HandleRefill(typ, payload)
 }
 
-// resolveOutput authenticates one output-label frame against its
+// resolveOutput authenticates one output-label frame against the oldest
 // in-flight inference and settles the result (§2.2.2 step iv): a
 // tampered or corrupted evaluation cannot yield a silently wrong label,
 // it fails here. All B sample labels of the inference resolve from its
@@ -1027,17 +1013,14 @@ func (s *Session) resolveOutput(payload []byte) error {
 	if err != nil {
 		return err
 	}
-	idx := -1
-	for i, q := range s.inflight {
-		if q.id == id {
-			idx = i
-			break
-		}
+	if len(s.inflight) == 0 {
+		return fmt.Errorf("core: output frame for inference %d with none in flight", id)
 	}
-	if idx < 0 {
-		return fmt.Errorf("core: output frame for unknown inference %d", id)
+	// Answers come back in begin order: only the oldest can be answered.
+	p := s.inflight[0]
+	if p.id != id {
+		return fmt.Errorf("core: output frame for inference %d ahead of inference %d's: answers come back in begin order", id, p.id)
 	}
-	p := s.inflight[idx]
 	if len(content) != len(p.outZero)*gc.LabelSize {
 		return fmt.Errorf("core: output-label frame has %d bytes, want %d",
 			len(content), len(p.outZero)*gc.LabelSize)
@@ -1058,7 +1041,7 @@ func (s *Session) resolveOutput(payload []byte) error {
 			}
 		}
 	}
-	s.inflight = append(s.inflight[:idx], s.inflight[idx+1:]...)
+	s.inflight = slices.Delete(s.inflight, 0, 1)
 	p.labels = labels
 	p.done = true
 	// The inference is complete for this party now: its latency runs from

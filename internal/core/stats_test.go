@@ -15,11 +15,10 @@ import (
 func TestStatsOfCoversEveryField(t *testing.T) {
 	s := obs.NewSet(nil)
 	for _, c := range []*obs.Counter{s.BytesSent, s.BytesReceived, s.SessionTime, s.GatesAnd, s.GatesFree,
-		s.Inferences, s.SessionsResumed, s.ResumeMisses, s.OTOfflineTime, s.OTPooled, s.OTConsumed, s.OTRefills, s.OverlapTime, s.GateTime,
+		s.Inferences, s.SessionsResumed, s.ResumeMisses, s.OTOfflineTime, s.OTPooled, s.OTConsumed, s.OTRefills, s.GateTime,
 		s.BankHits, s.BankMisses} {
 		c.Add(3)
 	}
-	s.InFlightPeak.Raise(2)
 	s.Phase[obs.PhaseOTDerand].Observe(5)
 	s.Phase[obs.PhaseBankRefill].Observe(7)
 	rv := reflect.ValueOf(StatsOf(s)).Elem()

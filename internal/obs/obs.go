@@ -68,7 +68,7 @@ func (c *Counter) Value() int64 { return c.v.Load() }
 
 // Gauge is an instantaneous atomic int64. Like a Counter it writes
 // through to its ancestors: Add keeps an ancestor the sum of its
-// descendants, Set and Raise leave it at the last value written below it.
+// descendants, Set leaves it at the last value written below it.
 type Gauge struct {
 	v      atomic.Int64
 	parent *Gauge
@@ -89,19 +89,6 @@ func (g *Gauge) Add(n int64) int64 {
 		p.v.Add(n)
 	}
 	return own
-}
-
-// Raise lifts the gauge, and each ancestor, to at least n: a high-water
-// mark.
-func (g *Gauge) Raise(n int64) {
-	for ; g != nil; g = g.parent {
-		for {
-			cur := g.v.Load()
-			if n <= cur || g.v.CompareAndSwap(cur, n) {
-				break
-			}
-		}
-	}
 }
 
 // Value returns the current gauge value.

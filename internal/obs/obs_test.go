@@ -251,11 +251,6 @@ func TestSetRecordsUpTheTree(t *testing.T) {
 	if got := server.SessionsActive.Value(); got != 2 {
 		t.Errorf("server SessionsActive = %d, want 2", got)
 	}
-	session.InFlightPeak.Raise(3)
-	sibling.InFlightPeak.Raise(2)
-	if got := server.InFlightPeak.Value(); got != 3 {
-		t.Errorf("server InFlightPeak = %d, want 3", got)
-	}
 
 	// A set under nothing is a ledger of its own.
 	NewSet(nil).BytesSent.Add(100)

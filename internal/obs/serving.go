@@ -141,13 +141,10 @@ type Set struct {
 
 	// Counted like the rest and read by the Stats read-outs, but not
 	// exported as series: OT offline time (base phase, refill crypto and
-	// exchanges; ns), bank fill rounds, the time a session had two or more
-	// inferences in flight (ns) and the most it ever had, and the wall time
-	// of finished server sessions (ns).
+	// exchanges; ns), bank fill rounds and the wall time of finished server
+	// sessions (ns).
 	OTOfflineTime *Counter
 	BankFills     *Counter
-	OverlapTime   *Counter
-	InFlightPeak  *Gauge
 	SessionTime   *Counter
 
 	// Every series in creation order, so that a child finds its twin.
@@ -278,8 +275,6 @@ func newSet(reg *Registry, p *Set) *Set {
 
 	s.OTOfflineTime = counter(Desc{})
 	s.BankFills = counter(Desc{})
-	s.OverlapTime = counter(Desc{})
-	s.InFlightPeak = gauge(Desc{})
 	s.SessionTime = counter(Desc{})
 	return s
 }

@@ -30,8 +30,7 @@ import (
 // Stats is a read-out of a server's ledger: what the server itself
 // records — sessions and admission — and, embedded, the core.Stats of all
 // its sessions' work so far, which lands in the same ledger from theirs
-// (sums; MaxInFlight is the highest any session reached, Duration the
-// wall time of the finished sessions).
+// (sums; Duration is the wall time of the finished sessions).
 type Stats struct {
 	Sessions       int64 // sessions accepted
 	ActiveSessions int64 // sessions currently being served
@@ -199,8 +198,8 @@ func (s *Server) ServeContext(ctx context.Context, ln net.Listener) error {
 // but stops draining its receive window (which would otherwise pin the
 // server in a blocked Write that no read deadline can interrupt).
 //
-// On a session the demux reader always has a read
-// pending, including during an inference's evaluation tail, when a
+// On a session the reader goroutine has a read pending whenever its
+// ring has room, including during an inference's evaluation tail, when a
 // conforming client is legitimately silent (it is waiting for the
 // output labels). A timed-out read therefore only counts as a stall if
 // the session made no compute progress since the previous deadline:
@@ -321,13 +320,12 @@ func (s *Server) serveConn(conn net.Conn) {
 	if st.SessionsResumed > 0 {
 		base = "resumed"
 	}
-	s.logf("session from %s: %d inference(s), %.2f MB out, %.2f MB in, %v (OT offline %v / online %v, %d pooled, %d consumed, %d refill(s), base %s; pipeline peak %d in flight, %v overlapped; crypto core %.2f Mgates/s over %v)",
+	s.logf("session from %s: %d inference(s), %.2f MB out, %.2f MB in, %v (OT offline %v / online %v, %d pooled, %d consumed, %d refill(s), base %s; crypto core %.2f Mgates/s over %v)",
 		conn.RemoteAddr(), st.Inferences,
 		float64(st.BytesSent)/1e6, float64(st.BytesReceived)/1e6,
 		time.Since(start).Round(time.Millisecond),
 		st.OTOfflineTime.Round(time.Millisecond), st.OTOnlineTime.Round(time.Millisecond),
 		st.OTsPooled, st.OTsConsumed, st.OTRefills, base,
-		st.MaxInFlight, st.OverlapTime.Round(time.Millisecond),
 		st.GatesPerSec()/1e6, st.GateTime.Round(time.Millisecond))
 }
 

@@ -556,9 +556,6 @@ func TestPipelinedSessionsOverTCP(t *testing.T) {
 	if st.Sessions != clients || st.Inferences != clients*perClient || st.Errors != 0 {
 		t.Errorf("server stats %+v, want %d sessions x %d inferences", st, clients, perClient)
 	}
-	if st.MaxInFlight < 1 || st.MaxInFlight > 2 {
-		t.Errorf("MaxInFlight = %d, want within [1, 2]", st.MaxInFlight)
-	}
 }
 
 // stallConn is a fake net.Conn whose reads always time out, invoking a

@@ -48,8 +48,8 @@ const (
 	// architecture). MsgInferBegin opens an inference sub-stream (uvarint
 	// inference id, uvarint sample count B ≥ 1) that occupies one window
 	// slot; the other MsgInfer* frames are its tagged traffic — each
-	// payload starts with the uvarint inference id (AppendTag / SplitTag)
-	// so frames of overlapped inferences can share one connection, and
+	// payload starts with the uvarint inference id (AppendTag / SplitTag),
+	// which the receiver checks against the latest begun, and
 	// carries all B samples wire-major with samples innermost (gate rank
 	// i, sample s of a level's tables at (i*B+s)*TableSize).
 	// MsgInferConst/Inputs/Masked/Tables/Outputs are the tagged
@@ -117,10 +117,10 @@ const MaxFrame = 1 << 30
 const maxHello = 192
 
 // FrameConn is the frame-level interface the protocol layers speak: a
-// *Conn satisfies it directly, and pipelined sessions satisfy it with
-// per-inference views that tag outgoing frames and route incoming ones
-// through a demultiplexer. Code written against FrameConn (the OT stack,
-// the execution engines) runs unchanged over either.
+// *Conn satisfies it directly, and sessions satisfy it with per-inference
+// views that tag outgoing frames (the client) or take incoming ones off
+// the session reader's FIFO (the server). Code written against FrameConn
+// (the OT stack, the execution engines) runs unchanged over either.
 type FrameConn interface {
 	Send(t MsgType, payload []byte) error
 	Recv(want MsgType) ([]byte, error)
@@ -129,10 +129,9 @@ type FrameConn interface {
 }
 
 // Conn is a framed duplex channel. A Conn is not safe for arbitrary
-// concurrent use, but it does support the split demultiplexed sessions
-// rely on: one goroutine reading via ReadFrame while others send under
-// an external lock (the write buffer is only touched by Send and Flush,
-// never by ReadFrame).
+// concurrent use, but it does support the split server sessions rely on:
+// one goroutine reading via ReadFrame while one other sends (the write
+// buffer is only touched by Send and Flush, never by ReadFrame).
 type Conn struct {
 	rw      io.ReadWriter
 	wbuf    []byte
@@ -156,7 +155,7 @@ type Conn struct {
 
 	// limits[t] is the largest payload ReadFrame accepts for type t,
 	// checked against the header before the payload is allocated. Atomic:
-	// writers set limits while the demux reader is in ReadFrame.
+	// writers set limits while the session reader is in ReadFrame.
 	limits [msgTypeEnd]atomic.Uint32
 
 	// free holds a payload buffer handed back through Recycle for ReadFrame
@@ -331,9 +330,9 @@ func (c *Conn) RecvAny(want ...MsgType) (MsgType, []byte, error) {
 }
 
 // ReadFrame reads the next frame of any type WITHOUT flushing buffered
-// writes: the receive primitive for demultiplexed sessions, where a
-// dedicated reader goroutine drains frames while other goroutines send
-// under their own lock (a flush here would race the write buffer).
+// writes: the receive primitive for server sessions, where a dedicated
+// reader goroutine drains frames while the session's writer sends (a
+// flush here would race the write buffer).
 // Single-goroutine callers should prefer Recv/RecvAny, which flush first
 // so a request can never deadlock behind its own unflushed send.
 func (c *Conn) ReadFrame() (MsgType, []byte, error) {

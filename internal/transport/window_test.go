@@ -79,82 +79,6 @@ func TestSplitTagRejectsMalformed(t *testing.T) {
 	}
 }
 
-// TestWindowValidation is the table-driven decoder coverage for the v4
-// in-flight window: unknown, duplicate, and out-of-window inference tags
-// must be rejected with descriptive errors.
-func TestWindowValidation(t *testing.T) {
-	type op struct {
-		kind    string // begin | check | close
-		id      uint64
-		wantErr string // substring; empty = must succeed
-	}
-	cases := []struct {
-		name  string
-		depth int
-		ops   []op
-	}{
-		{"serial begin-close cycles", 1, []op{
-			{"begin", 1, ""}, {"check", 1, ""}, {"close", 1, ""},
-			{"begin", 2, ""}, {"check", 2, ""}, {"close", 2, ""},
-		}},
-		{"overlap within depth", 2, []op{
-			{"begin", 1, ""}, {"begin", 2, ""},
-			{"check", 1, ""}, {"check", 2, ""},
-			{"close", 1, ""}, {"begin", 3, ""},
-		}},
-		{"duplicate begin", 2, []op{
-			{"begin", 1, ""}, {"begin", 1, "duplicate inference id 1"},
-		}},
-		{"replayed closed id", 2, []op{
-			{"begin", 1, ""}, {"close", 1, ""}, {"begin", 1, "duplicate inference id 1"},
-		}},
-		{"skip-ahead id", 2, []op{
-			{"begin", 1, ""}, {"begin", 3, "skips ahead"},
-		}},
-		{"begin past the window", 2, []op{
-			{"begin", 1, ""}, {"begin", 2, ""},
-			{"begin", 3, "exceeds the in-flight window (depth 2)"},
-		}},
-		{"frame for unbegun inference", 2, []op{
-			{"begin", 1, ""}, {"check", 2, "unknown inference 2"},
-		}},
-		{"frame for closed inference", 2, []op{
-			{"begin", 1, ""}, {"close", 1, ""}, {"check", 1, "closed inference 1"},
-		}},
-		{"close of unopened inference", 2, []op{
-			{"close", 1, "not in flight"},
-		}},
-		{"depth clamps to 1", 0, []op{
-			{"begin", 1, ""}, {"begin", 2, "exceeds the in-flight window (depth 1)"},
-		}},
-	}
-	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			w := NewWindow(tc.depth)
-			for i, o := range tc.ops {
-				var err error
-				switch o.kind {
-				case "begin":
-					err = w.Begin(o.id)
-				case "check":
-					err = w.Check(o.id)
-				case "close":
-					err = w.Close(o.id)
-				}
-				if o.wantErr == "" {
-					if err != nil {
-						t.Fatalf("op %d %s(%d): unexpected error %v", i, o.kind, o.id, err)
-					}
-					continue
-				}
-				if err == nil || !strings.Contains(err.Error(), o.wantErr) {
-					t.Fatalf("op %d %s(%d): error %v, want substring %q", i, o.kind, o.id, err, o.wantErr)
-				}
-			}
-		})
-	}
-}
-
 // FuzzSplitTag fuzzes the v4 tag decoder: no input may panic, and every
 // accepted payload must decode consistently after re-encoding.
 func FuzzSplitTag(f *testing.F) {
