@@ -1,13 +1,14 @@
 package deepsecure
 
 // Benchmark harness: the timed experiments of the paper's evaluation
-// section (§4: Table 6, Figures 5 and 6) plus the kernel micro-benchmarks,
-// their outputs attached as custom benchmark metrics. Tables 3-5 are gate
-// counts, not timings: `deepsecure-bench -table 3|4|5` prints them and the
-// CI golden file pins them.
+// section (§4: Table 6, Figures 5 and 6), their outputs attached as custom
+// benchmark metrics. Tables 3-5 are gate counts, not timings:
+// `deepsecure-bench -table 3|4|5` prints them and the CI golden file pins
+// them.
 //
-// Session-level performance is measured by the live benchmark in bench/
-// (`bash bench/run.sh`, BENCHMARK.json), not here. One session benchmark
+// Session-level and kernel performance are measured by the live benchmark
+// in bench/ (`bash bench/run.sh`, BENCHMARK.json; its gc.* and ot.* rows
+// are the kernels), not here. One session benchmark
 // stays because it guards something no bench/ workload does and bench/
 // could not gain a workload when the others were retired:
 // BenchmarkSessionOffline (a warm garble-ahead bank beats bank-off online).
@@ -31,7 +32,6 @@ import (
 	"deepsecure/internal/hebaseline"
 	"deepsecure/internal/netgen"
 	"deepsecure/internal/nn"
-	"deepsecure/internal/ot"
 	"deepsecure/internal/ot/precomp"
 	"deepsecure/internal/transport"
 )
@@ -231,135 +231,6 @@ func BenchmarkFigure5Pipeline(b *testing.B) {
 	})
 }
 
-// BenchmarkCalibration regenerates the §4.3 characterization: per-gate
-// garble+evaluate cost and the implied gates/second.
-func BenchmarkCalibration(b *testing.B) {
-	var co costmodel.Coefficients
-	for i := 0; i < b.N; i++ {
-		var err error
-		co, err = costmodel.Calibrate(100000)
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-	xput, nput := costmodel.Throughput(co)
-	b.ReportMetric(co.XORNs, "XORns")
-	b.ReportMetric(co.NonXORNs, "nonXORns")
-	b.ReportMetric(xput/1e6, "MXORps")
-	b.ReportMetric(nput/1e6, "MnonXORps")
-}
-
-// BenchmarkOTExtension measures extended-OT throughput (the §3.1 step-ii
-// substrate that transfers every weight bit).
-func BenchmarkOTExtension(b *testing.B) {
-	const m = 4096
-	rng := rand.New(rand.NewSource(7))
-	pairs := make([][2]ot.Msg, m)
-	choices := make([]bool, m)
-	for i := range pairs {
-		rng.Read(pairs[i][0][:])
-		rng.Read(pairs[i][1][:])
-		choices[i] = rng.Intn(2) == 1
-	}
-	a, c, closer := transport.Pipe()
-	defer closer.Close()
-	var snd *ot.ExtSender
-	var rcv *ot.ExtReceiver
-	var wg sync.WaitGroup
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		var err error
-		snd, err = ot.NewExtSender(a, rand.New(rand.NewSource(8)))
-		if err != nil {
-			b.Error(err)
-		}
-	}()
-	var err error
-	rcv, err = ot.NewExtReceiver(c, rand.New(rand.NewSource(9)))
-	if err != nil {
-		b.Fatal(err)
-	}
-	wg.Wait()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			if err := snd.Send(pairs); err != nil {
-				b.Error(err)
-			}
-		}()
-		if _, err := rcv.Receive(choices); err != nil {
-			b.Fatal(err)
-		}
-		wg.Wait()
-	}
-	b.ReportMetric(float64(m)*float64(b.N)/b.Elapsed().Seconds(), "OTs/s")
-}
-
-// BenchmarkOTRowHash isolates the IKNP row-hashing change: the 2m sender
-// hashes and m receiver hashes per extension batch now flow through the
-// multi-lane HN face instead of per-row scalar H calls. Both rows run the
-// identical full exchange — PRG expansion, transpose, transport — with
-// only the hashing kernel toggled, so the scalar→wide delta is the
-// row-hash win.
-func BenchmarkOTRowHash(b *testing.B) {
-	const m = 4096
-	rng := rand.New(rand.NewSource(47))
-	pairs := make([][2]ot.Msg, m)
-	choices := make([]bool, m)
-	for i := range pairs {
-		rng.Read(pairs[i][0][:])
-		rng.Read(pairs[i][1][:])
-		choices[i] = rng.Intn(2) == 1
-	}
-	run := func(b *testing.B, wide bool) {
-		if wide && !gc.WideAvailable() {
-			b.Skip("AES-NI wide kernel unavailable on this machine")
-		}
-		// Hashers latch the wide toggle at construction, so both parties
-		// must be built inside the toggled scope.
-		prev := gc.SetWide(wide)
-		defer gc.SetWide(prev)
-		a, c, closer := transport.Pipe()
-		defer closer.Close()
-		var snd *ot.ExtSender
-		var wg sync.WaitGroup
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			var err error
-			snd, err = ot.NewExtSender(a, rand.New(rand.NewSource(48)))
-			if err != nil {
-				b.Error(err)
-			}
-		}()
-		rcv, err := ot.NewExtReceiver(c, rand.New(rand.NewSource(49)))
-		if err != nil {
-			b.Fatal(err)
-		}
-		wg.Wait()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				if err := snd.Send(pairs); err != nil {
-					b.Error(err)
-				}
-			}()
-			if _, err := rcv.Receive(choices); err != nil {
-				b.Fatal(err)
-			}
-			wg.Wait()
-		}
-		b.ReportMetric(float64(m)*float64(b.N)/b.Elapsed().Seconds(), "OTs/s")
-	}
-	b.Run("scalar", func(b *testing.B) { run(b, false) })
-	b.Run("wide", func(b *testing.B) { run(b, true) })
-}
-
 // BenchmarkHEPrimitives measures the HE baseline's primitive costs.
 func BenchmarkHEPrimitives(b *testing.B) {
 	scheme, err := hebaseline.NewScheme(hebaseline.EvalParams(1024))
@@ -420,134 +291,6 @@ func BenchmarkOutsourcingOverhead(b *testing.B) {
 	}
 	b.ReportMetric(float64(outs.NonXOR()-plain.NonXOR()), "extraNonXOR")
 	b.ReportMetric(float64(outs.XOR-plain.XOR), "extraXOR")
-}
-
-// BenchmarkGarbleGates measures the raw garbler throughput on AND gates.
-func BenchmarkGarbleGates(b *testing.B) {
-	rng := rand.New(rand.NewSource(10))
-	g, err := gc.NewGarbler(rng)
-	if err != nil {
-		b.Fatal(err)
-	}
-	for w := uint32(2); w < 40; w++ {
-		if _, err := g.AssignInput(w); err != nil {
-			b.Fatal(err)
-		}
-	}
-	var tables []byte
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		gate := circuit.Gate{Op: circuit.AND, A: 2 + uint32(i%30), B: 3 + uint32(i%30), Out: 40 + uint32(i%1000)}
-		tables, err = g.Garble(gate, tables[:0])
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.SetBytes(int64(gc.TableSize))
-}
-
-// BenchmarkHashWide measures the fixed-key garbling hash: one label per
-// H call (scalar), versus the multi-lane HN entry point on the portable
-// fallback, versus HN on the 8-block pipelined AES-NI kernel (skipped
-// where unavailable). The wide/scalar ratio is the kernel's win with all
-// staging overhead included — the acceptance floor is 2× on AES-NI.
-func BenchmarkHashWide(b *testing.B) {
-	const n = 1024
-	labels := make([]gc.Label, n)
-	tweaks := make([]uint64, n)
-	dst := make([]gc.Label, n)
-	rng := rand.New(rand.NewSource(41))
-	for i := range labels {
-		rng.Read(labels[i][:])
-		tweaks[i] = rng.Uint64()
-	}
-	b.Run("scalar", func(b *testing.B) {
-		h := gc.NewHasher()
-		b.SetBytes(n * gc.LabelSize)
-		for i := 0; i < b.N; i++ {
-			for j := range labels {
-				dst[j] = h.H(labels[j], tweaks[j])
-			}
-		}
-	})
-	b.Run("fallbackHN", func(b *testing.B) {
-		prev := gc.SetWide(false)
-		defer gc.SetWide(prev)
-		h := gc.NewHasher()
-		b.SetBytes(n * gc.LabelSize)
-		for i := 0; i < b.N; i++ {
-			h.HN(dst, labels, tweaks)
-		}
-	})
-	b.Run("wideHN", func(b *testing.B) {
-		if !gc.WideAvailable() {
-			b.Skip("AES-NI wide kernel unavailable on this machine")
-		}
-		prev := gc.SetWide(true)
-		defer gc.SetWide(prev)
-		h := gc.NewHasher()
-		b.SetBytes(n * gc.LabelSize)
-		for i := 0; i < b.N; i++ {
-			h.HN(dst, labels, tweaks)
-		}
-	})
-}
-
-// BenchmarkGarbleLevel measures the batched level kernel — the unit the
-// session engines call per gate level — across B∈{1,16} with the wide
-// hashing core on and off, on a single worker so the rows isolate the
-// hashing core rather than the pool. The Mgates/s column feeds the
-// README's throughput table.
-func BenchmarkGarbleLevel(b *testing.B) {
-	const nIn = 64
-	const nAND = 1024
-	rng := rand.New(rand.NewSource(42))
-	ands := make([]circuit.Gate, nAND)
-	for i := range ands {
-		ands[i] = circuit.Gate{
-			Op:  circuit.AND,
-			A:   2 + uint32(rng.Intn(nIn)),
-			B:   2 + uint32(rng.Intn(nIn)),
-			Out: 2 + nIn + uint32(i),
-		}
-	}
-	for _, wide := range []bool{false, true} {
-		wide := wide
-		mode := "scalar"
-		if wide {
-			mode = "wide"
-		}
-		for _, batch := range []int{1, 16} {
-			batch := batch
-			b.Run(fmt.Sprintf("%s/B=%d", mode, batch), func(b *testing.B) {
-				if wide && !gc.WideAvailable() {
-					b.Skip("AES-NI wide kernel unavailable on this machine")
-				}
-				prev := gc.SetWide(wide)
-				defer gc.SetWide(prev)
-				g, err := gc.NewBatchGarbler(rand.New(rand.NewSource(43)), batch)
-				if err != nil {
-					b.Fatal(err)
-				}
-				g.Grow(2 + nIn + nAND)
-				for w := uint32(2); w < 2+nIn; w++ {
-					if err := g.AssignInput(w); err != nil {
-						b.Fatal(err)
-					}
-				}
-				pool := gc.NewPool(1)
-				tables := make([]byte, nAND*batch*gc.TableSize)
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					if err := g.GarbleLevel(ands, nil, 0, tables, pool); err != nil {
-						b.Fatal(err)
-					}
-				}
-				gates := float64(nAND*batch) * float64(b.N)
-				b.ReportMetric(gates/b.Elapsed().Seconds()/1e6, "Mgates/s")
-			})
-		}
-	}
 }
 
 // BenchmarkSessionOffline measures the garble-ahead execution bank: the

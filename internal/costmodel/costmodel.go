@@ -4,7 +4,8 @@
 // for a half AND), and the execution-time
 // model Texec = Tcomp + Tcomm that regenerates the Table 4/5/6 rows from
 // gate counts. Calibrate measures this machine's per-gate costs the same
-// way the paper's "set of subroutines" does.
+// way the paper's "set of subroutines" does, on the level kernel sessions
+// run.
 package costmodel
 
 import (
@@ -45,40 +46,43 @@ func Paper() Coefficients {
 }
 
 // Calibrate measures this machine's per-gate garble+evaluate cost over n
-// gates of each class, mirroring §4.3's characterization subroutines.
+// gates of each class, mirroring §4.3's characterization subroutines. It
+// times the kernel sessions run — BatchGarbler.GarbleLevel and
+// BatchEvaluator.EvaluateLevel at B = 1 on one worker — over levels of
+// independent gates.
 func Calibrate(n int) (Coefficients, error) {
 	if n < 1000 {
 		n = 1000
 	}
 	rng := rand.New(rand.NewSource(424242))
-	g, err := gc.NewGarbler(rng)
+	g, err := gc.NewBatchGarbler(rng, 1)
 	if err != nil {
 		return Coefficients{}, err
 	}
-	e := gc.NewEvaluator()
-	lf, lt, err := g.ConstLabels()
+	e, err := gc.NewBatchEvaluator(1)
 	if err != nil {
 		return Coefficients{}, err
 	}
-	e.SetLabel(circuit.WFalse, lf)
-	e.SetLabel(circuit.WTrue, lt)
-	const nin = 64
+	// Output wires cycle through a bounded window so the label arrays stay
+	// cache-resident, like the streaming execution's; a level is one
+	// window's worth of gates, so its outputs are distinct.
+	const nin, window = 64, 4096
+	g.Grow(2 + nin + window)
+	e.Grow(2 + nin + window)
 	for w := uint32(2); w < 2+nin; w++ {
-		if _, err := g.AssignInput(w); err != nil {
+		if err := g.AssignInput(w); err != nil {
 			return Coefficients{}, err
 		}
-		l, err := g.ActiveLabel(w, rng.Intn(2) == 1)
+		l, err := g.ActiveLabel(w, 0, rng.Intn(2) == 1)
 		if err != nil {
 			return Coefficients{}, err
 		}
-		e.SetLabel(w, l)
+		e.SetLabel(w, 0, l)
 	}
-
-	// Cycle output wires through a bounded window so the label arrays
-	// stay cache-resident, like the streaming execution does.
-	const window = 4096
+	pool := gc.NewPool(1)
+	table := make([]byte, window*gc.TableSize)
+	var gid uint64
 	measure := func(op circuit.Op) (float64, error) {
-		var tables []byte
 		gates := make([]circuit.Gate, n)
 		for i := range gates {
 			gates[i] = circuit.Gate{
@@ -89,15 +93,18 @@ func Calibrate(n int) (Coefficients, error) {
 			}
 		}
 		start := time.Now()
-		var err error
-		for _, gt := range gates {
-			tables, err = g.Garble(gt, tables[:0])
-			if err != nil {
+		for lo := 0; lo < n; lo += window {
+			ands, frees := gates[lo:min(lo+window, n)], []circuit.Gate(nil)
+			if op == circuit.XOR {
+				ands, frees = nil, ands
+			}
+			if err := g.GarbleLevel(ands, frees, gid, table, pool); err != nil {
 				return 0, err
 			}
-			if _, err = e.Eval(gt, tables); err != nil {
+			if err := e.EvaluateLevel(ands, frees, gid, table, pool); err != nil {
 				return 0, err
 			}
+			gid += uint64(len(ands))
 		}
 		return float64(time.Since(start).Nanoseconds()) / float64(n), nil
 	}

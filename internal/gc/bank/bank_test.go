@@ -108,7 +108,7 @@ func take(t *testing.T, b *Bank) *Execution {
 	return exs[0]
 }
 
-// evalExecution runs a banked execution through the per-gate reference
+// evalExecution runs a banked execution through the per-gate face
 // gc.Evaluator in schedule order (its internal AND counter then lands on
 // every level's GIDBase), selecting input labels from the banked
 // zero-labels and the given bits, and decodes the outputs against

@@ -1,22 +1,29 @@
 package gc
 
 import (
-	"fmt"
 	"sync"
 
 	"deepsecure/internal/circuit"
 	"deepsecure/internal/sched"
 )
 
-// This file holds what the per-gate face (Garble/Eval) and the level
-// kernel (BatchGarbler.GarbleLevel/BatchEvaluator.EvaluateLevel, vec.go)
-// share: the worker Pool that stripes a level of mutually independent
-// gates — as produced by circuit.NewSchedule — and the half-gates AND
-// cryptography against explicit coordinates. A level's global AND index
-// base fixes every tweak, and each AND gate writes its ciphertexts at a
-// rank-derived offset inside a caller-provided table block, so nothing
-// depends on execution order inside a level and the produced bytes are
-// identical for any worker count.
+// This file is the GC engine's one kernel, shared by the level kernels
+// (BatchGarbler.GarbleLevel/BatchEvaluator.EvaluateLevel, vec.go) and the
+// per-gate faces (Garbler.Garble/Evaluator.Eval): the worker Pool that
+// stripes a level of mutually independent gates — as produced by
+// circuit.NewSchedule — and the half-gates cryptography over a validated
+// span of it. A level's global AND index base fixes every tweak, and each
+// AND gate writes its ciphertexts at a rank-derived offset inside a
+// caller-provided table block, so nothing depends on execution order
+// inside a level and the produced bytes are identical for any worker count.
+//
+// The kernel computes on labels as two little-endian uint64 words: Go keeps
+// words in registers but not [16]byte arrays, so XOR, doubling and tweaking
+// a Label value would each go through a stack temporary. An AND
+// gate-instance is staged as label-array indices, and its inputs are read
+// in place twice — once to form its hash keys, once to combine the hashes —
+// which is safe under level independence: no gate of a level reads a wire
+// another gate of the level writes.
 
 // Pool is a width-capped view of a sched.Pool: it owns no workers, and a
 // level run submits its per-worker spans as chunks of one scheduler region,
@@ -75,7 +82,8 @@ const (
 // — a single partition of the concatenation would hand every AES-heavy
 // AND gate to the first workers and leave the rest doing only label
 // XORs. Small batches run inline (goroutine handoff would cost more than
-// the AES work saved). The first error wins.
+// the AES work saved). A span that panics on a scheduler worker comes back
+// as run's error.
 //
 // scale is the per-gate work multiplier: the level kernel processes
 // scale (= batch size B) samples inside every gate visit, so the fan-out
@@ -83,23 +91,24 @@ const (
 // B=16 is 128 AES-heavy units and worth striping — while the spans
 // handed to workers remain gate ranges (samples stay innermost, per
 // worker, for cache locality).
-func (p *Pool) run(nAND, nFree, scale int, fn func(h *Hasher, andLo, andHi, freeLo, freeHi int) error) error {
+func (p *Pool) run(nAND, nFree, scale int, fn func(h *Hasher, andLo, andHi, freeLo, freeHi int)) error {
 	w := p.width
 	if n := nAND + nFree; w > n {
 		w = n
 	}
 	// Lane-quantum clamp: a worker span smaller than a few 8-lane hash
-	// waves runs the wide kernel partially filled (the trailing flush of
-	// every span has < garbleUnits/evalUnits gates staged), so fan-out
-	// below laneMinANDs AND-instances per worker fragments lanes faster
-	// than it adds cores. Free gates are near-free label XORs and only
-	// justify an extra worker in bulk. Striping never affects the bytes
+	// waves runs the wide kernel partially filled (the trailing wave of
+	// every span is partial), so fan-out below laneMinANDs AND-instances
+	// per worker fragments lanes faster than it adds cores. Free gates are
+	// near-free label XORs and only justify an extra worker in bulk.
+	// Striping never affects the bytes
 	// produced, so the clamp is a pure scheduling choice.
 	if lim := (nAND*scale)/laneMinANDs + (nFree*scale)/laneMinFrees; w > lim {
 		w = lim
 	}
 	if w <= 1 || (nAND*scale < parallelMinANDs && (nAND+nFree)*scale < parallelMinGates) {
-		return span(fn, 0, nAND, 0, nFree)
+		span(fn, 0, nAND, 0, nFree)
+		return nil
 	}
 	// The w spans are the chunks of one scheduler region: workers (and this
 	// goroutine) steal chunks across every active region in the process, and
@@ -110,243 +119,215 @@ func (p *Pool) run(nAND, nFree, scale int, fn func(h *Hasher, andLo, andHi, free
 		if andLo == andHi && freeLo == freeHi {
 			return nil
 		}
-		return span(fn, andLo, andHi, freeLo, freeHi)
+		span(fn, andLo, andHi, freeLo, freeHi)
+		return nil
 	})
 }
 
 // span runs fn over one span with a borrowed hasher.
-func span(fn func(h *Hasher, andLo, andHi, freeLo, freeHi int) error, andLo, andHi, freeLo, freeHi int) error {
+func span(fn func(h *Hasher, andLo, andHi, freeLo, freeHi int), andLo, andHi, freeLo, freeHi int) {
 	h := hasherPool.Get().(*Hasher)
-	err := fn(h, andLo, andHi, freeLo, freeHi)
+	fn(h, andLo, andHi, freeLo, freeHi)
 	hasherPool.Put(h)
-	return err
 }
 
-// garbleAND is the half-gates AND garbler against explicit coordinates:
-// hasher h, global AND index gid, destination table block dst. Like
-// garbleFree it writes the output label in place: Garble has grown the
-// storage past gate.Out.
-func (g *Garbler) garbleAND(h *Hasher, gate circuit.Gate, gid uint64, dst []byte) error {
-	a0, err := g.ZeroLabel(gate.A)
-	if err != nil {
-		return err
-	}
-	b0, err := g.ZeroLabel(gate.B)
-	if err != nil {
-		return err
-	}
-	var us [garbleUnits]andUnit
-	var out Label
-	us[0] = andUnit{a0: a0, b0: b0, r: g.R, r2: g.r2, j0: 2 * gid, j1: 2*gid + 1, dst: dst, out: &out}
-	garbleANDWide(h, &us, 1, gate.Op == circuit.HalfAND)
-	g.labels[gate.Out], g.have[gate.Out] = out, true
-	return nil
+// level is one validated run of a schedule level as the kernel reads it:
+// the AND gates, full ones first, with the global AND index of ands[0];
+// the free gates; and the table regions of the two AND kinds (see vec.go's
+// file comment for the layout).
+type level struct {
+	ands, frees []circuit.Gate
+	gidBase     uint64
+	nFull       int
+	full, half  []byte
 }
 
-// garbleUnits is how many half-AND gate-instances fill the hasher's lanes
-// on the garble side (2 hashes each) and evalUnits on the evaluate side (1
-// hash each); a full AND takes twice the hashes, so half as many fill a
-// wave.
-const (
-	garbleUnits = HashLanes / 2
-	evalUnits   = HashLanes
-)
-
-// andUnit is one staged AND gate-instance on the garble side: the
-// half-gates inputs plus where its ciphertexts (dst) and output
-// zero-label (out) go. Inputs are captured by value at staging time, so
-// completing a unit later — after other units' lanes hashed alongside it
-// — is safe even when out aliases the live label array (level
-// independence guarantees no staged unit reads what another writes).
-type andUnit struct {
-	a0, b0 Label
-	r, r2  Label
-	j0, j1 uint64
-	dst    []byte
-	out    *Label
+// staged is one AND gate-instance waiting for its hash wave: label-array
+// indices of its operands and output, its sample, its gate's global AND
+// index, and the offset of its ciphertexts in its kind's table region.
+type staged struct {
+	a, b, out, s int
+	gid          uint64
+	off          int
+	half         bool
 }
 
-// garbleANDWide is the half-gates AND cryptography over the n staged
-// gate-instances of one kind: all units' hashes — every label doubled once
-// with the ⊕R variant derived via the cached 2R — issue as ONE multi-lane
-// hash call, then each unit's combination completes from the returned
-// lanes. A full AND is a generator half (A's labels under j0; it corrects
-// for B's permute bit) plus an evaluator half (B's labels under j1; it
-// computes a ∧ colour(B)), a ciphertext each. A half AND is the evaluator
-// half alone: its B is an evaluator-input wire, drawn with permute bit 0,
-// so colour(B) is b (with any other permute bit p it garbles a ∧ (b ⊕ p),
-// still on authentic labels). The single-unit call is the scalar
-// conformance shape (the one-gate Garbler.Garble path); multi-unit calls
-// produce byte-identical tables by construction, pinned by the
-// wide-vs-scalar tests.
-func garbleANDWide(h *Hasher, us *[garbleUnits]andUnit, n int, half bool) {
-	per := 4
-	if half {
-		per = 2
+// stage walks ands[andLo:andHi] of lv for all B samples, staging the
+// gate-instances in h.units, and calls wave(n) on each batch of at most
+// HashLanes hashes there: fullLanes per full AND — four garbling (both
+// labels of each operand), two evaluating (one active label each) — and
+// half that per half AND.
+// Instances fill waves in (gate, sample) order across gate and kind
+// boundaries, so small-B levels still hash 8 lanes at a time.
+func (st *labelStore) stage(h *Hasher, lv *level, andLo, andHi, fullLanes int, wave func(n int)) {
+	us := &h.units
+	n, k := 0, 0
+	b := st.b
+	for i := andLo; i < andHi; i++ {
+		gt := &lv.ands[i]
+		half, per, off, size := false, fullLanes, i*b*TableSize, TableSize
+		if i >= lv.nFull {
+			half, per, off, size = true, fullLanes/2, (i-lv.nFull)*b*LabelSize, LabelSize
+		}
+		gid := lv.gidBase + uint64(i)
+		a, bb, out := int(gt.A)*b, int(gt.B)*b, int(gt.Out)*b
+		for s := 0; s < b; s++ {
+			if k+per > HashLanes {
+				wave(n)
+				n, k = 0, 0
+			}
+			// Field by field: a struct literal is built in a stack
+			// temporary and copied, which stalls store forwarding.
+			u := &us[n]
+			u.a, u.b, u.out, u.s, u.gid, u.off, u.half = a+s, bb+s, out+s, s, gid, off+s*size, half
+			n, k = n+1, k+per
+		}
+		st.have[gt.Out] = true
 	}
-	for i := 0; i < n; i++ {
+	if n > 0 {
+		wave(n)
+	}
+}
+
+// garbleSpan garbles ands[andLo:andHi] and frees[freeLo:freeHi] of lv for
+// all B samples.
+//
+// A full AND is a generator half (A's labels under tweak 2·gid; it
+// corrects for B's permute bit) plus an evaluator half (B's labels under
+// 2·gid+1; it computes a ∧ colour(B)), a ciphertext each. A half AND is
+// the evaluator half alone: its B is an evaluator-input wire, drawn with
+// permute bit 0, so colour(B) is b (with any other permute bit p it
+// garbles a ∧ (b ⊕ p), still on authentic labels). Every label is doubled
+// once; its ⊕R twin's hash key is that double ⊕ 2R.
+func (g *BatchGarbler) garbleSpan(h *Hasher, lv *level, andLo, andHi, freeLo, freeHi int) {
+	g.stage(h, lv, andLo, andHi, 4, func(n int) { g.garbleWave(h, lv, h.units[:n]) })
+	g.freeSpan(lv.frees[freeLo:freeHi], g.R)
+}
+
+// garbleWave hashes and completes one wave of staged instances.
+func (g *BatchGarbler) garbleWave(h *Hasher, lv *level, us []staged) {
+	labels := g.labels
+	k := 0
+	for i := range us {
 		u := &us[i]
-		k := per * i
-		if !half {
-			// Hoisted doubling: 2a0 once per label, 2a1 = 2a0 ⊕ 2R.
-			da0 := double(u.a0)
-			h.lanes[k] = xorTweak(da0, u.j0)
-			h.lanes[k+1] = xorTweak(da0.XOR(u.r2), u.j0)
+		r0, r1 := words(&g.r2[u.s])
+		if !u.half {
+			t := 2 * u.gid
+			d0, d1 := dbl(words(&labels[u.a]))
+			setWords(&h.lanes[k], d0^t, d1)
+			setWords(&h.lanes[k+1], d0^r0^t, d1^r1)
 			k += 2
 		}
-		db0 := double(u.b0)
-		h.lanes[k] = xorTweak(db0, u.j1)
-		h.lanes[k+1] = xorTweak(db0.XOR(u.r2), u.j1)
+		t := 2*u.gid + 1
+		d0, d1 := dbl(words(&labels[u.b]))
+		setWords(&h.lanes[k], d0^t, d1)
+		setWords(&h.lanes[k+1], d0^r0^t, d1^r1)
+		k += 2
 	}
-	h.hashStaged(per * n)
-	for i := 0; i < n; i++ {
+	h.hashStaged(k)
+	k = 0
+	for i := range us {
 		u := &us[i]
-		k := per * i
-		dst := u.dst
-		pb := u.b0.LSB()
-
-		// Generator half-gate.
-		var wg Label
-		if !half {
-			ha0, ha1 := h.lanes[k], h.lanes[k+1]
-			tg := ha0.XOR(ha1)
-			if pb {
-				tg = tg.XOR(u.r)
-			}
-			wg = ha0
-			if u.a0.LSB() {
-				wg = wg.XOR(tg)
-			}
-			copy(dst[:LabelSize], tg[:])
+		a0, a1 := words(&labels[u.a])
+		b0, _ := words(&labels[u.b])
+		pb := -(b0 & 1) // all ones when B's zero-label has permute bit 1
+		var w0, w1 uint64
+		var dst []byte
+		if u.half {
+			dst = lv.half[u.off : u.off+LabelSize]
+		} else {
+			// Generator half: tg = H(A0) ⊕ H(A1) ⊕ pb·R, W_G = H(A0) ⊕ pa·tg.
+			r0, r1 := words(&g.R[u.s])
+			h0, h1 := words(&h.lanes[k])
+			x0, x1 := words(&h.lanes[k+1])
+			tg0, tg1 := h0^x0^r0&pb, h1^x1^r1&pb
+			pa := -(a0 & 1)
+			w0, w1 = h0^tg0&pa, h1^tg1&pa
+			dst = lv.full[u.off : u.off+TableSize]
+			setWordsAt(dst, tg0, tg1)
 			dst = dst[LabelSize:]
 			k += 2
 		}
-
-		// Evaluator half-gate.
-		hb0, hb1 := h.lanes[k], h.lanes[k+1]
-		te := hb0.XOR(hb1).XOR(u.a0)
-		we := hb0
-		if pb {
-			we = we.XOR(te).XOR(u.a0)
-		}
-		copy(dst[:LabelSize], te[:])
-		*u.out = wg.XOR(we)
+		// Evaluator half: te = H(B0) ⊕ H(B1) ⊕ A0, W_E = H(B_pb).
+		h0, h1 := words(&h.lanes[k])
+		x0, x1 := words(&h.lanes[k+1])
+		setWordsAt(dst, h0^x0^a0, h1^x1^a1)
+		setWords(&labels[u.out], w0^h0^(h0^x0)&pb, w1^h1^(h1^x1)&pb)
+		k += 2
 	}
 }
 
-// garbleFree handles the tableless gates (XOR, INV).
-func (g *Garbler) garbleFree(gate circuit.Gate) error {
-	out, err := g.ZeroLabel(gate.A)
-	if err != nil {
-		return err
-	}
-	switch gate.Op {
-	case circuit.XOR:
-		b, err := g.ZeroLabel(gate.B)
-		if err != nil {
-			return err
-		}
-		out = out.XOR(b)
-	case circuit.INV:
-		out = out.XOR(g.R)
-	default:
-		return fmt.Errorf("gc: cannot garble op %v", gate.Op)
-	}
-	g.labels[gate.Out], g.have[gate.Out] = out, true
-	return nil
+// evalSpan is garbleSpan's mirror: every instance hashes its active
+// labels once per half and combines them with its ciphertexts.
+func (e *BatchEvaluator) evalSpan(h *Hasher, lv *level, andLo, andHi, freeLo, freeHi int) {
+	e.stage(h, lv, andLo, andHi, 2, func(n int) { e.evalWave(h, lv, h.units[:n]) })
+	// Free inversion: the label carries through; only the garbler's
+	// semantics map flips.
+	e.freeSpan(lv.frees[freeLo:freeHi], nil)
 }
 
-// evalAND is the half-gates AND evaluator against explicit coordinates.
-func (e *Evaluator) evalAND(h *Hasher, gate circuit.Gate, gid uint64, tab []byte) error {
-	a, err := e.Label(gate.A)
-	if err != nil {
-		return err
-	}
-	b, err := e.Label(gate.B)
-	if err != nil {
-		return err
-	}
-	var us [evalUnits]evalUnit
-	var out Label
-	us[0] = evalUnit{a: a, b: b, j0: 2 * gid, j1: 2*gid + 1, tab: tab, out: &out}
-	evalANDWide(h, &us, 1, gate.Op == circuit.HalfAND)
-	e.labels[gate.Out], e.have[gate.Out] = out, true
-	return nil
-}
-
-// evalUnit is one staged AND gate-instance on the evaluate side: the two
-// active input labels, the tweaks, the gate's ciphertext block and where
-// the output label goes. Like andUnit, inputs are captured by value at
-// staging time so deferred completion is safe under level independence.
-type evalUnit struct {
-	a, b   Label
-	j0, j1 uint64
-	tab    []byte
-	out    *Label
-}
-
-// evalANDWide is the half-gates AND evaluation over the n staged
-// gate-instances of one kind: all units' hashes (one active label per
-// half-gate) issue as one multi-lane hash call, then each unit's
-// ciphertext combination completes from the returned lanes.
-func evalANDWide(h *Hasher, us *[evalUnits]evalUnit, n int, half bool) {
-	per := 2
-	if half {
-		per = 1
-	}
-	for i := 0; i < n; i++ {
+// evalWave hashes and completes one wave of staged instances.
+func (e *BatchEvaluator) evalWave(h *Hasher, lv *level, us []staged) {
+	labels := e.labels
+	k := 0
+	for i := range us {
 		u := &us[i]
-		k := per * i
-		if !half {
-			h.lanes[k] = xorTweak(double(u.a), u.j0)
+		if !u.half {
+			d0, d1 := dbl(words(&labels[u.a]))
+			setWords(&h.lanes[k], d0^2*u.gid, d1)
 			k++
 		}
-		h.lanes[k] = xorTweak(double(u.b), u.j1)
+		d0, d1 := dbl(words(&labels[u.b]))
+		setWords(&h.lanes[k], d0^(2*u.gid+1), d1)
+		k++
 	}
-	h.hashStaged(per * n)
-	for i := 0; i < n; i++ {
+	h.hashStaged(k)
+	k = 0
+	for i := range us {
 		u := &us[i]
-		k := per * i
-		tab := u.tab
-		var wg, te Label
-		if !half {
-			var tg Label
-			copy(tg[:], tab[:LabelSize])
-			wg = h.lanes[k]
-			if u.a.LSB() {
-				wg = wg.XOR(tg)
-			}
+		a0, a1 := words(&labels[u.a])
+		b0, _ := words(&labels[u.b])
+		var w0, w1 uint64
+		var tab []byte
+		if u.half {
+			tab = lv.half[u.off : u.off+LabelSize]
+		} else {
+			tab = lv.full[u.off : u.off+TableSize]
+			tg0, tg1 := wordsAt(tab)
+			pa := -(a0 & 1)
+			h0, h1 := words(&h.lanes[k])
+			w0, w1 = h0^tg0&pa, h1^tg1&pa
 			tab = tab[LabelSize:]
 			k++
 		}
-		copy(te[:], tab[:LabelSize])
-		we := h.lanes[k]
-		if u.b.LSB() {
-			we = we.XOR(te).XOR(u.a)
-		}
-		*u.out = wg.XOR(we)
+		te0, te1 := wordsAt(tab)
+		pb := -(b0 & 1)
+		h0, h1 := words(&h.lanes[k])
+		setWords(&labels[u.out], w0^h0^(te0^a0)&pb, w1^h1^(te1^a1)&pb)
+		k++
 	}
 }
 
-// evalFree handles the tableless gates (XOR, INV).
-func (e *Evaluator) evalFree(gate circuit.Gate) error {
-	out, err := e.Label(gate.A)
-	if err != nil {
-		return err
-	}
-	switch gate.Op {
-	case circuit.XOR:
-		b, err := e.Label(gate.B)
-		if err != nil {
-			return err
+// freeSpan runs free gates for all B samples: XOR is label XOR on both
+// sides; INV XORs inv — the garbler's deltas — or, for the evaluator (inv
+// nil), carries the label through.
+func (st *labelStore) freeSpan(frees []circuit.Gate, inv []Label) {
+	b, labels, have := st.b, st.labels, st.have
+	for i := range frees {
+		gt := &frees[i]
+		a, out := int(gt.A)*b, int(gt.Out)*b
+		x, xs := 0, inv
+		if gt.Op == circuit.XOR {
+			x, xs = int(gt.B)*b, labels
 		}
-		out = out.XOR(b)
-	case circuit.INV:
-		// Free inversion: the label carries through; only the garbler's
-		// semantics map flips.
-	default:
-		return fmt.Errorf("gc: cannot evaluate op %v", gate.Op)
+		for s := 0; s < b; s++ {
+			a0, a1 := words(&labels[a+s])
+			if xs != nil {
+				x0, x1 := words(&xs[x+s])
+				a0, a1 = a0^x0, a1^x1
+			}
+			setWords(&labels[out+s], a0, a1)
+		}
+		have[gt.Out] = true
 	}
-	e.labels[gate.Out], e.have[gate.Out] = out, true
-	return nil
 }

@@ -280,9 +280,9 @@ func TestBatchErrors(t *testing.T) {
 	}
 }
 
-// BenchmarkGarbleGate measures a single AND-gate garble on the hot path
-// (four fixed-key AES hashes plus label XORs) — the unit the double() and
-// IsZero() uint64 fast paths speed up.
+// BenchmarkGarbleGate measures a single AND-gate garble through the
+// per-gate face (four fixed-key AES hashes plus label XORs, on a one-gate
+// level).
 func BenchmarkGarbleGate(b *testing.B) {
 	g, err := NewGarbler(rand.New(rand.NewSource(51)))
 	if err != nil {
@@ -293,14 +293,12 @@ func BenchmarkGarbleGate(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
-	h := NewHasher()
 	gate := circuit.Gate{Op: circuit.AND, A: 2, B: 3, Out: 9}
-	g.ensure(gate.Out)
-	dst := make([]byte, TableSize)
+	table := make([]byte, 0, TableSize)
 	b.SetBytes(TableSize)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if err := g.garbleAND(h, gate, uint64(i), dst); err != nil {
+		if _, err := g.Garble(gate, table); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -7,61 +7,52 @@ import (
 )
 
 // Evaluator holds the evaluation state: the single active label per live
-// wire and the same gate counter the garbler uses for hash tweaks.
+// wire and the same gate counter the garbler uses for hash tweaks. It is a
+// B=1 BatchEvaluator running one-gate levels through the level kernel.
 type Evaluator struct {
-	h      *Hasher
-	labels []Label
-	have   []bool
-	gid    uint64
+	be  *BatchEvaluator
+	h   *Hasher
+	gid uint64
 }
 
 // NewEvaluator creates an evaluator. The constant-wire labels must be set
 // with SetLabel before any gate referencing them is evaluated.
 func NewEvaluator() *Evaluator {
-	return &Evaluator{h: NewHasher()}
-}
-
-func (e *Evaluator) ensure(w uint32) {
-	for uint32(len(e.labels)) <= w {
-		e.labels = append(e.labels, Label{})
-		e.have = append(e.have, false)
-	}
+	return &Evaluator{be: &BatchEvaluator{labelStore{b: 1}}, h: NewHasher()}
 }
 
 // SetLabel installs the active label for wire w (inputs, constants).
-func (e *Evaluator) SetLabel(w uint32, l Label) {
-	e.ensure(w)
-	e.labels[w] = l
-	e.have[w] = true
-}
+func (e *Evaluator) SetLabel(w uint32, l Label) { e.be.SetLabel(w, 0, l) }
 
 // Label returns the active label of wire w.
-func (e *Evaluator) Label(w uint32) (Label, error) {
-	if uint32(len(e.labels)) <= w || !e.have[w] {
-		return Label{}, fmt.Errorf("gc: evaluator has no label for wire %d", w)
-	}
-	return e.labels[w], nil
-}
+func (e *Evaluator) Label(w uint32) (Label, error) { return e.be.Label(w, 0) }
 
 // Eval processes one gate against the internal AND counter, the
 // streaming face of the engine: for AND gates it consumes the gate's
 // ciphertexts (its Op's TableBytes) from table and returns the remainder;
-// XOR and INV gates consume nothing. The cryptography itself lives in
-// evalAND/evalFree (batch.go); evalANDWide is shared with the level kernel.
+// XOR and INV gates consume nothing.
 func (e *Evaluator) Eval(gate circuit.Gate, table []byte) ([]byte, error) {
-	e.ensure(gate.Out)
+	e.be.ensure(gate.Out)
+	one := []circuit.Gate{gate}
 	switch gate.Op {
 	case circuit.XOR, circuit.INV:
-		return table, e.evalFree(gate)
+		lv, err := e.be.prepare(nil, one, 0, nil)
+		if err != nil {
+			return table, err
+		}
+		e.be.evalSpan(e.h, &lv, 0, 0, 0, 1)
+		return table, nil
 
 	case circuit.AND, circuit.HalfAND:
 		n := gate.Op.TableBytes()
 		if len(table) < n {
 			return table, fmt.Errorf("gc: garbled table underrun (have %d bytes, need %d)", len(table), n)
 		}
-		if err := e.evalAND(e.h, gate, e.gid, table[:n]); err != nil {
+		lv, err := e.be.prepare(one, nil, e.gid, table[:n])
+		if err != nil {
 			return table, err
 		}
+		e.be.evalSpan(e.h, &lv, 0, 1, 0, 0)
 		e.gid++
 		return table[n:], nil
 
@@ -71,8 +62,4 @@ func (e *Evaluator) Eval(gate circuit.Gate, table []byte) ([]byte, error) {
 }
 
 // Drop forgets a dead wire's label.
-func (e *Evaluator) Drop(w uint32) {
-	if uint32(len(e.have)) > w {
-		e.have[w] = false
-	}
-}
+func (e *Evaluator) Drop(w uint32) { e.be.Drop(w) }

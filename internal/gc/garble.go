@@ -9,18 +9,13 @@ import (
 
 // Garbler holds the garbling state for one protocol session: the global
 // Free-XOR delta, the zero-label of every live wire, and the gate counter
-// that keys the hash tweaks. It is driven gate-by-gate in netlist order.
+// that keys the hash tweaks. It is driven gate-by-gate in netlist order,
+// as a B=1 BatchGarbler running one-gate levels through the level kernel.
 type Garbler struct {
-	R Label
-	// r2 caches double(R): doubling is GF(2)-linear, so 2(L⊕R) = 2L ⊕ 2R
-	// and every one-labels' hash key derives from its zero-label's double
-	// with one XOR instead of a second doubling.
-	r2     Label
-	h      *Hasher
-	rng    io.Reader
-	labels []Label // zero-labels indexed by wire id
-	have   []bool
-	gid    uint64
+	R   Label // the Free-XOR delta, bg.R[0]
+	bg  *BatchGarbler
+	h   *Hasher
+	gid uint64
 
 	// Stats
 	ANDGates  int64
@@ -30,36 +25,19 @@ type Garbler struct {
 // NewGarbler creates a garbler drawing randomness from rng and assigns
 // labels to the two constant wires.
 func NewGarbler(rng io.Reader) (*Garbler, error) {
-	r, err := RandomDelta(rng)
+	bg, err := NewBatchGarbler(rng, 1)
 	if err != nil {
 		return nil, err
 	}
-	g := &Garbler{R: r, r2: double(r), h: NewHasher(), rng: rng}
-	for _, w := range []uint32{circuit.WFalse, circuit.WTrue} {
-		if _, err := g.AssignInput(w); err != nil {
-			return nil, err
-		}
-	}
-	return g, nil
-}
-
-func (g *Garbler) ensure(w uint32) {
-	for uint32(len(g.labels)) <= w {
-		g.labels = append(g.labels, Label{})
-		g.have = append(g.have, false)
-	}
+	return &Garbler{R: bg.R[0], bg: bg, h: NewHasher()}, nil
 }
 
 // AssignInput draws a fresh zero-label for wire w and returns it.
 func (g *Garbler) AssignInput(w uint32) (Label, error) {
-	l, err := RandomLabel(g.rng)
-	if err != nil {
+	if err := g.bg.AssignInput(w); err != nil {
 		return Label{}, err
 	}
-	g.ensure(w)
-	g.labels[w] = l
-	g.have[w] = true
-	return l, nil
+	return g.bg.labels[w], nil
 }
 
 // AssignEvaluatorInput is AssignInput for a wire whose bit the evaluator
@@ -67,33 +45,19 @@ func (g *Garbler) AssignInput(w uint32) (Label, error) {
 // that party receives is the bit it chose, and a half AND may take the wire
 // in slot B. It costs one of the label's 128 bits, as RandomDelta's does R.
 func (g *Garbler) AssignEvaluatorInput(w uint32) (Label, error) {
-	l, err := g.AssignInput(w)
-	l[0] &^= 1
-	if err == nil {
-		g.labels[w] = l
+	if err := g.bg.AssignEvaluatorInput(w); err != nil {
+		return Label{}, err
 	}
-	return l, err
+	return g.bg.labels[w], nil
 }
 
 // ZeroLabel returns the zero-semantics label of wire w.
-func (g *Garbler) ZeroLabel(w uint32) (Label, error) {
-	if uint32(len(g.labels)) <= w || !g.have[w] {
-		return Label{}, fmt.Errorf("gc: garbler has no label for wire %d", w)
-	}
-	return g.labels[w], nil
-}
+func (g *Garbler) ZeroLabel(w uint32) (Label, error) { return g.bg.ZeroLabel(w, 0) }
 
 // ActiveLabel returns the label encoding the given plaintext bit on wire w
 // (zero-label for 0, zero-label ⊕ R for 1).
 func (g *Garbler) ActiveLabel(w uint32, bit bool) (Label, error) {
-	l, err := g.ZeroLabel(w)
-	if err != nil {
-		return Label{}, err
-	}
-	if bit {
-		return l.XOR(g.R), nil
-	}
-	return l, nil
+	return g.bg.ActiveLabel(w, 0, bit)
 }
 
 // ConstLabels returns the active labels of the two constant wires, which
@@ -111,24 +75,27 @@ func (g *Garbler) ConstLabels() (lFalse, lTrue Label, err error) {
 // streaming face of the engine: for AND gates it appends the gate's
 // ciphertexts (its Op's TableBytes) to table and returns the extended
 // slice; XOR and INV gates are free and return table unchanged.
-// The cryptography itself lives in garbleAND/garbleFree (batch.go);
-// garbleANDWide is shared with the level kernel.
 func (g *Garbler) Garble(gate circuit.Gate, table []byte) ([]byte, error) {
-	g.ensure(gate.Out)
+	g.bg.ensure(gate.Out)
+	one := []circuit.Gate{gate}
 	switch gate.Op {
 	case circuit.XOR, circuit.INV:
-		if err := g.garbleFree(gate); err != nil {
+		lv, err := g.bg.prepare(nil, one, 0, nil)
+		if err != nil {
 			return table, err
 		}
+		g.bg.garbleSpan(g.h, &lv, 0, 0, 0, 1)
 		g.FreeGates++
 		return table, nil
 
 	case circuit.AND, circuit.HalfAND:
 		off := len(table)
 		table = append(table, make([]byte, gate.Op.TableBytes())...)
-		if err := g.garbleAND(g.h, gate, g.gid, table[off:]); err != nil {
+		lv, err := g.bg.prepare(one, nil, g.gid, table[off:])
+		if err != nil {
 			return table[:off], err
 		}
+		g.bg.garbleSpan(g.h, &lv, 0, 1, 0, 0)
 		g.gid++
 		g.ANDGates++
 		return table, nil
@@ -139,11 +106,7 @@ func (g *Garbler) Garble(gate circuit.Gate, table []byte) ([]byte, error) {
 }
 
 // Drop forgets the label of a dead wire (its id may be recycled).
-func (g *Garbler) Drop(w uint32) {
-	if uint32(len(g.have)) > w {
-		g.have[w] = false
-	}
-}
+func (g *Garbler) Drop(w uint32) { g.bg.Drop(w) }
 
 // DecodeBit maps an output-wire label reported by the evaluator back to a
 // plaintext bit, verifying the label is authentic (it must be one of the

@@ -2,9 +2,9 @@
 // optimization stack the paper relies on (§2.3): point-and-permute,
 // Free-XOR (and free INV), row-reduction + half-gates (two 128-bit
 // ciphertexts per AND gate, one when an operand is the evaluator's own
-// input), and fixed-key block-cipher garbling
-// (JustGarble-style AES Davies–Meyer hashing, which uses AES-NI through
-// Go's crypto/aes on amd64).
+// input), and fixed-key block-cipher garbling (JustGarble-style AES
+// Davies–Meyer hashing: on amd64 an 8-block pipelined AES-NI kernel,
+// hash_amd64.s, and Go's crypto/aes elsewhere or under the purego tag).
 //
 // The package is pure computation: the Garbler and Evaluator consume a
 // gate stream and produce/consume garbled tables as byte slices; all
@@ -20,6 +20,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"io"
+	"math/bits"
 	"sync/atomic"
 )
 
@@ -60,24 +61,48 @@ func (l Label) IsZero() bool {
 	return binary.LittleEndian.Uint64(l[0:8])|binary.LittleEndian.Uint64(l[8:16]) == 0
 }
 
+// words returns l as two little-endian uint64 words, the form the kernel
+// computes in; setWords stores them back. wordsAt and setWordsAt do the
+// same on the first LabelSize bytes of a table slice.
+func words(l *Label) (uint64, uint64) {
+	return binary.LittleEndian.Uint64(l[0:8]), binary.LittleEndian.Uint64(l[8:16])
+}
+
+func setWords(l *Label, w0, w1 uint64) {
+	binary.LittleEndian.PutUint64(l[0:8], w0)
+	binary.LittleEndian.PutUint64(l[8:16], w1)
+}
+
+func wordsAt(p []byte) (uint64, uint64) {
+	return binary.LittleEndian.Uint64(p[0:8]), binary.LittleEndian.Uint64(p[8:16])
+}
+
+func setWordsAt(p []byte, w0, w1 uint64) {
+	binary.LittleEndian.PutUint64(p[0:8], w0)
+	binary.LittleEndian.PutUint64(p[8:16], w1)
+}
+
 // double multiplies the label by x in GF(2^128) with the standard
 // reduction polynomial (x^128 + x^7 + x^2 + x + 1), treating the label as
-// a big-endian polynomial — the usual tweakable-cipher doubling. It runs
-// on every garbling-hash call, so it is two uint64 shifts rather than a
-// byte-wise carry loop.
+// a big-endian polynomial — the usual tweakable-cipher doubling. The
+// garbling hash H(L, t) keys AES with 2L ⊕ t, the tweak XORed into the
+// block's first little-endian word.
 func double(l Label) Label {
-	hi := binary.BigEndian.Uint64(l[0:8])
-	lo := binary.BigEndian.Uint64(l[8:16])
+	var r Label
+	w0, w1 := dbl(words(&l))
+	setWords(&r, w0, w1)
+	return r
+}
+
+// dbl is double on a label's little-endian words: byte-swapped, they are
+// the polynomial's high and low halves, so it is two shifts and a
+// branch-free reduction.
+func dbl(w0, w1 uint64) (uint64, uint64) {
+	hi, lo := bits.ReverseBytes64(w0), bits.ReverseBytes64(w1)
 	carry := hi >> 63
 	hi = hi<<1 | lo>>63
-	lo <<= 1
-	if carry != 0 {
-		lo ^= 0x87
-	}
-	var r Label
-	binary.BigEndian.PutUint64(r[0:8], hi)
-	binary.BigEndian.PutUint64(r[8:16], lo)
-	return r
+	lo = lo<<1 ^ 0x87&-carry
+	return bits.ReverseBytes64(hi), bits.ReverseBytes64(lo)
 }
 
 // fixedKey is the public fixed AES key of the garbling hash. Its value is
@@ -85,13 +110,6 @@ func double(l Label) Label {
 var fixedKey = [16]byte{
 	0xd3, 0x3e, 0x5f, 0x0a, 0x91, 0x27, 0x6c, 0xb8,
 	0x44, 0xfe, 0x09, 0x73, 0xa2, 0x58, 0x1d, 0xc6,
-}
-
-// xorTweak folds a hash tweak into a doubled label, forming the AES
-// input block 2L ⊕ t of the garbling hash.
-func xorTweak(k Label, t uint64) Label {
-	binary.LittleEndian.PutUint64(k[0:8], binary.LittleEndian.Uint64(k[0:8])^t)
-	return k
 }
 
 // HashLanes is the width of the Hasher's multi-lane face: HN (and the
@@ -148,6 +166,11 @@ type Hasher struct {
 	// lanes is the staging buffer of the multi-lane path: callers write
 	// key blocks 2L ⊕ t, hashStaged replaces them with their hashes.
 	lanes [HashLanes]Label
+	// units stages the gate kernel's instances for one hash wave
+	// (batch.go's stage); it lives here so a span borrows it with the
+	// hasher rather than allocating it per span, or per gate on the
+	// per-gate faces.
+	units [HashLanes]staged
 }
 
 // NewHasher builds the fixed-key hasher.
@@ -170,7 +193,10 @@ func (h *Hasher) Wide() bool { return h.wide }
 
 // H computes the hash of label l under tweak t.
 func (h *Hasher) H(l Label, t uint64) Label {
-	return h.hashKey(xorTweak(double(l), t))
+	var k Label
+	w0, w1 := dbl(words(&l))
+	setWords(&k, w0^t, w1)
+	return h.hashKey(k)
 }
 
 // hashKey is the scalar Davies–Meyer core over a precomputed key block
@@ -217,7 +243,8 @@ func (h *Hasher) HN(dst, labels []Label, tweaks []uint64) {
 			n = HashLanes
 		}
 		for i := 0; i < n; i++ {
-			h.lanes[i] = xorTweak(double(labels[off+i]), tweaks[off+i])
+			w0, w1 := dbl(words(&labels[off+i]))
+			setWords(&h.lanes[i], w0^tweaks[off+i], w1)
 		}
 		h.hashStaged(n)
 		copy(dst[off:off+n], h.lanes[:n])

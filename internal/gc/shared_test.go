@@ -57,7 +57,7 @@ func TestSharedPoolMatchesPrivate(t *testing.T) {
 		want := perGateTables(t, sz.nAND, sz.nFree)
 		for _, w := range []int{1, 2, 4} {
 			if got := garbleLevelTables(t, NewSharedPool(s, w), sz.nAND, sz.nFree); !bytes.Equal(want, got) {
-				t.Fatalf("width=%d nAND=%d nFree=%d: tables differ from the per-gate reference", w, sz.nAND, sz.nFree)
+				t.Fatalf("width=%d nAND=%d nFree=%d: tables differ from the per-gate face", w, sz.nAND, sz.nFree)
 			}
 		}
 	}

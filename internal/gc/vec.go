@@ -1,7 +1,6 @@
 package gc
 
 import (
-	"encoding/binary"
 	"fmt"
 	"io"
 	"sort"
@@ -20,9 +19,16 @@ import (
 // sample has its own fresh Free-XOR delta and fresh wire labels, so the
 // transcript of each sample is exactly what a lone inference would
 // produce under the same randomness — batching amortizes the schedule
-// walk, not the cryptography — and at B=1 the tables and labels are
-// byte-identical to the per-gate reference Garbler.Garble/Evaluator.Eval
-// (pinned by the tests here).
+// walk, not the cryptography. The per-gate faces Garbler.Garble and
+// Evaluator.Eval are this state at B=1 running one-gate levels, and the
+// tests pin both against a textbook half-gates oracle.
+//
+// The kernel (batch.go) reads a gate's input labels in place when it
+// completes the gate, not when it stages it: level independence — no gate
+// of a level reads a wire another gate of the level writes — makes the two
+// reads agree, so staging copies indices, never labels. A level run is
+// checked whole before anything is written (labelStore.prepare), so one
+// that fails leaves the labels, their liveness and the table untouched.
 //
 // The garbled tables of a level are likewise interleaved gate-major with
 // samples innermost, one region per gate kind: full AND rank i, sample s
@@ -31,16 +37,15 @@ import (
 // parties derive the layout from the schedule and B alone.
 
 // BatchGarbler is the garbling state for one inference of B independent
-// samples. It shares the half-gates cryptography (garbleANDWide) with the
-// per-gate Garbler.
+// samples.
 type BatchGarbler struct {
 	// R holds the per-sample Free-XOR deltas (len B): samples are
 	// cryptographically independent instances, exactly as if each ran its
 	// own inference.
 	R []Label
-	// r2 caches double(R[s]) per sample (see Garbler.r2): doubling is
-	// GF(2)-linear, so every one-label's hash key derives from its
-	// zero-label's double with one XOR.
+	// r2 caches double(R[s]) per sample: doubling is GF(2)-linear, so
+	// 2(L⊕R) = 2L ⊕ 2R and every one-label's hash key derives from its
+	// zero-label's double with one XOR instead of a second doubling.
 	r2 []Label
 
 	labelStore // the zero-labels
@@ -121,22 +126,60 @@ func (st *labelStore) Drop(w uint32) {
 	}
 }
 
-// base returns the label-array offset of wire w, which must carry a
-// value.
-func (st *labelStore) base(w uint32) (int, error) {
-	if uint32(len(st.have)) <= w || !st.have[w] {
-		return 0, fmt.Errorf("gc: batch state has no label for wire %d", w)
+// live returns an error unless wire w carries a value.
+func (st *labelStore) live(w uint32) error {
+	if w < uint32(len(st.have)) && st.have[w] {
+		return nil
 	}
-	return int(w) * st.b, nil
+	return fmt.Errorf("gc: batch state has no label for wire %d", w)
 }
 
-// outBase returns the label-array offset of output wire w, which must be
-// within grown storage.
-func (st *labelStore) outBase(w uint32) (int, error) {
-	if uint32(len(st.have)) <= w {
-		return 0, fmt.Errorf("gc: batch label storage not grown past wire %d", w)
+// prepare lays a level run out over table — where the half ANDs start in
+// ands, and where their region does — and checks, before the kernel writes
+// anything, that table holds the packed block for B samples, that every
+// operand carries a value, that every output lies in grown storage and
+// that every free gate is an XOR or INV.
+func (st *labelStore) prepare(ands, frees []circuit.Gate, gidBase uint64, table []byte) (level, error) {
+	nFull := sort.Search(len(ands), func(i int) bool { return ands[i].Op == circuit.HalfAND })
+	split := nFull * st.b * TableSize
+	if need := split + (len(ands)-nFull)*st.b*LabelSize; len(table) < need {
+		return level{}, fmt.Errorf("gc: level table block is %d bytes, want %d", len(table), need)
 	}
-	return int(w) * st.b, nil
+	have := st.have
+	for i := range ands {
+		if gt := &ands[i]; !valid(have, gt, true) {
+			return level{}, st.invalid(gt, true)
+		}
+	}
+	for i := range frees {
+		gt := &frees[i]
+		if gt.Op != circuit.XOR && gt.Op != circuit.INV {
+			return level{}, fmt.Errorf("gc: cannot run op %v as a free gate", gt.Op)
+		}
+		if !valid(have, gt, gt.Op == circuit.XOR) {
+			return level{}, st.invalid(gt, gt.Op == circuit.XOR)
+		}
+	}
+	return level{ands: ands, frees: frees, gidBase: gidBase, nFull: nFull, full: table[:split], half: table[split:]}, nil
+}
+
+// valid reports whether gt's operands (B only for a two-input gate) carry
+// values and its output lies in grown storage; invalid says which does not.
+func valid(have []bool, gt *circuit.Gate, twoInputs bool) bool {
+	n := uint32(len(have))
+	return gt.Out < n && gt.A < n && have[gt.A] && (!twoInputs || gt.B < n && have[gt.B])
+}
+
+func (st *labelStore) invalid(gt *circuit.Gate, twoInputs bool) error {
+	if err := st.live(gt.A); err != nil {
+		return err
+	}
+	if twoInputs {
+		if err := st.live(gt.B); err != nil {
+			return err
+		}
+	}
+	return fmt.Errorf("gc: batch label storage not grown past wire %d", gt.Out)
 }
 
 // AssignInput draws B fresh zero-labels for wire w, sample-innermost
@@ -175,11 +218,10 @@ func (g *BatchGarbler) AssignEvaluatorInput(w uint32) error {
 
 // ZeroLabel returns sample s's zero-semantics label of wire w.
 func (g *BatchGarbler) ZeroLabel(w uint32, s int) (Label, error) {
-	base, err := g.base(w)
-	if err != nil {
+	if err := g.live(w); err != nil {
 		return Label{}, err
 	}
-	return g.labels[base+s], nil
+	return g.labels[int(w)*g.b+s], nil
 }
 
 // ActiveLabel returns sample s's label encoding the given plaintext bit
@@ -216,17 +258,6 @@ func (g *BatchGarbler) AppendConstLabels(dst []byte) ([]byte, error) {
 	return dst, nil
 }
 
-// levelLayout finds where the half ANDs start in ands — a level's AND
-// gates or any contiguous run of them — and where their region does in
-// table, after checking that table holds the packed block for b samples.
-func levelLayout(ands []circuit.Gate, b int, table []byte) (nFull int, halves []byte, err error) {
-	nFull = sort.Search(len(ands), func(i int) bool { return ands[i].Op == circuit.HalfAND })
-	if need := (nFull*TableSize + (len(ands)-nFull)*LabelSize) * b; len(table) < need {
-		return 0, nil, fmt.Errorf("gc: level table block is %d bytes, want %d", len(table), need)
-	}
-	return nFull, table[nFull*b*TableSize:], nil
-}
-
 // GarbleLevel garbles one schedule level for all B samples: the i-th AND
 // gate has global AND index gidBase+i — the same tweaks for every sample,
 // computed once — and sample s writes its ciphertexts at its rank's place
@@ -238,122 +269,18 @@ func levelLayout(ands []circuit.Gate, b int, table []byte) (nFull int, halves []
 // of the level writes) — which circuit.NewSchedule establishes — and must
 // have Grown the garbler past every wire id in the level.
 func (g *BatchGarbler) GarbleLevel(ands, frees []circuit.Gate, gidBase uint64, table []byte, pool *Pool) error {
-	b := g.b
-	nFull, halves, err := levelLayout(ands, b, table)
+	lv, err := g.prepare(ands, frees, gidBase, table)
 	if err != nil {
 		return err
 	}
-	err = pool.run(len(ands), len(frees), b, func(h *Hasher, andLo, andHi, freeLo, freeHi int) error {
-		// Lanes gather over flattened (gate, sample) instances: samples
-		// within a gate fill first, and units carry across gate boundaries
-		// (of one kind: a wave is all full ANDs or all half ANDs) so
-		// small-B batches still run full 8-lane waves. out points straight
-		// into the label array — safe because units capture their inputs
-		// by value and level independence keeps staged reads and writes
-		// disjoint.
-		var us [garbleUnits]andUnit
-		nu, half := 0, false
-		for i := andLo; i < andHi; i++ {
-			gt := ands[i]
-			aBase, err := g.base(gt.A)
-			if err != nil {
-				return err
-			}
-			bBase, err := g.base(gt.B)
-			if err != nil {
-				return err
-			}
-			oBase, err := g.outBase(gt.Out)
-			if err != nil {
-				return err
-			}
-			region, rank, size, wave := table, i, TableSize, garbleUnits/2
-			if i >= nFull {
-				if !half && nu > 0 {
-					garbleANDWide(h, &us, nu, false)
-					nu = 0
-				}
-				half, region, rank, size, wave = true, halves, i-nFull, LabelSize, garbleUnits
-			}
-			gid := gidBase + uint64(i)
-			j0, j1 := 2*gid, 2*gid+1
-			dst := region[rank*b*size : (rank+1)*b*size]
-			for s := 0; s < b; s++ {
-				us[nu] = andUnit{
-					a0: g.labels[aBase+s], b0: g.labels[bBase+s],
-					r: g.R[s], r2: g.r2[s],
-					j0: j0, j1: j1,
-					dst: dst[s*size : (s+1)*size],
-					out: &g.labels[oBase+s],
-				}
-				nu++
-				if nu == wave {
-					garbleANDWide(h, &us, nu, half)
-					nu = 0
-				}
-			}
-			g.have[gt.Out] = true
-		}
-		if nu > 0 {
-			garbleANDWide(h, &us, nu, half)
-		}
-		for i := freeLo; i < freeHi; i++ {
-			if err := g.garbleFreeVec(frees[i]); err != nil {
-				return err
-			}
-		}
-		return nil
-	})
-	if err != nil {
+	if err := pool.run(len(ands), len(frees), g.b, func(h *Hasher, andLo, andHi, freeLo, freeHi int) {
+		g.garbleSpan(h, &lv, andLo, andHi, freeLo, freeHi)
+	}); err != nil {
 		return err
 	}
-	g.ANDGates += int64(len(ands) * b)
-	g.FreeGates += int64(len(frees) * b)
+	g.ANDGates += int64(len(ands) * g.b)
+	g.FreeGates += int64(len(frees) * g.b)
 	return nil
-}
-
-// garbleFreeVec handles the tableless gates (XOR, INV) for all samples.
-func (g *BatchGarbler) garbleFreeVec(gt circuit.Gate) error {
-	aBase, err := g.base(gt.A)
-	if err != nil {
-		return err
-	}
-	oBase, err := g.outBase(gt.Out)
-	if err != nil {
-		return err
-	}
-	switch gt.Op {
-	case circuit.XOR:
-		bBase, err := g.base(gt.B)
-		if err != nil {
-			return err
-		}
-		xorLabels(g.labels[oBase:oBase+g.b], g.labels[aBase:aBase+g.b], g.labels[bBase:bBase+g.b])
-	case circuit.INV:
-		xorLabels(g.labels[oBase:oBase+g.b], g.labels[aBase:aBase+g.b], g.R)
-	default:
-		return fmt.Errorf("gc: cannot batch-garble op %v", gt.Op)
-	}
-	g.have[gt.Out] = true
-	return nil
-}
-
-// xorLabels sets dst[i] = a[i] ⊕ b[i] over equal-length label slices,
-// XORing as two uint64 words per label instead of 16 bytes — the free
-// gates of the SoA engines are pure label XOR, so this loop is their
-// whole cost. Element-wise in-place aliasing (dst overlapping a or b at
-// the same index) is fine; Go's [16]byte layout makes the word loads
-// exact reinterpretations.
-func xorLabels(dst, a, b []Label) {
-	if len(a) != len(dst) || len(b) != len(dst) {
-		panic("gc: xorLabels length mismatch")
-	}
-	for i := range dst {
-		x0 := binary.LittleEndian.Uint64(a[i][0:8]) ^ binary.LittleEndian.Uint64(b[i][0:8])
-		x1 := binary.LittleEndian.Uint64(a[i][8:16]) ^ binary.LittleEndian.Uint64(b[i][8:16])
-		binary.LittleEndian.PutUint64(dst[i][0:8], x0)
-		binary.LittleEndian.PutUint64(dst[i][8:16], x1)
-	}
 }
 
 // BatchEvaluator is the evaluation state for one batched inference: the
@@ -381,11 +308,10 @@ func (e *BatchEvaluator) SetLabel(w uint32, s int, l Label) {
 
 // Label returns sample s's active label of wire w.
 func (e *BatchEvaluator) Label(w uint32, s int) (Label, error) {
-	base, err := e.base(w)
-	if err != nil {
+	if err := e.live(w); err != nil {
 		return Label{}, err
 	}
-	return e.labels[base+s], nil
+	return e.labels[int(w)*e.b+s], nil
 }
 
 // EvaluateLevel evaluates one schedule level for all B samples, the
@@ -393,92 +319,11 @@ func (e *BatchEvaluator) Label(w uint32, s int) (Label, error) {
 // its rank's place in its kind's region of table under the tweaks of
 // gidBase+i.
 func (e *BatchEvaluator) EvaluateLevel(ands, frees []circuit.Gate, gidBase uint64, table []byte, pool *Pool) error {
-	b := e.b
-	nFull, halves, err := levelLayout(ands, b, table)
+	lv, err := e.prepare(ands, frees, gidBase, table)
 	if err != nil {
 		return err
 	}
-	return pool.run(len(ands), len(frees), b, func(h *Hasher, andLo, andHi, freeLo, freeHi int) error {
-		// Flattened (gate, sample) lane gathering, the mirror of
-		// GarbleLevel's.
-		var us [evalUnits]evalUnit
-		nu, half := 0, false
-		for i := andLo; i < andHi; i++ {
-			gt := ands[i]
-			aBase, err := e.base(gt.A)
-			if err != nil {
-				return err
-			}
-			bBase, err := e.base(gt.B)
-			if err != nil {
-				return err
-			}
-			oBase, err := e.outBase(gt.Out)
-			if err != nil {
-				return err
-			}
-			region, rank, size, wave := table, i, TableSize, evalUnits/2
-			if i >= nFull {
-				if !half && nu > 0 {
-					evalANDWide(h, &us, nu, false)
-					nu = 0
-				}
-				half, region, rank, size, wave = true, halves, i-nFull, LabelSize, evalUnits
-			}
-			gid := gidBase + uint64(i)
-			j0, j1 := 2*gid, 2*gid+1
-			tab := region[rank*b*size : (rank+1)*b*size]
-			for s := 0; s < b; s++ {
-				us[nu] = evalUnit{
-					a: e.labels[aBase+s], b: e.labels[bBase+s],
-					j0: j0, j1: j1,
-					tab: tab[s*size : (s+1)*size],
-					out: &e.labels[oBase+s],
-				}
-				nu++
-				if nu == wave {
-					evalANDWide(h, &us, nu, half)
-					nu = 0
-				}
-			}
-			e.have[gt.Out] = true
-		}
-		if nu > 0 {
-			evalANDWide(h, &us, nu, half)
-		}
-		for i := freeLo; i < freeHi; i++ {
-			if err := e.evalFreeVec(frees[i]); err != nil {
-				return err
-			}
-		}
-		return nil
+	return pool.run(len(ands), len(frees), e.b, func(h *Hasher, andLo, andHi, freeLo, freeHi int) {
+		e.evalSpan(h, &lv, andLo, andHi, freeLo, freeHi)
 	})
-}
-
-// evalFreeVec handles the tableless gates (XOR, INV) for all samples.
-func (e *BatchEvaluator) evalFreeVec(gt circuit.Gate) error {
-	aBase, err := e.base(gt.A)
-	if err != nil {
-		return err
-	}
-	oBase, err := e.outBase(gt.Out)
-	if err != nil {
-		return err
-	}
-	switch gt.Op {
-	case circuit.XOR:
-		bBase, err := e.base(gt.B)
-		if err != nil {
-			return err
-		}
-		xorLabels(e.labels[oBase:oBase+e.b], e.labels[aBase:aBase+e.b], e.labels[bBase:bBase+e.b])
-	case circuit.INV:
-		// Free inversion: the label carries through; only the garbler's
-		// semantics map flips.
-		copy(e.labels[oBase:oBase+e.b], e.labels[aBase:aBase+e.b])
-	default:
-		return fmt.Errorf("gc: cannot batch-evaluate op %v", gt.Op)
-	}
-	e.have[gt.Out] = true
-	return nil
 }

@@ -8,71 +8,6 @@ import (
 	"deepsecure/internal/circuit"
 )
 
-// TestXORLabels pins the uint64 fast-path slice XOR to Label.XOR,
-// including element-wise in-place aliasing (dst = dst ⊕ b, the INV/XOR
-// free-gate shapes) and the length-mismatch panic.
-func TestXORLabels(t *testing.T) {
-	rng := rand.New(rand.NewSource(88))
-	for _, n := range []int{1, 2, 3, 7, 16, 33} {
-		a := make([]Label, n)
-		b := make([]Label, n)
-		for i := range a {
-			rng.Read(a[i][:])
-			rng.Read(b[i][:])
-		}
-		want := make([]Label, n)
-		for i := range a {
-			want[i] = a[i].XOR(b[i])
-		}
-		dst := make([]Label, n)
-		xorLabels(dst, a, b)
-		for i := range want {
-			if dst[i] != want[i] {
-				t.Fatalf("n=%d element %d: xorLabels %x, Label.XOR %x", n, i, dst[i], want[i])
-			}
-		}
-		inPlace := append([]Label(nil), a...)
-		xorLabels(inPlace, inPlace, b)
-		for i := range want {
-			if inPlace[i] != want[i] {
-				t.Fatalf("n=%d element %d: aliased xorLabels diverged", n, i)
-			}
-		}
-	}
-	defer func() {
-		if recover() == nil {
-			t.Error("xorLabels length mismatch did not panic")
-		}
-	}()
-	xorLabels(make([]Label, 2), make([]Label, 3), make([]Label, 2))
-}
-
-func BenchmarkXORLabels(b *testing.B) {
-	const n = 1024
-	dst := make([]Label, n)
-	x := make([]Label, n)
-	y := make([]Label, n)
-	rng := rand.New(rand.NewSource(89))
-	for i := range x {
-		rng.Read(x[i][:])
-		rng.Read(y[i][:])
-	}
-	b.Run("xorLabels", func(b *testing.B) {
-		b.SetBytes(n * LabelSize)
-		for i := 0; i < b.N; i++ {
-			xorLabels(dst, x, y)
-		}
-	})
-	b.Run("LabelXOR", func(b *testing.B) {
-		b.SetBytes(n * LabelSize)
-		for i := 0; i < b.N; i++ {
-			for j := range dst {
-				dst[j] = x[j].XOR(y[j])
-			}
-		}
-	})
-}
-
 // vecTestLevels is a tiny two-level circuit over input wires 2..5, wire 5
 // the evaluator's (vecAssign): level 0: AND(2,3)→6, HalfAND(4,5)→10,
 // XOR(4,5)→7; level 1: AND(6,7)→8, HalfAND(6,5)→11, INV(6)→9.
@@ -116,7 +51,7 @@ func vecAssign(t *testing.T, assign func(w uint32, evaluator bool) error) {
 }
 
 // TestBatchGarblerB1MatchesSingle pins the level kernel's B=1 output to
-// the per-gate reference Garbler: same seed, same schedule, identical
+// the per-gate face Garbler: same seed, same schedule, identical
 // rng draws, table bytes and zero-labels on every wire, across dependent
 // levels.
 func TestBatchGarblerB1MatchesSingle(t *testing.T) {
@@ -154,7 +89,7 @@ func TestBatchGarblerB1MatchesSingle(t *testing.T) {
 			t.Fatalf("level %d batched: %v", li, err)
 		}
 		if !bytes.Equal(single, batched) {
-			t.Fatalf("level %d: B=1 tables differ from the per-gate reference", li)
+			t.Fatalf("level %d: B=1 tables differ from the per-gate face", li)
 		}
 	}
 	for w := uint32(0); w < vecTestWires; w++ {
@@ -167,11 +102,11 @@ func TestBatchGarblerB1MatchesSingle(t *testing.T) {
 			t.Fatalf("wire %d batched: %v", w, err)
 		}
 		if sl != bl {
-			t.Fatalf("wire %d: B=1 batched zero-label differs from the per-gate reference", w)
+			t.Fatalf("wire %d: B=1 batched zero-label differs from the per-gate face", w)
 		}
 	}
 	if g.R != bg.R[0] {
-		t.Fatal("B=1 batched delta differs from the per-gate reference")
+		t.Fatal("B=1 batched delta differs from the per-gate face")
 	}
 	// The const-label payload is the per-gate garbler's two const labels.
 	lf, lt, err := g.ConstLabels()
@@ -183,7 +118,7 @@ func TestBatchGarblerB1MatchesSingle(t *testing.T) {
 		t.Fatal(err)
 	}
 	if want := append(append([]byte{}, lf[:]...), lt[:]...); !bytes.Equal(payload, want) {
-		t.Fatal("B=1 const-label payload differs from the per-gate reference")
+		t.Fatal("B=1 const-label payload differs from the per-gate face")
 	}
 }
 
