@@ -110,7 +110,7 @@ func runTable3() {
 		fmt.Printf("%-16s %10d %10d %10d %12s %12s   %s\n", c.Name, s.FreeXOR(), s.NonXOR(), s.Ciphertexts(), maxErr, meanErr, c.Paper)
 	}
 	cols, centre := fixed.MulTruncation(f.FracBits)
-	fmt.Printf("(MULT/MVM: the weight operand is the evaluator's own input, as in every MAC of a model, so each partial product is a half AND of one ciphertext; a truncated product — the partial products of the %d lowest of the %d fraction columns are replaced by the constant %d, fixed.Num.Mul being the same function; its error is against the floor of the real product, 1 ulp = %.2e)\n",
+	fmt.Printf("(MULT/MVM: the weight operand is the evaluator's own input, as in every MAC of a model, recoded to radix-4 Booth digits, so each partial-product bit is two half ANDs of one ciphertext each; a truncated product — the array bits of the %d lowest of the %d fraction columns are replaced by the constant %d, fixed.Num.Mul being the same function; its error is against the floor of the real product, 1 ulp = %.2e)\n",
 		cols, f.FracBits, centre, 1/f.Scale())
 	e, err := cordic.New(f)
 	if err != nil {

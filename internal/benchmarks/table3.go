@@ -63,15 +63,15 @@ var Table3 = []Component{
 	activation("sigmoid-trunc", act.SigmoidTrunc, "2107 (3.10.12)"),
 	activation("sigmoid-plan", act.SigmoidPLAN, "73"),
 	activation("sigmoid-cordic", act.SigmoidCORDIC, "3932"),
-	binary("add", "ADD", "16", circuit.Garbler, func(b *circuit.Builder, x, y stdcell.Word, _ fixed.Format) stdcell.Word {
+	binary("add", "ADD", "16", false, func(b *circuit.Builder, x, y stdcell.Word, _ fixed.Format) stdcell.Word {
 		return stdcell.Add(b, x, y)
 	}, func(x, y fixed.Num) (int64, int64) { return x.Add(y).Raw(), x.Raw() + y.Raw() }),
-	binary("mult", "MULT", "212", circuit.Evaluator, func(b *circuit.Builder, x, y stdcell.Word, f fixed.Format) stdcell.Word {
+	binary("mult", "MULT", "212", true, func(b *circuit.Builder, x, y stdcell.Word, f fixed.Format) stdcell.Word {
 		return stdcell.MulFixed(b, x, y, f.FracBits)
 	}, func(x, y fixed.Num) (int64, int64) { // exact: the floor of the real product
 		return x.Mul(y).Raw(), x.Raw() * y.Raw() >> uint(x.Format().FracBits)
 	}),
-	binary("div", "DIV", "361", circuit.Garbler, func(b *circuit.Builder, x, y stdcell.Word, f fixed.Format) stdcell.Word {
+	binary("div", "DIV", "361", false, func(b *circuit.Builder, x, y stdcell.Word, f fixed.Format) stdcell.Word {
 		return stdcell.DivFixed(b, x, y, f.FracBits, f.Bits()+f.FracBits)
 	}, func(x, y fixed.Num) (int64, int64) { // exact: the real quotient toward zero
 		if y.Raw() == 0 {
@@ -83,11 +83,11 @@ var Table3 = []Component{
 		b.Outputs(stdcell.ReLU(b, stdcell.Input(b, circuit.Garbler, f.Bits()))...)
 	}, Model: func(x, _ fixed.Num) (int64, int64) { return x.ReLU().Raw(), max(x.Raw(), 0) }},
 	{Key: "softmax", Name: "Softmax(n=10)", Paper: "(n-1)*32 = 288", Gen: func(b *circuit.Builder, f fixed.Format) {
-		b.Outputs(stdcell.ArgMax(b, inputs(b, circuit.Garbler, 10, f))...)
+		b.Outputs(stdcell.ArgMax(b, inputs(b, circuit.Garbler, 10, f.Bits()))...)
 	}},
 	{Key: "mvm", Name: "MVM 1x8 * 8x4", Paper: "228mn-16n = 7232", Gen: func(b *circuit.Builder, f fixed.Format) {
-		x := inputs(b, circuit.Garbler, 8, f)
-		w := inputs(b, circuit.Evaluator, 32, f)
+		x := inputs(b, circuit.Garbler, 8, f.Bits())
+		w := inputs(b, circuit.Evaluator, 32, fixed.BoothBits(f.Bits()))
 		for _, o := range stdcell.MatVec(b, w, x, 4, 8, f.FracBits) {
 			b.Outputs(o...)
 		}
@@ -112,22 +112,25 @@ func realize(kind act.Kind, f fixed.Format) *act.Impl {
 	return impl
 }
 
-// binary is a two-operand arithmetic row. yOwner owns the second operand:
-// MULT's is the evaluator's, as the weight of every MAC in a model is (so
-// its partial products are half ANDs); the others see two computed words.
-func binary(key, name, paper string, yOwner circuit.Party, op func(b *circuit.Builder, x, y stdcell.Word, f fixed.Format) stdcell.Word, model func(x, y fixed.Num) (got, exact int64)) Component {
+// binary is a two-operand arithmetic row. On MULT the second operand is a
+// weight, as in every MAC of a model: the evaluator's Booth digits (so its
+// partial products are half ANDs); the others see two computed words.
+func binary(key, name, paper string, weight bool, op func(b *circuit.Builder, x, y stdcell.Word, f fixed.Format) stdcell.Word, model func(x, y fixed.Num) (got, exact int64)) Component {
 	return Component{Key: key, Name: name, Paper: paper, Model: model, Gen: func(b *circuit.Builder, f fixed.Format) {
+		owner, width := circuit.Garbler, f.Bits()
+		if weight {
+			owner, width = circuit.Evaluator, fixed.BoothBits(width)
+		}
 		x := stdcell.Input(b, circuit.Garbler, f.Bits())
-		y := stdcell.Input(b, yOwner, f.Bits())
-		b.Outputs(op(b, x, y, f)...)
+		b.Outputs(op(b, x, stdcell.Input(b, owner, width), f)...)
 	}}
 }
 
-// inputs declares n words of party's input.
-func inputs(b *circuit.Builder, party circuit.Party, n int, f fixed.Format) []stdcell.Word {
+// inputs declares n input words of party's, each width bits wide.
+func inputs(b *circuit.Builder, party circuit.Party, n, width int) []stdcell.Word {
 	ws := make([]stdcell.Word, n)
 	for i := range ws {
-		ws[i] = stdcell.Input(b, party, f.Bits())
+		ws[i] = stdcell.Input(b, party, width)
 	}
 	return ws
 }

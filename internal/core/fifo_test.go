@@ -703,8 +703,8 @@ func TestHandshakeDeadlineCutsClientThatStopsReading(t *testing.T) {
 
 // tcpLink is a loopback TCP connection whose four socket buffers were set to
 // 8 KiB before it was made (a listener's are inherited by what it accepts):
-// a path that holds a few kilobytes, where a burst is half a megabyte and a
-// refill a hundred kilobytes.
+// a path that holds a few kilobytes, where a burst is some 400 kilobytes and
+// a refill 170.
 func tcpLink(t *testing.T) (cEnd, sEnd net.Conn) {
 	t.Helper()
 	small := func(_, _ string, c syscall.RawConn) (err error) {
@@ -737,7 +737,7 @@ func tcpLink(t *testing.T) (cEnd, sEnd net.Conn) {
 // absorb nothing: a synchronous pipe (a write returns when the peer has read
 // it) and loopback TCP with 8 KiB socket buffers. The client keeps a window
 // of two full on a pool of eight inferences' worth, so every seventh answer
-// carries a 100 KB refill U while the client is mid-burst on the next
+// carries a 170 KB refill U while the client is mid-burst on the next
 // inference, in table chunks small enough that a burst is many times the
 // ring — and once on the daemon's default pool of 65536, whose one refill
 // is an 800 KB U. The answer must not be able to stop the session goroutine
@@ -755,7 +755,7 @@ func TestFullWindowOnBoundedLink(t *testing.T) {
 	}{
 		{"pipe", pipe, 8 * testNetWeightBits, 16, 3},
 		{"tcp", tcpLink, 8 * testNetWeightBits, 16, 3},
-		{"tcp, default daemon pool", tcpLink, 65536, 56, 2}, // below low water (a quarter) from inference 53
+		{"tcp, default daemon pool", tcpLink, 65536, 56, 2}, // below low water (a quarter) from inference 37
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			checkLeaks := testutil.VerifyNoLeaks(t)

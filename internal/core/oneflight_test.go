@@ -19,9 +19,9 @@ import (
 	"deepsecure/internal/transport"
 )
 
-// testNetWeightBits is W for testNet at fixed.Default: (6·5+5 + 5·4+4)
-// parameters of 16 bits.
-const testNetWeightBits = 59 * 16
+// testNetWeightBits is W for testNet at fixed.Default: 6·5 + 5·4 weights of
+// 24 Booth digit bits each and 5 + 4 biases of 16 bits.
+const testNetWeightBits = 50*24 + 9*16
 
 // dirLog records, on the client's side of the wire, the direction of
 // every run of bytes moved: 'w' when the client writes after reading (or

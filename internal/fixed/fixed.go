@@ -176,39 +176,85 @@ func (n Num) Sub(m Num) Num {
 // Neg returns -n with wrapping (note -MinRaw wraps to MinRaw).
 func (n Num) Neg() Num { return n.fmt.FromRaw(-n.raw) }
 
+// BoothDigits returns the radix-4 Booth recoding of the n-bit word raw:
+// ⌈n/2⌉ digits d_k = −2·y[2k+1] + y[2k] + y[2k−1] in {−2, …, 2}, with
+// y[−1] = 0 and y sign-extended to an even width, so that Σ d_k·4^k = y.
+// Digit k is the three bits [3k, 3k+3) = (neg, one, two), LSB digit first:
+// |d_k| = one + 2·two, negated when neg = y[2k+1] (a −0 is neg alone).
+// A weight enters the circuit in this form: stdcell.MulFixed multiplies by
+// the digits, so recoding is the weight owner's plaintext work, not gates.
+func BoothDigits(raw int64, n int) []bool {
+	y := raw << uint(64-n) >> uint(64-n)
+	out := make([]bool, 0, BoothBits(n))
+	for k := 0; 2*k < n; k++ {
+		neg, one, two := boothDigit(y, k)
+		out = append(out, neg, one, two)
+	}
+	return out
+}
+
+// BoothBits returns len(BoothDigits(raw, n)): three bits per digit.
+func BoothBits(n int) int { return 3 * ((n + 1) / 2) }
+
+// boothDigit returns digit k of the sign-extended y.
+func boothDigit(y int64, k int) (neg, one, two bool) {
+	hi, mid := y>>uint(2*k+1)&1 == 1, y>>uint(2*k)&1 == 1
+	lo := k > 0 && y>>uint(2*k-1)&1 == 1
+	return hi, mid != lo, hi != mid && mid == lo
+}
+
 // mulGuard is the number of fraction columns below the binary point whose
 // partial products the multiplier still sums. Three is the fewest that keep
 // Mul within one ulp of the exact floor at Q3.12 (two leave up to 2 ulp).
 const mulGuard = 3
 
-// MulTruncation describes the truncated product for frac fraction bits: the
-// partial products x[i]∧y[j] of the columns i+j < cols are never formed, and
-// centre, their mean mass over uniform operands ((k+1)/4 per column k),
-// is added in their place. Below mulGuard+1 fraction bits nothing is dropped.
-// stdcell.MulFixed builds its array from the same two numbers.
+// MulTruncation describes the truncated product for frac fraction bits. The
+// array is radix-4 Booth over the multiplier's digits (BoothDigits): row k
+// is the n+1 bits of |d_k|·x ⊕ neg_k at columns 2k…2k+n, and neg_k is added
+// at column 2k. The bits of the columns below cols are never formed, and
+// centre, the mean of their mass over uniform operands rounded to an
+// integer, is added in their place (its bits below cols never reach a kept
+// one). Only frac matters: no dropped bit reads either operand's sign.
+// Below mulGuard+1 fraction bits nothing is dropped. stdcell.MulFixed
+// builds its array from the same two numbers.
 func MulTruncation(frac int) (cols int, centre int64) {
 	cols = frac - mulGuard
 	if cols < 1 {
 		return 0, 0
 	}
-	return cols, int64(cols-1) << uint(cols) >> 2
+	// Over a uniform digit triple and x, neg_k and a row bit are 1 with
+	// chance 1/2, except digit 0's row bits above bit 0: 3/8 (y[−1] = 0
+	// makes d_0 one of 0, 1, −1, −2). Summed over the K = ⌈cols/2⌉ dropped
+	// digits that is ((4K − 1)·2^cols + 2)/8, which centre rounds.
+	return cols, (int64(4*((cols+1)/2)-1)<<uint(cols) + 6) >> 3
 }
 
 // Mul returns the fixed-point product (x·y − D + C) >> FracBits wrapped to
-// the word: x·y is the exact signed product, D the partial products of the
-// columns MulTruncation drops and C its centring constant. This is, bit for
-// bit, what stdcell.MulFixed computes. Against the exact floor(x·y/2^frac)
-// the result is off by at most one ulp while FracBits ≤ 14 (at Q3.12:
-// −3073 ≤ C − D ≤ 1024 against an ulp of 4096), with a mean near zero;
-// with no fraction bits it is the plain wrapping product.
+// the word, with m the multiplier (a model's weight): x·y is the exact
+// signed product, D the Booth array bits of the columns MulTruncation drops
+// and C its centring constant. This is, bit for bit, what stdcell.MulFixed
+// computes on m's BoothDigits. Against the exact floor(x·y/2^frac) the
+// result is off by at most one ulp at every format, since |C − D| < 2^frac
+// (at Q3.12: −1344 ≤ C − D ≤ 1216 against an ulp of 4096), with a mean near
+// zero; with no fraction bits it is the plain wrapping product.
 func (n Num) Mul(m Num) Num {
 	n.check(m)
 	cols, prod := MulTruncation(n.fmt.FracBits)
 	prod += n.raw * m.raw
-	for i := 0; i < cols; i++ {
-		if n.raw>>uint(i)&1 == 1 {
-			prod -= m.raw & (int64(1)<<uint(cols-i) - 1) << uint(i)
+	for k := 0; 2*k < cols; k++ {
+		neg, one, two := boothDigit(m.raw, k)
+		var row int64
+		switch {
+		case one:
+			row = n.raw
+		case two:
+			row = n.raw << 1
 		}
+		if neg {
+			row = ^row
+			prod -= 1 << uint(2*k)
+		}
+		prod -= row & (int64(1)<<uint(cols-2*k) - 1) << uint(2*k)
 	}
 	return n.fmt.FromRaw(prod >> uint(n.fmt.FracBits))
 }

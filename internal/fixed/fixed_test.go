@@ -111,32 +111,114 @@ func TestAddSubWrapAgreesWithInt64(t *testing.T) {
 	}
 }
 
+// droppedMass is the D of Mul, built bit by bit from y's Booth digits: the
+// row bits (one∧x[j] ⊕ two∧x[j−1]) ⊕ neg of digit k at the columns 2k+j
+// below cols, and neg itself at column 2k.
+func droppedMass(x, y Num, cols int) int64 {
+	d := BoothDigits(y.Raw(), y.Format().Bits())
+	bit := func(j int) bool { return j >= 0 && x.Raw()>>uint(j)&1 == 1 }
+	var mass int64
+	for k := 0; 3*k < len(d) && 2*k < cols; k++ {
+		neg, one, two := d[3*k], d[3*k+1], d[3*k+2]
+		if neg {
+			mass += 1 << uint(2*k)
+		}
+		for j := 0; 2*k+j < cols; j++ {
+			if (one && bit(j)) != (two && bit(j-1)) != neg {
+				mass += 1 << uint(2*k+j)
+			}
+		}
+	}
+	return mass
+}
+
 // TestMulMatchesShiftedProduct pins the definition of the product against
-// a partial-product-by-partial-product reference: the exact product, less
-// every x[i]∧y[j] of the dropped columns, plus the centring constant,
-// shifted. Without fraction bits (and below four) nothing is dropped.
+// an array-bit-by-array-bit reference: the exact product, less every Booth
+// array bit of the dropped columns, plus the centring constant, shifted —
+// and the constant against the mean it stands for. Without fraction bits
+// (and below four) nothing is dropped.
 func TestMulMatchesShiftedProduct(t *testing.T) {
-	for _, f := range []Format{Default, {IntBits: 0, FracBits: 7}, {IntBits: 3, FracBits: 4}, {IntBits: 4, FracBits: 3}, {IntBits: 7, FracBits: 0}, {IntBits: 1, FracBits: 30}} {
+	for _, f := range []Format{Default, {IntBits: 0, FracBits: 7}, {IntBits: 3, FracBits: 4}, {IntBits: 4, FracBits: 3}, {IntBits: 7, FracBits: 0}, {IntBits: 1, FracBits: 30}, {IntBits: 2, FracBits: 10}} {
 		cols, centre := MulTruncation(f.FracBits)
-		if f == Default && (cols != 9 || centre != 1<<10) {
-			t.Fatalf("Q3.12 drops %d columns and adds %d, want 9 and 1024", cols, centre)
+		if f == Default && (cols != 9 || centre != 1216) {
+			t.Fatalf("Q3.12 drops %d columns and adds %d, want 9 and 1216", cols, centre)
 		}
 		if f.FracBits <= 3 && (cols != 0 || centre != 0) {
 			t.Fatalf("%+v drops %d columns and adds %d, want none", f, cols, centre)
 		}
 		check := func(a, b int64) bool {
 			x, y := f.FromRaw(a), f.FromRaw(b)
-			prod := x.Raw()*y.Raw() + centre
-			for i := 0; i < cols; i++ {
-				for j := 0; i+j < cols; j++ {
-					prod -= (x.Raw() >> uint(i) & 1) * (y.Raw() >> uint(j) & 1) << uint(i+j)
-				}
-			}
+			prod := x.Raw()*y.Raw() + centre - droppedMass(x, y, cols)
 			return x.Mul(y).Raw() == f.Wrap(prod>>uint(f.FracBits))
 		}
 		if err := quick.Check(check, nil); err != nil {
 			t.Errorf("%+v: %v", f, err)
 		}
+		// D reads the cols lowest bits of x and the cols+1 lowest of y, so
+		// these operands cover every case once: its mean rounds to centre.
+		if cols == 0 || cols > 10 {
+			continue
+		}
+		var sum, n int64
+		for a := int64(0); a < 1<<uint(cols); a++ {
+			for b := int64(0); b < 2<<uint(cols); b++ {
+				sum += droppedMass(f.FromRaw(a), f.FromRaw(b), cols)
+				n++
+			}
+		}
+		if mean := float64(sum) / float64(n); math.Abs(mean-float64(centre)) > 0.5 {
+			t.Errorf("%+v: centre %d, mean dropped mass %g", f, centre, mean)
+		}
+	}
+}
+
+// TestBoothDigits round-trips the recoding: every value of the widths 4 to
+// 16 (odd ones sign-extended to whole digits) and random 32-bit ones. The
+// digits sum to the value, never set one and two together, and their neg is
+// the value's bit 2k+1.
+func TestBoothDigits(t *testing.T) {
+	check := func(v int64, n int) {
+		t.Helper()
+		d := BoothDigits(v, n)
+		if len(d) != BoothBits(n) || len(d) != 3*((n+1)/2) {
+			t.Fatalf("%d bits: %d digit bits, BoothBits %d", n, len(d), BoothBits(n))
+		}
+		var sum int64
+		for k := len(d)/3 - 1; k >= 0; k-- {
+			neg, one, two := d[3*k], d[3*k+1], d[3*k+2]
+			if one && two {
+				t.Fatalf("%d bits: %d has digit %d with one and two set", n, v, k)
+			}
+			if neg != (v>>uint(2*k+1)&1 == 1) {
+				t.Fatalf("%d bits: %d has neg %v at digit %d", n, v, neg, k)
+			}
+			mag := int64(0)
+			if one {
+				mag = 1
+			} else if two {
+				mag = 2
+			}
+			if neg {
+				mag = -mag
+			}
+			sum = 4*sum + mag
+		}
+		if sum != v {
+			t.Fatalf("%d bits: digits of %d sum to %d", n, v, sum)
+		}
+	}
+	for n := 4; n <= 16; n++ {
+		for v := -int64(1) << uint(n-1); v < 1<<uint(n-1); v++ {
+			check(v, n)
+		}
+	}
+	rng := rand.New(rand.NewSource(31))
+	count := 1_000_000
+	if testing.Short() {
+		count = 50_000
+	}
+	for i := 0; i < count; i++ {
+		check(int64(int32(rng.Uint32())), 32)
 	}
 }
 
@@ -196,14 +278,7 @@ func TestWidestFormatAgainstBig(t *testing.T) {
 			for _, b := range vals {
 				x, y := f.FromRaw(a), f.FromRaw(b)
 				prod := new(big.Int).Mul(big.NewInt(x.Raw()), big.NewInt(y.Raw()))
-				prod.Add(prod, big.NewInt(centre))
-				for i := 0; i < cols; i++ {
-					for j := 0; i+j < cols; j++ {
-						if x.Raw()>>uint(i)&1 == 1 && y.Raw()>>uint(j)&1 == 1 {
-							prod.Sub(prod, new(big.Int).Lsh(big.NewInt(1), uint(i+j)))
-						}
-					}
-				}
+				prod.Add(prod, big.NewInt(centre-droppedMass(x, y, cols)))
 				prod.Rsh(prod, uint(f.FracBits)) // floors, like >> on int64
 				if got, want := x.Mul(y).Raw(), wrap(prod); got != want {
 					t.Errorf("%+v: Mul(%d, %d) = %d, big says %d", f, a, b, got, want)

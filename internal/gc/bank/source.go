@@ -62,17 +62,8 @@ func (l *live) Deltas() []gc.Label { return l.g.R }
 // Inputs draws the step's zero-labels — an evaluator step's with permute
 // bit 0, the colour = value convention half ANDs rest on.
 func (l *live) Inputs(st *circuit.Step) error {
-	assign := l.g.AssignInput
-	if st.Party == circuit.Evaluator {
-		assign = l.g.AssignEvaluatorInput
-	}
-	for _, w := range st.Wires {
-		if err := assign(w); err != nil {
-			return err
-		}
-	}
 	l.wires = st.Wires
-	return nil
+	return l.g.AssignInputs(st.Wires, st.Party == circuit.Evaluator)
 }
 
 func (l *live) Zero(i, s int) (gc.Label, error) { return l.g.ZeroLabel(l.wires[i], s) }

@@ -222,12 +222,7 @@ func assignSingle(g *Garbler) func(uint32, bool) error {
 }
 
 func assignBatch(g *BatchGarbler) func(uint32, bool) error {
-	return func(w uint32, evaluator bool) error {
-		if evaluator {
-			return g.AssignEvaluatorInput(w)
-		}
-		return g.AssignInput(w)
-	}
+	return func(w uint32, evaluator bool) error { return g.AssignInputs([]uint32{w}, evaluator) }
 }
 
 func mustActive(t *testing.T, g *Garbler, w uint32, bit bool) Label {

@@ -45,7 +45,7 @@ func (g *Garbler) AssignInput(w uint32) (Label, error) {
 // that party receives is the bit it chose, and a half AND may take the wire
 // in slot B. It costs one of the label's 128 bits, as RandomDelta's does R.
 func (g *Garbler) AssignEvaluatorInput(w uint32) (Label, error) {
-	if err := g.bg.AssignEvaluatorInput(w); err != nil {
+	if err := g.bg.AssignInputs([]uint32{w}, true); err != nil {
 		return Label{}, err
 	}
 	return g.bg.labels[w], nil

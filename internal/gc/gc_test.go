@@ -188,7 +188,7 @@ func TestGCArithmeticCircuit(t *testing.T) {
 	f := fixed.Default
 	c, err := circuit.Build(func(b *circuit.Builder) {
 		x := stdcell.Input(b, circuit.Garbler, f.Bits())
-		w := stdcell.Input(b, circuit.Evaluator, f.Bits())
+		w := stdcell.Input(b, circuit.Evaluator, fixed.BoothBits(f.Bits()))
 		y := stdcell.Input(b, circuit.Evaluator, f.Bits())
 		b.Outputs(stdcell.Add(b, stdcell.MulFixed(b, x, w, f.FracBits), y)...)
 	})
@@ -200,7 +200,7 @@ func TestGCArithmeticCircuit(t *testing.T) {
 		x := f.FromFloat(rng.Float64()*4 - 2)
 		w := f.FromFloat(rng.Float64()*4 - 2)
 		y := f.FromFloat(rng.Float64()*4 - 2)
-		got, err := runGC(t, c, x.Bits(), append(w.Bits(), y.Bits()...), nil)
+		got, err := runGC(t, c, x.Bits(), append(fixed.BoothDigits(w.Raw(), f.Bits()), y.Bits()...), nil)
 		if err != nil {
 			t.Fatal(err)
 		}

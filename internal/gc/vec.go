@@ -75,10 +75,8 @@ func NewBatchGarbler(rng io.Reader, b int) (*BatchGarbler, error) {
 		g.R[s] = r
 		g.r2[s] = double(r)
 	}
-	for _, w := range []uint32{circuit.WFalse, circuit.WTrue} {
-		if err := g.AssignInput(w); err != nil {
-			return nil, err
-		}
+	if err := g.AssignInputs([]uint32{circuit.WFalse, circuit.WTrue}, false); err != nil {
+		return nil, err
 	}
 	return g, nil
 }
@@ -182,13 +180,14 @@ func (st *labelStore) invalid(gt *circuit.Gate, twoInputs bool) error {
 	return fmt.Errorf("gc: batch label storage not grown past wire %d", gt.Out)
 }
 
-// AssignInput draws B fresh zero-labels for wire w, sample-innermost
-// from the shared rng (sample 0 first — the order a serial run of B
-// single inferences would only match at B=1, which is the conformance
-// case).
-func (g *BatchGarbler) AssignInput(w uint32) error {
-	g.ensure(w)
-	need := g.b * LabelSize
+// AssignInputs draws B fresh zero-labels for every wire of ws in one read
+// of the shared rng, wire-major with samples innermost (sample 0 first —
+// the order a serial run of B single inferences would only match at B=1,
+// which is the conformance case): the labels are those of one read per
+// wire, in order. evaluator marks wires whose bit the evaluator chooses:
+// their zero-labels get permute bit 0 (see Garbler.AssignEvaluatorInput).
+func (g *BatchGarbler) AssignInputs(ws []uint32, evaluator bool) error {
+	need := len(ws) * g.b * LabelSize
 	if cap(g.buf) < need {
 		g.buf = make([]byte, need)
 	}
@@ -196,25 +195,23 @@ func (g *BatchGarbler) AssignInput(w uint32) error {
 	if _, err := io.ReadFull(g.rng, buf); err != nil {
 		return fmt.Errorf("gc: label randomness: %w", err)
 	}
-	base := int(w) * g.b
-	for s := 0; s < g.b; s++ {
-		copy(g.labels[base+s][:], buf[s*LabelSize:])
+	for i, w := range ws {
+		g.ensure(w)
+		base := int(w) * g.b
+		for s := 0; s < g.b; s++ {
+			l := &g.labels[base+s]
+			copy(l[:], buf[(i*g.b+s)*LabelSize:])
+			if evaluator {
+				l[0] &^= 1
+			}
+		}
+		g.have[w] = true
 	}
-	g.have[w] = true
 	return nil
 }
 
-// AssignEvaluatorInput is AssignInput with permute bit 0 on all B
-// zero-labels (see Garbler.AssignEvaluatorInput).
-func (g *BatchGarbler) AssignEvaluatorInput(w uint32) error {
-	if err := g.AssignInput(w); err != nil {
-		return err
-	}
-	for s := 0; s < g.b; s++ {
-		g.labels[int(w)*g.b+s][0] &^= 1
-	}
-	return nil
-}
+// AssignInput is AssignInputs of the one garbler wire w.
+func (g *BatchGarbler) AssignInput(w uint32) error { return g.AssignInputs([]uint32{w}, false) }
 
 // ZeroLabel returns sample s's zero-semantics label of wire w.
 func (g *BatchGarbler) ZeroLabel(w uint32, s int) (Label, error) {

@@ -122,6 +122,55 @@ func TestBatchGarblerB1MatchesSingle(t *testing.T) {
 	}
 }
 
+// TestAssignInputsOneRead pins that drawing an input step's labels in one
+// rng read changes no label: from one math/rand seed, AssignInputs over a
+// step and a per-wire draw of each of its wires give the same zero-labels
+// (permute bit 0 on an evaluator step's) and leave the rng at the same
+// place.
+func TestAssignInputsOneRead(t *testing.T) {
+	ws := []uint32{7, 2, 11, 3, 5}
+	for _, b := range []int{1, 3, 16} {
+		for _, evaluator := range []bool{false, true} {
+			one, err := NewBatchGarbler(rand.New(rand.NewSource(61)), b)
+			if err != nil {
+				t.Fatal(err)
+			}
+			each, err := NewBatchGarbler(rand.New(rand.NewSource(61)), b)
+			if err != nil {
+				t.Fatal(err)
+			}
+			one.Grow(vecTestWires)
+			each.Grow(vecTestWires)
+			if err := one.AssignInputs(ws, evaluator); err != nil {
+				t.Fatal(err)
+			}
+			for _, w := range ws {
+				if err := each.AssignInputs([]uint32{w}, evaluator); err != nil {
+					t.Fatal(err)
+				}
+			}
+			// One more wire each: the two rngs must still be in step.
+			for _, g := range []*BatchGarbler{one, each} {
+				if err := g.AssignInput(4); err != nil {
+					t.Fatal(err)
+				}
+			}
+			for _, w := range append(ws, 4) {
+				for s := 0; s < b; s++ {
+					l1, err1 := one.ZeroLabel(w, s)
+					l2, err2 := each.ZeroLabel(w, s)
+					if err1 != nil || err2 != nil || l1 != l2 {
+						t.Fatalf("B=%d evaluator=%v wire %d sample %d: one read %x (%v), per wire %x (%v)", b, evaluator, w, s, l1, err1, l2, err2)
+					}
+					if evaluator && w != 4 && l1[0]&1 != 0 {
+						t.Fatalf("B=%d wire %d sample %d: evaluator zero-label has permute bit 1", b, w, s)
+					}
+				}
+			}
+		}
+	}
+}
+
 // TestBatchGarbleEvaluateCorrectness round-trips a B=3 batch through
 // GarbleLevel and EvaluateLevel with per-sample input bits, checking
 // every sample's output labels decode to the plaintext circuit — and

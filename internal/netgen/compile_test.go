@@ -147,14 +147,14 @@ func TestCompiledTapeEvaluates(t *testing.T) {
 // (it lives here because the compiled program does): every level is a
 // barrier the engines pay for, so a cell that saved gates by getting
 // deeper would move cost, not remove it. The models are the benchmark's
-// mlp_wan / mlp_batch16 one — 412 levels is what the ripple-row multiplier
-// before the column-compressed array compiled to — and its tanh_lan one,
-// whose depth is the CORDIC cell's: 20 rotations and a 14-step divider
-// (5529 levels while the divider ran all 40 steps of the datapath width) —
-// and mlp_churn's. The half-AND counts are pinned with them: one per
-// partial product (205 a MAC, 192 after a ReLU) plus one per row, where the
-// first adder's lowest bit meets the raw bias bit; the CORDIC cells, which
-// see no weight, add none.
+// mlp_wan / mlp_batch16 one — 324 levels with the Booth multiplier's eight
+// rows, 412 with the sixteen of the array before it — and its tanh_lan
+// one, whose depth is mostly the CORDIC cell's: 20 rotations and a 14-step
+// divider (5529 levels while the divider ran all 40 steps of the datapath
+// width) — and mlp_churn's. The half-AND counts are pinned with them: two
+// per Booth array bit, one where it reads x's bit 0 (211 a MAC, 192 after a
+// ReLU), plus one per row, where the first adder's lowest bit meets the raw
+// bias bit; the CORDIC cells, which see no weight, add none.
 func TestCompiledDepthPinned(t *testing.T) {
 	for _, c := range []struct {
 		in, hidden, out int
@@ -163,11 +163,11 @@ func TestCompiledDepthPinned(t *testing.T) {
 		ands, halves    int64
 	}{
 		// 128 MACs, 32 post-ReLU MACs, 8 ReLUs, one 4-way argmax.
-		{16, 8, 4, act.ReLU, 412, 128*403 + 32*379 + 8*15 + 99, 128*205 + 32*192 + 12},
+		{16, 8, 4, act.ReLU, 324, 128*327 + 32*308 + 8*15 + 99, 128*211 + 32*192 + 12},
 		// A Tanh output keeps its sign: 160 full MACs, 8 CORDIC cells.
-		{16, 8, 4, act.TanhCORDIC, 3300, 160*403 + 8*2178 + 99, 160*205 + 12},
+		{16, 8, 4, act.TanhCORDIC, 3018, 160*327 + 8*2178 + 99, 160*211 + 12},
 		// 32 MACs, 8 post-ReLU MACs, 4 ReLUs, one 2-way argmax.
-		{8, 4, 2, act.ReLU, 412, 16020, 32*205 + 8*192 + 6},
+		{8, 4, 2, act.ReLU, 202, 13020, 32*211 + 8*192 + 6},
 	} {
 		net, err := nn.NewNetwork(nn.Vec(c.in),
 			nn.NewDense(c.hidden),
@@ -207,9 +207,9 @@ func TestHalfANDCountsPinned(t *testing.T) {
 		count        func() (circuit.Stats, error)
 		ands, halves int64
 	}{
-		{"mlp(16,8,4,ReLU)", countMLP(16, 8, 4, act.ReLU), 63931, 32396},
-		{"mlp(16,8,4,TanhCORDIC)", countMLP(16, 8, 4, act.TanhCORDIC), 82003, 32812},
-		{"mlp(8,4,2,ReLU)", countMLP(8, 4, 2, act.ReLU), 16020, 8102},
+		{"mlp(16,8,4,ReLU)", countMLP(16, 8, 4, act.ReLU), 51931, 33164},
+		{"mlp(16,8,4,TanhCORDIC)", countMLP(16, 8, 4, act.TanhCORDIC), 69843, 33772},
+		{"mlp(8,4,2,ReLU)", countMLP(8, 4, 2, act.ReLU), 13020, 8294},
 		{"compacted B3", func() (circuit.Stats, error) {
 			net, err := benchmarks.Compacted(benchmarks.All[2])
 			if err != nil {
@@ -217,7 +217,7 @@ func TestHalfANDCountsPinned(t *testing.T) {
 			}
 			s, _, err := FastCount(net, benchmarks.Format, Options{})
 			return s, err
-		}, 2478225, 1204861},
+		}, 2031573, 1240123},
 	} {
 		s, err := c.count()
 		if err != nil {

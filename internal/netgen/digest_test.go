@@ -117,17 +117,17 @@ func pooledNet() (*nn.Network, error) {
 }
 
 // TestTapeDigestPinned pins the recorded netlist of six programs event
-// for event, twice. want is the stream as emitted, recorded at PR 22, which
-// introduced the half AND: a generator refactor that claims "no netlist
-// byte moves" must leave it alone, and one that means to move the netlist
-// re-records it (the handshake's program digest moves with it; the hello
-// string need not). blind is the same stream with every half AND read as
-// an AND on the same two wires: it is what the parent of PR 22 generates
-// too (checked there against a clone of that commit), so it says PR 22
-// changed what gates cost and not what they compute — a later change of
-// which ANDs are half must leave blind alone. The event stream a Tape
-// replays is the one its builder emitted, so the paper-scale models hash
-// the builder's stream directly instead of holding a gigabyte of tape.
+// for event, twice. want is the stream as emitted: a generator refactor
+// that claims "no netlist byte moves" must leave it alone, and one that
+// means to move the netlist re-records it (the handshake's program digest
+// moves with it; the hello string need not). blind is the same stream with
+// every half AND read as an AND on the same two wires: it says what the
+// gates compute and not what they cost, so a change of which ANDs are half
+// must leave it alone. Both were last recorded when the multiplier became a
+// radix-4 Booth array over the weight's digits, which changed what the
+// netlist computes. The event stream a Tape replays is the one its builder
+// emitted, so the paper-scale models hash the builder's stream directly
+// instead of holding a gigabyte of tape.
 func TestTapeDigestPinned(t *testing.T) {
 	b1 := benchmarks.All[0]
 	cases := []struct {
@@ -139,28 +139,24 @@ func TestTapeDigestPinned(t *testing.T) {
 		blind string
 	}{
 		{name: "small", build: func() (*nn.Network, error) { return benchmarks.ByName("small") },
-			want:  "23544c908c845dc92f9d08d287acd8628162c855793b841f72056a58c7265f9b",
-			blind: "25f6cf336373ecc08ff872320231b52ead1d0c793bb06f53e2b03386ef36c22a"},
+			want:  "49bc2da06b383293b36db6bb8e5390ca4263d81074381a62bb283a912f320a92",
+			blind: "508b3632ea546770ec575516f2d8f704747ecb6a6c0acf21282b8aa389776ed6"},
 		{name: "small-outsourced", build: func() (*nn.Network, error) { return benchmarks.ByName("small") },
 			opt:   netgen.Options{Outsourced: true},
-			want:  "47d0ae81395ff66065c20bb4d156fce2ada4b03e22e1a17ad5118277249aac72",
-			blind: "4f7f746ecb35b9880eb142c8190718454b96d8c52613de316f585947d7591cdb"},
+			want:  "688c401fcde3247fcecec13bfaec026122f51824d6efb9f5c828f8d5d495566f",
+			blind: "1ac2435d5cdaee34baa860ce4056ca1eec62fe5911f833a9517f81205b4bd36d"},
 		{name: "pools-and-pruned-rows", build: pooledNet,
-			want:  "a89067f594cdc49ccb463aaa1bb57b6936a1f865e4701bcbfd215f9c4a407d20",
-			blind: "acc57cd616a1936798dd98d23c181e5978dc8594166ec24de4019c388683d5eb"},
+			want:  "7d2312fd5da2a073f2792c45042dca91bff4bf9e2ee27a0cb3992af7f56f8cb6",
+			blind: "932df36c26a7b6ce1b28f9e0ae939c30f46af07d90c8eef0cc0d6020ea27a9c3"},
 		{name: "b1", build: benchmarks.B1, heavy: true,
-			want:  "9a2b83803635bd9ce2eac0194ca4d6a06379cdb9f7665929ac1d0de8807b46fe",
-			blind: "cc34380ec4d5f29e50263a1a94ec672002d9059d4bd56022b742b89b6cf874f7"},
+			want:  "28706ff6f3c95074cdf130d28d29495a665eb1a7fea5a46db40bb51d2e8898fe",
+			blind: "3f9ae1ed32deefc33add1587b88203e32f6fdea35a4a7fbe73497d2818ef0f34"},
 		{name: "b1-compacted", build: func() (*nn.Network, error) { return benchmarks.Compacted(b1) }, heavy: true,
-			// Re-recorded at PR 23: compacted B1's pruned convolution leaves
-			// maps whose bias word sits at several positions, and the stream
-			// pinned before read that word after retiring it (the schedule
-			// refused the program; only this unscheduled stream existed).
-			want:  "30903877922d90d31088f5a84367dacea2f50c1d8366aa68396d69426a8520d2",
-			blind: "b74ca7e34a5fcd48aa3a77422f9620ef918075fc86be5df5a908ad47fa52fc3a"},
+			want:  "047aa4cf57f10963fca7fb616252104df2cdc42daddd0743691ac75e017c82e1",
+			blind: "da02b8cb0f9afad6512b6844fc29556e19e16d9b85abe1f2c75eb3a3f7bae48c"},
 		{name: "b3", build: benchmarks.B3, heavy: true,
-			want:  "45f525ace754f1b7735b5dcc9d27af5d3a42c373eea7c94b61cc6b61f3f8eb8a",
-			blind: "04596bb98b83c984404cc84a2bed3be96fcb64b4bbf7ad8ef1af7e62556a069e"},
+			want:  "95f21e0eda6bd39a70bc57fe285b3ca2912e59bbb07b5169fb2603764a90a5f7",
+			blind: "10043c15f8673325d6837bc72c2538b59c9ee5a1137c1404c57395fafb04e72d"},
 	}
 	for _, tc := range cases {
 		tc := tc

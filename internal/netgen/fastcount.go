@@ -22,8 +22,8 @@ import (
 //
 // The builder's constant folding makes gate costs depend on the
 // *structure* of operand words, not just their width: a ReLU output has a
-// constant-zero sign bit, so every multiplier fed by it drops the
-// partial-product rows of the replicated sign, and a piecewise-linear
+// constant-zero sign bit, so every multiplier fed by it drops the ANDs of
+// each row's two sign-extended bits, and a piecewise-linear
 // activation's output carries constant and repeated bits of its own.
 // FastCount therefore carries the producer of the current activations — the
 // cell that emits them, on operands shaped like its own — and probes every
@@ -73,10 +73,11 @@ func FastCount(net *nn.Network, f fixed.Format, opt Options) (circuit.Stats, *La
 		addStats(&total, probe(func(b *circuit.Builder) { words(b, prod, operands) }), -times)
 	}
 	// mac is one MAC whose accumulator is acc's: the evaluator's in a row's
-	// first MAC (the bias word), a computed sum after that.
+	// first MAC (the bias word), a computed sum after that. The weight is
+	// the evaluator's Booth digits.
 	mac := func(acc circuit.Party) func(*circuit.Builder, []stdcell.Word) {
 		return func(b *circuit.Builder, x []stdcell.Word) {
-			w := stdcell.Input(b, circuit.Evaluator, bits)
+			w := stdcell.Input(b, circuit.Evaluator, fixed.BoothBits(bits))
 			a := stdcell.Input(b, acc, bits)
 			stdcell.Add(b, a, stdcell.MulFixed(b, x[0], w, f.FracBits))
 		}
@@ -110,7 +111,7 @@ func FastCount(net *nn.Network, f fixed.Format, opt Options) (circuit.Stats, *La
 			bareWords = int64(len(bareBias))
 			consume(rows, 1, mac(circuit.Evaluator))
 			consume(macs-rows, 1, mac(circuit.Garbler))
-			lay.WeightBits += (v.ActiveWeights() + len(v.Biases())) * bits
+			lay.WeightBits += nn.ParamBits(v, f)
 			prod = plain
 
 		case *nn.Activation:

@@ -140,20 +140,22 @@ func dropWords(b *circuit.Builder, ws []stdcell.Word) {
 }
 
 // declareParams declares the layer's evaluator-input wires in the
-// canonical nn.WeightBits order: active weights flat, then biases. weights
-// is indexed like the layer's weight slice; a pruned weight has no word.
-func declareParams(b *circuit.Builder, p nn.ParamLayer, bits int, lay *Layout) (weights, biases []stdcell.Word) {
+// canonical nn.WeightBits order: active weights flat, each as its Booth
+// digits, then biases. weights is indexed like the layer's weight slice; a
+// pruned weight has no digits.
+func declareParams(b *circuit.Builder, p nn.ParamLayer, f fixed.Format, lay *Layout) (weights, biases []stdcell.Word) {
 	_, mask := p.Weights()
-	nb := len(p.Biases())
-	n := (p.ActiveWeights() + nb) * bits
+	n := nn.ParamBits(p, f)
 	flat := b.Inputs(circuit.Evaluator, n)
 	lay.WeightBits += n
 	weights = make([]stdcell.Word, len(mask))
+	digits, bits := fixed.BoothBits(f.Bits()), f.Bits()
 	for i, m := range mask {
 		if m {
-			weights[i], flat = stdcell.Word(flat[:bits]), flat[bits:]
+			weights[i], flat = stdcell.Word(flat[:digits]), flat[digits:]
 		}
 	}
+	nb := len(p.Biases())
 	biases = make([]stdcell.Word, nb)
 	for o := range biases {
 		biases[o], flat = stdcell.Word(flat[:bits]), flat[bits:]
@@ -170,7 +172,7 @@ func declareParams(b *circuit.Builder, p nn.ParamLayer, bits int, lay *Layout) (
 // that is itself an output (a window with no active tap — the one word at
 // every such position of its map), which the next layer retires, once.
 func genLinear(b *circuit.Builder, l nn.Linear, shared bool, x []stdcell.Word, f fixed.Format, lay *Layout) []stdcell.Word {
-	weights, biases := declareParams(b, l, f.Bits(), lay)
+	weights, biases := declareParams(b, l, f, lay)
 	var out []stdcell.Word
 	escaped := make([]bool, len(biases))
 	l.Rows(func(_, bias int, taps []nn.Tap) {

@@ -229,18 +229,26 @@ func TestWeightBitsCanonical(t *testing.T) {
 	if len(bits) != WeightBitCount(net, f) {
 		t.Fatalf("WeightBits length %d != count %d", len(bits), WeightBitCount(net, f))
 	}
-	// First 16 bits must be the quantization of W[0] of the first layer.
+	// The first 24 bits are the Booth digits of W[0] of the first layer,
+	// and the last 16 the last bias.
 	d := net.Layers[0].(*Dense)
-	want := f.FromFloatSat(d.W[0]).Bits()
+	want := fixed.BoothDigits(f.FromFloatSat(d.W[0]).Raw(), f.Bits())
+	if len(want) != 24 {
+		t.Fatalf("a Q3.12 weight is %d digit bits, want 24", len(want))
+	}
+	ps := net.ParamLayers()
+	last := ps[len(ps)-1].Biases()
+	want = append(want, f.FromFloatSat(last[len(last)-1]).Bits()...)
+	got := append(bits[:24:24], bits[len(bits)-16:]...)
 	for i := range want {
-		if bits[i] != want[i] {
+		if got[i] != want[i] {
 			t.Fatalf("canonical order broken at bit %d", i)
 		}
 	}
-	// Pruning a weight must remove exactly 16 bits.
+	// Pruning a weight must remove exactly its 24 digit bits.
 	d.Mask[0] = false
-	if got := len(WeightBits(net, f)); got != len(bits)-f.Bits() {
-		t.Errorf("after pruning 1 weight: %d bits, want %d", got, len(bits)-f.Bits())
+	if got := len(WeightBits(net, f)); got != len(bits)-24 {
+		t.Errorf("after pruning 1 weight: %d bits, want %d", got, len(bits)-24)
 	}
 }
 

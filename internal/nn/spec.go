@@ -137,9 +137,10 @@ func UnmarshalSpec(data []byte) (*Spec, error) {
 
 // WeightBits serializes the private model parameters in the canonical
 // protocol order: layer by layer, active weights in flat-index order, then
-// biases — each quantized to the format and emitted LSB-first. This is the
-// exact order netgen declares evaluator-input wires, so these bits are the
-// server's OT choice vector.
+// biases — each quantized to the format, a weight emitted as its Booth
+// digits (fixed.BoothDigits: the multiplier's input), a bias as its bits
+// LSB-first (an addend). This is the exact order netgen declares
+// evaluator-input wires, so these bits are the server's OT choice vector.
 func WeightBits(n *Network, f fixed.Format) []bool {
 	var bits []bool
 	for _, p := range n.ParamLayers() {
@@ -148,7 +149,7 @@ func WeightBits(n *Network, f fixed.Format) []bool {
 			if !mask[i] {
 				continue
 			}
-			bits = append(bits, f.FromFloatSat(v).Bits()...)
+			bits = append(bits, fixed.BoothDigits(f.FromFloatSat(v).Raw(), f.Bits())...)
 		}
 		for _, v := range p.Biases() {
 			bits = append(bits, f.FromFloatSat(v).Bits()...)
@@ -161,7 +162,12 @@ func WeightBits(n *Network, f fixed.Format) []bool {
 func WeightBitCount(n *Network, f fixed.Format) int {
 	count := 0
 	for _, p := range n.ParamLayers() {
-		count += p.ActiveWeights() + len(p.Biases())
+		count += ParamBits(p, f)
 	}
-	return count * f.Bits()
+	return count
+}
+
+// ParamBits is the layer's share of WeightBits.
+func ParamBits(p ParamLayer, f fixed.Format) int {
+	return p.ActiveWeights()*fixed.BoothBits(f.Bits()) + len(p.Biases())*f.Bits()
 }

@@ -1,77 +1,91 @@
 package stdcell
 
-// Multiplication. MulFixed is the one multiplier: a Baugh-Wooley signed
-// array restricted to the columns the kept bits depend on, reduced column
-// by column, and truncated below three guard columns: the partial products
-// of the lowest frac−3 columns only ever reach a kept bit as a carry, so
-// they are dropped and their mean added as a constant instead
-// (fixed.MulTruncation; fixed.Num.Mul is defined as the same function). At
-// Q3.12 that is 388 non-XOR gates (205 partial products + 183 adders), 92
-// below the exact floor(x·y/2^frac), for a product within one ulp of it;
-// with two guard columns the error reaches 2 ulp. Dot and MatVec are MACs
-// over it.
+// Multiplication. MulFixed is the one multiplier: a radix-4 Booth array
+// whose digits are inputs of the multiplier's owner. In a model the
+// multiplier is a weight, which the server knows in the clear, so it feeds
+// fixed.BoothDigits — ⌈n/2⌉ digits of three bits — instead of the word's n
+// bits: the recoding costs OT width, not gates, each partial-product bit
+// one∧x[j] ⊕ two∧x[j−1] is two half ANDs, and there are ⌈n/2⌉ rows instead
+// of n. At Q3.12 that is 312 non-XOR gates (211 half ANDs + 101 adders),
+// 413 ciphertexts, for a product within one ulp of the exact
+// floor(x·y/2^frac). Dot and MatVec are MACs over it.
+//
+// A digit with one = two = 1 is not a Booth digit: its row is x[j] ⊕
+// x[j−1], a product fixed.Num.Mul does not model. Only the digits' owner
+// can feed one, and a server that can already choose any weight gains
+// nothing from it against the client's input, so the honest-but-curious
+// argument is unchanged.
 
 import (
 	"deepsecure/internal/circuit"
 	"deepsecure/internal/fixed"
 )
 
-// MulFixed returns the fixed-point product of two n-bit words with
-// fracBits < n fractional bits: bits [fracBits, fracBits+n) of the signed
-// product less its dropped partial products plus their centring constant —
-// exactly fixed.Num.Mul (fracBits = 0 is the plain wrapping product).
+// MulFixed returns the fixed-point product of the n-bit word x and the
+// multiplier given as its Booth digits y (fixed.BoothDigits, of width
+// fixed.BoothBits(n)), with fracBits < n fractional bits: bits
+// [fracBits, fracBits+n) of the signed product less its dropped array bits
+// plus their centring constant — exactly fixed.Num.Mul (fracBits = 0 is the
+// plain wrapping product).
 //
 // The product mod 2^m, m = n+fracBits, determines every kept bit, so only
-// the partial products x[i]∧y[j] of columns i+j < m are emitted, and of
-// those only the columns fixed.MulTruncation keeps (the dropped ones lie
-// below the sign rows, which start at column n−1). The two sign rows weigh
-// −2^(i+j); since −p = ¬p − 1 they enter their column inverted (free) and
-// their −1s, summed here, leave the constant 2^n − 2^(2n−1). A partial
-// product the builder folds to a constant (post-ReLU sign bit, constant
-// weight) joins that constant instead of a column. Columns are then reduced
-// lowest first with 1-AND full adders, each column a FIFO — inputs from the
-// front, sum to the back, carry to the back of the next column — so the
-// adder trees stay balanced. Generation order is fixed: both parties derive
-// the same gate stream.
+// the columns below m are emitted, and of those only the ones
+// fixed.MulTruncation keeps: the lowest frac−3 reach a kept bit only as a
+// carry, so their bits are dropped and their mean added as a constant
+// instead. Row k is the n+1 bits of |d_k|·x (x sign-extended) XORed with
+// neg_k at columns 2k…2k+n, and neg_k itself is added at column 2k, which
+// together make d_k·x. The row's top bit weighs −2^col; since −p = ¬p − 1
+// it enters its column inverted (free) and its −1 joins the constant. A
+// bit the builder folds to a constant (post-ReLU sign bit) joins that
+// constant instead of a column. Columns are then reduced lowest first with
+// 1-AND full adders, each column a FIFO — inputs from the front, sum to the
+// back, carry to the back of the next column — so the adder trees stay
+// balanced. Generation order is fixed: both parties derive the same gate
+// stream.
 func MulFixed(b *circuit.Builder, x, y Word, fracBits int) Word {
-	sameWidth(x, y)
 	n := len(x)
-	m := n + fracBits
+	if len(y) != fixed.BoothBits(n) {
+		panic("stdcell: MulFixed wants the multiplier as Booth digits of the word's width")
+	}
 	if fracBits >= n {
 		panic("stdcell: MulFixed needs fracBits below the word width")
 	}
-	drop, centre := fixed.MulTruncation(fracBits)
+	m := n + fracBits
+	drop, konst := fixed.MulTruncation(fracBits)
 	cols := make([][]uint32, m)
-	ones := make([]int, m+1) // constant addend: count of 1s per column
-	for k := 0; k < m; k++ {
-		ones[k] = int(centre >> uint(k) & 1)
+	put := func(col int, p uint32) {
+		switch p {
+		case circuit.WFalse:
+		case circuit.WTrue:
+			konst += 1 << uint(col)
+		default:
+			cols[col] = append(cols[col], p)
+		}
 	}
-	if n < m {
-		ones[n]++
+	bit := func(j int) uint32 { // x sign-extended, x[−1] = 0
+		if j < 0 {
+			return circuit.WFalse
+		}
+		return x[min(j, n-1)]
 	}
-	for k := 2*n - 1; k < m; k++ { // −2^(2n−1) mod 2^m
-		ones[k]++
-	}
-	for i := 0; i < n; i++ {
-		for j := max(drop-i, 0); j < n && i+j < m; j++ {
-			p := b.AND(x[i], y[j])
-			if (i == n-1) != (j == n-1) {
+	for k := 0; 3*k < len(y); k++ {
+		neg, one, two := y[3*k], y[3*k+1], y[3*k+2]
+		for j := max(drop-2*k, 0); j <= n && 2*k+j < m; j++ {
+			p := b.XOR(b.XOR(b.AND(one, bit(j)), b.AND(two, bit(j-1))), neg)
+			if j == n {
 				p = b.INV(p)
+				konst -= 1 << uint(2*k+n)
 			}
-			switch p {
-			case circuit.WFalse:
-			case circuit.WTrue:
-				ones[i+j]++
-			default:
-				cols[i+j] = append(cols[i+j], p)
-			}
+			put(2*k+j, p)
+		}
+		if 2*k >= drop {
+			put(2*k, neg)
 		}
 	}
 	out := Zeros(b, m)
 	for k := 0; k < m; k++ {
-		ones[k+1] += ones[k] / 2
 		q := cols[k]
-		if ones[k]%2 == 1 {
+		if konst>>uint(k)&1 == 1 {
 			q = append(q, circuit.WTrue)
 		}
 		if k == m-1 { // no carry leaves the window: XOR only
@@ -104,11 +118,12 @@ func MulFixed(b *circuit.Builder, x, y Word, fracBits int) Word {
 
 // Dot computes the fixed-point dot product Σ xs[i]*ws[i] with n-bit
 // wrapping accumulation — the paper's matrix–vector multiplication row
-// (Table 3 last row): m multipliers and m-1 adders per output element.
-// Each product is reduced to n bits on its own before it is added: one
-// column array per row would round once instead of m times, which is more
-// accurate but no cheaper (every partial-product bit still needs its own
-// 1-AND adder), and fixed.Num rounds every product separately.
+// (Table 3 last row): m multipliers and m-1 adders per output element. ws
+// are the weights' Booth digits (see MulFixed). Each product is reduced to
+// n bits on its own before it is added: one column array per row would
+// round once instead of m times, which is more accurate but no cheaper
+// (every partial-product bit still needs its own 1-AND adder), and
+// fixed.Num rounds every product separately.
 func Dot(b *circuit.Builder, xs, ws []Word, fracBits int) Word {
 	if len(xs) != len(ws) {
 		panic("stdcell: Dot operand count mismatch")
@@ -124,7 +139,7 @@ func Dot(b *circuit.Builder, xs, ws []Word, fracBits int) Word {
 }
 
 // MatVec computes W·x for an (rows × cols) weight matrix given in row-major
-// Word order. Each output element is a Dot row.
+// order, each weight as its Booth digits. Each output element is a Dot row.
 func MatVec(b *circuit.Builder, w []Word, x []Word, rows, cols, fracBits int) []Word {
 	if len(w) != rows*cols {
 		panic("stdcell: MatVec weight count mismatch")

@@ -47,23 +47,21 @@ func evalBits(t *testing.T, c *circuit.Circuit, in []bool) []bool {
 	return out
 }
 
-// evalWords runs c — input words of f's width in (the garbler's first, then
-// the evaluator's, if it has any), one word out — on every row of operands
-// at once, 64 rows per pass over the netlist
-// (circuit.EvalLanes): words[k][r] is the raw value of input word k in row
-// r. It returns each row's output word, sign-extended.
-func evalWords(t *testing.T, c *circuit.Circuit, f fixed.Format, words ...[]int64) []int64 {
+// evalRows runs c — row(r)'s input bits in (the garbler's first, then the
+// evaluator's, if it has any), one word of f's width out — on rows rows at
+// once, 64 per pass over the netlist (circuit.EvalLanes). It returns each
+// row's output word, sign-extended.
+func evalRows(t *testing.T, c *circuit.Circuit, f fixed.Format, rows int, row func(r int) []bool) []int64 {
 	t.Helper()
-	n := f.Bits()
-	out := make([]int64, len(words[0]))
-	in := make([]uint64, n*len(words))
+	out := make([]int64, rows)
+	in := make([]uint64, len(c.GarblerInputs)+len(c.EvaluatorInputs))
 	for base := 0; base < len(out); base += 64 {
 		clear(in)
 		lanes := min(64, len(out)-base)
-		for k, w := range words {
-			for l := 0; l < lanes; l++ {
-				for i := 0; i < n; i++ {
-					in[k*n+i] |= uint64(w[base+l]) >> uint(i) & 1 << uint(l)
+		for l := 0; l < lanes; l++ {
+			for i, v := range row(base + l) {
+				if v {
+					in[i] |= 1 << uint(l)
 				}
 			}
 		}
@@ -108,10 +106,15 @@ func randomPairs(f fixed.Format, seed int64, count int) (xs, ys []int64) {
 	return xs, ys
 }
 
-// checkBinOp compares c with the software operation on every pair.
-func checkBinOp(t *testing.T, name string, c *circuit.Circuit, f fixed.Format, xs, ys []int64, op func(x, y fixed.Num) fixed.Num) {
+// digits is how a multiplier enters MulFixed: as its Booth digits.
+func digits(y fixed.Num) []bool { return fixed.BoothDigits(y.Raw(), y.Format().Bits()) }
+
+// checkBinOp compares c with the software operation on every pair, the
+// second operand fed to c as yBits of it (the first as its bits).
+func checkBinOp(t *testing.T, name string, c *circuit.Circuit, f fixed.Format, xs, ys []int64, yBits func(fixed.Num) []bool, op func(x, y fixed.Num) fixed.Num) {
 	t.Helper()
-	for i, got := range evalWords(t, c, f, xs, ys) {
+	row := func(r int) []bool { return append(f.FromRaw(xs[r]).Bits(), yBits(f.FromRaw(ys[r]))...) }
+	for i, got := range evalRows(t, c, f, len(xs), row) {
 		if want := op(f.FromRaw(xs[i]), f.FromRaw(ys[i])).Raw(); got != want {
 			t.Fatalf("%s %+v: circuit(%d, %d) = %d, software %d", name, f, xs[i], ys[i], got, want)
 		}
@@ -188,14 +191,10 @@ func buildMul(t *testing.T, shared bool, frac int, shape func(b *circuit.Builder
 	return g.Circuit()
 }
 
-// checkMul evaluates c on the concatenated bits of ins and compares the
-// decoded word with fixed.Num.Mul of x and y.
-func checkMul(t *testing.T, c *circuit.Circuit, x, y fixed.Num, ins ...fixed.Num) {
+// checkMul evaluates c on the input bits in and compares the decoded word
+// with fixed.Num.Mul of x and y.
+func checkMul(t *testing.T, c *circuit.Circuit, x, y fixed.Num, in []bool) {
 	t.Helper()
-	var in []bool
-	for _, v := range ins {
-		in = append(in, v.Bits()...)
-	}
 	got, err := x.Format().FromBits(evalBits(t, c, in))
 	if err != nil {
 		t.Fatal(err)
@@ -205,18 +204,29 @@ func checkMul(t *testing.T, c *circuit.Circuit, x, y fixed.Num, ins ...fixed.Num
 	}
 }
 
-func twoInputs(n int) func(b *circuit.Builder) (x, y Word) {
+// garblerDigits declares an n-bit word and a multiplier's Booth digits, both
+// the garbler's, as a product of two computed words would see them.
+func garblerDigits(n int) func(b *circuit.Builder) (x, y Word) {
 	return func(b *circuit.Builder) (x, y Word) {
-		return Input(b, circuit.Garbler, n), Input(b, circuit.Garbler, n)
+		return Input(b, circuit.Garbler, n), Input(b, circuit.Garbler, fixed.BoothBits(n))
 	}
 }
 
-// weightInput is twoInputs with the second operand the evaluator's, as a
+// weightInput is garblerDigits with the digits the evaluator's, as a
 // model's weights are: its partial products come out as half ANDs.
 func weightInput(n int) func(b *circuit.Builder) (x, y Word) {
 	return func(b *circuit.Builder) (x, y Word) {
-		return Input(b, circuit.Garbler, n), Input(b, circuit.Evaluator, n)
+		return Input(b, circuit.Garbler, n), Input(b, circuit.Evaluator, fixed.BoothBits(n))
 	}
+}
+
+// constDigits is y's Booth digits as constant wires.
+func constDigits(b *circuit.Builder, y fixed.Num) Word {
+	var w Word
+	for _, d := range digits(y) {
+		w = append(w, b.Const(d))
+	}
+	return w
 }
 
 // postReLU declares a word shaped like a ReLU output: the sign wire is the
@@ -240,12 +250,12 @@ func TestMulFixedExhaustive8Bit(t *testing.T) {
 		f := fixed.Format{IntBits: 7 - frac, FracBits: frac}
 		xs, ys := allPairs(f)
 		for _, shared := range []bool{false, true} {
-			checkBinOp(t, "MulFixed", buildMul(t, shared, frac, twoInputs(8)), f, xs, ys, fixed.Num.Mul)
-			// The same function with the weight evaluator-owned: every
+			checkBinOp(t, "MulFixed", buildMul(t, shared, frac, garblerDigits(8)), f, xs, ys, digits, fixed.Num.Mul)
+			// The same function with the digits evaluator-owned: every
 			// partial product is a half AND, nothing else is.
 			c := buildMul(t, shared, frac, weightInput(8))
-			checkBinOp(t, "MulFixed on a weight", c, f, xs, ys, fixed.Num.Mul)
-			if st, ref := c.Stats(), buildMul(t, shared, frac, twoInputs(8)).Stats(); st.HalfAND == 0 || st.HalfAND >= st.AND || st.AND != ref.AND || ref.HalfAND != 0 {
+			checkBinOp(t, "MulFixed on a weight", c, f, xs, ys, digits, fixed.Num.Mul)
+			if st, ref := c.Stats(), buildMul(t, shared, frac, garblerDigits(8)).Stats(); st.HalfAND == 0 || st.HalfAND >= st.AND || st.AND != ref.AND || ref.HalfAND != 0 {
 				t.Errorf("frac %d: %+v with an evaluator-owned operand, %+v without", frac, st, ref)
 			}
 		}
@@ -259,20 +269,22 @@ func TestMulFixedMatchesFixed(t *testing.T) {
 		pairs = 50_000
 	}
 	xs, ys := randomPairs(f, 13, pairs)
-	checkBinOp(t, "MulFixed", buildMul(t, false, f.FracBits, twoInputs(f.Bits())), f, xs, ys, fixed.Num.Mul)
+	checkBinOp(t, "MulFixed", buildMul(t, false, f.FracBits, weightInput(f.Bits())), f, xs, ys, digits, fixed.Num.Mul)
 }
 
 func TestMulFixedWrapSmallExhaustive(t *testing.T) {
-	// 4-bit exhaustive with no fraction bits: the plain wrapping product
-	// must equal int math mod 16.
-	f := fixed.Format{IntBits: 3, FracBits: 0}
-	c := buildMul(t, true, 0, twoInputs(4))
-	for a := int64(-8); a < 8; a++ {
-		for bb := int64(-8); bb < 8; bb++ {
-			x, y := f.FromRaw(a), f.FromRaw(bb)
-			got := evalBin(t, c, f, x, y).Raw()
-			if want := f.Wrap(a * bb); got != want {
-				t.Fatalf("MulFixed(%d,%d,0) = %d, want %d", a, bb, got, want)
+	// Every pair at the widths 3 to 9, the odd ones sign-extending the
+	// multiplier to whole digits: with no fraction bits the plain wrapping
+	// product, int math mod 2^n, and with the most fraction bits the width
+	// has, fixed.Num.Mul.
+	for n := 3; n <= 9; n++ {
+		for _, frac := range []int{0, n - 1} {
+			f := fixed.Format{IntBits: n - 1 - frac, FracBits: frac}
+			xs, ys := allPairs(f)
+			c := buildMul(t, true, frac, garblerDigits(n))
+			checkBinOp(t, "MulFixed", c, f, xs, ys, digits, fixed.Num.Mul)
+			if frac == 0 {
+				checkBinOp(t, "MulFixed", c, f, xs, ys, digits, func(x, y fixed.Num) fixed.Num { return f.FromRaw(x.Raw() * y.Raw()) })
 			}
 		}
 	}
@@ -286,27 +298,28 @@ func TestMulFixedOperandShapes(t *testing.T) {
 	n := f.Bits()
 	rng := rand.New(rand.NewSource(17))
 	samples := corners(f)
-	random, step := 200, int64(1)
+	random := 200
 	if testing.Short() {
-		random, step = 20, 7
+		random = 20
 	}
 	for i := 0; i < random; i++ {
 		samples = append(samples, f.Wrap(rng.Int63()))
 	}
 	for _, shared := range []bool{false, true} {
 		c := buildMul(t, shared, f.FracBits, func(b *circuit.Builder) (x, y Word) {
-			return postReLU(b, n), Input(b, circuit.Garbler, n)
+			return postReLU(b, n), Input(b, circuit.Garbler, fixed.BoothBits(n))
 		})
 		for _, a := range samples {
 			for _, bb := range samples {
 				x, y := f.FromRaw(a).ReLU(), f.FromRaw(bb)
-				checkMul(t, c, x, y, x, y)
+				checkMul(t, c, x, y, append(x.Bits(), digits(y)...))
 			}
 		}
 
-		// A constant word on either side: corners, and every one-hot
-		// weight (a single partial-product row survives; 1<<(n-1) is Min,
-		// the row of negative weight).
+		// A constant operand on either side: corners, and every power of
+		// two (1<<(n-1) is Min, a top digit of −2). A constant x with bit 0
+		// clear puts neg_k into column 2k twice, so a column holds the same
+		// wire twice and its adder's sum folds to 0.
 		weights := corners(f)
 		for k := 0; k < n; k++ {
 			weights = append(weights, f.Wrap(1<<uint(k)))
@@ -314,38 +327,27 @@ func TestMulFixedOperandShapes(t *testing.T) {
 		for _, w := range weights {
 			w := f.FromRaw(w)
 			cx := buildMul(t, shared, f.FracBits, func(b *circuit.Builder) (x, y Word) {
-				return Const(b, n, w.Raw()), Input(b, circuit.Garbler, n)
+				return Const(b, n, w.Raw()), Input(b, circuit.Garbler, fixed.BoothBits(n))
 			})
 			cy := buildMul(t, shared, f.FracBits, func(b *circuit.Builder) (x, y Word) {
-				return Input(b, circuit.Garbler, n), Const(b, n, w.Raw())
+				return Input(b, circuit.Garbler, n), constDigits(b, w)
 			})
 			for _, a := range samples {
 				v := f.FromRaw(a)
-				checkMul(t, cx, w, v, v)
-				checkMul(t, cy, v, w, v)
+				checkMul(t, cx, w, v, digits(v))
+				checkMul(t, cy, v, w, v.Bits())
 			}
-			// Both words constant: every output is a constant wire.
+			// Both operands constant: every output is a constant wire.
 			for _, w2 := range corners(f) {
 				w2 := f.FromRaw(w2)
 				cc := buildMul(t, shared, f.FracBits, func(b *circuit.Builder) (x, y Word) {
-					return Const(b, n, w.Raw()), Const(b, n, w2.Raw())
+					return Const(b, n, w.Raw()), constDigits(b, w2)
 				})
 				if len(cc.Gates) != 0 {
 					t.Fatalf("shared=%v: constant product emitted %d gates", shared, len(cc.Gates))
 				}
-				checkMul(t, cc, w, w2)
+				checkMul(t, cc, w, w2, nil)
 			}
-		}
-
-		// Aliased operands: x∧x folds to x, and with sharing x[i]∧x[j] and
-		// x[j]∧x[i] are one wire, so a column holds the same wire twice.
-		sq := buildMul(t, shared, f.FracBits, func(b *circuit.Builder) (x, y Word) {
-			x = Input(b, circuit.Garbler, n)
-			return x, x
-		})
-		for a := f.MinRaw(); a <= f.MaxRaw(); a += step {
-			x := f.FromRaw(a)
-			checkMul(t, sq, x, x, x)
 		}
 	}
 }
@@ -380,7 +382,7 @@ func TestDivFixedMatchesFixed(t *testing.T) {
 			if qbits == f.Bits()+frac && len(fx) != len(xs) {
 				t.Fatalf("%+v: the full width covers %d of %d pairs", f, len(fx), len(xs))
 			}
-			checkBinOp(t, "DivFixed", buildDiv(t, f, qbits), f, fx, fy, fixed.Num.Div)
+			checkBinOp(t, "DivFixed", buildDiv(t, f, qbits), f, fx, fy, fixed.Num.Bits, fixed.Num.Div)
 		}
 	}
 
@@ -392,7 +394,7 @@ func TestDivFixedMatchesFixed(t *testing.T) {
 		pairs = 20_000
 	}
 	xs, ys := randomPairs(f, 19, pairs)
-	checkBinOp(t, "DivFixed", buildDiv(t, f, f.Bits()+f.FracBits), f, xs, ys, fixed.Num.Div)
+	checkBinOp(t, "DivFixed", buildDiv(t, f, f.Bits()+f.FracBits), f, xs, ys, fixed.Num.Bits, fixed.Num.Div)
 	qbits := f.FracBits + 2
 	for i := range xs {
 		xs[i] >>= uint(i % 4) // |x/y| < 4 is what fits FracBits+2 bits
@@ -401,7 +403,7 @@ func TestDivFixedMatchesFixed(t *testing.T) {
 	if len(fx) < pairs/2 {
 		t.Fatalf("only %d of %d pairs fit %d quotient bits", len(fx), pairs, qbits)
 	}
-	checkBinOp(t, "DivFixed bounded", buildDiv(t, f, qbits), f, fx, fy, fixed.Num.Div)
+	checkBinOp(t, "DivFixed bounded", buildDiv(t, f, qbits), f, fx, fy, fixed.Num.Bits, fixed.Num.Div)
 }
 
 func TestDivByZeroCircuitSaturates(t *testing.T) {
@@ -707,7 +709,7 @@ func TestDotMatVec(t *testing.T) {
 		}
 		w := make([]Word, m*n)
 		for i := range w {
-			w[i] = Input(b, circuit.Evaluator, f.Bits())
+			w[i] = Input(b, circuit.Evaluator, fixed.BoothBits(f.Bits()))
 		}
 		for _, o := range MatVec(b, w, x, n, m, f.FracBits) {
 			b.Outputs(o...)
@@ -728,7 +730,7 @@ func TestDotMatVec(t *testing.T) {
 		var eIn []bool
 		for i := range ws {
 			ws[i] = f.FromFloat(rng.Float64()*2 - 1)
-			eIn = append(eIn, ws[i].Bits()...)
+			eIn = append(eIn, digits(ws[i])...)
 		}
 		out, err := c.Eval(gIn, eIn)
 		if err != nil {

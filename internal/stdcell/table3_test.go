@@ -21,9 +21,9 @@ func TestGateCountTable3Style(t *testing.T) {
 	want := map[string]int64{
 		"TanhLUT": 7872, "TanhTrunc": 5119, "TanhPL": 124, "TanhCORDIC": 2178,
 		"SigmoidLUT": 8930, "SigmoidTrunc": 5898, "SigmoidPLAN": 108, "SigmoidCORDIC": 2190,
-		"ADD": 15, "MULT": 388, "DIV": 496, "ReLu": 15,
-		"Softmax(n=10)": 309, "MVM 1x8 * 8x4": 12836,
-		"MAC": 403, "MAC after ReLU": 379,
+		"ADD": 15, "MULT": 312, "DIV": 496, "ReLu": 15,
+		"Softmax(n=10)": 309, "MVM 1x8 * 8x4": 10404,
+		"MAC": 327, "MAC after ReLU": 308,
 	}
 	mac := func(name string, signed bool) benchmarks.Component {
 		return benchmarks.Component{Name: name, Gen: func(b *circuit.Builder, f fixed.Format) {
@@ -32,15 +32,15 @@ func TestGateCountTable3Style(t *testing.T) {
 				// Shaped like a ReLU output: the sign wire is the constant 0.
 				x[n-1] = circuit.WFalse
 			}
-			w := stdcell.Input(b, circuit.Evaluator, n)
+			w := stdcell.Input(b, circuit.Evaluator, fixed.BoothBits(n))
 			acc := stdcell.Input(b, circuit.Garbler, n)
 			b.Outputs(stdcell.Add(b, acc, stdcell.MulFixed(b, x, w, f.FracBits))...)
 		}}
 	}
 	// The rows with an evaluator-owned weight operand pay one ciphertext,
-	// not two, for each partial product (205 of a signed multiplier's 388
-	// gates, 192 after a ReLU); every other row pays two per gate.
-	halves := map[string]int64{"MULT": 205, "MVM 1x8 * 8x4": 32 * 205, "MAC": 205, "MAC after ReLU": 192}
+	// not two, for each partial-product AND (211 of a signed multiplier's
+	// 312 gates, 192 after a ReLU); every other row pays two per gate.
+	halves := map[string]int64{"MULT": 211, "MVM 1x8 * 8x4": 32 * 211, "MAC": 211, "MAC after ReLU": 192}
 	rows := append(append([]benchmarks.Component{}, benchmarks.Table3...), mac("MAC", true), mac("MAC after ReLU", false))
 	for _, c := range rows {
 		s, err := circuit.Count(func(b *circuit.Builder) { c.Gen(b, f) })
