@@ -8,15 +8,10 @@ package deepsecure
 //
 // Session-level and kernel performance are measured by the live benchmark
 // in bench/ (`bash bench/run.sh`, BENCHMARK.json; its gc.* and ot.* rows
-// are the kernels), not here. One session benchmark
-// stays because it guards something no bench/ workload does and bench/
-// could not gain a workload when the others were retired:
-// BenchmarkSessionOffline (a warm garble-ahead bank beats bank-off online).
+// are the kernels), not here.
 
 import (
-	"fmt"
 	"math/rand"
-	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -28,11 +23,9 @@ import (
 	"deepsecure/internal/costmodel"
 	"deepsecure/internal/fixed"
 	"deepsecure/internal/gc"
-	"deepsecure/internal/gc/bank"
 	"deepsecure/internal/hebaseline"
 	"deepsecure/internal/netgen"
 	"deepsecure/internal/nn"
-	"deepsecure/internal/ot/precomp"
 	"deepsecure/internal/transport"
 )
 
@@ -291,140 +284,6 @@ func BenchmarkOutsourcingOverhead(b *testing.B) {
 	}
 	b.ReportMetric(float64(outs.NonXOR()-plain.NonXOR()), "extraNonXOR")
 	b.ReportMetric(float64(outs.XOR-plain.XOR), "extraXOR")
-}
-
-// BenchmarkSessionOffline measures the garble-ahead execution bank: the
-// offline/online split extended from OTs to whole inferences, over an
-// in-memory pipe. Session setup — handshake, OT base phase, the pool's bulk
-// OT fill, and the bank fill (Session.FillBank) — runs outside the
-// timer: that is the offline phase the bank exists to absorb. The timed
-// region is the online path only: with a warm bank it is input-label
-// selection, pool masking and stream writes from the bank; bank-off it
-// additionally garbles every gate live. The OT pool is sized to cover a
-// whole iteration so no refill crypto lands in the timed region. B=1
-// runs four pipelined single inferences per iteration; B=16 one fused
-// batch. The claim it guards: bankWarm's inf/s beats bankOff's at B=1, and
-// onlineGarbleMs/inf is ~0 for bank hits.
-func BenchmarkSessionOffline(b *testing.B) {
-	net, err := nn.NewNetwork(nn.Vec(64),
-		nn.NewDense(24),
-		nn.NewActivation(act.ReLU),
-		nn.NewDense(8),
-	)
-	if err != nil {
-		b.Fatal(err)
-	}
-	net.InitWeights(rand.New(rand.NewSource(98)))
-	rng := rand.New(rand.NewSource(99))
-	xs := make([][]float64, 16)
-	for i := range xs {
-		xs[i] = make([]float64, 64)
-		for j := range xs[i] {
-			xs[i][j] = rng.Float64()*2 - 1
-		}
-	}
-	for _, mode := range []struct {
-		name string
-		bank bool
-	}{
-		{"bankOff", false},
-		{"bankWarm", true},
-	} {
-		mode := mode
-		for _, batch := range []int{1, 16} {
-			batch := batch
-			b.Run(fmt.Sprintf("%s/B=%d", mode.name, batch), func(b *testing.B) {
-				k := 4 // B=1: pipelined singles per iteration
-				if batch > 1 {
-					k = batch
-				}
-				// Covers an iteration's full OT demand (k × weight bits)
-				// in the setup fill; low water 1 so nothing triggers a
-				// mid-session refill into the timed region.
-				pool := precomp.PoolConfig{Capacity: 1 << 19, RefillLowWater: 1}
-				srvCfg := core.EngineConfig{Pipeline: 2, MaxBatch: batch}
-				srv := &core.Server{Net: net, Fmt: fixed.Default, Engine: srvCfg, OTPool: pool}
-				if _, err := srv.Program(); err != nil {
-					b.Fatal(err)
-				}
-				cliCfg := core.EngineConfig{Pipeline: 2, MaxBatch: batch}
-				if mode.bank {
-					cliCfg.Bank = bank.Config{Depth: k}
-				}
-				cli := &core.Client{Engine: cliCfg}
-				defer cli.Close()
-				var gate, refill time.Duration
-				var hits, misses int64
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					b.StopTimer()
-					cConn, sConn, closer := transport.Pipe()
-					var wg sync.WaitGroup
-					wg.Add(1)
-					go func() {
-						defer wg.Done()
-						if _, err := srv.ServeSession(sConn); err != nil {
-							b.Error(err)
-							// Unblock the client side so a server-side
-							// regression fails the bench instead of
-							// wedging it.
-							closer.Close()
-						}
-					}()
-					sess, err := cli.NewSession(cConn)
-					if err != nil {
-						closer.Close()
-						b.Fatal(err)
-					}
-					if err := sess.FillBank(); err != nil {
-						closer.Close()
-						b.Fatal(err)
-					}
-					b.StartTimer()
-					if batch == 1 {
-						ps := make([]*core.PendingInference, 0, k)
-						for j := 0; j < k; j++ {
-							p, err := sess.InferAsync(xs[j])
-							if err != nil {
-								closer.Close()
-								b.Fatal(err)
-							}
-							ps = append(ps, p)
-						}
-						for _, p := range ps {
-							if _, _, err := p.Wait(); err != nil {
-								closer.Close()
-								b.Fatal(err)
-							}
-						}
-					} else if _, _, err := sess.InferBatch(xs[:batch]); err != nil {
-						closer.Close()
-						b.Fatal(err)
-					}
-					b.StopTimer()
-					st := sess.Stats()
-					gate += st.GateTime
-					refill += st.BankRefillTime
-					hits += st.BankHits
-					misses += st.BankMisses
-					if err := sess.Close(); err != nil {
-						b.Fatal(err)
-					}
-					wg.Wait()
-					closer.Close()
-					b.StartTimer()
-				}
-				b.StopTimer()
-				inf := float64(k * b.N)
-				b.ReportMetric(inf/b.Elapsed().Seconds(), "inf/s")
-				b.ReportMetric(gate.Seconds()*1e3/inf, "onlineGarbleMs/inf")
-				b.ReportMetric(refill.Seconds()*1e3/inf, "offlineGarbleMs/inf")
-				b.ReportMetric(float64(hits)/inf, "bankHits/inf")
-				b.ReportMetric(float64(misses)/inf, "bankMisses/inf")
-				b.ReportMetric(float64(runtime.GOMAXPROCS(0)), "cores")
-			})
-		}
-	}
 }
 
 func nowNs() int64 { return time.Now().UnixNano() }

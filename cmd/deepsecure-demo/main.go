@@ -28,7 +28,6 @@ func main() {
 	seed := flag.Int64("seed", 1, "sample seed")
 	n := flag.Int("n", 1, "inferences to run on one session")
 	batch := flag.Bool("batch", false, "fuse the -n samples into one batched inference")
-	bankDepth := flag.Int("bank", 0, "pre-garble this many executions offline before inferring (garble-ahead bank depth; 0 = off)")
 	flag.Parse()
 
 	conn, err := net.Dial("tcp", *connect)
@@ -52,66 +51,14 @@ func main() {
 	}
 	var labels []int
 	var st *deepsecure.InferStats
-	var start time.Time
-	if *bankDepth > 0 {
-		// Garble-ahead path: open the session and fill the bank
-		// before the clock starts, so the printed rate is the
-		// online (label-selection + streaming) rate. The client draws
-		// from crypto/rand, so the bank may refill itself in the
-		// background once it runs low.
-		cli := &deepsecure.Client{Engine: deepsecure.EngineConfig{
-			Bank: deepsecure.BankConfig{Depth: *bankDepth, Background: true},
-		}}
-		defer cli.Close()
-		fillStart := time.Now()
-		sess, err := cli.NewSession(deepsecure.NewConn(conn))
-		if err != nil {
-			log.Fatal(err)
-		}
-		fmt.Printf("bank: offline phase (session setup + %d pre-garbled execution(s)) took %v\n",
-			*bankDepth, time.Since(fillStart).Round(time.Millisecond))
-		start = time.Now()
-		if *batch {
-			labels, _, err = sess.InferBatch(xs)
-		} else {
-			ps := make([]*deepsecure.PendingInference, 0, len(xs))
-			for _, x := range xs {
-				p, perr := sess.InferAsync(x)
-				if perr != nil {
-					err = perr
-					break
-				}
-				ps = append(ps, p)
-			}
-			for _, p := range ps {
-				if err != nil {
-					break
-				}
-				var label int
-				label, _, err = p.Wait()
-				labels = append(labels, label)
-			}
-		}
-		if err != nil {
-			sess.Close() //nolint:errcheck — the inference error is the one to report
-			log.Fatal(err)
-		}
-		if err := sess.Close(); err != nil {
-			log.Fatal(err)
-		}
-		st = sess.Stats()
-		fmt.Printf("bank: %d hit(s), %d miss(es) (misses fall back to live garbling)\n",
-			st.BankHits, st.BankMisses)
+	start := time.Now()
+	if *batch {
+		labels, st, err = deepsecure.InferBatch(deepsecure.NewConn(conn), xs)
 	} else {
-		start = time.Now()
-		if *batch {
-			labels, st, err = deepsecure.InferBatch(deepsecure.NewConn(conn), xs)
-		} else {
-			labels, st, err = deepsecure.InferMany(deepsecure.NewConn(conn), xs)
-		}
-		if err != nil {
-			log.Fatal(err)
-		}
+		labels, st, err = deepsecure.InferMany(deepsecure.NewConn(conn), xs)
+	}
+	if err != nil {
+		log.Fatal(err)
 	}
 	fmt.Printf("labels: %v\n", labels)
 	elapsed := time.Since(start)

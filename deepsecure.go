@@ -30,7 +30,6 @@ import (
 	"deepsecure/internal/core"
 	"deepsecure/internal/fixed"
 	"deepsecure/internal/gc"
-	"deepsecure/internal/gc/bank"
 	"deepsecure/internal/netgen"
 	"deepsecure/internal/nn"
 	"deepsecure/internal/obs"
@@ -101,7 +100,8 @@ type (
 	EngineConfig = core.EngineConfig
 	// PoolConfig sizes the offline OT pool every session transfers its
 	// weight labels through (chosen-choice OTs keyed to the model's weight
-	// bits): Capacity OTs are bulk-generated at session setup and refilled
+	// bits) — a session's only offline work, since every inference is
+	// garbled online: Capacity OTs are bulk-generated at session setup and refilled
 	// once fewer than RefillLowWater remain unassigned; Background starts
 	// the refill crypto on a helper goroutine the moment a refill is
 	// decided. The zero value sizes the pool from the model: its weight
@@ -109,15 +109,6 @@ type (
 	// to NewServer via WithOTPool; clients need no configuration (they
 	// follow the server's in-band announcement).
 	PoolConfig = precomp.PoolConfig
-	// BankConfig sizes a garble-ahead execution bank (the offline/online
-	// split extended from OTs to whole inferences): Depth pre-garbled
-	// executions, held in memory, are filled at session setup; with
-	// Background a helper goroutine refills the bank once it drops below a
-	// quarter of Depth, without it only Session.FillBank does. Set it on a
-	// Client via EngineConfig.Bank — the client is the garbler, so the bank
-	// lives there; a session whose take hits the bank skips online garbling
-	// entirely. The zero value disables banking.
-	BankConfig = bank.Config
 	// SessionServer answers secure-inference sessions on caller-provided
 	// connections (the conn-level counterpart of InferenceServer) with
 	// explicit randomness, engine, and OT-pool configuration.
@@ -348,8 +339,7 @@ func NetlistStats(net *Network, f Format) (Stats, error) {
 func WideHashAvailable() bool { return gc.WideAvailable() }
 
 // MetricsHandler serves the process-wide metrics registry — per-phase
-// latency histograms, session/inference/batch totals, bank hit/miss,
-// OT pool depth, per-direction byte counters — in Prometheus text
+// latency histograms, session/inference/batch totals, OT pool depth, per-direction byte counters — in Prometheus text
 // exposition format (the /metrics endpoint). Every connection, session,
 // inference and server in the process records in a ledger that adds up
 // to this registry — the same ledgers InferStats and ServerStats are read

@@ -13,7 +13,6 @@ import (
 	"deepsecure/internal/act"
 	"deepsecure/internal/core"
 	"deepsecure/internal/fixed"
-	"deepsecure/internal/gc/bank"
 	"deepsecure/internal/nn"
 	"deepsecure/internal/obs"
 	"deepsecure/internal/ot/precomp"
@@ -23,7 +22,7 @@ import (
 )
 
 // The chaos sweep: a real TCP server with every robustness feature on
-// (pipelining, batching, banked clients, an OT pool barely larger than
+// (pipelining, batching, two shared clients, an OT pool barely larger than
 // one inference's demand so a refill follows every inference and a batch
 // refills on demand, admission, idle timeout, phase deadlines), driven
 // through ≥50 seeded fault scripts. The contract it pins is the failure-behavior half of the
@@ -120,15 +119,17 @@ func TestChaosSweep(t *testing.T) {
 	ands, _ := srv.ProgramStats()
 	span := ands * 32 * 3
 
-	// One plain client and one garble-ahead client, both on the shared
-	// scheduler; nil Rng (crypto/rand) so sessions may run concurrently.
+	// One plain client and one that garbles on its own goroutine and keeps
+	// its window full, both on the shared scheduler; nil Rng (crypto/rand)
+	// so sessions may run concurrently.
 	plain := &core.Client{Engine: core.EngineConfig{
 		Workers:   2,
 		Deadlines: core.DeadlineConfig{Handshake: 10 * time.Second},
 	}}
-	banked := &core.Client{Engine: core.EngineConfig{
-		Workers:   2,
-		Bank:      bank.Config{Depth: 2},
+	pipelined := &core.Client{Engine: core.EngineConfig{
+		Workers:   1,
+		Pipeline:  2,
+		MaxBatch:  3,
 		Deadlines: core.DeadlineConfig{Handshake: 10 * time.Second},
 	}}
 
@@ -159,7 +160,7 @@ func TestChaosSweep(t *testing.T) {
 		}
 	}
 	cleanVisit("plain client's first visit", plain, -1)
-	cleanVisit("banked client's first visit", banked, -2)
+	cleanVisit("pipelining client's first visit", pipelined, -2)
 	resumed0 := srv.Stats().SessionsResumed
 
 	var successes, cleanErrors, forced atomic.Int64
@@ -191,7 +192,7 @@ func TestChaosSweep(t *testing.T) {
 		cli := plain
 		switch {
 		case seed%3 == 2:
-			cli = banked
+			cli = pipelined
 		case seed%4 == 0:
 			cli = &core.Client{Engine: plain.Engine} // a first visit: the base phase under faults
 		}
@@ -223,19 +224,38 @@ func TestChaosSweep(t *testing.T) {
 				}
 			}
 		} else {
-			// Pipelined singles (plain or banked client).
+			// Three singles: the pipelining client begins all of them before
+			// it reads a result, the others read each one at once.
+			var pending []*core.PendingInference
+			settled := 0
+			settle := func() {
+				for _, p := range pending {
+					got, _, err := p.Wait()
+					if err != nil {
+						failed = true
+						return
+					}
+					if want := model.PredictFixed(f, sampleFor(seed, settled)); got != want {
+						t.Errorf("seed %d: SILENT CORRUPTION: inference %d label %d, plaintext %d (%v)",
+							seed, settled, got, want, script)
+					}
+					settled++
+				}
+				pending = pending[:0]
+			}
 			for i := 0; i < 3 && !failed; i++ {
-				x := sampleFor(seed, i)
-				want := model.PredictFixed(f, x)
-				got, _, err := sess.Infer(x)
+				p, err := sess.InferAsync(sampleFor(seed, i))
 				if err != nil {
 					failed = true
 					break
 				}
-				if got != want {
-					t.Errorf("seed %d: SILENT CORRUPTION: inference %d label %d, plaintext %d (%v)",
-						seed, i, got, want, script)
+				pending = append(pending, p)
+				if cli != pipelined {
+					settle()
 				}
+			}
+			if !failed {
+				settle()
 			}
 		}
 		if err := sess.Close(); err != nil {
@@ -271,7 +291,7 @@ func TestChaosSweep(t *testing.T) {
 		t.Errorf("the server resumed %d of %d chaos runs, want the shared clients' (about three in four)", got, seeds)
 	}
 	cleanVisit("plain client after the sweep", plain, -3)
-	cleanVisit("banked client after the sweep", banked, -4)
+	cleanVisit("pipelining client after the sweep", pipelined, -4)
 	stop()
 
 	t.Logf("chaos sweep: %d seeds, %d succeeded, %d clean errors, %d backstop closes",

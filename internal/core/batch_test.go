@@ -62,8 +62,9 @@ func TestBatchSize1Conformance(t *testing.T) {
 		x[j] = rng.Float64()*2 - 1
 	}
 	// A pool that never refills mid-session: a refill's pair randomness
-	// draws the client rng, which only this deterministic-seed pin cares
-	// about (see runBankedSession).
+	// draws the client rng, so where it lands among the garbling draws
+	// depends on when the refill is answered — which only this
+	// deterministic-seed pin cares about (crypto/rand has no draw order).
 	poolCfg := precomp.PoolConfig{Capacity: 2048, RefillLowWater: 512}
 	const cliSeed, srvSeed = 8801, 8802
 	singleLabels, sgG2E, sgE2G, _ := sessionRun(t, net, [][]float64{x}, poolCfg, 1, cliSeed, srvSeed)

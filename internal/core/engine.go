@@ -8,7 +8,6 @@ import (
 
 	"deepsecure/internal/circuit"
 	"deepsecure/internal/gc"
-	"deepsecure/internal/gc/bank"
 	"deepsecure/internal/obs"
 	"deepsecure/internal/ot"
 	"deepsecure/internal/ot/precomp"
@@ -22,7 +21,7 @@ import (
 // which never materialises its netlist), the engine executes the compiled
 // circuit.Schedule as a staged pipeline:
 //
-//	garbler:   [table source] → chunk buffer → [writer goroutine] → conn
+//	garbler:   [garble workers] → chunk buffer → [writer goroutine] → conn
 //	evaluator: conn → table cursor → [eval workers]
 //
 // There is one garble-side walk and one eval-side walk, both over a batch
@@ -34,26 +33,22 @@ import (
 // sample s at i*B+s tables into its region; gc/vec.go). Each
 // sample keeps its own delta and fresh labels, so the security argument
 // is that of B separate inferences — only the schedule walk, the framing
-// and the OT round-trips amortize.
+// and the OT round-trips amortize. DeepSecure garbles every inference
+// online: the garbling engine holds a fresh gc.BatchGarbler and garbles
+// each level on a gc.Pool, as the evaluating engine holds a
+// gc.BatchEvaluator; the only offline work is the OT pool.
 //
-// The garble side draws its label material and table bytes from a
-// bank.Source: live (a gc.BatchGarbler garbling each level on a gc.Pool) or
-// banked (B pre-garbled executions); the sources, and with them the
-// garbling side's knowledge of how a level runs and of what an execution
-// stores, live in internal/gc/bank. Completed table
-// chunks stream to the peer while the next level is being produced, and
-// on the evaluator the session's reader keeps the session's FIFO — one
-// bounded ring of table frames — ahead of the worker pool, so neither AES
-// throughput nor transport latency idles the other. Input, OT, and output
-// steps are barriers executed on the engine's goroutine, exactly where the
-// tape recorded them.
+// Completed table chunks stream to the peer while the next level is being
+// garbled, and on the evaluator the session's reader keeps the session's
+// FIFO — one bounded ring of table frames — ahead of the worker pool, so
+// neither AES throughput nor transport latency idles the other. Input, OT,
+// and output steps are barriers executed on the engine's goroutine,
+// exactly where the tape recorded them.
 //
 // Determinism: hash tweaks and table offsets come from the schedule
 // (GIDBase + in-level rank), and chunk flushing depends only on the
 // schedule, B and ChunkBytes — so the byte stream is identical for any
-// worker count and, at B=1, for either table source (a banked batch draws
-// its samples' randomness in a different order), which is what the
-// conformance tests pin.
+// worker count, which is what the conformance tests pin.
 
 // EngineConfig tunes the level-scheduled execution engine.
 type EngineConfig struct {
@@ -88,18 +83,6 @@ type EngineConfig struct {
 	// MaxBatch, the announcement). 0 defaults to DefaultMaxBatch; values
 	// clamp to [1, 256].
 	MaxBatch int
-	// Bank, when enabled (Depth > 0), pre-garbles whole inferences on
-	// the client (garble-ahead execution banks): the session fills a
-	// per-program bank at setup, and each inference that finds a banked
-	// execution skips garbling entirely — the online critical path is
-	// label selection, pool masking and stream writes from the bank.
-	// Only a Bank.Background bank refills itself, on a helper goroutine
-	// once it drops below a quarter of Depth; any other is refilled by
-	// Session.FillBank alone. Exhaustion transparently falls back to live
-	// garbling. Client-side only; servers ignore it. Memory cost per
-	// banked execution ≈ the circuit's table bytes (Schedule.TableBytes)
-	// plus input and output labels, all held in memory: Depth is the budget.
-	Bank bank.Config
 	// Deadlines bounds the protocol's phases (handshake, OT setup,
 	// per-inference) by wall time, complementing the transport-level
 	// idle timeout: the idle timeout catches peers that stop moving
@@ -235,12 +218,13 @@ func (w *tableWriter) finish() error {
 	return <-w.done
 }
 
-// garbleEngine runs the garbler's side of one inference of b =
-// len(inputBits) samples over a compiled schedule; the session reuses its
-// buffers across inferences.
+// garbleEngine runs the garbler's side of one inference of b = g.B()
+// samples over a compiled schedule; the session reuses its buffers across
+// inferences.
 type garbleEngine struct {
 	sched *circuit.Schedule
-	src   bank.Source
+	g     *gc.BatchGarbler
+	pool  *gc.Pool
 	conn  transport.FrameConn
 	ots   *precomp.SenderPool
 	otr   precomp.Range // the inference's OT-pool entries, b samples wide
@@ -258,9 +242,8 @@ type garbleEngine struct {
 	cur  []byte      // table chunk being filled
 	free chan []byte // recycled chunk buffers
 
-	// gateTime accumulates the wall time of the per-level source calls —
-	// with a live source, the hash-core cost this inference paid,
-	// transport excluded.
+	// gateTime accumulates the wall time of the per-level GarbleLevel
+	// calls — the hash-core cost this inference paid, transport excluded.
 	gateTime time.Duration
 	// writeTime accumulates wall time pushing table chunks into the
 	// transport (the table_write phase; from the writer goroutine when
@@ -269,6 +252,7 @@ type garbleEngine struct {
 }
 
 func (en *garbleEngine) run() error {
+	en.g.Grow(en.sched.NumWires)
 	for si := range en.sched.Steps {
 		st := &en.sched.Steps[si]
 		var err error
@@ -276,7 +260,7 @@ func (en *garbleEngine) run() error {
 		case circuit.StepInputs:
 			err = en.doInputs(st)
 		case circuit.StepOutputs:
-			en.outZero, err = en.src.Outputs(st, en.outZero)
+			err = en.doOutputs(st)
 		case circuit.StepLevels:
 			err = en.doLevels(st)
 		}
@@ -287,24 +271,23 @@ func (en *garbleEngine) run() error {
 	return nil
 }
 
+// doInputs draws the step's zero-labels — an evaluator step's with permute
+// bit 0, the colour = value convention half ANDs rest on — and sends the
+// client's active labels, or the evaluator's label pairs through the pool.
 func (en *garbleEngine) doInputs(st *circuit.Step) error {
-	if err := en.src.Inputs(st); err != nil {
+	if err := en.g.AssignInputs(st.Wires, st.Party == circuit.Evaluator); err != nil {
 		return err
 	}
-	deltas := en.src.Deltas()
 	if st.Party == circuit.Garbler {
 		payload := en.labelBuf[:0]
-		for i, w := range st.Wires {
+		for _, w := range st.Wires {
 			if en.cursor >= len(en.inputBits[0]) {
 				return fmt.Errorf("core: garbler input underrun at wire %d", w)
 			}
 			for s, bits := range en.inputBits {
-				l, err := en.src.Zero(i, s)
+				l, err := en.g.ActiveLabel(w, s, bits[en.cursor])
 				if err != nil {
 					return err
-				}
-				if bits[en.cursor] {
-					l = l.XOR(deltas[s])
 				}
 				payload = append(payload, l[:]...)
 			}
@@ -319,11 +302,24 @@ func (en *garbleEngine) doInputs(st *circuit.Step) error {
 	var err error
 	en.labelBuf, err = en.ots.SendStep(en.conn, en.otr, en.evalBit, len(st.Wires), en.labelBuf,
 		func(i, s int) (ot.Msg, ot.Msg, error) {
-			l0, err := en.src.Zero(i, s)
-			return ot.Msg(l0), ot.Msg(deltas[s]), err
+			l0, err := en.g.ZeroLabel(st.Wires[i], s)
+			return ot.Msg(l0), ot.Msg(en.g.R[s]), err
 		})
 	en.evalBit += len(st.Wires)
 	return err
+}
+
+func (en *garbleEngine) doOutputs(st *circuit.Step) error {
+	for _, w := range st.Wires {
+		for s := 0; s < en.g.B(); s++ {
+			z, err := en.g.ZeroLabel(w, s)
+			if err != nil {
+				return err
+			}
+			en.outZero = append(en.outZero, z)
+		}
+	}
+	return nil
 }
 
 // grab returns an empty chunk buffer: a spent one the writer has handed
@@ -338,10 +334,14 @@ func (en *garbleEngine) grab() []byte {
 	}
 }
 
-// doLevels executes one run of gate levels for the whole batch, streaming
+// doLevels garbles one run of gate levels for the whole batch, streaming
 // table chunks through the writer goroutine while subsequent levels are
-// produced; each level contributes b times its TableBytes.
+// garbled; each level contributes b times its TableBytes.
 func (en *garbleEngine) doLevels(st *circuit.Step) (err error) {
+	for _, w := range st.PreDrops {
+		en.g.Drop(w)
+	}
+	b := en.g.B()
 	chunk := en.cfg.chunkBytes()
 	async := en.cfg.workers() > 1
 	var wr *tableWriter
@@ -367,20 +367,25 @@ func (en *garbleEngine) doLevels(st *circuit.Step) (err error) {
 		// A session's first run: one buffer of the run's size (a chunk's at
 		// most) instead of a doubling ladder up to it, which a session of
 		// one inference would climb and throw away every time.
-		cur = make([]byte, 0, min(st.TableBytes*len(en.inputBits), chunk+chunk/4))
+		cur = make([]byte, 0, min(st.TableBytes*b, chunk+chunk/4))
 	}
 	for li := st.First; li < st.First+st.N && err == nil; li++ {
-		need := en.sched.Levels[li].TableBytes() * len(en.inputBits)
+		lv := &en.sched.Levels[li]
+		ands, frees := en.sched.LevelGates(lv)
+		need := lv.TableBytes() * b
 		off := len(cur)
 		for cap(cur) < off+need {
 			cur = append(cur[:cap(cur)], 0)
 		}
 		cur = cur[:off+need]
 		t0 := time.Now()
-		err = en.src.Level(st, li, cur[off:off+need])
+		err = en.g.GarbleLevel(ands, frees, lv.GIDBase, cur[off:], en.pool)
 		en.gateTime += time.Since(t0)
 		if err != nil {
 			break
+		}
+		for _, w := range lv.Drops {
+			en.g.Drop(w)
 		}
 		if len(cur) >= chunk {
 			if err = emit(cur); err != nil {

@@ -14,7 +14,6 @@ import (
 	"deepsecure/internal/circuit"
 	"deepsecure/internal/fixed"
 	"deepsecure/internal/gc"
-	"deepsecure/internal/gc/bank"
 	"deepsecure/internal/ot"
 	"deepsecure/internal/ot/precomp"
 	"deepsecure/internal/testutil"
@@ -96,6 +95,15 @@ func (h *logHalf) bytesWritten() []byte {
 	h.mu.Lock()
 	defer h.mu.Unlock()
 	return append([]byte{}, h.log.Bytes()...)
+}
+
+// close releases a logHalf's readers (the recording pipe has no Close
+// of its own; the engine tests never tear it down mid-protocol).
+func (h *logHalf) close() {
+	h.mu.Lock()
+	h.closed = true
+	h.cond.Broadcast()
+	h.mu.Unlock()
 }
 
 type logDuplex struct {
@@ -292,11 +300,11 @@ func runEngines(t *testing.T, sched *circuit.Schedule, gBits, eBits []bool, cfg 
 	pool := cfg.newPool()
 	free := make(chan []byte, 3)
 	for k := 0; k < nInfer; k++ {
-		src, err := bank.NewLive(rng, 1, sched, pool)
+		g, err := gc.NewBatchGarbler(rng, 1)
 		if err != nil {
 			t.Fatal(err)
 		}
-		consts, err := src.Consts(nil)
+		consts, err := g.AppendConstLabels(nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -305,7 +313,8 @@ func runEngines(t *testing.T, sched *circuit.Schedule, gBits, eBits []bool, cfg 
 		}
 		en := &garbleEngine{
 			sched:     sched,
-			src:       src,
+			g:         g,
+			pool:      pool,
 			conn:      gConn,
 			ots:       otp,
 			otr:       otp.Reserve(1),
@@ -333,7 +342,7 @@ func runEngines(t *testing.T, sched *circuit.Schedule, gBits, eBits []bool, cfg 
 			switch l {
 			case en.outZero[i]:
 				bits[i] = false
-			case en.outZero[i].XOR(src.Deltas()[0]):
+			case en.outZero[i].XOR(g.R[0]):
 				bits[i] = true
 			default:
 				t.Fatalf("workers=%d infer %d: output label %d failed authentication", workers, k, i)

@@ -1,8 +1,17 @@
 package core
 
 import (
+	"encoding/binary"
+	"fmt"
+	"io"
+	"net"
 	"testing"
+	"time"
 
+	"deepsecure/internal/act"
+	"deepsecure/internal/fixed"
+	"deepsecure/internal/gc"
+	"deepsecure/internal/testutil"
 	"deepsecure/internal/transport"
 )
 
@@ -80,6 +89,76 @@ func TestHostileArchFrameIsAnError(t *testing.T) {
 			}
 			if err := <-done; err != nil {
 				t.Errorf("hostile server's own writes: %v", err)
+			}
+		})
+	}
+}
+
+// headerSwap relays a server's frames to its client verbatim up to the
+// first of type at, for which it writes only a header: a frame of type as
+// announcing size payload bytes, none of which follow.
+func headerSwap(dst io.Writer, src io.Reader, at, as transport.MsgType, size uint32) error {
+	var hdr [5]byte
+	for {
+		if _, err := io.ReadFull(src, hdr[:]); err != nil {
+			return err
+		}
+		if transport.MsgType(hdr[0]) == at {
+			hdr[0] = byte(as)
+			binary.LittleEndian.PutUint32(hdr[1:], size)
+			_, err := dst.Write(hdr[:])
+			return err
+		}
+		if _, err := dst.Write(hdr[:]); err != nil {
+			return err
+		}
+		if _, err := io.CopyN(dst, src, int64(binary.LittleEndian.Uint32(hdr[1:]))); err != nil {
+			return err
+		}
+	}
+}
+
+// TestHostileServerFramesCapped: a server frame whose header announces more
+// than the protocol state allows is refused from the header alone — a busy
+// answer in place of the architecture frame, the window announcement, and
+// an inference's answer, whose cap is the tag plus a label per output wire
+// and sample at the batch cap. The announced payload never arrives, so a
+// client that tried to read it would wait for its deadline instead.
+func TestHostileServerFramesCapped(t *testing.T) {
+	defer testutil.VerifyNoLeaks(t)()
+	model := testNet(t, act.ReLU, 21)
+	srv := &Server{Net: model, Fmt: fixed.Default}
+	prog, err := srv.Program()
+	if err != nil {
+		t.Fatal(err)
+	}
+	const oversized = 1 << 20
+	const tag = binary.MaxVarintLen64
+	for _, tc := range []struct {
+		name   string
+		at, as transport.MsgType
+		limit  int
+	}{
+		{"busy", transport.MsgArch, transport.MsgBusy, tag},
+		{"pipeline", transport.MsgPipeline, transport.MsgPipeline, 2 * tag},
+		{"outputs", transport.MsgInferOutputs, transport.MsgInferOutputs, tag + int(prog.Stats.Outputs)*DefaultMaxBatch*gc.LabelSize},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			cEnd, toClient := net.Pipe()
+			toServer, sEnd := net.Pipe()
+			defer func() {
+				for _, c := range []net.Conn{cEnd, toClient, toServer, sEnd} {
+					c.Close()
+				}
+			}()
+			cEnd.SetDeadline(time.Now().Add(5 * time.Second))
+			go srv.ServeSession(transport.New(sEnd))                   //nolint:errcheck — the server's session dies with the pipes
+			go io.Copy(toServer, toClient)                             //nolint:errcheck — the client's frames go through untouched
+			go headerSwap(toClient, toServer, tc.at, tc.as, oversized) //nolint:errcheck
+			_, _, err := (&Client{}).Infer(transport.New(cEnd), []float64{0.5, -0.25, 0.75, -1, 0.125, 0.3})
+			want := fmt.Sprintf("transport: %v frame of %d bytes exceeds its limit of %d", tc.as, oversized, tc.limit)
+			if err == nil || err.Error() != want {
+				t.Fatalf("err = %v, want %q", err, want)
 			}
 		})
 	}

@@ -14,7 +14,6 @@ import (
 	"deepsecure/internal/circuit"
 	"deepsecure/internal/fixed"
 	"deepsecure/internal/gc"
-	"deepsecure/internal/gc/bank"
 	"deepsecure/internal/netgen"
 	"deepsecure/internal/nn"
 	"deepsecure/internal/ot"
@@ -247,11 +246,11 @@ func referenceSerialRun(t *testing.T, net *nn.Network, xs [][]float64, poolCfg p
 		if err := otp.Cover(otr); err != nil {
 			t.Fatal(err)
 		}
-		src, err := bank.NewLive(rng, 1, prog.Schedule, pool)
+		g, err := gc.NewBatchGarbler(rng, 1)
 		if err != nil {
 			t.Fatal(err)
 		}
-		consts, err := src.Consts(nil)
+		consts, err := g.AppendConstLabels(nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -260,7 +259,8 @@ func referenceSerialRun(t *testing.T, net *nn.Network, xs [][]float64, poolCfg p
 		}
 		en := &garbleEngine{
 			sched:     prog.Schedule,
-			src:       src,
+			g:         g,
+			pool:      pool,
 			conn:      gConn,
 			ots:       otp,
 			otr:       otr,

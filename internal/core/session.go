@@ -38,7 +38,6 @@ import (
 	"deepsecure/internal/circuit"
 	"deepsecure/internal/fixed"
 	"deepsecure/internal/gc"
-	"deepsecure/internal/gc/bank"
 	"deepsecure/internal/netgen"
 	"deepsecure/internal/nn"
 	"deepsecure/internal/obs"
@@ -264,19 +263,6 @@ type Stats struct {
 	// kernel calls — the hash-core cost alone, transport waits and OT
 	// excluded.
 	GateTime time.Duration
-
-	// Garble-ahead execution banks (client-side): inferences served from
-	// a pre-garbled banked execution vs. ones that fell back to live
-	// garbling (bank disabled, drained or short of the batch), and the
-	// offline wall time this client spent garbling executions into
-	// the bank since the session opened. A bank hit pays no online
-	// garbling, so its GateTime contribution is zero. The bank is shared
-	// per program across the client's sessions, so concurrent sessions'
-	// refill time overlaps in BankRefillTime the way pipelined traffic
-	// overlaps in byte counts.
-	BankHits       int64
-	BankMisses     int64
-	BankRefillTime time.Duration
 }
 
 // GatesPerSec returns the crypto-core throughput: gate-instances (AND +
@@ -291,9 +277,8 @@ func (st *Stats) GatesPerSec() float64 {
 
 // StatsOf reads a Stats out of a ledger — an inference's, a session's, a
 // server's: the one place the fields are told which counter they are. An
-// input step is one observation of the ot_derand phase and a banked
-// execution one of bank_refill, so those histograms hold the online OT and
-// the bank refill figures. Duration is the finished server sessions' wall
+// input step is one observation of the ot_derand phase, so that histogram
+// holds the online OT figures. Duration is the finished server sessions' wall
 // time; a client session or inference, which is still running or was timed
 // by its caller, overwrites it.
 func StatsOf(s *obs.Set) *Stats {
@@ -314,9 +299,6 @@ func StatsOf(s *obs.Set) *Stats {
 		OTRefills:       s.OTRefills.Value(),
 		OTBatches:       derand.Count(),
 		GateTime:        time.Duration(s.GateTime.Value()),
-		BankHits:        s.BankHits.Value(),
-		BankMisses:      s.BankMisses.Value(),
-		BankRefillTime:  time.Duration(s.Phase[obs.PhaseBankRefill].Sum()),
 	}
 }
 
@@ -521,7 +503,6 @@ type Client struct {
 
 	mu    sync.Mutex
 	progs map[string]*compiled
-	banks map[string]*bank.Bank
 	bases []senderBaseEntry // most recently used first, at most maxClientBases
 	set   *obs.Set          // the client's ledger, made on first use
 }
@@ -570,8 +551,7 @@ func (c *Client) resume(id baseID, conn transport.FrameConn, nonce ot.Nonce) *ot
 	return e.base.Session(conn, nonce)
 }
 
-// ledger returns the client's ledger: the parent of its sessions' ledgers
-// and the one its banks record in.
+// ledger returns the client's ledger: the parent of its sessions' ledgers.
 func (c *Client) ledger() *obs.Set {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -581,45 +561,16 @@ func (c *Client) ledger() *obs.Set {
 	return c.set
 }
 
-// bankFor returns the client's garble-ahead bank for the given spec,
-// creating it (empty — sessions fill it) on first use. Like the
-// compiled program, one bank is shared by every session of the same
-// model: banked executions are program-scoped, not session-scoped.
-func (c *Client) bankFor(specData []byte, prog *netgen.Program) *bank.Bank {
-	key := string(specData)
-	set := c.ledger()
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if b, ok := c.banks[key]; ok {
-		return b
-	}
-	if c.banks == nil {
-		c.banks = make(map[string]*bank.Bank)
-	}
-	b := bank.New(prog.Schedule, rngOrDefault(c.Rng), c.Engine.newPool(), c.Engine.Bank)
-	b.SetMetrics(set)
-	c.banks[key] = b
-	return b
-}
-
-// Close releases the client's garble-ahead banks and its OT base
-// correlations: background refills stop, every banked execution and every
-// base seed is zeroed.
-// Open sessions keep working — their takes just miss and fall back to
-// live garbling — and the next session with each server pays the base
-// phase again.
+// Close releases the client's OT base correlations: every base seed is
+// zeroed. Open sessions keep working, and the next session with each server
+// pays the base phase again.
 func (c *Client) Close() {
 	c.mu.Lock()
-	banks := c.banks
-	c.banks = nil
+	defer c.mu.Unlock()
 	for _, e := range c.bases {
 		e.base.Zero()
 	}
 	c.bases = nil
-	c.mu.Unlock()
-	for _, b := range banks {
-		b.Close()
-	}
 }
 
 // compiled is one spec's entry in the client's program cache: whoever gets
@@ -707,12 +658,6 @@ type Session struct {
 	chunkBuf []byte
 	labelBuf []byte
 	tagBuf   []byte
-
-	// Garble-ahead execution bank (nil when EngineConfig.Bank is off):
-	// shared per program across the client's sessions; bankRefill0 is its
-	// refill time at session start, so Stats reports what was spent since.
-	bank        *bank.Bank
-	bankRefill0 time.Duration
 }
 
 // clientOTConn is the client session's OT-protocol face: a passthrough
@@ -804,6 +749,12 @@ func (c *Client) NewSession(conn *transport.Conn) (sess *Session, err error) {
 	// half of the OT nonce that is the client's to keep from repeating.
 	cid := c.sessions.Add(1)
 	offered := c.baseIDs()
+	// Every server frame is bounded before it arrives, so that a header
+	// announcing more is refused unread: a busy answer is one uvarint, the
+	// window announcement two, and an inference's answer is bounded once the
+	// program and the batch cap are known (the OT pool bounds its own
+	// ot-ext-u frames).
+	conn.SetLimit(transport.MsgBusy, binary.MaxVarintLen64)
 	if err := conn.Send(transport.MsgHello, helloFrame(cid, offered)); err != nil {
 		return nil, err
 	}
@@ -825,6 +776,7 @@ func (c *Client) NewSession(conn *transport.Conn) (sess *Session, err error) {
 	id := baseID(arch[digestSize:])
 	sid := binary.BigEndian.Uint64(arch[archHeader-8:])
 	specData := arch[archHeader:]
+	conn.SetLimit(transport.MsgPipeline, 2*binary.MaxVarintLen64)
 	cp, err := c.program(specData)
 	if err != nil {
 		return nil, err
@@ -853,6 +805,8 @@ func (c *Client) NewSession(conn *transport.Conn) (sess *Session, err error) {
 	if announcedBatch < uint64(maxBatch) {
 		maxBatch = int(announcedBatch)
 	}
+	// An answer is the inference tag and a label per output wire and sample.
+	conn.SetLimit(transport.MsgInferOutputs, binary.MaxVarintLen64+int(prog.Stats.Outputs)*maxBatch*gc.LabelSize)
 	s := &Session{
 		conn:     conn,
 		rng:      rng,
@@ -904,18 +858,6 @@ func (c *Client) NewSession(conn *transport.Conn) (sess *Session, err error) {
 		return nil, &PoolMismatchError{Announced: otp.Width(), Compiled: compiled}
 	}
 	s.ots = otp
-	// Garble-ahead bank: the initial fill is this session's offline
-	// cost, paid at setup like the OT pool fill above (and AFTER it, so
-	// with a shared deterministic rng the draw sequence matches a
-	// bank-off session's — the transcript-conformance property).
-	if c.Engine.Bank.Enabled() {
-		bk := c.bankFor(specData, prog)
-		s.bankRefill0 = bankRefillTime(bk) // before the fill: its cost is this session's offline time
-		if err := bk.Fill(); err != nil {
-			return nil, err
-		}
-		s.bank = bk
-	}
 	return s, nil
 }
 
@@ -947,7 +889,7 @@ type PendingInference struct {
 	flushed time.Time // garbled stream fully on the wire; starts the output round-trip
 
 	// set is the inference's own ledger, under the session's: its gates,
-	// kernel time, bank outcome and latency. before is the session's
+	// kernel time and latency. before is the session's
 	// read-out when the inference began — the wire and the OT pool are the
 	// session's, so the inference's share of them is what they moved while
 	// it was in flight.
@@ -1175,31 +1117,13 @@ func (s *Session) InferBatchAsync(xs [][]float64) (*PendingBatch, error) {
 	if err != nil {
 		return fail(err)
 	}
-	// Table source. Garble-ahead fast path: b banked executions
-	// (all-or-nothing) already hold the samples' deltas, labels and full
-	// table streams, so the online work is label selection and copying
-	// tables into the stream. They are off the bank for good: released
-	// when this call returns, mid-stream error included — single-use,
-	// never re-issued. A miss (bank off, drained or short) garbles live.
-	var src bank.Source
-	if s.bank != nil {
-		if exs := s.bank.TakeN(b, p.set); exs != nil {
-			defer func() {
-				for _, ex := range exs {
-					ex.Release()
-				}
-			}()
-			src = bank.Banked(s.prog.Schedule, exs)
-		}
+	// The batch's garbler: every sample's delta and constant-wire labels are
+	// drawn now, every input wire's labels when its step is reached.
+	g, err := gc.NewBatchGarbler(s.rng, b)
+	if err != nil {
+		return fail(err)
 	}
-	hit := src != nil
-	if src == nil {
-		if src, err = bank.NewLive(s.rng, b, s.prog.Schedule, s.pool); err != nil {
-			return fail(err)
-		}
-	}
-	streamStart := time.Now()
-	constPayload, err := src.Consts(s.labelBuf[:0])
+	constPayload, err := g.AppendConstLabels(s.labelBuf[:0])
 	if err != nil {
 		return fail(err)
 	}
@@ -1209,7 +1133,8 @@ func (s *Session) InferBatchAsync(xs [][]float64) (*PendingBatch, error) {
 	}
 	en := &garbleEngine{
 		sched:     s.prog.Schedule,
-		src:       src,
+		g:         g,
+		pool:      s.pool,
 		conn:      conn,
 		ots:       s.ots,
 		otr:       otr,
@@ -1232,26 +1157,16 @@ func (s *Session) InferBatchAsync(xs [][]float64) (*PendingBatch, error) {
 	s.chunkBuf = en.cur
 	s.labelBuf = en.labelBuf
 	// Keep only what output authentication needs — the deltas and the
-	// output zero-labels: the garbler (with its schedule-sized label
-	// array) or the banked material is released here, not when the
-	// outputs return. Gate-instance counts derive from the schedule,
-	// walked once per sample.
-	p.deltas = src.Deltas()
+	// output zero-labels: the garbler's schedule-sized label array is
+	// released here, not when the outputs return. Gate-instance counts
+	// derive from the schedule, walked once per sample.
+	p.deltas = g.R
 	p.outZero = en.outZero
 	p.set.GatesAnd.Add(s.prog.Schedule.ANDs * int64(b))
 	p.set.GatesFree.Add((int64(len(s.prog.Schedule.Gates)) - s.prog.Schedule.ANDs) * int64(b))
-	if hit {
-		// A hit's online cost IS the streaming — label selection, table
-		// copies and writes, garbling excluded: the garble_bank phase
-		// covers the walk and its flush. It garbles nothing online, so it
-		// adds no gate time while the gate counters still report the
-		// circuit's size.
-		p.set.Phase[obs.PhaseGarbleBank].Observe(int64(p.flushed.Sub(streamStart)))
-	} else {
-		p.set.GateTime.Add(int64(en.gateTime))
-		p.set.Phase[obs.PhaseGarbleLive].Observe(int64(en.gateTime))
-		p.set.Phase[obs.PhaseTableWrite].Observe(int64(en.writeTime))
-	}
+	p.set.GateTime.Add(int64(en.gateTime))
+	p.set.Phase[obs.PhaseGarbleLive].Observe(int64(en.gateTime))
+	p.set.Phase[obs.PhaseTableWrite].Observe(int64(en.writeTime))
 	s.inflight = append(s.inflight, p)
 	return &PendingBatch{p: p}, nil
 }
@@ -1315,29 +1230,7 @@ func (s *Session) Close() error {
 func (s *Session) Stats() *Stats {
 	st := StatsOf(s.set)
 	st.Duration = time.Since(s.start)
-	if s.bank != nil {
-		st.BankRefillTime = bankRefillTime(s.bank) - s.bankRefill0
-	}
 	return st
-}
-
-// bankRefillTime reads the wall time spent garbling executions into b off
-// its ledger: an execution banked is one observation of the bank_refill
-// phase.
-func bankRefillTime(b *bank.Bank) time.Duration {
-	return time.Duration(b.Metrics().Phase[obs.PhaseBankRefill].Sum())
-}
-
-// FillBank synchronously refills the session's garble-ahead bank to its
-// configured depth — an explicit offline phase for callers that know a
-// request burst is coming and want every inference in it to hit the
-// bank; it is the only refill of a bank without Background. Without a
-// bank it is a no-op.
-func (s *Session) FillBank() error {
-	if s.bank == nil {
-		return nil
-	}
-	return s.bank.Fill()
 }
 
 // Infer classifies one sample over a fresh single-inference session

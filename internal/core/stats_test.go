@@ -15,12 +15,10 @@ import (
 func TestStatsOfCoversEveryField(t *testing.T) {
 	s := obs.NewSet(nil)
 	for _, c := range []*obs.Counter{s.BytesSent, s.BytesReceived, s.SessionTime, s.GatesAnd, s.GatesFree,
-		s.Inferences, s.SessionsResumed, s.ResumeMisses, s.OTOfflineTime, s.OTPooled, s.OTConsumed, s.OTRefills, s.GateTime,
-		s.BankHits, s.BankMisses} {
+		s.Inferences, s.SessionsResumed, s.ResumeMisses, s.OTOfflineTime, s.OTPooled, s.OTConsumed, s.OTRefills, s.GateTime} {
 		c.Add(3)
 	}
 	s.Phase[obs.PhaseOTDerand].Observe(5)
-	s.Phase[obs.PhaseBankRefill].Observe(7)
 	rv := reflect.ValueOf(StatsOf(s)).Elem()
 	for i := 0; i < rv.NumField(); i++ {
 		if rv.Field(i).Int() == 0 {
@@ -30,9 +28,8 @@ func TestStatsOfCoversEveryField(t *testing.T) {
 }
 
 // GatesPerSec must return 0 — not +Inf or NaN — when no kernel time was
-// recorded, which happens legitimately: a session whose every inference
-// hit the garble-ahead bank pays no online garbling, and a snapshot
-// taken before the first level completes has GateTime == 0.
+// recorded, which happens legitimately: a snapshot taken before the first
+// level completes has GateTime == 0.
 func TestGatesPerSecZeroGateTime(t *testing.T) {
 	cases := []struct {
 		name string

@@ -5,7 +5,7 @@
 // live view.
 //
 // The package imports nothing outside the standard library and nothing
-// from deepsecure, so every layer — transport, OT pools, banks, engines,
+// from deepsecure, so every layer — transport, OT pools, engines,
 // server — records into it without import cycles. Hot-path
 // instrumentation is allocation-free: histogram buckets are preallocated
 // at registration and an observation is one bounds scan plus two atomic

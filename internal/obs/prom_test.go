@@ -99,7 +99,6 @@ func TestHTTPEndpoints(t *testing.T) {
 	for _, want := range []string{
 		"deepsecure_inference_seconds_bucket",
 		"deepsecure_sessions_active",
-		"deepsecure_bank_hits_total",
 		"deepsecure_ot_pool_depth",
 		`deepsecure_bytes_total{direction="sent"}`,
 		`deepsecure_phase_seconds_bucket{phase="ot_derand"`,

@@ -21,12 +21,9 @@ var Default = NewRegistry()
 type Phase uint8
 
 const (
-	// PhaseGarbleLive is the garbler's live per-level crypto (the
-	// engine's GateTime) when an inference misses the bank.
+	// PhaseGarbleLive is the garbler's per-level crypto (the garbling
+	// engine's GateTime).
 	PhaseGarbleLive Phase = iota
-	// PhaseGarbleBank is the garbler's online cost on a bank hit:
-	// label selection plus streaming the pre-garbled tables.
-	PhaseGarbleBank
 	// PhaseTableWrite is time spent pushing garbled-table chunks into
 	// the transport on the garbler side.
 	PhaseTableWrite
@@ -43,9 +40,6 @@ const (
 	// PhaseOutputRoundTrip is the client's wait from final flush to
 	// decoded output.
 	PhaseOutputRoundTrip
-	// PhaseBankRefill is background garble-ahead bank refill work, per
-	// pre-garbled execution.
-	PhaseBankRefill
 	// PhaseOTRefill is OT pool refill work, per extension run.
 	PhaseOTRefill
 
@@ -54,13 +48,11 @@ const (
 
 var phaseNames = [numPhases]string{
 	"garble_live",
-	"garble_bank",
 	"table_write",
 	"table_read",
 	"ot_derand",
 	"eval",
 	"output_roundtrip",
-	"bank_refill",
 	"ot_refill",
 }
 
@@ -73,7 +65,7 @@ func (p Phase) String() string {
 
 // DefaultLatencyBounds are the shared latency bucket edges in
 // nanoseconds, 50µs to 60s roughly ×2–2.5 apart: tight enough at the
-// bottom for bank-hit streaming and single derand exchanges, wide
+// bottom for single derand exchanges, wide
 // enough at the top for WAN-model batched inferences. p50/p95/p99 are
 // derived from these buckets by linear interpolation.
 var DefaultLatencyBounds = []int64{
@@ -94,7 +86,7 @@ const (
 )
 
 // Set is one ledger of the serving metric set. Sets form a tree —
-// inference → session → server (or the client's bank) → Root — and an
+// inference → session → server (or client) → Root — and an
 // event recorded in a set also lands in each of its ancestors, so every
 // count is written at one site, once, and every surface is a read-out of
 // some set: core.Stats of an inference's or a session's, server.Stats of a
@@ -124,10 +116,6 @@ type Set struct {
 	OTConsumed  *Counter
 	OTRefills   *Counter
 
-	BankHits, BankMisses *Counter // samples, like Inferences
-	BankAvailable        *Gauge
-	BankRefills          *Counter
-
 	AdmissionQueueDepth *Gauge
 	SessionsQueued      *Counter
 	SessionsShed        *Counter
@@ -141,10 +129,8 @@ type Set struct {
 
 	// Counted like the rest and read by the Stats read-outs, but not
 	// exported as series: OT offline time (base phase, refill crypto and
-	// exchanges; ns), bank fill rounds and the wall time of finished server
-	// sessions (ns).
+	// exchanges; ns) and the wall time of finished server sessions (ns).
 	OTOfflineTime *Counter
-	BankFills     *Counter
 	SessionTime   *Counter
 
 	// Every series in creation order, so that a child finds its twin.
@@ -245,15 +231,6 @@ func newSet(reg *Registry, p *Set) *Set {
 	s.OTRefills = counter(Desc{Name: "deepsecure_ot_refills_total",
 		Help: "OT pool refill runs (setup fills and background refills)."})
 
-	s.BankHits = counter(Desc{Name: "deepsecure_bank_hits_total",
-		Help: "Inferences served from a pre-garbled bank entry."})
-	s.BankMisses = counter(Desc{Name: "deepsecure_bank_misses_total",
-		Help: "Inferences that fell back to live garbling with a bank configured."})
-	s.BankAvailable = gauge(Desc{Name: "deepsecure_bank_available",
-		Help: "Pre-garbled executions currently banked."})
-	s.BankRefills = counter(Desc{Name: "deepsecure_bank_refills_total",
-		Help: "Executions garbled ahead into banks (setup fills and background refills)."})
-
 	s.AdmissionQueueDepth = gauge(Desc{Name: "deepsecure_admission_queue_depth",
 		Help: "Sessions currently waiting in the admission queue."})
 	s.SessionsQueued = counter(Desc{Name: "deepsecure_sessions_queued_total",
@@ -274,14 +251,13 @@ func newSet(reg *Registry, p *Set) *Set {
 		Scale: 1e-9})
 
 	s.OTOfflineTime = counter(Desc{})
-	s.BankFills = counter(Desc{})
 	s.SessionTime = counter(Desc{})
 	return s
 }
 
 // Panicked converts a recovered panic value into a session error and
 // counts it. Every session-owned goroutine boundary (mux reader,
-// evaluation contexts, scheduler chunks, bank/OT refill workers) funnels
+// evaluation contexts, scheduler chunks, OT refill workers) funnels
 // its recover() through here, so deepsecure_panics_total is the single
 // "a bug fired but the process kept serving" signal. The returned error
 // carries the panic site and value; the goroutine stack goes to stderr
@@ -324,10 +300,6 @@ func ServingLine(s Snapshot) string {
 	}
 	if p := cv("deepsecure_panics_total"); p > 0 {
 		fmt.Fprintf(&b, " panics=%d", p)
-	}
-	hits, misses := cv("deepsecure_bank_hits_total"), cv("deepsecure_bank_misses_total")
-	if hits+misses > 0 {
-		fmt.Fprintf(&b, " bank_hit=%.0f%%", 100*float64(hits)/float64(hits+misses))
 	}
 	fmt.Fprintf(&b, " ot_pool=%d", cv("deepsecure_ot_pool_depth", Label{"role", "receiver"}))
 	gates := cv("deepsecure_gates_total", Label{"kind", "and"}) +

@@ -9,21 +9,20 @@ import (
 
 	"deepsecure/internal/core"
 	"deepsecure/internal/fixed"
-	"deepsecure/internal/gc/bank"
 	"deepsecure/internal/obs"
 	"deepsecure/internal/ot/precomp"
 	"deepsecure/internal/transport"
 )
 
 // TestOneLedger runs one of everything through an in-process client and
-// server — serial, pipelined at window 2 and batched inferences, a bank hit
-// and a batched bank miss, an OT pool that refills mid-session, a queued, a
-// shed and a failed session — and then checks that there is one set of
-// books: for every additive series with a Stats field, what the process
-// registry gained over the test is what the client sessions' Stats and the
-// server's Stats report, added up field for field. Along the way: an
-// inference's own Stats reports its own gates and bank outcome even with
-// another in flight, and a closed session's ledger no longer moves.
+// server — serial, pipelined at window 2 and batched inferences, an OT pool
+// that refills mid-session, a queued, a shed and a failed session — and then
+// checks that there is one set of books: for every additive series with a
+// Stats field, what the process registry gained over the test is what the
+// client sessions' Stats and the server's Stats report, added up field for
+// field. Along the way: an inference's own Stats reports its own gates and
+// garble time even with another in flight, and a closed session's ledger no
+// longer moves.
 func TestOneLedger(t *testing.T) {
 	model := testModel(t)
 	// 944 weight bits per sample against a pool of 2000: a refill every
@@ -50,13 +49,11 @@ func TestOneLedger(t *testing.T) {
 	ands, total := srv.ProgramStats()
 	before := obs.Default.Snapshot()
 
-	// Session 1: a banked, pipelining client. The bank holds two
-	// executions and is not refilled, so takes go hit, hit, miss, and the
-	// batch of three finds it empty.
+	// Session 1: a pipelining, batching client.
 	rng := rand.New(rand.NewSource(31))
-	banked := &core.Client{Engine: core.EngineConfig{Pipeline: 2, MaxBatch: 4, Bank: bank.Config{Depth: 2}}}
-	defer banked.Close()
-	sess1, nc1, err := openSession(t, banked, addr)
+	pipelined := &core.Client{Engine: core.EngineConfig{Pipeline: 2, MaxBatch: 4}}
+	defer pipelined.Close()
+	sess1, nc1, err := openSession(t, pipelined, addr)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -98,29 +95,23 @@ func TestOneLedger(t *testing.T) {
 	}
 
 	// Each inference's Stats is that inference's, whatever else was in
-	// flight: one walk of the circuit per sample, and its own bank outcome
-	// (a hit garbles nothing online).
+	// flight: one walk of the circuit per sample, garbled online.
 	for _, c := range []struct {
-		name               string
-		st                 *core.Stats
-		samples            int64
-		hits, misses       int64
-		wantOnlineGarbling bool
+		name    string
+		st      *core.Stats
+		samples int64
 	}{
-		{"Infer", st0, 1, 1, 0, false},
-		{"InferAsync a", sta, 1, 1, 0, false},
-		{"InferAsync b", stb, 1, 0, 1, true},
-		{"InferBatch(3)", stBatch, 3, 0, 3, true},
+		{"Infer", st0, 1},
+		{"InferAsync a", sta, 1},
+		{"InferAsync b", stb, 1},
+		{"InferBatch(3)", stBatch, 3},
 	} {
 		if c.st.Inferences != c.samples || c.st.ANDGates != c.samples*ands || c.st.FreeGates != c.samples*(total-ands) {
 			t.Errorf("%s: %d inference(s), %d AND, %d free gates; want %d, %d, %d", c.name,
 				c.st.Inferences, c.st.ANDGates, c.st.FreeGates, c.samples, c.samples*ands, c.samples*(total-ands))
 		}
-		if c.st.BankHits != c.hits || c.st.BankMisses != c.misses {
-			t.Errorf("%s: %d bank hit(s), %d miss(es); want %d, %d", c.name, c.st.BankHits, c.st.BankMisses, c.hits, c.misses)
-		}
-		if (c.st.GateTime > 0) != c.wantOnlineGarbling {
-			t.Errorf("%s: gate time %v, online garbling expected: %v", c.name, c.st.GateTime, c.wantOnlineGarbling)
+		if c.st.GateTime <= 0 {
+			t.Errorf("%s: gate time %v, want the online garbling's", c.name, c.st.GateTime)
 		}
 		if c.st.OTsConsumed < c.samples*944 || c.st.BytesSent == 0 || c.st.Duration <= 0 {
 			t.Errorf("%s: session share not populated: %+v", c.name, c.st)
@@ -239,8 +230,6 @@ func TestOneLedger(t *testing.T) {
 		{"OTs pooled", delta("deepsecure_ot_pooled_total"), func(s *core.Stats) int64 { return s.OTsPooled }},
 		{"OTs consumed", delta("deepsecure_ot_consumed_total"), func(s *core.Stats) int64 { return s.OTsConsumed }},
 		{"OT refills", delta("deepsecure_ot_refills_total"), func(s *core.Stats) int64 { return s.OTRefills }},
-		{"bank hits", delta("deepsecure_bank_hits_total"), func(s *core.Stats) int64 { return s.BankHits }},
-		{"bank misses", delta("deepsecure_bank_misses_total"), func(s *core.Stats) int64 { return s.BankMisses }},
 	} {
 		sum := c.field(&server.Stats)
 		for _, cl := range clients {
@@ -269,9 +258,9 @@ func TestOneLedger(t *testing.T) {
 			t.Errorf("%s: the registry gained %d, server Stats says %d, want %d", c.what, c.root, c.stat, c.want)
 		}
 	}
-	// What the test set up, so the sums above are not vacuous: two hits
-	// and four misses in samples, refills beyond each side's setup fill.
-	if s := clients[0]; s.BankHits != 2 || s.BankMisses != 4 || s.Inferences != 6 || s.OTRefills < 3 {
+	// What the test set up, so the sums above are not vacuous: refills
+	// beyond each side's setup fill.
+	if s := clients[0]; s.Inferences != 6 || s.OTRefills < 3 {
 		t.Errorf("session 1: %+v", s)
 	}
 	if server.Inferences != 7 || server.OTRefills < 4 {
