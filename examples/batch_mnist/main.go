@@ -49,7 +49,7 @@ func main() {
 
 	xs := set.TestX[:batchSize]
 
-	// Serial reference: one session, one sub-stream per sample (the
+	// Serial reference: one session, one inference per sample (the
 	// handshake and OT base phase are still paid once, and consecutive
 	// inferences pipeline — but every sample walks the schedule and
 	// round-trips its own OT exchanges).

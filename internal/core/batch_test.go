@@ -48,8 +48,8 @@ func batchSessionRun(t *testing.T, xs [][]float64, poolCfg precomp.PoolConfig, c
 
 // TestBatchSize1Conformance is the B=1 transcript pin: from the same rng
 // seeds, a session that classifies x with Infer and one that classifies it
-// with InferBatch([x]) put the same bytes on the wire — frame types,
-// tags and payloads, client→server and back. A lone inference IS a batch
+// with InferBatch([x]) put the same bytes on the wire — frame types and
+// payloads, client→server and back. A lone inference IS a batch
 // of one. Chained with
 // TestPipelineDepth1Conformance, which pins the session stream to a
 // serial run of the raw building blocks, this anchors every batch size's
@@ -147,7 +147,7 @@ func TestBatchMatchesPlaintext(t *testing.T) {
 
 // TestBatchComposesWithPipeline interleaves one-sample and batched
 // inferences on one pipelined session: a batch occupies one window slot
-// and the results resolve per sub-stream, in any arrival order.
+// and the results resolve per inference, in begin order.
 func TestBatchComposesWithPipeline(t *testing.T) {
 	f := fixed.Default
 	net := testNet(t, act.ReLU, 73)
@@ -355,10 +355,9 @@ func TestBatchServerEnforcesMax(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		// Bypass the client's own validation: begin inference 1 with B
+		// Bypass the client's own validation: begin an inference of B
 		// samples at a server that announced 2.
-		payload := transport.AppendTag(transport.AppendTag(nil, 1), tc.b)
-		if err := sess.conn.Send(transport.MsgInferBegin, payload); err != nil {
+		if err := sess.conn.Send(transport.MsgInferBegin, binary.AppendUvarint(nil, tc.b)); err != nil {
 			t.Fatal(err)
 		}
 		if err := sess.conn.Flush(); err != nil {
@@ -384,8 +383,8 @@ func TestBatchServerEnforcesMax(t *testing.T) {
 func TestSessionFrameCapsRefuseBeforeAllocating(t *testing.T) {
 	net := testNet(t, act.ReLU, 77)
 	for _, typ := range []transport.MsgType{
-		transport.MsgInferBegin, transport.MsgInferConst, transport.MsgInferInputs,
-		transport.MsgInferMasked, transport.MsgEndSession,
+		transport.MsgInferBegin, transport.MsgConstLabels, transport.MsgInputLabels,
+		transport.MsgOTMasked, transport.MsgEndSession,
 	} {
 		c2s, s2c := newLogHalf(), newLogHalf()
 		srv := &Server{Net: net, Fmt: fixed.Default, Rng: rand.New(rand.NewSource(95)), Engine: EngineConfig{MaxBatch: 2}}

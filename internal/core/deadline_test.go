@@ -104,12 +104,12 @@ func TestInferenceDeadlineCutsStalledClient(t *testing.T) {
 	if _, err := cli.NewSession(cConn); err != nil {
 		t.Fatalf("open session: %v", err)
 	}
-	// Begin inference 1 and send only its const labels: the evaluator now
+	// Begin an inference and send only its const labels: the evaluator now
 	// waits for garbler-input frames that never come.
-	if err := cConn.Send(transport.MsgInferBegin, transport.AppendTag(transport.AppendTag(nil, 1), 1)); err != nil {
+	if err := cConn.Send(transport.MsgInferBegin, []byte{1}); err != nil {
 		t.Fatal(err)
 	}
-	if err := cConn.SendTagged(transport.MsgInferConst, 1, make([]byte, 2*gc.LabelSize)); err != nil {
+	if err := cConn.Send(transport.MsgConstLabels, make([]byte, 2*gc.LabelSize)); err != nil {
 		t.Fatal(err)
 	}
 	if err := cConn.Flush(); err != nil {

@@ -8,7 +8,6 @@ import (
 
 	"deepsecure/internal/circuit"
 	"deepsecure/internal/gc"
-	"deepsecure/internal/obs"
 	"deepsecure/internal/ot"
 	"deepsecure/internal/ot/precomp"
 	"deepsecure/internal/sched"
@@ -21,7 +20,7 @@ import (
 // which never materialises its netlist), the engine executes the compiled
 // circuit.Schedule as a staged pipeline:
 //
-//	garbler:   [garble workers] → chunk buffer → [writer goroutine] → conn
+//	garbler:   [garble workers] → chunk buffer → conn
 //	evaluator: conn → table cursor → [eval workers]
 //
 // There is one garble-side walk and one eval-side walk, both over a batch
@@ -38,12 +37,13 @@ import (
 // each level on a gc.Pool, as the evaluating engine holds a
 // gc.BatchEvaluator; the only offline work is the OT pool.
 //
-// Completed table chunks stream to the peer while the next level is being
-// garbled, and on the evaluator the session's reader keeps the session's
-// FIFO — one bounded ring of table frames — ahead of the worker pool, so
-// neither AES throughput nor transport latency idles the other. Input, OT,
-// and output steps are barriers executed on the engine's goroutine,
-// exactly where the tape recorded them.
+// The garbling goroutine sends each completed table chunk itself and
+// garbles the next level into the same buffer once the transport has taken
+// it, so a garbling session keeps one chunk resident; on the evaluator
+// the session's reader keeps the session's FIFO — one bounded ring of table
+// frames — ahead of the worker pool, so transport latency does not idle the
+// level kernel. Input, OT, and output steps are barriers executed on the
+// engine's goroutine, exactly where the tape recorded them.
 //
 // Determinism: hash tweaks and table offsets come from the schedule
 // (GIDBase + in-level rank), and chunk flushing depends only on the
@@ -57,8 +57,8 @@ type EngineConfig struct {
 	// in-line mode.
 	Workers int
 	// ChunkBytes is the garbled-table streaming chunk size: the garbler
-	// hands a table buffer to its writer goroutine whenever it grows past
-	// this threshold (at a level boundary). 0 defaults to 1 MiB. Both
+	// sends its table buffer as one frame whenever it grows past this
+	// threshold (at a level boundary). 0 defaults to 1 MiB. Both
 	// parties may use different values; the evaluator reassembles frames
 	// regardless of their boundaries. Every non-test caller runs the
 	// default; the field stays because the conformance tests force chunk
@@ -156,68 +156,6 @@ func (c EngineConfig) chunkBytes() int {
 	return tableChunk
 }
 
-// tableWriter streams finished table chunks on a dedicated goroutine so
-// transport writes overlap the next level's garbling. Buffers cycle
-// through the free channel (transport.Conn has written or copied a payload
-// by the time Send returns, so a chunk is reusable the moment it does).
-// The evaluator has no counterpart (the session reader fills the FIFO ahead
-// of it); on this side nothing in-process stands in for the goroutine's overlap
-// with socket back-pressure, and a trial with both forks forced inline (26.4
-// vs 27.1 inf/s median on tanh_lan at -procs 2, six alternating pairs spread
-// 23.8–29.0) did not resolve either way — so it stays.
-type tableWriter struct {
-	ch   chan []byte
-	done chan error
-	free chan []byte
-
-	// elapsed accumulates wall time inside Send calls — the garbler's
-	// table_write phase. Written only by the writer goroutine; readable
-	// after finish returns.
-	elapsed time.Duration
-}
-
-func startTableWriter(conn transport.FrameConn, free chan []byte) *tableWriter {
-	w := &tableWriter{
-		ch:   make(chan []byte, 2),
-		done: make(chan error, 1),
-		free: free,
-	}
-	go func() {
-		var err error
-		for buf := range w.ch {
-			if err == nil {
-				// Contain writer panics into the stream error: the engine
-				// goroutine is blocked on done (or the ch send) and an
-				// escaped panic here would strand it mid-inference.
-				err = func() (err error) {
-					defer func() {
-						if v := recover(); v != nil {
-							err = obs.Panicked("core: table writer", v)
-						}
-					}()
-					t0 := time.Now()
-					err = conn.Send(transport.MsgTables, buf)
-					w.elapsed += time.Since(t0)
-					return err
-				}()
-			}
-			select {
-			case w.free <- buf[:0]:
-			default:
-			}
-		}
-		w.done <- err
-	}()
-	return w
-}
-
-// finish closes the stream and waits for the writer to drain; after it
-// returns the caller owns the connection again.
-func (w *tableWriter) finish() error {
-	close(w.ch)
-	return <-w.done
-}
-
 // garbleEngine runs the garbler's side of one inference of b = g.B()
 // samples over a compiled schedule; the session reuses its buffers across
 // inferences.
@@ -238,16 +176,13 @@ type garbleEngine struct {
 
 	labelBuf []byte
 	outZero  []gc.Label // wire-major, samples innermost
-
-	cur  []byte      // table chunk being filled
-	free chan []byte // recycled chunk buffers
+	cur      []byte     // the table chunk being filled
 
 	// gateTime accumulates the wall time of the per-level GarbleLevel
 	// calls — the hash-core cost this inference paid, transport excluded.
 	gateTime time.Duration
 	// writeTime accumulates wall time pushing table chunks into the
-	// transport (the table_write phase; from the writer goroutine when
-	// the engine is parallel).
+	// transport (the table_write phase).
 	writeTime time.Duration
 }
 
@@ -322,46 +257,17 @@ func (en *garbleEngine) doOutputs(st *circuit.Step) error {
 	return nil
 }
 
-// grab returns an empty chunk buffer: a spent one the writer has handed
-// back, or a new one sized for the streaming chunk plus slack.
-func (en *garbleEngine) grab() []byte {
-	select {
-	case buf := <-en.free:
-		return buf
-	default:
-		chunk := en.cfg.chunkBytes()
-		return make([]byte, 0, chunk+chunk/4)
-	}
-}
-
-// doLevels garbles one run of gate levels for the whole batch, streaming
-// table chunks through the writer goroutine while subsequent levels are
-// garbled; each level contributes b times its TableBytes.
-func (en *garbleEngine) doLevels(st *circuit.Step) (err error) {
+// doLevels garbles one run of gate levels for the whole batch, sending a
+// table chunk whenever the buffer grows past the chunk size and at the run's
+// end; each level contributes b times its TableBytes. One buffer serves every
+// chunk: transport.Conn has written or copied a payload by the time Send
+// returns.
+func (en *garbleEngine) doLevels(st *circuit.Step) error {
 	for _, w := range st.PreDrops {
 		en.g.Drop(w)
 	}
 	b := en.g.B()
 	chunk := en.cfg.chunkBytes()
-	async := en.cfg.workers() > 1
-	var wr *tableWriter
-	if async {
-		wr = startTableWriter(en.conn, en.free)
-	}
-	emit := func(buf []byte) error {
-		if async {
-			wr.ch <- buf
-			return nil
-		}
-		t0 := time.Now()
-		err := en.conn.Send(transport.MsgTables, buf)
-		en.writeTime += time.Since(t0)
-		select {
-		case en.free <- buf[:0]:
-		default:
-		}
-		return err
-	}
 	cur := en.cur[:0]
 	if cur == nil {
 		// A session's first run: one buffer of the run's size (a chunk's at
@@ -369,7 +275,8 @@ func (en *garbleEngine) doLevels(st *circuit.Step) (err error) {
 		// one inference would climb and throw away every time.
 		cur = make([]byte, 0, min(st.TableBytes*b, chunk+chunk/4))
 	}
-	for li := st.First; li < st.First+st.N && err == nil; li++ {
+	end := st.First + st.N
+	for li := st.First; li < end; li++ {
 		lv := &en.sched.Levels[li]
 		ands, frees := en.sched.LevelGates(lv)
 		need := lv.TableBytes() * b
@@ -379,36 +286,26 @@ func (en *garbleEngine) doLevels(st *circuit.Step) (err error) {
 		}
 		cur = cur[:off+need]
 		t0 := time.Now()
-		err = en.g.GarbleLevel(ands, frees, lv.GIDBase, cur[off:], en.pool)
+		err := en.g.GarbleLevel(ands, frees, lv.GIDBase, cur[off:], en.pool)
 		en.gateTime += time.Since(t0)
 		if err != nil {
-			break
+			return err
 		}
 		for _, w := range lv.Drops {
 			en.g.Drop(w)
 		}
-		if len(cur) >= chunk {
-			if err = emit(cur); err != nil {
-				break
+		if len(cur) >= chunk || li == end-1 && len(cur) > 0 {
+			t0 := time.Now()
+			err := en.conn.Send(transport.MsgTables, cur)
+			en.writeTime += time.Since(t0)
+			if err != nil {
+				return err
 			}
-			cur = en.grab()
+			cur = cur[:0]
 		}
 	}
-	if err == nil && len(cur) > 0 {
-		err = emit(cur)
-		cur = nil
-	}
-	if async {
-		// Always drain the writer, even on error, so it never outlives
-		// the inference or races the main goroutine for the connection.
-		werr := wr.finish()
-		en.writeTime += wr.elapsed
-		if err == nil {
-			err = werr
-		}
-	}
-	en.cur = en.grab()
-	return err
+	en.cur = cur
+	return nil
 }
 
 // evalEngine runs the evaluator's side of one inference of b = e.B()

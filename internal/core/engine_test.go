@@ -298,7 +298,6 @@ func runEngines(t *testing.T, sched *circuit.Schedule, gBits, eBits []bool, cfg 
 		t.Fatalf("workers=%d: pool fill: %v", workers, err)
 	}
 	pool := cfg.newPool()
-	free := make(chan []byte, 3)
 	for k := 0; k < nInfer; k++ {
 		g, err := gc.NewBatchGarbler(rng, 1)
 		if err != nil {
@@ -320,7 +319,6 @@ func runEngines(t *testing.T, sched *circuit.Schedule, gBits, eBits []bool, cfg 
 			otr:       otp.Reserve(1),
 			cfg:       cfg,
 			inputBits: [][]bool{gBits},
-			free:      free,
 		}
 		if err := en.run(); err != nil {
 			t.Fatalf("workers=%d infer %d: garble engine: %v", workers, k, err)
@@ -378,8 +376,8 @@ func engineTestConfig(workers int) EngineConfig {
 // netlists must produce (a) plaintext-correct outputs, (b) identical
 // outputs under Workers=1 and Workers=4, and (c) byte-identical wire
 // traffic in both directions between the two modes. Run it with -race:
-// the Workers=4 mode exercises the garble pool + writer goroutine and
-// the evaluate pool concurrently.
+// the Workers=4 mode exercises the garble pool and the evaluate pool
+// concurrently.
 func TestEngineConformance(t *testing.T) {
 	iters := 12
 	if testing.Short() {

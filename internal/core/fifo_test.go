@@ -53,33 +53,33 @@ func openRawSession(t *testing.T, srv *Server, cli *Client) (*Session, <-chan er
 	return sess, done, closer
 }
 
-func sendBegin(t *testing.T, c *transport.Conn, id uint64, batch int) {
+func sendBegin(t *testing.T, c *transport.Conn, batch int) {
 	t.Helper()
-	if err := c.Send(transport.MsgInferBegin, transport.AppendTag(transport.AppendTag(nil, id), uint64(batch))); err != nil {
+	if err := c.Send(transport.MsgInferBegin, binary.AppendUvarint(nil, uint64(batch))); err != nil {
 		t.Fatal(err)
 	}
 }
 
-// sendBurstPrefix writes inference id's frames up to, not including, its
-// first level run: const labels and every input step before it, of the
+// sendBurstPrefix writes the begun inference's frames up to, not including,
+// its first level run: const labels and every input step before it, of the
 // right sizes and arbitrary content (the pool unmasks anything). It returns
 // that run's table budget.
-func sendBurstPrefix(t *testing.T, c *transport.Conn, sched *circuit.Schedule, id uint64) int {
+func sendBurstPrefix(t *testing.T, c *transport.Conn, sched *circuit.Schedule) int {
 	t.Helper()
 	send := func(typ transport.MsgType, n int) {
-		if err := c.SendTagged(typ, id, make([]byte, n)); err != nil {
+		if err := c.Send(typ, make([]byte, n)); err != nil {
 			t.Fatal(err)
 		}
 	}
-	send(transport.MsgInferConst, 2*gc.LabelSize)
+	send(transport.MsgConstLabels, 2*gc.LabelSize)
 	for i := range sched.Steps {
 		switch st := &sched.Steps[i]; {
 		case st.Kind == circuit.StepLevels:
 			return st.TableBytes
 		case st.Kind == circuit.StepInputs && st.Party == circuit.Garbler:
-			send(transport.MsgInferInputs, len(st.Wires)*gc.LabelSize)
+			send(transport.MsgInputLabels, len(st.Wires)*gc.LabelSize)
 		case st.Kind == circuit.StepInputs:
-			send(transport.MsgInferMasked, len(st.Wires)*2*ot.MsgLen)
+			send(transport.MsgOTMasked, len(st.Wires)*2*ot.MsgLen)
 		}
 	}
 	t.Fatal("schedule has no level run")
@@ -127,7 +127,7 @@ func TestSessionGoroutinesAreThree(t *testing.T) {
 		peak = max(peak, n)
 		mu.Unlock()
 	}
-	evalPanicHook = func(uint64, int) { // runs on the session goroutine
+	evalPanicHook = func(int) { // runs on the session goroutine
 		sample()
 		begun++
 	}
@@ -188,7 +188,7 @@ func TestPipelineDepth2Transcript(t *testing.T) {
 	}
 	split := func(raw []byte) (pool, outputs [][]byte) {
 		for _, fr := range parseFrames(t, raw) {
-			if fr.typ == transport.MsgInferOutputs {
+			if fr.typ == transport.MsgOutputLabels {
 				outputs = append(outputs, fr.payload)
 			} else {
 				pool = append(pool, append([]byte{byte(fr.typ)}, fr.payload...))
@@ -207,11 +207,6 @@ func TestPipelineDepth2Transcript(t *testing.T) {
 			poolB, outB := split(e2gB)
 			if len(outA) != len(xs) || len(poolA) < 5 {
 				t.Fatalf("%d output frames and %d set-up and refill frames for %d inferences", len(outA), len(poolA), len(xs))
-			}
-			for i, out := range outA {
-				if id, _, _ := transport.SplitTag(out); id != uint64(i+1) {
-					t.Fatalf("answer %d is for inference %d: answers must come back in begin order", i+1, id)
-				}
 			}
 			same := func(what string, a, b [][]byte) {
 				if len(a) != len(b) {
@@ -256,47 +251,52 @@ func TestFIFOIllegalSequences(t *testing.T) {
 		want string // substring of ServeSession's error; empty = a clean end
 	}{
 		{"begin directly after begin", func(t *testing.T, sess *Session, _ io.Closer) {
-			sendBegin(t, sess.conn, 1, 1)
-			sendBegin(t, sess.conn, 2, 1)
-		}, "protocol desync mid-inference 1: got infer-begin frame"},
+			sendBegin(t, sess.conn, 1)
+			sendBegin(t, sess.conn, 1)
+		}, "protocol desync mid-inference: got infer-begin frame"},
 		{"frame for an answered inference", func(t *testing.T, sess *Session, _ io.Closer) {
 			inferOnce(t, sess)
-			if err := sess.conn.SendTagged(transport.MsgInferTables, 1, []byte("junk")); err != nil {
+			if err := sess.conn.Send(transport.MsgTables, []byte("junk")); err != nil {
 				t.Fatal(err)
 			}
 		}, "tables frame between inferences"},
 		{"frame for an id never begun", func(t *testing.T, sess *Session, _ io.Closer) {
-			sendBegin(t, sess.conn, 1, 1)
-			if err := sess.conn.SendTagged(transport.MsgInferConst, 2, make([]byte, 2*gc.LabelSize)); err != nil {
+			// Frames carry no id: a frame with no inference begun is one
+			// between inferences.
+			if err := sess.conn.Send(transport.MsgConstLabels, make([]byte, 2*gc.LabelSize)); err != nil {
 				t.Fatal(err)
 			}
-		}, "unknown inference 2 (the latest begun is 1)"},
+		}, "const-labels frame between inferences"},
 		{"frame for an inference whose burst is over", func(t *testing.T, sess *Session, _ io.Closer) {
+			// A late const-labels frame after the next begin reads as that
+			// inference's own; its second is out of step with the schedule.
 			inferOnce(t, sess)
-			sendBegin(t, sess.conn, 2, 1)
-			if err := sess.conn.SendTagged(transport.MsgInferConst, 1, make([]byte, 2*gc.LabelSize)); err != nil {
-				t.Fatal(err)
+			sendBegin(t, sess.conn, 1)
+			for range 2 {
+				if err := sess.conn.Send(transport.MsgConstLabels, make([]byte, 2*gc.LabelSize)); err != nil {
+					t.Fatal(err)
+				}
 			}
-		}, "unknown inference 1 (the latest begun is 2)"},
+		}, "protocol desync mid-inference: got const-labels frame"},
 		{"table flood past the run budget", func(t *testing.T, sess *Session, _ io.Closer) {
-			sendBegin(t, sess.conn, 1, 1)
-			budget := sendBurstPrefix(t, sess.conn, sched, 1)
+			sendBegin(t, sess.conn, 1)
+			budget := sendBurstPrefix(t, sess.conn, sched)
 			for i := 0; i < 2*ringFrames; i++ { // each within the frame cap, the first already past the run
-				if err := sess.conn.SendTagged(transport.MsgInferTables, 1, make([]byte, budget+gc.TableSize)); err != nil {
+				if err := sess.conn.Send(transport.MsgTables, make([]byte, budget+gc.TableSize)); err != nil {
 					t.Fatal(err)
 				}
 			}
 		}, "garbled-table overrun"},
 		{"end-session with an inference open", func(t *testing.T, sess *Session, _ io.Closer) {
-			sendBegin(t, sess.conn, 1, 1)
-			sendBurstPrefix(t, sess.conn, sched, 1)
+			sendBegin(t, sess.conn, 1)
+			sendBurstPrefix(t, sess.conn, sched)
 			if err := sess.conn.Send(transport.MsgEndSession, nil); err != nil {
 				t.Fatal(err)
 			}
-		}, "session ended mid-inference 1"},
+		}, "session ended mid-inference"},
 		{"disconnect mid-inference", func(t *testing.T, sess *Session, closer io.Closer) {
-			sendBegin(t, sess.conn, 1, 1)
-			sendBurstPrefix(t, sess.conn, sched, 1)
+			sendBegin(t, sess.conn, 1)
+			sendBurstPrefix(t, sess.conn, sched)
 			if err := sess.conn.Flush(); err != nil {
 				t.Fatal(err)
 			}
@@ -330,13 +330,12 @@ func TestFIFOIllegalSequences(t *testing.T) {
 }
 
 // TestWindowValidation drives the session reader alone — the window is its
-// two integers — through begin (a begin frame), check (a tagged frame) and
-// close (what the writer does before an answer goes out): unknown, duplicate
-// and out-of-window ids are refused with descriptive errors.
+// one integer — through begin (a begin frame), frame (a frame of the open
+// inference) and close (what the writer does before an answer goes out): a
+// begin past the window is refused with a descriptive error.
 func TestWindowValidation(t *testing.T) {
 	type op struct {
-		kind    string // begin | check | close
-		id      uint64
+		kind    string // begin | frame | close
 		wantErr string // substring; empty = must succeed
 	}
 	for _, tc := range []struct {
@@ -345,31 +344,16 @@ func TestWindowValidation(t *testing.T) {
 		ops   []op
 	}{
 		{"serial begin-close cycles", 1, []op{
-			{"begin", 1, ""}, {"check", 1, ""}, {"close", 1, ""},
-			{"begin", 2, ""}, {"check", 2, ""}, {"close", 2, ""},
+			{"begin", ""}, {"frame", ""}, {"close", ""},
+			{"begin", ""}, {"frame", ""}, {"close", ""},
 		}},
 		{"overlap within depth", 2, []op{
-			{"begin", 1, ""}, {"check", 1, ""}, {"begin", 2, ""}, {"check", 2, ""},
-			{"close", 1, ""}, {"begin", 3, ""},
-		}},
-		{"duplicate begin", 2, []op{
-			{"begin", 1, ""}, {"begin", 1, "duplicate inference id 1"},
-		}},
-		{"replayed closed id", 2, []op{
-			{"begin", 1, ""}, {"close", 1, ""}, {"begin", 1, "duplicate inference id 1"},
-		}},
-		{"skip-ahead id", 2, []op{
-			{"begin", 1, ""}, {"begin", 3, "skips ahead"},
+			{"begin", ""}, {"frame", ""}, {"begin", ""}, {"frame", ""},
+			{"close", ""}, {"begin", ""},
 		}},
 		{"begin past the window", 2, []op{
-			{"begin", 1, ""}, {"begin", 2, ""},
-			{"begin", 3, "exceeds the in-flight window (depth 2)"},
-		}},
-		{"frame for unbegun inference", 2, []op{
-			{"begin", 1, ""}, {"check", 2, "unknown inference 2"},
-		}},
-		{"frame for closed inference", 2, []op{
-			{"begin", 1, ""}, {"close", 1, ""}, {"begin", 2, ""}, {"check", 1, "unknown inference 1"},
+			{"begin", ""}, {"begin", ""},
+			{"begin", "exceeds the in-flight window (depth 2)"},
 		}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
@@ -381,15 +365,14 @@ func TestWindowValidation(t *testing.T) {
 				cfg:  EngineConfig{Pipeline: tc.depth},
 				fifo: make(chan frame, 16),
 				stop: make(chan struct{}),
-				next: 1,
 			}
 			go m.readLoop()
 			for i, o := range tc.ops {
 				switch o.kind {
 				case "begin":
-					sendBegin(t, cConn, o.id, 1)
-				case "check":
-					if err := cConn.SendTagged(transport.MsgInferConst, o.id, nil); err != nil {
+					sendBegin(t, cConn, 1)
+				case "frame":
+					if err := cConn.Send(transport.MsgConstLabels, nil); err != nil {
 						t.Fatal(err)
 					}
 				case "close":
@@ -402,11 +385,11 @@ func TestWindowValidation(t *testing.T) {
 				fr, ok := <-m.fifo
 				switch {
 				case o.wantErr == "" && !ok:
-					t.Fatalf("op %d %s(%d): unexpected error %v", i, o.kind, o.id, m.readErr)
-				case o.wantErr == "" && o.kind == "begin" && (fr.begin == nil || fr.begin.id != o.id):
-					t.Fatalf("op %d begin(%d): queued %+v", i, o.id, fr)
+					t.Fatalf("op %d %s: unexpected error %v", i, o.kind, m.readErr)
+				case o.wantErr == "" && (o.kind == "begin") != (fr.begin != nil):
+					t.Fatalf("op %d %s: queued %+v", i, o.kind, fr)
 				case o.wantErr != "" && (ok || m.readErr == nil || !strings.Contains(m.readErr.Error(), o.wantErr)):
-					t.Fatalf("op %d %s(%d): error %v, want substring %q", i, o.kind, o.id, m.readErr, o.wantErr)
+					t.Fatalf("op %d %s: error %v, want substring %q", i, o.kind, m.readErr, o.wantErr)
 				}
 			}
 			closer.Close()
@@ -431,8 +414,8 @@ func TestPipelineWindowRejectsRunahead(t *testing.T) {
 		sess, done, closer := openRawSession(t, &Server{Net: net, Fmt: f, Rng: rand.New(rand.NewSource(81)), Engine: EngineConfig{Pipeline: 1}},
 			&Client{Rng: rand.New(rand.NewSource(82))})
 		defer closer.Close()
-		sendBegin(t, sess.conn, 1, 1)
-		sendBegin(t, sess.conn, 2, 1)
+		sendBegin(t, sess.conn, 1)
+		sendBegin(t, sess.conn, 1)
 		if err := sess.conn.Flush(); err != nil {
 			t.Fatal(err)
 		}
@@ -526,8 +509,8 @@ func TestUndersizedPoolDegradesToSerial(t *testing.T) {
 	checkLeaks()
 }
 
-// TestTableFrameCapRefusesBeforeAllocating: a session caps infer-tables
-// frames at the largest level run of its program times the batch cap, so a
+// TestTableFrameCapRefusesBeforeAllocating: a session caps tables frames
+// at the largest level run of its program times the batch cap, so a
 // header announcing one byte more is refused unread — nothing allocated, the
 // session over with an error, no goroutine left — where it used to be read
 // into the ring whole, up to MaxFrame.
@@ -540,10 +523,10 @@ func TestTableFrameCapRefusesBeforeAllocating(t *testing.T) {
 		t.Fatal(err)
 	}
 	const maxBatch = 2
-	limit := binary.MaxVarintLen64
+	limit := 0
 	for i := range prog.Schedule.Steps {
 		if st := &prog.Schedule.Steps[i]; st.Kind == circuit.StepLevels {
-			limit = max(limit, binary.MaxVarintLen64+st.TableBytes*maxBatch)
+			limit = max(limit, st.TableBytes*maxBatch)
 		}
 	}
 	c2s, s2c := newLogHalf(), newLogHalf()
@@ -557,11 +540,11 @@ func TestTableFrameCapRefusesBeforeAllocating(t *testing.T) {
 	if _, err := (&Client{Rng: rand.New(rand.NewSource(96))}).NewSession(cConn); err != nil {
 		t.Fatal(err)
 	}
-	sendBegin(t, cConn, 1, maxBatch)
+	sendBegin(t, cConn, maxBatch)
 	if err := cConn.Flush(); err != nil {
 		t.Fatal(err)
 	}
-	hdr := [5]byte{byte(transport.MsgInferTables)}
+	hdr := [5]byte{byte(transport.MsgTables)}
 	binary.LittleEndian.PutUint32(hdr[1:], uint32(limit+1))
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
@@ -570,11 +553,11 @@ func TestTableFrameCapRefusesBeforeAllocating(t *testing.T) {
 	}
 	srvErr := <-done
 	runtime.ReadMemStats(&after)
-	if want := fmt.Sprintf("transport: infer-tables frame of %d bytes exceeds its limit of %d", limit+1, limit); srvErr == nil || srvErr.Error() != want {
+	if want := fmt.Sprintf("transport: tables frame of %d bytes exceeds its limit of %d", limit+1, limit); srvErr == nil || srvErr.Error() != want {
 		t.Fatalf("server error = %v, want %q", srvErr, want)
 	}
 	if grew := after.TotalAlloc - before.TotalAlloc; grew > 1<<20 {
-		t.Errorf("refusing an oversized infer-tables header allocated %d bytes", grew)
+		t.Errorf("refusing an oversized tables header allocated %d bytes", grew)
 	}
 	c2s.close()
 	s2c.close()
@@ -591,7 +574,7 @@ func swapAnswers(from, to *transport.Conn) {
 		if err != nil {
 			return
 		}
-		if typ == transport.MsgInferOutputs && !swapped {
+		if typ == transport.MsgOutputLabels && !swapped {
 			if held == nil {
 				held = &wireFrame{typ, payload}
 				continue
@@ -608,9 +591,9 @@ func swapAnswers(from, to *transport.Conn) {
 
 // TestOutOfOrderAnswerRefused: answers come back in begin order, so the
 // client authenticates an output frame against its oldest in-flight
-// inference only. A server that answers inference 2 first is a protocol
-// error — Wait fails, the session is broken — not a scheduling artefact to
-// search the window for.
+// inference only. A server that answers inference 2 first sends labels that
+// inference 1's deltas do not authenticate — Wait fails, the session is
+// broken — not a scheduling artefact to search the window for.
 func TestOutOfOrderAnswerRefused(t *testing.T) {
 	checkLeaks := testutil.VerifyNoLeaks(t)
 	f := fixed.Default
@@ -634,8 +617,8 @@ func TestOutOfOrderAnswerRefused(t *testing.T) {
 	if _, err := sess.InferAsync(randomSample(rng)); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := p1.Wait(); err == nil || !strings.Contains(err.Error(), "output frame for inference 2 ahead of inference 1's") {
-		t.Fatalf("Wait on swapped answers = %v, want the begin-order refusal", err)
+	if _, _, err := p1.Wait(); err == nil || !strings.Contains(err.Error(), "failed authentication") && !strings.Contains(err.Error(), "output-label frame has") {
+		t.Fatalf("Wait on swapped answers = %v, want an authentication or length failure", err)
 	}
 	if _, err := sess.InferAsync(randomSample(rng)); err == nil || !strings.Contains(err.Error(), "session is broken") {
 		t.Fatalf("InferAsync after an out-of-order answer = %v, want a broken session", err)

@@ -2,6 +2,7 @@ package core
 
 import (
 	"crypto/sha256"
+	"encoding/binary"
 	"encoding/hex"
 	"fmt"
 	"math/rand"
@@ -21,12 +22,20 @@ import (
 // byte: the sha256 of the client→server stream of a fixed-rng session over
 // the "small" model — two single inferences, then one batch of three — at
 // Workers 1 and 4. The pool holds all five samples, so no refill draws the
-// client rng mid-session. The value was recorded while the engine still
-// garbled through a table-source interface with a garble-ahead bank beside
-// it; a change that means to move the client's bytes (the netlist, the
-// frames, the rng draw order) re-records it.
+// client rng mid-session. A change that means to move the client's bytes
+// (the netlist, the frames, the rng draw order) re-records want.
+//
+// wantEngine pins the same stream with the session framing dropped (hello,
+// begin and end; stripTags), re-serialized frame by frame as type, 4-byte
+// little-endian length, payload: the OT set-up and the engine's frames. It
+// was recorded while every inference frame carried an inference tag and the
+// garbler wrote its tables from a goroutine of its own, so it holds the
+// engine's bytes to what they were before both went.
 func TestGarbleTranscriptPinned(t *testing.T) {
-	const want = "37cd42e9948456cb37fd44da6ebb9ac07799f7550981de52eacbc051150545da"
+	const (
+		want       = "32ab527c3ecb3e2e0633fbec775a1f0bc651ea1685832e3a798d89d064f3dc2e"
+		wantEngine = "6e0c8b93b65cc814917b62feb923f806343efea7e8b0e10f7e2f65888ee1f454"
+	)
 	net, err := benchmarks.ByName("small")
 	if err != nil {
 		t.Fatal(err)
@@ -88,6 +97,16 @@ func TestGarbleTranscriptPinned(t *testing.T) {
 		sum := sha256.Sum256(sent)
 		if got := hex.EncodeToString(sum[:]); got != want {
 			t.Errorf("workers=%d: client→server transcript of %d bytes hashes to %s, pinned %s", workers, len(sent), got, want)
+		}
+		var engine []byte
+		for _, fr := range stripTags(t, parseFrames(t, sent)) {
+			engine = append(engine, byte(fr.typ))
+			engine = binary.LittleEndian.AppendUint32(engine, uint32(len(fr.payload)))
+			engine = append(engine, fr.payload...)
+		}
+		sum = sha256.Sum256(engine)
+		if got := hex.EncodeToString(sum[:]); got != wantEngine {
+			t.Errorf("workers=%d: the engine's %d of those bytes hash to %s, pinned %s", workers, len(engine), got, wantEngine)
 		}
 	}
 }
@@ -152,7 +171,7 @@ func TestEvaluatorZeroLabelsHaveColourZero(t *testing.T) {
 			t.Fatal(err)
 		}
 		en := &garbleEngine{sched: sched, g: g, pool: gc.NewPool(1), conn: gConn, ots: otp, otr: otp.Reserve(b),
-			cfg: EngineConfig{Workers: 1}, inputBits: gBits, free: make(chan []byte, 3)}
+			cfg: EngineConfig{Workers: 1}, inputBits: gBits}
 		if err := en.run(); err != nil {
 			t.Fatal(err)
 		}

@@ -11,6 +11,7 @@ import (
 	"deepsecure/internal/act"
 	"deepsecure/internal/fixed"
 	"deepsecure/internal/gc"
+	"deepsecure/internal/nn"
 	"deepsecure/internal/testutil"
 	"deepsecure/internal/transport"
 )
@@ -119,11 +120,12 @@ func headerSwap(dst io.Writer, src io.Reader, at, as transport.MsgType, size uin
 }
 
 // TestHostileServerFramesCapped: a server frame whose header announces more
-// than the protocol state allows is refused from the header alone — a busy
-// answer in place of the architecture frame, the window announcement, and
-// an inference's answer, whose cap is the tag plus a label per output wire
-// and sample at the batch cap. The announced payload never arrives, so a
-// client that tried to read it would wait for its deadline instead.
+// than the protocol state allows is refused from the header alone — the
+// architecture frame past its header and nn.MaxSpecBytes, a busy answer in
+// its place, the window announcement, and an inference's answer, whose cap
+// is a label per output wire and sample at the batch cap. The announced
+// payload never arrives, so a client that tried to read it would wait for
+// its deadline instead.
 func TestHostileServerFramesCapped(t *testing.T) {
 	defer testutil.VerifyNoLeaks(t)()
 	model := testNet(t, act.ReLU, 21)
@@ -132,16 +134,17 @@ func TestHostileServerFramesCapped(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	const oversized = 1 << 20
-	const tag = binary.MaxVarintLen64
+	const oversized = archHeader + nn.MaxSpecBytes + 1
+	const uvarint = binary.MaxVarintLen64
 	for _, tc := range []struct {
 		name   string
 		at, as transport.MsgType
 		limit  int
 	}{
-		{"busy", transport.MsgArch, transport.MsgBusy, tag},
-		{"pipeline", transport.MsgPipeline, transport.MsgPipeline, 2 * tag},
-		{"outputs", transport.MsgInferOutputs, transport.MsgInferOutputs, tag + int(prog.Stats.Outputs)*DefaultMaxBatch*gc.LabelSize},
+		{"arch", transport.MsgArch, transport.MsgArch, archHeader + nn.MaxSpecBytes},
+		{"busy", transport.MsgArch, transport.MsgBusy, uvarint},
+		{"pipeline", transport.MsgPipeline, transport.MsgPipeline, 2 * uvarint},
+		{"outputs", transport.MsgOutputLabels, transport.MsgOutputLabels, int(prog.Stats.Outputs) * DefaultMaxBatch * gc.LabelSize},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			cEnd, toClient := net.Pipe()
@@ -152,9 +155,9 @@ func TestHostileServerFramesCapped(t *testing.T) {
 				}
 			}()
 			cEnd.SetDeadline(time.Now().Add(5 * time.Second))
-			go srv.ServeSession(transport.New(sEnd))                   //nolint:errcheck — the server's session dies with the pipes
-			go io.Copy(toServer, toClient)                             //nolint:errcheck — the client's frames go through untouched
-			go headerSwap(toClient, toServer, tc.at, tc.as, oversized) //nolint:errcheck
+			go srv.ServeSession(transport.New(sEnd))                           //nolint:errcheck — the server's session dies with the pipes
+			go io.Copy(toServer, toClient)                                     //nolint:errcheck — the client's frames go through untouched
+			go headerSwap(toClient, toServer, tc.at, tc.as, uint32(oversized)) //nolint:errcheck
 			_, _, err := (&Client{}).Infer(transport.New(cEnd), []float64{0.5, -0.25, 0.75, -1, 0.125, 0.3})
 			want := fmt.Sprintf("transport: %v frame of %d bytes exceeds its limit of %d", tc.as, oversized, tc.limit)
 			if err == nil || err.Error() != want {

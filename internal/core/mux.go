@@ -26,12 +26,13 @@ import (
 //	       └─▶ OT pool (refill answers, banked in wire order)
 //
 // A client garbles an inference to completion and flushes before it begins
-// the next, so frames of two inferences never interleave: the tag on a
-// frame is checked, nothing is routed by it. What the in-flight window
-// (EngineConfig.Pipeline) buys is the round trip and the evaluation tail —
-// through the ring, inference k+1's burst arrives while k's last levels are
-// evaluated and its outputs travel back. The window is two integers: the id
-// the next begin must carry and the count of begun-but-unanswered
+// the next, so frames of two inferences never interleave and frame order is
+// all that ties a frame to its inference: the frames after a begin are that
+// inference's, and a frame that arrives when no inference is open is a
+// protocol error. What the in-flight window (EngineConfig.Pipeline) buys is
+// the round trip and the evaluation tail — through the ring, inference k+1's
+// burst arrives while k's last levels are evaluated and its outputs travel
+// back. The window is one integer, the count of begun-but-unanswered
 // inferences. More cores are reached inside an inference (level fan-out on
 // internal/sched) and through more sessions, never by a second evaluator on
 // this one. What the server writes is a function of what it read, up to
@@ -65,9 +66,8 @@ import (
 // sessions").
 const ringFrames = 4
 
-// frame is one entry of the FIFO: an admitted begin, or a frame of the
-// latest begun inference with its tag checked and stripped and its type
-// mapped back to the logical (untagged) protocol type.
+// frame is one entry of the FIFO: an admitted begin, or one of the frames
+// that follow it.
 type frame struct {
 	typ     transport.MsgType
 	payload []byte
@@ -77,7 +77,6 @@ type frame struct {
 // inference is one begun inference of batch ≥ 1 samples: what the reader
 // fixed when its begin frame arrived.
 type inference struct {
-	id    uint64
 	batch int
 	otr   precomp.Range // its OT-pool entries
 	start time.Time     // arrival of its begin frame: latency and deadline run from here
@@ -98,15 +97,12 @@ type answer struct {
 var errRingClosed = errors.New("core: session ended")
 
 // ctxConn is the evaluation engine's view of the session connection while
-// inference id is being evaluated: a receive pops the FIFO, and it sends
+// an inference is being evaluated: a receive pops the FIFO, and it sends
 // nothing (what an inference writes goes through the writer's queue).
-type ctxConn struct {
-	m  *sessionMux
-	id uint64
-}
+type ctxConn struct{ m *sessionMux }
 
 func (v ctxConn) Send(t transport.MsgType, _ []byte) error {
-	return fmt.Errorf("core: evaluator sent a %v frame mid-inference %d", t, v.id)
+	return fmt.Errorf("core: evaluator sent a %v frame mid-inference", t)
 }
 
 func (v ctxConn) Flush() error { return nil }
@@ -119,14 +115,14 @@ func (v ctxConn) Recv(want transport.MsgType) ([]byte, error) {
 func (v ctxConn) RecvAny(want ...transport.MsgType) (transport.MsgType, []byte, error) {
 	f, err := v.m.pop()
 	if err != nil {
-		return 0, nil, fmt.Errorf("%w mid-inference %d", err, v.id)
+		return 0, nil, fmt.Errorf("%w mid-inference", err)
 	}
 	for _, w := range want {
 		if f.typ == w {
 			return f.typ, f.payload, nil
 		}
 	}
-	return 0, nil, fmt.Errorf("core: protocol desync mid-inference %d: got %v frame, want %v", v.id, f.typ, want)
+	return 0, nil, fmt.Errorf("core: protocol desync mid-inference: got %v frame, want %v", f.typ, want)
 }
 
 // sessionMux runs one session on the server: the reader, the FIFO, the
@@ -149,7 +145,6 @@ type sessionMux struct {
 	// writes it before it closes fifo, run reads it after.
 	readErr error
 
-	next uint64       // reader-owned: the id the next begin must carry
 	open atomic.Int32 // begun and not yet answered: what the window bounds
 
 	out  chan answer // the writer's queue, two entries per window slot (see send)
@@ -161,10 +156,8 @@ func newSessionMux(srv *Server, conn *transport.Conn, otp *precomp.ReceiverPool,
 	// header announcing more is refused unread: an input frame carries one
 	// step of every sample (a label per garbler wire, a masked pair per
 	// evaluator wire), so the widest step at the batch cap bounds it; a table
-	// frame never spans two level runs (garbleEngine.doLevels emits at every
-	// run's end, whatever its chunk size), so the largest run does; each
-	// after the inference tag.
-	const tag = binary.MaxVarintLen64
+	// frame never spans two level runs (garbleEngine.doLevels sends at every
+	// run's end, whatever its chunk size), so the largest run does.
 	batch := srv.Engine.MaxBatchSize()
 	labels := gc.LabelSize * batch
 	_, widestG := inputWires(sched, circuit.Garbler)
@@ -175,11 +168,11 @@ func newSessionMux(srv *Server, conn *transport.Conn, otp *precomp.ReceiverPool,
 			largestRun = max(largestRun, st.TableBytes)
 		}
 	}
-	conn.SetLimit(transport.MsgInferBegin, tag+binary.MaxVarintLen64)
-	conn.SetLimit(transport.MsgInferConst, tag+2*labels)
-	conn.SetLimit(transport.MsgInferInputs, tag+widestG*labels)
-	conn.SetLimit(transport.MsgInferMasked, tag+widestE*2*labels)
-	conn.SetLimit(transport.MsgInferTables, tag+min(transport.MaxFrame, largestRun*batch))
+	conn.SetLimit(transport.MsgInferBegin, binary.MaxVarintLen64)
+	conn.SetLimit(transport.MsgConstLabels, 2*labels)
+	conn.SetLimit(transport.MsgInputLabels, widestG*labels)
+	conn.SetLimit(transport.MsgOTMasked, widestE*2*labels)
+	conn.SetLimit(transport.MsgTables, min(transport.MaxFrame, largestRun*batch))
 	conn.SetLimit(transport.MsgEndSession, 0)
 	return &sessionMux{
 		conn:       conn,
@@ -192,7 +185,6 @@ func newSessionMux(srv *Server, conn *transport.Conn, otp *precomp.ReceiverPool,
 		set:        set,
 		fifo:       make(chan frame, ringFrames),
 		stop:       make(chan struct{}),
-		next:       1,
 		out:        make(chan answer, 2*srv.Engine.PipelineDepth()),
 		werr:       make(chan error, 1),
 	}
@@ -300,7 +292,7 @@ func (m *sessionMux) write(a answer) error {
 	// admission check must not refuse it. The client sends nothing further
 	// for this inference, so retiring first is safe.
 	m.open.Add(-1)
-	if err := m.conn.SendTagged(transport.MsgInferOutputs, a.inf.id, a.outputs); err != nil {
+	if err := m.conn.Send(transport.MsgOutputLabels, a.outputs); err != nil {
 		return err
 	}
 	if err := m.conn.Flush(); err != nil {
@@ -315,11 +307,12 @@ func (m *sessionMux) write(a answer) error {
 }
 
 // readLoop drains the connection into the FIFO: begins are admitted against
-// the window and get their pool range here, in begin order; the other
-// inference frames must carry the latest begun id; refill answers go to the
-// OT pool. It exits on end-of-session, disconnect or a protocol violation
-// and closes the FIFO, so a blocked evaluation fails fast instead of hanging
-// (a reader panic included, which would otherwise take the process down).
+// the window and get their pool range here, in begin order; the frames of an
+// inference's burst are queued behind its begin as they come; refill answers
+// go to the OT pool. It exits on end-of-session, disconnect or a protocol
+// violation and closes the FIFO, so a blocked evaluation fails fast instead
+// of hanging (a reader panic included, which would otherwise take the
+// process down).
 func (m *sessionMux) readLoop() {
 	defer func() {
 		if v := recover(); v != nil {
@@ -333,18 +326,15 @@ func (m *sessionMux) readLoop() {
 			m.readErr = err
 			return
 		}
-		f := frame{typ: logicalType(typ)}
+		f := frame{typ: typ, payload: payload}
 		switch typ {
 		case transport.MsgEndSession:
 			return
 		case transport.MsgInferBegin:
 			f.begin, err = m.admit(payload)
-		case transport.MsgInferConst, transport.MsgInferInputs, transport.MsgInferMasked, transport.MsgInferTables:
-			var id uint64
-			id, f.payload, err = transport.SplitTag(payload)
-			if err == nil && id != m.next-1 {
-				err = fmt.Errorf("core: %v frame tagged for unknown inference %d (the latest begun is %d)", typ, id, m.next-1)
-			}
+		case transport.MsgConstLabels, transport.MsgInputLabels, transport.MsgOTMasked, transport.MsgTables:
+			// The open inference's, or a protocol error when run pops it
+			// with none open.
 		case transport.MsgOTExtY:
 			// A refill answer, banked in wire order: the masked frames that
 			// need the new entries are behind it on the wire.
@@ -368,52 +358,28 @@ func (m *sessionMux) readLoop() {
 	}
 }
 
-// admit checks a begin frame — a well-formed (id, B), B within the announced
-// cap, the id the next in sequence, room in the window — and reserves the
-// inference's pool range: ranges go out in begin order, which is the order
-// the client reserved them in.
+// admit checks a begin frame — a well-formed B within the announced cap,
+// room in the window — and reserves the inference's pool range: ranges go
+// out in begin order, which is the order the client reserved them in.
 func (m *sessionMux) admit(payload []byte) (*inference, error) {
-	id, rest, tagErr := transport.SplitTag(payload)
-	bsz, n := binary.Uvarint(rest)
+	bsz, n := binary.Uvarint(payload)
 	depth := m.cfg.PipelineDepth()
 	switch limit := uint64(m.cfg.MaxBatchSize()); {
-	case tagErr != nil || n <= 0 || n != len(rest) || bsz < 1:
+	case n <= 0 || n != len(payload) || bsz < 1:
 		return nil, fmt.Errorf("core: malformed infer-begin payload (%d bytes)", len(payload))
 	case bsz > limit:
 		return nil, fmt.Errorf("core: batch of %d samples exceeds the announced maximum %d", bsz, limit)
-	case id < m.next:
-		return nil, fmt.Errorf("core: duplicate inference id %d (ids are single-use, next is %d)", id, m.next)
-	case id > m.next:
-		return nil, fmt.Errorf("core: inference id %d skips ahead (want %d; ids are sequential)", id, m.next)
 	case int(m.open.Load()) >= depth:
-		return nil, fmt.Errorf("core: inference id %d exceeds the in-flight window (depth %d)", id, depth)
+		return nil, fmt.Errorf("core: infer-begin exceeds the in-flight window (depth %d)", depth)
 	}
-	m.next++
 	m.open.Add(1)
-	return &inference{id: id, batch: int(bsz), otr: m.otp.Reserve(int(bsz)), start: time.Now()}, nil
-}
-
-// logicalType maps a tagged frame type to the logical protocol type the
-// engines were written against (the inverse of garbleConn.Send).
-func logicalType(t transport.MsgType) transport.MsgType {
-	switch t {
-	case transport.MsgInferConst:
-		return transport.MsgConstLabels
-	case transport.MsgInferInputs:
-		return transport.MsgInputLabels
-	case transport.MsgInferMasked:
-		return transport.MsgOTMasked
-	case transport.MsgInferTables:
-		return transport.MsgTables
-	default:
-		return t
-	}
+	return &inference{batch: int(bsz), otr: m.otp.Reserve(int(bsz)), start: time.Now()}, nil
 }
 
 // evalPanicHook, when set by a test, runs at the top of every evaluate
 // call — the seam the panic-containment pin uses to detonate inside one
 // session's evaluation.
-var evalPanicHook func(id uint64, batch int)
+var evalPanicHook func(batch int)
 
 // evaluate runs the evaluation engine over one inference's frames and
 // queues the output labels, under the inference's deadline.
@@ -423,13 +389,13 @@ func (m *sessionMux) evaluate(inf *inference) (err error) {
 	// through the normal path while every other session keeps serving.
 	defer func() {
 		if v := recover(); v != nil {
-			err = obs.Panicked(fmt.Sprintf("core: inference %d", inf.id), v)
+			err = obs.Panicked("core: inference", v)
 		}
 	}()
 	if evalPanicHook != nil {
-		evalPanicHook(inf.id, inf.batch)
+		evalPanicHook(inf.batch)
 	}
-	view := ctxConn{m, inf.id}
+	view := ctxConn{m}
 	// Before the first receive: the refills this range depends on.
 	if err := m.send(answer{inf: inf, cover: true}); err != nil {
 		return err

@@ -190,7 +190,7 @@ func testOneFlightWarmPool(t *testing.T) {
 	seenOutputs := false
 	for _, fr := range parseFrames(t, s2c) {
 		switch fr.typ {
-		case transport.MsgInferOutputs:
+		case transport.MsgOutputLabels:
 			seenOutputs = true
 		default:
 			if seenOutputs {
@@ -247,7 +247,7 @@ func testOneFlightZeroConfig(t *testing.T) {
 		}
 	}
 	follows("client→server", parseFrames(t, c2s), transport.MsgOTExtY, transport.MsgInferBegin, transport.MsgEndSession)
-	follows("server→client", parseFrames(t, s2c), transport.MsgOTExtU, transport.MsgInferOutputs)
+	follows("server→client", parseFrames(t, s2c), transport.MsgOTExtU, transport.MsgOutputLabels)
 	checkLeaks()
 }
 
@@ -555,7 +555,7 @@ func TestPoolRefillShapes(t *testing.T) {
 			if asked != answered || int64(asked) != srvStats.OTRefills {
 				t.Errorf("%d refills announced, %d answered, %d banked", asked, answered, srvStats.OTRefills)
 			}
-			if last := frames[len(frames)-1].typ; last != transport.MsgInferOutputs {
+			if last := frames[len(frames)-1].typ; last != transport.MsgOutputLabels {
 				t.Errorf("server's last frame is %v, want outputs", last)
 			}
 			checkLeaks()

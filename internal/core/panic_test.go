@@ -33,7 +33,7 @@ func TestEvalPanicTearsDownOnlyItsSession(t *testing.T) {
 	// The hook detonates only in batched contexts (batch == 2), so the
 	// batch client's session is deterministically the doomed one and the
 	// singles session never trips it.
-	evalPanicHook = func(id uint64, batch int) {
+	evalPanicHook = func(batch int) {
 		if batch == 2 {
 			panic("injected evaluation panic")
 		}
@@ -106,7 +106,7 @@ func TestEvalPanicTearsDownOnlyItsSession(t *testing.T) {
 		t.Errorf("doomed session error = %v, want a recovered-panic teardown error", doomedErr)
 	}
 	// The server goroutine is gone; release the client side if it is
-	// still blocked on the dead sub-stream.
+	// still blocked on the dead inference.
 	dCloser.Close()
 	<-doomedCliDone
 	if doomedCliErr == nil {

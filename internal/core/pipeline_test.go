@@ -48,28 +48,12 @@ func parseFrames(t *testing.T, raw []byte) []wireFrame {
 }
 
 // stripTags reduces one direction of a session's frame stream to its
-// engine-level content: session and sub-stream framing is dropped (hello
-// / arch / pipeline / begin / end — after validating payloads and tags),
-// tagged per-inference frames map to their untagged logical types with
-// the tag removed, and OT frames pass through. The garbler streams
-// inferences serially, so its tagged frames must carry the latest begun
-// id; the evaluator's output frames must tag inferences in begin order.
+// engine-level content: session framing is dropped (hello / arch /
+// pipeline / begin / end — after validating their payloads), and the
+// engines' frames and the OT frames pass through as they are.
 func stripTags(t *testing.T, frames []wireFrame) []wireFrame {
 	t.Helper()
 	var out []wireFrame
-	nextBegin := uint64(1)
-	nextOut := uint64(1)
-	cur := uint64(0) // latest begun inference in this direction
-	strip := func(f wireFrame, to transport.MsgType, wantID uint64) wireFrame {
-		id, content, err := transport.SplitTag(f.payload)
-		if err != nil {
-			t.Fatalf("%v frame: %v", f.typ, err)
-		}
-		if id != wantID {
-			t.Fatalf("%v frame tagged %d, want inference %d", f.typ, id, wantID)
-		}
-		return wireFrame{to, content}
-	}
 	for _, f := range frames {
 		switch f.typ {
 		case transport.MsgHello:
@@ -87,24 +71,10 @@ func stripTags(t *testing.T, frames []wireFrame) []wireFrame {
 				t.Fatalf("malformed pipeline payload %v", f.payload)
 			}
 		case transport.MsgInferBegin:
-			id, n := binary.Uvarint(f.payload)
-			if n <= 0 || id != nextBegin {
-				t.Fatalf("begin payload %v, want id %d", f.payload, nextBegin)
-			}
-			bsz, n2 := binary.Uvarint(f.payload[n:])
-			if n2 <= 0 || n+n2 != len(f.payload) || bsz < 1 {
+			if bsz, n := binary.Uvarint(f.payload); n <= 0 || n != len(f.payload) || bsz < 1 {
 				t.Fatalf("begin payload %v carries no valid sample count", f.payload)
 			}
-			cur = id
-			nextBegin++
-		case transport.MsgInferConst, transport.MsgInferInputs, transport.MsgInferMasked, transport.MsgInferTables:
-			out = append(out, strip(f, logicalType(f.typ), cur))
-		case transport.MsgInferOutputs:
-			out = append(out, strip(f, transport.MsgOutputLabels, nextOut))
-			nextOut++
 		default:
-			// Session-level OT traffic (base, extension, refill) is
-			// untagged and compares as-is.
 			out = append(out, f)
 		}
 	}
@@ -137,7 +107,7 @@ func (v refillBanking) RecvAny(want ...transport.MsgType) (transport.MsgType, []
 }
 
 // referenceSerialRun replays a strictly serial protocol from the raw
-// building blocks — shared OT extension and pools, untagged frames,
+// building blocks — shared OT extension and pools, no session framing,
 // strictly alternating inferences, refills announced where a session
 // announces them — recording both directions. Its randomness
 // consumption matches the session path's (base id, extension base phase,
@@ -266,7 +236,6 @@ func referenceSerialRun(t *testing.T, net *nn.Network, xs [][]float64, poolCfg p
 			otr:       otr,
 			cfg:       cfg,
 			inputBits: [][]bool{bits},
-			free:      make(chan []byte, 3),
 		}
 		if err := en.run(); err != nil {
 			t.Fatal(err)
@@ -321,13 +290,11 @@ func sessionRun(t *testing.T, net *nn.Network, xs [][]float64, poolCfg precomp.P
 }
 
 // TestPipelineDepth1Conformance pins pipeline depth 1 ≡ serial: at
-// depth 1 the session protocol's frame contents are byte-identical to a
-// strictly serial run of the engines modulo the sub-stream tags. The
-// reference stream is regenerated from the raw protocol building blocks,
-// and the session stream is reduced by dropping session framing and
-// stripping tags; the two frame sequences must then match byte-for-byte
-// in both directions — on a pool that never refills mid-session and on one
-// that does.
+// depth 1 the session protocol's frames are byte-identical to a strictly
+// serial run of the engines once the session framing is dropped. The
+// reference stream is regenerated from the raw protocol building blocks;
+// the two frame sequences must match byte-for-byte in both directions — on
+// a pool that never refills mid-session and on one that does.
 func TestPipelineDepth1Conformance(t *testing.T) {
 	net := testNet(t, act.ReLU, 61)
 	rng := rand.New(rand.NewSource(62))
@@ -495,37 +462,6 @@ func TestInferAsyncWindow(t *testing.T) {
 	wg.Wait()
 }
 
-// TestPipelineUnknownTagRejected pins tag validation end-to-end: a frame
-// for an inference that was never begun is a protocol error.
-func TestPipelineUnknownTagRejected(t *testing.T) {
-	net := testNet(t, act.ReLU, 67)
-	cConn, sConn, closer := transport.Pipe()
-	defer closer.Close()
-	srv := &Server{Net: net, Fmt: fixed.Default, Rng: rand.New(rand.NewSource(83))}
-	var wg sync.WaitGroup
-	var srvErr error
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		_, srvErr = srv.ServeSession(sConn)
-	}()
-	cli := &Client{Rng: rand.New(rand.NewSource(84))}
-	sess, err := cli.NewSession(cConn)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := sess.conn.SendTagged(transport.MsgInferTables, 7, []byte("junk")); err != nil {
-		t.Fatal(err)
-	}
-	if err := sess.conn.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	wg.Wait()
-	if srvErr == nil || !strings.Contains(srvErr.Error(), "unknown inference") {
-		t.Fatalf("server error = %v, want unknown-inference rejection", srvErr)
-	}
-}
-
 // TestPipelineDepthNegotiation pins min(client, server) window
 // negotiation in both directions.
 func TestPipelineDepthNegotiation(t *testing.T) {
@@ -618,7 +554,7 @@ func TestPipelineMidOTDisconnectTerminates(t *testing.T) {
 	if _, err := cli.NewSession(cConn); err != nil {
 		t.Fatalf("open session: %v", err)
 	}
-	// Hand-craft two inference sub-streams that each stop at the first
+	// Hand-craft two inference bursts that each stop at the first
 	// evaluator-input step (the same program the server schedules from, so
 	// frame sizes line up; label contents are irrelevant — evaluation never
 	// starts).
@@ -626,11 +562,11 @@ func TestPipelineMidOTDisconnectTerminates(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for id := uint64(1); id <= 2; id++ {
-		if err := cConn.Send(transport.MsgInferBegin, transport.AppendTag(transport.AppendTag(nil, id), 1)); err != nil {
+	for range 2 {
+		if err := cConn.Send(transport.MsgInferBegin, []byte{1}); err != nil {
 			t.Fatal(err)
 		}
-		if err := cConn.SendTagged(transport.MsgInferConst, id, make([]byte, 2*gc.LabelSize)); err != nil {
+		if err := cConn.Send(transport.MsgConstLabels, make([]byte, 2*gc.LabelSize)); err != nil {
 			t.Fatal(err)
 		}
 	walk:
@@ -638,7 +574,7 @@ func TestPipelineMidOTDisconnectTerminates(t *testing.T) {
 			st := &prog.Schedule.Steps[i]
 			switch {
 			case st.Kind == circuit.StepInputs && st.Party == circuit.Garbler:
-				if err := cConn.SendTagged(transport.MsgInferInputs, id, make([]byte, len(st.Wires)*gc.LabelSize)); err != nil {
+				if err := cConn.Send(transport.MsgInputLabels, make([]byte, len(st.Wires)*gc.LabelSize)); err != nil {
 					t.Fatal(err)
 				}
 			case st.Kind == circuit.StepInputs && st.Party == circuit.Evaluator:

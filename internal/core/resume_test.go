@@ -124,7 +124,7 @@ func TestRepeatSessionSkipsBasePhase(t *testing.T) {
 
 	setup := func(v visit) (c2s, s2c []transport.MsgType) {
 		c2s, s2c = frameTypes(parseFrames(t, v.c2s)), frameTypes(parseFrames(t, v.s2c))
-		return c2s[:slices.Index(c2s, transport.MsgInferBegin)], s2c[:slices.Index(s2c, transport.MsgInferOutputs)]
+		return c2s[:slices.Index(c2s, transport.MsgInferBegin)], s2c[:slices.Index(s2c, transport.MsgOutputLabels)]
 	}
 	const (
 		hello, arch, pipeline = transport.MsgHello, transport.MsgArch, transport.MsgPipeline

@@ -78,26 +78,26 @@ import (
 // string as its hello and runs its own base phase per connection.)
 //
 // An inference classifies B ≥ 1 samples and is one client→server burst
-// answered by one frame. The burst: MsgInferBegin (uvarint id, sequential
-// from 1; uvarint B, at most the announced batch cap), then with every
-// payload prefixed by that id MsgInferConst (the B false-labels, then the
-// B true-labels) and, in schedule order, MsgInferInputs (the client's
-// active input labels of one step), MsgInferMasked (one evaluator-input
+// answered by one frame. The burst: MsgInferBegin (uvarint B, at most the
+// announced batch cap), then MsgConstLabels (the B false-labels, then the
+// B true-labels) and, in schedule order, MsgInputLabels (the client's
+// active input labels of one step), MsgOTMasked (one evaluator-input
 // step: per wire and sample the label pair masked with the inference's
-// next two pool halves) and MsgInferTables (garbled tables, chunked at
-// level boundaries). Every payload is wire-major with samples innermost;
-// a level's tables are its full ANDs' (rank i, sample s at (i·B+s)·32),
+// next two pool halves) and MsgTables (garbled tables, chunked at level
+// boundaries). Every payload is wire-major with samples innermost; a
+// level's tables are its full ANDs' (rank i, sample s at (i·B+s)·32),
 // then its half ANDs' (rank j among them, sample s at (j·B+s)·16 behind).
-// The answer is MsgInferOutputs (id, the output labels). An inference owns
-// B·W pool entries, sample s's bit c at q0 + s·W + c; ranges are handed
-// out in begin order.
+// The answer is MsgOutputLabels. An inference owns B·W pool entries,
+// sample s's bit c at q0 + s·W + c; ranges are handed out in begin order.
 //
-// Up to the announced window of inferences may be in flight; answers come
-// back in begin order. Between bursts the server may announce a pool
-// refill (MsgOTRefill n, MsgOTExtU), which the client answers (MsgOTExtY)
-// when it next reads; that is the only OT traffic after setup.
-// MsgEndSession from the client ends the session.
-const protocolHello = "deepsecure/12"
+// A client sends one burst whole before it begins the next, and up to the
+// announced window of inferences may be in flight; answers come back in
+// begin order, so frame order is all that ties a frame to its inference.
+// Between bursts the server may announce a pool refill (MsgOTRefill n,
+// MsgOTExtU), which the client answers (MsgOTExtY) when it next reads; that
+// is the only OT traffic after setup. MsgEndSession from the client ends
+// the session.
+const protocolHello = "deepsecure/13"
 
 // digestSize is the length of the program digest that opens a session's
 // architecture frame.
@@ -359,7 +359,9 @@ func (s *Server) Program() (*netgen.Program, error) {
 		if s.prog, s.compileErr = netgen.Compile(s.Net, s.Fmt, netgen.Options{}); s.compileErr != nil {
 			return
 		}
-		s.spec, s.compileErr = s.Net.Spec(s.Fmt).Marshal()
+		if s.spec, s.compileErr = s.Net.Spec(s.Fmt).Marshal(); s.compileErr == nil && len(s.spec) > nn.MaxSpecBytes {
+			s.compileErr = fmt.Errorf("core: the model's spec is %d bytes, more than a client reads (%d)", len(s.spec), nn.MaxSpecBytes)
+		}
 		s.weightBits = nn.WeightBits(s.Net, s.Fmt)
 	})
 	return s.prog, s.compileErr
@@ -442,9 +444,8 @@ func (s *Server) ServeSession(conn *transport.Conn) (*Stats, error) {
 	}
 	// In-flight window and batch-cap announcement: the server owns both
 	// policies, clients clamp their own pipelining and batching to them.
-	plBuf := make([]byte, 0, 2*binary.MaxVarintLen64)
-	plBuf = transport.AppendTag(plBuf, uint64(s.Engine.PipelineDepth()))
-	plBuf = transport.AppendTag(plBuf, uint64(s.Engine.MaxBatchSize()))
+	plBuf := binary.AppendUvarint(nil, uint64(s.Engine.PipelineDepth()))
+	plBuf = binary.AppendUvarint(plBuf, uint64(s.Engine.MaxBatchSize()))
 	if err := conn.Send(transport.MsgPipeline, plBuf); err != nil {
 		return fail(err)
 	}
@@ -637,33 +638,27 @@ type Session struct {
 
 	// Cross-inference pipelining: window is the negotiated in-flight cap
 	// (min of this client's EngineConfig.Pipeline and the server's
-	// MsgPipeline announcement), nextID the sequential id of the next
-	// inference sub-stream, and inflight the garbled-but-unresolved
+	// MsgPipeline announcement) and inflight the garbled-but-unresolved
 	// inferences, oldest first. maxBatch is the negotiated
 	// batched-inference sample cap (a batch occupies one window slot).
 	window   int
 	maxBatch int
-	nextID   uint64
 	inflight []*PendingInference
 
 	// The session's garbling engine state, reused across inferences: the
-	// worker pool (a view of the shared scheduler), the recycled
-	// table-chunk ring, the label payload buffer (input labels and masked
-	// weight-label pairs alike), and the begin-frame tag scratch
-	// (pre-sized so AppendTag never reallocates on the per-inference
-	// path).
+	// worker pool (a view of the shared scheduler), the table chunk buffer
+	// and the label payload buffer (input labels and masked weight-label
+	// pairs alike).
 	cfg      EngineConfig
 	pool     *gc.Pool
-	freeBufs chan []byte
 	chunkBuf []byte
 	labelBuf []byte
-	tagBuf   []byte
 }
 
-// clientOTConn is the client session's OT-protocol face: a passthrough
-// to the connection that additionally resolves output-label frames of
-// earlier in-flight inferences arriving ahead of the refill the OT stack
-// is reading for.
+// clientOTConn is the client session's face for the OT stack and the
+// garbling engine: a passthrough to the connection that additionally
+// resolves output-label frames of earlier in-flight inferences arriving
+// ahead of the refill the OT stack is reading for.
 type clientOTConn struct{ s *Session }
 
 // SetLimit lets the OT pool pin the size of the refill frame it expects.
@@ -684,13 +679,13 @@ func (v clientOTConn) RecvAny(want ...transport.MsgType) (transport.MsgType, []b
 	// Stack-allocated want set for the per-step hot path (the pools ask
 	// for at most three types).
 	var buf [4]transport.MsgType
-	wants := append(append(buf[:0], want...), transport.MsgInferOutputs)
+	wants := append(append(buf[:0], want...), transport.MsgOutputLabels)
 	for {
 		typ, p, err := v.s.conn.RecvAny(wants...)
 		if err != nil {
 			return 0, nil, err
 		}
-		if typ == transport.MsgInferOutputs {
+		if typ == transport.MsgOutputLabels {
 			if err := v.s.resolveOutput(p); err != nil {
 				return 0, nil, err
 			}
@@ -698,30 +693,6 @@ func (v clientOTConn) RecvAny(want ...transport.MsgType) (transport.MsgType, []b
 		}
 		return typ, p, nil
 	}
-}
-
-// garbleConn is the garble engine's view for one inference sub-stream: the
-// session's OT face, except that the engine's logical frames go out tagged
-// with the inference id as their MsgInfer* variants.
-type garbleConn struct {
-	clientOTConn
-	id uint64
-}
-
-func (v garbleConn) Send(t transport.MsgType, payload []byte) error {
-	switch t {
-	case transport.MsgConstLabels:
-		t = transport.MsgInferConst
-	case transport.MsgInputLabels:
-		t = transport.MsgInferInputs
-	case transport.MsgOTMasked:
-		t = transport.MsgInferMasked
-	case transport.MsgTables:
-		t = transport.MsgInferTables
-	default:
-		return v.s.conn.Send(t, payload)
-	}
-	return v.s.conn.SendTagged(t, v.id, payload)
 }
 
 // NewSession opens a session: protocol hello, architecture download,
@@ -750,10 +721,12 @@ func (c *Client) NewSession(conn *transport.Conn) (sess *Session, err error) {
 	cid := c.sessions.Add(1)
 	offered := c.baseIDs()
 	// Every server frame is bounded before it arrives, so that a header
-	// announcing more is refused unread: a busy answer is one uvarint, the
+	// announcing more is refused unread: the architecture is its header and
+	// a spec of at most nn.MaxSpecBytes, a busy answer is one uvarint, the
 	// window announcement two, and an inference's answer is bounded once the
 	// program and the batch cap are known (the OT pool bounds its own
 	// ot-ext-u frames).
+	conn.SetLimit(transport.MsgArch, archHeader+nn.MaxSpecBytes)
 	conn.SetLimit(transport.MsgBusy, binary.MaxVarintLen64)
 	if err := conn.Send(transport.MsgHello, helloFrame(cid, offered)); err != nil {
 		return nil, err
@@ -805,8 +778,8 @@ func (c *Client) NewSession(conn *transport.Conn) (sess *Session, err error) {
 	if announcedBatch < uint64(maxBatch) {
 		maxBatch = int(announcedBatch)
 	}
-	// An answer is the inference tag and a label per output wire and sample.
-	conn.SetLimit(transport.MsgInferOutputs, binary.MaxVarintLen64+int(prog.Stats.Outputs)*maxBatch*gc.LabelSize)
+	// An answer is a label per output wire and sample.
+	conn.SetLimit(transport.MsgOutputLabels, int(prog.Stats.Outputs)*maxBatch*gc.LabelSize)
 	s := &Session{
 		conn:     conn,
 		rng:      rng,
@@ -817,11 +790,8 @@ func (c *Client) NewSession(conn *transport.Conn) (sess *Session, err error) {
 		inputLen: cp.inputLen,
 		window:   window,
 		maxBatch: maxBatch,
-		nextID:   1,
 		cfg:      c.Engine,
 		pool:     c.Engine.newPool(),
-		freeBufs: make(chan []byte, 3),
-		tagBuf:   make([]byte, 0, 2*binary.MaxVarintLen64),
 	}
 	// The session's extension sender: derived from the base the server
 	// named if this client offered it — no base phase — and otherwise from
@@ -881,7 +851,6 @@ func (s *Session) MaxBatch() int { return s.maxBatch }
 // sample's Free-XOR offset.
 type PendingInference struct {
 	s       *Session
-	id      uint64
 	batch   int
 	deltas  []gc.Label
 	outZero []gc.Label
@@ -935,51 +904,44 @@ func (p *PendingInference) Done() bool { return p.done }
 // extension request that no refill announced is handed to the pool too,
 // which refuses it. Callers loop until the result they wait for is in.
 func (s *Session) resolveNext() error {
-	typ, payload, err := s.conn.RecvAny(transport.MsgInferOutputs, transport.MsgOTRefill, transport.MsgOTExtU)
+	typ, payload, err := s.conn.RecvAny(transport.MsgOutputLabels, transport.MsgOTRefill, transport.MsgOTExtU)
 	if err != nil {
 		return err
 	}
-	if typ == transport.MsgInferOutputs {
+	if typ == transport.MsgOutputLabels {
 		return s.resolveOutput(payload)
 	}
 	return s.ots.HandleRefill(typ, payload)
 }
 
 // resolveOutput authenticates one output-label frame against the oldest
-// in-flight inference and settles the result (§2.2.2 step iv): a
-// tampered or corrupted evaluation cannot yield a silently wrong label,
-// it fails here. All B sample labels of the inference resolve from its
-// single output frame (wire-major, samples innermost).
+// in-flight inference — answers come back in begin order — and settles the
+// result (§2.2.2 step iv): a tampered, corrupted or misordered evaluation
+// cannot yield a silently wrong label, it fails here. All B sample labels of
+// the inference resolve from its single output frame (wire-major, samples
+// innermost).
 func (s *Session) resolveOutput(payload []byte) error {
-	id, content, err := transport.SplitTag(payload)
-	if err != nil {
-		return err
-	}
 	if len(s.inflight) == 0 {
-		return fmt.Errorf("core: output frame for inference %d with none in flight", id)
+		return errors.New("core: output frame with no inference in flight")
 	}
-	// Answers come back in begin order: only the oldest can be answered.
 	p := s.inflight[0]
-	if p.id != id {
-		return fmt.Errorf("core: output frame for inference %d ahead of inference %d's: answers come back in begin order", id, p.id)
-	}
-	if len(content) != len(p.outZero)*gc.LabelSize {
+	if len(payload) != len(p.outZero)*gc.LabelSize {
 		return fmt.Errorf("core: output-label frame has %d bytes, want %d",
-			len(content), len(p.outZero)*gc.LabelSize)
+			len(payload), len(p.outZero)*gc.LabelSize)
 	}
 	labels := make([]int, p.batch)
 	outWires := len(p.outZero) / p.batch
 	for i := 0; i < outWires; i++ {
 		for sm := 0; sm < p.batch; sm++ {
 			var l gc.Label
-			copy(l[:], content[(i*p.batch+sm)*gc.LabelSize:])
+			copy(l[:], payload[(i*p.batch+sm)*gc.LabelSize:])
 			switch l {
 			case p.outZero[i*p.batch+sm]:
 				// bit 0
 			case p.outZero[i*p.batch+sm].XOR(p.deltas[sm]):
 				labels[sm] |= 1 << uint(i)
 			default:
-				return fmt.Errorf("core: output label %d of inference %d (sample %d) failed authentication", i, id, sm)
+				return fmt.Errorf("core: output label %d of the oldest inference in flight (sample %d) failed authentication", i, sm)
 			}
 		}
 	}
@@ -1096,18 +1058,14 @@ func (s *Session) InferBatchAsync(xs [][]float64) (*PendingBatch, error) {
 		s.failed = true
 		return nil, err
 	}
-	id := s.nextID
-	s.nextID++
 	p := &PendingInference{
 		s:      s,
-		id:     id,
 		batch:  b,
 		start:  time.Now(),
 		set:    obs.NewSet(s.set),
 		before: StatsOf(s.set),
 	}
-	s.tagBuf = transport.AppendTag(transport.AppendTag(s.tagBuf[:0], id), uint64(b))
-	if err := s.conn.Send(transport.MsgInferBegin, s.tagBuf); err != nil {
+	if err := s.conn.Send(transport.MsgInferBegin, binary.AppendUvarint(nil, uint64(b))); err != nil {
 		return fail(err)
 	}
 	// The inference's pool entries: the next b samples' worth, with refills
@@ -1127,15 +1085,14 @@ func (s *Session) InferBatchAsync(xs [][]float64) (*PendingBatch, error) {
 	if err != nil {
 		return fail(err)
 	}
-	conn := garbleConn{clientOTConn{s}, id}
-	if err := conn.Send(transport.MsgConstLabels, constPayload); err != nil {
+	if err := s.conn.Send(transport.MsgConstLabels, constPayload); err != nil {
 		return fail(err)
 	}
 	en := &garbleEngine{
 		sched:     s.prog.Schedule,
 		g:         g,
 		pool:      s.pool,
-		conn:      conn,
+		conn:      clientOTConn{s},
 		ots:       s.ots,
 		otr:       otr,
 		cfg:       s.cfg,
@@ -1143,8 +1100,7 @@ func (s *Session) InferBatchAsync(xs [][]float64) (*PendingBatch, error) {
 		labelBuf:  constPayload[:0],
 		// outZero is NOT recycled across inferences here: in-flight
 		// inferences hold theirs until their outputs authenticate.
-		cur:  s.chunkBuf,
-		free: s.freeBufs,
+		cur: s.chunkBuf,
 	}
 	if err := en.run(); err != nil {
 		return fail(err)

@@ -222,6 +222,28 @@ func TestSpecRoundTrip(t *testing.T) {
 	}
 }
 
+// TestMaxSpecBytesBoundsMasks: a sparsity map marshals to at most 6 bytes a
+// weight — the figure MaxSpecBytes is stated from.
+func TestMaxSpecBytesBoundsMasks(t *testing.T) {
+	net, err := NewNetwork(Vec(64), NewDense(64))
+	if err != nil {
+		t.Fatal(err)
+	}
+	dense, err := net.Spec(fixed.Default).Marshal()
+	if err != nil {
+		t.Fatal(err)
+	}
+	d := net.Layers[0].(*Dense)
+	clear(d.Mask)
+	pruned, err := net.Spec(fixed.Default).Marshal()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if grew := len(pruned) - len(dense) - len(`,"mask":[]`); grew > 6*len(d.Mask) {
+		t.Fatalf("a mask of %d entries marshals to %d bytes, more than 6 a weight", len(d.Mask), grew)
+	}
+}
+
 func TestWeightBitsCanonical(t *testing.T) {
 	f := fixed.Default
 	net := buildSmallNet(t, act.ReLU)

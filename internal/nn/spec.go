@@ -123,6 +123,12 @@ func (s *Spec) Build() (*Network, error) {
 	return net, nil
 }
 
+// MaxSpecBytes bounds a marshalled Spec: a network has at most MaxWeights
+// mask entries, each at most 6 bytes of JSON ("false,"), and 64 KiB holds
+// the shape, the format and every layer's other fields. A server refuses to
+// share a larger spec, and a client reads no larger architecture frame.
+const MaxSpecBytes = 6*MaxWeights + 64<<10
+
 // Marshal encodes the spec as JSON.
 func (s *Spec) Marshal() ([]byte, error) { return json.Marshal(s) }
 

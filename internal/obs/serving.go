@@ -24,8 +24,8 @@ const (
 	// PhaseGarbleLive is the garbler's per-level crypto (the garbling
 	// engine's GateTime).
 	PhaseGarbleLive Phase = iota
-	// PhaseTableWrite is time spent pushing garbled-table chunks into
-	// the transport on the garbler side.
+	// PhaseTableWrite is time the garbling goroutine spends in Send on its
+	// garbled-table chunks: the wait on the wire between two levels.
 	PhaseTableWrite
 	// PhaseTableRead is time the evaluator spends waiting on table
 	// frames from the wire.

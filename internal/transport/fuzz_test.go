@@ -153,20 +153,6 @@ func TestRecycleReusesPayloadBuffers(t *testing.T) {
 	}
 }
 
-// A tagged frame whose payload is a truncated uvarint survives ReadFrame
-// (framing is intact) and fails at SplitTag with the tag-specific error.
-func TestReadFrameTruncatedTag(t *testing.T) {
-	// 0x80 starts a multi-byte uvarint that never completes.
-	typ, payload, err := rawConn(frame(MsgInferTables, []byte{0x80})).ReadFrame()
-	if err != nil || typ != MsgInferTables {
-		t.Fatalf("ReadFrame = %v, %v; framing itself is fine", typ, err)
-	}
-	if _, _, err := SplitTag(payload); err == nil ||
-		err.Error() != "transport: malformed inference tag (1 payload bytes)" {
-		t.Fatalf("SplitTag err = %v, want the malformed-tag error", err)
-	}
-}
-
 // FuzzReadFrame feeds arbitrary byte streams through the frame reader:
 // it must never panic and never misreport — every frame it does return
 // must be exactly what a Send of that frame produces at the consumed
@@ -175,7 +161,7 @@ func FuzzReadFrame(f *testing.F) {
 	f.Add([]byte{})
 	f.Add(frame(MsgHello, []byte("deepsecure")))
 	f.Add(frame(MsgHello, nil))
-	f.Add(append(frame(MsgInferBegin, []byte{1}), frame(MsgInferConst, bytes.Repeat([]byte{7}, 64))...))
+	f.Add(append(frame(MsgInferBegin, []byte{1}), frame(MsgConstLabels, bytes.Repeat([]byte{7}, 64))...))
 	f.Add(frame(MsgHello, []byte("x"))[:3])                   // truncated header
 	f.Add(frame(MsgHello, bytes.Repeat([]byte{9}, 100))[:20]) // truncated payload
 	oversized := frame(MsgTables, nil)

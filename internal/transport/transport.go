@@ -45,39 +45,27 @@ const (
 	MsgOTMasked
 	// Session inferences: MsgPipeline is the server's announcement of its
 	// in-flight window and batch cap (two uvarints, sent once after the
-	// architecture). MsgInferBegin opens an inference sub-stream (uvarint
-	// inference id, uvarint sample count B ≥ 1) that occupies one window
-	// slot; the other MsgInfer* frames are its tagged traffic — each
-	// payload starts with the uvarint inference id (AppendTag / SplitTag),
-	// which the receiver checks against the latest begun, and
-	// carries all B samples wire-major with samples innermost (gate rank
-	// i, sample s of a level's tables at (i*B+s)*TableSize).
-	// MsgInferConst/Inputs/Masked/Tables/Outputs are the tagged
-	// MsgConstLabels/InputLabels/OTMasked/Tables/OutputLabels; refill
-	// frames stay untagged (they belong to the session's pool, not to an
-	// inference).
+	// architecture). MsgInferBegin opens an inference (uvarint sample count
+	// B ≥ 1) that occupies one window slot; the inference's frames follow
+	// it in order as MsgConstLabels, MsgInputLabels, MsgOTMasked and
+	// MsgTables, each carrying all B samples wire-major with samples
+	// innermost (gate rank i, sample s of a level's tables at
+	// (i*B+s)*TableSize), and its answer is one MsgOutputLabels.
 	MsgPipeline
 	MsgInferBegin
-	MsgInferConst
-	MsgInferInputs
-	MsgInferMasked
-	MsgInferTables
-	MsgInferOutputs
+
 	// MsgBusy is the admission controller's shed response: sent by the
 	// server in place of MsgArch when it cannot take the session,
 	// carrying a uvarint retry-after hint in milliseconds. The server
 	// closes the connection after it; the client surfaces a typed
-	// retryable error instead of a timeout.
-	MsgBusy
+	// retryable error instead of a timeout. A server sheds before it reads
+	// the hello's version, so the byte never moves: 17–21 stay unassigned.
+	MsgBusy MsgType = 22
 
 	// msgTypeEnd sentinels the name table: every defined MsgType is
-	// strictly below it (tests iterate the full range).
-	msgTypeEnd
+	// strictly below it.
+	msgTypeEnd = MsgBusy + 1
 )
-
-// MsgTypeCount is the number of defined frame types; MsgType values in
-// [1, MsgTypeCount] are valid protocol frames.
-const MsgTypeCount = int(msgTypeEnd) - 1
 
 // msgNames is the static name table behind MsgType.String — built once at
 // package init instead of per call (String sits on every protocol-desync
@@ -91,9 +79,6 @@ var msgNames = map[MsgType]string{
 	MsgEndSession: "end-session",
 	MsgOTRefill:   "ot-refill", MsgOTMasked: "ot-masked",
 	MsgPipeline: "pipeline", MsgInferBegin: "infer-begin",
-	MsgInferConst: "infer-const", MsgInferInputs: "infer-inputs",
-	MsgInferMasked: "infer-masked",
-	MsgInferTables: "infer-tables", MsgInferOutputs: "infer-outputs",
 	MsgBusy: "busy",
 }
 
@@ -117,8 +102,8 @@ const MaxFrame = 1 << 30
 const maxHello = 192
 
 // FrameConn is the frame-level interface the protocol layers speak: a
-// *Conn satisfies it directly, and sessions satisfy it with per-inference
-// views that tag outgoing frames (the client) or take incoming ones off
+// *Conn satisfies it directly, and sessions satisfy it with views that
+// settle answers arriving mid-read (the client) or take incoming frames off
 // the session reader's FIFO (the server). Code written against FrameConn
 // (the OT stack, the execution engines) runs unchanged over either.
 type FrameConn interface {
@@ -193,8 +178,8 @@ func (c *Conn) SetLimit(t MsgType, n int) {
 	}
 }
 
-// Recycle hands a payload returned by ReadFrame (or a suffix of it, e.g.
-// with the inference tag split off) back for reuse. The caller must hold
+// Recycle hands a payload returned by ReadFrame (or a suffix of it) back
+// for reuse. The caller must hold
 // no reference into it afterwards; frames whose bytes are retained are
 // simply never recycled.
 func (c *Conn) Recycle(buf []byte) {
@@ -242,26 +227,13 @@ func (c *Conn) Break() error {
 // (see directWrite): the payload is the caller's again when Send returns.
 // Small frames accumulate until Flush (or an implicit flush in Recv).
 func (c *Conn) Send(t MsgType, payload []byte) error {
-	return c.send(t, nil, payload)
-}
-
-// SendTagged sends one sub-stream frame whose payload is the uvarint
-// inference id followed by payload. The tag is framed in place.
-func (c *Conn) SendTagged(t MsgType, id uint64, payload []byte) error {
-	var tag [binary.MaxVarintLen64]byte
-	n := binary.PutUvarint(tag[:], id)
-	return c.send(t, tag[:n], payload)
-}
-
-func (c *Conn) send(t MsgType, tag, payload []byte) error {
-	if len(payload)+len(tag) > MaxFrame {
-		return fmt.Errorf("transport: frame %v too large (%d bytes)", t, len(payload)+len(tag))
+	if len(payload) > MaxFrame {
+		return fmt.Errorf("transport: frame %v too large (%d bytes)", t, len(payload))
 	}
 	var hdr [5]byte
 	hdr[0] = byte(t)
-	binary.LittleEndian.PutUint32(hdr[1:], uint32(len(tag)+len(payload)))
+	binary.LittleEndian.PutUint32(hdr[1:], uint32(len(payload)))
 	c.wbuf = append(c.wbuf, hdr[:]...)
-	c.wbuf = append(c.wbuf, tag...)
 	if len(payload) >= directWrite {
 		if err := c.Flush(); err != nil {
 			return err

@@ -203,7 +203,7 @@ func TestClosedPipeEOF(t *testing.T) {
 func TestRecvAny(t *testing.T) {
 	a, b, closer := Pipe()
 	defer closer.Close()
-	for _, typ := range []MsgType{MsgInferOutputs, MsgEndSession} {
+	for _, typ := range []MsgType{MsgOutputLabels, MsgEndSession} {
 		if err := a.Send(typ, nil); err != nil {
 			t.Fatal(err)
 		}
@@ -211,14 +211,14 @@ func TestRecvAny(t *testing.T) {
 	if err := a.Flush(); err != nil {
 		t.Fatal(err)
 	}
-	got, _, err := b.RecvAny(MsgInferOutputs, MsgEndSession)
+	got, _, err := b.RecvAny(MsgOutputLabels, MsgEndSession)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got != MsgInferOutputs {
-		t.Fatalf("got %v, want %v", got, MsgInferOutputs)
+	if got != MsgOutputLabels {
+		t.Fatalf("got %v, want %v", got, MsgOutputLabels)
 	}
-	got, _, err = b.RecvAny(MsgInferOutputs, MsgEndSession)
+	got, _, err = b.RecvAny(MsgOutputLabels, MsgEndSession)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -236,11 +236,11 @@ func TestRecvAnyMismatch(t *testing.T) {
 	if err := a.Flush(); err != nil {
 		t.Fatal(err)
 	}
-	_, _, err := b.RecvAny(MsgInferOutputs, MsgEndSession)
+	_, _, err := b.RecvAny(MsgOutputLabels, MsgEndSession)
 	if err == nil || !strings.Contains(err.Error(), "desync") {
 		t.Errorf("mismatch should report desync naming both types, got %v", err)
 	}
-	if err != nil && !strings.Contains(err.Error(), "infer-outputs|end-session") {
+	if err != nil && !strings.Contains(err.Error(), "output-labels|end-session") {
 		t.Errorf("error should name the accepted set, got %v", err)
 	}
 }
@@ -252,23 +252,27 @@ func TestMsgTypeString(t *testing.T) {
 	if MsgType(200).String() == "" {
 		t.Error("unknown type should render")
 	}
+	if MsgBusy != 22 {
+		t.Errorf("MsgBusy is byte %d: a client of another version would no longer read its busy answer", uint8(MsgBusy))
+	}
 	// Every defined frame type must have a real name: a "msg(n)"
 	// fallback here means a new constant was added without extending the
-	// package-level name table. MsgTypeCount tracks the constant block,
-	// so this loop covers new types automatically.
-	for m := MsgHello; int(m) <= MsgTypeCount; m++ {
-		if s := m.String(); strings.HasPrefix(s, "msg(") {
-			t.Errorf("frame type %d has no name", uint8(m))
+	// package-level name table. msgTypeEnd tracks the constant block, so
+	// this loop covers new types automatically; the unassigned bytes below
+	// MsgBusy must stay unnamed.
+	for m := MsgHello; m < msgTypeEnd; m++ {
+		unassigned := m > MsgInferBegin && m < MsgBusy
+		if s := m.String(); strings.HasPrefix(s, "msg(") != unassigned {
+			t.Errorf("frame type %d is named %q", uint8(m), s)
 		}
 	}
 	for m, want := range map[MsgType]string{
 		MsgOTRefill:     "ot-refill",
 		MsgOTMasked:     "ot-masked",
-		MsgInferMasked:  "infer-masked",
 		MsgPipeline:     "pipeline",
 		MsgInferBegin:   "infer-begin",
-		MsgInferTables:  "infer-tables",
-		MsgInferOutputs: "infer-outputs",
+		MsgOutputLabels: "output-labels",
+		MsgBusy:         "busy",
 	} {
 		if got := m.String(); got != want {
 			t.Errorf("MsgType(%d).String() = %q, want %q", uint8(m), got, want)
