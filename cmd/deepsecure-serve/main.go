@@ -66,6 +66,12 @@ func main() {
 	if *otPool < 0 {
 		log.Fatalf("-ot-pool %d: must be >= 0 (0 sizes the pool from the model)", *otPool)
 	}
+	if *workers < 0 {
+		log.Fatalf("-workers %d: must be >= 0 (0 selects GOMAXPROCS, 1 is sequential)", *workers)
+	}
+	if *statsEvery < 0 {
+		log.Fatalf("-stats %v: must be >= 0 (0 disables the stats line)", *statsEvery)
+	}
 
 	net0, err := benchmarks.ByName(*model)
 	if err != nil {
@@ -110,7 +116,7 @@ func main() {
 	eff := poolCfg.Sized(len(nn.WeightBits(net0, deepsecure.DefaultFormat)), depth)
 	log.Printf("OT pool: %d weight-keyed OTs per session at setup, refill below %d", eff.Capacity, eff.RefillLowWater)
 	fanout := *workers
-	if fanout <= 0 {
+	if fanout == 0 {
 		fanout = runtime.GOMAXPROCS(0)
 	}
 	log.Printf("engine pool: shared work-stealing scheduler, %d worker(s) process-wide, per-session fan-out %d",

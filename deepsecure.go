@@ -91,12 +91,13 @@ type (
 	ServerStats = server.Stats
 	// EngineConfig tunes the level-scheduled execution engine: Workers
 	// sets the garble/evaluate pool size (0 derives it from GOMAXPROCS,
-	// 1 is the sequential mode), ChunkBytes the garbled-table streaming
-	// chunk, Pipeline the cross-inference in-flight window (0 defaults
-	// to DefaultPipelineDepth, 1 is serial; a server evaluates a session's
-	// inferences in begin order whatever the window), and MaxBatch the
-	// batched-inference sample cap (0 defaults to DefaultMaxBatch). Set
-	// it on a Client, or pass it to NewServer via WithEngine.
+	// 1 is the sequential mode), Pipeline the cross-inference in-flight
+	// window (0 defaults to DefaultPipelineDepth, 1 is serial; a server
+	// evaluates a session's inferences in begin order whatever the
+	// window), and MaxBatch the batched-inference sample cap (0 defaults
+	// to DefaultMaxBatch). Garbled tables stream in 1 MiB chunks of whole
+	// levels under any configuration. Set it on a Client, or pass it to
+	// NewServer via WithEngine.
 	EngineConfig = core.EngineConfig
 	// PoolConfig sizes the offline OT pool every session transfers its
 	// weight labels through (chosen-choice OTs keyed to the model's weight
@@ -119,7 +120,8 @@ type (
 	// at most MaxActive sessions in the protocol at once, up to
 	// MaxQueue more waiting (bounded by QueueTimeout), and an optional
 	// windowed-p99 latency guard (MaxP99). Anything past the limits is
-	// refused with a protocol busy frame carrying RetryAfter. Pass it
+	// refused with a protocol busy frame carrying RetryAfter, the whole
+	// refusal bounded at 2 s against a slow or silent peer. Pass it
 	// to NewServer via WithAdmission; the zero value disables
 	// admission.
 	AdmissionConfig = server.AdmissionConfig

@@ -76,10 +76,9 @@ func startSweepServer(t *testing.T, model *nn.Network, logf func(string, ...any)
 		server.WithOTPool(sweepPool),
 		server.WithIdleTimeout(2*time.Second),
 		server.WithAdmission(server.AdmissionConfig{
-			MaxActive:   4,
-			MaxQueue:    16,
-			RetryAfter:  50 * time.Millisecond,
-			ShedTimeout: time.Second,
+			MaxActive:  4,
+			MaxQueue:   16,
+			RetryAfter: 50 * time.Millisecond,
 		}),
 	)
 	if err != nil {

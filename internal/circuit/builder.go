@@ -2,16 +2,15 @@ package circuit
 
 import "fmt"
 
-// Builder constructs netlists gate-by-gate, performing the local
-// optimizations that stand in for the paper's GC-optimized synthesis flow
-// (§3.4): constant folding (no emitted gate has a constant operand),
-// double-inversion elimination, and optional structural hash-consing so
-// that identical subexpressions share one gate.
+// Builder constructs netlists gate-by-gate, folding constants so that no
+// emitted gate has a constant operand; the rest of the paper's GC-optimized
+// synthesis (§3.4) is in how the stdcell and netgen generators are written.
+// Every gate it does not fold is emitted, never shared with an earlier
+// one, so Build, Count and a streaming sink see one netlist.
 //
 // With recycling enabled (streaming mode), Drop returns wire ids to a free
 // list so that arbitrarily large netlists use a bounded wire namespace —
-// the sequential-circuit memory-footprint property of §3.5. Recycling and
-// hash-consing are mutually exclusive.
+// the sequential-circuit memory-footprint property of §3.5.
 //
 // The Builder is also the one place the half AND is chosen: Inputs tags the
 // evaluator's wires and AND emits a HalfAND, tagged operand in slot B, when
@@ -22,11 +21,6 @@ type Builder struct {
 	sink Sink
 	next uint32
 	err  error
-
-	// optimization state (hash-consing mode)
-	cons   map[consKey]uint32
-	invOf  map[uint32]uint32 // wire -> its inverted source, for INV(INV(x))=x
-	shared bool
 
 	// recycling state (streaming mode)
 	free    []uint32
@@ -40,21 +34,11 @@ type Builder struct {
 	live  int64
 }
 
-type consKey struct {
-	op   Op
-	a, b uint32
-}
-
 // Option configures a Builder.
 type Option func(*Builder)
 
-// WithSharing enables structural hash-consing: building the same gate over
-// the same operands twice returns the first output wire. Incompatible with
-// WithRecycling.
-func WithSharing() Option { return func(b *Builder) { b.shared = true } }
-
 // WithRecycling enables wire-id recycling driven by Drop, bounding the wire
-// namespace for streaming generation. Incompatible with WithSharing.
+// namespace for streaming generation.
 func WithRecycling() Option { return func(b *Builder) { b.recycle = true } }
 
 // NewBuilder returns a Builder feeding the given sink.
@@ -66,13 +50,6 @@ func NewBuilder(sink Sink, opts ...Option) *Builder {
 	}
 	for _, o := range opts {
 		o(b)
-	}
-	if b.shared && b.recycle {
-		panic("circuit: WithSharing and WithRecycling are mutually exclusive")
-	}
-	if b.shared {
-		b.cons = make(map[consKey]uint32)
-		b.invOf = make(map[uint32]uint32)
 	}
 	return b
 }
@@ -233,28 +210,11 @@ func (b *Builder) emit(op Op, a, bb uint32) uint32 {
 	if b.err != nil {
 		return WFalse
 	}
-	var key consKey
-	if b.shared {
-		x, y := a, bb
-		if op != INV && x > y {
-			x, y = y, x
-		}
-		key = consKey{op, x, y}
-		if w, ok := b.cons[key]; ok {
-			return w
-		}
-	}
 	out := b.alloc()
 	b.grew()
 	b.stats.count(op)
 	if err := b.sink.OnGate(Gate{Op: op, A: a, B: bb, Out: out}); err != nil {
 		return b.fail(err)
-	}
-	if b.shared {
-		b.cons[key] = out
-		if op == INV {
-			b.invOf[out] = a
-		}
 	}
 	return out
 }
@@ -299,18 +259,13 @@ func (b *Builder) AND(x, y uint32) uint32 {
 	return b.emit(AND, x, y)
 }
 
-// INV returns !a with constant folding and INV(INV(x)) elimination.
+// INV returns !a with constant folding.
 func (b *Builder) INV(x uint32) uint32 {
 	switch x {
 	case WFalse:
 		return WTrue
 	case WTrue:
 		return WFalse
-	}
-	if b.shared {
-		if src, ok := b.invOf[x]; ok {
-			return src
-		}
 	}
 	return b.emit(INV, x, 0)
 }
@@ -399,11 +354,12 @@ func (Counter) OnOutputs([]uint32) error { return nil }
 // OnDrop implements Sink.
 func (Counter) OnDrop(uint32) error { return nil }
 
-// Build is a convenience helper: runs gen against a fresh materializing
-// builder (with sharing enabled) and returns the circuit.
+// Build runs gen against a fresh materializing builder — no recycling, so
+// every wire id stays distinct — and returns the circuit, gate for gate the
+// netlist Count counts.
 func Build(gen func(b *Builder)) (*Circuit, error) {
 	g := NewGraph()
-	b := NewBuilder(g, WithSharing())
+	b := NewBuilder(g)
 	gen(b)
 	if err := b.Err(); err != nil {
 		return nil, fmt.Errorf("circuit build: %w", err)

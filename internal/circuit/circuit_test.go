@@ -96,30 +96,6 @@ func TestXORWithTrueBecomesINV(t *testing.T) {
 	}
 }
 
-func TestHashConsing(t *testing.T) {
-	c, err := Build(func(b *Builder) {
-		in := b.Inputs(Garbler, 2)
-		x1 := b.AND(in[0], in[1])
-		x2 := b.AND(in[1], in[0]) // commuted: must share
-		if x1 != x2 {
-			t.Errorf("consing failed: %d vs %d", x1, x2)
-		}
-		inv1 := b.INV(x1)
-		back := b.INV(inv1) // INV(INV(x)) = x
-		if back != x1 {
-			t.Errorf("double inversion not eliminated: %d vs %d", back, x1)
-		}
-		b.Outputs(inv1)
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	s := c.Stats()
-	if s.AND != 1 || s.INV != 1 {
-		t.Errorf("stats = %v, want 1 AND and 1 INV", s)
-	}
-}
-
 func TestDerivedGates(t *testing.T) {
 	c, err := Build(func(b *Builder) {
 		in := b.Inputs(Garbler, 3)
@@ -200,15 +176,6 @@ func TestMaxLiveTracking(t *testing.T) {
 	if s.MaxLive > 7 {
 		t.Errorf("MaxLive = %d, want small bounded value", s.MaxLive)
 	}
-}
-
-func TestSharingAndRecyclingExclusive(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Error("expected panic combining WithSharing and WithRecycling")
-		}
-	}()
-	NewBuilder(Counter{}, WithSharing(), WithRecycling())
 }
 
 func TestCountMatchesBuild(t *testing.T) {
@@ -398,27 +365,30 @@ func TestHalfANDTagging(t *testing.T) {
 	}
 }
 
-// TestHalfANDHashConsing: with sharing, the operand order of a both-tagged
-// AND does not make a second gate.
-func TestHalfANDHashConsing(t *testing.T) {
+// TestHalfANDCommutedOperands: a builder emits every AND it is asked for,
+// so commuted operands make a second gate, and each is a HalfAND with an
+// evaluator wire in slot B.
+func TestHalfANDCommutedOperands(t *testing.T) {
+	var e, g []uint32
 	c, err := Build(func(b *Builder) {
-		e := b.Inputs(Evaluator, 2)
-		g := b.Inputs(Garbler, 1)
-		x, y := b.AND(e[0], e[1]), b.AND(e[1], e[0])
-		p, q := b.AND(g[0], e[0]), b.AND(e[0], g[0])
-		if x != y || p != q {
-			t.Errorf("commuted ANDs built twice: %d %d, %d %d", x, y, p, q)
-		}
-		b.Outputs(x, p)
+		e = b.Inputs(Evaluator, 2)
+		g = b.Inputs(Garbler, 1)
+		b.Outputs(b.AND(e[0], e[1]), b.AND(e[1], e[0]), b.AND(g[0], e[0]), b.AND(e[0], g[0]))
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if st := c.Stats(); st.AND != 2 || st.HalfAND != 2 {
-		t.Errorf("stats %+v, want 2 half ANDs", st)
+	if st := c.Stats(); st.AND != 4 || st.HalfAND != 4 {
+		t.Fatalf("stats %+v, want 4 half ANDs", st)
+	}
+	wantB := []uint32{e[1], e[0], e[0], e[0]}
+	for i, gt := range c.Gates {
+		if gt.Op != HalfAND || gt.B != wantB[i] {
+			t.Errorf("gate %d = %+v, want a HalfAND with wire %d in B", i, gt, wantB[i])
+		}
 	}
 	out, err := c.Eval([]bool{true}, []bool{true, false})
-	if err != nil || out[0] || !out[1] {
-		t.Errorf("eval = %v, %v; want [false true]", out, err)
+	if err != nil || out[0] || out[1] || !out[2] || !out[3] {
+		t.Errorf("eval = %v, %v; want [false false true true]", out, err)
 	}
 }

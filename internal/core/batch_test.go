@@ -25,7 +25,7 @@ func batchSessionRun(t *testing.T, xs [][]float64, poolCfg precomp.PoolConfig, c
 	eToG := newLogHalf()
 	cConn := transport.New(logDuplex{r: eToG, w: gToE})
 	sConn := transport.New(logDuplex{r: gToE, w: eToG})
-	cfg := EngineConfig{Workers: 1, ChunkBytes: 2048, Pipeline: 1}
+	cfg := EngineConfig{Workers: 1, chunkBytes: 2048, Pipeline: 1}
 	srv := &Server{Net: net, Fmt: fixed.Default, Rng: rand.New(rand.NewSource(srvSeed)), Engine: cfg, OTPool: poolCfg}
 	var wg sync.WaitGroup
 	var srvErr error
@@ -111,7 +111,7 @@ func TestBatchMatchesPlaintext(t *testing.T) {
 			}
 			cConn, sConn, closer := transport.Pipe()
 			defer closer.Close()
-			cfg := EngineConfig{Workers: tc.workers, ChunkBytes: 2048}
+			cfg := EngineConfig{Workers: tc.workers, chunkBytes: 2048}
 			srv := &Server{Net: net, Fmt: f, Rng: rand.New(rand.NewSource(81)), Engine: cfg, OTPool: tc.pool}
 			var wg sync.WaitGroup
 			var srvStats *Stats

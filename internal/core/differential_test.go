@@ -40,7 +40,7 @@ func runDifferentialSession(t *testing.T, name string, net *nn.Network, f fixed.
 		defer wg.Done()
 		out.srv, srvErr = srv.ServeSession(sConn)
 	}()
-	cli := &Client{Rng: rand.New(rand.NewSource(504)), Engine: EngineConfig{Workers: workers, ChunkBytes: 2048}}
+	cli := &Client{Rng: rand.New(rand.NewSource(504)), Engine: EngineConfig{Workers: workers, chunkBytes: 2048}}
 	defer cli.Close()
 	sess, err := cli.NewSession(cConn)
 	if err != nil {

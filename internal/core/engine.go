@@ -47,7 +47,7 @@ import (
 //
 // Determinism: hash tweaks and table offsets come from the schedule
 // (GIDBase + in-level rank), and chunk flushing depends only on the
-// schedule, B and ChunkBytes — so the byte stream is identical for any
+// schedule, B and the chunk size — so the byte stream is identical for any
 // worker count, which is what the conformance tests pin.
 
 // EngineConfig tunes the level-scheduled execution engine.
@@ -56,14 +56,6 @@ type EngineConfig struct {
 	// derives it from runtime.GOMAXPROCS; 1 selects the fully sequential
 	// in-line mode.
 	Workers int
-	// ChunkBytes is the garbled-table streaming chunk size: the garbler
-	// sends its table buffer as one frame whenever it grows past this
-	// threshold (at a level boundary). 0 defaults to 1 MiB. Both
-	// parties may use different values; the evaluator reassembles frames
-	// regardless of their boundaries. Every non-test caller runs the
-	// default; the field stays because the conformance tests force chunk
-	// boundaries with it.
-	ChunkBytes int
 	// Pipeline bounds how many inferences may be in flight — begun and
 	// not yet answered — on one session at once (cross-inference
 	// pipelining): with depth d > 1 the client garbles inference k+1
@@ -91,6 +83,14 @@ type EngineConfig struct {
 	// breaker on the session's transport.Conn — the server installs one
 	// per accepted connection; see DeadlineConfig.
 	Deadlines DeadlineConfig
+
+	// chunkBytes is the garbled-table streaming chunk size: the garbler
+	// sends its table buffer as one frame whenever it grows past this
+	// threshold, at a level boundary, so every frame carries whole levels
+	// and the evaluator refuses one that does not. 0 means tableChunk
+	// (1 MiB), which is all production runs; this package's tests set it to
+	// force chunk boundaries.
+	chunkBytes int
 }
 
 // DefaultPipelineDepth is the in-flight window applied when
@@ -147,13 +147,6 @@ func (c EngineConfig) MaxBatchSize() int {
 		b = DefaultMaxBatch
 	}
 	return min(max(b, 1), maxBatchCap)
-}
-
-func (c EngineConfig) chunkBytes() int {
-	if c.ChunkBytes > 0 {
-		return c.ChunkBytes
-	}
-	return tableChunk
 }
 
 // garbleEngine runs the garbler's side of one inference of b = g.B()
@@ -267,7 +260,10 @@ func (en *garbleEngine) doLevels(st *circuit.Step) error {
 		en.g.Drop(w)
 	}
 	b := en.g.B()
-	chunk := en.cfg.chunkBytes()
+	chunk := en.cfg.chunkBytes
+	if chunk <= 0 {
+		chunk = tableChunk
+	}
 	cur := en.cur[:0]
 	if cur == nil {
 		// A session's first run: one buffer of the run's size (a chunk's at
@@ -471,18 +467,17 @@ func (en *evalEngine) doLevels(st *circuit.Step) error {
 // connection is the session's FIFO, which the reader fills ahead of
 // the evaluate pool — the one bounded ring of table frames a session
 // holds (§3.5) — and anywhere else a blocking Recv is all a
-// cursor needs. A level is evaluated where its frame lies (the garbler cuts
-// frames at level boundaries, so that is every level of a conforming
-// peer); each frame goes back to the connection's free list once drawn
-// dry.
+// cursor needs. A level is evaluated where its frame lies: the garbler cuts
+// frames at level boundaries, so a level that spans two frames is refused,
+// and no frame is ever copied. Each frame goes back to the connection's free
+// list once drawn dry.
 type tableRun struct {
-	conn     transport.FrameConn
-	total    int
-	whole    []byte       // the frame being drawn from, as received
-	rest     []byte       // its bytes not handed out yet
-	straddle []byte       // assembly scratch for a level that spans frames
-	recycle  func([]byte) // takes spent frames back, may be nil
-	got      int
+	conn    transport.FrameConn
+	total   int
+	whole   []byte       // the frame being drawn from, as received
+	rest    []byte       // its bytes not handed out yet
+	recycle func([]byte) // takes spent frames back, may be nil
+	got     int
 
 	// readTime accumulates wall time blocked in fetch waiting for frames —
 	// what the evaluator actually spent on the table stream (a frame
@@ -515,34 +510,21 @@ func (tr *tableRun) fetch() error {
 	return nil
 }
 
-// level returns the next need contiguous bytes of the run's table
-// stream, valid until the next call.
+// level returns the next need bytes of the run's table stream, valid until
+// the next call: the rest of the current frame's, or the next frame's once
+// the current one is drawn dry.
 func (tr *tableRun) level(need int) ([]byte, error) {
-	for len(tr.rest) < need {
-		if len(tr.rest) > 0 {
-			return tr.assemble(need)
-		}
+	if len(tr.rest) == 0 && need > 0 {
 		if err := tr.fetch(); err != nil {
 			return nil, err
 		}
+	}
+	if len(tr.rest) < need {
+		return nil, fmt.Errorf("core: level of %d table bytes spans a frame boundary", need)
 	}
 	block := tr.rest[:need]
 	tr.rest = tr.rest[need:]
 	return block, nil
-}
-
-// assemble copies together a level that spans frames.
-func (tr *tableRun) assemble(need int) ([]byte, error) {
-	tr.straddle = append(tr.straddle[:0], tr.rest...)
-	for len(tr.straddle) < need {
-		if err := tr.fetch(); err != nil {
-			return nil, err
-		}
-		n := min(need-len(tr.straddle), len(tr.rest))
-		tr.straddle = append(tr.straddle, tr.rest[:n]...)
-		tr.rest = tr.rest[n:]
-	}
-	return tr.straddle, nil
 }
 
 // finish validates the run's stream accounting and hands the last frame

@@ -369,7 +369,7 @@ func newTestEvaluator(constLabels []byte) *gc.BatchEvaluator {
 // engineTestConfig is the runEngines baseline configuration: small
 // chunks so a run produces many frames.
 func engineTestConfig(workers int) EngineConfig {
-	return EngineConfig{Workers: workers, ChunkBytes: 512}
+	return EngineConfig{Workers: workers, chunkBytes: 512}
 }
 
 // TestEngineConformance is the cross-mode property test: random recycled
@@ -470,7 +470,7 @@ func TestEngineSessionConformance(t *testing.T) {
 			defer wg.Done()
 			_, srvErr = srv.ServeSession(sConn)
 		}()
-		cli := &Client{Engine: EngineConfig{Workers: combo[0], ChunkBytes: 2048}}
+		cli := &Client{Engine: EngineConfig{Workers: combo[0], chunkBytes: 2048}}
 		labels, _, err := cli.InferMany(cConn, [][]float64{x, x})
 		wg.Wait()
 		closer.Close()
@@ -646,7 +646,7 @@ func TestEvaluatorAddsNoGoroutinePerRun(t *testing.T) {
 	}()
 	// Sequential garbling in small chunks: every write is on the Infer
 	// goroutine, and each level run spans several table frames.
-	cli := &Client{Rng: rand.New(rand.NewSource(602)), Engine: EngineConfig{Workers: 1, ChunkBytes: 1024}}
+	cli := &Client{Rng: rand.New(rand.NewSource(602)), Engine: EngineConfig{Workers: 1, chunkBytes: 1024}}
 	sess, err := cli.NewSession(transport.New(link))
 	if err != nil {
 		t.Fatal(err)
@@ -705,12 +705,12 @@ func (f *frameFeed) Recv(want transport.MsgType) ([]byte, error) {
 	return p, nil
 }
 
-// TestTableRunReassemblesAnyFraming pins the evaluator's frame handling
-// for a garbler that does not cut frames at level boundaries: levels that
-// lie inside one frame are served in place, levels that span frames are
-// assembled, every frame is recycled exactly once, and the run's byte
-// accounting catches both a surplus and a remainder.
-func TestTableRunReassemblesAnyFraming(t *testing.T) {
+// TestTableRunTakesWholeLevels pins the evaluator's frame handling: the
+// garbler cuts frames at level boundaries, so any grouping of whole levels
+// is served in place with every frame recycled exactly once, a level that
+// spans two frames is refused, and the run's byte accounting catches both a
+// surplus and a remainder.
+func TestTableRunTakesWholeLevels(t *testing.T) {
 	stream := make([]byte, 40)
 	for i := range stream {
 		stream[i] = byte(i + 1)
@@ -725,7 +725,7 @@ func TestTableRunReassemblesAnyFraming(t *testing.T) {
 		return out
 	}
 	levels := []int{4, 6, 0, 8, 1, 21}
-	for _, sizes := range [][]int{{40}, {10, 8, 22}, {3, 3, 3, 3, 28}, {1, 39}, {4, 6, 8, 1, 21}} {
+	for _, sizes := range [][]int{{40}, {10, 9, 21}, {4, 6, 8, 1, 21}, {4, 36}, {19, 21}} {
 		recycled := 0
 		tr := startTableRun(&frameFeed{frames: cut(sizes...)}, len(stream), func([]byte) { recycled++ })
 		off := 0
@@ -746,8 +746,27 @@ func TestTableRunReassemblesAnyFraming(t *testing.T) {
 			t.Fatalf("frames %v: %d frames recycled, want each once", sizes, recycled)
 		}
 	}
-	tr := startTableRun(&frameFeed{frames: cut(30, 10)}, 35, nil)
-	if _, err := tr.level(35); err == nil || !strings.Contains(err.Error(), "overrun") {
+	for _, sizes := range [][]int{{3, 37}, {12, 28}, {18, 2, 20}} {
+		tr := startTableRun(&frameFeed{frames: cut(sizes...)}, len(stream), nil)
+		var err error
+		for _, need := range levels {
+			if _, err = tr.level(need); err != nil {
+				break
+			}
+		}
+		if err == nil || !strings.Contains(err.Error(), "spans a frame boundary") {
+			t.Fatalf("frames %v split a level: err = %v, want it refused", sizes, err)
+		}
+	}
+	tr := startTableRun(&frameFeed{}, 0, nil)
+	if block, err := tr.level(0); err != nil || len(block) != 0 || tr.finish(nil) != nil {
+		t.Fatalf("a run of free gates only: %v, %v", block, err)
+	}
+	tr = startTableRun(&frameFeed{frames: cut(30, 10)}, 35, nil)
+	if _, err := tr.level(30); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := tr.level(5); err == nil || !strings.Contains(err.Error(), "overrun") {
 		t.Fatalf("frames beyond the run's budget: err = %v, want an overrun", err)
 	}
 	tr = startTableRun(&frameFeed{frames: cut(40)}, 40, nil)

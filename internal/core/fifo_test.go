@@ -745,7 +745,7 @@ func TestFullWindowOnBoundedLink(t *testing.T) {
 			cEnd, sEnd := tc.link(t)
 			defer cEnd.Close()
 			defer sEnd.Close()
-			cfg := EngineConfig{Workers: 1, Pipeline: 2, ChunkBytes: 4 << 10}
+			cfg := EngineConfig{Workers: 1, Pipeline: 2, chunkBytes: 4 << 10}
 			srv := &Server{Net: nw, Fmt: f, Rng: rand.New(rand.NewSource(98)), Engine: cfg,
 				OTPool: precomp.PoolConfig{Capacity: tc.pool}}
 			type result struct {

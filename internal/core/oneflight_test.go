@@ -69,7 +69,7 @@ func (d *dirLog) take() string {
 // server and returns its stats and both byte transcripts.
 func poolSession(t *testing.T, net *nn.Network, pool precomp.PoolConfig, window int) (sess *Session, wire *dirLog, end func() (srvStats *Stats, c2s, s2c []byte)) {
 	t.Helper()
-	cfg := EngineConfig{Workers: 1, ChunkBytes: 4096, Pipeline: window}
+	cfg := EngineConfig{Workers: 1, chunkBytes: 4096, Pipeline: window}
 	return wireSession(t,
 		&Server{Net: net, Fmt: fixed.Default, Rng: rand.New(rand.NewSource(11)), Engine: cfg, OTPool: pool},
 		&Client{Rng: rand.New(rand.NewSource(12)), Engine: cfg})

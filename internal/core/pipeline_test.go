@@ -124,7 +124,7 @@ func referenceSerialRun(t *testing.T, net *nn.Network, xs [][]float64, poolCfg p
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg := EngineConfig{Workers: 1, ChunkBytes: 2048}
+	cfg := EngineConfig{Workers: 1, chunkBytes: 2048}
 	gToE := newLogHalf()
 	eToG := newLogHalf()
 	gConn := transport.New(logDuplex{r: eToG, w: gToE})
@@ -268,7 +268,7 @@ func sessionRun(t *testing.T, net *nn.Network, xs [][]float64, poolCfg precomp.P
 	eToG := newLogHalf()
 	cConn := transport.New(logDuplex{r: eToG, w: gToE})
 	sConn := transport.New(logDuplex{r: gToE, w: eToG})
-	cfg := EngineConfig{Workers: 1, ChunkBytes: 2048, Pipeline: depth}
+	cfg := EngineConfig{Workers: 1, chunkBytes: 2048, Pipeline: depth}
 	srv := &Server{Net: net, Fmt: fixed.Default, Rng: rand.New(rand.NewSource(srvSeed)), Engine: cfg, OTPool: poolCfg}
 	var wg sync.WaitGroup
 	var srvErr error
@@ -543,7 +543,7 @@ func TestPipelineMidOTDisconnectTerminates(t *testing.T) {
 	net := testNet(t, act.ReLU, 90)
 	cConn, sConn, closer := transport.Pipe()
 	defer closer.Close()
-	cfg := EngineConfig{Workers: 1, ChunkBytes: 2048, Pipeline: 2}
+	cfg := EngineConfig{Workers: 1, chunkBytes: 2048, Pipeline: 2}
 	srv := &Server{Net: net, Fmt: f, Rng: rand.New(rand.NewSource(91)), Engine: cfg}
 	done := make(chan error, 1)
 	go func() {

@@ -13,8 +13,8 @@ import (
 // is process-global, so tests must not leave it off.
 func setWideForTest(t testing.TB, on bool) {
 	t.Helper()
-	SetWide(on)
-	t.Cleanup(func() { SetWide(true) })
+	wideOff.Store(!on)
+	t.Cleanup(func() { wideOff.Store(false) })
 }
 
 // hashModes returns the Hasher modes this build can run: the scalar
@@ -36,8 +36,8 @@ func TestHNMatchesScalar(t *testing.T) {
 	for _, wide := range hashModes() {
 		setWideForTest(t, wide)
 		h := NewHasher()
-		if h.Wide() != wide {
-			t.Fatalf("hasher wide=%v after SetWide(%v)", h.Wide(), wide)
+		if h.wide != wide {
+			t.Fatalf("hasher wide=%v after setWideForTest(%v)", h.wide, wide)
 		}
 		scalar := NewHasher()
 		for _, n := range []int{1, 2, 3, 4, 5, 6, 7, 8, 9, 16, 17, 27, 64} {

@@ -118,26 +118,16 @@ var fixedKey = [16]byte{
 // pipeline.
 const HashLanes = 8
 
-// wideOff force-disables the multi-lane AESENC kernel for Hashers
-// created after SetWide(false) — the benchmark/test toggle that lets one
-// binary measure the scalar cipher.Block path against the wide kernel.
+// wideOff force-disables the multi-lane AESENC kernel for Hashers created
+// while it is set. Only this package's tests set it, to pit the scalar
+// cipher.Block path against the wide kernel in one binary; both compute the
+// identical hash function.
 var wideOff atomic.Bool
 
 // WideAvailable reports whether this build and CPU expose the 8-block
 // pipelined AESENC kernel (amd64 with AES-NI, not built with the purego
 // tag). When false, HN falls back to looping the scalar hash.
 func WideAvailable() bool { return wideAvailable() }
-
-// SetWide enables or disables the wide kernel for Hashers created after
-// the call (existing Hashers keep the mode they were built with) and
-// reports whether the kernel is now in use — always false when
-// WideAvailable is. Both modes compute the identical hash function; the
-// toggle exists so benchmarks and conformance tests can pit them against
-// each other in one binary.
-func SetWide(on bool) bool {
-	wideOff.Store(!on)
-	return wideEnabled()
-}
 
 func wideEnabled() bool { return wideAvailable() && !wideOff.Load() }
 
@@ -161,7 +151,7 @@ type Hasher struct {
 	obuf  []byte
 
 	// wide selects the 8-block AESENC kernel, latched at construction
-	// from CPU feature detection (and the SetWide toggle).
+	// from CPU feature detection (and wideOff).
 	wide bool
 	// lanes is the staging buffer of the multi-lane path: callers write
 	// key blocks 2L ⊕ t, hashStaged replaces them with their hashes.
@@ -187,9 +177,6 @@ func NewHasher() *Hasher {
 		wide:  wideEnabled(),
 	}
 }
-
-// Wide reports whether this Hasher runs the 8-block pipelined kernel.
-func (h *Hasher) Wide() bool { return h.wide }
 
 // H computes the hash of label l under tweak t.
 func (h *Hasher) H(l Label, t uint64) Label {

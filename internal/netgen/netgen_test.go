@@ -76,11 +76,12 @@ func meanPoolNet(t *testing.T) *nn.Network {
 	return net
 }
 
-// buildNetlist materializes the network's netlist for plaintext testing.
+// buildNetlist materializes the network's netlist for plaintext testing:
+// the gates Compile schedules, with wire ids never recycled.
 func buildNetlist(t *testing.T, net *nn.Network, f fixed.Format, opt Options) (*circuit.Circuit, *Layout) {
 	t.Helper()
 	g := circuit.NewGraph()
-	b := circuit.NewBuilder(g, circuit.WithSharing())
+	b := circuit.NewBuilder(g)
 	lay, err := Generate(b, net, f, opt)
 	if err != nil {
 		t.Fatal(err)
@@ -287,14 +288,8 @@ func TestOutsourcingOverheadIsFree(t *testing.T) {
 func TestCountMatchesMaterialized(t *testing.T) {
 	f := fixed.Default
 	net := smallConvNet(t)
-	// Materialize WITHOUT sharing so gate counts are comparable to the
-	// streaming count (hash-consing would legitimately reduce them).
-	g := circuit.NewGraph()
-	b := circuit.NewBuilder(g)
-	if _, err := Generate(b, net, f, Options{}); err != nil {
-		t.Fatal(err)
-	}
-	mat := g.Circuit().Stats()
+	c, _ := buildNetlist(t, net, f, Options{})
+	mat := c.Stats()
 	cnt, _, err := Count(net, f, Options{})
 	if err != nil {
 		t.Fatal(err)

@@ -37,10 +37,6 @@ type AdmissionConfig struct {
 	// RetryAfter is the backoff hint sent inside MsgBusy. 0 defaults
 	// to 1s.
 	RetryAfter time.Duration
-	// ShedTimeout bounds the shed handshake (read the client's hello,
-	// answer MsgBusy): a shed must never pin a goroutine on a slow or
-	// hostile peer. 0 defaults to 2s.
-	ShedTimeout time.Duration
 	// MaxP99, when set, adds a latency guard: if the windowed p99 of this
 	// server's end-to-end inference latency exceeds it, new sessions are
 	// shed even when slots are free —
@@ -66,12 +62,9 @@ func (c AdmissionConfig) retryAfter() time.Duration {
 	return time.Second
 }
 
-func (c AdmissionConfig) shedTimeout() time.Duration {
-	if c.ShedTimeout > 0 {
-		return c.ShedTimeout
-	}
-	return 2 * time.Second
-}
+// shedTimeout bounds the shed handshake (read the client's hello, answer
+// MsgBusy): a shed must never pin a goroutine on a slow or hostile peer.
+const shedTimeout = 2 * time.Second
 
 // Validate rejects configurations that cannot mean anything: negative
 // limits and negative timeouts. The zero value stays valid (admission
@@ -86,8 +79,6 @@ func (c AdmissionConfig) Validate() error {
 		return fmt.Errorf("server: negative admission QueueTimeout %v", c.QueueTimeout)
 	case c.RetryAfter < 0:
 		return fmt.Errorf("server: negative admission RetryAfter %v", c.RetryAfter)
-	case c.ShedTimeout < 0:
-		return fmt.Errorf("server: negative admission ShedTimeout %v", c.ShedTimeout)
 	case c.MaxP99 < 0:
 		return fmt.Errorf("server: negative admission MaxP99 %v", c.MaxP99)
 	}

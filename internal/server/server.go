@@ -246,9 +246,9 @@ func (c *idleConn) Write(p []byte) (int, error) {
 // shed answers an un-admitted connection with MsgBusy. The client's
 // MsgHello is read first: closing a socket with unread inbound data may
 // reset the connection and destroy the in-flight busy frame. The whole
-// exchange is bounded by AdmissionConfig.ShedTimeout.
+// exchange is bounded by shedTimeout.
 func (s *Server) shed(conn net.Conn) {
-	conn.SetDeadline(time.Now().Add(s.adm.cfg.shedTimeout()))
+	conn.SetDeadline(time.Now().Add(shedTimeout))
 	tc := transport.New(conn)
 	tc.SetMetrics(s.set)
 	if _, err := tc.Recv(transport.MsgHello); err != nil {

@@ -382,11 +382,11 @@ func TestServeContextCancellation(t *testing.T) {
 }
 
 // TestWithEngineOption pins that the engine configuration reaches the
-// session layer: a server configured with an explicit worker count and
-// chunk size still interoperates with default-configured clients.
+// session layer: a server configured with an explicit worker count still
+// interoperates with a client configured with another.
 func TestWithEngineOption(t *testing.T) {
 	model := testModel(t)
-	srv, err := New(model, fixed.Default, WithEngine(core.EngineConfig{Workers: 3, ChunkBytes: 1024}))
+	srv, err := New(model, fixed.Default, WithEngine(core.EngineConfig{Workers: 3}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -402,7 +402,7 @@ func TestWithEngineOption(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer nc.Close()
-	cli := &core.Client{Rng: rand.New(rand.NewSource(31)), Engine: core.EngineConfig{Workers: 2, ChunkBytes: 4096}}
+	cli := &core.Client{Rng: rand.New(rand.NewSource(31)), Engine: core.EngineConfig{Workers: 2}}
 	x := sample(rand.New(rand.NewSource(32)), 6)
 	label, _, err := cli.Infer(transport.New(nc), x)
 	if err != nil {

@@ -172,23 +172,18 @@ func TestAddGateCount(t *testing.T) {
 }
 
 // buildMul materializes MulFixed over the operand words that shape
-// declares. shared picks the hash-consing builder (circuit.Build's mode);
-// without it the builder is the one netgen streams through, where every
-// INV and every repeated AND is its own gate.
-func buildMul(t *testing.T, shared bool, frac int, shape func(b *circuit.Builder) (x, y Word)) *circuit.Circuit {
+// declares: the gates netgen streams, every INV and every repeated AND its
+// own gate.
+func buildMul(t *testing.T, frac int, shape func(b *circuit.Builder) (x, y Word)) *circuit.Circuit {
 	t.Helper()
-	g := circuit.NewGraph()
-	var opts []circuit.Option
-	if shared {
-		opts = append(opts, circuit.WithSharing())
-	}
-	b := circuit.NewBuilder(g, opts...)
-	x, y := shape(b)
-	b.Outputs(MulFixed(b, x, y, frac)...)
-	if err := b.Err(); err != nil {
+	c, err := circuit.Build(func(b *circuit.Builder) {
+		x, y := shape(b)
+		b.Outputs(MulFixed(b, x, y, frac)...)
+	})
+	if err != nil {
 		t.Fatal(err)
 	}
-	return g.Circuit()
+	return c
 }
 
 // checkMul evaluates c on the input bits in and compares the decoded word
@@ -249,15 +244,14 @@ func TestMulFixedExhaustive8Bit(t *testing.T) {
 	for _, frac := range []int{0, 4, 7} {
 		f := fixed.Format{IntBits: 7 - frac, FracBits: frac}
 		xs, ys := allPairs(f)
-		for _, shared := range []bool{false, true} {
-			checkBinOp(t, "MulFixed", buildMul(t, shared, frac, garblerDigits(8)), f, xs, ys, digits, fixed.Num.Mul)
-			// The same function with the digits evaluator-owned: every
-			// partial product is a half AND, nothing else is.
-			c := buildMul(t, shared, frac, weightInput(8))
-			checkBinOp(t, "MulFixed on a weight", c, f, xs, ys, digits, fixed.Num.Mul)
-			if st, ref := c.Stats(), buildMul(t, shared, frac, garblerDigits(8)).Stats(); st.HalfAND == 0 || st.HalfAND >= st.AND || st.AND != ref.AND || ref.HalfAND != 0 {
-				t.Errorf("frac %d: %+v with an evaluator-owned operand, %+v without", frac, st, ref)
-			}
+		ref := buildMul(t, frac, garblerDigits(8))
+		checkBinOp(t, "MulFixed", ref, f, xs, ys, digits, fixed.Num.Mul)
+		// The same function with the digits evaluator-owned: every partial
+		// product is a half AND, nothing else is.
+		c := buildMul(t, frac, weightInput(8))
+		checkBinOp(t, "MulFixed on a weight", c, f, xs, ys, digits, fixed.Num.Mul)
+		if st, rs := c.Stats(), ref.Stats(); st.HalfAND == 0 || st.HalfAND >= st.AND || st.AND != rs.AND || rs.HalfAND != 0 {
+			t.Errorf("frac %d: %+v with an evaluator-owned operand, %+v without", frac, st, rs)
 		}
 	}
 }
@@ -269,7 +263,7 @@ func TestMulFixedMatchesFixed(t *testing.T) {
 		pairs = 50_000
 	}
 	xs, ys := randomPairs(f, 13, pairs)
-	checkBinOp(t, "MulFixed", buildMul(t, false, f.FracBits, weightInput(f.Bits())), f, xs, ys, digits, fixed.Num.Mul)
+	checkBinOp(t, "MulFixed", buildMul(t, f.FracBits, weightInput(f.Bits())), f, xs, ys, digits, fixed.Num.Mul)
 }
 
 func TestMulFixedWrapSmallExhaustive(t *testing.T) {
@@ -281,7 +275,7 @@ func TestMulFixedWrapSmallExhaustive(t *testing.T) {
 		for _, frac := range []int{0, n - 1} {
 			f := fixed.Format{IntBits: n - 1 - frac, FracBits: frac}
 			xs, ys := allPairs(f)
-			c := buildMul(t, true, frac, garblerDigits(n))
+			c := buildMul(t, frac, garblerDigits(n))
 			checkBinOp(t, "MulFixed", c, f, xs, ys, digits, fixed.Num.Mul)
 			if frac == 0 {
 				checkBinOp(t, "MulFixed", c, f, xs, ys, digits, func(x, y fixed.Num) fixed.Num { return f.FromRaw(x.Raw() * y.Raw()) })
@@ -305,49 +299,47 @@ func TestMulFixedOperandShapes(t *testing.T) {
 	for i := 0; i < random; i++ {
 		samples = append(samples, f.Wrap(rng.Int63()))
 	}
-	for _, shared := range []bool{false, true} {
-		c := buildMul(t, shared, f.FracBits, func(b *circuit.Builder) (x, y Word) {
-			return postReLU(b, n), Input(b, circuit.Garbler, fixed.BoothBits(n))
+	c := buildMul(t, f.FracBits, func(b *circuit.Builder) (x, y Word) {
+		return postReLU(b, n), Input(b, circuit.Garbler, fixed.BoothBits(n))
+	})
+	for _, a := range samples {
+		for _, bb := range samples {
+			x, y := f.FromRaw(a).ReLU(), f.FromRaw(bb)
+			checkMul(t, c, x, y, append(x.Bits(), digits(y)...))
+		}
+	}
+
+	// A constant operand on either side: corners, and every power of
+	// two (1<<(n-1) is Min, a top digit of −2). A constant x with bit 0
+	// clear puts neg_k into column 2k twice, so a column holds the same
+	// wire twice and its adder's sum folds to 0.
+	weights := corners(f)
+	for k := 0; k < n; k++ {
+		weights = append(weights, f.Wrap(1<<uint(k)))
+	}
+	for _, w := range weights {
+		w := f.FromRaw(w)
+		cx := buildMul(t, f.FracBits, func(b *circuit.Builder) (x, y Word) {
+			return Const(b, n, w.Raw()), Input(b, circuit.Garbler, fixed.BoothBits(n))
+		})
+		cy := buildMul(t, f.FracBits, func(b *circuit.Builder) (x, y Word) {
+			return Input(b, circuit.Garbler, n), constDigits(b, w)
 		})
 		for _, a := range samples {
-			for _, bb := range samples {
-				x, y := f.FromRaw(a).ReLU(), f.FromRaw(bb)
-				checkMul(t, c, x, y, append(x.Bits(), digits(y)...))
-			}
+			v := f.FromRaw(a)
+			checkMul(t, cx, w, v, digits(v))
+			checkMul(t, cy, v, w, v.Bits())
 		}
-
-		// A constant operand on either side: corners, and every power of
-		// two (1<<(n-1) is Min, a top digit of −2). A constant x with bit 0
-		// clear puts neg_k into column 2k twice, so a column holds the same
-		// wire twice and its adder's sum folds to 0.
-		weights := corners(f)
-		for k := 0; k < n; k++ {
-			weights = append(weights, f.Wrap(1<<uint(k)))
-		}
-		for _, w := range weights {
-			w := f.FromRaw(w)
-			cx := buildMul(t, shared, f.FracBits, func(b *circuit.Builder) (x, y Word) {
-				return Const(b, n, w.Raw()), Input(b, circuit.Garbler, fixed.BoothBits(n))
+		// Both operands constant: every output is a constant wire.
+		for _, w2 := range corners(f) {
+			w2 := f.FromRaw(w2)
+			cc := buildMul(t, f.FracBits, func(b *circuit.Builder) (x, y Word) {
+				return Const(b, n, w.Raw()), constDigits(b, w2)
 			})
-			cy := buildMul(t, shared, f.FracBits, func(b *circuit.Builder) (x, y Word) {
-				return Input(b, circuit.Garbler, n), constDigits(b, w)
-			})
-			for _, a := range samples {
-				v := f.FromRaw(a)
-				checkMul(t, cx, w, v, digits(v))
-				checkMul(t, cy, v, w, v.Bits())
+			if len(cc.Gates) != 0 {
+				t.Fatalf("constant product emitted %d gates", len(cc.Gates))
 			}
-			// Both operands constant: every output is a constant wire.
-			for _, w2 := range corners(f) {
-				w2 := f.FromRaw(w2)
-				cc := buildMul(t, shared, f.FracBits, func(b *circuit.Builder) (x, y Word) {
-					return Const(b, n, w.Raw()), constDigits(b, w2)
-				})
-				if len(cc.Gates) != 0 {
-					t.Fatalf("shared=%v: constant product emitted %d gates", shared, len(cc.Gates))
-				}
-				checkMul(t, cc, w, w2, nil)
-			}
+			checkMul(t, cc, w, w2, nil)
 		}
 	}
 }

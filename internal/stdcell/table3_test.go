@@ -56,6 +56,14 @@ func TestGateCountTable3Style(t *testing.T) {
 		if s.HalfAND != halves[c.Name] || s.Ciphertexts() != 2*and-halves[c.Name] {
 			t.Errorf("%s: %d half ANDs, %d ciphertexts; want %d and %d", c.Name, s.HalfAND, s.Ciphertexts(), halves[c.Name], 2*and-halves[c.Name])
 		}
+		// A materialized netlist is the one that was counted, gate for gate.
+		built, err := circuit.Build(func(b *circuit.Builder) { c.Gen(b, f) })
+		if err != nil {
+			t.Fatal(err)
+		}
+		if bs := built.Stats(); bs.XOR != s.XOR || bs.AND != s.AND || bs.HalfAND != s.HalfAND || bs.INV != s.INV {
+			t.Errorf("%s: circuit.Build materializes %v, circuit.Count counts %v", c.Name, bs, s)
+		}
 	}
 	if len(rows) != len(want) {
 		t.Errorf("%d rows counted, %d pinned", len(rows), len(want))

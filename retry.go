@@ -20,23 +20,24 @@ import (
 type RetryPolicy struct {
 	// MaxAttempts bounds total attempts, the first included (0 = 5).
 	MaxAttempts int
-	// BaseBackoff is the wait after the first failure (0 = 100ms).
+	// BaseBackoff is the wait after the first failure (0 = 100ms); each
+	// further failure doubles it, up to 5s.
 	BaseBackoff time.Duration
-	// MaxBackoff caps the exponential growth (0 = 5s).
-	MaxBackoff time.Duration
-	// Multiplier grows the wait per attempt (0 = 2.0).
-	Multiplier float64
-	// Jitter spreads each wait uniformly by ±Jitter fraction so
-	// synchronized clients do not re-dial in lockstep (0 = 0.2; negative
-	// disables jitter).
-	Jitter float64
 	// DialTimeout bounds each TCP dial (0 = 10s).
 	DialTimeout time.Duration
 	// OnRetry, when set, observes every scheduled retry: the attempt
 	// that just failed (1-based), its error, and the wait before the
 	// next attempt. Load generators hang their busy/retry counters here.
 	OnRetry func(attempt int, err error, wait time.Duration)
+
+	// jitter spreads each wait uniformly by ±jitter fraction so
+	// synchronized clients do not re-dial in lockstep (0 = 0.2; negative
+	// disables jitter, which this package's tests do to time the waits).
+	jitter float64
 }
+
+// maxBackoff caps a RetryPolicy's exponential growth.
+const maxBackoff = 5 * time.Second
 
 func (p RetryPolicy) maxAttempts() int { return intOr(p.MaxAttempts, 5) }
 
@@ -58,23 +59,12 @@ func durOr(v, def time.Duration) time.Duration {
 // failed attempt, folding in the server's retry-after hint when the
 // failure was a shed.
 func (p RetryPolicy) backoff(attempt int, err error) time.Duration {
-	base := durOr(p.BaseBackoff, 100*time.Millisecond)
-	cap := durOr(p.MaxBackoff, 5*time.Second)
-	mult := p.Multiplier
-	if mult <= 0 {
-		mult = 2.0
+	wait := float64(durOr(p.BaseBackoff, 100*time.Millisecond))
+	for i := 1; i < attempt && wait < float64(maxBackoff); i++ {
+		wait *= 2
 	}
-	wait := float64(base)
-	for i := 1; i < attempt; i++ {
-		wait *= mult
-		if wait >= float64(cap) {
-			break
-		}
-	}
-	if wait > float64(cap) {
-		wait = float64(cap)
-	}
-	jitter := p.Jitter
+	wait = min(wait, float64(maxBackoff))
+	jitter := p.jitter
 	if jitter == 0 {
 		jitter = 0.2
 	}

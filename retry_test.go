@@ -58,7 +58,7 @@ func TestDialSessionRetriesThroughDeadPeer(t *testing.T) {
 	var retries []error
 	sess, nc, err := DialSession(ln.Addr().String(), &Client{}, RetryPolicy{
 		BaseBackoff: time.Millisecond,
-		Jitter:      -1,
+		jitter:      -1,
 		OnRetry:     func(_ int, err error, _ time.Duration) { retries = append(retries, err) },
 	})
 	if err != nil {
@@ -102,7 +102,7 @@ func TestDialSessionGivesUpAfterMaxAttempts(t *testing.T) {
 	_, _, err = DialSession(ln.Addr().String(), &Client{}, RetryPolicy{
 		MaxAttempts: 3,
 		BaseBackoff: time.Millisecond,
-		Jitter:      -1,
+		jitter:      -1,
 		OnRetry:     func(int, error, time.Duration) { onRetry.Add(1) },
 	})
 	if err == nil || !strings.Contains(err.Error(), "no session after 3 attempts") {
@@ -144,7 +144,7 @@ func TestDialSessionDoesNotRetryProtocolErrors(t *testing.T) {
 	}()
 	_, _, err = DialSession(ln.Addr().String(), &Client{}, RetryPolicy{
 		BaseBackoff: time.Millisecond,
-		Jitter:      -1,
+		jitter:      -1,
 	})
 	if err == nil {
 		t.Fatal("DialSession succeeded against a garbage server")
@@ -194,7 +194,7 @@ func TestDialSessionHonorsBusyRetryAfter(t *testing.T) {
 	sess, nc, err := DialSession(addr, &Client{}, RetryPolicy{
 		MaxAttempts: 20,
 		BaseBackoff: time.Millisecond, // far below the hint: the floor must come from the server
-		Jitter:      -1,
+		jitter:      -1,
 		OnRetry: func(_ int, err error, wait time.Duration) {
 			var be *BusyError
 			if errors.As(err, &be) {
