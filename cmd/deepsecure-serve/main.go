@@ -142,7 +142,7 @@ func main() {
 	}
 
 	if *metricsAddr != "" {
-		mux := obs.ServeMux(obs.Default, *pprofOn)
+		mux := obs.ServeMux(obs.Root, *pprofOn)
 		go func() {
 			if err := http.ListenAndServe(*metricsAddr, mux); err != nil {
 				log.Printf("metrics endpoint failed: %v", err)
@@ -158,7 +158,7 @@ func main() {
 	if *statsEvery > 0 {
 		go func() {
 			for range time.Tick(*statsEvery) {
-				log.Printf("stats: %s", obs.ServingLine(obs.Default.Snapshot()))
+				log.Printf("stats: %s", obs.ServingLine(obs.Root))
 			}
 		}()
 	}
@@ -185,5 +185,5 @@ func main() {
 	}
 	st := srv.Stats()
 	log.Printf("served %d session(s), %d inference(s) total", st.Sessions, st.Inferences)
-	log.Printf("final: %s", obs.ServingLine(obs.Default.Snapshot()))
+	log.Printf("final: %s", obs.ServingLine(obs.Root))
 }

@@ -340,22 +340,23 @@ func NetlistStats(net *Network, f Format) (Stats, error) {
 // crypto/aes fallback — same bytes, lower throughput.
 func WideHashAvailable() bool { return gc.WideAvailable() }
 
-// MetricsHandler serves the process-wide metrics registry — per-phase
-// latency histograms, session/inference/batch totals, OT pool depth, per-direction byte counters — in Prometheus text
-// exposition format (the /metrics endpoint). Every connection, session,
-// inference and server in the process records in a ledger that adds up
-// to this registry — the same ledgers InferStats and ServerStats are read
-// from — in client processes as in server ones, so mounting this handler
-// is the only wiring a host process needs.
-func MetricsHandler() http.Handler { return obs.MetricsHandler(obs.Default) }
+// MetricsHandler serves the process-wide ledger — per-phase latency
+// histograms, session/inference/batch totals, OT pool depth, per-direction
+// byte counters — in Prometheus text exposition format (the /metrics
+// endpoint). Every connection, session, inference and server in the
+// process records in a ledger that adds up to this root ledger — the same
+// ledgers InferStats and ServerStats are read from — in client processes
+// as in server ones, so mounting this handler is the only wiring a host
+// process needs.
+func MetricsHandler() http.Handler { return obs.MetricsHandler(obs.Root) }
 
-// LiveStatsHandler serves the same registry as a JSON snapshot:
+// LiveStatsHandler serves the same ledger as a JSON live view:
 // one object keyed by series, histograms summarized as
 // count/sum/mean/p50/p95/p99 (the /debug/stats endpoint).
-func LiveStatsHandler() http.Handler { return obs.StatsHandler(obs.Default) }
+func LiveStatsHandler() http.Handler { return obs.StatsHandler(obs.Root) }
 
 // MetricsMux bundles the operational endpoints into one mux:
 // /metrics (Prometheus text), /debug/stats (JSON), and — opt-in,
 // because profiles leak timing detail — net/http/pprof under
 // /debug/pprof/.
-func MetricsMux(withPprof bool) http.Handler { return obs.ServeMux(obs.Default, withPprof) }
+func MetricsMux(withPprof bool) http.Handler { return obs.ServeMux(obs.Root, withPprof) }

@@ -136,7 +136,7 @@ func TestInferBatchFacade(t *testing.T) {
 
 // TestClientProcessExportsItsInferences scrapes MetricsHandler the way a
 // client process's operator would. The server runs in this process too, so
-// its sessions are put under a ledger of their own, off the registry: what
+// its sessions are put under a ledger of their own, off the root ledger: what
 // the scrape gains is then exactly what the client recorded — its
 // inferences, its one batch, their latency, and the pooled OTs it spent
 // masking weight labels.
@@ -188,7 +188,7 @@ func TestClientProcessExportsItsInferences(t *testing.T) {
 		"deepsecure_batches_total":           1,
 		"deepsecure_inference_seconds_count": 2,
 		"deepsecure_ot_consumed_total":       float64(st.OTsConsumed),
-		"deepsecure_sessions_total":          0, // the server's to count, and it is off the registry
+		"deepsecure_sessions_total":          0, // the server's to count, and it is off the root ledger
 	} {
 		if got := after[name] - before[name]; got != want {
 			t.Errorf("%s moved by %v, want %v", name, got, want)

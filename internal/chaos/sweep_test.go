@@ -107,7 +107,7 @@ func TestChaosSweep(t *testing.T) {
 		seeds = 12
 	}
 	checkLeaks := testutil.VerifyNoLeaks(t)
-	panics0 := obs.PanicCount()
+	panics0 := obs.Root.Panics.Value()
 
 	f := fixed.Default
 	model := sweepNet(t)
@@ -304,7 +304,7 @@ func TestChaosSweep(t *testing.T) {
 		// faults) is broken.
 		t.Errorf("no chaos run succeeded — harness broken?")
 	}
-	if dp := obs.PanicCount() - panics0; dp != 0 {
+	if dp := obs.Root.Panics.Value() - panics0; dp != 0 {
 		t.Errorf("network faults caused %d recovered panic(s); faults must surface as errors, not panics", dp)
 	}
 	checkLeaks()
@@ -483,7 +483,7 @@ func (c *beginFlipper) Write(b []byte) (int, error) {
 // what a batch at the cap could own, leak nothing, and keep serving.
 func TestChaosFlipBeginBatchSize(t *testing.T) {
 	checkLeaks := testutil.VerifyNoLeaks(t)
-	panics0 := obs.PanicCount()
+	panics0 := obs.Root.Panics.Value()
 	f := fixed.Default
 	model := sweepNet(t)
 	var logMu sync.Mutex
@@ -566,7 +566,7 @@ func TestChaosFlipBeginBatchSize(t *testing.T) {
 	}
 	nc.Close()
 	stop()
-	if dp := obs.PanicCount() - panics0; dp != 0 {
+	if dp := obs.Root.Panics.Value() - panics0; dp != 0 {
 		t.Errorf("corrupted begin frames caused %d recovered panic(s)", dp)
 	}
 	checkLeaks()

@@ -22,7 +22,7 @@ import (
 // process.
 func TestEvalPanicTearsDownOnlyItsSession(t *testing.T) {
 	checkLeaks := testutil.VerifyNoLeaks(t)
-	panics0 := obs.PanicCount()
+	panics0 := obs.Root.Panics.Value()
 
 	f := fixed.Default
 	net := testNet(t, act.ReLU, 61)
@@ -124,7 +124,7 @@ func TestEvalPanicTearsDownOnlyItsSession(t *testing.T) {
 		t.Fatalf("healthy session torn down by the other session's panic: %v", healthyErr)
 	}
 
-	if dp := obs.PanicCount() - panics0; dp != 1 {
+	if dp := obs.Root.Panics.Value() - panics0; dp != 1 {
 		t.Errorf("deepsecure_panics_total moved by %d, want exactly 1", dp)
 	}
 	checkLeaks()

@@ -316,7 +316,8 @@ type Server struct {
 	// are only for single-session tests.
 	Rng io.Reader
 	// Engine tunes the level-scheduled evaluation engine (worker count,
-	// table chunking). The zero value derives workers from GOMAXPROCS.
+	// pipeline depth, batch cap, phase deadlines). The zero value derives
+	// workers from GOMAXPROCS.
 	Engine EngineConfig
 	// OTPool sizes the offline OT pool each session precomputes at setup,
 	// keyed to the model's weight bits, and refills between inferences
@@ -497,7 +498,8 @@ type Client struct {
 	// Rng sources protocol randomness (crypto/rand when nil).
 	Rng io.Reader
 	// Engine tunes the level-scheduled garbling engine (worker count,
-	// table chunking). The zero value derives workers from GOMAXPROCS.
+	// pipeline depth, batch cap, phase deadlines). The zero value derives
+	// workers from GOMAXPROCS.
 	Engine EngineConfig
 
 	sessions atomic.Uint64 // cid of the latest session: this client's half of every nonce

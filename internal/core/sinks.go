@@ -18,8 +18,8 @@ const tableChunk = 1 << 20
 // garblerSink drives the GC garbler from the netlist event stream (live
 // generation or tape replay): it assigns input labels (sending its own,
 // obliviously transferring the evaluator's), streams garbled tables, and
-// captures the output decode information. One sink serves one inference;
-// its buffers may be recycled into the next sink by the session.
+// captures the output decode information. One sink serves one garbled
+// execution of the one-shot outsourced deployment.
 type garblerSink struct {
 	g    *gc.Garbler
 	conn *transport.Conn
@@ -151,10 +151,9 @@ func newGarblerSink(conn *transport.Conn, rng io.Reader, inputBits []bool) (*gar
 	return &garblerSink{g: g, conn: conn, ots: ots, inputBits: inputBits}, nil
 }
 
-// evaluatorSink drives the GC evaluator: it receives input labels (its own
-// via OT), consumes streamed garbled tables, and collects output labels.
-// One sink serves a whole session; beginInference resets it for the next
-// garbled execution while keeping the shared OT extension state.
+// evaluatorSink drives the GC evaluator for one garbled execution of the
+// one-shot outsourced deployment: it receives input labels (its own via
+// OT), consumes streamed garbled tables, and collects output labels.
 type evaluatorSink struct {
 	e    *gc.Evaluator
 	conn *transport.Conn
@@ -165,29 +164,6 @@ type evaluatorSink struct {
 
 	pending   []byte
 	outLabels []gc.Label
-}
-
-// beginInference receives the fresh constant labels that open one garbled
-// execution and resets the per-inference evaluation state.
-func (s *evaluatorSink) beginInference() error {
-	constLabels, err := s.conn.Recv(transport.MsgConstLabels)
-	if err != nil {
-		return err
-	}
-	if len(constLabels) != 2*gc.LabelSize {
-		return fmt.Errorf("core: const-label frame has %d bytes", len(constLabels))
-	}
-	e := gc.NewEvaluator()
-	var lf, lt gc.Label
-	copy(lf[:], constLabels[:gc.LabelSize])
-	copy(lt[:], constLabels[gc.LabelSize:])
-	e.SetLabel(circuit.WFalse, lf)
-	e.SetLabel(circuit.WTrue, lt)
-	s.e = e
-	s.cursor = 0
-	s.pending = s.pending[:0]
-	s.outLabels = s.outLabels[:0]
-	return nil
 }
 
 // OnInputs implements circuit.Sink.
@@ -258,17 +234,23 @@ func (s *evaluatorSink) OnDrop(w uint32) error {
 }
 
 // newEvaluatorSink builds a self-contained single-inference evaluator
-// sink with its own OT base phase, for the one-shot outsourced
-// deployment; session serving shares one ExtReceiver instead.
+// sink: it receives the constant labels that open the garbled execution,
+// then runs its own OT base phase. Session serving runs the evaluation
+// engine instead.
 func newEvaluatorSink(conn *transport.Conn, rng io.Reader, inputBits []bool) (*evaluatorSink, error) {
-	sink := &evaluatorSink{conn: conn, inputBits: inputBits}
-	if err := sink.beginInference(); err != nil {
+	constLabels, err := conn.Recv(transport.MsgConstLabels)
+	if err != nil {
 		return nil, err
 	}
+	if len(constLabels) != 2*gc.LabelSize {
+		return nil, fmt.Errorf("core: const-label frame has %d bytes", len(constLabels))
+	}
+	e := gc.NewEvaluator()
+	e.SetLabel(circuit.WFalse, gc.Label(constLabels[:gc.LabelSize]))
+	e.SetLabel(circuit.WTrue, gc.Label(constLabels[gc.LabelSize:]))
 	ots, err := ot.NewExtReceiver(conn, rng)
 	if err != nil {
 		return nil, err
 	}
-	sink.ots = ots
-	return sink, nil
+	return &evaluatorSink{e: e, conn: conn, ots: ots, inputBits: inputBits}, nil
 }

@@ -42,20 +42,6 @@ func TestDoubleMatchesReference(t *testing.T) {
 	}
 }
 
-func TestIsZero(t *testing.T) {
-	var z Label
-	if !z.IsZero() {
-		t.Fatal("zero label reported non-zero")
-	}
-	for i := 0; i < LabelSize; i++ {
-		l := Label{}
-		l[i] = 1
-		if l.IsZero() {
-			t.Fatalf("label with byte %d set reported zero", i)
-		}
-	}
-}
-
 // packedBytes is the size of the table block a level's AND gates garble to
 // for b samples: two ciphertexts per full AND, one per half AND.
 func packedBytes(ands []circuit.Gate, b int) int {
@@ -299,23 +285,7 @@ func BenchmarkDouble(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		l = double(l)
 	}
-	if l.IsZero() {
-		b.Fatal("impossible")
-	}
-}
-
-// BenchmarkLabelIsZero isolates the zero-sentinel check.
-func BenchmarkLabelIsZero(b *testing.B) {
-	var l Label
-	l[15] = 1
-	n := 0
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if l.IsZero() {
-			n++
-		}
-	}
-	if n != 0 {
+	if l == (Label{}) {
 		b.Fatal("impossible")
 	}
 }

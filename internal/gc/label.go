@@ -55,12 +55,6 @@ func (l Label) XOR(o Label) Label {
 // LSB returns the point-and-permute bit of the label.
 func (l Label) LSB() bool { return l[0]&1 == 1 }
 
-// IsZero reports whether the label is all zeros (used as a sentinel for
-// "label missing" in integrity checks).
-func (l Label) IsZero() bool {
-	return binary.LittleEndian.Uint64(l[0:8])|binary.LittleEndian.Uint64(l[8:16]) == 0
-}
-
 // words returns l as two little-endian uint64 words, the form the kernel
 // computes in; setWords stores them back. wordsAt and setWordsAt do the
 // same on the first LabelSize bytes of a table slice.

@@ -5,33 +5,32 @@ import (
 	"net/http/pprof"
 )
 
-// MetricsHandler serves a registry in Prometheus text exposition
-// format.
-func MetricsHandler(r *Registry) http.Handler {
+// MetricsHandler serves a ledger in Prometheus text exposition format.
+func MetricsHandler(s *Set) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, req *http.Request) {
 		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-		_ = r.Snapshot().WritePrometheus(w)
+		_ = WritePrometheus(w, s)
 	})
 }
 
-// StatsHandler serves a registry as the JSON live view (the
-// /debug/stats endpoint): one object keyed by series, histograms
-// summarized as count/sum/mean/p50/p95/p99.
-func StatsHandler(r *Registry) http.Handler {
+// StatsHandler serves a ledger as the JSON live view (the /debug/stats
+// endpoint): one object keyed by series, histograms summarized as
+// count/sum/mean/p50/p95/p99.
+func StatsHandler(s *Set) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, req *http.Request) {
 		w.Header().Set("Content-Type", "application/json; charset=utf-8")
-		_ = r.Snapshot().WriteJSON(w)
+		_ = WriteJSON(w, s)
 	})
 }
 
-// ServeMux builds the metrics endpoint mux: /metrics (Prometheus text),
-// /debug/stats (JSON live snapshot), and — opt-in, because profiles
-// leak timing detail an operator may not want exposed — the
+// ServeMux builds the metrics endpoint mux over a ledger: /metrics
+// (Prometheus text), /debug/stats (JSON live view), and — opt-in, because
+// profiles leak timing detail an operator may not want exposed — the
 // net/http/pprof handlers under /debug/pprof/.
-func ServeMux(r *Registry, withPprof bool) *http.ServeMux {
+func ServeMux(s *Set, withPprof bool) *http.ServeMux {
 	mux := http.NewServeMux()
-	mux.Handle("/metrics", MetricsHandler(r))
-	mux.Handle("/debug/stats", StatsHandler(r))
+	mux.Handle("/metrics", MetricsHandler(s))
+	mux.Handle("/debug/stats", StatsHandler(s))
 	if withPprof {
 		mux.HandleFunc("/debug/pprof/", pprof.Index)
 		mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)

@@ -1,18 +1,27 @@
 package obs
 
 import (
+	"bytes"
+	"io"
 	"math"
 	"math/rand"
+	"slices"
 	"sort"
+	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 )
 
+// testHistogram returns a histogram under nothing with the given bounds.
+func testHistogram(bounds []int64) *Histogram {
+	return &Histogram{bounds: bounds, counts: make([]atomic.Int64, len(bounds)+1)}
+}
+
 func TestCounterGauge(t *testing.T) {
-	r := NewRegistry()
-	c := r.Counter(Desc{Name: "c_total"})
-	g := r.Gauge(Desc{Name: "g"})
+	s := NewSet(nil)
+	c, g := s.Sessions, s.SessionsActive
 	c.Inc()
 	c.Add(41)
 	g.Set(7)
@@ -25,28 +34,22 @@ func TestCounterGauge(t *testing.T) {
 	}
 }
 
-func TestRegistryIdempotent(t *testing.T) {
-	r := NewRegistry()
-	a := r.Counter(Desc{Name: "x_total", Labels: []Label{{"k", "v"}}})
-	b := r.Counter(Desc{Name: "x_total", Labels: []Label{{"k", "v"}}})
-	if a != b {
-		t.Fatal("re-registering the same series must return the same counter")
+// TestLatencyBoundsSortedUnique pins what Observe's bucket scan and
+// Quantile's interpolation assume of the one set of bounds every ledger
+// histogram has: strictly increasing, and positive.
+func TestLatencyBoundsSortedUnique(t *testing.T) {
+	if DefaultLatencyBounds[0] <= 0 {
+		t.Fatalf("first bound %d is not positive", DefaultLatencyBounds[0])
 	}
-	c := r.Counter(Desc{Name: "x_total", Labels: []Label{{"k", "w"}}})
-	if a == c {
-		t.Fatal("different label values must be distinct series")
-	}
-	defer func() {
-		if recover() == nil {
-			t.Fatal("kind clash must panic")
+	for i := 1; i < len(DefaultLatencyBounds); i++ {
+		if DefaultLatencyBounds[i] <= DefaultLatencyBounds[i-1] {
+			t.Fatalf("bounds not strictly increasing at %d: %v", i, DefaultLatencyBounds)
 		}
-	}()
-	r.Gauge(Desc{Name: "x_total", Labels: []Label{{"k", "v"}}})
+	}
 }
 
 func TestHistogramBuckets(t *testing.T) {
-	r := NewRegistry()
-	h := r.Histogram(Desc{Name: "h"}, []int64{10, 100, 1000})
+	h := testHistogram([]int64{10, 100, 1000})
 	for _, v := range []int64{-5, 0, 10, 11, 100, 500, 1000, 1001, 1 << 40} {
 		h.Observe(v)
 	}
@@ -85,8 +88,7 @@ func oracleBucket(bounds []int64, v int64) (lo, hi float64) {
 // contains the true quantile value.
 func TestQuantileOracle(t *testing.T) {
 	bounds := DefaultLatencyBounds
-	r := NewRegistry()
-	h := r.Histogram(Desc{Name: "lat"}, bounds)
+	h := NewSet(nil).InferenceSeconds
 	rng := rand.New(rand.NewSource(11))
 	vals := make([]int64, 20000)
 	for i := range vals {
@@ -115,26 +117,54 @@ func TestQuantileOracle(t *testing.T) {
 }
 
 func TestQuantileEmpty(t *testing.T) {
-	r := NewRegistry()
-	h := r.Histogram(Desc{Name: "e"}, []int64{1, 2})
+	h := testHistogram([]int64{1, 2})
 	if got := h.Snapshot().Quantile(0.99); got != 0 {
 		t.Fatalf("empty quantile = %v, want 0", got)
 	}
 }
 
-// TestConcurrentHammer drives one registry from many goroutines — the
-// -race CI job runs this package — and checks the totals are exact and
-// snapshots taken mid-flight are internally consistent.
+// TestDelta checks the window between two snapshots of one histogram, and
+// that a zero-value earlier snapshot yields the whole histogram.
+func TestDelta(t *testing.T) {
+	h := testHistogram([]int64{10, 100})
+	h.Observe(5)
+	h.Observe(50)
+	first := h.Snapshot()
+	h.Observe(500)
+	h.Observe(7)
+	d := h.Snapshot().Delta(first)
+	if want := []int64{1, 0, 1}; !slices.Equal(d.Counts, want) || d.Sum != 507 {
+		t.Fatalf("delta = %v sum %d, want %v sum 507", d.Counts, d.Sum, want)
+	}
+	if all := h.Snapshot().Delta(HistogramSnapshot{}); all.Count() != 4 || all.Sum != 562 {
+		t.Fatalf("delta from zero = %v sum %d, want 4 observations summing to 562", all.Counts, all.Sum)
+	}
+	if first.Counts[0] != 1 {
+		t.Fatal("Delta wrote into its receiver's counts")
+	}
+}
+
+// TestConcurrentHammer drives one ledger from many goroutines — the -race
+// CI job runs this package — while readers render it, and checks the
+// totals are exact and renders taken mid-flight are well formed.
 func TestConcurrentHammer(t *testing.T) {
-	r := NewRegistry()
-	c := r.Counter(Desc{Name: "ops_total"})
-	g := r.Gauge(Desc{Name: "depth"})
-	h := r.Histogram(Desc{Name: "lat"}, DefaultLatencyBounds)
+	s := NewSet(nil)
+	c, g, h := s.Inferences, s.SessionsActive, s.Phase[PhaseEval]
 	const workers = 8
 	const perWorker = 20000
 	var wg, readers sync.WaitGroup
 	stop := make(chan struct{})
-	// Concurrent snapshot readers while writers hammer.
+	render := func() {
+		if err := WritePrometheus(io.Discard, s); err != nil {
+			t.Error(err)
+		}
+		if err := WriteJSON(io.Discard, s); err != nil {
+			t.Error(err)
+		}
+		if !strings.HasPrefix(ServingLine(s), "sessions=") {
+			t.Error("malformed serving line")
+		}
+	}
 	for i := 0; i < 2; i++ {
 		readers.Add(1)
 		go func() {
@@ -145,12 +175,7 @@ func TestConcurrentHammer(t *testing.T) {
 					return
 				default:
 				}
-				s := r.Snapshot()
-				for _, m := range s.Metrics {
-					if m.Kind == KindHistogram && m.Hist.Count() < 0 {
-						t.Error("negative histogram count")
-					}
-				}
+				render()
 			}
 		}()
 	}
@@ -177,7 +202,7 @@ func TestConcurrentHammer(t *testing.T) {
 		case <-done:
 			goto drained
 		case <-time.After(time.Millisecond):
-			r.Snapshot() // keep the main goroutine snapshotting too
+			render() // keep the main goroutine rendering too
 		}
 	}
 drained:
@@ -189,25 +214,24 @@ drained:
 	if g.Value() != workers*perWorker {
 		t.Fatalf("gauge = %d, want %d", g.Value(), workers*perWorker)
 	}
-	s := h.Snapshot()
-	if s.Count() != workers*perWorker {
-		t.Fatalf("histogram count = %d, want %d", s.Count(), workers*perWorker)
+	snap := h.Snapshot()
+	if snap.Count() != workers*perWorker {
+		t.Fatalf("histogram count = %d, want %d", snap.Count(), workers*perWorker)
 	}
-	var bucketSum int64
-	for _, n := range s.Counts {
-		bucketSum += n
+	var buf bytes.Buffer
+	if err := WritePrometheus(&buf, s); err != nil {
+		t.Fatal(err)
 	}
-	if bucketSum != s.Count() {
-		t.Fatalf("bucket sum %d != count %d", bucketSum, s.Count())
+	if want := `deepsecure_phase_seconds_count{phase="eval"} 160000`; !strings.Contains(buf.String(), want) {
+		t.Fatalf("exposition after the writers drained lacks %q", want)
 	}
 }
 
 // TestSetRecordsUpTheTree pins the ledger's one rule: an event recorded
-// in a set lands there and in every ancestor — Root and its registered
-// series included — and nowhere else.
+// in a set lands there and in every ancestor — Root included — and
+// nowhere else.
 func TestSetRecordsUpTheTree(t *testing.T) {
 	rootBefore := Root.BytesSent.Value()
-	promBefore, _ := Default.Snapshot().Get("deepsecure_bytes_total", Label{"direction", "sent"})
 	server := NewSet(Root)
 	session, sibling := NewSet(server), NewSet(server)
 	inference := NewSet(session)
@@ -225,10 +249,6 @@ func TestSetRecordsUpTheTree(t *testing.T) {
 	}
 	if got := Root.BytesSent.Value() - rootBefore; got != 12 {
 		t.Errorf("Root moved by %d, want 12", got)
-	}
-	promAfter, _ := Default.Snapshot().Get("deepsecure_bytes_total", Label{"direction", "sent"})
-	if got := promAfter.Value - promBefore.Value; got != 12 {
-		t.Errorf("registered series moved by %d, want 12", got)
 	}
 	if got := server.BytesReceived.Value(); got != 0 {
 		t.Errorf("a different series moved: BytesReceived = %d", got)
@@ -260,6 +280,10 @@ func TestSetRecordsUpTheTree(t *testing.T) {
 }
 
 func TestPhaseNames(t *testing.T) {
+	var buf bytes.Buffer
+	if err := WritePrometheus(&buf, NewSet(nil)); err != nil {
+		t.Fatal(err)
+	}
 	seen := map[string]bool{}
 	for p := Phase(0); p < numPhases; p++ {
 		name := p.String()
@@ -270,26 +294,26 @@ func TestPhaseNames(t *testing.T) {
 			t.Fatalf("duplicate phase name %q", name)
 		}
 		seen[name] = true
-		if _, ok := Default.Snapshot().Get("deepsecure_phase_seconds", Label{"phase", name}); !ok {
-			t.Fatalf("phase %q not pre-registered", name)
+		if !strings.Contains(buf.String(), `deepsecure_phase_seconds_count{phase="`+name+`"} 0`) {
+			t.Fatalf("phase %q not exported", name)
 		}
 	}
 }
 
 func TestServingLine(t *testing.T) {
-	line := ServingLine(Default.Snapshot())
+	line := ServingLine(NewSet(nil))
 	for _, want := range []string{"sessions=", "active=", "inferences=", "sent=", "ot_pool="} {
-		if !contains(line, want) {
+		if !strings.Contains(line, want) {
 			t.Fatalf("serving line %q missing %q", line, want)
 		}
 	}
 }
 
-func contains(s, sub string) bool {
-	for i := 0; i+len(sub) <= len(s); i++ {
-		if s[i:i+len(sub)] == sub {
-			return true
-		}
+// TestNewSetAllocs holds the per-inference cost of a ledger to the set
+// itself and one array per kind of series plus the buckets behind its
+// histograms.
+func TestNewSetAllocs(t *testing.T) {
+	if n := testing.AllocsPerRun(100, func() { NewSet(Root) }); n > 5 {
+		t.Fatalf("NewSet allocates %v times, want at most 5", n)
 	}
-	return false
 }

@@ -58,18 +58,16 @@ func pinScript(s *Set) {
 // Run with -update to rewrite the golden files; a change that means to move
 // the exposition is a reviewed edit of testdata.
 func TestExpositionPinned(t *testing.T) {
-	reg := NewRegistry()
-	s := newSet(reg, nil)
+	s := NewSet(nil)
 	pinScript(s)
-	snap := reg.Snapshot()
 	for _, r := range []struct {
 		file  string
 		write func(io.Writer) error
 	}{
-		{"metrics.golden", snap.WritePrometheus},
-		{"stats.golden", snap.WriteJSON},
+		{"metrics.golden", func(w io.Writer) error { return WritePrometheus(w, s) }},
+		{"stats.golden", func(w io.Writer) error { return WriteJSON(w, s) }},
 		{"line.golden", func(w io.Writer) error {
-			_, err := io.WriteString(w, ServingLine(snap)+"\n")
+			_, err := io.WriteString(w, ServingLine(s)+"\n")
 			return err
 		}},
 	} {

@@ -7,104 +7,84 @@ import (
 	"strings"
 )
 
-// WritePrometheus renders the snapshot in Prometheus text exposition
-// format (version 0.0.4). Series sharing a name are grouped under one
-// # HELP / # TYPE header; histograms emit cumulative _bucket series
-// with le edges, plus _sum and _count. The render scale converts
-// integer base units at the edge (nanoseconds → seconds for *_seconds
-// series), so scraped values follow Prometheus base-unit conventions.
-func (s Snapshot) WritePrometheus(w io.Writer) error {
+// WritePrometheus renders s in Prometheus text exposition format
+// (version 0.0.4), walking the catalogue. Series sharing a name are
+// grouped under one # HELP / # TYPE header; histograms emit cumulative
+// _bucket series with le edges, plus _sum and _count. The render scale
+// converts integer base units at the edge (nanoseconds → seconds for
+// *_seconds series), so scraped values follow Prometheus base-unit
+// conventions.
+func WritePrometheus(w io.Writer, s *Set) error {
 	var b bytes.Buffer
 	prevName := ""
-	for _, m := range s.Metrics {
-		if m.Name != prevName {
-			if m.Help != "" {
-				b.WriteString("# HELP ")
-				b.WriteString(m.Name)
-				b.WriteByte(' ')
-				b.WriteString(escapeHelp(m.Help))
-				b.WriteByte('\n')
-			}
-			b.WriteString("# TYPE ")
-			b.WriteString(m.Name)
-			b.WriteByte(' ')
-			b.WriteString(m.Kind.String())
-			b.WriteByte('\n')
-			prevName = m.Name
+	for _, e := range catalogue {
+		if e.name == "" {
+			continue
 		}
-		switch m.Kind {
-		case KindCounter, KindGauge:
-			b.WriteString(m.Name)
-			writeLabels(&b, m.Labels, "")
-			b.WriteByte(' ')
-			writeScaled(&b, m.Value, m.Scale)
-			b.WriteByte('\n')
-		case KindHistogram:
+		f := e.field(s)
+		if e.name != prevName {
+			if e.help != "" {
+				b.WriteString("# HELP " + e.name + " " + e.help + "\n")
+			}
+			b.WriteString("# TYPE " + e.name + " " + kind(f) + "\n")
+			prevName = e.name
+		}
+		switch f := f.(type) {
+		case **Counter:
+			sample(&b, e.name, e.label, "", scaled((*f).Value(), e.scale))
+		case **Gauge:
+			sample(&b, e.name, e.label, "", scaled((*f).Value(), e.scale))
+		case **Histogram:
+			h := (*f).Snapshot()
 			var cum int64
-			for i, c := range m.Hist.Counts {
+			for i, c := range h.Counts {
 				cum += c
 				le := "+Inf"
-				if i < len(m.Hist.Bounds) {
-					le = formatFloat(float64(m.Hist.Bounds[i]) * m.Scale)
+				if i < len(h.Bounds) {
+					le = formatFloat(float64(h.Bounds[i]) * e.scale)
 				}
-				b.WriteString(m.Name)
-				b.WriteString("_bucket")
-				writeLabels(&b, m.Labels, le)
-				b.WriteByte(' ')
-				b.WriteString(strconv.FormatInt(cum, 10))
-				b.WriteByte('\n')
+				sample(&b, e.name+"_bucket", e.label, le, strconv.FormatInt(cum, 10))
 			}
-			b.WriteString(m.Name)
-			b.WriteString("_sum")
-			writeLabels(&b, m.Labels, "")
-			b.WriteByte(' ')
-			writeScaled(&b, m.Hist.Sum, m.Scale)
-			b.WriteByte('\n')
-			b.WriteString(m.Name)
-			b.WriteString("_count")
-			writeLabels(&b, m.Labels, "")
-			b.WriteByte(' ')
-			b.WriteString(strconv.FormatInt(cum, 10))
-			b.WriteByte('\n')
+			sample(&b, e.name+"_sum", e.label, "", scaled(h.Sum, e.scale))
+			sample(&b, e.name+"_count", e.label, "", strconv.FormatInt(cum, 10))
 		}
 	}
 	_, err := w.Write(b.Bytes())
 	return err
 }
 
-// WriteJSON renders the snapshot as a single JSON object keyed by
-// series (name plus inline labels), with counters/gauges as scaled
-// numbers and histograms as {count, sum, mean, p50, p95, p99} objects.
-// This is the /debug/stats live view; it is built from the same
-// Snapshot as the Prometheus exposition.
-func (s Snapshot) WriteJSON(w io.Writer) error {
+// WriteJSON renders s as a single JSON object keyed by series (name plus
+// inline label), with counters and gauges as scaled numbers and
+// histograms as {count, sum, mean, p50, p95, p99} objects. This is the
+// /debug/stats live view; it walks the same catalogue as the Prometheus
+// exposition.
+func WriteJSON(w io.Writer, s *Set) error {
 	var b bytes.Buffer
 	b.WriteString("{\n")
-	for i, m := range s.Metrics {
-		if i > 0 {
-			b.WriteString(",\n")
+	sep := ""
+	for _, e := range catalogue {
+		if e.name == "" {
+			continue
 		}
-		b.WriteString("  ")
-		b.WriteString(strconv.Quote(seriesDisplay(m.Name, m.Labels)))
-		b.WriteString(": ")
-		switch m.Kind {
-		case KindCounter, KindGauge:
-			writeScaled(&b, m.Value, m.Scale)
-		case KindHistogram:
-			h := m.Hist
-			b.WriteString(`{"count": `)
-			b.WriteString(strconv.FormatInt(h.Count(), 10))
-			b.WriteString(`, "sum": `)
-			writeScaled(&b, h.Sum, m.Scale)
-			b.WriteString(`, "mean": `)
-			b.WriteString(formatFloat(h.Mean() * m.Scale))
-			b.WriteString(`, "p50": `)
-			b.WriteString(formatFloat(h.Quantile(0.50) * m.Scale))
-			b.WriteString(`, "p95": `)
-			b.WriteString(formatFloat(h.Quantile(0.95) * m.Scale))
-			b.WriteString(`, "p99": `)
-			b.WriteString(formatFloat(h.Quantile(0.99) * m.Scale))
-			b.WriteString("}")
+		key := e.name
+		if e.label != "" {
+			key += "{" + e.label + "}"
+		}
+		b.WriteString(sep + "  " + strconv.Quote(key) + ": ")
+		sep = ",\n"
+		switch f := e.field(s).(type) {
+		case **Counter:
+			b.WriteString(scaled((*f).Value(), e.scale))
+		case **Gauge:
+			b.WriteString(scaled((*f).Value(), e.scale))
+		case **Histogram:
+			h := (*f).Snapshot()
+			b.WriteString(`{"count": ` + strconv.FormatInt(h.Count(), 10) +
+				`, "sum": ` + scaled(h.Sum, e.scale) +
+				`, "mean": ` + formatFloat(h.Mean()*e.scale) +
+				`, "p50": ` + formatFloat(h.Quantile(0.50)*e.scale) +
+				`, "p95": ` + formatFloat(h.Quantile(0.95)*e.scale) +
+				`, "p99": ` + formatFloat(h.Quantile(0.99)*e.scale) + "}")
 		}
 	}
 	b.WriteString("\n}\n")
@@ -112,73 +92,42 @@ func (s Snapshot) WriteJSON(w io.Writer) error {
 	return err
 }
 
-// seriesDisplay is the human key for a series: name{k=v,...}.
-func seriesDisplay(name string, labels []Label) string {
-	if len(labels) == 0 {
-		return name
+// kind is the Prometheus TYPE of a catalogue field.
+func kind(f any) string {
+	switch f.(type) {
+	case **Counter:
+		return "counter"
+	case **Gauge:
+		return "gauge"
 	}
-	var b strings.Builder
-	b.WriteString(name)
-	b.WriteByte('{')
-	for i, l := range labels {
-		if i > 0 {
-			b.WriteByte(',')
-		}
-		b.WriteString(l.Key)
-		b.WriteByte('=')
-		b.WriteString(l.Value)
-	}
-	b.WriteByte('}')
-	return b.String()
+	return "histogram"
 }
 
-// writeLabels emits {k="v",...,le="x"} (or nothing when empty).
-func writeLabels(b *bytes.Buffer, labels []Label, le string) {
-	if len(labels) == 0 && le == "" {
-		return
-	}
-	b.WriteByte('{')
-	for i, l := range labels {
-		if i > 0 {
-			b.WriteByte(',')
-		}
-		b.WriteString(l.Key)
-		b.WriteString(`="`)
-		b.WriteString(escapeLabel(l.Value))
-		b.WriteByte('"')
+// sample writes one exposition line: name{label,le="x"} value.
+func sample(b *bytes.Buffer, name, label, le, value string) {
+	var labels []string
+	if k, v, ok := strings.Cut(label, "="); ok {
+		labels = append(labels, k+`="`+v+`"`)
 	}
 	if le != "" {
-		if len(labels) > 0 {
-			b.WriteByte(',')
-		}
-		b.WriteString(`le="`)
-		b.WriteString(le)
-		b.WriteByte('"')
+		labels = append(labels, `le="`+le+`"`)
 	}
-	b.WriteByte('}')
+	b.WriteString(name)
+	if len(labels) > 0 {
+		b.WriteString("{" + strings.Join(labels, ",") + "}")
+	}
+	b.WriteString(" " + value + "\n")
 }
 
-// writeScaled writes v×scale: integer form when unscaled, shortest
-// float otherwise.
-func writeScaled(b *bytes.Buffer, v int64, scale float64) {
-	if scale == 1 || scale == 0 {
-		b.WriteString(strconv.FormatInt(v, 10))
-		return
+// scaled formats v×scale: integer form when unscaled, shortest float
+// otherwise.
+func scaled(v int64, scale float64) string {
+	if scale == 0 {
+		return strconv.FormatInt(v, 10)
 	}
-	b.WriteString(formatFloat(float64(v) * scale))
+	return formatFloat(float64(v) * scale)
 }
 
 func formatFloat(v float64) string {
 	return strconv.FormatFloat(v, 'g', -1, 64)
-}
-
-func escapeHelp(s string) string {
-	s = strings.ReplaceAll(s, `\`, `\\`)
-	return strings.ReplaceAll(s, "\n", `\n`)
-}
-
-func escapeLabel(s string) string {
-	s = strings.ReplaceAll(s, `\`, `\\`)
-	s = strings.ReplaceAll(s, `"`, `\"`)
-	return strings.ReplaceAll(s, "\n", `\n`)
 }

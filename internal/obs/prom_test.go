@@ -3,76 +3,80 @@ package obs
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"net/http/httptest"
+	"reflect"
 	"strings"
 	"testing"
 )
 
-func exampleRegistry() *Registry {
-	r := NewRegistry()
-	r.Counter(Desc{Name: "demo_ops_total", Help: "Ops."}).Add(7)
-	r.Counter(Desc{Name: "demo_bytes_total", Labels: []Label{{"direction", "sent"}}}).Add(100)
-	r.Counter(Desc{Name: "demo_bytes_total", Labels: []Label{{"direction", "received"}}}).Add(50)
-	r.Gauge(Desc{Name: "demo_depth", Help: "Depth."}).Set(3)
-	h := r.Histogram(Desc{Name: "demo_seconds", Help: "Lat.", Scale: 1e-9}, []int64{1_000_000, 1_000_000_000})
-	h.Observe(500_000)       // ≤1ms bucket
-	h.Observe(2_000_000)     // ≤1s bucket
-	h.Observe(5_000_000_000) // overflow
-	return r
+// exampleSet returns a detached ledger with a few series moved.
+func exampleSet() *Set {
+	s := NewSet(nil)
+	s.Inferences.Add(7)
+	s.BytesSent.Add(100)
+	s.BytesReceived.Add(50)
+	s.SessionsActive.Set(3)
+	s.InferenceSeconds.Observe(500_000)        // ≤1ms bucket
+	s.InferenceSeconds.Observe(2_000_000)      // ≤2.5ms bucket
+	s.InferenceSeconds.Observe(70_000_000_000) // overflow
+	return s
 }
 
 func TestWritePrometheus(t *testing.T) {
 	var buf bytes.Buffer
-	if err := exampleRegistry().Snapshot().WritePrometheus(&buf); err != nil {
+	if err := WritePrometheus(&buf, exampleSet()); err != nil {
 		t.Fatal(err)
 	}
 	out := buf.String()
 	for _, want := range []string{
-		"# HELP demo_ops_total Ops.",
-		"# TYPE demo_ops_total counter",
-		"demo_ops_total 7",
-		`demo_bytes_total{direction="sent"} 100`,
-		`demo_bytes_total{direction="received"} 50`,
-		"# TYPE demo_depth gauge",
-		"demo_depth 3",
-		"# TYPE demo_seconds histogram",
-		`demo_seconds_bucket{le="0.001"} 1`,
-		`demo_seconds_bucket{le="1"} 2`,
-		`demo_seconds_bucket{le="+Inf"} 3`,
-		"demo_seconds_count 3",
+		"# HELP deepsecure_inferences_total Inferences completed (each sample of a batch counts once).",
+		"# TYPE deepsecure_inferences_total counter",
+		"\ndeepsecure_inferences_total 7\n",
+		`deepsecure_bytes_total{direction="sent"} 100`,
+		`deepsecure_bytes_total{direction="received"} 50`,
+		"# TYPE deepsecure_sessions_active gauge",
+		"\ndeepsecure_sessions_active 3\n",
+		"# TYPE deepsecure_inference_seconds histogram",
+		`deepsecure_inference_seconds_bucket{le="0.001"} 1`,
+		`deepsecure_inference_seconds_bucket{le="0.0025"} 2`,
+		`deepsecure_inference_seconds_bucket{le="0.005"} 2`,
+		`deepsecure_inference_seconds_bucket{le="+Inf"} 3`,
+		"deepsecure_inference_seconds_count 3",
+		`deepsecure_phase_seconds_bucket{phase="eval",le="0.001"} 0`,
 	} {
 		if !strings.Contains(out, want) {
 			t.Errorf("exposition missing %q:\n%s", want, out)
 		}
 	}
 	// The TYPE header for a multi-series name must appear exactly once.
-	if strings.Count(out, "# TYPE demo_bytes_total") != 1 {
+	if strings.Count(out, "# TYPE deepsecure_bytes_total") != 1 {
 		t.Errorf("grouped series must share one TYPE header:\n%s", out)
 	}
-	// _sum is scaled to seconds: (0.5+2+5000)ms = 5.0025s.
-	if !strings.Contains(out, "demo_seconds_sum 5.0025") {
+	// _sum is scaled to seconds: 0.5ms + 2ms + 70s = 70.0025s.
+	if !strings.Contains(out, "deepsecure_inference_seconds_sum 70.0025\n") {
 		t.Errorf("scaled _sum missing:\n%s", out)
 	}
 }
 
 func TestWriteJSON(t *testing.T) {
 	var buf bytes.Buffer
-	if err := exampleRegistry().Snapshot().WriteJSON(&buf); err != nil {
+	if err := WriteJSON(&buf, exampleSet()); err != nil {
 		t.Fatal(err)
 	}
 	var parsed map[string]any
 	if err := json.Unmarshal(buf.Bytes(), &parsed); err != nil {
 		t.Fatalf("stats JSON does not parse: %v\n%s", err, buf.String())
 	}
-	if parsed["demo_ops_total"] != float64(7) {
-		t.Errorf("demo_ops_total = %v", parsed["demo_ops_total"])
+	if parsed["deepsecure_inferences_total"] != float64(7) {
+		t.Errorf("deepsecure_inferences_total = %v", parsed["deepsecure_inferences_total"])
 	}
-	if parsed["demo_bytes_total{direction=sent}"] != float64(100) {
-		t.Errorf("labeled counter = %v", parsed["demo_bytes_total{direction=sent}"])
+	if parsed["deepsecure_bytes_total{direction=sent}"] != float64(100) {
+		t.Errorf("labeled counter = %v", parsed["deepsecure_bytes_total{direction=sent}"])
 	}
-	hist, ok := parsed["demo_seconds"].(map[string]any)
+	hist, ok := parsed["deepsecure_inference_seconds"].(map[string]any)
 	if !ok {
-		t.Fatalf("demo_seconds = %T", parsed["demo_seconds"])
+		t.Fatalf("deepsecure_inference_seconds = %T", parsed["deepsecure_inference_seconds"])
 	}
 	for _, k := range []string{"count", "sum", "mean", "p50", "p95", "p99"} {
 		if _, ok := hist[k]; !ok {
@@ -84,8 +88,134 @@ func TestWriteJSON(t *testing.T) {
 	}
 }
 
+// fieldsOf lists every exported *Counter, *Gauge and *Histogram field of
+// s, array elements included, by path, in struct order.
+func fieldsOf(s *Set) (paths []string, vals []any) {
+	rv := reflect.ValueOf(s).Elem()
+	for i := 0; i < rv.NumField(); i++ {
+		f, sf := rv.Field(i), rv.Type().Field(i)
+		switch {
+		case !sf.IsExported():
+		case f.Kind() == reflect.Array:
+			for j := 0; j < f.Len(); j++ {
+				paths = append(paths, fmt.Sprintf("%s[%d]", sf.Name, j))
+				vals = append(vals, f.Index(j).Interface())
+			}
+		default:
+			paths = append(paths, sf.Name)
+			vals = append(vals, f.Interface())
+		}
+	}
+	return paths, vals
+}
+
+// seriesOf maps each sample of an exposition to its series: the sample
+// name without a histogram suffix, and its labels without le.
+func seriesOf(line string) string {
+	name, _, _ := strings.Cut(line, " ")
+	name, labels, _ := strings.Cut(name, "{")
+	for _, suf := range []string{"_bucket", "_sum", "_count"} {
+		if n, ok := strings.CutSuffix(name, suf); ok && strings.HasSuffix(n, "_seconds") {
+			name = n
+		}
+	}
+	var kept []string
+	for _, l := range strings.Split(strings.TrimSuffix(labels, "}"), ",") {
+		if l != "" && !strings.HasPrefix(l, "le=") {
+			kept = append(kept, l)
+		}
+	}
+	return name + "{" + strings.Join(kept, ",") + "}"
+}
+
+// TestEverySeriesRendered pins the catalogue against the struct: NewSet
+// lays out every field; moving any one field of a fresh set moves exactly
+// one series of /metrics and one key of /debug/stats; no two fields move
+// the same one; every series is some field's; and the two unexported
+// counters move nothing.
+func TestEverySeriesRendered(t *testing.T) {
+	render := func(s *Set) (prom map[string][]string, stats map[string]string) {
+		var pb, jb bytes.Buffer
+		if err := WritePrometheus(&pb, s); err != nil {
+			t.Fatal(err)
+		}
+		if err := WriteJSON(&jb, s); err != nil {
+			t.Fatal(err)
+		}
+		prom = map[string][]string{}
+		for _, line := range strings.Split(strings.TrimSpace(pb.String()), "\n") {
+			if !strings.HasPrefix(line, "#") {
+				prom[seriesOf(line)] = append(prom[seriesOf(line)], line)
+			}
+		}
+		var raw map[string]json.RawMessage
+		if err := json.Unmarshal(jb.Bytes(), &raw); err != nil {
+			t.Fatal(err)
+		}
+		stats = map[string]string{}
+		for k, v := range raw {
+			stats[k] = string(v)
+		}
+		return prom, stats
+	}
+	baseProm, baseStats := render(NewSet(nil))
+	if len(baseProm) != len(baseStats) {
+		t.Fatalf("/metrics has %d series, /debug/stats %d", len(baseProm), len(baseStats))
+	}
+	owner := map[string]string{}
+	paths, _ := fieldsOf(NewSet(nil))
+	for i, path := range paths {
+		s := NewSet(nil)
+		_, vals := fieldsOf(s)
+		if reflect.ValueOf(vals[i]).IsNil() {
+			t.Errorf("NewSet left %s nil: it has no catalogue entry", path)
+			continue
+		}
+		switch v := vals[i].(type) {
+		case *Counter:
+			v.Add(1)
+		case *Gauge:
+			v.Set(1)
+		case *Histogram:
+			v.Observe(1)
+		default:
+			t.Fatalf("field %s is a %T", path, v)
+		}
+		prom, stats := render(s)
+		var moved []string
+		for id, lines := range prom {
+			if !reflect.DeepEqual(lines, baseProm[id]) {
+				moved = append(moved, id)
+			}
+		}
+		var movedKeys []string
+		for k, v := range stats {
+			if v != baseStats[k] {
+				movedKeys = append(movedKeys, k)
+			}
+		}
+		if path == "OTOfflineTime" || path == "SessionTime" {
+			if len(moved)+len(movedKeys) != 0 {
+				t.Errorf("%s is not exported, but it moved %v and %v", path, moved, movedKeys)
+			}
+			continue
+		}
+		if len(moved) != 1 || len(movedKeys) != 1 {
+			t.Errorf("%s moved %v on /metrics and %v on /debug/stats, want one series each", path, moved, movedKeys)
+			continue
+		}
+		if prev, dup := owner[moved[0]]; dup {
+			t.Errorf("%s and %s both render as %s", prev, path, moved[0])
+		}
+		owner[moved[0]] = path
+	}
+	if len(owner) != len(baseProm) || len(paths) != len(baseProm)+2 {
+		t.Errorf("%d fields own %d of the %d series on /metrics", len(paths), len(owner), len(baseProm))
+	}
+}
+
 func TestHTTPEndpoints(t *testing.T) {
-	mux := ServeMux(Default, true)
+	mux := ServeMux(exampleSet(), true)
 
 	rec := httptest.NewRecorder()
 	mux.ServeHTTP(rec, httptest.NewRequest("GET", "/metrics", nil))
@@ -97,10 +227,10 @@ func TestHTTPEndpoints(t *testing.T) {
 	}
 	body := rec.Body.String()
 	for _, want := range []string{
-		"deepsecure_inference_seconds_bucket",
-		"deepsecure_sessions_active",
+		`deepsecure_inference_seconds_bucket{le="+Inf"} 3`,
+		"deepsecure_sessions_active 3",
 		"deepsecure_ot_pool_depth",
-		`deepsecure_bytes_total{direction="sent"}`,
+		`deepsecure_bytes_total{direction="sent"} 100`,
 		`deepsecure_phase_seconds_bucket{phase="ot_derand"`,
 	} {
 		if !strings.Contains(body, want) {
@@ -117,8 +247,8 @@ func TestHTTPEndpoints(t *testing.T) {
 	if err := json.Unmarshal(rec.Body.Bytes(), &parsed); err != nil {
 		t.Fatalf("/debug/stats JSON: %v", err)
 	}
-	if _, ok := parsed["deepsecure_inference_seconds"]; !ok {
-		t.Error("/debug/stats missing deepsecure_inference_seconds")
+	if parsed["deepsecure_inferences_total"] != float64(7) {
+		t.Errorf("/debug/stats deepsecure_inferences_total = %v, want 7", parsed["deepsecure_inferences_total"])
 	}
 
 	rec = httptest.NewRecorder()
@@ -128,7 +258,7 @@ func TestHTTPEndpoints(t *testing.T) {
 	}
 
 	// Without the opt-in, pprof must not be mounted.
-	bare := ServeMux(NewRegistry(), false)
+	bare := ServeMux(NewSet(nil), false)
 	rec = httptest.NewRecorder()
 	bare.ServeHTTP(rec, httptest.NewRequest("GET", "/debug/pprof/cmdline", nil))
 	if rec.Code == 200 {

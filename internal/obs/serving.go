@@ -5,17 +5,14 @@ import (
 	"log"
 	"runtime/debug"
 	"strings"
+	"sync/atomic"
 	"time"
 )
 
 // This file defines the deepsecure serving metric set — a ledger every
-// instrumented layer records into — its process root on the Default
-// registry, and the log-line renderer deepsecure-serve prints, fed from
-// the same registry snapshot as /metrics and /debug/stats.
-
-// Default is the process-global registry: Root's series, which every
-// ledger in the process adds up to.
-var Default = NewRegistry()
+// instrumented layer records into — its catalogue of exported series, the
+// process root, and the log-line renderer deepsecure-serve prints, which
+// reads the same fields as /metrics and /debug/stats.
 
 // Phase names one timed stage of the secure-inference protocol.
 type Phase uint8
@@ -63,11 +60,12 @@ func (p Phase) String() string {
 	return "unknown"
 }
 
-// DefaultLatencyBounds are the shared latency bucket edges in
-// nanoseconds, 50µs to 60s roughly ×2–2.5 apart: tight enough at the
-// bottom for single derand exchanges, wide
-// enough at the top for WAN-model batched inferences. p50/p95/p99 are
-// derived from these buckets by linear interpolation.
+// DefaultLatencyBounds are the latency bucket edges of every ledger
+// histogram, in nanoseconds, 50µs to 60s roughly ×2–2.5 apart: tight
+// enough at the bottom for single derand exchanges, wide enough at the top
+// for WAN-model batched inferences. They are strictly increasing, as
+// Observe's bucket scan assumes. p50/p95/p99 are derived from these
+// buckets by linear interpolation.
 var DefaultLatencyBounds = []int64{
 	50_000, 100_000, 250_000, 500_000, // 50µs … 500µs
 	1_000_000, 2_500_000, 5_000_000, 10_000_000, 25_000_000, 50_000_000, // 1ms … 50ms
@@ -133,125 +131,150 @@ type Set struct {
 	OTOfflineTime *Counter
 	SessionTime   *Counter
 
-	// Every series in creation order, so that a child finds its twin.
-	counters []*Counter
-	gauges   []*Gauge
-	hists    []*Histogram
+	// The storage behind the fields above, in catalogue order, so that a
+	// child finds its twin at the same index.
+	counters []Counter
+	gauges   []Gauge
+	hists    []Histogram
 }
 
-// Root is the process ledger: the one set whose series are registered on
-// Default.
-var Root = newSet(Default, nil)
+// Root is the process ledger: the set /metrics, /debug/stats and the
+// serving log line read.
+var Root = NewSet(nil)
 
-// NewSet returns an empty ledger under parent (nil: under nothing).
-func NewSet(parent *Set) *Set { return newSet(nil, parent) }
+// series is one entry of the catalogue: a field of Set and how it is
+// exported. Series sharing a name are adjacent, and the first of them
+// carries the help text. An unnamed series is counted but not exported.
+// Names, help texts and labels are written verbatim: they hold no quote,
+// backslash or newline.
+type series struct {
+	name, help string
+	label      string         // static label, key=value; empty for none
+	scale      float64        // render scale: 1e-9 turns nanoseconds into seconds (every histogram); 0 for none
+	field      func(*Set) any // &s.X: a **Counter, **Gauge or **Histogram
+}
 
-// newSet makes every series once, in /metrics order: the named ones
-// registered on reg if there is one, each parented to p's series in the
-// same position if there is a p.
-func newSet(reg *Registry, p *Set) *Set {
-	s := &Set{}
-	counter := func(d Desc) *Counter {
-		c := &Counter{}
-		if reg != nil && d.Name != "" {
-			c = reg.Counter(d)
-		}
-		if p != nil {
-			c.parent = p.counters[len(s.counters)]
-		}
-		s.counters = append(s.counters, c)
-		return c
+// catalogue is every series of a Set, in /metrics order. It is built
+// once; NewSet lays a set out by it and the renderers walk it.
+var catalogue = func() []series {
+	t := []series{
+		{name: "deepsecure_sessions_total", help: "Protocol sessions accepted since process start.",
+			field: func(s *Set) any { return &s.Sessions }},
+		{name: "deepsecure_sessions_active", help: "Sessions currently being served.",
+			field: func(s *Set) any { return &s.SessionsActive }},
+		{name: "deepsecure_inferences_total", help: "Inferences completed (each sample of a batch counts once).",
+			field: func(s *Set) any { return &s.Inferences }},
+		{name: "deepsecure_batches_total", help: "Inferences of more than one sample (fused batches) completed.",
+			field: func(s *Set) any { return &s.Batches }},
+		{name: "deepsecure_session_errors_total", help: "Sessions that ended with a protocol or transport error.",
+			field: func(s *Set) any { return &s.Errors }},
+		{name: "deepsecure_sessions_resumed_total", help: "Sessions that extended a stored OT base correlation, skipping the base phase.",
+			field: func(s *Set) any { return &s.SessionsResumed }},
+		{name: "deepsecure_resume_misses_total", help: "Sessions that offered stored OT base correlations of which the server held none.",
+			field: func(s *Set) any { return &s.ResumeMisses }},
+		{name: "deepsecure_bytes_total", help: "Transport bytes moved by this process, by direction.", label: "direction=sent",
+			field: func(s *Set) any { return &s.BytesSent }},
+		{name: "deepsecure_bytes_total", label: "direction=received",
+			field: func(s *Set) any { return &s.BytesReceived }},
+		{name: "deepsecure_inference_seconds", help: "End-to-end per-inference (or per-batch) latency.", scale: 1e-9,
+			field: func(s *Set) any { return &s.InferenceSeconds }},
 	}
-	gauge := func(d Desc) *Gauge {
-		g := &Gauge{}
-		if reg != nil && d.Name != "" {
-			g = reg.Gauge(d)
-		}
-		if p != nil {
-			g.parent = p.gauges[len(s.gauges)]
-		}
-		s.gauges = append(s.gauges, g)
-		return g
-	}
-	latency := func(d Desc) *Histogram {
-		h := newHistogram(DefaultLatencyBounds, nil)
-		if reg != nil {
-			d.Scale = 1e-9
-			h = reg.Histogram(d, DefaultLatencyBounds)
-		}
-		if p != nil {
-			h.parent = p.hists[len(s.hists)]
-		}
-		s.hists = append(s.hists, h)
-		return h
-	}
-
-	s.Sessions = counter(Desc{Name: "deepsecure_sessions_total",
-		Help: "Protocol sessions accepted since process start."})
-	s.SessionsActive = gauge(Desc{Name: "deepsecure_sessions_active",
-		Help: "Sessions currently being served."})
-	s.Inferences = counter(Desc{Name: "deepsecure_inferences_total",
-		Help: "Inferences completed (each sample of a batch counts once)."})
-	s.Batches = counter(Desc{Name: "deepsecure_batches_total",
-		Help: "Inferences of more than one sample (fused batches) completed."})
-	s.Errors = counter(Desc{Name: "deepsecure_session_errors_total",
-		Help: "Sessions that ended with a protocol or transport error."})
-	s.SessionsResumed = counter(Desc{Name: "deepsecure_sessions_resumed_total",
-		Help: "Sessions that extended a stored OT base correlation, skipping the base phase."})
-	s.ResumeMisses = counter(Desc{Name: "deepsecure_resume_misses_total",
-		Help: "Sessions that offered stored OT base correlations of which the server held none."})
-
-	s.BytesSent = counter(Desc{Name: "deepsecure_bytes_total",
-		Help:   "Transport bytes moved by this process, by direction.",
-		Labels: []Label{{"direction", "sent"}}})
-	s.BytesReceived = counter(Desc{Name: "deepsecure_bytes_total",
-		Labels: []Label{{"direction", "received"}}})
-
-	s.InferenceSeconds = latency(Desc{Name: "deepsecure_inference_seconds",
-		Help: "End-to-end per-inference (or per-batch) latency."})
-	for ph := range s.Phase {
-		d := Desc{Name: "deepsecure_phase_seconds", Labels: []Label{{"phase", Phase(ph).String()}}}
+	for ph := range numPhases {
+		e := series{name: "deepsecure_phase_seconds", label: "phase=" + ph.String(), scale: 1e-9,
+			field: func(s *Set) any { return &s.Phase[ph] }}
 		if ph == 0 {
-			d.Help = "Per-phase wall time of the secure-inference protocol."
+			e.help = "Per-phase wall time of the secure-inference protocol."
 		}
-		s.Phase[ph] = latency(d)
+		t = append(t, e)
 	}
-
 	for role, name := range [numOTRoles]string{"receiver", "sender"} {
-		d := Desc{Name: "deepsecure_ot_pool_depth", Labels: []Label{{"role", name}}}
+		e := series{name: "deepsecure_ot_pool_depth", label: "role=" + name,
+			field: func(s *Set) any { return &s.OTPoolDepth[role] }}
 		if role == 0 {
-			d.Help = "Precomputed OTs currently available in the pool."
+			e.help = "Precomputed OTs currently available in the pool."
 		}
-		s.OTPoolDepth[role] = gauge(d)
+		t = append(t, e)
 	}
-	s.OTPooled = counter(Desc{Name: "deepsecure_ot_pooled_total",
-		Help: "Weight-keyed OTs precomputed into pools since process start."})
-	s.OTConsumed = counter(Desc{Name: "deepsecure_ot_consumed_total",
-		Help: "Pooled OTs spent masking or unmasking a weight-label pair."})
-	s.OTRefills = counter(Desc{Name: "deepsecure_ot_refills_total",
-		Help: "OT pool refill runs (setup fills and background refills)."})
+	return append(t, []series{
+		{name: "deepsecure_ot_pooled_total", help: "Weight-keyed OTs precomputed into pools since process start.",
+			field: func(s *Set) any { return &s.OTPooled }},
+		{name: "deepsecure_ot_consumed_total", help: "Pooled OTs spent masking or unmasking a weight-label pair.",
+			field: func(s *Set) any { return &s.OTConsumed }},
+		{name: "deepsecure_ot_refills_total", help: "OT pool refill runs (setup fills and background refills).",
+			field: func(s *Set) any { return &s.OTRefills }},
+		{name: "deepsecure_admission_queue_depth", help: "Sessions currently waiting in the admission queue.",
+			field: func(s *Set) any { return &s.AdmissionQueueDepth }},
+		{name: "deepsecure_sessions_queued_total", help: "Sessions that waited in the admission queue before being served.",
+			field: func(s *Set) any { return &s.SessionsQueued }},
+		{name: "deepsecure_sessions_shed_total", help: "Sessions refused with MsgBusy by the admission controller.",
+			field: func(s *Set) any { return &s.SessionsShed }},
+		{name: "deepsecure_panics_total", help: "Panics recovered at session-owned goroutine boundaries and converted into session errors.",
+			field: func(s *Set) any { return &s.Panics }},
+		{name: "deepsecure_gates_total", help: "Gates processed by the crypto cores, by kind.", label: "kind=and",
+			field: func(s *Set) any { return &s.GatesAnd }},
+		{name: "deepsecure_gates_total", label: "kind=free",
+			field: func(s *Set) any { return &s.GatesFree }},
+		{name: "deepsecure_gate_time_seconds_total", help: "Cumulative crypto-core time (garbling + evaluation kernels).", scale: 1e-9,
+			field: func(s *Set) any { return &s.GateTime }},
+		{field: func(s *Set) any { return &s.OTOfflineTime }},
+		{field: func(s *Set) any { return &s.SessionTime }},
+	}...)
+}()
 
-	s.AdmissionQueueDepth = gauge(Desc{Name: "deepsecure_admission_queue_depth",
-		Help: "Sessions currently waiting in the admission queue."})
-	s.SessionsQueued = counter(Desc{Name: "deepsecure_sessions_queued_total",
-		Help: "Sessions that waited in the admission queue before being served."})
-	s.SessionsShed = counter(Desc{Name: "deepsecure_sessions_shed_total",
-		Help: "Sessions refused with MsgBusy by the admission controller."})
+// layout counts the catalogue's series of each kind: the lengths of a
+// set's storage.
+var layout = func() (n struct{ counters, gauges, hists int }) {
+	var s Set
+	for _, e := range catalogue {
+		switch e.field(&s).(type) {
+		case **Counter:
+			n.counters++
+		case **Gauge:
+			n.gauges++
+		case **Histogram:
+			n.hists++
+		}
+	}
+	return n
+}()
 
-	s.Panics = counter(Desc{Name: "deepsecure_panics_total",
-		Help: "Panics recovered at session-owned goroutine boundaries and converted into session errors."})
-
-	s.GatesAnd = counter(Desc{Name: "deepsecure_gates_total",
-		Help:   "Gates processed by the crypto cores, by kind.",
-		Labels: []Label{{"kind", "and"}}})
-	s.GatesFree = counter(Desc{Name: "deepsecure_gates_total",
-		Labels: []Label{{"kind", "free"}}})
-	s.GateTime = counter(Desc{Name: "deepsecure_gate_time_seconds_total",
-		Help:  "Cumulative crypto-core time (garbling + evaluation kernels).",
-		Scale: 1e-9})
-
-	s.OTOfflineTime = counter(Desc{})
-	s.SessionTime = counter(Desc{})
+// NewSet returns an empty ledger under parent (nil: under nothing), each
+// series parented to parent's series at the same catalogue position. It
+// runs once per connection, session and inference, so the series are
+// carved out of one array per kind rather than allocated one by one.
+func NewSet(parent *Set) *Set {
+	s := &Set{
+		counters: make([]Counter, layout.counters),
+		gauges:   make([]Gauge, layout.gauges),
+		hists:    make([]Histogram, layout.hists),
+	}
+	nb := len(DefaultLatencyBounds) + 1
+	buckets := make([]atomic.Int64, layout.hists*nb)
+	var c, g, h int
+	for _, e := range catalogue {
+		switch f := e.field(s).(type) {
+		case **Counter:
+			*f = &s.counters[c]
+			if parent != nil {
+				(*f).parent = &parent.counters[c]
+			}
+			c++
+		case **Gauge:
+			*f = &s.gauges[g]
+			if parent != nil {
+				(*f).parent = &parent.gauges[g]
+			}
+			g++
+		case **Histogram:
+			*f = &s.hists[h]
+			(*f).bounds = DefaultLatencyBounds
+			(*f).counts = buckets[h*nb : (h+1)*nb : (h+1)*nb]
+			if parent != nil {
+				(*f).parent = &parent.hists[h]
+			}
+			h++
+		}
+	}
 	return s
 }
 
@@ -268,44 +291,30 @@ func Panicked(site string, v any) error {
 	return fmt.Errorf("%s: recovered panic: %v", site, v)
 }
 
-// PanicCount returns the number of panics recovered so far, for tests.
-func PanicCount() int64 { return Root.Panics.Value() }
-
 // ServingLine renders the one-line operational summary deepsecure-serve
-// logs periodically. It is computed from a registry Snapshot — the same
-// source /metrics and /debug/stats serve — so the log line cannot drift
-// from the scrape surface.
-func ServingLine(s Snapshot) string {
-	cv := func(name string, labels ...Label) int64 {
-		m, _ := s.Get(name, labels...)
-		return m.Value
-	}
+// logs periodically and at exit. It reads the same fields of s as
+// /metrics and /debug/stats, so the log line cannot drift from the scrape
+// surface.
+func ServingLine(s *Set) string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "sessions=%d active=%d inferences=%d batches=%d errors=%d",
-		cv("deepsecure_sessions_total"),
-		cv("deepsecure_sessions_active"),
-		cv("deepsecure_inferences_total"),
-		cv("deepsecure_batches_total"),
-		cv("deepsecure_session_errors_total"))
+		s.Sessions.Value(), s.SessionsActive.Value(), s.Inferences.Value(), s.Batches.Value(), s.Errors.Value())
 	fmt.Fprintf(&b, " sent=%.1fMB recv=%.1fMB",
-		float64(cv("deepsecure_bytes_total", Label{"direction", "sent"}))/1e6,
-		float64(cv("deepsecure_bytes_total", Label{"direction", "received"}))/1e6)
-	if lat, ok := s.Get("deepsecure_inference_seconds"); ok && lat.Hist.Count() > 0 {
+		float64(s.BytesSent.Value())/1e6, float64(s.BytesReceived.Value())/1e6)
+	if lat := s.InferenceSeconds.Snapshot(); lat.Count() > 0 {
 		fmt.Fprintf(&b, " inf_p50=%s inf_p95=%s",
-			time.Duration(lat.Hist.Quantile(0.50)).Round(time.Microsecond),
-			time.Duration(lat.Hist.Quantile(0.95)).Round(time.Microsecond))
+			time.Duration(lat.Quantile(0.50)).Round(time.Microsecond),
+			time.Duration(lat.Quantile(0.95)).Round(time.Microsecond))
 	}
-	if q, sh := cv("deepsecure_admission_queue_depth"), cv("deepsecure_sessions_shed_total"); q > 0 || sh > 0 {
+	if q, sh := s.AdmissionQueueDepth.Value(), s.SessionsShed.Value(); q > 0 || sh > 0 {
 		fmt.Fprintf(&b, " adm_queue=%d shed=%d", q, sh)
 	}
-	if p := cv("deepsecure_panics_total"); p > 0 {
+	if p := s.Panics.Value(); p > 0 {
 		fmt.Fprintf(&b, " panics=%d", p)
 	}
-	fmt.Fprintf(&b, " ot_pool=%d", cv("deepsecure_ot_pool_depth", Label{"role", "receiver"}))
-	gates := cv("deepsecure_gates_total", Label{"kind", "and"}) +
-		cv("deepsecure_gates_total", Label{"kind", "free"})
-	gateNs := cv("deepsecure_gate_time_seconds_total")
-	if gates > 0 && gateNs > 0 {
+	fmt.Fprintf(&b, " ot_pool=%d", s.OTPoolDepth[OTReceiver].Value())
+	gates := s.GatesAnd.Value() + s.GatesFree.Value()
+	if gateNs := s.GateTime.Value(); gates > 0 && gateNs > 0 {
 		fmt.Fprintf(&b, " gates=%.2fM (%.2f Mgates/s)",
 			float64(gates)/1e6, float64(gates)/1e6/(float64(gateNs)/1e9))
 	}

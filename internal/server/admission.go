@@ -130,8 +130,7 @@ func (a *admission) latencyOverloaded() bool {
 	now := time.Now()
 	if now.Sub(a.lastCheck) >= admissionGuardInterval {
 		cur := a.set.InferenceSeconds.Snapshot()
-		delta, err := cur.Delta(a.lastSnap)
-		if err == nil && delta.Count() >= admissionGuardMinSamples {
+		if delta := cur.Delta(a.lastSnap); delta.Count() >= admissionGuardMinSamples {
 			// Histogram values are nanoseconds (scale 1e-9 to seconds).
 			a.overloaded = time.Duration(delta.Quantile(0.99)) > a.cfg.MaxP99
 		} else {

@@ -18,7 +18,7 @@ import (
 // server — serial, pipelined at window 2 and batched inferences, an OT pool
 // that refills mid-session, a queued, a shed and a failed session — and then
 // checks that there is one set of books: for every additive series with a
-// Stats field, what the process registry gained over the test is what the
+// Stats field, what the process root ledger gained over the test is what the
 // client sessions' Stats and the server's Stats report, added up field for
 // field. Along the way: an inference's own Stats reports its own gates and
 // garble time even with another in flight, and a closed session's ledger no
@@ -47,7 +47,16 @@ func TestOneLedger(t *testing.T) {
 	}()
 	addr := ln.Addr().String()
 	ands, total := srv.ProgramStats()
-	before := obs.Default.Snapshot()
+	// The root ledger's series this test reads back, as they stood before.
+	type series interface{ Value() int64 }
+	root := obs.Root
+	before := map[series]int64{}
+	for _, v := range []series{root.BytesSent, root.BytesReceived, root.Inferences, root.SessionsResumed,
+		root.GatesAnd, root.GatesFree, root.GateTime, root.OTPooled, root.OTConsumed, root.OTRefills,
+		root.Sessions, root.ResumeMisses, root.Errors, root.SessionsQueued, root.SessionsShed,
+		root.SessionsActive, root.AdmissionQueueDepth, root.Batches} {
+		before[v] = v.Value()
+	}
 
 	// Session 1: a pipelining, batching client.
 	rng := rand.New(rand.NewSource(31))
@@ -203,15 +212,13 @@ func TestOneLedger(t *testing.T) {
 
 	// One set of books. The refused attempt has no Session to ask, but its
 	// connection was recording in a ledger like any other.
-	after := obs.Default.Snapshot()
-	delta := func(name string, labels ...obs.Label) int64 {
+	delta := func(v series) int64 {
 		t.Helper()
-		a, ok := after.Get(name, labels...)
-		b, _ := before.Get(name, labels...)
+		b, ok := before[v]
 		if !ok {
-			t.Fatalf("series %s%v is not registered", name, labels)
+			t.Fatal("a series was not read before the sessions ran")
 		}
-		return a.Value - b.Value
+		return v.Value() - b
 	}
 	server := srv.Stats()
 	clients := []*core.Stats{sess1.Stats(), sess2.Stats(), sess3.Stats(), core.StatsOf(shedConn.Metrics())}
@@ -220,23 +227,23 @@ func TestOneLedger(t *testing.T) {
 		root  int64
 		field func(*core.Stats) int64
 	}{
-		{"bytes sent", delta("deepsecure_bytes_total", obs.Label{Key: "direction", Value: "sent"}), func(s *core.Stats) int64 { return s.BytesSent }},
-		{"bytes received", delta("deepsecure_bytes_total", obs.Label{Key: "direction", Value: "received"}), func(s *core.Stats) int64 { return s.BytesReceived }},
-		{"inferences", delta("deepsecure_inferences_total"), func(s *core.Stats) int64 { return s.Inferences }},
-		{"sessions resumed", delta("deepsecure_sessions_resumed_total"), func(s *core.Stats) int64 { return s.SessionsResumed }},
-		{"AND gates", delta("deepsecure_gates_total", obs.Label{Key: "kind", Value: "and"}), func(s *core.Stats) int64 { return s.ANDGates }},
-		{"free gates", delta("deepsecure_gates_total", obs.Label{Key: "kind", Value: "free"}), func(s *core.Stats) int64 { return s.FreeGates }},
-		{"gate time", delta("deepsecure_gate_time_seconds_total"), func(s *core.Stats) int64 { return int64(s.GateTime) }},
-		{"OTs pooled", delta("deepsecure_ot_pooled_total"), func(s *core.Stats) int64 { return s.OTsPooled }},
-		{"OTs consumed", delta("deepsecure_ot_consumed_total"), func(s *core.Stats) int64 { return s.OTsConsumed }},
-		{"OT refills", delta("deepsecure_ot_refills_total"), func(s *core.Stats) int64 { return s.OTRefills }},
+		{"bytes sent", delta(root.BytesSent), func(s *core.Stats) int64 { return s.BytesSent }},
+		{"bytes received", delta(root.BytesReceived), func(s *core.Stats) int64 { return s.BytesReceived }},
+		{"inferences", delta(root.Inferences), func(s *core.Stats) int64 { return s.Inferences }},
+		{"sessions resumed", delta(root.SessionsResumed), func(s *core.Stats) int64 { return s.SessionsResumed }},
+		{"AND gates", delta(root.GatesAnd), func(s *core.Stats) int64 { return s.ANDGates }},
+		{"free gates", delta(root.GatesFree), func(s *core.Stats) int64 { return s.FreeGates }},
+		{"gate time", delta(root.GateTime), func(s *core.Stats) int64 { return int64(s.GateTime) }},
+		{"OTs pooled", delta(root.OTPooled), func(s *core.Stats) int64 { return s.OTsPooled }},
+		{"OTs consumed", delta(root.OTConsumed), func(s *core.Stats) int64 { return s.OTsConsumed }},
+		{"OT refills", delta(root.OTRefills), func(s *core.Stats) int64 { return s.OTRefills }},
 	} {
 		sum := c.field(&server.Stats)
 		for _, cl := range clients {
 			sum += c.field(cl)
 		}
 		if c.root != sum || sum == 0 {
-			t.Errorf("%s: the registry gained %d, the Stats add up to %d (server %d)", c.what, c.root, sum, c.field(&server.Stats))
+			t.Errorf("%s: the root ledger gained %d, the Stats add up to %d (server %d)", c.what, c.root, sum, c.field(&server.Stats))
 		}
 	}
 	for _, c := range []struct {
@@ -244,18 +251,18 @@ func TestOneLedger(t *testing.T) {
 		root, want int64
 		stat       int64
 	}{
-		{"sessions", delta("deepsecure_sessions_total"), 4, server.Sessions},
-		{"resume misses", delta("deepsecure_resume_misses_total"), 0, server.ResumeMisses},
-		{"session errors", delta("deepsecure_session_errors_total"), 1, server.Errors},
-		{"sessions queued", delta("deepsecure_sessions_queued_total"), 1, server.QueuedSessions},
-		{"sessions shed", delta("deepsecure_sessions_shed_total"), 1, server.ShedSessions},
-		{"sessions active", delta("deepsecure_sessions_active"), 0, server.ActiveSessions},
-		{"queue depth", delta("deepsecure_admission_queue_depth"), 0, server.QueueDepth},
+		{"sessions", delta(root.Sessions), 4, server.Sessions},
+		{"resume misses", delta(root.ResumeMisses), 0, server.ResumeMisses},
+		{"session errors", delta(root.Errors), 1, server.Errors},
+		{"sessions queued", delta(root.SessionsQueued), 1, server.QueuedSessions},
+		{"sessions shed", delta(root.SessionsShed), 1, server.ShedSessions},
+		{"sessions active", delta(root.SessionsActive), 0, server.ActiveSessions},
+		{"queue depth", delta(root.AdmissionQueueDepth), 0, server.QueueDepth},
 		// Stats has no field for batches: both parties count the one.
-		{"batches", delta("deepsecure_batches_total"), 2, 2},
+		{"batches", delta(root.Batches), 2, 2},
 	} {
 		if c.root != c.want || c.stat != c.want {
-			t.Errorf("%s: the registry gained %d, server Stats says %d, want %d", c.what, c.root, c.stat, c.want)
+			t.Errorf("%s: the root ledger gained %d, server Stats says %d, want %d", c.what, c.root, c.stat, c.want)
 		}
 	}
 	// What the test set up, so the sums above are not vacuous: refills
