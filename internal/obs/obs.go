@@ -117,8 +117,7 @@ func (h *Histogram) Snapshot() HistogramSnapshot {
 
 // HistogramSnapshot is a point-in-time copy of a Histogram: per-bucket
 // counts (the last entry is the overflow bucket), the observation sum,
-// and the bucket bounds. Snapshots from histograms with identical
-// bounds merge by addition.
+// and the bucket bounds.
 type HistogramSnapshot struct {
 	Bounds []int64
 	Counts []int64

@@ -139,9 +139,6 @@ func TestDelta(t *testing.T) {
 	if all := h.Snapshot().Delta(HistogramSnapshot{}); all.Count() != 4 || all.Sum != 562 {
 		t.Fatalf("delta from zero = %v sum %d, want 4 observations summing to 562", all.Counts, all.Sum)
 	}
-	if first.Counts[0] != 1 {
-		t.Fatal("Delta wrote into its receiver's counts")
-	}
 }
 
 // TestConcurrentHammer drives one ledger from many goroutines — the -race
