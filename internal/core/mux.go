@@ -136,9 +136,9 @@ type sessionMux struct {
 	cfg   EngineConfig
 
 	weightBits []bool
-	labels     []gc.Label // the evaluator's label array, handed from inference to inference and kept while idle
-	wd         *watchdog  // the session's phase watchdog
-	set        *obs.Set   // the session's ledger
+	labels     gc.Spare  // the evaluator's label array, handed from inference to inference and kept while idle
+	wd         *watchdog // the session's phase watchdog
+	set        *obs.Set  // the session's ledger
 
 	fifo chan frame
 	stop chan struct{} // closed when run returns: a reader parked on a full ring leaves

@@ -655,7 +655,7 @@ type Session struct {
 	pool     *gc.Pool
 	chunkBuf []byte
 	labelBuf []byte
-	labels   []gc.Label
+	labels   gc.Spare
 }
 
 // clientOTConn is the client session's face for the OT stack and the

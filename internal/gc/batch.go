@@ -19,13 +19,15 @@ import (
 // caller-provided table block, so nothing depends on execution order
 // inside a level and the produced bytes are identical for any worker count.
 //
-// The kernel computes on labels as two little-endian uint64 words: Go keeps
-// words in registers but not [16]byte arrays, so XOR, doubling and tweaking
-// a Label value would each go through a stack temporary. An AND
-// gate-instance is staged as label-array indices, and its inputs are read
-// in place twice — once to form its hash keys, once to combine the hashes —
-// which is safe under level independence: no gate of a level reads a wire
-// another gate of the level writes.
+// The kernel computes on labels as blocks, two little-endian uint64 words,
+// which is what the label store holds. A span walks its full ANDs and then
+// its half ANDs gate-instance by gate-instance in (gate, sample) order,
+// filling the Hasher's HashLanes lanes with one wave of instances of one
+// kind, hashing them, and walking the same instances again to combine the
+// hashes and write the tables and output labels. The inputs are read in
+// place both times, which is safe under level independence: no gate of a
+// level reads a wire another gate of the level writes. How instances fall
+// into waves never changes a byte.
 
 // Pool is a width-capped view of a sched.Pool: it owns no workers, and a
 // level run submits its per-worker spans as chunks of one scheduler region,
@@ -134,51 +136,18 @@ type level struct {
 	full, half  []byte
 }
 
-// staged is one AND gate-instance waiting for its hash wave: label-array
-// indices of its operands and output, its sample, its gate's global AND
-// index, and the offset of its ciphertexts in its kind's table region.
-type staged struct {
-	a, b, out, s int
-	gid          uint64
-	off          int
-	half         bool
+// cursor is a place in a run of AND gate-instances: gate i, sample s.
+type cursor struct{ i, s int }
+
+// next steps c to the following instance in (gate, sample) order.
+func (c *cursor) next(b int) {
+	if c.s++; c.s == b {
+		c.i, c.s = c.i+1, 0
+	}
 }
 
-// stage walks ands[andLo:andHi] of lv for all B samples, staging the
-// gate-instances in h.units, and calls wave(n) on each batch of at most
-// HashLanes hashes there: fullLanes per full AND — four garbling (both
-// labels of each operand), two evaluating (one active label each) — and
-// half that per half AND.
-// Instances fill waves in (gate, sample) order across gate and kind
-// boundaries, so small-B levels still hash 8 lanes at a time.
-func (st *labelStore) stage(h *Hasher, lv *level, andLo, andHi, fullLanes int, wave func(n int)) {
-	us := &h.units
-	n, k := 0, 0
-	b := st.b
-	for i := andLo; i < andHi; i++ {
-		gt := &lv.ands[i]
-		half, per, off, size := false, fullLanes, i*b*TableSize, TableSize
-		if i >= lv.nFull {
-			half, per, off, size = true, fullLanes/2, (i-lv.nFull)*b*LabelSize, LabelSize
-		}
-		gid := lv.gidBase + uint64(i)
-		a, bb, out := int(gt.A)*b, int(gt.B)*b, int(gt.Out)*b
-		for s := 0; s < b; s++ {
-			if k+per > HashLanes {
-				wave(n)
-				n, k = 0, 0
-			}
-			// Field by field: a struct literal is built in a stack
-			// temporary and copied, which stalls store forwarding.
-			u := &us[n]
-			u.a, u.b, u.out, u.s, u.gid, u.off, u.half = a+s, bb+s, out+s, s, gid, off+s*size, half
-			n, k = n+1, k+per
-		}
-	}
-	if n > 0 {
-		wave(n)
-	}
-}
+// seam returns where the half ANDs start in ands[andLo:andHi] of lv.
+func (lv *level) seam(andLo, andHi int) int { return min(max(lv.nFull, andLo), andHi) }
 
 // span garbles ands[andLo:andHi] and frees[freeLo:freeHi] of lv for all B
 // samples.
@@ -191,133 +160,143 @@ func (st *labelStore) stage(h *Hasher, lv *level, andLo, andHi, fullLanes int, w
 // garbles a ∧ (b ⊕ p), still on authentic labels). Every label is doubled
 // once; its ⊕R twin's hash key is that double ⊕ 2R.
 func (g *BatchGarbler) span(h *Hasher, lv level, andLo, andHi, freeLo, freeHi int) {
-	g.stage(h, &lv, andLo, andHi, 4, func(n int) { g.garbleWave(h, &lv, h.units[:n]) })
-	g.freeSpan(lv.frees[freeLo:freeHi], g.R)
+	seam := lv.seam(andLo, andHi)
+	g.garbleANDs(h, &lv, andLo, seam, false)
+	g.garbleANDs(h, &lv, seam, andHi, true)
+	g.freeSpan(lv.frees[freeLo:freeHi])
 }
 
-// garbleWave hashes and completes one wave of staged instances.
-func (g *BatchGarbler) garbleWave(h *Hasher, lv *level, us []staged) {
-	labels := g.labels
-	k := 0
-	for i := range us {
-		u := &us[i]
-		r0, r1 := words(&g.r2[u.s])
-		if !u.half {
-			t := 2 * u.gid
-			d0, d1 := dbl(words(&labels[u.a]))
-			setWords(&h.lanes[k], d0^t, d1)
-			setWords(&h.lanes[k+1], d0^r0^t, d1^r1)
-			k += 2
-		}
-		t := 2*u.gid + 1
-		d0, d1 := dbl(words(&labels[u.b]))
-		setWords(&h.lanes[k], d0^t, d1)
-		setWords(&h.lanes[k+1], d0^r0^t, d1^r1)
-		k += 2
+// garbleANDs garbles ands[lo:hi] of lv, all full or all half ANDs, in
+// waves of HashLanes hashes: four per full instance (both labels of each
+// operand), two per half.
+func (g *BatchGarbler) garbleANDs(h *Hasher, lv *level, lo, hi int, half bool) {
+	b, labels := g.b, g.labels
+	per := HashLanes / 4
+	if half {
+		per = HashLanes / 2
 	}
-	h.hashStaged(k)
-	k = 0
-	for i := range us {
-		u := &us[i]
-		a0, a1 := words(&labels[u.a])
-		b0, _ := words(&labels[u.b])
-		pb := -(b0 & 1) // all ones when B's zero-label has permute bit 1
-		var w0, w1 uint64
-		var dst []byte
-		if u.half {
-			dst = lv.half[u.off : u.off+LabelSize]
-		} else {
-			// Generator half: tg = H(A0) ⊕ H(A1) ⊕ pb·R, W_G = H(A0) ⊕ pa·tg.
-			r0, r1 := words(&g.R[u.s])
-			h0, h1 := words(&h.lanes[k])
-			x0, x1 := words(&h.lanes[k+1])
-			tg0, tg1 := h0^x0^r0&pb, h1^x1^r1&pb
-			pa := -(a0 & 1)
-			w0, w1 = h0^tg0&pa, h1^tg1&pa
-			dst = lv.full[u.off : u.off+TableSize]
-			setWordsAt(dst, tg0, tg1)
-			dst = dst[LabelSize:]
+	for c := (cursor{lo, 0}); c.i < hi; {
+		first, k := c, 0
+		for n := 0; n < per && c.i < hi; n++ {
+			gt := &lv.ands[c.i]
+			t := 2 * (lv.gidBase + uint64(c.i))
+			r2 := g.r2[c.s]
+			if !half {
+				d := dbl(labels[int(gt.A)*b+c.s])
+				h.lanes[k] = block{d.lo ^ t, d.hi}
+				h.lanes[k+1] = block{d.lo ^ r2.lo ^ t, d.hi ^ r2.hi}
+				k += 2
+			}
+			d := dbl(labels[int(gt.B)*b+c.s])
+			h.lanes[k] = block{d.lo ^ t ^ 1, d.hi}
+			h.lanes[k+1] = block{d.lo ^ r2.lo ^ t ^ 1, d.hi ^ r2.hi}
+			k += 2
+			c.next(b)
+		}
+		h.hash(k)
+		k = 0
+		for u := first; u != c; u.next(b) {
+			gt := &lv.ands[u.i]
+			a := labels[int(gt.A)*b+u.s]
+			pb := -(labels[int(gt.B)*b+u.s].lo & 1) // all ones when B's zero-label has permute bit 1
+			var w block
+			var dst []byte
+			if half {
+				off := ((u.i-lv.nFull)*b + u.s) * LabelSize
+				dst = lv.half[off : off+LabelSize]
+			} else {
+				// Generator half: tg = H(A0) ⊕ H(A1) ⊕ pb·R, W_G = H(A0) ⊕ pa·tg.
+				r, h0, h1 := g.inv[u.s], h.lanes[k], h.lanes[k+1]
+				tg := block{h0.lo ^ h1.lo ^ r.lo&pb, h0.hi ^ h1.hi ^ r.hi&pb}
+				pa := -(a.lo & 1)
+				w = block{h0.lo ^ tg.lo&pa, h0.hi ^ tg.hi&pa}
+				off := (u.i*b + u.s) * TableSize
+				dst = lv.full[off : off+TableSize]
+				tg.put(dst)
+				dst = dst[LabelSize:]
+				k += 2
+			}
+			// Evaluator half: te = H(B0) ⊕ H(B1) ⊕ A0, W_E = H(B_pb).
+			h0, h1 := h.lanes[k], h.lanes[k+1]
+			block{h0.lo ^ h1.lo ^ a.lo, h0.hi ^ h1.hi ^ a.hi}.put(dst)
+			labels[int(gt.Out)*b+u.s] = block{w.lo ^ h0.lo ^ (h0.lo^h1.lo)&pb, w.hi ^ h0.hi ^ (h0.hi^h1.hi)&pb}
 			k += 2
 		}
-		// Evaluator half: te = H(B0) ⊕ H(B1) ⊕ A0, W_E = H(B_pb).
-		h0, h1 := words(&h.lanes[k])
-		x0, x1 := words(&h.lanes[k+1])
-		setWordsAt(dst, h0^x0^a0, h1^x1^a1)
-		setWords(&labels[u.out], w0^h0^(h0^x0)&pb, w1^h1^(h1^x1)&pb)
-		k += 2
 	}
 }
 
 // span is the garbler's span mirrored: every instance hashes its active
 // labels once per half and combines them with its ciphertexts.
 func (e *BatchEvaluator) span(h *Hasher, lv level, andLo, andHi, freeLo, freeHi int) {
-	e.stage(h, &lv, andLo, andHi, 2, func(n int) { e.evalWave(h, &lv, h.units[:n]) })
-	// Free inversion: the label carries through; only the garbler's
-	// semantics map flips.
-	e.freeSpan(lv.frees[freeLo:freeHi], nil)
+	seam := lv.seam(andLo, andHi)
+	e.evalANDs(h, &lv, andLo, seam, false)
+	e.evalANDs(h, &lv, seam, andHi, true)
+	e.freeSpan(lv.frees[freeLo:freeHi])
 }
 
-// evalWave hashes and completes one wave of staged instances.
-func (e *BatchEvaluator) evalWave(h *Hasher, lv *level, us []staged) {
-	labels := e.labels
-	k := 0
-	for i := range us {
-		u := &us[i]
-		if !u.half {
-			d0, d1 := dbl(words(&labels[u.a]))
-			setWords(&h.lanes[k], d0^2*u.gid, d1)
-			k++
-		}
-		d0, d1 := dbl(words(&labels[u.b]))
-		setWords(&h.lanes[k], d0^(2*u.gid+1), d1)
-		k++
+// evalANDs evaluates ands[lo:hi] of lv, all full or all half ANDs, in
+// waves of HashLanes hashes: two per full instance, one per half.
+func (e *BatchEvaluator) evalANDs(h *Hasher, lv *level, lo, hi int, half bool) {
+	b, labels := e.b, e.labels
+	per := HashLanes / 2
+	if half {
+		per = HashLanes
 	}
-	h.hashStaged(k)
-	k = 0
-	for i := range us {
-		u := &us[i]
-		a0, a1 := words(&labels[u.a])
-		b0, _ := words(&labels[u.b])
-		var w0, w1 uint64
-		var tab []byte
-		if u.half {
-			tab = lv.half[u.off : u.off+LabelSize]
-		} else {
-			tab = lv.full[u.off : u.off+TableSize]
-			tg0, tg1 := wordsAt(tab)
-			pa := -(a0 & 1)
-			h0, h1 := words(&h.lanes[k])
-			w0, w1 = h0^tg0&pa, h1^tg1&pa
-			tab = tab[LabelSize:]
+	for c := (cursor{lo, 0}); c.i < hi; {
+		first, k := c, 0
+		for n := 0; n < per && c.i < hi; n++ {
+			gt := &lv.ands[c.i]
+			t := 2 * (lv.gidBase + uint64(c.i))
+			if !half {
+				d := dbl(labels[int(gt.A)*b+c.s])
+				h.lanes[k] = block{d.lo ^ t, d.hi}
+				k++
+			}
+			d := dbl(labels[int(gt.B)*b+c.s])
+			h.lanes[k] = block{d.lo ^ t ^ 1, d.hi}
+			k++
+			c.next(b)
+		}
+		h.hash(k)
+		k = 0
+		for u := first; u != c; u.next(b) {
+			gt := &lv.ands[u.i]
+			a := labels[int(gt.A)*b+u.s]
+			pb := -(labels[int(gt.B)*b+u.s].lo & 1)
+			var w block
+			var tab []byte
+			if half {
+				off := ((u.i-lv.nFull)*b + u.s) * LabelSize
+				tab = lv.half[off : off+LabelSize]
+			} else {
+				off := (u.i*b + u.s) * TableSize
+				tab = lv.full[off : off+TableSize]
+				tg, hh := blockAt(tab), h.lanes[k]
+				pa := -(a.lo & 1)
+				w = block{hh.lo ^ tg.lo&pa, hh.hi ^ tg.hi&pa}
+				tab = tab[LabelSize:]
+				k++
+			}
+			te, hh := blockAt(tab), h.lanes[k]
+			labels[int(gt.Out)*b+u.s] = block{w.lo ^ hh.lo ^ (te.lo^a.lo)&pb, w.hi ^ hh.hi ^ (te.hi^a.hi)&pb}
 			k++
 		}
-		te0, te1 := wordsAt(tab)
-		pb := -(b0 & 1)
-		h0, h1 := words(&h.lanes[k])
-		setWords(&labels[u.out], w0^h0^(te0^a0)&pb, w1^h1^(te1^a1)&pb)
-		k++
 	}
 }
 
-// freeSpan runs free gates for all B samples: XOR is label XOR on both
-// sides; INV XORs inv — the garbler's deltas — or, for the evaluator (inv
-// nil), carries the label through.
-func (st *labelStore) freeSpan(frees []circuit.Gate, inv []Label) {
-	b, labels := st.b, st.labels
+// freeSpan runs free gates for all B samples, each one XOR on both sides:
+// an XOR's output is A ⊕ B, an INV's is A ⊕ the inversion slot — A ⊕ R on
+// the garbler, A itself on the evaluator, whose slot is zero.
+func (st *labelStore) freeSpan(frees []circuit.Gate) {
+	b, labels, slot := st.b, st.labels, st.n*st.b
 	for i := range frees {
 		gt := &frees[i]
-		a, out := int(gt.A)*b, int(gt.Out)*b
-		x, xs := 0, inv
-		if gt.Op == circuit.XOR {
-			x, xs = int(gt.B)*b, labels
+		a, x, out := int(gt.A)*b, int(gt.B)*b, int(gt.Out)*b
+		if gt.Op == circuit.INV {
+			x = slot
 		}
 		for s := 0; s < b; s++ {
-			a0, a1 := words(&labels[a+s])
-			if xs != nil {
-				x0, x1 := words(&xs[x+s])
-				a0, a1 = a0^x0, a1^x1
-			}
-			setWords(&labels[out+s], a0, a1)
+			labels[out+s] = labels[a+s].xor(labels[x+s])
 		}
 	}
 }

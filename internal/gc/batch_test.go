@@ -8,6 +8,9 @@ import (
 	"deepsecure/internal/circuit"
 )
 
+// double is dbl on a Label value, the form the doubling tests compare.
+func double(l Label) Label { return dbl(blockAt(l[:])).label() }
+
 // refDouble is the byte-wise carry-loop doubling the uint64 fast path
 // replaced; the two must agree on every input.
 func refDouble(l Label) Label {
@@ -281,11 +284,12 @@ func BenchmarkGarbleGate(b *testing.B) {
 func BenchmarkDouble(b *testing.B) {
 	var l Label
 	rand.New(rand.NewSource(52)).Read(l[:])
+	k := blockAt(l[:])
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		l = double(l)
+		k = dbl(k)
 	}
-	if l == (Label{}) {
+	if k == (block{}) {
 		b.Fatal("impossible")
 	}
 }

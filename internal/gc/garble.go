@@ -44,7 +44,7 @@ func (g *Garbler) AssignInput(w uint32) (Label, error) {
 		return Label{}, err
 	}
 	g.live.Set(w)
-	return g.bg.labels[w], nil
+	return g.bg.labels[w].label(), nil
 }
 
 // AssignEvaluatorInput is AssignInput for a wire whose bit the evaluator
@@ -56,7 +56,7 @@ func (g *Garbler) AssignEvaluatorInput(w uint32) (Label, error) {
 		return Label{}, err
 	}
 	g.live.Set(w)
-	return g.bg.labels[w], nil
+	return g.bg.labels[w].label(), nil
 }
 
 // ZeroLabel returns the zero-semantics label of wire w.

@@ -3,7 +3,7 @@
 package gc
 
 // Generic fallback of the multi-lane hashing core: no wide kernel, so
-// Hasher.hashStaged loops the scalar crypto/aes path over the staged
+// Hasher.hash loops the scalar crypto/aes path over the filled
 // lanes (byte-identical to the amd64 kernel by construction — both
 // compute AES_fixed(k) ⊕ k per lane — and pinned by the hash conformance
 // tests, which CI runs under the purego tag on every push).
@@ -11,8 +11,8 @@ package gc
 func wideAvailable() bool { return false }
 
 // hashLanesWide is never reached on this build: Hasher.wide is latched
-// false when wideAvailable is, so hashStaged always takes the scalar
+// false when wideAvailable is, so Hasher.hash always takes the scalar
 // loop.
-func hashLanesWide(lanes *[HashLanes]Label) {
+func hashLanesWide(lanes *[HashLanes]block) {
 	panic("gc: wide hash kernel unavailable on this build")
 }

@@ -201,7 +201,7 @@ func garbleLevelsRun(t *testing.T, levels []vecTestLevel, numWires uint32, nInpu
 		}
 		tables = append(tables, tab)
 	}
-	return bg, tables, append([]Label(nil), bg.labels...)
+	return bg, tables, bg.snapshot()
 }
 
 // evalLevelsRun evaluates all levels against the given tables with a
@@ -239,7 +239,7 @@ func evalLevelsRun(t *testing.T, levels []vecTestLevel, numWires uint32, bg *Bat
 			t.Fatalf("evaluate level %d (b=%d workers=%d): %v", li, b, workers, err)
 		}
 	}
-	return append([]Label(nil), ev.labels...)
+	return ev.snapshot()
 }
 
 // TestWideVsScalarConformance is the tentpole's correctness pin: over
@@ -290,6 +290,16 @@ func TestWideVsScalarConformance(t *testing.T) {
 			}
 		}
 	}
+}
+
+// snapshot returns the labels of the store's wires, wire-major as the store
+// keeps them, without the inversion slot behind them.
+func (st *labelStore) snapshot() []Label {
+	out := make([]Label, st.n*st.b)
+	for i := range out {
+		out[i] = st.labels[i].label()
+	}
+	return out
 }
 
 func labelsEqual(a, b []Label) bool {

@@ -84,10 +84,10 @@ func oracleLevel(rng *rand.Rand) (ands, frees []circuit.Gate, wires uint32) {
 	return ands, frees, next
 }
 
-// TestKernelMatchesTextbookOracle pins the one kernel — the level kernels
-// and, at B = 1, the per-gate faces that share it — to textbookGarble and
-// textbookEval: tables, garbler zero-labels and evaluator labels of one
-// mixed level, at B ∈ {1, 3, 16}. Inputs are assigned party-blind, so the
+// TestKernelMatchesTextbookOracle pins the one kernel — the level kernels,
+// the same level run as split spans, and, at B = 1, the per-gate faces that
+// share it — to textbookGarble and textbookEval: tables, garbler
+// zero-labels and evaluator labels of one mixed level, at B ∈ {1, 3, 16}. Inputs are assigned party-blind, so the
 // half ANDs see both permute bits on B (TestHalfANDAnyPermuteBit's case).
 func TestKernelMatchesTextbookOracle(t *testing.T) {
 	const gidBase = 40
@@ -112,7 +112,7 @@ func TestKernelMatchesTextbookOracle(t *testing.T) {
 		}
 
 		// The oracle, sample by sample, over the input labels as drawn.
-		zero := append([]Label(nil), g.labels...)
+		zero := g.snapshot()
 		active := make([]Label, len(zero))
 		for w := 2; w < 2+oracleInputs; w++ {
 			for s := 0; s < b; s++ {
@@ -167,7 +167,7 @@ func TestKernelMatchesTextbookOracle(t *testing.T) {
 		if !bytes.Equal(table, wantTable) {
 			t.Fatalf("B=%d: GarbleLevel tables differ from the textbook oracle's", b)
 		}
-		if !labelsEqual(g.labels, zero) {
+		if !labelsEqual(g.snapshot(), zero) {
 			t.Fatalf("B=%d: GarbleLevel zero-labels differ from the textbook oracle's", b)
 		}
 		e, err := NewBatchEvaluator(b)
@@ -189,6 +189,55 @@ func TestKernelMatchesTextbookOracle(t *testing.T) {
 					t.Fatalf("B=%d sample %d: EvaluateLevel's %v output differs from the textbook oracle's", b, s, gt.Op)
 				}
 			}
+		}
+
+		// The same level as the split spans a fanned-out run hands its
+		// workers, from the same seed: AND spans [0,1) [1,3) [3,6) [6,8),
+		// so at B ∈ {1, 3} the first cut falls inside a hash wave of the
+		// whole run, and [3,6) crosses the full→half seam at 5.
+		ac, fc := []int{0, 1, 3, 6, 8}, []int{0, 2, 2, 5, 7}
+		rng = rand.New(rand.NewSource(int64(900 + b)))
+		oracleLevel(rng)
+		sg, err := NewBatchGarbler(rng, b)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sg.Grow(wires)
+		for w := uint32(2); w < 2+oracleInputs; w++ {
+			if err := sg.AssignInput(w); err != nil {
+				t.Fatal(err)
+			}
+		}
+		se, err := NewBatchEvaluator(b)
+		if err != nil {
+			t.Fatal(err)
+		}
+		se.Grow(wires)
+		for w := uint32(2); w < 2+oracleInputs; w++ {
+			for s := 0; s < b; s++ {
+				se.SetLabel(w, s, active[int(w)*b+s])
+			}
+		}
+		splitTable := make([]byte, len(wantTable))
+		glv, err := sg.prepare(ands, frees, gidBase, splitTable)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for k := 0; k+1 < len(ac); k++ {
+			sg.span(h, glv, ac[k], ac[k+1], fc[k], fc[k+1])
+		}
+		elv, err := se.prepare(ands, frees, gidBase, wantTable)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for k := 0; k+1 < len(ac); k++ {
+			se.span(h, elv, ac[k], ac[k+1], fc[k], fc[k+1])
+		}
+		if !bytes.Equal(splitTable, wantTable) || !labelsEqual(sg.snapshot(), zero) {
+			t.Fatalf("B=%d: split garbling spans differ from the textbook oracle", b)
+		}
+		if !labelsEqual(se.snapshot(), e.snapshot()) {
+			t.Fatalf("B=%d: split evaluation spans differ from the textbook oracle", b)
 		}
 
 		if b != 1 {
@@ -233,6 +282,120 @@ func TestKernelMatchesTextbookOracle(t *testing.T) {
 	}
 	if !seenPB[false] || !seenPB[true] {
 		t.Fatal("the half ANDs saw one permute bit only")
+	}
+}
+
+// TestInversionSlot: an INV reads the inversion slot behind the last wire,
+// which holds R on the garbler, so the slot must never reach the protocol.
+// Reading its index fails on both parties, through every read face, while
+// the wire before it reads. And a B = 3 INV-only level computes what the
+// textbook says — zero-label ⊕ R on the garbler, the active label carried
+// through on the evaluator — which a level of ANDs over its outputs then
+// matches against textbookGarble and textbookEval.
+func TestInversionSlot(t *testing.T) {
+	const b, gidBase = 3, 7
+	rng := rand.New(rand.NewSource(84))
+	g, err := NewBatchGarbler(rng, b)
+	if err != nil {
+		t.Fatal(err)
+	}
+	e, err := NewBatchEvaluator(b)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Wires 2..5 are inputs, INVs write 6..9 and the ANDs over them 10..13.
+	const wires = 14
+	g.Grow(wires)
+	e.Grow(wires)
+	ins := []uint32{2, 3, 4, 5}
+	if err := g.AssignInputs(ins, false); err != nil {
+		t.Fatal(err)
+	}
+	bits := map[uint32][]bool{}
+	for _, w := range ins {
+		for s := 0; s < b; s++ {
+			bit := rng.Intn(2) == 1
+			bits[w] = append(bits[w], bit)
+			l, _ := g.ActiveLabel(w, s, bit)
+			e.SetLabel(w, s, l)
+		}
+	}
+	for s := 0; s < b; s++ {
+		if _, err := g.ZeroLabel(wires-1, s); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := g.ZeroLabel(wires, s); err == nil {
+			t.Fatalf("sample %d: ZeroLabel read the garbler's inversion slot", s)
+		}
+		if _, err := g.ActiveLabel(wires, s, false); err == nil {
+			t.Fatalf("sample %d: ActiveLabel read the garbler's inversion slot", s)
+		}
+		if _, err := e.Label(wires, s); err == nil {
+			t.Fatalf("sample %d: Label read the evaluator's inversion slot", s)
+		}
+	}
+
+	invs := []circuit.Gate{
+		{Op: circuit.INV, A: 2, Out: 6}, {Op: circuit.INV, A: 3, Out: 7},
+		{Op: circuit.INV, A: 4, Out: 8}, {Op: circuit.INV, A: 2, Out: 9},
+	}
+	pool := NewPool(1)
+	if err := g.GarbleLevel(nil, invs, 0, nil, pool); err != nil {
+		t.Fatal(err)
+	}
+	if err := e.EvaluateLevel(nil, invs, 0, nil, pool); err != nil {
+		t.Fatal(err)
+	}
+	for _, gt := range invs {
+		bits[gt.Out] = make([]bool, b)
+		for s := 0; s < b; s++ {
+			bits[gt.Out][s] = !bits[gt.A][s]
+			z, _ := g.ZeroLabel(gt.Out, s)
+			za, _ := g.ZeroLabel(gt.A, s)
+			got, _ := e.Label(gt.Out, s)
+			want, _ := g.ActiveLabel(gt.Out, s, bits[gt.Out][s])
+			if z != za.XOR(g.R[s]) || got != want {
+				t.Fatalf("INV %d→%d sample %d: labels differ from the textbook's", gt.A, gt.Out, s)
+			}
+		}
+	}
+
+	ands := []circuit.Gate{
+		{Op: circuit.AND, A: 6, B: 7, Out: 10}, {Op: circuit.AND, A: 8, B: 5, Out: 11},
+		{Op: circuit.HalfAND, A: 9, B: 6, Out: 12}, {Op: circuit.HalfAND, A: 7, B: 8, Out: 13},
+	}
+	table := make([]byte, packedBytes(ands, b))
+	if err := g.GarbleLevel(ands, nil, gidBase, table, pool); err != nil {
+		t.Fatal(err)
+	}
+	if err := e.EvaluateLevel(ands, nil, gidBase, table, pool); err != nil {
+		t.Fatal(err)
+	}
+	h := NewHasher()
+	var want []byte
+	for _, half := range []bool{false, true} {
+		for i, gt := range ands {
+			if (gt.Op == circuit.HalfAND) != half {
+				continue
+			}
+			for s := 0; s < b; s++ {
+				za, _ := g.ZeroLabel(gt.A, s)
+				zb, _ := g.ZeroLabel(gt.B, s)
+				tab, c0 := textbookGarble(h, za, zb, g.R[s], uint64(gidBase+i), half)
+				want = append(want, tab...)
+				la, _ := e.Label(gt.A, s)
+				lb, _ := e.Label(gt.B, s)
+				if z, _ := g.ZeroLabel(gt.Out, s); z != c0 {
+					t.Fatalf("AND %d sample %d: zero-label differs from textbookGarble's", i, s)
+				}
+				if got, _ := e.Label(gt.Out, s); got != textbookEval(h, la, lb, uint64(gidBase+i), tab) {
+					t.Fatalf("AND %d sample %d: output differs from textbookEval's", i, s)
+				}
+			}
+		}
+	}
+	if !bytes.Equal(table, want) {
+		t.Fatal("the ANDs over INV outputs garbled other tables than textbookGarble")
 	}
 }
 
@@ -314,7 +477,7 @@ func TestFailedLevelWritesNothing(t *testing.T) {
 					{"GarbleLevel", &g.labelStore, func(tab []byte) error { return g.GarbleLevel(ands, frees, 0, tab, NewPool(4)) }},
 					{"EvaluateLevel", &e.labelStore, func(tab []byte) error { return e.EvaluateLevel(ands, frees, 0, tab, NewPool(4)) }},
 				} {
-					labels := append([]Label(nil), run.store.labels...)
+					labels := run.store.snapshot()
 					table := append([]byte(nil), pristine...)
 					err := sched.Check()
 					if (err == nil) != (tc.short > 0) {
@@ -329,7 +492,7 @@ func TestFailedLevelWritesNothing(t *testing.T) {
 					if !bytes.Equal(table, pristine) {
 						t.Fatalf("%s wrote into the table block of a level it refused", run.side)
 					}
-					if !labelsEqual(run.store.labels, labels) {
+					if !labelsEqual(run.store.snapshot(), labels) {
 						t.Fatalf("%s wrote a label of a level it refused", run.side)
 					}
 				}
@@ -370,8 +533,8 @@ func TestPerGateFacesRefuseBadGates(t *testing.T) {
 			}
 			g.Drop(3)
 			e.Drop(3)
-			gLabels := append([]Label(nil), g.bg.labels...)
-			eLabels := append([]Label(nil), e.be.labels...)
+			gLabels := g.bg.snapshot()
+			eLabels := e.be.snapshot()
 			prefix := []byte{0xee, 0xee}
 			table, err := g.Garble(tc.gate, append([]byte(nil), prefix...))
 			if err == nil || !bytes.Equal(table, prefix) {
@@ -382,7 +545,7 @@ func TestPerGateFacesRefuseBadGates(t *testing.T) {
 			if err == nil || len(rest) != TableSize || !bytes.Equal(stream, bytes.Repeat([]byte{0xee}, TableSize)) {
 				t.Fatalf("Eval: %v, %d bytes left; want a refusal that consumes nothing", err, len(rest))
 			}
-			if !labelsEqual(g.bg.labels, gLabels) || !labelsEqual(e.be.labels, eLabels) {
+			if !labelsEqual(g.bg.snapshot(), gLabels) || !labelsEqual(e.be.snapshot(), eLabels) {
 				t.Fatal("a refused gate wrote a label")
 			}
 			if tc.gate.Out == 20 {
@@ -446,6 +609,82 @@ func TestInlineLevelAllocatesNothing(t *testing.T) {
 			}); n != 0 {
 				t.Errorf("B=%d: %s allocates %v times per level", b, side, n)
 			}
+		}
+	}
+}
+
+// kernelBenchLevel is one level with tanh_lan's gate mix — 184 917 XOR,
+// 6 456 INV, 36 071 full and 33 772 half ANDs over the whole netlist —
+// scaled down 64-fold, over 1 024 input wires (the last 256 the
+// evaluator's, read by the half ANDs as B): full ANDs, then half ANDs, then
+// the free gates, each with its own output wire.
+func kernelBenchLevel(rng *rand.Rand) (ands, frees []circuit.Gate, ins []uint32, wires uint32) {
+	const nIn, nEval = 1024, 256
+	for w := uint32(2); w < 2+nIn; w++ {
+		ins = append(ins, w)
+	}
+	garbler := func() uint32 { return 2 + uint32(rng.Intn(nIn-nEval)) }
+	wire := func() uint32 { return 2 + uint32(rng.Intn(nIn)) }
+	next := uint32(2 + nIn)
+	add := func(dst *[]circuit.Gate, op circuit.Op, n int, a, b func() uint32) {
+		for i := 0; i < n; i++ {
+			*dst = append(*dst, circuit.Gate{Op: op, A: a(), B: b(), Out: next})
+			next++
+		}
+	}
+	evaluator := func() uint32 { return 2 + nIn - nEval + uint32(rng.Intn(nEval)) }
+	add(&ands, circuit.AND, 36071/64, wire, wire)
+	add(&ands, circuit.HalfAND, 33772/64, garbler, evaluator)
+	add(&frees, circuit.XOR, 184917/64, wire, wire)
+	add(&frees, circuit.INV, 6456/64, wire, wire)
+	rng.Shuffle(len(frees), func(i, j int) { frees[i], frees[j] = frees[j], frees[i] })
+	return ands, frees, ins, next
+}
+
+// BenchmarkLevelKernel times the level kernels on kernelBenchLevel inline
+// (a pool of width 1), garbling and evaluating, at B ∈ {1, 16}, and reports
+// the time per gate-instance (a gate of the level times B).
+func BenchmarkLevelKernel(b *testing.B) {
+	for _, batch := range []int{1, 16} {
+		rng := rand.New(rand.NewSource(83))
+		ands, frees, ins, wires := kernelBenchLevel(rng)
+		g, err := NewBatchGarbler(rng, batch)
+		if err != nil {
+			b.Fatal(err)
+		}
+		e, err := NewBatchEvaluator(batch)
+		if err != nil {
+			b.Fatal(err)
+		}
+		g.Grow(wires)
+		e.Grow(wires)
+		if err := g.AssignInputs(ins, false); err != nil {
+			b.Fatal(err)
+		}
+		for _, w := range ins {
+			for s := 0; s < batch; s++ {
+				l, _ := g.ZeroLabel(w, s)
+				e.SetLabel(w, s, l)
+			}
+		}
+		pool := NewPool(1)
+		table := make([]byte, packedBytes(ands, batch))
+		instances := float64((len(ands) + len(frees)) * batch)
+		for _, run := range []struct {
+			side  string
+			level func() error
+		}{
+			{"garble", func() error { return g.GarbleLevel(ands, frees, 0, table, pool) }},
+			{"evaluate", func() error { return e.EvaluateLevel(ands, frees, 0, table, pool) }},
+		} {
+			b.Run(fmt.Sprintf("%s/B=%d", run.side, batch), func(b *testing.B) {
+				for i := 0; i < b.N; i++ {
+					if err := run.level(); err != nil {
+						b.Fatal(err)
+					}
+				}
+				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/(float64(b.N)*instances), "ns/gate")
+			})
 		}
 	}
 }

@@ -41,62 +41,51 @@ const TableSize = 2 * LabelSize
 type Label [LabelSize]byte
 
 // XOR returns l ⊕ o.
-func (l Label) XOR(o Label) Label {
-	var r Label
-	a1 := binary.LittleEndian.Uint64(l[0:8])
-	a2 := binary.LittleEndian.Uint64(l[8:16])
-	b1 := binary.LittleEndian.Uint64(o[0:8])
-	b2 := binary.LittleEndian.Uint64(o[8:16])
-	binary.LittleEndian.PutUint64(r[0:8], a1^b1)
-	binary.LittleEndian.PutUint64(r[8:16], a2^b2)
-	return r
-}
+func (l Label) XOR(o Label) Label { return blockAt(l[:]).xor(blockAt(o[:])).label() }
 
 // LSB returns the point-and-permute bit of the label.
 func (l Label) LSB() bool { return l[0]&1 == 1 }
 
-// words returns l as two little-endian uint64 words, the form the kernel
-// computes in; setWords stores them back. wordsAt and setWordsAt do the
-// same on the first LabelSize bytes of a table slice.
-func words(l *Label) (uint64, uint64) {
-	return binary.LittleEndian.Uint64(l[0:8]), binary.LittleEndian.Uint64(l[8:16])
+// block is a label as the kernel holds and computes on it: its two
+// little-endian uint64 words. Go keeps words in registers but not [16]byte
+// arrays, so XOR, doubling and tweaking a Label value would each go through
+// a stack temporary. In memory a block is laid out byte for byte as its
+// Label on a little-endian machine, which is what the amd64 hash kernel
+// reads. Labels become blocks at the protocol boundary: drawn randomness,
+// labels set or read through the states' faces, and table bytes.
+type block struct{ lo, hi uint64 }
+
+// blockAt reads the first LabelSize bytes of p as a block; put stores k
+// there.
+func blockAt(p []byte) block {
+	return block{binary.LittleEndian.Uint64(p[0:8]), binary.LittleEndian.Uint64(p[8:16])}
 }
 
-func setWords(l *Label, w0, w1 uint64) {
-	binary.LittleEndian.PutUint64(l[0:8], w0)
-	binary.LittleEndian.PutUint64(l[8:16], w1)
+func (k block) put(p []byte) {
+	binary.LittleEndian.PutUint64(p[0:8], k.lo)
+	binary.LittleEndian.PutUint64(p[8:16], k.hi)
 }
 
-func wordsAt(p []byte) (uint64, uint64) {
-	return binary.LittleEndian.Uint64(p[0:8]), binary.LittleEndian.Uint64(p[8:16])
+func (k block) label() Label {
+	var l Label
+	k.put(l[:])
+	return l
 }
 
-func setWordsAt(p []byte, w0, w1 uint64) {
-	binary.LittleEndian.PutUint64(p[0:8], w0)
-	binary.LittleEndian.PutUint64(p[8:16], w1)
-}
+func (k block) xor(o block) block { return block{k.lo ^ o.lo, k.hi ^ o.hi} }
 
-// double multiplies the label by x in GF(2^128) with the standard
-// reduction polynomial (x^128 + x^7 + x^2 + x + 1), treating the label as
-// a big-endian polynomial — the usual tweakable-cipher doubling. The
-// garbling hash H(L, t) keys AES with 2L ⊕ t, the tweak XORed into the
-// block's first little-endian word.
-func double(l Label) Label {
-	var r Label
-	w0, w1 := dbl(words(&l))
-	setWords(&r, w0, w1)
-	return r
-}
-
-// dbl is double on a label's little-endian words: byte-swapped, they are
-// the polynomial's high and low halves, so it is two shifts and a
-// branch-free reduction.
-func dbl(w0, w1 uint64) (uint64, uint64) {
-	hi, lo := bits.ReverseBytes64(w0), bits.ReverseBytes64(w1)
+// dbl multiplies the label k by x in GF(2^128) with the standard reduction
+// polynomial (x^128 + x^7 + x^2 + x + 1), treating the label as a
+// big-endian polynomial — the usual tweakable-cipher doubling. The garbling
+// hash H(L, t) keys AES with 2L ⊕ t, the tweak XORed into the block's first
+// little-endian word. Byte-swapped, the words are the polynomial's high and
+// low halves, so it is two shifts and a branch-free reduction.
+func dbl(k block) block {
+	hi, lo := bits.ReverseBytes64(k.lo), bits.ReverseBytes64(k.hi)
 	carry := hi >> 63
 	hi = hi<<1 | lo>>63
 	lo = lo<<1 ^ 0x87&-carry
-	return bits.ReverseBytes64(hi), bits.ReverseBytes64(lo)
+	return block{bits.ReverseBytes64(hi), bits.ReverseBytes64(lo)}
 }
 
 // fixedKey is the public fixed AES key of the garbling hash. Its value is
@@ -107,7 +96,7 @@ var fixedKey = [16]byte{
 }
 
 // HashLanes is the width of the Hasher's multi-lane face: HN (and the
-// internal staged-lane path the gate cores use) hashes up to this many
+// lane path the gate kernel fills) hashes up to this many
 // independent labels per call, matching the depth hardware AES units
 // pipeline.
 const HashLanes = 8
@@ -135,8 +124,8 @@ func wideEnabled() bool { return wideAvailable() && !wideOff.Load() }
 // the whole protocol before they were hoisted here).
 //
 // Beyond the scalar H, a Hasher exposes a multi-lane face: up to
-// HashLanes independent hashes per call (HN, and the staged-lane path
-// the gate cores feed), backed on amd64 by an assembly kernel that
+// HashLanes independent hashes per call (HN, and the lanes the gate
+// kernel fills), backed on amd64 by an assembly kernel that
 // interleaves 8 AESENC streams per round so the hardware AES pipeline
 // stays full, with a pure-Go fallback that loops the scalar path.
 type Hasher struct {
@@ -147,14 +136,10 @@ type Hasher struct {
 	// wide selects the 8-block AESENC kernel, latched at construction
 	// from CPU feature detection (and wideOff).
 	wide bool
-	// lanes is the staging buffer of the multi-lane path: callers write
-	// key blocks 2L ⊕ t, hashStaged replaces them with their hashes.
-	lanes [HashLanes]Label
-	// units stages the gate kernel's instances for one hash wave
-	// (batch.go's stage); it lives here so a span borrows it with the
-	// hasher rather than allocating it per span, or per gate on the
-	// per-gate faces.
-	units [HashLanes]staged
+	// lanes is the buffer of the multi-lane path: callers write key
+	// blocks 2L ⊕ t, hash replaces them with their hashes. A span borrows
+	// it with the hasher, so no wave allocates.
+	lanes [HashLanes]block
 }
 
 // NewHasher builds the fixed-key hasher.
@@ -174,29 +159,26 @@ func NewHasher() *Hasher {
 
 // H computes the hash of label l under tweak t.
 func (h *Hasher) H(l Label, t uint64) Label {
-	var k Label
-	w0, w1 := dbl(words(&l))
-	setWords(&k, w0^t, w1)
-	return h.hashKey(k)
+	k := dbl(blockAt(l[:]))
+	k.lo ^= t
+	return h.hashKey(k).label()
 }
 
 // hashKey is the scalar Davies–Meyer core over a precomputed key block
 // k = 2L ⊕ t: AES_fixed(k) ⊕ k through Go's crypto/aes.
-func (h *Hasher) hashKey(k Label) Label {
-	copy(h.kbuf, k[:])
+func (h *Hasher) hashKey(k block) block {
+	k.put(h.kbuf)
 	h.block.Encrypt(h.obuf, h.kbuf)
-	var out Label
-	copy(out[:], h.obuf)
-	return out.XOR(k)
+	return blockAt(h.obuf).xor(k)
 }
 
-// hashStaged replaces the first n staged lanes — key blocks 2L ⊕ t
-// written into h.lanes by the caller — with their Davies–Meyer hashes
-// AES_fixed(k) ⊕ k, in place. n must be at most HashLanes. The wide
-// kernel always runs all 8 lanes branch-free (an AES unit pipelined 8
-// deep finishes 8 blocks in the latency of one, so unused lanes cost
-// nothing; their stale bytes are simply overwritten).
-func (h *Hasher) hashStaged(n int) {
+// hash replaces the first n lanes — key blocks 2L ⊕ t written into h.lanes
+// by the caller — with their Davies–Meyer hashes AES_fixed(k) ⊕ k, in
+// place. n must be at most HashLanes. The wide kernel always runs all 8
+// lanes branch-free (an AES unit pipelined 8 deep finishes 8 blocks in the
+// latency of one, so unused lanes cost nothing; their stale words are
+// simply overwritten).
+func (h *Hasher) hash(n int) {
 	if h.wide {
 		hashLanesWide(&h.lanes)
 		return
@@ -219,16 +201,16 @@ func (h *Hasher) HN(dst, labels []Label, tweaks []uint64) {
 			len(dst), len(tweaks), len(labels)))
 	}
 	for off := 0; off < len(labels); off += HashLanes {
-		n := len(labels) - off
-		if n > HashLanes {
-			n = HashLanes
-		}
+		n := min(len(labels)-off, HashLanes)
 		for i := 0; i < n; i++ {
-			w0, w1 := dbl(words(&labels[off+i]))
-			setWords(&h.lanes[i], w0^tweaks[off+i], w1)
+			k := dbl(blockAt(labels[off+i][:]))
+			k.lo ^= tweaks[off+i]
+			h.lanes[i] = k
 		}
-		h.hashStaged(n)
-		copy(dst[off:off+n], h.lanes[:n])
+		h.hash(n)
+		for i := 0; i < n; i++ {
+			h.lanes[i].put(dst[off+i][:])
+		}
 	}
 }
 

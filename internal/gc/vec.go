@@ -11,22 +11,25 @@ import (
 // This file is the level kernel of the GC engine: one garbling state
 // covering B ≥ 1 independent sample instances of the same circuit, which
 // is what every session inference runs on (a lone inference is B=1).
-// Labels are stored structure-of-arrays — B contiguous labels per wire
-// slot, sample s of wire w at labels[w*B+s] — so the kernel walks the
-// gate schedule ONCE per level and iterates samples innermost: one tweak
-// derivation, one gate decode, and one bounds check per gate for all B
-// samples, with the B label loads/stores on adjacent cache lines. Every
-// sample has its own fresh Free-XOR delta and fresh wire labels, so the
-// transcript of each sample is exactly what a lone inference would
-// produce under the same randomness — batching amortizes the schedule
-// walk, not the cryptography. The per-gate faces Garbler.Garble and
-// Evaluator.Eval are this state at B=1 running one-gate levels, and the
-// tests pin both against a textbook half-gates oracle.
+// Labels are stored structure-of-arrays as two-word blocks — B contiguous
+// labels per wire slot, sample s of wire w at labels[w*B+s] — so the kernel
+// walks the gate schedule ONCE per level and iterates samples innermost:
+// one tweak derivation and one gate decode per gate for all B samples, with
+// the B label loads/stores on adjacent cache lines. Behind the last wire
+// the store keeps an inversion slot of B labels — each sample's delta R on
+// the garbler, zero on the evaluator — so an INV is the XOR of its operand
+// with the slot, on both sides, at any B. Every sample has its own fresh
+// Free-XOR delta and fresh wire labels, so the transcript of each sample is
+// exactly what a lone inference would produce under the same randomness —
+// batching amortizes the schedule walk, not the cryptography. The per-gate
+// faces Garbler.Garble and Evaluator.Eval are this state at B=1 running
+// one-gate levels, and the tests pin both against a textbook half-gates
+// oracle.
 //
-// The kernel (batch.go) reads a gate's input labels in place when it
-// completes the gate, not when it stages it: level independence — no gate
-// of a level reads a wire another gate of the level writes — makes the two
-// reads agree, so staging copies indices, never labels. The level kernels
+// The kernel (batch.go) reads a gate's input labels in place twice, once to
+// form its hash keys and once to complete the gate: level independence — no
+// gate of a level reads a wire another gate of the level writes — makes the
+// two reads agree, so nothing is copied between them. The level kernels
 // check no gate and keep no liveness: what they run is a schedule that
 // circuit.Schedule.Check proved when it compiled, so every operand they
 // read was written and every output lies in the grown store. The one check
@@ -44,14 +47,14 @@ import (
 type BatchGarbler struct {
 	// R holds the per-sample Free-XOR deltas (len B): samples are
 	// cryptographically independent instances, exactly as if each ran its
-	// own inference.
+	// own inference. The store's inv holds them as blocks.
 	R []Label
-	// r2 caches double(R[s]) per sample: doubling is GF(2)-linear, so
+	// r2 caches 2R[s] per sample: doubling is GF(2)-linear, so
 	// 2(L⊕R) = 2L ⊕ 2R and every one-label's hash key derives from its
 	// zero-label's double with one XOR instead of a second doubling.
-	r2 []Label
+	r2 []block
 
-	labelStore // the zero-labels
+	labelStore // the zero-labels, and R in the inversion slot
 	rng        io.Reader
 	buf        []byte // randomness staging for bulk label draws
 
@@ -69,14 +72,15 @@ func NewBatchGarbler(rng io.Reader, b int) (*BatchGarbler, error) {
 	if b < 1 {
 		return nil, fmt.Errorf("gc: batch size %d < 1", b)
 	}
-	g := &BatchGarbler{labelStore: labelStore{b: b}, rng: rng, R: make([]Label, b), r2: make([]Label, b)}
+	g := &BatchGarbler{labelStore: labelStore{b: b, inv: make([]block, b)}, rng: rng, R: make([]Label, b), r2: make([]block, b)}
 	for s := range g.R {
 		r, err := RandomDelta(rng)
 		if err != nil {
 			return nil, err
 		}
 		g.R[s] = r
-		g.r2[s] = double(r)
+		g.inv[s] = blockAt(r[:])
+		g.r2[s] = dbl(g.inv[s])
 	}
 	if err := g.AssignInputs([]uint32{circuit.WFalse, circuit.WTrue}, false); err != nil {
 		return nil, err
@@ -85,23 +89,40 @@ func NewBatchGarbler(rng io.Reader, b int) (*BatchGarbler, error) {
 }
 
 // labelStore is the label array both batch states keep: B contiguous
-// labels per wire slot, sample s of wire w at labels[w*b+s]. It holds labels
+// labels per wire slot, sample s of wire w at labels[w*b+s], for the n
+// wires it holds, then the inversion slot at labels[n*b:]. It holds labels
 // only. A level kernel runs a checked schedule (circuit.Schedule.Check),
-// which writes every wire before it reads it, so the store tracks no
-// liveness and a grown array is never zeroed.
+// which writes every wire before it reads it and no wire at or past n, so
+// the store tracks no liveness, a grown array is never zeroed, and the
+// slot holds inv for as long as n stands.
 type labelStore struct {
 	b      int
-	labels []Label
+	n      int
+	labels []block
+	// inv is what the inversion slot holds: the garbler's deltas R, so an
+	// INV's zero-label is its operand's ⊕ R; nil on the evaluator, whose
+	// slot is zero, so an INV carries its active label through.
+	inv []block
 }
+
+// Spare is a label array one state gave up by Release, for a later state's
+// Reuse; the zero Spare holds none.
+type Spare struct{ labels []block }
 
 // B returns the batch size.
 func (st *labelStore) B() int { return st.b }
 
-// ensure makes room for wire w, doubling the array as appends do.
+// ensure makes room for wire w, doubling the array as appends do, and
+// moves the inversion slot behind it.
 func (st *labelStore) ensure(w uint32) {
-	if need := (int(w) + 1) * st.b; need > len(st.labels) {
-		st.labels = append(st.labels, make([]Label, need-len(st.labels))...)
+	if int(w) < st.n {
+		return
 	}
+	st.n = int(w) + 1
+	if need := (st.n + 1) * st.b; need > len(st.labels) {
+		st.labels = append(st.labels, make([]block, need-len(st.labels))...)
+	}
+	st.fillSlot()
 }
 
 // Grow sizes label storage for wires [0, n). The level kernels never grow
@@ -110,33 +131,46 @@ func (st *labelStore) ensure(w uint32) {
 // Reused array already holds is resliced, not cleared; anything else is
 // one exact-size allocation.
 func (st *labelStore) Grow(n uint32) {
-	need := int(n) * st.b
-	switch {
-	case need <= len(st.labels):
-	case need <= cap(st.labels):
+	if int(n) <= st.n {
+		return
+	}
+	st.n = int(n)
+	need := (st.n + 1) * st.b
+	if need <= cap(st.labels) {
 		st.labels = st.labels[:need]
-	default:
-		labels := make([]Label, need)
+	} else {
+		labels := make([]block, need)
 		copy(labels, st.labels)
 		st.labels = labels
+	}
+	st.fillSlot()
+}
+
+// fillSlot writes inv into the inversion slot.
+func (st *labelStore) fillSlot() {
+	slot := st.labels[st.n*st.b:]
+	if st.inv == nil {
+		clear(slot)
+	} else {
+		copy(slot, st.inv)
 	}
 }
 
 // Reuse hands the store a spent label array (a Release of an earlier
 // state) to grow into when it is the larger: the labels the store holds
 // move to its front, the rest keeps whatever it held.
-func (st *labelStore) Reuse(spare []Label) {
-	if cap(spare) > cap(st.labels) {
-		st.labels = append(spare[:0], st.labels...)
+func (st *labelStore) Reuse(spare Spare) {
+	if cap(spare.labels) > cap(st.labels) {
+		st.labels = append(spare.labels[:0], st.labels...)
 	}
 }
 
 // Release returns the label array for a later state's Reuse; the state must
 // not be used after it.
-func (st *labelStore) Release() []Label {
-	labels := st.labels
+func (st *labelStore) Release() Spare {
+	spare := Spare{st.labels}
 	st.labels = nil
-	return labels
+	return spare
 }
 
 // Drop is a no-op: a level kernel keeps no liveness, and a checked schedule
@@ -145,10 +179,11 @@ func (st *labelStore) Release() []Label {
 // the calls and this method out.
 func (st *labelStore) Drop(uint32) {}
 
-// at returns sample s's label of wire w.
+// at returns sample s's label of wire w. Reads stop at the wires: the
+// inversion slot behind them holds the garbler's deltas.
 func (st *labelStore) at(w uint32, s int) (Label, error) {
-	if i := int(w)*st.b + s; s >= 0 && s < st.b && i < len(st.labels) {
-		return st.labels[i], nil
+	if s >= 0 && s < st.b && int(w) < st.n {
+		return st.labels[int(w)*st.b+s].label(), nil
 	}
 	return Label{}, fmt.Errorf("gc: wire %d sample %d lies outside the label store", w, s)
 }
@@ -186,11 +221,11 @@ func (g *BatchGarbler) AssignInputs(ws []uint32, evaluator bool) error {
 		g.ensure(w)
 		base := int(w) * g.b
 		for s := 0; s < g.b; s++ {
-			l := &g.labels[base+s]
-			copy(l[:], buf[(i*g.b+s)*LabelSize:])
+			l := blockAt(buf[(i*g.b+s)*LabelSize:])
 			if evaluator {
-				l[0] &^= 1
+				l.lo &^= 1
 			}
+			g.labels[base+s] = l
 		}
 	}
 	return nil
@@ -277,7 +312,7 @@ func NewBatchEvaluator(b int) (*BatchEvaluator, error) {
 // constants). All B samples of a wire must be set before use.
 func (e *BatchEvaluator) SetLabel(w uint32, s int, l Label) {
 	e.ensure(w)
-	e.labels[int(w)*e.b+s] = l
+	e.labels[int(w)*e.b+s] = blockAt(l[:])
 }
 
 // Label returns sample s's active label of wire w.

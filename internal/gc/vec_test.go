@@ -346,7 +346,7 @@ func TestGarbleLevelSubSlice(t *testing.T) {
 				t.Fatalf("cut %d part %d: tables differ from the whole-level call's", cut, i)
 			}
 		}
-		if !labelsEqual(split.labels, whole.labels) {
+		if !labelsEqual(split.snapshot(), whole.snapshot()) {
 			t.Fatalf("cut %d: zero-labels differ from the whole-level call's", cut)
 		}
 
@@ -356,7 +356,7 @@ func TestGarbleLevelSubSlice(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			e.Grow(uint32(len(whole.labels) / b))
+			e.Grow(uint32(whole.n))
 			for w := uint32(2); w < 18; w++ {
 				for s := 0; s < b; s++ {
 					z, _ := whole.ZeroLabel(w, s)
@@ -366,7 +366,7 @@ func TestGarbleLevelSubSlice(t *testing.T) {
 			if err := run(e); err != nil {
 				t.Fatalf("cut %d: %v", cut, err)
 			}
-			return e.labels
+			return e.snapshot()
 		}
 		want := evaluate(func(e *BatchEvaluator) error { return e.EvaluateLevel(ands, frees, gidBase, ref, pool) })
 		got := evaluate(func(e *BatchEvaluator) error {
@@ -433,7 +433,9 @@ func TestHalfANDAnyPermuteBit(t *testing.T) {
 // TestGrowReusesSpareArray pins how a session carries one label array from
 // inference to inference: a state given a Released array by Reuse keeps its
 // own labels at the front, grows into the array without allocating or
-// clearing it while NumWires × B fits, and allocates anew only past it.
+// clearing it while NumWires × B labels and the B-label inversion slot
+// behind them fit, and allocates anew only past it. Either way Grow moves
+// the slot, which holds R on the garbler, behind the last wire.
 func TestGrowReusesSpareArray(t *testing.T) {
 	first, err := NewBatchGarbler(rand.New(rand.NewSource(81)), 2)
 	if err != nil {
@@ -444,26 +446,46 @@ func TestGrowReusesSpareArray(t *testing.T) {
 		t.Fatal(err)
 	}
 	spare := first.Release()
-	stale := spare[9*2]
+	if len(spare.labels) != (vecTestWires+1)*2 {
+		t.Fatalf("a grown B=2 store holds %d labels, want %d wires and the slot", len(spare.labels), vecTestWires)
+	}
+	stale := spare.labels[9*2]
 
 	next, err := NewBatchGarbler(rand.New(rand.NewSource(82)), 3)
 	if err != nil {
 		t.Fatal(err)
 	}
-	consts := append([]Label(nil), next.labels...)
+	slotHoldsR := func() bool {
+		for s := 0; s < 3; s++ {
+			if next.labels[next.n*3+s].label() != next.R[s] {
+				return false
+			}
+		}
+		return true
+	}
+	consts := next.snapshot()
 	next.Reuse(spare)
-	next.Grow(vecTestWires * 2 / 3)
-	if &next.labels[0] != &spare[0] {
+	// The most wires that fit at B=3 with the slot behind them: 7 of the
+	// 26 labels' room for 8.
+	fits := uint32(len(spare.labels)/3 - 1)
+	next.Grow(fits)
+	if &next.labels[0] != &spare.labels[0] {
 		t.Fatal("Grow allocated although the reused array was large enough")
 	}
-	if !labelsEqual(next.labels[:len(consts)], consts) {
+	if !labelsEqual(next.snapshot()[:len(consts)], consts) {
 		t.Fatal("Reuse lost the state's constant labels")
 	}
 	if next.labels[9*2] != stale {
 		t.Fatal("Grow cleared the reused array")
 	}
-	next.Grow(vecTestWires)
-	if &next.labels[0] == &spare[0] || len(next.labels) != vecTestWires*3 {
+	if !slotHoldsR() {
+		t.Fatal("Grow did not move the inversion slot behind the grown wires")
+	}
+	next.Grow(fits + 1)
+	if &next.labels[0] == &spare.labels[0] || len(next.labels) != int(fits+2)*3 {
 		t.Fatalf("Grow past the reused array's capacity kept it (%d labels)", len(next.labels))
+	}
+	if !slotHoldsR() {
+		t.Fatal("a fresh allocation left the inversion slot behind")
 	}
 }
