@@ -312,7 +312,7 @@ func TestChaosSweep(t *testing.T) {
 
 // frameCutter closes the connection the moment the header of the nth
 // frame of type typ has been read from it: with MsgOTRefill, after a
-// refill announcement reached the client and before the client can answer
+// refill announcement reached the client and before the client can bank
 // it.
 type frameCutter struct {
 	net.Conn
@@ -343,12 +343,13 @@ func (c *frameCutter) Read(b []byte) (int, error) {
 	return got, err
 }
 
-// TestChaosCutBetweenRefillAndAnswer aims the one fault the seeded
-// scripts can only hit by luck: the connection dies after the server
-// announced a mid-session refill and before the client answered it. Both
-// sides must end in a clean error with nothing left running, and the
-// server must keep serving.
-func TestChaosCutBetweenRefillAndAnswer(t *testing.T) {
+// TestChaosCutAtRefill aims the one fault the seeded scripts can only hit
+// by luck: the connection dies as the server's mid-session refill
+// announcement reaches the client, after the server has banked the
+// refill's pads and before the client banks its own. Both sides must end
+// in a clean error with nothing left running, and the server must keep
+// serving.
+func TestChaosCutAtRefill(t *testing.T) {
 	checkLeaks := testutil.VerifyNoLeaks(t)
 	f := fixed.Default
 	model := sweepNet(t)

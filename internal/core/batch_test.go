@@ -384,7 +384,7 @@ func TestSessionFrameCapsRefuseBeforeAllocating(t *testing.T) {
 	net := testNet(t, act.ReLU, 77)
 	for _, typ := range []transport.MsgType{
 		transport.MsgInferBegin, transport.MsgConstLabels, transport.MsgInputLabels,
-		transport.MsgOTMasked, transport.MsgEndSession,
+		transport.MsgOTMasked, transport.MsgEndSession, transport.MsgOTExtY,
 	} {
 		c2s, s2c := newLogHalf(), newLogHalf()
 		srv := &Server{Net: net, Fmt: fixed.Default, Rng: rand.New(rand.NewSource(95)), Engine: EngineConfig{MaxBatch: 2}}

@@ -201,16 +201,19 @@ func TestOutsourcedInference(t *testing.T) {
 }
 
 func TestBadHelloRejected(t *testing.T) {
-	// "deepsecure/11" is the previous version, whose hello is the bare
-	// string and whose sessions always run the base phase: it must be
-	// refused here and not fail mid-stream. A hello of this version is
-	// refused when what follows the string is not a session counter and a
-	// whole number of base ids, at most maxClientBases of them.
+	// "deepsecure/11" is a version whose hello is the bare string and
+	// whose sessions always run the base phase, and "deepsecure/13" the
+	// previous one, whose client answers every pool refill: a hello of
+	// either must be refused here and not fail mid-stream. A hello of this
+	// version is refused when what follows the string is not a session
+	// counter and a whole number of base ids, at most maxClientBases of
+	// them.
 	good := string(helloFrame(7, []baseID{{1}, {2}}))
 	for hello, want := range map[string]string{
-		"bogus/10":             "unknown protocol",
-		"deepsecure/9":         "unknown protocol",
-		"deepsecure/11":        "unknown protocol",
+		"bogus/10":      "unknown protocol",
+		"deepsecure/9":  "unknown protocol",
+		"deepsecure/11": "unknown protocol",
+		"deepsecure/13" + good[len(protocolHello):]: "unknown protocol",
 		protocolHello:          "malformed hello",
 		protocolHello + "\x00": "malformed hello",
 		good[:len(good)-1]:     "malformed hello", // an id cut short

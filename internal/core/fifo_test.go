@@ -176,9 +176,9 @@ func TestSessionGoroutinesAreThree(t *testing.T) {
 // on one that every range is short of. (Which answer a decided refill rides
 // ahead of is the one thing left to timing — whether begin k+1 was read
 // before answer k was written — so the two sequences are compared each on
-// its own; on these pools the client handles a refill between the same two
-// garblings either way, which is what keeps its rng, and so every label, in
-// step. TestPipelineDepth1Conformance pins whole streams at depth 1.)
+// its own; the client's rng does not feed its pool, so where it banks a
+// refill moves no label. TestPipelineDepth1Conformance pins whole streams
+// at depth 1.)
 func TestPipelineDepth2Transcript(t *testing.T) {
 	net := testNet(t, act.ReLU, 45)
 	rng := rand.New(rand.NewSource(46))

@@ -21,20 +21,20 @@ import (
 // TestGarbleTranscriptPinned pins what the garbling engine sends, byte for
 // byte: the sha256 of the client→server stream of a fixed-rng session over
 // the "small" model — two single inferences, then one batch of three — at
-// Workers 1 and 4. The pool holds all five samples, so no refill draws the
-// client rng mid-session. A change that means to move the client's bytes
-// (the netlist, the frames, the rng draw order) re-records want.
+// Workers 1 and 4. The pool holds all five samples, so the session sees no
+// refill after its setup fill. A change that means to move the client's
+// bytes (the netlist, the frames, the rng draw order) re-records want.
 //
 // wantEngine pins the same stream with the session framing dropped (hello,
 // begin and end; stripTags), re-serialized frame by frame as type, 4-byte
-// little-endian length, payload: the OT set-up and the engine's frames. It
-// was recorded while every inference frame carried an inference tag and the
-// garbler wrote its tables from a goroutine of its own, so it holds the
-// engine's bytes to what they were before both went.
+// little-endian length, payload: the OT set-up and the engine's frames.
+// Both were last re-recorded when the pool became random OT: the client's
+// rng stopped feeding the pool, which moved every later draw, and its
+// refill answer left the stream.
 func TestGarbleTranscriptPinned(t *testing.T) {
 	const (
-		want       = "32ab527c3ecb3e2e0633fbec775a1f0bc651ea1685832e3a798d89d064f3dc2e"
-		wantEngine = "6e0c8b93b65cc814917b62feb923f806343efea7e8b0e10f7e2f65888ee1f454"
+		want       = "54c438f239ce21959b867b5d114e212ac1afdfa29267e3ce982753a0fb4b8bad"
+		wantEngine = "69043e7799aa40eda779d366f9e963dea6abf99e099a1325c4531f914f9b1bca"
 	)
 	net, err := benchmarks.ByName("small")
 	if err != nil {

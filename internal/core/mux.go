@@ -23,7 +23,6 @@ import (
 // three goroutines, whatever the window.
 //
 //	reader ──▶ fifo (ringFrames) ──▶ session goroutine (evalEngine) ──▶ out ──▶ writer
-//	       └─▶ OT pool (refill answers, banked in wire order)
 //
 // A client garbles an inference to completion and flushes before it begins
 // the next, so frames of two inferences never interleave and frame order is
@@ -175,6 +174,7 @@ func newSessionMux(srv *Server, conn *transport.Conn, otp *precomp.ReceiverPool,
 	conn.SetLimit(transport.MsgOTMasked, widestE*2*labels)
 	conn.SetLimit(transport.MsgTables, min(transport.MaxFrame, largestRun*batch))
 	conn.SetLimit(transport.MsgEndSession, 0)
+	conn.SetLimit(transport.MsgOTExtY, 0) // the §3.3 answer; a pool refill has none
 	return &sessionMux{
 		conn:       conn,
 		otp:        otp,
@@ -284,7 +284,7 @@ func (m *sessionMux) write(a answer) error {
 		return m.otp.Cover(a.inf.otr)
 	}
 	// What the pool policy decided meanwhile goes ahead of the outputs, so
-	// the client has answered it by the time it sees them.
+	// the client has banked it by the time it sees them.
 	if err := m.otp.SendRefills(); err != nil {
 		return err
 	}
@@ -309,11 +309,10 @@ func (m *sessionMux) write(a answer) error {
 
 // readLoop drains the connection into the FIFO: begins are admitted against
 // the window and get their pool range here, in begin order; the frames of an
-// inference's burst are queued behind its begin as they come; refill answers
-// go to the OT pool. It exits on end-of-session, disconnect or a protocol
-// violation and closes the FIFO, so a blocked evaluation fails fast instead
-// of hanging (a reader panic included, which would otherwise take the
-// process down).
+// inference's burst are queued behind its begin as they come. It exits on
+// end-of-session, disconnect or a protocol violation and closes the FIFO, so
+// a blocked evaluation fails fast instead of hanging (a reader panic
+// included, which would otherwise take the process down).
 func (m *sessionMux) readLoop() {
 	defer func() {
 		if v := recover(); v != nil {
@@ -336,12 +335,6 @@ func (m *sessionMux) readLoop() {
 		case transport.MsgConstLabels, transport.MsgInputLabels, transport.MsgOTMasked, transport.MsgTables:
 			// The open inference's, or a protocol error when run pops it
 			// with none open.
-		case transport.MsgOTExtY:
-			// A refill answer, banked in wire order: the masked frames that
-			// need the new entries are behind it on the wire.
-			if err = m.otp.FinishRefill(payload); err == nil {
-				continue
-			}
 		default:
 			err = fmt.Errorf("core: unexpected %v frame on a session", typ)
 		}

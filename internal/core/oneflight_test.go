@@ -205,8 +205,7 @@ func testOneFlightWarmPool(t *testing.T) {
 // (deepsecure.Serve ↔ deepsecure.Infer) run every inference as one client
 // burst answered by one server burst. The server's burst is the outputs,
 // preceded — when the derived pool (W × window) ran low — by a refill
-// announcement, whose answer is the only other thing the client writes and
-// which nothing waits for.
+// announcement, which the client banks and answers with nothing.
 func testOneFlightZeroConfig(t *testing.T) {
 	checkLeaks := testutil.VerifyNoLeaks(t)
 	const w = testNetWeightBits
@@ -221,13 +220,9 @@ func testOneFlightZeroConfig(t *testing.T) {
 			t.Fatalf("inference %d = %d, %v; want %d", i, label, err, want)
 		}
 		// The fill covers a window of 2, so a refill rides every second
-		// answer.
-		want := "wr"
-		if i%2 == 1 {
-			want = "wrwr" // burst, refill + outputs read, refill answered, read on
-		}
-		if got := wire.take(); got != want {
-			t.Errorf("inference %d moved bytes %q, want %q", i, got, want)
+		// answer, in the same read as the outputs.
+		if got := wire.take(); got != "wr" {
+			t.Errorf("inference %d moved bytes %q, want \"wr\"", i, got)
 		}
 	}
 	srvStats, c2s, s2c := end()
@@ -237,17 +232,17 @@ func testOneFlightZeroConfig(t *testing.T) {
 		t.Errorf("server pool: %d fills, %d pooled, %d consumed; want 3, %d, %d",
 			srvStats.OTRefills, srvStats.OTsPooled, srvStats.OTsConsumed, 3*2*w, 5*w)
 	}
-	// No OT frame sits inside a burst: the client's refill answers precede
-	// a begin (or the end marker), the server's requests an outputs frame.
-	follows := func(dir string, frames []wireFrame, typ transport.MsgType, next ...transport.MsgType) {
-		for i, fr := range frames {
-			if fr.typ == typ && (i+1 == len(frames) || !slices.Contains(next, frames[i+1].typ)) {
-				t.Errorf("%s frame %d: %v is not followed by one of %v", dir, i, typ, next)
-			}
+	// No OT frame sits inside a burst: the client sends none, and the
+	// server's refill requests each precede an outputs frame.
+	if types := frameTypes(parseFrames(t, c2s)); slices.Contains(types, transport.MsgOTExtY) {
+		t.Errorf("client sent %v: a refill answered", types)
+	}
+	frames := parseFrames(t, s2c)
+	for i, fr := range frames {
+		if fr.typ == transport.MsgOTExtU && (i+1 == len(frames) || frames[i+1].typ != transport.MsgOutputLabels) {
+			t.Errorf("server→client frame %d: %v is not followed by outputs", i, fr.typ)
 		}
 	}
-	follows("client→server", parseFrames(t, c2s), transport.MsgOTExtY, transport.MsgInferBegin, transport.MsgEndSession)
-	follows("server→client", parseFrames(t, s2c), transport.MsgOTExtU, transport.MsgOutputLabels)
 	checkLeaks()
 }
 
@@ -456,8 +451,9 @@ func TestDoctoredProgramDigestRefused(t *testing.T) {
 // B = 3) and fills that wrap around the key (Capacity not a multiple of
 // W) — and one on the derived default, which refills every second
 // inference. Every label must equal nn.PredictFixed, both parties must hand out
-// the same consecutive ranges, every announced refill must be answered
-// before the session ends, and nothing may linger afterwards.
+// the same consecutive ranges, every announced refill must be banked on
+// both sides before the session ends with no ot-ext-y on the wire, and
+// nothing may linger afterwards.
 func TestPoolRefillShapes(t *testing.T) {
 	const w = testNetWeightBits
 	net := testNet(t, act.ReLU, 33)
@@ -537,23 +533,22 @@ func TestPoolRefillShapes(t *testing.T) {
 			if srvStats.OTRefills < 3 {
 				t.Errorf("server pool: %d fills, want a refill per operation or more", srvStats.OTRefills)
 			}
-			// Every refill the server announced was answered, and the last
-			// thing the server said was an inference's outputs: a client
-			// holding all its results owes the server nothing at Close.
-			asked, answered := 0, 0
+			// Every refill the server announced was banked on both sides
+			// with nothing sent back, and the last thing the server said was
+			// an inference's outputs: a client holding all its results owes
+			// the server nothing at Close.
+			asked := 0
 			frames := parseFrames(t, s2c)
 			for _, fr := range frames {
 				if fr.typ == transport.MsgOTExtU {
 					asked++
 				}
 			}
-			for _, fr := range parseFrames(t, c2s) {
-				if fr.typ == transport.MsgOTExtY {
-					answered++
-				}
+			if int64(asked) != srvStats.OTRefills || int64(asked) != cliStats.OTRefills {
+				t.Errorf("%d refills announced, %d banked by the server, %d by the client", asked, srvStats.OTRefills, cliStats.OTRefills)
 			}
-			if asked != answered || int64(asked) != srvStats.OTRefills {
-				t.Errorf("%d refills announced, %d answered, %d banked", asked, answered, srvStats.OTRefills)
+			if types := frameTypes(parseFrames(t, c2s)); slices.Contains(types, transport.MsgOTExtY) {
+				t.Error("the client answered a refill (ot-ext-y on the wire)")
 			}
 			if last := frames[len(frames)-1].typ; last != transport.MsgOutputLabels {
 				t.Errorf("server's last frame is %v, want outputs", last)

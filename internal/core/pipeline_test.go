@@ -81,37 +81,12 @@ func stripTags(t *testing.T, frames []wireFrame) []wireFrame {
 	return out
 }
 
-// refillBanking is the reference evaluator's receive face on a pooled
-// session: it banks refill answers wherever they arrive in the garbler's
-// stream, which is what a session's reader does.
-type refillBanking struct {
-	*transport.Conn
-	otp *precomp.ReceiverPool
-}
-
-func (v refillBanking) Recv(want transport.MsgType) ([]byte, error) {
-	_, p, err := v.RecvAny(want)
-	return p, err
-}
-
-func (v refillBanking) RecvAny(want ...transport.MsgType) (transport.MsgType, []byte, error) {
-	for {
-		typ, p, err := v.Conn.RecvAny(append(want, transport.MsgOTExtY)...)
-		if err != nil || typ != transport.MsgOTExtY {
-			return typ, p, err
-		}
-		if err := v.otp.FinishRefill(p); err != nil {
-			return 0, nil, err
-		}
-	}
-}
-
 // referenceSerialRun replays a strictly serial protocol from the raw
 // building blocks — shared OT extension and pools, no session framing,
 // strictly alternating inferences, refills announced where a session
 // announces them — recording both directions. Its randomness
 // consumption matches the session path's (base id, extension base phase,
-// pool fill, one garbler per inference), so with equal seeds the frame
+// one garbler per inference), so with equal seeds the frame
 // contents must match a depth-1 session's.
 // firstSession is the OT nonce of a fresh Client's first session with a
 // fresh Server.
@@ -152,7 +127,6 @@ func referenceSerialRun(t *testing.T, net *nn.Network, xs [][]float64, poolCfg p
 			return
 		}
 		pool := gc.NewPool(1)
-		eConn := refillBanking{eConn, otp}
 		for range xs {
 			otr := otp.Reserve(1)
 			if err := otp.Cover(otr); err != nil {
@@ -202,7 +176,7 @@ func referenceSerialRun(t *testing.T, net *nn.Network, xs [][]float64, poolCfg p
 	if err != nil {
 		t.Fatal(err)
 	}
-	otp := precomp.NewSenderPool(gConn, base.Session(gConn, firstSession), rng)
+	otp := precomp.NewSenderPool(gConn, base.Session(gConn, firstSession), nil)
 	if err := otp.HandleAnnounce(); err != nil {
 		t.Fatal(err)
 	}
@@ -498,8 +472,9 @@ func TestPipelineDepthNegotiation(t *testing.T) {
 	}
 }
 
-// TestPipelineUnsolicitedOTFrameRejected pins that refill answers nobody
-// asked for error the session out instead of being banked.
+// TestPipelineUnsolicitedOTFrameRejected pins that a refill answer — a
+// frame no pooled session has — errors the session out at its header,
+// before its payload is read.
 func TestPipelineUnsolicitedOTFrameRejected(t *testing.T) {
 	net := testNet(t, act.ReLU, 70)
 	cConn, sConn, closer := transport.Pipe()
@@ -517,17 +492,15 @@ func TestPipelineUnsolicitedOTFrameRejected(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i := 0; i < 3; i++ {
-		if err := sess.conn.Send(transport.MsgOTExtY, nil); err != nil {
-			t.Fatal(err)
-		}
+	if err := sess.conn.Send(transport.MsgOTExtY, make([]byte, 2*ot.MsgLen)); err != nil {
+		t.Fatal(err)
 	}
 	if err := sess.conn.Flush(); err != nil {
 		t.Fatal(err)
 	}
 	wg.Wait()
-	if srvErr == nil || !strings.Contains(srvErr.Error(), "unsolicited") {
-		t.Fatalf("server error = %v, want unsolicited-frame rejection", srvErr)
+	if srvErr == nil || !strings.Contains(srvErr.Error(), "ot-ext-y frame of 32 bytes exceeds its limit of 0") {
+		t.Fatalf("server error = %v, want the frame refused at its header", srvErr)
 	}
 }
 

@@ -105,12 +105,12 @@ func wantVisit(t *testing.T, what string, v visit, net *nn.Network, x []float64,
 // server is the conversation it always was, the hello and the architecture
 // frame longer by their new fields: hello; arch, pipeline and the base OT's
 // A; the 128 B points; the ciphertexts, the pool announcement, the refill and
-// U; then Y with the first burst behind it. A repeat session exchanges no
-// base-OT frame in either direction — BaseSend opens by sending one and
-// BaseReceive by waiting for one, so neither is entered and no P-256
-// operation runs — and its set-up is the hello, ONE server flight (arch,
-// pipeline, announcement, refill, U) and the client's Y, which the first
-// burst follows without a read in between.
+// U; then the first burst, for the client answers no refill. A repeat
+// session exchanges no base-OT frame in either direction — BaseSend opens
+// by sending one and BaseReceive by waiting for one, so neither is entered
+// and no P-256 operation runs — and its set-up is the hello and ONE server
+// flight (arch, pipeline, announcement, refill, U), which the first burst
+// follows.
 func TestRepeatSessionSkipsBasePhase(t *testing.T) {
 	checkLeaks := testutil.VerifyNoLeaks(t)
 	net := testNet(t, act.ReLU, 51)
@@ -128,16 +128,16 @@ func TestRepeatSessionSkipsBasePhase(t *testing.T) {
 	}
 	const (
 		hello, arch, pipeline = transport.MsgHello, transport.MsgArch, transport.MsgPipeline
-		base, refill, u, y    = transport.MsgOTBase, transport.MsgOTRefill, transport.MsgOTExtU, transport.MsgOTExtY
+		base, refill, u       = transport.MsgOTBase, transport.MsgOTRefill, transport.MsgOTExtU
 	)
 
 	fresh := runVisit(srv, cli, xs[0])
 	wantVisit(t, "first session", fresh, net, xs[0], 0, 0)
 	c2s, s2c := setup(fresh)
-	if !slices.Equal(c2s, []transport.MsgType{hello, base, y}) || !slices.Equal(s2c, []transport.MsgType{arch, pipeline, base, base, refill, refill, u}) {
+	if !slices.Equal(c2s, []transport.MsgType{hello, base}) || !slices.Equal(s2c, []transport.MsgType{arch, pipeline, base, base, refill, refill, u}) {
 		t.Errorf("fresh set-up: client sent %v, server %v", c2s, s2c)
 	}
-	if fresh.dirs != "wrwrwrw" { // hello, A, Bs, ciphertexts…U, Y + burst, outputs, end
+	if fresh.dirs != "wrwrwrw" { // hello, A, Bs, ciphertexts…U, burst, outputs, end
 		t.Errorf("fresh session moved bytes %q, want \"wrwrwrw\"", fresh.dirs)
 	}
 	frames := parseFrames(t, fresh.c2s)
@@ -152,10 +152,10 @@ func TestRepeatSessionSkipsBasePhase(t *testing.T) {
 		again := runVisit(srv, cli, xs[i])
 		wantVisit(t, "repeat session", again, net, xs[i], 1, 0)
 		c2s, s2c = setup(again)
-		if !slices.Equal(c2s, []transport.MsgType{hello, y}) || !slices.Equal(s2c, []transport.MsgType{arch, pipeline, refill, refill, u}) {
+		if !slices.Equal(c2s, []transport.MsgType{hello}) || !slices.Equal(s2c, []transport.MsgType{arch, pipeline, refill, refill, u}) {
 			t.Errorf("repeat set-up %d: client sent %v, server %v", i, c2s, s2c)
 		}
-		if again.dirs != "wrwrw" { // hello, the server's one flight, Y + burst, outputs, end
+		if again.dirs != "wrwrw" { // hello, the server's one flight, burst, outputs, end
 			t.Errorf("repeat session %d moved bytes %q, want \"wrwrw\"", i, again.dirs)
 		}
 		for dir, raw := range map[string][]byte{"client": again.c2s, "server": again.s2c} {

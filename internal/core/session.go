@@ -70,12 +70,13 @@ import (
 // offered, each party filing its half under the id afterwards; the server's
 // pool announcement MsgOTRefill (uvarint capacity ≥ 1; uvarint W, the
 // evaluator-input bits per sample) and its initial fill — MsgOTRefill
-// (uvarint n) and MsgOTExtU from the server, MsgOTExtY back. Fresh or
-// repeat, the session's IKNP streams are the base's derivation under the
-// nonce cid ‖ sid, so a repeat session's set-up is the hello, one server
-// flight and the client's Y, which the first inference's burst follows
-// without a read in between. (The §3.3 streaming deployment sends the bare
-// string as its hello and runs its own base phase per connection.)
+// (uvarint n) and MsgOTExtU from the server, nothing back: each party
+// banks the random OTs the extension's row hashes are. Fresh or repeat,
+// the session's IKNP streams are the base's derivation under the nonce
+// cid ‖ sid, so a repeat session's set-up is the hello and one server
+// flight, which the first inference's burst follows. (The §3.3 streaming
+// deployment sends the bare string as its hello and runs its own base
+// phase per connection.)
 //
 // An inference classifies B ≥ 1 samples and is one client→server burst
 // answered by one frame. The burst: MsgInferBegin (uvarint B, at most the
@@ -94,10 +95,10 @@ import (
 // announced window of inferences may be in flight; answers come back in
 // begin order, so frame order is all that ties a frame to its inference.
 // Between bursts the server may announce a pool refill (MsgOTRefill n,
-// MsgOTExtU), which the client answers (MsgOTExtY) when it next reads; that
-// is the only OT traffic after setup. MsgEndSession from the client ends
-// the session.
-const protocolHello = "deepsecure/13"
+// MsgOTExtU), which the client banks when it next reads, answering
+// nothing; that is the only OT traffic after setup. MsgEndSession from the
+// client ends the session.
+const protocolHello = "deepsecure/14"
 
 // digestSize is the length of the program digest that opens a session's
 // architecture frame.
@@ -680,7 +681,7 @@ func (v clientOTConn) Recv(want transport.MsgType) ([]byte, error) {
 
 func (v clientOTConn) RecvAny(want ...transport.MsgType) (transport.MsgType, []byte, error) {
 	// Stack-allocated want set for the per-step hot path (the pools ask
-	// for at most three types).
+	// for at most two types).
 	var buf [4]transport.MsgType
 	wants := append(append(buf[:0], want...), transport.MsgOutputLabels)
 	for {
@@ -822,7 +823,7 @@ func (c *Client) NewSession(conn *transport.Conn) (sess *Session, err error) {
 	// Pool announcement: the server says how many OTs this session
 	// precomputes and how many it transfers per sample; the initial bulk
 	// fill happens here, as part of session setup.
-	otp := precomp.NewSenderPool(clientOTConn{s}, ots, rng)
+	otp := precomp.NewSenderPool(clientOTConn{s}, ots, nil)
 	otp.SetMetrics(set)
 	if err := otp.HandleAnnounce(); err != nil {
 		return nil, err
@@ -903,7 +904,7 @@ func (p *PendingInference) Done() bool { return p.done }
 
 // resolveNext reads the next frame the server sends between bursts: an
 // output-label frame, which resolves the oldest in-flight inference, or a
-// pool refill announcement, which is answered on the spot; an
+// pool refill announcement, which is banked on the spot; an
 // extension request that no refill announced is handed to the pool too,
 // which refuses it. Callers loop until the result they wait for is in.
 func (s *Session) resolveNext() error {
@@ -1072,7 +1073,7 @@ func (s *Session) InferBatchAsync(xs [][]float64) (*PendingBatch, error) {
 		return fail(err)
 	}
 	// The inference's pool entries: the next b samples' worth, with refills
-	// answered until the pool covers them. On a warm pool this reads nothing.
+	// banked until the pool covers them. On a warm pool this reads nothing.
 	otr := s.ots.Reserve(b)
 	err := s.ots.Cover(otr)
 	if err != nil {

@@ -191,17 +191,41 @@ func (es *ExtSender) Send(pairs [][2]Msg) error {
 	return es.SendWithU(pairs, u)
 }
 
-// SendWithU is the sender half of one extension batch given an
-// already-received U matrix — the entry point for callers that multiplex
-// the connection and dispatch frames themselves (the precomputed-OT pool
-// receives U behind a refill announcement). Calls must happen in the wire
-// order of the U frames: the per-seed PRG streams and the hash counter are
-// stateful.
+// SendWithU is the sender half of one chosen-message extension batch given
+// an already-received U matrix: it computes the batch's pads (Pads) and
+// sends pairs[j][b] ⊕ pad[j][b] as MsgOTExtY. Calls, Pads' included, must
+// happen in the wire order of the U frames: the per-seed PRG streams and
+// the hash counter are stateful.
 func (es *ExtSender) SendWithU(pairs [][2]Msg, u []byte) error {
 	m := len(pairs)
 	if m == 0 {
 		return nil
 	}
+	pads := make([][2]Msg, m)
+	if err := es.Pads(u, pads); err != nil {
+		return err
+	}
+	out := make([]byte, 0, m*2*MsgLen)
+	for j := range pads {
+		for c := range pads[j] {
+			subtle.XORBytes(pads[j][c][:], pads[j][c][:], pairs[j][c][:])
+			out = append(out, pads[j][c][:]...)
+		}
+	}
+	if err := es.conn.Send(transport.MsgOTExtY, out); err != nil {
+		return err
+	}
+	return es.conn.Flush()
+}
+
+// Pads is the sender half of one random-OT extension batch: given the
+// receiver's U matrix it writes row j's pair (H(q_j), H(q_j ⊕ s)), hashed
+// under tweak idx+j, into pads[j] for every j < len(pads), and sends
+// nothing. The receiver's Pads yields pads[j][c_j] for its choice bit c_j;
+// pads[j][1−c_j] is pseudorandom to it. Pads calls must happen in the
+// wire order of the U frames (see SendWithU).
+func (es *ExtSender) Pads(u []byte, pads [][2]Msg) error {
+	m := len(pads)
 	mBytes := (m + 7) / 8
 	if len(u) != ExtULen(m) {
 		return fmt.Errorf("ot: U matrix is %d bytes, want %d", len(u), ExtULen(m))
@@ -216,39 +240,28 @@ func (es *ExtSender) SendWithU(pairs [][2]Msg, u []byte) error {
 	}
 	rows := transposeToRows(cols, m)
 
-	// Row hashing goes through the multi-lane face: both hash streams of
-	// the batch (H(q_j) and H(q_j ⊕ s), same tweak per row) feed the
-	// pipelined 8-lane AES kernel in bulk instead of 2m scalar calls.
-	// HN is pinned byte-identical to the scalar path, so the wire bytes
-	// are unchanged on every build.
-	h0s := make([]gc.Label, m)
-	h1s := make([]gc.Label, m)
-	tweaks := make([]uint64, m)
+	// Both hashes of a row share its tweak and go through the multi-lane
+	// face in waves, half a wave of rows at a time, straight into pads.
+	// HN is pinned byte-identical to the scalar path on every build.
+	const rowsPerWave = gc.HashLanes / 2
+	var wave [gc.HashLanes]gc.Label
+	var tweaks [gc.HashLanes]uint64
 	sRow := gc.Label(es.s)
-	for j := 0; j < m; j++ {
-		qj := gc.Label(rows[j])
-		h0s[j] = qj
-		h1s[j] = qj.XOR(sRow)
-		tweaks[j] = es.idx + uint64(j)
+	for j0 := 0; j0 < m; j0 += rowsPerWave {
+		n := min(m-j0, rowsPerWave)
+		for i := 0; i < n; i++ {
+			q := gc.Label(rows[j0+i])
+			wave[2*i], wave[2*i+1] = q, q.XOR(sRow)
+			tweaks[2*i] = es.idx + uint64(j0+i)
+			tweaks[2*i+1] = tweaks[2*i]
+		}
+		es.h.HN(wave[:2*n], wave[:2*n], tweaks[:2*n])
+		for i := 0; i < n; i++ {
+			pads[j0+i] = [2]Msg{Msg(wave[2*i]), Msg(wave[2*i+1])}
+		}
 	}
 	es.idx += uint64(m)
-	es.h.HN(h0s, h0s, tweaks)
-	es.h.HN(h1s, h1s, tweaks)
-
-	out := make([]byte, 0, m*2*MsgLen)
-	for j := 0; j < m; j++ {
-		var y0, y1 Msg
-		for b := 0; b < MsgLen; b++ {
-			y0[b] = pairs[j][0][b] ^ h0s[j][b]
-			y1[b] = pairs[j][1][b] ^ h1s[j][b]
-		}
-		out = append(out, y0[:]...)
-		out = append(out, y1[:]...)
-	}
-	if err := es.conn.Send(transport.MsgOTExtY, out); err != nil {
-		return err
-	}
-	return es.conn.Flush()
+	return nil
 }
 
 // ReceiverBase is the extension receiver's half of the base correlation
@@ -309,10 +322,10 @@ func NewExtReceiver(conn transport.FrameConn, rng io.Reader) (*ExtReceiver, erro
 }
 
 // PreparedReceive carries the receiver-side state of one extension batch
-// between building the U matrix and decrypting the sender's Y response.
-// The split lets the precomputed-OT pool run the PRG expansion and matrix
-// transpose (the receiver's heavy crypto) off the critical path and send
-// U at a protocol point of its choosing.
+// between building the U matrix and hashing its rows (Pads, or Finish with
+// the sender's Y response). The split lets the precomputed-OT pool run the
+// receiver's crypto off the critical path and send U at a protocol point
+// of its choosing.
 type PreparedReceive struct {
 	// U is the masked column matrix to put on the wire (k·ceil(m/8)
 	// bytes).
@@ -349,34 +362,47 @@ func (er *ExtReceiver) Prepare(choices []bool) *PreparedReceive {
 }
 
 // Finish decrypts the sender's Y response for a prepared batch and
-// returns the chosen messages. Finish calls must happen in the wire order
-// of the Y frames (the hash counter is stateful).
+// returns the chosen messages: y's half for choice c_j XOR the batch's
+// pads (Pads). Finish calls must happen in the wire order of the Y frames
+// (the hash counter is stateful).
 func (er *ExtReceiver) Finish(pr *PreparedReceive, y []byte) ([]Msg, error) {
 	m := len(pr.choices)
 	if len(y) != m*2*MsgLen {
 		return nil, fmt.Errorf("ot: Y payload is %d bytes, want %d", len(y), m*2*MsgLen)
 	}
-	// Bulk row hashing through the 8-lane kernel (see SendWithU); the
-	// scalar fallback makes this byte-identical on every build.
-	hs := make([]gc.Label, m)
-	tweaks := make([]uint64, m)
-	for j := 0; j < m; j++ {
-		hs[j] = gc.Label(pr.rows[j])
-		tweaks[j] = er.idx + uint64(j)
-	}
-	er.idx += uint64(m)
-	er.h.HN(hs, hs, tweaks)
-	out := make([]Msg, m)
-	for j := 0; j < m; j++ {
+	out := er.Pads(pr)
+	for j := range out {
 		off := j * 2 * MsgLen
 		if pr.choices[j] {
 			off += MsgLen
 		}
-		for b := 0; b < MsgLen; b++ {
-			out[j][b] = y[off+b] ^ hs[j][b]
-		}
+		subtle.XORBytes(out[j][:], out[j][:], y[off:off+MsgLen])
 	}
 	return out, nil
+}
+
+// Pads is the receiver half of one random-OT extension batch: row j's
+// H(t_j) under tweak idx+j, which is the sender's pad[j][c_j]. It sends
+// nothing. Pads runs once per prepared batch, in the wire order of the U
+// frames (the hash counter is stateful).
+func (er *ExtReceiver) Pads(pr *PreparedReceive) []Msg {
+	m := len(pr.rows)
+	out := make([]Msg, m)
+	var wave [gc.HashLanes]gc.Label
+	var tweaks [gc.HashLanes]uint64
+	for j0 := 0; j0 < m; j0 += gc.HashLanes {
+		n := min(m-j0, gc.HashLanes)
+		for i := 0; i < n; i++ {
+			wave[i] = gc.Label(pr.rows[j0+i])
+			tweaks[i] = er.idx + uint64(j0+i)
+		}
+		er.h.HN(wave[:n], wave[:n], tweaks[:n])
+		for i := 0; i < n; i++ {
+			out[j0+i] = Msg(wave[i])
+		}
+	}
+	er.idx += uint64(m)
+	return out
 }
 
 // Receive runs one extension batch and returns the chosen messages.

@@ -2,6 +2,7 @@ package ot
 
 import (
 	"bytes"
+	"fmt"
 	"math/rand"
 	"sync"
 	"testing"
@@ -385,6 +386,48 @@ func TestPreparedReceiveMatchesInline(t *testing.T) {
 	}
 	check(pairs1, choices1, got1)
 	check(pairs2, choices2, got2)
+}
+
+// TestRandomOTPads pins the random-OT correlation the OT pool banks: for
+// every row j the receiver's pad is the sender's pad[j][c_j] and not its
+// pad[j][1−c_j], and no pad repeats — not across two batches of one
+// session, nor across the sessions of one base, including two whose nonces
+// share the client's half and so the hash tweaks.
+func TestRandomOTPads(t *testing.T) {
+	sb, rb := testBases(t, 36, 37)
+	rng := rand.New(rand.NewSource(38))
+	seen := map[Msg]string{}
+	for _, nonce := range []Nonce{SessionNonce(1, 1), SessionNonce(2, 1), SessionNonce(1, 2)} {
+		es, er := sb.Session(nil, nonce), rb.Session(nil, nonce)
+		for batch, m := range []int{67, 8} {
+			choices := randChoices(rng, m)
+			pr := er.Prepare(choices)
+			pads := make([][2]Msg, m)
+			if err := es.Pads(pr.U, pads); err != nil {
+				t.Fatal(err)
+			}
+			got := er.Pads(pr)
+			for j, c := range choices {
+				own, other := pads[j][0], pads[j][1]
+				if c {
+					own, other = other, own
+				}
+				where := fmt.Sprintf("session %x batch %d row %d", nonce, batch, j)
+				if got[j] != own || got[j] == other {
+					t.Fatalf("%s: the receiver's pad is not the sender's pad for choice %v alone", where, c)
+				}
+				for _, p := range pads[j] {
+					if prev, ok := seen[p]; ok {
+						t.Fatalf("%s: pad repeats the one of %s", where, prev)
+					}
+					seen[p] = where
+				}
+			}
+		}
+	}
+	if err := sb.Session(nil, Nonce{}).Pads(make([]byte, ExtULen(8)-1), make([][2]Msg, 8)); err == nil {
+		t.Error("a U matrix of the wrong size yielded pads")
+	}
 }
 
 func TestTransposeRoundTrip(t *testing.T) {

@@ -5,17 +5,19 @@
 // The receiver (the evaluator) asks for the same choice bits in the same
 // order in every inference of a session: the model's weight bits, W of
 // them. So the pool is keyed with them. Pool entry q — an absolute
-// sequence number, never reused — is generated by a chosen-choice IKNP
-// extension with receiver choice key[q mod W]: the sender banks a random
-// pair (r0[q], r1[q]), the receiver banks r_key[q]. Online, transferring a
-// real pair (x0, x1) through entry q is one
-// message, sender to receiver, and XORs only:
+// sequence number, never reused — is one random OT of an IKNP extension
+// with receiver choice key[q mod W]: the sender banks the row's pad pair
+// (r0[q], r1[q]) = (H(q_j), H(q_j ⊕ s)), the receiver banks
+// r_key[q] = H(t_j), and nothing is sent back for it. Online, transferring
+// a real pair (x0, x1) through entry q is one message, sender to
+// receiver, and XORs only:
 //
 //	sender → receiver:  y0 = x0 ⊕ r0[q], y1 = x1 ⊕ r1[q]      (MsgOTMasked)
 //	receiver:           x_key = y_key ⊕ r_key[q]
 //
 // Each (r0, r1) masks one label pair once, the receiver holds exactly one
-// of the two, and no function of the choice bits is ever sent.
+// of the two — the other is pseudorandom to it, by IKNP's own guarantee —
+// and no function of the choice bits is ever sent.
 //
 // An inference owns a Range of B·W consecutive entries (B samples), which
 // both parties assign in inference order with Reserve. Nothing holds a
@@ -25,9 +27,10 @@
 // The receiver owns the pool policy: it announces the pool after the
 // OT-extension base phase, performs the initial fill there, and announces a
 // refill (MsgOTRefill + MsgOTExtU) whenever a Reserve leaves the pool
-// below low water or short of the range itself. The sender answers a
-// refill (MsgOTExtY) wherever it happens to read, and waits for one only
-// when its own pool does not cover the range it is about to mask.
+// below low water or short of the range itself, banking the refill's pads
+// before its U is written. The sender banks a refill wherever it happens to
+// read it, answering nothing, and waits for one only when its own pool
+// does not cover the range it is about to mask.
 //
 // Every entry is consumed at most once: consumed entries are zeroed, a
 // zero entry refuses to be taken again, and exhaustion waits on a refill
@@ -222,18 +225,20 @@ func (s *store[T]) take(q int64) (T, error) {
 type refill struct {
 	start int64 // first sequence number it generates
 	n     int
-	// pr is the prepared receiver state; written once under prepMu and
-	// mu, before the refill is announced.
-	pr *ot.PreparedReceive
+	// u and pads are the prepared extension batch: the U matrix to announce
+	// and the receiver's pads to bank. Written once under prepMu and mu,
+	// before the refill is announced.
+	u    []byte
+	pads []ot.Msg
 }
 
 // ReceiverPool is the evaluator-side pool: it banks r_key[q], owns the
 // refill policy, and announces every fill (the sender reacts). One pool
-// per session. Reserve, FinishRefill, RecvStep, Cover and SendRefills may
-// be called from different goroutines (a pipelined session's reader and
-// its in-flight inferences); refill announcements go out on whichever
-// goroutine calls Cover/SendRefills, so conn must serialize writes when
-// more than one does.
+// per session. Reserve, RecvStep, Cover and SendRefills may be called from
+// different goroutines (a pipelined session's reader and its in-flight
+// inferences); refill announcements go out on whichever goroutine calls
+// Cover/SendRefills, so conn must serialize writes when more than one
+// does.
 type ReceiverPool struct {
 	conn transport.FrameConn
 	ots  *ot.ExtReceiver
@@ -244,14 +249,12 @@ type ReceiverPool struct {
 	// next is the first unassigned sequence number and asked one past the
 	// last entry any decided refill generates (asked ≥ next: a range that
 	// the pool cannot cover decides the refill that does). refills holds
-	// the decided fills whose answer has not been banked, oldest first;
-	// the first sent of them are on the wire and sentEnd is one past the
-	// last entry those generate.
-	next, asked, sentEnd int64
-	refills              []*refill
-	sent                 int
-	bank                 store[ot.Msg]
-	aborted              bool
+	// the decided fills not yet announced, oldest first; an announced one
+	// is banked.
+	next, asked int64
+	refills     []*refill
+	bank        store[ot.Msg]
+	aborted     bool
 
 	set *obs.Set // the ledger this pool records in
 
@@ -306,9 +309,9 @@ func (p *ReceiverPool) Abort() {
 
 // Announce opens the pool protocol after the OT base phase: it tells the
 // sender the pool's capacity and key width and performs the initial bulk
-// fill — the session-setup offline phase. A capacity outside [1, maxRefill]
-// (a zero one is PoolConfig.Sized's to resolve first) fails here, locally,
-// before any frame reaches the peer.
+// fill — the session-setup offline phase — waiting for nothing. A
+// capacity outside [1, maxRefill] (a zero one is PoolConfig.Sized's to
+// resolve first) fails here, locally, before any frame reaches the peer.
 func (p *ReceiverPool) Announce() error {
 	if p.cfg.Capacity < 1 || p.cfg.Capacity > maxRefill {
 		return fmt.Errorf("precomp: pool capacity %d outside [1, %d]", p.cfg.Capacity, maxRefill)
@@ -319,14 +322,7 @@ func (p *ReceiverPool) Announce() error {
 	p.mu.Lock()
 	p.decide(p.cfg.Capacity)
 	p.mu.Unlock()
-	if err := p.SendRefills(); err != nil {
-		return err
-	}
-	y, err := p.conn.Recv(transport.MsgOTExtY)
-	if err != nil {
-		return err
-	}
-	return p.FinishRefill(y)
+	return p.SendRefills()
 }
 
 // Reserve assigns the next b·W entries to one inference of b samples and
@@ -384,17 +380,16 @@ func (p *ReceiverPool) decide(n int) {
 	}
 }
 
-// prepareNext runs the receiver crypto of the oldest unprepared refill.
-// Prepare only advances the extension's PRG streams and FinishRefill only
-// its hash counter, so the two may overlap; Prepares themselves must run
-// in refill order, which prepMu and oldest-first give.
+// prepareNext runs the receiver crypto of the oldest unprepared refill:
+// the U matrix and the pads. Both advance stateful extension streams, so
+// they must run in refill order, which prepMu and oldest-first give.
 func (p *ReceiverPool) prepareNext() {
 	p.prepMu.Lock()
 	defer p.prepMu.Unlock()
 	p.mu.Lock()
 	var job *refill
 	for _, f := range p.refills {
-		if f.pr == nil {
+		if f.u == nil {
 			job = f
 			break
 		}
@@ -409,8 +404,9 @@ func (p *ReceiverPool) prepareNext() {
 		choices[i] = p.keyBit(job.start + int64(i))
 	}
 	pr := p.ots.Prepare(choices)
+	u, pads := pr.U, p.ots.Pads(pr)
 	p.mu.Lock()
-	job.pr = pr
+	job.u, job.pads = u, pads
 	p.mu.Unlock()
 	p.set.OTOfflineTime.Add(int64(time.Since(start)))
 }
@@ -421,7 +417,7 @@ func (p *ReceiverPool) prepareNext() {
 // unread.
 func (p *ReceiverPool) Cover(r Range) error {
 	p.mu.Lock()
-	short := p.sentEnd < r.End()
+	short := p.bank.end < r.End()
 	p.mu.Unlock()
 	if !short {
 		return nil
@@ -430,76 +426,43 @@ func (p *ReceiverPool) Cover(r Range) error {
 }
 
 // SendRefills announces every decided refill that is not on the wire yet,
-// oldest first: MsgOTRefill with the count, then the prepared U.
+// oldest first: it banks the refill's pads, then sends MsgOTRefill with the
+// count and the prepared U. Nothing comes back: the masked frames that use
+// the new entries follow the sender's read of U.
 func (p *ReceiverPool) SendRefills() error {
 	p.sendMu.Lock()
 	defer p.sendMu.Unlock()
 	for {
 		p.mu.Lock()
-		if p.sent == len(p.refills) {
+		if len(p.refills) == 0 {
 			p.mu.Unlock()
 			return nil
 		}
-		job := p.refills[p.sent]
-		if job.pr == nil {
+		job := p.refills[0]
+		if job.u == nil {
 			p.mu.Unlock()
 			p.prepareNext()
 			continue
 		}
-		// In flight from here on: the answer may arrive before Flush
-		// returns.
-		p.sent++
-		p.sentEnd = job.start + int64(job.n)
-		if p.sent == 1 {
-			setLimit(p.conn, transport.MsgOTExtY, job.n*2*ot.MsgLen)
-		}
+		// The slot goes too: its U would outlive the write in the queue's
+		// backing array.
+		p.refills[0] = nil
+		p.refills = p.refills[1:]
+		p.bank.add(job.pads)
+		depth := p.available()
 		p.mu.Unlock()
 		start := time.Now()
 		if err := p.conn.Send(transport.MsgOTRefill, countsPayload(job.n)); err != nil {
 			return err
 		}
-		if err := p.conn.Send(transport.MsgOTExtU, job.pr.U); err != nil {
+		if err := p.conn.Send(transport.MsgOTExtU, job.u); err != nil {
 			return err
 		}
 		if err := p.conn.Flush(); err != nil {
 			return err
 		}
-		p.set.OTOfflineTime.Add(int64(time.Since(start)))
+		recordRefill(p.set, obs.OTReceiver, job.n, time.Since(start), depth)
 	}
-}
-
-// FinishRefill banks the sender's answer (a MsgOTExtY payload) to the
-// oldest refill in flight. Call it in the wire order of the answers, from
-// the goroutine that reads them: a masked frame that uses the new entries
-// follows its refill's answer on the wire, so reading in order is all the
-// synchronization consumers need.
-func (p *ReceiverPool) FinishRefill(y []byte) error {
-	p.mu.Lock()
-	if p.sent == 0 {
-		p.mu.Unlock()
-		return fmt.Errorf("precomp: unsolicited refill answer (%d bytes)", len(y))
-	}
-	job := p.refills[0]
-	p.refills = p.refills[1:]
-	p.sent--
-	next := 0
-	if p.sent > 0 {
-		next = p.refills[0].n * 2 * ot.MsgLen
-	}
-	setLimit(p.conn, transport.MsgOTExtY, next)
-	p.mu.Unlock()
-
-	start := time.Now()
-	msgs, err := p.ots.Finish(job.pr, y)
-	if err != nil {
-		return err
-	}
-	elapsed := time.Since(start)
-	p.mu.Lock()
-	p.bank.add(msgs)
-	recordRefill(p.set, obs.OTReceiver, job.n, elapsed, p.available())
-	p.mu.Unlock()
-	return nil
 }
 
 // RecvStep obtains the labels of one evaluator-input step: wire i of the
@@ -515,19 +478,9 @@ func (p *ReceiverPool) RecvStep(conn transport.FrameConn, r Range, c0 int, bits 
 	if r.B < 1 {
 		return fmt.Errorf("precomp: input step on an empty range (no Reserve)")
 	}
-	var payload []byte
-	for payload == nil {
-		// Only a connection nobody demultiplexes delivers refill answers
-		// here; a session's reader banks them itself.
-		typ, frame, err := conn.RecvAny(transport.MsgOTMasked, transport.MsgOTExtY)
-		if err != nil {
-			return err
-		}
-		if typ == transport.MsgOTMasked {
-			payload = frame
-		} else if err := p.FinishRefill(frame); err != nil {
-			return err
-		}
+	payload, err := conn.Recv(transport.MsgOTMasked)
+	if err != nil {
+		return err
 	}
 	start := time.Now()
 	m := len(bits) * r.B
@@ -599,13 +552,12 @@ func (p *ReceiverPool) Receive(choices []bool) ([]ot.Msg, error) {
 	return out, err
 }
 
-// SenderPool is the garbler-side pool: it banks random label pairs and
-// follows the receiver's protocol, answering refills whenever they are
-// announced. Not safe for concurrent use; one pool per session.
+// SenderPool is the garbler-side pool: it banks the pad pairs of the
+// receiver's refills, whenever they are announced, and answers none. Not
+// safe for concurrent use; one pool per session.
 type SenderPool struct {
 	conn transport.FrameConn
 	ots  *ot.ExtSender
-	rng  io.Reader
 
 	width int // the receiver's key width W
 	next  int64
@@ -614,10 +566,12 @@ type SenderPool struct {
 	set *obs.Set // the ledger this pool records in
 }
 
-// NewSenderPool wraps a session's extension sender. rng sources the
-// pool's random label pairs.
-func NewSenderPool(conn transport.FrameConn, ots *ot.ExtSender, rng io.Reader) *SenderPool {
-	return &SenderPool{conn: conn, ots: ots, rng: rng, set: obs.NewSet(obs.Root)}
+// NewSenderPool wraps a session's extension sender. The pool draws no
+// randomness of its own (its pads are the extension's row hashes); the
+// rng parameter remains for callers written against the earlier
+// signature.
+func NewSenderPool(conn transport.FrameConn, ots *ot.ExtSender, _ io.Reader) *SenderPool {
+	return &SenderPool{conn: conn, ots: ots, set: obs.NewSet(obs.Root)}
 }
 
 // SetMetrics makes the pool record into its owner's ledger — the
@@ -637,7 +591,7 @@ func (p *SenderPool) Available() int { return int(max(p.bank.end-p.next, 0)) }
 func (p *SenderPool) Width() int { return p.width }
 
 // HandleAnnounce consumes the receiver's pool announcement after the OT
-// base phase and answers the initial fill.
+// base phase and banks the initial fill.
 func (p *SenderPool) HandleAnnounce() error {
 	payload, err := p.conn.Recv(transport.MsgOTRefill)
 	if err != nil {
@@ -651,11 +605,11 @@ func (p *SenderPool) HandleAnnounce() error {
 	if c[0] == 0 {
 		return &PeerError{"announced an OT pool of capacity 0"}
 	}
-	return p.answerNext()
+	return p.bankNext()
 }
 
-// answerNext reads the receiver's next pool frame and answers it.
-func (p *SenderPool) answerNext() error {
+// bankNext reads the receiver's next pool frame and banks it.
+func (p *SenderPool) bankNext() error {
 	typ, payload, err := p.conn.RecvAny(transport.MsgOTRefill, transport.MsgOTExtU)
 	if err != nil {
 		return err
@@ -663,11 +617,11 @@ func (p *SenderPool) answerNext() error {
 	return p.HandleRefill(typ, payload)
 }
 
-// HandleRefill answers the receiver's next pool frame, already read off the
-// session. It can only be a refill announcement (MsgOTRefill): HandleRefill
-// then reads the receiver's U, banks n fresh random pairs and sends them
-// through the extension (MsgOTExtY, flushed). A MsgOTExtU that no
-// announcement precedes opens a per-step IKNP exchange and is refused.
+// HandleRefill handles the receiver's next pool frame, already read off
+// the session. It can only be a refill announcement (MsgOTRefill):
+// HandleRefill then reads the receiver's U and banks the n pad pairs it
+// yields, sending nothing. A MsgOTExtU that no announcement precedes opens
+// a per-step IKNP exchange and is refused.
 func (p *SenderPool) HandleRefill(typ transport.MsgType, payload []byte) error {
 	if typ != transport.MsgOTRefill {
 		return &PeerError{fmt.Sprintf("sent %v with no refill announced", typ)}
@@ -686,19 +640,8 @@ func (p *SenderPool) HandleRefill(typ transport.MsgType, payload []byte) error {
 	if err != nil {
 		return err
 	}
-	// One bulk read for all 2n labels: per-label ReadFull calls would
-	// cost 2n separate rng round trips (getrandom syscalls under
-	// crypto/rand) at every session setup.
-	raw := make([]byte, n*2*ot.MsgLen)
-	if _, err := io.ReadFull(p.rng, raw); err != nil {
-		return fmt.Errorf("precomp: pair randomness: %w", err)
-	}
 	fresh := make([][2]ot.Msg, n)
-	for i := range fresh {
-		copy(fresh[i][0][:], raw[i*2*ot.MsgLen:])
-		copy(fresh[i][1][:], raw[i*2*ot.MsgLen+ot.MsgLen:])
-	}
-	if err := p.ots.SendWithU(fresh, u); err != nil {
+	if err := p.ots.Pads(u, fresh); err != nil {
 		return err
 	}
 	p.bank.add(fresh)
@@ -714,12 +657,12 @@ func (p *SenderPool) Reserve(b int) Range {
 	return r
 }
 
-// Cover makes sure the pool banks all of r, answering announced refills
+// Cover makes sure the pool banks all of r, banking announced refills
 // until it does. It reads only when the pool falls short — the receiver
 // decided the refill that covers r when it reserved the same range.
 func (p *SenderPool) Cover(r Range) error {
 	for p.bank.end < r.End() {
-		if err := p.answerNext(); err != nil {
+		if err := p.bankNext(); err != nil {
 			return err
 		}
 	}

@@ -418,16 +418,6 @@ func TestUnkeyedPoolIsAllFalse(t *testing.T) {
 	rp.Abort()
 }
 
-// TestUnsolicitedRefillAnswer pins that an answer nobody asked for is an
-// error, not a banked fill.
-func TestUnsolicitedRefillAnswer(t *testing.T) {
-	_, rp, done := pools(t, PoolConfig{Capacity: 16}, nil, 77)
-	defer done()
-	if err := rp.FinishRefill(make([]byte, 32)); err == nil || !strings.Contains(err.Error(), "unsolicited") {
-		t.Fatalf("FinishRefill with nothing in flight = %v", err)
-	}
-}
-
 // TestOversizedRefillSplits pins that a refill beyond what one exchange
 // may carry is decided as several consecutive ones.
 func TestOversizedRefillSplits(t *testing.T) {

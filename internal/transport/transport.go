@@ -27,6 +27,9 @@ const (
 	MsgTables
 	MsgOTBase
 	MsgOTExtU
+	// MsgOTExtY is the sender's chosen-message answer to one MsgOTExtU:
+	// the §3.3 streaming deployment's alone. A pooled session has none,
+	// for its refills are random OT.
 	MsgOTExtY
 	MsgOutputLabels
 	MsgResult
