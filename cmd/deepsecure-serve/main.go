@@ -6,10 +6,10 @@
 //
 // Clients connect with deepsecure.OpenSession / deepsecure.InferMany (or
 // the deepsecure-demo client for a quick smoke test) and run any number
-// of inferences per connection; the handshake, OT base phase, and netlist
-// generation are paid once per session, and the compiled tape is shared
-// read-only across all sessions. SIGINT/SIGTERM triggers a graceful
-// drain; a second signal force-closes.
+// of inferences per connection; the handshake, OT base phase, the set-up
+// OT of the weight labels and netlist generation are paid once per
+// session, and the compiled tape is shared read-only across all sessions.
+// SIGINT/SIGTERM triggers a graceful drain; a second signal force-closes.
 package main
 
 import (
@@ -45,7 +45,6 @@ func main() {
 	statsEvery := flag.Duration("stats", time.Minute, "stats log interval (0 disables)")
 	workers := flag.Int("workers", 0, "engine workers per session (0 = GOMAXPROCS, 1 = sequential)")
 	pipeline := flag.Int("pipeline", 0, "in-flight inferences per session (0 = default 2, 1 = serial)")
-	otPool := flag.Int("ot-pool", 1<<16, "OT pool capacity per session (0 = sized from the model: weight bits × in-flight window)")
 	metricsAddr := flag.String("metrics-addr", "", "serve /metrics (Prometheus text) and /debug/stats (JSON) on this address (empty disables)")
 	pprofOn := flag.Bool("pprof", false, "also mount net/http/pprof under /debug/pprof/ on the metrics address")
 	maxSessions := flag.Int("max-sessions", 0, "admission control: max concurrent sessions in the protocol (0 disables admission)")
@@ -63,9 +62,6 @@ func main() {
 	if *pipeline < 0 {
 		log.Fatalf("-pipeline %d: must be >= 0 (0 selects the default depth %d, 1 is serial)", *pipeline, deepsecure.DefaultPipelineDepth)
 	}
-	if *otPool < 0 {
-		log.Fatalf("-ot-pool %d: must be >= 0 (0 sizes the pool from the model)", *otPool)
-	}
 	if *workers < 0 {
 		log.Fatalf("-workers %d: must be >= 0 (0 selects GOMAXPROCS, 1 is sequential)", *workers)
 	}
@@ -80,7 +76,6 @@ func main() {
 	net0.InitWeights(rand.New(rand.NewSource(*seed)))
 
 	start := time.Now()
-	poolCfg := deepsecure.PoolConfig{Capacity: *otPool, Background: true}
 	admCfg := deepsecure.AdmissionConfig{
 		MaxActive:    *maxSessions,
 		MaxQueue:     *maxQueue,
@@ -103,7 +98,6 @@ func main() {
 	srv, err := deepsecure.NewServer(net0, deepsecure.DefaultFormat,
 		deepsecure.WithEngine(engine),
 		deepsecure.WithIdleTimeout(idleTimeout),
-		deepsecure.WithOTPool(poolCfg),
 		deepsecure.WithAdmission(admCfg))
 	if err != nil {
 		log.Fatal(err)
@@ -113,8 +107,7 @@ func main() {
 	log.Printf("compiled %s netlist in %v: %d gates (%d non-XOR)",
 		net0.Arch(), time.Since(start).Round(time.Millisecond), totalGates, andGates)
 	depth := engine.PipelineDepth()
-	eff := poolCfg.Sized(len(nn.WeightBits(net0, deepsecure.DefaultFormat)), depth)
-	log.Printf("OT pool: %d weight-keyed OTs per session at setup, refill below %d", eff.Capacity, eff.RefillLowWater)
+	log.Printf("weight labels: %d OTs per session, once, at set-up", len(nn.WeightBits(net0, deepsecure.DefaultFormat)))
 	fanout := *workers
 	if fanout == 0 {
 		fanout = runtime.GOMAXPROCS(0)

@@ -71,8 +71,8 @@ type (
 	// model and sources protocol randomness.
 	Client = core.Client
 	// Session is an open multi-inference protocol session (client side):
-	// one handshake, one OT base phase, one netlist compilation, many
-	// inferences — pipelined across the in-flight window when the
+	// one handshake, one OT base phase, one set-up OT of the weight labels,
+	// one netlist compilation, many inferences — pipelined across the in-flight window when the
 	// session uses Session.InferAsync (or InferMany, which does).
 	Session = core.Session
 	// PendingInference is an inference whose garbled stream is on the
@@ -99,20 +99,13 @@ type (
 	// levels under any configuration. Set it on a Client, or pass it to
 	// NewServer via WithEngine.
 	EngineConfig = core.EngineConfig
-	// PoolConfig sizes the offline OT pool every session transfers its
-	// weight labels through (chosen-choice OTs keyed to the model's weight
-	// bits) — a session's only offline work, since every inference is
-	// garbled online: Capacity OTs are bulk-generated at session setup and refilled
-	// once fewer than RefillLowWater remain unassigned; Background starts
-	// the refill crypto on a helper goroutine the moment a refill is
-	// decided. The zero value sizes the pool from the model: its weight
-	// bits × the in-flight window. Set it on a SessionServer, or pass it
-	// to NewServer via WithOTPool; clients need no configuration (they
-	// follow the server's in-band announcement).
+	// PoolConfig is what WithOTPool takes, which configures nothing: a
+	// session transfers its weight labels once, at set-up, with no pool to
+	// size. Both stay for the benchmark module until its next change.
 	PoolConfig = precomp.PoolConfig
 	// SessionServer answers secure-inference sessions on caller-provided
 	// connections (the conn-level counterpart of InferenceServer) with
-	// explicit randomness, engine, and OT-pool configuration.
+	// explicit randomness and engine configuration.
 	SessionServer = core.Server
 	// ServerOption configures NewServer / ListenAndServe.
 	ServerOption = server.Option
@@ -129,10 +122,6 @@ type (
 	// the session at admission: back off at least RetryAfter, then
 	// retry on a fresh connection. Detect it with errors.As.
 	BusyError = core.BusyError
-	// PoolMismatchError is returned by NewSession when the server's OT
-	// pool is keyed for a different number of weight bits than the
-	// client's compiled netlist takes. Detect it with errors.As.
-	PoolMismatchError = core.PoolMismatchError
 	// ProgramMismatchError is returned by NewSession when the server
 	// evaluates another netlist than the client compiles from the same
 	// architecture (two builds whose generators differ): permanent, not
@@ -149,9 +138,7 @@ var (
 	// WithIdleTimeout bounds how long a session connection may sit idle
 	// between reads before it is reaped.
 	WithIdleTimeout = server.WithIdleTimeout
-	// WithOTPool sizes the offline OT pool every session precomputes at
-	// setup and refills between inferences, leaving one masked-label
-	// frame per input step, and no reply, on the critical path.
+	// WithOTPool is a no-op (see PoolConfig).
 	WithOTPool = server.WithOTPool
 	// WithAdmission installs the global admission controller: sessions
 	// past the configured limits are refused with a busy frame (clients
@@ -235,9 +222,9 @@ func InferMany(conn *Conn, xs [][]float64) ([]int, *InferStats, error) {
 }
 
 // InferBatch classifies every sample in ONE fused batched inference:
-// one session, one schedule walk, one interleaved garbled-table stream,
-// and one masked-label frame per input step for the whole batch — the embarrassingly parallel same-model
-// serving pattern. len(xs) must fit the negotiated batch cap
+// one session, one set-up OT of the weight labels, one schedule walk and
+// one interleaved garbled-table stream for the whole batch — the
+// embarrassingly parallel same-model serving pattern. len(xs) must fit the negotiated batch cap
 // (DefaultMaxBatch unless configured via EngineConfig.MaxBatch on either
 // side); batching composes with pipelining, so larger workloads
 // can split into several InferBatch calls on an open Session. Returned
@@ -341,8 +328,8 @@ func NetlistStats(net *Network, f Format) (Stats, error) {
 func WideHashAvailable() bool { return gc.WideAvailable() }
 
 // MetricsHandler serves the process-wide ledger — per-phase latency
-// histograms, session/inference/batch totals, OT pool depth, per-direction
-// byte counters — in Prometheus text exposition format (the /metrics
+// histograms, session/inference/batch totals, set-up OT counts,
+// per-direction byte counters — in Prometheus text exposition format (the /metrics
 // endpoint). Every connection, session, inference and server in the
 // process records in a ledger that adds up to this root ledger — the same
 // ledgers InferStats and ServerStats are read from — in client processes

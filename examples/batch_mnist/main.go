@@ -1,8 +1,8 @@
 // Batched-inference example: an MNIST-like classifier
 // serving a tray of samples in ONE fused InferBatch call. The batch
-// walks the compiled netlist schedule once, streams all samples' garbled
-// tables interleaved, and sends each weight step's masked labels for all
-// samples in one frame — the embarrassingly parallel same-model serving pattern
+// walks the compiled netlist schedule once and streams all samples' garbled
+// tables interleaved, every sample reusing the weight labels the session's
+// set-up OT transferred — the embarrassingly parallel same-model serving pattern
 // the DeepSecure scalability argument targets. A serial session over the
 // same samples runs first for comparison.
 package main
@@ -52,7 +52,7 @@ func main() {
 	// Serial reference: one session, one inference per sample (the
 	// handshake and OT base phase are still paid once, and consecutive
 	// inferences pipeline — but every sample walks the schedule and
-	// round-trips its own OT exchanges).
+	// pays its own framing).
 	serialConn, serialSrv, closer1 := deepsecure.Pipe()
 	defer closer1.Close()
 	go serve(serialSrv, net)
@@ -62,9 +62,9 @@ func main() {
 		log.Fatal(err)
 	}
 	serialTime := time.Since(start)
-	fmt.Printf("serial session:  %d samples in %v (%.2f inf/s, %d OT exchanges)\n",
+	fmt.Printf("serial session:  %d samples in %v (%.2f inf/s, %.2f MB)\n",
 		batchSize, serialTime.Round(time.Millisecond),
-		float64(batchSize)/serialTime.Seconds(), serialStats.OTBatches)
+		float64(batchSize)/serialTime.Seconds(), float64(serialStats.BytesSent+serialStats.BytesReceived)/1e6)
 
 	// Fused batch: the whole tray as one batched inference.
 	batchConn, batchSrv, closer2 := deepsecure.Pipe()
@@ -76,9 +76,9 @@ func main() {
 		log.Fatal(err)
 	}
 	batchTime := time.Since(start)
-	fmt.Printf("fused batch:     %d samples in %v (%.2f inf/s, %d OT exchanges)\n\n",
+	fmt.Printf("fused batch:     %d samples in %v (%.2f inf/s, %.2f MB)\n\n",
 		batchSize, batchTime.Round(time.Millisecond),
-		float64(batchSize)/batchTime.Seconds(), batchStats.OTBatches)
+		float64(batchSize)/batchTime.Seconds(), float64(batchStats.BytesSent+batchStats.BytesReceived)/1e6)
 
 	hits := 0
 	for i := range xs {
@@ -92,11 +92,9 @@ func main() {
 	fmt.Printf("labels agree across both modes; %d/%d correct\n", hits, batchSize)
 }
 
-// serve answers one session with the private model, with an OT pool big
-// enough for the whole batch so no refill lands mid-session.
+// serve answers one session with the private model.
 func serve(conn *deepsecure.Conn, net *deepsecure.Network) {
-	srv := &deepsecure.SessionServer{Net: net, Fmt: deepsecure.DefaultFormat,
-		OTPool: deepsecure.PoolConfig{Capacity: 1 << 16, Background: true}}
+	srv := &deepsecure.SessionServer{Net: net, Fmt: deepsecure.DefaultFormat}
 	if _, err := srv.ServeSession(conn); err != nil {
 		log.Fatal(err)
 	}

@@ -52,9 +52,8 @@ func main() {
 
 	// Client and server connected by an in-memory pipe; swap in a TCP
 	// connection for the distributed deployment (see cmd/deepsecure-demo).
-	// The server precomputes a weight-keyed OT pool at session setup (sized
-	// from the model unless OTPool says otherwise), so each inference is
-	// one burst and one answer with no OT cryptography on the critical path.
+	// The server's weight labels cross once, by OT at session set-up, so
+	// each inference is one burst and one answer with no OT at all.
 	clientConn, serverConn, closer := deepsecure.Pipe()
 	defer closer.Close()
 	srv := &deepsecure.SessionServer{Net: net, Fmt: deepsecure.DefaultFormat}
@@ -73,9 +72,8 @@ func main() {
 	fmt.Printf("  %d AND gates garbled, %.2f MB sent, %.2f MB received, %v\n",
 		st.ANDGates,
 		float64(st.BytesSent)/1e6, float64(st.BytesReceived)/1e6, st.Duration)
-	fmt.Printf("  OT offline %v (%d pooled, %d refills) / online %v (%d consumed)\n",
-		st.OTOfflineTime.Round(time.Millisecond), st.OTsPooled, st.OTRefills,
-		st.OTOnlineTime.Round(10*time.Microsecond), st.OTsConsumed)
+	fmt.Printf("  OT at set-up only: %v for %d weight labels\n",
+		st.OTOfflineTime.Round(time.Millisecond), st.OTsConsumed)
 	fmt.Printf("  plaintext check: %d, %d\n",
 		net.PredictFixed(deepsecure.DefaultFormat, xs[0]),
 		net.PredictFixed(deepsecure.DefaultFormat, xs[1]))

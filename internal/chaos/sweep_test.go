@@ -15,7 +15,6 @@ import (
 	"deepsecure/internal/fixed"
 	"deepsecure/internal/nn"
 	"deepsecure/internal/obs"
-	"deepsecure/internal/ot/precomp"
 	"deepsecure/internal/server"
 	"deepsecure/internal/testutil"
 	"deepsecure/internal/transport"
@@ -55,10 +54,6 @@ func sweepNet(t testing.TB) *nn.Network {
 	return model
 }
 
-// sweepPool is just above sweepNet's 944 weight bits: every inference
-// leaves the pool below low water, and a 3-sample batch outruns it.
-var sweepPool = precomp.PoolConfig{Capacity: 1000}
-
 // startSweepServer runs the sweep's server on a loopback listener,
 // logging sessions to logf when that is set; stop closes it and waits for
 // the accept loop.
@@ -73,7 +68,6 @@ func startSweepServer(t *testing.T, model *nn.Network, logf func(string, ...any)
 				Inference: 10 * time.Second,
 			},
 		}),
-		server.WithOTPool(sweepPool),
 		server.WithIdleTimeout(2*time.Second),
 		server.WithAdmission(server.AdmissionConfig{
 			MaxActive:  4,
@@ -311,9 +305,8 @@ func TestChaosSweep(t *testing.T) {
 }
 
 // frameCutter closes the connection the moment the header of the nth
-// frame of type typ has been read from it: with MsgOTRefill, after a
-// refill announcement reached the client and before the client can bank
-// it.
+// frame of type typ has been read from it: with MsgOTExtU, after the
+// set-up OT's U reached the client and before the client can answer it.
 type frameCutter struct {
 	net.Conn
 	typ  transport.MsgType
@@ -343,10 +336,10 @@ func (c *frameCutter) Read(b []byte) (int, error) {
 	return got, err
 }
 
-// TestChaosCutAtRefill aims the one fault the seeded scripts can only hit
-// by luck: the connection dies as the server's mid-session refill
-// announcement reaches the client, after the server has banked the
-// refill's pads and before the client banks its own. Both sides must end
+// TestChaosCutAtRefill aims at the session's one fill of weight labels,
+// the set-up OT that took the place of the OT pool's refills: the
+// connection dies as the server's U reaches the client, after the server
+// has prepared its half and before the client answers. Both sides must end
 // in a clean error with nothing left running, and the server must keep
 // serving.
 func TestChaosCutAtRefill(t *testing.T) {
@@ -362,17 +355,11 @@ func TestChaosCutAtRefill(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Refill frames 1 and 2 are the pool announcement and the setup fill;
-	// the 3rd is the refill the first inference leaves the pool owing.
-	cut := &frameCutter{Conn: nc, typ: transport.MsgOTRefill, n: 3}
-	sess, err := cli.NewSession(transport.New(cut))
-	if err != nil {
-		t.Fatalf("setup must survive (the cut is armed for the first mid-session refill): %v", err)
+	cut := &frameCutter{Conn: nc, typ: transport.MsgOTExtU, n: 1}
+	if sess, err := cli.NewSession(transport.New(cut)); err == nil {
+		sess.Close() //nolint:errcheck — the session is the failure being reported
+		t.Fatal("a session whose connection was cut at the set-up OT's U opened")
 	}
-	if _, _, err := sess.Infer(x); err == nil {
-		t.Fatal("inference over a connection cut at its refill announcement reported success")
-	}
-	sess.Close() //nolint:errcheck — a broken session withholds the end marker and reports nothing new
 	nc.Close()
 
 	// The server shrugged it off: a fresh session infers correctly.
@@ -384,7 +371,7 @@ func TestChaosCutAtRefill(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i := 0; i < 3; i++ { // crosses two refills
+	for i := 0; i < 3; i++ {
 		if got, _, err := sess2.Infer(x); err != nil || got != want {
 			t.Fatalf("inference %d after the cut: label %d (want %d), err %v", i, got, want, err)
 		}
@@ -480,8 +467,8 @@ func (c *beginFlipper) Write(b []byte) (int, error) {
 // the eight flips of a one-sample begin turns B into 0, a larger batch
 // within the cap (whose frames then have the wrong sizes), a batch past
 // the cap, or a truncated varint. The server must end every such session
-// in a protocol error it names, reserve nothing from the OT pool beyond
-// what a batch at the cap could own, leak nothing, and keep serving.
+// in a protocol error it names, run no OT beyond the set-up's, leak
+// nothing, and keep serving.
 func TestChaosFlipBeginBatchSize(t *testing.T) {
 	checkLeaks := testutil.VerifyNoLeaks(t)
 	panics0 := obs.Root.Panics.Value()
@@ -498,9 +485,7 @@ func TestChaosFlipBeginBatchSize(t *testing.T) {
 	})
 	x := []float64{0.3, -0.2, 0.9, -0.7, 0.1, 0.5}
 	cli := &core.Client{Engine: core.EngineConfig{Workers: 2}}
-	// What a single batch at the announced cap may take from the pool, on
-	// top of the setup fill.
-	capOTs := int64(core.DefaultMaxBatch * len(nn.WeightBits(model, f)))
+	w := int64(len(nn.WeightBits(model, f)))
 
 	for bit := uint(0); bit < 8; bit++ {
 		before := srv.Stats()
@@ -530,9 +515,8 @@ func TestChaosFlipBeginBatchSize(t *testing.T) {
 		if after.Errors != before.Errors+1 {
 			t.Fatalf("bit %d: server counted %d failed sessions, want 1", bit, after.Errors-before.Errors)
 		}
-		if pooled := after.OTsPooled - before.OTsPooled; pooled > int64(sweepPool.Capacity)+capOTs {
-			t.Errorf("bit %d: session generated %d pooled OTs, more than the setup fill plus one batch at the cap (%d)",
-				bit, pooled, int64(sweepPool.Capacity)+capOTs)
+		if ots := after.OTsConsumed - before.OTsConsumed; ots != w {
+			t.Errorf("bit %d: session ran %d OTs, want the set-up's W = %d", bit, ots, w)
 		}
 		if after.Inferences != before.Inferences {
 			t.Errorf("bit %d: server counted an inference for a corrupted begin frame", bit)

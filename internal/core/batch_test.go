@@ -12,13 +12,12 @@ import (
 
 	"deepsecure/internal/act"
 	"deepsecure/internal/fixed"
-	"deepsecure/internal/ot/precomp"
 	"deepsecure/internal/transport"
 )
 
 // batchSessionRun records a full session that classifies xs as ONE
 // fused batched inference (Client/Server API) over a logging pipe.
-func batchSessionRun(t *testing.T, xs [][]float64, poolCfg precomp.PoolConfig, cliSeed, srvSeed int64) (labels []int, g2e, e2g []byte, srvStats *Stats) {
+func batchSessionRun(t *testing.T, xs [][]float64, cliSeed, srvSeed int64) (labels []int, g2e, e2g []byte, srvStats *Stats) {
 	t.Helper()
 	net := testNet(t, act.ReLU, 61)
 	gToE := newLogHalf()
@@ -26,7 +25,7 @@ func batchSessionRun(t *testing.T, xs [][]float64, poolCfg precomp.PoolConfig, c
 	cConn := transport.New(logDuplex{r: eToG, w: gToE})
 	sConn := transport.New(logDuplex{r: gToE, w: eToG})
 	cfg := EngineConfig{Workers: 1, chunkBytes: 2048, Pipeline: 1}
-	srv := &Server{Net: net, Fmt: fixed.Default, Rng: rand.New(rand.NewSource(srvSeed)), Engine: cfg, OTPool: poolCfg}
+	srv := &Server{Net: net, Fmt: fixed.Default, Rng: rand.New(rand.NewSource(srvSeed)), Engine: cfg}
 	var wg sync.WaitGroup
 	var srvErr error
 	wg.Add(1)
@@ -61,14 +60,9 @@ func TestBatchSize1Conformance(t *testing.T) {
 	for j := range x {
 		x[j] = rng.Float64()*2 - 1
 	}
-	// A pool that never refills mid-session: a refill's pair randomness
-	// draws the client rng, so where it lands among the garbling draws
-	// depends on when the refill is answered — which only this
-	// deterministic-seed pin cares about (crypto/rand has no draw order).
-	poolCfg := precomp.PoolConfig{Capacity: 2048, RefillLowWater: 512}
 	const cliSeed, srvSeed = 8801, 8802
-	singleLabels, sgG2E, sgE2G, _ := sessionRun(t, net, [][]float64{x}, poolCfg, 1, cliSeed, srvSeed)
-	batchLabels, btG2E, btE2G, _ := batchSessionRun(t, [][]float64{x}, poolCfg, cliSeed, srvSeed)
+	singleLabels, sgG2E, sgE2G, _ := sessionRun(t, net, [][]float64{x}, 2048, 1, cliSeed, srvSeed)
+	batchLabels, btG2E, btE2G, _ := batchSessionRun(t, [][]float64{x}, cliSeed, srvSeed)
 	if want := net.PredictFixed(fixed.Default, x); batchLabels[0] != want || singleLabels[0] != want {
 		t.Fatalf("InferBatch([x]) classified %d, Infer(x) %d, plaintext %d", batchLabels[0], singleLabels[0], want)
 	}
@@ -81,10 +75,8 @@ func TestBatchSize1Conformance(t *testing.T) {
 }
 
 // TestBatchMatchesPlaintext runs fused batches through the full
-// protocol across batch sizes, worker counts, and OT-pool sizes (0 = the
-// derived default), and
-// checks every sample's label against the plaintext fixed-point
-// forward pass.
+// protocol across batch sizes and worker counts, and checks every
+// sample's label against the plaintext fixed-point forward pass.
 func TestBatchMatchesPlaintext(t *testing.T) {
 	f := fixed.Default
 	net := testNet(t, act.TanhPL, 71)
@@ -92,14 +84,13 @@ func TestBatchMatchesPlaintext(t *testing.T) {
 	for _, tc := range []struct {
 		b       int
 		workers int
-		pool    precomp.PoolConfig
 	}{
-		{2, 1, precomp.PoolConfig{}},
-		{5, 1, precomp.PoolConfig{Capacity: 2048, RefillLowWater: 512}},
-		{5, 4, precomp.PoolConfig{Capacity: 2048, RefillLowWater: 512}},
-		{3, 4, precomp.PoolConfig{Capacity: 64, RefillLowWater: 16}}, // refills mid-batch
+		{2, 1},
+		{5, 1},
+		{5, 4},
+		{3, 4},
 	} {
-		t.Run(fmt.Sprintf("B=%d/workers=%d/pool=%d", tc.b, tc.workers, tc.pool.Capacity), func(t *testing.T) {
+		t.Run(fmt.Sprintf("B=%d/workers=%d", tc.b, tc.workers), func(t *testing.T) {
 			xs := make([][]float64, tc.b)
 			want := make([]int, tc.b)
 			for i := range xs {
@@ -112,7 +103,7 @@ func TestBatchMatchesPlaintext(t *testing.T) {
 			cConn, sConn, closer := transport.Pipe()
 			defer closer.Close()
 			cfg := EngineConfig{Workers: tc.workers, chunkBytes: 2048}
-			srv := &Server{Net: net, Fmt: f, Rng: rand.New(rand.NewSource(81)), Engine: cfg, OTPool: tc.pool}
+			srv := &Server{Net: net, Fmt: f, Rng: rand.New(rand.NewSource(81)), Engine: cfg}
 			var wg sync.WaitGroup
 			var srvStats *Stats
 			var srvErr error
@@ -232,13 +223,12 @@ func TestBatchComposesWithPipeline(t *testing.T) {
 	}
 }
 
-// TestBatchOTAmortization pins the round-trip amortization contract: a
-// batch of B samples performs exactly as many online OT exchanges as a
-// single inference (one per evaluator-input step — NOT B of them) while
-// consuming B× the pooled OTs.
+// TestBatchOTAmortization pins the OT amortization contract: a session's
+// weight labels cross once, at set-up, so a session classifying a batch of
+// B samples runs exactly the W OTs that one classifying a single sample
+// runs — not B× them — and neither puts an OT frame inside an inference.
 func TestBatchOTAmortization(t *testing.T) {
 	const b = 8
-	pool := precomp.PoolConfig{Capacity: 1 << 14, RefillLowWater: 1 << 10}
 	rng := rand.New(rand.NewSource(74))
 	xs := make([][]float64, b)
 	for i := range xs {
@@ -247,18 +237,22 @@ func TestBatchOTAmortization(t *testing.T) {
 			xs[i][j] = rng.Float64()*2 - 1
 		}
 	}
-	_, _, _, single := batchSessionRun(t, xs[:1], pool, 9001, 9002)
-	_, _, _, batched := batchSessionRun(t, xs, pool, 9003, 9004)
-	if single.OTBatches == 0 {
-		t.Fatal("single run performed no online OT exchanges — the test net lost its weight inputs")
+	_, g2eSingle, _, single := batchSessionRun(t, xs[:1], 9001, 9002)
+	_, g2eBatched, _, batched := batchSessionRun(t, xs, 9003, 9004)
+	if single.OTsConsumed != testNetWeightBits || batched.OTsConsumed != testNetWeightBits {
+		t.Fatalf("a session of one sample ran %d OTs, one of %d samples %d; want W = %d for both",
+			single.OTsConsumed, b, batched.OTsConsumed, testNetWeightBits)
 	}
-	if batched.OTBatches != single.OTBatches {
-		t.Fatalf("batch of %d performed %d online OT exchanges, single inference %d — round trips did not amortize",
-			b, batched.OTBatches, single.OTBatches)
-	}
-	if batched.OTsConsumed != b*single.OTsConsumed {
-		t.Fatalf("batch of %d consumed %d pooled OTs, want %d (%d×%d)",
-			b, batched.OTsConsumed, b*single.OTsConsumed, b, single.OTsConsumed)
+	for _, g2e := range [][]byte{g2eSingle, g2eBatched} {
+		begun := false
+		for _, fr := range parseFrames(t, g2e) {
+			switch {
+			case fr.typ == transport.MsgInferBegin:
+				begun = true
+			case begun && (fr.typ == transport.MsgOTExtY || fr.typ == transport.MsgOTMasked):
+				t.Fatalf("client sent a %v frame after its first begin", fr.typ)
+			}
+		}
 	}
 }
 
@@ -340,8 +334,7 @@ func TestBatchServerEnforcesMax(t *testing.T) {
 		{0, "malformed infer-begin"},
 	} {
 		cConn, sConn, closer := transport.Pipe()
-		srv := &Server{Net: net, Fmt: fixed.Default, Rng: rand.New(rand.NewSource(93)), Engine: EngineConfig{MaxBatch: 2},
-			OTPool: precomp.PoolConfig{Capacity: 64}}
+		srv := &Server{Net: net, Fmt: fixed.Default, Rng: rand.New(rand.NewSource(93)), Engine: EngineConfig{MaxBatch: 2}}
 		var wg sync.WaitGroup
 		var srvErr error
 		var srvStats *Stats
@@ -368,10 +361,10 @@ func TestBatchServerEnforcesMax(t *testing.T) {
 		if srvErr == nil || !strings.Contains(srvErr.Error(), tc.wantErr) {
 			t.Fatalf("B=%d: server error = %v, want %q", tc.b, srvErr, tc.wantErr)
 		}
-		// Nothing past the setup fill: no refill, no OT consumed.
-		if srvStats.OTRefills != 1 || srvStats.OTsConsumed != 0 {
-			t.Fatalf("B=%d: refused begin cost %d refill(s) and %d pooled OTs, want the setup fill only",
-				tc.b, srvStats.OTRefills, srvStats.OTsConsumed)
+		// Nothing past the set-up OT: no inference, no OT.
+		if srvStats.Inferences != 0 || srvStats.OTsConsumed != testNetWeightBits {
+			t.Fatalf("B=%d: refused begin cost %d inference(s) and %d OTs, want the set-up OT's %d only",
+				tc.b, srvStats.Inferences, srvStats.OTsConsumed, testNetWeightBits)
 		}
 	}
 }
@@ -379,12 +372,13 @@ func TestBatchServerEnforcesMax(t *testing.T) {
 // TestSessionFrameCapsRefuseBeforeAllocating: a live session bounds every
 // frame type a client sends outside the table stream, so five bytes — a
 // header announcing a gigabyte — are refused from the header alone instead
-// of being read whole into the inbox for the engine to measure.
+// of being read whole into the inbox for the engine to measure. The OT
+// frames are capped at 0: after set-up none is legal.
 func TestSessionFrameCapsRefuseBeforeAllocating(t *testing.T) {
 	net := testNet(t, act.ReLU, 77)
 	for _, typ := range []transport.MsgType{
-		transport.MsgInferBegin, transport.MsgConstLabels, transport.MsgInputLabels,
-		transport.MsgOTMasked, transport.MsgEndSession, transport.MsgOTExtY,
+		transport.MsgInferBegin, transport.MsgConstLabels, transport.MsgInputLabels, transport.MsgEndSession,
+		transport.MsgOTMasked, transport.MsgOTRefill, transport.MsgOTExtU, transport.MsgOTExtY,
 	} {
 		c2s, s2c := newLogHalf(), newLogHalf()
 		srv := &Server{Net: net, Fmt: fixed.Default, Rng: rand.New(rand.NewSource(95)), Engine: EngineConfig{MaxBatch: 2}}

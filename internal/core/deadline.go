@@ -28,7 +28,7 @@ type DeadlineConfig struct {
 	// NewSession call on the client.
 	Handshake time.Duration
 	// OTSetup bounds the per-session OT setup: the base-OT phase plus
-	// the initial random-OT pool fill and its announcement.
+	// the set-up OT of the weight labels.
 	OTSetup time.Duration
 	// Inference bounds each inference (or fused batch) from the arrival
 	// of its begin frame to its outputs being flushed, the wait behind

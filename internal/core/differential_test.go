@@ -10,7 +10,6 @@ import (
 	"deepsecure/internal/act"
 	"deepsecure/internal/fixed"
 	"deepsecure/internal/nn"
-	"deepsecure/internal/ot/precomp"
 	"deepsecure/internal/transport"
 )
 
@@ -27,11 +26,7 @@ func runDifferentialSession(t *testing.T, name string, net *nn.Network, f fixed.
 	c2s, s2c := newLogHalf(), newLogHalf()
 	cConn := transport.New(logDuplex{r: s2c, w: c2s})
 	sConn := transport.New(logDuplex{r: c2s, w: s2c})
-	// A pool that holds the session's 2·B ≤ 6 samples and never refills
-	// before it ends, so no refill draws the client rng mid-session and the
-	// transcripts of two worker counts compare byte for byte.
-	srv := &Server{Net: net, Fmt: f, Rng: rand.New(rand.NewSource(503)), Engine: EngineConfig{Workers: workers},
-		OTPool: precomp.PoolConfig{Capacity: 6*len(nn.WeightBits(net, f)) + 1, RefillLowWater: 1}}
+	srv := &Server{Net: net, Fmt: f, Rng: rand.New(rand.NewSource(503)), Engine: EngineConfig{Workers: workers}}
 	var wg sync.WaitGroup
 	var srvErr error
 	var out differentialRun

@@ -8,8 +8,6 @@ import (
 
 	"deepsecure/internal/circuit"
 	"deepsecure/internal/gc"
-	"deepsecure/internal/ot"
-	"deepsecure/internal/ot/precomp"
 	"deepsecure/internal/sched"
 	"deepsecure/internal/transport"
 )
@@ -24,18 +22,19 @@ import (
 //	evaluator: conn → table cursor → [eval workers]
 //
 // There is one garble-side walk and one eval-side walk, both over a batch
-// of B ≥ 1 independent samples (a lone inference is B=1): the schedule is
-// walked ONCE for the whole batch, samples iterate innermost inside every
-// gate (gc.BatchGarbler/BatchEvaluator), all B samples of an input step
-// share one OT transfer, and a level's tables interleave gate-major with
-// samples innermost, the full ANDs' region before the half ANDs' (rank i,
-// sample s at i*B+s tables into its region; gc/vec.go). Each
-// sample keeps its own delta and fresh labels, so the security argument
-// is that of B separate inferences — only the schedule walk, the framing
-// and the OT round-trips amortize. DeepSecure garbles every inference
-// online: the garbling engine holds a fresh gc.BatchGarbler and garbles
-// each level on a gc.Pool, as the evaluating engine holds a
-// gc.BatchEvaluator; the only offline work is the OT pool.
+// of B ≥ 1 samples (a lone inference is B=1): the schedule is walked ONCE
+// for the whole batch, samples iterate innermost inside every gate
+// (gc.BatchGarbler/BatchEvaluator), and a level's tables interleave
+// gate-major with samples innermost, the full ANDs' region before the half
+// ANDs' (rank i, sample s at i*B+s tables into its region; gc/vec.go).
+// Every sample of a session garbles under the session's one Free-XOR
+// offset: the client's input wires and the constant wires get fresh labels
+// per sample, the weight wires carry the labels the set-up OT gave the
+// server, and the sample's session ordinal in every tweak keeps each hash
+// query unique under the one delta (SECURITY.md). DeepSecure garbles every
+// inference online: the garbling engine holds a fresh gc.BatchGarbler and
+// garbles each level on a gc.Pool, as the evaluating engine holds a
+// gc.BatchEvaluator; the only offline work is the session's set-up OT.
 //
 // The garbling goroutine sends each completed table chunk itself and
 // garbles the next level into the same buffer once the transport has taken
@@ -43,7 +42,8 @@ import (
 // the session's reader keeps the session's FIFO — one bounded ring of table
 // frames — ahead of the worker pool, so transport latency does not idle the
 // level kernel. Input, OT, and output steps are barriers executed on the
-// engine's goroutine, exactly where the tape recorded them.
+// engine's goroutine, exactly where the tape recorded them; an
+// evaluator-input step moves no byte.
 //
 // The engines run a schedule circuit.NewSchedule has checked (Schedule.Check)
 // and check nothing about its gates themselves: they walk neither Drops nor
@@ -54,9 +54,10 @@ import (
 // read and, run inline, no allocation.
 //
 // Determinism: hash tweaks and table offsets come from the schedule
-// (GIDBase + in-level rank), and chunk flushing depends only on the
-// schedule, B and the chunk size — so the byte stream is identical for any
-// worker count, which is what the conformance tests pin.
+// (GIDBase + in-level rank) and the samples' ordinals, and chunk flushing
+// depends only on the schedule, B and the chunk size — so the byte stream
+// is identical for any worker count, which is what the conformance tests
+// pin.
 
 // EngineConfig tunes the level-scheduled execution engine.
 type EngineConfig struct {
@@ -106,8 +107,8 @@ type EngineConfig struct {
 // in its output round-trip.
 const DefaultPipelineDepth = 2
 
-// maxPipelineDepth caps the window a server announces: an OT pool sized
-// from the model grows with it.
+// maxPipelineDepth caps the window a server announces: a session's memory
+// bound grows with it.
 const maxPipelineDepth = 32
 
 func (c EngineConfig) workers() int {
@@ -165,15 +166,17 @@ type garbleEngine struct {
 	g     *gc.BatchGarbler
 	pool  *gc.Pool
 	conn  transport.FrameConn
-	ots   *precomp.SenderPool
-	otr   precomp.Range // the inference's OT-pool entries, b samples wide
 	cfg   EngineConfig
+
+	// weights are the session's weight-wire zero-labels, in the order the
+	// schedule's evaluator-input steps take them; evalBit counts those taken.
+	weights []gc.Label
+	evalBit int
 
 	// inputBits holds each of the b samples' input bit stream; all samples
 	// share the schedule's cursor (they walk the same wire sequence).
 	inputBits [][]bool
 	cursor    int
-	evalBit   int // evaluator-input bits transferred so far
 
 	labelBuf []byte
 	outZero  []gc.Label // wire-major, samples innermost
@@ -207,42 +210,41 @@ func (en *garbleEngine) run() error {
 	return nil
 }
 
-// doInputs draws the step's zero-labels — an evaluator step's with permute
-// bit 0, the colour = value convention half ANDs rest on — and sends the
-// client's active labels, or the evaluator's label pairs through the pool.
+// doInputs draws a client step's zero-labels and sends its active labels.
+// An evaluator step sends nothing: its weight wires take the session's
+// zero-labels in every sample, whose chosen halves the server holds since
+// the set-up OT.
 func (en *garbleEngine) doInputs(st *circuit.Step) error {
-	if err := en.g.AssignInputs(st.Wires, st.Party == circuit.Evaluator); err != nil {
+	if st.Party == circuit.Evaluator {
+		labels, err := stepLabels(en.weights, en.evalBit, st)
+		if err != nil {
+			return err
+		}
+		for i, w := range st.Wires {
+			en.g.Broadcast(w, labels[i])
+		}
+		en.evalBit += len(labels)
+		return nil
+	}
+	if err := en.g.AssignInputs(st.Wires, false); err != nil {
 		return err
 	}
-	if st.Party == circuit.Garbler {
-		payload := en.labelBuf[:0]
-		for _, w := range st.Wires {
-			if en.cursor >= len(en.inputBits[0]) {
-				return fmt.Errorf("core: garbler input underrun at wire %d", w)
-			}
-			for s, bits := range en.inputBits {
-				l, err := en.g.ActiveLabel(w, s, bits[en.cursor])
-				if err != nil {
-					return err
-				}
-				payload = append(payload, l[:]...)
-			}
-			en.cursor++
+	payload := en.labelBuf[:0]
+	for _, w := range st.Wires {
+		if en.cursor >= len(en.inputBits[0]) {
+			return fmt.Errorf("core: garbler input underrun at wire %d", w)
 		}
-		en.labelBuf = payload[:0] // keep the (possibly grown) buffer
-		return en.conn.Send(transport.MsgInputLabels, payload)
+		for s, bits := range en.inputBits {
+			l, err := en.g.ActiveLabel(w, s, bits[en.cursor])
+			if err != nil {
+				return err
+			}
+			payload = append(payload, l[:]...)
+		}
+		en.cursor++
 	}
-	// Evaluator inputs travel by OT — ONE transfer for all b samples of
-	// the step (wire-major, samples innermost), masked with the
-	// inference's pool entries.
-	var err error
-	en.labelBuf, err = en.ots.SendStep(en.conn, en.otr, en.evalBit, len(st.Wires), en.labelBuf,
-		func(i, s int) (ot.Msg, ot.Msg, error) {
-			l0, err := en.g.ZeroLabel(st.Wires[i], s)
-			return ot.Msg(l0), ot.Msg(en.g.R[s]), err
-		})
-	en.evalBit += len(st.Wires)
-	return err
+	en.labelBuf = payload[:0] // keep the (possibly grown) buffer
+	return en.conn.Send(transport.MsgInputLabels, payload)
 }
 
 func (en *garbleEngine) doOutputs(st *circuit.Step) error {
@@ -314,13 +316,12 @@ type evalEngine struct {
 	e     *gc.BatchEvaluator
 	pool  *gc.Pool
 	conn  transport.FrameConn
-	ots   *precomp.ReceiverPool
-	otr   precomp.Range // the inference's OT-pool entries, b samples wide
 
-	// inputBits is the evaluator's bit stream (the model's weight bits)
-	// — identical for every sample; only the labels differ per sample.
-	inputBits []bool
-	cursor    int
+	// weights are the weight wires' labels the session's set-up OT chose,
+	// in the order the schedule's evaluator-input steps take them — the
+	// same in every sample; cursor counts those taken.
+	weights []gc.Label
+	cursor  int
 
 	// progress, when set, is bumped once per evaluated level so
 	// idle-timeout transport wrappers can tell "quiet because the
@@ -378,22 +379,22 @@ func (en *evalEngine) doInputs(st *circuit.Step) error {
 		}
 		return nil
 	}
-	// One OT transfer covers all b samples of the step: every sample
-	// selects with the same weight bit, each receiving its own label.
-	bits, err := evalStepBits(en.inputBits, en.cursor, st)
+	// A weight step reads nothing: every sample takes the label the
+	// set-up OT chose for each of its wires.
+	labels, err := stepLabels(en.weights, en.cursor, st)
 	if err != nil {
 		return err
 	}
-	err = en.ots.RecvStep(en.conn, en.otr, en.cursor, bits, func(i, s int, m ot.Msg) {
-		en.e.SetLabel(st.Wires[i], s, gc.Label(m))
-	})
-	en.cursor += len(bits)
-	return err
+	for i, w := range st.Wires {
+		en.e.Broadcast(w, labels[i])
+	}
+	en.cursor += len(labels)
+	return nil
 }
 
 // inputWires counts one party's input wires in a schedule — for the
-// evaluator W, the weight bits one sample transfers by OT — and the widest
-// single step.
+// evaluator W, the weight bits the session's set-up OT transfers — and the
+// widest single step.
 func inputWires(sched *circuit.Schedule, party circuit.Party) (total, widest int) {
 	for i := range sched.Steps {
 		if st := &sched.Steps[i]; st.Kind == circuit.StepInputs && st.Party == party {
@@ -404,14 +405,14 @@ func inputWires(sched *circuit.Schedule, party circuit.Party) (total, widest int
 	return total, widest
 }
 
-// evalStepBits returns the evaluator's input bits for one of its input
-// steps: the next len(st.Wires) bits of its stream.
-func evalStepBits(inputBits []bool, cursor int, st *circuit.Step) ([]bool, error) {
+// stepLabels returns the weight labels of one evaluator-input step: the
+// next len(st.Wires) of the session's, from cursor on.
+func stepLabels(weights []gc.Label, cursor int, st *circuit.Step) ([]gc.Label, error) {
 	end := cursor + len(st.Wires)
-	if end > len(inputBits) {
-		return nil, fmt.Errorf("core: evaluator input underrun at wire %d", st.Wires[len(inputBits)-cursor])
+	if end > len(weights) {
+		return nil, fmt.Errorf("core: evaluator input underrun at wire %d", st.Wires[len(weights)-cursor])
 	}
-	return inputBits[cursor:end], nil
+	return weights[cursor:end], nil
 }
 
 func (en *evalEngine) doOutputs(st *circuit.Step) error {

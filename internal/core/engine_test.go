@@ -15,7 +15,6 @@ import (
 	"deepsecure/internal/fixed"
 	"deepsecure/internal/gc"
 	"deepsecure/internal/ot"
-	"deepsecure/internal/ot/precomp"
 	"deepsecure/internal/testutil"
 	"deepsecure/internal/transport"
 )
@@ -243,30 +242,31 @@ func runEngines(t *testing.T, sched *circuit.Schedule, gBits, eBits []bool, cfg 
 			evalDone <- evalResult{err}
 			return
 		}
-		// A pool keyed to the evaluator's bits that holds every inference
-		// of the run: the setup fill is the only OT exchange.
-		otp := precomp.NewReceiverPool(eConn, ots, rng, precomp.PoolConfig{Capacity: nInfer*len(eBits) + 1, RefillLowWater: 1})
-		otp.SetKey(eBits)
-		if err := otp.Announce(); err != nil {
+		// The set-up OT with the evaluator's bits as choices: the run's only
+		// OT exchange.
+		chosen, err := ots.Receive(eBits)
+		if err != nil {
 			evalDone <- evalResult{err}
 			return
 		}
 		en := &evalEngine{
-			sched: sched,
-			pool:  cfg.newPool(),
-			conn:  eConn,
-			ots:   otp,
+			sched:   sched,
+			pool:    cfg.newPool(),
+			conn:    eConn,
+			weights: make([]gc.Label, len(chosen)),
+		}
+		for i, m := range chosen {
+			en.weights[i] = gc.Label(m)
 		}
 		for k := 0; k < nInfer; k++ {
-			en.otr = otp.Reserve(1)
 			constLabels, err := eConn.Recv(transport.MsgConstLabels)
 			if err != nil {
 				evalDone <- evalResult{err}
 				return
 			}
 			en.e = newTestEvaluator(constLabels)
+			en.e.SetFirst(uint64(k))
 			en.cursor = 0
-			en.inputBits = eBits
 			en.outLabels = en.outLabels[:0]
 			if err := en.run(); err != nil {
 				evalDone <- evalResult{err}
@@ -293,16 +293,20 @@ func runEngines(t *testing.T, sched *circuit.Schedule, gBits, eBits []bool, cfg 
 	if err != nil {
 		t.Fatalf("workers=%d: ot sender: %v", workers, err)
 	}
-	otp := precomp.NewSenderPool(gConn, ots, rng)
-	if err := otp.HandleAnnounce(); err != nil {
-		t.Fatalf("workers=%d: pool fill: %v", workers, err)
+	delta, weights, pairs, err := weightLabels(rng, len(eBits))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := ots.Send(pairs); err != nil {
+		t.Fatalf("workers=%d: set-up OT: %v", workers, err)
 	}
 	pool := cfg.newPool()
 	for k := 0; k < nInfer; k++ {
-		g, err := gc.NewBatchGarbler(rng, 1)
+		g, err := gc.NewSessionGarbler(rng, delta, 1)
 		if err != nil {
 			t.Fatal(err)
 		}
+		g.SetFirst(uint64(k))
 		consts, err := g.AppendConstLabels(nil)
 		if err != nil {
 			t.Fatal(err)
@@ -315,8 +319,7 @@ func runEngines(t *testing.T, sched *circuit.Schedule, gBits, eBits []bool, cfg 
 			g:         g,
 			pool:      pool,
 			conn:      gConn,
-			ots:       otp,
-			otr:       otp.Reserve(1),
+			weights:   weights,
 			cfg:       cfg,
 			inputBits: [][]bool{gBits},
 		}
@@ -635,8 +638,7 @@ func TestEvaluatorAddsNoGoroutinePerRun(t *testing.T) {
 	c2s, s2c := newLogHalf(), newLogHalf()
 	link := &heldDuplex{r: s2c, w: c2s, budget: -1, held: make(chan struct{}), release: make(chan struct{})}
 	sConn := transport.New(logDuplex{r: c2s, w: s2c})
-	srv := &Server{Net: net, Fmt: f, Rng: rand.New(rand.NewSource(601)), Engine: EngineConfig{Workers: 4},
-		OTPool: precomp.PoolConfig{Capacity: 8 * testNetWeightBits}}
+	srv := &Server{Net: net, Fmt: f, Rng: rand.New(rand.NewSource(601)), Engine: EngineConfig{Workers: 4}}
 	var wg sync.WaitGroup
 	var srvErr error
 	wg.Add(1)

@@ -22,8 +22,6 @@ import (
 	"deepsecure/internal/gc"
 	"deepsecure/internal/netgen"
 	"deepsecure/internal/nn"
-	"deepsecure/internal/ot"
-	"deepsecure/internal/ot/precomp"
 	"deepsecure/internal/testutil"
 	"deepsecure/internal/transport"
 )
@@ -61,9 +59,9 @@ func sendBegin(t *testing.T, c *transport.Conn, batch int) {
 }
 
 // sendBurstPrefix writes the begun inference's frames up to, not including,
-// its first level run: const labels and every input step before it, of the
-// right sizes and arbitrary content (the pool unmasks anything). It returns
-// that run's table budget.
+// its first level run: const labels and every client input step before it,
+// of the right sizes and arbitrary content (a weight step sends nothing).
+// It returns that run's table budget.
 func sendBurstPrefix(t *testing.T, c *transport.Conn, sched *circuit.Schedule) int {
 	t.Helper()
 	send := func(typ transport.MsgType, n int) {
@@ -78,8 +76,6 @@ func sendBurstPrefix(t *testing.T, c *transport.Conn, sched *circuit.Schedule) i
 			return st.TableBytes
 		case st.Kind == circuit.StepInputs && st.Party == circuit.Garbler:
 			send(transport.MsgInputLabels, len(st.Wires)*gc.LabelSize)
-		case st.Kind == circuit.StepInputs:
-			send(transport.MsgOTMasked, len(st.Wires)*2*ot.MsgLen)
 		}
 	}
 	t.Fatal("schedule has no level run")
@@ -171,14 +167,11 @@ func TestSessionGoroutinesAreThree(t *testing.T) {
 
 // TestPipelineDepth2Transcript: what a depth-2 server writes is a function of
 // what its client sent, not of scheduling — two sessions with equal seeded
-// rngs produce the same refill announcements, byte for byte and in the same
-// order, and the same output frames in begin order, on the derived pool and
-// on one that every range is short of. (Which answer a decided refill rides
-// ahead of is the one thing left to timing — whether begin k+1 was read
-// before answer k was written — so the two sequences are compared each on
-// its own; the client's rng does not feed its pool, so where it banks a
-// refill moves no label. TestPipelineDepth1Conformance pins whole streams
-// at depth 1.)
+// rngs produce the same set-up frames and the same output frames in begin
+// order, byte for byte, with the derived table chunk and with a tiny one
+// that gives most levels a frame of their own. The set-up and the outputs
+// are compared each on its own, and the whole stream by length.
+// (TestPipelineDepth1Conformance pins whole streams at depth 1.)
 func TestPipelineDepth2Transcript(t *testing.T) {
 	net := testNet(t, act.ReLU, 45)
 	rng := rand.New(rand.NewSource(46))
@@ -186,27 +179,28 @@ func TestPipelineDepth2Transcript(t *testing.T) {
 	for i := range xs {
 		xs[i] = randomSample(rng)
 	}
-	split := func(raw []byte) (pool, outputs [][]byte) {
+	split := func(raw []byte) (setup, outputs [][]byte) {
 		for _, fr := range parseFrames(t, raw) {
 			if fr.typ == transport.MsgOutputLabels {
 				outputs = append(outputs, fr.payload)
 			} else {
-				pool = append(pool, append([]byte{byte(fr.typ)}, fr.payload...))
+				setup = append(setup, append([]byte{byte(fr.typ)}, fr.payload...))
 			}
 		}
-		return pool, outputs
+		return setup, outputs
 	}
-	for name, poolCfg := range map[string]precomp.PoolConfig{
-		"derived": {},
-		"tiny":    {Capacity: 64, RefillLowWater: 16},
+	for name, chunk := range map[string]int{
+		"derived": 0,
+		"tiny":    64,
 	} {
 		t.Run(name, func(t *testing.T) {
-			_, _, e2gA, _ := sessionRun(t, net, xs, poolCfg, 2, 7701, 7702)
-			_, _, e2gB, _ := sessionRun(t, net, xs, poolCfg, 2, 7701, 7702)
-			poolA, outA := split(e2gA)
-			poolB, outB := split(e2gB)
-			if len(outA) != len(xs) || len(poolA) < 5 {
-				t.Fatalf("%d output frames and %d set-up and refill frames for %d inferences", len(outA), len(poolA), len(xs))
+			_, _, e2gA, _ := sessionRun(t, net, xs, chunk, 2, 7701, 7702)
+			_, _, e2gB, _ := sessionRun(t, net, xs, chunk, 2, 7701, 7702)
+			setupA, outA := split(e2gA)
+			setupB, outB := split(e2gB)
+			if len(outA) != len(xs) || len(setupA) != 5 {
+				t.Fatalf("%d output frames and %d set-up frames for %d inferences, want %d and 5 (arch, pipeline, two base-OT frames, U)",
+					len(outA), len(setupA), len(xs), len(xs))
 			}
 			same := func(what string, a, b [][]byte) {
 				if len(a) != len(b) {
@@ -219,7 +213,7 @@ func TestPipelineDepth2Transcript(t *testing.T) {
 				}
 			}
 			same("output", outA, outB)
-			same("set-up and refill", poolA, poolB)
+			same("set-up", setupA, setupB)
 			if len(e2gA) != len(e2gB) {
 				t.Fatalf("server wrote %d bytes in one run, %d in the other", len(e2gA), len(e2gB))
 			}
@@ -361,7 +355,6 @@ func TestWindowValidation(t *testing.T) {
 			cConn, sConn, closer := transport.Pipe()
 			m := &sessionMux{
 				conn: sConn,
-				otp:  precomp.NewReceiverPool(nil, nil, nil, precomp.PoolConfig{Capacity: 1 << 16}),
 				cfg:  EngineConfig{Pipeline: tc.depth},
 				fifo: make(chan frame, 16),
 				stop: make(chan struct{}),
@@ -465,48 +458,6 @@ func TestPipelineWindowRejectsRunahead(t *testing.T) {
 			t.Fatalf("server error = %v, client error = %v; want both nil or an in-flight window rejection", srvErr, cliErr)
 		}
 	})
-}
-
-// TestUndersizedPoolDegradesToSerial: a pool of one inference's worth under
-// a window of two — below what zero-config sizing would ever pick — makes
-// every range past the first depend on a refill that only goes out when the
-// inference ahead completes. The window degrades to serial; it classifies
-// every sample and terminates.
-func TestUndersizedPoolDegradesToSerial(t *testing.T) {
-	checkLeaks := testutil.VerifyNoLeaks(t)
-	f := fixed.Default
-	net := testNet(t, act.ReLU, 51)
-	cfg := EngineConfig{Workers: 2, Pipeline: 2}
-	sess, done, closer := openRawSession(t,
-		&Server{Net: net, Fmt: f, Rng: rand.New(rand.NewSource(52)), Engine: cfg, OTPool: precomp.PoolConfig{Capacity: testNetWeightBits}},
-		&Client{Rng: rand.New(rand.NewSource(53)), Engine: cfg})
-	defer closer.Close()
-	rng := rand.New(rand.NewSource(54))
-	var ps []*PendingInference
-	var want []int
-	for i := 0; i < 7; i++ {
-		x := randomSample(rng)
-		p, err := sess.InferAsync(x) // settles the oldest once two are in flight
-		if err != nil {
-			t.Fatalf("inference %d: %v", i, err)
-		}
-		ps, want = append(ps, p), append(want, net.PredictFixed(f, x))
-	}
-	for i, p := range ps {
-		if label, _, err := p.Wait(); err != nil || label != want[i] {
-			t.Fatalf("inference %d = %d, %v; want %d", i, label, err, want[i])
-		}
-	}
-	if err := sess.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if err := <-done; err != nil {
-		t.Fatalf("server: %v", err)
-	}
-	if st := sess.Stats(); st.OTRefills < 7 {
-		t.Fatalf("%d refills over 7 inferences on a pool of one inference's worth", st.OTRefills)
-	}
-	checkLeaks()
 }
 
 // TestTableFrameCapRefusesBeforeAllocating: a session caps tables frames
@@ -719,26 +670,26 @@ func tcpLink(t *testing.T) (cEnd, sEnd net.Conn) {
 // TestFullWindowOnBoundedLink is the no-deadlock property on links that
 // absorb nothing: a synchronous pipe (a write returns when the peer has read
 // it) and loopback TCP with 8 KiB socket buffers. The client keeps a window
-// of two full on a pool of eight inferences' worth, so every seventh answer
-// carries a 170 KB refill U while the client is mid-burst on the next
-// inference, in table chunks small enough that a burst is many times the
-// ring — and once on the daemon's default pool of 65536, whose one refill
-// is an 800 KB U. The answer must not be able to stop the session goroutine
+// of two full, so every answer is written while the client is mid-burst on
+// the next inference, in table chunks small enough that a burst is many
+// times the ring — 16 inferences on each link, and 56 on TCP in the row
+// named for the OT pool the daemon once defaulted to, whose one refill came
+// mid-session. The answer must not be able to stop the session goroutine
 // popping the ring: written by that goroutine, server and client park in
-// write against each other for good.
+// write against each other for good. However long the session, its OTs are
+// the set-up's W.
 func TestFullWindowOnBoundedLink(t *testing.T) {
 	f := fixed.Default
 	nw := testNet(t, act.ReLU, 97)
 	pipe := func(*testing.T) (net.Conn, net.Conn) { return net.Pipe() }
 	for _, tc := range []struct {
-		name        string
-		link        func(*testing.T) (net.Conn, net.Conn)
-		pool, n     int
-		wantRefills int64 // the set-up fill included
+		name string
+		link func(*testing.T) (net.Conn, net.Conn)
+		n    int
 	}{
-		{"pipe", pipe, 8 * testNetWeightBits, 16, 3},
-		{"tcp", tcpLink, 8 * testNetWeightBits, 16, 3},
-		{"tcp, default daemon pool", tcpLink, 65536, 56, 2}, // below low water (a quarter) from inference 37
+		{"pipe", pipe, 16},
+		{"tcp", tcpLink, 16},
+		{"tcp, default daemon pool", tcpLink, 56},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			checkLeaks := testutil.VerifyNoLeaks(t)
@@ -746,8 +697,7 @@ func TestFullWindowOnBoundedLink(t *testing.T) {
 			defer cEnd.Close()
 			defer sEnd.Close()
 			cfg := EngineConfig{Workers: 1, Pipeline: 2, chunkBytes: 4 << 10}
-			srv := &Server{Net: nw, Fmt: f, Rng: rand.New(rand.NewSource(98)), Engine: cfg,
-				OTPool: precomp.PoolConfig{Capacity: tc.pool}}
+			srv := &Server{Net: nw, Fmt: f, Rng: rand.New(rand.NewSource(98)), Engine: cfg}
 			type result struct {
 				st  *Stats
 				err error
@@ -794,8 +744,8 @@ func TestFullWindowOnBoundedLink(t *testing.T) {
 			}
 			select {
 			case r := <-srvDone:
-				if r.err != nil || r.st.OTRefills != tc.wantRefills {
-					t.Fatalf("server: %v after %d refill(s), want nil and %d", r.err, r.st.OTRefills, tc.wantRefills)
+				if r.err != nil || r.st.OTsConsumed != testNetWeightBits {
+					t.Fatalf("server: %v after %d OTs, want nil and %d", r.err, r.st.OTsConsumed, testNetWeightBits)
 				}
 			case <-wedged:
 				t.Fatal("ServeSession still running 60 s after its client closed")

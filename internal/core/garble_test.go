@@ -12,29 +12,27 @@ import (
 	"deepsecure/internal/benchmarks"
 	"deepsecure/internal/circuit"
 	"deepsecure/internal/gc"
-	"deepsecure/internal/nn"
 	"deepsecure/internal/ot"
-	"deepsecure/internal/ot/precomp"
 	"deepsecure/internal/transport"
 )
 
 // TestGarbleTranscriptPinned pins what the garbling engine sends, byte for
 // byte: the sha256 of the client→server stream of a fixed-rng session over
 // the "small" model — two single inferences, then one batch of three — at
-// Workers 1 and 4. The pool holds all five samples, so the session sees no
-// refill after its setup fill. A change that means to move the client's
-// bytes (the netlist, the frames, the rng draw order) re-records want.
+// Workers 1 and 4. A change that means to move the client's bytes (the
+// netlist, the frames, the rng draw order) re-records want.
 //
 // wantEngine pins the same stream with the session framing dropped (hello,
 // begin and end; stripTags), re-serialized frame by frame as type, 4-byte
 // little-endian length, payload: the OT set-up and the engine's frames.
-// Both were last re-recorded when the pool became random OT: the client's
-// rng stopped feeding the pool, which moved every later draw, and its
-// refill answer left the stream.
+// Both were last re-recorded when the weight labels came to cross once per
+// session: the set-up OT's answer replaced the pool's frames, the session's
+// one delta and weight labels moved the rng draws, and every tweak gained
+// its sample's ordinal.
 func TestGarbleTranscriptPinned(t *testing.T) {
 	const (
-		want       = "54c438f239ce21959b867b5d114e212ac1afdfa29267e3ce982753a0fb4b8bad"
-		wantEngine = "69043e7799aa40eda779d366f9e963dea6abf99e099a1325c4531f914f9b1bca"
+		want       = "27c986690eba0201430150d3f103336ef3b4ec5ff4f17d395c574dc2e68cd2ba"
+		wantEngine = "793881c8487bec2d27c90462c2f2be23ece84b2d97a6ad76492561461206dfd7"
 	)
 	net, err := benchmarks.ByName("small")
 	if err != nil {
@@ -54,8 +52,7 @@ func TestGarbleTranscriptPinned(t *testing.T) {
 		c2s, s2c := newLogHalf(), newLogHalf()
 		cConn := transport.New(logDuplex{r: s2c, w: c2s})
 		sConn := transport.New(logDuplex{r: c2s, w: s2c})
-		srv := &Server{Net: net, Fmt: f, Rng: rand.New(rand.NewSource(33)), Engine: EngineConfig{Workers: workers},
-			OTPool: precomp.PoolConfig{Capacity: len(xs)*len(nn.WeightBits(net, f)) + 1, RefillLowWater: 1}}
+		srv := &Server{Net: net, Fmt: f, Rng: rand.New(rand.NewSource(33)), Engine: EngineConfig{Workers: workers}}
 		var wg sync.WaitGroup
 		var srvErr error
 		wg.Add(1)
@@ -112,11 +109,12 @@ func TestGarbleTranscriptPinned(t *testing.T) {
 }
 
 // TestEvaluatorZeroLabelsHaveColourZero pins the convention half ANDs rest
-// on, where the labels are made: the garbling engine draws every evaluator
-// input wire's zero-label with permute bit 0, so each active label the
-// evaluator takes out of the pool has its own weight bit as its colour, at
-// B = 1 and 16. Garbler steps keep a free permute bit: at B = 16 some of
-// their active labels' colours differ from the garbler's bit.
+// on, where the labels are made: a session draws every weight wire's
+// zero-label with permute bit 0, so each active label the evaluator takes
+// out of the set-up OT has its own weight bit as its colour, in every
+// sample, at B = 1 and 16. Garbler steps keep a free permute bit: at
+// B = 16 some of their active labels' colours differ from the garbler's
+// bit.
 func TestEvaluatorZeroLabelsHaveColourZero(t *testing.T) {
 	r := rand.New(rand.NewSource(47))
 	tape, nG, nE := randomEngineTape(r)
@@ -155,11 +153,14 @@ func TestEvaluatorZeroLabelsHaveColourZero(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		otp := precomp.NewSenderPool(gConn, ots, rng)
-		if err := otp.HandleAnnounce(); err != nil {
+		delta, weights, pairs, err := weightLabels(rng, nE)
+		if err != nil {
 			t.Fatal(err)
 		}
-		g, err := gc.NewBatchGarbler(rng, b)
+		if err := ots.Send(pairs); err != nil {
+			t.Fatal(err)
+		}
+		g, err := gc.NewSessionGarbler(rng, delta, b)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -170,7 +171,7 @@ func TestEvaluatorZeroLabelsHaveColourZero(t *testing.T) {
 		if err := gConn.Send(transport.MsgConstLabels, consts); err != nil {
 			t.Fatal(err)
 		}
-		en := &garbleEngine{sched: sched, g: g, pool: gc.NewPool(1), conn: gConn, ots: otp, otr: otp.Reserve(b),
+		en := &garbleEngine{sched: sched, g: g, pool: gc.NewPool(1), conn: gConn, weights: weights,
 			cfg: EngineConfig{Workers: 1}, inputBits: gBits}
 		if err := en.run(); err != nil {
 			t.Fatal(err)
@@ -202,10 +203,13 @@ func evaluatorColours(sched *circuit.Schedule, conn *transport.Conn, gBits [][]b
 	if err != nil {
 		return 0, 0, err
 	}
-	otp := precomp.NewReceiverPool(conn, ots, rng, precomp.PoolConfig{Capacity: b*len(eBits) + 1, RefillLowWater: 1})
-	otp.SetKey(eBits)
-	if err := otp.Announce(); err != nil {
+	chosen, err := ots.Receive(eBits)
+	if err != nil {
 		return 0, 0, err
+	}
+	weights := make([]gc.Label, len(chosen))
+	for i, m := range chosen {
+		weights[i] = gc.Label(m)
 	}
 	consts, err := conn.Recv(transport.MsgConstLabels)
 	if err != nil {
@@ -219,7 +223,7 @@ func evaluatorColours(sched *circuit.Schedule, conn *transport.Conn, gBits [][]b
 		e.SetLabel(circuit.WFalse, s, gc.Label(consts[s*gc.LabelSize:]))
 		e.SetLabel(circuit.WTrue, s, gc.Label(consts[(b+s)*gc.LabelSize:]))
 	}
-	en := &evalEngine{sched: sched, e: e, pool: gc.NewPool(1), conn: conn, ots: otp, otr: otp.Reserve(b), inputBits: eBits}
+	en := &evalEngine{sched: sched, e: e, pool: gc.NewPool(1), conn: conn, weights: weights}
 	e.Grow(sched.NumWires)
 	gCur := 0
 	for si := range sched.Steps {

@@ -12,6 +12,7 @@ import (
 	"deepsecure/internal/fixed"
 	"deepsecure/internal/gc"
 	"deepsecure/internal/nn"
+	"deepsecure/internal/ot"
 	"deepsecure/internal/testutil"
 	"deepsecure/internal/transport"
 )
@@ -122,8 +123,9 @@ func headerSwap(dst io.Writer, src io.Reader, at, as transport.MsgType, size uin
 // TestHostileServerFramesCapped: a server frame whose header announces more
 // than the protocol state allows is refused from the header alone — the
 // architecture frame past its header and nn.MaxSpecBytes, a busy answer in
-// its place, the window announcement, and an inference's answer, whose cap
-// is a label per output wire and sample at the batch cap. The announced
+// its place, the window announcement, the set-up OT's U past what the
+// client's W weight bits take, and an inference's answer, whose cap is a
+// label per output wire and sample at the batch cap. The announced
 // payload never arrives, so a client that tried to read it would wait for
 // its deadline instead.
 func TestHostileServerFramesCapped(t *testing.T) {
@@ -144,6 +146,7 @@ func TestHostileServerFramesCapped(t *testing.T) {
 		{"arch", transport.MsgArch, transport.MsgArch, archHeader + nn.MaxSpecBytes},
 		{"busy", transport.MsgArch, transport.MsgBusy, uvarint},
 		{"pipeline", transport.MsgPipeline, transport.MsgPipeline, 2 * uvarint},
+		{"ot-ext-u", transport.MsgOTExtU, transport.MsgOTExtU, ot.ExtULen(testNetWeightBits)},
 		{"outputs", transport.MsgOutputLabels, transport.MsgOutputLabels, int(prog.Stats.Outputs) * DefaultMaxBatch * gc.LabelSize},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
@@ -164,5 +167,39 @@ func TestHostileServerFramesCapped(t *testing.T) {
 				t.Fatalf("err = %v, want %q", err, want)
 			}
 		})
+	}
+}
+
+// TestHostileClientSetupAnswerCapped is the server's side of the set-up
+// OT's bound: the client's answer is exactly W label pairs, so a header
+// announcing one byte more is refused from the header alone, before the
+// payload is read and before any inference.
+func TestHostileClientSetupAnswerCapped(t *testing.T) {
+	defer testutil.VerifyNoLeaks(t)()
+	srv := &Server{Net: testNet(t, act.ReLU, 22), Fmt: fixed.Default}
+	cEnd, toClient := net.Pipe()
+	toServer, sEnd := net.Pipe()
+	defer func() {
+		for _, c := range []net.Conn{cEnd, toClient, toServer, sEnd} {
+			c.Close()
+		}
+	}()
+	limit := testNetWeightBits * 2 * ot.MsgLen
+	served := make(chan error, 1)
+	go func() {
+		_, err := srv.ServeSession(transport.New(sEnd))
+		served <- err
+	}()
+	go io.Copy(toClient, toServer)                                                               //nolint:errcheck — the server's frames go through untouched
+	go headerSwap(toServer, toClient, transport.MsgOTExtY, transport.MsgOTExtY, uint32(limit+1)) //nolint:errcheck
+	go (&Client{}).NewSession(transport.New(cEnd))                                               //nolint:errcheck — the client's session dies with the pipes
+	want := fmt.Sprintf("transport: ot-ext-y frame of %d bytes exceeds its limit of %d", limit+1, limit)
+	select {
+	case err := <-served:
+		if err == nil || err.Error() != want {
+			t.Fatalf("server: %v, want %q", err, want)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("the server still reads a set-up answer 5 s after its oversized header")
 	}
 }

@@ -11,7 +11,6 @@ import (
 	"deepsecure/internal/circuit"
 	"deepsecure/internal/gc"
 	"deepsecure/internal/obs"
-	"deepsecure/internal/ot/precomp"
 	"deepsecure/internal/transport"
 )
 
@@ -34,28 +33,22 @@ import (
 // back. The window is one integer, the count of begun-but-unanswered
 // inferences. More cores are reached inside an inference (level fan-out on
 // internal/sched) and through more sessions, never by a second evaluator on
-// this one. What the server writes is a function of what it read, up to
-// which answer a decided refill rides ahead of (whether begin k+1 was read
-// before answer k was written).
+// this one. What the server writes — the answers, in begin order — is a
+// function of what it read.
 //
 // An inference is one client→server burst answered by one output frame, and
 // nothing here can turn that into a deadlock, however little the path holds:
 //
 //   - The reader never waits on a writer. It writes nothing and waits on
 //     nothing but the ring. The session goroutine, the ring's one consumer,
-//     waits on nothing but the ring either: what an inference wants written
-//     — before its first receive the refills its pool range depends on
-//     (precomp.ReceiverPool.Cover), after its last the refills decided
-//     meanwhile and its outputs — it queues on out, which always has room
-//     (see send), and a frame it cannot legally take ends the session the
-//     moment it is popped. So a full ring always drains and the client's
-//     burst always lands, while the writer (after set-up the connection's
-//     only one: the pool's background helper prepares a refill, it never
-//     sends one) may be parked in a 1 MiB refill U that the client reads
-//     once its burst is out.
+//     waits on nothing but the ring either: an inference's outputs it queues
+//     on out, which always has room (see send), and a frame it cannot
+//     legally take ends the session the moment it is popped. So a full ring
+//     always drains and the client's burst always lands, while the writer
+//     (after set-up the connection's only one) may be parked in an answer
+//     that the client reads once its burst is out.
 //   - The client never waits on a write the server is not reading: it
-//     reads only between bursts, or for a refill its begin frame (flushed
-//     by that read) made the reader decide.
+//     reads only between bursts.
 
 // ringFrames is the FIFO's capacity: the one bounded ring of table frames
 // an evaluator holds (§3.5). Four keeps the reader a frame or two ahead of
@@ -77,17 +70,13 @@ type frame struct {
 // fixed when its begin frame arrived.
 type inference struct {
 	batch int
-	otr   precomp.Range // its OT-pool entries
-	start time.Time     // arrival of its begin frame: latency and deadline run from here
+	first uint64    // the session ordinal of its first sample
+	start time.Time // arrival of its begin frame: latency and deadline run from here
 }
 
-// answer is one entry of the writer's queue: what inference inf wants on the
-// wire, in queue order. Before its first receive that is cover, the refills
-// its pool range depends on; after its last, the refills decided meanwhile
-// and then its output labels.
+// answer is one entry of the writer's queue: inference inf's output labels.
 type answer struct {
 	inf     *inference
-	cover   bool
 	outputs []byte
 }
 
@@ -125,19 +114,18 @@ func (v ctxConn) RecvAny(want ...transport.MsgType) (transport.MsgType, []byte, 
 }
 
 // sessionMux runs one session on the server: the reader, the FIFO, the
-// window, the writer, the OT pool and one worker pool (a view of the
-// process-wide scheduler, on which an inference's levels fan out).
+// window, the writer and one worker pool (a view of the process-wide
+// scheduler, on which an inference's levels fan out).
 type sessionMux struct {
 	conn  *transport.Conn
-	otp   *precomp.ReceiverPool
 	pool  *gc.Pool
 	sched *circuit.Schedule
 	cfg   EngineConfig
 
-	weightBits []bool
-	labels     gc.Spare  // the evaluator's label array, handed from inference to inference and kept while idle
-	wd         *watchdog // the session's phase watchdog
-	set        *obs.Set  // the session's ledger
+	weights []gc.Label // the weight wires' labels the set-up OT chose
+	labels  gc.Spare   // the evaluator's label array, handed from inference to inference and kept while idle
+	wd      *watchdog  // the session's phase watchdog
+	set     *obs.Set   // the session's ledger
 
 	fifo chan frame
 	stop chan struct{} // closed when run returns: a reader parked on a full ring leaves
@@ -146,22 +134,22 @@ type sessionMux struct {
 	readErr error
 
 	open atomic.Int32 // begun and not yet answered: what the window bounds
+	next uint64       // the ordinal of the next sample admitted; the reader's alone
 
-	out  chan answer // the writer's queue, two entries per window slot (see send)
+	out  chan answer // the writer's queue, an entry per window slot (see send)
 	werr chan error  // the writer's verdict, sent once as it ends: early means it failed
 }
 
-func newSessionMux(srv *Server, conn *transport.Conn, otp *precomp.ReceiverPool, sched *circuit.Schedule, wd *watchdog, set *obs.Set) *sessionMux {
+func newSessionMux(srv *Server, conn *transport.Conn, weights []gc.Label, sched *circuit.Schedule, wd *watchdog, set *obs.Set) *sessionMux {
 	// Bound every frame a client sends before the first arrives, so that a
 	// header announcing more is refused unread: an input frame carries one
-	// step of every sample (a label per garbler wire, a masked pair per
-	// evaluator wire), so the widest step at the batch cap bounds it; a table
-	// frame never spans two level runs (garbleEngine.doLevels sends at every
-	// run's end, whatever its chunk size), so the largest run does.
+	// step of every sample, a label per client wire, so the widest step at
+	// the batch cap bounds it; a table frame never spans two level runs
+	// (garbleEngine.doLevels sends at every run's end, whatever its chunk
+	// size), so the largest run does. No OT frame is legal after set-up.
 	batch := srv.Engine.MaxBatchSize()
 	labels := gc.LabelSize * batch
 	_, widestG := inputWires(sched, circuit.Garbler)
-	_, widestE := inputWires(sched, circuit.Evaluator)
 	largestRun := 0
 	for i := range sched.Steps {
 		if st := &sched.Steps[i]; st.Kind == circuit.StepLevels {
@@ -171,23 +159,23 @@ func newSessionMux(srv *Server, conn *transport.Conn, otp *precomp.ReceiverPool,
 	conn.SetLimit(transport.MsgInferBegin, binary.MaxVarintLen64)
 	conn.SetLimit(transport.MsgConstLabels, 2*labels)
 	conn.SetLimit(transport.MsgInputLabels, widestG*labels)
-	conn.SetLimit(transport.MsgOTMasked, widestE*2*labels)
 	conn.SetLimit(transport.MsgTables, min(transport.MaxFrame, largestRun*batch))
 	conn.SetLimit(transport.MsgEndSession, 0)
-	conn.SetLimit(transport.MsgOTExtY, 0) // the §3.3 answer; a pool refill has none
+	for _, t := range otFrames {
+		conn.SetLimit(t, 0)
+	}
 	return &sessionMux{
-		conn:       conn,
-		otp:        otp,
-		pool:       srv.Engine.newPool(),
-		sched:      sched,
-		cfg:        srv.Engine,
-		weightBits: srv.weightBits,
-		wd:         wd,
-		set:        set,
-		fifo:       make(chan frame, ringFrames),
-		stop:       make(chan struct{}),
-		out:        make(chan answer, 2*srv.Engine.PipelineDepth()),
-		werr:       make(chan error, 1),
+		conn:    conn,
+		pool:    srv.Engine.newPool(),
+		sched:   sched,
+		cfg:     srv.Engine,
+		weights: weights,
+		wd:      wd,
+		set:     set,
+		fifo:    make(chan frame, ringFrames),
+		stop:    make(chan struct{}),
+		out:     make(chan answer, srv.Engine.PipelineDepth()),
+		werr:    make(chan error, 1),
 	}
 }
 
@@ -200,7 +188,6 @@ func newSessionMux(srv *Server, conn *transport.Conn, otp *precomp.ReceiverPool,
 func (m *sessionMux) run() (err error) {
 	go m.readLoop()
 	go m.writeLoop()
-	defer m.otp.Abort()
 	defer close(m.stop)
 	defer func() {
 		close(m.out)
@@ -242,10 +229,10 @@ func (m *sessionMux) pop() (frame, error) {
 	}
 }
 
-// send queues a for the writer without waiting. An inference queues a cover
-// and an answer, and its window slot is retired only when the writer has
-// taken the answer, so behind the at most depth−1 inferences ahead of it
-// the queue always has room for both.
+// send queues a for the writer without waiting. An inference queues one
+// answer, and its window slot is retired only when the writer has taken
+// it, so behind the at most depth−1 inferences ahead of it the queue
+// always has room.
 func (m *sessionMux) send(a answer) error {
 	select {
 	case m.out <- a:
@@ -278,16 +265,6 @@ func (m *sessionMux) writeLoop() {
 // older inference's write, which that one's deadline bounds).
 func (m *sessionMux) write(a answer) error {
 	defer m.wd.after("inference", m.cfg.Deadlines.Inference, a.inf.start)()
-	if a.cover {
-		// A client whose pool is short of this range sends nothing more
-		// until the refills that cover it arrive.
-		return m.otp.Cover(a.inf.otr)
-	}
-	// What the pool policy decided meanwhile goes ahead of the outputs, so
-	// the client has banked it by the time it sees them.
-	if err := m.otp.SendRefills(); err != nil {
-		return err
-	}
 	// Retire the window slot BEFORE the outputs can reach the client: its
 	// next begin may arrive the instant the flush lands, and the reader's
 	// admission check must not refuse it. The client sends nothing further
@@ -308,11 +285,11 @@ func (m *sessionMux) write(a answer) error {
 }
 
 // readLoop drains the connection into the FIFO: begins are admitted against
-// the window and get their pool range here, in begin order; the frames of an
-// inference's burst are queued behind its begin as they come. It exits on
-// end-of-session, disconnect or a protocol violation and closes the FIFO, so
-// a blocked evaluation fails fast instead of hanging (a reader panic
-// included, which would otherwise take the process down).
+// the window and get their samples' ordinals here, in begin order; the
+// frames of an inference's burst are queued behind its begin as they come.
+// It exits on end-of-session, disconnect or a protocol violation and closes
+// the FIFO, so a blocked evaluation fails fast instead of hanging (a reader
+// panic included, which would otherwise take the process down).
 func (m *sessionMux) readLoop() {
 	defer func() {
 		if v := recover(); v != nil {
@@ -332,7 +309,7 @@ func (m *sessionMux) readLoop() {
 			return
 		case transport.MsgInferBegin:
 			f.begin, err = m.admit(payload)
-		case transport.MsgConstLabels, transport.MsgInputLabels, transport.MsgOTMasked, transport.MsgTables:
+		case transport.MsgConstLabels, transport.MsgInputLabels, transport.MsgTables:
 			// The open inference's, or a protocol error when run pops it
 			// with none open.
 		default:
@@ -353,8 +330,8 @@ func (m *sessionMux) readLoop() {
 }
 
 // admit checks a begin frame — a well-formed B within the announced cap,
-// room in the window — and reserves the inference's pool range: ranges go
-// out in begin order, which is the order the client reserved them in.
+// room in the window — and numbers the inference's samples: the next B
+// ordinals, in begin order, which is the order the client numbered them in.
 func (m *sessionMux) admit(payload []byte) (*inference, error) {
 	bsz, n := binary.Uvarint(payload)
 	depth := m.cfg.PipelineDepth()
@@ -367,7 +344,9 @@ func (m *sessionMux) admit(payload []byte) (*inference, error) {
 		return nil, fmt.Errorf("core: infer-begin exceeds the in-flight window (depth %d)", depth)
 	}
 	m.open.Add(1)
-	return &inference{batch: int(bsz), otr: m.otp.Reserve(int(bsz)), start: time.Now()}, nil
+	inf := &inference{batch: int(bsz), first: m.next, start: time.Now()}
+	m.next += bsz
+	return inf, nil
 }
 
 // evalPanicHook, when set by a test, runs at the top of every evaluate
@@ -390,10 +369,6 @@ func (m *sessionMux) evaluate(inf *inference) (err error) {
 		evalPanicHook(inf.batch)
 	}
 	view := ctxConn{m}
-	// Before the first receive: the refills this range depends on.
-	if err := m.send(answer{inf: inf, cover: true}); err != nil {
-		return err
-	}
 	// Const labels arrive wire-major: B false-labels, then B true-labels.
 	constLabels, err := view.Recv(transport.MsgConstLabels)
 	if err != nil {
@@ -407,6 +382,7 @@ func (m *sessionMux) evaluate(inf *inference) (err error) {
 		return err
 	}
 	e.Reuse(m.labels)
+	e.SetFirst(inf.first)
 	for s := 0; s < inf.batch; s++ {
 		var lf, lt gc.Label
 		copy(lf[:], constLabels[s*gc.LabelSize:])
@@ -415,15 +391,13 @@ func (m *sessionMux) evaluate(inf *inference) (err error) {
 		e.SetLabel(circuit.WTrue, s, lt)
 	}
 	en := &evalEngine{
-		sched:     m.sched,
-		e:         e,
-		pool:      m.pool,
-		conn:      view,
-		ots:       m.otp,
-		otr:       inf.otr,
-		inputBits: m.weightBits,
-		progress:  &m.conn.Progress,
-		recycle:   m.conn.Recycle,
+		sched:    m.sched,
+		e:        e,
+		pool:     m.pool,
+		conn:     view,
+		weights:  m.weights,
+		progress: &m.conn.Progress,
+		recycle:  m.conn.Recycle,
 	}
 	if err := en.run(); err != nil {
 		return err

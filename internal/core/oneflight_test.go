@@ -3,9 +3,10 @@ package core
 import (
 	"encoding/binary"
 	"errors"
+	"fmt"
 	"io"
 	"math/rand"
-	"slices"
+	"strings"
 	"sync"
 	"testing"
 
@@ -14,7 +15,6 @@ import (
 	"deepsecure/internal/netgen"
 	"deepsecure/internal/nn"
 	"deepsecure/internal/ot"
-	"deepsecure/internal/ot/precomp"
 	"deepsecure/internal/testutil"
 	"deepsecure/internal/transport"
 )
@@ -64,19 +64,19 @@ func (d *dirLog) take() string {
 	return s
 }
 
-// poolSession opens a client session against a server with the given pool
-// and window over a recording pipe; end closes the session, waits for the
+// windowSession opens a client session against a server with the given
+// window over a recording pipe; end closes the session, waits for the
 // server and returns its stats and both byte transcripts.
-func poolSession(t *testing.T, net *nn.Network, pool precomp.PoolConfig, window int) (sess *Session, wire *dirLog, end func() (srvStats *Stats, c2s, s2c []byte)) {
+func windowSession(t *testing.T, net *nn.Network, window int) (sess *Session, wire *dirLog, end func() (srvStats *Stats, c2s, s2c []byte)) {
 	t.Helper()
 	cfg := EngineConfig{Workers: 1, chunkBytes: 4096, Pipeline: window}
 	return wireSession(t,
-		&Server{Net: net, Fmt: fixed.Default, Rng: rand.New(rand.NewSource(11)), Engine: cfg, OTPool: pool},
+		&Server{Net: net, Fmt: fixed.Default, Rng: rand.New(rand.NewSource(11)), Engine: cfg},
 		&Client{Rng: rand.New(rand.NewSource(12)), Engine: cfg})
 }
 
 // wireSession opens a session of cli against srv over a recording pipe;
-// end is as in poolSession.
+// end is as in windowSession.
 func wireSession(t *testing.T, srv *Server, cli *Client) (sess *Session, wire *dirLog, end func() (srvStats *Stats, c2s, s2c []byte)) {
 	t.Helper()
 	c2sHalf, s2cHalf := newLogHalf(), newLogHalf()
@@ -118,23 +118,22 @@ func randSamples(seed int64, n int) [][]float64 {
 	return xs
 }
 
-// TestOneFlightWireShape pins the protocol's shape, on a warm pool and with
-// no option set anywhere.
+// TestOneFlightWireShape pins the protocol's shape, with the weight labels
+// all transferred at set-up — the "warm pool" every session now has — and
+// with no option set anywhere.
 func TestOneFlightWireShape(t *testing.T) {
 	t.Run("warmPool", testOneFlightWarmPool)
 	t.Run("zeroConfig", testOneFlightZeroConfig)
 }
 
-// On a warm pool a single inference, a window's worth of asynchronous ones
-// and a batch are each one client burst answered by one server burst — the
-// client moves no byte toward itself between its begin frame and its final
-// flush, and the server sends nothing the client has to answer.
+// A single inference, a window's worth of asynchronous ones and a batch are
+// each one client burst answered by one server burst — the client moves no
+// byte toward itself between its begin frame and its final flush, and the
+// server sends nothing the client has to answer.
 func testOneFlightWarmPool(t *testing.T) {
 	net := testNet(t, act.ReLU, 31)
 	f := fixed.Default
-	// Warm for the whole test: 1 + 2 + 4 samples, no low-water crossing.
-	pool := precomp.PoolConfig{Capacity: 16 * testNetWeightBits, RefillLowWater: 1}
-	sess, wire, end := poolSession(t, net, pool, 2)
+	sess, wire, end := windowSession(t, net, 2)
 	xs := randSamples(32, 7)
 	want := make([]int, len(xs))
 	for i, x := range xs {
@@ -183,8 +182,8 @@ func testOneFlightWarmPool(t *testing.T) {
 		t.Errorf("InferBatch(4) moved bytes %q, want \"wr\"", got)
 	}
 	srvStats, _, s2c := end()
-	if srvStats.OTRefills != 1 || srvStats.OTsConsumed != 7*testNetWeightBits {
-		t.Errorf("server pool: %d fills, %d consumed; want the setup fill and 7 samples' worth", srvStats.OTRefills, srvStats.OTsConsumed)
+	if srvStats.OTsConsumed != testNetWeightBits {
+		t.Errorf("server ran %d OTs over 7 samples; want the set-up's W = %d", srvStats.OTsConsumed, testNetWeightBits)
 	}
 	// After setup the server's whole side of the conversation is outputs.
 	seenOutputs := false
@@ -201,14 +200,12 @@ func testOneFlightWarmPool(t *testing.T) {
 }
 
 // One flight is the protocol, not a configuration: a server and a client
-// with no option set at all
-// (deepsecure.Serve ↔ deepsecure.Infer) run every inference as one client
-// burst answered by one server burst. The server's burst is the outputs,
-// preceded — when the derived pool (W × window) ran low — by a refill
-// announcement, which the client banks and answers with nothing.
+// with no option set at all (deepsecure.Serve ↔ deepsecure.Infer) run
+// every inference as one client burst answered by one server burst, and
+// the set-up OT is the session's only OT: no OT frame follows the client's
+// first begin or the server's first outputs.
 func testOneFlightZeroConfig(t *testing.T) {
 	checkLeaks := testutil.VerifyNoLeaks(t)
-	const w = testNetWeightBits
 	net := testNet(t, act.ReLU, 38)
 	f := fixed.Default
 	sess, wire, end := wireSession(t, &Server{Net: net, Fmt: f}, &Client{})
@@ -219,38 +216,37 @@ func testOneFlightZeroConfig(t *testing.T) {
 		if want := net.PredictFixed(f, x); err != nil || label != want {
 			t.Fatalf("inference %d = %d, %v; want %d", i, label, err, want)
 		}
-		// The fill covers a window of 2, so a refill rides every second
-		// answer, in the same read as the outputs.
 		if got := wire.take(); got != "wr" {
 			t.Errorf("inference %d moved bytes %q, want \"wr\"", i, got)
 		}
 	}
 	srvStats, c2s, s2c := end()
-	// The derived capacity is W × window: the setup fill and the refills
-	// after inferences 2 and 4, of a whole pool each.
-	if srvStats.OTRefills != 3 || srvStats.OTsPooled != 3*2*w || srvStats.OTsConsumed != 5*w {
-		t.Errorf("server pool: %d fills, %d pooled, %d consumed; want 3, %d, %d",
-			srvStats.OTRefills, srvStats.OTsPooled, srvStats.OTsConsumed, 3*2*w, 5*w)
+	if srvStats.OTsConsumed != testNetWeightBits {
+		t.Errorf("server ran %d OTs over 5 inferences; want the set-up's W = %d", srvStats.OTsConsumed, testNetWeightBits)
 	}
-	// No OT frame sits inside a burst: the client sends none, and the
-	// server's refill requests each precede an outputs frame.
-	if types := frameTypes(parseFrames(t, c2s)); slices.Contains(types, transport.MsgOTExtY) {
-		t.Errorf("client sent %v: a refill answered", types)
+	isOT := func(typ transport.MsgType) bool {
+		return typ == transport.MsgOTExtU || typ == transport.MsgOTExtY || typ == transport.MsgOTRefill || typ == transport.MsgOTMasked
 	}
-	frames := parseFrames(t, s2c)
-	for i, fr := range frames {
-		if fr.typ == transport.MsgOTExtU && (i+1 == len(frames) || frames[i+1].typ != transport.MsgOutputLabels) {
-			t.Errorf("server→client frame %d: %v is not followed by outputs", i, fr.typ)
+	for dir, d := range map[string]struct {
+		raw   []byte
+		after transport.MsgType
+	}{"client": {c2s, transport.MsgInferBegin}, "server": {s2c, transport.MsgOutputLabels}} {
+		seen := false
+		for _, fr := range parseFrames(t, d.raw) {
+			seen = seen || fr.typ == d.after
+			if seen && isOT(fr.typ) {
+				t.Errorf("the %s sent a %v frame after its first %v", dir, fr.typ, d.after)
+			}
 		}
 	}
 	checkLeaks()
 }
 
-// TestDerivedPoolOneShot pins what the derived default costs the shortest
-// session there is: one inference generates at most one range more than it
-// consumes, at either end of the window range.
+// TestDerivedPoolOneShot pins what OT costs the shortest session there is
+// — one inference — at either end of the window range: exactly the W OTs
+// of the set-up, whatever the window. (It once pinned the spare entries
+// the OT pool derived from the window left over.)
 func TestDerivedPoolOneShot(t *testing.T) {
-	const w = testNetWeightBits
 	net := testNet(t, act.ReLU, 40)
 	for _, window := range []int{1, 2} {
 		cConn, sConn, closer := transport.Pipe()
@@ -264,13 +260,13 @@ func TestDerivedPoolOneShot(t *testing.T) {
 			done <- st
 		}()
 		x := randSamples(41, 1)[0]
-		label, _, err := (&Client{}).Infer(cConn, x)
+		label, cliStats, err := (&Client{}).Infer(cConn, x)
 		if want := net.PredictFixed(fixed.Default, x); err != nil || label != want {
 			t.Fatalf("window %d: Infer = %d, %v; want %d", window, label, err, want)
 		}
-		if st := <-done; st.OTsConsumed != w || st.OTsPooled < w || st.OTsPooled > 2*w {
-			t.Errorf("window %d: one-shot session pooled %d OTs and consumed %d, want at most one range (%d) spare",
-				window, st.OTsPooled, st.OTsConsumed, w)
+		if st := <-done; st.OTsConsumed != testNetWeightBits || cliStats.OTsConsumed != testNetWeightBits {
+			t.Errorf("window %d: a one-shot session ran %d OTs on the server, %d on the client; want W = %d",
+				window, st.OTsConsumed, cliStats.OTsConsumed, testNetWeightBits)
 		}
 		closer.Close()
 	}
@@ -315,37 +311,35 @@ func hostileServer(net *nn.Network, sConn *transport.Conn, rest func(ots *ot.Ext
 	return done
 }
 
-// TestUnpooledServerRefused pins both ways a server can still ask for the
-// per-step IKNP exchange this protocol no longer has, and that the client
-// refuses each at that frame with a typed error and nothing left running:
-// a pool announcement of capacity 0 fails NewSession, an extension request
-// inside an inference (no refill announced) fails the inference.
+// TestUnpooledServerRefused pins both ways a server can still speak the
+// OT pool protocol this one no longer has, and that the client refuses each
+// at that frame with nothing left running: a pool announcement where the
+// set-up OT's U belongs fails NewSession, and an extension request inside
+// an inference — a refill's U — fails the inference at its header, for no
+// OT frame is legal after set-up.
 func TestUnpooledServerRefused(t *testing.T) {
 	checkLeaks := testutil.VerifyNoLeaks(t)
 	net := testNet(t, act.ReLU, 42)
-	var pe *precomp.PeerError
 
 	cConn, sConn, closer := transport.Pipe()
 	done := hostileServer(net, sConn, func(*ot.ExtReceiver, *rand.Rand) error {
-		announce := binary.AppendUvarint(binary.AppendUvarint(nil, 0), testNetWeightBits)
+		announce := binary.AppendUvarint(binary.AppendUvarint(nil, 2048), testNetWeightBits)
 		if err := sConn.Send(transport.MsgOTRefill, announce); err != nil {
 			return err
 		}
 		return sConn.Flush()
 	})
-	if _, err := (&Client{}).NewSession(cConn); !errors.As(err, &pe) {
-		t.Errorf("NewSession against a capacity-0 announcement = %v, want a precomp.PeerError", err)
+	if _, err := (&Client{}).NewSession(cConn); err == nil || !strings.Contains(err.Error(), "got ot-refill frame") {
+		t.Errorf("NewSession against a pool announcement = %v, want it refused at the ot-refill frame", err)
 	}
 	if err := <-done; err != nil {
-		t.Errorf("capacity-0 server's own setup: %v", err)
+		t.Errorf("announcing server's own setup: %v", err)
 	}
 	closer.Close()
 
 	cConn, sConn, closer = transport.Pipe()
-	done = hostileServer(net, sConn, func(ots *ot.ExtReceiver, rng *rand.Rand) error {
-		otp := precomp.NewReceiverPool(sConn, ots, rng, precomp.PoolConfig{Capacity: 2048})
-		otp.SetKey(nn.WeightBits(net, fixed.Default))
-		if err := otp.Announce(); err != nil {
+	done = hostileServer(net, sConn, func(ots *ot.ExtReceiver, _ *rand.Rand) error {
+		if _, err := ots.Receive(nn.WeightBits(net, fixed.Default)); err != nil {
 			return err
 		}
 		if _, err := sConn.Recv(transport.MsgInferBegin); err != nil {
@@ -358,10 +352,11 @@ func TestUnpooledServerRefused(t *testing.T) {
 	})
 	sess, err := (&Client{}).NewSession(cConn)
 	if err != nil {
-		t.Fatalf("NewSession against a pooled announcement: %v", err)
+		t.Fatalf("NewSession against an honest set-up: %v", err)
 	}
-	if label, _, err := sess.Infer(randSamples(43, 1)[0]); !errors.As(err, &pe) {
-		t.Errorf("Infer answered by ot-ext-u = %d, %v; want a precomp.PeerError", label, err)
+	want := fmt.Sprintf("ot-ext-u frame of %d bytes exceeds its limit of 0", ot.ExtULen(8))
+	if label, _, err := sess.Infer(randSamples(43, 1)[0]); err == nil || !strings.Contains(err.Error(), want) {
+		t.Errorf("Infer answered by ot-ext-u = %d, %v; want %q", label, err, want)
 	}
 	if err := <-done; err != nil {
 		t.Errorf("ot-ext-u server's own run: %v", err)
@@ -445,36 +440,36 @@ func TestDoctoredProgramDigestRefused(t *testing.T) {
 	}
 }
 
-// TestPoolRefillShapes drives sessions whose pools cannot hold the
-// traffic: a refill after every inference (Capacity = W+1), on-demand
-// refills in the middle of pipelined batches (Capacity < W, window 2,
-// B = 3) and fills that wrap around the key (Capacity not a multiple of
-// W) — and one on the derived default, which refills every second
-// inference. Every label must equal nn.PredictFixed, both parties must hand out
-// the same consecutive ranges, every announced refill must be banked on
-// both sides before the session ends with no ot-ext-y on the wire, and
-// nothing may linger afterwards.
+// TestPoolRefillShapes drives sessions through the traffic shapes the OT
+// pool's refill policy was once tested under — the rows keep their names —
+// where every sample of every operation reuses the weight labels of the one
+// set-up OT: serial and windowed, single samples and batches of 2 and 3.
+// Every label must equal nn.PredictFixed; the client must number each
+// operation's samples with the next consecutive ordinals, which the server,
+// numbering its admissions alike, must agree with or no output
+// authenticates; both parties must count exactly the set-up's W OTs; no OT
+// frame may follow the client's first begin; and nothing may linger
+// afterwards.
 func TestPoolRefillShapes(t *testing.T) {
 	const w = testNetWeightBits
 	net := testNet(t, act.ReLU, 33)
 	f := fixed.Default
 	for _, tc := range []struct {
 		name   string
-		pool   precomp.PoolConfig
 		window int
 		batch  int // samples per operation; 1 = InferAsync
 		ops    int
 	}{
-		{"derivedDefault", precomp.PoolConfig{}, 2, 1, 6},
-		{"refillEveryInference", precomp.PoolConfig{Capacity: w + 1}, 1, 1, 5},
-		{"refillEveryInferenceBackground", precomp.PoolConfig{Capacity: w + 1, Background: true}, 2, 1, 5},
-		{"onDemandMidBatch", precomp.PoolConfig{Capacity: w - 100}, 2, 3, 4},
-		{"wrapAround", precomp.PoolConfig{Capacity: 2*w + w/2, RefillLowWater: w}, 2, 1, 7},
-		{"wrapAroundBatch", precomp.PoolConfig{Capacity: 2*w + w/3}, 2, 2, 5},
+		{"derivedDefault", 2, 1, 6},
+		{"refillEveryInference", 1, 1, 5},
+		{"refillEveryInferenceBackground", 2, 1, 5},
+		{"onDemandMidBatch", 2, 3, 4},
+		{"wrapAround", 2, 1, 7},
+		{"wrapAroundBatch", 2, 2, 5},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			checkLeaks := testutil.VerifyNoLeaks(t)
-			sess, _, end := poolSession(t, net, tc.pool, tc.window)
+			sess, _, end := windowSession(t, net, tc.window)
 			type op struct {
 				xs   [][]float64
 				wait func() ([]int, error)
@@ -499,7 +494,7 @@ func TestPoolRefillShapes(t *testing.T) {
 					settle()
 				}
 				xs := randSamples(int64(100+i), tc.batch)
-				seq0 := sess.ots.Seq()
+				first := sess.next
 				o := op{xs: xs}
 				if tc.batch == 1 {
 					p, err := sess.InferAsync(xs[0])
@@ -514,10 +509,11 @@ func TestPoolRefillShapes(t *testing.T) {
 					}
 					o.wait = func() ([]int, error) { ls, _, err := pb.Wait(); return ls, err }
 				}
-				// The operation owns exactly [seq0, seq0 + B·W): ranges of
-				// successive operations are consecutive, hence disjoint.
-				if got, want := sess.ots.Seq(), seq0+int64(tc.batch*w); got != want || seq0 != int64(i*tc.batch*w) {
-					t.Fatalf("op %d reserved [%d, %d), want [%d, %d)", i, seq0, got, i*tc.batch*w, want)
+				// The operation's samples are [first, first + B): the
+				// ordinals of successive operations are consecutive, hence
+				// disjoint.
+				if got, want := sess.next, first+uint64(tc.batch); got != want || first != uint64(i*tc.batch) {
+					t.Fatalf("op %d numbered [%d, %d), want [%d, %d)", i, first, got, i*tc.batch, want)
 				}
 				inflight = append(inflight, o)
 			}
@@ -526,30 +522,17 @@ func TestPoolRefillShapes(t *testing.T) {
 			}
 			cliStats := sess.Stats()
 			srvStats, c2s, s2c := end()
-			total := int64(tc.ops * tc.batch * w)
-			if srvStats.OTsConsumed != total || cliStats.OTsConsumed != total {
-				t.Errorf("consumed %d (server) / %d (client) pooled OTs, want %d", srvStats.OTsConsumed, cliStats.OTsConsumed, total)
+			if srvStats.OTsConsumed != w || cliStats.OTsConsumed != w {
+				t.Errorf("%d (server) / %d (client) OTs, want the set-up's %d", srvStats.OTsConsumed, cliStats.OTsConsumed, w)
 			}
-			if srvStats.OTRefills < 3 {
-				t.Errorf("server pool: %d fills, want a refill per operation or more", srvStats.OTRefills)
-			}
-			// Every refill the server announced was banked on both sides
-			// with nothing sent back, and the last thing the server said was
-			// an inference's outputs: a client holding all its results owes
-			// the server nothing at Close.
-			asked := 0
-			frames := parseFrames(t, s2c)
-			for _, fr := range frames {
-				if fr.typ == transport.MsgOTExtU {
-					asked++
+			begun := false
+			for _, fr := range parseFrames(t, c2s) {
+				begun = begun || fr.typ == transport.MsgInferBegin
+				if begun && fr.typ == transport.MsgOTExtY {
+					t.Error("the client sent ot-ext-y after its first begin")
 				}
 			}
-			if int64(asked) != srvStats.OTRefills || int64(asked) != cliStats.OTRefills {
-				t.Errorf("%d refills announced, %d banked by the server, %d by the client", asked, srvStats.OTRefills, cliStats.OTRefills)
-			}
-			if types := frameTypes(parseFrames(t, c2s)); slices.Contains(types, transport.MsgOTExtY) {
-				t.Error("the client answered a refill (ot-ext-y on the wire)")
-			}
+			frames := parseFrames(t, s2c)
 			if last := frames[len(frames)-1].typ; last != transport.MsgOutputLabels {
 				t.Errorf("server's last frame is %v, want outputs", last)
 			}
@@ -559,25 +542,31 @@ func TestPoolRefillShapes(t *testing.T) {
 }
 
 // TestPoolWidthMismatchRefusedAtSetup pins that the two parties agree on
-// W before any inference: a server whose pool is keyed for a different
-// number of weight bits than the client's netlist takes is refused by
-// NewSession with a typed error.
+// W, the weight bits the set-up OT transfers, before any inference: a
+// server whose U is a byte column wider than the client's netlist takes is
+// refused at the frame's header, unread, and one a byte column narrower by
+// the U length check.
 func TestPoolWidthMismatchRefusedAtSetup(t *testing.T) {
 	net := testNet(t, act.ReLU, 35)
-	cConn, sConn, closer := transport.Pipe()
-	// A server that keys its pool one bit too wide.
-	done := hostileServer(net, sConn, func(ots *ot.ExtReceiver, rng *rand.Rand) error {
-		otp := precomp.NewReceiverPool(sConn, ots, rng, precomp.PoolConfig{Capacity: 2048})
-		otp.SetKey(make([]bool, testNetWeightBits+1))
-		return otp.Announce()
-	})
-	_, err := (&Client{Rng: rand.New(rand.NewSource(37))}).NewSession(cConn)
-	var mismatch *PoolMismatchError
-	if !errors.As(err, &mismatch) || mismatch.Announced != testNetWeightBits+1 || mismatch.Compiled != testNetWeightBits {
-		t.Errorf("NewSession = %v, want a PoolMismatchError %d vs %d", err, testNetWeightBits+1, testNetWeightBits)
+	for _, tc := range []struct {
+		w    int
+		want string
+	}{
+		{testNetWeightBits + 8, fmt.Sprintf("ot-ext-u frame of %d bytes exceeds its limit of %d", ot.ExtULen(testNetWeightBits+8), ot.ExtULen(testNetWeightBits))},
+		{testNetWeightBits - 8, fmt.Sprintf("U matrix is %d bytes, want %d", ot.ExtULen(testNetWeightBits-8), ot.ExtULen(testNetWeightBits))},
+	} {
+		cConn, sConn, closer := transport.Pipe()
+		done := hostileServer(net, sConn, func(ots *ot.ExtReceiver, _ *rand.Rand) error {
+			_, err := ots.Receive(make([]bool, tc.w))
+			return err
+		})
+		_, err := (&Client{Rng: rand.New(rand.NewSource(37))}).NewSession(cConn)
+		if err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("NewSession against a set-up OT of %d choices = %v, want %q", tc.w, err, tc.want)
+		}
+		closer.Close()
+		if err := <-done; err == nil {
+			t.Errorf("the server of %d choices got an answer", tc.w)
+		}
 	}
-	if err := <-done; err != nil {
-		t.Errorf("mismatching server's own setup: %v", err)
-	}
-	closer.Close()
 }

@@ -17,7 +17,6 @@ import (
 	"deepsecure/internal/netgen"
 	"deepsecure/internal/nn"
 	"deepsecure/internal/ot"
-	"deepsecure/internal/ot/precomp"
 	"deepsecure/internal/testutil"
 	"deepsecure/internal/transport"
 )
@@ -82,17 +81,17 @@ func stripTags(t *testing.T, frames []wireFrame) []wireFrame {
 }
 
 // referenceSerialRun replays a strictly serial protocol from the raw
-// building blocks — shared OT extension and pools, no session framing,
-// strictly alternating inferences, refills announced where a session
-// announces them — recording both directions. Its randomness
-// consumption matches the session path's (base id, extension base phase,
-// one garbler per inference), so with equal seeds the frame
-// contents must match a depth-1 session's.
+// building blocks — the base phase and the set-up OT, no session framing,
+// strictly alternating inferences numbered by hand — recording both
+// directions. Its randomness consumption matches the session path's (base
+// id, extension base phase, the session's delta and weight labels, one
+// garbler per inference), so with equal seeds the frame contents must
+// match a depth-1 session's.
 // firstSession is the OT nonce of a fresh Client's first session with a
 // fresh Server.
 var firstSession = ot.SessionNonce(1, 1)
 
-func referenceSerialRun(t *testing.T, net *nn.Network, xs [][]float64, poolCfg precomp.PoolConfig, cliSeed, srvSeed int64) (g2e, e2g []byte) {
+func referenceSerialRun(t *testing.T, net *nn.Network, xs [][]float64, cliSeed, srvSeed int64) (g2e, e2g []byte) {
 	t.Helper()
 	f := fixed.Default
 	prog, err := netgen.Compile(net, f, netgen.Options{})
@@ -108,67 +107,49 @@ func referenceSerialRun(t *testing.T, net *nn.Network, xs [][]float64, poolCfg p
 
 	evalDone := make(chan error, 1)
 	go func() {
-		rng := rand.New(rand.NewSource(srvSeed))
-		var id baseID // a session's server mints one before the base phase
-		if _, err := io.ReadFull(rng, id[:]); err != nil {
-			evalDone <- err
-			return
-		}
-		base, err := ot.NewReceiverBase(eConn, rng)
-		if err != nil {
-			evalDone <- err
-			return
-		}
-		ots := base.Session(eConn, firstSession)
-		otp := precomp.NewReceiverPool(eConn, ots, rng, poolCfg)
-		otp.SetKey(weightBits)
-		if err := otp.Announce(); err != nil {
-			evalDone <- err
-			return
-		}
-		pool := gc.NewPool(1)
-		for range xs {
-			otr := otp.Reserve(1)
-			if err := otp.Cover(otr); err != nil {
-				evalDone <- err
-				return
+		evalDone <- func() error {
+			rng := rand.New(rand.NewSource(srvSeed))
+			var id baseID // a session's server mints one before the base phase
+			if _, err := io.ReadFull(rng, id[:]); err != nil {
+				return err
 			}
-			constLabels, err := eConn.Recv(transport.MsgConstLabels)
+			base, err := ot.NewReceiverBase(eConn, rng)
 			if err != nil {
-				evalDone <- err
-				return
+				return err
 			}
-			en := &evalEngine{
-				sched:     prog.Schedule,
-				e:         newTestEvaluator(constLabels),
-				pool:      pool,
-				conn:      eConn,
-				ots:       otp,
-				otr:       otr,
-				inputBits: weightBits,
+			chosen, err := base.Session(eConn, firstSession).Receive(weightBits)
+			if err != nil {
+				return err
 			}
-			if err := en.run(); err != nil {
-				evalDone <- err
-				return
+			weights := make([]gc.Label, len(chosen))
+			for i, m := range chosen {
+				weights[i] = gc.Label(m)
 			}
-			if err := otp.SendRefills(); err != nil {
-				evalDone <- err
-				return
+			pool := gc.NewPool(1)
+			for i := range xs {
+				constLabels, err := eConn.Recv(transport.MsgConstLabels)
+				if err != nil {
+					return err
+				}
+				e := newTestEvaluator(constLabels)
+				e.SetFirst(uint64(i))
+				en := &evalEngine{sched: prog.Schedule, e: e, pool: pool, conn: eConn, weights: weights}
+				if err := en.run(); err != nil {
+					return err
+				}
+				payload := make([]byte, 0, len(en.outLabels)*gc.LabelSize)
+				for _, l := range en.outLabels {
+					payload = append(payload, l[:]...)
+				}
+				if err := eConn.Send(transport.MsgOutputLabels, payload); err != nil {
+					return err
+				}
+				if err := eConn.Flush(); err != nil {
+					return err
+				}
 			}
-			payload := make([]byte, 0, len(en.outLabels)*gc.LabelSize)
-			for _, l := range en.outLabels {
-				payload = append(payload, l[:]...)
-			}
-			if err := eConn.Send(transport.MsgOutputLabels, payload); err != nil {
-				evalDone <- err
-				return
-			}
-			if err := eConn.Flush(); err != nil {
-				evalDone <- err
-				return
-			}
-		}
-		evalDone <- nil
+			return nil
+		}()
 	}()
 
 	rng := rand.New(rand.NewSource(cliSeed))
@@ -176,24 +157,24 @@ func referenceSerialRun(t *testing.T, net *nn.Network, xs [][]float64, poolCfg p
 	if err != nil {
 		t.Fatal(err)
 	}
-	otp := precomp.NewSenderPool(gConn, base.Session(gConn, firstSession), nil)
-	if err := otp.HandleAnnounce(); err != nil {
+	delta, weights, pairs, err := weightLabels(rng, len(weightBits))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := base.Session(gConn, firstSession).Send(pairs); err != nil {
 		t.Fatal(err)
 	}
 	pool := gc.NewPool(1)
-	for _, x := range xs {
+	for i, x := range xs {
 		bits := make([]bool, 0, len(x)*f.Bits())
 		for _, v := range x {
 			bits = append(bits, f.FromFloatSat(v).Bits()...)
 		}
-		otr := otp.Reserve(1)
-		if err := otp.Cover(otr); err != nil {
-			t.Fatal(err)
-		}
-		g, err := gc.NewBatchGarbler(rng, 1)
+		g, err := gc.NewSessionGarbler(rng, delta, 1)
 		if err != nil {
 			t.Fatal(err)
 		}
+		g.SetFirst(uint64(i))
 		consts, err := g.AppendConstLabels(nil)
 		if err != nil {
 			t.Fatal(err)
@@ -206,26 +187,15 @@ func referenceSerialRun(t *testing.T, net *nn.Network, xs [][]float64, poolCfg p
 			g:         g,
 			pool:      pool,
 			conn:      gConn,
-			ots:       otp,
-			otr:       otr,
+			weights:   weights,
 			cfg:       cfg,
 			inputBits: [][]bool{bits},
 		}
 		if err := en.run(); err != nil {
 			t.Fatal(err)
 		}
-		// The answer, behind any refill the evaluator announced meanwhile.
-		for {
-			typ, payload, err := gConn.RecvAny(transport.MsgOutputLabels, transport.MsgOTRefill)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if typ == transport.MsgOutputLabels {
-				break
-			}
-			if err := otp.HandleRefill(typ, payload); err != nil {
-				t.Fatal(err)
-			}
+		if _, err := gConn.Recv(transport.MsgOutputLabels); err != nil {
+			t.Fatal(err)
 		}
 	}
 	if err := <-evalDone; err != nil {
@@ -235,15 +205,16 @@ func referenceSerialRun(t *testing.T, net *nn.Network, xs [][]float64, poolCfg p
 }
 
 // sessionRun records a full session (Client/Server API) at the given
-// pipeline depth over a logging pipe.
-func sessionRun(t *testing.T, net *nn.Network, xs [][]float64, poolCfg precomp.PoolConfig, depth int, cliSeed, srvSeed int64) (labels []int, g2e, e2g []byte, srvStats *Stats) {
+// table chunk size (0: the 1 MiB default) and pipeline depth over a
+// logging pipe.
+func sessionRun(t *testing.T, net *nn.Network, xs [][]float64, chunk, depth int, cliSeed, srvSeed int64) (labels []int, g2e, e2g []byte, srvStats *Stats) {
 	t.Helper()
 	gToE := newLogHalf()
 	eToG := newLogHalf()
 	cConn := transport.New(logDuplex{r: eToG, w: gToE})
 	sConn := transport.New(logDuplex{r: gToE, w: eToG})
-	cfg := EngineConfig{Workers: 1, chunkBytes: 2048, Pipeline: depth}
-	srv := &Server{Net: net, Fmt: fixed.Default, Rng: rand.New(rand.NewSource(srvSeed)), Engine: cfg, OTPool: poolCfg}
+	cfg := EngineConfig{Workers: 1, chunkBytes: chunk, Pipeline: depth}
+	srv := &Server{Net: net, Fmt: fixed.Default, Rng: rand.New(rand.NewSource(srvSeed)), Engine: cfg}
 	var wg sync.WaitGroup
 	var srvErr error
 	wg.Add(1)
@@ -267,8 +238,7 @@ func sessionRun(t *testing.T, net *nn.Network, xs [][]float64, poolCfg precomp.P
 // depth 1 the session protocol's frames are byte-identical to a strictly
 // serial run of the engines once the session framing is dropped. The
 // reference stream is regenerated from the raw protocol building blocks;
-// the two frame sequences must match byte-for-byte in both directions — on
-// a pool that never refills mid-session and on one that does.
+// the two frame sequences must match byte-for-byte in both directions.
 func TestPipelineDepth1Conformance(t *testing.T) {
 	net := testNet(t, act.ReLU, 61)
 	rng := rand.New(rand.NewSource(62))
@@ -279,45 +249,37 @@ func TestPipelineDepth1Conformance(t *testing.T) {
 			xs[i][j] = rng.Float64()*2 - 1
 		}
 	}
-	for name, poolCfg := range map[string]precomp.PoolConfig{
-		"warm":      {Capacity: 4 * testNetWeightBits, RefillLowWater: 1},
-		"refilling": {Capacity: 2048, RefillLowWater: 512},
+	const cliSeed, srvSeed = 8801, 8802
+	_, v4G2E, v4E2G, _ := sessionRun(t, net, xs, 2048, 1, cliSeed, srvSeed)
+	refG2E, refE2G := referenceSerialRun(t, net, xs, cliSeed, srvSeed)
+	for _, dir := range []struct {
+		name    string
+		v4, ref []byte
+	}{
+		{"garbler→evaluator", v4G2E, refG2E},
+		{"evaluator→garbler", v4E2G, refE2G},
 	} {
-		t.Run(name, func(t *testing.T) {
-			const cliSeed, srvSeed = 8801, 8802
-			_, v4G2E, v4E2G, _ := sessionRun(t, net, xs, poolCfg, 1, cliSeed, srvSeed)
-			refG2E, refE2G := referenceSerialRun(t, net, xs, poolCfg, cliSeed, srvSeed)
-
-			for _, dir := range []struct {
-				name     string
-				v4, ref  []byte
-				refFirst transport.MsgType
-			}{
-				{"garbler→evaluator", v4G2E, refG2E, 0},
-				{"evaluator→garbler", v4E2G, refE2G, 0},
-			} {
-				got := stripTags(t, parseFrames(t, dir.v4))
-				want := parseFrames(t, dir.ref)
-				if len(got) != len(want) {
-					t.Fatalf("%s: %d content frames, reference has %d", dir.name, len(got), len(want))
-				}
-				for i := range got {
-					if got[i].typ != want[i].typ {
-						t.Fatalf("%s frame %d: type %v, reference %v", dir.name, i, got[i].typ, want[i].typ)
-					}
-					if !bytes.Equal(got[i].payload, want[i].payload) {
-						t.Fatalf("%s frame %d (%v): payload differs from the serial reference (%d vs %d bytes)",
-							dir.name, i, got[i].typ, len(got[i].payload), len(want[i].payload))
-					}
-				}
+		got := stripTags(t, parseFrames(t, dir.v4))
+		want := parseFrames(t, dir.ref)
+		if len(got) != len(want) {
+			t.Fatalf("%s: %d content frames, reference has %d", dir.name, len(got), len(want))
+		}
+		for i := range got {
+			if got[i].typ != want[i].typ {
+				t.Fatalf("%s frame %d: type %v, reference %v", dir.name, i, got[i].typ, want[i].typ)
 			}
-		})
+			if !bytes.Equal(got[i].payload, want[i].payload) {
+				t.Fatalf("%s frame %d (%v): payload differs from the serial reference (%d vs %d bytes)",
+					dir.name, i, got[i].typ, len(got[i].payload), len(want[i].payload))
+			}
+		}
 	}
 }
 
 // TestPipelineOverlapConformance is the depth-2 acceptance test: labels
-// must match the plaintext reference and the depth-1 run on the derived
-// default pool, an explicit one and a tiny one, and the in-flight window
+// must match the plaintext reference and the depth-1 run with the derived
+// default table chunk, an explicit one and a tiny one (64 bytes, so that
+// most levels travel in a frame of their own), and the in-flight window
 // must actually be used (the client runs ahead — begin k+1 hits the wire
 // before output k is read).
 func TestPipelineOverlapConformance(t *testing.T) {
@@ -333,14 +295,14 @@ func TestPipelineOverlapConformance(t *testing.T) {
 		}
 		want[i] = net.PredictFixed(f, xs[i])
 	}
-	for name, poolCfg := range map[string]precomp.PoolConfig{
-		"derived":  {},
-		"explicit": {Capacity: 2048, RefillLowWater: 512},
-		"tiny":     {Capacity: 64, RefillLowWater: 16},
+	for name, chunk := range map[string]int{
+		"derived":  0,
+		"explicit": 2048,
+		"tiny":     64,
 	} {
 		t.Run(name, func(t *testing.T) {
-			labels1, _, _, _ := sessionRun(t, net, xs, poolCfg, 1, 9901, 9902)
-			labels2, g2e, _, srvStats := sessionRun(t, net, xs, poolCfg, 2, 9903, 9904)
+			labels1, _, _, _ := sessionRun(t, net, xs, chunk, 1, 9901, 9902)
+			labels2, g2e, _, srvStats := sessionRun(t, net, xs, chunk, 2, 9903, 9904)
 			for i := range xs {
 				if labels2[i] != want[i] || labels1[i] != want[i] {
 					t.Fatalf("sample %d: depth2=%d depth1=%d plaintext=%d", i, labels2[i], labels1[i], want[i])
@@ -472,9 +434,9 @@ func TestPipelineDepthNegotiation(t *testing.T) {
 	}
 }
 
-// TestPipelineUnsolicitedOTFrameRejected pins that a refill answer — a
-// frame no pooled session has — errors the session out at its header,
-// before its payload is read.
+// TestPipelineUnsolicitedOTFrameRejected pins that an OT frame after
+// set-up — here a second set-up answer — errors the session out at its
+// header, before its payload is read.
 func TestPipelineUnsolicitedOTFrameRejected(t *testing.T) {
 	net := testNet(t, act.ReLU, 70)
 	cConn, sConn, closer := transport.Pipe()
@@ -505,11 +467,11 @@ func TestPipelineUnsolicitedOTFrameRejected(t *testing.T) {
 }
 
 // TestPipelineMidOTDisconnectTerminates pins the teardown path where the
-// client vanishes while an inference is parked at its first evaluator-input
-// step, waiting for a masked-label frame that never comes, with the next
-// inference's begin already behind it on the wire: the evaluation must
-// unwind — on the begin it cannot take, or on the reader's end — or
-// ServeSession hangs forever.
+// client vanishes while an inference is parked past its input steps — the
+// weight steps, which read nothing since the set-up OT, included — waiting
+// for a table frame that never comes, with the next inference's begin
+// already behind it on the wire: the evaluation must unwind — on the begin
+// it cannot take, or on the reader's end — or ServeSession hangs forever.
 func TestPipelineMidOTDisconnectTerminates(t *testing.T) {
 	checkLeaks := testutil.VerifyNoLeaks(t)
 	f := fixed.Default
@@ -527,10 +489,9 @@ func TestPipelineMidOTDisconnectTerminates(t *testing.T) {
 	if _, err := cli.NewSession(cConn); err != nil {
 		t.Fatalf("open session: %v", err)
 	}
-	// Hand-craft two inference bursts that each stop at the first
-	// evaluator-input step (the same program the server schedules from, so
-	// frame sizes line up; label contents are irrelevant — evaluation never
-	// starts).
+	// Hand-craft two inference bursts that each stop at the first level
+	// run (the same program the server schedules from, so frame sizes line
+	// up; label contents are irrelevant — no level is evaluated).
 	prog, err := netgen.Compile(net, f, netgen.Options{})
 	if err != nil {
 		t.Fatal(err)
@@ -550,17 +511,18 @@ func TestPipelineMidOTDisconnectTerminates(t *testing.T) {
 				if err := cConn.Send(transport.MsgInputLabels, make([]byte, len(st.Wires)*gc.LabelSize)); err != nil {
 					t.Fatal(err)
 				}
-			case st.Kind == circuit.StepInputs && st.Party == circuit.Evaluator:
+			case st.Kind == circuit.StepInputs:
+			case st.Kind == circuit.StepLevels:
 				break walk
 			default:
-				t.Fatalf("test net schedules step %d (%v) before the first evaluator-input step", i, st.Kind)
+				t.Fatalf("test net schedules step %d (%v) before the first level run", i, st.Kind)
 			}
 		}
 	}
 	if err := cConn.Flush(); err != nil {
 		t.Fatal(err)
 	}
-	// Disconnect without ever sending the masked labels.
+	// Disconnect without ever sending a table.
 	closer.Close()
 	select {
 	case err := <-done:
@@ -568,7 +530,7 @@ func TestPipelineMidOTDisconnectTerminates(t *testing.T) {
 			t.Fatal("mid-inference disconnect should surface as a session error")
 		}
 	case <-time.After(30 * time.Second):
-		t.Fatal("ServeSession still blocked 30s after a mid-OT disconnect")
+		t.Fatal("ServeSession still blocked 30s after a mid-inference disconnect")
 	}
 	checkLeaks()
 }

@@ -104,13 +104,12 @@ func wantVisit(t *testing.T, what string, v visit, net *nn.Network, x []float64,
 // TestOneFlightWireShape's inferences. A client's first session with a
 // server is the conversation it always was, the hello and the architecture
 // frame longer by their new fields: hello; arch, pipeline and the base OT's
-// A; the 128 B points; the ciphertexts, the pool announcement, the refill and
-// U; then the first burst, for the client answers no refill. A repeat
+// A; the 128 B points; the ciphertexts and the set-up OT's U; then the
+// client's set-up answer y, in the same flight as the first burst. A repeat
 // session exchanges no base-OT frame in either direction — BaseSend opens
 // by sending one and BaseReceive by waiting for one, so neither is entered
 // and no P-256 operation runs — and its set-up is the hello and ONE server
-// flight (arch, pipeline, announcement, refill, U), which the first burst
-// follows.
+// flight (arch, pipeline, U), which y and the first burst follow.
 func TestRepeatSessionSkipsBasePhase(t *testing.T) {
 	checkLeaks := testutil.VerifyNoLeaks(t)
 	net := testNet(t, act.ReLU, 51)
@@ -128,16 +127,16 @@ func TestRepeatSessionSkipsBasePhase(t *testing.T) {
 	}
 	const (
 		hello, arch, pipeline = transport.MsgHello, transport.MsgArch, transport.MsgPipeline
-		base, refill, u       = transport.MsgOTBase, transport.MsgOTRefill, transport.MsgOTExtU
+		base, u, y            = transport.MsgOTBase, transport.MsgOTExtU, transport.MsgOTExtY
 	)
 
 	fresh := runVisit(srv, cli, xs[0])
 	wantVisit(t, "first session", fresh, net, xs[0], 0, 0)
 	c2s, s2c := setup(fresh)
-	if !slices.Equal(c2s, []transport.MsgType{hello, base}) || !slices.Equal(s2c, []transport.MsgType{arch, pipeline, base, base, refill, refill, u}) {
+	if !slices.Equal(c2s, []transport.MsgType{hello, base, y}) || !slices.Equal(s2c, []transport.MsgType{arch, pipeline, base, base, u}) {
 		t.Errorf("fresh set-up: client sent %v, server %v", c2s, s2c)
 	}
-	if fresh.dirs != "wrwrwrw" { // hello, A, Bs, ciphertexts…U, burst, outputs, end
+	if fresh.dirs != "wrwrwrw" { // hello, A, Bs, ciphertexts…U, y and burst, outputs, end
 		t.Errorf("fresh session moved bytes %q, want \"wrwrwrw\"", fresh.dirs)
 	}
 	frames := parseFrames(t, fresh.c2s)
@@ -152,10 +151,10 @@ func TestRepeatSessionSkipsBasePhase(t *testing.T) {
 		again := runVisit(srv, cli, xs[i])
 		wantVisit(t, "repeat session", again, net, xs[i], 1, 0)
 		c2s, s2c = setup(again)
-		if !slices.Equal(c2s, []transport.MsgType{hello}) || !slices.Equal(s2c, []transport.MsgType{arch, pipeline, refill, refill, u}) {
+		if !slices.Equal(c2s, []transport.MsgType{hello, y}) || !slices.Equal(s2c, []transport.MsgType{arch, pipeline, u}) {
 			t.Errorf("repeat set-up %d: client sent %v, server %v", i, c2s, s2c)
 		}
-		if again.dirs != "wrwrw" { // hello, the server's one flight, burst, outputs, end
+		if again.dirs != "wrwrw" { // hello, the server's one flight, y and burst, outputs, end
 			t.Errorf("repeat session %d moved bytes %q, want \"wrwrw\"", i, again.dirs)
 		}
 		for dir, raw := range map[string][]byte{"client": again.c2s, "server": again.s2c} {

@@ -6,10 +6,14 @@
 // learning the inference label.
 //
 // Sessions are multi-inference: the parties negotiate once (hello,
-// architecture exchange, OT pool fill) and compile the public netlist once
-// into a replayable tape (netgen.Compile); each further inference on the
-// session only pays for fresh labels, garbling, and the streamed tables
-// (protocolHello describes the frames). One-shot Serve/Infer remain as
+// architecture exchange, the set-up OT that hands the server its weight
+// labels) and compile the public netlist once into a replayable tape
+// (netgen.Compile); each further inference on the session only pays for
+// the client's input labels, garbling, and the streamed tables
+// (protocolHello describes the frames). A session is one circuit garbled
+// in instalments under one Free-XOR offset, as TinyGarble's sequential GC
+// (which DeepSecure §3.5 builds on) garbles clock cycles: the weight
+// labels cross once, and every sample of every inference reuses them. One-shot Serve/Infer remain as
 // single-inference sessions. The OT-extension base phase is paid once per
 // Client–Server pair: each keeps its half of the base correlation (the
 // Client for 8 servers, the Server for 4096 clients, in memory), and every
@@ -42,7 +46,6 @@ import (
 	"deepsecure/internal/nn"
 	"deepsecure/internal/obs"
 	"deepsecure/internal/ot"
-	"deepsecure/internal/ot/precomp"
 	"deepsecure/internal/transport"
 )
 
@@ -67,14 +70,17 @@ import (
 // public spec; or MsgBusy with a uvarint retry-after in ms, then close) and
 // MsgPipeline (uvarint in-flight window, uvarint batch cap); the
 // OT-extension base phase (MsgOTBase) unless the id is one the client
-// offered, each party filing its half under the id afterwards; the server's
-// pool announcement MsgOTRefill (uvarint capacity ≥ 1; uvarint W, the
-// evaluator-input bits per sample) and its initial fill — MsgOTRefill
-// (uvarint n) and MsgOTExtU from the server, nothing back: each party
-// banks the random OTs the extension's row hashes are. Fresh or repeat,
-// the session's IKNP streams are the base's derivation under the nonce
+// offered, each party filing its half under the id afterwards; then the
+// set-up OT, one chosen-message IKNP extension of W OTs, W the program's
+// evaluator-input (weight) bits: the server's MsgOTExtU (exactly
+// ot.ExtULen(W) bytes) with the weight bits as choices, and the client's
+// MsgOTExtY (exactly W × 32 bytes) over the pairs (W_i⁰, W_i⁰ ⊕ Δ), where Δ
+// is the session's Free-XOR offset and W_i⁰ the weight wire's zero-label,
+// both drawn by the client for this session alone. Fresh or repeat, the
+// session's IKNP streams are the base's derivation under the nonce
 // cid ‖ sid, so a repeat session's set-up is the hello and one server
-// flight, which the first inference's burst follows. (The §3.3 streaming
+// flight; the client's MsgOTExtY travels ahead of the first inference's
+// burst. (The §3.3 streaming
 // deployment sends the bare string as its hello and runs its own base
 // phase per connection.)
 //
@@ -82,23 +88,27 @@ import (
 // answered by one frame. The burst: MsgInferBegin (uvarint B, at most the
 // announced batch cap), then MsgConstLabels (the B false-labels, then the
 // B true-labels) and, in schedule order, MsgInputLabels (the client's
-// active input labels of one step), MsgOTMasked (one evaluator-input
-// step: per wire and sample the label pair masked with the inference's
-// next two pool halves) and MsgTables (garbled tables, chunked at level
-// boundaries). Every payload is wire-major with samples innermost; a
-// level's tables are its full ANDs' (rank i, sample s at (i·B+s)·32),
-// then its half ANDs' (rank j among them, sample s at (j·B+s)·16 behind).
-// The answer is MsgOutputLabels. An inference owns B·W pool entries,
-// sample s's bit c at q0 + s·W + c; ranges are handed out in begin order.
+// active input labels of one step) and MsgTables (garbled tables, chunked
+// at level boundaries); an evaluator-input step sends nothing, for its
+// wires carry the weight labels of the set-up OT in every sample. Every
+// payload is wire-major with samples innermost; a level's tables are its
+// full ANDs' (rank i, sample s at (i·B+s)·32), then its half ANDs' (rank j
+// among them, sample s at (j·B+s)·16 behind). The answer is
+// MsgOutputLabels. Samples are numbered across the session in begin
+// order — an inference of B samples takes the next B ordinals — and a
+// sample's ordinal goes into every tweak it is garbled under, so that no
+// hash query repeats under the session's one Δ (gc's vec.go).
 //
 // A client sends one burst whole before it begins the next, and up to the
 // announced window of inferences may be in flight; answers come back in
 // begin order, so frame order is all that ties a frame to its inference.
-// Between bursts the server may announce a pool refill (MsgOTRefill n,
-// MsgOTExtU), which the client banks when it next reads, answering
-// nothing; that is the only OT traffic after setup. MsgEndSession from the
-// client ends the session.
-const protocolHello = "deepsecure/14"
+// After set-up no OT frame is legal in either direction. MsgEndSession
+// from the client ends the session.
+const protocolHello = "deepsecure/15"
+
+// otFrames are the OT frame types. After set-up none is legal on a
+// session, in either direction, so both parties cap them at 0.
+var otFrames = []transport.MsgType{transport.MsgOTExtU, transport.MsgOTExtY, transport.MsgOTRefill, transport.MsgOTMasked}
 
 // digestSize is the length of the program digest that opens a session's
 // architecture frame.
@@ -220,19 +230,6 @@ func (e *BusyError) Error() string {
 	return fmt.Sprintf("deepsecure: server busy, retry after %v", e.RetryAfter)
 }
 
-// PoolMismatchError is returned by NewSession when the server keyed its OT
-// pool for a different number of evaluator-input bits than the client's
-// compiled schedule transfers per sample: the two would disagree on every
-// inference's pool range, so the session is refused at setup.
-type PoolMismatchError struct {
-	Announced int // W in the server's pool announcement
-	Compiled  int // evaluator-input wires in the client's schedule
-}
-
-func (e *PoolMismatchError) Error() string {
-	return fmt.Sprintf("deepsecure: server transfers %d weight bits per sample, this client's netlist takes %d", e.Announced, e.Compiled)
-}
-
 // Stats summarizes one secure inference — or, for session-level calls, a
 // whole session of them. It is a read-out of the obs.Set the inference or
 // the session records in (StatsOf): nothing is counted here.
@@ -249,16 +246,11 @@ type Stats struct {
 	SessionsResumed int64
 	ResumeMisses    int64
 
-	// Offline/online OT split: offline covers the extension base phase and
-	// OT pool fills — crypto paid at session setup and in refill gaps —
-	// while online is the OT work left on the inference critical path
-	// (per-step masking and unmasking).
+	// The OT work, all of it at session set-up: the extension base phase
+	// (on a first visit) and the set-up OT's time, and the OTs it ran — W,
+	// one per weight bit, however many inferences follow.
 	OTOfflineTime time.Duration
-	OTOnlineTime  time.Duration
-	OTsPooled     int64 // OTs bulk-generated into the pool
-	OTsConsumed   int64 // pooled OTs spent on input steps
-	OTRefills     int64 // pool fill exchanges, the initial fill included
-	OTBatches     int64 // online OT transfers (one per input step)
+	OTsConsumed   int64
 
 	// GateTime is the wall time spent inside the per-level garble/evaluate
 	// kernel calls — the hash-core cost alone, transport waits and OT
@@ -277,13 +269,11 @@ func (st *Stats) GatesPerSec() float64 {
 }
 
 // StatsOf reads a Stats out of a ledger — an inference's, a session's, a
-// server's: the one place the fields are told which counter they are. An
-// input step is one observation of the ot_derand phase, so that histogram
-// holds the online OT figures. Duration is the finished server sessions' wall
-// time; a client session or inference, which is still running or was timed
-// by its caller, overwrites it.
+// server's: the one place the fields are told which counter they are.
+// Duration is the finished server sessions' wall time; a client session or
+// inference, which is still running or was timed by its caller, overwrites
+// it.
 func StatsOf(s *obs.Set) *Stats {
-	derand := s.Phase[obs.PhaseOTDerand]
 	return &Stats{
 		BytesSent:       s.BytesSent.Value(),
 		BytesReceived:   s.BytesReceived.Value(),
@@ -294,11 +284,7 @@ func StatsOf(s *obs.Set) *Stats {
 		SessionsResumed: s.SessionsResumed.Value(),
 		ResumeMisses:    s.ResumeMisses.Value(),
 		OTOfflineTime:   time.Duration(s.OTOfflineTime.Value()),
-		OTOnlineTime:    time.Duration(derand.Sum()),
-		OTsPooled:       s.OTPooled.Value(),
 		OTsConsumed:     s.OTConsumed.Value(),
-		OTRefills:       s.OTRefills.Value(),
-		OTBatches:       derand.Count(),
 		GateTime:        time.Duration(s.GateTime.Value()),
 	}
 }
@@ -320,15 +306,10 @@ type Server struct {
 	// pipeline depth, batch cap, phase deadlines). The zero value derives
 	// workers from GOMAXPROCS.
 	Engine EngineConfig
-	// OTPool sizes the offline OT pool each session precomputes at setup,
-	// keyed to the model's weight bits, and refills between inferences
-	// (the server owns the policy; clients follow whatever it announces).
-	// The zero value sizes it from the program: W weight bits × the
-	// announced in-flight window (precomp.PoolConfig.Sized).
-	OTPool precomp.PoolConfig
 
 	// Fixed per server, made once, shared read-only by every session: the
-	// program, the marshalled spec and the weight bits that key the OT pools.
+	// program, the marshalled spec and the weight bits, the choices of every
+	// session's set-up OT.
 	compileOnce sync.Once
 	prog        *netgen.Program
 	spec        []byte
@@ -380,14 +361,15 @@ func (s *Server) Serve(conn *transport.Conn) error {
 
 // ServeSession answers inference requests on conn until the client ends
 // the session (or disconnects at an inference boundary, which is treated
-// as an implicit close). The handshake, OT-extension base phase, and
-// netlist compilation happen once; each inference replays the compiled
-// tape with fresh evaluation state. Up to EngineConfig.Pipeline inferences
-// may be begun and unanswered; they are evaluated one at a time, in begin
-// order, on the calling goroutine, while a reader goroutine takes the next
-// one's garbled stream off the wire and a writer goroutine sends the answers
-// — so one inference's evaluation tail and output round-trip overlap the
-// next one's arrival, on any path (see mux.go). Returns per-session
+// as an implicit close). The handshake, the OT-extension base phase, the
+// set-up OT of the weight labels and netlist compilation happen once; each
+// inference replays the compiled tape with fresh evaluation state. Up to
+// EngineConfig.Pipeline inferences may be begun and unanswered; they are
+// evaluated one at a time, in begin order, on the calling goroutine, while
+// a reader goroutine takes the next one's garbled stream off the wire and a
+// writer goroutine sends the answers — so one inference's evaluation tail
+// and output round-trip overlap the next one's arrival, on any path (see
+// mux.go). Returns per-session
 // statistics — never nil: with an error, what the session got to. On a
 // torn-down session the reader and writer goroutines may survive until the
 // caller closes the underlying connection.
@@ -397,7 +379,7 @@ func (s *Server) ServeSession(conn *transport.Conn) (*Stats, error) {
 	if parent == nil {
 		parent = obs.Root
 	}
-	// The session's ledger: the connection, the OT pool and the inferences
+	// The session's ledger: the connection, the set-up OT and the inferences
 	// all record here, and the returned Stats is its read-out.
 	set := obs.NewSet(parent)
 	conn.SetMetrics(set)
@@ -457,8 +439,8 @@ func (s *Server) ServeSession(conn *transport.Conn) (*Stats, error) {
 	// every weight transfer of every session the pair runs. A repeat
 	// session skips it — no MsgOTBase frame, no public-key operation — and
 	// differs in nothing else: fresh or repeat, the session is the base's
-	// derivation under its own nonce. Base-phase and pool-fill time are the
-	// protocol's offline OT cost.
+	// derivation under its own nonce. Base-phase and set-up OT time are the
+	// protocol's whole OT cost.
 	baseStart := time.Now()
 	if base != nil {
 		set.SessionsResumed.Inc()
@@ -472,19 +454,24 @@ func (s *Server) ServeSession(conn *transport.Conn) (*Stats, error) {
 		s.bases.put(id, base)
 	}
 	ots := base.Session(conn, ot.SessionNonce(cid, sid))
-	set.OTOfflineTime.Add(int64(time.Since(baseStart)))
 
-	// OT pool: announce the server's policy and bulk-fill at setup with the
-	// weight bits as choices, so an inference's input steps only unmask.
-	otp := precomp.NewReceiverPool(conn, ots, rng, s.OTPool.Sized(len(s.weightBits), s.Engine.PipelineDepth()))
-	otp.SetKey(s.weightBits)
-	otp.SetMetrics(set)
-	if err := otp.Announce(); err != nil {
+	// The set-up OT: one chosen-message extension with the weight bits as
+	// choices, which gives this session the weight wires' labels for every
+	// sample of every inference. The client's answer is exactly W pairs.
+	conn.SetLimit(transport.MsgOTExtY, len(s.weightBits)*2*ot.MsgLen)
+	chosen, err := ots.Receive(s.weightBits)
+	if err != nil {
 		return fail(err)
 	}
+	set.OTConsumed.Add(int64(len(chosen)))
+	set.OTOfflineTime.Add(int64(time.Since(baseStart)))
 	wd.disarm()
 
-	return fail(newSessionMux(s, conn, otp, prog.Schedule, wd, set).run())
+	weights := make([]gc.Label, len(chosen))
+	for i, m := range chosen {
+		weights[i] = gc.Label(m)
+	}
+	return fail(newSessionMux(s, conn, weights, prog.Schedule, wd, set).run())
 }
 
 // Client runs secure inferences against a server. A Client caches the
@@ -628,10 +615,17 @@ type Session struct {
 	rng   io.Reader
 	f     fixed.Format
 	prog  *netgen.Program
-	ots   *precomp.SenderPool
 	start time.Time
 
-	// set is the session's ledger: the connection and the OT pool record
+	// delta is the session's Free-XOR offset and weights the weight wires'
+	// zero-labels under it, both drawn at set-up, when the server took one
+	// label of each pair by OT. next is the ordinal of the next sample to
+	// begin: the server numbers the samples it admits alike.
+	delta   gc.Label
+	weights []gc.Label
+	next    uint64
+
+	// set is the session's ledger: the connection and the set-up OT record
 	// here, each inference in a child of it, and Stats is its read-out.
 	set *obs.Set
 
@@ -650,8 +644,7 @@ type Session struct {
 
 	// The session's garbling engine state, reused across inferences: the
 	// worker pool (a view of the shared scheduler), the table chunk buffer,
-	// the label payload buffer (input labels and masked weight-label pairs
-	// alike) and the garbler's label array.
+	// the input-label payload buffer and the garbler's label array.
 	cfg      EngineConfig
 	pool     *gc.Pool
 	chunkBuf []byte
@@ -659,54 +652,15 @@ type Session struct {
 	labels   gc.Spare
 }
 
-// clientOTConn is the client session's face for the OT stack and the
-// garbling engine: a passthrough to the connection that additionally
-// resolves output-label frames of earlier in-flight inferences arriving
-// ahead of the refill the OT stack is reading for.
-type clientOTConn struct{ s *Session }
-
-// SetLimit lets the OT pool pin the size of the refill frame it expects.
-func (v clientOTConn) SetLimit(t transport.MsgType, n int) { v.s.conn.SetLimit(t, n) }
-
-func (v clientOTConn) Send(t transport.MsgType, payload []byte) error {
-	return v.s.conn.Send(t, payload)
-}
-
-func (v clientOTConn) Flush() error { return v.s.conn.Flush() }
-
-func (v clientOTConn) Recv(want transport.MsgType) ([]byte, error) {
-	_, p, err := v.RecvAny(want)
-	return p, err
-}
-
-func (v clientOTConn) RecvAny(want ...transport.MsgType) (transport.MsgType, []byte, error) {
-	// Stack-allocated want set for the per-step hot path (the pools ask
-	// for at most two types).
-	var buf [4]transport.MsgType
-	wants := append(append(buf[:0], want...), transport.MsgOutputLabels)
-	for {
-		typ, p, err := v.s.conn.RecvAny(wants...)
-		if err != nil {
-			return 0, nil, err
-		}
-		if typ == transport.MsgOutputLabels {
-			if err := v.s.resolveOutput(p); err != nil {
-				return 0, nil, err
-			}
-			continue
-		}
-		return typ, p, nil
-	}
-}
-
 // NewSession opens a session: protocol hello, architecture download,
 // pipeline-window negotiation, netlist compilation (cached per spec), the
 // OT-extension base phase (on the first visit to a server; a repeat visit
-// extends the stored base) and the pool fill. With Engine.Deadlines.Handshake set
-// (and a breaker installed on conn), the whole call is bounded by that
-// deadline: a server that accepts and then stalls — or trickles the
-// setup exchanges forever — surfaces as a DeadlineError instead of a
-// hang, which is what makes re-dial retry policies safe to drive on top.
+// extends the stored base) and the set-up OT of the weight labels. With
+// Engine.Deadlines.Handshake set (and a breaker installed on conn), the
+// whole call is bounded by that deadline: a server that accepts and then
+// stalls — or trickles the setup exchanges forever — surfaces as a
+// DeadlineError instead of a hang, which is what makes re-dial retry
+// policies safe to drive on top.
 func (c *Client) NewSession(conn *transport.Conn) (sess *Session, err error) {
 	if d := c.Engine.Deadlines.Handshake; d > 0 {
 		wd := newWatchdog(conn.Break)
@@ -727,9 +681,9 @@ func (c *Client) NewSession(conn *transport.Conn) (sess *Session, err error) {
 	// Every server frame is bounded before it arrives, so that a header
 	// announcing more is refused unread: the architecture is its header and
 	// a spec of at most nn.MaxSpecBytes, a busy answer is one uvarint, the
-	// window announcement two, and an inference's answer is bounded once the
-	// program and the batch cap are known (the OT pool bounds its own
-	// ot-ext-u frames).
+	// window announcement two, the set-up OT's U the size W OTs take, and an
+	// inference's answer is bounded once the program and the batch cap are
+	// known.
 	conn.SetLimit(transport.MsgArch, archHeader+nn.MaxSpecBytes)
 	conn.SetLimit(transport.MsgBusy, binary.MaxVarintLen64)
 	if err := conn.Send(transport.MsgHello, helloFrame(cid, offered)); err != nil {
@@ -804,7 +758,7 @@ func (c *Client) NewSession(conn *transport.Conn) (sess *Session, err error) {
 	nonce := ot.SessionNonce(cid, sid)
 	var ots *ot.ExtSender
 	if slices.Contains(offered, id) {
-		if ots = c.resume(id, clientOTConn{s}, nonce); ots == nil {
+		if ots = c.resume(id, conn, nonce); ots == nil {
 			return nil, errors.New("core: client closed while the session opened")
 		}
 		set.SessionsResumed.Inc()
@@ -812,27 +766,54 @@ func (c *Client) NewSession(conn *transport.Conn) (sess *Session, err error) {
 		if len(offered) > 0 {
 			set.ResumeMisses.Inc()
 		}
-		base, err := ot.NewSenderBase(clientOTConn{s}, rng)
+		base, err := ot.NewSenderBase(conn, rng)
 		if err != nil {
 			return nil, err
 		}
 		c.fileBase(id, base)
-		ots = base.Session(clientOTConn{s}, nonce)
+		ots = base.Session(conn, nonce)
 	}
-	set.OTOfflineTime.Add(int64(time.Since(baseStart)))
-	// Pool announcement: the server says how many OTs this session
-	// precomputes and how many it transfers per sample; the initial bulk
-	// fill happens here, as part of session setup.
-	otp := precomp.NewSenderPool(clientOTConn{s}, ots, nil)
-	otp.SetMetrics(set)
-	if err := otp.HandleAnnounce(); err != nil {
+	// The set-up OT: the session's delta and a zero-label per weight bit,
+	// of which the server chooses one label of each pair. Its U is
+	// capped at what W OTs take, so a server keyed for more weight bits is
+	// refused unread, and one keyed for fewer by the U length check.
+	w, _ := inputWires(prog.Schedule, circuit.Evaluator)
+	var pairs [][2]ot.Msg
+	if s.delta, s.weights, pairs, err = weightLabels(rng, w); err != nil {
 		return nil, err
 	}
-	if compiled, _ := inputWires(prog.Schedule, circuit.Evaluator); otp.Width() != compiled {
-		return nil, &PoolMismatchError{Announced: otp.Width(), Compiled: compiled}
+	conn.SetLimit(transport.MsgOTExtU, ot.ExtULen(w))
+	if err := ots.Send(pairs); err != nil {
+		return nil, err
 	}
-	s.ots = otp
+	set.OTConsumed.Add(int64(w))
+	set.OTOfflineTime.Add(int64(time.Since(baseStart)))
+	for _, t := range otFrames {
+		conn.SetLimit(t, 0)
+	}
 	return s, nil
+}
+
+// weightLabels draws a session's Free-XOR offset and its w weight wires'
+// zero-labels, with permute bit 0 so that a label's colour is its value,
+// and returns the label pairs the set-up OT transfers.
+func weightLabels(rng io.Reader, w int) (delta gc.Label, zero []gc.Label, pairs [][2]ot.Msg, err error) {
+	if delta, err = gc.RandomDelta(rng); err != nil {
+		return delta, nil, nil, err
+	}
+	draw := make([]byte, w*gc.LabelSize)
+	if _, err := io.ReadFull(rng, draw); err != nil {
+		return delta, nil, nil, fmt.Errorf("core: weight-label randomness: %w", err)
+	}
+	zero = make([]gc.Label, w)
+	pairs = make([][2]ot.Msg, w)
+	for i := range zero {
+		l := gc.Label(draw[i*gc.LabelSize:])
+		l[0] &^= 1
+		zero[i] = l
+		pairs[i] = [2]ot.Msg{ot.Msg(l), ot.Msg(l.XOR(delta))}
+	}
+	return delta, zero, pairs, nil
 }
 
 // InputLen returns the model's expected feature count (from the public
@@ -851,21 +832,18 @@ func (s *Session) MaxBatch() int { return s.maxBatch }
 // but whose output labels may not have returned yet. Wait blocks until
 // the result is in, driving the session's receive side as needed. It
 // holds batch ≥ 1 samples (more than one when wrapped in a PendingBatch):
-// outZero is wire-major with samples innermost and deltas holds each
-// sample's Free-XOR offset.
+// outZero is wire-major with samples innermost.
 type PendingInference struct {
 	s       *Session
 	batch   int
-	deltas  []gc.Label
 	outZero []gc.Label
 	start   time.Time
 	flushed time.Time // garbled stream fully on the wire; starts the output round-trip
 
 	// set is the inference's own ledger, under the session's: its gates,
-	// kernel time and latency. before is the session's
-	// read-out when the inference began — the wire and the OT pool are the
-	// session's, so the inference's share of them is what they moved while
-	// it was in flight.
+	// kernel time and latency. before is the session's read-out when the
+	// inference began — the wire is the session's, so the inference's share
+	// of it is what it moved while the inference was in flight.
 	set    *obs.Set
 	before *Stats
 
@@ -875,8 +853,8 @@ type PendingInference struct {
 }
 
 // Wait returns the inference label (which only the client learns) and
-// this inference's statistics. On a pipelined session the byte and OT
-// deltas span the inference's in-flight window, so concurrent
+// this inference's statistics. On a pipelined session the byte deltas
+// span the inference's in-flight window, so concurrent
 // inferences' traffic overlaps in them; Duration likewise includes the
 // overlapped wall time.
 func (p *PendingInference) Wait() (int, *Stats, error) {
@@ -902,20 +880,15 @@ func (p *PendingInference) wait() error {
 // Done reports whether the result is already in (Wait will not block).
 func (p *PendingInference) Done() bool { return p.done }
 
-// resolveNext reads the next frame the server sends between bursts: an
-// output-label frame, which resolves the oldest in-flight inference, or a
-// pool refill announcement, which is banked on the spot; an
-// extension request that no refill announced is handed to the pool too,
-// which refuses it. Callers loop until the result they wait for is in.
+// resolveNext reads the next frame the server sends, which can only be an
+// output-label frame, and resolves the oldest in-flight inference with it.
+// Callers loop until the result they wait for is in.
 func (s *Session) resolveNext() error {
-	typ, payload, err := s.conn.RecvAny(transport.MsgOutputLabels, transport.MsgOTRefill, transport.MsgOTExtU)
+	payload, err := s.conn.Recv(transport.MsgOutputLabels)
 	if err != nil {
 		return err
 	}
-	if typ == transport.MsgOutputLabels {
-		return s.resolveOutput(payload)
-	}
-	return s.ots.HandleRefill(typ, payload)
+	return s.resolveOutput(payload)
 }
 
 // resolveOutput authenticates one output-label frame against the oldest
@@ -942,7 +915,7 @@ func (s *Session) resolveOutput(payload []byte) error {
 			switch l {
 			case p.outZero[i*p.batch+sm]:
 				// bit 0
-			case p.outZero[i*p.batch+sm].XOR(p.deltas[sm]):
+			case p.outZero[i*p.batch+sm].XOR(s.delta):
 				labels[sm] |= 1 << uint(i)
 			default:
 				return fmt.Errorf("core: output label %d of the oldest inference in flight (sample %d) failed authentication", i, sm)
@@ -966,12 +939,6 @@ func (s *Session) resolveOutput(payload []byte) error {
 	now := StatsOf(s.set)
 	p.st.BytesSent = now.BytesSent - p.before.BytesSent
 	p.st.BytesReceived = now.BytesReceived - p.before.BytesReceived
-	p.st.OTOfflineTime = now.OTOfflineTime - p.before.OTOfflineTime
-	p.st.OTOnlineTime = now.OTOnlineTime - p.before.OTOnlineTime
-	p.st.OTsPooled = now.OTsPooled - p.before.OTsPooled
-	p.st.OTsConsumed = now.OTsConsumed - p.before.OTsConsumed
-	p.st.OTRefills = now.OTRefills - p.before.OTRefills
-	p.st.OTBatches = now.OTBatches - p.before.OTBatches
 	return nil
 }
 
@@ -1016,9 +983,9 @@ func (pb *PendingBatch) Done() bool { return pb.p.done }
 func (pb *PendingBatch) Size() int { return pb.p.batch }
 
 // InferBatchAsync garbles and streams one inference of len(xs)
-// independent samples as a single fused pass — one schedule walk, one
-// interleaved table stream, and one OT transfer per input step for the
-// whole batch — without waiting for the results. The batch occupies one
+// independent samples as a single fused pass — one schedule walk and one
+// interleaved table stream for the whole batch — without waiting for the
+// results. The batch occupies one
 // slot of the pipeline window whatever its size. Validation errors
 // (empty batch, batch beyond the negotiated MaxBatch, wrong sample
 // widths) are reported before any frame is sent and leave the session
@@ -1072,19 +1039,15 @@ func (s *Session) InferBatchAsync(xs [][]float64) (*PendingBatch, error) {
 	if err := s.conn.Send(transport.MsgInferBegin, binary.AppendUvarint(nil, uint64(b))); err != nil {
 		return fail(err)
 	}
-	// The inference's pool entries: the next b samples' worth, with refills
-	// banked until the pool covers them. On a warm pool this reads nothing.
-	otr := s.ots.Reserve(b)
-	err := s.ots.Cover(otr)
+	// The batch's garbler, under the session's delta and numbered from the
+	// session's next ordinal: every sample's constant-wire labels are drawn
+	// now, every client input wire's labels when its step is reached.
+	g, err := gc.NewSessionGarbler(s.rng, s.delta, b)
 	if err != nil {
 		return fail(err)
 	}
-	// The batch's garbler: every sample's delta and constant-wire labels are
-	// drawn now, every input wire's labels when its step is reached.
-	g, err := gc.NewBatchGarbler(s.rng, b)
-	if err != nil {
-		return fail(err)
-	}
+	g.SetFirst(s.next)
+	s.next += uint64(b)
 	g.Reuse(s.labels)
 	constPayload, err := g.AppendConstLabels(s.labelBuf[:0])
 	if err != nil {
@@ -1097,9 +1060,8 @@ func (s *Session) InferBatchAsync(xs [][]float64) (*PendingBatch, error) {
 		sched:     s.prog.Schedule,
 		g:         g,
 		pool:      s.pool,
-		conn:      clientOTConn{s},
-		ots:       s.ots,
-		otr:       otr,
+		conn:      s.conn,
+		weights:   s.weights,
 		cfg:       s.cfg,
 		inputBits: bits,
 		labelBuf:  constPayload[:0],
@@ -1117,12 +1079,11 @@ func (s *Session) InferBatchAsync(xs [][]float64) (*PendingBatch, error) {
 	// Hand the grown buffers back for the next inference on this session.
 	s.chunkBuf = en.cur
 	s.labelBuf = en.labelBuf
-	// Keep only what output authentication needs — the deltas and the
-	// output zero-labels: the garbler's schedule-sized label array goes to
-	// the next inference here, not when the outputs return. Gate-instance
+	// Keep only what output authentication needs — the output zero-labels:
+	// the garbler's schedule-sized label array goes to the next inference
+	// here, not when the outputs return. Gate-instance
 	// counts derive from the schedule, walked once per sample.
 	s.labels = g.Release()
-	p.deltas = g.R
 	p.outZero = en.outZero
 	p.set.GatesAnd.Add(s.prog.Schedule.ANDs * int64(b))
 	p.set.GatesFree.Add((int64(len(s.prog.Schedule.Gates)) - s.prog.Schedule.ANDs) * int64(b))
@@ -1247,8 +1208,8 @@ func (c *Client) InferMany(conn *transport.Conn, xs [][]float64) ([]int, *Stats,
 
 // InferBatch opens one session, classifies every sample in a single
 // fused inference, and closes the session: one handshake, one OT base
-// phase, one schedule walk, one interleaved table stream, and one OT
-// transfer per input step for the whole batch. len(xs) must fit the
+// phase, one set-up OT, one schedule walk and one interleaved table
+// stream for the whole batch. len(xs) must fit the
 // negotiated batch cap (the min of this client's EngineConfig.MaxBatch
 // and the server's announcement); for larger workloads, split into
 // batches on an open

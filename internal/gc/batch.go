@@ -154,16 +154,47 @@ func (lv *level) seam(andLo, andHi int) int { return min(max(lv.nFull, andLo), a
 //
 // A full AND is a generator half (A's labels under tweak 2·gid; it
 // corrects for B's permute bit) plus an evaluator half (B's labels under
-// 2·gid+1; it computes a ∧ colour(B)), a ciphertext each. A half AND is
-// the evaluator half alone: its B is an evaluator-input wire, drawn with
-// permute bit 0, so colour(B) is b (with any other permute bit p it
-// garbles a ∧ (b ⊕ p), still on authentic labels). Every label is doubled
-// once; its ⊕R twin's hash key is that double ⊕ 2R.
+// 2·gid+1; it computes a ∧ colour(B)), a ciphertext each, both with the
+// sample's ordinal beside the tweak. A half AND is the evaluator half
+// alone: its B is an evaluator-input wire, drawn with permute bit 0, so
+// colour(B) is b (with any other permute bit p it garbles a ∧ (b ⊕ p),
+// still on authentic labels). Every label is doubled once; its ⊕R twin's
+// hash key is that double ⊕ 2R.
 func (g *BatchGarbler) span(h *Hasher, lv level, andLo, andHi, freeLo, freeHi int) {
+	if tweakSeen != nil {
+		g.recordTweaks(&lv, andLo, andHi)
+	}
 	seam := lv.seam(andLo, andHi)
 	g.garbleANDs(h, &lv, andLo, seam, false)
 	g.garbleANDs(h, &lv, seam, andHi, true)
 	g.freeSpan(lv.frees[freeLo:freeHi])
+}
+
+// tweak returns the tweak (t, o) gate i of lv hashes sample s under:
+// t = 2·(gidBase+i), +1 for the evaluator half, goes into the key block's
+// low word and o = first+s, the sample's session ordinal, into its high
+// word.
+func (st *labelStore) tweak(lv *level, i, s int) (t, o uint64) {
+	return 2 * (lv.gidBase + uint64(i)), st.first + uint64(s)
+}
+
+// tweakSeen, when a test sets it before any level runs, is called with
+// every tweak (t, o) the garbler hashes under: the seam through which the
+// tweak-uniqueness test records a whole session's.
+var tweakSeen func(t, o uint64)
+
+// recordTweaks hands tweakSeen the tweaks of ands[lo:hi] of lv in every
+// sample: both halves' of a full AND, the evaluator half's of a half AND.
+func (g *BatchGarbler) recordTweaks(lv *level, lo, hi int) {
+	for i := lo; i < hi; i++ {
+		for s := range g.b {
+			t, o := g.tweak(lv, i, s)
+			if i < lv.nFull {
+				tweakSeen(t, o)
+			}
+			tweakSeen(t|1, o)
+		}
+	}
 }
 
 // garbleANDs garbles ands[lo:hi] of lv, all full or all half ANDs, in
@@ -179,17 +210,17 @@ func (g *BatchGarbler) garbleANDs(h *Hasher, lv *level, lo, hi int, half bool) {
 		first, k := c, 0
 		for n := 0; n < per && c.i < hi; n++ {
 			gt := &lv.ands[c.i]
-			t := 2 * (lv.gidBase + uint64(c.i))
+			t, o := g.tweak(lv, c.i, c.s)
 			r2 := g.r2[c.s]
 			if !half {
 				d := dbl(labels[int(gt.A)*b+c.s])
-				h.lanes[k] = block{d.lo ^ t, d.hi}
-				h.lanes[k+1] = block{d.lo ^ r2.lo ^ t, d.hi ^ r2.hi}
+				h.lanes[k] = block{d.lo ^ t, d.hi ^ o}
+				h.lanes[k+1] = block{d.lo ^ r2.lo ^ t, d.hi ^ r2.hi ^ o}
 				k += 2
 			}
 			d := dbl(labels[int(gt.B)*b+c.s])
-			h.lanes[k] = block{d.lo ^ t ^ 1, d.hi}
-			h.lanes[k+1] = block{d.lo ^ r2.lo ^ t ^ 1, d.hi ^ r2.hi}
+			h.lanes[k] = block{d.lo ^ t ^ 1, d.hi ^ o}
+			h.lanes[k+1] = block{d.lo ^ r2.lo ^ t ^ 1, d.hi ^ r2.hi ^ o}
 			k += 2
 			c.next(b)
 		}
@@ -235,7 +266,8 @@ func (e *BatchEvaluator) span(h *Hasher, lv level, andLo, andHi, freeLo, freeHi 
 }
 
 // evalANDs evaluates ands[lo:hi] of lv, all full or all half ANDs, in
-// waves of HashLanes hashes: two per full instance, one per half.
+// waves of HashLanes hashes: two per full instance, one per half, under
+// the garbler's tweaks.
 func (e *BatchEvaluator) evalANDs(h *Hasher, lv *level, lo, hi int, half bool) {
 	b, labels := e.b, e.labels
 	per := HashLanes / 2
@@ -246,14 +278,14 @@ func (e *BatchEvaluator) evalANDs(h *Hasher, lv *level, lo, hi int, half bool) {
 		first, k := c, 0
 		for n := 0; n < per && c.i < hi; n++ {
 			gt := &lv.ands[c.i]
-			t := 2 * (lv.gidBase + uint64(c.i))
+			t, o := e.tweak(lv, c.i, c.s)
 			if !half {
 				d := dbl(labels[int(gt.A)*b+c.s])
-				h.lanes[k] = block{d.lo ^ t, d.hi}
+				h.lanes[k] = block{d.lo ^ t, d.hi ^ o}
 				k++
 			}
 			d := dbl(labels[int(gt.B)*b+c.s])
-			h.lanes[k] = block{d.lo ^ t ^ 1, d.hi}
+			h.lanes[k] = block{d.lo ^ t ^ 1, d.hi ^ o}
 			k++
 			c.next(b)
 		}

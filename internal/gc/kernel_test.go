@@ -9,30 +9,41 @@ import (
 	"deepsecure/internal/circuit"
 )
 
+// hashT is the garbling hash under the tweak (t, o): AES keyed with
+// 2L ⊕ (t, o), t in the block's low word and the sample ordinal o in its
+// high word. At o = 0 it is H(L, t).
+func hashT(h *Hasher, l Label, t, o uint64) Label {
+	k := dbl(blockAt(l[:]))
+	k.lo ^= t
+	k.hi ^= o
+	return h.hashKey(k).label()
+}
+
 // textbookGarble is the half-gates AND garbler as Zahur, Rosulek and Evans
 // write it, on Label values and the scalar hash: for zero-labels A0, B0,
-// delta R, permute bits pa, pb and tweaks j = 2·gid, j' = 2·gid+1,
+// delta R, permute bits pa, pb and tweaks j = (2·gid, o), j' = (2·gid+1, o)
+// for the sample of ordinal o,
 //
 //	TG = H(A0, j) ⊕ H(A1, j) ⊕ pb·R      W_G = H(A0, j) ⊕ pa·TG
 //	TE = H(B0, j') ⊕ H(B1, j') ⊕ A0      W_E = H(B0, j') ⊕ pb·(TE ⊕ A0)
 //
 // and the output zero-label is W_G ⊕ W_E, the table TG ‖ TE. A half AND is
 // the evaluator half alone: table TE, output W_E.
-func textbookGarble(h *Hasher, a0, b0, r Label, gid uint64, half bool) (table []byte, c0 Label) {
+func textbookGarble(h *Hasher, a0, b0, r Label, gid, o uint64, half bool) (table []byte, c0 Label) {
 	j, j1 := 2*gid, 2*gid+1
-	te := h.H(b0, j1).XOR(h.H(b0.XOR(r), j1)).XOR(a0)
-	we := h.H(b0, j1)
+	te := hashT(h, b0, j1, o).XOR(hashT(h, b0.XOR(r), j1, o)).XOR(a0)
+	we := hashT(h, b0, j1, o)
 	if b0.LSB() {
 		we = we.XOR(te.XOR(a0))
 	}
 	if half {
 		return te[:], we
 	}
-	tg := h.H(a0, j).XOR(h.H(a0.XOR(r), j))
+	tg := hashT(h, a0, j, o).XOR(hashT(h, a0.XOR(r), j, o))
 	if b0.LSB() {
 		tg = tg.XOR(r)
 	}
-	wg := h.H(a0, j)
+	wg := hashT(h, a0, j, o)
 	if a0.LSB() {
 		wg = wg.XOR(tg)
 	}
@@ -42,12 +53,12 @@ func textbookGarble(h *Hasher, a0, b0, r Label, gid uint64, half bool) (table []
 // textbookEval is its evaluator: on active labels A, B with colours sa, sb,
 // W_G = H(A, j) ⊕ sa·TG and W_E = H(B, j') ⊕ sb·(TE ⊕ A); the output is
 // W_G ⊕ W_E, or W_E alone for a half AND's one-ciphertext table.
-func textbookEval(h *Hasher, a, b Label, gid uint64, table []byte) Label {
+func textbookEval(h *Hasher, a, b Label, gid, o uint64, table []byte) Label {
 	var wg Label
 	if len(table) == TableSize {
 		var tg Label
 		copy(tg[:], table)
-		wg = h.H(a, 2*gid)
+		wg = hashT(h, a, 2*gid, o)
 		if a.LSB() {
 			wg = wg.XOR(tg)
 		}
@@ -55,7 +66,7 @@ func textbookEval(h *Hasher, a, b Label, gid uint64, table []byte) Label {
 	}
 	var te Label
 	copy(te[:], table)
-	we := h.H(b, 2*gid+1)
+	we := hashT(h, b, 2*gid+1, o)
 	if b.LSB() {
 		we = we.XOR(te.XOR(a))
 	}
@@ -87,8 +98,10 @@ func oracleLevel(rng *rand.Rand) (ands, frees []circuit.Gate, wires uint32) {
 // TestKernelMatchesTextbookOracle pins the one kernel — the level kernels,
 // the same level run as split spans, and, at B = 1, the per-gate faces that
 // share it — to textbookGarble and textbookEval: tables, garbler
-// zero-labels and evaluator labels of one mixed level, at B ∈ {1, 3, 16}. Inputs are assigned party-blind, so the
-// half ANDs see both permute bits on B (TestHalfANDAnyPermuteBit's case).
+// zero-labels and evaluator labels of one mixed level, at B ∈ {1, 3, 16}.
+// A fresh state numbers its samples from 0, so sample s hashes under the
+// ordinal s. Inputs are assigned party-blind, so the half ANDs see both
+// permute bits on B (TestHalfANDAnyPermuteBit's case).
 func TestKernelMatchesTextbookOracle(t *testing.T) {
 	const gidBase = 40
 	h := NewHasher()
@@ -133,7 +146,7 @@ func TestKernelMatchesTextbookOracle(t *testing.T) {
 			gid := uint64(gidBase + i)
 			for s := 0; s < b; s++ {
 				a, bb, o := int(gt.A)*b+s, int(gt.B)*b+s, int(gt.Out)*b+s
-				tab, c0 := textbookGarble(h, zero[a], zero[bb], g.R[s], gid, gt.Op == circuit.HalfAND)
+				tab, c0 := textbookGarble(h, zero[a], zero[bb], g.R[s], gid, uint64(s), gt.Op == circuit.HalfAND)
 				if gt.Op == circuit.HalfAND {
 					seenPB[zero[bb].LSB()] = true
 					copy(halves, tab)
@@ -143,7 +156,7 @@ func TestKernelMatchesTextbookOracle(t *testing.T) {
 					full = full[TableSize:]
 				}
 				zero[o] = c0
-				active[o] = textbookEval(h, active[a], active[bb], gid, tab)
+				active[o] = textbookEval(h, active[a], active[bb], gid, uint64(s), tab)
 			}
 		}
 		for _, gt := range frees {
@@ -285,6 +298,103 @@ func TestKernelMatchesTextbookOracle(t *testing.T) {
 	}
 }
 
+// TestKernelSessionDeltaMatchesOracle is the oracle's session case: two
+// inferences of one session, of B = 3 and B = 2 samples, garble one mixed
+// level under the session's one delta, numbered from the ordinals 5 and 8
+// — the weight wire 2 broadcast in every sample, the other inputs fresh.
+// Every table and label must be the textbook's under (gid, first+s).
+func TestKernelSessionDeltaMatchesOracle(t *testing.T) {
+	const gidBase = 40
+	h := NewHasher()
+	rng := rand.New(rand.NewSource(950))
+	delta, err := RandomDelta(rng)
+	if err != nil {
+		t.Fatal(err)
+	}
+	weight, err := RandomLabel(rng)
+	if err != nil {
+		t.Fatal(err)
+	}
+	weight[0] &^= 1 // an evaluator input's zero-label has colour 0
+	ands, frees, wires := oracleLevel(rng)
+	for _, inf := range []struct {
+		b     int
+		first uint64
+	}{{3, 5}, {2, 8}} {
+		b := inf.b
+		g, err := NewSessionGarbler(rng, delta, b)
+		if err != nil {
+			t.Fatal(err)
+		}
+		g.SetFirst(inf.first)
+		g.Grow(wires)
+		g.Broadcast(2, weight)
+		for w := uint32(3); w < 2+oracleInputs; w++ {
+			if err := g.AssignInput(w); err != nil {
+				t.Fatal(err)
+			}
+		}
+		zero := g.snapshot()
+		for s := 0; s < b; s++ {
+			if g.R[s] != delta || zero[2*b+s] != weight {
+				t.Fatalf("first %d sample %d: not under the session's delta and weight label", inf.first, s)
+			}
+		}
+		active := make([]Label, len(zero))
+		for w := 2; w < 2+oracleInputs; w++ {
+			for s := 0; s < b; s++ {
+				active[w*b+s] = zero[w*b+s]
+				if rng.Intn(2) == 1 {
+					active[w*b+s] = active[w*b+s].XOR(delta)
+				}
+			}
+		}
+		var want []byte
+		for _, half := range []bool{false, true} {
+			for i, gt := range ands {
+				if (gt.Op == circuit.HalfAND) != half {
+					continue
+				}
+				for s := 0; s < b; s++ {
+					a, bb, o := int(gt.A)*b+s, int(gt.B)*b+s, int(gt.Out)*b+s
+					tab, c0 := textbookGarble(h, zero[a], zero[bb], delta, uint64(gidBase+i), inf.first+uint64(s), half)
+					want = append(want, tab...)
+					zero[o] = c0
+					active[o] = textbookEval(h, active[a], active[bb], uint64(gidBase+i), inf.first+uint64(s), tab)
+				}
+			}
+		}
+		table := make([]byte, len(want))
+		if err := g.GarbleLevel(ands, frees, gidBase, table, NewPool(1)); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(table, want) {
+			t.Fatalf("first %d: GarbleLevel tables differ from the textbook oracle's", inf.first)
+		}
+		e, err := NewBatchEvaluator(b)
+		if err != nil {
+			t.Fatal(err)
+		}
+		e.SetFirst(inf.first)
+		e.Grow(wires)
+		for w := uint32(2); w < 2+oracleInputs; w++ {
+			for s := 0; s < b; s++ {
+				e.SetLabel(w, s, active[int(w)*b+s])
+			}
+		}
+		if err := e.EvaluateLevel(ands, frees, gidBase, table, NewPool(1)); err != nil {
+			t.Fatal(err)
+		}
+		for _, gt := range ands {
+			for s := 0; s < b; s++ {
+				if got, _ := e.Label(gt.Out, s); got != active[int(gt.Out)*b+s] {
+					t.Fatalf("first %d sample %d: EvaluateLevel's %v output differs from the textbook oracle's", inf.first, s, gt.Op)
+				}
+			}
+		}
+	}
+}
+
 // TestInversionSlot: an INV reads the inversion slot behind the last wire,
 // which holds R on the garbler, so the slot must never reach the protocol.
 // Reading its index fails on both parties, through every read face, while
@@ -381,14 +491,14 @@ func TestInversionSlot(t *testing.T) {
 			for s := 0; s < b; s++ {
 				za, _ := g.ZeroLabel(gt.A, s)
 				zb, _ := g.ZeroLabel(gt.B, s)
-				tab, c0 := textbookGarble(h, za, zb, g.R[s], uint64(gidBase+i), half)
+				tab, c0 := textbookGarble(h, za, zb, g.R[s], uint64(gidBase+i), uint64(s), half)
 				want = append(want, tab...)
 				la, _ := e.Label(gt.A, s)
 				lb, _ := e.Label(gt.B, s)
 				if z, _ := g.ZeroLabel(gt.Out, s); z != c0 {
 					t.Fatalf("AND %d sample %d: zero-label differs from textbookGarble's", i, s)
 				}
-				if got, _ := e.Label(gt.Out, s); got != textbookEval(h, la, lb, uint64(gidBase+i), tab) {
+				if got, _ := e.Label(gt.Out, s); got != textbookEval(h, la, lb, uint64(gidBase+i), uint64(s), tab) {
 					t.Fatalf("AND %d sample %d: output differs from textbookEval's", i, s)
 				}
 			}

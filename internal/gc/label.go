@@ -78,7 +78,8 @@ func (k block) xor(o block) block { return block{k.lo ^ o.lo, k.hi ^ o.hi} }
 // polynomial (x^128 + x^7 + x^2 + x + 1), treating the label as a
 // big-endian polynomial — the usual tweakable-cipher doubling. The garbling
 // hash H(L, t) keys AES with 2L ⊕ t, the tweak XORed into the block's first
-// little-endian word. Byte-swapped, the words are the polynomial's high and
+// little-endian word; the gate kernel XORs a sample's session ordinal into
+// the second. Byte-swapped, the words are the polynomial's high and
 // low halves, so it is two shifts and a branch-free reduction.
 func dbl(k block) block {
 	hi, lo := bits.ReverseBytes64(k.lo), bits.ReverseBytes64(k.hi)

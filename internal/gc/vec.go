@@ -18,13 +18,18 @@ import (
 // the B label loads/stores on adjacent cache lines. Behind the last wire
 // the store keeps an inversion slot of B labels — each sample's delta R on
 // the garbler, zero on the evaluator — so an INV is the XOR of its operand
-// with the slot, on both sides, at any B. Every sample has its own fresh
-// Free-XOR delta and fresh wire labels, so the transcript of each sample is
-// exactly what a lone inference would produce under the same randomness —
-// batching amortizes the schedule walk, not the cryptography. The per-gate
-// faces Garbler.Garble and Evaluator.Eval are this state at B=1 running
-// one-gate levels, and the tests pin both against a textbook half-gates
-// oracle.
+// with the slot, on both sides, at any B. A fresh state (NewBatchGarbler)
+// draws a delta per sample; a session's states (NewSessionGarbler) share
+// the session's one delta, as a circuit garbled in instalments does
+// (TinyGarble's sequential GC, DeepSecure §3.5). What keeps every hash
+// query distinct under one delta is the tweak: gate g of sample s hashes
+// under the pair (t, o) — t = 2·(gidBase+i) (+1 for the evaluator half)
+// in the key block's low word, o = first+s, the sample's session ordinal,
+// in its high word. A state numbers its samples from first (SetFirst; 0
+// when fresh), so at B=1 a fresh state hashes exactly as it did before
+// ordinals existed. The per-gate faces Garbler.Garble and Evaluator.Eval
+// are a fresh state at B=1 running one-gate levels, and the tests pin both
+// against a textbook half-gates oracle.
 //
 // The kernel (batch.go) reads a gate's input labels in place twice, once to
 // form its hash keys and once to complete the gate: level independence — no
@@ -42,12 +47,11 @@ import (
 // those the j-th half AND writes its one at (j*B+s)*LabelSize. Both
 // parties derive the layout from the schedule and B alone.
 
-// BatchGarbler is the garbling state for one inference of B independent
-// samples.
+// BatchGarbler is the garbling state for one inference of B samples.
 type BatchGarbler struct {
-	// R holds the per-sample Free-XOR deltas (len B): samples are
-	// cryptographically independent instances, exactly as if each ran its
-	// own inference. The store's inv holds them as blocks.
+	// R holds the per-sample Free-XOR deltas (len B): fresh ones on a fresh
+	// state, the session's one delta in every entry on a session's. The
+	// store's inv holds them as blocks.
 	R []Label
 	// r2 caches 2R[s] per sample: doubling is GF(2)-linear, so
 	// 2(L⊕R) = 2L ⊕ 2R and every one-label's hash key derives from its
@@ -69,12 +73,25 @@ type BatchGarbler struct {
 // order a single-inference Garbler would (at b=1 the rng consumption is
 // identical to NewGarbler's).
 func NewBatchGarbler(rng io.Reader, b int) (*BatchGarbler, error) {
+	return newBatchGarbler(rng, b, func() (Label, error) { return RandomDelta(rng) })
+}
+
+// NewSessionGarbler creates a garbler for a batch of b samples of a
+// session whose Free-XOR offset is delta (lsb 1, RandomDelta): every
+// sample garbles under it, with fresh constant-wire labels drawn from rng.
+// The caller numbers the samples with SetFirst, so that no two samples of
+// the session hash under one tweak.
+func NewSessionGarbler(rng io.Reader, delta Label, b int) (*BatchGarbler, error) {
+	return newBatchGarbler(rng, b, func() (Label, error) { return delta, nil })
+}
+
+func newBatchGarbler(rng io.Reader, b int, delta func() (Label, error)) (*BatchGarbler, error) {
 	if b < 1 {
 		return nil, fmt.Errorf("gc: batch size %d < 1", b)
 	}
 	g := &BatchGarbler{labelStore: labelStore{b: b, inv: make([]block, b)}, rng: rng, R: make([]Label, b), r2: make([]block, b)}
 	for s := range g.R {
-		r, err := RandomDelta(rng)
+		r, err := delta()
 		if err != nil {
 			return nil, err
 		}
@@ -98,6 +115,7 @@ func NewBatchGarbler(rng io.Reader, b int) (*BatchGarbler, error) {
 type labelStore struct {
 	b      int
 	n      int
+	first  uint64 // the session ordinal of sample 0: sample s hashes under first+s
 	labels []block
 	// inv is what the inversion slot holds: the garbler's deltas R, so an
 	// INV's zero-label is its operand's ⊕ R; nil on the evaluator, whose
@@ -111,6 +129,13 @@ type Spare struct{ labels []block }
 
 // B returns the batch size.
 func (st *labelStore) B() int { return st.b }
+
+// SetFirst numbers the state's samples first, first+1, …: the ordinal that
+// goes into the high word of every tweak sample s hashes under. Both
+// parties must number an inference's samples alike, and a session must
+// never number two samples alike under one delta. Call before the first
+// level.
+func (st *labelStore) SetFirst(first uint64) { st.first = first }
 
 // ensure makes room for wire w, doubling the array as appends do, and
 // moves the inversion slot behind it.
@@ -231,6 +256,18 @@ func (g *BatchGarbler) AssignInputs(ws []uint32, evaluator bool) error {
 	return nil
 }
 
+// Broadcast sets wire w's label to l in every sample: on the garbler its
+// zero-label, on the evaluator its active label. It is how a session's
+// weight wires enter an inference: their labels crossed once, by the
+// session's set-up OT, and every sample of every inference reuses them.
+func (st *labelStore) Broadcast(w uint32, l Label) {
+	st.ensure(w)
+	k := blockAt(l[:])
+	for s := range st.b {
+		st.labels[int(w)*st.b+s] = k
+	}
+}
+
 // AssignInput is AssignInputs of the one garbler wire w.
 func (g *BatchGarbler) AssignInput(w uint32) error { return g.AssignInputs([]uint32{w}, false) }
 
@@ -272,10 +309,10 @@ func (g *BatchGarbler) AppendConstLabels(dst []byte) ([]byte, error) {
 }
 
 // GarbleLevel garbles one schedule level for all B samples: the i-th AND
-// gate has global AND index gidBase+i — the same tweaks for every sample,
-// computed once — and sample s writes its ciphertexts at its rank's place
-// in its kind's region of table (see the file comment), packed from the
-// front; a longer table's tail is left alone. ands may be any contiguous
+// gate has global AND index gidBase+i, and sample s hashes it under that
+// index and its ordinal first+s, and writes its ciphertexts at its rank's
+// place in its kind's region of table (both in the file comment), packed
+// from the front; a longer table's tail is left alone. ands may be any contiguous
 // run of a level's AND gates. Gates are striped over pool's workers with
 // the batch size as the work multiplier. The caller must guarantee level
 // independence (distinct output wires, no gate reading a wire another gate
@@ -321,7 +358,7 @@ func (e *BatchEvaluator) Label(w uint32, s int) (Label, error) { return e.at(w, 
 // EvaluateLevel evaluates one schedule level for all B samples, the
 // mirror of GarbleLevel: every gate-instance consumes its ciphertexts from
 // its rank's place in its kind's region of table under the tweaks of
-// gidBase+i.
+// gidBase+i and its ordinal.
 func (e *BatchEvaluator) EvaluateLevel(ands, frees []circuit.Gate, gidBase uint64, table []byte, pool *Pool) error {
 	lv, err := e.prepare(ands, frees, gidBase, table)
 	if err != nil {

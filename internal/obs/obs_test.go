@@ -299,7 +299,7 @@ func TestPhaseNames(t *testing.T) {
 
 func TestServingLine(t *testing.T) {
 	line := ServingLine(NewSet(nil))
-	for _, want := range []string{"sessions=", "active=", "inferences=", "sent=", "ot_pool="} {
+	for _, want := range []string{"sessions=", "active=", "inferences=", "sent="} {
 		if !strings.Contains(line, want) {
 			t.Fatalf("serving line %q missing %q", line, want)
 		}

@@ -34,13 +34,9 @@ func pinScript(s *Set) {
 			s.Phase[ph].Observe(int64(ph+1) * int64(k+1) * 731_000)
 		}
 	}
-	s.Phase[PhaseOTRefill].Observe(90_000_000_000)
+	s.Phase[PhaseOutputRoundTrip].Observe(90_000_000_000)
 	s.Phase[PhaseEval].Observe(-1)
-	s.OTPoolDepth[OTReceiver].Set(9536)
-	s.OTPoolDepth[OTSender].Set(4096)
-	s.OTPooled.Add(19_072)
 	s.OTConsumed.Add(9536)
-	s.OTRefills.Add(3)
 	s.AdmissionQueueDepth.Set(1)
 	s.SessionsQueued.Add(4)
 	s.SessionsShed.Add(6)

@@ -229,9 +229,9 @@ func TestHTTPEndpoints(t *testing.T) {
 	for _, want := range []string{
 		`deepsecure_inference_seconds_bucket{le="+Inf"} 3`,
 		"deepsecure_sessions_active 3",
-		"deepsecure_ot_pool_depth",
+		"deepsecure_ot_consumed_total",
 		`deepsecure_bytes_total{direction="sent"} 100`,
-		`deepsecure_phase_seconds_bucket{phase="ot_derand"`,
+		`deepsecure_phase_seconds_bucket{phase="eval"`,
 	} {
 		if !strings.Contains(body, want) {
 			t.Errorf("/metrics missing %q", want)

@@ -27,18 +27,12 @@ const (
 	// PhaseTableRead is time the evaluator spends waiting on table
 	// frames from the wire.
 	PhaseTableRead
-	// PhaseOTDerand is the online half of the precomputed OTs: masking
-	// one input step's label pairs (garbler) or unmasking them
-	// (evaluator).
-	PhaseOTDerand
 	// PhaseEval is the evaluator's per-level crypto (the evaluation
 	// engine's GateTime).
 	PhaseEval
 	// PhaseOutputRoundTrip is the client's wait from final flush to
 	// decoded output.
 	PhaseOutputRoundTrip
-	// PhaseOTRefill is OT pool refill work, per extension run.
-	PhaseOTRefill
 
 	numPhases
 )
@@ -47,10 +41,8 @@ var phaseNames = [numPhases]string{
 	"garble_live",
 	"table_write",
 	"table_read",
-	"ot_derand",
 	"eval",
 	"output_roundtrip",
-	"ot_refill",
 }
 
 func (p Phase) String() string {
@@ -62,7 +54,7 @@ func (p Phase) String() string {
 
 // DefaultLatencyBounds are the latency bucket edges of every ledger
 // histogram, in nanoseconds, 50µs to 60s roughly ×2–2.5 apart: tight
-// enough at the bottom for single derand exchanges, wide enough at the top
+// enough at the bottom for one table wait, wide enough at the top
 // for WAN-model batched inferences. They are strictly increasing, as
 // Observe's bucket scan assumes. p50/p95/p99 are derived from these
 // buckets by linear interpolation.
@@ -72,16 +64,6 @@ var DefaultLatencyBounds = []int64{
 	100_000_000, 250_000_000, 500_000_000, // 100ms … 500ms
 	1_000_000_000, 2_500_000_000, 5_000_000_000, 10_000_000_000, 30_000_000_000, 60_000_000_000, // 1s … 60s
 }
-
-// OTRole distinguishes the two precomputed-OT pool sides for the pool
-// depth gauge.
-type OTRole uint8
-
-const (
-	OTReceiver OTRole = iota // evaluator/server side
-	OTSender                 // garbler/client side
-	numOTRoles
-)
 
 // Set is one ledger of the serving metric set. Sets form a tree —
 // inference → session → server (or client) → Root — and an
@@ -109,10 +91,9 @@ type Set struct {
 	InferenceSeconds *Histogram
 	Phase            [numPhases]*Histogram
 
-	OTPoolDepth [numOTRoles]*Gauge
-	OTPooled    *Counter
-	OTConsumed  *Counter
-	OTRefills   *Counter
+	// OTConsumed counts the OTs of sessions' set-up OTs: W per session,
+	// one per weight bit, however many inferences the session runs.
+	OTConsumed *Counter
 
 	AdmissionQueueDepth *Gauge
 	SessionsQueued      *Counter
@@ -126,8 +107,8 @@ type Set struct {
 	GateTime            *Counter // ns
 
 	// Counted like the rest and read by the Stats read-outs, but not
-	// exported as series: OT offline time (base phase, refill crypto and
-	// exchanges; ns) and the wall time of finished server sessions (ns).
+	// exported as series: OT time (base phase and set-up OT; ns) and the
+	// wall time of finished server sessions (ns).
 	OTOfflineTime *Counter
 	SessionTime   *Counter
 
@@ -187,21 +168,9 @@ var catalogue = func() []series {
 		}
 		t = append(t, e)
 	}
-	for role, name := range [numOTRoles]string{"receiver", "sender"} {
-		e := series{name: "deepsecure_ot_pool_depth", label: "role=" + name,
-			field: func(s *Set) any { return &s.OTPoolDepth[role] }}
-		if role == 0 {
-			e.help = "Precomputed OTs currently available in the pool."
-		}
-		t = append(t, e)
-	}
 	return append(t, []series{
-		{name: "deepsecure_ot_pooled_total", help: "Weight-keyed OTs precomputed into pools since process start.",
-			field: func(s *Set) any { return &s.OTPooled }},
-		{name: "deepsecure_ot_consumed_total", help: "Pooled OTs spent masking or unmasking a weight-label pair.",
+		{name: "deepsecure_ot_consumed_total", help: "OTs run by sessions' set-up OTs: one per weight bit per session.",
 			field: func(s *Set) any { return &s.OTConsumed }},
-		{name: "deepsecure_ot_refills_total", help: "OT pool refill runs (setup fills and background refills).",
-			field: func(s *Set) any { return &s.OTRefills }},
 		{name: "deepsecure_admission_queue_depth", help: "Sessions currently waiting in the admission queue.",
 			field: func(s *Set) any { return &s.AdmissionQueueDepth }},
 		{name: "deepsecure_sessions_queued_total", help: "Sessions that waited in the admission queue before being served.",
@@ -280,7 +249,7 @@ func NewSet(parent *Set) *Set {
 
 // Panicked converts a recovered panic value into a session error and
 // counts it. Every session-owned goroutine boundary (mux reader,
-// evaluation contexts, scheduler chunks, OT refill workers) funnels
+// evaluation contexts, scheduler chunks) funnels
 // its recover() through here, so deepsecure_panics_total is the single
 // "a bug fired but the process kept serving" signal. The returned error
 // carries the panic site and value; the goroutine stack goes to stderr
@@ -312,7 +281,6 @@ func ServingLine(s *Set) string {
 	if p := s.Panics.Value(); p > 0 {
 		fmt.Fprintf(&b, " panics=%d", p)
 	}
-	fmt.Fprintf(&b, " ot_pool=%d", s.OTPoolDepth[OTReceiver].Value())
 	gates := s.GatesAnd.Value() + s.GatesFree.Value()
 	if gateNs := s.GateTime.Value(); gates > 0 && gateNs > 0 {
 		fmt.Fprintf(&b, " gates=%.2fM (%.2f Mgates/s)",

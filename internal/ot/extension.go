@@ -323,9 +323,9 @@ func NewExtReceiver(conn transport.FrameConn, rng io.Reader) (*ExtReceiver, erro
 
 // PreparedReceive carries the receiver-side state of one extension batch
 // between building the U matrix and hashing its rows (Pads, or Finish with
-// the sender's Y response). The split lets the precomputed-OT pool run the
-// receiver's crypto off the critical path and send U at a protocol point
-// of its choosing.
+// the sender's Y response). The split lets a caller run the receiver's
+// crypto ahead of time and send U at a protocol point of its choosing, as
+// the keyed OT pool of internal/ot/precomp does.
 type PreparedReceive struct {
 	// U is the masked column matrix to put on the wire (k·ceil(m/8)
 	// bytes).

@@ -1,6 +1,8 @@
-// Package precomp is the offline OT-precomputation subsystem: a keyed OT
-// pool that moves the IKNP extension off the inference critical path and
-// leaves the online phase without a single receiver→sender message.
+// Package precomp is a keyed OT pool: the offline OT precomputation that
+// sessions ran before their weight labels came to cross once, at set-up
+// (internal/core). No production code calls it. It is kept for
+// bench/layers.go only, whose precomp.* rows still time it, until the
+// benchmark's next change drops those rows and this package with them.
 //
 // The receiver (the evaluator) asks for the same choice bits in the same
 // order in every inference of a session: the model's weight bits, W of
@@ -36,9 +38,9 @@
 // zero entry refuses to be taken again, and exhaustion waits on a refill
 // instead of ever reusing an entry.
 //
-// This is the only way evaluator-input labels are transferred: there is no
-// per-step IKNP exchange to fall back to, and a peer that asks for one (a
-// pool of capacity 0, a MsgOTExtU no refill announced) gets a PeerError.
+// A pool has no per-step IKNP exchange to fall back to: a peer that asks for
+// one (a pool of capacity 0, a MsgOTExtU no refill announced) gets a
+// PeerError.
 package precomp
 
 import (
@@ -46,7 +48,6 @@ import (
 	"fmt"
 	"io"
 	"sync"
-	"time"
 
 	"deepsecure/internal/obs"
 	"deepsecure/internal/ot"
@@ -108,22 +109,6 @@ const maxRefill = 1 << 26
 type PeerError struct{ Did string }
 
 func (e *PeerError) Error() string { return "precomp: peer " + e.Did }
-
-// recordRefill books one banked fill of n entries whose exchange took
-// elapsed, and the pool depth it leaves.
-func recordRefill(s *obs.Set, role obs.OTRole, n int, elapsed time.Duration, depth int) {
-	s.OTPooled.Add(int64(n))
-	s.OTRefills.Inc()
-	s.OTOfflineTime.Add(int64(elapsed))
-	s.Phase[obs.PhaseOTRefill].Observe(int64(elapsed))
-	s.OTPoolDepth[role].Set(int64(depth))
-}
-
-// recordStep books one input step of m pooled OTs that took elapsed.
-func recordStep(s *obs.Set, m int, elapsed time.Duration) {
-	s.OTConsumed.Add(int64(m))
-	s.Phase[obs.PhaseOTDerand].Observe(int64(elapsed))
-}
 
 // readCounts parses a MsgOTRefill payload of exactly want uvarints.
 func readCounts(payload []byte, want int) ([2]int, error) {
@@ -192,11 +177,13 @@ type chunk[T comparable] struct {
 type store[T comparable] struct {
 	chunks []*chunk[T]
 	end    int64 // one past the last banked sequence number
+	fills  int   // fills banked
 }
 
 func (s *store[T]) add(e []T) {
 	s.chunks = append(s.chunks, &chunk[T]{start: s.end, e: e, left: len(e)})
 	s.end += int64(len(e))
+	s.fills++
 }
 
 // take removes entry q. A zero entry is one that was taken before (a
@@ -256,8 +243,6 @@ type ReceiverPool struct {
 	bank        store[ot.Msg]
 	aborted     bool
 
-	set *obs.Set // the ledger this pool records in
-
 	prepMu sync.Mutex // serializes ExtReceiver.Prepare, in refill order
 	sendMu sync.Mutex // serializes SendRefills
 }
@@ -266,13 +251,8 @@ type ReceiverPool struct {
 // draws no randomness of its own (its choice bits are the key); the rng
 // parameter remains for callers written against the sender's signature.
 func NewReceiverPool(conn transport.FrameConn, ots *ot.ExtReceiver, _ io.Reader, cfg PoolConfig) *ReceiverPool {
-	return &ReceiverPool{conn: conn, ots: ots, cfg: cfg, set: obs.NewSet(obs.Root)}
+	return &ReceiverPool{conn: conn, ots: ots, cfg: cfg}
 }
-
-// SetMetrics makes the pool record into its owner's ledger — the
-// session's — instead of one of its own under obs.Root. Call before
-// Announce.
-func (p *ReceiverPool) SetMetrics(s *obs.Set) { p.set = s }
 
 // SetKey installs the choice bits every fill is generated with: entry q
 // gets bits[q mod len(bits)]. Call before Announce. Without a key the
@@ -350,7 +330,6 @@ func (p *ReceiverPool) reserve(n int) int64 {
 	case left < p.cfg.lowWater():
 		p.decide(p.cfg.Capacity - left)
 	}
-	p.set.OTPoolDepth[obs.OTReceiver].Set(int64(p.available()))
 	return q0
 }
 
@@ -398,7 +377,6 @@ func (p *ReceiverPool) prepareNext() {
 	if job == nil {
 		return
 	}
-	start := time.Now()
 	choices := make([]bool, job.n)
 	for i := range choices {
 		choices[i] = p.keyBit(job.start + int64(i))
@@ -408,7 +386,6 @@ func (p *ReceiverPool) prepareNext() {
 	p.mu.Lock()
 	job.u, job.pads = u, pads
 	p.mu.Unlock()
-	p.set.OTOfflineTime.Add(int64(time.Since(start)))
 }
 
 // Cover puts on the wire every refill that r's entries depend on. A
@@ -449,9 +426,7 @@ func (p *ReceiverPool) SendRefills() error {
 		p.refills[0] = nil
 		p.refills = p.refills[1:]
 		p.bank.add(job.pads)
-		depth := p.available()
 		p.mu.Unlock()
-		start := time.Now()
 		if err := p.conn.Send(transport.MsgOTRefill, countsPayload(job.n)); err != nil {
 			return err
 		}
@@ -461,7 +436,6 @@ func (p *ReceiverPool) SendRefills() error {
 		if err := p.conn.Flush(); err != nil {
 			return err
 		}
-		recordRefill(p.set, obs.OTReceiver, job.n, time.Since(start), depth)
 	}
 }
 
@@ -482,7 +456,6 @@ func (p *ReceiverPool) RecvStep(conn transport.FrameConn, r Range, c0 int, bits 
 	if err != nil {
 		return err
 	}
-	start := time.Now()
 	m := len(bits) * r.B
 	if len(payload) != m*2*ot.MsgLen {
 		return fmt.Errorf("precomp: masked-label frame is %d bytes, want %d for %d OTs", len(payload), m*2*ot.MsgLen, m)
@@ -504,7 +477,6 @@ func (p *ReceiverPool) RecvStep(conn transport.FrameConn, r Range, c0 int, bits 
 			set(i, s, ot.Msg(chosen(i, s)))
 		}
 	}
-	recordStep(p.set, m, time.Since(start))
 	return nil
 }
 
@@ -562,8 +534,6 @@ type SenderPool struct {
 	width int // the receiver's key width W
 	next  int64
 	bank  store[[2]ot.Msg]
-
-	set *obs.Set // the ledger this pool records in
 }
 
 // NewSenderPool wraps a session's extension sender. The pool draws no
@@ -571,13 +541,8 @@ type SenderPool struct {
 // rng parameter remains for callers written against the earlier
 // signature.
 func NewSenderPool(conn transport.FrameConn, ots *ot.ExtSender, _ io.Reader) *SenderPool {
-	return &SenderPool{conn: conn, ots: ots, set: obs.NewSet(obs.Root)}
+	return &SenderPool{conn: conn, ots: ots}
 }
-
-// SetMetrics makes the pool record into its owner's ledger — the
-// session's — instead of one of its own under obs.Root. Call before
-// HandleAnnounce.
-func (p *SenderPool) SetMetrics(s *obs.Set) { p.set = s }
 
 // Seq returns the first sequence number no range owns yet (single-use
 // instrumentation, like ReceiverPool.Seq).
@@ -634,7 +599,6 @@ func (p *SenderPool) HandleRefill(typ transport.MsgType, payload []byte) error {
 	if n == 0 {
 		return fmt.Errorf("precomp: refill of 0 OTs")
 	}
-	start := time.Now()
 	setLimit(p.conn, transport.MsgOTExtU, ot.ExtULen(n))
 	u, err := p.conn.Recv(transport.MsgOTExtU)
 	if err != nil {
@@ -645,7 +609,6 @@ func (p *SenderPool) HandleRefill(typ transport.MsgType, payload []byte) error {
 		return err
 	}
 	p.bank.add(fresh)
-	recordRefill(p.set, obs.OTSender, n, time.Since(start), p.Available())
 	return nil
 }
 
@@ -683,8 +646,6 @@ func (p *SenderPool) SendStep(conn transport.FrameConn, r Range, c0, wires int, 
 	if r.B < 1 {
 		return buf, fmt.Errorf("precomp: input step on an empty range (no Reserve)")
 	}
-	m := wires * r.B
-	start := time.Now()
 	payload := buf[:0]
 	for i := 0; i < wires; i++ {
 		for s := 0; s < r.B; s++ {
@@ -704,8 +665,6 @@ func (p *SenderPool) SendStep(conn transport.FrameConn, r Range, c0, wires int, 
 		}
 	}
 	err := conn.Send(transport.MsgOTMasked, payload)
-	recordStep(p.set, m, time.Since(start))
-	p.set.OTPoolDepth[obs.OTSender].Set(int64(p.Available()))
 	return payload[:0], err
 }
 

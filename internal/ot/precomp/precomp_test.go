@@ -7,7 +7,6 @@ import (
 	"sync"
 	"testing"
 
-	"deepsecure/internal/obs"
 	"deepsecure/internal/ot"
 	"deepsecure/internal/transport"
 )
@@ -254,12 +253,11 @@ func testSingleUse(t *testing.T, cfg PoolConfig, pools func(*testing.T, PoolConf
 		nextSeq += int64(m)
 		consumed += int64(m)
 
-		st := rp.set
-		if st.OTConsumed.Value() != consumed {
-			t.Fatalf("trial %d: receiver consumed %d, want %d", trial, st.OTConsumed.Value(), consumed)
+		if rp.Seq() != consumed {
+			t.Fatalf("trial %d: receiver consumed %d, want %d", trial, rp.Seq(), consumed)
 		}
-		if st.OTPooled.Value() < st.OTConsumed.Value() {
-			t.Fatalf("trial %d: consumed %d exceeds generated %d — an entry was reused", trial, st.OTConsumed.Value(), st.OTPooled.Value())
+		if rp.bank.end < rp.Seq() {
+			t.Fatalf("trial %d: consumed %d exceeds generated %d — an entry was reused", trial, rp.Seq(), rp.bank.end)
 		}
 		// Every banked entry below the frontier is spent and zeroed.
 		for _, c := range rp.bank.chunks {
@@ -277,14 +275,14 @@ func testSingleUse(t *testing.T, cfg PoolConfig, pools func(*testing.T, PoolConf
 			}
 		}
 	}
-	if n := rp.set.OTRefills.Value(); n < 5 {
+	if n := rp.bank.fills; n < 5 {
 		t.Errorf("tiny pool under sustained traffic performed only %d refills", n)
 	}
 	// The receiver may have banked a refill the sender's last Send did not
 	// need to wait for; what is consumed must agree exactly.
-	if ss, rs := sp.set, rp.set; ss.OTConsumed.Value() != rs.OTConsumed.Value() || ss.OTPooled.Value() > rs.OTPooled.Value()+64 {
+	if sp.Seq() != rp.Seq() || sp.bank.end > rp.bank.end+64 {
 		t.Errorf("sender accounting (%d/%d) diverges from receiver (%d/%d)",
-			ss.OTPooled.Value(), ss.OTConsumed.Value(), rs.OTPooled.Value(), rs.OTConsumed.Value())
+			sp.bank.end, sp.Seq(), rp.bank.end, rp.Seq())
 	}
 	// A spent entry refuses a second take on either side.
 	if _, err := rp.bank.take(nextSeq - 1); err == nil {
@@ -374,7 +372,7 @@ func TestRangesInterleave(t *testing.T) {
 	step(two, 0, 17)
 	step(one, 17, w)
 	step(two, 17, w)
-	if c, g := rp.set.OTConsumed.Value(), rp.set.OTPooled.Value(); c != 4*w || g < c {
+	if c, g := rp.Seq(), rp.bank.end; c != 4*w || g < c {
 		t.Errorf("after two inferences: %d consumed, %d generated", c, g)
 	}
 	if err := rp.SendRefills(); err != nil {
@@ -396,10 +394,10 @@ func TestBackgroundRefill(t *testing.T) {
 		choices := keyAt(key, rp.Seq(), m)
 		checkTransfer(t, "background", transfer(t, sp, rp, pairs, choices), pairs, choices)
 	}
-	if n := rp.set.OTRefills.Value(); n < 2 {
+	if n := rp.bank.fills; n < 2 {
 		t.Errorf("background mode performed only %d fills", n)
 	}
-	if c, g := rp.set.OTConsumed.Value(), rp.set.OTPooled.Value(); g < c {
+	if c, g := rp.Seq(), rp.bank.end; g < c {
 		t.Errorf("consumed %d exceeds generated %d", c, g)
 	}
 }
@@ -445,7 +443,7 @@ func TestEmptyBatch(t *testing.T) {
 	if rp.conn.(*transport.Conn).Metrics().BytesSent.Value() != sent0 {
 		t.Error("empty batch put frames on the wire")
 	}
-	if rp.set.OTConsumed.Value() != 0 || sp.set.OTConsumed.Value() != 0 {
+	if rp.Seq() != 0 || sp.Seq() != 0 {
 		t.Error("empty batch consumed pooled OTs")
 	}
 }
@@ -559,7 +557,7 @@ func TestLowWaterAboveCapacity(t *testing.T) {
 		choices := make([]bool, m)
 		checkTransfer(t, "clamped", transfer(t, sp, rp, pairs, choices), pairs, choices)
 	}
-	if c, g := rp.set.OTConsumed.Value(), rp.set.OTPooled.Value(); g < c {
+	if c, g := rp.Seq(), rp.bank.end; g < c {
 		t.Errorf("consumed %d exceeds generated %d", c, g)
 	}
 }
@@ -599,10 +597,7 @@ func TestAnnouncedFillAtSetup(t *testing.T) {
 	if rp.Available() != 128 || sp.Available() != 128 {
 		t.Fatalf("setup fill left %d/%d available, want 128/128", rp.Available(), sp.Available())
 	}
-	if st := rp.set; st.OTPooled.Value() != 128 || st.OTRefills.Value() != 1 || st.OTOfflineTime.Value() <= 0 {
-		t.Errorf("setup fill: %d generated in %d fill(s), %d ns offline", st.OTPooled.Value(), st.OTRefills.Value(), st.OTOfflineTime.Value())
-	}
-	if rp.set.Phase[obs.PhaseOTDerand].Sum() != 0 {
-		t.Error("setup fill charged online time")
+	if rp.bank.end != 128 || rp.bank.fills != 1 || rp.Seq() != 0 {
+		t.Errorf("setup fill: %d generated in %d fill(s), %d consumed", rp.bank.end, rp.bank.fills, rp.Seq())
 	}
 }

@@ -9,14 +9,14 @@ import (
 
 	"deepsecure/internal/core"
 	"deepsecure/internal/fixed"
+	"deepsecure/internal/nn"
 	"deepsecure/internal/obs"
-	"deepsecure/internal/ot/precomp"
 	"deepsecure/internal/transport"
 )
 
 // TestOneLedger runs one of everything through an in-process client and
-// server — serial, pipelined at window 2 and batched inferences, an OT pool
-// that refills mid-session, a queued, a shed and a failed session — and then
+// server — serial, pipelined at window 2 and batched inferences, each
+// session's set-up OT, a queued, a shed and a failed session — and then
 // checks that there is one set of books: for every additive series with a
 // Stats field, what the process root ledger gained over the test is what the
 // client sessions' Stats and the server's Stats report, added up field for
@@ -25,11 +25,8 @@ import (
 // longer moves.
 func TestOneLedger(t *testing.T) {
 	model := testModel(t)
-	// 944 weight bits per sample against a pool of 2000: a refill every
-	// other sample.
 	srv, err := New(model, fixed.Default,
 		WithEngine(core.EngineConfig{Pipeline: 2, MaxBatch: 4}),
-		WithOTPool(precomp.PoolConfig{Capacity: 2000}),
 		WithAdmission(AdmissionConfig{MaxActive: 1, MaxQueue: 1, QueueTimeout: 30 * time.Second}))
 	if err != nil {
 		t.Fatal(err)
@@ -52,7 +49,7 @@ func TestOneLedger(t *testing.T) {
 	root := obs.Root
 	before := map[series]int64{}
 	for _, v := range []series{root.BytesSent, root.BytesReceived, root.Inferences, root.SessionsResumed,
-		root.GatesAnd, root.GatesFree, root.GateTime, root.OTPooled, root.OTConsumed, root.OTRefills,
+		root.GatesAnd, root.GatesFree, root.GateTime, root.OTConsumed,
 		root.Sessions, root.ResumeMisses, root.Errors, root.SessionsQueued, root.SessionsShed,
 		root.SessionsActive, root.AdmissionQueueDepth, root.Batches} {
 		before[v] = v.Value()
@@ -122,8 +119,8 @@ func TestOneLedger(t *testing.T) {
 		if c.st.GateTime <= 0 {
 			t.Errorf("%s: gate time %v, want the online garbling's", c.name, c.st.GateTime)
 		}
-		if c.st.OTsConsumed < c.samples*944 || c.st.BytesSent == 0 || c.st.Duration <= 0 {
-			t.Errorf("%s: session share not populated: %+v", c.name, c.st)
+		if c.st.OTsConsumed != 0 || c.st.BytesSent == 0 || c.st.Duration <= 0 {
+			t.Errorf("%s: session share not populated, or an OT charged to an inference: %+v", c.name, c.st)
 		}
 	}
 
@@ -234,9 +231,7 @@ func TestOneLedger(t *testing.T) {
 		{"AND gates", delta(root.GatesAnd), func(s *core.Stats) int64 { return s.ANDGates }},
 		{"free gates", delta(root.GatesFree), func(s *core.Stats) int64 { return s.FreeGates }},
 		{"gate time", delta(root.GateTime), func(s *core.Stats) int64 { return int64(s.GateTime) }},
-		{"OTs pooled", delta(root.OTPooled), func(s *core.Stats) int64 { return s.OTsPooled }},
 		{"OTs consumed", delta(root.OTConsumed), func(s *core.Stats) int64 { return s.OTsConsumed }},
-		{"OT refills", delta(root.OTRefills), func(s *core.Stats) int64 { return s.OTRefills }},
 	} {
 		sum := c.field(&server.Stats)
 		for _, cl := range clients {
@@ -265,12 +260,13 @@ func TestOneLedger(t *testing.T) {
 			t.Errorf("%s: the root ledger gained %d, server Stats says %d, want %d", c.what, c.root, c.stat, c.want)
 		}
 	}
-	// What the test set up, so the sums above are not vacuous: refills
-	// beyond each side's setup fill.
-	if s := clients[0]; s.Inferences != 6 || s.OTRefills < 3 {
-		t.Errorf("session 1: %+v", s)
+	// What the test set up, so the sums above are not vacuous: six samples
+	// of session 1 on its one set-up OT of W weight labels.
+	w := int64(len(nn.WeightBits(model, fixed.Default)))
+	if s := clients[0]; s.Inferences != 6 || s.OTsConsumed != w {
+		t.Errorf("session 1: %+v, want 6 inferences and W = %d OTs", s, w)
 	}
-	if server.Inferences != 7 || server.OTRefills < 4 {
+	if server.Inferences != 7 || server.OTsConsumed < 2*w {
 		t.Errorf("server: %+v", server)
 	}
 

@@ -81,16 +81,11 @@ func WithEngine(cfg core.EngineConfig) Option {
 	return func(s *Server) { s.core.Engine = cfg }
 }
 
-// WithOTPool sizes the offline OT pool every session of this server
-// precomputes at setup, keyed to the model's weight bits, and refills
-// between inferences: a weight transfer costs the client one masked-label
-// frame and XORs, with no reply and no cryptography on the critical path.
-// Without it (or with a zero Capacity) the pool is sized from the model:
-// its weight bits × the in-flight window. The server owns the policy;
-// clients follow the announcement.
-func WithOTPool(cfg precomp.PoolConfig) Option {
-	return func(s *Server) { s.core.OTPool = cfg }
-}
+// WithOTPool is a no-op. It sized the OT pool sessions once refilled
+// between inferences; a session now transfers its weight labels once, at
+// set-up, so there is nothing to size. It stays for the benchmark module,
+// which still passes it, until the benchmark's next change drops the call.
+func WithOTPool(precomp.PoolConfig) Option { return func(*Server) {} }
 
 // WithIdleTimeout bounds how long a session connection may sit idle.
 // Each read and each write arms a deadline of d; a client that stalls
@@ -320,12 +315,11 @@ func (s *Server) serveConn(conn net.Conn) {
 	if st.SessionsResumed > 0 {
 		base = "resumed"
 	}
-	s.logf("session from %s: %d inference(s), %.2f MB out, %.2f MB in, %v (OT offline %v / online %v, %d pooled, %d consumed, %d refill(s), base %s; crypto core %.2f Mgates/s over %v)",
+	s.logf("session from %s: %d inference(s), %.2f MB out, %.2f MB in, %v (set-up OT %v, %d weight labels, base %s; crypto core %.2f Mgates/s over %v)",
 		conn.RemoteAddr(), st.Inferences,
 		float64(st.BytesSent)/1e6, float64(st.BytesReceived)/1e6,
 		time.Since(start).Round(time.Millisecond),
-		st.OTOfflineTime.Round(time.Millisecond), st.OTOnlineTime.Round(time.Millisecond),
-		st.OTsPooled, st.OTsConsumed, st.OTRefills, base,
+		st.OTOfflineTime.Round(time.Millisecond), st.OTsConsumed, base,
 		st.GatesPerSec()/1e6, st.GateTime.Round(time.Millisecond))
 }
 

@@ -27,9 +27,10 @@ const (
 	MsgTables
 	MsgOTBase
 	MsgOTExtU
-	// MsgOTExtY is the sender's chosen-message answer to one MsgOTExtU:
-	// the §3.3 streaming deployment's alone. A pooled session has none,
-	// for its refills are random OT.
+	// MsgOTExtU and MsgOTExtY are one chosen-message extension batch: the
+	// receiver's U matrix and the sender's masked pairs. A session runs
+	// one, at set-up, to hand the server its weight labels; the §3.3
+	// streaming deployment runs one per weight step.
 	MsgOTExtY
 	MsgOutputLabels
 	MsgResult
@@ -38,20 +39,21 @@ const (
 	// MsgEndSession is the client's end-of-session marker on a
 	// multi-inference session.
 	MsgEndSession
-	// OT precomputation (offline/online split): MsgOTRefill announces a
-	// bulk generation of n ≥ 1 extended OTs (uvarint n) and is followed by
-	// the receiver's MsgOTExtU — the first one of a session instead carries
-	// the pool's capacity ≥ 1 and the uvarint key width W, nothing follows;
-	// MsgOTMasked carries the sender's two pool-masked labels per OT of
-	// one evaluator-input step. Nothing flows back online.
+	// The keyed OT pool's frames (internal/ot/precomp), which no session
+	// sends any more — a session caps both at 0: MsgOTRefill announces a
+	// bulk generation of n ≥ 1 extended OTs (uvarint n) followed by the
+	// receiver's MsgOTExtU — the first one of a pool instead carries the
+	// pool's capacity ≥ 1 and the uvarint key width W, nothing follows;
+	// MsgOTMasked carries the sender's two pool-masked labels per OT of one
+	// evaluator-input step.
 	MsgOTRefill
 	MsgOTMasked
 	// Session inferences: MsgPipeline is the server's announcement of its
 	// in-flight window and batch cap (two uvarints, sent once after the
 	// architecture). MsgInferBegin opens an inference (uvarint sample count
 	// B ≥ 1) that occupies one window slot; the inference's frames follow
-	// it in order as MsgConstLabels, MsgInputLabels, MsgOTMasked and
-	// MsgTables, each carrying all B samples wire-major with samples
+	// it in order as MsgConstLabels, MsgInputLabels and MsgTables, each
+	// carrying all B samples wire-major with samples
 	// innermost (gate rank i, sample s of a level's tables at
 	// (i*B+s)*TableSize), and its answer is one MsgOutputLabels.
 	MsgPipeline
@@ -286,8 +288,8 @@ func (c *Conn) Recv(want MsgType) ([]byte, error) {
 }
 
 // RecvAny reads the next frame, requiring its type to be one of want —
-// e.g. a client between bursts, which accepts an output frame or a pool
-// refill announcement. Like Recv it flushes pending writes first.
+// e.g. a client at set-up, which accepts the architecture or a busy
+// answer. Like Recv it flushes pending writes first.
 func (c *Conn) RecvAny(want ...MsgType) (MsgType, []byte, error) {
 	if err := c.Flush(); err != nil {
 		return 0, nil, err
