@@ -238,7 +238,10 @@ func sessionRun(t *testing.T, net *nn.Network, xs [][]float64, chunk, depth int,
 // depth 1 the session protocol's frames are byte-identical to a strictly
 // serial run of the engines once the session framing is dropped. The
 // reference stream is regenerated from the raw protocol building blocks;
-// the two frame sequences must match byte-for-byte in both directions.
+// the two frame sequences must match byte-for-byte in both directions — on
+// a session that runs one inference straight after set-up ("warm") and on
+// one whose later inferences refill each sample's store from the set-up
+// weight labels under advancing ordinals ("refilling").
 func TestPipelineDepth1Conformance(t *testing.T) {
 	net := testNet(t, act.ReLU, 61)
 	rng := rand.New(rand.NewSource(62))
@@ -249,30 +252,37 @@ func TestPipelineDepth1Conformance(t *testing.T) {
 			xs[i][j] = rng.Float64()*2 - 1
 		}
 	}
-	const cliSeed, srvSeed = 8801, 8802
-	_, v4G2E, v4E2G, _ := sessionRun(t, net, xs, 2048, 1, cliSeed, srvSeed)
-	refG2E, refE2G := referenceSerialRun(t, net, xs, cliSeed, srvSeed)
-	for _, dir := range []struct {
-		name    string
-		v4, ref []byte
-	}{
-		{"garbler→evaluator", v4G2E, refG2E},
-		{"evaluator→garbler", v4E2G, refE2G},
+	for name, n := range map[string]int{
+		"warm":      1,
+		"refilling": len(xs),
 	} {
-		got := stripTags(t, parseFrames(t, dir.v4))
-		want := parseFrames(t, dir.ref)
-		if len(got) != len(want) {
-			t.Fatalf("%s: %d content frames, reference has %d", dir.name, len(got), len(want))
-		}
-		for i := range got {
-			if got[i].typ != want[i].typ {
-				t.Fatalf("%s frame %d: type %v, reference %v", dir.name, i, got[i].typ, want[i].typ)
+		t.Run(name, func(t *testing.T) {
+			const cliSeed, srvSeed = 8801, 8802
+			_, v4G2E, v4E2G, _ := sessionRun(t, net, xs[:n], 2048, 1, cliSeed, srvSeed)
+			refG2E, refE2G := referenceSerialRun(t, net, xs[:n], cliSeed, srvSeed)
+			for _, dir := range []struct {
+				name    string
+				v4, ref []byte
+			}{
+				{"garbler→evaluator", v4G2E, refG2E},
+				{"evaluator→garbler", v4E2G, refE2G},
+			} {
+				got := stripTags(t, parseFrames(t, dir.v4))
+				want := parseFrames(t, dir.ref)
+				if len(got) != len(want) {
+					t.Fatalf("%s: %d content frames, reference has %d", dir.name, len(got), len(want))
+				}
+				for i := range got {
+					if got[i].typ != want[i].typ {
+						t.Fatalf("%s frame %d: type %v, reference %v", dir.name, i, got[i].typ, want[i].typ)
+					}
+					if !bytes.Equal(got[i].payload, want[i].payload) {
+						t.Fatalf("%s frame %d (%v): payload differs from the serial reference (%d vs %d bytes)",
+							dir.name, i, got[i].typ, len(got[i].payload), len(want[i].payload))
+					}
+				}
 			}
-			if !bytes.Equal(got[i].payload, want[i].payload) {
-				t.Fatalf("%s frame %d (%v): payload differs from the serial reference (%d vs %d bytes)",
-					dir.name, i, got[i].typ, len(got[i].payload), len(want[i].payload))
-			}
-		}
+		})
 	}
 }
 
