@@ -146,49 +146,82 @@ func BenchmarkFigure5Pipeline(b *testing.B) {
 		b.Fatal(err)
 	}
 	net.InitWeights(rand.New(rand.NewSource(5)))
-	g := circuit.NewGraph()
-	if _, err := netgen.Generate(circuit.NewBuilder(g), net, fixed.Default, netgen.Options{RawScores: true}); err != nil {
+	tape := circuit.NewTape()
+	if _, err := netgen.Generate(circuit.NewBuilder(tape, circuit.WithRecycling()), net, fixed.Default, netgen.Options{RawScores: true}); err != nil {
 		b.Fatal(err)
 	}
-	c := g.Circuit()
+	s, err := circuit.NewSchedule(tape)
+	if err != nil {
+		b.Fatal(err)
+	}
 
 	b.Run("engineOnly", func(b *testing.B) {
 		var garbleNs, evalNs int64
+		pool := gc.NewPool(1)
 		for i := 0; i < b.N; i++ {
-			rng := rand.New(rand.NewSource(9))
-			gb, err := gc.NewGarbler(rng)
+			gb, err := gc.NewBatchGarbler(rand.New(rand.NewSource(9)), 1)
 			if err != nil {
 				b.Fatal(err)
 			}
-			ev := gc.NewEvaluator()
-			lf, lt, _ := gb.ConstLabels()
-			ev.SetLabel(circuit.WFalse, lf)
-			ev.SetLabel(circuit.WTrue, lt)
-			for _, w := range c.GarblerInputs {
-				gb.AssignInput(w)
-				l, _ := gb.ActiveLabel(w, false)
-				ev.SetLabel(w, l)
+			ev, err := gc.NewBatchEvaluator(1)
+			if err != nil {
+				b.Fatal(err)
 			}
-			for _, w := range c.EvaluatorInputs {
-				gb.AssignInput(w)
-				l, _ := gb.ActiveLabel(w, false)
-				ev.SetLabel(w, l)
+			gb.Grow(s.NumWires)
+			ev.Grow(s.NumWires)
+			for _, w := range []uint32{circuit.WFalse, circuit.WTrue} {
+				l, _ := gb.ActiveLabel(w, 0, w == circuit.WTrue)
+				ev.SetLabel(w, 0, l)
 			}
-			// Phase 1: garble everything. Phase 2: evaluate everything.
+			// Phase 1: garble everything, keeping every input step's labels.
+			// Phase 2: evaluate everything.
 			var tables []byte
+			var inputs [][]gc.Label
 			t0 := nowNs()
-			for _, gate := range c.Gates {
-				tables, err = gb.Garble(gate, tables)
-				if err != nil {
-					b.Fatal(err)
+			for si := range s.Steps {
+				st := &s.Steps[si]
+				switch st.Kind {
+				case circuit.StepInputs:
+					if err := gb.AssignInputs(st.Wires, st.Party == circuit.Evaluator); err != nil {
+						b.Fatal(err)
+					}
+					labels := make([]gc.Label, len(st.Wires))
+					for k, w := range st.Wires {
+						labels[k], _ = gb.ActiveLabel(w, 0, false)
+					}
+					inputs = append(inputs, labels)
+				case circuit.StepLevels:
+					for li := st.First; li < st.First+st.N; li++ {
+						lv := &s.Levels[li]
+						ands, frees := s.LevelGates(lv)
+						off := len(tables)
+						tables = append(tables, make([]byte, lv.TableBytes())...)
+						if err := gb.GarbleLevel(ands, frees, lv.GIDBase, tables[off:], pool); err != nil {
+							b.Fatal(err)
+						}
+					}
 				}
 			}
 			t1 := nowNs()
 			rest := tables
-			for _, gate := range c.Gates {
-				rest, err = ev.Eval(gate, rest)
-				if err != nil {
-					b.Fatal(err)
+			for si := range s.Steps {
+				st := &s.Steps[si]
+				switch st.Kind {
+				case circuit.StepInputs:
+					for k, w := range st.Wires {
+						ev.SetLabel(w, 0, inputs[0][k])
+					}
+					inputs = inputs[1:]
+				case circuit.StepLevels:
+					for li := st.First; li < st.First+st.N; li++ {
+						lv := &s.Levels[li]
+						ands, frees := s.LevelGates(lv)
+						n := lv.TableBytes()
+						if err := ev.EvaluateLevel(ands, frees, lv.GIDBase, rest[:n], pool); err != nil {
+							b.Fatal(err)
+						}
+						rest = rest[n:]
+					}
 				}
 			}
 			t2 := nowNs()

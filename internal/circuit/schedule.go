@@ -193,8 +193,8 @@ func compile(t *Tape) (*Schedule, error) {
 // Live is a wire live-set, and the one liveness rule the GC engine runs
 // on: a gate reads live wires and writes a dead one. Schedule.Check proves
 // a schedule keeps it, once, at compile time, so the level kernels check
-// nothing; gc's per-gate faces, which run a gate stream no schedule covers,
-// hold each gate to it before running it.
+// nothing; core's §3.3 stream, which levels a gate stream no schedule
+// covers, holds each gate to it as it arrives.
 type Live struct{ set []bool }
 
 // Has reports whether wire w carries a value.

@@ -102,8 +102,10 @@ func randomModel(t *testing.T, r *rand.Rand, kind act.Kind) (*nn.Network, fixed.
 
 // TestInferenceDifferential runs the one inference path across everything
 // that selects a branch inside it — batch size B ∈ {1, 3} × Workers ∈
-// {1, 4} — two inferences of B samples per session, plus one outsourced
-// inference, on networks drawn from a seeded generator: one per activation
+// {1, 4} — two inferences of B samples per session, and every sample
+// through the §3.3 outsourced path (client, proxy and main server on the
+// one engine, fed by the generator's stream), on networks drawn from a
+// seeded generator: one per activation
 // realisation (the look-up-table ones skipped under -short), between them
 // every layer kind. Every label must equal PredictFixed; the Stats must
 // count samples and gate instances the same way on every path, and every
@@ -153,8 +155,10 @@ func differential(t *testing.T, net *nn.Network, f fixed.Format, samples [][]flo
 		t.Fatal(err)
 	}
 	ands := prog.Schedule.ANDs
-	if label, _, err := outsourcedInfer(t, net, f, samples[0]); err != nil || label != want[0] {
-		t.Fatalf("outsourced: label %d, %v; plaintext %d", label, err, want[0])
+	for i, x := range samples {
+		if label, _, err := outsourcedInfer(t, net, f, x); err != nil || label != want[i] {
+			t.Fatalf("outsourced sample %d: label %d, %v; plaintext %d", i, label, err, want[i])
+		}
 	}
 	for _, b := range []int{1, 3} {
 		n := int64(b)

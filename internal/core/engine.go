@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"runtime"
+	"slices"
 	"sync/atomic"
 	"time"
 
@@ -12,11 +13,11 @@ import (
 	"deepsecure/internal/transport"
 )
 
-// This file is the level-scheduled execution engine every session
-// inference runs on. Where the sinks in sinks.go drive the GC core one
-// gate at a time on the transport goroutine (the §3.3 outsourced path,
-// which never materialises its netlist), the engine executes the compiled
-// circuit.Schedule as a staged pipeline:
+// This file is the level-scheduled execution engine every garbled circuit
+// runs on. A session inference runs it over the compiled circuit.Schedule,
+// as a staged pipeline; the §3.3 outsourced path, which never materialises
+// its netlist, feeds the same engine's input, output and level steps from
+// the generator's stream (stream.go):
 //
 //	garbler:   [garble workers] → chunk buffer → conn
 //	evaluator: conn → table cursor → [eval workers]
@@ -193,22 +194,29 @@ type garbleEngine struct {
 func (en *garbleEngine) run() error {
 	en.g.Grow(en.sched.NumWires)
 	for si := range en.sched.Steps {
-		st := &en.sched.Steps[si]
-		var err error
-		switch st.Kind {
-		case circuit.StepInputs:
-			err = en.doInputs(st)
-		case circuit.StepOutputs:
-			err = en.doOutputs(st)
-		case circuit.StepLevels:
-			err = en.doLevels(st)
-		}
-		if err != nil {
+		if err := en.step(&en.sched.Steps[si]); err != nil {
 			return err
 		}
 	}
 	return nil
 }
+
+// step runs one step of a schedule, or a declaration of a stream once the
+// tables of the levels before it have gone.
+func (en *garbleEngine) step(st *circuit.Step) error {
+	if err := en.send(); err != nil {
+		return err
+	}
+	switch st.Kind {
+	case circuit.StepInputs:
+		return en.doInputs(st)
+	case circuit.StepOutputs:
+		return en.doOutputs(st)
+	}
+	return en.doLevels(st)
+}
+
+func (en *garbleEngine) grow(n uint32) { en.g.Grow(n) }
 
 // doInputs draws a client step's zero-labels and sends its active labels.
 // An evaluator step sends nothing: its weight wires take the session's
@@ -260,54 +268,68 @@ func (en *garbleEngine) doOutputs(st *circuit.Step) error {
 	return nil
 }
 
-// doLevels garbles one run of gate levels for the whole batch, sending a
-// table chunk whenever the buffer grows past the chunk size and at the run's
-// end; each level contributes b times its TableBytes. One buffer serves every
-// chunk: transport.Conn has written or copied a payload by the time Send
-// returns. The run is timed whole, its Send calls apart, so a level costs no
-// clock reads.
+// doLevels garbles one run of gate levels for the whole batch, sending the
+// table buffer at the run's end; each level contributes b times its
+// TableBytes. The run is timed whole, its Send calls apart, so a level costs
+// no clock reads.
 func (en *garbleEngine) doLevels(st *circuit.Step) error {
 	b := en.g.B()
-	chunk := en.cfg.chunkBytes
-	if chunk <= 0 {
-		chunk = tableChunk
-	}
-	cur := en.cur[:0]
-	if cur == nil {
+	if en.cur == nil {
 		// A session's first run: one buffer of the run's size (a chunk's at
 		// most) instead of a doubling ladder up to it, which a session of
 		// one inference would climb and throw away every time.
-		cur = make([]byte, 0, min(st.TableBytes*b, chunk+chunk/4))
+		en.cur = make([]byte, 0, min(st.TableBytes*b, en.chunk()+en.chunk()/4))
 	}
-	start, sending := time.Now(), time.Duration(0)
-	end := st.First + st.N
-	for li := st.First; li < end; li++ {
+	start, sent := time.Now(), en.writeTime
+	for li := st.First; li < st.First+st.N; li++ {
 		lv := &en.sched.Levels[li]
 		ands, frees := en.sched.LevelGates(lv)
-		need := lv.TableBytes() * b
-		off := len(cur)
-		for cap(cur) < off+need {
-			cur = append(cur[:cap(cur)], 0)
-		}
-		cur = cur[:off+need]
-		if err := en.g.GarbleLevel(ands, frees, lv.GIDBase, cur[off:], en.pool); err != nil {
+		if err := en.level(ands, frees, lv.GIDBase, lv.TableBytes()*b); err != nil {
 			return err
 		}
-		if len(cur) >= chunk || li == end-1 && len(cur) > 0 {
-			t0 := time.Now()
-			err := en.conn.Send(transport.MsgTables, cur)
-			sending += time.Since(t0)
-			if err != nil {
-				return err
-			}
-			cur = cur[:0]
-		}
 	}
-	en.gateTime += time.Since(start) - sending
-	en.writeTime += sending
-	en.cur = cur
+	err := en.send()
+	en.gateTime += time.Since(start) - (en.writeTime - sent)
+	return err
+}
+
+// level garbles one level, whose tables take need bytes, into the table
+// buffer, and sends the buffer once it holds a chunk.
+func (en *garbleEngine) level(ands, frees []circuit.Gate, gidBase uint64, need int) error {
+	off := len(en.cur)
+	en.cur = slices.Grow(en.cur, need)[:off+need]
+	if err := en.g.GarbleLevel(ands, frees, gidBase, en.cur[off:], en.pool); err != nil {
+		return err
+	}
+	if len(en.cur) >= en.chunk() {
+		return en.send()
+	}
 	return nil
 }
+
+func (en *garbleEngine) chunk() int {
+	if en.cfg.chunkBytes > 0 {
+		return en.cfg.chunkBytes
+	}
+	return tableChunk
+}
+
+// send hands the table buffer, if it holds any, to the transport as one
+// frame. One buffer serves every chunk: transport.Conn has written or copied
+// a payload by the time Send returns.
+func (en *garbleEngine) send() error {
+	if len(en.cur) == 0 {
+		return nil
+	}
+	t0 := time.Now()
+	err := en.conn.Send(transport.MsgTables, en.cur)
+	en.writeTime += time.Since(t0)
+	en.cur = en.cur[:0]
+	return err
+}
+
+// finish ends a stream: its last tables go.
+func (en *garbleEngine) finish() error { return en.send() }
 
 // evalEngine runs the evaluator's side of one inference of b = e.B()
 // samples over a compiled schedule.
@@ -329,6 +351,7 @@ type evalEngine struct {
 	progress *atomic.Int64
 
 	recycle   func([]byte) // takes spent table frames back, may be nil
+	tr        tableRun     // the table stream being drawn from
 	outLabels []gc.Label   // wire-major, samples innermost
 
 	// gateTime accumulates the wall time of the level runs less their table
@@ -342,22 +365,25 @@ type evalEngine struct {
 func (en *evalEngine) run() error {
 	en.e.Grow(en.sched.NumWires)
 	for si := range en.sched.Steps {
-		st := &en.sched.Steps[si]
-		var err error
-		switch st.Kind {
-		case circuit.StepInputs:
-			err = en.doInputs(st)
-		case circuit.StepOutputs:
-			err = en.doOutputs(st)
-		case circuit.StepLevels:
-			err = en.doLevels(st)
-		}
-		if err != nil {
+		if err := en.step(&en.sched.Steps[si]); err != nil {
 			return err
 		}
 	}
 	return nil
 }
+
+// step runs one step of a schedule or a declaration of a stream.
+func (en *evalEngine) step(st *circuit.Step) error {
+	switch st.Kind {
+	case circuit.StepInputs:
+		return en.doInputs(st)
+	case circuit.StepOutputs:
+		return en.doOutputs(st)
+	}
+	return en.doLevels(st)
+}
+
+func (en *evalEngine) grow(n uint32) { en.e.Grow(n) }
 
 func (en *evalEngine) doInputs(st *circuit.Step) error {
 	if st.Party == circuit.Garbler {
@@ -434,27 +460,36 @@ func (en *evalEngine) doOutputs(st *circuit.Step) error {
 func (en *evalEngine) doLevels(st *circuit.Step) error {
 	b := en.e.B()
 	start := time.Now()
-	tr := startTableRun(en.conn, st.TableBytes*b, en.recycle)
+	en.tr = startTableRun(en.conn, st.TableBytes*b, en.recycle)
 	var err error
 	for li := st.First; li < st.First+st.N && err == nil; li++ {
 		lv := &en.sched.Levels[li]
 		ands, frees := en.sched.LevelGates(lv)
-		var block []byte
-		if block, err = tr.level(lv.TableBytes() * b); err != nil {
-			break
-		}
-		if err = en.e.EvaluateLevel(ands, frees, lv.GIDBase, block, en.pool); err != nil {
-			break
-		}
-		if en.progress != nil {
-			en.progress.Add(1)
-		}
+		err = en.level(ands, frees, lv.GIDBase, lv.TableBytes()*b)
 	}
-	err = tr.finish(err)
-	en.gateTime += time.Since(start) - tr.readTime
-	en.readTime += tr.readTime
+	err = en.tr.finish(err)
+	en.gateTime += time.Since(start) - en.tr.readTime
+	en.readTime += en.tr.readTime
 	return err
 }
+
+// level evaluates one level on the next need bytes of the table run.
+func (en *evalEngine) level(ands, frees []circuit.Gate, gidBase uint64, need int) error {
+	block, err := en.tr.level(need)
+	if err != nil {
+		return err
+	}
+	if err := en.e.EvaluateLevel(ands, frees, gidBase, block, en.pool); err != nil {
+		return err
+	}
+	if en.progress != nil {
+		en.progress.Add(1)
+	}
+	return nil
+}
+
+// finish ends a stream: no table byte may be left over.
+func (en *evalEngine) finish() error { return en.tr.finish(nil) }
 
 // tableRun streams one level run's garbled tables to an evaluation
 // engine: constructed per StepLevels step with the run's total byte

@@ -499,7 +499,7 @@ func TestEngineSessionConformance(t *testing.T) {
 // widths 2 and 4, with 1, 2, and 4 sessions running concurrently on the one
 // process-wide scheduler, every session's streams must be byte-identical to
 // a lone width-1 run, which never leaves its goroutine (and whose tables the
-// gc layer pins to the per-gate Garbler.Garble reference:
+// gc layer pins to garbling a gate a level:
 // TestSharedPoolMatchesPrivate, TestBatchMatchesSequential). Run with
 // -race: concurrent sessions steal chunks from each other's regions.
 func TestEngineSharedPoolConformance(t *testing.T) {

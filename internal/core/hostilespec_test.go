@@ -13,6 +13,7 @@ import (
 	"deepsecure/internal/gc"
 	"deepsecure/internal/nn"
 	"deepsecure/internal/ot"
+	"deepsecure/internal/stdcell"
 	"deepsecure/internal/testutil"
 	"deepsecure/internal/transport"
 )
@@ -79,7 +80,7 @@ func TestHostileArchFrameIsAnError(t *testing.T) {
 			defer closer2.Close()
 			psConn, spConn, closer3 := transport.Pipe()
 			defer closer3.Close()
-			if err := cpConn.Send(transport.MsgHello, []byte(protocolHello)); err != nil {
+			if err := cpConn.Send(transport.MsgHello, []byte(outsourcedHello)); err != nil {
 				t.Fatal(err)
 			}
 			if err := cpConn.Flush(); err != nil {
@@ -201,5 +202,94 @@ func TestHostileClientSetupAnswerCapped(t *testing.T) {
 		}
 	case <-time.After(5 * time.Second):
 		t.Fatal("the server still reads a set-up answer 5 s after its oversized header")
+	}
+}
+
+// TestOutsourcedFramesCapped: every frame the three parties of the §3.3
+// deployment read is capped before it is read, so a header announcing more
+// than the protocol state allows is refused from the header alone, by the
+// party it was meant for. The client caps the architecture at
+// nn.MaxSpecBytes and both decode halves at the packed label width; the
+// proxy caps the architecture, the client's share and the set-up OT's U at
+// what W OTs take; the main server caps the client's share, the set-up
+// OT's answer at W label pairs, the constants at two labels, the proxy's
+// input labels at its share's, and a table frame at a chunk and one
+// streamed level's tables.
+func TestOutsourcedFramesCapped(t *testing.T) {
+	defer testutil.VerifyNoLeaks(t)()
+	f := fixed.Default
+	model := testNet(t, act.ReLU, 23)
+	n := model.In.Len() * f.Bits()
+	w := n + nn.WeightBitCount(model, f)
+	labelBytes := (stdcell.IndexBits(model.Out().Len()) + 7) / 8
+	const client, proxy, server = 0, 1, 2
+	for _, tc := range []struct {
+		name     string
+		from, to int // the link's two parties: the frame travels from → to
+		at       transport.MsgType
+		limit    int
+	}{
+		{"client arch", proxy, client, transport.MsgArch, nn.MaxSpecBytes},
+		{"client result", proxy, client, transport.MsgResult, labelBytes},
+		{"client output labels", server, client, transport.MsgOutputLabels, labelBytes},
+		{"proxy arch", server, proxy, transport.MsgArch, nn.MaxSpecBytes},
+		{"proxy share", client, proxy, transport.MsgShare, (n + 7) / 8},
+		{"proxy ot-ext-u", server, proxy, transport.MsgOTExtU, ot.ExtULen(w)},
+		{"server share", client, server, transport.MsgShare, (n + 7) / 8},
+		{"server ot-ext-y", proxy, server, transport.MsgOTExtY, w * 2 * ot.MsgLen},
+		{"server const labels", proxy, server, transport.MsgConstLabels, 2 * gc.LabelSize},
+		{"server input labels", proxy, server, transport.MsgInputLabels, n * gc.LabelSize},
+		{"server tables", proxy, server, transport.MsgTables, maxStreamTables},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			// ends[a][b] is a's end of its link to b; every link runs
+			// through a relay, and the one from tc.from to tc.to swaps the
+			// capped frame for an oversized header.
+			var ends [3][3]*transport.Conn
+			var pipes []net.Conn
+			for a := 0; a < 3; a++ {
+				for b := a + 1; b < 3; b++ {
+					aEnd, aRelay := net.Pipe()
+					bRelay, bEnd := net.Pipe()
+					pipes = append(pipes, aEnd, aRelay, bRelay, bEnd)
+					ends[a][b], ends[b][a] = transport.New(aEnd), transport.New(bEnd)
+					relay := func(dst io.Writer, src io.Reader, from, to int) {
+						if from == tc.from && to == tc.to {
+							headerSwap(dst, src, tc.at, tc.at, uint32(tc.limit+1)) //nolint:errcheck
+							return
+						}
+						io.Copy(dst, src) //nolint:errcheck
+					}
+					go relay(bRelay, aRelay, a, b)
+					go relay(aRelay, bRelay, b, a)
+				}
+			}
+			defer func() {
+				for _, p := range pipes {
+					p.Close()
+				}
+			}()
+			errs := make([]chan error, 3)
+			for i := range errs {
+				errs[i] = make(chan error, 1)
+			}
+			go func() {
+				_, _, err := (&Client{}).InferOutsourced(ends[client][proxy], ends[client][server], []float64{0.5, -0.25, 0.75, -1, 0.125, 0.3})
+				errs[client] <- err
+			}()
+			go func() { errs[proxy] <- (&Proxy{}).Run(ends[proxy][client], ends[proxy][server]) }()
+			go func() {
+				errs[server] <- (&Server{Net: model, Fmt: f}).ServeOutsourced(ends[server][proxy], ends[server][client])
+			}()
+			want := fmt.Sprintf("transport: %v frame of %d bytes exceeds its limit of %d", tc.at, tc.limit+1, tc.limit)
+			select {
+			case err := <-errs[tc.to]:
+				if err == nil || err.Error() != want {
+					t.Fatalf("%v, want %q", err, want)
+				}
+			case <-time.After(10 * time.Second):
+				t.Fatal("still reading 10 s after the oversized header")
+			}
+		})
 	}
 }

@@ -3,13 +3,18 @@ package core
 import (
 	"fmt"
 	"io"
+	"math"
 	"time"
 
 	"deepsecure/internal/circuit"
+	"deepsecure/internal/fixed"
+	"deepsecure/internal/gc"
 	"deepsecure/internal/netgen"
 	"deepsecure/internal/nn"
 	"deepsecure/internal/obs"
+	"deepsecure/internal/ot"
 	"deepsecure/internal/outsource"
+	"deepsecure/internal/stdcell"
 	"deepsecure/internal/transport"
 )
 
@@ -26,6 +31,19 @@ import (
 // point-and-permute bit vector) to the client, who XORs them — so neither
 // server learns the inference result either.
 
+// outsourcedHello opens both of the deployment's exchanges, the client's
+// with the proxy and the proxy's with the main server. It is not the
+// session protocol's and changes when this deployment's frames do.
+//
+// Proxy ↔ server, after the hello and MsgArch (the spec): the OT-extension
+// base phase, then the set-up OT of W = n·bits + nn.WeightBitCount labels,
+// as a session's (the server's x⊕s share and weight bits are its choices,
+// the pairs the proxy's zero-labels under one fresh Δ, permute bit 0);
+// then MsgConstLabels, and in generation order MsgInputLabels (the proxy's
+// share, one declaration a frame) and MsgTables, cut at level boundaries.
+// The whole circuit is one sample, ordinal 0, under that Δ.
+const outsourcedHello = "deepsecure-outsourced/1"
+
 // InferOutsourced runs a secure inference as the constrained client: it
 // only generates a random pad, XORs once, and receives two short bit
 // vectors (the paper's "almost free of charge" client workload).
@@ -36,9 +54,10 @@ func (c *Client) InferOutsourced(proxyConn, serverConn *transport.Conn, x []floa
 	proxyConn.SetMetrics(set)
 	serverConn.SetMetrics(set)
 	rng := rngOrDefault(c.Rng)
-	if err := proxyConn.Send(transport.MsgHello, []byte(protocolHello)); err != nil {
+	if err := proxyConn.Send(transport.MsgHello, []byte(outsourcedHello)); err != nil {
 		return 0, nil, err
 	}
+	proxyConn.SetLimit(transport.MsgArch, nn.MaxSpecBytes)
 	specData, err := proxyConn.Recv(transport.MsgArch)
 	if err != nil {
 		return 0, nil, err
@@ -47,9 +66,13 @@ func (c *Client) InferOutsourced(proxyConn, serverConn *transport.Conn, x []floa
 	if err != nil {
 		return 0, nil, err
 	}
+	net, err := spec.Build()
+	if err != nil {
+		return 0, nil, err
+	}
 	// Before any share leaves: the two servers would truncate or refuse a
 	// wrong-width sample, and neither can tell the client.
-	if got, want := len(x), spec.In.Len(); got != want {
+	if got, want := len(x), net.In.Len(); got != want {
 		return 0, nil, fmt.Errorf("core: sample has %d features, model wants %d", got, want)
 	}
 	f := spec.Format
@@ -74,7 +97,10 @@ func (c *Client) InferOutsourced(proxyConn, serverConn *transport.Conn, x []floa
 		return 0, nil, err
 	}
 
-	// Merge the two decode halves.
+	// Merge the two decode halves, each a bit per bit of the label.
+	nBits := stdcell.IndexBits(net.Out().Len())
+	proxyConn.SetLimit(transport.MsgResult, (nBits+7)/8)
+	serverConn.SetLimit(transport.MsgOutputLabels, (nBits+7)/8)
 	decPayload, err := proxyConn.Recv(transport.MsgResult)
 	if err != nil {
 		return 0, nil, err
@@ -83,10 +109,6 @@ func (c *Client) InferOutsourced(proxyConn, serverConn *transport.Conn, x []floa
 	if err != nil {
 		return 0, nil, err
 	}
-	if len(decPayload) != len(lsbPayload) {
-		return 0, nil, fmt.Errorf("core: decode halves disagree: %d vs %d bytes", len(decPayload), len(lsbPayload))
-	}
-	nBits := len(decPayload) * 8
 	dec, err := outsource.UnpackBits(decPayload, nBits)
 	if err != nil {
 		return 0, nil, err
@@ -113,21 +135,39 @@ type Proxy struct {
 	Rng io.Reader
 }
 
+// outsourcedStream emits net's outsourced netlist into sink through a
+// recycling builder: the event stream both servers run.
+func outsourcedStream(net *nn.Network, f fixed.Format) func(circuit.Sink) error {
+	return func(sink circuit.Sink) error {
+		_, err := netgen.Generate(circuit.NewBuilder(sink, circuit.WithRecycling()), net, f, netgen.Options{Outsourced: true})
+		return err
+	}
+}
+
+// recvHello reads a peer's hello and refuses any but outsourcedHello.
+func recvHello(conn *transport.Conn) error {
+	hello, err := conn.Recv(transport.MsgHello)
+	if err != nil {
+		return err
+	}
+	if string(hello) != outsourcedHello {
+		return fmt.Errorf("core: unknown protocol %q", hello)
+	}
+	return nil
+}
+
 // Run serves one outsourced inference: handshake with the client, garble
 // against the main server, forward the decode map half to the client.
 func (p *Proxy) Run(clientConn, serverConn *transport.Conn) error {
 	rng := rngOrDefault(p.Rng)
-	hello, err := clientConn.Recv(transport.MsgHello)
-	if err != nil {
+	if err := recvHello(clientConn); err != nil {
 		return err
-	}
-	if string(hello) != protocolHello {
-		return fmt.Errorf("core: unknown protocol %q", hello)
 	}
 	// Fetch the public spec from the model owner and relay it.
-	if err := serverConn.Send(transport.MsgHello, []byte(protocolHello)); err != nil {
+	if err := serverConn.Send(transport.MsgHello, []byte(outsourcedHello)); err != nil {
 		return err
 	}
+	serverConn.SetLimit(transport.MsgArch, nn.MaxSpecBytes)
 	specData, err := serverConn.Recv(transport.MsgArch)
 	if err != nil {
 		return err
@@ -144,37 +184,65 @@ func (p *Proxy) Run(clientConn, serverConn *transport.Conn) error {
 		return err
 	}
 	f := spec.Format
-
+	n := net.In.Len() * f.Bits()
+	clientConn.SetLimit(transport.MsgShare, (n+7)/8)
 	sharePayload, err := clientConn.Recv(transport.MsgShare)
 	if err != nil {
 		return err
 	}
-	share, err := outsource.UnpackBits(sharePayload, net.In.Len()*f.Bits())
+	share, err := outsource.UnpackBits(sharePayload, n)
 	if err != nil {
 		return err
 	}
 
-	sink, err := newGarblerSink(serverConn, rng, share)
+	// The set-up OT hands the server the labels of all its input wires,
+	// share and weights, under the circuit's one Δ.
+	ots, err := ot.NewExtSender(serverConn, rng)
 	if err != nil {
 		return err
 	}
-	b := circuit.NewBuilder(sink, circuit.WithRecycling())
-	if _, err := netgen.Generate(b, net, f, netgen.Options{Outsourced: true}); err != nil {
+	w := n + nn.WeightBitCount(net, f)
+	delta, zero, pairs, err := weightLabels(rng, w)
+	if err != nil {
 		return err
 	}
-	if err := b.Err(); err != nil {
+	serverConn.SetLimit(transport.MsgOTExtU, ot.ExtULen(w))
+	if err := ots.Send(pairs); err != nil {
 		return err
 	}
-	if err := sink.flushTables(); err != nil {
+	g, err := gc.NewSessionGarbler(rng, delta, 1)
+	if err != nil {
+		return err
+	}
+	constLabels, err := g.AppendConstLabels(nil)
+	if err != nil {
+		return err
+	}
+	if err := serverConn.Send(transport.MsgConstLabels, constLabels); err != nil {
+		return err
+	}
+	en := &garbleEngine{
+		g:         g,
+		pool:      EngineConfig{}.newPool(),
+		conn:      serverConn,
+		weights:   zero,
+		inputBits: [][]bool{share},
+	}
+	if err := runStream(en, outsourcedStream(net, f)); err != nil {
 		return err
 	}
 	if err := serverConn.Flush(); err != nil {
 		return err
 	}
 
-	// Send the decode half to the client; the proxy never sees the
-	// evaluator's output labels, so it learns nothing about the result.
-	if err := clientConn.Send(transport.MsgResult, outsource.PackBits(sink.decodeBits())); err != nil {
+	// Send the decode half to the client: the point-and-permute bit of each
+	// output zero-label. The proxy never sees the evaluator's output
+	// labels, so it learns nothing about the result.
+	dec := make([]bool, len(en.outZero))
+	for i, l := range en.outZero {
+		dec[i] = l.LSB()
+	}
+	if err := clientConn.Send(transport.MsgResult, outsource.PackBits(dec)); err != nil {
 		return err
 	}
 	return clientConn.Flush()
@@ -185,12 +253,8 @@ func (p *Proxy) Run(clientConn, serverConn *transport.Conn) error {
 // the output-label LSB half to the client.
 func (s *Server) ServeOutsourced(proxyConn, clientConn *transport.Conn) error {
 	rng := rngOrDefault(s.Rng)
-	hello, err := proxyConn.Recv(transport.MsgHello)
-	if err != nil {
+	if err := recvHello(proxyConn); err != nil {
 		return err
-	}
-	if string(hello) != protocolHello {
-		return fmt.Errorf("core: unknown protocol %q", hello)
 	}
 	spec, err := s.Net.Spec(s.Fmt).Marshal()
 	if err != nil {
@@ -203,30 +267,59 @@ func (s *Server) ServeOutsourced(proxyConn, clientConn *transport.Conn) error {
 		return err
 	}
 
+	n := s.Net.In.Len() * s.Fmt.Bits()
+	clientConn.SetLimit(transport.MsgShare, (n+7)/8)
 	sharePayload, err := clientConn.Recv(transport.MsgShare)
 	if err != nil {
 		return err
 	}
-	share, err := outsource.UnpackBits(sharePayload, s.Net.In.Len()*s.Fmt.Bits())
+	share, err := outsource.UnpackBits(sharePayload, n)
 	if err != nil {
 		return err
 	}
-	inputBits := append(share, nn.WeightBits(s.Net, s.Fmt)...)
+	choices := append(share, nn.WeightBits(s.Net, s.Fmt)...)
 
-	sink, err := newEvaluatorSink(proxyConn, rng, inputBits)
+	// Every proxy frame is bounded before it arrives: the set-up OT's
+	// answer is W label pairs, the constants two labels, the proxy's inputs
+	// its share, and a table frame a chunk and one streamed level.
+	proxyConn.SetLimit(transport.MsgOTExtY, len(choices)*2*ot.MsgLen)
+	proxyConn.SetLimit(transport.MsgConstLabels, 2*gc.LabelSize)
+	proxyConn.SetLimit(transport.MsgInputLabels, n*gc.LabelSize)
+	proxyConn.SetLimit(transport.MsgTables, maxStreamTables)
+	ots, err := ot.NewExtReceiver(proxyConn, rng)
 	if err != nil {
 		return err
 	}
-	b := circuit.NewBuilder(sink, circuit.WithRecycling())
-	if _, err := netgen.Generate(b, s.Net, s.Fmt, netgen.Options{Outsourced: true}); err != nil {
+	chosen, err := ots.Receive(choices)
+	if err != nil {
 		return err
 	}
-	if err := b.Err(); err != nil {
+	weights := make([]gc.Label, len(chosen))
+	for i, m := range chosen {
+		weights[i] = gc.Label(m)
+	}
+	constLabels, err := proxyConn.Recv(transport.MsgConstLabels)
+	if err != nil {
+		return err
+	}
+	if len(constLabels) != 2*gc.LabelSize {
+		return fmt.Errorf("core: const-label frame has %d bytes", len(constLabels))
+	}
+	e, err := gc.NewBatchEvaluator(1)
+	if err != nil {
+		return err
+	}
+	e.SetLabel(circuit.WFalse, 0, gc.Label(constLabels))
+	e.SetLabel(circuit.WTrue, 0, gc.Label(constLabels[gc.LabelSize:]))
+	// The stream is one table run with no byte budget: its frames are capped.
+	en := &evalEngine{e: e, pool: s.Engine.newPool(), conn: proxyConn, weights: weights,
+		tr: startTableRun(proxyConn, math.MaxInt, proxyConn.Recycle)}
+	if err := runStream(en, outsourcedStream(s.Net, s.Fmt)); err != nil {
 		return err
 	}
 
-	lsbs := make([]bool, len(sink.outLabels))
-	for i, l := range sink.outLabels {
+	lsbs := make([]bool, len(en.outLabels))
+	for i, l := range en.outLabels {
 		lsbs[i] = l.LSB()
 	}
 	if err := clientConn.Send(transport.MsgOutputLabels, outsource.PackBits(lsbs)); err != nil {

@@ -23,7 +23,10 @@
 // The package also implements the secure-outsourcing deployment (§3.3,
 // Fig. 4) where a resource-constrained client XOR-shares its input between
 // a proxy (who garbles) and the main server (who evaluates), and neither
-// learns the input or — in this implementation — the result.
+// learns the input or — in this implementation — the result. Its two
+// servers run the same engine, fed by the netlist generator's stream
+// instead of a compiled schedule, under one Free-XOR offset as a session's
+// inference does.
 package core
 
 import (
@@ -58,8 +61,8 @@ import (
 // change to the netlist an architecture compiles to changes the digest and
 // not this string: a peer built from another generator is refused at the
 // handshake either way, never by a label that fails to authenticate
-// mid-stream. (The §3.3 streaming deployment compiles no tape; its peers
-// agree on this string alone.)
+// mid-stream. (The §3.3 streaming deployment compiles no tape and has a
+// hello of its own, outsourcedHello.)
 //
 // Setup, in order: client MsgHello (this string, a zero byte, the client's
 // session counter cid as 8 big-endian bytes, then the 16-byte id of every
@@ -81,8 +84,8 @@ import (
 // cid ‖ sid, so a repeat session's set-up is the hello and one server
 // flight; the client's MsgOTExtY travels ahead of the first inference's
 // burst. (The §3.3 streaming
-// deployment sends the bare string as its hello and runs its own base
-// phase per connection.)
+// deployment runs the same set-up OT over its share and weight labels, after
+// a base phase of its own per connection; outsourcedHello describes it.)
 //
 // An inference classifies B ≥ 1 samples and is one client→server burst
 // answered by one frame. The burst: MsgInferBegin (uvarint B, at most the

@@ -7,14 +7,14 @@ import (
 	"deepsecure/internal/sched"
 )
 
-// This file is the GC engine's one kernel, shared by the level kernels
-// (BatchGarbler.GarbleLevel/BatchEvaluator.EvaluateLevel, vec.go) and the
-// per-gate faces (Garbler.Garble/Evaluator.Eval): the worker Pool that
-// stripes a level of mutually independent gates — as produced and checked by
-// circuit.NewSchedule — and the half-gates cryptography over a span of it.
-// The kernel checks nothing about the gates it runs: the level kernels rely
-// on the schedule's compile-time Check, the per-gate faces on their own
-// live-set. A level's global AND index base fixes every tweak, and each
+// This file is the GC engine's one kernel, behind the level kernels
+// (BatchGarbler.GarbleLevel/BatchEvaluator.EvaluateLevel, vec.go): the
+// worker Pool that stripes a level of mutually independent gates and the
+// half-gates cryptography over a span of it. The kernel checks nothing about
+// the gates it runs: a session's levels were proved by its schedule's
+// compile-time Check (circuit.NewSchedule), and the levels core cuts from a
+// stream no schedule covers, by that stream's circuit.Live as each gate
+// arrived. A level's global AND index base fixes every tweak, and each
 // AND gate writes its ciphertexts at a rank-derived offset inside a
 // caller-provided table block, so nothing depends on execution order
 // inside a level and the produced bytes are identical for any worker count.
@@ -82,16 +82,27 @@ const (
 // [andLo, andHi) and the free gates [freeLo, freeHi) of lv, for all B
 // samples.
 type spanner interface {
-	span(h *Hasher, lv level, andLo, andHi, freeLo, freeHi int)
+	span(h *Hasher, lv *level, andLo, andHi, freeLo, freeHi int)
+	hasher(nAND int) *Hasher
+}
+
+// hasher is the Hasher of a state's inline level runs, drawn from the pool
+// the first time a level has ANDs (a level of free gates hashes nothing) and
+// handed back by Release.
+func (st *labelStore) hasher(nAND int) *Hasher {
+	if st.h == nil && nAND > 0 {
+		st.h = hasherPool.Get().(*Hasher)
+	}
+	return st.h
 }
 
 // run executes k over per-worker spans of lv's AND gates and of its free
 // gates. The two populations are striped separately — a single partition of
 // the concatenation would hand every AES-heavy AND gate to the first workers
-// and leave the rest doing only label XORs. Small levels run inline, which
-// allocates nothing: only a level that fans out builds the closure its
-// chunks share. A span that panics on a scheduler worker comes back as
-// run's error.
+// and leave the rest doing only label XORs. Small levels run inline, on the
+// state's own Hasher, which allocates nothing: lv lies in the state's store,
+// and only a level that fans out builds the closure its chunks share. A span
+// that panics on a scheduler worker comes back as run's error.
 //
 // scale is the per-gate work multiplier: the level kernel processes
 // scale (= batch size B) samples inside every gate visit, so the fan-out
@@ -100,13 +111,11 @@ type spanner interface {
 // handed to workers remain gate ranges (samples stay innermost, per
 // worker, for cache locality). Striping never affects the bytes produced,
 // so the thresholds are a pure scheduling choice.
-func (p *Pool) run(k spanner, lv level, scale int) error {
+func (p *Pool) run(k spanner, lv *level, scale int) error {
 	nAND, nFree := len(lv.ands), len(lv.frees)
 	w := min(p.width, nAND+nFree, (nAND*scale)/laneMinANDs+(nFree*scale)/laneMinFrees)
 	if w <= 1 {
-		h := hasherPool.Get().(*Hasher)
-		k.span(h, lv, 0, nAND, 0, nFree)
-		hasherPool.Put(h)
+		k.span(k.hasher(nAND), lv, 0, nAND, 0, nFree)
 		return nil
 	}
 	// The w spans are the chunks of one scheduler region: workers (and this
@@ -160,13 +169,13 @@ func (lv *level) seam(andLo, andHi int) int { return min(max(lv.nFull, andLo), a
 // colour(B) is b (with any other permute bit p it garbles a ∧ (b ⊕ p),
 // still on authentic labels). Every label is doubled once; its ⊕R twin's
 // hash key is that double ⊕ 2R.
-func (g *BatchGarbler) span(h *Hasher, lv level, andLo, andHi, freeLo, freeHi int) {
+func (g *BatchGarbler) span(h *Hasher, lv *level, andLo, andHi, freeLo, freeHi int) {
 	if tweakSeen != nil {
-		g.recordTweaks(&lv, andLo, andHi)
+		g.recordTweaks(lv, andLo, andHi)
 	}
 	seam := lv.seam(andLo, andHi)
-	g.garbleANDs(h, &lv, andLo, seam, false)
-	g.garbleANDs(h, &lv, seam, andHi, true)
+	g.garbleANDs(h, lv, andLo, seam, false)
+	g.garbleANDs(h, lv, seam, andHi, true)
 	g.freeSpan(lv.frees[freeLo:freeHi])
 }
 
@@ -258,10 +267,10 @@ func (g *BatchGarbler) garbleANDs(h *Hasher, lv *level, lo, hi int, half bool) {
 
 // span is the garbler's span mirrored: every instance hashes its active
 // labels once per half and combines them with its ciphertexts.
-func (e *BatchEvaluator) span(h *Hasher, lv level, andLo, andHi, freeLo, freeHi int) {
+func (e *BatchEvaluator) span(h *Hasher, lv *level, andLo, andHi, freeLo, freeHi int) {
 	seam := lv.seam(andLo, andHi)
-	e.evalANDs(h, &lv, andLo, seam, false)
-	e.evalANDs(h, &lv, seam, andHi, true)
+	e.evalANDs(h, lv, andLo, seam, false)
+	e.evalANDs(h, lv, seam, andHi, true)
 	e.freeSpan(lv.frees[freeLo:freeHi])
 }
 

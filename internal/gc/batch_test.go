@@ -92,15 +92,15 @@ func independentLevel(t *testing.T, assign func(w uint32, evaluator bool) error,
 // TestBatchMatchesSequential pins the level kernel to the per-gate
 // reference: for one level of independent gates, GarbleLevel at B=1 with
 // any worker count must produce byte-identical tables and the same
-// zero-labels as the internal-counter Garbler.Garble loop, and
-// EvaluateLevel the same active labels as the Evaluator.Eval loop — which
-// must be the garbler's labels for the plaintext values. The level holds
-// enough ANDs that 4 workers split it 4 ways on both sides.
+// zero-labels as garbling it a gate a level (garbleGate), and
+// EvaluateLevel the same active labels as evaluating it so (evalGate) —
+// which must be the garbler's labels for the plaintext values. The level
+// holds enough ANDs that 4 workers split it 4 ways on both sides.
 func TestBatchMatchesSequential(t *testing.T) {
 	const nAND, nFree = 6400, 100
 	for _, workers := range []int{1, 4} {
 		rng := rand.New(rand.NewSource(31))
-		gSeq, err := NewGarbler(rand.New(rand.NewSource(32)))
+		gSeq, err := NewBatchGarbler(rand.New(rand.NewSource(32)), 1)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -108,13 +108,14 @@ func TestBatchMatchesSequential(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		ands, frees, maxWire := independentLevel(t, assignSingle(gSeq), rng, nAND, nFree)
+		ands, frees, maxWire := independentLevel(t, assignBatch(gSeq), rng, nAND, nFree)
 		independentLevel(t, assignBatch(gLevel), rand.New(rand.NewSource(31)), nAND, nFree)
 
 		// Sequential: ANDs first, then frees, matching level order.
 		var seqTables []byte
+		var gid uint64
 		for _, gate := range append(append([]circuit.Gate{}, ands...), frees...) {
-			if seqTables, err = gSeq.Garble(gate, seqTables); err != nil {
+			if seqTables, err = garbleGate(gSeq, &gid, gate, seqTables); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -131,16 +132,11 @@ func TestBatchMatchesSequential(t *testing.T) {
 		if !bytes.Equal(seqTables, levelTables) {
 			t.Fatalf("workers=%d: level tables differ from per-gate garbling", workers)
 		}
-		if gSeq.R != gLevel.R[0] {
+		if gSeq.R[0] != gLevel.R[0] {
 			t.Fatalf("workers=%d: delta differs", workers)
 		}
-		// The level kernel keeps no liveness: compare the wires the per-gate
-		// face holds.
 		for w := uint32(0); w < maxWire; w++ {
-			ls, err := gSeq.ZeroLabel(w)
-			if err != nil {
-				continue
-			}
+			ls, _ := gSeq.ZeroLabel(w, 0)
 			if lb, err := gLevel.ZeroLabel(w, 0); err != nil || ls != lb {
 				t.Fatalf("workers=%d: wire %d label differs (%v)", workers, w, err)
 			}
@@ -148,7 +144,10 @@ func TestBatchMatchesSequential(t *testing.T) {
 
 		// Evaluate the tables per gate and through the level kernel on
 		// random plaintext inputs.
-		evSeq := NewEvaluator()
+		evSeq, err := NewBatchEvaluator(1)
+		if err != nil {
+			t.Fatal(err)
+		}
 		evLevel, err := NewBatchEvaluator(1)
 		if err != nil {
 			t.Fatal(err)
@@ -160,12 +159,13 @@ func TestBatchMatchesSequential(t *testing.T) {
 		}
 		for w, bit := range bits {
 			l := mustActive(t, gSeq, w, bit)
-			evSeq.SetLabel(w, l)
+			evSeq.SetLabel(w, 0, l)
 			evLevel.SetLabel(w, 0, l)
 		}
 		rest := seqTables
+		gid = 0
 		for _, gate := range append(append([]circuit.Gate{}, ands...), frees...) {
-			if rest, err = evSeq.Eval(gate, rest); err != nil {
+			if rest, err = evalGate(evSeq, &gid, gate, rest); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -185,7 +185,7 @@ func TestBatchMatchesSequential(t *testing.T) {
 			case circuit.INV:
 				want = !bits[gate.A]
 			}
-			ref, err := evSeq.Label(gate.Out)
+			ref, err := evSeq.Label(gate.Out, 0)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -200,26 +200,15 @@ func TestBatchMatchesSequential(t *testing.T) {
 	}
 }
 
-// assignSingle and assignBatch are independentLevel's assign for the two
-// garbler kinds: an evaluator's wire gets its zero-label with permute bit 0.
-func assignSingle(g *Garbler) func(uint32, bool) error {
-	return func(w uint32, evaluator bool) (err error) {
-		if evaluator {
-			_, err = g.AssignEvaluatorInput(w)
-		} else {
-			_, err = g.AssignInput(w)
-		}
-		return err
-	}
-}
-
+// assignBatch is independentLevel's assign: an evaluator's wire gets its
+// zero-label with permute bit 0.
 func assignBatch(g *BatchGarbler) func(uint32, bool) error {
 	return func(w uint32, evaluator bool) error { return g.AssignInputs([]uint32{w}, evaluator) }
 }
 
-func mustActive(t *testing.T, g *Garbler, w uint32, bit bool) Label {
+func mustActive(t *testing.T, g *BatchGarbler, w uint32, bit bool) Label {
 	t.Helper()
-	l, err := g.ActiveLabel(w, bit)
+	l, err := g.ActiveLabel(w, 0, bit)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -254,28 +243,25 @@ func TestBatchErrors(t *testing.T) {
 	}
 }
 
-// BenchmarkGarbleGate measures a single AND-gate garble through the
-// per-gate face (four fixed-key AES hashes plus label XORs, on a one-gate
-// level).
+// BenchmarkGarbleGate measures a single AND-gate garble on a one-gate
+// level (four fixed-key AES hashes plus label XORs).
 func BenchmarkGarbleGate(b *testing.B) {
-	g, err := NewGarbler(rand.New(rand.NewSource(51)))
+	g, err := NewBatchGarbler(rand.New(rand.NewSource(51)), 1)
 	if err != nil {
 		b.Fatal(err)
 	}
-	for w := uint32(2); w < 8; w++ {
-		if _, err := g.AssignInput(w); err != nil {
-			b.Fatal(err)
-		}
+	if err := g.AssignInputs([]uint32{2, 3, 4, 5, 6, 7}, false); err != nil {
+		b.Fatal(err)
 	}
 	gate := circuit.Gate{Op: circuit.AND, A: 2, B: 3, Out: 9}
 	table := make([]byte, 0, TableSize)
+	var gid uint64
 	b.SetBytes(TableSize)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := g.Garble(gate, table); err != nil {
+		if _, err := garbleGate(g, &gid, gate, table); err != nil {
 			b.Fatal(err)
 		}
-		g.Drop(gate.Out)
 	}
 }
 

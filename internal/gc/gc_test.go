@@ -2,6 +2,7 @@ package gc
 
 import (
 	"bytes"
+	"fmt"
 	"math/rand"
 	"testing"
 
@@ -10,9 +11,64 @@ import (
 	"deepsecure/internal/stdcell"
 )
 
-// runGC garbles and evaluates a materialized circuit in-process and
-// returns the decoded output bits, exercising the full label machinery
-// (without transport/OT, which have their own tests).
+// onePool runs every level of the per-gate reference inline.
+var onePool = NewPool(1)
+
+// oneGate is gate as a level of its own: its AND, or its free gate.
+func oneGate(gate circuit.Gate) (ands, frees []circuit.Gate) {
+	if gate.Op.TableBytes() > 0 {
+		return []circuit.Gate{gate}, nil
+	}
+	return nil, []circuit.Gate{gate}
+}
+
+// garbleGate garbles gate as a one-gate level at B=1, with AND index *gid,
+// and appends its tables to table: the per-gate reference the tests hold
+// whole levels to, as a gate stream with no schedule runs.
+func garbleGate(g *BatchGarbler, gid *uint64, gate circuit.Gate, table []byte) ([]byte, error) {
+	g.ensure(gate.Out)
+	ands, frees := oneGate(gate)
+	off := len(table)
+	table = append(table, make([]byte, gate.Op.TableBytes())...)
+	if err := g.GarbleLevel(ands, frees, *gid, table[off:], onePool); err != nil {
+		return table[:off], err
+	}
+	*gid += uint64(len(ands))
+	return table, nil
+}
+
+// evalGate is garbleGate's mirror: it evaluates gate on the tables at the
+// front of table and returns the rest.
+func evalGate(e *BatchEvaluator, gid *uint64, gate circuit.Gate, table []byte) ([]byte, error) {
+	e.ensure(gate.Out)
+	ands, frees := oneGate(gate)
+	n := min(gate.Op.TableBytes(), len(table))
+	if err := e.EvaluateLevel(ands, frees, *gid, table[:n], onePool); err != nil {
+		return table, err
+	}
+	*gid += uint64(len(ands))
+	return table[n:], nil
+}
+
+// decodeBit maps an output wire's label from the evaluator back to its bit:
+// the zero-label is 0, the zero-label ⊕ R is 1, and anything else is not
+// authentic — so a tampered evaluation fails instead of decoding wrong.
+func decodeBit(g *BatchGarbler, w uint32, l Label) (bool, error) {
+	zero, err := g.ZeroLabel(w, 0)
+	switch {
+	case err != nil:
+		return false, err
+	case l == zero:
+		return false, nil
+	case l == zero.XOR(g.R[0]):
+		return true, nil
+	}
+	return false, fmt.Errorf("gc: output label for wire %d is not authentic", w)
+}
+
+// runGC garbles and evaluates a materialized circuit in-process, a gate a
+// level, and returns the decoded output bits, exercising the full label
+// machinery (without transport/OT, which have their own tests).
 func runGC(t *testing.T, c *circuit.Circuit, gBits, eBits []bool, corrupt func([]byte)) ([]bool, error) {
 	return runGCSeed(t, c, gBits, eBits, corrupt, 1234)
 }
@@ -20,52 +76,46 @@ func runGC(t *testing.T, c *circuit.Circuit, gBits, eBits []bool, corrupt func([
 func runGCSeed(t *testing.T, c *circuit.Circuit, gBits, eBits []bool, corrupt func([]byte), seed int64) ([]bool, error) {
 	t.Helper()
 	rng := rand.New(rand.NewSource(seed))
-	g, err := NewGarbler(rng)
+	g, err := NewBatchGarbler(rng, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	e := NewEvaluator()
-
-	// Constants.
-	lf, lt, err := g.ConstLabels()
+	e, err := NewBatchEvaluator(1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	e.SetLabel(circuit.WFalse, lf)
-	e.SetLabel(circuit.WTrue, lt)
-
-	// Garbler inputs: direct label transfer.
-	for i, w := range c.GarblerInputs {
-		if _, err := g.AssignInput(w); err != nil {
-			t.Fatal(err)
+	// Constants, then the inputs: the garbler's by direct label transfer,
+	// the evaluator's as the OT would hand them over. The evaluator's
+	// zero-labels have permute bit 0, which the circuit's half ANDs rest on.
+	set := func(ws []uint32, bits []bool) {
+		for i, w := range ws {
+			l, err := g.ActiveLabel(w, 0, bits[i])
+			if err != nil {
+				t.Fatal(err)
+			}
+			e.SetLabel(w, 0, l)
 		}
-		l, err := g.ActiveLabel(w, gBits[i])
-		if err != nil {
-			t.Fatal(err)
-		}
-		e.SetLabel(w, l)
 	}
-	// Evaluator inputs: in the real protocol these arrive via OT; here we
-	// model the OT result directly. Their zero-labels have permute bit 0,
-	// which the circuit's half ANDs rest on.
-	for i, w := range c.EvaluatorInputs {
-		if z, err := g.AssignEvaluatorInput(w); err != nil {
-			t.Fatal(err)
-		} else if z.LSB() {
+	set([]uint32{circuit.WFalse, circuit.WTrue}, []bool{false, true})
+	if err := g.AssignInputs(c.GarblerInputs, false); err != nil {
+		t.Fatal(err)
+	}
+	set(c.GarblerInputs, gBits)
+	if err := g.AssignInputs(c.EvaluatorInputs, true); err != nil {
+		t.Fatal(err)
+	}
+	for _, w := range c.EvaluatorInputs {
+		if z, _ := g.ZeroLabel(w, 0); z.LSB() {
 			t.Fatalf("evaluator input wire %d got a zero-label with permute bit 1", w)
 		}
-		l, err := g.ActiveLabel(w, eBits[i])
-		if err != nil {
-			t.Fatal(err)
-		}
-		e.SetLabel(w, l)
 	}
+	set(c.EvaluatorInputs, eBits)
 
 	// Garble the whole netlist.
 	var tables []byte
+	var gid uint64
 	for _, gate := range c.Gates {
-		tables, err = g.Garble(gate, tables)
-		if err != nil {
+		if tables, err = garbleGate(g, &gid, gate, tables); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -75,9 +125,9 @@ func runGCSeed(t *testing.T, c *circuit.Circuit, gBits, eBits []bool, corrupt fu
 
 	// Evaluate.
 	rest := tables
+	gid = 0
 	for _, gate := range c.Gates {
-		rest, err = e.Eval(gate, rest)
-		if err != nil {
+		if rest, err = evalGate(e, &gid, gate, rest); err != nil {
 			return nil, err
 		}
 	}
@@ -88,15 +138,13 @@ func runGCSeed(t *testing.T, c *circuit.Circuit, gBits, eBits []bool, corrupt fu
 	// Decode with authenticity check.
 	out := make([]bool, len(c.Outputs))
 	for i, w := range c.Outputs {
-		l, err := e.Label(w)
+		l, err := e.Label(w, 0)
 		if err != nil {
 			return nil, err
 		}
-		bit, err := g.DecodeBit(w, l)
-		if err != nil {
+		if out[i], err = decodeBit(g, w, l); err != nil {
 			return nil, err
 		}
-		out[i] = bit
 	}
 	return out, nil
 }
@@ -276,52 +324,61 @@ func TestTamperedTableNeverSilentlyWrong(t *testing.T) {
 }
 
 func TestTableUnderrunDetected(t *testing.T) {
-	e := NewEvaluator()
-	e.SetLabel(2, Label{1})
-	e.SetLabel(3, Label{2})
-	_, err := e.Eval(circuit.Gate{Op: circuit.AND, A: 2, B: 3, Out: 4}, []byte{0, 1, 2})
-	if err == nil {
+	e, err := NewBatchEvaluator(1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	e.SetLabel(2, 0, Label{1})
+	e.SetLabel(3, 0, Label{2})
+	var gid uint64
+	if _, err := evalGate(e, &gid, circuit.Gate{Op: circuit.AND, A: 2, B: 3, Out: 4}, []byte{0, 1, 2}); err == nil {
 		t.Fatal("short garbled table must error")
 	}
 }
 
+// TestMissingLabelErrors: a label outside a state's store is an error, on
+// either side, and Drop is a no-op.
 func TestMissingLabelErrors(t *testing.T) {
-	e := NewEvaluator()
-	if _, err := e.Label(7); err == nil {
-		t.Error("missing evaluator label should error")
-	}
-	rng := rand.New(rand.NewSource(1))
-	g, err := NewGarbler(rng)
+	e, err := NewBatchEvaluator(1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := g.ZeroLabel(9); err == nil {
+	if _, err := e.Label(7, 0); err == nil {
+		t.Error("missing evaluator label should error")
+	}
+	g, err := NewBatchGarbler(rand.New(rand.NewSource(1)), 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := g.ZeroLabel(9, 0); err == nil {
 		t.Error("missing garbler label should error")
 	}
 	g.Drop(circuit.WTrue + 1) // no-op drops must not panic
 	e.Drop(100)
 }
 
+// TestDecodeBitRejectsGarbage holds runGC's decode to what
+// TestTamperedTableNeverSilentlyWrong relies on: both labels of a wire
+// decode, and any other is refused.
 func TestDecodeBitRejectsGarbage(t *testing.T) {
-	rng := rand.New(rand.NewSource(2))
-	g, err := NewGarbler(rng)
+	g, err := NewBatchGarbler(rand.New(rand.NewSource(2)), 1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	w := uint32(5)
-	if _, err := g.AssignInput(w); err != nil {
+	if err := g.AssignInputs([]uint32{w}, false); err != nil {
 		t.Fatal(err)
 	}
-	zero, _ := g.ZeroLabel(w)
-	if bit, err := g.DecodeBit(w, zero); err != nil || bit {
+	zero, _ := g.ZeroLabel(w, 0)
+	if bit, err := decodeBit(g, w, zero); err != nil || bit {
 		t.Errorf("zero label should decode to 0: %v %v", bit, err)
 	}
-	if bit, err := g.DecodeBit(w, zero.XOR(g.R)); err != nil || !bit {
+	if bit, err := decodeBit(g, w, zero.XOR(g.R[0])); err != nil || !bit {
 		t.Errorf("one label should decode to 1: %v %v", bit, err)
 	}
 	bad := zero
 	bad[5] ^= 1
-	if _, err := g.DecodeBit(w, bad); err == nil {
+	if _, err := decodeBit(g, w, bad); err == nil {
 		t.Error("garbage label must be rejected")
 	}
 }
@@ -380,26 +437,24 @@ func TestDeltaLSBAlwaysSet(t *testing.T) {
 func TestGarbledTableSizeMatchesPaperConstant(t *testing.T) {
 	// The paper's Eq. 4: α = #nonXOR × 2 × 128 bits. Verify our garbler
 	// emits exactly 2×128 bits per AND and nothing for XOR/INV.
-	rng := rand.New(rand.NewSource(4))
-	g, err := NewGarbler(rng)
+	g, err := NewBatchGarbler(rand.New(rand.NewSource(4)), 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for w := uint32(2); w < 6; w++ {
-		if _, err := g.AssignInput(w); err != nil {
-			t.Fatal(err)
-		}
+	if err := g.AssignInputs([]uint32{2, 3, 4, 5}, false); err != nil {
+		t.Fatal(err)
 	}
 	var tab []byte
-	tab, err = g.Garble(circuit.Gate{Op: circuit.XOR, A: 2, B: 3, Out: 6}, tab)
+	var gid uint64
+	tab, err = garbleGate(g, &gid, circuit.Gate{Op: circuit.XOR, A: 2, B: 3, Out: 6}, tab)
 	if err != nil || len(tab) != 0 {
 		t.Fatalf("XOR must be free: %d bytes, err %v", len(tab), err)
 	}
-	tab, err = g.Garble(circuit.Gate{Op: circuit.INV, A: 4, Out: 7}, tab)
+	tab, err = garbleGate(g, &gid, circuit.Gate{Op: circuit.INV, A: 4, Out: 7}, tab)
 	if err != nil || len(tab) != 0 {
 		t.Fatalf("INV must be free: %d bytes, err %v", len(tab), err)
 	}
-	tab, err = g.Garble(circuit.Gate{Op: circuit.AND, A: 2, B: 3, Out: 8}, tab)
+	tab, err = garbleGate(g, &gid, circuit.Gate{Op: circuit.AND, A: 2, B: 3, Out: 8}, tab)
 	if err != nil || len(tab) != TableSize {
 		t.Fatalf("AND table = %d bytes, want %d, err %v", len(tab), TableSize, err)
 	}
@@ -419,19 +474,17 @@ func TestGarblerEvaluatorIndependentSessionsDiffer(t *testing.T) {
 		t.Fatal(err)
 	}
 	garbleOnce := func(seed int64) []byte {
-		g, err := NewGarbler(rand.New(rand.NewSource(seed)))
+		g, err := NewBatchGarbler(rand.New(rand.NewSource(seed)), 1)
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, w := range c.GarblerInputs {
-			if _, err := g.AssignInput(w); err != nil {
-				t.Fatal(err)
-			}
+		if err := g.AssignInputs(c.GarblerInputs, false); err != nil {
+			t.Fatal(err)
 		}
 		var tab []byte
+		var gid uint64
 		for _, gate := range c.Gates {
-			tab, err = g.Garble(gate, tab)
-			if err != nil {
+			if tab, err = garbleGate(g, &gid, gate, tab); err != nil {
 				t.Fatal(err)
 			}
 		}

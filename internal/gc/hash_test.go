@@ -314,7 +314,7 @@ func labelsEqual(a, b []Label) bool {
 	return true
 }
 
-// TestWideVsScalarSinglePath pins the streaming (gate-at-a-time) Garbler
+// TestWideVsScalarSinglePath pins garbling a gate a level (garbleGate)
 // against the same toggle: the whole-netlist tables of a random circuit
 // must not depend on the hash mode.
 func TestWideVsScalarSinglePath(t *testing.T) {
@@ -334,24 +334,20 @@ func TestWideVsScalarSinglePath(t *testing.T) {
 	}
 	garbleOnce := func(wide bool) []byte {
 		setWideForTest(t, wide)
-		g, err := NewGarbler(rand.New(rand.NewSource(31337)))
+		g, err := NewBatchGarbler(rand.New(rand.NewSource(31337)), 1)
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, w := range c.GarblerInputs {
-			if _, err := g.AssignInput(w); err != nil {
-				t.Fatal(err)
-			}
+		if err := g.AssignInputs(c.GarblerInputs, false); err != nil {
+			t.Fatal(err)
 		}
-		for _, w := range c.EvaluatorInputs {
-			if _, err := g.AssignEvaluatorInput(w); err != nil {
-				t.Fatal(err)
-			}
+		if err := g.AssignInputs(c.EvaluatorInputs, true); err != nil {
+			t.Fatal(err)
 		}
 		var tab []byte
+		var gid uint64
 		for _, gate := range c.Gates {
-			tab, err = g.Garble(gate, tab)
-			if err != nil {
+			if tab, err = garbleGate(g, &gid, gate, tab); err != nil {
 				t.Fatal(err)
 			}
 		}

@@ -96,9 +96,10 @@ func oracleLevel(rng *rand.Rand) (ands, frees []circuit.Gate, wires uint32) {
 }
 
 // TestKernelMatchesTextbookOracle pins the one kernel — the level kernels,
-// the same level run as split spans, and, at B = 1, the per-gate faces that
-// share it — to textbookGarble and textbookEval: tables, garbler
-// zero-labels and evaluator labels of one mixed level, at B ∈ {1, 3, 16}.
+// the same level run as split spans, and, at B = 1, the level run a gate a
+// level (garbleGate, evalGate) — to textbookGarble and textbookEval:
+// tables, garbler zero-labels and evaluator labels of one mixed level, at
+// B ∈ {1, 3, 16}.
 // A fresh state numbers its samples from 0, so sample s hashes under the
 // ordinal s. Inputs are assigned party-blind, so the half ANDs see both
 // permute bits on B (TestHalfANDAnyPermuteBit's case).
@@ -232,19 +233,17 @@ func TestKernelMatchesTextbookOracle(t *testing.T) {
 			}
 		}
 		splitTable := make([]byte, len(wantTable))
-		glv, err := sg.prepare(ands, frees, gidBase, splitTable)
-		if err != nil {
+		if err := sg.prepare(ands, frees, gidBase, splitTable); err != nil {
 			t.Fatal(err)
 		}
 		for k := 0; k+1 < len(ac); k++ {
-			sg.span(h, glv, ac[k], ac[k+1], fc[k], fc[k+1])
+			sg.span(h, &sg.lv, ac[k], ac[k+1], fc[k], fc[k+1])
 		}
-		elv, err := se.prepare(ands, frees, gidBase, wantTable)
-		if err != nil {
+		if err := se.prepare(ands, frees, gidBase, wantTable); err != nil {
 			t.Fatal(err)
 		}
 		for k := 0; k+1 < len(ac); k++ {
-			se.span(h, elv, ac[k], ac[k+1], fc[k], fc[k+1])
+			se.span(h, &se.lv, ac[k], ac[k+1], fc[k], fc[k+1])
 		}
 		if !bytes.Equal(splitTable, wantTable) || !labelsEqual(sg.snapshot(), zero) {
 			t.Fatalf("B=%d: split garbling spans differ from the textbook oracle", b)
@@ -256,40 +255,43 @@ func TestKernelMatchesTextbookOracle(t *testing.T) {
 		if b != 1 {
 			continue
 		}
-		// The per-gate faces, one gate at a time from the same seed.
+		// The level a gate a level, from the same seed.
 		rng = rand.New(rand.NewSource(int64(900 + b)))
 		oracleLevel(rng)
-		pg, err := NewGarbler(rng)
+		pg, err := NewBatchGarbler(rng, 1)
 		if err != nil {
 			t.Fatal(err)
 		}
-		pe := NewEvaluator()
+		pe, err := NewBatchEvaluator(1)
+		if err != nil {
+			t.Fatal(err)
+		}
 		for w := uint32(2); w < 2+oracleInputs; w++ {
-			if _, err := pg.AssignInput(w); err != nil {
+			if err := pg.AssignInput(w); err != nil {
 				t.Fatal(err)
 			}
-			pe.SetLabel(w, active[w])
+			pe.SetLabel(w, 0, active[w])
 		}
-		pg.gid, pe.gid = gidBase, gidBase
+		gGID, eGID := uint64(gidBase), uint64(gidBase)
 		var stream []byte
 		for _, gt := range append(append([]circuit.Gate{}, ands...), frees...) {
-			if stream, err = pg.Garble(gt, stream); err != nil {
+			if stream, err = garbleGate(pg, &gGID, gt, stream); err != nil {
 				t.Fatal(err)
 			}
 		}
 		if !bytes.Equal(stream, wantTable) {
-			t.Fatal("per-gate Garble tables differ from the textbook oracle's")
+			t.Fatal("tables garbled a gate a level differ from the textbook oracle's")
 		}
 		rest := stream
 		for _, gt := range append(append([]circuit.Gate{}, ands...), frees...) {
-			if rest, err = pe.Eval(gt, rest); err != nil {
+			if rest, err = evalGate(pe, &eGID, gt, rest); err != nil {
 				t.Fatal(err)
 			}
-			if z, _ := pg.ZeroLabel(gt.Out); z != zero[gt.Out] {
-				t.Fatalf("per-gate Garble's %v zero-label differs from the textbook oracle's", gt.Op)
+			if z, _ := pg.ZeroLabel(gt.Out, 0); z != zero[gt.Out] {
+				t.Fatalf("a %v garbled as a level of its own has another zero-label than the textbook oracle's", gt.Op)
 			}
-			if l, _ := pe.Label(gt.Out); l != active[gt.Out] {
-				t.Fatalf("per-gate Eval's %v output differs from the textbook oracle's", gt.Op)
+			if l, _ := pe.Label(gt.Out, 0); l != active[gt.Out] {
+				t.Fatalf("a %v evaluated as a level of its own has another output than the textbook oracle's", gt.Op)
 			}
 		}
 	}
@@ -608,72 +610,6 @@ func TestFailedLevelWritesNothing(t *testing.T) {
 				}
 			})
 		}
-	}
-}
-
-// TestPerGateFacesRefuseBadGates: the per-gate faces run a gate stream no
-// schedule covers, so they keep a live-set and hold every gate to
-// circuit.Live's rule. A gate that reads a never-set or a dropped wire, or
-// writes a live one, is refused by Garbler.Garble and Evaluator.Eval, and
-// neither writes a label or a table byte for it; the faces then still run
-// a good gate.
-func TestPerGateFacesRefuseBadGates(t *testing.T) {
-	for _, tc := range []struct {
-		name string
-		gate circuit.Gate
-	}{
-		{"AND reads a dead wire", circuit.Gate{Op: circuit.AND, A: 2, B: 60, Out: 20}},
-		{"half AND reads a dropped wire", circuit.Gate{Op: circuit.HalfAND, A: 4, B: 3, Out: 20}},
-		{"XOR reads a dropped wire", circuit.Gate{Op: circuit.XOR, A: 3, B: 2, Out: 20}},
-		{"INV reads a dead wire", circuit.Gate{Op: circuit.INV, A: 61, Out: 20}},
-		{"AND writes a live wire", circuit.Gate{Op: circuit.AND, A: 2, B: 4, Out: 5}},
-	} {
-		t.Run(tc.name, func(t *testing.T) {
-			g, err := NewGarbler(rand.New(rand.NewSource(79)))
-			if err != nil {
-				t.Fatal(err)
-			}
-			e := NewEvaluator()
-			for w := uint32(2); w < 8; w++ {
-				l, err := g.AssignInput(w)
-				if err != nil {
-					t.Fatal(err)
-				}
-				e.SetLabel(w, l)
-			}
-			g.Drop(3)
-			e.Drop(3)
-			gLabels := g.bg.snapshot()
-			eLabels := e.be.snapshot()
-			prefix := []byte{0xee, 0xee}
-			table, err := g.Garble(tc.gate, append([]byte(nil), prefix...))
-			if err == nil || !bytes.Equal(table, prefix) {
-				t.Fatalf("Garble: %v, table %x; want a refusal that appends nothing", err, table)
-			}
-			stream := bytes.Repeat([]byte{0xee}, TableSize)
-			rest, err := e.Eval(tc.gate, stream)
-			if err == nil || len(rest) != TableSize || !bytes.Equal(stream, bytes.Repeat([]byte{0xee}, TableSize)) {
-				t.Fatalf("Eval: %v, %d bytes left; want a refusal that consumes nothing", err, len(rest))
-			}
-			if !labelsEqual(g.bg.snapshot(), gLabels) || !labelsEqual(e.be.snapshot(), eLabels) {
-				t.Fatal("a refused gate wrote a label")
-			}
-			if tc.gate.Out == 20 {
-				if _, err := g.ZeroLabel(20); err == nil {
-					t.Fatal("a refused gate's output is live on the garbler")
-				}
-				if _, err := e.Label(20); err == nil {
-					t.Fatal("a refused gate's output is live on the evaluator")
-				}
-			}
-			good := circuit.Gate{Op: circuit.AND, A: 2, B: 4, Out: 20}
-			if table, err = g.Garble(good, nil); err != nil {
-				t.Fatal(err)
-			}
-			if _, err := e.Eval(good, table); err != nil {
-				t.Fatal(err)
-			}
-		})
 	}
 }
 

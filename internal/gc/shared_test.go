@@ -28,17 +28,18 @@ func garbleLevelTables(t *testing.T, pool *Pool, nAND, nFree int) []byte {
 }
 
 // perGateTables garbles the level garbleLevelTables garbles, from the same
-// seeds, one gate at a time on the reference Garbler.
+// seeds, a gate a level (garbleGate).
 func perGateTables(t *testing.T, nAND, nFree int) []byte {
 	t.Helper()
-	g, err := NewGarbler(rand.New(rand.NewSource(61)))
+	g, err := NewBatchGarbler(rand.New(rand.NewSource(61)), 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ands, frees, _ := independentLevel(t, assignSingle(g), rand.New(rand.NewSource(62)), nAND, nFree)
+	ands, frees, _ := independentLevel(t, assignBatch(g), rand.New(rand.NewSource(62)), nAND, nFree)
 	var tables []byte
+	var gid uint64
 	for _, gate := range append(ands, frees...) {
-		if tables, err = g.Garble(gate, tables); err != nil {
+		if tables, err = garbleGate(g, &gid, gate, tables); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -48,7 +49,7 @@ func perGateTables(t *testing.T, nAND, nFree int) []byte {
 // TestSharedPoolMatchesPrivate pins byte-determinism at the gc layer: on
 // one scheduler, a pool of width 1 (every level inline) and pools of width
 // 2 and 4 (levels fanned out as scheduler chunks) produce the exact table
-// bytes the per-gate Garbler.Garble reference produces, for level sizes on
+// bytes garbling the level a gate a level produces, for level sizes on
 // both sides of the parallel clamps.
 func TestSharedPoolMatchesPrivate(t *testing.T) {
 	s := sched.New(4)
@@ -57,7 +58,7 @@ func TestSharedPoolMatchesPrivate(t *testing.T) {
 		want := perGateTables(t, sz.nAND, sz.nFree)
 		for _, w := range []int{1, 2, 4} {
 			if got := garbleLevelTables(t, NewSharedPool(s, w), sz.nAND, sz.nFree); !bytes.Equal(want, got) {
-				t.Fatalf("width=%d nAND=%d nFree=%d: tables differ from the per-gate face", w, sz.nAND, sz.nFree)
+				t.Fatalf("width=%d nAND=%d nFree=%d: tables differ from a gate a level", w, sz.nAND, sz.nFree)
 			}
 		}
 	}

@@ -27,9 +27,8 @@ import (
 // in the key block's low word, o = first+s, the sample's session ordinal,
 // in its high word. A state numbers its samples from first (SetFirst; 0
 // when fresh), so at B=1 a fresh state hashes exactly as it did before
-// ordinals existed. The per-gate faces Garbler.Garble and Evaluator.Eval
-// are a fresh state at B=1 running one-gate levels, and the tests pin both
-// against a textbook half-gates oracle.
+// ordinals existed. The tests pin the kernel, whole levels and a gate a
+// level, against a textbook half-gates oracle.
 //
 // The kernel (batch.go) reads a gate's input labels in place twice, once to
 // form its hash keys and once to complete the gate: level independence — no
@@ -69,9 +68,7 @@ type BatchGarbler struct {
 }
 
 // NewBatchGarbler creates a garbler for a batch of b samples, drawing
-// each sample's delta and constant-wire labels from rng in the same
-// order a single-inference Garbler would (at b=1 the rng consumption is
-// identical to NewGarbler's).
+// each sample's fresh delta and then the constant-wire labels from rng.
 func NewBatchGarbler(rng io.Reader, b int) (*BatchGarbler, error) {
 	return newBatchGarbler(rng, b, func() (Label, error) { return RandomDelta(rng) })
 }
@@ -121,6 +118,10 @@ type labelStore struct {
 	// INV's zero-label is its operand's ⊕ R; nil on the evaluator, whose
 	// slot is zero, so an INV carries its active label through.
 	inv []block
+	// lv is the level being run, laid out by prepare, and h the Hasher of
+	// the state's inline runs.
+	lv level
+	h  *Hasher
 }
 
 // Spare is a label array one state gave up by Release, for a later state's
@@ -195,6 +196,10 @@ func (st *labelStore) Reuse(spare Spare) {
 func (st *labelStore) Release() Spare {
 	spare := Spare{st.labels}
 	st.labels = nil
+	if st.h != nil {
+		hasherPool.Put(st.h)
+		st.h = nil
+	}
 	return spare
 }
 
@@ -218,13 +223,16 @@ func (st *labelStore) at(w uint32, s int) (Label, error) {
 // packed block for B samples: the one thing about a level that depends on
 // the peer. Everything else about the gates was proved when their schedule
 // was checked.
-func (st *labelStore) prepare(ands, frees []circuit.Gate, gidBase uint64, table []byte) (level, error) {
+func (st *labelStore) prepare(ands, frees []circuit.Gate, gidBase uint64, table []byte) error {
 	nFull := sort.Search(len(ands), func(i int) bool { return ands[i].Op == circuit.HalfAND })
 	split := nFull * st.b * TableSize
 	if need := split + (len(ands)-nFull)*st.b*LabelSize; len(table) < need {
-		return level{}, fmt.Errorf("gc: level table block is %d bytes, want %d", len(table), need)
+		return fmt.Errorf("gc: level table block is %d bytes, want %d", len(table), need)
 	}
-	return level{ands: ands, frees: frees, gidBase: gidBase, nFull: nFull, full: table[:split], half: table[split:]}, nil
+	lv := &st.lv
+	lv.ands, lv.frees, lv.gidBase, lv.nFull = ands, frees, gidBase, nFull
+	lv.full, lv.half = table[:split], table[split:]
+	return nil
 }
 
 // AssignInputs draws B fresh zero-labels for every wire of ws in one read
@@ -232,7 +240,8 @@ func (st *labelStore) prepare(ands, frees []circuit.Gate, gidBase uint64, table 
 // the order a serial run of B single inferences would only match at B=1,
 // which is the conformance case): the labels are those of one read per
 // wire, in order. evaluator marks wires whose bit the evaluator chooses:
-// their zero-labels get permute bit 0 (see Garbler.AssignEvaluatorInput).
+// their zero-labels get permute bit 0, so the colour of the label that party
+// receives is the bit it chose, and a half AND may take the wire in slot B.
 func (g *BatchGarbler) AssignInputs(ws []uint32, evaluator bool) error {
 	need := len(ws) * g.b * LabelSize
 	if cap(g.buf) < need {
@@ -319,11 +328,10 @@ func (g *BatchGarbler) AppendConstLabels(dst []byte) ([]byte, error) {
 // of the level writes) — which circuit.NewSchedule establishes — and must
 // have Grown the garbler past every wire id in the level.
 func (g *BatchGarbler) GarbleLevel(ands, frees []circuit.Gate, gidBase uint64, table []byte, pool *Pool) error {
-	lv, err := g.prepare(ands, frees, gidBase, table)
-	if err != nil {
+	if err := g.prepare(ands, frees, gidBase, table); err != nil {
 		return err
 	}
-	if err := pool.run(g, lv, g.b); err != nil {
+	if err := pool.run(g, &g.lv, g.b); err != nil {
 		return err
 	}
 	g.ANDGates += int64(len(ands) * g.b)
@@ -360,9 +368,8 @@ func (e *BatchEvaluator) Label(w uint32, s int) (Label, error) { return e.at(w, 
 // its rank's place in its kind's region of table under the tweaks of
 // gidBase+i and its ordinal.
 func (e *BatchEvaluator) EvaluateLevel(ands, frees []circuit.Gate, gidBase uint64, table []byte, pool *Pool) error {
-	lv, err := e.prepare(ands, frees, gidBase, table)
-	if err != nil {
+	if err := e.prepare(ands, frees, gidBase, table); err != nil {
 		return err
 	}
-	return pool.run(e, lv, e.b)
+	return pool.run(e, &e.lv, e.b)
 }

@@ -39,8 +39,7 @@ func vecTestLevels() []vecTestLevel {
 	}
 }
 
-// vecAssign assigns vecTestLevels' input wires through assign
-// (assignSingle / assignBatch).
+// vecAssign assigns vecTestLevels' input wires through assign.
 func vecAssign(t *testing.T, assign func(w uint32, evaluator bool) error) {
 	t.Helper()
 	for w := uint32(2); w <= 5; w++ {
@@ -51,14 +50,14 @@ func vecAssign(t *testing.T, assign func(w uint32, evaluator bool) error) {
 }
 
 // TestBatchGarblerB1MatchesSingle pins the level kernel's B=1 output to
-// the per-gate face Garbler: same seed, same schedule, identical
+// the same levels garbled a gate a level (garbleGate): same seed, identical
 // rng draws, table bytes and zero-labels on every wire, across dependent
 // levels.
 func TestBatchGarblerB1MatchesSingle(t *testing.T) {
 	const seed = 4401
 	levels := vecTestLevels()
 
-	g, err := NewGarbler(rand.New(rand.NewSource(seed)))
+	g, err := NewBatchGarbler(rand.New(rand.NewSource(seed)), 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -67,17 +66,17 @@ func TestBatchGarblerB1MatchesSingle(t *testing.T) {
 		t.Fatal(err)
 	}
 	bg.Grow(vecTestWires)
-	// Interleaved, so both draw wire by wire from identical rng streams.
-	vecAssign(t, assignSingle(g))
+	vecAssign(t, assignBatch(g))
 	vecAssign(t, assignBatch(bg))
 
 	pool := NewPool(1)
+	var gid uint64
 	for li, lv := range levels {
-		// The per-gate garbler's internal AND counter runs level by
-		// level, so it lands on each level's gidBase.
+		// The per-gate AND counter runs level by level, so it lands on
+		// each level's gidBase.
 		var single []byte
 		for _, gate := range append(append([]circuit.Gate{}, lv.ands...), lv.frees...) {
-			if single, err = g.Garble(gate, single); err != nil {
+			if single, err = garbleGate(g, &gid, gate, single); err != nil {
 				t.Fatalf("level %d single: %v", li, err)
 			}
 		}
@@ -89,11 +88,11 @@ func TestBatchGarblerB1MatchesSingle(t *testing.T) {
 			t.Fatalf("level %d batched: %v", li, err)
 		}
 		if !bytes.Equal(single, batched) {
-			t.Fatalf("level %d: B=1 tables differ from the per-gate face", li)
+			t.Fatalf("level %d: B=1 tables differ from a gate a level", li)
 		}
 	}
 	for w := uint32(0); w < vecTestWires; w++ {
-		sl, err := g.ZeroLabel(w)
+		sl, err := g.ZeroLabel(w, 0)
 		if err != nil {
 			t.Fatalf("wire %d single: %v", w, err)
 		}
@@ -102,23 +101,19 @@ func TestBatchGarblerB1MatchesSingle(t *testing.T) {
 			t.Fatalf("wire %d batched: %v", w, err)
 		}
 		if sl != bl {
-			t.Fatalf("wire %d: B=1 batched zero-label differs from the per-gate face", w)
+			t.Fatalf("wire %d: B=1 batched zero-label differs from a gate a level", w)
 		}
 	}
-	if g.R != bg.R[0] {
-		t.Fatal("B=1 batched delta differs from the per-gate face")
-	}
-	// The const-label payload is the per-gate garbler's two const labels.
-	lf, lt, err := g.ConstLabels()
-	if err != nil {
-		t.Fatal(err)
-	}
+	// The const-label payload is the false wire's zero-label and the true
+	// wire's one-label.
+	lf, _ := g.ActiveLabel(circuit.WFalse, 0, false)
+	lt, _ := g.ActiveLabel(circuit.WTrue, 0, true)
 	payload, err := bg.AppendConstLabels(nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if want := append(append([]byte{}, lf[:]...), lt[:]...); !bytes.Equal(payload, want) {
-		t.Fatal("B=1 const-label payload differs from the per-gate face")
+		t.Fatal("B=1 const-label payload differs from the const labels")
 	}
 }
 

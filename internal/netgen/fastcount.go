@@ -146,11 +146,7 @@ func FastCount(net *nn.Network, f fixed.Format, opt Options) (circuit.Stats, *La
 	} else {
 		outN := net.Out().Len()
 		consume(1, outN, func(b *circuit.Builder, x []stdcell.Word) { stdcell.ArgMax(b, x) })
-		idxBits := 1
-		for (1 << uint(idxBits)) < outN {
-			idxBits++
-		}
-		lay.OutputBits = idxBits
+		lay.OutputBits = stdcell.IndexBits(outN)
 	}
 
 	total.GarblerInputs = int64(lay.DataBits)

@@ -2,6 +2,7 @@ package stdcell
 
 import (
 	"fmt"
+	"math/bits"
 
 	"deepsecure/internal/circuit"
 )
@@ -41,15 +42,16 @@ func ArgMax(b *circuit.Builder, vals []Word) Word {
 	return idx
 }
 
+// IndexBits is the width of ArgMax's index word over n values: at least
+// one bit, and enough for n-1.
+func IndexBits(n int) int { return max(1, bits.Len(uint(n-1))) }
+
 // ArgMaxVal returns both the argmax index word and the maximum value word.
 func ArgMaxVal(b *circuit.Builder, vals []Word) (Word, Word) {
 	if len(vals) == 0 {
 		panic("stdcell: ArgMax of empty slice")
 	}
-	idxBits := 1
-	for (1 << uint(idxBits)) < len(vals) {
-		idxBits++
-	}
+	idxBits := IndexBits(len(vals))
 	bestVal := vals[0]
 	bestIdx := Const(b, idxBits, 0)
 	for i := 1; i < len(vals); i++ {
