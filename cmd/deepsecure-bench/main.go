@@ -40,7 +40,6 @@ func main() {
 	calibrate := flag.Bool("calibrate", false, "run the §4.3 per-gate calibration")
 	live := flag.Bool("live", false, "run a real end-to-end GC inference of benchmark 3 (proxy garbles, server evaluates, streaming)")
 	all := flag.Bool("all", false, "run everything")
-	heN := flag.Int("hesize", 2048, "HE ring dimension for the CryptoNets measurements")
 	flag.Parse()
 
 	if *all {
@@ -76,7 +75,7 @@ func main() {
 		ran = true
 	}
 	if *table == 6 || *figure == 6 || *all {
-		runTable6Figure6(co, *heN, *figure == 6 || *all)
+		runTable6Figure6(co, *figure == 6 || *all)
 		ran = true
 	}
 	if *live || *all {
@@ -169,8 +168,11 @@ func runTable45(co costmodel.Coefficients, compacted bool) {
 	fmt.Println()
 }
 
+// heSize is the HE ring dimension of the CryptoNets measurements.
+const heSize = 2048
+
 // runTable6Figure6 measures the HE baseline and prints the comparison.
-func runTable6Figure6(co costmodel.Coefficients, heN int, withFigure bool) {
+func runTable6Figure6(co costmodel.Coefficients, withFigure bool) {
 	fmt.Println("== Table 6: DeepSecure vs CryptoNets (benchmark 1, per sample) ==")
 	b1 := benchmarks.All[0]
 	net, err := b1.Build()
@@ -192,8 +194,8 @@ func runTable6Figure6(co costmodel.Coefficients, heN int, withFigure bool) {
 	dsFull := costmodel.FromStats(full, co)
 	dsPost := costmodel.FromStats(post, co)
 
-	fmt.Printf("measuring CryptoNets-style HE ops at N=%d (this may take a minute)...\n", heN)
-	scheme, err := hebaseline.NewScheme(hebaseline.EvalParams(heN))
+	fmt.Printf("measuring CryptoNets-style HE ops at N=%d (this may take a minute)...\n", heSize)
+	scheme, err := hebaseline.NewScheme(hebaseline.EvalParams(heSize))
 	if err != nil {
 		log.Fatal(err)
 	}

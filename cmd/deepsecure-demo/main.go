@@ -2,10 +2,11 @@
 // running deepsecure-serve daemon over real TCP:
 //
 //	deepsecure-serve -listen :9090 -model b3
-//	deepsecure-demo -connect host:9090 -model b3 -seed 7
+//	deepsecure-demo -connect host:9090 -model b3 -n 5
 //
 // The daemon hosts a randomly initialized paper benchmark model (b1..b4
-// or "small"); the client sends -n random samples and prints the labels.
+// or "small"); the client runs -n random samples (seeded with 1, so the
+// labels repeat run to run) on one session and prints the labels.
 // Use two terminals (or two machines) to watch the actual garbled-table
 // stream cross the wire.
 package main
@@ -25,9 +26,7 @@ import (
 func main() {
 	connect := flag.String("connect", "127.0.0.1:9090", "daemon address")
 	model := flag.String("model", "small", "b1|b2|b3|b4|small, the daemon's -model: sizes the samples")
-	seed := flag.Int64("seed", 1, "sample seed")
 	n := flag.Int("n", 1, "inferences to run on one session")
-	batch := flag.Bool("batch", false, "fuse the -n samples into one batched inference")
 	flag.Parse()
 
 	conn, err := net.Dial("tcp", *connect)
@@ -41,7 +40,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	rng := rand.New(rand.NewSource(*seed))
+	rng := rand.New(rand.NewSource(1))
 	xs := make([][]float64, *n)
 	for j := range xs {
 		xs[j] = make([]float64, m.In.Len())
@@ -49,24 +48,14 @@ func main() {
 			xs[j][i] = rng.Float64()*2 - 1
 		}
 	}
-	var labels []int
-	var st *deepsecure.InferStats
 	start := time.Now()
-	if *batch {
-		labels, st, err = deepsecure.InferBatch(deepsecure.NewConn(conn), xs)
-	} else {
-		labels, st, err = deepsecure.InferMany(deepsecure.NewConn(conn), xs)
-	}
+	labels, st, err := deepsecure.InferMany(deepsecure.NewConn(conn), xs)
 	if err != nil {
 		log.Fatal(err)
 	}
 	fmt.Printf("labels: %v\n", labels)
 	elapsed := time.Since(start)
-	mode := "inference(s) on one session"
-	if *batch {
-		mode = "inference(s) as one fused batch"
-	}
-	fmt.Printf("%d %s: %d AND gates, %.2f MB sent, %.2f MB received, %v (%.2f inf/s)\n",
-		st.Inferences, mode, st.ANDGates, float64(st.BytesSent)/1e6, float64(st.BytesReceived)/1e6,
+	fmt.Printf("%d inference(s) on one session: %d AND gates, %.2f MB sent, %.2f MB received, %v (%.2f inf/s)\n",
+		st.Inferences, st.ANDGates, float64(st.BytesSent)/1e6, float64(st.BytesReceived)/1e6,
 		elapsed.Round(time.Millisecond), float64(st.Inferences)/elapsed.Seconds())
 }

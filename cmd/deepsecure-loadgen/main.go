@@ -6,8 +6,9 @@
 //
 //	deepsecure-loadgen -connect 127.0.0.1:9090 -sessions 64 -rate 32 -inferences 4
 //
-// Sessions arrive open-loop at -rate per second (all at once when 0),
-// each runs -inferences secure inferences and closes. A server shedding
+// -sessions sessions arrive open-loop at -rate per second (all at once
+// when 0), each runs -inferences serial secure inferences on random
+// samples seeded by its index and closes. A server shedding
 // load answers with protocol busy frames; the loadgen backs off by the
 // server's retry-after hint and retries up to -retries times, counting
 // every busy response — so an admission-controlled server under
@@ -35,15 +36,11 @@ import (
 )
 
 type config struct {
-	Connect     string  `json:"connect"`
-	Sessions    int     `json:"sessions"`
-	Rate        float64 `json:"rate_per_sec"`
-	Concurrency int     `json:"concurrency"`
-	Inferences  int     `json:"inferences_per_session"`
-	Batch       int     `json:"batch"`
-	Workers     int     `json:"client_workers"`
-	Retries     int     `json:"busy_retries"`
-	Seed        int64   `json:"seed"`
+	Connect    string  `json:"connect"`
+	Sessions   int     `json:"sessions"`
+	Rate       float64 `json:"rate_per_sec"`
+	Inferences int     `json:"inferences_per_session"`
+	Retries    int     `json:"busy_retries"`
 }
 
 type histReport struct {
@@ -107,14 +104,9 @@ func main() {
 	flag.StringVar(&cfg.Connect, "connect", "127.0.0.1:9090", "server address")
 	flag.IntVar(&cfg.Sessions, "sessions", 64, "total sessions to run")
 	flag.Float64Var(&cfg.Rate, "rate", 0, "open-loop session arrival rate per second (0 = all at once)")
-	flag.IntVar(&cfg.Concurrency, "concurrency", 0, "max concurrent sessions client-side (0 = unlimited)")
 	flag.IntVar(&cfg.Inferences, "inferences", 4, "inferences per session")
-	flag.IntVar(&cfg.Batch, "batch", 0, "fuse inferences into batches of this size (0/1 = single)")
-	flag.IntVar(&cfg.Workers, "workers", 0, "client engine workers (0 = GOMAXPROCS)")
 	flag.IntVar(&cfg.Retries, "retries", 16, "busy-response retries per session before dropping it")
-	flag.Int64Var(&cfg.Seed, "seed", 1, "sample seed")
 	jsonPath := flag.String("json", "-", "write the JSON report here (- = stdout)")
-	dialTimeout := flag.Duration("dial-timeout", 10*time.Second, "per-dial timeout")
 	flag.Parse()
 
 	var setupLat, inferLat samples
@@ -122,14 +114,14 @@ func main() {
 	// One shared client: the compiled netlist is cached per model spec,
 	// so only the first session pays compilation — matching a real
 	// multi-session client process.
-	cli := &deepsecure.Client{Engine: deepsecure.EngineConfig{Workers: cfg.Workers}}
+	cli := &deepsecure.Client{}
 
 	var rep report
 	rep.Config = cfg
 	var completed, failed, busy, retries, dropped, inferences atomic.Int64
 
 	runSession := func(idx int) {
-		rng := rand.New(rand.NewSource(cfg.Seed + int64(idx)))
+		rng := rand.New(rand.NewSource(1 + int64(idx)))
 		// Session establishment rides the facade's retry policy: busy
 		// responses back off by at least the server's retry-after hint,
 		// and transient network failures (dial errors, peers dying
@@ -139,7 +131,6 @@ func main() {
 		t0 := time.Now()
 		sess, conn, err := deepsecure.DialSession(cfg.Connect, cli, deepsecure.RetryPolicy{
 			MaxAttempts: cfg.Retries + 1,
-			DialTimeout: *dialTimeout,
 			OnRetry: func(_ int, err error, wait time.Duration) {
 				retries.Add(1)
 				var be *deepsecure.BusyError
@@ -170,36 +161,15 @@ func main() {
 			}
 			return x
 		}
-		for done := 0; done < cfg.Inferences; {
-			if cfg.Batch > 1 {
-				n := cfg.Batch
-				if rest := cfg.Inferences - done; n > rest {
-					n = rest
-				}
-				xs := make([][]float64, n)
-				for i := range xs {
-					xs[i] = append([]float64(nil), sample()...)
-				}
-				t0 := time.Now()
-				if _, _, err := sess.InferBatch(xs); err != nil {
-					log.Printf("session %d: batch: %v", idx, err)
-					failed.Add(1)
-					return
-				}
-				inferLat.add(time.Since(t0))
-				inferences.Add(int64(n))
-				done += n
-			} else {
-				t0 := time.Now()
-				if _, _, err := sess.Infer(sample()); err != nil {
-					log.Printf("session %d: infer: %v", idx, err)
-					failed.Add(1)
-					return
-				}
-				inferLat.add(time.Since(t0))
-				inferences.Add(1)
-				done++
+		for range cfg.Inferences {
+			t0 := time.Now()
+			if _, _, err := sess.Infer(sample()); err != nil {
+				log.Printf("session %d: infer: %v", idx, err)
+				failed.Add(1)
+				return
 			}
+			inferLat.add(time.Since(t0))
+			inferences.Add(1)
 		}
 		if err := sess.Close(); err != nil {
 			log.Printf("session %d: close: %v", idx, err)
@@ -209,10 +179,6 @@ func main() {
 		completed.Add(1)
 	}
 
-	var sem chan struct{}
-	if cfg.Concurrency > 0 {
-		sem = make(chan struct{}, cfg.Concurrency)
-	}
 	var arrivals <-chan time.Time
 	if cfg.Rate > 0 {
 		tick := time.NewTicker(time.Duration(float64(time.Second) / cfg.Rate))
@@ -226,15 +192,9 @@ func main() {
 		if arrivals != nil {
 			<-arrivals
 		}
-		if sem != nil {
-			sem <- struct{}{}
-		}
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			if sem != nil {
-				defer func() { <-sem }()
-			}
 			runSession(i)
 		}(i)
 	}

@@ -10,6 +10,15 @@
 // OT of the weight labels and netlist generation are paid once per
 // session, and the compiled tape is shared read-only across all sessions.
 // SIGINT/SIGTERM triggers a graceful drain; a second signal force-closes.
+//
+// The model's weights are a fixed random initialization (seed 1), so a
+// client's labels repeat from daemon to daemon. Sessions run the library's
+// engine defaults: a fan-out of GOMAXPROCS on the shared scheduler and
+// DefaultPipelineDepth inferences in flight. The flags set the deployment
+// (-listen, -model), admission control (-max-sessions, -max-queue,
+// -queue-timeout, -retry-after), the phase deadlines (-handshake-timeout,
+// -ot-setup-timeout, -infer-timeout) and the operational surface
+// (-metrics-addr, -pprof, -stats).
 package main
 
 import (
@@ -20,7 +29,6 @@ import (
 	"net/http"
 	"os"
 	"os/signal"
-	"runtime"
 	"syscall"
 	"time"
 
@@ -41,30 +49,20 @@ const idleTimeout = 2 * time.Minute
 func main() {
 	listen := flag.String("listen", ":9090", "listen address")
 	model := flag.String("model", "small", "b1|b2|b3|b4|small")
-	seed := flag.Int64("seed", 1, "weight-initialization seed")
 	statsEvery := flag.Duration("stats", time.Minute, "stats log interval (0 disables)")
-	workers := flag.Int("workers", 0, "engine workers per session (0 = GOMAXPROCS, 1 = sequential)")
-	pipeline := flag.Int("pipeline", 0, "in-flight inferences per session (0 = default 2, 1 = serial)")
 	metricsAddr := flag.String("metrics-addr", "", "serve /metrics (Prometheus text) and /debug/stats (JSON) on this address (empty disables)")
 	pprofOn := flag.Bool("pprof", false, "also mount net/http/pprof under /debug/pprof/ on the metrics address")
 	maxSessions := flag.Int("max-sessions", 0, "admission control: max concurrent sessions in the protocol (0 disables admission)")
 	maxQueue := flag.Int("max-queue", 0, "admission control: max sessions waiting for a slot before new arrivals are shed")
 	queueTimeout := flag.Duration("queue-timeout", 10*time.Second, "admission control: max wait in the queue before a session is shed")
 	retryAfter := flag.Duration("retry-after", time.Second, "admission control: backoff hint sent with busy responses")
-	maxP99 := flag.Duration("max-p99", 0, "admission control: shed new sessions while the windowed inference p99 exceeds this (0 disables the latency guard)")
 	handshakeTimeout := flag.Duration("handshake-timeout", 0, "per-session handshake deadline (0 disables)")
 	otSetupTimeout := flag.Duration("ot-setup-timeout", 0, "per-session OT-setup deadline (0 disables)")
 	inferTimeout := flag.Duration("infer-timeout", 0, "per-inference deadline, fused batches included (0 disables)")
 	flag.Parse()
 
-	// Negative tuning values are configuration mistakes, not requests
-	// for a default: fail loudly instead of silently clamping.
-	if *pipeline < 0 {
-		log.Fatalf("-pipeline %d: must be >= 0 (0 selects the default depth %d, 1 is serial)", *pipeline, deepsecure.DefaultPipelineDepth)
-	}
-	if *workers < 0 {
-		log.Fatalf("-workers %d: must be >= 0 (0 selects GOMAXPROCS, 1 is sequential)", *workers)
-	}
+	// A negative interval is a configuration mistake, not a request for
+	// a default: fail loudly instead of silently clamping.
 	if *statsEvery < 0 {
 		log.Fatalf("-stats %v: must be >= 0 (0 disables the stats line)", *statsEvery)
 	}
@@ -73,7 +71,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	net0.InitWeights(rand.New(rand.NewSource(*seed)))
+	net0.InitWeights(rand.New(rand.NewSource(1)))
 
 	start := time.Now()
 	admCfg := deepsecure.AdmissionConfig{
@@ -81,7 +79,6 @@ func main() {
 		MaxQueue:     *maxQueue,
 		QueueTimeout: *queueTimeout,
 		RetryAfter:   *retryAfter,
-		MaxP99:       *maxP99,
 	}
 	if err := admCfg.Validate(); err != nil {
 		log.Fatal(err)
@@ -94,7 +91,7 @@ func main() {
 	if err := deadlines.Validate(); err != nil {
 		log.Fatal(err)
 	}
-	engine := deepsecure.EngineConfig{Workers: *workers, Pipeline: *pipeline, Deadlines: deadlines}
+	engine := deepsecure.EngineConfig{Deadlines: deadlines}
 	srv, err := deepsecure.NewServer(net0, deepsecure.DefaultFormat,
 		deepsecure.WithEngine(engine),
 		deepsecure.WithIdleTimeout(idleTimeout),
@@ -106,26 +103,16 @@ func main() {
 	andGates, totalGates := srv.ProgramStats()
 	log.Printf("compiled %s netlist in %v: %d gates (%d non-XOR)",
 		net0.Arch(), time.Since(start).Round(time.Millisecond), totalGates, andGates)
-	depth := engine.PipelineDepth()
 	log.Printf("weight labels: %d OTs per session, once, at set-up", len(nn.WeightBits(net0, deepsecure.DefaultFormat)))
-	fanout := *workers
-	if fanout == 0 {
-		fanout = runtime.GOMAXPROCS(0)
-	}
-	log.Printf("engine pool: shared work-stealing scheduler, %d worker(s) process-wide, per-session fan-out %d",
-		sched.Default().Workers(), fanout)
+	log.Printf("engine pool: shared work-stealing scheduler, %d worker(s) process-wide",
+		sched.Default().Workers())
 	if admCfg.Enabled() {
-		log.Printf("admission control on: %d active session(s) max, queue %d (timeout %v), retry-after %v, p99 guard %v",
-			admCfg.MaxActive, admCfg.MaxQueue, *queueTimeout, *retryAfter, *maxP99)
+		log.Printf("admission control on: %d active session(s) max, queue %d (timeout %v), retry-after %v",
+			admCfg.MaxActive, admCfg.MaxQueue, *queueTimeout, *retryAfter)
 	}
 	if deadlines != (deepsecure.DeadlineConfig{}) {
 		log.Printf("phase deadlines on: handshake %v, ot-setup %v, inference %v (0 = unbounded)",
 			deadlines.Handshake, deadlines.OTSetup, deadlines.Inference)
-	}
-	if depth == 1 {
-		log.Printf("cross-inference pipelining off: inferences on a session run serially")
-	} else {
-		log.Printf("cross-inference pipelining on: up to %d inference(s) in flight per session", depth)
 	}
 	log.Printf("batched inference: up to %d sample(s) per fused InferBatch call", engine.MaxBatchSize())
 	if deepsecure.WideHashAvailable() {

@@ -1,10 +1,11 @@
 // netlist-stats inspects the GC netlists this library synthesizes: it
-// prints gate statistics for a chosen component or benchmark model, and
-// can export a materialized netlist in the text format for inspection.
+// prints gate statistics for a chosen component or benchmark model.
 //
 //	netlist-stats -component tanh-cordic
 //	netlist-stats -model b3
-//	netlist-stats -component mult -export mult.netlist
+//
+// CI diffs its output for every component and b3 against
+// testdata/golden.txt.
 package main
 
 import (
@@ -22,7 +23,6 @@ import (
 func main() {
 	component := flag.String("component", "", "Table 3 component name (add|mult|div|relu|softmax|mvm|tanh-*|sigmoid-*)")
 	model := flag.String("model", "", "benchmark model (b1|b2|b3|b4)")
-	export := flag.String("export", "", "write the materialized netlist to this file")
 	flag.Parse()
 	f := fixed.Default
 
@@ -47,19 +47,7 @@ func main() {
 		if err := b.Err(); err != nil {
 			log.Fatal(err)
 		}
-		c := g.Circuit()
-		fmt.Printf("%s: %v\n", *component, c.Stats())
-		if *export != "" {
-			out, err := os.Create(*export)
-			if err != nil {
-				log.Fatal(err)
-			}
-			defer out.Close()
-			if err := circuit.WriteNetlist(out, c); err != nil {
-				log.Fatal(err)
-			}
-			fmt.Printf("netlist written to %s (%d gates)\n", *export, len(c.Gates))
-		}
+		fmt.Printf("%s: %v\n", *component, g.Circuit().Stats())
 
 	case *model != "":
 		var bench *benchmarks.Benchmark

@@ -107,15 +107,14 @@ type (
 	// connections (the conn-level counterpart of InferenceServer) with
 	// explicit randomness and engine configuration.
 	SessionServer = core.Server
-	// ServerOption configures NewServer / ListenAndServe.
+	// ServerOption configures NewServer.
 	ServerOption = server.Option
 	// AdmissionConfig tunes the server's global admission controller:
-	// at most MaxActive sessions in the protocol at once, up to
-	// MaxQueue more waiting (bounded by QueueTimeout), and an optional
-	// windowed-p99 latency guard (MaxP99). Anything past the limits is
-	// refused with a protocol busy frame carrying RetryAfter, the whole
-	// refusal bounded at 2 s against a slow or silent peer. Pass it
-	// to NewServer via WithAdmission; the zero value disables
+	// at most MaxActive sessions in the protocol at once and up to
+	// MaxQueue more waiting (bounded by QueueTimeout). Anything past the
+	// limits is refused with a protocol busy frame carrying RetryAfter,
+	// the whole refusal bounded at 2 s against a slow or silent peer.
+	// Pass it to NewServer via WithAdmission; the zero value disables
 	// admission.
 	AdmissionConfig = server.AdmissionConfig
 	// BusyError is returned by NewSession/Infer when the server sheds
@@ -157,8 +156,9 @@ const DefaultMaxBatch = core.DefaultMaxBatch
 // DefaultFormat is the paper's 1-sign/3-integer/12-fraction encoding.
 var DefaultFormat = fixed.Default
 
-// ErrServerClosed is returned by InferenceServer.Serve and ListenAndServe
-// after Shutdown or Close (the net/http contract).
+// ErrServerClosed is returned by InferenceServer.Serve and
+// InferenceServer.ListenAndServe after Shutdown or Close (the net/http
+// contract).
 var ErrServerClosed = server.ErrServerClosed
 
 // Layer constructors.
@@ -252,17 +252,6 @@ func OpenSession(conn *Conn) (*Session, error) {
 // policies (WithEngine, WithIdleTimeout).
 func NewServer(net *Network, f Format, opts ...ServerOption) (*InferenceServer, error) {
 	return server.New(net, f, opts...)
-}
-
-// ListenAndServe compiles the model's netlist and serves secure
-// inference sessions on addr until the process exits (the
-// net/http-style convenience entry point).
-func ListenAndServe(addr string, net *Network, f Format, opts ...ServerOption) error {
-	srv, err := server.New(net, f, opts...)
-	if err != nil {
-		return err
-	}
-	return srv.ListenAndServe(addr)
 }
 
 // ServeOutsourced and friends expose the §3.3 constrained-client mode.

@@ -1,7 +1,6 @@
 package circuit
 
 import (
-	"bytes"
 	"strings"
 	"testing"
 )
@@ -198,40 +197,6 @@ func TestCountMatchesBuild(t *testing.T) {
 	}
 	if cs.XOR != ks.XOR || cs.AND != ks.AND {
 		t.Errorf("count mismatch: build %v vs count %v", cs, ks)
-	}
-}
-
-// TestWriteNetlistGolden pins the exported text format on a five-gate
-// circuit with every directive and gate kind in it.
-func TestWriteNetlistGolden(t *testing.T) {
-	c, err := Build(func(b *Builder) {
-		g := b.Inputs(Garbler, 2)
-		e := b.Inputs(Evaluator, 2)
-		x := b.XOR(g[0], g[1])
-		y := b.AND(x, e[0])
-		z := b.INV(y)
-		b.Outputs(b.XOR(b.AND(z, e[1]), x), z)
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	var buf bytes.Buffer
-	if err := WriteNetlist(&buf, c); err != nil {
-		t.Fatal(err)
-	}
-	const want = `deepsecure-netlist v1
-garbler_inputs 2 3
-evaluator_inputs 4 5
-gate XOR 2 3 6
-gate HAND 6 4 7
-gate INV 7 0 8
-gate HAND 8 5 9
-gate XOR 9 6 10
-outputs 10 8
-end
-`
-	if got := buf.String(); got != want {
-		t.Fatalf("netlist text:\n%s\nwant:\n%s", got, want)
 	}
 }
 

@@ -180,15 +180,3 @@ func (s HistogramSnapshot) Quantile(q float64) float64 {
 	}
 	return float64(s.Bounds[len(s.Bounds)-1])
 }
-
-// Delta returns s minus prev, an earlier snapshot of the same histogram
-// (or the zero value): the observations recorded in the window between
-// the two. This is how the admission controller's p99 guard sees recent
-// latency from a cumulative histogram.
-func (s HistogramSnapshot) Delta(prev HistogramSnapshot) HistogramSnapshot {
-	d := HistogramSnapshot{Bounds: s.Bounds, Counts: append([]int64(nil), s.Counts...), Sum: s.Sum - prev.Sum}
-	for i, c := range prev.Counts {
-		d.Counts[i] -= c
-	}
-	return d
-}

@@ -5,7 +5,6 @@ import (
 	"io"
 	"math"
 	"math/rand"
-	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -120,24 +119,6 @@ func TestQuantileEmpty(t *testing.T) {
 	h := testHistogram([]int64{1, 2})
 	if got := h.Snapshot().Quantile(0.99); got != 0 {
 		t.Fatalf("empty quantile = %v, want 0", got)
-	}
-}
-
-// TestDelta checks the window between two snapshots of one histogram, and
-// that a zero-value earlier snapshot yields the whole histogram.
-func TestDelta(t *testing.T) {
-	h := testHistogram([]int64{10, 100})
-	h.Observe(5)
-	h.Observe(50)
-	first := h.Snapshot()
-	h.Observe(500)
-	h.Observe(7)
-	d := h.Snapshot().Delta(first)
-	if want := []int64{1, 0, 1}; !slices.Equal(d.Counts, want) || d.Sum != 507 {
-		t.Fatalf("delta = %v sum %d, want %v sum 507", d.Counts, d.Sum, want)
-	}
-	if all := h.Snapshot().Delta(HistogramSnapshot{}); all.Count() != 4 || all.Sum != 562 {
-		t.Fatalf("delta from zero = %v sum %d, want 4 observations summing to 562", all.Counts, all.Sum)
 	}
 }
 

@@ -11,11 +11,10 @@ import (
 // This file is the global admission controller: the piece that keeps a
 // saturated server predictable instead of letting every accepted
 // connection fight for the shared engine pool. New sessions first pass
-// admission — a bounded concurrency gate with a bounded wait queue and
-// an optional windowed-p99 latency guard — and are shed with a protocol
-// MsgBusy (plus retry-after hint) when the server is past its limits,
-// so clients degrade to backoff-and-retry instead of timing out
-// mid-handshake. Queue depth and queued/shed counts are recorded in the
+// admission — a bounded concurrency gate with a bounded wait queue — and
+// are shed with a protocol MsgBusy (plus retry-after hint) when the
+// server is past its limits, so clients degrade to backoff-and-retry
+// instead of timing out mid-handshake. Queue depth and queued/shed counts are recorded in the
 // server's ledger, next to the session gauges they are derived from.
 
 // AdmissionConfig tunes the admission controller. The zero value
@@ -37,12 +36,6 @@ type AdmissionConfig struct {
 	// RetryAfter is the backoff hint sent inside MsgBusy. 0 defaults
 	// to 1s.
 	RetryAfter time.Duration
-	// MaxP99, when set, adds a latency guard: if the windowed p99 of this
-	// server's end-to-end inference latency exceeds it, new sessions are
-	// shed even when slots are free —
-	// queueing more work onto a server that is already missing its
-	// latency target only makes every client slower.
-	MaxP99 time.Duration
 }
 
 // Enabled reports whether this configuration turns admission on.
@@ -79,20 +72,9 @@ func (c AdmissionConfig) Validate() error {
 		return fmt.Errorf("server: negative admission QueueTimeout %v", c.QueueTimeout)
 	case c.RetryAfter < 0:
 		return fmt.Errorf("server: negative admission RetryAfter %v", c.RetryAfter)
-	case c.MaxP99 < 0:
-		return fmt.Errorf("server: negative admission MaxP99 %v", c.MaxP99)
 	}
 	return nil
 }
-
-// admissionGuardInterval is how often the p99 guard re-evaluates the
-// latency window; between checks it serves the cached verdict, keeping
-// the guard off the accept hot path.
-const admissionGuardInterval = time.Second
-
-// admissionGuardMinSamples is the minimum number of inferences a window
-// must hold before its p99 is trusted; thinner windows clear the guard.
-const admissionGuardMinSamples = 8
 
 type admission struct {
 	cfg   AdmissionConfig
@@ -101,11 +83,6 @@ type admission struct {
 
 	stopOnce sync.Once
 	stop     chan struct{}
-
-	guardMu    sync.Mutex
-	lastCheck  time.Time
-	lastSnap   obs.HistogramSnapshot
-	overloaded bool
 }
 
 func newAdmission(cfg AdmissionConfig, set *obs.Set) *admission {
@@ -119,38 +96,11 @@ func newAdmission(cfg AdmissionConfig, set *obs.Set) *admission {
 
 func (a *admission) close() { a.stopOnce.Do(func() { close(a.stop) }) }
 
-// latencyOverloaded evaluates the windowed-p99 guard, re-sampling the
-// cumulative inference histogram at most once per guard interval.
-func (a *admission) latencyOverloaded() bool {
-	if a.cfg.MaxP99 <= 0 {
-		return false
-	}
-	a.guardMu.Lock()
-	defer a.guardMu.Unlock()
-	now := time.Now()
-	if now.Sub(a.lastCheck) >= admissionGuardInterval {
-		cur := a.set.InferenceSeconds.Snapshot()
-		if delta := cur.Delta(a.lastSnap); delta.Count() >= admissionGuardMinSamples {
-			// Histogram values are nanoseconds (scale 1e-9 to seconds).
-			a.overloaded = time.Duration(delta.Quantile(0.99)) > a.cfg.MaxP99
-		} else {
-			a.overloaded = false
-		}
-		a.lastSnap = cur
-		a.lastCheck = now
-	}
-	return a.overloaded
-}
-
 // acquire decides one arriving session's fate: admitted now (free
 // slot), admitted after a bounded queue wait, or shed. On admission it
 // returns the release to defer; on shed it returns ok=false and the
 // caller answers MsgBusy.
 func (a *admission) acquire() (release func(), ok bool) {
-	if a.latencyOverloaded() {
-		a.set.SessionsShed.Inc()
-		return nil, false
-	}
 	select {
 	case a.slots <- struct{}{}:
 		return a.release, true
@@ -187,8 +137,7 @@ func (a *admission) release() { <-a.slots }
 
 // WithAdmission installs the global admission controller: at most
 // cfg.MaxActive sessions in flight, up to cfg.MaxQueue more waiting
-// (bounded by cfg.QueueTimeout), everything beyond that — or anything
-// arriving while the windowed p99 exceeds cfg.MaxP99 — refused with a
+// (bounded by cfg.QueueTimeout), everything beyond that refused with a
 // protocol MsgBusy carrying cfg.RetryAfter. A zero cfg disables
 // admission.
 func WithAdmission(cfg AdmissionConfig) Option {

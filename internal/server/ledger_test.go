@@ -279,67 +279,59 @@ func TestOneLedger(t *testing.T) {
 	}
 }
 
-// TestAdmissionLatencyGuardIsPerServer runs two servers with the same p99
-// guard in one process and makes one of them slow: that one must start
-// shedding and the other, which has served nothing, must keep admitting —
-// each guard reads its own server's latency, not the process's.
-func TestAdmissionLatencyGuardIsPerServer(t *testing.T) {
+// TestTwoServersKeepSeparateBooks runs two servers in one process and
+// sends all the work to one of them: inferences and a shed session on A,
+// nothing on B. A's books must show it and B's must stay at zero — each
+// server records into its own ledger, not the process's.
+func TestTwoServersKeepSeparateBooks(t *testing.T) {
 	model := testModel(t)
-	cfg := AdmissionConfig{MaxActive: 4, MaxP99: time.Microsecond}
-	slow, slowAddr, stopSlow := startAdmissionServer(t, model, cfg)
-	defer stopSlow()
-	idle, idleAddr, stopIdle := startAdmissionServer(t, model, cfg)
-	defer stopIdle()
+	cfg := AdmissionConfig{MaxActive: 1}
+	a, addrA, stopA := startAdmissionServer(t, model, cfg)
+	defer stopA()
+	b, _, stopB := startAdmissionServer(t, model, cfg)
+	defer stopB()
 
-	// Any real inference takes longer than the guard's microsecond; run
-	// enough of them for the guard to trust the window.
+	const n = 3
 	cli := &core.Client{}
-	sess, nc, err := openSession(t, cli, slowAddr)
+	sess, nc, err := openSession(t, cli, addrA)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer nc.Close()
 	rng := rand.New(rand.NewSource(41))
-	for i := 0; i < admissionGuardMinSamples; i++ {
-		if _, _, err := sess.Infer(sample(rng, 6)); err != nil {
+	for i := 0; i < n; i++ {
+		x := sample(rng, 6)
+		label, _, err := sess.Infer(x)
+		if err != nil {
 			t.Fatal(err)
 		}
+		if want := model.PredictFixed(fixed.Default, x); label != want {
+			t.Fatalf("label %d, want %d", label, want)
+		}
+	}
+	// The session holds A's only slot and A has no queue: the next
+	// arrival is shed.
+	var busy *core.BusyError
+	if _, _, err := openSession(t, cli, addrA); !errors.As(err, &busy) {
+		t.Fatalf("second session on A: err = %v, want it shed (*core.BusyError)", err)
 	}
 	if err := sess.Close(); err != nil {
 		t.Fatal(err)
 	}
 	// The server books an inference after it has sent the outputs, so the
-	// last one may still be on its way into the histogram.
-	for deadline := time.Now().Add(10 * time.Second); slow.Stats().Inferences < admissionGuardMinSamples; {
+	// last one may still be on its way into the ledger.
+	for deadline := time.Now().Add(10 * time.Second); a.Stats().Inferences < n || a.Stats().ActiveSessions != 0; {
 		if time.Now().After(deadline) {
-			t.Fatalf("slow server booked %d inference(s)", slow.Stats().Inferences)
+			t.Fatalf("server A: %+v", a.Stats())
 		}
 		time.Sleep(time.Millisecond)
 	}
-	// The guard re-reads the histogram once per interval; make the next
-	// arrival at each server the one that does.
-	for _, s := range []*Server{slow, idle} {
-		s.adm.guardMu.Lock()
-		s.adm.lastCheck = time.Time{}
-		s.adm.guardMu.Unlock()
-	}
 
-	var busy *core.BusyError
-	if _, _, err := openSession(t, cli, slowAddr); !errors.As(err, &busy) {
-		t.Fatalf("slow server: err = %v, want it to shed (*core.BusyError)", err)
+	if st := a.Stats(); st.Inferences != n || st.ShedSessions != 1 || st.Sessions != 1 {
+		t.Errorf("server A: %d inference(s), %d shed, %d session(s); want %d, 1, 1",
+			st.Inferences, st.ShedSessions, st.Sessions, n)
 	}
-	sess, nc2, err := openSession(t, cli, idleAddr)
-	if err != nil {
-		t.Fatalf("idle server shed on another server's latency: %v", err)
-	}
-	defer nc2.Close()
-	if err := sess.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if st := idle.Stats(); st.ShedSessions != 0 {
-		t.Fatalf("idle server shed %d session(s)", st.ShedSessions)
-	}
-	if st := slow.Stats(); st.ShedSessions != 1 {
-		t.Fatalf("slow server shed %d session(s), want 1", st.ShedSessions)
+	if st := b.Stats(); st.Inferences != 0 || st.ShedSessions != 0 || st.Sessions != 0 || st.BytesSent != 0 {
+		t.Errorf("server B served nothing but its books moved: %+v", st)
 	}
 }

@@ -30,7 +30,8 @@ const (
 	// MsgOTExtU and MsgOTExtY are one chosen-message extension batch: the
 	// receiver's U matrix and the sender's masked pairs. A session runs
 	// one, at set-up, to hand the server its weight labels; the §3.3
-	// streaming deployment runs one per weight step.
+	// streaming deployment also runs one, at set-up, for the labels of
+	// all the main server's inputs (its share and the weights).
 	MsgOTExtY
 	MsgOutputLabels
 	MsgResult
@@ -107,10 +108,10 @@ const MaxFrame = 1 << 30
 const maxHello = 192
 
 // FrameConn is the frame-level interface the protocol layers speak: a
-// *Conn satisfies it directly, and sessions satisfy it with views that
-// settle answers arriving mid-read (the client) or take incoming frames off
-// the session reader's FIFO (the server). Code written against FrameConn
-// (the OT stack, the execution engines) runs unchanged over either.
+// *Conn satisfies it directly, and a server session satisfies it with a
+// view that takes incoming frames off the session reader's FIFO. Code
+// written against FrameConn (the OT stack, the execution engines) runs
+// unchanged over either.
 type FrameConn interface {
 	Send(t MsgType, payload []byte) error
 	Recv(want MsgType) ([]byte, error)

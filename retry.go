@@ -23,8 +23,6 @@ type RetryPolicy struct {
 	// BaseBackoff is the wait after the first failure (0 = 100ms); each
 	// further failure doubles it, up to 5s.
 	BaseBackoff time.Duration
-	// DialTimeout bounds each TCP dial (0 = 10s).
-	DialTimeout time.Duration
 	// OnRetry, when set, observes every scheduled retry: the attempt
 	// that just failed (1-based), its error, and the wait before the
 	// next attempt. Load generators hang their busy/retry counters here.
@@ -38,6 +36,9 @@ type RetryPolicy struct {
 
 // maxBackoff caps a RetryPolicy's exponential growth.
 const maxBackoff = 5 * time.Second
+
+// dialTimeout bounds each TCP dial of DialSession.
+const dialTimeout = 10 * time.Second
 
 func (p RetryPolicy) maxAttempts() int { return intOr(p.MaxAttempts, 5) }
 
@@ -109,19 +110,19 @@ func (p RetryPolicy) Retryable(err error) bool {
 		errors.Is(err, net.ErrClosed)
 }
 
-// DialSession dials addr and opens a session under the retry policy:
-// transient failures (see RetryPolicy.Retryable) re-dial a fresh
-// connection after a backoff, busy responses wait at least the server's
-// retry-after hint, and permanent protocol errors fail immediately. On
-// success the caller owns both the session and the returned net.Conn
-// (close the conn after Session.Close). The client's
+// DialSession dials addr (each dial bounded at 10 s) and opens a session
+// under the retry policy: transient failures (see RetryPolicy.Retryable)
+// re-dial a fresh connection after a backoff, busy responses wait at
+// least the server's retry-after hint, and permanent protocol errors fail
+// immediately. On success the caller owns both the session and the
+// returned net.Conn (close the conn after Session.Close). The client's
 // EngineConfig.Deadlines.Handshake is enforced per attempt — DialSession
 // installs the connection breaker the deadline needs — so a stalled
 // server costs one bounded attempt, not a hang.
 func DialSession(addr string, cli *Client, p RetryPolicy) (*Session, net.Conn, error) {
 	var lastErr error
 	for attempt := 1; ; attempt++ {
-		sess, nc, err := dialOnce(addr, cli, durOr(p.DialTimeout, 10*time.Second))
+		sess, nc, err := dialOnce(addr, cli)
 		if err == nil {
 			return sess, nc, nil
 		}
@@ -141,7 +142,7 @@ func DialSession(addr string, cli *Client, p RetryPolicy) (*Session, net.Conn, e
 	return nil, nil, fmt.Errorf("deepsecure: no session after %d attempts: %w", p.maxAttempts(), lastErr)
 }
 
-func dialOnce(addr string, cli *Client, dialTimeout time.Duration) (*Session, net.Conn, error) {
+func dialOnce(addr string, cli *Client) (*Session, net.Conn, error) {
 	nc, err := net.DialTimeout("tcp", addr, dialTimeout)
 	if err != nil {
 		return nil, nil, err
