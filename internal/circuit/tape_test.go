@@ -1,6 +1,10 @@
 package circuit
 
 import (
+	"bytes"
+	"crypto/sha256"
+	"encoding/binary"
+	"math/rand"
 	"reflect"
 	"testing"
 )
@@ -187,5 +191,116 @@ func TestTapeReplayEvaluatesCorrectly(t *testing.T) {
 		if !reflect.DeepEqual(a, d) {
 			t.Fatalf("mask %05b: tape circuit %v, direct circuit %v", mask, a, d)
 		}
+	}
+}
+
+// testChunkWords is the tape's chunk size in words.
+const testChunkWords = 1 << 16
+
+// TestTapeReplaysAcrossChunks records a synthetic stream that meets the
+// tape's chunking every way it can: gates that end exactly on a chunk
+// boundary, an input batch longer than one chunk, an output batch that does
+// not fit in what is left of a chunk, and a long tail of mixed events. Replay must hand back the stream as recorded, and Digest
+// must hash its words little-endian in recording order, wherever the chunks
+// fall.
+func TestTapeReplaysAcrossChunks(t *testing.T) {
+	tape := NewTape()
+	live := &eventLog{}
+	sink := tee{tape, live}
+	var words []uint32 // the stream as the tape's encoding defines it
+	inputs := func(p Party, n int) {
+		ws := make([]uint32, n)
+		for i := range ws {
+			ws[i] = uint32(2 + i)
+		}
+		op := opInputsG
+		if p == Evaluator {
+			op = opInputsE
+		}
+		words = append(append(words, op, uint32(n)), ws...)
+		if err := sink.OnInputs(p, ws); err != nil {
+			t.Fatal(err)
+		}
+	}
+	outputs := func(n int) {
+		ws := make([]uint32, n)
+		for i := range ws {
+			ws[i] = uint32(7 + i)
+		}
+		words = append(append(words, opOutputs, uint32(n)), ws...)
+		if err := sink.OnOutputs(ws); err != nil {
+			t.Fatal(err)
+		}
+	}
+	gate := func(op Op, a, b, out uint32) {
+		if op == INV {
+			words = append(words, opINV, a, out)
+		} else {
+			words = append(words, uint32(op), a, b, out)
+		}
+		if err := sink.OnGate(Gate{Op: op, A: a, B: b, Out: out}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	drop := func(w uint32) {
+		words = append(words, opDrop, w)
+		if err := sink.OnDrop(w); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	// A 4-word input batch and 4-word gates end exactly on the boundary.
+	inputs(Garbler, 2)
+	for i := 0; i < (testChunkWords-4)/4; i++ {
+		gate(XOR, 2, 3, uint32(4+i%9))
+	}
+	if len(words) != testChunkWords {
+		t.Fatalf("setup: %d words before the boundary, want %d", len(words), testChunkWords)
+	}
+	drop(2)
+	inputs(Evaluator, testChunkWords+5) // longer than a chunk
+	gate(INV, 5, 0, 6)
+	gate(HalfAND, 6, 5, 9)
+	outputs(testChunkWords - 4) // does not fit in what is left
+	// A long mixed tail. Where the words recorded so far leave 2–4 words to a
+	// multiple of the chunk size, an event of exactly that size is recorded.
+	r := rand.New(rand.NewSource(1))
+	for len(words) < 6*testChunkWords {
+		switch left, k := testChunkWords-len(words)%testChunkWords, r.Intn(8); {
+		case left == 4:
+			gate(AND, 2, 3, 4)
+		case left == 3:
+			gate(INV, 3, 0, 4)
+		case left == 2:
+			drop(uint32(r.Intn(50)))
+		case k == 0:
+			inputs(Party(r.Intn(2)), r.Intn(3*testChunkWords/2))
+		case k == 1:
+			outputs(r.Intn(2000))
+		case k == 2:
+			drop(uint32(r.Intn(50)))
+		case k == 3:
+			gate(INV, uint32(r.Intn(50)), 0, uint32(r.Intn(50)))
+		default:
+			gate([]Op{XOR, AND, HalfAND}[r.Intn(3)], uint32(r.Intn(50)), uint32(r.Intn(50)), uint32(r.Intn(50)))
+		}
+	}
+	if tape.Len() != len(words) {
+		t.Fatalf("tape holds %d words, recorded %d", tape.Len(), len(words))
+	}
+
+	replayed := &eventLog{}
+	if err := tape.Replay(replayed); err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(live, replayed) {
+		t.Fatalf("replay differs from the recorded stream (%d events recorded, %d replayed)", len(live.events), len(replayed.events))
+	}
+	h := sha256.New()
+	for _, w := range words {
+		h.Write(binary.LittleEndian.AppendUint32(nil, w))
+	}
+	if got := tape.Digest(); !bytes.Equal(got[:], h.Sum(nil)) {
+		t.Fatal("Digest is not the sha256 of the recorded words, little-endian in order")
 	}
 }

@@ -1,0 +1,108 @@
+package netgen
+
+import (
+	"crypto/sha256"
+	"encoding/binary"
+	"encoding/hex"
+	"math/rand"
+	"testing"
+
+	"deepsecure/internal/act"
+	"deepsecure/internal/benchmarks"
+	"deepsecure/internal/nn"
+)
+
+// benchModel is one of the benchmark's models, built with the benchmark's
+// weight seed (bench/workloads.go's weightSeed).
+type benchModel struct {
+	name            string
+	in, hidden, out int
+	kind            act.Kind
+}
+
+var benchModels = []benchModel{
+	{"16-8-TanhCORDIC-4", 16, 8, 4, act.TanhCORDIC}, // tanh_lan
+	{"16-8-ReLU-4", 16, 8, 4, act.ReLU},             // mlp_wan, mlp_batch16
+	{"8-4-2-ReLU", 8, 4, 2, act.ReLU},               // mlp_churn
+}
+
+func (m benchModel) build(tb testing.TB) *nn.Network {
+	tb.Helper()
+	net, err := nn.NewNetwork(nn.Vec(m.in), nn.NewDense(m.hidden), nn.NewActivation(m.kind), nn.NewDense(m.out))
+	if err != nil {
+		tb.Fatal(err)
+	}
+	net.InitWeights(rand.New(rand.NewSource(20180624)))
+	return net
+}
+
+// scheduleDigest hashes every field of a compiled schedule, and the
+// program's digest with it: each step's kind, party, wires, pre-drops,
+// level span and table bytes; each level's offset, counts, GID base and
+// drops; every renamed gate; and the schedule's totals. Each list is
+// length-prefixed, so no two schedules share a byte stream.
+func scheduleDigest(p *Program) string {
+	s := p.Schedule
+	h := sha256.New()
+	var buf []byte
+	put := func(vs ...uint64) {
+		for _, v := range vs {
+			buf = binary.LittleEndian.AppendUint64(buf, v)
+		}
+		if len(buf) >= 1<<16 {
+			h.Write(buf)
+			buf = buf[:0]
+		}
+	}
+	list := func(ws []uint32) {
+		put(uint64(len(ws)))
+		for _, w := range ws {
+			put(uint64(w))
+		}
+	}
+	put(uint64(len(s.Steps)))
+	for i := range s.Steps {
+		st := &s.Steps[i]
+		put(uint64(st.Kind), uint64(st.Party))
+		list(st.Wires)
+		list(st.PreDrops)
+		put(uint64(st.First), uint64(st.N), uint64(st.TableBytes))
+	}
+	put(uint64(len(s.Levels)))
+	for i := range s.Levels {
+		lv := &s.Levels[i]
+		put(uint64(lv.Off), uint64(lv.ANDs), uint64(lv.Halves), uint64(lv.Frees), lv.GIDBase)
+		list(lv.Drops)
+	}
+	put(uint64(len(s.Gates)))
+	for _, g := range s.Gates {
+		put(uint64(g.Op), uint64(g.A), uint64(g.B), uint64(g.Out))
+	}
+	put(uint64(s.NumWires), uint64(s.ANDs), uint64(s.Halves), uint64(s.MaxWidth), uint64(s.MaxLevelANDs))
+	h.Write(buf)
+	h.Write(p.Digest[:])
+	return hex.EncodeToString(h.Sum(nil))
+}
+
+// TestSchedulePinned pins the compiled schedule of the benchmark's three
+// models field for field, with the program digest. TestGarbleTranscriptPinned
+// sees the tables and labels but neither wire ids nor drops, so a scheduler
+// change that claims "the same schedule" must leave these alone: wire
+// numbering, drop placement and gate order within a level are all in them.
+// They were recorded before the scheduler came to allocate its tables once.
+func TestSchedulePinned(t *testing.T) {
+	want := map[string]string{
+		"16-8-TanhCORDIC-4": "5324eb69e4f0f225656c8e694226912568e7d3af4b77aca3c09df6da6a4b384a",
+		"16-8-ReLU-4":       "324be9fc2d0714f2f597b48f08e9606c2f2f6940ecce8918a2c626e56dd4b8ec",
+		"8-4-2-ReLU":        "9962098e98002a9b67721bc4fe1cb9a8e8e92213b49fe0749a172a0870afd2e9",
+	}
+	for _, m := range benchModels {
+		prog, err := Compile(m.build(t), benchmarks.Format, Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := scheduleDigest(prog); got != want[m.name] {
+			t.Errorf("%s: schedule digest %s, pinned %s", m.name, got, want[m.name])
+		}
+	}
+}
