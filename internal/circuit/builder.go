@@ -25,13 +25,20 @@ type Builder struct {
 	// recycling state (streaming mode)
 	free    []uint32
 	recycle bool
-	dead    []bool     // idempotent-Drop guard when recycling (ids stay small)
-	scopes  [][]uint32 // wires allocated per open scope
+	scoped  []uint32 // wires allocated in the open scopes, innermost last
+	scopes  []int    // where each open scope's wires start in scoped
 
-	evalIn []bool // per allocated wire id: is a raw evaluator-input wire
+	wires []wireState // per allocated wire id
 
 	stats Stats
 	live  int64
+}
+
+// wireState is what the builder knows of one wire id.
+type wireState struct {
+	evalIn bool // a raw evaluator-input wire
+	dead   bool // dropped, when recycling: Drop is idempotent
+	kept   bool // named by the EndScope call in progress
 }
 
 // Option configures a Builder.
@@ -44,9 +51,9 @@ func WithRecycling() Option { return func(b *Builder) { b.recycle = true } }
 // NewBuilder returns a Builder feeding the given sink.
 func NewBuilder(sink Sink, opts ...Option) *Builder {
 	b := &Builder{
-		sink:   sink,
-		next:   2, // 0 and 1 reserved for constants
-		evalIn: make([]bool, 2),
+		sink:  sink,
+		next:  2, // 0 and 1 reserved for constants
+		wires: make([]wireState, 2),
 	}
 	for _, o := range opts {
 		o(b)
@@ -73,14 +80,14 @@ func (b *Builder) alloc() uint32 {
 	if b.recycle && len(b.free) > 0 {
 		w = b.free[len(b.free)-1]
 		b.free = b.free[:len(b.free)-1]
-		b.dead[w], b.evalIn[w] = false, false
+		b.wires[w] = wireState{}
 	} else {
 		w = b.next
 		b.next++
-		b.evalIn = append(b.evalIn, false)
+		b.wires = append(b.wires, wireState{})
 	}
-	if n := len(b.scopes); n > 0 {
-		b.scopes[n-1] = append(b.scopes[n-1], w)
+	if b.recycle && len(b.scopes) > 0 {
+		b.scoped = append(b.scoped, w)
 	}
 	return w
 }
@@ -117,7 +124,7 @@ func (b *Builder) Inputs(party Party, n int) []uint32 {
 	} else {
 		b.stats.EvaluatorInputs += int64(n)
 		for _, w := range ws {
-			b.evalIn[w] = true
+			b.wires[w].evalIn = true
 		}
 	}
 	if err := b.sink.OnInputs(party, ws); err != nil {
@@ -150,13 +157,10 @@ func (b *Builder) Drop(ws ...uint32) {
 			continue
 		}
 		if b.recycle {
-			for uint32(len(b.dead)) <= w {
-				b.dead = append(b.dead, false)
-			}
-			if b.dead[w] {
+			if b.wires[w].dead {
 				continue
 			}
-			b.dead[w] = true
+			b.wires[w].dead = true
 			b.free = append(b.free, w)
 		}
 		if err := b.sink.OnDrop(w); err != nil {
@@ -175,7 +179,7 @@ func (b *Builder) Drop(ws ...uint32) {
 // reclaim in recycling mode; with a materializing builder they are no-ops.
 // Scopes nest.
 func (b *Builder) BeginScope() {
-	b.scopes = append(b.scopes, nil)
+	b.scopes = append(b.scopes, len(b.scoped))
 }
 
 // EndScope closes the innermost scope, dropping all wires allocated in it
@@ -186,23 +190,27 @@ func (b *Builder) EndScope(keep ...uint32) {
 	if n == 0 {
 		panic("circuit: EndScope without BeginScope")
 	}
-	allocated := b.scopes[n-1]
+	start := b.scopes[n-1]
 	b.scopes = b.scopes[:n-1]
 	if !b.recycle {
 		return
 	}
-	keepSet := make(map[uint32]struct{}, len(keep))
 	for _, w := range keep {
-		keepSet[w] = struct{}{}
+		b.wires[w].kept = true
 	}
-	for _, w := range allocated {
-		if _, ok := keepSet[w]; ok {
-			if n := len(b.scopes); n > 0 {
-				b.scopes[n-1] = append(b.scopes[n-1], w)
-			}
-			continue
+	// The kept wires move down to the end of the enclosing scope's, in place.
+	outer, kept := len(b.scopes) > 0, b.scoped[:start]
+	for _, w := range b.scoped[start:] {
+		switch {
+		case !b.wires[w].kept:
+			b.Drop(w)
+		case outer:
+			kept = append(kept, w)
 		}
-		b.Drop(w)
+	}
+	b.scoped = kept
+	for _, w := range keep {
+		b.wires[w].kept = false
 	}
 }
 
@@ -251,9 +259,9 @@ func (b *Builder) AND(x, y uint32) uint32 {
 		return x
 	}
 	switch {
-	case b.evalIn[y]:
+	case b.wires[y].evalIn:
 		return b.emit(HalfAND, x, y)
-	case b.evalIn[x]:
+	case b.wires[x].evalIn:
 		return b.emit(HalfAND, y, x)
 	}
 	return b.emit(AND, x, y)

@@ -22,6 +22,12 @@ import "fmt"
 // from level L+1 on, so the parallel engine keeps the bounded §3.5 memory
 // footprint of the sequential one.
 //
+// Construction allocates each of its large tables once, sized from the
+// tape's counts: one pass over the tape levels the gates and records them
+// and the drops flat, in tape order; renaming then places each level run's
+// gates into their levels, and its drops after theirs, with a stable
+// counting sort, and carves the drop lists out of one shared array.
+//
 // Determinism: the schedule is a pure function of the tape, gates keep
 // tape order within each level (the full ANDs, then the half ANDs, then
 // the free gates), and every AND gate has a fixed global index (GIDBase +
@@ -119,35 +125,33 @@ type ssaInfo struct {
 	renamed uint32
 }
 
-// buildLevel accumulates one stratum in SSA form.
-type buildLevel struct {
-	ands  []Gate
-	halfs []Gate
-	frees []Gate
-	drops []uint32 // SSA ids dying at this level
-}
-
-// buildRun is one StepLevels step in SSA form.
+// buildRun is one StepLevels step in SSA form. Its gates run from
+// scheduler.gates[gates] to the next run's first, its drops likewise.
 type buildRun struct {
-	levels   []buildLevel
-	preDrops []uint32
+	step   int32 // its index in steps
+	levels int32 // its strata, counted as its gates arrive
+	gates  int
+	drops  int
 }
 
-// scheduler is the transient state of NewSchedule.
+// scheduler is the transient state of NewSchedule. It levels the tape in
+// one pass, recording every gate (in SSA ids) and every drop in two flat
+// arrays in tape order; rename then buckets each run's gates by (level,
+// kind) and its drops by level. Every table is sized from the tape's counts
+// before the pass, so none regrows.
 type scheduler struct {
-	ssa  []ssaInfo
-	cur  []uint32 // tape wire id -> current SSA id
-	mask []bool   // tape wire id -> has a current SSA id
+	ssa  []ssaInfo // the constants, then one per gate output and input wire
+	cur  []uint32  // tape wire id -> current SSA id
+	mask []bool    // tape wire id -> has a current SSA id
 
-	steps   []Step     // Kind/Party set; wires and level spans filled later
-	inWires [][]uint32 // SSA input/output wire batches, parallel to steps
-	runs    []*buildRun
-	runOf   []int // step index -> index into runs (or -1)
+	steps []Step // input/output steps hold SSA wires until rename
+	runs  []buildRun
+	gates []Gate   // every gate, in SSA ids, in tape order
+	drops []uint32 // every SSA id that dies, in tape order
 
-	run      *buildRun
-	pending  []uint32 // pre-run drops waiting for the next run
-	stepIdx  int32
-	numGates int64
+	open    bool // the last run takes the gates that arrive
+	pending int  // while no run is open, the next run's first drop
+	stepIdx int32
 }
 
 // NewSchedule compiles the tape into a level-parallel execution plan and
@@ -167,24 +171,29 @@ func NewSchedule(t *Tape) (*Schedule, error) {
 // undefined wire or misplaces a half AND, and is otherwise trusted to
 // schedule what it accepts correctly, which FuzzScheduleCheck tests.
 func compile(t *Tape) (*Schedule, error) {
-	sc := &scheduler{}
-	// SSA ids 0 and 1 are the constant wires, defined before everything.
-	sc.ssa = append(sc.ssa,
-		ssaInfo{defStep: -1, defLevel: -1, lastStep: -1, lastLevel: -1},
-		ssaInfo{defStep: -1, defLevel: -1, lastStep: -1, lastLevel: -1})
-	sc.bind(WFalse, 0)
-	sc.bind(WTrue, 1)
+	st := t.Stats()
+	sc := &scheduler{
+		ssa:   make([]ssaInfo, 2, 2+st.Total()+st.GarblerInputs+st.EvaluatorInputs),
+		cur:   make([]uint32, t.wires),
+		mask:  make([]bool, t.wires),
+		gates: make([]Gate, 0, st.Total()),
+		drops: make([]uint32, 0, t.drops),
+	}
+	// SSA ids 0 and 1 are the constant wires WFalse and WTrue, defined
+	// before everything.
+	for i := range sc.ssa {
+		sc.ssa[i] = ssaInfo{defStep: -1, defLevel: -1, lastStep: -1, lastLevel: -1}
+		sc.cur[i], sc.mask[i] = uint32(i), true
+	}
 
-	if err := sc.walk(t); err != nil {
+	if err := t.Replay(sc); err != nil {
 		return nil, err
 	}
 	sc.closeRun()
-	if len(sc.pending) > 0 {
+	if len(sc.drops) > sc.pending {
 		// Trailing drops after the last barrier: give them an empty run
 		// so the engine still retires them (parity with sequential mode).
 		sc.openRun()
-		sc.run.preDrops = append(sc.run.preDrops, sc.pending...)
-		sc.pending = nil
 		sc.closeRun()
 	}
 	return sc.rename(), nil
@@ -344,15 +353,6 @@ func (s *Schedule) checkLevel(live *Live, li int, lv *Level, off int, gid uint64
 	return nil
 }
 
-func (sc *scheduler) bind(w uint32, ssa uint32) {
-	for uint32(len(sc.cur)) <= w {
-		sc.cur = append(sc.cur, 0)
-		sc.mask = append(sc.mask, false)
-	}
-	sc.cur[w] = ssa
-	sc.mask[w] = true
-}
-
 func (sc *scheduler) lookup(w uint32) (uint32, error) {
 	if uint32(len(sc.cur)) <= w || !sc.mask[w] {
 		return 0, fmt.Errorf("circuit: schedule references undefined wire %d", w)
@@ -365,37 +365,35 @@ func (sc *scheduler) newSSA(w uint32, step, level int32) uint32 {
 	sc.ssa = append(sc.ssa, ssaInfo{
 		defStep: step, defLevel: level, lastStep: step, lastLevel: level,
 	})
-	sc.bind(w, id)
+	sc.cur[w], sc.mask[w] = id, true
 	return id
 }
 
 func (sc *scheduler) openRun() {
-	if sc.run != nil {
+	if sc.open {
 		return
 	}
-	sc.run = &buildRun{preDrops: sc.pending}
-	sc.pending = nil
-	sc.runs = append(sc.runs, sc.run)
+	sc.open = true
 	sc.steps = append(sc.steps, Step{Kind: StepLevels})
-	sc.inWires = append(sc.inWires, nil)
-	sc.runOf = append(sc.runOf, len(sc.runs)-1)
 	sc.stepIdx = int32(len(sc.steps) - 1)
+	sc.runs = append(sc.runs, buildRun{step: sc.stepIdx, gates: len(sc.gates), drops: sc.pending})
 }
 
 func (sc *scheduler) closeRun() {
-	sc.run = nil
+	if sc.open {
+		sc.open = false
+		sc.pending = len(sc.drops)
+	}
 }
 
 func (sc *scheduler) barrierStep(kind StepKind, p Party, ssaWires []uint32) {
 	sc.closeRun()
-	sc.steps = append(sc.steps, Step{Kind: kind, Party: p})
-	sc.inWires = append(sc.inWires, ssaWires)
-	sc.runOf = append(sc.runOf, -1)
+	sc.steps = append(sc.steps, Step{Kind: kind, Party: p, Wires: ssaWires})
 	sc.stepIdx = int32(len(sc.steps) - 1)
 }
 
-// onGate levels one gate and appends it (in SSA ids) to its stratum.
-func (sc *scheduler) onGate(g Gate) error {
+// OnGate levels one gate and records it in SSA ids.
+func (sc *scheduler) OnGate(g Gate) error {
 	sc.openRun()
 	step := sc.stepIdx
 	a, err := sc.lookup(g.A)
@@ -408,41 +406,28 @@ func (sc *scheduler) onGate(g Gate) error {
 			return err
 		}
 	}
+	// One past its operands' levels in this run; an INV's b is SSA id 0,
+	// which no run defines.
 	lvl := int32(0)
-	if ia := &sc.ssa[a]; ia.defStep == step && ia.defLevel+1 > lvl {
-		lvl = ia.defLevel + 1
-	}
-	if g.Op != INV {
-		if ib := &sc.ssa[b]; ib.defStep == step && ib.defLevel+1 > lvl {
-			lvl = ib.defLevel + 1
+	for _, x := range [2]uint32{a, b} {
+		if i := &sc.ssa[x]; i.defStep == step {
+			lvl = max(lvl, i.defLevel+1)
 		}
+	}
+	// Colour = value is arranged for evaluator-input wires alone, so a half
+	// AND anywhere else would evaluate to the wrong label.
+	if ib := &sc.ssa[b]; g.Op == HalfAND && (ib.defLevel >= 0 || ib.defStep < 0 ||
+		sc.steps[ib.defStep].Kind != StepInputs || sc.steps[ib.defStep].Party != Evaluator) {
+		return fmt.Errorf("circuit: half AND reads wire %d in slot B, which is not an evaluator input", g.B)
 	}
 	touch(&sc.ssa[a], step, lvl)
 	if g.Op != INV {
 		touch(&sc.ssa[b], step, lvl)
 	}
 	out := sc.newSSA(g.Out, step, lvl)
-
-	for int32(len(sc.run.levels)) <= lvl {
-		sc.run.levels = append(sc.run.levels, buildLevel{})
-	}
-	bl := &sc.run.levels[lvl]
-	sg := Gate{Op: g.Op, A: a, B: b, Out: out}
-	switch g.Op {
-	case AND:
-		bl.ands = append(bl.ands, sg)
-	case HalfAND:
-		// Colour = value is arranged for evaluator-input wires alone, so a
-		// half AND anywhere else would evaluate to the wrong label.
-		if ib := &sc.ssa[b]; ib.defLevel >= 0 || ib.defStep < 0 ||
-			sc.steps[ib.defStep].Kind != StepInputs || sc.steps[ib.defStep].Party != Evaluator {
-			return fmt.Errorf("circuit: half AND reads wire %d in slot B, which is not an evaluator input", g.B)
-		}
-		bl.halfs = append(bl.halfs, sg)
-	default:
-		bl.frees = append(bl.frees, sg)
-	}
-	sc.numGates++
+	run := &sc.runs[len(sc.runs)-1]
+	run.levels = max(run.levels, lvl+1)
+	sc.gates = append(sc.gates, Gate{Op: g.Op, A: a, B: b, Out: out})
 	return nil
 }
 
@@ -453,32 +438,22 @@ func touch(i *ssaInfo, step, lvl int32) {
 	}
 }
 
-// onDrop attaches a drop to the level at which its value's last use
-// completes, or to the next run's pre-drops when that point has already
-// passed a barrier.
-func (sc *scheduler) onDrop(w uint32) error {
+// OnDrop records the death of a wire's value. Which level it dies at is
+// settled in rename: the level of its last use if that lies in the run the
+// drop falls in, else before the run starts.
+func (sc *scheduler) OnDrop(w uint32) error {
 	if uint32(len(sc.cur)) <= w || !sc.mask[w] {
 		// Advisory drop of a wire that never carried a value: ignore,
 		// matching the Sink contract.
 		return nil
 	}
-	ssa := sc.cur[w]
 	sc.mask[w] = false
-	info := &sc.ssa[ssa]
-	if sc.run != nil && info.lastStep == sc.stepIdx && sc.runOf[sc.stepIdx] >= 0 {
-		bl := &sc.run.levels[info.lastLevel]
-		bl.drops = append(bl.drops, ssa)
-		return nil
-	}
-	if sc.run != nil {
-		sc.run.preDrops = append(sc.run.preDrops, ssa)
-		return nil
-	}
-	sc.pending = append(sc.pending, ssa)
+	sc.drops = append(sc.drops, sc.cur[w])
 	return nil
 }
 
-func (sc *scheduler) onInputs(p Party, ws []uint32) error {
+// OnInputs records an input step.
+func (sc *scheduler) OnInputs(p Party, ws []uint32) error {
 	ssaWires := make([]uint32, len(ws))
 	sc.barrierStep(StepInputs, p, ssaWires)
 	for i, w := range ws {
@@ -487,7 +462,8 @@ func (sc *scheduler) onInputs(p Party, ws []uint32) error {
 	return nil
 }
 
-func (sc *scheduler) onOutputs(ws []uint32) error {
+// OnOutputs records an output step.
+func (sc *scheduler) OnOutputs(ws []uint32) error {
 	ssaWires := make([]uint32, len(ws))
 	for i, w := range ws {
 		ssa, err := sc.lookup(w)
@@ -503,59 +479,26 @@ func (sc *scheduler) onOutputs(ws []uint32) error {
 	return nil
 }
 
-// walk decodes the tape's event stream directly (it is the Replay loop,
-// inlined so the scheduler sees events without an extra Sink layer).
-func (sc *scheduler) walk(t *Tape) error {
-	code := t.code
-	for i := 0; i < len(code); {
-		switch code[i] {
-		case opXOR, opAND, opHalfAND:
-			if err := sc.onGate(Gate{Op: Op(code[i]), A: code[i+1], B: code[i+2], Out: code[i+3]}); err != nil {
-				return err
-			}
-			i += 4
-		case opINV:
-			if err := sc.onGate(Gate{Op: INV, A: code[i+1], Out: code[i+2]}); err != nil {
-				return err
-			}
-			i += 3
-		case opInputsG, opInputsE:
-			p := Garbler
-			if code[i] == opInputsE {
-				p = Evaluator
-			}
-			n := int(code[i+1])
-			if err := sc.onInputs(p, code[i+2:i+2+n]); err != nil {
-				return err
-			}
-			i += 2 + n
-		case opOutputs:
-			n := int(code[i+1])
-			if err := sc.onOutputs(code[i+2 : i+2+n]); err != nil {
-				return err
-			}
-			i += 2 + n
-		case opDrop:
-			if err := sc.onDrop(code[i+1]); err != nil {
-				return err
-			}
-			i += 2
-		default:
-			return fmt.Errorf("circuit: corrupt tape opcode %d at %d", code[i], i)
-		}
-	}
-	return nil
-}
-
 // rename walks the SSA schedule in execution order and assigns compact
 // wire ids with a level-aware free list: an id released by a level-L drop
 // becomes allocatable at level L+1 (never inside L, where its old value
-// may still be read concurrently).
+// may still be read concurrently). Each run's gates are first bucketed by
+// (level, kind) into their place in Schedule.Gates, and its drops by level,
+// both with a stable counting sort, so each bucket keeps tape order.
 func (sc *scheduler) rename() *Schedule {
-	s := &Schedule{
-		Steps: sc.steps,
-		Gates: make([]Gate, 0, sc.numGates),
+	levels, widest := 0, 0
+	for _, r := range sc.runs {
+		levels += int(r.levels)
+		widest = max(widest, int(r.levels))
 	}
+	s := &Schedule{
+		Steps:  sc.steps,
+		Levels: make([]Level, 0, levels),
+		Gates:  make([]Gate, len(sc.gates)),
+	}
+	drops := make([]uint32, len(sc.drops))
+	gateEnds := make([]int, 3*widest) // per level: full ANDs, half ANDs, free gates
+	dropEnds := make([]int, 1+widest) // pre-drops, then per level
 	sc.ssa[0].renamed = WFalse
 	sc.ssa[1].renamed = WTrue
 	next := uint32(2)
@@ -572,59 +515,73 @@ func (sc *scheduler) rename() *Schedule {
 		sc.ssa[ssa].renamed = id
 		return id
 	}
-	release := func(ssaIDs []uint32) []uint32 {
-		out := make([]uint32, len(ssaIDs))
-		for i, ssa := range ssaIDs {
-			id := sc.ssa[ssa].renamed
-			out[i] = id
-			free = append(free, id)
+	// release renames ws in place and frees the ids.
+	release := func(ws []uint32) []uint32 {
+		for i, ssa := range ws {
+			ws[i] = sc.ssa[ssa].renamed
+			free = append(free, ws[i])
 		}
-		return out
+		return ws
 	}
 
-	for si := range s.Steps {
+	for si, ri := 0, 0; si < len(s.Steps); si++ {
 		st := &s.Steps[si]
 		switch st.Kind {
 		case StepInputs:
-			ws := sc.inWires[si]
-			st.Wires = make([]uint32, len(ws))
-			for i, ssa := range ws {
+			for i, ssa := range st.Wires {
 				st.Wires[i] = alloc(ssa)
 			}
 		case StepOutputs:
-			ws := sc.inWires[si]
-			st.Wires = make([]uint32, len(ws))
-			for i, ssa := range ws {
+			for i, ssa := range st.Wires {
 				st.Wires[i] = sc.ssa[ssa].renamed
 			}
 		case StepLevels:
-			run := sc.runs[sc.runOf[si]]
+			r := &sc.runs[ri]
+			ri++
+			gateHi, dropHi := len(sc.gates), len(sc.drops)
+			if ri < len(sc.runs) {
+				gateHi, dropHi = sc.runs[ri].gates, sc.runs[ri].drops
+			}
+			n := int(r.levels)
+			gates, ends := s.Gates[r.gates:gateHi], gateEnds[:3*n]
+			bucket(sc.gates[r.gates:gateHi], gates, ends, func(g Gate) int {
+				return 3*int(sc.ssa[g.Out].defLevel) + kindRank[g.Op]
+			})
+			ds, dends := drops[r.drops:dropHi], dropEnds[:1+n]
+			bucket(sc.drops[r.drops:dropHi], ds, dends, func(ssa uint32) int {
+				if info := &sc.ssa[ssa]; info.lastStep == r.step {
+					return 1 + int(info.lastLevel)
+				}
+				return 0
+			})
 			st.First = len(s.Levels)
-			st.N = len(run.levels)
-			st.PreDrops = release(run.preDrops)
-			for li := range run.levels {
-				bl := &run.levels[li]
+			st.N = n
+			st.PreDrops = release(ds[:dends[0]:dends[0]])
+			lo, dlo := 0, dends[0]
+			for l := range n {
+				full, half, hi := ends[3*l], ends[3*l+1], ends[3*l+2]
 				lv := Level{
-					Off:     len(s.Gates),
-					ANDs:    len(bl.ands) + len(bl.halfs),
-					Halves:  len(bl.halfs),
-					Frees:   len(bl.frees),
+					Off:     r.gates + lo,
+					ANDs:    half - lo,
+					Halves:  half - full,
+					Frees:   hi - half,
 					GIDBase: uint64(s.ANDs),
 				}
 				// Outputs allocate before the level's drops release, so
 				// an id read at this level is never redefined in it.
-				for _, gs := range [][]Gate{bl.ands, bl.halfs, bl.frees} {
-					for _, g := range gs {
-						s.Gates = append(s.Gates, sc.renameGate(g, alloc))
-					}
+				for i := lo; i < hi; i++ {
+					g := &gates[i]
+					g.A, g.B, g.Out = sc.ssa[g.A].renamed, sc.ssa[g.B].renamed, alloc(g.Out)
 				}
-				lv.Drops = release(bl.drops)
+				dhi := dends[1+l]
+				lv.Drops = release(ds[dlo:dhi:dhi])
 				s.ANDs += int64(lv.ANDs)
 				s.Halves += int64(lv.Halves)
 				st.TableBytes += lv.TableBytes()
 				s.MaxWidth = max(s.MaxWidth, lv.ANDs+lv.Frees)
 				s.MaxLevelANDs = max(s.MaxLevelANDs, lv.ANDs)
 				s.Levels = append(s.Levels, lv)
+				lo, dlo = hi, dhi
 			}
 		}
 	}
@@ -632,13 +589,26 @@ func (sc *scheduler) rename() *Schedule {
 	return s
 }
 
-func (sc *scheduler) renameGate(g Gate, alloc func(uint32) uint32) Gate {
-	a := sc.ssa[g.A].renamed
-	b := uint32(0)
-	if g.Op != INV {
-		b = sc.ssa[g.B].renamed
+// kindRank orders a level's gates: full ANDs, half ANDs, free gates.
+var kindRank = [...]int{AND: 0, HalfAND: 1, XOR: 2, INV: 2}
+
+// bucket copies src into dst, stably sorted by key, whose values lie in
+// [0, len(ends)); it leaves ends[k] one past key k's last element in dst.
+func bucket[T any](src, dst []T, ends []int, key func(T) int) {
+	clear(ends)
+	for _, v := range src {
+		ends[key(v)]++
 	}
-	return Gate{Op: g.Op, A: a, B: b, Out: alloc(g.Out)}
+	sum := 0
+	for k, c := range ends {
+		ends[k] = sum
+		sum += c
+	}
+	for _, v := range src {
+		k := key(v)
+		dst[ends[k]] = v
+		ends[k]++
+	}
 }
 
 // NumLevels returns the total stratum count across all level runs.

@@ -19,7 +19,7 @@ import (
 // allocation-free, so one Tape can drive any number of concurrent
 // sessions.
 //
-// Events are packed into a single []uint32 stream:
+// Events are packed into a stream of uint32 words:
 //
 //	opXOR/opAND/opHalfAND  a b out
 //	opINV                  a out
@@ -27,13 +27,26 @@ import (
 //	opOutputs    n w0 ... w{n-1}
 //	opDrop       w
 //
+// The stream is recorded in chunks of chunkWords words, each allocated once
+// at its full size, so no recorded word is ever copied again. An event never
+// straddles two chunks: one that does not fit in what is left of the last
+// chunk starts the next, and an input or output batch longer than a chunk
+// gets a chunk of its own, of exactly its size. So the slack is the last
+// chunk's unused tail, plus, in each earlier chunk, less than the event that
+// did not fit (at most three words, for a gate).
+//
 // Input/output wire batches are handed to sinks as sub-slices of the
 // stream itself (zero copy); sinks must not mutate or retain them across
 // calls, which matches the Sink contract for Builder-driven events.
 type Tape struct {
-	code  []uint32
-	stats Stats
+	chunks [][]uint32
+	drops  int    // drop events recorded
+	wires  uint32 // one past the largest wire id defined: the constants, then events
+	stats  Stats
 }
+
+// chunkWords is the size of a tape chunk in words (256 KiB).
+const chunkWords = 1 << 16
 
 // Tape event opcodes. Gate opcodes deliberately mirror Op values so the
 // hot replay path converts without a lookup.
@@ -49,10 +62,7 @@ const (
 )
 
 // NewTape returns an empty recording.
-func NewTape() *Tape { return &Tape{} }
-
-// Len returns the number of recorded stream words (a size proxy).
-func (t *Tape) Len() int { return len(t.code) }
+func NewTape() *Tape { return &Tape{wires: 2} }
 
 // Stats returns the gate statistics of the recorded netlist.
 func (t *Tape) Stats() Stats { return t.stats }
@@ -62,15 +72,23 @@ func (t *Tape) Stats() Stats { return t.stats }
 // same netlist.
 func (t *Tape) Digest() [sha256.Size]byte {
 	h := sha256.New()
-	buf := make([]byte, 0, 1<<16)
-	for _, w := range t.code {
-		if buf = binary.LittleEndian.AppendUint32(buf, w); len(buf) == cap(buf) {
-			h.Write(buf)
-			buf = buf[:0]
-		}
+	var buf []byte
+	for _, code := range t.chunks {
+		buf, _ = binary.Append(buf[:0], binary.LittleEndian, code)
+		h.Write(buf)
 	}
-	h.Write(buf)
 	return [sha256.Size]byte(h.Sum(nil))
+}
+
+// record appends one event, its head words then ws, to the stream.
+func (t *Tape) record(ws []uint32, head ...uint32) {
+	n := len(head) + len(ws)
+	last := len(t.chunks) - 1
+	if last < 0 || cap(t.chunks[last])-len(t.chunks[last]) < n {
+		t.chunks = append(t.chunks, make([]uint32, 0, max(n, chunkWords)))
+		last++
+	}
+	t.chunks[last] = append(append(t.chunks[last], head...), ws...)
 }
 
 // OnInputs implements Sink.
@@ -82,8 +100,10 @@ func (t *Tape) OnInputs(p Party, ws []uint32) error {
 	} else {
 		t.stats.GarblerInputs += int64(len(ws))
 	}
-	t.code = append(t.code, op, uint32(len(ws)))
-	t.code = append(t.code, ws...)
+	t.record(ws, op, uint32(len(ws)))
+	for _, w := range ws {
+		t.wires = max(t.wires, w+1)
+	}
 	return nil
 }
 
@@ -91,12 +111,13 @@ func (t *Tape) OnInputs(p Party, ws []uint32) error {
 func (t *Tape) OnGate(g Gate) error {
 	switch g.Op {
 	case XOR, AND, HalfAND:
-		t.code = append(t.code, uint32(g.Op), g.A, g.B, g.Out)
+		t.record(nil, uint32(g.Op), g.A, g.B, g.Out)
 	case INV:
-		t.code = append(t.code, opINV, g.A, g.Out)
+		t.record(nil, opINV, g.A, g.Out)
 	default:
 		return fmt.Errorf("circuit: tape cannot record op %v", g.Op)
 	}
+	t.wires = max(t.wires, g.Out+1)
 	t.stats.count(g.Op)
 	return nil
 }
@@ -104,14 +125,14 @@ func (t *Tape) OnGate(g Gate) error {
 // OnOutputs implements Sink.
 func (t *Tape) OnOutputs(ws []uint32) error {
 	t.stats.Outputs += int64(len(ws))
-	t.code = append(t.code, opOutputs, uint32(len(ws)))
-	t.code = append(t.code, ws...)
+	t.record(ws, opOutputs, uint32(len(ws)))
 	return nil
 }
 
 // OnDrop implements Sink.
 func (t *Tape) OnDrop(w uint32) error {
-	t.code = append(t.code, opDrop, w)
+	t.record(nil, opDrop, w)
+	t.drops++
 	return nil
 }
 
@@ -119,42 +140,43 @@ func (t *Tape) OnDrop(w uint32) error {
 // order. It is safe to call concurrently from multiple goroutines (each
 // with its own sink): the tape is never mutated.
 func (t *Tape) Replay(sink Sink) error {
-	code := t.code
-	for i := 0; i < len(code); {
-		switch code[i] {
-		case opXOR, opAND, opHalfAND:
-			if err := sink.OnGate(Gate{Op: Op(code[i]), A: code[i+1], B: code[i+2], Out: code[i+3]}); err != nil {
-				return err
+	for _, code := range t.chunks {
+		for i := 0; i < len(code); {
+			switch code[i] {
+			case opXOR, opAND, opHalfAND:
+				if err := sink.OnGate(Gate{Op: Op(code[i]), A: code[i+1], B: code[i+2], Out: code[i+3]}); err != nil {
+					return err
+				}
+				i += 4
+			case opINV:
+				if err := sink.OnGate(Gate{Op: INV, A: code[i+1], Out: code[i+2]}); err != nil {
+					return err
+				}
+				i += 3
+			case opInputsG, opInputsE:
+				p := Garbler
+				if code[i] == opInputsE {
+					p = Evaluator
+				}
+				n := int(code[i+1])
+				if err := sink.OnInputs(p, code[i+2:i+2+n]); err != nil {
+					return err
+				}
+				i += 2 + n
+			case opOutputs:
+				n := int(code[i+1])
+				if err := sink.OnOutputs(code[i+2 : i+2+n]); err != nil {
+					return err
+				}
+				i += 2 + n
+			case opDrop:
+				if err := sink.OnDrop(code[i+1]); err != nil {
+					return err
+				}
+				i += 2
+			default:
+				return fmt.Errorf("circuit: corrupt tape opcode %d", code[i])
 			}
-			i += 4
-		case opINV:
-			if err := sink.OnGate(Gate{Op: INV, A: code[i+1], Out: code[i+2]}); err != nil {
-				return err
-			}
-			i += 3
-		case opInputsG, opInputsE:
-			p := Garbler
-			if code[i] == opInputsE {
-				p = Evaluator
-			}
-			n := int(code[i+1])
-			if err := sink.OnInputs(p, code[i+2:i+2+n]); err != nil {
-				return err
-			}
-			i += 2 + n
-		case opOutputs:
-			n := int(code[i+1])
-			if err := sink.OnOutputs(code[i+2 : i+2+n]); err != nil {
-				return err
-			}
-			i += 2 + n
-		case opDrop:
-			if err := sink.OnDrop(code[i+1]); err != nil {
-				return err
-			}
-			i += 2
-		default:
-			return fmt.Errorf("circuit: corrupt tape opcode %d at %d", code[i], i)
 		}
 	}
 	return nil

@@ -2,6 +2,7 @@ package netgen
 
 import (
 	"math/rand"
+	"runtime"
 	"testing"
 
 	"deepsecure/internal/act"
@@ -237,5 +238,42 @@ func countMLP(in, hidden, out int, kind act.Kind) func() (circuit.Stats, error) 
 		}
 		s, _, err := Count(net, fixed.Default, Options{})
 		return s, err
+	}
+}
+
+// BenchmarkCompile times netgen.Compile, generation and scheduling, on the
+// benchmark's three models.
+func BenchmarkCompile(b *testing.B) {
+	for _, m := range benchModels {
+		net := m.build(b)
+		b.Run(m.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := Compile(net, benchmarks.Format, Options{}); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
+// TestCompileAllocBudget bounds the bytes one Compile of tanh_lan's model
+// allocates (runtime.MemStats.TotalAlloc). The tape, the scheduler's tables
+// and the level strata are each allocated once, at their final size: 24.9 MB
+// in all, against 91 MB while they grew by appending. The budget is 1.25 ×
+// that, so regrowth cannot come back unseen.
+func TestCompileAllocBudget(t *testing.T) {
+	const budget = 31.1e6
+	net := benchModels[0].build(t)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	if _, err := Compile(net, benchmarks.Format, Options{}); err != nil {
+		t.Fatal(err)
+	}
+	runtime.ReadMemStats(&after)
+	if got := after.TotalAlloc - before.TotalAlloc; got > budget {
+		t.Errorf("Compile of %s allocated %.1f MB, budget %.1f MB", benchModels[0].name, float64(got)/1e6, budget/1e6)
+	} else {
+		t.Logf("Compile of %s allocated %.1f MB", benchModels[0].name, float64(got)/1e6)
 	}
 }
