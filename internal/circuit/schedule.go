@@ -111,24 +111,21 @@ func (lv *Level) TableBytes() int { return (2*lv.ANDs - lv.Halves) * CiphertextS
 // TableBytes returns the size of one sample's whole table stream.
 func (s *Schedule) TableBytes() int64 { return (2*s.ANDs - s.Halves) * CiphertextSize }
 
-// ssaInfo tracks one SSA value (a single wire incarnation) during
-// schedule construction.
-type ssaInfo struct {
+// value is the SSA value a tape wire carries: one incarnation of the wire,
+// named by its SSA id. Only a wire's current value can be read or dropped,
+// so the scheduler keeps one per wire id, not one per SSA id.
+type value struct {
+	id   uint32
+	live bool
 	// defStep / defLevel locate the definition; lastStep / lastLevel the
 	// latest read (or the definition, if never read). defLevel is -1 for
 	// input-step definitions.
-	defStep   int32
-	defLevel  int32
-	lastStep  int32
-	lastLevel int32
-	// renamed is the compact wire id assigned during renaming.
-	renamed uint32
+	defStep, defLevel, lastStep, lastLevel int32
 }
 
 // buildRun is one StepLevels step in SSA form. Its gates run from
 // scheduler.gates[gates] to the next run's first, its drops likewise.
 type buildRun struct {
-	step   int32 // its index in steps
 	levels int32 // its strata, counted as its gates arrive
 	gates  int
 	drops  int
@@ -140,14 +137,19 @@ type buildRun struct {
 // kind) and its drops by level. Every table is sized from the tape's counts
 // before the pass, so none regrows.
 type scheduler struct {
-	ssa  []ssaInfo // the constants, then one per gate output and input wire
-	cur  []uint32  // tape wire id -> current SSA id
-	mask []bool    // tape wire id -> has a current SSA id
+	vals []value // tape wire id -> its current value
+	nssa uint32  // SSA ids handed out: the constants, then gate outputs and input wires
 
 	steps []Step // input/output steps hold SSA wires until rename
 	runs  []buildRun
-	gates []Gate   // every gate, in SSA ids, in tape order
-	drops []uint32 // every SSA id that dies, in tape order
+	// gates holds every gate in SSA ids, and drops every SSA id that dies,
+	// each in tape order; their keys are the buckets of their run that
+	// rename sorts them into: 3 × level + kindRank for a gate, and for a
+	// drop 1 + the level it dies after, or 0 if it dies before the first.
+	gates    []Gate
+	gateKeys []int32
+	drops    []uint32
+	dropKeys []int32
 
 	open    bool // the last run takes the gates that arrive
 	pending int  // while no run is open, the next run's first drop
@@ -173,18 +175,14 @@ func NewSchedule(t *Tape) (*Schedule, error) {
 func compile(t *Tape) (*Schedule, error) {
 	st := t.Stats()
 	sc := &scheduler{
-		ssa:   make([]ssaInfo, 2, 2+st.Total()+st.GarblerInputs+st.EvaluatorInputs),
-		cur:   make([]uint32, t.wires),
-		mask:  make([]bool, t.wires),
-		gates: make([]Gate, 0, st.Total()),
-		drops: make([]uint32, 0, t.drops),
+		vals:     make([]value, t.wires),
+		gates:    make([]Gate, 0, st.Total()),
+		gateKeys: make([]int32, 0, st.Total()),
+		drops:    make([]uint32, 0, t.drops),
+		dropKeys: make([]int32, 0, t.drops),
 	}
-	// SSA ids 0 and 1 are the constant wires WFalse and WTrue, defined
-	// before everything.
-	for i := range sc.ssa {
-		sc.ssa[i] = ssaInfo{defStep: -1, defLevel: -1, lastStep: -1, lastLevel: -1}
-		sc.cur[i], sc.mask[i] = uint32(i), true
-	}
+	sc.define(WFalse, -1, -1) // SSA ids 0 and 1: the constants, defined before all
+	sc.define(WTrue, -1, -1)
 
 	if err := t.Replay(sc); err != nil {
 		return nil, err
@@ -196,6 +194,8 @@ func compile(t *Tape) (*Schedule, error) {
 		sc.openRun()
 		sc.closeRun()
 	}
+	// A last, empty entry ends the last run's gates and drops.
+	sc.runs = append(sc.runs, buildRun{gates: len(sc.gates), drops: len(sc.drops)})
 	return sc.rename(), nil
 }
 
@@ -353,19 +353,18 @@ func (s *Schedule) checkLevel(live *Live, li int, lv *Level, off int, gid uint64
 	return nil
 }
 
-func (sc *scheduler) lookup(w uint32) (uint32, error) {
-	if uint32(len(sc.cur)) <= w || !sc.mask[w] {
-		return 0, fmt.Errorf("circuit: schedule references undefined wire %d", w)
+func (sc *scheduler) lookup(w uint32) (*value, error) {
+	if uint32(len(sc.vals)) <= w || !sc.vals[w].live {
+		return nil, fmt.Errorf("circuit: schedule references undefined wire %d", w)
 	}
-	return sc.cur[w], nil
+	return &sc.vals[w], nil
 }
 
-func (sc *scheduler) newSSA(w uint32, step, level int32) uint32 {
-	id := uint32(len(sc.ssa))
-	sc.ssa = append(sc.ssa, ssaInfo{
-		defStep: step, defLevel: level, lastStep: step, lastLevel: level,
-	})
-	sc.cur[w], sc.mask[w] = id, true
+// define gives wire w a new value and returns its SSA id.
+func (sc *scheduler) define(w uint32, step, level int32) uint32 {
+	id := sc.nssa
+	sc.nssa++
+	sc.vals[w] = value{id: id, live: true, defStep: step, defLevel: level, lastStep: step, lastLevel: level}
 	return id
 }
 
@@ -376,7 +375,7 @@ func (sc *scheduler) openRun() {
 	sc.open = true
 	sc.steps = append(sc.steps, Step{Kind: StepLevels})
 	sc.stepIdx = int32(len(sc.steps) - 1)
-	sc.runs = append(sc.runs, buildRun{step: sc.stepIdx, gates: len(sc.gates), drops: sc.pending})
+	sc.runs = append(sc.runs, buildRun{gates: len(sc.gates), drops: sc.pending})
 }
 
 func (sc *scheduler) closeRun() {
@@ -396,59 +395,64 @@ func (sc *scheduler) barrierStep(kind StepKind, p Party, ssaWires []uint32) {
 func (sc *scheduler) OnGate(g Gate) error {
 	sc.openRun()
 	step := sc.stepIdx
-	a, err := sc.lookup(g.A)
+	va, err := sc.lookup(g.A)
 	if err != nil {
 		return err
 	}
-	b := uint32(0) // INV is unary; 0 is the constant-false SSA id
+	// INV is unary: its B reads as A below, and as SSA id 0 (false) in the gate.
+	vb, b := va, uint32(0)
 	if g.Op != INV {
-		if b, err = sc.lookup(g.B); err != nil {
+		if vb, err = sc.lookup(g.B); err != nil {
 			return err
 		}
+		b = vb.id
 	}
-	// One past its operands' levels in this run; an INV's b is SSA id 0,
-	// which no run defines.
-	lvl := int32(0)
-	for _, x := range [2]uint32{a, b} {
-		if i := &sc.ssa[x]; i.defStep == step {
-			lvl = max(lvl, i.defLevel+1)
+	lvl := int32(0) // one past its operands' levels in this run
+	for _, v := range [2]*value{va, vb} {
+		if v.defStep == step {
+			lvl = max(lvl, v.defLevel+1)
 		}
 	}
 	// Colour = value is arranged for evaluator-input wires alone, so a half
 	// AND anywhere else would evaluate to the wrong label.
-	if ib := &sc.ssa[b]; g.Op == HalfAND && (ib.defLevel >= 0 || ib.defStep < 0 ||
-		sc.steps[ib.defStep].Kind != StepInputs || sc.steps[ib.defStep].Party != Evaluator) {
+	if g.Op == HalfAND && (vb.defLevel >= 0 || vb.defStep < 0 ||
+		sc.steps[vb.defStep].Kind != StepInputs || sc.steps[vb.defStep].Party != Evaluator) {
 		return fmt.Errorf("circuit: half AND reads wire %d in slot B, which is not an evaluator input", g.B)
 	}
-	touch(&sc.ssa[a], step, lvl)
-	if g.Op != INV {
-		touch(&sc.ssa[b], step, lvl)
-	}
-	out := sc.newSSA(g.Out, step, lvl)
+	touch(va, step, lvl)
+	touch(vb, step, lvl)
+	a := va.id // before define, which may give g.A a new value
 	run := &sc.runs[len(sc.runs)-1]
 	run.levels = max(run.levels, lvl+1)
-	sc.gates = append(sc.gates, Gate{Op: g.Op, A: a, B: b, Out: out})
+	sc.gates = append(sc.gates, Gate{Op: g.Op, A: a, B: b, Out: sc.define(g.Out, step, lvl)})
+	sc.gateKeys = append(sc.gateKeys, 3*lvl+kindRank[g.Op])
 	return nil
 }
 
-func touch(i *ssaInfo, step, lvl int32) {
+func touch(i *value, step, lvl int32) {
 	if step > i.lastStep || (step == i.lastStep && lvl > i.lastLevel) {
 		i.lastStep = step
 		i.lastLevel = lvl
 	}
 }
 
-// OnDrop records the death of a wire's value. Which level it dies at is
-// settled in rename: the level of its last use if that lies in the run the
-// drop falls in, else before the run starts.
+// OnDrop attaches a drop to the level at which its value's last use
+// completes, or to the pre-drops of the run it falls in (or of the next
+// run, between runs) when that point has already passed a barrier.
 func (sc *scheduler) OnDrop(w uint32) error {
-	if uint32(len(sc.cur)) <= w || !sc.mask[w] {
+	if uint32(len(sc.vals)) <= w || !sc.vals[w].live {
 		// Advisory drop of a wire that never carried a value: ignore,
 		// matching the Sink contract.
 		return nil
 	}
-	sc.mask[w] = false
-	sc.drops = append(sc.drops, sc.cur[w])
+	v := &sc.vals[w]
+	v.live = false
+	key := int32(0)
+	if sc.open && v.lastStep == sc.stepIdx {
+		key = 1 + v.lastLevel
+	}
+	sc.drops = append(sc.drops, v.id)
+	sc.dropKeys = append(sc.dropKeys, key)
 	return nil
 }
 
@@ -457,7 +461,7 @@ func (sc *scheduler) OnInputs(p Party, ws []uint32) error {
 	ssaWires := make([]uint32, len(ws))
 	sc.barrierStep(StepInputs, p, ssaWires)
 	for i, w := range ws {
-		ssaWires[i] = sc.newSSA(w, sc.stepIdx, -1)
+		ssaWires[i] = sc.define(w, sc.stepIdx, -1)
 	}
 	return nil
 }
@@ -466,15 +470,15 @@ func (sc *scheduler) OnInputs(p Party, ws []uint32) error {
 func (sc *scheduler) OnOutputs(ws []uint32) error {
 	ssaWires := make([]uint32, len(ws))
 	for i, w := range ws {
-		ssa, err := sc.lookup(w)
+		v, err := sc.lookup(w)
 		if err != nil {
 			return fmt.Errorf("circuit: schedule output: %w", err)
 		}
-		ssaWires[i] = ssa
+		ssaWires[i] = v.id
 	}
 	sc.barrierStep(StepOutputs, 0, ssaWires)
-	for _, ssa := range ssaWires {
-		touch(&sc.ssa[ssa], sc.stepIdx, -1)
+	for _, w := range ws {
+		touch(&sc.vals[w], sc.stepIdx, -1)
 	}
 	return nil
 }
@@ -497,10 +501,10 @@ func (sc *scheduler) rename() *Schedule {
 		Gates:  make([]Gate, len(sc.gates)),
 	}
 	drops := make([]uint32, len(sc.drops))
-	gateEnds := make([]int, 3*widest) // per level: full ANDs, half ANDs, free gates
-	dropEnds := make([]int, 1+widest) // pre-drops, then per level
-	sc.ssa[0].renamed = WFalse
-	sc.ssa[1].renamed = WTrue
+	gateEnds := make([]int, 3*widest)  // per level: full ANDs, half ANDs, free gates
+	dropEnds := make([]int, 1+widest)  // pre-drops, then per level
+	renamed := make([]uint32, sc.nssa) // SSA id -> compact wire id
+	renamed[WTrue] = WTrue
 	next := uint32(2)
 	var free []uint32
 	alloc := func(ssa uint32) uint32 {
@@ -512,13 +516,13 @@ func (sc *scheduler) rename() *Schedule {
 			id = next
 			next++
 		}
-		sc.ssa[ssa].renamed = id
+		renamed[ssa] = id
 		return id
 	}
 	// release renames ws in place and frees the ids.
 	release := func(ws []uint32) []uint32 {
 		for i, ssa := range ws {
-			ws[i] = sc.ssa[ssa].renamed
+			ws[i] = renamed[ssa]
 			free = append(free, ws[i])
 		}
 		return ws
@@ -533,27 +537,17 @@ func (sc *scheduler) rename() *Schedule {
 			}
 		case StepOutputs:
 			for i, ssa := range st.Wires {
-				st.Wires[i] = sc.ssa[ssa].renamed
+				st.Wires[i] = renamed[ssa]
 			}
 		case StepLevels:
 			r := &sc.runs[ri]
 			ri++
-			gateHi, dropHi := len(sc.gates), len(sc.drops)
-			if ri < len(sc.runs) {
-				gateHi, dropHi = sc.runs[ri].gates, sc.runs[ri].drops
-			}
+			gateHi, dropHi := sc.runs[ri].gates, sc.runs[ri].drops
 			n := int(r.levels)
 			gates, ends := s.Gates[r.gates:gateHi], gateEnds[:3*n]
-			bucket(sc.gates[r.gates:gateHi], gates, ends, func(g Gate) int {
-				return 3*int(sc.ssa[g.Out].defLevel) + kindRank[g.Op]
-			})
+			bucket(sc.gates[r.gates:gateHi], gates, sc.gateKeys[r.gates:gateHi], ends)
 			ds, dends := drops[r.drops:dropHi], dropEnds[:1+n]
-			bucket(sc.drops[r.drops:dropHi], ds, dends, func(ssa uint32) int {
-				if info := &sc.ssa[ssa]; info.lastStep == r.step {
-					return 1 + int(info.lastLevel)
-				}
-				return 0
-			})
+			bucket(sc.drops[r.drops:dropHi], ds, sc.dropKeys[r.drops:dropHi], dends)
 			st.First = len(s.Levels)
 			st.N = n
 			st.PreDrops = release(ds[:dends[0]:dends[0]])
@@ -571,7 +565,7 @@ func (sc *scheduler) rename() *Schedule {
 				// an id read at this level is never redefined in it.
 				for i := lo; i < hi; i++ {
 					g := &gates[i]
-					g.A, g.B, g.Out = sc.ssa[g.A].renamed, sc.ssa[g.B].renamed, alloc(g.Out)
+					g.A, g.B, g.Out = renamed[g.A], renamed[g.B], alloc(g.Out)
 				}
 				dhi := dends[1+l]
 				lv.Drops = release(ds[dlo:dhi:dhi])
@@ -590,23 +584,20 @@ func (sc *scheduler) rename() *Schedule {
 }
 
 // kindRank orders a level's gates: full ANDs, half ANDs, free gates.
-var kindRank = [...]int{AND: 0, HalfAND: 1, XOR: 2, INV: 2}
+var kindRank = [...]int32{AND: 0, HalfAND: 1, XOR: 2, INV: 2}
 
-// bucket copies src into dst, stably sorted by key, whose values lie in
-// [0, len(ends)); it leaves ends[k] one past key k's last element in dst.
-func bucket[T any](src, dst []T, ends []int, key func(T) int) {
+// bucket copies src into dst, stably sorted by keys (src[i]'s is keys[i],
+// in [0, len(ends))); it leaves ends[k] one past key k's last element in dst.
+func bucket[T any](src, dst []T, keys []int32, ends []int) {
 	clear(ends)
-	for _, v := range src {
-		ends[key(v)]++
+	for _, k := range keys {
+		ends[k]++
 	}
-	sum := 0
-	for k, c := range ends {
-		ends[k] = sum
-		sum += c
+	for k, sum := 0, 0; k < len(ends); k++ {
+		ends[k], sum = sum, sum+ends[k]
 	}
-	for _, v := range src {
-		k := key(v)
-		dst[ends[k]] = v
+	for i, k := range keys {
+		dst[ends[k]] = src[i]
 		ends[k]++
 	}
 }

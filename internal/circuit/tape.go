@@ -28,12 +28,10 @@ import (
 //	opDrop       w
 //
 // The stream is recorded in chunks of chunkWords words, each allocated once
-// at its full size, so no recorded word is ever copied again. An event never
-// straddles two chunks: one that does not fit in what is left of the last
-// chunk starts the next, and an input or output batch longer than a chunk
-// gets a chunk of its own, of exactly its size. So the slack is the last
-// chunk's unused tail, plus, in each earlier chunk, less than the event that
-// did not fit (at most three words, for a gate).
+// at its full size: no recorded word is copied again. An event that does not
+// fit in what is left of the last chunk starts the next, so none straddles
+// two, and a batch longer than a chunk gets a chunk of exactly its size. The
+// slack is the last chunk's tail and, in each earlier one, under one event.
 //
 // Input/output wire batches are handed to sinks as sub-slices of the
 // stream itself (zero copy); sinks must not mutate or retain them across
@@ -72,23 +70,27 @@ func (t *Tape) Stats() Stats { return t.stats }
 // same netlist.
 func (t *Tape) Digest() [sha256.Size]byte {
 	h := sha256.New()
-	var buf []byte
+	buf := make([]byte, 0, 4*chunkWords)
 	for _, code := range t.chunks {
-		buf, _ = binary.Append(buf[:0], binary.LittleEndian, code)
+		buf = buf[:0]
+		for _, w := range code {
+			buf = binary.LittleEndian.AppendUint32(buf, w)
+		}
 		h.Write(buf)
 	}
 	return [sha256.Size]byte(h.Sum(nil))
 }
 
-// record appends one event, its head words then ws, to the stream.
-func (t *Tape) record(ws []uint32, head ...uint32) {
-	n := len(head) + len(ws)
+// event returns room for an n-word event at the end of the stream.
+func (t *Tape) event(n int) []uint32 {
 	last := len(t.chunks) - 1
 	if last < 0 || cap(t.chunks[last])-len(t.chunks[last]) < n {
 		t.chunks = append(t.chunks, make([]uint32, 0, max(n, chunkWords)))
 		last++
 	}
-	t.chunks[last] = append(append(t.chunks[last], head...), ws...)
+	code := t.chunks[last]
+	t.chunks[last] = code[:len(code)+n]
+	return code[len(code) : len(code)+n]
 }
 
 // OnInputs implements Sink.
@@ -100,7 +102,9 @@ func (t *Tape) OnInputs(p Party, ws []uint32) error {
 	} else {
 		t.stats.GarblerInputs += int64(len(ws))
 	}
-	t.record(ws, op, uint32(len(ws)))
+	ev := t.event(2 + len(ws))
+	ev[0], ev[1] = op, uint32(len(ws))
+	copy(ev[2:], ws)
 	for _, w := range ws {
 		t.wires = max(t.wires, w+1)
 	}
@@ -111,9 +115,11 @@ func (t *Tape) OnInputs(p Party, ws []uint32) error {
 func (t *Tape) OnGate(g Gate) error {
 	switch g.Op {
 	case XOR, AND, HalfAND:
-		t.record(nil, uint32(g.Op), g.A, g.B, g.Out)
+		ev := t.event(4)
+		ev[0], ev[1], ev[2], ev[3] = uint32(g.Op), g.A, g.B, g.Out
 	case INV:
-		t.record(nil, opINV, g.A, g.Out)
+		ev := t.event(3)
+		ev[0], ev[1], ev[2] = opINV, g.A, g.Out
 	default:
 		return fmt.Errorf("circuit: tape cannot record op %v", g.Op)
 	}
@@ -125,13 +131,16 @@ func (t *Tape) OnGate(g Gate) error {
 // OnOutputs implements Sink.
 func (t *Tape) OnOutputs(ws []uint32) error {
 	t.stats.Outputs += int64(len(ws))
-	t.record(ws, opOutputs, uint32(len(ws)))
+	ev := t.event(2 + len(ws))
+	ev[0], ev[1] = opOutputs, uint32(len(ws))
+	copy(ev[2:], ws)
 	return nil
 }
 
 // OnDrop implements Sink.
 func (t *Tape) OnDrop(w uint32) error {
-	t.record(nil, opDrop, w)
+	ev := t.event(2)
+	ev[0], ev[1] = opDrop, w
 	t.drops++
 	return nil
 }
