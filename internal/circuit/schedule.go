@@ -134,8 +134,8 @@ type buildRun struct {
 // scheduler is the transient state of NewSchedule. It levels the tape in
 // one pass, recording every gate (in SSA ids) and every drop in two flat
 // arrays in tape order; rename then buckets each run's gates by (level,
-// kind) and its drops by level. Every table is sized from the tape's counts
-// before the pass, so none regrows.
+// kind) and its drops by level. Its large tables are sized from the tape's
+// counts before the pass, so none regrows.
 type scheduler struct {
 	vals []value // tape wire id -> its current value
 	nssa uint32  // SSA ids handed out: the constants, then gate outputs and input wires

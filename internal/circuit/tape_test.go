@@ -197,9 +197,9 @@ func TestTapeReplayEvaluatesCorrectly(t *testing.T) {
 // TestTapeReplaysAcrossChunks records a synthetic stream that meets the
 // tape's chunking every way it can: gates that end exactly on a chunk
 // boundary, an input batch longer than one chunk, an output batch that does
-// not fit in what is left of a chunk, and a long tail of mixed events. Replay must hand back the stream as recorded, and Digest
-// must hash its words little-endian in recording order, wherever the chunks
-// fall.
+// not fit in what is left of a chunk, and a long tail of mixed events.
+// Replay must hand back the stream as recorded, and Digest must hash its
+// words little-endian in recording order, wherever the chunks fall.
 func TestTapeReplaysAcrossChunks(t *testing.T) {
 	tape := NewTape()
 	live := &eventLog{}
