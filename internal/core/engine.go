@@ -350,7 +350,7 @@ type evalEngine struct {
 	// evaluation tail is still computing" from a stalled peer.
 	progress *atomic.Int64
 
-	recycle   func([]byte) // takes spent table frames back, may be nil
+	recycle   func([]byte) // takes spent input-label and table frames back, may be nil
 	tr        tableRun     // the table stream being drawn from
 	outLabels []gc.Label   // wire-major, samples innermost
 
@@ -402,6 +402,9 @@ func (en *evalEngine) doInputs(st *circuit.Step) error {
 				copy(l[:], payload[(i*b+s)*gc.LabelSize:])
 				en.e.SetLabel(w, s, l)
 			}
+		}
+		if en.recycle != nil {
+			en.recycle(payload)
 		}
 		return nil
 	}
@@ -501,8 +504,8 @@ func (en *evalEngine) finish() error { return en.tr.finish(nil) }
 // holds (§3.5) — and anywhere else a blocking Recv is all a
 // cursor needs. A level is evaluated where its frame lies: the garbler cuts
 // frames at level boundaries, so a level that spans two frames is refused,
-// and no frame is ever copied. Each frame goes back to the connection's free
-// list once drawn dry.
+// and no frame is ever copied. Each frame goes back to the transport's
+// size-class pools once drawn dry.
 type tableRun struct {
 	conn    transport.FrameConn
 	total   int

@@ -59,7 +59,6 @@ type BatchGarbler struct {
 
 	labelStore // the zero-labels, and R in the inversion slot
 	rng        io.Reader
-	buf        []byte // randomness staging for bulk label draws
 
 	// Stats count gate-instances: each gate contributes B to the counter,
 	// matching the AES work done and the table bytes on the wire.
@@ -122,11 +121,17 @@ type labelStore struct {
 	// the state's inline runs.
 	lv level
 	h  *Hasher
+	// buf stages the garbler's bulk label draws (AssignInputs); like the
+	// label array, it passes from state to state by Release and Reuse.
+	buf []byte
 }
 
-// Spare is a label array one state gave up by Release, for a later state's
-// Reuse; the zero Spare holds none.
-type Spare struct{ labels []block }
+// Spare is the label array and staging buffer one state gave up by
+// Release, for a later state's Reuse; the zero Spare holds none.
+type Spare struct {
+	labels []block
+	buf    []byte
+}
 
 // B returns the batch size.
 func (st *labelStore) B() int { return st.b }
@@ -182,20 +187,23 @@ func (st *labelStore) fillSlot() {
 	}
 }
 
-// Reuse hands the store a spent label array (a Release of an earlier
-// state) to grow into when it is the larger: the labels the store holds
-// move to its front, the rest keeps whatever it held.
+// Reuse hands the store a spent label array and staging buffer (a Release
+// of an earlier state) to grow into when they are the larger: the labels
+// the store holds move to its front, the rest keeps whatever it held.
 func (st *labelStore) Reuse(spare Spare) {
 	if cap(spare.labels) > cap(st.labels) {
 		st.labels = append(spare.labels[:0], st.labels...)
 	}
+	if cap(spare.buf) > cap(st.buf) {
+		st.buf = spare.buf
+	}
 }
 
-// Release returns the label array for a later state's Reuse; the state must
-// not be used after it.
+// Release returns the label array and staging buffer for a later state's
+// Reuse; the state must not be used after it.
 func (st *labelStore) Release() Spare {
-	spare := Spare{st.labels}
-	st.labels = nil
+	spare := Spare{st.labels, st.buf}
+	st.labels, st.buf = nil, nil
 	if st.h != nil {
 		hasherPool.Put(st.h)
 		st.h = nil

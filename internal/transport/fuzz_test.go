@@ -7,6 +7,7 @@ import (
 	"io"
 	"runtime"
 	"strings"
+	"sync"
 	"testing"
 )
 
@@ -129,28 +130,130 @@ func TestFrameLimitsRefuseBeforeAllocating(t *testing.T) {
 	}
 }
 
-// TestRecycleReusesPayloadBuffers pins the free list: a recycled payload
-// backs the next frame of similar size, and is left alone by small ones.
+// drainPools empties the size-class pools, which every Conn in the process
+// shares, so that a test sees only the buffers it recycles itself.
+func drainPools() {
+	for k := range pools {
+		for pools[k].Get() != nil {
+		}
+	}
+}
+
+// TestRecycleReusesPayloadBuffers pins the size-class pools: a recycled
+// payload backs the next frame of its class, and is left alone by small
+// frames, which are allocated exactly. 100 and 99 KiB both fall in the
+// 112 KiB class.
 func TestRecycleReusesPayloadBuffers(t *testing.T) {
-	big := bytes.Repeat([]byte{7}, 4096)
+	big := bytes.Repeat([]byte{7}, 100<<10)
+	similar := bytes.Repeat([]byte{9}, 99<<10)
 	stream := append(frame(MsgTables, big), frame(MsgInferBegin, []byte{1})...)
-	stream = append(stream, frame(MsgTables, big[:3000])...)
+	stream = append(stream, frame(MsgTables, similar)...)
+	drainPools()
 	c := rawConn(stream)
 	_, first, err := c.ReadFrame()
-	if err != nil {
-		t.Fatal(err)
+	if err != nil || cap(first) != 112<<10 {
+		t.Fatalf("a 100 KiB frame got a buffer of cap %d (err %v), want its 112 KiB class", cap(first), err)
 	}
 	c.Recycle(first)
-	if _, small, err := c.ReadFrame(); err != nil || cap(small) >= 4096 {
-		t.Fatalf("one-byte frame took the recycled buffer (cap %d, err %v)", cap(small), err)
+	if _, small, err := c.ReadFrame(); err != nil || cap(small) != 1 {
+		t.Fatalf("one-byte frame was not allocated exactly (cap %d, err %v)", cap(small), err)
 	}
 	_, again, err := c.ReadFrame()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if &again[0] != &first[:1][0] || !bytes.Equal(again, big[:3000]) {
-		t.Fatal("a similar-sized frame did not reuse the recycled buffer intact")
+	if !bytes.Equal(again, similar) {
+		t.Fatal("a frame read into a recycled buffer does not hold its own bytes")
 	}
+	// Under the race detector sync.Pool drops a share of what it is given.
+	if !raceEnabled && &again[0] != &first[0] {
+		t.Fatal("a frame of the recycled buffer's class did not reuse it")
+	}
+}
+
+// TestRecycleDropsOddBuffers pins that a buffer whose capacity is not a
+// class size is never pooled: a small frame's, one between two classes, or
+// a suffix of a class-sized one.
+func TestRecycleDropsOddBuffers(t *testing.T) {
+	drainPools()
+	c := rawConn(frame(MsgTables, make([]byte, 4096)))
+	_, small, err := c.ReadFrame()
+	if err != nil {
+		t.Fatal(err)
+	}
+	c.Recycle(small)
+	c.Recycle(make([]byte, 100<<10))
+	c.Recycle(make([]byte, 1, 128<<10)[1:])
+	for k := range pools {
+		if pools[k].Get() != nil {
+			t.Fatalf("the %d-byte class pooled a buffer of another size", classes[k])
+		}
+	}
+}
+
+// TestRecycleAcrossConns reads frames of several classes on two connections
+// and recycles them from several goroutines each, through the pools both
+// share: no buffer may back two live frames at once, and every frame must
+// read back its own bytes. CI runs it under -race -count=10.
+func TestRecycleAcrossConns(t *testing.T) {
+	const frames, consumers = 64, 3
+	sizes := []int{64 << 10, 70 << 10, 100 << 10, 130 << 10}
+	var (
+		mu   sync.Mutex
+		live = map[*byte]bool{}
+		wg   sync.WaitGroup
+	)
+	for id := range 2 {
+		pr, pw := io.Pipe()
+		c := New(rw{pr, io.Discard})
+		ch := make(chan []byte)
+		wg.Add(2 + consumers)
+		go func() {
+			defer wg.Done()
+			for i := range frames {
+				fill := bytes.Repeat([]byte{byte(id<<7 | i)}, sizes[i%len(sizes)])
+				if _, err := pw.Write(frame(MsgTables, fill)); err != nil {
+					return
+				}
+			}
+			pw.Close()
+		}()
+		go func() {
+			defer wg.Done()
+			defer close(ch)
+			defer pr.Close()
+			for range frames {
+				_, p, err := c.ReadFrame()
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				mu.Lock()
+				if live[&p[0]] {
+					t.Errorf("conn %d: a frame was read into a buffer another live frame holds", id)
+				}
+				live[&p[0]] = true
+				mu.Unlock()
+				ch <- p
+			}
+		}()
+		for range consumers {
+			go func() {
+				defer wg.Done()
+				for p := range ch {
+					runtime.Gosched()
+					if bytes.Count(p, p[:1]) != len(p) {
+						t.Errorf("conn %d: a frame's bytes changed while it was live", id)
+					}
+					mu.Lock()
+					delete(live, &p[0])
+					mu.Unlock()
+					c.Recycle(p)
+				}
+			}()
+		}
+	}
+	wg.Wait()
 }
 
 // FuzzReadFrame feeds arbitrary byte streams through the frame reader:

@@ -1,0 +1,5 @@
+//go:build race
+
+package transport
+
+const raceEnabled = true

@@ -10,8 +10,10 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"slices"
 	"sync"
 	"sync/atomic"
+	"unsafe"
 
 	"deepsecure/internal/obs"
 )
@@ -148,17 +150,11 @@ type Conn struct {
 	// checked against the header before the payload is allocated. Atomic:
 	// writers set limits while the session reader is in ReadFrame.
 	limits [msgTypeEnd]atomic.Uint32
-
-	// free holds a payload buffer handed back through Recycle for ReadFrame
-	// to reuse. One spare is what a reader one frame ahead of its consumer
-	// turns over; more would only pin memory (a megabyte each, and twice
-	// that in heap headroom).
-	free chan []byte
 }
 
 // New wraps a byte stream in a framed connection.
 func New(rw io.ReadWriter) *Conn {
-	c := &Conn{rw: rw, set: obs.NewSet(obs.Root), free: make(chan []byte, 1)}
+	c := &Conn{rw: rw, set: obs.NewSet(obs.Root)}
 	for t := range c.limits {
 		c.limits[t].Store(MaxFrame)
 	}
@@ -184,29 +180,52 @@ func (c *Conn) SetLimit(t MsgType, n int) {
 	}
 }
 
-// Recycle hands a payload returned by ReadFrame (or a suffix of it) back
-// for reuse. The caller must hold
-// no reference into it afterwards; frames whose bytes are retained are
-// simply never recycled.
+// Recycle hands a payload returned by ReadFrame back for reuse by any
+// connection's later frame of its size class. The caller must hold no
+// reference into it afterwards; frames whose bytes are retained are simply
+// never recycled, and a buffer whose capacity is not a class size (a small
+// frame's, or a slice of a frame) is dropped.
 func (c *Conn) Recycle(buf []byte) {
-	select {
-	case c.free <- buf[:0]:
-	default:
+	if k, ok := slices.BinarySearch(classes, cap(buf)); ok {
+		pools[k].Put(&buf[:1][0])
 	}
 }
 
-// payloadBuf returns an n-byte buffer for an incoming payload, reusing a
-// recycled one when it fits without wasting more than half of it.
-func (c *Conn) payloadBuf(n int) []byte {
-	select {
-	case b := <-c.free:
-		if cap(b) >= n && cap(b) <= 2*n {
-			return b[:n]
+// Frames of minPooled bytes or more are read into buffers pooled by size
+// class, four per octave (64, 80, 96, 112, 128, 160, … KiB up to MaxFrame):
+// a recycled buffer serves any later frame of its class and wastes at most
+// a fifth of itself. A session's reader runs several table frames ahead,
+// each tens of kilobytes to over a megabyte, so a warm session finds a
+// buffer for nearly every frame; frames allocated per read would be garbage
+// that lets the heap grow to its GC goal, twice the live set. Smaller
+// frames are allocated exactly. The pools hold each buffer's first byte,
+// which an interface stores without allocating, and the garbage collector
+// drains them, so an idle process pins no frame.
+const minPooled = 64 << 10
+
+var (
+	classes = func() []int {
+		var c []int
+		for o := minPooled; o < MaxFrame; o *= 2 {
+			c = append(c, o, o+o/4, o+o/2, o+3*o/4)
 		}
-		c.Recycle(b)
-	default:
+		return append(c, MaxFrame)
+	}()
+	pools = make([]sync.Pool, len(classes))
+)
+
+// payloadBuf returns an n-byte buffer for an incoming payload: a recycled
+// one of n's class, a new one of that class, or an exact one below
+// minPooled.
+func payloadBuf(n int) []byte {
+	if n < minPooled {
+		return make([]byte, n)
 	}
-	return make([]byte, n)
+	k, _ := slices.BinarySearch(classes, n)
+	if p, ok := pools[k].Get().(*byte); ok {
+		return unsafe.Slice(p, classes[k])[:n]
+	}
+	return make([]byte, n, classes[k])
 }
 
 // SetBreaker installs a hook that forcibly fails the connection's
@@ -327,7 +346,7 @@ func (c *Conn) ReadFrame() (MsgType, []byte, error) {
 			return 0, nil, fmt.Errorf("transport: %v frame of %d bytes exceeds its limit of %d", got, n, limit)
 		}
 	}
-	payload := c.payloadBuf(int(n))
+	payload := payloadBuf(int(n))
 	if _, err := io.ReadFull(c.rw, payload); err != nil {
 		return 0, nil, fmt.Errorf("transport: read %v payload: %w", got, err)
 	}
