@@ -78,7 +78,7 @@ func (c *Client) InferOutsourced(proxyConn, serverConn *transport.Conn, x []floa
 	f := spec.Format
 	bits := make([]bool, 0, len(x)*f.Bits())
 	for _, v := range x {
-		bits = append(bits, f.FromFloatSat(v).Bits()...)
+		bits = f.FromFloatSat(v).AppendBits(bits)
 	}
 	s, tt, err := outsource.Split(bits, rng)
 	if err != nil {

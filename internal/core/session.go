@@ -647,12 +647,14 @@ type Session struct {
 
 	// The session's garbling engine state, reused across inferences: the
 	// worker pool (a view of the shared scheduler), the table chunk buffer,
-	// the input-label payload buffer and the garbler's label array.
+	// the input-label payload buffer, the garbler's label array and the
+	// input bits.
 	cfg      EngineConfig
 	pool     *gc.Pool
 	chunkBuf []byte
 	labelBuf []byte
 	labels   gc.Spare
+	bitBuf   []bool
 }
 
 // NewSession opens a session: protocol hello, architecture download,
@@ -1018,13 +1020,15 @@ func (s *Session) InferBatchAsync(xs [][]float64) (*PendingBatch, error) {
 			return nil, err
 		}
 	}
-	bits := make([][]bool, b)
+	bits, flat := make([][]bool, b), s.bitBuf[:0]
 	for i, x := range xs {
-		bits[i] = make([]bool, 0, len(x)*s.f.Bits())
+		from := len(flat)
 		for _, v := range x {
-			bits[i] = append(bits[i], s.f.FromFloatSat(v).Bits()...)
+			flat = s.f.FromFloatSat(v).AppendBits(flat)
 		}
+		bits[i] = flat[from:]
 	}
+	s.bitBuf = flat
 
 	// Any error past this point leaves the wire mid-inference: mark the
 	// session broken so a retry can't desynchronize the protocol.

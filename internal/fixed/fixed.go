@@ -122,14 +122,15 @@ func (n Num) Float() float64 { return float64(n.raw) / n.fmt.Scale() }
 // Bits returns the canonical bit pattern, LSB first, as booleans. The
 // slice has length fmt.Bits(). This is the exact wire assignment used when
 // feeding the value into a garbled circuit.
-func (n Num) Bits() []bool {
-	w := n.fmt.Bits()
-	out := make([]bool, w)
+func (n Num) Bits() []bool { return n.AppendBits(make([]bool, 0, n.fmt.Bits())) }
+
+// AppendBits appends Bits to dst and returns the extended slice.
+func (n Num) AppendBits(dst []bool) []bool {
 	u := uint64(n.raw) // two's complement pattern in low w bits
-	for i := 0; i < w; i++ {
-		out[i] = (u>>uint(i))&1 == 1
+	for i := range n.fmt.Bits() {
+		dst = append(dst, (u>>uint(i))&1 == 1)
 	}
-	return out
+	return dst
 }
 
 // FromBits reconstructs a Num from an LSB-first bit pattern of length
@@ -343,11 +344,10 @@ func (n Num) ReLU() Num {
 	return n
 }
 
-// Vec converts a float slice into fixed point (saturating).
-func (f Format) Vec(xs []float64) []Num {
-	out := make([]Num, len(xs))
-	for i, x := range xs {
-		out[i] = f.FromFloatSat(x)
+// AppendVec appends xs converted into fixed point (saturating) to dst.
+func (f Format) AppendVec(dst []Num, xs []float64) []Num {
+	for _, x := range xs {
+		dst = append(dst, f.FromFloatSat(x))
 	}
-	return out
+	return dst
 }

@@ -388,7 +388,7 @@ func TestNegWrapsAtMin(t *testing.T) {
 func TestVecHelpers(t *testing.T) {
 	f := Default
 	xs := []float64{0.5, -1, 2}
-	for i, n := range f.Vec(xs) {
+	for i, n := range f.AppendVec(nil, xs) {
 		if back := n.Float(); math.Abs(back-xs[i]) > 1.0/f.Scale() {
 			t.Errorf("vec round trip idx %d: %g -> %g", i, xs[i], back)
 		}

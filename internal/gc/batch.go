@@ -2,12 +2,13 @@ package gc
 
 import (
 	"sync"
+	"sync/atomic"
 
 	"deepsecure/internal/circuit"
 	"deepsecure/internal/sched"
 )
 
-// This file is the GC engine's one kernel, behind the level kernels
+// This file is the GC engine's kernel in Go, behind the level kernels
 // (BatchGarbler.GarbleLevel/BatchEvaluator.EvaluateLevel, vec.go): the
 // worker Pool that stripes a level of mutually independent gates and the
 // half-gates cryptography over a span of it. The kernel checks nothing about
@@ -68,14 +69,14 @@ var hasherPool = sync.Pool{New: func() any { return NewHasher() }}
 // only as many ways as gives each worker this many AND gate-instances, or
 // this many free-gate instances (the two add as fractions), so anything
 // smaller runs inline. They are measured, not guessed: on a 2-core x86-64
-// host with AES-NI, a 2-way split of a B=1 level against the inline run
-// took 1.03–1.07× as long at 2 048 ANDs and 0.63–0.75× at 3 072, and 0.81–
-// 1.46× up to 6 144 free gates and 0.71–0.85× at 8 192 (min of 40 timings).
-// Below that, handing a span to another worker costs more than the hashing
-// or XORs it saves.
+// host at GOMAXPROCS 2, a 2-way split of a B=1 level took 0.67–1.08× the
+// inline run's time at 2 048 ANDs and 0.64–0.93× at 3 072, and 0.85–1.14× at
+// 12 288 free gates and 0.67–0.96× at 16 384 (assembly kernel, min of 200
+// timings, three runs; on the Go kernel free gates gained from 8 192 on), so
+// below that a span handed to another worker costs more than it saves.
 const (
 	laneMinANDs  = 1536
-	laneMinFrees = 4096
+	laneMinFrees = 8192
 )
 
 // spanner is a party's kernel over one span of a level: the AND gates
@@ -174,9 +175,37 @@ func (g *BatchGarbler) span(h *Hasher, lv *level, andLo, andHi, freeLo, freeHi i
 		g.recordTweaks(lv, andLo, andHi)
 	}
 	seam := lv.seam(andLo, andHi)
+	if asmEnabled() {
+		g.spanAsm(lv, andLo, seam, andHi, freeLo, freeHi, garbleFull, garbleHalf, &g.r2[0], &g.inv[0])
+		return
+	}
 	g.garbleANDs(h, lv, andLo, seam, false)
 	g.garbleANDs(h, lv, seam, andHi, true)
 	g.freeSpan(lv.frees[freeLo:freeHi])
+}
+
+// asmOff force-disables the assembly level kernel: only tests set it, to
+// pit it against the Go kernel, and wideOff disables it too.
+var asmOff atomic.Bool
+
+func asmEnabled() bool { return hasKernel && !asmOff.Load() && !wideOff.Load() }
+
+// asmANDs is an assembly AND routine of one party and kind (hash_amd64.go).
+type asmANDs func(labels *block, gates *circuit.Gate, n, b int, t, first uint64, table *byte, r2, inv *block)
+
+// spanAsm is span on the assembly kernel (kernel_amd64.s): full and half are
+// the party's AND routines, r2 and inv the garbler's 2R and R per sample.
+func (st *labelStore) spanAsm(lv *level, andLo, seam, andHi, freeLo, freeHi int, full, half asmANDs, r2, inv *block) {
+	b := st.b
+	if andLo < seam {
+		full(&st.labels[0], &lv.ands[andLo], seam-andLo, b, 2*(lv.gidBase+uint64(andLo)), st.first, &lv.full[andLo*b*TableSize], r2, inv)
+	}
+	if seam < andHi {
+		half(&st.labels[0], &lv.ands[seam], andHi-seam, b, 2*(lv.gidBase+uint64(seam)), st.first, &lv.half[(seam-lv.nFull)*b*LabelSize], r2, inv)
+	}
+	if freeLo < freeHi {
+		freeGates(&st.labels[0], &lv.frees[freeLo], freeHi-freeLo, b, st.n)
+	}
 }
 
 // tweak returns the tweak (t, o) gate i of lv hashes sample s under:
@@ -269,6 +298,10 @@ func (g *BatchGarbler) garbleANDs(h *Hasher, lv *level, lo, hi int, half bool) {
 // labels once per half and combines them with its ciphertexts.
 func (e *BatchEvaluator) span(h *Hasher, lv *level, andLo, andHi, freeLo, freeHi int) {
 	seam := lv.seam(andLo, andHi)
+	if asmEnabled() {
+		e.spanAsm(lv, andLo, seam, andHi, freeLo, freeHi, evalFull, evalHalf, nil, nil)
+		return
+	}
 	e.evalANDs(h, lv, andLo, seam, false)
 	e.evalANDs(h, lv, seam, andHi, true)
 	e.freeSpan(lv.frees[freeLo:freeHi])

@@ -2,17 +2,25 @@
 
 package gc
 
-// This file is the amd64 side of the multi-lane hashing core: CPU
-// feature detection, one-time expansion of the fixed key's AES-128 round
-// schedule, and the Go face of the 8-block pipelined AESENC kernel in
-// hash_amd64.s. Build with the purego tag (or on another GOARCH) and
-// hash_generic.go takes over with the scalar crypto/aes loop.
+import "deepsecure/internal/circuit"
 
-// hasAESNI is latched at init: leaf-1 CPUID bit 25 of ECX is the AES-NI
-// instruction set (AESENC/AESENCLAST). SSE2 is part of the amd64
-// baseline, so no further checks are needed for the XMM state the kernel
-// uses.
-var hasAESNI = cpuidAES()
+// This file is the amd64 side of the gate kernel: CPU feature detection,
+// one-time expansion of the fixed key's AES-128 round schedule, the Go face
+// of the 8-block pipelined AESENC hash in hash_amd64.s, and the assembly
+// level kernel in kernel_amd64.s. Build with the purego tag (or on another
+// GOARCH) and hash_generic.go takes over: the scalar crypto/aes loop under
+// the Go level kernel.
+
+// cpu1 is CPUID leaf 1's ECX, latched at init. Bit 25 is the AES-NI
+// instruction set (AESENC/AESENCLAST), which the 8-block hash needs; the
+// level kernel also byte-swaps labels to double them, with SSSE3's PSHUFB
+// (bit 9). SSE2 is part of the amd64 baseline, so no further checks are
+// needed for the XMM state either uses.
+var (
+	cpu1      = cpuid1()
+	hasAESNI  = cpu1&(1<<25) != 0
+	hasKernel = hasAESNI && cpu1&(1<<9) != 0
+)
 
 // fixedRoundKeys holds the fixed garbling key's 11 expanded AES-128
 // round keys (4 + 40 words), filled once at init and read-only
@@ -32,19 +40,27 @@ func wideAvailable() bool { return hasAESNI }
 // buffer: lanes[i] = AES_fixed(lanes[i]) ⊕ lanes[i] for all 8 lanes.
 func hashLanesWide(lanes *[HashLanes]block) { encryptDM8(&fixedRoundKeys, lanes) }
 
-// encryptDM8 is the assembly kernel (hash_amd64.s): it key-whitens all 8
-// blocks, interleaves the 8 AESENC streams across the 10 rounds so the
-// hardware AES unit's pipeline stays full, applies the Davies–Meyer
-// feed-forward, and stores the results back over the inputs. It reads each
-// block as the 16 bytes of its Label, which a block's two little-endian
-// words are in memory.
+// encryptDM8 is DM8 (aes_amd64.h) over the lane buffer, in hash_amd64.s. It
+// reads each block as the 16 bytes of its Label, which a block's two
+// little-endian words are in memory.
 //
 //go:noescape
 func encryptDM8(xk *[176]byte, lanes *[HashLanes]block)
 
-// cpuidAES reports the AES-NI bit of CPUID leaf 1 (implemented in
-// hash_amd64.s).
-func cpuidAES() bool
+// cpuid1 returns ECX of CPUID leaf 1 (implemented in hash_amd64.s).
+func cpuid1() uint32
+
+// The assembly level kernel (kernel_amd64.s), one routine per party and AND
+// kind over n consecutive AND gates from gates for all b samples: the first
+// gate hashes under tweak t (its evaluator half t+1), sample s under ordinal
+// first+s, and its first ciphertext lies at table; r2 and inv are the
+// garbler's 2R and R per sample. freeGates runs n free gates, whose INVs read
+// wire slot. Every pointer is into a heap slice, so none needs noescape.
+func garbleFull(labels *block, gates *circuit.Gate, n, b int, t, first uint64, table *byte, r2, inv *block)
+func garbleHalf(labels *block, gates *circuit.Gate, n, b int, t, first uint64, table *byte, r2, inv *block)
+func evalFull(labels *block, gates *circuit.Gate, n, b int, t, first uint64, table *byte, r2, inv *block)
+func evalHalf(labels *block, gates *circuit.Gate, n, b int, t, first uint64, table *byte, r2, inv *block)
+func freeGates(labels *block, gates *circuit.Gate, n, b, slot int)
 
 // sbox is the AES S-box, needed only to expand the fixed key once at
 // init; all per-block work runs in hardware.

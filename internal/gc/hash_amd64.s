@@ -1,116 +1,25 @@
 //go:build !purego
 
 #include "textflag.h"
-
-// The 8-block fixed-key AES core. Hardware AES units execute AESENC with
-// multi-cycle latency but single-cycle throughput, so a serial chain of
-// rounds on ONE block leaves the pipeline mostly empty. Interleaving 8
-// independent blocks per round (X0–X7, one shared round key in X8)
-// finishes 8 hashes in roughly the latency of one.
-
-// ROUND applies one AES round with the round key at off(AX) to all 8
-// block states.
-#define ROUND(off) \
-	MOVOU off(AX), X8    \
-	AESENC X8, X0        \
-	AESENC X8, X1        \
-	AESENC X8, X2        \
-	AESENC X8, X3        \
-	AESENC X8, X4        \
-	AESENC X8, X5        \
-	AESENC X8, X6        \
-	AESENC X8, X7
+#include "aes_amd64.h"
 
 // func encryptDM8(xk *[176]byte, lanes *[8]Label)
 //
 // Davies–Meyer over 8 independent 16-byte blocks with the expanded
-// fixed-key schedule xk: lanes[i] = AES(xk, lanes[i]) XOR lanes[i]. The
-// feed-forward XOR reads each original block back from memory (the
-// stores happen last), so no extra registers are needed to hold the
-// inputs.
+// fixed-key schedule xk: lanes[i] = AES(xk, lanes[i]) XOR lanes[i]
+// (DM8, aes_amd64.h).
 TEXT ·encryptDM8(SB), NOSPLIT, $0-16
 	MOVQ xk+0(FP), AX
 	MOVQ lanes+8(FP), BX
-
-	// Load the 8 blocks and whiten with round key 0.
-	MOVOU (AX), X8
-	MOVOU 0(BX), X0
-	MOVOU 16(BX), X1
-	MOVOU 32(BX), X2
-	MOVOU 48(BX), X3
-	MOVOU 64(BX), X4
-	MOVOU 80(BX), X5
-	MOVOU 96(BX), X6
-	MOVOU 112(BX), X7
-	PXOR  X8, X0
-	PXOR  X8, X1
-	PXOR  X8, X2
-	PXOR  X8, X3
-	PXOR  X8, X4
-	PXOR  X8, X5
-	PXOR  X8, X6
-	PXOR  X8, X7
-
-	// Rounds 1–9, 8 interleaved AESENC streams per round.
-	ROUND(16)
-	ROUND(32)
-	ROUND(48)
-	ROUND(64)
-	ROUND(80)
-	ROUND(96)
-	ROUND(112)
-	ROUND(128)
-	ROUND(144)
-
-	// Final round.
-	MOVOU 160(AX), X8
-	AESENCLAST X8, X0
-	AESENCLAST X8, X1
-	AESENCLAST X8, X2
-	AESENCLAST X8, X3
-	AESENCLAST X8, X4
-	AESENCLAST X8, X5
-	AESENCLAST X8, X6
-	AESENCLAST X8, X7
-
-	// Davies–Meyer feed-forward (original blocks still in memory; X8 is
-	// free after the last round, and MOVOU keeps the kernel
-	// alignment-agnostic — the staging buffer lives mid-struct), then
-	// store the hashes over the inputs.
-	MOVOU 0(BX), X8
-	PXOR  X8, X0
-	MOVOU X0, 0(BX)
-	MOVOU 16(BX), X8
-	PXOR  X8, X1
-	MOVOU X1, 16(BX)
-	MOVOU 32(BX), X8
-	PXOR  X8, X2
-	MOVOU X2, 32(BX)
-	MOVOU 48(BX), X8
-	PXOR  X8, X3
-	MOVOU X3, 48(BX)
-	MOVOU 64(BX), X8
-	PXOR  X8, X4
-	MOVOU X4, 64(BX)
-	MOVOU 80(BX), X8
-	PXOR  X8, X5
-	MOVOU X5, 80(BX)
-	MOVOU 96(BX), X8
-	PXOR  X8, X6
-	MOVOU X6, 96(BX)
-	MOVOU 112(BX), X8
-	PXOR  X8, X7
-	MOVOU X7, 112(BX)
+	DM8(BX)
 	RET
 
-// func cpuidAES() bool
+// func cpuid1() uint32
 //
-// CPUID leaf 1, ECX bit 25: the AES-NI instruction set.
-TEXT ·cpuidAES(SB), NOSPLIT, $0-1
+// ECX of CPUID leaf 1: bit 9 is SSSE3, bit 25 the AES-NI instruction set.
+TEXT ·cpuid1(SB), NOSPLIT, $0-4
 	MOVL $1, AX
 	MOVL $0, CX
 	CPUID
-	SHRL $25, CX
-	ANDL $1, CX
-	MOVB CX, ret+0(FP)
+	MOVL CX, ret+0(FP)
 	RET

@@ -2,6 +2,8 @@
 
 package gc
 
+import "deepsecure/internal/circuit"
+
 // Generic fallback of the multi-lane hashing core: no wide kernel, so
 // Hasher.hash loops the scalar crypto/aes path over the filled
 // lanes (byte-identical to the amd64 kernel by construction — both
@@ -16,3 +18,10 @@ func wideAvailable() bool { return false }
 func hashLanesWide(lanes *[HashLanes]block) {
 	panic("gc: wide hash kernel unavailable on this build")
 }
+
+// The assembly level kernel is absent too, so span always runs the Go
+// kernel and never calls these.
+const hasKernel = false
+
+var garbleFull, garbleHalf, evalFull, evalHalf asmANDs
+var freeGates func(labels *block, gates *circuit.Gate, n, b, slot int)

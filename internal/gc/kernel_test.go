@@ -689,7 +689,10 @@ func kernelBenchLevel(rng *rand.Rand) (ands, frees []circuit.Gate, ins []uint32,
 
 // BenchmarkLevelKernel times the level kernels on kernelBenchLevel inline
 // (a pool of width 1), garbling and evaluating, at B ∈ {1, 16}, and reports
-// the time per gate-instance (a gate of the level times B).
+// the time per gate-instance (a gate of the level times B): the whole level
+// (garble/B=1), and each kind of gate in it alone, full ANDs, half ANDs and
+// free gates (garble/full/B=1, …), so that a kernel's time can be
+// attributed per kind without a profiler.
 func BenchmarkLevelKernel(b *testing.B) {
 	for _, batch := range []int{1, 16} {
 		rng := rand.New(rand.NewSource(83))
@@ -714,23 +717,34 @@ func BenchmarkLevelKernel(b *testing.B) {
 			}
 		}
 		pool := NewPool(1)
-		table := make([]byte, packedBytes(ands, batch))
-		instances := float64((len(ands) + len(frees)) * batch)
-		for _, run := range []struct {
-			side  string
-			level func() error
+		nFull := 36071 / 64
+		for _, kind := range []struct {
+			name        string
+			ands, frees []circuit.Gate
 		}{
-			{"garble", func() error { return g.GarbleLevel(ands, frees, 0, table, pool) }},
-			{"evaluate", func() error { return e.EvaluateLevel(ands, frees, 0, table, pool) }},
+			{"", ands, frees},
+			{"full/", ands[:nFull], nil},
+			{"half/", ands[nFull:], nil},
+			{"free/", nil, frees},
 		} {
-			b.Run(fmt.Sprintf("%s/B=%d", run.side, batch), func(b *testing.B) {
-				for i := 0; i < b.N; i++ {
-					if err := run.level(); err != nil {
-						b.Fatal(err)
+			table := make([]byte, packedBytes(kind.ands, batch))
+			instances := float64((len(kind.ands) + len(kind.frees)) * batch)
+			for _, run := range []struct {
+				side  string
+				level func() error
+			}{
+				{"garble", func() error { return g.GarbleLevel(kind.ands, kind.frees, 0, table, pool) }},
+				{"evaluate", func() error { return e.EvaluateLevel(kind.ands, kind.frees, 0, table, pool) }},
+			} {
+				b.Run(fmt.Sprintf("%s/%sB=%d", run.side, kind.name, batch), func(b *testing.B) {
+					for i := 0; i < b.N; i++ {
+						if err := run.level(); err != nil {
+							b.Fatal(err)
+						}
 					}
-				}
-				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/(float64(b.N)*instances), "ns/gate")
-			})
+					b.ReportMetric(float64(b.Elapsed().Nanoseconds())/(float64(b.N)*instances), "ns/gate")
+				})
+			}
 		}
 	}
 }

@@ -3,8 +3,8 @@
 // Free-XOR (and free INV), row-reduction + half-gates (two 128-bit
 // ciphertexts per AND gate, one when an operand is the evaluator's own
 // input), and fixed-key block-cipher garbling (JustGarble-style AES
-// Davies–Meyer hashing: on amd64 an 8-block pipelined AES-NI kernel,
-// hash_amd64.s, and Go's crypto/aes elsewhere or under the purego tag).
+// Davies–Meyer hashing: on amd64 an assembly level kernel, kernel_amd64.s,
+// and the Go one over crypto/aes elsewhere or under the purego tag).
 //
 // The package is pure computation: the Garbler and Evaluator consume a
 // gate stream and produce/consume garbled tables as byte slices; all

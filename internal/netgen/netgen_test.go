@@ -134,7 +134,7 @@ func TestNetlistMatchesForwardFixedDense(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			want := net.ForwardFixed(f, f.Vec(x))
+			want := net.ForwardFixed(f, f.AppendVec(nil, x))
 			gotN := wordsFromBits(t, f, got)
 			for i := range want {
 				if gotN[i].Raw() != want[i].Raw() {
@@ -167,7 +167,7 @@ func TestNetlistMatchesForwardFixedConv(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		want := net.ForwardFixed(f, f.Vec(x))
+		want := net.ForwardFixed(f, f.AppendVec(nil, x))
 		gotN := wordsFromBits(t, f, got)
 		for i := range want {
 			if gotN[i].Raw() != want[i].Raw() {

@@ -50,12 +50,13 @@ func (c *Conv2D) initWeights(rng *rand.Rand) { c.init(rng, c.in.C*c.K*c.K) }
 // Rows implements Linear: output (oc, oy, ox) meets its window in
 // (ic, ky, kx) order, minus the taps that fall on padding.
 func (c *Conv2D) Rows(yield func(out, bias int, taps []Tap)) {
-	taps := make([]Tap, 0, c.in.C*c.K*c.K)
+	buf := tapBufs.Get().(*[]Tap)
+	defer tapBufs.Put(buf)
 	out := 0
 	for oc := 0; oc < c.OutC; oc++ {
 		for oy := 0; oy < c.out.H; oy++ {
 			for ox := 0; ox < c.out.W; ox++ {
-				taps = taps[:0]
+				taps := (*buf)[:0]
 				for ic := 0; ic < c.in.C; ic++ {
 					for ky := 0; ky < c.K; ky++ {
 						iy := oy*c.Stride - c.Pad + ky
@@ -73,6 +74,7 @@ func (c *Conv2D) Rows(yield func(out, bias int, taps []Tap)) {
 						}
 					}
 				}
+				*buf = taps
 				yield(out, oc, taps)
 				out++
 			}

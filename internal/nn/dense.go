@@ -39,14 +39,16 @@ func (d *Dense) initWeights(rng *rand.Rand) { d.init(rng, d.InN) }
 
 // Rows implements Linear: row o meets inputs 0..InN-1 ascending.
 func (d *Dense) Rows(yield func(out, bias int, taps []Tap)) {
-	taps := make([]Tap, 0, d.InN)
+	buf := tapBufs.Get().(*[]Tap)
+	defer tapBufs.Put(buf)
 	for o := 0; o < d.OutN; o++ {
-		taps = taps[:0]
+		taps := (*buf)[:0]
 		for i := 0; i < d.InN; i++ {
 			if wi := o*d.InN + i; d.Mask[wi] {
 				taps = append(taps, Tap{In: i, W: wi})
 			}
 		}
+		*buf = taps
 		yield(o, o, taps)
 	}
 }

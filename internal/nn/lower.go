@@ -3,6 +3,7 @@ package nn
 import (
 	"math"
 	"math/rand"
+	"sync"
 
 	"deepsecure/internal/fixed"
 )
@@ -10,6 +11,10 @@ import (
 // Tap is one multiply-accumulate of a Linear row: input element In meets
 // weight W, both flat indices into the layer's input and weight slices.
 type Tap struct{ In, W int }
+
+// tapBufs recycles the taps buffer of a Rows walk, which is only valid
+// until yield returns.
+var tapBufs = sync.Pool{New: func() any { return new([]Tap) }}
 
 // Linear is a layer whose every output element is a bias plus a sum of
 // weight·input products: Dense and Conv2D. Rows is the layer's lowering,
@@ -26,7 +31,7 @@ type Linear interface {
 	// already skipped, so a fully pruned row yields no taps and its
 	// output is the bias. The mask is read as the walk goes and nothing
 	// is cached between calls; taps is one buffer reused from row to row
-	// and is only valid until yield returns.
+	// (and from walk to walk) and is only valid until yield returns.
 	Rows(yield func(out, bias int, taps []Tap))
 }
 

@@ -400,7 +400,7 @@ func TestLoweringMatchesLoopNests(t *testing.T) {
 		}
 		x := randVec(rng, d.InN)
 		equalFloats(t, "dense Forward", d.Forward(x), oracleDenseForward(d, x))
-		equalFixed(t, "dense ForwardFixed", d.ForwardFixed(f, f.Vec(x)), oracleDenseForwardFixed(d, f, f.Vec(x)))
+		equalFixed(t, "dense ForwardFixed", d.ForwardFixed(f, f.AppendVec(nil, x)), oracleDenseForwardFixed(d, f, f.AppendVec(nil, x)))
 		grad := randVec(rng, d.OutN)
 		d.ForwardT(x)
 		din, gw, gb := oracleDenseBackward(d, x, grad)
@@ -422,7 +422,7 @@ func TestLoweringMatchesLoopNests(t *testing.T) {
 		}
 		x = randVec(rng, in.Len())
 		equalFloats(t, "conv Forward", c.Forward(x), oracleConvForward(c, x))
-		equalFixed(t, "conv ForwardFixed", c.ForwardFixed(f, f.Vec(x)), oracleConvForwardFixed(c, f, f.Vec(x)))
+		equalFixed(t, "conv ForwardFixed", c.ForwardFixed(f, f.AppendVec(nil, x)), oracleConvForwardFixed(c, f, f.AppendVec(nil, x)))
 		grad = randVec(rng, c.out.Len())
 		c.ForwardT(x)
 		din, gw, gb = oracleConvBackward(c, x, grad)
@@ -445,7 +445,7 @@ func TestLoweringMatchesLoopNests(t *testing.T) {
 		if !reflect.DeepEqual(mp.lastArg, wantArg) {
 			t.Fatalf("maxpool argmax %v, oracle %v", mp.lastArg, wantArg)
 		}
-		equalFixed(t, "maxpool ForwardFixed", mp.ForwardFixed(f, f.Vec(x)), oracleMaxForwardFixed(mp, f.Vec(x)))
+		equalFixed(t, "maxpool ForwardFixed", mp.ForwardFixed(f, f.AppendVec(nil, x)), oracleMaxForwardFixed(mp, f.AppendVec(nil, x)))
 
 		ap := NewMeanPool2D(1 << uint(rng.Intn(3)))
 		ain := Shape{C: 1 + rng.Intn(3), H: ap.K + rng.Intn(6), W: ap.K + rng.Intn(6)}
@@ -455,7 +455,7 @@ func TestLoweringMatchesLoopNests(t *testing.T) {
 		checkWindows(t, ap, ain, ap.out, ap.K, ap.K)
 		x = randVec(rng, ain.Len())
 		equalFloats(t, "meanpool Forward", ap.Forward(x), oracleMeanForward(ap, x))
-		equalFixed(t, "meanpool ForwardFixed", ap.ForwardFixed(f, f.Vec(x)), oracleMeanForwardFixed(ap, f, f.Vec(x)))
+		equalFixed(t, "meanpool ForwardFixed", ap.ForwardFixed(f, f.AppendVec(nil, x)), oracleMeanForwardFixed(ap, f, f.AppendVec(nil, x)))
 		grad = randVec(rng, ap.out.Len())
 		equalFloats(t, "meanpool Backward", ap.Backward(grad), oracleMeanBackward(ap, grad))
 	}

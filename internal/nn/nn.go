@@ -16,6 +16,7 @@ package nn
 import (
 	"fmt"
 	"math/rand"
+	"sync"
 
 	"deepsecure/internal/act"
 	"deepsecure/internal/fixed"
@@ -167,10 +168,17 @@ func (n *Network) ForwardFixed(f fixed.Format, x []fixed.Num) []fixed.Num {
 	return x
 }
 
+// quantized recycles PredictFixed's quantized inputs: no layer keeps its
+// input.
+var quantized = sync.Pool{New: func() any { return new([]fixed.Num) }}
+
 // PredictFixed quantizes x and returns the fixed-point argmax class — the
 // exact label the garbled circuit outputs.
 func (n *Network) PredictFixed(f fixed.Format, x []float64) int {
-	out := n.ForwardFixed(f, f.Vec(x))
+	in := quantized.Get().(*[]fixed.Num)
+	defer quantized.Put(in)
+	*in = f.AppendVec((*in)[:0], x)
+	out := n.ForwardFixed(f, *in)
 	best := 0
 	for i := 1; i < len(out); i++ {
 		if out[i].Cmp(out[best]) > 0 {

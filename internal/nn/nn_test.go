@@ -144,7 +144,7 @@ func TestFixedForwardTracksFloat(t *testing.T) {
 			x[i] = rng.Float64()*2 - 1
 		}
 		ff := net.Forward(x)
-		fx := net.ForwardFixed(f, f.Vec(x))
+		fx := net.ForwardFixed(f, f.AppendVec(nil, x))
 		for i := range ff {
 			if math.Abs(ff[i]-fx[i].Float()) > 0.05 {
 				t.Errorf("trial %d out %d: float %g vs fixed %g", trial, i, ff[i], fx[i].Float())

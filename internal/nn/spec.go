@@ -158,7 +158,7 @@ func WeightBits(n *Network, f fixed.Format) []bool {
 			bits = append(bits, fixed.BoothDigits(f.FromFloatSat(v).Raw(), f.Bits())...)
 		}
 		for _, v := range p.Biases() {
-			bits = append(bits, f.FromFloatSat(v).Bits()...)
+			bits = f.FromFloatSat(v).AppendBits(bits)
 		}
 	}
 	return bits
