@@ -116,9 +116,9 @@ func main() {
 	}
 	log.Printf("batched inference: up to %d sample(s) per fused InferBatch call", engine.MaxBatchSize())
 	if deepsecure.WideHashAvailable() {
-		log.Printf("garbling hash core: 8-block pipelined AES-NI kernel")
+		log.Printf("gate kernel: amd64 assembly (AES-NI, SSSE3)")
 	} else {
-		log.Printf("garbling hash core: portable crypto/aes fallback (no AES-NI or purego build)")
+		log.Printf("gate kernel: Go over crypto/aes (no AES-NI and SSSE3, or a purego build)")
 	}
 
 	if *metricsAddr != "" {

@@ -310,10 +310,10 @@ func NetlistStats(net *Network, f Format) (Stats, error) {
 	return s, err
 }
 
-// WideHashAvailable reports whether the 8-block pipelined AES-NI garbling
-// hash kernel is active on this machine (amd64 with AES-NI, not built
-// with the purego tag). When false, garbling runs on the portable
-// crypto/aes fallback — same bytes, lower throughput.
+// WideHashAvailable reports whether garbling runs the assembly gate kernel
+// and its 8-block pipelined AES-NI hash on this machine (amd64 with AES-NI
+// and SSSE3, not built with the purego tag). When false, it runs the Go
+// kernel over crypto/aes — same bytes, lower throughput.
 func WideHashAvailable() bool { return gc.WideAvailable() }
 
 // MetricsHandler serves the process-wide ledger — per-phase latency

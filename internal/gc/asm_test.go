@@ -62,14 +62,18 @@ func (c asmCase) run(t testing.TB) {
 	for i := range active {
 		active[i] = bits.Intn(2) == 1
 	}
-	// spanned runs the level as Pool.run's spans, on st's own kernel.
-	spanned := func(st *labelStore, table []byte, k spanner) {
+	// spanned runs the level as Pool.run's spans, on k's assembly kernel or
+	// its Go one.
+	spanned := func(st *labelStore, table []byte, k spanner, asm bool) {
 		if err := st.prepare(ands, frees, c.gidBase, table); err != nil {
 			t.Fatal(err)
 		}
+		run := k.spanGo
+		if asm {
+			run = k.spanAsm
+		}
 		for i := range c.spans {
-			k.span(k.hasher(len(ands)), &st.lv, i*len(ands)/c.spans, (i+1)*len(ands)/c.spans,
-				i*len(frees)/c.spans, (i+1)*len(frees)/c.spans)
+			run(&st.lv, i*len(ands)/c.spans, (i+1)*len(ands)/c.spans, i*len(frees)/c.spans, (i+1)*len(frees)/c.spans)
 		}
 	}
 	type result struct {
@@ -77,8 +81,6 @@ func (c asmCase) run(t testing.TB) {
 		garbler, evals []Label
 	}
 	kernel := func(asm bool) result {
-		asmOff.Store(!asm)
-		defer asmOff.Store(false)
 		rng := rand.New(rand.NewSource(c.seed + 1))
 		var g *BatchGarbler
 		var err error
@@ -120,8 +122,8 @@ func (c asmCase) run(t testing.TB) {
 			}
 		}
 		r := result{table: make([]byte, tableBytes)}
-		spanned(&g.labelStore, r.table, g)
-		spanned(&e.labelStore, r.table, e)
+		spanned(&g.labelStore, r.table, g, asm)
+		spanned(&e.labelStore, r.table, e, asm)
 		r.garbler, r.evals = g.snapshot(), e.snapshot()
 		return r
 	}

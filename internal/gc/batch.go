@@ -2,7 +2,6 @@ package gc
 
 import (
 	"sync"
-	"sync/atomic"
 
 	"deepsecure/internal/circuit"
 	"deepsecure/internal/sched"
@@ -20,22 +19,19 @@ import (
 // caller-provided table block, so nothing depends on execution order
 // inside a level and the produced bytes are identical for any worker count.
 //
-// The kernel computes on labels as blocks, two little-endian uint64 words,
-// which is what the label store holds. A span walks its full ANDs and then
-// its half ANDs gate-instance by gate-instance in (gate, sample) order,
-// filling the Hasher's HashLanes lanes with one wave of instances of one
-// kind, hashing them, and walking the same instances again to combine the
-// hashes and write the tables and output labels. The inputs are read in
-// place both times, which is safe under level independence: no gate of a
-// level reads a wire another gate of the level writes. How instances fall
-// into waves never changes a byte.
+// One switch, hasKernel, picks the kernel a span runs: the assembly kernel
+// (kernel_amd64.s) on amd64 with AES-NI and SSSE3, the Go kernel here
+// everywhere else. The Go kernel computes on labels as blocks, two
+// little-endian uint64 words, which is what the label store holds. A span
+// walks its ANDs gate-instance by gate-instance in (gate, sample) order,
+// hashing each key through the Hasher's crypto/aes core, and then its free
+// gates. It is also the reference the assembly kernel is pinned to.
 
 // Pool is a width-capped view of a sched.Pool: it owns no workers, and a
 // level run submits its per-worker spans as chunks of one scheduler region,
 // which the scheduler's fixed worker set (and the caller) claim across every
-// session's runs. A Pool keeps no per-call state — each span borrows a
-// Hasher for its lifetime — so one instance is safe for concurrent level
-// runs and can back a whole server.
+// session's runs. A Pool keeps no per-call state, so one instance is safe
+// for concurrent level runs and can back a whole server.
 //
 // Span arithmetic depends on the width and the level alone, and every table
 // lands at a rank-derived offset, so the bytes produced never depend on the
@@ -61,8 +57,9 @@ func NewSharedPool(s *sched.Pool, width int) *Pool {
 // Workers returns the pool's fan-out width.
 func (p *Pool) Workers() int { return p.width }
 
-// hasherPool recycles Hashers: a span borrows one for its lifetime. The AES
-// round keys are fixed, so any hasher is interchangeable with any other.
+// hasherPool recycles Hashers: a span on the Go kernel borrows one for its
+// lifetime. The AES key is fixed, so any hasher is interchangeable with any
+// other.
 var hasherPool = sync.Pool{New: func() any { return NewHasher() }}
 
 // laneMinANDs and laneMinFrees are the fan-out thresholds: a level is split
@@ -79,31 +76,30 @@ const (
 	laneMinFrees = 8192
 )
 
-// spanner is a party's kernel over one span of a level: the AND gates
+// spanner is a party's two kernels over one span of a level: the AND gates
 // [andLo, andHi) and the free gates [freeLo, freeHi) of lv, for all B
-// samples.
+// samples. Both write the same bytes.
 type spanner interface {
-	span(h *Hasher, lv *level, andLo, andHi, freeLo, freeHi int)
-	hasher(nAND int) *Hasher
+	spanGo(lv *level, andLo, andHi, freeLo, freeHi int)
+	spanAsm(lv *level, andLo, andHi, freeLo, freeHi int)
 }
 
-// hasher is the Hasher of a state's inline level runs, drawn from the pool
-// the first time a level has ANDs (a level of free gates hashes nothing) and
-// handed back by Release.
-func (st *labelStore) hasher(nAND int) *Hasher {
-	if st.h == nil && nAND > 0 {
-		st.h = hasherPool.Get().(*Hasher)
+// span runs k over one span of lv on the kernel this CPU has.
+func span(k spanner, lv *level, andLo, andHi, freeLo, freeHi int) {
+	if hasKernel {
+		k.spanAsm(lv, andLo, andHi, freeLo, freeHi)
+	} else {
+		k.spanGo(lv, andLo, andHi, freeLo, freeHi)
 	}
-	return st.h
 }
 
 // run executes k over per-worker spans of lv's AND gates and of its free
 // gates. The two populations are striped separately — a single partition of
 // the concatenation would hand every AES-heavy AND gate to the first workers
-// and leave the rest doing only label XORs. Small levels run inline, on the
-// state's own Hasher, which allocates nothing: lv lies in the state's store,
-// and only a level that fans out builds the closure its chunks share. A span
-// that panics on a scheduler worker comes back as run's error.
+// and leave the rest doing only label XORs. Small levels run inline, which
+// allocates nothing: lv lies in the state's store, and only a level that
+// fans out builds the closure its chunks share. A span that panics on a
+// scheduler worker comes back as run's error.
 //
 // scale is the per-gate work multiplier: the level kernel processes
 // scale (= batch size B) samples inside every gate visit, so the fan-out
@@ -116,7 +112,7 @@ func (p *Pool) run(k spanner, lv *level, scale int) error {
 	nAND, nFree := len(lv.ands), len(lv.frees)
 	w := min(p.width, nAND+nFree, (nAND*scale)/laneMinANDs+(nFree*scale)/laneMinFrees)
 	if w <= 1 {
-		k.span(k.hasher(nAND), lv, 0, nAND, 0, nFree)
+		span(k, lv, 0, nAND, 0, nFree)
 		return nil
 	}
 	// The w spans are the chunks of one scheduler region: workers (and this
@@ -125,12 +121,9 @@ func (p *Pool) run(k spanner, lv *level, scale int) error {
 	return p.sched.Do(w, func(i int) error {
 		andLo, andHi := i*nAND/w, (i+1)*nAND/w
 		freeLo, freeHi := i*nFree/w, (i+1)*nFree/w
-		if andLo == andHi && freeLo == freeHi {
-			return nil
+		if andLo < andHi || freeLo < freeHi {
+			span(k, lv, andLo, andHi, freeLo, freeHi)
 		}
-		h := hasherPool.Get().(*Hasher)
-		k.span(h, lv, andLo, andHi, freeLo, freeHi)
-		hasherPool.Put(h)
 		return nil
 	})
 }
@@ -146,21 +139,8 @@ type level struct {
 	full, half  []byte
 }
 
-// cursor is a place in a run of AND gate-instances: gate i, sample s.
-type cursor struct{ i, s int }
-
-// next steps c to the following instance in (gate, sample) order.
-func (c *cursor) next(b int) {
-	if c.s++; c.s == b {
-		c.i, c.s = c.i+1, 0
-	}
-}
-
-// seam returns where the half ANDs start in ands[andLo:andHi] of lv.
-func (lv *level) seam(andLo, andHi int) int { return min(max(lv.nFull, andLo), andHi) }
-
-// span garbles ands[andLo:andHi] and frees[freeLo:freeHi] of lv for all B
-// samples.
+// spanGo garbles ands[andLo:andHi] and frees[freeLo:freeHi] of lv for all B
+// samples on the Go kernel.
 //
 // A full AND is a generator half (A's labels under tweak 2·gid; it
 // corrects for B's permute bit) plus an evaluator half (B's labels under
@@ -170,33 +150,25 @@ func (lv *level) seam(andLo, andHi int) int { return min(max(lv.nFull, andLo), a
 // colour(B) is b (with any other permute bit p it garbles a ∧ (b ⊕ p),
 // still on authentic labels). Every label is doubled once; its ⊕R twin's
 // hash key is that double ⊕ 2R.
-func (g *BatchGarbler) span(h *Hasher, lv *level, andLo, andHi, freeLo, freeHi int) {
-	if tweakSeen != nil {
-		g.recordTweaks(lv, andLo, andHi)
-	}
-	seam := lv.seam(andLo, andHi)
-	if asmEnabled() {
-		g.spanAsm(lv, andLo, seam, andHi, freeLo, freeHi, garbleFull, garbleHalf, &g.r2[0], &g.inv[0])
-		return
-	}
-	g.garbleANDs(h, lv, andLo, seam, false)
-	g.garbleANDs(h, lv, seam, andHi, true)
+func (g *BatchGarbler) spanGo(lv *level, andLo, andHi, freeLo, freeHi int) {
+	h := hasherPool.Get().(*Hasher)
+	g.garbleANDs(h, lv, andLo, andHi)
+	hasherPool.Put(h)
 	g.freeSpan(lv.frees[freeLo:freeHi])
 }
 
-// asmOff force-disables the assembly level kernel: only tests set it, to
-// pit it against the Go kernel, and wideOff disables it too.
-var asmOff atomic.Bool
-
-func asmEnabled() bool { return hasKernel && !asmOff.Load() && !wideOff.Load() }
+// spanAsm is spanGo on the assembly kernel.
+func (g *BatchGarbler) spanAsm(lv *level, andLo, andHi, freeLo, freeHi int) {
+	g.asm(lv, andLo, andHi, freeLo, freeHi, garbleFull, garbleHalf, &g.r2[0], &g.inv[0])
+}
 
 // asmANDs is an assembly AND routine of one party and kind (hash_amd64.go).
 type asmANDs func(labels *block, gates *circuit.Gate, n, b int, t, first uint64, table *byte, r2, inv *block)
 
-// spanAsm is span on the assembly kernel (kernel_amd64.s): full and half are
+// asm runs a span on the assembly kernel (kernel_amd64.s): full and half are
 // the party's AND routines, r2 and inv the garbler's 2R and R per sample.
-func (st *labelStore) spanAsm(lv *level, andLo, seam, andHi, freeLo, freeHi int, full, half asmANDs, r2, inv *block) {
-	b := st.b
+func (st *labelStore) asm(lv *level, andLo, andHi, freeLo, freeHi int, full, half asmANDs, r2, inv *block) {
+	b, seam := st.b, min(max(lv.nFull, andLo), andHi)
 	if andLo < seam {
 		full(&st.labels[0], &lv.ands[andLo], seam-andLo, b, 2*(lv.gidBase+uint64(andLo)), st.first, &lv.full[andLo*b*TableSize], r2, inv)
 	}
@@ -221,10 +193,10 @@ func (st *labelStore) tweak(lv *level, i, s int) (t, o uint64) {
 // tweak-uniqueness test records a whole session's.
 var tweakSeen func(t, o uint64)
 
-// recordTweaks hands tweakSeen the tweaks of ands[lo:hi] of lv in every
-// sample: both halves' of a full AND, the evaluator half's of a half AND.
-func (g *BatchGarbler) recordTweaks(lv *level, lo, hi int) {
-	for i := lo; i < hi; i++ {
+// recordTweaks hands tweakSeen the tweaks of lv's ANDs in every sample:
+// both halves' of a full AND, the evaluator half's of a half AND.
+func (g *BatchGarbler) recordTweaks(lv *level) {
+	for i := range lv.ands {
 		for s := range g.b {
 			t, o := g.tweak(lv, i, s)
 			if i < lv.nFull {
@@ -235,125 +207,85 @@ func (g *BatchGarbler) recordTweaks(lv *level, lo, hi int) {
 	}
 }
 
-// garbleANDs garbles ands[lo:hi] of lv, all full or all half ANDs, in
-// waves of HashLanes hashes: four per full instance (both labels of each
-// operand), two per half.
-func (g *BatchGarbler) garbleANDs(h *Hasher, lv *level, lo, hi int, half bool) {
+// garbleANDs garbles ands[lo:hi] of lv, instance by instance: four hashes
+// per full AND (both labels of each operand), two per half.
+func (g *BatchGarbler) garbleANDs(h *Hasher, lv *level, lo, hi int) {
 	b, labels := g.b, g.labels
-	per := HashLanes / 4
-	if half {
-		per = HashLanes / 2
-	}
-	for c := (cursor{lo, 0}); c.i < hi; {
-		first, k := c, 0
-		for n := 0; n < per && c.i < hi; n++ {
-			gt := &lv.ands[c.i]
-			t, o := g.tweak(lv, c.i, c.s)
-			r2 := g.r2[c.s]
-			if !half {
-				d := dbl(labels[int(gt.A)*b+c.s])
-				h.lanes[k] = block{d.lo ^ t, d.hi ^ o}
-				h.lanes[k+1] = block{d.lo ^ r2.lo ^ t, d.hi ^ r2.hi ^ o}
-				k += 2
-			}
-			d := dbl(labels[int(gt.B)*b+c.s])
-			h.lanes[k] = block{d.lo ^ t ^ 1, d.hi ^ o}
-			h.lanes[k+1] = block{d.lo ^ r2.lo ^ t ^ 1, d.hi ^ r2.hi ^ o}
-			k += 2
-			c.next(b)
-		}
-		h.hash(k)
-		k = 0
-		for u := first; u != c; u.next(b) {
-			gt := &lv.ands[u.i]
-			a := labels[int(gt.A)*b+u.s]
-			pb := -(labels[int(gt.B)*b+u.s].lo & 1) // all ones when B's zero-label has permute bit 1
+	for i := lo; i < hi; i++ {
+		gt := &lv.ands[i]
+		for s := range b {
+			t, o := g.tweak(lv, i, s)
+			a, bl, r2 := labels[int(gt.A)*b+s], labels[int(gt.B)*b+s], g.r2[s]
+			pb := -(bl.lo & 1) // all ones when B's zero-label has permute bit 1
 			var w block
 			var dst []byte
-			if half {
-				off := ((u.i-lv.nFull)*b + u.s) * LabelSize
+			if i >= lv.nFull {
+				off := ((i-lv.nFull)*b + s) * LabelSize
 				dst = lv.half[off : off+LabelSize]
 			} else {
 				// Generator half: tg = H(A0) ⊕ H(A1) ⊕ pb·R, W_G = H(A0) ⊕ pa·tg.
-				r, h0, h1 := g.inv[u.s], h.lanes[k], h.lanes[k+1]
+				d, r := dbl(a), g.inv[s]
+				h0 := h.hashKey(block{d.lo ^ t, d.hi ^ o})
+				h1 := h.hashKey(block{d.lo ^ r2.lo ^ t, d.hi ^ r2.hi ^ o})
 				tg := block{h0.lo ^ h1.lo ^ r.lo&pb, h0.hi ^ h1.hi ^ r.hi&pb}
 				pa := -(a.lo & 1)
 				w = block{h0.lo ^ tg.lo&pa, h0.hi ^ tg.hi&pa}
-				off := (u.i*b + u.s) * TableSize
+				off := (i*b + s) * TableSize
 				dst = lv.full[off : off+TableSize]
 				tg.put(dst)
 				dst = dst[LabelSize:]
-				k += 2
 			}
 			// Evaluator half: te = H(B0) ⊕ H(B1) ⊕ A0, W_E = H(B_pb).
-			h0, h1 := h.lanes[k], h.lanes[k+1]
+			d := dbl(bl)
+			h0 := h.hashKey(block{d.lo ^ t ^ 1, d.hi ^ o})
+			h1 := h.hashKey(block{d.lo ^ r2.lo ^ t ^ 1, d.hi ^ r2.hi ^ o})
 			block{h0.lo ^ h1.lo ^ a.lo, h0.hi ^ h1.hi ^ a.hi}.put(dst)
-			labels[int(gt.Out)*b+u.s] = block{w.lo ^ h0.lo ^ (h0.lo^h1.lo)&pb, w.hi ^ h0.hi ^ (h0.hi^h1.hi)&pb}
-			k += 2
+			labels[int(gt.Out)*b+s] = block{w.lo ^ h0.lo ^ (h0.lo^h1.lo)&pb, w.hi ^ h0.hi ^ (h0.hi^h1.hi)&pb}
 		}
 	}
 }
 
-// span is the garbler's span mirrored: every instance hashes its active
+// spanGo is the garbler's spanGo mirrored: every instance hashes its active
 // labels once per half and combines them with its ciphertexts.
-func (e *BatchEvaluator) span(h *Hasher, lv *level, andLo, andHi, freeLo, freeHi int) {
-	seam := lv.seam(andLo, andHi)
-	if asmEnabled() {
-		e.spanAsm(lv, andLo, seam, andHi, freeLo, freeHi, evalFull, evalHalf, nil, nil)
-		return
-	}
-	e.evalANDs(h, lv, andLo, seam, false)
-	e.evalANDs(h, lv, seam, andHi, true)
+func (e *BatchEvaluator) spanGo(lv *level, andLo, andHi, freeLo, freeHi int) {
+	h := hasherPool.Get().(*Hasher)
+	e.evalANDs(h, lv, andLo, andHi)
+	hasherPool.Put(h)
 	e.freeSpan(lv.frees[freeLo:freeHi])
 }
 
-// evalANDs evaluates ands[lo:hi] of lv, all full or all half ANDs, in
-// waves of HashLanes hashes: two per full instance, one per half, under
-// the garbler's tweaks.
-func (e *BatchEvaluator) evalANDs(h *Hasher, lv *level, lo, hi int, half bool) {
+// spanAsm is spanGo on the assembly kernel.
+func (e *BatchEvaluator) spanAsm(lv *level, andLo, andHi, freeLo, freeHi int) {
+	e.asm(lv, andLo, andHi, freeLo, freeHi, evalFull, evalHalf, nil, nil)
+}
+
+// evalANDs evaluates ands[lo:hi] of lv, instance by instance: two hashes
+// per full AND, one per half, under the garbler's tweaks.
+func (e *BatchEvaluator) evalANDs(h *Hasher, lv *level, lo, hi int) {
 	b, labels := e.b, e.labels
-	per := HashLanes / 2
-	if half {
-		per = HashLanes
-	}
-	for c := (cursor{lo, 0}); c.i < hi; {
-		first, k := c, 0
-		for n := 0; n < per && c.i < hi; n++ {
-			gt := &lv.ands[c.i]
-			t, o := e.tweak(lv, c.i, c.s)
-			if !half {
-				d := dbl(labels[int(gt.A)*b+c.s])
-				h.lanes[k] = block{d.lo ^ t, d.hi ^ o}
-				k++
-			}
-			d := dbl(labels[int(gt.B)*b+c.s])
-			h.lanes[k] = block{d.lo ^ t ^ 1, d.hi ^ o}
-			k++
-			c.next(b)
-		}
-		h.hash(k)
-		k = 0
-		for u := first; u != c; u.next(b) {
-			gt := &lv.ands[u.i]
-			a := labels[int(gt.A)*b+u.s]
-			pb := -(labels[int(gt.B)*b+u.s].lo & 1)
+	for i := lo; i < hi; i++ {
+		gt := &lv.ands[i]
+		for s := range b {
+			t, o := e.tweak(lv, i, s)
+			a, bl := labels[int(gt.A)*b+s], labels[int(gt.B)*b+s]
+			pb := -(bl.lo & 1)
 			var w block
 			var tab []byte
-			if half {
-				off := ((u.i-lv.nFull)*b + u.s) * LabelSize
+			if i >= lv.nFull {
+				off := ((i-lv.nFull)*b + s) * LabelSize
 				tab = lv.half[off : off+LabelSize]
 			} else {
-				off := (u.i*b + u.s) * TableSize
+				off := (i*b + s) * TableSize
 				tab = lv.full[off : off+TableSize]
-				tg, hh := blockAt(tab), h.lanes[k]
+				d, tg := dbl(a), blockAt(tab)
+				hh := h.hashKey(block{d.lo ^ t, d.hi ^ o})
 				pa := -(a.lo & 1)
 				w = block{hh.lo ^ tg.lo&pa, hh.hi ^ tg.hi&pa}
 				tab = tab[LabelSize:]
-				k++
 			}
-			te, hh := blockAt(tab), h.lanes[k]
-			labels[int(gt.Out)*b+u.s] = block{w.lo ^ hh.lo ^ (te.lo^a.lo)&pb, w.hi ^ hh.hi ^ (te.hi^a.hi)&pb}
-			k++
+			d, te := dbl(bl), blockAt(tab)
+			hh := h.hashKey(block{d.lo ^ t ^ 1, d.hi ^ o})
+			labels[int(gt.Out)*b+s] = block{w.lo ^ hh.lo ^ (te.lo^a.lo)&pb, w.hi ^ hh.hi ^ (te.hi^a.hi)&pb}
 		}
 	}
 }

@@ -8,18 +8,18 @@ import "deepsecure/internal/circuit"
 // one-time expansion of the fixed key's AES-128 round schedule, the Go face
 // of the 8-block pipelined AESENC hash in hash_amd64.s, and the assembly
 // level kernel in kernel_amd64.s. Build with the purego tag (or on another
-// GOARCH) and hash_generic.go takes over: the scalar crypto/aes loop under
-// the Go level kernel.
+// GOARCH) and hash_generic.go takes over: the Go level kernel over
+// crypto/aes.
 
-// cpu1 is CPUID leaf 1's ECX, latched at init. Bit 25 is the AES-NI
+// hasKernel is the one switch between the assembly kernels and the Go
+// kernel, from CPUID leaf 1's ECX, latched at init. Bit 25 is the AES-NI
 // instruction set (AESENC/AESENCLAST), which the 8-block hash needs; the
 // level kernel also byte-swaps labels to double them, with SSSE3's PSHUFB
 // (bit 9). SSE2 is part of the amd64 baseline, so no further checks are
 // needed for the XMM state either uses.
 var (
 	cpu1      = cpuid1()
-	hasAESNI  = cpu1&(1<<25) != 0
-	hasKernel = hasAESNI && cpu1&(1<<9) != 0
+	hasKernel = cpu1&(1<<25) != 0 && cpu1&(1<<9) != 0
 )
 
 // fixedRoundKeys holds the fixed garbling key's 11 expanded AES-128
@@ -29,12 +29,10 @@ var (
 var fixedRoundKeys [176]byte
 
 func init() {
-	if hasAESNI {
+	if hasKernel {
 		expandKey128(&fixedKey, &fixedRoundKeys)
 	}
 }
-
-func wideAvailable() bool { return hasAESNI }
 
 // hashLanesWide runs the 8-block Davies–Meyer kernel over the lane
 // buffer: lanes[i] = AES_fixed(lanes[i]) ⊕ lanes[i] for all 8 lanes.

@@ -8,64 +8,39 @@ import (
 	"deepsecure/internal/circuit"
 )
 
-// setWideForTest toggles the wide-kernel mode for Hashers built inside
-// the test and restores the default (on) when it finishes — the toggle
-// is process-global, so tests must not leave it off.
-func setWideForTest(t testing.TB, on bool) {
-	t.Helper()
-	wideOff.Store(!on)
-	t.Cleanup(func() { wideOff.Store(false) })
-}
-
-// hashModes returns the Hasher modes this build can run: the scalar
-// fallback always, the wide kernel when the CPU/build expose it.
-func hashModes() []bool {
-	modes := []bool{false}
-	if WideAvailable() {
-		modes = append(modes, true)
-	}
-	return modes
-}
-
-// TestHNMatchesScalar pins the multi-lane face to the scalar hash: for
-// every lane count 1–8 (and longer slices that exercise the 8-lane wave
-// chunking), HN must be byte-identical to N scalar H calls, on both the
-// wide kernel and the fallback loop.
+// TestHNMatchesScalar pins the multi-lane face to the scalar hash, which is
+// always crypto/aes: for every lane count 1–8 (and longer slices that
+// exercise the 8-lane wave chunking), HN must be byte-identical to N scalar
+// H calls, on the 8-lane kernel where this CPU has it and on the scalar loop
+// under the purego tag.
 func TestHNMatchesScalar(t *testing.T) {
 	rng := rand.New(rand.NewSource(71))
-	for _, wide := range hashModes() {
-		setWideForTest(t, wide)
-		h := NewHasher()
-		if h.wide != wide {
-			t.Fatalf("hasher wide=%v after setWideForTest(%v)", h.wide, wide)
+	h := NewHasher()
+	for _, n := range []int{1, 2, 3, 4, 5, 6, 7, 8, 9, 16, 17, 27, 64} {
+		labels := make([]Label, n)
+		tweaks := make([]uint64, n)
+		for i := range labels {
+			rng.Read(labels[i][:])
+			tweaks[i] = rng.Uint64()
 		}
-		scalar := NewHasher()
-		for _, n := range []int{1, 2, 3, 4, 5, 6, 7, 8, 9, 16, 17, 27, 64} {
-			labels := make([]Label, n)
-			tweaks := make([]uint64, n)
-			for i := range labels {
-				rng.Read(labels[i][:])
-				tweaks[i] = rng.Uint64()
+		want := make([]Label, n)
+		for i := range labels {
+			want[i] = h.H(labels[i], tweaks[i])
+		}
+		got := make([]Label, n)
+		h.HN(got, labels, tweaks)
+		for i := range want {
+			if got[i] != want[i] {
+				t.Fatalf("n=%d lane %d: HN %x, scalar H %x", n, i, got[i], want[i])
 			}
-			want := make([]Label, n)
-			for i := range labels {
-				want[i] = scalar.H(labels[i], tweaks[i])
-			}
-			got := make([]Label, n)
-			h.HN(got, labels, tweaks)
-			for i := range want {
-				if got[i] != want[i] {
-					t.Fatalf("wide=%v n=%d lane %d: HN %x, scalar H %x", wide, n, i, got[i], want[i])
-				}
-			}
-			// In-place: dst aliasing labels must work (the gate cores hash
-			// over their staging buffer).
-			inPlace := append([]Label(nil), labels...)
-			h.HN(inPlace, inPlace, tweaks)
-			for i := range want {
-				if inPlace[i] != want[i] {
-					t.Fatalf("wide=%v n=%d lane %d: aliased HN diverged", wide, n, i)
-				}
+		}
+		// In-place: dst aliasing labels must work (the OT extension hashes
+		// over its staging buffer).
+		inPlace := append([]Label(nil), labels...)
+		h.HN(inPlace, inPlace, tweaks)
+		for i := range want {
+			if inPlace[i] != want[i] {
+				t.Fatalf("n=%d lane %d: aliased HN diverged", n, i)
 			}
 		}
 	}
@@ -88,9 +63,8 @@ func TestHNPanicsOnShortSlices(t *testing.T) {
 }
 
 // FuzzHN drives arbitrary label bytes, tweak seeds, and lane counts
-// through HN on every available mode, always comparing against the
-// scalar H. Run with -tags purego to fuzz the fallback on an AES-NI
-// machine.
+// through HN, always comparing against the scalar H. Run with -tags purego
+// to fuzz the scalar loop on an AES-NI machine.
 func FuzzHN(f *testing.F) {
 	f.Add([]byte{0}, uint64(0))
 	f.Add(bytes.Repeat([]byte{0xa5}, 8*LabelSize), uint64(1<<63))
@@ -108,20 +82,16 @@ func FuzzHN(f *testing.F) {
 			}
 			tweaks[i] = tweakSeed + uint64(i)*0x9e3779b97f4a7c15
 		}
-		scalar := NewHasher()
+		h := NewHasher()
 		want := make([]Label, n)
 		for i := range labels {
-			want[i] = scalar.H(labels[i], tweaks[i])
+			want[i] = h.H(labels[i], tweaks[i])
 		}
-		for _, wide := range hashModes() {
-			setWideForTest(t, wide)
-			h := NewHasher()
-			got := make([]Label, n)
-			h.HN(got, labels, tweaks)
-			for i := range want {
-				if got[i] != want[i] {
-					t.Fatalf("wide=%v lane %d/%d: HN %x, scalar H %x", wide, i, n, got[i], want[i])
-				}
+		got := make([]Label, n)
+		h.HN(got, labels, tweaks)
+		for i := range want {
+			if got[i] != want[i] {
+				t.Fatalf("lane %d/%d: HN %x, scalar H %x", i, n, got[i], want[i])
 			}
 		}
 	})
@@ -177,9 +147,19 @@ func randomTestLevels(rng *rand.Rand, nInputs int, widths ...int) ([]vecTestLeve
 	return levels, next
 }
 
-// garbleLevelsRun garbles all levels with a fresh seeded BatchGarbler
-// and the given worker count, returning the per-level tables and the
-// full label-array snapshot.
+// goLevel runs lv as one span of k's Go kernel, the conformance oracle of
+// the level kernels.
+func goLevel(k spanner, st *labelStore, lv vecTestLevel, table []byte) error {
+	if err := st.prepare(lv.ands, lv.frees, lv.gidBase, table); err != nil {
+		return err
+	}
+	k.spanGo(&st.lv, 0, len(lv.ands), 0, len(lv.frees))
+	return nil
+}
+
+// garbleLevelsRun garbles all levels with a fresh seeded BatchGarbler on a
+// pool of the given width, or as goLevel runs them at workers 0, returning
+// the per-level tables and the full label-array snapshot.
 func garbleLevelsRun(t *testing.T, levels []vecTestLevel, numWires uint32, nInputs, b, workers int) (*BatchGarbler, [][]byte, []Label) {
 	t.Helper()
 	bg, err := NewBatchGarbler(rand.New(rand.NewSource(777)), b)
@@ -196,7 +176,13 @@ func garbleLevelsRun(t *testing.T, levels []vecTestLevel, numWires uint32, nInpu
 	var tables [][]byte
 	for li, lv := range levels {
 		tab := make([]byte, packedBytes(lv.ands, b))
-		if err := bg.GarbleLevel(lv.ands, lv.frees, lv.gidBase, tab, pool); err != nil {
+		var err error
+		if workers == 0 {
+			err = goLevel(bg, &bg.labelStore, lv, tab)
+		} else {
+			err = bg.GarbleLevel(lv.ands, lv.frees, lv.gidBase, tab, pool)
+		}
+		if err != nil {
 			t.Fatalf("garble level %d (b=%d workers=%d): %v", li, b, workers, err)
 		}
 		tables = append(tables, tab)
@@ -205,8 +191,8 @@ func garbleLevelsRun(t *testing.T, levels []vecTestLevel, numWires uint32, nInpu
 }
 
 // evalLevelsRun evaluates all levels against the given tables with a
-// fresh BatchEvaluator seeded from the garbler's active labels for bits,
-// returning the label-array snapshot.
+// fresh BatchEvaluator seeded from the garbler's active labels for bits, as
+// garbleLevelsRun garbles them, returning the label-array snapshot.
 func evalLevelsRun(t *testing.T, levels []vecTestLevel, numWires uint32, bg *BatchGarbler, bits []bool, tables [][]byte, b, workers int) []Label {
 	t.Helper()
 	ev, err := NewBatchEvaluator(b)
@@ -235,57 +221,51 @@ func evalLevelsRun(t *testing.T, levels []vecTestLevel, numWires uint32, bg *Bat
 	}
 	pool := NewPool(workers)
 	for li, lv := range levels {
-		if err := ev.EvaluateLevel(lv.ands, lv.frees, lv.gidBase, tables[li], pool); err != nil {
+		var err error
+		if workers == 0 {
+			err = goLevel(ev, &ev.labelStore, lv, tables[li])
+		} else {
+			err = ev.EvaluateLevel(lv.ands, lv.frees, lv.gidBase, tables[li], pool)
+		}
+		if err != nil {
 			t.Fatalf("evaluate level %d (b=%d workers=%d): %v", li, b, workers, err)
 		}
 	}
 	return ev.snapshot()
 }
 
-// TestWideVsScalarConformance is the tentpole's correctness pin: over
-// random layered circuits, the wide 8-lane kernel and the scalar
-// fallback must produce byte-identical garbled tables and labels — on
-// both sides of the protocol, for every worker count, at B ∈ {1, 4}.
-// The scalar single-worker run is the conformance oracle. Narrow levels run
+// TestWorkersMatchGoKernel pins the worker count: over random layered
+// circuits, pools 1, 2 and 4 wide on this CPU's kernel must write the
+// garbled tables and labels, on both sides of the protocol, that one span
+// of the Go kernel per level writes, at B ∈ {1, 4}. Narrow levels run
 // inline; the wide one (about 7 400 ANDs) splits as many ways as there are
-// workers even at B=1, so spans end in partial hash waves.
-func TestWideVsScalarConformance(t *testing.T) {
+// workers even at B=1, so spans cut it at arbitrary gates.
+func TestWorkersMatchGoKernel(t *testing.T) {
 	rng := rand.New(rand.NewSource(20180624))
 	for trial := 0; trial < 3; trial++ {
 		const nInputs = 8
 		levels, numWires := randomTestLevels(rng, nInputs, 24, 24, 12288, 24)
 		for _, b := range []int{1, 4} {
-			// Oracle: scalar path, one worker.
-			setWideForTest(t, false)
-			bg, refTables, refLabels := garbleLevelsRun(t, levels, numWires, nInputs, b, 1)
+			bg, refTables, refLabels := garbleLevelsRun(t, levels, numWires, nInputs, b, 0)
 			bits := make([]bool, nInputs*b)
 			for i := range bits {
 				bits[i] = rng.Intn(2) == 1
 			}
-			refEval := evalLevelsRun(t, levels, numWires, bg, bits, refTables, b, 1)
+			refEval := evalLevelsRun(t, levels, numWires, bg, bits, refTables, b, 0)
 
 			for _, workers := range []int{1, 2, 4} {
-				for _, wide := range hashModes() {
-					if !wide && workers == 1 {
-						continue // that is the oracle itself
+				_, tables, labels := garbleLevelsRun(t, levels, numWires, nInputs, b, workers)
+				for li := range refTables {
+					if !bytes.Equal(tables[li], refTables[li]) {
+						t.Fatalf("trial %d b=%d workers=%d: level %d tables diverge from the Go kernel's", trial, b, workers, li)
 					}
-					setWideForTest(t, wide)
-					_, tables, labels := garbleLevelsRun(t, levels, numWires, nInputs, b, workers)
-					for li := range refTables {
-						if !bytes.Equal(tables[li], refTables[li]) {
-							t.Fatalf("trial %d b=%d workers=%d wide=%v: level %d tables diverge from scalar oracle",
-								trial, b, workers, wide, li)
-						}
-					}
-					if !labelsEqual(labels, refLabels) {
-						t.Fatalf("trial %d b=%d workers=%d wide=%v: garbler labels diverge from scalar oracle",
-							trial, b, workers, wide)
-					}
-					evalLabels := evalLevelsRun(t, levels, numWires, bg, bits, refTables, b, workers)
-					if !labelsEqual(evalLabels, refEval) {
-						t.Fatalf("trial %d b=%d workers=%d wide=%v: evaluator labels diverge from scalar oracle",
-							trial, b, workers, wide)
-					}
+				}
+				if !labelsEqual(labels, refLabels) {
+					t.Fatalf("trial %d b=%d workers=%d: garbler labels diverge from the Go kernel's", trial, b, workers)
+				}
+				evalLabels := evalLevelsRun(t, levels, numWires, bg, bits, refTables, b, workers)
+				if !labelsEqual(evalLabels, refEval) {
+					t.Fatalf("trial %d b=%d workers=%d: evaluator labels diverge from the Go kernel's", trial, b, workers)
 				}
 			}
 		}
@@ -312,51 +292,4 @@ func labelsEqual(a, b []Label) bool {
 		}
 	}
 	return true
-}
-
-// TestWideVsScalarSinglePath pins garbling a gate a level (garbleGate)
-// against the same toggle: the whole-netlist tables of a random circuit
-// must not depend on the hash mode.
-func TestWideVsScalarSinglePath(t *testing.T) {
-	c, err := circuit.Build(func(b *circuit.Builder) {
-		g := b.Inputs(circuit.Garbler, 4)
-		e := b.Inputs(circuit.Evaluator, 4)
-		var w []uint32
-		w = append(w, g...)
-		w = append(w, e...)
-		for i := 0; len(w) < 60; i++ {
-			w = append(w, b.AND(w[i], w[i+1]), b.XOR(w[i], w[i+1]))
-		}
-		b.Outputs(w[len(w)-4:]...)
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	garbleOnce := func(wide bool) []byte {
-		setWideForTest(t, wide)
-		g, err := NewBatchGarbler(rand.New(rand.NewSource(31337)), 1)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := g.AssignInputs(c.GarblerInputs, false); err != nil {
-			t.Fatal(err)
-		}
-		if err := g.AssignInputs(c.EvaluatorInputs, true); err != nil {
-			t.Fatal(err)
-		}
-		var tab []byte
-		var gid uint64
-		for _, gate := range c.Gates {
-			if tab, err = garbleGate(g, &gid, gate, tab); err != nil {
-				t.Fatal(err)
-			}
-		}
-		return tab
-	}
-	ref := garbleOnce(false)
-	for _, wide := range hashModes() {
-		if got := garbleOnce(wide); !bytes.Equal(got, ref) {
-			t.Fatalf("wide=%v: streaming-path tables diverge from scalar", wide)
-		}
-	}
 }

@@ -237,13 +237,13 @@ func TestKernelMatchesTextbookOracle(t *testing.T) {
 			t.Fatal(err)
 		}
 		for k := 0; k+1 < len(ac); k++ {
-			sg.span(h, &sg.lv, ac[k], ac[k+1], fc[k], fc[k+1])
+			span(sg, &sg.lv, ac[k], ac[k+1], fc[k], fc[k+1])
 		}
 		if err := se.prepare(ands, frees, gidBase, wantTable); err != nil {
 			t.Fatal(err)
 		}
 		for k := 0; k+1 < len(ac); k++ {
-			se.span(h, &se.lv, ac[k], ac[k+1], fc[k], fc[k+1])
+			span(se, &se.lv, ac[k], ac[k+1], fc[k], fc[k+1])
 		}
 		if !bytes.Equal(splitTable, wantTable) || !labelsEqual(sg.snapshot(), zero) {
 			t.Fatalf("B=%d: split garbling spans differ from the textbook oracle", b)

@@ -3,8 +3,9 @@
 // Free-XOR (and free INV), row-reduction + half-gates (two 128-bit
 // ciphertexts per AND gate, one when an operand is the evaluator's own
 // input), and fixed-key block-cipher garbling (JustGarble-style AES
-// Davies–Meyer hashing: on amd64 an assembly level kernel, kernel_amd64.s,
-// and the Go one over crypto/aes elsewhere or under the purego tag).
+// Davies–Meyer hashing). One switch picks the kernel: on amd64 with AES-NI
+// and SSSE3 the assembly level kernel, kernel_amd64.s, and its 8-lane hash;
+// elsewhere, and under the purego tag, the Go kernel over crypto/aes.
 //
 // The package is pure computation: the Garbler and Evaluator consume a
 // gate stream and produce/consume garbled tables as byte slices; all
@@ -21,7 +22,6 @@ import (
 	"fmt"
 	"io"
 	"math/bits"
-	"sync/atomic"
 )
 
 // SecurityBits is the GC security parameter (label width in bits). The
@@ -96,50 +96,39 @@ var fixedKey = [16]byte{
 	0x44, 0xfe, 0x09, 0x73, 0xa2, 0x58, 0x1d, 0xc6,
 }
 
-// HashLanes is the width of the Hasher's multi-lane face: HN (and the
-// lane path the gate kernel fills) hashes up to this many
-// independent labels per call, matching the depth hardware AES units
-// pipeline.
+// HashLanes is the width of the Hasher's multi-lane face: HN hashes up to
+// this many independent labels per call, matching the depth hardware AES
+// units pipeline.
 const HashLanes = 8
 
-// wideOff force-disables the multi-lane AESENC kernel for Hashers created
-// while it is set. Only this package's tests set it, to pit the scalar
-// cipher.Block path against the wide kernel in one binary; both compute the
-// identical hash function.
-var wideOff atomic.Bool
-
-// WideAvailable reports whether this build and CPU expose the 8-block
-// pipelined AESENC kernel (amd64 with AES-NI, not built with the purego
-// tag). When false, HN falls back to looping the scalar hash.
-func WideAvailable() bool { return wideAvailable() }
-
-func wideEnabled() bool { return wideAvailable() && !wideOff.Load() }
+// WideAvailable reports whether gc runs its assembly kernels on this build
+// and CPU (amd64 with AES-NI and SSSE3, not built with the purego tag): the
+// assembly gate kernel garbles and evaluates, and HN hashes 8 lanes per
+// AESENC pass. When false, both run the Go kernel over crypto/aes, which
+// writes the same bytes.
+func WideAvailable() bool { return hasKernel }
 
 // Hasher computes the correlation-robust garbling hash
 // H(L, t) = AES_fixed(2L ⊕ t) ⊕ (2L ⊕ t). A Hasher is NOT safe for
-// concurrent use — every worker owns a private one (gc.Pool) — which is
-// what lets H run allocation-free: the AES input/output go through
+// concurrent use — a span on the Go kernel borrows one from a pool — which
+// is what lets H run allocation-free: the AES input/output go through
 // heap-resident scratch buffers allocated once per Hasher, instead of
 // stack arrays that escape through the cipher.Block interface call on
 // every gate (two heap allocations per hash, the dominant allocation of
 // the whole protocol before they were hoisted here).
 //
 // Beyond the scalar H, a Hasher exposes a multi-lane face: up to
-// HashLanes independent hashes per call (HN, and the lanes the gate
-// kernel fills), backed on amd64 by an assembly kernel that
-// interleaves 8 AESENC streams per round so the hardware AES pipeline
-// stays full, with a pure-Go fallback that loops the scalar path.
+// HashLanes independent hashes per call (HN), backed where WideAvailable by
+// an assembly kernel that interleaves 8 AESENC streams per round so the
+// hardware AES pipeline stays full, and elsewhere by a loop over the scalar
+// path.
 type Hasher struct {
 	block cipher.Block
 	kbuf  []byte
 	obuf  []byte
 
-	// wide selects the 8-block AESENC kernel, latched at construction
-	// from CPU feature detection (and wideOff).
-	wide bool
-	// lanes is the buffer of the multi-lane path: callers write key
-	// blocks 2L ⊕ t, hash replaces them with their hashes. A span borrows
-	// it with the hasher, so no wave allocates.
+	// lanes is HN's buffer: it writes key blocks 2L ⊕ t there and hashes
+	// them in place, so no wave allocates.
 	lanes [HashLanes]block
 }
 
@@ -154,7 +143,6 @@ func NewHasher() *Hasher {
 		block: block,
 		kbuf:  make([]byte, LabelSize),
 		obuf:  make([]byte, LabelSize),
-		wide:  wideEnabled(),
 	}
 }
 
@@ -173,29 +161,14 @@ func (h *Hasher) hashKey(k block) block {
 	return blockAt(h.obuf).xor(k)
 }
 
-// hash replaces the first n lanes — key blocks 2L ⊕ t written into h.lanes
-// by the caller — with their Davies–Meyer hashes AES_fixed(k) ⊕ k, in
-// place. n must be at most HashLanes. The wide kernel always runs all 8
-// lanes branch-free (an AES unit pipelined 8 deep finishes 8 blocks in the
-// latency of one, so unused lanes cost nothing; their stale words are
-// simply overwritten).
-func (h *Hasher) hash(n int) {
-	if h.wide {
-		hashLanesWide(&h.lanes)
-		return
-	}
-	for i := 0; i < n; i++ {
-		h.lanes[i] = h.hashKey(h.lanes[i])
-	}
-}
-
-// HN computes dst[i] = H(labels[i], tweaks[i]) for every label, feeding
-// the pipelined 8-lane AES kernel HashLanes blocks at a time where
-// available (longer slices are processed in 8-lane waves). It is
-// byte-identical to len(labels) scalar H calls on every build — the
-// fallback loops the scalar path — which the hash conformance tests pin.
-// dst and tweaks must be at least as long as labels; dst may alias
-// labels.
+// HN computes dst[i] = H(labels[i], tweaks[i]) for every label, in waves
+// of HashLanes, each one pass of the 8-lane AES kernel where WideAvailable
+// (it runs all 8 lanes branch-free: an AES unit pipelined 8 deep finishes 8
+// blocks in the latency of one, so a partial wave's unused lanes cost
+// nothing) and one scalar hash per label elsewhere. It is byte-identical to
+// len(labels) scalar H calls on every build, which the hash conformance
+// tests pin. dst and tweaks must be at least as long as labels; dst may
+// alias labels.
 func (h *Hasher) HN(dst, labels []Label, tweaks []uint64) {
 	if len(dst) < len(labels) || len(tweaks) < len(labels) {
 		panic(fmt.Sprintf("gc: HN dst/tweaks shorter than labels (%d/%d/%d)",
@@ -208,7 +181,13 @@ func (h *Hasher) HN(dst, labels []Label, tweaks []uint64) {
 			k.lo ^= tweaks[off+i]
 			h.lanes[i] = k
 		}
-		h.hash(n)
+		if hasKernel {
+			hashLanesWide(&h.lanes)
+		} else {
+			for i := range n {
+				h.lanes[i] = h.hashKey(h.lanes[i])
+			}
+		}
 		for i := 0; i < n; i++ {
 			h.lanes[i].put(dst[off+i][:])
 		}

@@ -30,15 +30,16 @@ import (
 // ordinals existed. The tests pin the kernel, whole levels and a gate a
 // level, against a textbook half-gates oracle.
 //
-// The kernel (batch.go) reads a gate's input labels in place twice, once to
-// form its hash keys and once to complete the gate: level independence — no
-// gate of a level reads a wire another gate of the level writes — makes the
-// two reads agree, so nothing is copied between them. The level kernels
-// check no gate and keep no liveness: what they run is a schedule that
-// circuit.Schedule.Check proved when it compiled, so every operand they
-// read was written and every output lies in the grown store. The one check
-// left at run time is the one that depends on the peer, the table block's
-// size (labelStore.prepare); a level refused for it writes nothing.
+// The assembly kernel (kernel_amd64.s) reads a gate's input labels in place
+// twice, once to form a hash wave's keys and once to complete the gate:
+// level independence — no gate of a level reads a wire another gate of the
+// level writes — makes the two reads agree, so nothing is copied between
+// them. The level kernels check no gate and keep no liveness: what they run
+// is a schedule that circuit.Schedule.Check proved when it compiled, so
+// every operand they read was written and every output lies in the grown
+// store. The one check left at run time is the one that depends on the
+// peer, the table block's size (labelStore.prepare); a level refused for it
+// writes nothing.
 //
 // The garbled tables of a level are likewise interleaved gate-major with
 // samples innermost, one region per gate kind: full AND rank i, sample s
@@ -117,10 +118,8 @@ type labelStore struct {
 	// INV's zero-label is its operand's ⊕ R; nil on the evaluator, whose
 	// slot is zero, so an INV carries its active label through.
 	inv []block
-	// lv is the level being run, laid out by prepare, and h the Hasher of
-	// the state's inline runs.
+	// lv is the level being run, laid out by prepare.
 	lv level
-	h  *Hasher
 	// buf stages the garbler's bulk label draws (AssignInputs); like the
 	// label array, it passes from state to state by Release and Reuse.
 	buf []byte
@@ -204,10 +203,6 @@ func (st *labelStore) Reuse(spare Spare) {
 func (st *labelStore) Release() Spare {
 	spare := Spare{st.labels, st.buf}
 	st.labels, st.buf = nil, nil
-	if st.h != nil {
-		hasherPool.Put(st.h)
-		st.h = nil
-	}
 	return spare
 }
 
@@ -338,6 +333,9 @@ func (g *BatchGarbler) AppendConstLabels(dst []byte) ([]byte, error) {
 func (g *BatchGarbler) GarbleLevel(ands, frees []circuit.Gate, gidBase uint64, table []byte, pool *Pool) error {
 	if err := g.prepare(ands, frees, gidBase, table); err != nil {
 		return err
+	}
+	if tweakSeen != nil {
+		g.recordTweaks(&g.lv)
 	}
 	if err := pool.run(g, &g.lv, g.b); err != nil {
 		return err
