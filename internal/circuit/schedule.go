@@ -22,6 +22,14 @@ import "fmt"
 // from level L+1 on, so the parallel engine keeps the bounded §3.5 memory
 // footprint of the sequential one.
 //
+// Levels are as soon as possible under a width bound: a gate goes to the
+// first level, at or after the one past its operands', that holds fewer
+// than maxLevelGates gates. Unbounded, a dense layer's partial products all
+// share level 0 (27 008 ANDs on the bench MLPs) and are live at once, so
+// NumWires, and with it a session's NumWires × B × 16-byte label array, is
+// six times what the rest of the program needs, and the kernels stream
+// that array from beyond the cache.
+//
 // Construction allocates each of its large tables once, sized from the
 // tape's counts: one pass over the tape levels the gates and records them
 // and the drops flat, in tape order; renaming then places each level run's
@@ -131,6 +139,9 @@ type buildRun struct {
 	drops  int
 }
 
+// maxLevelGates bounds a level's width; Schedule's comment says why.
+const maxLevelGates = 1 << 10
+
 // scheduler is the transient state of NewSchedule. It levels the tape in
 // one pass, recording every gate (in SSA ids) and every drop in two flat
 // arrays in tape order; rename then buckets each run's gates by (level,
@@ -150,6 +161,10 @@ type scheduler struct {
 	gateKeys []int32
 	drops    []uint32
 	dropKeys []int32
+
+	// width counts the open run's gates per level; room[l] is l unless that
+	// level is full, else a later level, or len(width), to look in for room.
+	width, room []int32
 
 	open    bool // the last run takes the gates that arrive
 	pending int  // while no run is open, the next run's first drop
@@ -322,6 +337,9 @@ func (s *Schedule) checkLevel(live *Live, li int, lv *Level, off int, gid uint64
 		lv.ANDs+lv.Frees > len(s.Gates)-off {
 		return fmt.Errorf("circuit: level %d (%+v) does not follow gate %d, AND %d", li, *lv, off, gid)
 	}
+	if lv.ANDs+lv.Frees > maxLevelGates {
+		return fmt.Errorf("circuit: level %d holds %d gates, more than %d", li, lv.ANDs+lv.Frees, maxLevelGates)
+	}
 	gates := s.Gates[off : off+lv.ANDs+lv.Frees]
 	for i := range gates {
 		g := &gates[i]
@@ -373,6 +391,7 @@ func (sc *scheduler) openRun() {
 		return
 	}
 	sc.open = true
+	sc.width, sc.room = sc.width[:0], sc.room[:0]
 	sc.steps = append(sc.steps, Step{Kind: StepLevels})
 	sc.stepIdx = int32(len(sc.steps) - 1)
 	sc.runs = append(sc.runs, buildRun{gates: len(sc.gates), drops: sc.pending})
@@ -413,6 +432,7 @@ func (sc *scheduler) OnGate(g Gate) error {
 			lvl = max(lvl, v.defLevel+1)
 		}
 	}
+	lvl = sc.place(lvl)
 	// Colour = value is arranged for evaluator-input wires alone, so a half
 	// AND anywhere else would evaluate to the wrong label.
 	if g.Op == HalfAND && (vb.defLevel >= 0 || vb.defStep < 0 ||
@@ -427,6 +447,24 @@ func (sc *scheduler) OnGate(g Gate) error {
 	sc.gates = append(sc.gates, Gate{Op: g.Op, A: a, B: b, Out: sc.define(g.Out, step, lvl)})
 	sc.gateKeys = append(sc.gateKeys, 3*lvl+kindRank[g.Op])
 	return nil
+}
+
+// place returns the first level at or after l with room for a gate, a new
+// last level if none has, and counts the gate there. Path halving over room
+// keeps a lookup O(1) amortised.
+func (sc *scheduler) place(l int32) int32 {
+	for n := int32(len(sc.width)); l < n && sc.width[l] == maxLevelGates; l = sc.room[l] {
+		if r := sc.room[l]; r < n {
+			sc.room[l] = sc.room[r]
+		}
+	}
+	if l == int32(len(sc.width)) {
+		sc.width, sc.room = append(sc.width, 0), append(sc.room, l)
+	}
+	if sc.width[l]++; sc.width[l] == maxLevelGates {
+		sc.room[l] = l + 1
+	}
+	return l
 }
 
 func touch(i *value, step, lvl int32) {

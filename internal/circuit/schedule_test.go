@@ -3,6 +3,7 @@ package circuit
 import (
 	"math/rand"
 	"slices"
+	"strings"
 	"testing"
 )
 
@@ -356,6 +357,51 @@ func TestScheduleUndoesRecycling(t *testing.T) {
 	// allocator reuses slots instead of materializing the SSA namespace.
 	if sched.NumWires > 80 {
 		t.Fatalf("renamed namespace has %d wires, want bounded reuse (schedule: %v)", sched.NumWires, sched)
+	}
+}
+
+// TestScheduleBoundsLevelWidth: independent gates fill a level up to
+// maxLevelGates and spill into the next level with room, in tape order; a
+// gate whose operands are ready earlier still lands in the first level that
+// has room; and Check refuses a level wider than the bound.
+func TestScheduleBoundsLevelWidth(t *testing.T) {
+	tape := NewTape()
+	b := NewBuilder(tape, WithRecycling())
+	in := b.Inputs(Garbler, 2)
+	outs := make([]uint32, 2*maxLevelGates+100)
+	for i := range outs {
+		outs[i] = b.AND(in[0], in[1])
+	}
+	outs = append(outs, b.XOR(in[0], in[1]))
+	b.Outputs(outs...)
+	if err := b.Err(); err != nil {
+		t.Fatal(err)
+	}
+	s, err := NewSchedule(tape)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var widths []int
+	for i := range s.Levels {
+		widths = append(widths, s.Levels[i].ANDs+s.Levels[i].Frees)
+	}
+	if want := []int{maxLevelGates, maxLevelGates, 101}; !slices.Equal(widths, want) || s.MaxWidth != maxLevelGates {
+		t.Fatalf("level widths %v (max %d), want %v", widths, s.MaxWidth, want)
+	}
+	if lv := &s.Levels[2]; lv.ANDs != 100 || lv.Frees != 1 {
+		t.Fatalf("last level %+v, want the 100 spilt ANDs and the XOR", *lv)
+	}
+
+	// Fold the first two levels into one: the gates are independent and no
+	// id is reused, so only the width rule stands in the way.
+	c := cloneSchedule(s)
+	c.Levels[0].ANDs += c.Levels[1].ANDs
+	c.Levels[0].Drops = append(c.Levels[0].Drops, c.Levels[1].Drops...)
+	c.Levels = slices.Delete(c.Levels, 1, 2)
+	c.Levels[1].GIDBase = uint64(c.Levels[0].ANDs)
+	c.Steps[1].N--
+	if err := c.Check(); err == nil || !strings.Contains(err.Error(), "more than") {
+		t.Fatalf("Check of a level of %d gates: %v, want it refused as too wide", c.Levels[0].ANDs, err)
 	}
 }
 

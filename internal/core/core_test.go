@@ -202,9 +202,10 @@ func TestOutsourcedInference(t *testing.T) {
 
 func TestBadHelloRejected(t *testing.T) {
 	// "deepsecure/11" is a version whose hello is the bare string and
-	// whose sessions always run the base phase, and "deepsecure/13" the
-	// previous one, whose client answers every pool refill: a hello of
-	// either must be refused here and not fail mid-stream. A hello of this
+	// whose sessions always run the base phase, "deepsecure/13" one whose
+	// client answers every pool refill, and "deepsecure/15" the previous
+	// one, which garbles the same tape in another level order: a hello of
+	// any must be refused here and not fail mid-stream. A hello of this
 	// version is refused when what follows the string is not a session
 	// counter and a whole number of base ids, at most maxClientBases of
 	// them.
@@ -214,6 +215,7 @@ func TestBadHelloRejected(t *testing.T) {
 		"deepsecure/9":  "unknown protocol",
 		"deepsecure/11": "unknown protocol",
 		"deepsecure/13" + good[len(protocolHello):]: "unknown protocol",
+		"deepsecure/15" + good[len(protocolHello):]: "unknown protocol",
 		protocolHello:          "malformed hello",
 		protocolHello + "\x00": "malformed hello",
 		good[:len(good)-1]:     "malformed hello", // an id cut short

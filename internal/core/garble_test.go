@@ -25,14 +25,13 @@ import (
 // wantEngine pins the same stream with the session framing dropped (hello,
 // begin and end; stripTags), re-serialized frame by frame as type, 4-byte
 // little-endian length, payload: the OT set-up and the engine's frames.
-// Both were last re-recorded when the weight labels came to cross once per
-// session: the set-up OT's answer replaced the pool's frames, the session's
-// one delta and weight labels moved the rng draws, and every tweak gained
-// its sample's ordinal.
+// Both were last re-recorded when levels came to hold at most 1 024 gates:
+// the 26 505 638 bytes stayed, but the tables and the tweaks follow the
+// new level order, and want holds the hello's new version.
 func TestGarbleTranscriptPinned(t *testing.T) {
 	const (
-		want       = "27c986690eba0201430150d3f103336ef3b4ec5ff4f17d395c574dc2e68cd2ba"
-		wantEngine = "793881c8487bec2d27c90462c2f2be23ece84b2d97a6ad76492561461206dfd7"
+		want       = "1475ac70de13aa542d257e4d2360ef2bda8c411758b4e027b3424aab97bd7283"
+		wantEngine = "978a8a5a99a5f649f778ec382364647fd6b47133f2fedbf62e86a8dcd40ea4e5"
 	)
 	net, err := benchmarks.ByName("small")
 	if err != nil {

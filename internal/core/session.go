@@ -61,8 +61,10 @@ import (
 // change to the netlist an architecture compiles to changes the digest and
 // not this string: a peer built from another generator is refused at the
 // handshake either way, never by a label that fails to authenticate
-// mid-stream. (The §3.3 streaming deployment compiles no tape and has a
-// hello of its own, outsourcedHello.)
+// mid-stream. The digest hashes the tape, not its schedule, so a change to
+// how the tape is levelled, which moves the table and tweak order under the
+// same digest, changes this string. (The §3.3 streaming deployment compiles
+// no tape and has a hello of its own, outsourcedHello.)
 //
 // Setup, in order: client MsgHello (this string, a zero byte, the client's
 // session counter cid as 8 big-endian bytes, then the 16-byte id of every
@@ -107,7 +109,7 @@ import (
 // begin order, so frame order is all that ties a frame to its inference.
 // After set-up no OT frame is legal in either direction. MsgEndSession
 // from the client ends the session.
-const protocolHello = "deepsecure/15"
+const protocolHello = "deepsecure/16"
 
 // otFrames are the OT frame types. After set-up none is legal on a
 // session, in either direction, so both parties cap them at 0.

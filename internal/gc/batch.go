@@ -71,6 +71,8 @@ var hasherPool = sync.Pool{New: func() any { return NewHasher() }}
 // 12 288 free gates and 0.67–0.96× at 16 384 (assembly kernel, min of 200
 // timings, three runs; on the Go kernel free gates gained from 8 192 on), so
 // below that a span handed to another worker costs more than it saves.
+// Compiled levels hold at most 1 024 gates, so a B = 1 level runs inline;
+// a batch (a full level from B = 3) and concurrent sessions use the cores.
 const (
 	laneMinANDs  = 1536
 	laneMinFrees = 8192

@@ -152,7 +152,9 @@ func TestCompiledTapeEvaluates(t *testing.T) {
 // rows, 412 with the sixteen of the array before it — and its tanh_lan
 // one, whose depth is mostly the CORDIC cell's: 20 rotations and a 14-step
 // divider (5529 levels while the divider ran all 40 steps of the datapath
-// width) — and mlp_churn's. The half-AND counts are pinned with them: two
+// width) — and mlp_churn's. The counts are exact since levels hold at most
+// 1 024 gates, which spreads the first layer's products over more levels:
+// 417, 3 111 and 216 against 324, 3 018 and 202 unbounded. The half-AND counts are pinned with them: two
 // per Booth array bit, one where it reads x's bit 0 (211 a MAC, 192 after a
 // ReLU), plus one per row, where the first adder's lowest bit meets the raw
 // bias bit; the CORDIC cells, which see no weight, add none.
@@ -164,11 +166,11 @@ func TestCompiledDepthPinned(t *testing.T) {
 		ands, halves    int64
 	}{
 		// 128 MACs, 32 post-ReLU MACs, 8 ReLUs, one 4-way argmax.
-		{16, 8, 4, act.ReLU, 324, 128*327 + 32*308 + 8*15 + 99, 128*211 + 32*192 + 12},
+		{16, 8, 4, act.ReLU, 417, 128*327 + 32*308 + 8*15 + 99, 128*211 + 32*192 + 12},
 		// A Tanh output keeps its sign: 160 full MACs, 8 CORDIC cells.
-		{16, 8, 4, act.TanhCORDIC, 3018, 160*327 + 8*2178 + 99, 160*211 + 12},
+		{16, 8, 4, act.TanhCORDIC, 3111, 160*327 + 8*2178 + 99, 160*211 + 12},
 		// 32 MACs, 8 post-ReLU MACs, 4 ReLUs, one 2-way argmax.
-		{8, 4, 2, act.ReLU, 202, 13020, 32*211 + 8*192 + 6},
+		{8, 4, 2, act.ReLU, 216, 13020, 32*211 + 8*192 + 6},
 	} {
 		net, err := nn.NewNetwork(nn.Vec(c.in),
 			nn.NewDense(c.hidden),

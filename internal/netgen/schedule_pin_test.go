@@ -89,20 +89,31 @@ func scheduleDigest(p *Program) string {
 // sees the tables and labels but neither wire ids nor drops, so a scheduler
 // change that claims "the same schedule" must leave these alone: wire
 // numbering, drop placement and gate order within a level are all in them.
-// They were recorded before the scheduler came to allocate its tables once.
+// They were re-recorded when levels came to hold at most 1 024 gates. What
+// that bound buys is pinned with them: the session's label array holds
+// NumWires labels per sample (41 858 on the two 16-8-4 models and 10 498 on
+// 8-4-2 while every first-layer product shared level 0), and no level is
+// wider than circuit's bound.
 func TestSchedulePinned(t *testing.T) {
-	want := map[string]string{
-		"16-8-TanhCORDIC-4": "5324eb69e4f0f225656c8e694226912568e7d3af4b77aca3c09df6da6a4b384a",
-		"16-8-ReLU-4":       "324be9fc2d0714f2f597b48f08e9606c2f2f6940ecce8918a2c626e56dd4b8ec",
-		"8-4-2-ReLU":        "9962098e98002a9b67721bc4fe1cb9a8e8e92213b49fe0749a172a0870afd2e9",
+	want := map[string]struct {
+		digest string
+		wires  uint32
+	}{
+		"16-8-TanhCORDIC-4": {"d97d6803fa13adeb129108f43c423e9003020d058fe2849dae7cf96e4cf27902", 6908},
+		"16-8-ReLU-4":       {"755ecbe6d7e964859cfa0dc561adc7d2d077d87c32d32e751d6f20d2d3a8c91d", 6908},
+		"8-4-2-ReLU":        {"37b13fe8ca13a364a9ac704e9082f2038b16348f61fbea07ffa52aaa00a2fe4e", 3693},
 	}
 	for _, m := range benchModels {
 		prog, err := Compile(m.build(t), benchmarks.Format, Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
-		if got := scheduleDigest(prog); got != want[m.name] {
-			t.Errorf("%s: schedule digest %s, pinned %s", m.name, got, want[m.name])
+		w := want[m.name]
+		if got := scheduleDigest(prog); got != w.digest {
+			t.Errorf("%s: schedule digest %s, pinned %s", m.name, got, w.digest)
+		}
+		if s := prog.Schedule; s.NumWires != w.wires || s.MaxWidth > 1<<10 {
+			t.Errorf("%s: %d wires, levels up to %d gates wide; want %d wires and at most 1024 gates", m.name, s.NumWires, s.MaxWidth, w.wires)
 		}
 	}
 }
