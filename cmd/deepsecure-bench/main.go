@@ -20,6 +20,7 @@ import (
 	"log"
 	"math"
 	"math/rand"
+	"net"
 	"os"
 	"sync"
 	"time"
@@ -241,18 +242,19 @@ func runTable6Figure6(co costmodel.Coefficients, withFigure bool) {
 }
 
 // runLiveB3 executes benchmark 3 end-to-end through the real GC protocol in
-// its §3.3 streaming deployment: the proxy garbles gate by gate as the
-// generator emits them and the server evaluates as the tables arrive, so
-// no party holds the 13 M-gate program (a compiled session does, and needs
+// its §3.3 streaming deployment: the proxy and the server each level the
+// generator's stream a window at a time and garble or evaluate each
+// fragment's levels as they come, the server as the tables arrive, so no
+// party holds the 32.5 M-gate program (a compiled session does, and needs
 // ~10 GB for it).
 func runLiveB3() {
 	fmt.Println("== Live run: benchmark 3 through the full GC protocol (proxy garbles, server evaluates) ==")
-	net, err := benchmarks.B3()
+	model, err := benchmarks.B3()
 	if err != nil {
 		log.Fatal(err)
 	}
-	net.InitWeights(rand.New(rand.NewSource(3)))
-	x := make([]float64, net.In.Len())
+	model.InitWeights(rand.New(rand.NewSource(3)))
+	x := make([]float64, model.In.Len())
 	rng := rand.New(rand.NewSource(4))
 	for i := range x {
 		x[i] = rng.Float64()*2 - 1
@@ -262,13 +264,32 @@ func runLiveB3() {
 	defer c1.Close()
 	clientServer, serverClient, c2 := deepsecure.Pipe()
 	defer c2.Close()
-	proxyServer, serverProxy, c3 := deepsecure.Pipe()
-	defer c3.Close()
+	// The garbled stream crosses a loopback socket, as it crosses the
+	// network between the two servers: its buffers are bounded, so the peak
+	// RSS this run reports is the parties', where an in-memory queue would
+	// also hold however far the proxy runs ahead of the server (tens of MB,
+	// by the host's scheduling).
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		log.Fatal(err)
+	}
+	ps, err := net.Dial("tcp", ln.Addr().String())
+	if err != nil {
+		log.Fatal(err)
+	}
+	defer ps.Close()
+	sp, err := ln.Accept()
+	if err != nil {
+		log.Fatal(err)
+	}
+	defer sp.Close()
+	ln.Close()
+	proxyServer, serverProxy := deepsecure.NewConn(ps), deepsecure.NewConn(sp)
 	var wg sync.WaitGroup
 	wg.Add(2)
 	go func() {
 		defer wg.Done()
-		if err := deepsecure.ServeOutsourced(serverProxy, serverClient, net, deepsecure.DefaultFormat); err != nil {
+		if err := deepsecure.ServeOutsourced(serverProxy, serverClient, model, deepsecure.DefaultFormat); err != nil {
 			log.Fatal("server: ", err)
 		}
 	}()
@@ -284,10 +305,10 @@ func runLiveB3() {
 		log.Fatal("client: ", err)
 	}
 	wg.Wait()
-	if want := net.PredictFixed(deepsecure.DefaultFormat, x); label != want {
+	if want := model.PredictFixed(deepsecure.DefaultFormat, x); label != want {
 		log.Fatalf("label %d, plaintext fixed-point model says %d", label, want)
 	}
-	st, _, err := netgen.FastCount(net, deepsecure.DefaultFormat, netgen.Options{Outsourced: true})
+	st, _, err := netgen.FastCount(model, deepsecure.DefaultFormat, netgen.Options{Outsourced: true})
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -36,7 +36,16 @@ import "fmt"
 // gates into their levels, and its drops after theirs, with a stable
 // counting sort, and carves the drop lists out of one shared array.
 //
-// Determinism: the schedule is a pure function of the tape, gates keep
+// The one scheduler also levels streams no party records (Stream, the §3.3
+// deployment's): it hands off a fragment whenever a window of gates has
+// arrived since the last, so it holds the window and the live values, never
+// the program. A fragment is a Schedule of its own; its AND indices carry
+// on from the previous one's, the values still live keep their wire ids,
+// and its totals (ANDs, Halves, MaxWidth, MaxLevelANDs) are its own.
+// NewSchedule is the scheduler with no window, handing off once at the end.
+//
+// Determinism: the schedule is a pure function of the tape (a stream's
+// fragments, of the stream and the window), gates keep
 // tape order within each level (the full ANDs, then the half ANDs, then
 // the free gates), and every AND gate has a fixed global index (GIDBase +
 // rank) that keys its hash tweak and its table's offset in the streamed
@@ -49,7 +58,8 @@ type Schedule struct {
 	Gates  []Gate
 
 	// NumWires is the size of the renamed wire namespace (ids are in
-	// [0, NumWires), with 0 and 1 the constants).
+	// [0, NumWires), with 0 and 1 the constants); a fragment's is the
+	// stream's namespace so far.
 	NumWires uint32
 	// ANDs is the total AND-gate count (= table count on the wire), half
 	// ANDs included; Halves counts those.
@@ -119,16 +129,20 @@ func (lv *Level) TableBytes() int { return (2*lv.ANDs - lv.Halves) * CiphertextS
 // TableBytes returns the size of one sample's whole table stream.
 func (s *Schedule) TableBytes() int64 { return (2*s.ANDs - s.Halves) * CiphertextSize }
 
-// value is the SSA value a tape wire carries: one incarnation of the wire,
-// named by its SSA id. Only a wire's current value can be read or dropped,
-// so the scheduler keeps one per wire id, not one per SSA id.
+// value is the SSA value an event wire carries: one incarnation of the
+// wire, named by its SSA id, or by its wire id once a stream has handed off
+// the fragment that defined it. Only a wire's current value can be read or
+// dropped, so the scheduler keeps one per wire id, not one per SSA id.
 type value struct {
-	id   uint32
-	live bool
-	// defStep / defLevel locate the definition; lastStep / lastLevel the
-	// latest read (or the definition, if never read). defLevel is -1 for
-	// input-step definitions.
-	defStep, defLevel, lastStep, lastLevel int32
+	id uint32
+	// def is the position (scheduler.at) of the definition, last that of
+	// the latest read, or of the definition if never read; def is -1 for
+	// the constants and, in a stream, for values carried over.
+	def, last int32
+	live      bool
+	// evalIn marks a raw evaluator input, the one kind of wire a half AND
+	// may read in slot B: colour = value is arranged for those alone.
+	evalIn bool
 }
 
 // buildRun is one StepLevels step in SSA form. Its gates run from
@@ -142,25 +156,40 @@ type buildRun struct {
 // maxLevelGates bounds a level's width; Schedule's comment says why.
 const maxLevelGates = 1 << 10
 
-// scheduler is the transient state of NewSchedule. It levels the tape in
-// one pass, recording every gate (in SSA ids) and every drop in two flat
-// arrays in tape order; rename then buckets each run's gates by (level,
-// kind) and its drops by level. Its large tables are sized from the tape's
-// counts before the pass, so none regrows.
+// scheduler levels an event stream in one pass, recording every gate (in
+// SSA ids) and every drop in two flat arrays in arrival order; at a
+// hand-off, rename buckets each run's gates by (level, kind) and its drops
+// by level, and run takes the renamed fragment. A compile sizes the tables
+// from the tape's counts, so none regrows, and hands off once, at the end;
+// a stream hands off every window gates and reuses the tables.
+//
+// SSA ids name the values of one hand-off only, counting from base: every
+// id below base is the wire id of a value an earlier fragment defined, and
+// renamed maps it to itself, so a carried value keeps its wire id without
+// a branch in rename and without an entry per value the stream has seen.
 type scheduler struct {
-	vals []value // tape wire id -> its current value
-	nssa uint32  // SSA ids handed out: the constants, then gate outputs and input wires
+	vals []value // event wire id -> its current value
+	base uint32  // the fragment's first SSA id: the wire ids handed out before it
+	nssa uint32  // one past the last SSA id handed out
+
+	// window, when positive, is the number of gates after which a fragment
+	// is handed off; run takes each fragment.
+	window int
+	run    func(*Schedule) error
 
 	steps []Step // input/output steps hold SSA wires until rename
 	runs  []buildRun
 	// gates holds every gate in SSA ids, and drops every SSA id that dies,
-	// each in tape order; their keys are the buckets of their run that
+	// each in arrival order; their keys are the buckets of their run that
 	// rename sorts them into: 3 × level + kindRank for a gate, and for a
 	// drop 1 + the level it dies after, or 0 if it dies before the first.
 	gates    []Gate
 	gateKeys []int32
 	drops    []uint32
 	dropKeys []int32
+	// defs lists, in a stream, the wires defined since the last hand-off,
+	// so that those still live can take their wire ids at the next.
+	defs []uint32
 
 	// width counts the open run's gates per level; room[l] is l unless that
 	// level is full, else a later level, or len(width), to look in for room.
@@ -168,7 +197,32 @@ type scheduler struct {
 
 	open    bool // the last run takes the gates that arrive
 	pending int  // while no run is open, the next run's first drop
-	stepIdx int32
+	// at orders events across runs and hand-offs: while a run is open, its
+	// level l lies at position at + l; between runs, barriers lie at at,
+	// before the next run's levels and after the last's. fragAt is the
+	// first position of the fragment.
+	at, fragAt int32
+
+	// Carried from hand-off to hand-off: the wire ids handed out and those
+	// free, the ANDs numbered, and rename's tables.
+	next     uint32
+	free     []uint32
+	gid      uint64
+	renamed  []uint32 // SSA id -> wire id
+	levels   []Level
+	out      []Gate
+	outDrops []uint32
+	gateEnds []int
+	dropEnds []int
+}
+
+// newScheduler returns a scheduler whose value table starts with room for
+// wires wire ids and that hands its fragments to run.
+func newScheduler(wires uint32, window int, run func(*Schedule) error) *scheduler {
+	sc := &scheduler{vals: make([]value, max(wires, 2)), window: window, run: run, next: 2}
+	sc.define(WFalse, -1) // SSA ids 0 and 1: the constants, defined before all
+	sc.define(WTrue, -1)
+	return sc
 }
 
 // NewSchedule compiles the tape into a level-parallel execution plan and
@@ -184,24 +238,55 @@ func NewSchedule(t *Tape) (*Schedule, error) {
 	return s, nil
 }
 
-// compile is NewSchedule without the check: it refuses a tape that reads an
-// undefined wire or misplaces a half AND, and is otherwise trusted to
-// schedule what it accepts correctly, which FuzzScheduleCheck tests.
+// compile is NewSchedule without the check: the scheduler with no window,
+// which hands the whole tape off as one schedule. It refuses a tape that
+// reads a dead wire, writes a live one or misplaces a half AND, and is
+// otherwise trusted to schedule what it accepts correctly, which
+// FuzzScheduleCheck tests.
 func compile(t *Tape) (*Schedule, error) {
+	var s *Schedule
+	sc := newScheduler(t.wires, 0, func(f *Schedule) error { s = f; return nil })
 	st := t.Stats()
-	sc := &scheduler{
-		vals:     make([]value, t.wires),
-		gates:    make([]Gate, 0, st.Total()),
-		gateKeys: make([]int32, 0, st.Total()),
-		drops:    make([]uint32, 0, t.drops),
-		dropKeys: make([]int32, 0, t.drops),
-	}
-	sc.define(WFalse, -1, -1) // SSA ids 0 and 1: the constants, defined before all
-	sc.define(WTrue, -1, -1)
-
+	sc.gates = make([]Gate, 0, st.Total())
+	sc.gateKeys = make([]int32, 0, st.Total())
+	sc.drops = make([]uint32, 0, t.drops)
+	sc.dropKeys = make([]int32, 0, t.drops)
 	if err := t.Replay(sc); err != nil {
 		return nil, err
 	}
+	if err := sc.handOff(); err != nil {
+		return nil, err
+	}
+	return s, nil
+}
+
+// Stream levels the event stream emit produces as NewSchedule levels a
+// tape, holding no more of it than a window: whenever window gates have
+// arrived since the last hand-off, the scheduler closes the open level run,
+// renames what it holds and hands run that fragment, checked as Check
+// checks a schedule but against the live wires and the AND count the
+// fragments before it left. A fragment's AND indices continue the previous
+// fragment's, the values still live keep their wire ids, and its NumWires
+// is the namespace so far. A fragment is valid until run returns: the next
+// reuses its arrays. With no window (0), the stream is one fragment.
+func Stream(window int, emit func(Sink) error, run func(*Schedule) error) error {
+	ck := newChecker()
+	sc := newScheduler(2, window, func(s *Schedule) error {
+		if err := ck.check(s); err != nil {
+			return err
+		}
+		return run(s)
+	})
+	if err := emit(sc); err != nil {
+		return err
+	}
+	return sc.handOff()
+}
+
+// handOff closes the open run, renames what the scheduler holds and hands
+// the fragment to run. In a stream, the values still live then take their
+// wire ids, and the tables empty for the next fragment.
+func (sc *scheduler) handOff() error {
 	sc.closeRun()
 	if len(sc.drops) > sc.pending {
 		// Trailing drops after the last barrier: give them an empty run
@@ -211,87 +296,83 @@ func compile(t *Tape) (*Schedule, error) {
 	}
 	// A last, empty entry ends the last run's gates and drops.
 	sc.runs = append(sc.runs, buildRun{gates: len(sc.gates), drops: len(sc.drops)})
-	return sc.rename(), nil
-}
-
-// Live is a wire live-set, and the one liveness rule the GC engine runs
-// on: a gate reads live wires and writes a dead one. Schedule.Check proves
-// a schedule keeps it, once, at compile time, so the level kernels check
-// nothing; core's §3.3 stream, which levels a gate stream no schedule
-// covers, holds each gate to it as it arrives.
-type Live struct{ set []bool }
-
-// Has reports whether wire w carries a value.
-func (l *Live) Has(w uint32) bool { return w < uint32(len(l.set)) && l.set[w] }
-
-// Set marks wire w live, growing the set to hold it.
-func (l *Live) Set(w uint32) {
-	if n := int(w) + 1; n > len(l.set) {
-		l.set = append(l.set, make([]bool, n-len(l.set))...)
+	if err := sc.run(sc.rename()); err != nil {
+		return err
 	}
-	l.set[w] = true
-}
-
-// Clear marks wire w dead.
-func (l *Live) Clear(w uint32) {
-	if w < uint32(len(l.set)) {
-		l.set[w] = false
+	for _, w := range sc.defs {
+		if v := &sc.vals[w]; v.live && v.def >= sc.fragAt {
+			v.id, v.def = sc.renamed[v.id], -1
+		}
 	}
-}
-
-// Admit returns an error unless g's operands (A alone for an INV) are live
-// and its output is dead; its message names no package, the caller's
-// prefix does.
-func (l *Live) Admit(g *Gate) error {
-	switch {
-	case !l.Has(g.A):
-		return fmt.Errorf("%v gate reads dead wire %d", g.Op, g.A)
-	case g.Op != INV && !l.Has(g.B):
-		return fmt.Errorf("%v gate reads dead wire %d", g.Op, g.B)
-	case l.Has(g.Out):
-		return fmt.Errorf("%v gate writes live wire %d", g.Op, g.Out)
+	for id := sc.base; id < sc.next; id++ {
+		sc.renamed[id] = id
 	}
+	sc.base, sc.nssa = sc.next, sc.next
+	sc.at++
+	sc.fragAt = sc.at
+	sc.steps, sc.runs, sc.defs = sc.steps[:0], sc.runs[:0], sc.defs[:0]
+	sc.gates, sc.gateKeys = sc.gates[:0], sc.gateKeys[:0]
+	sc.drops, sc.dropKeys = sc.drops[:0], sc.dropKeys[:0]
+	sc.pending = 0
 	return nil
 }
 
-// Check replays the schedule over a live-set of NumWires wires and proves
-// what the engines run it on without checking anything: every gate passes
-// Live.Admit against the state before its level, so a level's outputs are
-// distinct and none is read inside it; gate outputs and input wires lie
-// below NumWires; a level's ANDs are full then half, its free gates XOR or
-// INV; output steps and drops name live wires. So that the replay is what the
-// engines run, levels must tile Gates in step order. GIDBase must count the
-// ANDs before its level, or a hash tweak could repeat; a run's TableBytes,
-// the evaluator's budget for the peer's stream, must sum its levels'.
-// NewSchedule checks every schedule it returns.
-func (s *Schedule) Check() error {
-	live := Live{set: make([]bool, s.NumWires)}
-	live.Set(WFalse)
-	live.Set(WTrue)
-	// kill retires ws, or names the first of them that is not live.
-	kill := func(ws []uint32) (dead uint32, ok bool) {
-		for _, w := range ws {
-			if !live.Has(w) {
-				return w, false
-			}
-			live.Clear(w)
+// checker proves that a schedule, or a stream's fragments in order, keep
+// what the engines run them on without checking anything (Check says
+// what). It carries the live wires and the ANDs numbered from one fragment
+// to the next.
+type checker struct {
+	live []bool
+	gid  uint64
+}
+
+func newChecker() *checker { return &checker{live: []bool{WFalse: true, WTrue: true}} }
+
+func (c *checker) has(w uint32) bool { return w < uint32(len(c.live)) && c.live[w] }
+
+// kill retires ws, or names the first of them that is not live.
+func (c *checker) kill(ws []uint32) (dead uint32, ok bool) {
+	for _, w := range ws {
+		if !c.has(w) {
+			return w, false
 		}
-		return 0, true
+		c.live[w] = false
 	}
-	nextLevel, nextGate, gid := 0, 0, uint64(0)
+	return 0, true
+}
+
+// Check replays the schedule over a live-set of NumWires wires and proves
+// what the engines run it on without checking anything: every gate reads
+// live wires and writes a dead one, judged against the state before its
+// level, so a level's outputs are distinct and none is read inside it; gate
+// outputs and input wires lie below NumWires; a level's ANDs are full then
+// half, its free gates XOR or INV; output steps and drops name live wires.
+// So that the replay is what the engines run, levels must tile Gates in
+// step order. GIDBase must count the ANDs before its level, or a hash tweak
+// could repeat; a run's TableBytes, the evaluator's budget for the peer's
+// stream, must sum its levels'. NewSchedule checks every schedule it
+// returns, and Stream every fragment.
+func (s *Schedule) Check() error { return newChecker().check(s) }
+
+// check is Check on the fragment that follows those c has checked.
+func (c *checker) check(s *Schedule) error {
+	if n := int(s.NumWires); n > len(c.live) {
+		c.live = append(c.live, make([]bool, n-len(c.live))...)
+	}
+	nextLevel, nextGate, gid := 0, 0, c.gid
 	for si := range s.Steps {
 		st := &s.Steps[si]
 		switch st.Kind {
 		case StepInputs:
 			for _, w := range st.Wires {
-				if w >= s.NumWires || live.Has(w) {
+				if w >= s.NumWires || c.has(w) {
 					return fmt.Errorf("circuit: input step %d defines wire %d, which is live or outside %d wires", si, w, s.NumWires)
 				}
-				live.Set(w)
+				c.live[w] = true
 			}
 		case StepOutputs:
 			for _, w := range st.Wires {
-				if !live.Has(w) {
+				if !c.has(w) {
 					return fmt.Errorf("circuit: output step %d reads dead wire %d", si, w)
 				}
 			}
@@ -299,16 +380,16 @@ func (s *Schedule) Check() error {
 			if st.First != nextLevel || st.N < 0 || st.First+st.N > len(s.Levels) {
 				return fmt.Errorf("circuit: step %d runs levels [%d, %d), want them from %d of %d", si, st.First, st.First+st.N, nextLevel, len(s.Levels))
 			}
-			if w, ok := kill(st.PreDrops); !ok {
+			if w, ok := c.kill(st.PreDrops); !ok {
 				return fmt.Errorf("circuit: step %d drops dead wire %d", si, w)
 			}
 			tableBytes := 0
 			for li := st.First; li < st.First+st.N; li++ {
 				lv := &s.Levels[li]
-				if err := s.checkLevel(&live, li, lv, nextGate, gid); err != nil {
+				if err := c.level(s, li, lv, nextGate, gid); err != nil {
 					return err
 				}
-				if w, ok := kill(lv.Drops); !ok {
+				if w, ok := c.kill(lv.Drops); !ok {
 					return fmt.Errorf("circuit: level %d drops dead wire %d", li, w)
 				}
 				nextGate += lv.ANDs + lv.Frees
@@ -323,16 +404,17 @@ func (s *Schedule) Check() error {
 			return fmt.Errorf("circuit: step %d has unknown kind %d", si, st.Kind)
 		}
 	}
-	if nextLevel != len(s.Levels) || nextGate != len(s.Gates) || gid != uint64(s.ANDs) {
+	if nextLevel != len(s.Levels) || nextGate != len(s.Gates) || gid-c.gid != uint64(s.ANDs) {
 		return fmt.Errorf("circuit: runs cover %d of %d levels, %d of %d gates and %d of %d ANDs",
-			nextLevel, len(s.Levels), nextGate, len(s.Gates), gid, s.ANDs)
+			nextLevel, len(s.Levels), nextGate, len(s.Gates), gid-c.gid, s.ANDs)
 	}
+	c.gid = gid
 	return nil
 }
 
-// checkLevel checks level li, which must start at gate off with AND index
-// gid, against live and then makes its outputs live.
-func (s *Schedule) checkLevel(live *Live, li int, lv *Level, off int, gid uint64) error {
+// level checks level li, which must start at gate off with AND index gid,
+// and then makes its outputs live.
+func (c *checker) level(s *Schedule, li int, lv *Level, off int, gid uint64) error {
 	if lv.Off != off || lv.GIDBase != gid || lv.Halves < 0 || lv.Halves > lv.ANDs || lv.Frees < 0 ||
 		lv.ANDs+lv.Frees > len(s.Gates)-off {
 		return fmt.Errorf("circuit: level %d (%+v) does not follow gate %d, AND %d", li, *lv, off, gid)
@@ -355,34 +437,46 @@ func (s *Schedule) checkLevel(live *Live, li int, lv *Level, off int, gid uint64
 		if !ok {
 			return fmt.Errorf("circuit: level %d holds a %v at rank %d of %d ANDs (%d half)", li, g.Op, i, lv.ANDs, lv.Halves)
 		}
-		if g.Out >= s.NumWires {
+		switch {
+		case g.Out >= s.NumWires:
 			return fmt.Errorf("circuit: level %d writes wire %d outside %d wires", li, g.Out, s.NumWires)
-		}
-		if err := live.Admit(g); err != nil {
-			return fmt.Errorf("circuit: level %d: %w", li, err)
+		case !c.has(g.A):
+			return fmt.Errorf("circuit: level %d: %v gate reads dead wire %d", li, g.Op, g.A)
+		case g.Op != INV && !c.has(g.B):
+			return fmt.Errorf("circuit: level %d: %v gate reads dead wire %d", li, g.Op, g.B)
+		case c.has(g.Out):
+			return fmt.Errorf("circuit: level %d: %v gate writes live wire %d", li, g.Op, g.Out)
 		}
 	}
 	for i := range gates {
-		if live.Has(gates[i].Out) {
+		if c.has(gates[i].Out) {
 			return fmt.Errorf("circuit: level %d writes wire %d twice", li, gates[i].Out)
 		}
-		live.Set(gates[i].Out)
+		c.live[gates[i].Out] = true
 	}
 	return nil
 }
 
-func (sc *scheduler) lookup(w uint32) (*value, error) {
+// lookup returns wire w's current value, or nil if w carries none.
+func (sc *scheduler) lookup(w uint32) *value {
 	if uint32(len(sc.vals)) <= w || !sc.vals[w].live {
-		return nil, fmt.Errorf("circuit: schedule references undefined wire %d", w)
+		return nil
 	}
-	return &sc.vals[w], nil
+	return &sc.vals[w]
 }
 
-// define gives wire w a new value and returns its SSA id.
-func (sc *scheduler) define(w uint32, step, level int32) uint32 {
+// define gives wire w a new value, defined at position at, and returns its
+// SSA id.
+func (sc *scheduler) define(w uint32, at int32) uint32 {
+	if int(w) >= len(sc.vals) {
+		sc.vals = append(sc.vals, make([]value, int(w)+1-len(sc.vals))...)
+	}
+	if sc.window > 0 {
+		sc.defs = append(sc.defs, w)
+	}
 	id := sc.nssa
 	sc.nssa++
-	sc.vals[w] = value{id: id, live: true, defStep: step, defLevel: level, lastStep: step, lastLevel: level}
+	sc.vals[w] = value{id: id, def: at, last: at, live: true}
 	return id
 }
 
@@ -391,15 +485,16 @@ func (sc *scheduler) openRun() {
 		return
 	}
 	sc.open = true
+	sc.at++
 	sc.width, sc.room = sc.width[:0], sc.room[:0]
 	sc.steps = append(sc.steps, Step{Kind: StepLevels})
-	sc.stepIdx = int32(len(sc.steps) - 1)
 	sc.runs = append(sc.runs, buildRun{gates: len(sc.gates), drops: sc.pending})
 }
 
 func (sc *scheduler) closeRun() {
 	if sc.open {
 		sc.open = false
+		sc.at += sc.runs[len(sc.runs)-1].levels
 		sc.pending = len(sc.drops)
 	}
 }
@@ -407,44 +502,49 @@ func (sc *scheduler) closeRun() {
 func (sc *scheduler) barrierStep(kind StepKind, p Party, ssaWires []uint32) {
 	sc.closeRun()
 	sc.steps = append(sc.steps, Step{Kind: kind, Party: p, Wires: ssaWires})
-	sc.stepIdx = int32(len(sc.steps) - 1)
 }
 
-// OnGate levels one gate and records it in SSA ids.
+// OnGate levels one gate and records it in SSA ids, after handing off the
+// fragment if the window is full. It refuses a gate that reads a dead wire
+// or writes a live one, before any level holding it runs.
 func (sc *scheduler) OnGate(g Gate) error {
+	if int(g.Op) >= len(kindRank) {
+		return fmt.Errorf("circuit: cannot schedule op %v", g.Op)
+	}
+	if sc.window > 0 && len(sc.gates) == sc.window {
+		if err := sc.handOff(); err != nil {
+			return err
+		}
+	}
 	sc.openRun()
-	step := sc.stepIdx
-	va, err := sc.lookup(g.A)
-	if err != nil {
-		return err
+	va := sc.lookup(g.A)
+	if va == nil {
+		return fmt.Errorf("circuit: %v gate reads dead wire %d", g.Op, g.A)
 	}
 	// INV is unary: its B reads as A below, and as SSA id 0 (false) in the gate.
 	vb, b := va, uint32(0)
 	if g.Op != INV {
-		if vb, err = sc.lookup(g.B); err != nil {
-			return err
+		if vb = sc.lookup(g.B); vb == nil {
+			return fmt.Errorf("circuit: %v gate reads dead wire %d", g.Op, g.B)
 		}
 		b = vb.id
 	}
-	lvl := int32(0) // one past its operands' levels in this run
-	for _, v := range [2]*value{va, vb} {
-		if v.defStep == step {
-			lvl = max(lvl, v.defLevel+1)
-		}
+	if sc.lookup(g.Out) != nil {
+		return fmt.Errorf("circuit: %v gate writes live wire %d", g.Op, g.Out)
 	}
-	lvl = sc.place(lvl)
-	// Colour = value is arranged for evaluator-input wires alone, so a half
-	// AND anywhere else would evaluate to the wrong label.
-	if g.Op == HalfAND && (vb.defLevel >= 0 || vb.defStep < 0 ||
-		sc.steps[vb.defStep].Kind != StepInputs || sc.steps[vb.defStep].Party != Evaluator) {
+	if g.Op == HalfAND && !vb.evalIn {
 		return fmt.Errorf("circuit: half AND reads wire %d in slot B, which is not an evaluator input", g.B)
 	}
-	touch(va, step, lvl)
-	touch(vb, step, lvl)
-	a := va.id // before define, which may give g.A a new value
+	// One past its operands' levels in this run: values defined before
+	// it lie before its level 0.
+	lvl := sc.place(max(0, va.def+1-sc.at, vb.def+1-sc.at))
+	pos := sc.at + lvl
+	va.last = max(va.last, pos)
+	vb.last = max(vb.last, pos)
+	a := va.id // before define, which may move vals
 	run := &sc.runs[len(sc.runs)-1]
 	run.levels = max(run.levels, lvl+1)
-	sc.gates = append(sc.gates, Gate{Op: g.Op, A: a, B: b, Out: sc.define(g.Out, step, lvl)})
+	sc.gates = append(sc.gates, Gate{Op: g.Op, A: a, B: b, Out: sc.define(g.Out, pos)})
 	sc.gateKeys = append(sc.gateKeys, 3*lvl+kindRank[g.Op])
 	return nil
 }
@@ -467,39 +567,36 @@ func (sc *scheduler) place(l int32) int32 {
 	return l
 }
 
-func touch(i *value, step, lvl int32) {
-	if step > i.lastStep || (step == i.lastStep && lvl > i.lastLevel) {
-		i.lastStep = step
-		i.lastLevel = lvl
-	}
-}
-
 // OnDrop attaches a drop to the level at which its value's last use
 // completes, or to the pre-drops of the run it falls in (or of the next
 // run, between runs) when that point has already passed a barrier.
 func (sc *scheduler) OnDrop(w uint32) error {
-	if uint32(len(sc.vals)) <= w || !sc.vals[w].live {
-		// Advisory drop of a wire that never carried a value: ignore,
+	v := sc.lookup(w)
+	if v == nil {
+		// Advisory drop of a wire that carries no value: ignore,
 		// matching the Sink contract.
 		return nil
 	}
-	v := &sc.vals[w]
 	v.live = false
 	key := int32(0)
-	if sc.open && v.lastStep == sc.stepIdx {
-		key = 1 + v.lastLevel
+	if sc.open && v.last >= sc.at {
+		key = 1 + v.last - sc.at
 	}
 	sc.drops = append(sc.drops, v.id)
 	sc.dropKeys = append(sc.dropKeys, key)
 	return nil
 }
 
-// OnInputs records an input step.
+// OnInputs records an input step of fresh wires.
 func (sc *scheduler) OnInputs(p Party, ws []uint32) error {
 	ssaWires := make([]uint32, len(ws))
 	sc.barrierStep(StepInputs, p, ssaWires)
 	for i, w := range ws {
-		ssaWires[i] = sc.define(w, sc.stepIdx, -1)
+		if sc.lookup(w) != nil {
+			return fmt.Errorf("circuit: input step declares live wire %d", w)
+		}
+		ssaWires[i] = sc.define(w, sc.at)
+		sc.vals[w].evalIn = p == Evaluator
 	}
 	return nil
 }
@@ -508,43 +605,52 @@ func (sc *scheduler) OnInputs(p Party, ws []uint32) error {
 func (sc *scheduler) OnOutputs(ws []uint32) error {
 	ssaWires := make([]uint32, len(ws))
 	for i, w := range ws {
-		v, err := sc.lookup(w)
-		if err != nil {
-			return fmt.Errorf("circuit: schedule output: %w", err)
+		v := sc.lookup(w)
+		if v == nil {
+			return fmt.Errorf("circuit: output step reads dead wire %d", w)
 		}
 		ssaWires[i] = v.id
 	}
 	sc.barrierStep(StepOutputs, 0, ssaWires)
 	for _, w := range ws {
-		touch(&sc.vals[w], sc.stepIdx, -1)
+		sc.vals[w].last = max(sc.vals[w].last, sc.at)
 	}
 	return nil
 }
 
-// rename walks the SSA schedule in execution order and assigns compact
+// sized returns buf with length n, keeping its contents, and its array
+// while that is large enough.
+func sized[T any](buf []T, n int) []T {
+	if n <= cap(buf) {
+		return buf[:n]
+	}
+	return append(buf[:cap(buf)], make([]T, n-cap(buf))...)
+}
+
+// rename walks the SSA fragment in execution order and assigns compact
 // wire ids with a level-aware free list: an id released by a level-L drop
 // becomes allocatable at level L+1 (never inside L, where its old value
 // may still be read concurrently). Each run's gates are first bucketed by
 // (level, kind) into their place in Schedule.Gates, and its drops by level,
-// both with a stable counting sort, so each bucket keeps tape order.
+// both with a stable counting sort, so each bucket keeps arrival order. The
+// free list, the ids handed out and the AND count carry on to the next
+// fragment.
 func (sc *scheduler) rename() *Schedule {
 	levels, widest := 0, 0
 	for _, r := range sc.runs {
 		levels += int(r.levels)
 		widest = max(widest, int(r.levels))
 	}
-	s := &Schedule{
-		Steps:  sc.steps,
-		Levels: make([]Level, 0, levels),
-		Gates:  make([]Gate, len(sc.gates)),
-	}
-	drops := make([]uint32, len(sc.drops))
-	gateEnds := make([]int, 3*widest)  // per level: full ANDs, half ANDs, free gates
-	dropEnds := make([]int, 1+widest)  // pre-drops, then per level
-	renamed := make([]uint32, sc.nssa) // SSA id -> compact wire id
+	sc.levels = sized(sc.levels, levels)[:0]
+	sc.out = sized(sc.out, len(sc.gates))
+	sc.outDrops = sized(sc.outDrops, len(sc.drops))
+	sc.gateEnds = sized(sc.gateEnds, 3*widest) // per level: full ANDs, half ANDs, free gates
+	sc.dropEnds = sized(sc.dropEnds, 1+widest) // pre-drops, then per level
+	sc.renamed = sized(sc.renamed, int(sc.nssa))
+	s := &Schedule{Steps: sc.steps, Levels: sc.levels, Gates: sc.out}
+	drops, renamed := sc.outDrops, sc.renamed
 	renamed[WTrue] = WTrue
-	next := uint32(2)
-	var free []uint32
+	next, free := sc.next, sc.free
 	alloc := func(ssa uint32) uint32 {
 		var id uint32
 		if n := len(free); n > 0 {
@@ -582,9 +688,9 @@ func (sc *scheduler) rename() *Schedule {
 			ri++
 			gateHi, dropHi := sc.runs[ri].gates, sc.runs[ri].drops
 			n := int(r.levels)
-			gates, ends := s.Gates[r.gates:gateHi], gateEnds[:3*n]
+			gates, ends := s.Gates[r.gates:gateHi], sc.gateEnds[:3*n]
 			bucket(sc.gates[r.gates:gateHi], gates, sc.gateKeys[r.gates:gateHi], ends)
-			ds, dends := drops[r.drops:dropHi], dropEnds[:1+n]
+			ds, dends := drops[r.drops:dropHi], sc.dropEnds[:1+n]
 			bucket(sc.drops[r.drops:dropHi], ds, sc.dropKeys[r.drops:dropHi], dends)
 			st.First = len(s.Levels)
 			st.N = n
@@ -597,7 +703,7 @@ func (sc *scheduler) rename() *Schedule {
 					ANDs:    half - lo,
 					Halves:  half - full,
 					Frees:   hi - half,
-					GIDBase: uint64(s.ANDs),
+					GIDBase: sc.gid + uint64(s.ANDs),
 				}
 				// Outputs allocate before the level's drops release, so
 				// an id read at this level is never redefined in it.
@@ -618,6 +724,8 @@ func (sc *scheduler) rename() *Schedule {
 		}
 	}
 	s.NumWires = next
+	sc.next, sc.free = next, free
+	sc.gid += uint64(s.ANDs)
 	return s
 }
 

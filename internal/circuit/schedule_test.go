@@ -64,19 +64,40 @@ func tapePlainEval(t *testing.T, tape *Tape, gb, eb []bool) []bool {
 }
 
 // schedPlainEval executes the schedule step by step, enforcing the
-// engine's contract as it goes: a value must be present when read, levels
-// must not read a wire written in the same level nor write one twice,
-// drops must not kill values that are still needed, a level's half ANDs
-// trail its full ones, and a half AND's B still holds what an evaluator
-// input step put there.
+// engine's contract as it goes (plainRun.fragment).
 func schedPlainEval(t *testing.T, s *Schedule, gb, eb []bool) []bool {
 	t.Helper()
-	vals := make([]bool, s.NumWires)
-	have := make([]bool, s.NumWires)
-	evalIn := make([]bool, s.NumWires) // holds a raw evaluator input
-	vals[WTrue] = true
-	have[WFalse] = true
-	have[WTrue] = true
+	r := newPlainRun(gb, eb)
+	r.fragment(t, s)
+	return r.out
+}
+
+// plainRun executes a schedule, or a stream's fragments in order, on
+// plaintext bits, carrying the wires' values and the AND count from one
+// fragment to the next.
+type plainRun struct {
+	vals, have []bool
+	evalIn     []bool // holds a raw evaluator input
+	gb, eb     []bool // the inputs not consumed yet
+	out        []bool
+	gid        uint64
+}
+
+func newPlainRun(gb, eb []bool) *plainRun {
+	return &plainRun{vals: []bool{false, true}, have: []bool{true, true}, evalIn: make([]bool, 2), gb: gb, eb: eb}
+}
+
+// fragment executes s, enforcing the engine's contract as it goes: a value
+// must be present when read, levels must not read a wire written in the
+// same level nor write one twice, drops must not kill values that are
+// still needed, a level's half ANDs trail its full ones, and a half AND's B
+// still holds what an evaluator input step put there.
+func (r *plainRun) fragment(t *testing.T, s *Schedule) {
+	t.Helper()
+	for n := int(s.NumWires); len(r.vals) < n; {
+		r.vals, r.have, r.evalIn = append(r.vals, false), append(r.have, false), append(r.evalIn, false)
+	}
+	vals, have, evalIn := r.vals, r.have, r.evalIn
 	read := func(w uint32, where string) bool {
 		if w >= s.NumWires {
 			t.Fatalf("%s reads wire %d outside namespace %d", where, w, s.NumWires)
@@ -94,15 +115,14 @@ func schedPlainEval(t *testing.T, s *Schedule, gb, eb []bool) []bool {
 			have[w] = false
 		}
 	}
-	var out []bool
-	gid := uint64(0)
+	gid := r.gid
 	for si := range s.Steps {
 		st := &s.Steps[si]
 		switch st.Kind {
 		case StepInputs:
-			src := &gb
+			src := &r.gb
 			if st.Party == Evaluator {
-				src = &eb
+				src = &r.eb
 			}
 			for _, w := range st.Wires {
 				if len(*src) == 0 {
@@ -115,7 +135,7 @@ func schedPlainEval(t *testing.T, s *Schedule, gb, eb []bool) []bool {
 			}
 		case StepOutputs:
 			for _, w := range st.Wires {
-				out = append(out, read(w, "output step"))
+				r.out = append(r.out, read(w, "output step"))
 			}
 		case StepLevels:
 			drop(st.PreDrops)
@@ -185,13 +205,13 @@ func schedPlainEval(t *testing.T, s *Schedule, gb, eb []bool) []bool {
 			}
 		}
 	}
-	if want := int64(gid); want != s.ANDs {
+	if want := int64(gid - r.gid); want != s.ANDs {
 		t.Fatalf("schedule reports %d ANDs, levels carry %d", s.ANDs, want)
 	}
 	if want := 16 * (2*s.ANDs - s.Halves); s.TableBytes() != want {
 		t.Fatalf("schedule reports %d table bytes, want 16 per ciphertext = %d", s.TableBytes(), want)
 	}
-	return out
+	r.gid = gid
 }
 
 // buildRandomTape drives a recycling Builder through a random circuit:
@@ -484,9 +504,10 @@ func TestScheduleRefusesHalfANDOffInput(t *testing.T) {
 // tapeFromBytes decodes fuzz input into a tape, four bytes per event: an
 // opcode byte, then bytes that name a wire the tape has defined and not
 // dropped (operands; drops, which name a dead wire when the byte points
-// past them) or any of 24 wires (gate outputs and input wires, which may
-// overwrite a live one). Most decoded tapes compile; a half AND whose B is
-// not an evaluator input does not.
+// past them) or, for gate outputs and input wires, one of 24 wires that is
+// not live — or any of them, live or not, for a byte from 240 on, which
+// the scheduler refuses to overwrite. Most decoded tapes compile; a half AND
+// whose B is not an evaluator input does not.
 func tapeFromBytes(data []byte) *Tape {
 	tape := NewTape()
 	live := []uint32{WFalse, WTrue}
@@ -496,27 +517,36 @@ func tapeFromBytes(data []byte) *Tape {
 		}
 		return live[int(b)%len(live)]
 	}
-	define := func(ws ...uint32) []uint32 {
-		for _, w := range ws {
+	define := func(b byte) uint32 {
+		var dead []uint32
+		for w := uint32(0); w < 24 && b < 240; w++ {
 			if !slices.Contains(live, w) {
-				live = append(live, w)
+				dead = append(dead, w)
 			}
 		}
-		return ws
+		w := uint32(b % 24)
+		if len(dead) > 0 {
+			w = dead[int(b)%len(dead)]
+		}
+		if !slices.Contains(live, w) {
+			live = append(live, w)
+		}
+		return w
 	}
 	for ; len(data) >= 4; data = data[4:] {
 		n := 1 + int(data[0]/8%3)
-		fresh := []uint32{uint32(data[1] % 24), uint32(data[2] % 24), uint32(data[3] % 24)}[:n]
 		switch data[0] % 8 {
 		case 0, 1, 3:
 			op := map[byte]Op{0: XOR, 1: AND, 3: HalfAND}[data[0]%8]
-			tape.OnGate(Gate{Op: op, A: operand(data[1]), B: operand(data[2]), Out: define(uint32(data[3] % 24))[0]})
+			tape.OnGate(Gate{Op: op, A: operand(data[1]), B: operand(data[2]), Out: define(data[3])})
 		case 2:
-			tape.OnGate(Gate{Op: INV, A: operand(data[1]), Out: define(uint32(data[3] % 24))[0]})
-		case 4:
-			tape.OnInputs(Garbler, define(fresh...))
-		case 5:
-			tape.OnInputs(Evaluator, define(fresh...))
+			tape.OnGate(Gate{Op: INV, A: operand(data[1]), Out: define(data[3])})
+		case 4, 5:
+			ws := make([]uint32, n)
+			for i := range ws {
+				ws[i] = define(data[1+i])
+			}
+			tape.OnInputs(map[byte]Party{4: Garbler, 5: Evaluator}[data[0]%8], ws)
 		case 6:
 			tape.OnOutputs([]uint32{operand(data[1]), operand(data[2]), operand(data[3])}[:n])
 		case 7:
@@ -531,33 +561,128 @@ func tapeFromBytes(data []byte) *Tape {
 	return tape
 }
 
-// FuzzScheduleCheck: whenever the scheduler accepts a tape, the schedule it
-// builds passes Check — the check NewSchedule runs is never what refuses a
-// tape — and computes what the tape computes.
+// FuzzScheduleCheck: whenever the scheduler accepts a tape, in one
+// schedule or in fragments of a window of 1 to 31 gates, each fragment it
+// hands off passes the checker carried from the fragments before it — the
+// check NewSchedule and Stream run is never what refuses a tape — and the
+// fragments compute what the tape computes.
 func FuzzScheduleCheck(f *testing.F) {
-	f.Add([]byte{})
-	f.Add([]byte{4 + 16, 2, 3, 4, 5 + 8, 5, 6, 7, 1, 2, 3, 8, 3, 2, 5, 9, 7, 2, 0, 0, 0, 8, 9, 10, 6 + 8, 10, 9, 0})
-	f.Add([]byte{4 + 16, 2, 3, 4, 1, 2, 3, 5, 7, 5, 0, 0, 0, 2, 4, 5, 7, 2, 0, 0, 2, 3, 0, 2, 4 + 8, 6, 7, 0, 1, 6, 7, 2, 6, 2, 5, 0})
-	f.Fuzz(func(t *testing.T, data []byte) {
+	f.Add(uint8(0), []byte{})
+	f.Add(uint8(0), []byte{4 + 16, 2, 3, 4, 5 + 8, 5, 6, 7, 1, 2, 3, 8, 3, 2, 5, 9, 7, 2, 0, 0, 0, 8, 9, 10, 6 + 8, 10, 9, 0})
+	f.Add(uint8(0), []byte{4 + 16, 2, 3, 4, 1, 2, 3, 5, 7, 5, 0, 0, 0, 2, 4, 5, 7, 2, 0, 0, 2, 3, 0, 2, 4 + 8, 6, 7, 0, 1, 6, 7, 2, 6, 2, 5, 0})
+	f.Add(uint8(1), []byte{4 + 16, 2, 3, 4, 5 + 8, 5, 6, 7, 1, 2, 3, 8, 3, 2, 5, 9, 7, 2, 0, 0, 0, 8, 9, 10, 6 + 8, 10, 9, 0})
+	f.Add(uint8(2), []byte{4 + 16, 2, 3, 4, 1, 2, 3, 5, 7, 5, 0, 0, 0, 2, 4, 5, 7, 2, 0, 0, 2, 3, 0, 2, 4 + 8, 6, 7, 0, 1, 6, 7, 2, 6, 2, 5, 0})
+	f.Add(uint8(1), []byte(",000000070000100")) // a value carried over a hand-off and read after it
+	f.Fuzz(func(t *testing.T, window uint8, data []byte) {
 		tape := tapeFromBytes(data)
-		s, err := compile(tape)
-		if err != nil {
-			return
-		}
-		if err := s.Check(); err != nil {
-			t.Fatalf("Check refuses what the scheduler built: %v\n%v", err, s)
-		}
 		st := tape.Stats()
 		r := rand.New(rand.NewSource(int64(len(data))))
 		gb, eb := randomBits(r, int(st.GarblerInputs)), randomBits(r, int(st.EvaluatorInputs))
+		ck, run := newChecker(), newPlainRun(gb, eb)
+		sc := newScheduler(2, int(window%32), func(s *Schedule) error {
+			if err := ck.check(s); err != nil {
+				t.Fatalf("the check refuses what the scheduler built: %v\n%v", err, s)
+			}
+			run.fragment(t, s)
+			return nil
+		})
+		if err := tape.Replay(sc); err != nil {
+			return
+		}
+		if err := sc.handOff(); err != nil {
+			t.Fatal(err)
+		}
 		want := tapePlainEval(t, tape, gb, eb)
-		got := schedPlainEval(t, s, gb, eb)
+		if len(run.out) != len(want) {
+			t.Fatalf("%d outputs, the tape computes %d", len(run.out), len(want))
+		}
 		for i := range want {
-			if got[i] != want[i] {
-				t.Fatalf("output %d = %v, the tape computes %v", i, got[i], want[i])
+			if run.out[i] != want[i] {
+				t.Fatalf("output %d = %v, the tape computes %v", i, run.out[i], want[i])
 			}
 		}
 	})
+}
+
+// TestStreamHandsOffEveryWindow pins the cut: with a window of W, a
+// fragment is handed off whenever W gates have arrived since the last, and
+// its open level run closes there. AND indices and wire ids carry across
+// fragments: a value defined in the first fragment and read in the second
+// and third keeps its wire id, and the id of one dropped in the second is
+// reused there.
+func TestStreamHandsOffEveryWindow(t *testing.T) {
+	and := func(a, b, out uint32) Gate { return Gate{Op: AND, A: a, B: b, Out: out} }
+	x := func(a, b, out uint32) Gate { return Gate{Op: XOR, A: a, B: b, Out: out} }
+	drop := func(w uint32) Gate { return Gate{Op: 255, Out: w} }
+	var frags []*Schedule
+	err := Stream(2, func(s Sink) error {
+		if err := s.OnInputs(Garbler, []uint32{2, 3, 4}); err != nil {
+			return err
+		}
+		for _, g := range []Gate{
+			and(2, 3, 10), and(3, 4, 11), // the first fragment
+			x(2, 3, 12), drop(11), and(10, 4, 13), // the second: 11 dies, 10 is read
+			x(10, 13, 14), // the third: 10 again, and 13
+		} {
+			var err error
+			if g.Op == 255 {
+				err = s.OnDrop(g.Out)
+			} else {
+				err = s.OnGate(g)
+			}
+			if err != nil {
+				return err
+			}
+		}
+		return s.OnOutputs([]uint32{14, 12})
+	}, func(s *Schedule) error {
+		frags = append(frags, cloneSchedule(s))
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(frags) != 3 {
+		t.Fatalf("%d fragments, want 3 (a window of 2 over 5 gates)", len(frags))
+	}
+	var gid uint64
+	var wires uint32
+	for i, s := range frags {
+		if n := len(s.Gates); n != min(2, 5-2*i) {
+			t.Fatalf("fragment %d holds %d gates", i, n)
+		}
+		runs := 0
+		for _, st := range s.Steps {
+			if st.Kind == StepLevels && st.N > 0 {
+				runs++
+			}
+		}
+		if runs != 1 || len(s.Levels) != 1 {
+			t.Fatalf("fragment %d holds %d level runs of %d levels, want its own one of one", i, runs, len(s.Levels))
+		}
+		if lv := &s.Levels[0]; lv.GIDBase != gid {
+			t.Fatalf("fragment %d numbers its ANDs from %d, want %d", i, lv.GIDBase, gid)
+		}
+		gid += uint64(s.ANDs)
+		if s.NumWires < wires {
+			t.Fatalf("fragment %d has %d wires, fewer than the %d before it", i, s.NumWires, wires)
+		}
+		wires = s.NumWires
+	}
+	// A level holds its full ANDs before its free gates.
+	w10, w11 := frags[0].Gates[0].Out, frags[0].Gates[1].Out
+	and13, x12 := frags[1].Gates[0], frags[1].Gates[1]
+	if and13.A != w10 || and13.Out != w11 || !slices.Equal(frags[1].Steps[0].PreDrops, []uint32{w11}) {
+		t.Fatalf("the second fragment's AND %+v after pre-drops %v; want it to read %d and write the freed %d",
+			and13, frags[1].Steps[0].PreDrops, w10, w11)
+	}
+	x14 := frags[2].Gates[0]
+	if x14.A != w10 || x14.B != and13.Out {
+		t.Fatalf("the third fragment's XOR %+v, want it to read %d and %d", x14, w10, and13.Out)
+	}
+	if out := frags[2].Steps[len(frags[2].Steps)-1]; out.Kind != StepOutputs || !slices.Equal(out.Wires, []uint32{x14.Out, x12.Out}) {
+		t.Fatalf("output step %+v, want wires %d and %d", out, x14.Out, x12.Out)
+	}
 }
 
 // cloneSchedule copies s deep enough that editing the copy's steps, levels,

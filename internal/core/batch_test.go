@@ -4,14 +4,19 @@ import (
 	"bytes"
 	"encoding/binary"
 	"fmt"
+	"io"
 	"math/rand"
+	"net"
 	"runtime"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"deepsecure/internal/act"
 	"deepsecure/internal/fixed"
+	"deepsecure/internal/testutil"
 	"deepsecure/internal/transport"
 )
 
@@ -369,19 +374,42 @@ func TestBatchServerEnforcesMax(t *testing.T) {
 	}
 }
 
-// TestSessionFrameCapsRefuseBeforeAllocating: a live session bounds every
-// frame type a client sends outside the table stream, so five bytes — a
-// header announcing a gigabyte — are refused from the header alone instead
-// of being read whole into the inbox for the engine to measure. The OT
-// frames are capped at 0: after set-up none is legal.
+// TestSessionFrameCapsRefuseBeforeAllocating: after set-up a session party
+// reads only the frame types its peer may send — a server an inference's
+// frames and the end marker, a client an answer — with each capped, and
+// every other type capped at 0. So five bytes, a header announcing a
+// gigabyte, are refused from the header alone instead of being read whole
+// into the inbox, for every type of either direction but the table stream
+// and the answer, whose caps TestTableFrameCapRefusesBeforeAllocating and
+// TestHostileServerFramesCapped pin; a type past the defined ones (200) the
+// transport refuses whatever its size.
 func TestSessionFrameCapsRefuseBeforeAllocating(t *testing.T) {
-	net := testNet(t, act.ReLU, 77)
-	for _, typ := range []transport.MsgType{
-		transport.MsgInferBegin, transport.MsgConstLabels, transport.MsgInputLabels, transport.MsgEndSession,
-		transport.MsgOTMasked, transport.MsgOTRefill, transport.MsgOTExtU, transport.MsgOTExtY,
-	} {
+	defer testutil.VerifyNoLeaks(t)()
+	model := testNet(t, act.ReLU, 77)
+	// types lists every type up to the last defined, but skip, and 200.
+	types := func(skip transport.MsgType) []transport.MsgType {
+		var ts []transport.MsgType
+		for typ := transport.MsgType(0); typ <= transport.MsgBusy; typ++ {
+			if typ != skip {
+				ts = append(ts, typ)
+			}
+		}
+		return append(ts, 200)
+	}
+	// refusal is the error a header of typ must meet: a legal type's cap,
+	// whatever it is, and 0 for every other.
+	refusal := func(typ transport.MsgType, legal ...transport.MsgType) string {
+		switch {
+		case typ == 200:
+			return "transport: frame of unknown type 200"
+		case slices.Contains(legal, typ):
+			return fmt.Sprintf("transport: %v frame of %d bytes exceeds its limit of ", typ, transport.MaxFrame)
+		}
+		return fmt.Sprintf("transport: %v frame of %d bytes exceeds its limit of 0", typ, transport.MaxFrame)
+	}
+	for _, typ := range types(transport.MsgTables) {
 		c2s, s2c := newLogHalf(), newLogHalf()
-		srv := &Server{Net: net, Fmt: fixed.Default, Rng: rand.New(rand.NewSource(95)), Engine: EngineConfig{MaxBatch: 2}}
+		srv := &Server{Net: model, Fmt: fixed.Default, Rng: rand.New(rand.NewSource(95)), Engine: EngineConfig{MaxBatch: 2}}
 		var wg sync.WaitGroup
 		var srvErr error
 		wg.Add(1)
@@ -402,11 +430,32 @@ func TestSessionFrameCapsRefuseBeforeAllocating(t *testing.T) {
 		}
 		wg.Wait()
 		runtime.ReadMemStats(&after)
-		if want := fmt.Sprintf("transport: %v frame of %d bytes exceeds its limit of ", typ, transport.MaxFrame); srvErr == nil || !strings.HasPrefix(srvErr.Error(), want) {
-			t.Errorf("1 GiB %v header: server error = %v, want %q…", typ, srvErr, want)
+		want := refusal(typ, transport.MsgInferBegin, transport.MsgConstLabels, transport.MsgInputLabels)
+		if srvErr == nil || !strings.HasPrefix(srvErr.Error(), want) || !slices.Contains([]transport.MsgType{transport.MsgInferBegin, transport.MsgConstLabels, transport.MsgInputLabels}, typ) && srvErr.Error() != want {
+			t.Errorf("1 GiB %v header to a server: error = %v, want %q…", typ, srvErr, want)
 		}
 		if grew := after.TotalAlloc - before.TotalAlloc; grew > 1<<20 {
 			t.Errorf("refusing a 1 GiB %v header allocated %d bytes", typ, grew)
+		}
+		c2s.close()
+		s2c.close()
+	}
+	// A client waiting for an answer: the server's answer header is swapped
+	// for one of another type announcing a gigabyte, whose payload never
+	// comes, so a client that read on would wait for its deadline.
+	for _, typ := range types(transport.MsgOutputLabels) {
+		cEnd, toClient := net.Pipe()
+		toServer, sEnd := net.Pipe()
+		cEnd.SetDeadline(time.Now().Add(5 * time.Second))
+		go (&Server{Net: model, Fmt: fixed.Default}).ServeSession(transport.New(sEnd))        //nolint:errcheck — the server's session dies with the pipes
+		go io.Copy(toServer, toClient)                                                        //nolint:errcheck — the client's frames go through untouched
+		go headerSwap(toClient, toServer, transport.MsgOutputLabels, typ, transport.MaxFrame) //nolint:errcheck
+		_, _, err := (&Client{}).Infer(transport.New(cEnd), []float64{0.5, -0.25, 0.75, -1, 0.125, 0.3})
+		if want := refusal(typ); err == nil || err.Error() != want {
+			t.Errorf("1 GiB %v header to a client: error = %v, want %q…", typ, err, want)
+		}
+		for _, c := range []net.Conn{cEnd, toClient, toServer, sEnd} {
+			c.Close()
 		}
 	}
 }

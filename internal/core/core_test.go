@@ -246,6 +246,36 @@ func TestBadHelloRejected(t *testing.T) {
 	}
 }
 
+// TestOutsourcedOldHelloRefused: "deepsecure-outsourced/1" cut the §3.3
+// stream's levels greedily, so its tables come in another order at other
+// AND indices. The proxy refuses a client, and the main server a proxy,
+// that opens with it, before anything else moves.
+func TestOutsourcedOldHelloRefused(t *testing.T) {
+	const old = "deepsecure-outsourced/1"
+	want := fmt.Sprintf("core: unknown protocol %q", old)
+	for _, party := range []string{"proxy", "server"} {
+		peer, conn, closer := transport.Pipe()
+		other, _, closer2 := transport.Pipe()
+		if err := peer.Send(transport.MsgHello, []byte(old)); err != nil {
+			t.Fatal(err)
+		}
+		if err := peer.Flush(); err != nil {
+			t.Fatal(err)
+		}
+		var err error
+		if party == "proxy" {
+			err = (&Proxy{}).Run(conn, other)
+		} else {
+			err = (&Server{Net: testNet(t, act.ReLU, 8), Fmt: fixed.Default}).ServeOutsourced(conn, other)
+		}
+		closer.Close()
+		closer2.Close()
+		if err == nil || err.Error() != want {
+			t.Fatalf("%s: %v, want %q", party, err, want)
+		}
+	}
+}
+
 func TestWrongFeatureCountRejected(t *testing.T) {
 	cConn, sConn, closer := transport.Pipe()
 	defer closer.Close()

@@ -16,8 +16,8 @@ import (
 // This file is the level-scheduled execution engine every garbled circuit
 // runs on. A session inference runs it over the compiled circuit.Schedule,
 // as a staged pipeline; the §3.3 outsourced path, which never materialises
-// its netlist, feeds the same engine's input, output and level steps from
-// the generator's stream (stream.go):
+// its netlist, runs it over the fragments circuit's scheduler levels from
+// the generator's stream a window at a time (stream.go):
 //
 //	garbler:   [garble workers] → chunk buffer → conn
 //	evaluator: conn → table cursor → [eval workers]
@@ -46,8 +46,9 @@ import (
 // engine's goroutine, exactly where the tape recorded them; an
 // evaluator-input step moves no byte.
 //
-// The engines run a schedule circuit.NewSchedule has checked (Schedule.Check)
-// and check nothing about its gates themselves: they walk neither Drops nor
+// The engines run a schedule circuit.NewSchedule has checked (Schedule.Check),
+// or a fragment circuit.Stream has, and check nothing about its gates
+// themselves: they walk neither Drops nor
 // PreDrops, and the label array they write is one per session, handed from
 // inference to inference and grown only when NumWires × B grows, never
 // zeroed — a checked schedule writes every wire before it reads it. A level
@@ -194,29 +195,21 @@ type garbleEngine struct {
 func (en *garbleEngine) run() error {
 	en.g.Grow(en.sched.NumWires)
 	for si := range en.sched.Steps {
-		if err := en.step(&en.sched.Steps[si]); err != nil {
+		var err error
+		switch st := &en.sched.Steps[si]; st.Kind {
+		case circuit.StepInputs:
+			err = en.doInputs(st)
+		case circuit.StepOutputs:
+			err = en.doOutputs(st)
+		default:
+			err = en.doLevels(st)
+		}
+		if err != nil {
 			return err
 		}
 	}
 	return nil
 }
-
-// step runs one step of a schedule, or a declaration of a stream once the
-// tables of the levels before it have gone.
-func (en *garbleEngine) step(st *circuit.Step) error {
-	if err := en.send(); err != nil {
-		return err
-	}
-	switch st.Kind {
-	case circuit.StepInputs:
-		return en.doInputs(st)
-	case circuit.StepOutputs:
-		return en.doOutputs(st)
-	}
-	return en.doLevels(st)
-}
-
-func (en *garbleEngine) grow(n uint32) { en.g.Grow(n) }
 
 // doInputs draws a client step's zero-labels and sends its active labels.
 // An evaluator step sends nothing: its weight wires take the session's
@@ -282,9 +275,7 @@ func (en *garbleEngine) doLevels(st *circuit.Step) error {
 	}
 	start, sent := time.Now(), en.writeTime
 	for li := st.First; li < st.First+st.N; li++ {
-		lv := &en.sched.Levels[li]
-		ands, frees := en.sched.LevelGates(lv)
-		if err := en.level(ands, frees, lv.GIDBase, lv.TableBytes()*b); err != nil {
+		if err := en.level(&en.sched.Levels[li], b); err != nil {
 			return err
 		}
 	}
@@ -293,12 +284,13 @@ func (en *garbleEngine) doLevels(st *circuit.Step) error {
 	return err
 }
 
-// level garbles one level, whose tables take need bytes, into the table
-// buffer, and sends the buffer once it holds a chunk.
-func (en *garbleEngine) level(ands, frees []circuit.Gate, gidBase uint64, need int) error {
-	off := len(en.cur)
+// level garbles one level for b samples into the table buffer, and sends
+// the buffer once it holds a chunk.
+func (en *garbleEngine) level(lv *circuit.Level, b int) error {
+	off, need := len(en.cur), lv.TableBytes()*b
 	en.cur = slices.Grow(en.cur, need)[:off+need]
-	if err := en.g.GarbleLevel(ands, frees, gidBase, en.cur[off:], en.pool); err != nil {
+	ands, frees := en.sched.LevelGates(lv)
+	if err := en.g.GarbleLevel(ands, frees, lv.GIDBase, en.cur[off:], en.pool); err != nil {
 		return err
 	}
 	if len(en.cur) >= en.chunk() {
@@ -327,9 +319,6 @@ func (en *garbleEngine) send() error {
 	en.cur = en.cur[:0]
 	return err
 }
-
-// finish ends a stream: its last tables go.
-func (en *garbleEngine) finish() error { return en.send() }
 
 // evalEngine runs the evaluator's side of one inference of b = e.B()
 // samples over a compiled schedule.
@@ -365,25 +354,21 @@ type evalEngine struct {
 func (en *evalEngine) run() error {
 	en.e.Grow(en.sched.NumWires)
 	for si := range en.sched.Steps {
-		if err := en.step(&en.sched.Steps[si]); err != nil {
+		var err error
+		switch st := &en.sched.Steps[si]; st.Kind {
+		case circuit.StepInputs:
+			err = en.doInputs(st)
+		case circuit.StepOutputs:
+			err = en.doOutputs(st)
+		default:
+			err = en.doLevels(st)
+		}
+		if err != nil {
 			return err
 		}
 	}
 	return nil
 }
-
-// step runs one step of a schedule or a declaration of a stream.
-func (en *evalEngine) step(st *circuit.Step) error {
-	switch st.Kind {
-	case circuit.StepInputs:
-		return en.doInputs(st)
-	case circuit.StepOutputs:
-		return en.doOutputs(st)
-	}
-	return en.doLevels(st)
-}
-
-func (en *evalEngine) grow(n uint32) { en.e.Grow(n) }
 
 func (en *evalEngine) doInputs(st *circuit.Step) error {
 	if st.Party == circuit.Garbler {
@@ -466,9 +451,7 @@ func (en *evalEngine) doLevels(st *circuit.Step) error {
 	en.tr = startTableRun(en.conn, st.TableBytes*b, en.recycle)
 	var err error
 	for li := st.First; li < st.First+st.N && err == nil; li++ {
-		lv := &en.sched.Levels[li]
-		ands, frees := en.sched.LevelGates(lv)
-		err = en.level(ands, frees, lv.GIDBase, lv.TableBytes()*b)
+		err = en.level(&en.sched.Levels[li], b)
 	}
 	err = en.tr.finish(err)
 	en.gateTime += time.Since(start) - en.tr.readTime
@@ -476,13 +459,15 @@ func (en *evalEngine) doLevels(st *circuit.Step) error {
 	return err
 }
 
-// level evaluates one level on the next need bytes of the table run.
-func (en *evalEngine) level(ands, frees []circuit.Gate, gidBase uint64, need int) error {
-	block, err := en.tr.level(need)
+// level evaluates one level for b samples on the next bytes of the table
+// run.
+func (en *evalEngine) level(lv *circuit.Level, b int) error {
+	block, err := en.tr.level(lv.TableBytes() * b)
 	if err != nil {
 		return err
 	}
-	if err := en.e.EvaluateLevel(ands, frees, gidBase, block, en.pool); err != nil {
+	ands, frees := en.sched.LevelGates(lv)
+	if err := en.e.EvaluateLevel(ands, frees, lv.GIDBase, block, en.pool); err != nil {
 		return err
 	}
 	if en.progress != nil {
@@ -490,9 +475,6 @@ func (en *evalEngine) level(ands, frees []circuit.Gate, gidBase uint64, need int
 	}
 	return nil
 }
-
-// finish ends a stream: no table byte may be left over.
-func (en *evalEngine) finish() error { return en.tr.finish(nil) }
 
 // tableRun streams one level run's garbled tables to an evaluation
 // engine: constructed per StepLevels step with the run's total byte

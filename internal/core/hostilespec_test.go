@@ -5,10 +5,12 @@ import (
 	"fmt"
 	"io"
 	"net"
+	"strings"
 	"testing"
 	"time"
 
 	"deepsecure/internal/act"
+	"deepsecure/internal/circuit"
 	"deepsecure/internal/fixed"
 	"deepsecure/internal/gc"
 	"deepsecure/internal/nn"
@@ -124,7 +126,8 @@ func headerSwap(dst io.Writer, src io.Reader, at, as transport.MsgType, size uin
 // TestHostileServerFramesCapped: a server frame whose header announces more
 // than the protocol state allows is refused from the header alone — the
 // architecture frame past its header and nn.MaxSpecBytes, a busy answer in
-// its place, the window announcement, the set-up OT's U past what the
+// its place, the window announcement, a base-phase frame past the largest
+// of the phase's three (k points), the set-up OT's U past what the
 // client's W weight bits take, and an inference's answer, whose cap is a
 // label per output wire and sample at the batch cap. The announced
 // payload never arrives, so a client that tried to read it would wait for
@@ -147,6 +150,7 @@ func TestHostileServerFramesCapped(t *testing.T) {
 		{"arch", transport.MsgArch, transport.MsgArch, archHeader + nn.MaxSpecBytes},
 		{"busy", transport.MsgArch, transport.MsgBusy, uvarint},
 		{"pipeline", transport.MsgPipeline, transport.MsgPipeline, 2 * uvarint},
+		{"ot-base", transport.MsgOTBase, transport.MsgOTBase, maxOTBase},
 		{"ot-ext-u", transport.MsgOTExtU, transport.MsgOTExtU, ot.ExtULen(testNetWeightBits)},
 		{"outputs", transport.MsgOutputLabels, transport.MsgOutputLabels, int(prog.Stats.Outputs) * DefaultMaxBatch * gc.LabelSize},
 	} {
@@ -163,8 +167,9 @@ func TestHostileServerFramesCapped(t *testing.T) {
 			go io.Copy(toServer, toClient)                                     //nolint:errcheck — the client's frames go through untouched
 			go headerSwap(toClient, toServer, tc.at, tc.as, uint32(oversized)) //nolint:errcheck
 			_, _, err := (&Client{}).Infer(transport.New(cEnd), []float64{0.5, -0.25, 0.75, -1, 0.125, 0.3})
+			// The OT stack names its phase before the transport's refusal.
 			want := fmt.Sprintf("transport: %v frame of %d bytes exceeds its limit of %d", tc.as, oversized, tc.limit)
-			if err == nil || err.Error() != want {
+			if err == nil || !strings.HasSuffix(err.Error(), want) {
 				t.Fatalf("err = %v, want %q", err, want)
 			}
 		})
@@ -210,11 +215,14 @@ func TestHostileClientSetupAnswerCapped(t *testing.T) {
 // than the protocol state allows is refused from the header alone, by the
 // party it was meant for. The client caps the architecture at
 // nn.MaxSpecBytes and both decode halves at the packed label width; the
-// proxy caps the architecture, the client's share and the set-up OT's U at
-// what W OTs take; the main server caps the client's share, the set-up
-// OT's answer at W label pairs, the constants at two labels, the proxy's
-// input labels at its share's, and a table frame at a chunk and one
-// streamed level's tables.
+// proxy caps the architecture, the client's share, the base phase's frames
+// at the largest of them (k points) and the set-up OT's U at what W OTs
+// take; the main server caps the client's share, the base phase's frames
+// likewise, the set-up OT's answer at W label pairs, the constants at two
+// labels, the proxy's
+// input labels at its share's, and a table frame at one level run's tables,
+// which hold at most a window's gates. Every type a party never reads on a
+// link is capped at 0 there.
 func TestOutsourcedFramesCapped(t *testing.T) {
 	defer testutil.VerifyNoLeaks(t)()
 	f := fixed.Default
@@ -223,6 +231,56 @@ func TestOutsourcedFramesCapped(t *testing.T) {
 	w := n + nn.WeightBitCount(model, f)
 	labelBytes := (stdcell.IndexBits(model.Out().Len()) + 7) / 8
 	const client, proxy, server = 0, 1, 2
+	// swap runs the three parties with the first at frame from → to
+	// replaced by a header of type as announcing size bytes, and returns
+	// the error of the party it was meant for.
+	swap := func(t *testing.T, from, to int, at, as transport.MsgType, size uint32) error {
+		// ends[a][b] is a's end of its link to b; every link runs through
+		// a relay, and the one from → to swaps the frame.
+		var ends [3][3]*transport.Conn
+		var pipes []net.Conn
+		for a := 0; a < 3; a++ {
+			for b := a + 1; b < 3; b++ {
+				aEnd, aRelay := net.Pipe()
+				bRelay, bEnd := net.Pipe()
+				pipes = append(pipes, aEnd, aRelay, bRelay, bEnd)
+				ends[a][b], ends[b][a] = transport.New(aEnd), transport.New(bEnd)
+				relay := func(dst io.Writer, src io.Reader, rf, rt int) {
+					if rf == from && rt == to {
+						headerSwap(dst, src, at, as, size) //nolint:errcheck
+						return
+					}
+					io.Copy(dst, src) //nolint:errcheck
+				}
+				go relay(bRelay, aRelay, a, b)
+				go relay(aRelay, bRelay, b, a)
+			}
+		}
+		defer func() {
+			for _, p := range pipes {
+				p.Close()
+			}
+		}()
+		errs := make([]chan error, 3)
+		for i := range errs {
+			errs[i] = make(chan error, 1)
+		}
+		go func() {
+			_, _, err := (&Client{}).InferOutsourced(ends[client][proxy], ends[client][server], []float64{0.5, -0.25, 0.75, -1, 0.125, 0.3})
+			errs[client] <- err
+		}()
+		go func() { errs[proxy] <- (&Proxy{}).Run(ends[proxy][client], ends[proxy][server]) }()
+		go func() {
+			errs[server] <- (&Server{Net: model, Fmt: f}).ServeOutsourced(ends[server][proxy], ends[server][client])
+		}()
+		select {
+		case err := <-errs[to]:
+			return err
+		case <-time.After(10 * time.Second):
+			t.Fatal("still reading 10 s after the oversized header")
+			return nil
+		}
+	}
 	for _, tc := range []struct {
 		name     string
 		from, to int // the link's two parties: the frame travels from → to
@@ -234,61 +292,41 @@ func TestOutsourcedFramesCapped(t *testing.T) {
 		{"client output labels", server, client, transport.MsgOutputLabels, labelBytes},
 		{"proxy arch", server, proxy, transport.MsgArch, nn.MaxSpecBytes},
 		{"proxy share", client, proxy, transport.MsgShare, (n + 7) / 8},
+		{"proxy ot-base", server, proxy, transport.MsgOTBase, maxOTBase},
 		{"proxy ot-ext-u", server, proxy, transport.MsgOTExtU, ot.ExtULen(w)},
 		{"server share", client, server, transport.MsgShare, (n + 7) / 8},
+		{"server ot-base", proxy, server, transport.MsgOTBase, maxOTBase},
 		{"server ot-ext-y", proxy, server, transport.MsgOTExtY, w * 2 * ot.MsgLen},
 		{"server const labels", proxy, server, transport.MsgConstLabels, 2 * gc.LabelSize},
 		{"server input labels", proxy, server, transport.MsgInputLabels, n * gc.LabelSize},
-		{"server tables", proxy, server, transport.MsgTables, maxStreamTables},
+		{"server tables", proxy, server, transport.MsgTables, streamWindow * circuit.AND.TableBytes()},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			// ends[a][b] is a's end of its link to b; every link runs
-			// through a relay, and the one from tc.from to tc.to swaps the
-			// capped frame for an oversized header.
-			var ends [3][3]*transport.Conn
-			var pipes []net.Conn
-			for a := 0; a < 3; a++ {
-				for b := a + 1; b < 3; b++ {
-					aEnd, aRelay := net.Pipe()
-					bRelay, bEnd := net.Pipe()
-					pipes = append(pipes, aEnd, aRelay, bRelay, bEnd)
-					ends[a][b], ends[b][a] = transport.New(aEnd), transport.New(bEnd)
-					relay := func(dst io.Writer, src io.Reader, from, to int) {
-						if from == tc.from && to == tc.to {
-							headerSwap(dst, src, tc.at, tc.at, uint32(tc.limit+1)) //nolint:errcheck
-							return
-						}
-						io.Copy(dst, src) //nolint:errcheck
-					}
-					go relay(bRelay, aRelay, a, b)
-					go relay(aRelay, bRelay, b, a)
-				}
-			}
-			defer func() {
-				for _, p := range pipes {
-					p.Close()
-				}
-			}()
-			errs := make([]chan error, 3)
-			for i := range errs {
-				errs[i] = make(chan error, 1)
-			}
-			go func() {
-				_, _, err := (&Client{}).InferOutsourced(ends[client][proxy], ends[client][server], []float64{0.5, -0.25, 0.75, -1, 0.125, 0.3})
-				errs[client] <- err
-			}()
-			go func() { errs[proxy] <- (&Proxy{}).Run(ends[proxy][client], ends[proxy][server]) }()
-			go func() {
-				errs[server] <- (&Server{Net: model, Fmt: f}).ServeOutsourced(ends[server][proxy], ends[server][client])
-			}()
+			// The OT stack names its phase before the transport's refusal.
 			want := fmt.Sprintf("transport: %v frame of %d bytes exceeds its limit of %d", tc.at, tc.limit+1, tc.limit)
-			select {
-			case err := <-errs[tc.to]:
-				if err == nil || err.Error() != want {
-					t.Fatalf("%v, want %q", err, want)
-				}
-			case <-time.After(10 * time.Second):
-				t.Fatal("still reading 10 s after the oversized header")
+			if err := swap(t, tc.from, tc.to, tc.at, tc.at, uint32(tc.limit+1)); err == nil || !strings.HasSuffix(err.Error(), want) {
+				t.Fatalf("%v, want %q", err, want)
+			}
+		})
+	}
+	// A type a party never reads on a link is capped at 0 there: the first
+	// frame it waits for on each link becomes a 1 GiB header of such a type.
+	for _, tc := range []struct {
+		name     string
+		from, to int
+		at, as   transport.MsgType
+	}{
+		{"client share for arch", proxy, client, transport.MsgArch, transport.MsgShare},
+		{"client tables for output labels", server, client, transport.MsgOutputLabels, transport.MsgTables},
+		{"proxy arch for share", client, proxy, transport.MsgShare, transport.MsgArch},
+		{"proxy tables for arch", server, proxy, transport.MsgArch, transport.MsgTables},
+		{"server tables for share", client, server, transport.MsgShare, transport.MsgTables},
+		{"server result for ot-base", proxy, server, transport.MsgOTBase, transport.MsgResult},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			want := fmt.Sprintf("transport: %v frame of %d bytes exceeds its limit of 0", tc.as, transport.MaxFrame)
+			if err := swap(t, tc.from, tc.to, tc.at, tc.as, transport.MaxFrame); err == nil || !strings.HasSuffix(err.Error(), want) {
+				t.Fatalf("%v, want %q", err, want)
 			}
 		})
 	}

@@ -146,7 +146,8 @@ func newSessionMux(srv *Server, conn *transport.Conn, weights []gc.Label, sched 
 	// step of every sample, a label per client wire, so the widest step at
 	// the batch cap bounds it; a table frame never spans two level runs
 	// (garbleEngine.doLevels sends at every run's end, whatever its chunk
-	// size), so the largest run does. No OT frame is legal after set-up.
+	// size), so the largest run does. No other frame type is legal after
+	// set-up.
 	batch := srv.Engine.MaxBatchSize()
 	labels := gc.LabelSize * batch
 	_, widestG := inputWires(sched, circuit.Garbler)
@@ -161,9 +162,7 @@ func newSessionMux(srv *Server, conn *transport.Conn, weights []gc.Label, sched 
 	conn.SetLimit(transport.MsgInputLabels, widestG*labels)
 	conn.SetLimit(transport.MsgTables, min(transport.MaxFrame, largestRun*batch))
 	conn.SetLimit(transport.MsgEndSession, 0)
-	for _, t := range otFrames {
-		conn.SetLimit(t, 0)
-	}
+	readOnly(conn, transport.MsgInferBegin, transport.MsgConstLabels, transport.MsgInputLabels, transport.MsgTables, transport.MsgEndSession)
 	return &sessionMux{
 		conn:    conn,
 		pool:    srv.Engine.newPool(),

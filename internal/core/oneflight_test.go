@@ -313,10 +313,10 @@ func hostileServer(net *nn.Network, sConn *transport.Conn, rest func(ots *ot.Ext
 
 // TestUnpooledServerRefused pins both ways a server can still speak the
 // OT pool protocol this one no longer has, and that the client refuses each
-// at that frame with nothing left running: a pool announcement where the
-// set-up OT's U belongs fails NewSession, and an extension request inside
-// an inference — a refill's U — fails the inference at its header, for no
-// OT frame is legal after set-up.
+// at that frame's header with nothing left running: a pool announcement
+// where the set-up OT's U belongs fails NewSession, for a client reads no
+// ot-refill frame at all, and an extension request inside an inference — a
+// refill's U — fails the inference, for no OT frame is legal after set-up.
 func TestUnpooledServerRefused(t *testing.T) {
 	checkLeaks := testutil.VerifyNoLeaks(t)
 	net := testNet(t, act.ReLU, 42)
@@ -329,8 +329,8 @@ func TestUnpooledServerRefused(t *testing.T) {
 		}
 		return sConn.Flush()
 	})
-	if _, err := (&Client{}).NewSession(cConn); err == nil || !strings.Contains(err.Error(), "got ot-refill frame") {
-		t.Errorf("NewSession against a pool announcement = %v, want it refused at the ot-refill frame", err)
+	if _, err := (&Client{}).NewSession(cConn); err == nil || !strings.Contains(err.Error(), "ot-refill frame of 4 bytes exceeds its limit of 0") {
+		t.Errorf("NewSession against a pool announcement = %v, want it refused at the ot-refill frame's header", err)
 	}
 	if err := <-done; err != nil {
 		t.Errorf("announcing server's own setup: %v", err)

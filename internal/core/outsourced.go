@@ -3,7 +3,6 @@ package core
 import (
 	"fmt"
 	"io"
-	"math"
 	"time"
 
 	"deepsecure/internal/circuit"
@@ -40,9 +39,11 @@ import (
 // as a session's (the server's x⊕s share and weight bits are its choices,
 // the pairs the proxy's zero-labels under one fresh Δ, permute bit 0);
 // then MsgConstLabels, and in generation order MsgInputLabels (the proxy's
-// share, one declaration a frame) and MsgTables, cut at level boundaries.
-// The whole circuit is one sample, ordinal 0, under that Δ.
-const outsourcedHello = "deepsecure-outsourced/1"
+// share, one declaration a frame) and MsgTables: the tables of the levels
+// circuit.Stream cuts in fragments of streamWindow gates, in their order
+// and at their AND indices, each frame within one level run. The whole
+// circuit is one sample, ordinal 0, under that Δ.
+const outsourcedHello = "deepsecure-outsourced/2"
 
 // InferOutsourced runs a secure inference as the constrained client: it
 // only generates a random pad, XORs once, and receives two short bit
@@ -54,6 +55,9 @@ func (c *Client) InferOutsourced(proxyConn, serverConn *transport.Conn, x []floa
 	proxyConn.SetMetrics(set)
 	serverConn.SetMetrics(set)
 	rng := rngOrDefault(c.Rng)
+	// Each frame type is capped as its turn comes, every other at 0.
+	readOnly(proxyConn)
+	readOnly(serverConn)
 	if err := proxyConn.Send(transport.MsgHello, []byte(outsourcedHello)); err != nil {
 		return 0, nil, err
 	}
@@ -160,6 +164,9 @@ func recvHello(conn *transport.Conn) error {
 // against the main server, forward the decode map half to the client.
 func (p *Proxy) Run(clientConn, serverConn *transport.Conn) error {
 	rng := rngOrDefault(p.Rng)
+	// Each frame type is capped as its turn comes, every other at 0.
+	readOnly(clientConn, transport.MsgHello)
+	readOnly(serverConn)
 	if err := recvHello(clientConn); err != nil {
 		return err
 	}
@@ -197,6 +204,7 @@ func (p *Proxy) Run(clientConn, serverConn *transport.Conn) error {
 
 	// The set-up OT hands the server the labels of all its input wires,
 	// share and weights, under the circuit's one Δ.
+	serverConn.SetLimit(transport.MsgOTBase, maxOTBase)
 	ots, err := ot.NewExtSender(serverConn, rng)
 	if err != nil {
 		return err
@@ -228,7 +236,10 @@ func (p *Proxy) Run(clientConn, serverConn *transport.Conn) error {
 		weights:   zero,
 		inputBits: [][]bool{share},
 	}
-	if err := runStream(en, outsourcedStream(net, f)); err != nil {
+	if err := runStream(outsourcedStream(net, f), g.Grow, func(s *circuit.Schedule) error {
+		en.sched = s
+		return en.run()
+	}); err != nil {
 		return err
 	}
 	if err := serverConn.Flush(); err != nil {
@@ -253,6 +264,9 @@ func (p *Proxy) Run(clientConn, serverConn *transport.Conn) error {
 // the output-label LSB half to the client.
 func (s *Server) ServeOutsourced(proxyConn, clientConn *transport.Conn) error {
 	rng := rngOrDefault(s.Rng)
+	// Each frame type is capped as its turn comes, every other at 0.
+	readOnly(proxyConn, transport.MsgHello)
+	readOnly(clientConn)
 	if err := recvHello(proxyConn); err != nil {
 		return err
 	}
@@ -279,13 +293,15 @@ func (s *Server) ServeOutsourced(proxyConn, clientConn *transport.Conn) error {
 	}
 	choices := append(share, nn.WeightBits(s.Net, s.Fmt)...)
 
-	// Every proxy frame is bounded before it arrives: the set-up OT's
-	// answer is W label pairs, the constants two labels, the proxy's inputs
-	// its share, and a table frame a chunk and one streamed level.
+	// Every proxy frame is bounded before it arrives: the base phase's by
+	// the largest of them, the set-up OT's answer at W label pairs, the
+	// constants two labels, the proxy's inputs its share, and a table frame
+	// one level run, at most a window's gates.
+	proxyConn.SetLimit(transport.MsgOTBase, maxOTBase)
 	proxyConn.SetLimit(transport.MsgOTExtY, len(choices)*2*ot.MsgLen)
 	proxyConn.SetLimit(transport.MsgConstLabels, 2*gc.LabelSize)
 	proxyConn.SetLimit(transport.MsgInputLabels, n*gc.LabelSize)
-	proxyConn.SetLimit(transport.MsgTables, maxStreamTables)
+	proxyConn.SetLimit(transport.MsgTables, streamWindow*circuit.AND.TableBytes())
 	ots, err := ot.NewExtReceiver(proxyConn, rng)
 	if err != nil {
 		return err
@@ -311,10 +327,11 @@ func (s *Server) ServeOutsourced(proxyConn, clientConn *transport.Conn) error {
 	}
 	e.SetLabel(circuit.WFalse, 0, gc.Label(constLabels))
 	e.SetLabel(circuit.WTrue, 0, gc.Label(constLabels[gc.LabelSize:]))
-	// The stream is one table run with no byte budget: its frames are capped.
-	en := &evalEngine{e: e, pool: s.Engine.newPool(), conn: proxyConn, weights: weights,
-		tr: startTableRun(proxyConn, math.MaxInt, proxyConn.Recycle)}
-	if err := runStream(en, outsourcedStream(s.Net, s.Fmt)); err != nil {
+	en := &evalEngine{e: e, pool: s.Engine.newPool(), conn: proxyConn, weights: weights, recycle: proxyConn.Recycle}
+	if err := runStream(outsourcedStream(s.Net, s.Fmt), e.Grow, func(f *circuit.Schedule) error {
+		en.sched = f
+		return en.run()
+	}); err != nil {
 		return err
 	}
 

@@ -111,9 +111,20 @@ import (
 // from the client ends the session.
 const protocolHello = "deepsecure/16"
 
-// otFrames are the OT frame types. After set-up none is legal on a
-// session, in either direction, so both parties cap them at 0.
-var otFrames = []transport.MsgType{transport.MsgOTExtU, transport.MsgOTExtY, transport.MsgOTRefill, transport.MsgOTMasked}
+// readOnly caps every frame type but legal at 0 on conn, so that a header
+// of any other type is refused unread, whatever size it announces; legal
+// types keep the caps set for them.
+func readOnly(conn *transport.Conn, legal ...transport.MsgType) {
+	for t := range 256 {
+		if !slices.Contains(legal, transport.MsgType(t)) {
+			conn.SetLimit(transport.MsgType(t), 0)
+		}
+	}
+}
+
+// maxOTBase caps an ot-base frame: the largest of the base phase's three
+// is the receiver's k = 128 uncompressed P-256 points of 65 bytes.
+const maxOTBase = 128 * 65
 
 // digestSize is the length of the program digest that opens a session's
 // architecture frame.
@@ -402,6 +413,10 @@ func (s *Server) ServeSession(conn *transport.Conn) (*Stats, error) {
 
 	rng := rngOrDefault(s.Rng)
 	wd.arm("handshake", s.Engine.Deadlines.Handshake)
+	// Until set-up, a client sends its hello, the base phase's frames (on a
+	// fresh base) and the set-up OT's answer; each is capped before it
+	// arrives, every other type at 0.
+	readOnly(conn, transport.MsgHello)
 	hello, err := conn.Recv(transport.MsgHello)
 	if err != nil {
 		return fail(err)
@@ -453,6 +468,7 @@ func (s *Server) ServeSession(conn *transport.Conn) (*Stats, error) {
 		if len(offered) > 0 {
 			set.ResumeMisses.Inc()
 		}
+		conn.SetLimit(transport.MsgOTBase, maxOTBase)
 		if base, err = ot.NewReceiverBase(conn, rng); err != nil {
 			return fail(err)
 		}
@@ -688,9 +704,11 @@ func (c *Client) NewSession(conn *transport.Conn) (sess *Session, err error) {
 	// Every server frame is bounded before it arrives, so that a header
 	// announcing more is refused unread: the architecture is its header and
 	// a spec of at most nn.MaxSpecBytes, a busy answer is one uvarint, the
-	// window announcement two, the set-up OT's U the size W OTs take, and an
-	// inference's answer is bounded once the program and the batch cap are
-	// known.
+	// window announcement two, a base-phase frame the largest of the
+	// phase's, the set-up OT's U the size W OTs take, and an inference's
+	// answer is bounded once the program and the batch cap are known. Every
+	// other type is capped at 0.
+	readOnly(conn, transport.MsgArch, transport.MsgBusy)
 	conn.SetLimit(transport.MsgArch, archHeader+nn.MaxSpecBytes)
 	conn.SetLimit(transport.MsgBusy, binary.MaxVarintLen64)
 	if err := conn.Send(transport.MsgHello, helloFrame(cid, offered)); err != nil {
@@ -773,6 +791,7 @@ func (c *Client) NewSession(conn *transport.Conn) (sess *Session, err error) {
 		if len(offered) > 0 {
 			set.ResumeMisses.Inc()
 		}
+		conn.SetLimit(transport.MsgOTBase, maxOTBase)
 		base, err := ot.NewSenderBase(conn, rng)
 		if err != nil {
 			return nil, err
@@ -795,9 +814,8 @@ func (c *Client) NewSession(conn *transport.Conn) (sess *Session, err error) {
 	}
 	set.OTConsumed.Add(int64(w))
 	set.OTOfflineTime.Add(int64(time.Since(baseStart)))
-	for _, t := range otFrames {
-		conn.SetLimit(t, 0)
-	}
+	// After set-up a server sends answers alone.
+	readOnly(conn, transport.MsgOutputLabels)
 	return s, nil
 }
 

@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"math"
 	"math/rand"
 	"strings"
 	"testing"
@@ -11,30 +10,6 @@ import (
 	"deepsecure/internal/gc"
 	"deepsecure/internal/transport"
 )
-
-// levelLog is a streamParty that runs nothing and records what a stream
-// hands it: each level as its ANDs, frees and AND index base, and each
-// declaration.
-type levelLog struct {
-	levels []loggedLevel
-	steps  int
-}
-
-type loggedLevel struct {
-	ands, frees []circuit.Gate
-	gidBase     uint64
-	need        int
-}
-
-func (l *levelLog) grow(uint32) {}
-
-func (l *levelLog) level(ands, frees []circuit.Gate, gidBase uint64, need int) error {
-	l.levels = append(l.levels, loggedLevel{append([]circuit.Gate(nil), ands...), append([]circuit.Gate(nil), frees...), gidBase, need})
-	return nil
-}
-
-func (l *levelLog) step(*circuit.Step) error { l.steps++; return nil }
-func (l *levelLog) finish() error            { return nil }
 
 // events is a hand-made event stream: inputs 2..9 (the evaluator's from 6
 // on), then ev.
@@ -70,16 +45,16 @@ func gates(gs ...circuit.Gate) func(s circuit.Sink) error {
 
 func drop(w uint32) circuit.Gate { return circuit.Gate{Op: 255, Out: w} }
 
-// TestStreamLevelsCutAtHazards: the stream cuts the pending level before a
-// gate that reads a wire the level writes, that writes a wire the level
-// reads or writes (an id dropped and recycled inside the level), at
-// maxStreamLevel gates, and at every declaration; anything else joins the
-// level, its ANDs full then half, numbered across levels.
+// TestStreamLevelsCutAtHazards runs a stream's hazards through the
+// leveller: a gate that reads a wire a level writes lands a level later, a
+// declaration ends the level run, and a level holds at most 1 024 gates. A
+// recycled id the level reads or writes costs no level: renaming gives the
+// new value its own wire id. The ANDs are numbered across levels.
 func TestStreamLevelsCutAtHazards(t *testing.T) {
 	x := func(a, b, out uint32) circuit.Gate { return circuit.Gate{Op: circuit.XOR, A: a, B: b, Out: out} }
 	and := func(a, b, out uint32) circuit.Gate { return circuit.Gate{Op: circuit.AND, A: a, B: b, Out: out} }
 	half := func(a, b, out uint32) circuit.Gate { return circuit.Gate{Op: circuit.HalfAND, A: a, B: b, Out: out} }
-	wide := make([]circuit.Gate, maxStreamLevel+1)
+	wide := make([]circuit.Gate, 1<<10+1)
 	for i := range wide {
 		wide[i] = x(2, 3, 10+uint32(i))
 	}
@@ -92,10 +67,10 @@ func TestStreamLevelsCutAtHazards(t *testing.T) {
 		{"a read of the level's output", gates(x(2, 3, 10), and(10, 4, 11)), []int{1, 1}},
 		{"a read of the level's output as B", gates(x(2, 3, 10), x(4, 10, 11)), []int{1, 1}},
 		{"a half AND on the level's output", gates(and(2, 3, 10), half(10, 6, 11)), []int{1, 1}},
-		{"a recycled id the level reads", gates(x(2, 3, 10), drop(2), and(4, 5, 2)), []int{1, 1}},
-		{"a recycled id the level writes", gates(x(2, 3, 10), drop(10), x(4, 5, 10)), []int{1, 1}},
+		{"a recycled id the level reads", gates(x(2, 3, 10), drop(2), and(4, 5, 2)), []int{2}},
+		{"a recycled id the level writes", gates(x(2, 3, 10), drop(10), x(4, 5, 10)), []int{2}},
 		{"a drop alone", gates(x(2, 3, 10), drop(3), x(4, 5, 11)), []int{2}},
-		{"the size cap", gates(wide...), []int{maxStreamLevel, 1}},
+		{"the size cap", gates(wide...), []int{1 << 10, 1}},
 		{"a declaration", func(s circuit.Sink) error {
 			if err := gates(x(2, 3, 10))(s); err != nil {
 				return err
@@ -107,28 +82,21 @@ func TestStreamLevelsCutAtHazards(t *testing.T) {
 		}, []int{1, 1}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			var log levelLog
-			if err := runStream(&log, events(tc.ev)); err != nil {
-				t.Fatal(err)
-			}
 			var sizes []int
 			var gid uint64
-			for i, lv := range log.levels {
-				sizes = append(sizes, len(lv.ands)+len(lv.frees))
-				if lv.gidBase != gid {
-					t.Fatalf("level %d numbers its ANDs from %d, want %d", i, lv.gidBase, gid)
-				}
-				gid += uint64(len(lv.ands))
-				need := 0
-				for j, g := range lv.ands {
-					if j > 0 && g.Op == circuit.AND && lv.ands[j-1].Op == circuit.HalfAND {
-						t.Fatalf("level %d ranks a full AND after a half AND: %v", i, lv.ands)
+			err := runStream(events(tc.ev), func(uint32) {}, func(s *circuit.Schedule) error {
+				for i := range s.Levels {
+					lv := &s.Levels[i]
+					if lv.GIDBase != gid {
+						t.Fatalf("level %d numbers its ANDs from %d, want %d", len(sizes), lv.GIDBase, gid)
 					}
-					need += g.Op.TableBytes()
+					gid += uint64(lv.ANDs)
+					sizes = append(sizes, lv.ANDs+lv.Frees)
 				}
-				if lv.need != need {
-					t.Fatalf("level %d claims %d table bytes, its ANDs take %d", i, lv.need, need)
-				}
+				return nil
+			})
+			if err != nil {
+				t.Fatal(err)
 			}
 			if fmt.Sprint(sizes) != fmt.Sprint(tc.sizes) {
 				t.Fatalf("levels of %v gates, want %v", sizes, tc.sizes)
@@ -137,11 +105,12 @@ func TestStreamLevelsCutAtHazards(t *testing.T) {
 	}
 }
 
-// streamPair runs emit's stream through a garbling and an evaluating engine
-// over a pipe — the weight labels handed over as the set-up OT would — and
-// returns the decoded outputs and each side's error. A label that is
-// neither of its wire's two fails the decode.
-func streamPair(t *testing.T, emit func(circuit.Sink) error, gBits, eBits []bool) (out []bool, gErr, eErr error) {
+// streamPair runs emit's stream, levelled in fragments of window gates,
+// through a garbling and an evaluating engine over a pipe — the weight
+// labels handed over as the set-up OT would — and returns the decoded
+// outputs and each side's error. A label that is neither of its wire's two
+// fails the decode.
+func streamPair(t *testing.T, window int, emit func(circuit.Sink) error, gBits, eBits []bool) (out []bool, gErr, eErr error) {
 	t.Helper()
 	rng := rand.New(rand.NewSource(int64(len(gBits)*131 + len(eBits))))
 	delta, zero, _, err := weightLabels(rng, len(eBits))
@@ -169,16 +138,22 @@ func streamPair(t *testing.T, emit func(circuit.Sink) error, gBits, eBits []bool
 	gConn, eConn, closer := transport.Pipe()
 	defer closer.Close()
 	ge := &garbleEngine{g: g, pool: gc.NewPool(2), conn: gConn, weights: zero, inputBits: [][]bool{gBits}}
-	ee := &evalEngine{e: e, pool: gc.NewPool(2), conn: eConn, weights: chosen, tr: startTableRun(eConn, math.MaxInt, eConn.Recycle)}
+	ee := &evalEngine{e: e, pool: gc.NewPool(2), conn: eConn, weights: chosen, recycle: eConn.Recycle}
 	done := make(chan error, 1)
 	go func() {
-		err := runStream(ge, emit)
+		err := circuit.Stream(window, emit, func(s *circuit.Schedule) error {
+			ge.sched = s
+			return ge.run()
+		})
 		if ferr := gConn.Flush(); err == nil {
 			err = ferr
 		}
 		done <- err
 	}()
-	eErr = runStream(ee, emit)
+	eErr = circuit.Stream(window, emit, func(s *circuit.Schedule) error {
+		ee.sched = s
+		return ee.run()
+	})
 	closer.Close()
 	gErr = <-done
 	if gErr != nil || eErr != nil {
@@ -204,8 +179,8 @@ func streamPair(t *testing.T, emit func(circuit.Sink) error, gBits, eBits []bool
 // operands and drops are picked by position among the live handles, so the
 // same rng draws build the same circuit with and without recycling. It
 // opens with a gate that reads wire g0, a drop of g0 and an AND that a
-// recycling builder writes to g0's id: a rewrite of an id the pending level
-// reads. Inputs are declared mid-stream too.
+// recycling builder writes to g0's id: a rewrite of an id a level before it
+// reads, which renaming separates. Inputs are declared mid-stream too.
 func randomStream(rng *rand.Rand, b *circuit.Builder) (nG, nE int) {
 	gIn, eIn := b.Inputs(circuit.Garbler, 3), b.Inputs(circuit.Evaluator, 3)
 	nG, nE = 3, 3
@@ -253,8 +228,9 @@ func randomStream(rng *rand.Rand, b *circuit.Builder) (nG, nE int) {
 }
 
 // TestStreamEnginesMatchPlaintext feeds random recycled gate streams
-// through the two engines over a pipe and checks that the decoded
-// outputs equal the circuit's plaintext evaluation.
+// through the two engines over a pipe, levelled in windows of 1, 7 and 1 024
+// gates and in one fragment, and checks that every decode equals the
+// circuit's plaintext evaluation.
 func TestStreamEnginesMatchPlaintext(t *testing.T) {
 	for seed := int64(0); seed < 30; seed++ {
 		var nG, nE int
@@ -280,21 +256,23 @@ func TestStreamEnginesMatchPlaintext(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, gErr, eErr := streamPair(t, tape.Replay, gBits, eBits)
-		if gErr != nil || eErr != nil {
-			t.Fatalf("seed %d: garbler %v, evaluator %v", seed, gErr, eErr)
-		}
-		if fmt.Sprint(got) != fmt.Sprint(want) {
-			t.Fatalf("seed %d: decoded %v, plaintext %v", seed, got, want)
+		for _, window := range []int{1, 7, 1024, 0} {
+			got, gErr, eErr := streamPair(t, window, tape.Replay, gBits, eBits)
+			if gErr != nil || eErr != nil {
+				t.Fatalf("seed %d, window %d: garbler %v, evaluator %v", seed, window, gErr, eErr)
+			}
+			if fmt.Sprint(got) != fmt.Sprint(want) {
+				t.Fatalf("seed %d, window %d: decoded %v, plaintext %v", seed, window, got, want)
+			}
 		}
 	}
 }
 
-// TestStreamRefusesBadGates: no schedule covers a stream, so the stream
-// holds every gate to circuit.Live's rule as it arrives. A gate that reads
-// a never-set or a dropped wire, or writes a live one, is refused by both
-// engines before any level holding it runs, with one message on both
-// sides; the same stream without it runs.
+// TestStreamRefusesBadGates: the scheduler holds every gate of a stream to
+// the liveness rule as it arrives. A gate that reads a never-set or a
+// dropped wire, or writes a live one, is refused by both engines before any
+// level of its fragment runs, with one message on both sides; the same
+// stream without it runs.
 func TestStreamRefusesBadGates(t *testing.T) {
 	good := circuit.Gate{Op: circuit.AND, A: 2, B: 4, Out: 20}
 	for _, tc := range []struct {
@@ -321,18 +299,22 @@ func TestStreamRefusesBadGates(t *testing.T) {
 					return s.OnOutputs([]uint32{20})
 				})
 			}
-			var log levelLog
-			if err := runStream(&log, emit(true)); err == nil || len(log.levels) != 0 {
-				t.Fatalf("refusal %v after %d levels ran; want a refusal before any", err, len(log.levels))
+			levels := 0
+			err := runStream(emit(true), func(uint32) {}, func(s *circuit.Schedule) error {
+				levels += len(s.Levels)
+				return nil
+			})
+			if err == nil || levels != 0 {
+				t.Fatalf("refusal %v after %d levels ran; want a refusal before any", err, levels)
 			}
 			bits := []bool{true, false, true, true}
-			_, gErr, eErr := streamPair(t, emit(true), bits, bits)
+			_, gErr, eErr := streamPair(t, streamWindow, emit(true), bits, bits)
 			for side, err := range map[string]error{"garbler": gErr, "evaluator": eErr} {
 				if err == nil || !strings.HasSuffix(err.Error(), tc.want) {
 					t.Fatalf("%s: %v, want a refusal ending %q", side, err, tc.want)
 				}
 			}
-			out, gErr, eErr := streamPair(t, emit(false), bits, bits)
+			out, gErr, eErr := streamPair(t, streamWindow, emit(false), bits, bits)
 			if gErr != nil || eErr != nil || len(out) != 1 || !out[0] {
 				t.Fatalf("without the bad gate: %v, garbler %v, evaluator %v", out, gErr, eErr)
 			}

@@ -12,9 +12,9 @@ import (
 // worker Pool that stripes a level of mutually independent gates and the
 // half-gates cryptography over a span of it. The kernel checks nothing about
 // the gates it runs: a session's levels were proved by its schedule's
-// compile-time Check (circuit.NewSchedule), and the levels core cuts from a
-// stream no schedule covers, by that stream's circuit.Live as each gate
-// arrived. A level's global AND index base fixes every tweak, and each
+// compile-time Check (circuit.NewSchedule), and a §3.3 stream's by the same
+// check, carried from fragment to fragment (circuit.Stream). A level's
+// global AND index base fixes every tweak, and each
 // AND gate writes its ciphertexts at a rank-derived offset inside a
 // caller-provided table block, so nothing depends on execution order
 // inside a level and the produced bytes are identical for any worker count.

@@ -328,7 +328,7 @@ func (g *BatchGarbler) AppendConstLabels(dst []byte) ([]byte, error) {
 // run of a level's AND gates. Gates are striped over pool's workers with
 // the batch size as the work multiplier. The caller must guarantee level
 // independence (distinct output wires, no gate reading a wire another gate
-// of the level writes) — which circuit.NewSchedule establishes — and must
+// of the level writes) — which circuit's scheduler establishes — and must
 // have Grown the garbler past every wire id in the level.
 func (g *BatchGarbler) GarbleLevel(ands, frees []circuit.Gate, gidBase uint64, table []byte, pool *Pool) error {
 	if err := g.prepare(ands, frees, gidBase, table); err != nil {

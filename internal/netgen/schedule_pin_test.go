@@ -9,6 +9,7 @@ import (
 
 	"deepsecure/internal/act"
 	"deepsecure/internal/benchmarks"
+	"deepsecure/internal/circuit"
 	"deepsecure/internal/nn"
 )
 
@@ -114,6 +115,40 @@ func TestSchedulePinned(t *testing.T) {
 		}
 		if s := prog.Schedule; s.NumWires != w.wires || s.MaxWidth > 1<<10 {
 			t.Errorf("%s: %d wires, levels up to %d gates wide; want %d wires and at most 1024 gates", m.name, s.NumWires, s.MaxWidth, w.wires)
+		}
+	}
+}
+
+// TestStreamMatchesCompile: a compile and the §3.3 stream level with one
+// scheduler. Streamed through circuit.Stream with a window no smaller than
+// the program, the generator's events make one fragment, and it hashes to
+// the compiled schedule, which TestSchedulePinned pins.
+func TestStreamMatchesCompile(t *testing.T) {
+	for _, m := range benchModels {
+		net := m.build(t)
+		prog, err := Compile(net, benchmarks.Format, Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var frags []*circuit.Schedule
+		err = circuit.Stream(int(prog.Stats.Total()), func(sink circuit.Sink) error {
+			b := circuit.NewBuilder(sink, circuit.WithRecycling())
+			if _, err := Generate(b, net, benchmarks.Format, Options{}); err != nil {
+				return err
+			}
+			return b.Err()
+		}, func(s *circuit.Schedule) error {
+			frags = append(frags, s)
+			return nil
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(frags) != 1 {
+			t.Fatalf("%s: a window of the program's %d gates handed off %d fragments, want 1", m.name, prog.Stats.Total(), len(frags))
+		}
+		if got, want := scheduleDigest(&Program{Schedule: frags[0], Digest: prog.Digest}), scheduleDigest(prog); got != want {
+			t.Errorf("%s: streamed schedule digest %s, compiled %s", m.name, got, want)
 		}
 	}
 }

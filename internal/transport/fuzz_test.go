@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"errors"
+	"fmt"
 	"io"
 	"runtime"
 	"strings"
@@ -65,6 +66,11 @@ func TestReadFrameCorruptionClasses(t *testing.T) {
 			wantErr: "transport: frame length 1073741825 exceeds limit",
 		},
 		{
+			name:    "type past the defined ones",
+			stream:  frame(200, nil),
+			wantErr: "transport: frame of unknown type 200",
+		},
+		{
 			name:    "payload cut mid-way",
 			stream:  hello[:len(hello)-4],
 			wantErr: "transport: read hello payload: unexpected EOF",
@@ -95,8 +101,9 @@ func TestReadFrameCorruptionClasses(t *testing.T) {
 
 // TestFrameLimitsRefuseBeforeAllocating pins the per-type caps: five bytes
 // from a peer — a header claiming a gigabyte — are refused from the header
-// alone, for a hello by default and for any type once SetLimit has pinned
-// it, and a frame within its limit still reads.
+// alone, for a hello by default, for any type past the defined ones always,
+// and for any type once SetLimit has pinned it, and a frame within its
+// limit still reads.
 func TestFrameLimitsRefuseBeforeAllocating(t *testing.T) {
 	huge := func(typ MsgType) []byte {
 		hdr := frame(typ, nil)
@@ -113,6 +120,18 @@ func TestFrameLimitsRefuseBeforeAllocating(t *testing.T) {
 	}
 	if grew := after.TotalAlloc - before.TotalAlloc; grew > 1<<20 {
 		t.Fatalf("refusing a 1 GiB hello allocated %d bytes", grew)
+	}
+
+	for _, typ := range []MsgType{msgTypeEnd, 200, 255} {
+		runtime.ReadMemStats(&before)
+		_, _, err := rawConn(huge(typ)).ReadFrame()
+		runtime.ReadMemStats(&after)
+		if want := fmt.Sprintf("transport: frame of unknown type %d", typ); err == nil || err.Error() != want {
+			t.Fatalf("1 GiB frame of type %d: err = %v, want %q", typ, err, want)
+		}
+		if grew := after.TotalAlloc - before.TotalAlloc; grew > 1<<20 {
+			t.Fatalf("refusing a 1 GiB frame of type %d allocated %d bytes", typ, grew)
+		}
 	}
 
 	c = rawConn(append(huge(MsgOTExtY), frame(MsgOTExtY, make([]byte, 64))...))
@@ -258,8 +277,9 @@ func TestRecycleAcrossConns(t *testing.T) {
 
 // FuzzReadFrame feeds arbitrary byte streams through the frame reader:
 // it must never panic and never misreport — every frame it does return
-// must be exactly what a Send of that frame produces at the consumed
-// stream position, and every error must be a transport-prefixed one.
+// must be of a defined type and exactly what a Send of that frame produces
+// at the consumed stream position, and every error must be a
+// transport-prefixed one.
 func FuzzReadFrame(f *testing.F) {
 	f.Add([]byte{})
 	f.Add(frame(MsgHello, []byte("deepsecure")))
@@ -271,6 +291,7 @@ func FuzzReadFrame(f *testing.F) {
 	binary.LittleEndian.PutUint32(oversized[1:], 1<<31)
 	f.Add(oversized)
 	f.Add([]byte{0xff, 0xff, 0xff, 0xff, 0xff}) // unknown type, absurd length
+	f.Add(frame(msgTypeEnd, []byte{1}))         // the first unknown type, a small payload
 
 	f.Fuzz(func(t *testing.T, stream []byte) {
 		c := rawConn(stream)
@@ -282,6 +303,9 @@ func FuzzReadFrame(f *testing.F) {
 					t.Fatalf("error lost its transport prefix: %v", err)
 				}
 				return
+			}
+			if typ >= msgTypeEnd {
+				t.Fatalf("ReadFrame returned a frame of type %d, past the defined ones", typ)
 			}
 			// Round-trip: the returned frame re-encodes to exactly the
 			// bytes consumed from the stream.

@@ -173,7 +173,8 @@ func (c *Conn) SetMetrics(s *obs.Set) { c.set = s }
 
 // SetLimit bounds the payload of type-t frames this connection will read:
 // a header announcing more is refused before any allocation. Safe to call
-// while another goroutine is in ReadFrame.
+// while another goroutine is in ReadFrame. A type past the defined ones has
+// no limit to set: ReadFrame refuses it from the header whatever its size.
 func (c *Conn) SetLimit(t MsgType, n int) {
 	if t < msgTypeEnd {
 		c.limits[t].Store(uint32(min(max(n, 0), MaxFrame)))
@@ -331,20 +332,23 @@ func (c *Conn) RecvAny(want ...MsgType) (MsgType, []byte, error) {
 // reader goroutine drains frames while the session's writer sends (a
 // flush here would race the write buffer).
 // Single-goroutine callers should prefer Recv/RecvAny, which flush first
-// so a request can never deadlock behind its own unflushed send.
+// so a request can never deadlock behind its own unflushed send. A header
+// of a type past the defined ones, or announcing more than its type's
+// limit, is refused before any payload is allocated.
 func (c *Conn) ReadFrame() (MsgType, []byte, error) {
 	if _, err := io.ReadFull(c.rw, c.scratch[:]); err != nil {
 		return 0, nil, fmt.Errorf("transport: read header: %w", err)
 	}
 	got := MsgType(c.scratch[0])
 	n := binary.LittleEndian.Uint32(c.scratch[1:])
+	if got >= msgTypeEnd {
+		return 0, nil, fmt.Errorf("transport: frame of unknown type %d", got)
+	}
 	if n > MaxFrame {
 		return 0, nil, fmt.Errorf("transport: frame length %d exceeds limit", n)
 	}
-	if got < msgTypeEnd {
-		if limit := c.limits[got].Load(); n > limit {
-			return 0, nil, fmt.Errorf("transport: %v frame of %d bytes exceeds its limit of %d", got, n, limit)
-		}
+	if limit := c.limits[got].Load(); n > limit {
+		return 0, nil, fmt.Errorf("transport: %v frame of %d bytes exceeds its limit of %d", got, n, limit)
 	}
 	payload := payloadBuf(int(n))
 	if _, err := io.ReadFull(c.rw, payload); err != nil {
