@@ -6,9 +6,10 @@
 //
 // Clients connect with deepsecure.OpenSession / deepsecure.InferMany (or
 // the deepsecure-demo client for a quick smoke test) and run any number
-// of inferences per connection; the handshake, OT base phase, the set-up
-// OT of the weight labels and netlist generation are paid once per
-// session, and the compiled tape is shared read-only across all sessions.
+// of inferences per connection; the handshake, OT base phase and the
+// set-up OT of the weight labels are paid once per session, and the netlist
+// is compiled once, at start-up, into the level schedule every session
+// walks, shared read-only.
 // SIGINT/SIGTERM triggers a graceful drain; a second signal force-closes.
 //
 // The model's weights are a fixed random initialization (seed 1), so a
@@ -43,7 +44,8 @@ import (
 // get to finish after the first interrupt.
 const drainTimeout = 30 * time.Second
 
-// idleTimeout reaps a session whose client has moved no byte for this long.
+// idleTimeout reaps a session whose client has sent no awaited frame, or
+// drained no answer, for this long (DeadlineConfig.Idle).
 const idleTimeout = 2 * time.Minute
 
 func main() {
@@ -87,6 +89,7 @@ func main() {
 		Handshake: *handshakeTimeout,
 		OTSetup:   *otSetupTimeout,
 		Inference: *inferTimeout,
+		Idle:      idleTimeout,
 	}
 	if err := deadlines.Validate(); err != nil {
 		log.Fatal(err)
@@ -94,7 +97,6 @@ func main() {
 	engine := deepsecure.EngineConfig{Deadlines: deadlines}
 	srv, err := deepsecure.NewServer(net0, deepsecure.DefaultFormat,
 		deepsecure.WithEngine(engine),
-		deepsecure.WithIdleTimeout(idleTimeout),
 		deepsecure.WithAdmission(admCfg))
 	if err != nil {
 		log.Fatal(err)
@@ -110,10 +112,8 @@ func main() {
 		log.Printf("admission control on: %d active session(s) max, queue %d (timeout %v), retry-after %v",
 			admCfg.MaxActive, admCfg.MaxQueue, *queueTimeout, *retryAfter)
 	}
-	if deadlines != (deepsecure.DeadlineConfig{}) {
-		log.Printf("phase deadlines on: handshake %v, ot-setup %v, inference %v (0 = unbounded)",
-			deadlines.Handshake, deadlines.OTSetup, deadlines.Inference)
-	}
+	log.Printf("phase deadlines: handshake %v, ot-setup %v, inference %v (0 = unbounded), idle %v",
+		deadlines.Handshake, deadlines.OTSetup, deadlines.Inference, deadlines.Idle)
 	log.Printf("batched inference: up to %d sample(s) per fused InferBatch call", engine.MaxBatchSize())
 	if deepsecure.WideHashAvailable() {
 		log.Printf("gate kernel: amd64 assembly (AES-NI, SSSE3)")

@@ -134,9 +134,6 @@ var (
 	// session the server answers, the in-flight window (Pipeline) and the
 	// batch cap (MaxBatch) it announces and enforces included.
 	WithEngine = server.WithEngine
-	// WithIdleTimeout bounds how long a session connection may sit idle
-	// between reads before it is reaped.
-	WithIdleTimeout = server.WithIdleTimeout
 	// WithOTPool is a no-op (see PoolConfig).
 	WithOTPool = server.WithOTPool
 	// WithAdmission installs the global admission controller: sessions
@@ -249,7 +246,7 @@ func OpenSession(conn *Conn) (*Session, error) {
 // front; every client session executes the same program with fresh
 // labels. Start it with ListenAndServe, Serve, or ServeContext, stop it
 // with Shutdown or Close. Options tune the execution engine and session
-// policies (WithEngine, WithIdleTimeout).
+// policies (WithEngine, WithAdmission).
 func NewServer(net *Network, f Format, opts ...ServerOption) (*InferenceServer, error) {
 	return server.New(net, f, opts...)
 }

@@ -66,9 +66,9 @@ func startSweepServer(t *testing.T, model *nn.Network, logf func(string, ...any)
 				Handshake: 10 * time.Second,
 				OTSetup:   10 * time.Second,
 				Inference: 10 * time.Second,
+				Idle:      2 * time.Second,
 			},
 		}),
-		server.WithIdleTimeout(2*time.Second),
 		server.WithAdmission(server.AdmissionConfig{
 			MaxActive:  4,
 			MaxQueue:   16,

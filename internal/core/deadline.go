@@ -6,16 +6,14 @@ import (
 	"time"
 )
 
-// Per-phase deadlines. The idle timeout (internal/server) catches peers
-// that stop moving bytes, but a peer can starve a phase while staying
+// Per-phase deadlines. A peer can starve a session while staying
 // "live" — trickling handshake bytes, stretching the OT base phase, or
-// pausing mid-inference just under the idle window. DeadlineConfig
-// bounds each protocol phase by wall time instead: a watchdog armed
-// around the phase breaks the connection (transport.Conn.Break) when
-// the limit passes, the blocked I/O fails, and normal session teardown
-// runs — with the surfaced error rewritten to the DeadlineError that
-// explains it, rather than the incidental "use of closed network
-// connection" the break produced.
+// pausing mid-inference — and it can simply go quiet. DeadlineConfig
+// bounds both by wall time: a watchdog armed around the phase or the wait
+// breaks the connection (transport.Conn.Break) when the limit passes, the
+// blocked I/O fails, and normal session teardown runs — with the surfaced
+// error rewritten to the DeadlineError that explains it, rather than the
+// incidental "use of closed network connection" the break produced.
 
 // DeadlineConfig bounds the protocol's phases by wall time. Zero fields
 // disable that phase's deadline; enforcing any of them requires a
@@ -34,6 +32,13 @@ type DeadlineConfig struct {
 	// of its begin frame to its outputs being flushed, the wait behind
 	// the inferences begun before it included.
 	Inference time.Duration
+	// Idle bounds each wait a server session makes on its client: a
+	// set-up phase whose own limit above is zero, each awaited frame once
+	// an inference or the next begin is due, and each answer the client
+	// must drain. It is measured per frame, not per read, and an
+	// inference the server is evaluating is no wait, so a long evaluation
+	// is not a stall. Clients ignore it.
+	Idle time.Duration
 }
 
 // Validate rejects negative phase limits.
@@ -41,7 +46,7 @@ func (d DeadlineConfig) Validate() error {
 	for _, p := range []struct {
 		name string
 		v    time.Duration
-	}{{"handshake", d.Handshake}, {"ot-setup", d.OTSetup}, {"inference", d.Inference}} {
+	}{{"handshake", d.Handshake}, {"ot-setup", d.OTSetup}, {"inference", d.Inference}, {"idle", d.Idle}} {
 		if p.v < 0 {
 			return fmt.Errorf("core: negative %s deadline %v", p.name, p.v)
 		}
@@ -49,11 +54,20 @@ func (d DeadlineConfig) Validate() error {
 	return nil
 }
 
+// setup is the limit a server's serial set-up phase runs under: its own,
+// or Idle when that is zero.
+func (d DeadlineConfig) setup(phase string, v time.Duration) (string, time.Duration) {
+	if v == 0 {
+		return "idle", d.Idle
+	}
+	return phase, v
+}
+
 // DeadlineError reports a phase that exceeded its configured limit. It
 // is what sessions return in place of the broken-connection error the
 // enforcement produced; detect it with errors.As.
 type DeadlineError struct {
-	Phase string        // "handshake", "ot-setup", or "inference"
+	Phase string        // "handshake", "ot-setup", "inference" or "idle"
 	Limit time.Duration // the configured bound that was exceeded
 }
 
@@ -63,10 +77,10 @@ func (e *DeadlineError) Error() string {
 
 // watchdog enforces phase deadlines over one session. arm/disarm bracket
 // the serial setup phases; after times a span that began earlier (an
-// inference, from its begin frame). Expiry records the first deadline to fire
-// and breaks the connection; wrap then rewrites the resulting teardown
-// error into that DeadlineError. A nil watchdog is inert, so unarmed
-// paths pay nothing.
+// inference, from its begin frame) or a wait that begins now (idle).
+// Expiry records the first deadline to fire and breaks the connection;
+// wrap then rewrites the resulting teardown error into that
+// DeadlineError. A nil watchdog is inert, so unarmed paths pay nothing.
 type watchdog struct {
 	brk func() error // transport.Conn.Break of the session's conn
 
@@ -119,10 +133,11 @@ func (w *watchdog) expire(phase string, d time.Duration) {
 }
 
 // wrap substitutes the fired DeadlineError for the error the broken
-// connection caused. A session that still ended cleanly (the race where
-// the phase finished as the timer fired) stays clean.
+// connection caused, a clean end included: a break can read as the
+// client's disconnect at an inference boundary, and once the watchdog has
+// broken the connection the session did not end on its own.
 func (w *watchdog) wrap(err error) error {
-	if w == nil || err == nil {
+	if w == nil {
 		return err
 	}
 	w.mu.Lock()

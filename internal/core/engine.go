@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"runtime"
 	"slices"
-	"sync/atomic"
 	"time"
 
 	"deepsecure/internal/circuit"
@@ -87,10 +86,10 @@ type EngineConfig struct {
 	// clamp to [1, 256].
 	MaxBatch int
 	// Deadlines bounds the protocol's phases (handshake, OT setup,
-	// per-inference) by wall time, complementing the transport-level
-	// idle timeout: the idle timeout catches peers that stop moving
-	// bytes, the phase deadlines catch peers that keep trickling them.
-	// Zero fields disable that phase's deadline. Enforcement needs a
+	// per-inference) by wall time, and a server session's waits on its
+	// client (Idle): Idle catches a client that goes quiet, the phase
+	// deadlines one that keeps trickling bytes. Zero fields disable that
+	// deadline. Enforcement needs a
 	// breaker on the session's transport.Conn — the server installs one
 	// per accepted connection; see DeadlineConfig.
 	Deadlines DeadlineConfig
@@ -334,11 +333,6 @@ type evalEngine struct {
 	weights []gc.Label
 	cursor  int
 
-	// progress, when set, is bumped once per evaluated level so
-	// idle-timeout transport wrappers can tell "quiet because the
-	// evaluation tail is still computing" from a stalled peer.
-	progress *atomic.Int64
-
 	recycle   func([]byte) // takes spent input-label and table frames back, may be nil
 	tr        tableRun     // the table stream being drawn from
 	outLabels []gc.Label   // wire-major, samples innermost
@@ -470,11 +464,15 @@ func (en *evalEngine) level(lv *circuit.Level, b int) error {
 	if err := en.e.EvaluateLevel(ands, frees, lv.GIDBase, block, en.pool); err != nil {
 		return err
 	}
-	if en.progress != nil {
-		en.progress.Add(1)
+	if levelHook != nil {
+		levelHook()
 	}
 	return nil
 }
+
+// levelHook, when set by a test, runs after every level an evaluation
+// engine evaluates: the seam that shows an inference is mid-run.
+var levelHook func()
 
 // tableRun streams one level run's garbled tables to an evaluation
 // engine: constructed per StepLevels step with the run's total byte

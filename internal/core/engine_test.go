@@ -7,6 +7,7 @@ import (
 	"math/rand"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -635,6 +636,11 @@ func TestEvaluatorAddsNoGoroutinePerRun(t *testing.T) {
 	net := testNet(t, act.ReLU, 31)
 	x := []float64{0.5, -0.25, 0.75, -1, 0.125, 0.3}
 
+	// Count the levels the server's evaluation engine has run.
+	var levels atomic.Int64
+	levelHook = func() { levels.Add(1) }
+	defer func() { levelHook = nil }()
+
 	c2s, s2c := newLogHalf(), newLogHalf()
 	link := &heldDuplex{r: s2c, w: c2s, budget: -1, held: make(chan struct{}), release: make(chan struct{})}
 	sConn := transport.New(logDuplex{r: c2s, w: s2c})
@@ -661,7 +667,7 @@ func TestEvaluatorAddsNoGoroutinePerRun(t *testing.T) {
 		t.Fatalf("first inference = %d, %v; want %d", label, err, want)
 	}
 	link.budget = len(c2s.bytesWritten()) - before - gc.TableSize
-	levels := sConn.Progress.Load()
+	ran := levels.Load()
 	type result struct {
 		label int
 		err   error
@@ -672,7 +678,7 @@ func TestEvaluatorAddsNoGoroutinePerRun(t *testing.T) {
 		done <- result{label, err}
 	}()
 	<-link.held
-	for deadline := time.Now().Add(10 * time.Second); sConn.Progress.Load() == levels; time.Sleep(time.Millisecond) {
+	for deadline := time.Now().Add(10 * time.Second); levels.Load() == ran; time.Sleep(time.Millisecond) {
 		if time.Now().After(deadline) {
 			t.Fatal("the held inference never evaluated a level")
 		}

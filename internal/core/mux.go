@@ -215,8 +215,12 @@ func (m *sessionMux) run() (err error) {
 }
 
 // pop takes the next frame off the ring. It is the one place the session
-// goroutine waits, and a writer that failed ends the wait.
+// goroutine waits, and a writer that failed ends the wait. A wait on an
+// empty ring is a wait on the client, so it runs under Idle.
 func (m *sessionMux) pop() (frame, error) {
+	if d := m.cfg.Deadlines.Idle; d > 0 && len(m.fifo) == 0 {
+		defer m.wd.after("idle", d, time.Now())()
+	}
 	select {
 	case f, ok := <-m.fifo:
 		if !ok {
@@ -261,9 +265,13 @@ func (m *sessionMux) writeLoop() {
 
 // write is the writer's half of an inference, under the inference's
 // deadline like the evaluation before it (the wait in between is behind an
-// older inference's write, which that one's deadline bounds).
+// older inference's write, which that one's deadline bounds), and under
+// Idle: a client that stops draining its answers blocks the write.
 func (m *sessionMux) write(a answer) error {
 	defer m.wd.after("inference", m.cfg.Deadlines.Inference, a.inf.start)()
+	if d := m.cfg.Deadlines.Idle; d > 0 {
+		defer m.wd.after("idle", d, time.Now())()
+	}
 	// Retire the window slot BEFORE the outputs can reach the client: its
 	// next begin may arrive the instant the flush lands, and the reader's
 	// admission check must not refuse it. The client sends nothing further
@@ -390,13 +398,12 @@ func (m *sessionMux) evaluate(inf *inference) (err error) {
 		e.SetLabel(circuit.WTrue, s, lt)
 	}
 	en := &evalEngine{
-		sched:    m.sched,
-		e:        e,
-		pool:     m.pool,
-		conn:     view,
-		weights:  m.weights,
-		progress: &m.conn.Progress,
-		recycle:  m.conn.Recycle,
+		sched:   m.sched,
+		e:       e,
+		pool:    m.pool,
+		conn:    view,
+		weights: m.weights,
+		recycle: m.conn.Recycle,
 	}
 	if err := en.run(); err != nil {
 		return err

@@ -7,7 +7,7 @@
 //
 // Sessions are multi-inference: the parties negotiate once (hello,
 // architecture exchange, the set-up OT that hands the server its weight
-// labels) and compile the public netlist once into a replayable tape
+// labels) and compile the public netlist once into a level schedule
 // (netgen.Compile); each further inference on the session only pays for
 // the client's input labels, garbling, and the streamed tables
 // (protocolHello describes the frames). A session is one circuit garbled
@@ -350,7 +350,7 @@ func rngOrDefault(r io.Reader) io.Reader {
 	return r
 }
 
-// Program returns the server's compiled netlist tape, compiling it on
+// Program returns the server's compiled netlist, compiling it on
 // first use (call it ahead of the first session to compile eagerly). Safe
 // to call concurrently; the result is shared by every session.
 func (s *Server) Program() (*netgen.Program, error) {
@@ -379,7 +379,7 @@ func (s *Server) Serve(conn *transport.Conn) error {
 // the session (or disconnects at an inference boundary, which is treated
 // as an implicit close). The handshake, the OT-extension base phase, the
 // set-up OT of the weight labels and netlist compilation happen once; each
-// inference replays the compiled tape with fresh evaluation state. Up to
+// inference walks the compiled schedule with fresh evaluation state. Up to
 // EngineConfig.Pipeline inferences may be begun and unanswered; they are
 // evaluated one at a time, in begin order, on the calling goroutine, while
 // a reader goroutine takes the next one's garbled stream off the wire and a
@@ -404,15 +404,17 @@ func (s *Server) ServeSession(conn *transport.Conn) (*Stats, error) {
 		return StatsOf(set)
 	}
 	// Phase watchdog: serial setup phases (handshake, OT setup) are
-	// bracketed by arm/disarm here; the mux times each inference.
+	// bracketed by arm/disarm here, each under Idle when its own limit is
+	// zero; the mux times each inference and each wait on the client.
 	// Enforcement breaks the connection, and wd.wrap rewrites
 	// the resulting I/O error into the DeadlineError that explains it.
 	wd := newWatchdog(conn.Break)
 	defer wd.disarm()
 	fail := func(err error) (*Stats, error) { return finish(), wd.wrap(err) }
+	dl := s.Engine.Deadlines
 
 	rng := rngOrDefault(s.Rng)
-	wd.arm("handshake", s.Engine.Deadlines.Handshake)
+	wd.arm(dl.setup("handshake", dl.Handshake))
 	// Until set-up, a client sends its hello, the base phase's frames (on a
 	// fresh base) and the set-up OT's answer; each is capped before it
 	// arrives, every other type at 0.
@@ -453,7 +455,7 @@ func (s *Server) ServeSession(conn *transport.Conn) (*Stats, error) {
 	if err := conn.Send(transport.MsgPipeline, plBuf); err != nil {
 		return fail(err)
 	}
-	wd.arm("ot-setup", s.Engine.Deadlines.OTSetup)
+	wd.arm(dl.setup("ot-setup", dl.OTSetup))
 
 	// OT-extension base phase: once per client–server pair, amortized over
 	// every weight transfer of every session the pair runs. A repeat
@@ -496,13 +498,13 @@ func (s *Server) ServeSession(conn *transport.Conn) (*Stats, error) {
 }
 
 // Client runs secure inferences against a server. A Client caches the
-// compiled netlist program per public model spec, so repeated sessions
-// against the same model skip generation entirely, and the OT base
-// correlation per server (up to eight 4 KiB sets of seeds, in memory only),
-// so repeated sessions with the same server skip the base phase. Safe for
-// concurrent use by multiple sessions, provided Rng is nil or itself safe
-// for concurrent use (deterministic readers like *math/rand.Rand are only
-// for single-session tests).
+// compiled netlist program per public model spec (the eight used last), so
+// repeated sessions against the same model skip generation entirely, and
+// the OT base correlation per server (up to eight 4 KiB sets of seeds, in
+// memory only), so repeated sessions with the same server skip the base
+// phase. Safe for concurrent use by multiple sessions, provided Rng is nil
+// or itself safe for concurrent use (deterministic readers like
+// *math/rand.Rand are only for single-session tests).
 type Client struct {
 	// Rng sources protocol randomness (crypto/rand when nil).
 	Rng io.Reader
@@ -514,7 +516,7 @@ type Client struct {
 	sessions atomic.Uint64 // cid of the latest session: this client's half of every nonce
 
 	mu    sync.Mutex
-	progs map[string]*compiled
+	progs []*compiled       // most recently used first, at most maxClientBases
 	bases []senderBaseEntry // most recently used first, at most maxClientBases
 	set   *obs.Set          // the client's ledger, made on first use
 }
@@ -589,6 +591,7 @@ func (c *Client) Close() {
 // there first builds the network and compiles it, everyone else waits for
 // that result. Only what a session needs of the network is kept.
 type compiled struct {
+	spec     string // the marshalled spec, the entry's key
 	once     sync.Once
 	prog     *netgen.Program
 	f        fixed.Format
@@ -612,17 +615,28 @@ func (e *compiled) build(specData []byte) error {
 
 // program returns the cache entry of the given public spec, building it
 // once per distinct spec however many sessions open on it at the same time;
-// a later open allocates nothing.
+// a later open allocates nothing. The cache keeps the maxClientBases specs
+// used last, failed builds included, so a server that varies its spec
+// cannot grow the client.
 func (c *Client) program(specData []byte) (*compiled, error) {
 	c.mu.Lock()
-	e := c.progs[string(specData)]
-	if e == nil {
-		if c.progs == nil {
-			c.progs = make(map[string]*compiled)
-		}
-		e = new(compiled)
-		c.progs[string(specData)] = e
+	i := 0
+	for i < len(c.progs) && c.progs[i].spec != string(specData) {
+		i++
 	}
+	var e *compiled
+	if i < len(c.progs) {
+		e = c.progs[i]
+	} else {
+		e = &compiled{spec: string(specData)}
+		if i == maxClientBases {
+			i-- // the least recently used entry goes
+		} else {
+			c.progs = append(c.progs, nil)
+		}
+	}
+	copy(c.progs[1:i+1], c.progs[:i])
+	c.progs[0] = e
 	c.mu.Unlock()
 	e.once.Do(func() { e.err = e.build(specData) })
 	return e, e.err

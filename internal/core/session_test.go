@@ -9,6 +9,7 @@ import (
 	"deepsecure/internal/act"
 	"deepsecure/internal/fixed"
 	"deepsecure/internal/gc"
+	"deepsecure/internal/nn"
 	"deepsecure/internal/testutil"
 	"deepsecure/internal/transport"
 )
@@ -259,6 +260,49 @@ func TestValidationErrorKeepsSessionUsable(t *testing.T) {
 	wg.Wait()
 	if srvErr != nil {
 		t.Fatalf("server: %v", srvErr)
+	}
+}
+
+// TestClientProgramCacheIsBounded pins the cache's bound: a server that
+// varies its spec leaves the client at most maxClientBases programs, the
+// least recently used going first, and a spec that was evicted compiles
+// again.
+func TestClientProgramCacheIsBounded(t *testing.T) {
+	specs := make([][]byte, maxClientBases+1)
+	for i := range specs {
+		net, err := nn.NewNetwork(nn.Vec(6), nn.NewDense(2+i), nn.NewActivation(act.ReLU), nn.NewDense(4))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if specs[i], err = net.Spec(fixed.Default).Marshal(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	cli := &Client{}
+	entries := make([]*compiled, len(specs))
+	for i, spec := range specs {
+		var err error
+		if entries[i], err = cli.program(spec); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got := len(cli.progs); got != maxClientBases {
+		t.Fatalf("after %d specs the client caches %d programs, want %d", len(specs), got, maxClientBases)
+	}
+	again, err := cli.program(specs[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	if again == entries[0] || again.prog == entries[0].prog {
+		t.Fatal("the evicted spec was found in the cache, not compiled again")
+	}
+	// specs[1] is now the least recently used: it went for specs[0], and
+	// the last spec is still cached.
+	if last, _ := cli.program(specs[len(specs)-1]); last != entries[len(specs)-1] {
+		t.Fatal("a cached spec was compiled again")
+	}
+	if e, _ := cli.program(specs[1]); e == entries[1] {
+		t.Fatal("the least recently used spec was kept")
 	}
 }
 

@@ -60,11 +60,6 @@ type BatchGarbler struct {
 
 	labelStore // the zero-labels, and R in the inversion slot
 	rng        io.Reader
-
-	// Stats count gate-instances: each gate contributes B to the counter,
-	// matching the AES work done and the table bytes on the wire.
-	ANDGates  int64
-	FreeGates int64
 }
 
 // NewBatchGarbler creates a garbler for a batch of b samples, drawing
@@ -337,12 +332,7 @@ func (g *BatchGarbler) GarbleLevel(ands, frees []circuit.Gate, gidBase uint64, t
 	if tweakSeen != nil {
 		g.recordTweaks(&g.lv)
 	}
-	if err := pool.run(g, &g.lv, g.b); err != nil {
-		return err
-	}
-	g.ANDGates += int64(len(ands) * g.b)
-	g.FreeGates += int64(len(frees) * g.b)
-	return nil
+	return pool.run(g, &g.lv, g.b)
 }
 
 // BatchEvaluator is the evaluation state for one batched inference: the

@@ -211,10 +211,6 @@ func TestBatchGarbleEvaluateCorrectness(t *testing.T) {
 			t.Fatalf("level %d: tables differ between 1 and 4 workers", li)
 		}
 	}
-	if bg.ANDGates != 4*b || bg.FreeGates != 2*b {
-		t.Fatalf("gate-instance counters = %d AND / %d free, want %d / %d",
-			bg.ANDGates, bg.FreeGates, 4*b, 2*b)
-	}
 
 	ev, err := NewBatchEvaluator(b)
 	if err != nil {

@@ -9,15 +9,15 @@ import (
 	"deepsecure/internal/nn"
 )
 
-// Program is a compiled inference netlist: the recorded event tape plus
-// its wire-layout and gate accounting. The netlist is a public,
-// deterministic function of the (architecture, format, options) triple,
-// so both protocol parties compile byte-identical programs independently
-// and replay them in lockstep — once per inference, with fresh labels,
-// without ever re-running the generator.
+// Program is a compiled inference netlist: the recorded event tape, the
+// level schedule compiled from it, its wire layout and gate accounting.
+// The netlist is a public, deterministic function of the (architecture,
+// format, options) triple, so both protocol parties compile byte-identical
+// programs independently and walk the schedule in lockstep — once per
+// inference, with fresh labels, without ever re-running the generator.
 //
-// A Program is immutable after Compile and safe for concurrent replay
-// from any number of sessions.
+// A Program is immutable after Compile and safe for concurrent use by any
+// number of sessions.
 type Program struct {
 	Tape *circuit.Tape
 	// Schedule is the level-parallel execution plan derived from the
@@ -34,10 +34,11 @@ type Program struct {
 	Digest [sha256.Size]byte
 }
 
-// Compile generates the network's netlist once, recording it as a
-// replayable tape. Generation cost (layer traversal, constant folding,
-// wire recycling) is paid here; each subsequent inference only pays for
-// the cryptography while Replay streams the recorded events.
+// Compile generates the network's netlist once, recording it as a tape,
+// and replays the tape once into the level schedule. Generation and
+// scheduling cost (layer traversal, constant folding, wire recycling,
+// levelling) is paid here; each inference then walks Schedule and pays
+// only for the cryptography.
 func Compile(net *nn.Network, f fixed.Format, opt Options) (*Program, error) {
 	tape := circuit.NewTape()
 	b := circuit.NewBuilder(tape, circuit.WithRecycling())

@@ -179,27 +179,17 @@ func NewExtSender(conn transport.FrameConn, rng io.Reader) (*ExtSender, error) {
 }
 
 // Send runs one extension batch, obliviously transferring pairs[j][r_j]
-// for the receiver's hidden choice bits r.
+// for the receiver's hidden choice bits r: it receives the U matrix,
+// computes the batch's pads (Pads) and sends pairs[j][b] ⊕ pad[j][b] as
+// MsgOTExtY.
 func (es *ExtSender) Send(pairs [][2]Msg) error {
-	if len(pairs) == 0 {
+	m := len(pairs)
+	if m == 0 {
 		return nil
 	}
 	u, err := es.conn.Recv(transport.MsgOTExtU)
 	if err != nil {
 		return err
-	}
-	return es.SendWithU(pairs, u)
-}
-
-// SendWithU is the sender half of one chosen-message extension batch given
-// an already-received U matrix: it computes the batch's pads (Pads) and
-// sends pairs[j][b] ⊕ pad[j][b] as MsgOTExtY. Calls, Pads' included, must
-// happen in the wire order of the U frames: the per-seed PRG streams and
-// the hash counter are stateful.
-func (es *ExtSender) SendWithU(pairs [][2]Msg, u []byte) error {
-	m := len(pairs)
-	if m == 0 {
-		return nil
 	}
 	pads := make([][2]Msg, m)
 	if err := es.Pads(u, pads); err != nil {
@@ -222,8 +212,9 @@ func (es *ExtSender) SendWithU(pairs [][2]Msg, u []byte) error {
 // receiver's U matrix it writes row j's pair (H(q_j), H(q_j ⊕ s)), hashed
 // under tweak idx+j, into pads[j] for every j < len(pads), and sends
 // nothing. The receiver's Pads yields pads[j][c_j] for its choice bit c_j;
-// pads[j][1−c_j] is pseudorandom to it. Pads calls must happen in the
-// wire order of the U frames (see SendWithU).
+// pads[j][1−c_j] is pseudorandom to it. Pads calls, Send's included,
+// must happen in the wire order of the U frames: the per-seed PRG streams
+// and the hash counter are stateful.
 func (es *ExtSender) Pads(u []byte, pads [][2]Msg) error {
 	m := len(pads)
 	mBytes := (m + 7) / 8
@@ -322,16 +313,15 @@ func NewExtReceiver(conn transport.FrameConn, rng io.Reader) (*ExtReceiver, erro
 }
 
 // PreparedReceive carries the receiver-side state of one extension batch
-// between building the U matrix and hashing its rows (Pads, or Finish with
-// the sender's Y response). The split lets a caller run the receiver's
-// crypto ahead of time and send U at a protocol point of its choosing, as
-// the keyed OT pool of internal/ot/precomp does.
+// between building the U matrix and hashing its rows (Pads). The split
+// lets a caller run the receiver's crypto ahead of time and send U at a
+// protocol point of its choosing, as the keyed OT pool of
+// internal/ot/precomp does.
 type PreparedReceive struct {
 	// U is the masked column matrix to put on the wire (k·ceil(m/8)
 	// bytes).
-	U       []byte
-	choices []bool
-	rows    [][16]byte
+	U    []byte
+	rows [][16]byte
 }
 
 // Prepare runs the receiver's compute half of one extension batch: it
@@ -354,31 +344,7 @@ func (er *ExtReceiver) Prepare(choices []bool) *PreparedReceive {
 		subtle.XORBytes(ui, ui, r)
 		tCols[i] = t
 	}
-	return &PreparedReceive{
-		U:       u,
-		choices: append([]bool(nil), choices...),
-		rows:    transposeToRows(tCols, m),
-	}
-}
-
-// Finish decrypts the sender's Y response for a prepared batch and
-// returns the chosen messages: y's half for choice c_j XOR the batch's
-// pads (Pads). Finish calls must happen in the wire order of the Y frames
-// (the hash counter is stateful).
-func (er *ExtReceiver) Finish(pr *PreparedReceive, y []byte) ([]Msg, error) {
-	m := len(pr.choices)
-	if len(y) != m*2*MsgLen {
-		return nil, fmt.Errorf("ot: Y payload is %d bytes, want %d", len(y), m*2*MsgLen)
-	}
-	out := er.Pads(pr)
-	for j := range out {
-		off := j * 2 * MsgLen
-		if pr.choices[j] {
-			off += MsgLen
-		}
-		subtle.XORBytes(out[j][:], out[j][:], y[off:off+MsgLen])
-	}
-	return out, nil
+	return &PreparedReceive{U: u, rows: transposeToRows(tCols, m)}
 }
 
 // Pads is the receiver half of one random-OT extension batch: row j's
@@ -418,5 +384,18 @@ func (er *ExtReceiver) Receive(choices []bool) ([]Msg, error) {
 	if err != nil {
 		return nil, err
 	}
-	return er.Finish(pr, y)
+	// Y's half for choice c_j XOR the batch's pads.
+	m := len(choices)
+	if len(y) != m*2*MsgLen {
+		return nil, fmt.Errorf("ot: Y payload is %d bytes, want %d", len(y), m*2*MsgLen)
+	}
+	out := er.Pads(pr)
+	for j := range out {
+		off := j * 2 * MsgLen
+		if choices[j] {
+			off += MsgLen
+		}
+		subtle.XORBytes(out[j][:], out[j][:], y[off:off+MsgLen])
+	}
+	return out, nil
 }

@@ -313,19 +313,20 @@ func TestExtensionPackingBoundaryBackToBack(t *testing.T) {
 }
 
 func TestPreparedReceiveMatchesInline(t *testing.T) {
-	// The Prepare/Finish split (used by the precomputed-OT pool) must
-	// transfer identically to the inline Receive on the same stream,
-	// including when the two styles alternate.
+	// The split path the keyed OT pool uses (Prepare, then Pads on both
+	// sides) must yield the random-OT correlation when it alternates with
+	// inline Send/Receive batches on one stream.
 	a, b, closer := transport.Pipe()
 	defer closer.Close()
 	rng := rand.New(rand.NewSource(57))
-	pairs1 := randPairs(rng, 21)
 	choices1 := randChoices(rng, 21)
 	pairs2 := randPairs(rng, 13)
 	choices2 := randChoices(rng, 13)
+	choices3 := randChoices(rng, 9)
 
 	var wg sync.WaitGroup
 	var sendErr error
+	var pads1, pads3 [][2]Msg
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
@@ -334,43 +335,46 @@ func TestPreparedReceiveMatchesInline(t *testing.T) {
 			sendErr = err
 			return
 		}
-		if err := s.Send(pairs1); err != nil {
-			sendErr = err
+		split := func(m int) ([][2]Msg, error) {
+			u, err := a.Recv(transport.MsgOTExtU)
+			if err != nil {
+				return nil, err
+			}
+			pads := make([][2]Msg, m)
+			return pads, s.Pads(u, pads)
+		}
+		if pads1, sendErr = split(len(choices1)); sendErr != nil {
 			return
 		}
-		// Second batch through the split sender path.
-		u, err := a.Recv(transport.MsgOTExtU)
-		if err != nil {
-			sendErr = err
+		if sendErr = s.Send(pairs2); sendErr != nil {
 			return
 		}
-		sendErr = s.SendWithU(pairs2, u)
+		pads3, sendErr = split(len(choices3))
 	}()
 	r, err := NewExtReceiver(b, rand.New(rand.NewSource(59)))
 	if err != nil {
 		t.Fatal(err)
 	}
-	// First batch via the split receiver path.
-	pr := r.Prepare(choices1)
-	if err := b.Send(transport.MsgOTExtU, pr.U); err != nil {
-		t.Fatal(err)
+	split := func(choices []bool) []Msg {
+		t.Helper()
+		pr := r.Prepare(choices)
+		if err := b.Send(transport.MsgOTExtU, pr.U); err != nil {
+			t.Fatal(err)
+		}
+		if err := b.Flush(); err != nil {
+			t.Fatal(err)
+		}
+		return r.Pads(pr)
 	}
-	y, err := b.Recv(transport.MsgOTExtY)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got1, err := r.Finish(pr, y)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Second batch inline.
+	got1 := split(choices1)
 	got2, err := r.Receive(choices2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got3 := split(choices3)
 	wg.Wait()
 	if sendErr != nil {
 		t.Fatal(sendErr)
-	}
-	if err != nil {
-		t.Fatal(err)
 	}
 	check := func(pairs [][2]Msg, choices []bool, got []Msg) {
 		t.Helper()
@@ -384,8 +388,9 @@ func TestPreparedReceiveMatchesInline(t *testing.T) {
 			}
 		}
 	}
-	check(pairs1, choices1, got1)
+	check(pads1, choices1, got1)
 	check(pairs2, choices2, got2)
+	check(pads3, choices3, got3)
 }
 
 // TestRandomOTPads pins the random-OT correlation the OT pool banks: for

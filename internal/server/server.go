@@ -1,7 +1,7 @@
 // Package server turns a model-owning core.Server into a long-lived
 // concurrent network service: a net.Listener accept loop with one
-// goroutine per connection, where every session shares the one compiled
-// netlist tape (read-only) and pays the handshake and OT base phase only
+// goroutine per connection, where every session walks the one compiled
+// level schedule (read-only) and pays the handshake and set-up OT only
 // once per connection. This is the deployment shape the paper's
 // scalability argument (§3.5, streaming constant-memory execution) is
 // aimed at: the server's marginal cost per client is the cryptography,
@@ -16,7 +16,6 @@ import (
 	"io"
 	"net"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"deepsecure/internal/core"
@@ -55,8 +54,7 @@ type Server struct {
 	// Logf, when set, receives per-session log lines (e.g. log.Printf).
 	Logf func(format string, args ...any)
 
-	idleTimeout time.Duration
-	adm         *admission // nil unless WithAdmission configured
+	adm *admission // nil unless WithAdmission configured
 
 	mu       sync.Mutex
 	listener net.Listener
@@ -74,9 +72,10 @@ type Server struct {
 type Option func(*Server)
 
 // WithEngine selects the session execution-engine configuration every
-// session of this server evaluates with: worker count, table chunk size,
-// the in-flight window (Pipeline) and batch cap (MaxBatch) the server
-// announces and enforces, and the phase deadlines.
+// session of this server evaluates with: worker count, the in-flight
+// window (Pipeline) and batch cap (MaxBatch) the server announces and
+// enforces, and the phase deadlines, the idle bound on a stalled client
+// included.
 func WithEngine(cfg core.EngineConfig) Option {
 	return func(s *Server) { s.core.Engine = cfg }
 }
@@ -86,16 +85,6 @@ func WithEngine(cfg core.EngineConfig) Option {
 // set-up, so there is nothing to size. It stays for the benchmark module,
 // which still passes it, until the benchmark's next change drops the call.
 func WithOTPool(precomp.PoolConfig) Option { return func(*Server) {} }
-
-// WithIdleTimeout bounds how long a session connection may sit idle.
-// Each read and each write arms a deadline of d; a client that stalls
-// mid-protocol — never speaking, or holding the connection open while
-// refusing to drain the server's writes — has its connection closed
-// instead of pinning a goroutine and its engine state forever. Zero
-// (the default) disables the timeout.
-func WithIdleTimeout(d time.Duration) Option {
-	return func(s *Server) { s.idleTimeout = d }
-}
 
 // New builds a server around the private model and eagerly compiles the
 // inference netlist, so the first client doesn't pay generation latency
@@ -187,57 +176,6 @@ func (s *Server) ServeContext(ctx context.Context, ln net.Listener) error {
 	}
 }
 
-// idleConn arms a deadline before every read and write, so a session
-// stalls for at most the idle timeout no matter where in the protocol
-// the peer went quiet — including a peer that keeps the connection open
-// but stops draining its receive window (which would otherwise pin the
-// server in a blocked Write that no read deadline can interrupt).
-//
-// On a session the reader goroutine has a read pending whenever its
-// ring has room, including during an inference's evaluation tail, when a
-// conforming client is legitimately silent (it is waiting for the
-// output labels). A timed-out read therefore only counts as a stall if
-// the session made no compute progress since the previous deadline:
-// progress points at the transport.Conn's activity counter, which the
-// evaluation engine bumps per gate level.
-type idleConn struct {
-	net.Conn
-	idle time.Duration
-
-	progress     *atomic.Int64
-	lastProgress int64 // only touched by the (single) reading goroutine
-}
-
-func (c *idleConn) Read(p []byte) (int, error) {
-	for {
-		if err := c.Conn.SetReadDeadline(time.Now().Add(c.idle)); err != nil {
-			return 0, err
-		}
-		n, err := c.Conn.Read(p)
-		if err == nil || n > 0 {
-			return n, err
-		}
-		var ne net.Error
-		if c.progress != nil && errors.As(err, &ne) && ne.Timeout() {
-			if cur := c.progress.Load(); cur != c.lastProgress {
-				// Quiet wire but a busy evaluator: re-arm and keep
-				// waiting. A genuinely stalled peer stops advancing the
-				// counter and times out on the next pass.
-				c.lastProgress = cur
-				continue
-			}
-		}
-		return n, err
-	}
-}
-
-func (c *idleConn) Write(p []byte) (int, error) {
-	if err := c.Conn.SetWriteDeadline(time.Now().Add(c.idle)); err != nil {
-		return 0, err
-	}
-	return c.Conn.Write(p)
-}
-
 // shed answers an un-admitted connection with MsgBusy. The client's
 // MsgHello is read first: closing a socket with unread inbound data may
 // reset the connection and destroy the in-flight busy frame. The whole
@@ -290,19 +228,11 @@ func (s *Server) serveConn(conn net.Conn) {
 	defer s.set.SessionsActive.Add(-1)
 
 	start := time.Now()
-	rw := io.ReadWriter(conn)
-	var ic *idleConn
-	if s.idleTimeout > 0 {
-		ic = &idleConn{Conn: conn, idle: s.idleTimeout}
-		rw = ic
-	}
-	tc := transport.New(rw)
-	if ic != nil {
-		ic.progress = &tc.Progress
-	}
-	// Phase-deadline enforcement (core's watchdogs) unblocks stalled I/O
-	// by breaking the connection; the watchdog rewrites the resulting
-	// error into the DeadlineError that explains it.
+	tc := transport.New(conn)
+	// Phase-deadline enforcement (core's watchdogs), the idle bound
+	// included, unblocks stalled I/O by breaking the connection; the
+	// watchdog rewrites the resulting error into the DeadlineError that
+	// explains it.
 	tc.SetBreaker(conn.Close)
 	st, err := s.core.ServeSession(tc)
 	if err != nil && !errors.Is(err, io.EOF) && !errors.Is(err, net.ErrClosed) {

@@ -2,11 +2,9 @@ package server
 
 import (
 	"context"
-	"errors"
 	"math/rand"
 	"net"
 	"sync"
-	"sync/atomic"
 	"testing"
 	"time"
 
@@ -252,12 +250,13 @@ func TestShutdownRefusesNewConnections(t *testing.T) {
 	}
 }
 
-// TestIdleTimeoutReapsStalledClient covers WithIdleTimeout: a client that
-// connects and never speaks (or goes quiet mid-protocol) must not pin a
-// connection goroutine forever.
+// TestIdleTimeoutReapsStalledClient covers DeadlineConfig.Idle: a client
+// that connects and never speaks (or goes quiet mid-protocol) must not pin
+// a connection goroutine forever.
 func TestIdleTimeoutReapsStalledClient(t *testing.T) {
 	model := testModel(t)
-	srv, err := New(model, fixed.Default, WithIdleTimeout(2*time.Second))
+	srv, err := New(model, fixed.Default,
+		WithEngine(core.EngineConfig{Deadlines: core.DeadlineConfig{Idle: 2 * time.Second}}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -288,14 +287,14 @@ func TestIdleTimeoutReapsStalledClient(t *testing.T) {
 	if got := srv.Stats(); got.Errors != 1 || got.ActiveSessions != 0 {
 		t.Fatalf("server stats %+v, want the stalled session reaped as 1 error", got)
 	}
-	// The server's read deadline must also have closed the connection.
+	// The watchdog must also have closed the connection.
 	nc.SetReadDeadline(time.Now().Add(2 * time.Second))
 	if _, err := nc.Read(make([]byte, 1)); err == nil {
 		t.Fatal("stalled connection still open after idle timeout")
 	}
 
-	// A live client on the same server still works: the deadline is per
-	// read, not per session, so active sessions are unaffected.
+	// A live client on the same server still works: the bound is per
+	// awaited frame, not per session, so active sessions are unaffected.
 	nc2, err := net.Dial("tcp", ln.Addr().String())
 	if err != nil {
 		t.Fatal(err)
@@ -554,73 +553,5 @@ func TestPipelinedSessionsOverTCP(t *testing.T) {
 	st := srv.Stats()
 	if st.Sessions != clients || st.Inferences != clients*perClient || st.Errors != 0 {
 		t.Errorf("server stats %+v, want %d sessions x %d inferences", st, clients, perClient)
-	}
-}
-
-// stallConn is a fake net.Conn whose reads always time out, invoking a
-// hook first so tests can model compute progress between deadlines.
-type stallConn struct {
-	reads     int
-	onTimeout func(n int)
-}
-
-type timeoutError struct{}
-
-func (timeoutError) Error() string   { return "i/o timeout" }
-func (timeoutError) Timeout() bool   { return true }
-func (timeoutError) Temporary() bool { return true }
-
-func (c *stallConn) Read(p []byte) (int, error) {
-	n := c.reads
-	c.reads++
-	if c.onTimeout != nil {
-		c.onTimeout(n)
-	}
-	return 0, timeoutError{}
-}
-func (c *stallConn) Write(p []byte) (int, error)      { return len(p), nil }
-func (c *stallConn) Close() error                     { return nil }
-func (c *stallConn) LocalAddr() net.Addr              { return nil }
-func (c *stallConn) RemoteAddr() net.Addr             { return nil }
-func (c *stallConn) SetDeadline(time.Time) error      { return nil }
-func (c *stallConn) SetReadDeadline(time.Time) error  { return nil }
-func (c *stallConn) SetWriteDeadline(time.Time) error { return nil }
-
-// TestIdleConnToleratesComputeProgress pins the v4 liveness rule: a
-// timed-out read only counts as a stall when the session made no
-// compute progress since the previous deadline. A pipelined session's
-// demux reader always has a read pending — including during an
-// inference's evaluation tail, when a conforming client is legitimately
-// silent — so the idle reaper must watch the engine's progress counter,
-// not just the wire.
-func TestIdleConnToleratesComputeProgress(t *testing.T) {
-	var prog atomic.Int64
-	fc := &stallConn{onTimeout: func(n int) {
-		if n < 3 {
-			prog.Add(1) // the evaluator is chewing levels: session alive
-		}
-	}}
-	c := &idleConn{Conn: fc, idle: time.Millisecond, progress: &prog}
-	buf := make([]byte, 1)
-	_, err := c.Read(buf)
-	var ne net.Error
-	if err == nil || !errors.As(err, &ne) || !ne.Timeout() {
-		t.Fatalf("Read returned %v, want a timeout", err)
-	}
-	// Three timeouts with progress are tolerated; the fourth, with the
-	// counter unchanged, is a real stall.
-	if fc.reads != 4 {
-		t.Fatalf("idleConn retried %d reads, want 4 (3 with progress + the stall)", fc.reads)
-	}
-
-	// Without a progress counter (pre-v4 behavior) the first timeout is
-	// final.
-	fc2 := &stallConn{}
-	c2 := &idleConn{Conn: fc2, idle: time.Millisecond}
-	if _, err := c2.Read(buf); err == nil {
-		t.Fatal("expected timeout")
-	}
-	if fc2.reads != 1 {
-		t.Fatalf("progress-less idleConn retried %d reads, want 1", fc2.reads)
 	}
 }

@@ -135,13 +135,6 @@ type Conn struct {
 	// accounting).
 	set *obs.Set
 
-	// Progress is a generic session-activity counter: protocol layers
-	// above may bump it on compute progress (e.g. per evaluated gate
-	// level) so transport wrappers below — idle-timeout connections —
-	// can tell a compute-busy peer apart from a stalled one even while
-	// the wire is quiet.
-	Progress atomic.Int64
-
 	// breaker, when installed, forcibly fails the connection's pending
 	// and future I/O (see SetBreaker).
 	breaker func() error

@@ -162,8 +162,8 @@ func dialOnce(addr string, cli *Client) (*Session, net.Conn, error) {
 // Type re-exports backing the retry/deadline surface.
 type (
 	// DeadlineConfig bounds the protocol's phases (handshake, OT setup,
-	// per-inference) by wall time; set it in EngineConfig.Deadlines on
-	// either side. Enforcement needs a connection breaker — the server
+	// per-inference) and a server's waits on a stalled client (Idle) by
+	// wall time; set it in EngineConfig.Deadlines on either side. Enforcement needs a connection breaker — the server
 	// installs one on every accepted connection, clients get one from
 	// DialSession (or their own Conn.SetBreaker call).
 	DeadlineConfig = core.DeadlineConfig
