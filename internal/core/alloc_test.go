@@ -104,3 +104,81 @@ func TestInferenceAllocBudget(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestSessionSetupAllocBudget bounds the bytes both parties allocate for a
+// repeat session's set-up (runtime.MemStats.TotalAlloc, one process, on
+// loopback TCP): the client's NewSession and Close against the server's
+// ServeSession on mlp_churn's 8-4-ReLU-2 model, whose set-up OT carries
+// 1 056 weight labels. The garbler's table chunk and both label arrays come
+// from the engine pools, the OT parties hold session keys and one buffer
+// each: a repeat session allocated 277 kB where it had allocated 1 037 kB
+// while every seed drew through a cipher object of its own. The budget is
+// 1.25 × that, over the best of several rounds.
+func TestSessionSetupAllocBudget(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector drops a share of what sync.Pool is given back")
+	}
+	model, err := nn.NewNetwork(nn.Vec(8), nn.NewDense(4), nn.NewActivation(act.ReLU), nn.NewDense(2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	model.InitWeights(rand.New(rand.NewSource(20180624)))
+	cfg := EngineConfig{Workers: 1}
+	srv := &Server{Net: model, Fmt: fixed.Default, Engine: cfg}
+	cli := &Client{Engine: cfg}
+	defer cli.Close()
+
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	served := make(chan error)
+	go func() {
+		for {
+			c, err := ln.Accept()
+			if err != nil {
+				return
+			}
+			_, err = srv.ServeSession(transport.New(c))
+			c.Close()
+			served <- err
+		}
+	}()
+	session := func() {
+		c, err := net.Dial("tcp", ln.Addr().String())
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer c.Close()
+		sess, err := cli.NewSession(transport.New(c))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := sess.Close(); err != nil {
+			t.Fatal(err)
+		}
+		if err := <-served; err != nil {
+			t.Fatal(err)
+		}
+	}
+	for range 4 { // the first files the base, the rest warm the pools
+		session()
+	}
+	const rounds, per, budget = 3, 8, 1.25 * 277e3
+	best := uint64(1 << 63)
+	for range rounds {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for range per {
+			session()
+		}
+		runtime.ReadMemStats(&after)
+		best = min(best, (after.TotalAlloc-before.TotalAlloc)/per)
+	}
+	if float64(best) > budget {
+		t.Errorf("a repeat session's set-up allocated %.1f kB, budget %.1f kB", float64(best)/1e3, budget/1e3)
+	} else {
+		t.Logf("a repeat session's set-up allocated %.1f kB", float64(best)/1e3)
+	}
+}

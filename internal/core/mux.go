@@ -122,10 +122,10 @@ type sessionMux struct {
 	sched *circuit.Schedule
 	cfg   EngineConfig
 
-	weights []gc.Label // the weight wires' labels the set-up OT chose
-	labels  gc.Spare   // the evaluator's label array, handed from inference to inference and kept while idle
-	wd      *watchdog  // the session's phase watchdog
-	set     *obs.Set   // the session's ledger
+	weights []gc.Label  // the weight wires' labels the set-up OT chose
+	bufs    *engineBufs // the evaluator's label array, handed from inference to inference and kept while idle
+	wd      *watchdog   // the session's phase watchdog
+	set     *obs.Set    // the session's ledger
 
 	fifo chan frame
 	stop chan struct{} // closed when run returns: a reader parked on a full ring leaves
@@ -169,6 +169,7 @@ func newSessionMux(srv *Server, conn *transport.Conn, weights []gc.Label, sched 
 		sched:   sched,
 		cfg:     srv.Engine,
 		weights: weights,
+		bufs:    takeBufs(&evaluatorBufs),
 		wd:      wd,
 		set:     set,
 		fifo:    make(chan frame, ringFrames),
@@ -388,7 +389,7 @@ func (m *sessionMux) evaluate(inf *inference) (err error) {
 	if err != nil {
 		return err
 	}
-	e.Reuse(m.labels)
+	e.Reuse(m.bufs.labels)
 	e.SetFirst(inf.first)
 	for s := 0; s < inf.batch; s++ {
 		var lf, lt gc.Label
@@ -408,7 +409,7 @@ func (m *sessionMux) evaluate(inf *inference) (err error) {
 	if err := en.run(); err != nil {
 		return err
 	}
-	m.labels = e.Release()
+	m.bufs.labels = e.Release()
 	// The crypto-core figures: gate counts from the schedule (walked once
 	// per sample), kernel time from the engine's measurement.
 	m.set.GatesAnd.Add(m.sched.ANDs * int64(inf.batch))

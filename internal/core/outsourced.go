@@ -306,13 +306,9 @@ func (s *Server) ServeOutsourced(proxyConn, clientConn *transport.Conn) error {
 	if err != nil {
 		return err
 	}
-	chosen, err := ots.Receive(choices)
+	weights, err := ots.Receive(choices)
 	if err != nil {
 		return err
-	}
-	weights := make([]gc.Label, len(chosen))
-	for i, m := range chosen {
-		weights[i] = gc.Label(m)
 	}
 	constLabels, err := proxyConn.Recv(transport.MsgConstLabels)
 	if err != nil {

@@ -490,11 +490,11 @@ func (s *Server) ServeSession(conn *transport.Conn) (*Stats, error) {
 	set.OTOfflineTime.Add(int64(time.Since(baseStart)))
 	wd.disarm()
 
-	weights := make([]gc.Label, len(chosen))
-	for i, m := range chosen {
-		weights[i] = gc.Label(m)
+	m := newSessionMux(s, conn, chosen, prog.Schedule, wd, set)
+	if err = m.run(); err == nil {
+		evaluatorBufs.Put(m.bufs)
 	}
-	return fail(newSessionMux(s, conn, weights, prog.Schedule, wd, set).run())
+	return fail(err)
 }
 
 // Client runs secure inferences against a server. A Client caches the
@@ -678,15 +678,35 @@ type Session struct {
 	inflight []*PendingInference
 
 	// The session's garbling engine state, reused across inferences: the
-	// worker pool (a view of the shared scheduler), the table chunk buffer,
-	// the input-label payload buffer, the garbler's label array and the
-	// input bits.
+	// worker pool (a view of the shared scheduler), the table chunk buffer
+	// and the garbler's label array (bufs, from the process's garblerBufs),
+	// the input-label payload buffer and the input bits.
 	cfg      EngineConfig
 	pool     *gc.Pool
-	chunkBuf []byte
+	bufs     *engineBufs
 	labelBuf []byte
-	labels   gc.Spare
 	bitBuf   []bool
+}
+
+// engineBufs is what a session's engine grows and keeps from inference to
+// inference: the garbler's table chunk (about the tables one inference
+// sends) and either party's label array. A session takes one from its
+// party's pool as it opens and hands it back when it ends cleanly, so a
+// process that runs session after session reuses them; the garbage
+// collector drains the pools, so an idle process pins none.
+type engineBufs struct {
+	chunk  []byte
+	labels gc.Spare
+}
+
+var garblerBufs, evaluatorBufs sync.Pool
+
+// takeBufs returns a spent engineBufs from pool, or a new one.
+func takeBufs(pool *sync.Pool) *engineBufs {
+	if b, ok := pool.Get().(*engineBufs); ok {
+		return b
+	}
+	return new(engineBufs)
 }
 
 // NewSession opens a session: protocol hello, architecture download,
@@ -830,27 +850,28 @@ func (c *Client) NewSession(conn *transport.Conn) (sess *Session, err error) {
 	set.OTOfflineTime.Add(int64(time.Since(baseStart)))
 	// After set-up a server sends answers alone.
 	readOnly(conn, transport.MsgOutputLabels)
+	s.bufs = takeBufs(&garblerBufs)
 	return s, nil
 }
 
 // weightLabels draws a session's Free-XOR offset and its w weight wires'
 // zero-labels, with permute bit 0 so that a label's colour is its value,
-// and returns the label pairs the set-up OT transfers.
+// and returns the label pairs the set-up OT transfers. The zero-labels are
+// drawn in place, in one read; the pairs are a buffer of their own, so that
+// they are garbage once the OT has sent them while the session keeps the
+// zero-labels.
 func weightLabels(rng io.Reader, w int) (delta gc.Label, zero []gc.Label, pairs [][2]ot.Msg, err error) {
 	if delta, err = gc.RandomDelta(rng); err != nil {
 		return delta, nil, nil, err
 	}
-	draw := make([]byte, w*gc.LabelSize)
-	if _, err := io.ReadFull(rng, draw); err != nil {
+	zero = make([]gc.Label, w)
+	if err := gc.RandomLabels(rng, zero); err != nil {
 		return delta, nil, nil, fmt.Errorf("core: weight-label randomness: %w", err)
 	}
-	zero = make([]gc.Label, w)
 	pairs = make([][2]ot.Msg, w)
 	for i := range zero {
-		l := gc.Label(draw[i*gc.LabelSize:])
-		l[0] &^= 1
-		zero[i] = l
-		pairs[i] = [2]ot.Msg{ot.Msg(l), ot.Msg(l.XOR(delta))}
+		zero[i][0] &^= 1
+		pairs[i] = [2]ot.Msg{zero[i], zero[i].XOR(delta)}
 	}
 	return delta, zero, pairs, nil
 }
@@ -1089,7 +1110,7 @@ func (s *Session) InferBatchAsync(xs [][]float64) (*PendingBatch, error) {
 	}
 	g.SetFirst(s.next)
 	s.next += uint64(b)
-	g.Reuse(s.labels)
+	g.Reuse(s.bufs.labels)
 	constPayload, err := g.AppendConstLabels(s.labelBuf[:0])
 	if err != nil {
 		return fail(err)
@@ -1108,7 +1129,7 @@ func (s *Session) InferBatchAsync(xs [][]float64) (*PendingBatch, error) {
 		labelBuf:  constPayload[:0],
 		// outZero is NOT recycled across inferences here: in-flight
 		// inferences hold theirs until their outputs authenticate.
-		cur: s.chunkBuf,
+		cur: s.bufs.chunk,
 	}
 	if err := en.run(); err != nil {
 		return fail(err)
@@ -1118,13 +1139,13 @@ func (s *Session) InferBatchAsync(xs [][]float64) (*PendingBatch, error) {
 	}
 	p.flushed = time.Now()
 	// Hand the grown buffers back for the next inference on this session.
-	s.chunkBuf = en.cur
+	s.bufs.chunk = en.cur
 	s.labelBuf = en.labelBuf
 	// Keep only what output authentication needs — the output zero-labels:
 	// the garbler's schedule-sized label array goes to the next inference
 	// here, not when the outputs return. Gate-instance
 	// counts derive from the schedule, walked once per sample.
-	s.labels = g.Release()
+	s.bufs.labels = g.Release()
 	p.outZero = en.outZero
 	p.set.GatesAnd.Add(s.prog.Schedule.ANDs * int64(b))
 	p.set.GatesFree.Add((int64(len(s.prog.Schedule.Gates)) - s.prog.Schedule.ANDs) * int64(b))
@@ -1183,6 +1204,8 @@ func (s *Session) Close() error {
 	if s.failed {
 		return drainErr
 	}
+	garblerBufs.Put(s.bufs)
+	s.bufs = nil
 	if err := s.conn.Send(transport.MsgEndSession, nil); err != nil {
 		return err
 	}

@@ -5,7 +5,9 @@
 // input), and fixed-key block-cipher garbling (JustGarble-style AES
 // Davies–Meyer hashing). One switch picks the kernel: on amd64 with AES-NI
 // and SSSE3 the assembly level kernel, kernel_amd64.s, and its 8-lane hash;
-// elsewhere, and under the purego tag, the Go kernel over crypto/aes.
+// elsewhere, and under the purego tag, the Go kernel over crypto/aes. The
+// OT extension's keystreams run on the same AES code behind the same
+// switch (SessionKeys, XORKeyStream).
 //
 // The package is pure computation: the Garbler and Evaluator consume a
 // gate stream and produce/consume garbled tables as byte slices; all
@@ -16,12 +18,12 @@
 package gc
 
 import (
-	"crypto/aes"
 	"crypto/cipher"
 	"encoding/binary"
 	"fmt"
 	"io"
 	"math/bits"
+	"unsafe"
 )
 
 // SecurityBits is the GC security parameter (label width in bits). The
@@ -41,7 +43,10 @@ const TableSize = 2 * LabelSize
 type Label [LabelSize]byte
 
 // XOR returns l ⊕ o.
-func (l Label) XOR(o Label) Label { return blockAt(l[:]).xor(blockAt(o[:])).label() }
+func (l Label) XOR(o Label) Label {
+	blockAt(l[:]).xor(blockAt(o[:])).put(l[:])
+	return l
+}
 
 // LSB returns the point-and-permute bit of the label.
 func (l Label) LSB() bool { return l[0]&1 == 1 }
@@ -91,7 +96,7 @@ func dbl(k block) block {
 
 // fixedKey is the public fixed AES key of the garbling hash. Its value is
 // arbitrary but must be identical for garbler and evaluator.
-var fixedKey = [16]byte{
+var fixedKey = Label{
 	0xd3, 0x3e, 0x5f, 0x0a, 0x91, 0x27, 0x6c, 0xb8,
 	0x44, 0xfe, 0x09, 0x73, 0xa2, 0x58, 0x1d, 0xc6,
 }
@@ -134,13 +139,8 @@ type Hasher struct {
 
 // NewHasher builds the fixed-key hasher.
 func NewHasher() *Hasher {
-	block, err := aes.NewCipher(fixedKey[:])
-	if err != nil {
-		// aes.NewCipher only fails on bad key sizes; 16 is valid.
-		panic(fmt.Sprintf("gc: fixed-key AES init: %v", err))
-	}
 	return &Hasher{
-		block: block,
+		block: newCipher(fixedKey),
 		kbuf:  make([]byte, LabelSize),
 		obuf:  make([]byte, LabelSize),
 	}
@@ -201,6 +201,18 @@ func RandomLabel(rng io.Reader) (Label, error) {
 		return Label{}, fmt.Errorf("gc: label randomness: %w", err)
 	}
 	return l, nil
+}
+
+// RandomLabels fills dst with fresh labels in one read of rng: the labels
+// of len(dst) RandomLabel calls, in order.
+func RandomLabels(rng io.Reader, dst []Label) error {
+	if len(dst) == 0 {
+		return nil
+	}
+	if _, err := io.ReadFull(rng, unsafe.Slice(&dst[0][0], len(dst)*LabelSize)); err != nil {
+		return fmt.Errorf("gc: label randomness: %w", err)
+	}
+	return nil
 }
 
 // RandomDelta draws the global Free-XOR offset R, forcing LSB(R)=1 so

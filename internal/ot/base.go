@@ -24,6 +24,7 @@ import (
 	"io"
 	"math/big"
 
+	"deepsecure/internal/gc"
 	"deepsecure/internal/transport"
 )
 
@@ -31,8 +32,9 @@ import (
 // label).
 const MsgLen = 16
 
-// Msg is one OT payload (a 128-bit wire label).
-type Msg [MsgLen]byte
+// Msg is one OT payload: a 128-bit wire label, which is what the
+// extension's pads and the weight labels it transfers are.
+type Msg = gc.Label
 
 var curve = elliptic.P256()
 

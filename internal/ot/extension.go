@@ -1,12 +1,11 @@
 package ot
 
 import (
-	"crypto/aes"
-	"crypto/cipher"
 	"crypto/subtle"
 	"encoding/binary"
 	"fmt"
 	"io"
+	"unsafe"
 
 	"deepsecure/internal/gc"
 	"deepsecure/internal/transport"
@@ -15,35 +14,17 @@ import (
 // k is the OT-extension security parameter: the number of base OTs.
 const k = 128
 
-// prgStream returns the column stream a base seed yields for the session
-// nonce names: the AES-CTR keystream under the session key AES_seed(nonce).
-// The seed keys nothing but that one block per session, so distinct nonces
-// give streams under (pseudo)independent keys and no keystream byte is
-// produced twice. Each extension party keeps one stateful stream per seed
-// and draws the NEXT keystream bytes for every batch: masks are never
-// reused across batches, so observing two u-matrices reveals nothing about
-// the receiver's choice bits (reusing the stream from offset 0 would leak
-// their XOR). Both parties consume exactly mBytes per batch per seed,
+// Column i of an extension session runs on the AES-CTR keystream (zero
+// IV) under its session key AES_{seed_i}(nonce) (gc.SessionKeys,
+// gc.XORKeyStream). The seed keys nothing but that one block per session,
+// so distinct nonces give streams under (pseudo)independent keys and no
+// keystream byte is produced twice. Each extension party keeps the session
+// keys and the one byte offset every column has reached, and each batch
+// draws the NEXT keystream bytes of every column: masks are never reused
+// across batches, so observing two u-matrices reveals nothing about the
+// receiver's choice bits (reusing the stream from offset 0 would leak their
+// XOR). Both parties advance the offset by exactly mBytes per batch,
 // keeping the streams synchronized without communication.
-func prgStream(seed Msg, nonce Nonce) cipher.Stream {
-	var key, iv Msg
-	block, err := aes.NewCipher(seed[:])
-	if err == nil {
-		block.Encrypt(key[:], nonce[:])
-		block, err = aes.NewCipher(key[:])
-	}
-	if err != nil {
-		panic(fmt.Sprintf("ot: prg cipher: %v", err))
-	}
-	return cipher.NewCTR(block, iv[:])
-}
-
-// prgNext draws the next n keystream bytes from a seed stream.
-func prgNext(s cipher.Stream, n int) []byte {
-	out := make([]byte, n)
-	s.XORKeyStream(out, out)
-	return out
-}
 
 // Nonce names one extension session among all that are derived from one
 // base correlation: the client's 8-byte big-endian session counter, then
@@ -80,36 +61,107 @@ func packBits(bits []bool) []byte {
 	return out
 }
 
-// transposeToRows converts 128 column bit-vectors (each m bits packed in
-// mBytes) into m rows of 16 bytes each (row j holds bit j of every
-// column). It moves 64 bits at a time: byte b of the eight columns of group
-// g is an 8 × 8 bit matrix, transposed in a register, whose rows are byte g
-// of rows 8b … 8b+7 (fewer in a ragged tail, whose padding bits are dropped).
-func transposeToRows(cols [][]byte, m int) [][16]byte {
-	rows := make([][16]byte, m)
+// transposeToRows converts 128 column bit-vectors (column i holds m bits
+// packed LSB-first at cols[i·mBytes:]) into m rows of 16 bytes at
+// rows[16j:] (row j holds bit j of every column). It moves 64 × 64-bit
+// blocks: the eight bytes that 64 rows take in each of 64 columns load as
+// 64 words, transpose64 turns them, and each word stores as 8 bytes of one
+// row (fewer rows in a ragged tail, whose padding bits are dropped).
+func transposeToRows(rows, cols []byte, m int) {
 	mBytes := (m + 7) / 8
-	for g := 0; g < k/8; g++ {
-		c := cols[8*g : 8*g+8]
-		c0, c1, c2, c3 := c[0][:mBytes], c[1][:mBytes], c[2][:mBytes], c[3][:mBytes]
-		c4, c5, c6, c7 := c[4][:mBytes], c[5][:mBytes], c[6][:mBytes], c[7][:mBytes]
-		for b := 0; b < mBytes; b++ {
-			x := uint64(c0[b]) | uint64(c1[b])<<8 | uint64(c2[b])<<16 | uint64(c3[b])<<24 |
-				uint64(c4[b])<<32 | uint64(c5[b])<<40 | uint64(c6[b])<<48 | uint64(c7[b])<<56
-			// Hacker's Delight §7-3: swap the off-diagonal 1 × 1, 2 × 2 and
-			// 4 × 4 blocks.
-			t := (x ^ x>>7) & 0x00AA00AA00AA00AA
-			x ^= t ^ t<<7
-			t = (x ^ x>>14) & 0x0000CCCC0000CCCC
-			x ^= t ^ t<<14
-			t = (x ^ x>>28) & 0x00000000F0F0F0F0
-			x ^= t ^ t<<28
-			out := rows[8*b : min(8*b+8, m)]
-			for r := range out {
-				out[r][g] = byte(x >> (8 * r))
+	var a [64]uint64
+	for j0 := 0; j0 < m; j0 += 64 {
+		b0, n := j0/8, min(64, m-j0)
+		for half := 0; half < k/64; half++ {
+			// A ragged tail's word runs on into the next column, whose
+			// bits land in rows past m, except where cols ends.
+			col := cols[64*half*mBytes+b0:]
+			for i := range a {
+				if w := col[i*mBytes:]; len(w) >= 8 {
+					a[i] = binary.LittleEndian.Uint64(w)
+				} else {
+					var last [8]byte
+					copy(last[:], w)
+					a[i] = binary.LittleEndian.Uint64(last[:])
+				}
+			}
+			transpose64(&a)
+			out := rows[16*j0+8*half:]
+			for r := range n {
+				binary.LittleEndian.PutUint64(out[16*r:], a[r])
 			}
 		}
 	}
-	return rows
+}
+
+// transpose64 transposes the 64 × 64 bit matrix whose row i is a[i], bit j
+// of it column j (Hacker's Delight §7-3): six rounds swap the off-diagonal
+// 32 × 32, 16 × 16, … 1 × 1 blocks, each the bits of a[i] that m<<j selects
+// with those of a[i+j] that m selects, for every i whose bit j is clear.
+// The rounds commute, so they run in two passes of three, each over eight
+// words at a time held in registers: the rounds of 32, 16 and 8 over the
+// words i, i+8, …, i+56, then those of 4, 2 and 1 over eight neighbours.
+func transpose64(a *[64]uint64) {
+	for i := 0; i < 8; i++ {
+		x0, x1, x2, x3, x4, x5, x6, x7 := a[i], a[i+8], a[i+16], a[i+24], a[i+32], a[i+40], a[i+48], a[i+56]
+		x0, x4 = swap(x0, x4, 32)
+		x1, x5 = swap(x1, x5, 32)
+		x2, x6 = swap(x2, x6, 32)
+		x3, x7 = swap(x3, x7, 32)
+		x0, x2 = swap(x0, x2, 16)
+		x1, x3 = swap(x1, x3, 16)
+		x4, x6 = swap(x4, x6, 16)
+		x5, x7 = swap(x5, x7, 16)
+		x0, x1 = swap(x0, x1, 8)
+		x2, x3 = swap(x2, x3, 8)
+		x4, x5 = swap(x4, x5, 8)
+		x6, x7 = swap(x6, x7, 8)
+		a[i], a[i+8], a[i+16], a[i+24], a[i+32], a[i+40], a[i+48], a[i+56] = x0, x1, x2, x3, x4, x5, x6, x7
+	}
+	for i := 0; i < 64; i += 8 {
+		w := (*[8]uint64)(a[i : i+8])
+		x0, x1, x2, x3, x4, x5, x6, x7 := w[0], w[1], w[2], w[3], w[4], w[5], w[6], w[7]
+		x0, x4 = swap(x0, x4, 4)
+		x1, x5 = swap(x1, x5, 4)
+		x2, x6 = swap(x2, x6, 4)
+		x3, x7 = swap(x3, x7, 4)
+		x0, x2 = swap(x0, x2, 2)
+		x1, x3 = swap(x1, x3, 2)
+		x4, x6 = swap(x4, x6, 2)
+		x5, x7 = swap(x5, x7, 2)
+		x0, x1 = swap(x0, x1, 1)
+		x2, x3 = swap(x2, x3, 1)
+		x4, x5 = swap(x4, x5, 1)
+		x6, x7 = swap(x6, x7, 1)
+		w[0], w[1], w[2], w[3], w[4], w[5], w[6], w[7] = x0, x1, x2, x3, x4, x5, x6, x7
+	}
+}
+
+// swap is the block swap of the round of j between words x and y, j words
+// apart: the low j bits of every 2j-bit group of y trade places with the
+// high j bits of x's.
+func swap(x, y uint64, j uint) (uint64, uint64) {
+	m := ^uint64(0) / (1<<j + 1) // the low j bits of every 2j-bit group
+	t := (x>>j ^ y) & m
+	return x ^ t<<j, y ^ t
+}
+
+// bytesOf views labels as the bytes they hold, in order: a Y payload is its
+// pads, a block of rows its labels.
+func bytesOf(ls []gc.Label) []byte {
+	if len(ls) == 0 {
+		return nil
+	}
+	return unsafe.Slice(&ls[0][0], len(ls)*MsgLen)
+}
+
+// flat views message pairs as the labels they hold, pair j's at 2j and
+// 2j+1.
+func flat(pairs [][2]Msg) []gc.Label {
+	if len(pairs) == 0 {
+		return nil
+	}
+	return unsafe.Slice(&pairs[0][0], 2*len(pairs))
 }
 
 // SenderBase is the extension sender's half of the base correlation with
@@ -151,20 +203,20 @@ func (b *SenderBase) Zero() { *b = SenderBase{} }
 // over conn. The caller must never pass one base the same nonce twice.
 func (b *SenderBase) Session(conn transport.FrameConn, nonce Nonce) *ExtSender {
 	es := &ExtSender{conn: conn, s: b.s, h: gc.NewHasher(), idx: firstTweak(nonce)}
-	for i, seed := range b.seeds {
-		es.streams[i] = prgStream(seed, nonce)
-	}
+	gc.SessionKeys(es.keys[:], b.seeds[:], gc.Label(nonce))
 	return es
 }
 
 // ExtSender is the IKNP sender: it holds the message pairs in each
 // extended OT (the garbler, whose pairs are wire-label pairs).
 type ExtSender struct {
-	conn    transport.FrameConn
-	s       [k / 8]byte      // secret base-OT choices, packed
-	streams [k]cipher.Stream // stateful PRG per k_{s_i}, advanced per batch
-	h       *gc.Hasher
-	idx     uint64
+	conn transport.FrameConn
+	s    [k / 8]byte // secret base-OT choices, packed
+	keys [k]gc.Label // column i's session key, AES_{k_{s_i}}(nonce)
+	off  uint64      // keystream bytes every column has drawn
+	h    *gc.Hasher
+	idx  uint64
+	buf  []gc.Label // Send's Y payload, or Pads' q columns, grown once per session
 }
 
 // NewExtSender runs the base phase (as base-OT receiver with a secret
@@ -191,18 +243,14 @@ func (es *ExtSender) Send(pairs [][2]Msg) error {
 	if err != nil {
 		return err
 	}
-	pads := make([][2]Msg, m)
-	if err := es.Pads(u, pads); err != nil {
+	// The U frame is this party's own, so the q columns are built in it.
+	y := es.grow(2 * m)
+	if err := es.pads(u, u, y); err != nil {
 		return err
 	}
-	out := make([]byte, 0, m*2*MsgLen)
-	for j := range pads {
-		for c := range pads[j] {
-			subtle.XORBytes(pads[j][c][:], pads[j][c][:], pairs[j][c][:])
-			out = append(out, pads[j][c][:]...)
-		}
-	}
-	if err := es.conn.Send(transport.MsgOTExtY, out); err != nil {
+	yb := bytesOf(y)
+	subtle.XORBytes(yb, yb, bytesOf(flat(pairs)))
+	if err := es.conn.Send(transport.MsgOTExtY, yb); err != nil {
 		return err
 	}
 	return es.conn.Flush()
@@ -213,43 +261,60 @@ func (es *ExtSender) Send(pairs [][2]Msg) error {
 // under tweak idx+j, into pads[j] for every j < len(pads), and sends
 // nothing. The receiver's Pads yields pads[j][c_j] for its choice bit c_j;
 // pads[j][1−c_j] is pseudorandom to it. Pads calls, Send's included,
-// must happen in the wire order of the U frames: the per-seed PRG streams
+// must happen in the wire order of the U frames: the column keystreams
 // and the hash counter are stateful.
 func (es *ExtSender) Pads(u []byte, pads [][2]Msg) error {
-	m := len(pads)
+	return es.pads(u, bytesOf(es.grow(8*((len(pads)+7)/8))), flat(pads))
+}
+
+// grow returns the session's scratch buffer at n labels.
+func (es *ExtSender) grow(n int) []gc.Label {
+	if cap(es.buf) < n {
+		es.buf = make([]gc.Label, n)
+	}
+	return es.buf[:n]
+}
+
+// pads is Pads into dst, row j's pair at dst[2j] and dst[2j+1], building
+// the q columns in cols (k·mBytes bytes), which may be u itself. Between
+// the transpose and the hash the rows wait in dst's upper half: a wave that
+// has read rows up to j writes pairs up to j, at or below row j+1's place.
+func (es *ExtSender) pads(u, cols []byte, dst []gc.Label) error {
+	m := len(dst) / 2
 	mBytes := (m + 7) / 8
 	if len(u) != ExtULen(m) {
 		return fmt.Errorf("ot: U matrix is %d bytes, want %d", len(u), ExtULen(m))
 	}
-	cols := make([][]byte, k)
-	for i := 0; i < k; i++ {
-		q := prgNext(es.streams[i], mBytes)
+	// q_i = G(k_{s_i}) ⊕ s_i·u_i.
+	for i := range k {
+		q := cols[i*mBytes : (i+1)*mBytes]
 		if es.s[i/8]&(1<<uint(i%8)) != 0 {
-			subtle.XORBytes(q, q, u[i*mBytes:(i+1)*mBytes])
+			copy(q, u[i*mBytes:])
+		} else {
+			clear(q)
 		}
-		cols[i] = q
 	}
-	rows := transposeToRows(cols, m)
+	gc.XORKeyStream(cols, cols, es.keys[:], es.off)
+	es.off += uint64(mBytes)
+	rows := dst[m:]
+	transposeToRows(bytesOf(rows), cols, m)
 
 	// Both hashes of a row share its tweak and go through the multi-lane
-	// face in waves, half a wave of rows at a time, straight into pads.
-	// HN is pinned byte-identical to the scalar path on every build.
+	// face in waves, half a wave of rows at a time. HN is pinned
+	// byte-identical to the scalar path on every build.
 	const rowsPerWave = gc.HashLanes / 2
 	var wave [gc.HashLanes]gc.Label
 	var tweaks [gc.HashLanes]uint64
 	sRow := gc.Label(es.s)
 	for j0 := 0; j0 < m; j0 += rowsPerWave {
 		n := min(m-j0, rowsPerWave)
-		for i := 0; i < n; i++ {
-			q := gc.Label(rows[j0+i])
+		for i := range n {
+			q := rows[j0+i]
 			wave[2*i], wave[2*i+1] = q, q.XOR(sRow)
 			tweaks[2*i] = es.idx + uint64(j0+i)
 			tweaks[2*i+1] = tweaks[2*i]
 		}
-		es.h.HN(wave[:2*n], wave[:2*n], tweaks[:2*n])
-		for i := 0; i < n; i++ {
-			pads[j0+i] = [2]Msg{Msg(wave[2*i]), Msg(wave[2*i+1])}
-		}
+		es.h.HN(dst[2*j0:2*(j0+n)], wave[:2*n], tweaks[:2*n])
 	}
 	es.idx += uint64(m)
 	return nil
@@ -284,9 +349,10 @@ func NewReceiverBase(conn transport.FrameConn, rng io.Reader) (*ReceiverBase, er
 // twice.
 func (b *ReceiverBase) Session(conn transport.FrameConn, nonce Nonce) *ExtReceiver {
 	er := &ExtReceiver{conn: conn, h: gc.NewHasher(), idx: firstTweak(nonce)}
-	for i, pair := range b.seeds {
-		er.streams0[i] = prgStream(pair[0], nonce)
-		er.streams1[i] = prgStream(pair[1], nonce)
+	var keys [k][2]gc.Label
+	gc.SessionKeys(flat(keys[:]), flat(b.seeds[:]), gc.Label(nonce))
+	for i, pair := range keys {
+		er.keys[0][i], er.keys[1][i] = pair[0], pair[1]
 	}
 	return er
 }
@@ -294,11 +360,12 @@ func (b *ReceiverBase) Session(conn transport.FrameConn, nonce Nonce) *ExtReceiv
 // ExtReceiver is the IKNP receiver (the evaluator, whose choice bits are
 // its private input bits).
 type ExtReceiver struct {
-	conn     transport.FrameConn
-	streams0 [k]cipher.Stream // stateful PRGs, advanced per batch
-	streams1 [k]cipher.Stream
-	h        *gc.Hasher
-	idx      uint64
+	conn transport.FrameConn
+	keys [2][k]gc.Label // keys[c][i] is column i's session key under seed k_i^c, AES_{k_i^c}(nonce)
+	off  uint64         // keystream bytes every column has drawn
+	h    *gc.Hasher
+	idx  uint64
+	buf  []byte // Receive's U matrix, grown once per session
 }
 
 // NewExtReceiver runs the base phase (as base-OT sender with random seed
@@ -321,62 +388,70 @@ type PreparedReceive struct {
 	// U is the masked column matrix to put on the wire (k·ceil(m/8)
 	// bytes).
 	U    []byte
-	rows [][16]byte
+	rows []Msg
 }
 
 // Prepare runs the receiver's compute half of one extension batch: it
-// advances the per-seed PRG streams, builds the U matrix for the wire,
-// and transposes the T matrix into hash-ready rows. Prepare calls must
-// happen in the wire order of their U frames (the streams are stateful),
-// but a Prepare may run on another goroutine as long as no other use of
-// the ExtReceiver overlaps it.
+// advances the column keystreams, builds the U matrix for the wire, and
+// transposes the T matrix into hash-ready rows. Prepare calls must happen
+// in the wire order of their U frames (the keystreams are stateful), but a
+// Prepare may run on another goroutine as long as no other use of the
+// ExtReceiver overlaps it.
 func (er *ExtReceiver) Prepare(choices []bool) *PreparedReceive {
 	m := len(choices)
-	mBytes := (m + 7) / 8
-	r := packBits(choices)
+	pr := &PreparedReceive{U: make([]byte, ExtULen(m)), rows: make([]Msg, m)}
+	er.prepare(choices, pr)
+	return pr
+}
 
-	tCols := make([][]byte, k)
-	u := make([]byte, k*mBytes)
-	for i := 0; i < k; i++ {
-		t := prgNext(er.streams0[i], mBytes)
-		ui := u[i*mBytes : (i+1)*mBytes]
-		er.streams1[i].XORKeyStream(ui, t) // t ⊕ G(k1)
-		subtle.XORBytes(ui, ui, r)
-		tCols[i] = t
+// prepare fills pr, whose U and rows are sized for choices. The T columns
+// t_i = G(k_i^0) are built in U itself: once they are transposed, each
+// becomes u_i = t_i ⊕ G(k_i^1) ⊕ r in place.
+func (er *ExtReceiver) prepare(choices []bool, pr *PreparedReceive) {
+	m := len(choices)
+	mBytes := (m + 7) / 8
+	clear(pr.U)
+	gc.XORKeyStream(pr.U, pr.U, er.keys[0][:], er.off)
+	transposeToRows(bytesOf(pr.rows), pr.U, m)
+	r := packBits(choices)
+	for i := range k {
+		u := pr.U[i*mBytes : (i+1)*mBytes]
+		subtle.XORBytes(u, u, r)
 	}
-	return &PreparedReceive{U: u, rows: transposeToRows(tCols, m)}
+	gc.XORKeyStream(pr.U, pr.U, er.keys[1][:], er.off)
+	er.off += uint64(mBytes)
 }
 
 // Pads is the receiver half of one random-OT extension batch: row j's
-// H(t_j) under tweak idx+j, which is the sender's pad[j][c_j]. It sends
-// nothing. Pads runs once per prepared batch, in the wire order of the U
-// frames (the hash counter is stateful).
+// H(t_j) under tweak idx+j, which is the sender's pad[j][c_j], hashed in
+// place over the prepared rows. It sends nothing. Pads runs once per
+// prepared batch, in the wire order of the U frames (the hash counter is
+// stateful).
 func (er *ExtReceiver) Pads(pr *PreparedReceive) []Msg {
-	m := len(pr.rows)
-	out := make([]Msg, m)
-	var wave [gc.HashLanes]gc.Label
+	rows := pr.rows
 	var tweaks [gc.HashLanes]uint64
-	for j0 := 0; j0 < m; j0 += gc.HashLanes {
-		n := min(m-j0, gc.HashLanes)
-		for i := 0; i < n; i++ {
-			wave[i] = gc.Label(pr.rows[j0+i])
+	for j0 := 0; j0 < len(rows); j0 += gc.HashLanes {
+		n := min(len(rows)-j0, gc.HashLanes)
+		for i := range n {
 			tweaks[i] = er.idx + uint64(j0+i)
 		}
-		er.h.HN(wave[:n], wave[:n], tweaks[:n])
-		for i := 0; i < n; i++ {
-			out[j0+i] = Msg(wave[i])
-		}
+		er.h.HN(rows[j0:j0+n], rows[j0:j0+n], tweaks[:n])
 	}
-	er.idx += uint64(m)
-	return out
+	er.idx += uint64(len(rows))
+	return rows
 }
 
 // Receive runs one extension batch and returns the chosen messages.
 func (er *ExtReceiver) Receive(choices []bool) ([]Msg, error) {
-	if len(choices) == 0 {
+	m := len(choices)
+	if m == 0 {
 		return nil, nil
 	}
-	pr := er.Prepare(choices)
+	if cap(er.buf) < ExtULen(m) {
+		er.buf = make([]byte, ExtULen(m))
+	}
+	pr := PreparedReceive{U: er.buf[:ExtULen(m)], rows: make([]Msg, m)}
+	er.prepare(choices, &pr)
 	if err := er.conn.Send(transport.MsgOTExtU, pr.U); err != nil {
 		return nil, err
 	}
@@ -385,17 +460,16 @@ func (er *ExtReceiver) Receive(choices []bool) ([]Msg, error) {
 		return nil, err
 	}
 	// Y's half for choice c_j XOR the batch's pads.
-	m := len(choices)
 	if len(y) != m*2*MsgLen {
 		return nil, fmt.Errorf("ot: Y payload is %d bytes, want %d", len(y), m*2*MsgLen)
 	}
-	out := er.Pads(pr)
-	for j := range out {
+	out := er.Pads(&pr)
+	for j, c := range choices {
 		off := j * 2 * MsgLen
-		if choices[j] {
+		if c {
 			off += MsgLen
 		}
-		subtle.XORBytes(out[j][:], out[j][:], y[off:off+MsgLen])
+		out[j] = out[j].XOR(gc.Label(y[off:]))
 	}
 	return out, nil
 }

@@ -7,6 +7,7 @@ import (
 	"sync"
 	"testing"
 
+	"deepsecure/internal/gc"
 	"deepsecure/internal/transport"
 )
 
@@ -444,7 +445,7 @@ func TestTransposeRoundTrip(t *testing.T) {
 		cols[i] = make([]byte, mBytes)
 		rng.Read(cols[i])
 	}
-	rows := transposeToRows(cols, m)
+	rows := transposed(cols, m)
 	for i := 0; i < k; i++ {
 		for j := 0; j < m; j++ {
 			colBit := cols[i][j/8]&(1<<uint(j%8)) != 0
@@ -456,17 +457,37 @@ func TestTransposeRoundTrip(t *testing.T) {
 	}
 }
 
+// sessionKey is the key the column of seed runs under in the session nonce
+// names, as both extension parties derive it.
+func sessionKey(seed Msg, nonce Nonce) gc.Label {
+	var key [1]gc.Label
+	gc.SessionKeys(key[:], []gc.Label{seed}, gc.Label(nonce))
+	return key[0]
+}
+
+// draw returns the n keystream bytes of the column keyed key from offset
+// off on: what a batch of an extension party whose columns have drawn off
+// bytes reads next.
+func draw(key gc.Label, off uint64, n int) []byte {
+	out := make([]byte, n)
+	gc.XORKeyStream(out, out, []gc.Label{key}, off)
+	return out
+}
+
 func TestPRGDeterministicAndDistinct(t *testing.T) {
 	var s1, s2 Msg
 	s2[0] = 1
-	a := prgNext(prgStream(s1, Nonce{}), 64)
-	b := prgNext(prgStream(s1, Nonce{}), 64)
-	c := prgNext(prgStream(s2, Nonce{}), 64)
+	a := draw(sessionKey(s1, Nonce{}), 0, 64)
+	b := draw(sessionKey(s1, Nonce{}), 0, 64)
+	c := draw(sessionKey(s2, Nonce{}), 0, 64)
 	if !bytes.Equal(a, b) {
 		t.Error("prg not deterministic")
 	}
 	if bytes.Equal(a, c) {
 		t.Error("prg ignores seed")
+	}
+	if bytes.Equal(a, draw(sessionKey(s1, SessionNonce(0, 1)), 0, 64)) {
+		t.Error("prg ignores the nonce")
 	}
 	var zero [64]byte
 	if bytes.Equal(a, zero[:]) {
@@ -478,19 +499,34 @@ func TestPRGStreamAdvancesAcrossDraws(t *testing.T) {
 	// Consecutive draws from one stream must never repeat keystream:
 	// reusing a mask across OT batches would leak the XOR of the
 	// receiver's choice bits between batches.
-	s := prgStream(Msg{}, Nonce{})
-	a := prgNext(s, 64)
-	b := prgNext(s, 64)
+	key := sessionKey(Msg{}, Nonce{})
+	a := draw(key, 0, 64)
+	b := draw(key, 64, 64)
 	if bytes.Equal(a, b) {
 		t.Error("stream repeats keystream across draws")
 	}
 	// Draw boundaries don't matter, only total bytes: both parties stay
 	// synchronized even when batch sizes differ over time.
-	s1, s2 := prgStream(Msg{0: 7}, Nonce{}), prgStream(Msg{0: 7}, Nonce{})
-	x := append(prgNext(s1, 10), prgNext(s1, 22)...)
-	y := prgNext(s2, 32)
+	key = sessionKey(Msg{0: 7}, Nonce{})
+	x := append(draw(key, 0, 10), draw(key, 10, 22)...)
+	y := draw(key, 0, 32)
 	if !bytes.Equal(x, y) {
 		t.Error("keystream depends on draw boundaries")
+	}
+	// And both parties move every column on by a batch's mBytes, whatever
+	// the batch's role: a U frame, random-OT pads or chosen messages.
+	sb, rb := testBases(t, 39, 40)
+	es, er := sb.Session(nil, Nonce{}), rb.Session(nil, Nonce{})
+	for _, m := range []int{9, 64, 1} {
+		before := es.off
+		pr := er.Prepare(make([]bool, m))
+		if err := es.Pads(pr.U, make([][2]Msg, m)); err != nil {
+			t.Fatal(err)
+		}
+		er.Pads(pr)
+		if want := before + uint64((m+7)/8); es.off != want || er.off != want {
+			t.Fatalf("after a batch of %d the columns stand at %d (sender) and %d (receiver), want %d", m, es.off, er.off, want)
+		}
 	}
 }
 
@@ -652,8 +688,9 @@ func TestUMatrixMasksNotReusedAcrossBatches(t *testing.T) {
 		for _, n := range nonces {
 			us = append(us, rb.Session(nil, n).Prepare(choices).U)
 			var q []byte
-			for _, st := range sb.Session(nil, n).streams {
-				q = append(q, prgNext(st, m/8)...)
+			es := sb.Session(nil, n)
+			for _, key := range es.keys {
+				q = append(q, draw(key, es.off, m/8)...)
 			}
 			qs = append(qs, q)
 		}

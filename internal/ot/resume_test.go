@@ -1,7 +1,9 @@
 package ot
 
 import (
+	"fmt"
 	"math/rand"
+	"slices"
 	"sync"
 	"testing"
 
@@ -10,7 +12,7 @@ import (
 
 // testBases runs one base phase over a pipe and returns both halves of the
 // correlation.
-func testBases(t *testing.T, seedS, seedR int64) (*SenderBase, *ReceiverBase) {
+func testBases(t testing.TB, seedS, seedR int64) (*SenderBase, *ReceiverBase) {
 	t.Helper()
 	a, b, closer := transport.Pipe()
 	defer closer.Close()
@@ -135,12 +137,13 @@ func TestSessionsDeriveFromOneBase(t *testing.T) {
 
 	// Zero wipes the base and leaves derived sessions alone.
 	live := sb.Session(nil, SessionNonce(7, 7))
-	before := prgNext(sb.Session(nil, SessionNonce(7, 7)).streams[5], 32)
+	fresh := sb.Session(nil, SessionNonce(7, 7))
+	before := draw(fresh.keys[5], fresh.off, 32)
 	sb.Zero()
 	if *sb != (SenderBase{}) {
 		t.Error("Zero left seed material in the base")
 	}
-	if string(prgNext(live.streams[5], 32)) != string(before) {
+	if string(draw(live.keys[5], live.off, 32)) != string(before) {
 		t.Error("Zero disturbed a session derived before it")
 	}
 }
@@ -162,9 +165,17 @@ func transposeBitLoop(cols [][]byte, m int) [][16]byte {
 	return rows
 }
 
+// transposed runs transposeToRows over the columns laid end to end, as the
+// extension parties hold them, and returns the rows.
+func transposed(cols [][]byte, m int) []Msg {
+	rows := make([]Msg, m)
+	transposeToRows(bytesOf(rows), slices.Concat(cols...), m)
+	return rows
+}
+
 func checkTranspose(t *testing.T, cols [][]byte, m int) {
 	t.Helper()
-	got, want := transposeToRows(cols, m), transposeBitLoop(cols, m)
+	got, want := transposed(cols, m), transposeBitLoop(cols, m)
 	if len(got) != len(want) {
 		t.Fatalf("m = %d: %d rows, want %d", m, len(got), len(want))
 	}
@@ -208,4 +219,35 @@ func FuzzTranspose(f *testing.F) {
 		}
 		checkTranspose(t, cols, m)
 	})
+}
+
+// BenchmarkSessionOT times a repeat session's set-up OT, both parties over
+// transport.Pipe: deriving the sender and the receiver from a stored base
+// under a fresh nonce, then one chosen-message batch of m OTs. m = 1 056 is
+// the weight bits of the mlp_churn model, 4 032 those of the other bench
+// workloads. Run with -benchmem: the bytes and allocations are the
+// session's.
+func BenchmarkSessionOT(b *testing.B) {
+	sb, rb := testBases(b, 48, 49)
+	for _, m := range []int{1056, 4032} {
+		b.Run(fmt.Sprintf("m=%d", m), func(b *testing.B) {
+			a, c, closer := transport.Pipe()
+			defer closer.Close()
+			rng := rand.New(rand.NewSource(50))
+			pairs, choices := randPairs(rng, m), randChoices(rng, m)
+			errc := make(chan error, 1)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := range b.N {
+				nonce := SessionNonce(uint64(i)+1, 1)
+				go func() { errc <- sb.Session(a, nonce).Send(pairs) }()
+				if _, err := rb.Session(c, nonce).Receive(choices); err != nil {
+					b.Fatal(err)
+				}
+				if err := <-errc; err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
 }

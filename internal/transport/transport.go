@@ -6,6 +6,7 @@
 package transport
 
 import (
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -366,11 +367,13 @@ func wantNames(want []MsgType) string {
 }
 
 // pipeHalf is one direction of the in-memory duplex pipe: an unbounded
-// byte queue with blocking reads.
+// byte queue with blocking reads. Once drained, the queue writes from the
+// start of its buffer again, so a pipe that carries exchange after
+// exchange does not grow a buffer for each.
 type pipeHalf struct {
 	mu     sync.Mutex
 	cond   *sync.Cond
-	buf    []byte
+	buf    bytes.Buffer
 	closed bool
 }
 
@@ -386,7 +389,7 @@ func (p *pipeHalf) Write(b []byte) (int, error) {
 	if p.closed {
 		return 0, errors.New("transport: pipe closed")
 	}
-	p.buf = append(p.buf, b...)
+	p.buf.Write(b)
 	p.cond.Broadcast()
 	return len(b), nil
 }
@@ -394,15 +397,13 @@ func (p *pipeHalf) Write(b []byte) (int, error) {
 func (p *pipeHalf) Read(b []byte) (int, error) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	for len(p.buf) == 0 {
+	for p.buf.Len() == 0 {
 		if p.closed {
 			return 0, io.EOF
 		}
 		p.cond.Wait()
 	}
-	n := copy(b, p.buf)
-	p.buf = p.buf[n:]
-	return n, nil
+	return p.buf.Read(b)
 }
 
 func (p *pipeHalf) close() {
