@@ -6,8 +6,9 @@
 //
 // Clients connect with deepsecure.OpenSession / deepsecure.InferMany (or
 // the deepsecure-demo client for a quick smoke test) and run any number
-// of inferences per connection; the handshake, OT base phase and the
-// set-up OT of the weight labels are paid once per session, and the netlist
+// of inferences per connection; the handshake is paid once per session,
+// the OT base phase and the set-up OT of the weight labels once per
+// client–server pair (a Client's repeat sessions run no OT), and the netlist
 // is compiled once, at start-up, into the level schedule every session
 // walks, shared read-only.
 // SIGINT/SIGTERM triggers a graceful drain; a second signal force-closes.

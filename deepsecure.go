@@ -71,8 +71,9 @@ type (
 	// model and sources protocol randomness.
 	Client = core.Client
 	// Session is an open multi-inference protocol session (client side):
-	// one handshake, one OT base phase, one set-up OT of the weight labels,
-	// one netlist compilation, many inferences — pipelined across the in-flight window when the
+	// one handshake, one netlist compilation, many inferences — and on the
+	// first session of a client–server pair the OT base phase and the
+	// set-up OT of the weight labels, which later sessions reuse — pipelined across the in-flight window when the
 	// session uses Session.InferAsync (or InferMany, which does).
 	Session = core.Session
 	// PendingInference is an inference whose garbled stream is on the
@@ -207,8 +208,8 @@ func Infer(conn *Conn, x []float64) (int, *InferStats, error) {
 }
 
 // InferMany classifies every sample over ONE session on conn: the
-// handshake, OT base phase, and netlist compilation are paid once and
-// amortized over all inferences, and consecutive inferences pipeline
+// handshake and netlist compilation (and on a client–server pair's first
+// session the OT set-up) are paid once and amortized over all inferences, and consecutive inferences pipeline
 // across the session's in-flight window (inference k+1 garbles while
 // inference k's output round-trip and evaluation tail are pending),
 // with results streaming in, in order, as they complete. Returned stats

@@ -468,7 +468,9 @@ func (c *beginFlipper) Write(b []byte) (int, error) {
 // within the cap (whose frames then have the wrong sizes), a batch past
 // the cap, or a truncated varint. The server must end every such session
 // in a protocol error it names, run no OT beyond the set-up's, leak
-// nothing, and keep serving.
+// nothing, and keep serving. The eight sessions share one Client: the
+// first runs the pair's set-up OT of W weight labels, and the seven after
+// it are repeat sessions, whose set-up has no OT frame at all.
 func TestChaosFlipBeginBatchSize(t *testing.T) {
 	checkLeaks := testutil.VerifyNoLeaks(t)
 	panics0 := obs.Root.Panics.Value()
@@ -515,8 +517,15 @@ func TestChaosFlipBeginBatchSize(t *testing.T) {
 		if after.Errors != before.Errors+1 {
 			t.Fatalf("bit %d: server counted %d failed sessions, want 1", bit, after.Errors-before.Errors)
 		}
-		if ots := after.OTsConsumed - before.OTsConsumed; ots != w {
-			t.Errorf("bit %d: session ran %d OTs, want the set-up's W = %d", bit, ots, w)
+		wantOTs, wantResumed := w, int64(0)
+		if bit > 0 {
+			wantOTs, wantResumed = 0, 1
+		}
+		if ots := after.OTsConsumed - before.OTsConsumed; ots != wantOTs {
+			t.Errorf("bit %d: session ran %d OTs, want %d", bit, ots, wantOTs)
+		}
+		if resumed := after.SessionsResumed - before.SessionsResumed; resumed != wantResumed {
+			t.Errorf("bit %d: server counted %d resumed sessions, want %d", bit, resumed, wantResumed)
 		}
 		if after.Inferences != before.Inferences {
 			t.Errorf("bit %d: server counted an inference for a corrupted begin frame", bit)

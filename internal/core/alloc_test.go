@@ -108,12 +108,13 @@ func TestInferenceAllocBudget(t *testing.T) {
 // TestSessionSetupAllocBudget bounds the bytes both parties allocate for a
 // repeat session's set-up (runtime.MemStats.TotalAlloc, one process, on
 // loopback TCP): the client's NewSession and Close against the server's
-// ServeSession on mlp_churn's 8-4-ReLU-2 model, whose set-up OT carries
-// 1 056 weight labels. The garbler's table chunk and both label arrays come
-// from the engine pools, the OT parties hold session keys and one buffer
-// each: a repeat session allocated 277 kB where it had allocated 1 037 kB
-// while every seed drew through a cipher object of its own. The budget is
-// 1.25 × that, over the best of several rounds.
+// ServeSession on mlp_churn's 8-4-ReLU-2 model, whose pair holds 1 056
+// weight labels. The garbler's table chunk and both label arrays come from
+// the engine pools, and a repeat session runs no OT: it allocated 30.3 kB,
+// 16.9 kB of them the session's copy of the pair's weight zero-labels
+// (Client.resume), where it had allocated 277 kB running a set-up OT on
+// every session. The budget is 1.25 × that, over the best of several
+// rounds.
 func TestSessionSetupAllocBudget(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector drops a share of what sync.Pool is given back")
@@ -162,10 +163,10 @@ func TestSessionSetupAllocBudget(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	for range 4 { // the first files the base, the rest warm the pools
+	for range 4 { // the first files the pair, the rest warm the pools
 		session()
 	}
-	const rounds, per, budget = 3, 8, 1.25 * 277e3
+	const rounds, per, budget = 3, 8, 1.25 * 30.3e3
 	best := uint64(1 << 63)
 	for range rounds {
 		var before, after runtime.MemStats

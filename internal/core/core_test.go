@@ -204,23 +204,27 @@ func TestBadHelloRejected(t *testing.T) {
 	// "deepsecure/11" is a version whose hello is the bare string and
 	// whose sessions always run the base phase, "deepsecure/13" one whose
 	// client answers every pool refill, and "deepsecure/15" the previous
-	// one, which garbles the same tape in another level order: a hello of
-	// any must be refused here and not fail mid-stream. A hello of this
-	// version is refused when what follows the string is not a session
-	// counter and a whole number of base ids, at most maxClientBases of
-	// them.
-	good := string(helloFrame(7, []baseID{{1}, {2}}))
+	// one but two, which garbles the same tape in another level order, and
+	// "deepsecure/16" the previous one, whose every session runs the set-up
+	// OT: a hello of any must be refused here and not fail mid-stream. A
+	// hello of this version is refused when what follows the string is not
+	// a session counter in [1, 2³²) and a whole number of pair ids, at most
+	// maxClientPairs of them.
+	good := string(helloFrame(7, []pairID{{1}, {2}}))
 	for hello, want := range map[string]string{
 		"bogus/10":      "unknown protocol",
 		"deepsecure/9":  "unknown protocol",
 		"deepsecure/11": "unknown protocol",
-		"deepsecure/13" + good[len(protocolHello):]: "unknown protocol",
-		"deepsecure/15" + good[len(protocolHello):]: "unknown protocol",
-		protocolHello:          "malformed hello",
-		protocolHello + "\x00": "malformed hello",
-		good[:len(good)-1]:     "malformed hello", // an id cut short
-		good[:len(good)-20]:    "malformed hello", // between two ids
-		string(helloFrame(7, make([]baseID, maxClientBases+1))): "malformed hello",
+		"deepsecure/13" + good[len(protocolHello):]:             "unknown protocol",
+		"deepsecure/15" + good[len(protocolHello):]:             "unknown protocol",
+		"deepsecure/16" + good[len(protocolHello):]:             "unknown protocol",
+		string(helloFrame(0, nil)):                              "malformed hello",
+		string(helloFrame(1<<32, nil)):                          "malformed hello",
+		protocolHello:                                           "malformed hello",
+		protocolHello + "\x00":                                  "malformed hello",
+		good[:len(good)-1]:                                      "malformed hello", // an id cut short
+		good[:len(good)-20]:                                     "malformed hello", // between two ids
+		string(helloFrame(7, make([]pairID, maxClientPairs+1))): "malformed hello",
 	} {
 		cConn, sConn, closer := transport.Pipe()
 		net := testNet(t, act.ReLU, 8)

@@ -358,6 +358,7 @@ func TestWindowValidation(t *testing.T) {
 				cfg:  EngineConfig{Pipeline: tc.depth},
 				fifo: make(chan frame, 16),
 				stop: make(chan struct{}),
+				end:  sessionOrdinals,
 			}
 			go m.readLoop()
 			for i, o := range tc.ops {

@@ -53,7 +53,7 @@ func serveArch(conn *transport.Conn, frame string, session bool) <-chan error {
 		}
 		payload := []byte(frame)
 		if session {
-			payload = archFrame([digestSize]byte{}, baseID{}, 1, payload)
+			payload = archFrame([digestSize]byte{}, pairID{}, payload)
 		}
 		if err := conn.Send(transport.MsgArch, payload); err != nil {
 			done <- err

@@ -134,13 +134,15 @@ type sessionMux struct {
 	readErr error
 
 	open atomic.Int32 // begun and not yet answered: what the window bounds
-	next uint64       // the ordinal of the next sample admitted; the reader's alone
+	// next is the ordinal of the next sample admitted and end the first one
+	// the session does not own; the reader's alone.
+	next, end uint64
 
 	out  chan answer // the writer's queue, an entry per window slot (see send)
 	werr chan error  // the writer's verdict, sent once as it ends: early means it failed
 }
 
-func newSessionMux(srv *Server, conn *transport.Conn, weights []gc.Label, sched *circuit.Schedule, wd *watchdog, set *obs.Set) *sessionMux {
+func newSessionMux(srv *Server, conn *transport.Conn, weights []gc.Label, first uint64, sched *circuit.Schedule, wd *watchdog, set *obs.Set) *sessionMux {
 	// Bound every frame a client sends before the first arrives, so that a
 	// header announcing more is refused unread: an input frame carries one
 	// step of every sample, a label per client wire, so the widest step at
@@ -162,7 +164,7 @@ func newSessionMux(srv *Server, conn *transport.Conn, weights []gc.Label, sched 
 	conn.SetLimit(transport.MsgInputLabels, widestG*labels)
 	conn.SetLimit(transport.MsgTables, min(transport.MaxFrame, largestRun*batch))
 	conn.SetLimit(transport.MsgEndSession, 0)
-	readOnly(conn, transport.MsgInferBegin, transport.MsgConstLabels, transport.MsgInputLabels, transport.MsgTables, transport.MsgEndSession)
+	conn.ReadOnly(transport.MsgInferBegin, transport.MsgConstLabels, transport.MsgInputLabels, transport.MsgTables, transport.MsgEndSession)
 	return &sessionMux{
 		conn:    conn,
 		pool:    srv.Engine.newPool(),
@@ -176,6 +178,8 @@ func newSessionMux(srv *Server, conn *transport.Conn, weights []gc.Label, sched 
 		stop:    make(chan struct{}),
 		out:     make(chan answer, srv.Engine.PipelineDepth()),
 		werr:    make(chan error, 1),
+		next:    first,
+		end:     first + sessionOrdinals,
 	}
 }
 
@@ -338,8 +342,9 @@ func (m *sessionMux) readLoop() {
 }
 
 // admit checks a begin frame — a well-formed B within the announced cap,
-// room in the window — and numbers the inference's samples: the next B
-// ordinals, in begin order, which is the order the client numbered them in.
+// room in the window, ordinals left — and numbers the inference's samples:
+// the next B ordinals, in begin order, which is the order the client
+// numbered them in.
 func (m *sessionMux) admit(payload []byte) (*inference, error) {
 	bsz, n := binary.Uvarint(payload)
 	depth := m.cfg.PipelineDepth()
@@ -350,6 +355,8 @@ func (m *sessionMux) admit(payload []byte) (*inference, error) {
 		return nil, fmt.Errorf("core: batch of %d samples exceeds the announced maximum %d", bsz, limit)
 	case int(m.open.Load()) >= depth:
 		return nil, fmt.Errorf("core: infer-begin exceeds the in-flight window (depth %d)", depth)
+	case m.next+bsz > m.end:
+		return nil, fmt.Errorf("core: infer-begin past the session's %d samples", uint64(sessionOrdinals))
 	}
 	m.open.Add(1)
 	inf := &inference{batch: int(bsz), first: m.next, start: time.Now()}

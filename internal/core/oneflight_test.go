@@ -12,6 +12,7 @@ import (
 
 	"deepsecure/internal/act"
 	"deepsecure/internal/fixed"
+	"deepsecure/internal/gc"
 	"deepsecure/internal/netgen"
 	"deepsecure/internal/nn"
 	"deepsecure/internal/ot"
@@ -282,8 +283,7 @@ func hostileServer(net *nn.Network, sConn *transport.Conn, rest func(ots *ot.Ext
 			if err != nil {
 				return err
 			}
-			cid, _, err := parseHello(hello)
-			if err != nil {
+			if _, _, err := parseHello(hello); err != nil {
 				return err
 			}
 			spec, err := net.Spec(fixed.Default).Marshal()
@@ -294,18 +294,18 @@ func hostileServer(net *nn.Network, sConn *transport.Conn, rest func(ots *ot.Ext
 			if err != nil {
 				return err
 			}
-			if err := sConn.Send(transport.MsgArch, archFrame(prog.Digest, baseID{1}, 1, spec)); err != nil {
+			if err := sConn.Send(transport.MsgArch, archFrame(prog.Digest, pairID{1}, spec)); err != nil {
 				return err
 			}
 			if err := sConn.Send(transport.MsgPipeline, []byte{2, 32}); err != nil {
 				return err
 			}
 			rng := rand.New(rand.NewSource(36))
-			base, err := ot.NewReceiverBase(sConn, rng)
+			ots, err := ot.NewExtReceiver(sConn, rng)
 			if err != nil {
 				return err
 			}
-			return rest(base.Session(sConn, ot.SessionNonce(cid, 1)), rng)
+			return rest(ots, rng)
 		}()
 	}()
 	return done
@@ -394,7 +394,7 @@ func TestDoctoredProgramDigestRefused(t *testing.T) {
 	go func() {
 		_, err := sConn.Recv(transport.MsgHello)
 		if err == nil {
-			err = sConn.Send(transport.MsgArch, archFrame(doctored, baseID{1}, 1, spec))
+			err = sConn.Send(transport.MsgArch, archFrame(doctored, pairID{1}, spec))
 		}
 		if err == nil {
 			err = sConn.Send(transport.MsgPipeline, []byte{2, 32})
@@ -569,4 +569,23 @@ func TestPoolWidthMismatchRefusedAtSetup(t *testing.T) {
 			t.Errorf("the server of %d choices got an answer", tc.w)
 		}
 	}
+}
+
+// TestPairOfAnotherWidthRefused: a hello offers every pair id the client
+// holds, so a server can name one the client filed with another server. A
+// pair whose weight labels do not number the program's weight bits is
+// refused at set-up, before anything is garbled.
+func TestPairOfAnotherWidthRefused(t *testing.T) {
+	checkLeaks := testutil.VerifyNoLeaks(t)
+	net := testNet(t, act.ReLU, 65)
+	cConn, sConn, closer := transport.Pipe()
+	done := hostileServer(net, sConn, func(*ot.ExtReceiver, *rand.Rand) error { return nil })
+	cli := &Client{}
+	cli.filePair(&clientPair{id: pairID{1}, delta: gc.Label{1}, weights: make([]gc.Label, 3)})
+	if _, err := cli.NewSession(cConn); err == nil || !strings.Contains(err.Error(), "holds 3 weight labels") {
+		t.Errorf("NewSession on a pair of 3 weight labels: %v", err)
+	}
+	closer.Close()
+	<-done
+	checkLeaks()
 }

@@ -56,8 +56,8 @@ func (c *Client) InferOutsourced(proxyConn, serverConn *transport.Conn, x []floa
 	serverConn.SetMetrics(set)
 	rng := rngOrDefault(c.Rng)
 	// Each frame type is capped as its turn comes, every other at 0.
-	readOnly(proxyConn)
-	readOnly(serverConn)
+	proxyConn.ReadOnly()
+	serverConn.ReadOnly()
 	if err := proxyConn.Send(transport.MsgHello, []byte(outsourcedHello)); err != nil {
 		return 0, nil, err
 	}
@@ -165,8 +165,8 @@ func recvHello(conn *transport.Conn) error {
 func (p *Proxy) Run(clientConn, serverConn *transport.Conn) error {
 	rng := rngOrDefault(p.Rng)
 	// Each frame type is capped as its turn comes, every other at 0.
-	readOnly(clientConn, transport.MsgHello)
-	readOnly(serverConn)
+	clientConn.ReadOnly(transport.MsgHello)
+	serverConn.ReadOnly()
 	if err := recvHello(clientConn); err != nil {
 		return err
 	}
@@ -265,8 +265,8 @@ func (p *Proxy) Run(clientConn, serverConn *transport.Conn) error {
 func (s *Server) ServeOutsourced(proxyConn, clientConn *transport.Conn) error {
 	rng := rngOrDefault(s.Rng)
 	// Each frame type is capped as its turn comes, every other at 0.
-	readOnly(proxyConn, transport.MsgHello)
-	readOnly(clientConn)
+	proxyConn.ReadOnly(transport.MsgHello)
+	clientConn.ReadOnly()
 	if err := recvHello(proxyConn); err != nil {
 		return err
 	}

@@ -87,9 +87,6 @@ func stripTags(t *testing.T, frames []wireFrame) []wireFrame {
 // id, extension base phase, the session's delta and weight labels, one
 // garbler per inference), so with equal seeds the frame contents must
 // match a depth-1 session's.
-// firstSession is the OT nonce of a fresh Client's first session with a
-// fresh Server.
-var firstSession = ot.SessionNonce(1, 1)
 
 func referenceSerialRun(t *testing.T, net *nn.Network, xs [][]float64, cliSeed, srvSeed int64) (g2e, e2g []byte) {
 	t.Helper()
@@ -109,7 +106,7 @@ func referenceSerialRun(t *testing.T, net *nn.Network, xs [][]float64, cliSeed, 
 	go func() {
 		evalDone <- func() error {
 			rng := rand.New(rand.NewSource(srvSeed))
-			var id baseID // a session's server mints one before the base phase
+			var id pairID // a session's server mints one before the base phase
 			if _, err := io.ReadFull(rng, id[:]); err != nil {
 				return err
 			}
@@ -117,7 +114,7 @@ func referenceSerialRun(t *testing.T, net *nn.Network, xs [][]float64, cliSeed, 
 			if err != nil {
 				return err
 			}
-			chosen, err := base.Session(eConn, firstSession).Receive(weightBits)
+			chosen, err := base.Session(eConn, setupNonce).Receive(weightBits)
 			if err != nil {
 				return err
 			}
@@ -161,7 +158,7 @@ func referenceSerialRun(t *testing.T, net *nn.Network, xs [][]float64, cliSeed, 
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := base.Session(gConn, firstSession).Send(pairs); err != nil {
+	if err := base.Session(gConn, setupNonce).Send(pairs); err != nil {
 		t.Fatal(err)
 	}
 	pool := gc.NewPool(1)

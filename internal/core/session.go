@@ -10,15 +10,15 @@
 // labels) and compile the public netlist once into a level schedule
 // (netgen.Compile); each further inference on the session only pays for
 // the client's input labels, garbling, and the streamed tables
-// (protocolHello describes the frames). A session is one circuit garbled
-// in instalments under one Free-XOR offset, as TinyGarble's sequential GC
-// (which DeepSecure §3.5 builds on) garbles clock cycles: the weight
-// labels cross once, and every sample of every inference reuses them. One-shot Serve/Infer remain as
-// single-inference sessions. The OT-extension base phase is paid once per
-// Client–Server pair: each keeps its half of the base correlation (the
-// Client for 8 servers, the Server for 4096 clients, in memory), and every
-// session of the pair, the first included, derives its IKNP streams from it
-// under a nonce made of the two parties' own session counters.
+// (protocolHello describes the frames). A client–server pair's sessions are
+// one circuit garbled in instalments under one Free-XOR offset, as
+// TinyGarble's sequential GC (which DeepSecure §3.5 builds on) garbles clock
+// cycles: the weight labels cross once, in the pair's first session, and
+// every sample of every inference of every later session reuses them. The
+// client keeps the offset and the weight zero-labels for 8 servers, the
+// server the labels it chose for as many clients as maxServerBytes holds,
+// both in memory; a repeat session runs no OT at all. One-shot Serve/Infer
+// remain as single-inference sessions.
 //
 // The package also implements the secure-outsourcing deployment (§3.3,
 // Fig. 4) where a resource-constrained client XOR-shares its input between
@@ -57,35 +57,33 @@ import (
 // separately: the server's architecture frame opens with its program's
 // digest (netgen.Program.Digest), the client compares it with that of what
 // it compiled from the same architecture, and a difference is a
-// *ProgramMismatchError from NewSession before the OT base phase. So a
-// change to the netlist an architecture compiles to changes the digest and
-// not this string: a peer built from another generator is refused at the
-// handshake either way, never by a label that fails to authenticate
-// mid-stream. The digest hashes the tape, not its schedule, so a change to
-// how the tape is levelled, which moves the table and tweak order under the
-// same digest, changes this string. (The §3.3 streaming deployment compiles
-// no tape and has a hello of its own, outsourcedHello.)
+// *ProgramMismatchError from NewSession before any OT. So a change to the
+// netlist an architecture compiles to changes the digest and not this
+// string: a peer built from another generator is refused at the handshake
+// either way, never by a label that fails to authenticate mid-stream. The
+// digest hashes the tape, not its schedule, so a change to how the tape is
+// levelled, which moves the table and tweak order under the same digest,
+// changes this string. (The §3.3 streaming deployment compiles no tape and
+// has a hello of its own, outsourcedHello.)
 //
 // Setup, in order: client MsgHello (this string, a zero byte, the client's
-// session counter cid as 8 big-endian bytes, then the 16-byte id of every
-// OT base correlation the client holds, at most 8); server MsgArch (the
-// 32-byte program digest, the id of the base correlation the session
-// extends — the first offered one the server holds, else a freshly minted
-// one — the server's session counter sid as 8 big-endian bytes, then the
-// public spec; or MsgBusy with a uvarint retry-after in ms, then close) and
-// MsgPipeline (uvarint in-flight window, uvarint batch cap); the
-// OT-extension base phase (MsgOTBase) unless the id is one the client
-// offered, each party filing its half under the id afterwards; then the
-// set-up OT, one chosen-message IKNP extension of W OTs, W the program's
-// evaluator-input (weight) bits: the server's MsgOTExtU (exactly
-// ot.ExtULen(W) bytes) with the weight bits as choices, and the client's
-// MsgOTExtY (exactly W × 32 bytes) over the pairs (W_i⁰, W_i⁰ ⊕ Δ), where Δ
-// is the session's Free-XOR offset and W_i⁰ the weight wire's zero-label,
-// both drawn by the client for this session alone. Fresh or repeat, the
-// session's IKNP streams are the base's derivation under the nonce
-// cid ‖ sid, so a repeat session's set-up is the hello and one server
-// flight; the client's MsgOTExtY travels ahead of the first inference's
-// burst. (The §3.3 streaming
+// session counter cid as 8 big-endian bytes, 1 ≤ cid < 2³², then the
+// 16-byte id of every pair's set-up the client holds, at most 8); server
+// MsgArch (the 32-byte program digest, the id of the pair's set-up the
+// session uses — the first offered one the server holds, else a freshly
+// minted one — then the public spec; or MsgBusy with a uvarint retry-after
+// in ms, then close) and MsgPipeline (uvarint in-flight window, uvarint
+// batch cap). That is the whole set-up of a repeat session, one whose id the
+// client offered. A pair's first session goes on with the OT-extension base
+// phase (MsgOTBase) and the set-up OT, one chosen-message IKNP extension of
+// W OTs, W the program's evaluator-input (weight) bits: the server's
+// MsgOTExtU (exactly ot.ExtULen(W) bytes) with the weight bits as choices,
+// and the client's MsgOTExtY (exactly W × 32 bytes) over the pairs
+// (W_i⁰, W_i⁰ ⊕ Δ), where Δ is the pair's Free-XOR offset and W_i⁰ the
+// weight wire's zero-label, both drawn by the client. Each party files its
+// half under the id once the set-up OT is done: the client Δ and the
+// zero-labels, the server the labels it chose. The client's MsgOTExtY
+// travels ahead of the first inference's burst. (The §3.3 streaming
 // deployment runs the same set-up OT over its share and weight labels, after
 // a base phase of its own per connection; outsourcedHello describes it.)
 //
@@ -99,28 +97,18 @@ import (
 // payload is wire-major with samples innermost; a level's tables are its
 // full ANDs' (rank i, sample s at (i·B+s)·32), then its half ANDs' (rank j
 // among them, sample s at (j·B+s)·16 behind). The answer is
-// MsgOutputLabels. Samples are numbered across the session in begin
-// order — an inference of B samples takes the next B ordinals — and a
-// sample's ordinal goes into every tweak it is garbled under, so that no
-// hash query repeats under the session's one Δ (gc's vec.go).
+// MsgOutputLabels. Samples are numbered across the pair in begin order: a
+// session's first ordinal is (cid − 1)·2³², an inference of B samples takes
+// the next B, and a session refuses its 2³²-th sample. A sample's ordinal
+// goes into every tweak it is garbled under, so that no hash query repeats
+// under the pair's one Δ (gc's vec.go).
 //
 // A client sends one burst whole before it begins the next, and up to the
 // announced window of inferences may be in flight; answers come back in
 // begin order, so frame order is all that ties a frame to its inference.
 // After set-up no OT frame is legal in either direction. MsgEndSession
 // from the client ends the session.
-const protocolHello = "deepsecure/16"
-
-// readOnly caps every frame type but legal at 0 on conn, so that a header
-// of any other type is refused unread, whatever size it announces; legal
-// types keep the caps set for them.
-func readOnly(conn *transport.Conn, legal ...transport.MsgType) {
-	for t := range 256 {
-		if !slices.Contains(legal, transport.MsgType(t)) {
-			conn.SetLimit(transport.MsgType(t), 0)
-		}
-	}
-}
+const protocolHello = "deepsecure/17"
 
 // maxOTBase caps an ot-base frame: the largest of the base phase's three
 // is the receiver's k = 128 uncompressed P-256 points of 65 bytes.
@@ -130,23 +118,40 @@ const maxOTBase = 128 * 65
 // architecture frame.
 const digestSize = len(netgen.Program{}.Digest)
 
-// baseID names one OT base correlation between a client and a server. The
-// server mints it when the base phase runs; it is a name, not a secret:
-// whoever presents a copied one gets a session keyed to seeds it does not
-// have. A Client keeps maxClientBases correlations (so a hello carries at
-// most that many ids) and a Server maxServerBases — 4 KiB of seeds each,
-// 16 MiB in all — both dropping the least recently used first.
-type baseID [16]byte
+// setupNonce is the nonce the set-up OT's extension derives from its base.
+// A base phase serves that one OT, so the nonce need not vary: it is the
+// first session's of a base, (1, 1), under which TestGarbleTranscriptPinned's
+// engine bytes were recorded.
+var setupNonce = ot.SessionNonce(1, 1)
+
+// pairID names one client–server pair's set-up: what the set-up OT left
+// each party. The server mints it when the OT runs; it is a name, not a
+// secret: whoever presents a copied one gets the owner's weight labels
+// evaluated under a garbling of its own, whose outputs fail authentication.
+type pairID [16]byte
+
+// sessionOrdinals is how many sample ordinals a session owns: client
+// session cid numbers its samples from (cid − 1)·sessionOrdinals.
+const sessionOrdinals = 1 << 32
 
 const (
-	maxClientBases = 8
-	maxServerBases = 4096
+	// maxClientPairs is how many pairs' set-ups a Client keeps, so a hello
+	// carries at most that many ids.
+	maxClientPairs = 8
+	// maxServerBytes bounds a server's store of weight labels, 16·W bytes
+	// and an id per pair, least recently used evicted first. It is memory
+	// held while idle, sized to keep a pair for each of a few thousand
+	// clients of a small model and a few dozen of a paper-scale one: 3 968
+	// pairs of the benchmarks' 1 056-bit MLP, 1 040 of tanh_lan's model
+	// (W = 4 032), 29 of compacted B3 (W = 142 264, 2.3 MB each). An
+	// evicted pair's next session is a first one again.
+	maxServerBytes = 64 << 20
 )
 
 // helloFrame is the client's opening frame: the protocol version, a zero
-// byte, the client's session counter (8 bytes, big-endian) and every base
+// byte, the client's session counter (8 bytes, big-endian) and every pair
 // id it holds.
-func helloFrame(cid uint64, ids []baseID) []byte {
+func helloFrame(cid uint64, ids []pairID) []byte {
 	p := binary.BigEndian.AppendUint64(append([]byte(protocolHello), 0), cid)
 	for _, id := range ids {
 		p = append(p, id[:]...)
@@ -155,68 +160,83 @@ func helloFrame(cid uint64, ids []baseID) []byte {
 }
 
 // parseHello is the server's reading of a hello frame.
-func parseHello(p []byte) (cid uint64, ids []baseID, err error) {
+func parseHello(p []byte) (cid uint64, ids []pairID, err error) {
 	version, rest, terminated := bytes.Cut(p, []byte{0})
 	if string(version) != protocolHello {
 		return 0, nil, fmt.Errorf("core: unknown protocol %q", version)
 	}
-	const idLen = len(baseID{})
-	if !terminated || len(rest) < 8 || (len(rest)-8)%idLen != 0 || (len(rest)-8)/idLen > maxClientBases {
+	const idLen = len(pairID{})
+	if !terminated || len(rest) < 8 || (len(rest)-8)%idLen != 0 || (len(rest)-8)/idLen > maxClientPairs {
 		return 0, nil, fmt.Errorf("core: malformed hello: %d bytes after the protocol version", len(rest))
 	}
-	for r := rest[8:]; len(r) > 0; r = r[idLen:] {
-		ids = append(ids, baseID(r))
+	if cid = binary.BigEndian.Uint64(rest); cid < 1 || cid >= sessionOrdinals {
+		return 0, nil, fmt.Errorf("core: malformed hello: session counter %d", cid)
 	}
-	return binary.BigEndian.Uint64(rest), ids, nil
+	for r := rest[8:]; len(r) > 0; r = r[idLen:] {
+		ids = append(ids, pairID(r))
+	}
+	return cid, ids, nil
 }
 
 // archHeader is what precedes the spec in the server's architecture frame:
-// its program's digest, the id of the base correlation the session extends
-// and the server's session counter (8 bytes, big-endian).
-const archHeader = digestSize + len(baseID{}) + 8
+// its program's digest and the id of the pair's set-up the session uses.
+const archHeader = digestSize + len(pairID{})
 
-func archFrame(digest [digestSize]byte, id baseID, sid uint64, spec []byte) []byte {
-	return slices.Concat(digest[:], id[:], binary.BigEndian.AppendUint64(nil, sid), spec)
+func archFrame(digest [digestSize]byte, id pairID, spec []byte) []byte {
+	return slices.Concat(digest[:], id[:], spec)
 }
 
-// receiverBases is a server's store of base correlations, by id. There is
-// no expiry — a base is as good on its thousandth session as on its first —
-// and nothing is persisted: a new process holds none, and its clients'
-// offers are misses that cost them one base phase.
-type receiverBases struct {
+// serverPairs is a server's store of the weight labels each pair's set-up
+// OT chose, by id, bounded to maxServerBytes. There is no expiry — the
+// labels are as good on a pair's thousandth session as on its first — and
+// nothing is persisted: a new process holds none, and its clients' offers
+// are misses that cost them one set-up OT.
+type serverPairs struct {
 	mu    sync.Mutex
-	byID  map[baseID]*list.Element
-	order list.List // of receiverBaseEntry, most recently used first
+	byID  map[pairID]*list.Element
+	order list.List // of serverPair, most recently used first
+	bytes int       // what order's entries take, by size
 }
 
-type receiverBaseEntry struct {
-	id   baseID
-	base *ot.ReceiverBase
+type serverPair struct {
+	id     pairID
+	labels []gc.Label // read-only: every session of the pair evaluates on them
 }
 
-// first returns the first of the offered bases the store holds, marking it
-// used, or a nil base.
-func (b *receiverBases) first(offered []baseID) (baseID, *ot.ReceiverBase) {
+func (e serverPair) size() int { return len(e.id) + len(e.labels)*gc.LabelSize }
+
+// first returns the first of the offered ids the store holds and its labels,
+// marking it used, or nil labels.
+func (b *serverPairs) first(offered []pairID) (pairID, []gc.Label) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	for _, id := range offered {
 		if el, ok := b.byID[id]; ok {
 			b.order.MoveToFront(el)
-			return id, el.Value.(receiverBaseEntry).base
+			return id, el.Value.(serverPair).labels
 		}
 	}
-	return baseID{}, nil
+	return pairID{}, nil
 }
 
-func (b *receiverBases) put(id baseID, base *ot.ReceiverBase) {
+// put files labels under id, evicting the least recently used entries
+// until the store fits maxServerBytes again. Labels larger than the whole
+// budget are not filed: every session of that pair is a first one.
+func (b *serverPairs) put(id pairID, labels []gc.Label) {
+	e := serverPair{id, labels}
+	if e.size() > maxServerBytes {
+		return
+	}
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	if b.byID == nil {
-		b.byID = make(map[baseID]*list.Element)
+		b.byID = make(map[pairID]*list.Element)
 	}
-	b.byID[id] = b.order.PushFront(receiverBaseEntry{id, base})
-	for b.order.Len() > maxServerBases {
-		delete(b.byID, b.order.Remove(b.order.Back()).(receiverBaseEntry).id)
+	b.byID[id] = b.order.PushFront(e)
+	for b.bytes += e.size(); b.bytes > maxServerBytes; {
+		old := b.order.Remove(b.order.Back()).(serverPair)
+		delete(b.byID, old.id)
+		b.bytes -= old.size()
 	}
 }
 
@@ -257,14 +277,14 @@ type Stats struct {
 	FreeGates     int64
 	Inferences    int64
 
-	// Sessions that extended a stored OT base correlation instead of running
-	// the base phase, and sessions that offered some the server held none of.
+	// Sessions that ran on their client–server pair's stored set-up, with no
+	// OT, and sessions that offered stored set-ups the server held none of.
 	SessionsResumed int64
 	ResumeMisses    int64
 
-	// The OT work, all of it at session set-up: the extension base phase
-	// (on a first visit) and the set-up OT's time, and the OTs it ran — W,
-	// one per weight bit, however many inferences follow.
+	// The OT work, all of it at the set-up of a pair's first session: the
+	// extension base phase and the set-up OT's time, and the OTs it ran — W,
+	// one per weight bit, however many inferences and sessions follow.
 	OTOfflineTime time.Duration
 	OTsConsumed   int64
 
@@ -332,8 +352,7 @@ type Server struct {
 	weightBits  []bool
 	compileErr  error
 
-	sessions atomic.Uint64 // sid of the latest session: this server's half of every nonce
-	bases    receiverBases
+	pairs serverPairs
 
 	metrics *obs.Set // parent of every session's ledger; obs.Root when nil
 }
@@ -377,9 +396,10 @@ func (s *Server) Serve(conn *transport.Conn) error {
 
 // ServeSession answers inference requests on conn until the client ends
 // the session (or disconnects at an inference boundary, which is treated
-// as an implicit close). The handshake, the OT-extension base phase, the
-// set-up OT of the weight labels and netlist compilation happen once; each
-// inference walks the compiled schedule with fresh evaluation state. Up to
+// as an implicit close). The handshake and netlist compilation happen once
+// per session, the OT-extension base phase and the set-up OT of the weight
+// labels once per client–server pair; each inference walks the compiled
+// schedule with fresh evaluation state. Up to
 // EngineConfig.Pipeline inferences may be begun and unanswered; they are
 // evaluated one at a time, in begin order, on the calling goroutine, while
 // a reader goroutine takes the next one's garbled stream off the wire and a
@@ -415,10 +435,10 @@ func (s *Server) ServeSession(conn *transport.Conn) (*Stats, error) {
 
 	rng := rngOrDefault(s.Rng)
 	wd.arm(dl.setup("handshake", dl.Handshake))
-	// Until set-up, a client sends its hello, the base phase's frames (on a
-	// fresh base) and the set-up OT's answer; each is capped before it
-	// arrives, every other type at 0.
-	readOnly(conn, transport.MsgHello)
+	// Until set-up, a client sends its hello and, in a pair's first session,
+	// the base phase's frames and the set-up OT's answer; each is capped
+	// before it arrives, every other type at 0.
+	conn.ReadOnly(transport.MsgHello)
 	hello, err := conn.Recv(transport.MsgHello)
 	if err != nil {
 		return fail(err)
@@ -431,21 +451,19 @@ func (s *Server) ServeSession(conn *transport.Conn) (*Stats, error) {
 	if err != nil {
 		return finish(), err
 	}
-	// The base correlation this session extends: the first offered one this
-	// server still holds, or one the base phase below makes, under a fresh
-	// id. The session is number sid of this server, whatever the client
-	// says its own number is.
-	sid := s.sessions.Add(1)
-	id, base := s.bases.first(offered)
-	if base == nil {
+	// The weight labels this session evaluates on: those of the first
+	// offered pair this server still holds, or those the set-up OT below
+	// chooses, filed under a fresh id.
+	id, weights := s.pairs.first(offered)
+	if weights == nil {
 		if _, err := io.ReadFull(rng, id[:]); err != nil {
-			return fail(fmt.Errorf("core: base id randomness: %w", err))
+			return fail(fmt.Errorf("core: pair id randomness: %w", err))
 		}
 	}
 	// A spec of directWrite bytes or more (a pruned model's carries its
 	// sparsity map) is written through here, so this Send can be where the
 	// handshake deadline finds a client that stopped reading.
-	if err := conn.Send(transport.MsgArch, archFrame(prog.Digest, id, sid, s.spec)); err != nil {
+	if err := conn.Send(transport.MsgArch, archFrame(prog.Digest, id, s.spec)); err != nil {
 		return fail(err)
 	}
 	// In-flight window and batch-cap announcement: the server owns both
@@ -455,42 +473,43 @@ func (s *Server) ServeSession(conn *transport.Conn) (*Stats, error) {
 	if err := conn.Send(transport.MsgPipeline, plBuf); err != nil {
 		return fail(err)
 	}
-	wd.arm(dl.setup("ot-setup", dl.OTSetup))
 
-	// OT-extension base phase: once per client–server pair, amortized over
-	// every weight transfer of every session the pair runs. A repeat
-	// session skips it — no MsgOTBase frame, no public-key operation — and
-	// differs in nothing else: fresh or repeat, the session is the base's
-	// derivation under its own nonce. Base-phase and set-up OT time are the
-	// protocol's whole OT cost.
-	baseStart := time.Now()
-	if base != nil {
+	if weights != nil {
+		// A repeat session: its set-up is over. The mux's reader does not
+		// flush, so the two frames go out here.
 		set.SessionsResumed.Inc()
+		if err := conn.Flush(); err != nil {
+			return fail(err)
+		}
 	} else {
+		// The pair's first session: the OT-extension base phase and the
+		// set-up OT, one chosen-message extension with the weight bits as
+		// choices, which gives the pair the weight wires' labels for every
+		// sample of every inference of every session. The client's answer
+		// is exactly W pairs. Base-phase and set-up OT time are the
+		// protocol's whole OT cost.
+		wd.arm(dl.setup("ot-setup", dl.OTSetup))
 		if len(offered) > 0 {
 			set.ResumeMisses.Inc()
 		}
+		otStart := time.Now()
 		conn.SetLimit(transport.MsgOTBase, maxOTBase)
-		if base, err = ot.NewReceiverBase(conn, rng); err != nil {
+		base, err := ot.NewReceiverBase(conn, rng)
+		if err != nil {
 			return fail(err)
 		}
-		s.bases.put(id, base)
+		ots := base.Session(conn, setupNonce)
+		conn.SetLimit(transport.MsgOTExtY, len(s.weightBits)*2*ot.MsgLen)
+		if weights, err = ots.Receive(s.weightBits); err != nil {
+			return fail(err)
+		}
+		s.pairs.put(id, weights)
+		set.OTConsumed.Add(int64(len(weights)))
+		set.OTOfflineTime.Add(int64(time.Since(otStart)))
 	}
-	ots := base.Session(conn, ot.SessionNonce(cid, sid))
-
-	// The set-up OT: one chosen-message extension with the weight bits as
-	// choices, which gives this session the weight wires' labels for every
-	// sample of every inference. The client's answer is exactly W pairs.
-	conn.SetLimit(transport.MsgOTExtY, len(s.weightBits)*2*ot.MsgLen)
-	chosen, err := ots.Receive(s.weightBits)
-	if err != nil {
-		return fail(err)
-	}
-	set.OTConsumed.Add(int64(len(chosen)))
-	set.OTOfflineTime.Add(int64(time.Since(baseStart)))
 	wd.disarm()
 
-	m := newSessionMux(s, conn, chosen, prog.Schedule, wd, set)
+	m := newSessionMux(s, conn, weights, (cid-1)*sessionOrdinals, prog.Schedule, wd, set)
 	if err = m.run(); err == nil {
 		evaluatorBufs.Put(m.bufs)
 	}
@@ -500,11 +519,12 @@ func (s *Server) ServeSession(conn *transport.Conn) (*Stats, error) {
 // Client runs secure inferences against a server. A Client caches the
 // compiled netlist program per public model spec (the eight used last), so
 // repeated sessions against the same model skip generation entirely, and
-// the OT base correlation per server (up to eight 4 KiB sets of seeds, in
-// memory only), so repeated sessions with the same server skip the base
-// phase. Safe for concurrent use by multiple sessions, provided Rng is nil
-// or itself safe for concurrent use (deterministic readers like
-// *math/rand.Rand are only for single-session tests).
+// the set-up of each client–server pair (the Free-XOR offset and the weight
+// zero-labels, 16·W bytes, for up to eight pairs, in memory only), so
+// repeated sessions with the same server run no OT. Safe for concurrent use
+// by multiple sessions, provided Rng is nil or itself safe for concurrent
+// use (deterministic readers like *math/rand.Rand are only for
+// single-session tests).
 type Client struct {
 	// Rng sources protocol randomness (crypto/rand when nil).
 	Rng io.Reader
@@ -513,56 +533,80 @@ type Client struct {
 	// workers from GOMAXPROCS.
 	Engine EngineConfig
 
-	sessions atomic.Uint64 // cid of the latest session: this client's half of every nonce
+	sessions atomic.Uint64 // cid of the latest session: what numbers its samples
 
 	mu    sync.Mutex
-	progs []*compiled       // most recently used first, at most maxClientBases
-	bases []senderBaseEntry // most recently used first, at most maxClientBases
-	set   *obs.Set          // the client's ledger, made on first use
+	progs []*compiled   // most recently used first, at most maxClientPairs
+	pairs []*clientPair // most recently used first, at most maxClientPairs
+	set   *obs.Set      // the client's ledger, made on first use
 }
 
-type senderBaseEntry struct {
-	id   baseID
-	base *ot.SenderBase
+// clientPair is the client's half of a pair's set-up: the Free-XOR offset
+// every session of the pair garbles under and the weight wires' zero-labels
+// under it, of which the server holds one label each.
+type clientPair struct {
+	id      pairID
+	delta   gc.Label
+	weights []gc.Label
 }
 
-// baseIDs returns the ids of the base correlations the client holds, most
-// recently used first: what a hello offers.
-func (c *Client) baseIDs() []baseID {
+// zero wipes the pair's secrets in place.
+func (e *clientPair) zero() {
+	e.delta = gc.Label{}
+	clear(e.weights)
+}
+
+// pairIDs returns the ids of the pairs the client holds, most recently used
+// first: what a hello offers.
+func (c *Client) pairIDs() []pairID {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	ids := make([]baseID, len(c.bases))
-	for i, e := range c.bases {
+	ids := make([]pairID, len(c.pairs))
+	for i, e := range c.pairs {
 		ids[i] = e.id
 	}
 	return ids
 }
 
-// fileBase keeps a base correlation under the id the server minted for it,
-// wiping the least recently used one beyond maxClientBases.
-func (c *Client) fileBase(id baseID, base *ot.SenderBase) {
+// filePair keeps a pair's set-up under the id the server minted for it,
+// wiping the least recently used one beyond maxClientPairs. The entry is the
+// store's own: sessions take copies of it (resume).
+func (c *Client) filePair(e *clientPair) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if len(c.bases) == maxClientBases {
-		c.bases[maxClientBases-1].base.Zero()
-		c.bases = c.bases[:maxClientBases-1]
+	if len(c.pairs) == maxClientPairs {
+		c.pairs[maxClientPairs-1].zero()
+		c.pairs = c.pairs[:maxClientPairs-1]
 	}
-	c.bases = slices.Insert(c.bases, 0, senderBaseEntry{id, base})
+	c.pairs = slices.Insert(c.pairs, 0, e)
 }
 
-// resume derives the extension sender of session nonce from the base filed
-// under id, marking it used — under the client's lock, because Close wipes
-// the seeds the derivation reads. It returns nil when the base is gone.
-func (c *Client) resume(id baseID, conn transport.FrameConn, nonce ot.Nonce) *ot.ExtSender {
+// resume copies out the set-up filed under id, marking it used — under the
+// client's lock, because Close wipes it. ok is false when it is gone.
+func (c *Client) resume(id pairID) (delta gc.Label, weights []gc.Label, ok bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	i := slices.IndexFunc(c.bases, func(e senderBaseEntry) bool { return e.id == id })
+	i := slices.IndexFunc(c.pairs, func(e *clientPair) bool { return e.id == id })
 	if i < 0 {
-		return nil
+		return delta, nil, false
 	}
-	e := c.bases[i]
-	c.bases = slices.Insert(slices.Delete(c.bases, i, i+1), 0, e)
-	return e.base.Session(conn, nonce)
+	e := c.pairs[i]
+	c.pairs = slices.Insert(slices.Delete(c.pairs, i, i+1), 0, e)
+	return e.delta, slices.Clone(e.weights), true
+}
+
+// dropPair wipes and forgets the set-up filed under id, if the client still
+// holds it: an output that failed authentication on a session of the pair
+// may mean the server holds other labels than the client's (a Y frame
+// corrupted on its way), and the pair's next session runs the set-up OT
+// again.
+func (c *Client) dropPair(id pairID) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if i := slices.IndexFunc(c.pairs, func(e *clientPair) bool { return e.id == id }); i >= 0 {
+		c.pairs[i].zero()
+		c.pairs = slices.Delete(c.pairs, i, i+1)
+	}
 }
 
 // ledger returns the client's ledger: the parent of its sessions' ledgers.
@@ -575,16 +619,16 @@ func (c *Client) ledger() *obs.Set {
 	return c.set
 }
 
-// Close releases the client's OT base correlations: every base seed is
-// zeroed. Open sessions keep working, and the next session with each server
-// pays the base phase again.
+// Close releases the client's pairs: every Free-XOR offset and weight
+// zero-label is zeroed. Open sessions keep working (they hold copies), and
+// the next session with each server runs the set-up OT again.
 func (c *Client) Close() {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	for _, e := range c.bases {
-		e.base.Zero()
+	for _, e := range c.pairs {
+		e.zero()
 	}
-	c.bases = nil
+	c.pairs = nil
 }
 
 // compiled is one spec's entry in the client's program cache: whoever gets
@@ -615,7 +659,7 @@ func (e *compiled) build(specData []byte) error {
 
 // program returns the cache entry of the given public spec, building it
 // once per distinct spec however many sessions open on it at the same time;
-// a later open allocates nothing. The cache keeps the maxClientBases specs
+// a later open allocates nothing. The cache keeps the maxClientPairs specs
 // used last, failed builds included, so a server that varies its spec
 // cannot grow the client.
 func (c *Client) program(specData []byte) (*compiled, error) {
@@ -629,7 +673,7 @@ func (c *Client) program(specData []byte) (*compiled, error) {
 		e = c.progs[i]
 	} else {
 		e = &compiled{spec: string(specData)}
-		if i == maxClientBases {
+		if i == maxClientPairs {
 			i-- // the least recently used entry goes
 		} else {
 			c.progs = append(c.progs, nil)
@@ -652,13 +696,17 @@ type Session struct {
 	prog  *netgen.Program
 	start time.Time
 
-	// delta is the session's Free-XOR offset and weights the weight wires'
-	// zero-labels under it, both drawn at set-up, when the server took one
-	// label of each pair by OT. next is the ordinal of the next sample to
-	// begin: the server numbers the samples it admits alike.
-	delta   gc.Label
-	weights []gc.Label
-	next    uint64
+	// delta is the pair's Free-XOR offset and weights the weight wires'
+	// zero-labels under it, both drawn at the pair's set-up, when the server
+	// took one label of each pair by OT; client and pair name the store they
+	// are filed in. next is the ordinal of the next sample to begin and end
+	// the first the session does not own: the server numbers the samples it
+	// admits alike.
+	delta     gc.Label
+	weights   []gc.Label
+	client    *Client
+	pair      pairID
+	next, end uint64
 
 	// set is the session's ledger: the connection and the set-up OT record
 	// here, each inference in a child of it, and Stats is its read-out.
@@ -710,9 +758,10 @@ func takeBufs(pool *sync.Pool) *engineBufs {
 }
 
 // NewSession opens a session: protocol hello, architecture download,
-// pipeline-window negotiation, netlist compilation (cached per spec), the
-// OT-extension base phase (on the first visit to a server; a repeat visit
-// extends the stored base) and the set-up OT of the weight labels. With
+// pipeline-window negotiation, netlist compilation (cached per spec) and, on
+// the first session with a server (or the first since the server or this
+// client dropped the pair), the OT-extension base phase and the set-up OT of
+// the weight labels. With
 // Engine.Deadlines.Handshake set (and a breaker installed on conn), the
 // whole call is bounded by that deadline: a server that accepts and then
 // stalls — or trickles the setup exchanges forever — surfaces as a
@@ -731,10 +780,11 @@ func (c *Client) NewSession(conn *transport.Conn) (sess *Session, err error) {
 	set := obs.NewSet(c.ledger())
 	conn.SetMetrics(set)
 	rng := rngOrDefault(c.Rng)
-	// Session number cid of this client, whatever the server numbers it: the
-	// half of the OT nonce that is the client's to keep from repeating.
+	// Session number cid of this client: it owns the sample ordinals from
+	// (cid − 1)·2³², which no other session of the client shares, whichever
+	// pair it runs on.
 	cid := c.sessions.Add(1)
-	offered := c.baseIDs()
+	offered := c.pairIDs()
 	// Every server frame is bounded before it arrives, so that a header
 	// announcing more is refused unread: the architecture is its header and
 	// a spec of at most nn.MaxSpecBytes, a busy answer is one uvarint, the
@@ -742,7 +792,7 @@ func (c *Client) NewSession(conn *transport.Conn) (sess *Session, err error) {
 	// phase's, the set-up OT's U the size W OTs take, and an inference's
 	// answer is bounded once the program and the batch cap are known. Every
 	// other type is capped at 0.
-	readOnly(conn, transport.MsgArch, transport.MsgBusy)
+	conn.ReadOnly(transport.MsgArch, transport.MsgBusy)
 	conn.SetLimit(transport.MsgArch, archHeader+nn.MaxSpecBytes)
 	conn.SetLimit(transport.MsgBusy, binary.MaxVarintLen64)
 	if err := conn.Send(transport.MsgHello, helloFrame(cid, offered)); err != nil {
@@ -763,8 +813,7 @@ func (c *Client) NewSession(conn *transport.Conn) (sess *Session, err error) {
 		return nil, fmt.Errorf("core: architecture frame of %d bytes is shorter than its %d-byte header", len(arch), archHeader)
 	}
 	serverDigest := [digestSize]byte(arch)
-	id := baseID(arch[digestSize:])
-	sid := binary.BigEndian.Uint64(arch[archHeader-8:])
+	id := pairID(arch[digestSize:])
 	specData := arch[archHeader:]
 	conn.SetLimit(transport.MsgPipeline, 2*binary.MaxVarintLen64)
 	cp, err := c.program(specData)
@@ -804,57 +853,63 @@ func (c *Client) NewSession(conn *transport.Conn) (sess *Session, err error) {
 		prog:     prog,
 		start:    start,
 		set:      set,
+		client:   c,
+		pair:     id,
+		next:     (cid - 1) * sessionOrdinals,
+		end:      cid * sessionOrdinals,
 		inputLen: cp.inputLen,
 		window:   window,
 		maxBatch: maxBatch,
 		cfg:      c.Engine,
 		pool:     c.Engine.newPool(),
 	}
-	// The session's extension sender: derived from the base the server
-	// named if this client offered it — no base phase — and otherwise from
-	// the one the phase makes now, filed under the server's id for it.
-	baseStart := time.Now()
-	nonce := ot.SessionNonce(cid, sid)
-	var ots *ot.ExtSender
+	w, _ := inputWires(prog.Schedule, circuit.Evaluator)
 	if slices.Contains(offered, id) {
-		if ots = c.resume(id, conn, nonce); ots == nil {
-			return nil, errors.New("core: client closed while the session opened")
+		// A repeat session: the server holds the labels it chose from the
+		// pair filed under id, and the set-up is over.
+		var ok bool
+		if s.delta, s.weights, ok = c.resume(id); !ok {
+			return nil, errors.New("core: the pair's set-up was dropped while the session opened")
+		}
+		if len(s.weights) != w {
+			return nil, fmt.Errorf("core: the pair's set-up holds %d weight labels, the program has %d weight bits", len(s.weights), w)
 		}
 		set.SessionsResumed.Inc()
 	} else {
+		// The pair's first session: the base phase and the set-up OT of the
+		// pair's delta and a zero-label per weight bit, of which the server
+		// chooses one label of each pair. Its U is capped at what W OTs
+		// take, so a server keyed for more weight bits is refused unread,
+		// and one keyed for fewer by the U length check.
 		if len(offered) > 0 {
 			set.ResumeMisses.Inc()
 		}
+		otStart := time.Now()
 		conn.SetLimit(transport.MsgOTBase, maxOTBase)
 		base, err := ot.NewSenderBase(conn, rng)
 		if err != nil {
 			return nil, err
 		}
-		c.fileBase(id, base)
-		ots = base.Session(conn, nonce)
+		ots := base.Session(conn, setupNonce)
+		var pairs [][2]ot.Msg
+		if s.delta, s.weights, pairs, err = weightLabels(rng, w); err != nil {
+			return nil, err
+		}
+		conn.SetLimit(transport.MsgOTExtU, ot.ExtULen(w))
+		if err := ots.Send(pairs); err != nil {
+			return nil, err
+		}
+		c.filePair(&clientPair{id: id, delta: s.delta, weights: slices.Clone(s.weights)})
+		set.OTConsumed.Add(int64(w))
+		set.OTOfflineTime.Add(int64(time.Since(otStart)))
 	}
-	// The set-up OT: the session's delta and a zero-label per weight bit,
-	// of which the server chooses one label of each pair. Its U is
-	// capped at what W OTs take, so a server keyed for more weight bits is
-	// refused unread, and one keyed for fewer by the U length check.
-	w, _ := inputWires(prog.Schedule, circuit.Evaluator)
-	var pairs [][2]ot.Msg
-	if s.delta, s.weights, pairs, err = weightLabels(rng, w); err != nil {
-		return nil, err
-	}
-	conn.SetLimit(transport.MsgOTExtU, ot.ExtULen(w))
-	if err := ots.Send(pairs); err != nil {
-		return nil, err
-	}
-	set.OTConsumed.Add(int64(w))
-	set.OTOfflineTime.Add(int64(time.Since(baseStart)))
 	// After set-up a server sends answers alone.
-	readOnly(conn, transport.MsgOutputLabels)
+	conn.ReadOnly(transport.MsgOutputLabels)
 	s.bufs = takeBufs(&garblerBufs)
 	return s, nil
 }
 
-// weightLabels draws a session's Free-XOR offset and its w weight wires'
+// weightLabels draws a pair's Free-XOR offset and its w weight wires'
 // zero-labels, with permute bit 0 so that a label's colour is its value,
 // and returns the label pairs the set-up OT transfers. The zero-labels are
 // drawn in place, in one read; the pairs are a buffer of their own, so that
@@ -978,6 +1033,7 @@ func (s *Session) resolveOutput(payload []byte) error {
 			case p.outZero[i*p.batch+sm].XOR(s.delta):
 				labels[sm] |= 1 << uint(i)
 			default:
+				s.client.dropPair(s.pair)
 				return fmt.Errorf("core: output label %d of the oldest inference in flight (sample %d) failed authentication", i, sm)
 			}
 		}
@@ -1064,6 +1120,9 @@ func (s *Session) InferBatchAsync(xs [][]float64) (*PendingBatch, error) {
 	if b > s.maxBatch {
 		return nil, fmt.Errorf("core: batch of %d samples exceeds the negotiated maximum %d", b, s.maxBatch)
 	}
+	if s.next+uint64(b) > s.end {
+		return nil, fmt.Errorf("core: the session has numbered all its %d samples", uint64(sessionOrdinals))
+	}
 	for i, x := range xs {
 		if got, want := len(x), s.inputLen; got != want {
 			return nil, fmt.Errorf("core: sample %d has %d features, model wants %d", i, got, want)
@@ -1101,7 +1160,7 @@ func (s *Session) InferBatchAsync(xs [][]float64) (*PendingBatch, error) {
 	if err := s.conn.Send(transport.MsgInferBegin, binary.AppendUvarint(nil, uint64(b))); err != nil {
 		return fail(err)
 	}
-	// The batch's garbler, under the session's delta and numbered from the
+	// The batch's garbler, under the pair's delta and numbered from the
 	// session's next ordinal: every sample's constant-wire labels are drawn
 	// now, every client input wire's labels when its step is reached.
 	g, err := gc.NewSessionGarbler(s.rng, s.delta, b)
@@ -1213,7 +1272,7 @@ func (s *Session) Close() error {
 }
 
 // Stats returns cumulative statistics for the whole session so far,
-// including the handshake and OT base phase.
+// including the handshake and any OT set-up.
 func (s *Session) Stats() *Stats {
 	st := StatsOf(s.set)
 	st.Duration = time.Since(s.start)
@@ -1222,7 +1281,7 @@ func (s *Session) Stats() *Stats {
 
 // Infer classifies one sample over a fresh single-inference session
 // (Fig. 3 client side) and returns the inference label. The reported
-// stats cover the whole session including handshake and OT base phase.
+// stats cover the whole session including handshake and any OT set-up.
 func (c *Client) Infer(conn *transport.Conn, x []float64) (int, *Stats, error) {
 	labels, st, err := c.InferMany(conn, [][]float64{x})
 	if err != nil {
@@ -1232,7 +1291,7 @@ func (c *Client) Infer(conn *transport.Conn, x []float64) (int, *Stats, error) {
 }
 
 // InferMany opens one session, classifies every sample on it, and closes
-// the session: N inferences for one handshake, one OT base phase, and
+// the session: N inferences for one handshake, at most one OT set-up, and
 // one netlist compilation — and, with a pipeline window deeper than 1,
 // consecutive inferences overlapped on the wire (inference k+1 garbles
 // while inference k's output round-trip and evaluation tail are still
@@ -1271,8 +1330,8 @@ func (c *Client) InferMany(conn *transport.Conn, xs [][]float64) ([]int, *Stats,
 }
 
 // InferBatch opens one session, classifies every sample in a single
-// fused inference, and closes the session: one handshake, one OT base
-// phase, one set-up OT, one schedule walk and one interleaved table
+// fused inference, and closes the session: one handshake, at most one OT
+// set-up, one schedule walk and one interleaved table
 // stream for the whole batch. len(xs) must fit the
 // negotiated batch cap (the min of this client's EngineConfig.MaxBatch
 // and the server's announcement); for larger workloads, split into

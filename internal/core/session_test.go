@@ -264,11 +264,11 @@ func TestValidationErrorKeepsSessionUsable(t *testing.T) {
 }
 
 // TestClientProgramCacheIsBounded pins the cache's bound: a server that
-// varies its spec leaves the client at most maxClientBases programs, the
+// varies its spec leaves the client at most maxClientPairs programs, the
 // least recently used going first, and a spec that was evicted compiles
 // again.
 func TestClientProgramCacheIsBounded(t *testing.T) {
-	specs := make([][]byte, maxClientBases+1)
+	specs := make([][]byte, maxClientPairs+1)
 	for i := range specs {
 		net, err := nn.NewNetwork(nn.Vec(6), nn.NewDense(2+i), nn.NewActivation(act.ReLU), nn.NewDense(4))
 		if err != nil {
@@ -286,8 +286,8 @@ func TestClientProgramCacheIsBounded(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if got := len(cli.progs); got != maxClientBases {
-		t.Fatalf("after %d specs the client caches %d programs, want %d", len(specs), got, maxClientBases)
+	if got := len(cli.progs); got != maxClientPairs {
+		t.Fatalf("after %d specs the client caches %d programs, want %d", len(specs), got, maxClientPairs)
 	}
 	again, err := cli.program(specs[0])
 	if err != nil {

@@ -117,10 +117,12 @@ func WideAvailable() bool { return hasKernel }
 // H(L, t) = AES_fixed(2L ⊕ t) ⊕ (2L ⊕ t). A Hasher is NOT safe for
 // concurrent use — a span on the Go kernel borrows one from a pool — which
 // is what lets H run allocation-free: the AES input/output go through
-// heap-resident scratch buffers allocated once per Hasher, instead of
-// stack arrays that escape through the cipher.Block interface call on
-// every gate (two heap allocations per hash, the dominant allocation of
-// the whole protocol before they were hoisted here).
+// scratch buffers inside the Hasher, instead of stack arrays that escape
+// through the cipher.Block interface call on every gate (two heap
+// allocations per hash, the dominant allocation of the whole protocol
+// before they were hoisted here). The crypto/aes cipher is built on the Go
+// path's first hash, so a Hasher that only hashes on the assembly kernel
+// (the OT extension's, on amd64) never builds one.
 //
 // Beyond the scalar H, a Hasher exposes a multi-lane face: up to
 // HashLanes independent hashes per call (HN), backed where WideAvailable by
@@ -128,9 +130,8 @@ func WideAvailable() bool { return hasKernel }
 // hardware AES pipeline stays full, and elsewhere by a loop over the scalar
 // path.
 type Hasher struct {
-	block cipher.Block
-	kbuf  []byte
-	obuf  []byte
+	block      cipher.Block // the Go path's fixed-key cipher, nil until it first hashes
+	kbuf, obuf [LabelSize]byte
 
 	// lanes is HN's buffer: it writes key blocks 2L ⊕ t there and hashes
 	// them in place, so no wave allocates.
@@ -138,13 +139,7 @@ type Hasher struct {
 }
 
 // NewHasher builds the fixed-key hasher.
-func NewHasher() *Hasher {
-	return &Hasher{
-		block: newCipher(fixedKey),
-		kbuf:  make([]byte, LabelSize),
-		obuf:  make([]byte, LabelSize),
-	}
-}
+func NewHasher() *Hasher { return new(Hasher) }
 
 // H computes the hash of label l under tweak t.
 func (h *Hasher) H(l Label, t uint64) Label {
@@ -156,9 +151,12 @@ func (h *Hasher) H(l Label, t uint64) Label {
 // hashKey is the scalar Davies–Meyer core over a precomputed key block
 // k = 2L ⊕ t: AES_fixed(k) ⊕ k through Go's crypto/aes.
 func (h *Hasher) hashKey(k block) block {
-	k.put(h.kbuf)
-	h.block.Encrypt(h.obuf, h.kbuf)
-	return blockAt(h.obuf).xor(k)
+	if h.block == nil {
+		h.block = newCipher(fixedKey)
+	}
+	k.put(h.kbuf[:])
+	h.block.Encrypt(h.obuf[:], h.kbuf[:])
+	return blockAt(h.obuf[:]).xor(k)
 }
 
 // HN computes dst[i] = H(labels[i], tweaks[i]) for every label, in waves

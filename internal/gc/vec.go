@@ -3,7 +3,6 @@ package gc
 import (
 	"fmt"
 	"io"
-	"sort"
 
 	"deepsecure/internal/circuit"
 )
@@ -222,7 +221,25 @@ func (st *labelStore) at(w uint32, s int) (Label, error) {
 // the peer. Everything else about the gates was proved when their schedule
 // was checked.
 func (st *labelStore) prepare(ands, frees []circuit.Gate, gidBase uint64, table []byte) error {
-	nFull := sort.Search(len(ands), func(i int) bool { return ands[i].Op == circuit.HalfAND })
+	// The full ANDs come first. A level of one kind, the usual case, is
+	// told by its ends; a mixed one is searched for its first half AND,
+	// which lies in (0, n−1].
+	nFull := len(ands)
+	switch {
+	case nFull == 0 || ands[nFull-1].Op != circuit.HalfAND:
+	case ands[0].Op == circuit.HalfAND:
+		nFull = 0
+	default:
+		lo, hi := 1, nFull-1
+		for lo < hi {
+			if mid := int(uint(lo+hi) >> 1); ands[mid].Op == circuit.HalfAND {
+				hi = mid
+			} else {
+				lo = mid + 1
+			}
+		}
+		nFull = lo
+	}
 	split := nFull * st.b * TableSize
 	if need := split + (len(ands)-nFull)*st.b*LabelSize; len(table) < need {
 		return fmt.Errorf("gc: level table block is %d bytes, want %d", len(table), need)

@@ -149,9 +149,9 @@ var catalogue = func() []series {
 			field: func(s *Set) any { return &s.Batches }},
 		{name: "deepsecure_session_errors_total", help: "Sessions that ended with a protocol or transport error.",
 			field: func(s *Set) any { return &s.Errors }},
-		{name: "deepsecure_sessions_resumed_total", help: "Sessions that extended a stored OT base correlation, skipping the base phase.",
+		{name: "deepsecure_sessions_resumed_total", help: "Sessions that ran on their client–server pair's stored weight labels, with no OT.",
 			field: func(s *Set) any { return &s.SessionsResumed }},
-		{name: "deepsecure_resume_misses_total", help: "Sessions that offered stored OT base correlations of which the server held none.",
+		{name: "deepsecure_resume_misses_total", help: "Sessions that offered stored weight labels of which the server held none.",
 			field: func(s *Set) any { return &s.ResumeMisses }},
 		{name: "deepsecure_bytes_total", help: "Transport bytes moved by this process, by direction.", label: "direction=sent",
 			field: func(s *Set) any { return &s.BytesSent }},

@@ -175,7 +175,7 @@ type SenderBase struct {
 }
 
 // NewSenderBase runs the base phase over conn as base-OT receiver with a
-// fresh secret choice vector: 128 public-key OTs, once per pair of parties.
+// fresh secret choice vector: 128 public-key OTs.
 func NewSenderBase(conn transport.FrameConn, rng io.Reader) (*SenderBase, error) {
 	b := new(SenderBase)
 	if _, err := io.ReadFull(rng, b.s[:]); err != nil {

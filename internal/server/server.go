@@ -241,15 +241,15 @@ func (s *Server) serveConn(conn net.Conn) {
 			conn.RemoteAddr(), st.Inferences, err)
 		return
 	}
-	base := "fresh" // the session ran the OT base phase, or extended a stored correlation
+	pair := "fresh" // the session ran the pair's set-up OT, or used its stored weight labels
 	if st.SessionsResumed > 0 {
-		base = "resumed"
+		pair = "resumed"
 	}
-	s.logf("session from %s: %d inference(s), %.2f MB out, %.2f MB in, %v (set-up OT %v, %d weight labels, base %s; crypto core %.2f Mgates/s over %v)",
+	s.logf("session from %s: %d inference(s), %.2f MB out, %.2f MB in, %v (set-up OT %v, %d weight labels, pair %s; crypto core %.2f Mgates/s over %v)",
 		conn.RemoteAddr(), st.Inferences,
 		float64(st.BytesSent)/1e6, float64(st.BytesReceived)/1e6,
 		time.Since(start).Round(time.Millisecond),
-		st.OTOfflineTime.Round(time.Millisecond), st.OTsConsumed, base,
+		st.OTOfflineTime.Round(time.Millisecond), st.OTsConsumed, pair,
 		st.GatesPerSec()/1e6, st.GateTime.Round(time.Millisecond))
 }
 

@@ -175,6 +175,24 @@ func (c *Conn) SetLimit(t MsgType, n int) {
 	}
 }
 
+// ReadOnly caps every frame type but legal at 0, so that a header of any
+// other type is refused unread, whatever size it announces; legal types keep
+// the caps set for them. Safe to call while another goroutine is in
+// ReadFrame.
+func (c *Conn) ReadOnly(legal ...MsgType) {
+	var keep [msgTypeEnd]bool
+	for _, t := range legal {
+		if t < msgTypeEnd {
+			keep[t] = true
+		}
+	}
+	for t := range c.limits {
+		if !keep[t] {
+			c.limits[t].Store(0)
+		}
+	}
+}
+
 // Recycle hands a payload returned by ReadFrame back for reuse by any
 // connection's later frame of its size class. The caller must hold no
 // reference into it afterwards; frames whose bytes are retained are simply
