@@ -32,11 +32,11 @@ import (
 // panic (deepsecure_panics_total stays flat under pure network faults).
 //
 // The two shared clients have visited the server before the first fault, so
-// their runs are repeat sessions — one server flight of set-up, keyed to a
-// stored OT base correlation — and every fourth run brings a client of its
-// own, whose base phase runs under the faults. A cut can leave a base filed
-// on one side only, or evicted from neither; whatever the stores hold
-// afterwards, the next clean session of each client classifies.
+// their runs are repeat sessions — one server flight of set-up, on the
+// pair's stored weight labels — and every fourth run brings a client of its
+// own, whose base phase and set-up OT run under the faults. A cut can leave
+// a pair filed on one side only, or evicted from neither; whatever the
+// stores hold afterwards, the next clean session of each client classifies.
 
 const sweepRunBudget = 30 * time.Second // per-run hard termination bound
 
@@ -387,12 +387,11 @@ func TestChaosCutAtRefill(t *testing.T) {
 	checkLeaks()
 }
 
-// TestChaosCutInsideBasePhase leaves an OT base correlation filed on one
-// side only: the connection dies as the base phase's last frame — the
-// server's ciphertexts, after which the server has filed its half — reaches
-// the client, which therefore files nothing. That is a first visit next
-// time, not a hang and not a session on half a correlation; and once it has
-// gone through, the visit after it resumes.
+// TestChaosCutInsideBasePhase cuts the set-up half way: the connection dies
+// as the base phase's last frame — the server's ciphertexts — reaches the
+// client, before the set-up OT, so neither side files the pair. That is a
+// first visit next time, not a hang and not a session on half a set-up; and
+// once it has gone through, the visit after it resumes.
 func TestChaosCutInsideBasePhase(t *testing.T) {
 	checkLeaks := testutil.VerifyNoLeaks(t)
 	f := fixed.Default

@@ -205,8 +205,10 @@ func TestBadHelloRejected(t *testing.T) {
 	// whose sessions always run the base phase, "deepsecure/13" one whose
 	// client answers every pool refill, and "deepsecure/15" the previous
 	// one but two, which garbles the same tape in another level order, and
-	// "deepsecure/16" the previous one, whose every session runs the set-up
-	// OT: a hello of any must be refused here and not fail mid-stream. A
+	// "deepsecure/16" the previous one but one, whose every session runs the
+	// set-up OT, and "deepsecure/17" the previous one, whose set-up OT keys
+	// its columns with keys derived from the base seeds under a nonce: a
+	// hello of any must be refused here and not fail mid-stream. A
 	// hello of this version is refused when what follows the string is not
 	// a session counter in [1, 2³²) and a whole number of pair ids, at most
 	// maxClientPairs of them.
@@ -218,6 +220,7 @@ func TestBadHelloRejected(t *testing.T) {
 		"deepsecure/13" + good[len(protocolHello):]:             "unknown protocol",
 		"deepsecure/15" + good[len(protocolHello):]:             "unknown protocol",
 		"deepsecure/16" + good[len(protocolHello):]:             "unknown protocol",
+		"deepsecure/17" + good[len(protocolHello):]:             "unknown protocol",
 		string(helloFrame(0, nil)):                              "malformed hello",
 		string(helloFrame(1<<32, nil)):                          "malformed hello",
 		protocolHello:                                           "malformed hello",
@@ -252,30 +255,33 @@ func TestBadHelloRejected(t *testing.T) {
 
 // TestOutsourcedOldHelloRefused: "deepsecure-outsourced/1" cut the §3.3
 // stream's levels greedily, so its tables come in another order at other
-// AND indices. The proxy refuses a client, and the main server a proxy,
-// that opens with it, before anything else moves.
+// AND indices, and "deepsecure-outsourced/2" keyed the set-up OT's columns
+// with keys derived from the base seeds, so its OT delivers other labels.
+// The proxy refuses a client, and the main server a proxy, that opens with
+// either, before anything else moves.
 func TestOutsourcedOldHelloRefused(t *testing.T) {
-	const old = "deepsecure-outsourced/1"
-	want := fmt.Sprintf("core: unknown protocol %q", old)
-	for _, party := range []string{"proxy", "server"} {
-		peer, conn, closer := transport.Pipe()
-		other, _, closer2 := transport.Pipe()
-		if err := peer.Send(transport.MsgHello, []byte(old)); err != nil {
-			t.Fatal(err)
-		}
-		if err := peer.Flush(); err != nil {
-			t.Fatal(err)
-		}
-		var err error
-		if party == "proxy" {
-			err = (&Proxy{}).Run(conn, other)
-		} else {
-			err = (&Server{Net: testNet(t, act.ReLU, 8), Fmt: fixed.Default}).ServeOutsourced(conn, other)
-		}
-		closer.Close()
-		closer2.Close()
-		if err == nil || err.Error() != want {
-			t.Fatalf("%s: %v, want %q", party, err, want)
+	for _, old := range []string{"deepsecure-outsourced/1", "deepsecure-outsourced/2"} {
+		want := fmt.Sprintf("core: unknown protocol %q", old)
+		for _, party := range []string{"proxy", "server"} {
+			peer, conn, closer := transport.Pipe()
+			other, _, closer2 := transport.Pipe()
+			if err := peer.Send(transport.MsgHello, []byte(old)); err != nil {
+				t.Fatal(err)
+			}
+			if err := peer.Flush(); err != nil {
+				t.Fatal(err)
+			}
+			var err error
+			if party == "proxy" {
+				err = (&Proxy{}).Run(conn, other)
+			} else {
+				err = (&Server{Net: testNet(t, act.ReLU, 8), Fmt: fixed.Default}).ServeOutsourced(conn, other)
+			}
+			closer.Close()
+			closer2.Close()
+			if err == nil || err.Error() != want {
+				t.Fatalf("%s: %v, want %q", party, err, want)
+			}
 		}
 	}
 }

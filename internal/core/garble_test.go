@@ -25,14 +25,14 @@ import (
 // wantEngine pins the same stream with the session framing dropped (hello,
 // begin and end; stripTags), re-serialized frame by frame as type, 4-byte
 // little-endian length, payload: the OT set-up and the engine's frames.
-// wantEngine was last re-recorded when levels came to hold at most 1 024
-// gates: the 26 505 638 bytes stayed, but the tables and the tweaks follow
-// the new level order. want was last re-recorded for the hello of
-// deepsecure/17, whose other bytes and the engine's did not move.
+// Both were last re-recorded when the set-up OT's columns came to run
+// under the base seeds themselves (deepsecure/18): of the session's 49
+// frames only the hello, the server's ot-ext-u and so the client's
+// ot-ext-y changed, and every garbling frame kept its bytes.
 func TestGarbleTranscriptPinned(t *testing.T) {
 	const (
-		want       = "43a187faf1c9b0be19b371d8a789958592cc0f6e203b3223c638d4b2c698fba4"
-		wantEngine = "978a8a5a99a5f649f778ec382364647fd6b47133f2fedbf62e86a8dcd40ea4e5"
+		want       = "b1a1921c94b5f1246697e65c50742360592f870ac52c98b735638f7c2ab80f93"
+		wantEngine = "60432f37a044fcf805c283b46d5ed00574485862b310b6ea3564fa3d0b53a43f"
 	)
 	net, err := benchmarks.ByName("small")
 	if err != nil {

@@ -42,8 +42,11 @@ import (
 // share, one declaration a frame) and MsgTables: the tables of the levels
 // circuit.Stream cuts in fragments of streamWindow gates, in their order
 // and at their AND indices, each frame within one level run. The whole
-// circuit is one sample, ordinal 0, under that Δ.
-const outsourcedHello = "deepsecure-outsourced/2"
+// circuit is one sample, ordinal 0, under that Δ. Version 3 keys the
+// set-up OT's columns with the base seeds themselves, as the session's
+// does: no label here is authenticated, so a peer keyed otherwise must be
+// refused at the hello, not left to decode garbage.
+const outsourcedHello = "deepsecure-outsourced/3"
 
 // InferOutsourced runs a secure inference as the constrained client: it
 // only generates a random pad, XORs once, and receives two short bit

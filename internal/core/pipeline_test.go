@@ -110,11 +110,11 @@ func referenceSerialRun(t *testing.T, net *nn.Network, xs [][]float64, cliSeed, 
 			if _, err := io.ReadFull(rng, id[:]); err != nil {
 				return err
 			}
-			base, err := ot.NewReceiverBase(eConn, rng)
+			ots, err := ot.NewExtReceiver(eConn, rng)
 			if err != nil {
 				return err
 			}
-			chosen, err := base.Session(eConn, setupNonce).Receive(weightBits)
+			chosen, err := ots.Receive(weightBits)
 			if err != nil {
 				return err
 			}
@@ -150,7 +150,7 @@ func referenceSerialRun(t *testing.T, net *nn.Network, xs [][]float64, cliSeed, 
 	}()
 
 	rng := rand.New(rand.NewSource(cliSeed))
-	base, err := ot.NewSenderBase(gConn, rng)
+	ots, err := ot.NewExtSender(gConn, rng)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -158,7 +158,7 @@ func referenceSerialRun(t *testing.T, net *nn.Network, xs [][]float64, cliSeed, 
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := base.Session(gConn, setupNonce).Send(pairs); err != nil {
+	if err := ots.Send(pairs); err != nil {
 		t.Fatal(err)
 	}
 	pool := gc.NewPool(1)

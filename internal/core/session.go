@@ -6,8 +6,9 @@
 // learning the inference label.
 //
 // Sessions are multi-inference: the parties negotiate once (hello,
-// architecture exchange, the set-up OT that hands the server its weight
-// labels) and compile the public netlist once into a level schedule
+// architecture exchange and, in a pair's first session, the set-up OT that
+// hands the server its weight labels: one IKNP extension, keyed by a base
+// phase of its own) and compile the public netlist once into a level schedule
 // (netgen.Compile); each further inference on the session only pays for
 // the client's input labels, garbling, and the streamed tables
 // (protocolHello describes the frames). A client–server pair's sessions are
@@ -80,10 +81,15 @@ import (
 // MsgOTExtU (exactly ot.ExtULen(W) bytes) with the weight bits as choices,
 // and the client's MsgOTExtY (exactly W × 32 bytes) over the pairs
 // (W_i⁰, W_i⁰ ⊕ Δ), where Δ is the pair's Free-XOR offset and W_i⁰ the
-// weight wire's zero-label, both drawn by the client. Each party files its
-// half under the id once the set-up OT is done: the client Δ and the
-// zero-labels, the server the labels it chose. The client's MsgOTExtY
-// travels ahead of the first inference's burst. (The §3.3 streaming
+// weight wire's zero-label, both drawn by the client. The extension's
+// column i runs on the AES-CTR keystream under base seed i itself, its row
+// hashes on tweaks from 0 (package ot). A peer that keys it otherwise hands
+// the server labels that fail authentication mid-stream, so how it is keyed
+// is part of this string: deepsecure/18 is the first version that keys it
+// with the seeds. Each party files its half under the id once the set-up
+// OT is done: the client Δ and the zero-labels, the server the labels it
+// chose. The client's MsgOTExtY travels ahead of the first inference's
+// burst. (The §3.3 streaming
 // deployment runs the same set-up OT over its share and weight labels, after
 // a base phase of its own per connection; outsourcedHello describes it.)
 //
@@ -108,7 +114,7 @@ import (
 // begin order, so frame order is all that ties a frame to its inference.
 // After set-up no OT frame is legal in either direction. MsgEndSession
 // from the client ends the session.
-const protocolHello = "deepsecure/17"
+const protocolHello = "deepsecure/18"
 
 // maxOTBase caps an ot-base frame: the largest of the base phase's three
 // is the receiver's k = 128 uncompressed P-256 points of 65 bytes.
@@ -117,12 +123,6 @@ const maxOTBase = 128 * 65
 // digestSize is the length of the program digest that opens a session's
 // architecture frame.
 const digestSize = len(netgen.Program{}.Digest)
-
-// setupNonce is the nonce the set-up OT's extension derives from its base.
-// A base phase serves that one OT, so the nonce need not vary: it is the
-// first session's of a base, (1, 1), under which TestGarbleTranscriptPinned's
-// engine bytes were recorded.
-var setupNonce = ot.SessionNonce(1, 1)
 
 // pairID names one client–server pair's set-up: what the set-up OT left
 // each party. The server mints it when the OT runs; it is a name, not a
@@ -494,11 +494,10 @@ func (s *Server) ServeSession(conn *transport.Conn) (*Stats, error) {
 		}
 		otStart := time.Now()
 		conn.SetLimit(transport.MsgOTBase, maxOTBase)
-		base, err := ot.NewReceiverBase(conn, rng)
+		ots, err := ot.NewExtReceiver(conn, rng)
 		if err != nil {
 			return fail(err)
 		}
-		ots := base.Session(conn, setupNonce)
 		conn.SetLimit(transport.MsgOTExtY, len(s.weightBits)*2*ot.MsgLen)
 		if weights, err = ots.Receive(s.weightBits); err != nil {
 			return fail(err)
@@ -886,11 +885,10 @@ func (c *Client) NewSession(conn *transport.Conn) (sess *Session, err error) {
 		}
 		otStart := time.Now()
 		conn.SetLimit(transport.MsgOTBase, maxOTBase)
-		base, err := ot.NewSenderBase(conn, rng)
+		ots, err := ot.NewExtSender(conn, rng)
 		if err != nil {
 			return nil, err
 		}
-		ots := base.Session(conn, setupNonce)
 		var pairs [][2]ot.Msg
 		if s.delta, s.weights, pairs, err = weightLabels(rng, w); err != nil {
 			return nil, err

@@ -5,10 +5,9 @@ package gc
 import "deepsecure/internal/circuit"
 
 // This file is the amd64 side of the gate kernel: CPU feature detection,
-// the Go faces of hash_amd64.s (AES-128 key expansion, the session keys of
-// a slice of seeds, the 8-block pipelined AESENC hash and its 8-key twin
-// for the OT keystreams) and the assembly
-// level kernel in kernel_amd64.s. Build with the purego tag (or on another
+// the Go faces of hash_amd64.s (AES-128 key expansion, the 8-block
+// pipelined AESENC hash and its 8-key twin for the OT keystreams) and the
+// assembly level kernel in kernel_amd64.s. Build with the purego tag (or on another
 // GOARCH) and hash_generic.go takes over: the Go level kernel over
 // crypto/aes.
 
@@ -26,8 +25,8 @@ var (
 // fixedRoundKeys holds the fixed garbling key's 11 expanded AES-128
 // round keys (4 + 40 words), filled once at init and read-only thereafter:
 // the fixed-key design of the paper's §2.3 garbling core expands its key
-// once per process, not per hash. (The OT extension's keystream expands a
-// session key per column and batch, on the stack: see XORKeyStream.)
+// once per process, not per hash. (The OT extension's keystream expands
+// each column's base seed per batch, on the stack: see XORKeyStream.)
 var fixedRoundKeys [176]byte
 
 func init() {
@@ -59,12 +58,6 @@ func encrypt8(xk *[HashLanes][176]byte, lanes *[HashLanes]block)
 //
 //go:noescape
 func expandKeys(keys *Label, n int, xk *[176]byte)
-
-// sessionKeys sets keys[i] = AES_{seeds[i]}(nonce) for the n seeds at
-// seeds (hash_amd64.s, four seeds side by side).
-//
-//go:noescape
-func sessionKeys(keys, seeds *Label, n int, nonce *Label)
 
 // cpuid1 returns ECX of CPUID leaf 1 (implemented in hash_amd64.s).
 func cpuid1() uint32

@@ -222,89 +222,6 @@ copy:
 done:
 	RET
 
-// ENCROUND4 expands the next round key of the four seeds in X0–X3 and runs
-// the nonce's states in X4–X7 through one round under them.
-#define ENCROUND4(off) \
-	NEXT4(off)       \
-	AESENC X0, X4    \
-	AESENC X1, X5    \
-	AESENC X2, X6    \
-	AESENC X3, X7
-
-// func sessionKeys(keys, seeds *Label, n int, nonce *Label)
-//
-// keys[i] = AES(seeds[i], nonce) for i < n, four seeds at a time, each
-// seed's schedule expanded round by round as the nonce passes through it,
-// so none is stored. A run of fewer than four seeds repeats its last seed
-// in the spare lanes and stores only its own keys.
-TEXT ·sessionKeys(SB), NOSPLIT, $0-32
-	MOVQ keys+0(FP), DI
-	MOVQ seeds+8(FP), SI
-	MOVQ  n+16(FP), CX
-	MOVQ  nonce+24(FP), AX
-	MOVOU rotword<>(SB), X8
-
-loop:
-	TESTQ CX, CX
-	JZ    done
-	MOVOU 0(SI), X0
-	MOVOU X0, X1
-	MOVOU X0, X2
-	MOVOU X0, X3
-	CMPQ  CX, $2
-	JL    load
-	MOVOU 16(SI), X1
-	MOVOU X1, X2
-	MOVOU X1, X3
-	CMPQ  CX, $3
-	JL    load
-	MOVOU 32(SI), X2
-	MOVOU X2, X3
-	CMPQ  CX, $4
-	JL    load
-	MOVOU 48(SI), X3
-
-load:
-	MOVOU (AX), X4
-	MOVOU X4, X5
-	MOVOU X4, X6
-	MOVOU X4, X7
-	PXOR  X0, X4
-	PXOR  X1, X5
-	PXOR  X2, X6
-	PXOR  X3, X7
-	ENCROUND4(0)
-	ENCROUND4(16)
-	ENCROUND4(32)
-	ENCROUND4(48)
-	ENCROUND4(64)
-	ENCROUND4(80)
-	ENCROUND4(96)
-	ENCROUND4(112)
-	ENCROUND4(128)
-	NEXT4(144)
-	AESENCLAST X0, X4
-	AESENCLAST X1, X5
-	AESENCLAST X2, X6
-	AESENCLAST X3, X7
-	MOVOU X4, 0(DI)
-	CMPQ  CX, $2
-	JL    done
-	MOVOU X5, 16(DI)
-	CMPQ  CX, $3
-	JL    done
-	MOVOU X6, 32(DI)
-	CMPQ  CX, $4
-	JL    done
-	MOVOU X7, 48(DI)
-	ADDQ  $64, SI
-	ADDQ  $64, DI
-	SUBQ  $4, CX
-	JMP   loop
-
-done:
-	RET
-
 // func cpuid1() uint32
 //
 // ECX of CPUID leaf 1: bit 9 is SSSE3, bit 25 the AES-NI instruction set.

@@ -18,4 +18,3 @@ var garbleFull, garbleHalf, evalFull, evalHalf asmANDs
 var freeGates func(labels *block, gates *circuit.Gate, n, b, slot int)
 var expandKeys func(keys *Label, n int, xk *[176]byte)
 var encrypt8 func(xk *[HashLanes][176]byte, lanes *[HashLanes]block)
-var sessionKeys func(keys, seeds *Label, n int, nonce *Label)

@@ -9,28 +9,6 @@ import (
 	"math/bits"
 )
 
-// SessionKeys sets keys[i] = AES_{seeds[i]}(nonce) for every seed: the key
-// seed i's keystream runs under in the session nonce names. keys must be at
-// least as long as seeds and may alias it exactly.
-func SessionKeys(keys, seeds []Label, nonce Label) {
-	if len(keys) < len(seeds) {
-		panic(fmt.Sprintf("gc: %d session keys for %d seeds", len(keys), len(seeds)))
-	}
-	if len(seeds) == 0 {
-		return
-	}
-	if hasKernel {
-		sessionKeys(&keys[0], &seeds[0], len(seeds), &nonce)
-		return
-	}
-	for i := range seeds {
-		// Through a copy, so that keys does not escape into the cipher.
-		var key Label
-		newCipher(seeds[i]).Encrypt(key[:], nonce[:])
-		keys[i] = key
-	}
-}
-
 // XORKeyStream sets dst = src ⊕ the keystreams of keys from byte offset
 // off. src is len(keys) columns of equal length, and column i runs on the
 // AES-128-CTR keystream under keys[i]: keystream block n is AES_key(n), n a

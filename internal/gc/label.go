@@ -7,7 +7,7 @@
 // and SSSE3 the assembly level kernel, kernel_amd64.s, and its 8-lane hash;
 // elsewhere, and under the purego tag, the Go kernel over crypto/aes. The
 // OT extension's keystreams run on the same AES code behind the same
-// switch (SessionKeys, XORKeyStream).
+// switch (XORKeyStream).
 //
 // The package is pure computation: the Garbler and Evaluator consume a
 // gate stream and produce/consume garbled tables as byte slices; all

@@ -4,17 +4,12 @@
 // one per evaluator-input bit of the garbled circuit (the DL model's
 // weight bits in DeepSecure, §3.1 step ii).
 //
-// The base phase yields a value, the base correlation (SenderBase: the
-// secret vector s and the seeds k_{s_i}; ReceiverBase: the 128 seed pairs),
-// and an extension session is a derivation from it: column i of the
-// session named by a 16-byte Nonce runs on the AES-CTR keystream under
-// AES_{seed_i}(nonce), its row hashes on tweaks from the nonce's client
-// half · 2^32. A pair of parties runs the phase once and derives as many
-// sessions as it likes, at once or years apart; what it must never do is
-// derive one nonce twice — no keystream byte under a base seed, and no
-// (tweak, s) pair, may be produced twice — which each party ensures by
-// putting a counter of its own in its half of the nonce. NewExtSender and
-// NewExtReceiver are the base phase followed by the zero nonce's session.
+// An extension is one base phase and what it keys: NewExtSender and
+// NewExtReceiver run the 128 base OTs, and column i of the extension then
+// runs on the AES-CTR keystream (zero IV) under base seed i itself, the
+// textbook IKNP PRG, its row hashes on tweaks from 0. The seeds key that
+// one extension and nothing else, so no keystream byte under them, and no
+// (tweak, s) pair, is produced twice.
 package ot
 
 import (
@@ -66,10 +61,10 @@ func negY(y *big.Int) *big.Int {
 	return new(big.Int).Mod(new(big.Int).Neg(y), p)
 }
 
-// BaseSend performs n base OTs as the sender over conn: for each i the
+// baseSend performs n base OTs as the sender over conn: for each i the
 // receiver learns pairs[i][choice_i] and nothing else, and the sender
 // learns nothing about the choices.
-func BaseSend(conn transport.FrameConn, rng io.Reader, pairs [][2]Msg) error {
+func baseSend(conn transport.FrameConn, rng io.Reader, pairs [][2]Msg) error {
 	a, err := randScalar(rng)
 	if err != nil {
 		return err
@@ -116,9 +111,9 @@ func BaseSend(conn transport.FrameConn, rng io.Reader, pairs [][2]Msg) error {
 	return conn.Flush()
 }
 
-// BaseReceive performs n base OTs as the receiver: choices[i] selects
+// baseReceive performs n base OTs as the receiver: choices[i] selects
 // which of the sender's two messages is learned.
-func BaseReceive(conn transport.FrameConn, rng io.Reader, choices []bool) ([]Msg, error) {
+func baseReceive(conn transport.FrameConn, rng io.Reader, choices []bool) ([]Msg, error) {
 	payload, err := conn.Recv(transport.MsgOTBase)
 	if err != nil {
 		return nil, err

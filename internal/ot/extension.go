@@ -14,37 +14,14 @@ import (
 // k is the OT-extension security parameter: the number of base OTs.
 const k = 128
 
-// Column i of an extension session runs on the AES-CTR keystream (zero
-// IV) under its session key AES_{seed_i}(nonce) (gc.SessionKeys,
-// gc.XORKeyStream). The seed keys nothing but that one block per session,
-// so distinct nonces give streams under (pseudo)independent keys and no
-// keystream byte is produced twice. Each extension party keeps the session
-// keys and the one byte offset every column has reached, and each batch
-// draws the NEXT keystream bytes of every column: masks are never reused
-// across batches, so observing two u-matrices reveals nothing about the
+// Column i of an extension runs on the AES-CTR keystream (zero IV) under
+// base seed i (gc.XORKeyStream). Each extension party keeps its seeds and
+// the one byte offset every column has reached, and each batch draws the
+// NEXT keystream bytes of every column: masks are never reused across
+// batches, so observing two u-matrices reveals nothing about the
 // receiver's choice bits (reusing the stream from offset 0 would leak their
 // XOR). Both parties advance the offset by exactly mBytes per batch,
 // keeping the streams synchronized without communication.
-
-// Nonce names one extension session among all that are derived from one
-// base correlation: the client's 8-byte big-endian session counter, then
-// the server's. Each party draws its half from a counter of its own that
-// never repeats while it holds the base, so no two sessions of one base
-// share a nonce whatever the peer puts in the other half.
-type Nonce [16]byte
-
-// SessionNonce builds the nonce cid ‖ sid.
-func SessionNonce(cid, sid uint64) (n Nonce) {
-	binary.BigEndian.PutUint64(n[:8], cid)
-	binary.BigEndian.PutUint64(n[8:], sid)
-	return n
-}
-
-// firstTweak is where a session's row-hash counter starts: the client's
-// half of the nonce, shifted past any plausible session's OT count (2^32),
-// so the sender — the client, whose s is the same in every session of a
-// base — never hashes under one (tweak, s) pair twice.
-func firstTweak(nonce Nonce) uint64 { return binary.BigEndian.Uint64(nonce[:8]) << 32 }
 
 // ExtULen returns the size in bytes of the U matrix of an m-OT extension
 // batch: what a sender about to read one may bound the frame to.
@@ -164,70 +141,36 @@ func flat(pairs [][2]Msg) []gc.Label {
 	return unsafe.Slice(&pairs[0][0], 2*len(pairs))
 }
 
-// SenderBase is the extension sender's half of the base correlation with
-// one peer: its secret choice vector s and the 128 seeds k_{s_i} the base
-// OTs delivered. It is immutable — a session is a derivation from it
-// (Session), not a consumer of it — so any number of sessions, concurrent
-// ones included, extend the one base phase.
-type SenderBase struct {
-	s     [k / 8]byte // packed LSB-first: the row every H(q_j ⊕ s) XORs in
-	seeds [k]Msg
-}
-
-// NewSenderBase runs the base phase over conn as base-OT receiver with a
-// fresh secret choice vector: 128 public-key OTs.
-func NewSenderBase(conn transport.FrameConn, rng io.Reader) (*SenderBase, error) {
-	b := new(SenderBase)
-	if _, err := io.ReadFull(rng, b.s[:]); err != nil {
-		return nil, fmt.Errorf("ot: sender randomness: %w", err)
-	}
-	s := make([]bool, k)
-	for i := range s {
-		s[i] = b.bit(i)
-	}
-	seeds, err := BaseReceive(conn, rng, s)
-	if err != nil {
-		return nil, fmt.Errorf("ot: extension base phase (receive): %w", err)
-	}
-	copy(b.seeds[:], seeds)
-	return b, nil
-}
-
-func (b *SenderBase) bit(i int) bool { return b.s[i/8]&(1<<uint(i%8)) != 0 }
-
-// Zero wipes the correlation. Sessions derived before it keep working (they
-// hold session keys, not the seeds); nothing may be derived after it.
-func (b *SenderBase) Zero() { *b = SenderBase{} }
-
-// Session derives the extension sender of the session nonce names, speaking
-// over conn. The caller must never pass one base the same nonce twice.
-func (b *SenderBase) Session(conn transport.FrameConn, nonce Nonce) *ExtSender {
-	es := &ExtSender{conn: conn, s: b.s, h: gc.NewHasher(), idx: firstTweak(nonce)}
-	gc.SessionKeys(es.keys[:], b.seeds[:], gc.Label(nonce))
-	return es
-}
-
 // ExtSender is the IKNP sender: it holds the message pairs in each
 // extended OT (the garbler, whose pairs are wire-label pairs).
 type ExtSender struct {
 	conn transport.FrameConn
-	s    [k / 8]byte // secret base-OT choices, packed
-	keys [k]gc.Label // column i's session key, AES_{k_{s_i}}(nonce)
+	s    [k / 8]byte // secret base-OT choices, packed LSB-first: the s of H(q_j ⊕ s)
+	keys [k]gc.Label // column i's key, the seed k_{s_i} the base OTs delivered
 	off  uint64      // keystream bytes every column has drawn
 	h    *gc.Hasher
 	idx  uint64
-	buf  []gc.Label // Send's Y payload, or Pads' q columns, grown once per session
+	buf  []gc.Label // Send's Y payload, or Pads' q columns, grown once per extension
 }
 
-// NewExtSender runs the base phase (as base-OT receiver with a secret
-// choice vector) and returns a sender ready for Send batches: the session
-// of the zero nonce on a base nobody else holds.
+// NewExtSender runs the base phase over conn, as base-OT receiver with a
+// fresh secret choice vector (128 public-key OTs), and returns a sender
+// ready for Send batches.
 func NewExtSender(conn transport.FrameConn, rng io.Reader) (*ExtSender, error) {
-	b, err := NewSenderBase(conn, rng)
-	if err != nil {
-		return nil, err
+	es := &ExtSender{conn: conn, h: gc.NewHasher()}
+	if _, err := io.ReadFull(rng, es.s[:]); err != nil {
+		return nil, fmt.Errorf("ot: sender randomness: %w", err)
 	}
-	return b.Session(conn, Nonce{}), nil
+	s := make([]bool, k)
+	for i := range s {
+		s[i] = es.s[i/8]&(1<<uint(i%8)) != 0
+	}
+	seeds, err := baseReceive(conn, rng, s)
+	if err != nil {
+		return nil, fmt.Errorf("ot: extension base phase (receive): %w", err)
+	}
+	copy(es.keys[:], seeds)
+	return es, nil
 }
 
 // Send runs one extension batch, obliviously transferring pairs[j][r_j]
@@ -267,7 +210,7 @@ func (es *ExtSender) Pads(u []byte, pads [][2]Msg) error {
 	return es.pads(u, bytesOf(es.grow(8*((len(pads)+7)/8))), flat(pads))
 }
 
-// grow returns the session's scratch buffer at n labels.
+// grow returns the extension's scratch buffer at n labels.
 func (es *ExtSender) grow(n int) []gc.Label {
 	if cap(es.buf) < n {
 		es.buf = make([]gc.Label, n)
@@ -320,63 +263,36 @@ func (es *ExtSender) pads(u, cols []byte, dst []gc.Label) error {
 	return nil
 }
 
-// ReceiverBase is the extension receiver's half of the base correlation
-// with one peer: the 128 seed pairs it offered in the base OTs. Immutable,
-// like SenderBase.
-type ReceiverBase struct {
-	seeds [k][2]Msg
-}
-
-// NewReceiverBase runs the base phase over conn as base-OT sender with
-// random seed pairs.
-func NewReceiverBase(conn transport.FrameConn, rng io.Reader) (*ReceiverBase, error) {
-	b := new(ReceiverBase)
-	for i := range b.seeds {
-		for c := range b.seeds[i] {
-			if _, err := io.ReadFull(rng, b.seeds[i][c][:]); err != nil {
-				return nil, fmt.Errorf("ot: receiver randomness: %w", err)
-			}
-		}
-	}
-	if err := BaseSend(conn, rng, b.seeds[:]); err != nil {
-		return nil, fmt.Errorf("ot: extension base phase (send): %w", err)
-	}
-	return b, nil
-}
-
-// Session derives the extension receiver of the session nonce names,
-// speaking over conn. The caller must never pass one base the same nonce
-// twice.
-func (b *ReceiverBase) Session(conn transport.FrameConn, nonce Nonce) *ExtReceiver {
-	er := &ExtReceiver{conn: conn, h: gc.NewHasher(), idx: firstTweak(nonce)}
-	var keys [k][2]gc.Label
-	gc.SessionKeys(flat(keys[:]), flat(b.seeds[:]), gc.Label(nonce))
-	for i, pair := range keys {
-		er.keys[0][i], er.keys[1][i] = pair[0], pair[1]
-	}
-	return er
-}
-
 // ExtReceiver is the IKNP receiver (the evaluator, whose choice bits are
 // its private input bits).
 type ExtReceiver struct {
 	conn transport.FrameConn
-	keys [2][k]gc.Label // keys[c][i] is column i's session key under seed k_i^c, AES_{k_i^c}(nonce)
+	keys [2][k]gc.Label // keys[c][i] is column i's seed k_i^c, as offered in the base OTs
 	off  uint64         // keystream bytes every column has drawn
 	h    *gc.Hasher
 	idx  uint64
-	buf  []byte // Receive's U matrix, grown once per session
+	buf  []byte // Receive's U matrix, grown once per extension
 }
 
-// NewExtReceiver runs the base phase (as base-OT sender with random seed
-// pairs) and returns a receiver ready for Receive batches: the session of
-// the zero nonce on a base nobody else holds.
+// NewExtReceiver runs the base phase over conn, as base-OT sender with
+// random seed pairs, and returns a receiver ready for Receive batches.
 func NewExtReceiver(conn transport.FrameConn, rng io.Reader) (*ExtReceiver, error) {
-	b, err := NewReceiverBase(conn, rng)
-	if err != nil {
-		return nil, err
+	var seeds [k][2]Msg
+	for i := range seeds {
+		for c := range seeds[i] {
+			if _, err := io.ReadFull(rng, seeds[i][c][:]); err != nil {
+				return nil, fmt.Errorf("ot: receiver randomness: %w", err)
+			}
+		}
 	}
-	return b.Session(conn, Nonce{}), nil
+	if err := baseSend(conn, rng, seeds[:]); err != nil {
+		return nil, fmt.Errorf("ot: extension base phase (send): %w", err)
+	}
+	er := &ExtReceiver{conn: conn, h: gc.NewHasher()}
+	for i, pair := range seeds {
+		er.keys[0][i], er.keys[1][i] = pair[0], pair[1]
+	}
+	return er, nil
 }
 
 // PreparedReceive carries the receiver-side state of one extension batch

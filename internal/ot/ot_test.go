@@ -40,9 +40,9 @@ func TestBaseOT(t *testing.T) {
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
-		sendErr = BaseSend(a, rand.New(rand.NewSource(2)), pairs)
+		sendErr = baseSend(a, rand.New(rand.NewSource(2)), pairs)
 	}()
-	got, err := BaseReceive(b, rand.New(rand.NewSource(3)), choices)
+	got, err := baseReceive(b, rand.New(rand.NewSource(3)), choices)
 	wg.Wait()
 	if sendErr != nil {
 		t.Fatal(sendErr)
@@ -66,6 +66,35 @@ func TestBaseOT(t *testing.T) {
 			t.Errorf("base OT %d: received the unchosen message", i)
 		}
 	}
+}
+
+// testExt runs one base phase over a pipe and returns both extension
+// parties, for batches that run through Pads and Prepare, off the wire.
+func testExt(t testing.TB, seedS, seedR int64) (*ExtSender, *ExtReceiver) {
+	t.Helper()
+	a, b, closer := transport.Pipe()
+	defer closer.Close()
+	return newExt(t, a, b, seedS, seedR)
+}
+
+// newExt runs one base phase over a and b and returns both extension
+// parties, speaking over them.
+func newExt(t testing.TB, a, b transport.FrameConn, seedS, seedR int64) (*ExtSender, *ExtReceiver) {
+	t.Helper()
+	var es *ExtSender
+	var sErr error
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		es, sErr = NewExtSender(a, rand.New(rand.NewSource(seedS)))
+	}()
+	er, err := NewExtReceiver(b, rand.New(rand.NewSource(seedR)))
+	wg.Wait()
+	if err != nil || sErr != nil {
+		t.Fatalf("base phase: sender %v, receiver %v", sErr, err)
+	}
+	return es, er
 }
 
 func runExtension(t *testing.T, nOTs int, seedS, seedR int64) ([][2]Msg, []bool, []Msg) {
@@ -397,14 +426,13 @@ func TestPreparedReceiveMatchesInline(t *testing.T) {
 // TestRandomOTPads pins the random-OT correlation the OT pool banks: for
 // every row j the receiver's pad is the sender's pad[j][c_j] and not its
 // pad[j][1−c_j], and no pad repeats — not across two batches of one
-// session, nor across the sessions of one base, including two whose nonces
-// share the client's half and so the hash tweaks.
+// extension, nor across the extensions of two base phases, whose row-hash
+// tweaks both start at 0.
 func TestRandomOTPads(t *testing.T) {
-	sb, rb := testBases(t, 36, 37)
 	rng := rand.New(rand.NewSource(38))
 	seen := map[Msg]string{}
-	for _, nonce := range []Nonce{SessionNonce(1, 1), SessionNonce(2, 1), SessionNonce(1, 2)} {
-		es, er := sb.Session(nil, nonce), rb.Session(nil, nonce)
+	for ext, seeds := range [][2]int64{{36, 37}, {136, 137}} {
+		es, er := testExt(t, seeds[0], seeds[1])
 		for batch, m := range []int{67, 8} {
 			choices := randChoices(rng, m)
 			pr := er.Prepare(choices)
@@ -418,7 +446,7 @@ func TestRandomOTPads(t *testing.T) {
 				if c {
 					own, other = other, own
 				}
-				where := fmt.Sprintf("session %x batch %d row %d", nonce, batch, j)
+				where := fmt.Sprintf("extension %d batch %d row %d", ext, batch, j)
 				if got[j] != own || got[j] == other {
 					t.Fatalf("%s: the receiver's pad is not the sender's pad for choice %v alone", where, c)
 				}
@@ -430,9 +458,9 @@ func TestRandomOTPads(t *testing.T) {
 				}
 			}
 		}
-	}
-	if err := sb.Session(nil, Nonce{}).Pads(make([]byte, ExtULen(8)-1), make([][2]Msg, 8)); err == nil {
-		t.Error("a U matrix of the wrong size yielded pads")
+		if err := es.Pads(make([]byte, ExtULen(8)-1), make([][2]Msg, 8)); err == nil {
+			t.Error("a U matrix of the wrong size yielded pads")
+		}
 	}
 }
 
@@ -457,14 +485,6 @@ func TestTransposeRoundTrip(t *testing.T) {
 	}
 }
 
-// sessionKey is the key the column of seed runs under in the session nonce
-// names, as both extension parties derive it.
-func sessionKey(seed Msg, nonce Nonce) gc.Label {
-	var key [1]gc.Label
-	gc.SessionKeys(key[:], []gc.Label{seed}, gc.Label(nonce))
-	return key[0]
-}
-
 // draw returns the n keystream bytes of the column keyed key from offset
 // off on: what a batch of an extension party whose columns have drawn off
 // bytes reads next.
@@ -477,17 +497,14 @@ func draw(key gc.Label, off uint64, n int) []byte {
 func TestPRGDeterministicAndDistinct(t *testing.T) {
 	var s1, s2 Msg
 	s2[0] = 1
-	a := draw(sessionKey(s1, Nonce{}), 0, 64)
-	b := draw(sessionKey(s1, Nonce{}), 0, 64)
-	c := draw(sessionKey(s2, Nonce{}), 0, 64)
+	a := draw(s1, 0, 64)
+	b := draw(s1, 0, 64)
+	c := draw(s2, 0, 64)
 	if !bytes.Equal(a, b) {
 		t.Error("prg not deterministic")
 	}
 	if bytes.Equal(a, c) {
 		t.Error("prg ignores seed")
-	}
-	if bytes.Equal(a, draw(sessionKey(s1, SessionNonce(0, 1)), 0, 64)) {
-		t.Error("prg ignores the nonce")
 	}
 	var zero [64]byte
 	if bytes.Equal(a, zero[:]) {
@@ -499,7 +516,7 @@ func TestPRGStreamAdvancesAcrossDraws(t *testing.T) {
 	// Consecutive draws from one stream must never repeat keystream:
 	// reusing a mask across OT batches would leak the XOR of the
 	// receiver's choice bits between batches.
-	key := sessionKey(Msg{}, Nonce{})
+	key := Msg{}
 	a := draw(key, 0, 64)
 	b := draw(key, 64, 64)
 	if bytes.Equal(a, b) {
@@ -507,7 +524,7 @@ func TestPRGStreamAdvancesAcrossDraws(t *testing.T) {
 	}
 	// Draw boundaries don't matter, only total bytes: both parties stay
 	// synchronized even when batch sizes differ over time.
-	key = sessionKey(Msg{0: 7}, Nonce{})
+	key = Msg{0: 7}
 	x := append(draw(key, 0, 10), draw(key, 10, 22)...)
 	y := draw(key, 0, 32)
 	if !bytes.Equal(x, y) {
@@ -515,8 +532,7 @@ func TestPRGStreamAdvancesAcrossDraws(t *testing.T) {
 	}
 	// And both parties move every column on by a batch's mBytes, whatever
 	// the batch's role: a U frame, random-OT pads or chosen messages.
-	sb, rb := testBases(t, 39, 40)
-	es, er := sb.Session(nil, Nonce{}), rb.Session(nil, Nonce{})
+	es, er := testExt(t, 39, 40)
 	for _, m := range []int{9, 64, 1} {
 		before := es.off
 		pr := er.Prepare(make([]bool, m))
@@ -674,42 +690,6 @@ func TestUMatrixMasksNotReusedAcrossBatches(t *testing.T) {
 	if bytes.Equal(us[0], us[1]) {
 		t.Fatal("u-matrix reused across batches: PRG masks repeat, choice bits leak")
 	}
-
-	// The same across sessions derived from one base correlation: with
-	// identical choices, the u-matrices of two sessions whose nonces differ
-	// in the client's counter alone, or in the server's alone, share no
-	// column — so each party keeps the masks apart with its own counter,
-	// whatever the peer replays in the other half. And on the sender's side
-	// no column stream repeats either, so no q row is formed twice.
-	t.Run("derivedSessions", func(t *testing.T) {
-		sb, rb := testBases(t, 34, 35)
-		nonces := []Nonce{SessionNonce(1, 1), SessionNonce(2, 1), SessionNonce(1, 2)}
-		var us, qs [][]byte
-		for _, n := range nonces {
-			us = append(us, rb.Session(nil, n).Prepare(choices).U)
-			var q []byte
-			es := sb.Session(nil, n)
-			for _, key := range es.keys {
-				q = append(q, draw(key, es.off, m/8)...)
-			}
-			qs = append(qs, q)
-		}
-		for _, pair := range [][2]int{{0, 1}, {0, 2}, {1, 2}} {
-			x, y := pair[0], pair[1]
-			for i := 0; i < k; i++ {
-				col := func(mat []byte) []byte { return mat[i*m/8 : (i+1)*m/8] }
-				if bytes.Equal(col(us[x]), col(us[y])) {
-					t.Fatalf("sessions %x and %x put the same u column %d on the wire: masks repeat, choice bits leak", nonces[x], nonces[y], i)
-				}
-				if bytes.Equal(col(qs[x]), col(qs[y])) {
-					t.Fatalf("sessions %x and %x draw the same sender keystream for column %d", nonces[x], nonces[y], i)
-				}
-			}
-		}
-		if again := rb.Session(nil, nonces[0]).Prepare(choices).U; !bytes.Equal(again, us[0]) {
-			t.Error("a session is not a function of the base and the nonce")
-		}
-	})
 }
 
 func TestPackBits(t *testing.T) {
@@ -748,5 +728,36 @@ func TestCorruptedExtYFails(t *testing.T) {
 	wg.Wait()
 	if err == nil {
 		t.Error("short Y payload must be rejected")
+	}
+}
+
+// BenchmarkSessionOT times a pair's set-up OT after its base phase, both
+// parties over transport.Pipe: one chosen-message extension of m OTs, the
+// base phase that keys it run with the timer stopped. m = 1 056 is the
+// weight bits of the mlp_churn model, 4 032 those of the other bench
+// workloads. Run with -benchmem: the bytes and allocations are the
+// extension's.
+func BenchmarkSessionOT(b *testing.B) {
+	for _, m := range []int{1056, 4032} {
+		b.Run(fmt.Sprintf("m=%d", m), func(b *testing.B) {
+			a, c, closer := transport.Pipe()
+			defer closer.Close()
+			rng := rand.New(rand.NewSource(50))
+			pairs, choices := randPairs(rng, m), randChoices(rng, m)
+			errc := make(chan error, 1)
+			b.ReportAllocs()
+			for i := range b.N {
+				b.StopTimer()
+				es, er := newExt(b, a, c, 48+int64(i), 49)
+				b.StartTimer()
+				go func() { errc <- es.Send(pairs) }()
+				if _, err := er.Receive(choices); err != nil {
+					b.Fatal(err)
+				}
+				if err := <-errc; err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }

@@ -16,41 +16,25 @@ import (
 // receiver's choice-bit key (nil = unkeyed, all false).
 func pools(t *testing.T, cfg PoolConfig, key []bool, seed int64) (*SenderPool, *ReceiverPool, func()) {
 	t.Helper()
-	sb, rb := bases(t, seed)
-	return sessionPools(t, cfg, key, seed, sb, rb, ot.Nonce{})
-}
-
-// bases runs one base phase over a pipe of its own.
-func bases(t *testing.T, seed int64) (*ot.SenderBase, *ot.ReceiverBase) {
-	t.Helper()
 	sConn, rConn, closer := transport.Pipe()
-	defer closer.Close()
-	var sb *ot.SenderBase
-	var senderErr error
+	var ots *ot.ExtSender
+	var otsErr error
 	var wg sync.WaitGroup
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
-		sb, senderErr = ot.NewSenderBase(sConn, rand.New(rand.NewSource(seed)))
+		ots, otsErr = ot.NewExtSender(sConn, rand.New(rand.NewSource(seed)))
 	}()
-	rb, err := ot.NewReceiverBase(rConn, rand.New(rand.NewSource(seed+2)))
+	otr, err := ot.NewExtReceiver(rConn, rand.New(rand.NewSource(seed+2)))
 	wg.Wait()
-	if err != nil || senderErr != nil {
-		t.Fatalf("base phase: sender %v, receiver %v", senderErr, err)
+	if err != nil || otsErr != nil {
+		closer.Close()
+		t.Fatalf("base phase: sender %v, receiver %v", otsErr, err)
 	}
-	return sb, rb
-}
-
-// sessionPools builds the pool pair of the session nonce names, derived
-// from a base correlation, over a pipe of its own, and runs the
-// announcement handshake.
-func sessionPools(t *testing.T, cfg PoolConfig, key []bool, seed int64, sb *ot.SenderBase, rb *ot.ReceiverBase, nonce ot.Nonce) (*SenderPool, *ReceiverPool, func()) {
-	t.Helper()
-	sConn, rConn, closer := transport.Pipe()
-	sp := NewSenderPool(sConn, sb.Session(sConn, nonce), rand.New(rand.NewSource(seed+1)))
+	sp := NewSenderPool(sConn, ots, rand.New(rand.NewSource(seed+1)))
 	senderErr := make(chan error, 1)
 	go func() { senderErr <- sp.HandleAnnounce() }()
-	rp := NewReceiverPool(rConn, rb.Session(rConn, nonce), nil, cfg)
+	rp := NewReceiverPool(rConn, otr, nil, cfg)
 	rp.SetKey(key)
 	if err := rp.Announce(); err != nil {
 		t.Fatal(err)
@@ -209,27 +193,13 @@ func TestChoiceMustMatchKey(t *testing.T) {
 // consistent, and every consumed entry is zeroed in both banks — on a tiny
 // explicit pool and on the one a zero config derives from the key (W × a
 // window of 2), so nearly every batch forces a refill exchange.
-//
-// And on a repeat session: the pool of the second session derived from one
-// base correlation, after the first has spent entries of its own, is as
-// single-use as a fresh one — the sessions share seeds, not entries.
 func TestSingleUseSafety(t *testing.T) {
 	tiny := PoolConfig{Capacity: 32, RefillLowWater: 8}
-	t.Run("explicit", func(t *testing.T) { testSingleUse(t, tiny, pools) })
-	t.Run("derived", func(t *testing.T) { testSingleUse(t, PoolConfig{}.Sized(11, 2), pools) })
-	t.Run("repeatSession", func(t *testing.T) {
-		testSingleUse(t, tiny, func(t *testing.T, cfg PoolConfig, key []bool, seed int64) (*SenderPool, *ReceiverPool, func()) {
-			sb, rb := bases(t, seed)
-			sp, rp, done := sessionPools(t, cfg, key, seed, sb, rb, ot.SessionNonce(1, 4))
-			pairs := randPairs(rand.New(rand.NewSource(seed)), 50)
-			checkTransfer(t, "first session", transfer(t, sp, rp, pairs, keyAt(key, 0, 50)), pairs, keyAt(key, 0, 50))
-			done()
-			return sessionPools(t, cfg, key, seed, sb, rb, ot.SessionNonce(2, 5))
-		})
-	})
+	t.Run("explicit", func(t *testing.T) { testSingleUse(t, tiny) })
+	t.Run("derived", func(t *testing.T) { testSingleUse(t, PoolConfig{}.Sized(11, 2)) })
 }
 
-func testSingleUse(t *testing.T, cfg PoolConfig, pools func(*testing.T, PoolConfig, []bool, int64) (*SenderPool, *ReceiverPool, func())) {
+func testSingleUse(t *testing.T, cfg PoolConfig) {
 	rng := rand.New(rand.NewSource(42))
 	key := randChoices(rng, 11)
 	sp, rp, done := pools(t, cfg, key, 60)
