@@ -102,7 +102,8 @@ type (
 	EngineConfig = core.EngineConfig
 	// PoolConfig is what WithOTPool takes, which configures nothing: a
 	// session transfers its weight labels once, at set-up, with no pool to
-	// size. Both stay for the benchmark module until its next change.
+	// size. Both stay for the benchmark module until its next change; its
+	// layer pass sizes internal/ot/precomp's pool with the same type.
 	PoolConfig = precomp.PoolConfig
 	// SessionServer answers secure-inference sessions on caller-provided
 	// connections (the conn-level counterpart of InferenceServer) with

@@ -45,11 +45,16 @@ func Paper() Coefficients {
 	}
 }
 
+// calibrationRounds is how many times Calibrate times each gate class.
+const calibrationRounds = 5
+
 // Calibrate measures this machine's per-gate garble+evaluate cost over n
 // gates of each class, mirroring §4.3's characterization subroutines. It
 // times the kernel sessions run — BatchGarbler.GarbleLevel and
 // BatchEvaluator.EvaluateLevel at B = 1 on one worker — over levels of
-// independent gates.
+// independent gates. The classes take turns over calibrationRounds rounds
+// and each keeps its fastest, so one preemption cannot decide a
+// coefficient.
 func Calibrate(n int) (Coefficients, error) {
 	if n < 1000 {
 		n = 1000
@@ -82,16 +87,22 @@ func Calibrate(n int) (Coefficients, error) {
 	pool := gc.NewPool(1)
 	table := make([]byte, window*gc.TableSize)
 	var gid uint64
-	measure := func(op circuit.Op) (float64, error) {
-		gates := make([]circuit.Gate, n)
-		for i := range gates {
-			gates[i] = circuit.Gate{
+	// Any wire serves as a half AND's B for timing: the kernel reads the
+	// permute bit it finds.
+	ops := [...]circuit.Op{circuit.XOR, circuit.AND, circuit.HalfAND}
+	var gates [len(ops)][]circuit.Gate
+	for c, op := range ops {
+		gates[c] = make([]circuit.Gate, n)
+		for i := range gates[c] {
+			gates[c][i] = circuit.Gate{
 				Op:  op,
 				A:   2 + uint32(rng.Intn(nin)),
 				B:   2 + uint32(rng.Intn(nin)),
 				Out: 2 + nin + uint32(i%window),
 			}
 		}
+	}
+	measure := func(op circuit.Op, gates []circuit.Gate) (float64, error) {
 		start := time.Now()
 		for lo := 0; lo < n; lo += window {
 			ands, frees := gates[lo:min(lo+window, n)], []circuit.Gate(nil)
@@ -108,27 +119,22 @@ func Calibrate(n int) (Coefficients, error) {
 		}
 		return float64(time.Since(start).Nanoseconds()) / float64(n), nil
 	}
-
-	xorNs, err := measure(circuit.XOR)
-	if err != nil {
-		return Coefficients{}, err
-	}
-	andNs, err := measure(circuit.AND)
-	if err != nil {
-		return Coefficients{}, err
-	}
-	// Any wire serves as a half AND's B for timing: the kernel reads the
-	// permute bit it finds.
-	halfNs, err := measure(circuit.HalfAND)
-	if err != nil {
-		return Coefficients{}, err
+	best := [len(ops)]float64{math.Inf(1), math.Inf(1), math.Inf(1)}
+	for range calibrationRounds {
+		for c, op := range ops {
+			ns, err := measure(op, gates[c])
+			if err != nil {
+				return Coefficients{}, err
+			}
+			best[c] = min(best[c], ns)
+		}
 	}
 	return Coefficients{
-		XORNs:         xorNs,
-		NonXORNs:      andNs,
-		HalfANDNs:     halfNs,
+		XORNs:         best[0],
+		NonXORNs:      best[1],
+		HalfANDNs:     best[2],
 		BandwidthMbps: 1000,
-		Source:        fmt.Sprintf("calibrated over %d gates/class", n),
+		Source:        fmt.Sprintf("fastest of %d rounds over %d gates/class", calibrationRounds, n),
 	}, nil
 }
 

@@ -295,56 +295,39 @@ func NewExtReceiver(conn transport.FrameConn, rng io.Reader) (*ExtReceiver, erro
 	return er, nil
 }
 
-// PreparedReceive carries the receiver-side state of one extension batch
-// between building the U matrix and hashing its rows (Pads). The split
-// lets a caller run the receiver's crypto ahead of time and send U at a
-// protocol point of its choosing, as the keyed OT pool of
-// internal/ot/precomp does.
-type PreparedReceive struct {
-	// U is the masked column matrix to put on the wire (k·ceil(m/8)
-	// bytes).
-	U    []byte
-	rows []Msg
+// Pads is the receiver half of one random-OT extension batch: it returns
+// the U matrix for the caller to put on the wire and row j's H(t_j) under
+// tweak idx+j, which is the sender's pad[j][c_j]. It sends nothing. Pads
+// calls, Receive's included, must happen in the wire order of their U
+// frames: the column keystreams and the hash counter are stateful.
+func (er *ExtReceiver) Pads(choices []bool) (u []byte, pads []Msg) {
+	u, pads = make([]byte, ExtULen(len(choices))), make([]Msg, len(choices))
+	er.prepare(choices, u, pads)
+	er.hashRows(pads)
+	return u, pads
 }
 
-// Prepare runs the receiver's compute half of one extension batch: it
-// advances the column keystreams, builds the U matrix for the wire, and
-// transposes the T matrix into hash-ready rows. Prepare calls must happen
-// in the wire order of their U frames (the keystreams are stateful), but a
-// Prepare may run on another goroutine as long as no other use of the
-// ExtReceiver overlaps it.
-func (er *ExtReceiver) Prepare(choices []bool) *PreparedReceive {
-	m := len(choices)
-	pr := &PreparedReceive{U: make([]byte, ExtULen(m)), rows: make([]Msg, m)}
-	er.prepare(choices, pr)
-	return pr
-}
-
-// prepare fills pr, whose U and rows are sized for choices. The T columns
-// t_i = G(k_i^0) are built in U itself: once they are transposed, each
-// becomes u_i = t_i ⊕ G(k_i^1) ⊕ r in place.
-func (er *ExtReceiver) prepare(choices []bool, pr *PreparedReceive) {
+// prepare builds one batch's U matrix in u (k·ceil(m/8) bytes) and the T
+// matrix's rows in rows. The T columns t_i = G(k_i^0) are built in u
+// itself: once they are transposed, each becomes u_i = t_i ⊕ G(k_i^1) ⊕ r
+// in place.
+func (er *ExtReceiver) prepare(choices []bool, u []byte, rows []Msg) {
 	m := len(choices)
 	mBytes := (m + 7) / 8
-	clear(pr.U)
-	gc.XORKeyStream(pr.U, pr.U, er.keys[0][:], er.off)
-	transposeToRows(bytesOf(pr.rows), pr.U, m)
+	clear(u)
+	gc.XORKeyStream(u, u, er.keys[0][:], er.off)
+	transposeToRows(bytesOf(rows), u, m)
 	r := packBits(choices)
 	for i := range k {
-		u := pr.U[i*mBytes : (i+1)*mBytes]
-		subtle.XORBytes(u, u, r)
+		col := u[i*mBytes : (i+1)*mBytes]
+		subtle.XORBytes(col, col, r)
 	}
-	gc.XORKeyStream(pr.U, pr.U, er.keys[1][:], er.off)
+	gc.XORKeyStream(u, u, er.keys[1][:], er.off)
 	er.off += uint64(mBytes)
 }
 
-// Pads is the receiver half of one random-OT extension batch: row j's
-// H(t_j) under tweak idx+j, which is the sender's pad[j][c_j], hashed in
-// place over the prepared rows. It sends nothing. Pads runs once per
-// prepared batch, in the wire order of the U frames (the hash counter is
-// stateful).
-func (er *ExtReceiver) Pads(pr *PreparedReceive) []Msg {
-	rows := pr.rows
+// hashRows hashes rows in place, row j to H(t_j) under tweak idx+j.
+func (er *ExtReceiver) hashRows(rows []Msg) {
 	var tweaks [gc.HashLanes]uint64
 	for j0 := 0; j0 < len(rows); j0 += gc.HashLanes {
 		n := min(len(rows)-j0, gc.HashLanes)
@@ -354,7 +337,6 @@ func (er *ExtReceiver) Pads(pr *PreparedReceive) []Msg {
 		er.h.HN(rows[j0:j0+n], rows[j0:j0+n], tweaks[:n])
 	}
 	er.idx += uint64(len(rows))
-	return rows
 }
 
 // Receive runs one extension batch and returns the chosen messages.
@@ -366,9 +348,9 @@ func (er *ExtReceiver) Receive(choices []bool) ([]Msg, error) {
 	if cap(er.buf) < ExtULen(m) {
 		er.buf = make([]byte, ExtULen(m))
 	}
-	pr := PreparedReceive{U: er.buf[:ExtULen(m)], rows: make([]Msg, m)}
-	er.prepare(choices, &pr)
-	if err := er.conn.Send(transport.MsgOTExtU, pr.U); err != nil {
+	u, out := er.buf[:ExtULen(m)], make([]Msg, m)
+	er.prepare(choices, u, out)
+	if err := er.conn.Send(transport.MsgOTExtU, u); err != nil {
 		return nil, err
 	}
 	y, err := er.conn.Recv(transport.MsgOTExtY)
@@ -379,7 +361,7 @@ func (er *ExtReceiver) Receive(choices []bool) ([]Msg, error) {
 	if len(y) != m*2*MsgLen {
 		return nil, fmt.Errorf("ot: Y payload is %d bytes, want %d", len(y), m*2*MsgLen)
 	}
-	out := er.Pads(&pr)
+	er.hashRows(out)
 	for j, c := range choices {
 		off := j * 2 * MsgLen
 		if c {

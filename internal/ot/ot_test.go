@@ -69,7 +69,7 @@ func TestBaseOT(t *testing.T) {
 }
 
 // testExt runs one base phase over a pipe and returns both extension
-// parties, for batches that run through Pads and Prepare, off the wire.
+// parties, for batches that run through Pads, off the wire.
 func testExt(t testing.TB, seedS, seedR int64) (*ExtSender, *ExtReceiver) {
 	t.Helper()
 	a, b, closer := transport.Pipe()
@@ -342,10 +342,10 @@ func TestExtensionPackingBoundaryBackToBack(t *testing.T) {
 	}
 }
 
-func TestPreparedReceiveMatchesInline(t *testing.T) {
-	// The split path the keyed OT pool uses (Prepare, then Pads on both
-	// sides) must yield the random-OT correlation when it alternates with
-	// inline Send/Receive batches on one stream.
+// TestPadsAlternateWithSendReceive pins that random-OT batches (Pads on
+// both sides, U carried by the caller) yield the random-OT correlation
+// when they alternate with Send/Receive batches on one extension.
+func TestPadsAlternateWithSendReceive(t *testing.T) {
 	a, b, closer := transport.Pipe()
 	defer closer.Close()
 	rng := rand.New(rand.NewSource(57))
@@ -365,7 +365,7 @@ func TestPreparedReceiveMatchesInline(t *testing.T) {
 			sendErr = err
 			return
 		}
-		split := func(m int) ([][2]Msg, error) {
+		random := func(m int) ([][2]Msg, error) {
 			u, err := a.Recv(transport.MsgOTExtU)
 			if err != nil {
 				return nil, err
@@ -373,35 +373,35 @@ func TestPreparedReceiveMatchesInline(t *testing.T) {
 			pads := make([][2]Msg, m)
 			return pads, s.Pads(u, pads)
 		}
-		if pads1, sendErr = split(len(choices1)); sendErr != nil {
+		if pads1, sendErr = random(len(choices1)); sendErr != nil {
 			return
 		}
 		if sendErr = s.Send(pairs2); sendErr != nil {
 			return
 		}
-		pads3, sendErr = split(len(choices3))
+		pads3, sendErr = random(len(choices3))
 	}()
 	r, err := NewExtReceiver(b, rand.New(rand.NewSource(59)))
 	if err != nil {
 		t.Fatal(err)
 	}
-	split := func(choices []bool) []Msg {
+	random := func(choices []bool) []Msg {
 		t.Helper()
-		pr := r.Prepare(choices)
-		if err := b.Send(transport.MsgOTExtU, pr.U); err != nil {
+		u, pads := r.Pads(choices)
+		if err := b.Send(transport.MsgOTExtU, u); err != nil {
 			t.Fatal(err)
 		}
 		if err := b.Flush(); err != nil {
 			t.Fatal(err)
 		}
-		return r.Pads(pr)
+		return pads
 	}
-	got1 := split(choices1)
+	got1 := random(choices1)
 	got2, err := r.Receive(choices2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got3 := split(choices3)
+	got3 := random(choices3)
 	wg.Wait()
 	if sendErr != nil {
 		t.Fatal(sendErr)
@@ -435,12 +435,11 @@ func TestRandomOTPads(t *testing.T) {
 		es, er := testExt(t, seeds[0], seeds[1])
 		for batch, m := range []int{67, 8} {
 			choices := randChoices(rng, m)
-			pr := er.Prepare(choices)
+			u, got := er.Pads(choices)
 			pads := make([][2]Msg, m)
-			if err := es.Pads(pr.U, pads); err != nil {
+			if err := es.Pads(u, pads); err != nil {
 				t.Fatal(err)
 			}
-			got := er.Pads(pr)
 			for j, c := range choices {
 				own, other := pads[j][0], pads[j][1]
 				if c {
@@ -535,11 +534,10 @@ func TestPRGStreamAdvancesAcrossDraws(t *testing.T) {
 	es, er := testExt(t, 39, 40)
 	for _, m := range []int{9, 64, 1} {
 		before := es.off
-		pr := er.Prepare(make([]bool, m))
-		if err := es.Pads(pr.U, make([][2]Msg, m)); err != nil {
+		u, _ := er.Pads(make([]bool, m))
+		if err := es.Pads(u, make([][2]Msg, m)); err != nil {
 			t.Fatal(err)
 		}
-		er.Pads(pr)
 		if want := before + uint64((m+7)/8); es.off != want || er.off != want {
 			t.Fatalf("after a batch of %d the columns stand at %d (sender) and %d (receiver), want %d", m, es.off, er.off, want)
 		}

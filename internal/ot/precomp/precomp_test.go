@@ -1,9 +1,9 @@
 package precomp
 
 import (
+	"encoding/binary"
 	"errors"
 	"math/rand"
-	"strings"
 	"sync"
 	"testing"
 
@@ -11,10 +11,26 @@ import (
 	"deepsecure/internal/transport"
 )
 
+// recorder is a FrameConn that counts the frames it sends by type and
+// keeps a copy of every MsgOTMasked payload.
+type recorder struct {
+	*transport.Conn
+	sent   map[transport.MsgType]int
+	masked [][]byte
+}
+
+func (r *recorder) Send(t transport.MsgType, payload []byte) error {
+	r.sent[t]++
+	if t == transport.MsgOTMasked {
+		r.masked = append(r.masked, append([]byte(nil), payload...))
+	}
+	return r.Conn.Send(t, payload)
+}
+
 // pools builds a connected sender/receiver pool pair over an in-memory
-// pipe, running the base phase and the announcement handshake. key is the
-// receiver's choice-bit key (nil = unkeyed, all false).
-func pools(t *testing.T, cfg PoolConfig, key []bool, seed int64) (*SenderPool, *ReceiverPool, func()) {
+// pipe, running the base phase and Announce, and checks that both parties
+// banked the first fill of cfg.Capacity entries.
+func pools(t *testing.T, cfg PoolConfig, seed int64) (*SenderPool, *ReceiverPool, func()) {
 	t.Helper()
 	sConn, rConn, closer := transport.Pipe()
 	var ots *ot.ExtSender
@@ -31,51 +47,42 @@ func pools(t *testing.T, cfg PoolConfig, key []bool, seed int64) (*SenderPool, *
 		closer.Close()
 		t.Fatalf("base phase: sender %v, receiver %v", otsErr, err)
 	}
-	sp := NewSenderPool(sConn, ots, rand.New(rand.NewSource(seed+1)))
+	sp := NewSenderPool(&recorder{Conn: sConn, sent: map[transport.MsgType]int{}}, ots, nil)
+	rp := NewReceiverPool(&recorder{Conn: rConn, sent: map[transport.MsgType]int{}}, otr, nil, cfg)
 	senderErr := make(chan error, 1)
 	go func() { senderErr <- sp.HandleAnnounce() }()
-	rp := NewReceiverPool(rConn, otr, nil, cfg)
-	rp.SetKey(key)
 	if err := rp.Announce(); err != nil {
 		t.Fatal(err)
 	}
 	if err := <-senderErr; err != nil {
 		t.Fatal(err)
 	}
-	if sp.Width() != len(key) {
-		t.Fatalf("sender learned key width %d, want %d", sp.Width(), len(key))
+	if len(sp.pads) != cfg.Capacity || len(rp.pads) != cfg.Capacity {
+		t.Fatalf("Announce banked %d/%d entries, want %d", len(sp.pads), len(rp.pads), cfg.Capacity)
 	}
 	return sp, rp, func() { closer.Close() }
 }
 
-// keyAt returns the key's choice bits at sequence numbers q0 … q0+n-1:
-// what a lock-step Receive must be called with.
-func keyAt(key []bool, q0 int64, n int) []bool {
-	out := make([]bool, n)
-	for i := range out {
-		out[i] = len(key) > 0 && key[(q0+int64(i))%int64(len(key))]
-	}
-	return out
-}
-
-// transfer runs one oblivious batch through the pools in lock-step: the
-// sender's Send on a goroutine, the receiver's Receive inline.
-func transfer(t *testing.T, sp *SenderPool, rp *ReceiverPool, pairs [][2]ot.Msg, choices []bool) []ot.Msg {
+// transfer runs one batch through the pools in lock-step: the sender's
+// Send on a goroutine, the receiver's Receive inline.
+func transfer(t *testing.T, sp *SenderPool, rp *ReceiverPool, pairs [][2]ot.Msg) []ot.Msg {
 	t.Helper()
-	var wg sync.WaitGroup
-	var sendErr error
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		sendErr = sp.Send(pairs)
-	}()
-	got, err := rp.Receive(choices)
-	wg.Wait()
-	if sendErr != nil {
-		t.Fatalf("sender: %v", sendErr)
+	sendErr := make(chan error, 1)
+	go func() { sendErr <- sp.Send(pairs) }()
+	got, err := rp.Receive(make([]bool, len(pairs)))
+	if err := <-sendErr; err != nil {
+		t.Fatalf("sender: %v", err)
 	}
 	if err != nil {
 		t.Fatalf("receiver: %v", err)
+	}
+	if len(got) != len(pairs) {
+		t.Fatalf("%d transfers for %d pairs", len(got), len(pairs))
+	}
+	for j := range pairs {
+		if got[j] != pairs[j][0] {
+			t.Fatalf("OT %d of %d: the receiver did not get pairs[j][0]", j, len(pairs))
+		}
 	}
 	return got
 }
@@ -89,320 +96,99 @@ func randPairs(rng *rand.Rand, n int) [][2]ot.Msg {
 	return pairs
 }
 
-func randChoices(rng *rand.Rand, n int) []bool {
-	out := make([]bool, n)
-	for i := range out {
-		out[i] = rng.Intn(2) == 1
-	}
-	return out
-}
-
-func checkTransfer(t *testing.T, what string, got []ot.Msg, pairs [][2]ot.Msg, choices []bool) {
-	t.Helper()
-	if len(got) != len(pairs) {
-		t.Fatalf("%s: %d transfers for %d pairs", what, len(got), len(pairs))
-	}
-	for j, b := range choices {
-		want := pairs[j][0]
-		if b {
-			want = pairs[j][1]
-		}
-		if got[j] != want {
-			t.Fatalf("%s OT %d: wrong transfer for choice %v", what, j, b)
-		}
-	}
-}
-
-// directIKNP runs the same batch over raw ExtSender/ExtReceiver and
-// returns the receiver's output — the reference the pooled path must
-// match bit for bit.
-func directIKNP(t *testing.T, pairs [][2]ot.Msg, choices []bool, seed int64) []ot.Msg {
-	t.Helper()
-	sConn, rConn, closer := transport.Pipe()
-	defer closer.Close()
-	var wg sync.WaitGroup
-	var sendErr error
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		ots, err := ot.NewExtSender(sConn, rand.New(rand.NewSource(seed)))
-		if err != nil {
-			sendErr = err
-			return
-		}
-		sendErr = ots.Send(pairs)
-	}()
-	otr, err := ot.NewExtReceiver(rConn, rand.New(rand.NewSource(seed+2)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := otr.Receive(choices)
-	wg.Wait()
-	if sendErr != nil {
-		t.Fatal(sendErr)
-	}
-	if err != nil {
-		t.Fatal(err)
-	}
-	return got
-}
-
-// TestKeyedConformance is the pool's property test: for a random key and
-// random label pairs, the pooled transfer must equal the direct IKNP
-// transfer bit for bit (both must yield pairs[j][key bit]), across batch
-// sizes that cross the 8-bit packing boundary and a capacity that is not
-// a multiple of the key width (fills wrap around the key).
-func TestKeyedConformance(t *testing.T) {
-	rng := rand.New(rand.NewSource(41))
-	key := randChoices(rng, 37)
-	sp, rp, done := pools(t, PoolConfig{Capacity: 300, RefillLowWater: 40}, key, 50)
-	defer done()
-	for trial, m := range []int{1, 7, 8, 9, 63, 64, 65, 100, 200} {
-		pairs := randPairs(rng, m)
-		choices := keyAt(key, rp.Seq(), m)
-		pooled := transfer(t, sp, rp, pairs, choices)
-		direct := directIKNP(t, pairs, choices, int64(1000+trial))
-		checkTransfer(t, "pooled", pooled, pairs, choices)
-		for j := range pooled {
-			if pooled[j] != direct[j] {
-				t.Fatalf("m=%d OT %d: pooled output differs from direct IKNP", m, j)
-			}
-		}
-	}
-}
-
-// TestChoiceMustMatchKey pins that the receiver's argument is checked
-// against the key, not used to select: asking for the other label fails
-// instead of yielding it.
-func TestChoiceMustMatchKey(t *testing.T) {
-	rng := rand.New(rand.NewSource(46))
-	key := randChoices(rng, 16)
-	sp, rp, done := pools(t, PoolConfig{Capacity: 64}, key, 55)
-	defer done()
-	choices := keyAt(key, 0, 8)
-	choices[3] = !choices[3]
-	go sp.Send(randPairs(rng, 8)) //nolint:errcheck — the receiver's verdict is the test
-	if _, err := rp.Receive(choices); err == nil || !strings.Contains(err.Error(), "differs from the pool key") {
-		t.Fatalf("Receive with a choice bit off the key = %v, want a key-mismatch error", err)
-	}
-}
-
-// TestSingleUseSafety proves no pooled OT is ever consumed twice:
-// reserved ranges are strictly increasing and disjoint on both sides,
-// exhaustion triggers a refill (never reuse), the accounting stays
-// consistent, and every consumed entry is zeroed in both banks — on a tiny
-// explicit pool and on the one a zero config derives from the key (W × a
-// window of 2), so nearly every batch forces a refill exchange.
-func TestSingleUseSafety(t *testing.T) {
-	tiny := PoolConfig{Capacity: 32, RefillLowWater: 8}
-	t.Run("explicit", func(t *testing.T) { testSingleUse(t, tiny) })
-	t.Run("derived", func(t *testing.T) { testSingleUse(t, PoolConfig{}.Sized(11, 2)) })
-}
-
-func testSingleUse(t *testing.T, cfg PoolConfig) {
-	rng := rand.New(rand.NewSource(42))
-	key := randChoices(rng, 11)
-	sp, rp, done := pools(t, cfg, key, 60)
-	defer done()
-
-	var consumed int64
-	nextSeq := int64(0)
-	for trial := 0; trial < 20; trial++ {
-		m := 1 + rng.Intn(70) // frequently exceeds capacity remnants
-		pairs := randPairs(rng, m)
-		if sp.Seq() != nextSeq || rp.Seq() != nextSeq {
-			t.Fatalf("trial %d: seq diverged (sender %d, receiver %d, want %d)", trial, sp.Seq(), rp.Seq(), nextSeq)
-		}
-		choices := keyAt(key, nextSeq, m)
-		checkTransfer(t, "tiny pool", transfer(t, sp, rp, pairs, choices), pairs, choices)
-		// The consumed range is exactly [nextSeq, nextSeq+m): seq is
-		// monotone, so ranges across trials are pairwise disjoint.
-		if sp.Seq() != nextSeq+int64(m) || rp.Seq() != nextSeq+int64(m) {
-			t.Fatalf("trial %d: range not exactly m=%d wide (sender %d, receiver %d)", trial, m, sp.Seq(), rp.Seq())
-		}
-		nextSeq += int64(m)
-		consumed += int64(m)
-
-		if rp.Seq() != consumed {
-			t.Fatalf("trial %d: receiver consumed %d, want %d", trial, rp.Seq(), consumed)
-		}
-		if rp.bank.end < rp.Seq() {
-			t.Fatalf("trial %d: consumed %d exceeds generated %d — an entry was reused", trial, rp.Seq(), rp.bank.end)
-		}
-		// Every banked entry below the frontier is spent and zeroed.
-		for _, c := range rp.bank.chunks {
-			for i, e := range c.e {
-				if c.start+int64(i) < nextSeq && e != (ot.Msg{}) {
-					t.Fatalf("trial %d: receiver entry %d consumed but not zeroed", trial, c.start+int64(i))
-				}
-			}
-		}
-		for _, c := range sp.bank.chunks {
-			for i, e := range c.e {
-				if c.start+int64(i) < nextSeq && e != ([2]ot.Msg{}) {
-					t.Fatalf("trial %d: sender entry %d consumed but not zeroed", trial, c.start+int64(i))
-				}
-			}
-		}
-	}
-	if n := rp.bank.fills; n < 5 {
-		t.Errorf("tiny pool under sustained traffic performed only %d refills", n)
-	}
-	// The receiver may have banked a refill the sender's last Send did not
-	// need to wait for; what is consumed must agree exactly.
-	if sp.Seq() != rp.Seq() || sp.bank.end > rp.bank.end+64 {
-		t.Errorf("sender accounting (%d/%d) diverges from receiver (%d/%d)",
-			sp.bank.end, sp.Seq(), rp.bank.end, rp.Seq())
-	}
-	// A spent entry refuses a second take on either side.
-	if _, err := rp.bank.take(nextSeq - 1); err == nil {
-		t.Error("receiver bank handed out a consumed entry")
-	}
-	if _, err := sp.bank.take(nextSeq - 1); err == nil {
-		t.Error("sender bank handed out a consumed entry")
-	}
-}
-
-// TestRangesInterleave drives the engine-facing API the way a pipelined
-// session does: two inferences (the second a 3-sample batch) own disjoint
-// ranges and their input steps run interleaved — inference 2's first step
-// before inference 1's last. A pool smaller than one sample's key forces
-// on-demand refills; every label must still be the keyed one.
-func TestRangesInterleave(t *testing.T) {
-	rng := rand.New(rand.NewSource(47))
-	const w = 40
-	key := randChoices(rng, w)
-	sp, rp, done := pools(t, PoolConfig{Capacity: 25, RefillLowWater: 5, Background: true}, key, 65)
-	defer done()
-	sConn, rConn := sp.conn, rp.conn
-
-	type inference struct {
-		sr, rr Range
-		x0     [][]ot.Msg // [sample][bit] zero-labels
-		delta  []ot.Msg   // per sample
-	}
-	mk := func(b int) *inference {
-		in := &inference{delta: make([]ot.Msg, b), x0: make([][]ot.Msg, b)}
-		for s := range in.x0 {
-			rng.Read(in.delta[s][:])
-			in.x0[s] = make([]ot.Msg, w)
-			for c := range in.x0[s] {
-				rng.Read(in.x0[s][c][:])
-			}
-		}
-		return in
-	}
-	// step transfers evaluator-input bits [c0, c1) of one inference.
-	step := func(in *inference, c0, c1 int) {
-		t.Helper()
-		var wg sync.WaitGroup
-		var sendErr error
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			if sendErr = sp.Cover(in.sr); sendErr != nil {
-				return
-			}
-			_, sendErr = sp.SendStep(sConn, in.sr, c0, c1-c0, nil, func(i, s int) (ot.Msg, ot.Msg, error) {
-				return in.x0[s][c0+i], in.delta[s], nil
-			})
-			if sendErr == nil {
-				sendErr = sConn.Flush()
-			}
-		}()
-		if err := rp.Cover(in.rr); err != nil {
-			t.Fatal(err)
-		}
-		err := rp.RecvStep(rConn, in.rr, c0, key[c0:c1], func(i, s int, m ot.Msg) {
-			want := in.x0[s][c0+i]
-			if key[c0+i] {
-				for k := range want {
-					want[k] ^= in.delta[s][k]
-				}
-			}
-			if m != want {
-				t.Errorf("range %d sample %d bit %d: wrong label", in.rr.Q0, s, c0+i)
-			}
-		})
-		wg.Wait()
-		if sendErr != nil || err != nil {
-			t.Fatalf("step [%d,%d): sender %v, receiver %v", c0, c1, sendErr, err)
-		}
-	}
-	one, two := mk(1), mk(3)
-	one.sr, one.rr = sp.Reserve(1), rp.Reserve(1)
-	two.sr, two.rr = sp.Reserve(3), rp.Reserve(3)
-	if one.sr != one.rr || two.sr != two.rr {
-		t.Fatalf("parties disagree on ranges: %+v/%+v, %+v/%+v", one.sr, one.rr, two.sr, two.rr)
-	}
-	if one.rr.End() != two.rr.Q0 || two.rr.End() != two.rr.Q0+3*w || rp.Seq() != 4*w {
-		t.Fatalf("ranges not consecutive: %+v then %+v, seq %d", one.rr, two.rr, rp.Seq())
-	}
-	step(one, 0, 17)
-	step(two, 0, 17)
-	step(one, 17, w)
-	step(two, 17, w)
-	if c, g := rp.Seq(), rp.bank.end; c != 4*w || g < c {
-		t.Errorf("after two inferences: %d consumed, %d generated", c, g)
-	}
-	if err := rp.SendRefills(); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// TestBackgroundRefill exercises the helper-goroutine precompute path
-// (run under -race in CI): refills decided at low water must keep
-// transfers correct.
-func TestBackgroundRefill(t *testing.T) {
-	rng := rand.New(rand.NewSource(43))
-	key := randChoices(rng, 13)
-	sp, rp, done := pools(t, PoolConfig{Capacity: 64, RefillLowWater: 48, Background: true}, key, 70)
-	defer done()
-	for trial := 0; trial < 30; trial++ {
-		m := 1 + rng.Intn(40)
-		pairs := randPairs(rng, m)
-		choices := keyAt(key, rp.Seq(), m)
-		checkTransfer(t, "background", transfer(t, sp, rp, pairs, choices), pairs, choices)
-	}
-	if n := rp.bank.fills; n < 2 {
-		t.Errorf("background mode performed only %d fills", n)
-	}
-	if c, g := rp.Seq(), rp.bank.end; g < c {
-		t.Errorf("consumed %d exceeds generated %d", c, g)
-	}
-}
-
-// TestUnkeyedPoolIsAllFalse pins the unkeyed pool: all-false choices
-// work, in lock-step, exactly as with a key.
+// TestUnkeyedPoolIsAllFalse pins the transfer: every entry's choice bit
+// is 0, so the receiver gets pairs[j][0], across batch sizes on both sides
+// of the 8-bit packing boundary, within the first fill and past it.
 func TestUnkeyedPoolIsAllFalse(t *testing.T) {
 	rng := rand.New(rand.NewSource(48))
-	sp, rp, done := pools(t, PoolConfig{Capacity: 64, Background: true}, nil, 75)
+	sp, rp, done := pools(t, PoolConfig{Capacity: 300, Background: true}, 75)
 	defer done()
-	for _, m := range []int{40, 30, 70} {
-		pairs := randPairs(rng, m)
-		choices := make([]bool, m)
-		checkTransfer(t, "unkeyed", transfer(t, sp, rp, pairs, choices), pairs, choices)
+	for _, m := range []int{1, 7, 8, 9, 63, 64, 65, 100, 200} {
+		transfer(t, sp, rp, randPairs(rng, m))
 	}
 	rp.Abort()
 }
 
-// TestOversizedRefillSplits pins that a refill beyond what one exchange
-// may carry is decided as several consecutive ones.
-func TestOversizedRefillSplits(t *testing.T) {
-	p := NewReceiverPool(nil, nil, nil, PoolConfig{Capacity: 16})
-	p.decide(maxRefill + 5)
-	if len(p.refills) != 2 || p.refills[0].start != 0 || p.refills[0].n != 5 ||
-		p.refills[1].start != 5 || p.refills[1].n != maxRefill || p.asked != maxRefill+5 {
-		t.Fatalf("decide(maxRefill+5) queued %+v, asked %d", p.refills, p.asked)
+// TestChoiceMustMatchKey pins that the receiver's choices are checked, not
+// used to select: every entry's choice bit is 0, so a true choice is
+// refused with a *ChoiceError before any frame is sent, and no entry is
+// spent.
+func TestChoiceMustMatchKey(t *testing.T) {
+	_, rp, done := pools(t, PoolConfig{Capacity: 64}, 55)
+	defer done()
+	rec := rp.conn.(*recorder)
+	sent0 := rec.Metrics().BytesSent.Value()
+	choices := make([]bool, 8)
+	choices[3] = true
+	var ce *ChoiceError
+	if _, err := rp.Receive(choices); !errors.As(err, &ce) || ce.OT != 3 {
+		t.Fatalf("Receive with choice 3 true = %v, want a *ChoiceError for OT 3", err)
+	}
+	if rec.Metrics().BytesSent.Value() != sent0 || len(rp.pads) != 64 {
+		t.Error("the refused choice sent a frame or spent an entry")
+	}
+}
+
+// TestSingleUseSafety proves that no entry masks two pairs. It recovers
+// the pads the sender used from the recorded MsgOTMasked frames
+// (r_b = y_b ⊕ x_b) and checks that none repeats across steps and across
+// the fills that steps larger than the remaining pool run inline: on a
+// pool of explicit capacity, and on one of capacity 1, whose every fill is
+// sized by the step that forces it.
+func TestSingleUseSafety(t *testing.T) {
+	t.Run("explicit", func(t *testing.T) { testSingleUse(t, PoolConfig{Capacity: 32}, 60) })
+	t.Run("derived", func(t *testing.T) { testSingleUse(t, PoolConfig{Capacity: 1}, 62) })
+}
+
+func testSingleUse(t *testing.T, cfg PoolConfig, seed int64) {
+	rng := rand.New(rand.NewSource(42))
+	sp, rp, done := pools(t, cfg, seed)
+	defer done()
+	seen := map[ot.Msg]int{}
+	for step := 0; step < 20; step++ {
+		m := 1 + rng.Intn(70) // often beyond what remains
+		pairs := randPairs(rng, m)
+		sBefore, rBefore := sp.pads, rp.pads
+		transfer(t, sp, rp, pairs)
+		// Without a fill in between, the taken entries are cleared where
+		// they lay.
+		if m <= len(rBefore) {
+			for j := range m {
+				if sBefore[j] != ([2]ot.Msg{}) || rBefore[j] != (ot.Msg{}) {
+					t.Fatalf("step %d: entry %d was taken but not cleared", step, j)
+				}
+			}
+		}
+		if len(sp.pads) != len(rp.pads) {
+			t.Fatalf("step %d: the parties hold %d and %d entries", step, len(sp.pads), len(rp.pads))
+		}
+		frames := sp.conn.(*recorder).masked
+		if len(frames) != step+1 {
+			t.Fatalf("step %d sent %d masked frames in all", step, len(frames))
+		}
+		y := frames[step]
+		for j, pr := range pairs {
+			for b, x := range pr {
+				pad := x.XOR(ot.Msg(y[(2*j+b)*ot.MsgLen:]))
+				if prev, ok := seen[pad]; ok {
+					t.Fatalf("step %d OT %d: pad %d repeats one of step %d", step, j, b, prev)
+				}
+				seen[pad] = step
+			}
+		}
+	}
+	fills := rp.conn.(*recorder).sent[transport.MsgOTRefill]
+	if fills < 5 || rp.conn.(*recorder).sent[transport.MsgOTExtU] != fills {
+		t.Errorf("20 steps on a pool of %d ran %d fills", cfg.Capacity, fills)
 	}
 }
 
 // TestEmptyBatch pins that a zero-length batch touches neither the wire
 // nor the pool on either side.
 func TestEmptyBatch(t *testing.T) {
-	sp, rp, done := pools(t, PoolConfig{Capacity: 16}, nil, 80)
+	sp, rp, done := pools(t, PoolConfig{Capacity: 16}, 80)
 	defer done()
-	sent0 := rp.conn.(*transport.Conn).Metrics().BytesSent.Value()
+	sent0 := rp.conn.(*recorder).Metrics().BytesSent.Value()
 	got, err := rp.Receive(nil)
 	if err != nil || got != nil {
 		t.Fatalf("empty Receive = (%v, %v)", got, err)
@@ -410,164 +196,76 @@ func TestEmptyBatch(t *testing.T) {
 	if err := sp.Send(nil); err != nil {
 		t.Fatalf("empty Send: %v", err)
 	}
-	if rp.conn.(*transport.Conn).Metrics().BytesSent.Value() != sent0 {
+	if rp.conn.(*recorder).Metrics().BytesSent.Value() != sent0 || sp.conn.(*recorder).sent[transport.MsgOTMasked] != 0 {
 		t.Error("empty batch put frames on the wire")
 	}
-	if rp.Seq() != 0 || sp.Seq() != 0 {
+	if len(rp.pads) != 16 || len(sp.pads) != 16 {
 		t.Error("empty batch consumed pooled OTs")
 	}
 }
 
-// TestSizedDefault pins what a zero Capacity means: the pool is sized from
-// the program, W × window, within [1, maxRefill] — so a model whose W ×
-// window is beyond one refill still announces a capacity Announce accepts —
-// and an explicit capacity is left alone. Either way the low-water default
-// is resolved.
-func TestSizedDefault(t *testing.T) {
-	for _, tc := range []struct {
-		cfg       PoolConfig
-		w, window int
-		want      PoolConfig
-	}{
-		{PoolConfig{}, 944, 2, PoolConfig{Capacity: 1888, RefillLowWater: 472}},
-		{PoolConfig{Background: true}, 944, 1, PoolConfig{Capacity: 944, RefillLowWater: 236, Background: true}},
-		{PoolConfig{}, 0, 2, PoolConfig{Capacity: 1, RefillLowWater: 0}},
-		{PoolConfig{}, maxRefill/2 + 1, 2, PoolConfig{Capacity: maxRefill, RefillLowWater: maxRefill / 4}},
-		{PoolConfig{Capacity: 100}, 944, 2, PoolConfig{Capacity: 100, RefillLowWater: 25}},
-		{PoolConfig{Capacity: 100, RefillLowWater: 7}, 944, 2, PoolConfig{Capacity: 100, RefillLowWater: 7}},
-	} {
-		got := tc.cfg.Sized(tc.w, tc.window)
-		if got != tc.want {
-			t.Errorf("%+v.Sized(%d, %d) = %+v, want %+v", tc.cfg, tc.w, tc.window, got, tc.want)
+// TestOversizedCapacityFailsLocally pins that a capacity outside
+// [1, maxFill] fails Announce on the receiver before any frame is sent.
+func TestOversizedCapacityFailsLocally(t *testing.T) {
+	_, rConn, closer := transport.Pipe()
+	defer closer.Close()
+	for _, c := range []int{0, -1, maxFill + 1} {
+		if err := NewReceiverPool(rConn, nil, nil, PoolConfig{Capacity: c}).Announce(); err == nil {
+			t.Errorf("Announce with capacity %d succeeded", c)
 		}
-		if got.Capacity < 1 || got.Capacity > maxRefill {
-			t.Errorf("%+v.Sized(%d, %d): capacity %d is one Announce refuses", tc.cfg, tc.w, tc.window, got.Capacity)
-		}
+	}
+	if rConn.Metrics().BytesSent.Value() != 0 {
+		t.Error("a capacity outside the bounds leaked frames onto the wire")
 	}
 }
 
-// TestZeroCapacityRefused pins that a pool of capacity 0 no longer means
-// "transfer by IKNP per step": an unsized zero config fails Announce
-// locally, and a sender that is told capacity 0 by its peer refuses the
-// session with a PeerError.
+// TestZeroCapacityRefused pins the sender's half: a fill frame whose count
+// is 0, beyond maxFill, truncated or followed by trailing bytes is refused
+// before U is read, and nothing is banked or answered.
 func TestZeroCapacityRefused(t *testing.T) {
 	sConn, rConn, closer := transport.Pipe()
 	defer closer.Close()
-	senderErr := make(chan error, 1)
-	go func() {
-		ots, err := ot.NewExtSender(sConn, rand.New(rand.NewSource(91)))
-		if err == nil {
-			err = NewSenderPool(sConn, ots, rand.New(rand.NewSource(92))).HandleAnnounce()
+	sp := NewSenderPool(sConn, nil, nil)
+	for _, payload := range [][]byte{
+		binary.AppendUvarint(nil, 0),
+		binary.AppendUvarint(nil, maxFill+1),
+		{0x80},
+		append(binary.AppendUvarint(nil, 8), 0),
+		nil,
+	} {
+		if err := rConn.Send(transport.MsgOTRefill, payload); err != nil {
+			t.Fatal(err)
 		}
-		senderErr <- err
-	}()
-	otr, err := ot.NewExtReceiver(rConn, rand.New(rand.NewSource(93)))
-	if err != nil {
-		t.Fatal(err)
+		if err := rConn.Flush(); err != nil {
+			t.Fatal(err)
+		}
+		if err := sp.HandleAnnounce(); err == nil {
+			t.Errorf("fill frame %x was accepted", payload)
+		}
 	}
-	sent0 := rConn.Metrics().BytesSent.Value()
-	if err := NewReceiverPool(rConn, otr, nil, PoolConfig{}).Announce(); err == nil {
-		t.Fatal("Announce with an unsized zero capacity succeeded")
-	}
-	if rConn.Metrics().BytesSent.Value() != sent0 {
-		t.Error("an unsized pool leaked frames onto the wire")
-	}
-	// What a peer still speaking the unpooled protocol would send.
-	if err := rConn.Send(transport.MsgOTRefill, countsPayload(0, 8)); err != nil {
-		t.Fatal(err)
-	}
-	if err := rConn.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	var pe *PeerError
-	if err := <-senderErr; !errors.As(err, &pe) {
-		t.Fatalf("HandleAnnounce of a capacity-0 announcement = %v, want a PeerError", err)
+	if len(sp.pads) != 0 || sConn.Metrics().BytesSent.Value() != 0 {
+		t.Error("a refused fill frame was banked or answered")
 	}
 }
 
-// TestUnannouncedExtURefused pins the other half: an extension request
-// (MsgOTExtU) that no refill announcement precedes is the opening of a
-// per-step IKNP exchange, and the sender refuses it with a PeerError
-// wherever it reads its next pool frame, answering nothing.
+// TestUnannouncedExtURefused pins that a Send that needs a fill refuses a
+// MsgOTExtU that no MsgOTRefill announced, answering nothing and banking
+// nothing.
 func TestUnannouncedExtURefused(t *testing.T) {
-	sp, rp, done := pools(t, PoolConfig{Capacity: 16}, nil, 94)
+	sp, rp, done := pools(t, PoolConfig{Capacity: 16}, 94)
 	defer done()
-	rConn := rp.conn.(*transport.Conn)
+	rConn := rp.conn.(*recorder)
 	if err := rConn.Send(transport.MsgOTExtU, make([]byte, ot.ExtULen(8))); err != nil {
 		t.Fatal(err)
 	}
 	if err := rConn.Flush(); err != nil {
 		t.Fatal(err)
 	}
-	sent0 := sp.conn.(*transport.Conn).Metrics().BytesSent.Value()
-	var pe *PeerError
-	// A range past the setup fill makes Cover read for the refill that
-	// should have been announced.
-	if err := sp.Cover(Range{Q0: 0, B: 1, W: 17}); !errors.As(err, &pe) {
-		t.Fatalf("Cover reading an unannounced ot-ext-u = %v, want a PeerError", err)
+	sent0 := sp.conn.(*recorder).Metrics().BytesSent.Value()
+	if err := sp.Send(make([][2]ot.Msg, 17)); err == nil {
+		t.Fatal("Send banked an ot-ext-u no fill announced")
 	}
-	if err := sp.HandleRefill(transport.MsgOTExtU, nil); !errors.As(err, &pe) {
-		t.Fatalf("HandleRefill(ot-ext-u) = %v, want a PeerError", err)
-	}
-	if sp.conn.(*transport.Conn).Metrics().BytesSent.Value() != sent0 || sp.Available() != 16 {
-		t.Error("the refused request was answered or banked")
-	}
-}
-
-// TestLowWaterAboveCapacity pins the misconfiguration clamp: a low-water
-// mark at or above capacity must degrade to refill-after-every-batch,
-// not wedge the session in a zero-count refill exchange.
-func TestLowWaterAboveCapacity(t *testing.T) {
-	rng := rand.New(rand.NewSource(45))
-	sp, rp, done := pools(t, PoolConfig{Capacity: 16, RefillLowWater: 64}, nil, 97)
-	defer done()
-	for trial := 0; trial < 4; trial++ {
-		m := 1 + rng.Intn(12)
-		pairs := randPairs(rng, m)
-		choices := make([]bool, m)
-		checkTransfer(t, "clamped", transfer(t, sp, rp, pairs, choices), pairs, choices)
-	}
-	if c, g := rp.Seq(), rp.bank.end; g < c {
-		t.Errorf("consumed %d exceeds generated %d", c, g)
-	}
-}
-
-// TestOversizedCapacityFailsLocally pins that a capacity beyond the
-// refill limit errors on the receiver before any frame hits the wire.
-func TestOversizedCapacityFailsLocally(t *testing.T) {
-	sConn, rConn, closer := transport.Pipe()
-	defer closer.Close()
-	var wg sync.WaitGroup
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		// Run only the base phase; the announcement must never arrive.
-		ot.NewExtSender(sConn, rand.New(rand.NewSource(98))) //nolint:errcheck
-	}()
-	otr, err := ot.NewExtReceiver(rConn, rand.New(rand.NewSource(99)))
-	wg.Wait()
-	if err != nil {
-		t.Fatal(err)
-	}
-	rp := NewReceiverPool(rConn, otr, nil, PoolConfig{Capacity: maxRefill + 1})
-	sent0 := rConn.Metrics().BytesSent.Value()
-	if err := rp.Announce(); err == nil {
-		t.Fatal("oversized capacity must fail Announce")
-	}
-	if rConn.Metrics().BytesSent.Value() != sent0 {
-		t.Error("oversized capacity leaked frames onto the wire")
-	}
-}
-
-// TestAnnouncedFillAtSetup pins that the pool is bulk-filled during the
-// announcement handshake — before any online batch.
-func TestAnnouncedFillAtSetup(t *testing.T) {
-	sp, rp, done := pools(t, PoolConfig{Capacity: 128}, nil, 95)
-	defer done()
-	if rp.Available() != 128 || sp.Available() != 128 {
-		t.Fatalf("setup fill left %d/%d available, want 128/128", rp.Available(), sp.Available())
-	}
-	if rp.bank.end != 128 || rp.bank.fills != 1 || rp.Seq() != 0 {
-		t.Errorf("setup fill: %d generated in %d fill(s), %d consumed", rp.bank.end, rp.bank.fills, rp.Seq())
+	if sp.conn.(*recorder).Metrics().BytesSent.Value() != sent0 || len(sp.pads) != 16 {
+		t.Error("the unannounced request was answered or banked")
 	}
 }

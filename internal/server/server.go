@@ -80,10 +80,9 @@ func WithEngine(cfg core.EngineConfig) Option {
 	return func(s *Server) { s.core.Engine = cfg }
 }
 
-// WithOTPool is a no-op. It sized the OT pool sessions once refilled
-// between inferences; a session now transfers its weight labels once, at
-// set-up, so there is nothing to size. It stays for the benchmark module,
-// which still passes it, until the benchmark's next change drops the call.
+// WithOTPool is a no-op: a session transfers its weight labels once, at
+// set-up, so there is no OT pool to size. It stays because the benchmark
+// module passes it, until the benchmark's next change drops the call.
 func WithOTPool(precomp.PoolConfig) Option { return func(*Server) {} }
 
 // New builds a server around the private model and eagerly compiles the

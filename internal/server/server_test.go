@@ -428,7 +428,7 @@ func TestWithEngineOption(t *testing.T) {
 func TestWithOTPoolOption(t *testing.T) {
 	model := testModel(t)
 	srv, err := New(model, fixed.Default,
-		WithOTPool(precomp.PoolConfig{Capacity: 2048, RefillLowWater: 256, Background: true}))
+		WithOTPool(precomp.PoolConfig{Capacity: 2048, Background: true}))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -43,13 +43,11 @@ const (
 	// MsgEndSession is the client's end-of-session marker on a
 	// multi-inference session.
 	MsgEndSession
-	// The keyed OT pool's frames (internal/ot/precomp), which no session
-	// sends any more — a session caps both at 0: MsgOTRefill announces a
-	// bulk generation of n ≥ 1 extended OTs (uvarint n) followed by the
-	// receiver's MsgOTExtU — the first one of a pool instead carries the
-	// pool's capacity ≥ 1 and the uvarint key width W, nothing follows;
-	// MsgOTMasked carries the sender's two pool-masked labels per OT of one
-	// evaluator-input step.
+	// The OT pool's frames (internal/ot/precomp), which no session sends
+	// any more — a session caps both at 0: MsgOTRefill announces a fill of
+	// n ≥ 1 random OTs (uvarint n), and the receiver's MsgOTExtU for them
+	// follows; MsgOTMasked carries the sender's two pool-masked messages
+	// per OT of one transfer.
 	MsgOTRefill
 	MsgOTMasked
 	// Session inferences: MsgPipeline is the server's announcement of its
