@@ -1,19 +1,22 @@
 package circuit
 
-import "fmt"
+import (
+	"crypto/sha256"
+	"fmt"
+)
 
-// Schedule is a level-parallel execution plan compiled from a Tape. Where
-// the tape is a strictly sequential event stream (one gate at a time, in
-// generation order), the schedule groups gates into strata ("levels") of
-// mutually independent gates: every operand of a level-L gate is produced
-// by an earlier level (or an input step), no two gates in a level write
-// the same wire, and no gate reads a wire another gate in its level
-// writes. A batch engine can therefore garble or evaluate a whole level
+// Schedule is a level-parallel execution plan compiled from an event
+// stream (Compile, or NewSchedule on a Tape). Where the stream is strictly
+// sequential (one gate at a time, in generation order), the schedule
+// groups gates into strata ("levels") of mutually independent gates: every
+// operand of a level-L gate is produced by an earlier level (or an input
+// step), no two gates in a level write the same wire, and no gate reads a
+// wire another gate in its level writes. A batch engine can therefore garble or evaluate a whole level
 // with a worker pool and a barrier between levels, without changing the
 // protocol's semantics.
 //
 // Building the schedule undoes the generator's wire recycling first: the
-// recycled tape reuses wire ids aggressively, which would chain otherwise
+// recycled stream reuses wire ids aggressively, which would chain otherwise
 // independent gates together through false write-after-read dependencies.
 // Each (wire, definition) incarnation gets a private SSA id, levels are
 // derived on the SSA stream (true data dependencies only), and the SSA
@@ -31,25 +34,26 @@ import "fmt"
 // that array from beyond the cache.
 //
 // Construction allocates each of its large tables once, sized from the
-// tape's counts: one pass over the tape levels the gates and records them
-// and the drops flat, in tape order; renaming then places each level run's
-// gates into their levels, and its drops after theirs, with a stable
-// counting sort, and carves the drop lists out of one shared array.
+// stream's counts: one pass over the stream levels the gates and records
+// them and the drops flat, in stream order; renaming then places each
+// level run's gates into their levels, and its drops after theirs, with a
+// stable counting sort, and carves the drop lists out of one shared array.
 //
-// The one scheduler also levels streams no party records (Stream, the §3.3
-// deployment's): it hands off a fragment whenever a window of gates has
+// The one scheduler also levels streams no party holds whole (Stream, the
+// §3.3 deployment's): it hands off a fragment whenever a window of gates has
 // arrived since the last, so it holds the window and the live values, never
 // the program. A fragment is a Schedule of its own; its AND indices carry
 // on from the previous one's, the values still live keep their wire ids,
 // and its totals (ANDs, Halves, MaxWidth, MaxLevelANDs) are its own.
-// NewSchedule is the scheduler with no window, handing off once at the end.
+// Compile and NewSchedule are the scheduler with no window, handing off
+// once at the end.
 //
-// Determinism: the schedule is a pure function of the tape (a stream's
+// Determinism: the schedule is a pure function of the stream (a window's
 // fragments, of the stream and the window), gates keep
-// tape order within each level (the full ANDs, then the half ANDs, then
+// stream order within each level (the full ANDs, then the half ANDs, then
 // the free gates), and every AND gate has a fixed global index (GIDBase +
 // rank) that keys its hash tweak and its table's offset in the streamed
-// byte sequence. Two parties compiling the same tape
+// byte sequence. Two parties compiling the same stream
 // therefore agree on tweaks and table order for any worker count, and the
 // garbler's byte stream is identical for Workers=1 and Workers=N.
 type Schedule struct {
@@ -76,7 +80,7 @@ type StepKind uint8
 
 // Schedule step kinds. Input and output steps are synchronization
 // barriers: they involve transport or oblivious transfer and run on the
-// engine's main goroutine, exactly where the tape recorded them.
+// engine's main goroutine, exactly where the stream emitted them.
 const (
 	StepInputs StepKind = iota
 	StepOutputs
@@ -107,7 +111,7 @@ type Step struct {
 // Level is one stratum of mutually independent gates.
 // Gates[Off:Off+ANDs] are the level's AND gates — the last Halves of them
 // its half ANDs — and Gates[Off+ANDs:Off+ANDs+Frees] its XOR/INV gates,
-// each group in tape order. The i-th AND gate of the level has global AND
+// each group in stream order. The i-th AND gate of the level has global AND
 // index GIDBase+i, which fixes its hash tweaks; its garbled table lies at
 // rank × table size inside its kind's region of the level's table block,
 // the full ANDs' region first.
@@ -160,8 +164,8 @@ const maxLevelGates = 1 << 10
 // SSA ids) and every drop in two flat arrays in arrival order; at a
 // hand-off, rename buckets each run's gates by (level, kind) and its drops
 // by level, and run takes the renamed fragment. A compile sizes the tables
-// from the tape's counts, so none regrows, and hands off once, at the end;
-// a stream hands off every window gates and reuses the tables.
+// from the stream's counts, so none regrows, and hands off once, at the
+// end; Stream hands off every window gates and reuses the tables.
 //
 // SSA ids name the values of one hand-off only, counting from base: every
 // id below base is the wire id of a value an earlier fragment defined, and
@@ -176,6 +180,10 @@ type scheduler struct {
 	// is handed off; run takes each fragment.
 	window int
 	run    func(*Schedule) error
+	// digest takes each event before it is levelled: a compile's hashes
+	// it. Its errors go unread: neither it nor a Counter refuses an event
+	// the scheduler accepts.
+	digest Sink
 
 	steps []Step // input/output steps hold SSA wires until rename
 	runs  []buildRun
@@ -216,48 +224,33 @@ type scheduler struct {
 	dropEnds []int
 }
 
-// newScheduler returns a scheduler whose value table starts with room for
-// wires wire ids and that hands its fragments to run.
-func newScheduler(wires uint32, window int, run func(*Schedule) error) *scheduler {
-	sc := &scheduler{vals: make([]value, max(wires, 2)), window: window, run: run, next: 2}
+// newScheduler returns a scheduler that hands its fragments to run.
+func newScheduler(window int, run func(*Schedule) error) *scheduler {
+	sc := &scheduler{vals: make([]value, 2), window: window, run: run, digest: Counter{}, next: 2}
 	sc.define(WFalse, -1) // SSA ids 0 and 1: the constants, defined before all
 	sc.define(WTrue, -1)
 	return sc
 }
 
-// NewSchedule compiles the tape into a level-parallel execution plan and
-// checks it (Check), so an engine can run it without checking anything.
-func NewSchedule(t *Tape) (*Schedule, error) {
-	s, err := compile(t)
-	if err != nil {
-		return nil, err
-	}
-	if err := s.Check(); err != nil {
-		return nil, err
-	}
-	return s, nil
+// NewSchedule levels the tape's event stream into a level-parallel
+// execution plan and checks it (Check), so an engine can run it without
+// checking anything.
+func NewSchedule(t *Tape) (s *Schedule, err error) {
+	err = stream(0, t.Stats(), Counter{}, t.Replay, func(f *Schedule) error { s = f; return nil })
+	return s, err
 }
 
-// compile is NewSchedule without the check: the scheduler with no window,
-// which hands the whole tape off as one schedule. It refuses a tape that
-// reads a dead wire, writes a live one or misplaces a half AND, and is
-// otherwise trusted to schedule what it accepts correctly, which
-// FuzzScheduleCheck tests.
-func compile(t *Tape) (*Schedule, error) {
-	var s *Schedule
-	sc := newScheduler(t.wires, 0, func(f *Schedule) error { s = f; return nil })
-	st := t.Stats()
-	sc.gates = make([]Gate, 0, st.Total())
-	sc.gateKeys = make([]int32, 0, st.Total())
-	sc.drops = make([]uint32, 0, t.drops)
-	sc.dropKeys = make([]int32, 0, t.drops)
-	if err := t.Replay(sc); err != nil {
-		return nil, err
+// Compile levels the event stream emit produces in one pass, as NewSchedule
+// levels a tape of it, and returns the schedule with that tape's Digest:
+// the events are hashed as they arrive and recorded nowhere. hint counts
+// the stream (its gates and inputs) and sizes the scheduler's tables; a
+// short hint costs a regrowth, not a failure.
+func Compile(emit func(Sink) error, hint Stats) (s *Schedule, sum [sha256.Size]byte, err error) {
+	d := newDigest()
+	if err = stream(0, hint, d, emit, func(f *Schedule) error { s = f; return nil }); err != nil {
+		return nil, sum, err
 	}
-	if err := sc.handOff(); err != nil {
-		return nil, err
-	}
-	return s, nil
+	return s, d.sum(), nil
 }
 
 // Stream levels the event stream emit produces as NewSchedule levels a
@@ -270,13 +263,27 @@ func compile(t *Tape) (*Schedule, error) {
 // is the namespace so far. A fragment is valid until run returns: the next
 // reuses its arrays. With no window (0), the stream is one fragment.
 func Stream(window int, emit func(Sink) error, run func(*Schedule) error) error {
+	return stream(window, Stats{}, Counter{}, emit, run)
+}
+
+// stream is Stream with the gate tables sized for hint's gates, the drop
+// tables for a drop per value a gate or an input defines, and each event
+// handed to digest first. The scheduler refuses a stream that reads a dead
+// wire, writes a live one or misplaces a half AND, and is otherwise trusted
+// to schedule what it accepts correctly, which FuzzScheduleCheck tests; the
+// check then proves each fragment.
+func stream(window int, hint Stats, digest Sink, emit func(Sink) error, run func(*Schedule) error) error {
 	ck := newChecker()
-	sc := newScheduler(2, window, func(s *Schedule) error {
+	sc := newScheduler(window, func(s *Schedule) error {
 		if err := ck.check(s); err != nil {
 			return err
 		}
 		return run(s)
 	})
+	gates, values := int(hint.Total()), int(hint.Total()+hint.GarblerInputs+hint.EvaluatorInputs)
+	sc.gates, sc.gateKeys = make([]Gate, 0, gates), make([]int32, 0, gates)
+	sc.drops, sc.dropKeys = make([]uint32, 0, values), make([]int32, 0, values)
+	sc.digest = digest
 	if err := emit(sc); err != nil {
 		return err
 	}
@@ -469,7 +476,7 @@ func (sc *scheduler) lookup(w uint32) *value {
 // SSA id.
 func (sc *scheduler) define(w uint32, at int32) uint32 {
 	if int(w) >= len(sc.vals) {
-		sc.vals = append(sc.vals, make([]value, int(w)+1-len(sc.vals))...)
+		sc.vals = sized(sc.vals, max(int(w)+1, 2*len(sc.vals)))
 	}
 	if sc.window > 0 {
 		sc.defs = append(sc.defs, w)
@@ -511,6 +518,7 @@ func (sc *scheduler) OnGate(g Gate) error {
 	if int(g.Op) >= len(kindRank) {
 		return fmt.Errorf("circuit: cannot schedule op %v", g.Op)
 	}
+	sc.digest.OnGate(g)
 	if sc.window > 0 && len(sc.gates) == sc.window {
 		if err := sc.handOff(); err != nil {
 			return err
@@ -571,6 +579,7 @@ func (sc *scheduler) place(l int32) int32 {
 // completes, or to the pre-drops of the run it falls in (or of the next
 // run, between runs) when that point has already passed a barrier.
 func (sc *scheduler) OnDrop(w uint32) error {
+	sc.digest.OnDrop(w)
 	v := sc.lookup(w)
 	if v == nil {
 		// Advisory drop of a wire that carries no value: ignore,
@@ -589,6 +598,7 @@ func (sc *scheduler) OnDrop(w uint32) error {
 
 // OnInputs records an input step of fresh wires.
 func (sc *scheduler) OnInputs(p Party, ws []uint32) error {
+	sc.digest.OnInputs(p, ws)
 	ssaWires := make([]uint32, len(ws))
 	sc.barrierStep(StepInputs, p, ssaWires)
 	for i, w := range ws {
@@ -603,6 +613,7 @@ func (sc *scheduler) OnInputs(p Party, ws []uint32) error {
 
 // OnOutputs records an output step.
 func (sc *scheduler) OnOutputs(ws []uint32) error {
+	sc.digest.OnOutputs(ws)
 	ssaWires := make([]uint32, len(ws))
 	for i, w := range ws {
 		v := sc.lookup(w)
@@ -619,12 +630,14 @@ func (sc *scheduler) OnOutputs(ws []uint32) error {
 }
 
 // sized returns buf with length n, keeping its contents, and its array
-// while that is large enough.
+// while that is large enough. A larger array is one allocation in the
+// race detector's build too, which allocates append(buf, make(...)...)'s
+// make as well as the grown array.
 func sized[T any](buf []T, n int) []T {
 	if n <= cap(buf) {
 		return buf[:n]
 	}
-	return append(buf[:cap(buf)], make([]T, n-cap(buf))...)
+	return append(make([]T, 0, n), buf[:cap(buf)]...)[:n]
 }
 
 // rename walks the SSA fragment in execution order and assigns compact

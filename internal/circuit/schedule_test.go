@@ -2,6 +2,7 @@ package circuit
 
 import (
 	"math/rand"
+	"reflect"
 	"slices"
 	"strings"
 	"testing"
@@ -343,6 +344,45 @@ func TestScheduleMatchesTape(t *testing.T) {
 	}
 }
 
+// TestCompileMatchesTape: Compile levels a stream in one pass, recording
+// nothing, into the schedule NewSchedule levels from its recording, and
+// returns the recording's Digest, whether or not its hint covers the
+// stream. A regenerating tape schedules and hashes as the recording does.
+func TestCompileMatchesTape(t *testing.T) {
+	for it := 0; it < 20; it++ {
+		tape, _, _, _ := buildRandomTape(rand.New(rand.NewSource(int64(9000 + it))))
+		want, err := NewSchedule(tape)
+		if err != nil {
+			t.Fatal(err)
+		}
+		wantSum, err := tape.Digest()
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, hint := range []Stats{tape.Stats(), {}} {
+			s, sum, err := Compile(tape.Replay, hint)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(s, want) || sum != wantSum {
+				t.Fatalf("iter %d, hint %+v: Compile's schedule or digest differs from the recorded tape's", it, hint)
+			}
+		}
+		regen := Regenerate(tape.Replay, tape.Stats())
+		s, err := NewSchedule(regen)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sum, err := regen.Digest()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(s, want) || sum != wantSum {
+			t.Fatalf("iter %d: a regenerating tape's schedule or digest differs from the recording's", it)
+		}
+	}
+}
+
 // TestScheduleUndoesRecycling pins the reason the scheduler exists: a
 // recycled tape chains independent gates through reused wire ids, and the
 // SSA incarnation split must recover the parallelism. 32 independent AND
@@ -579,7 +619,7 @@ func FuzzScheduleCheck(f *testing.F) {
 		r := rand.New(rand.NewSource(int64(len(data))))
 		gb, eb := randomBits(r, int(st.GarblerInputs)), randomBits(r, int(st.EvaluatorInputs))
 		ck, run := newChecker(), newPlainRun(gb, eb)
-		sc := newScheduler(2, int(window%32), func(s *Schedule) error {
+		sc := newScheduler(int(window%32), func(s *Schedule) error {
 			if err := ck.check(s); err != nil {
 				t.Fatalf("the check refuses what the scheduler built: %v\n%v", err, s)
 			}

@@ -4,22 +4,24 @@ import (
 	"crypto/sha256"
 	"encoding/binary"
 	"fmt"
+	"hash"
+	"math/bits"
+	"unsafe"
 )
 
-// Tape is a compact recording of a netlist's event stream. It implements
-// Sink, so a Builder (or any other producer) can write into it once; the
-// recording can then be replayed any number of times with Replay.
+// Tape is a netlist's event stream, replayable any number of times: a
+// recording (NewTape), which is the Sink a producer writes it into, or a
+// generator run again on each Replay (Regenerate).
 //
 // The netlist of a DeepSecure inference is a public, deterministic
-// function of the (architecture, fixed-point format) pair, yet a garbled
-// execution needs fresh labels per inference. A Tape separates the two
-// costs: generation (layer traversal, constant folding, wire recycling,
-// scope bookkeeping) runs once, while the per-inference cryptography
-// consumes the recorded stream directly. Replay is read-only and
-// allocation-free, so one Tape can drive any number of concurrent
-// sessions.
+// function of the (architecture, fixed-point format) pair, so a compile
+// records nothing: Compile levels the generator's events as they arrive
+// and hashes them as Digest hashes a recording of them, and a compiled
+// program's tape regenerates. A recording is for tests and for timing
+// generation on its own. Replay never mutates the tape, so one Tape can
+// drive any number of concurrent sinks.
 //
-// Events are packed into a stream of uint32 words:
+// Events are packed into a stream of uint32 words (Digest hashes them):
 //
 //	opXOR/opAND/opHalfAND  a b out
 //	opINV                  a out
@@ -38,8 +40,8 @@ import (
 // calls, which matches the Sink contract for Builder-driven events.
 type Tape struct {
 	chunks [][]uint32
-	drops  int    // drop events recorded
-	wires  uint32 // one past the largest wire id defined: the constants, then events
+	h      hash.Hash        // newDigest's: what the chunks are hashed into
+	gen    func(Sink) error // a regenerating tape's generator
 	stats  Stats
 }
 
@@ -60,33 +62,60 @@ const (
 )
 
 // NewTape returns an empty recording.
-func NewTape() *Tape { return &Tape{wires: 2} }
+func NewTape() *Tape { return &Tape{} }
 
-// Stats returns the gate statistics of the recorded netlist.
+// Regenerate returns a tape that records nothing: Replay runs gen, which
+// must emit the same events on every call and may be called concurrently.
+// s counts what gen emits (NewSchedule sizes its tables from it).
+func Regenerate(gen func(Sink) error, s Stats) *Tape { return &Tape{gen: gen, stats: s} }
+
+// Stats returns the gate statistics of the tape's netlist.
 func (t *Tape) Stats() Stats { return t.stats }
 
-// Digest returns the sha256 of the recorded event stream, every word
-// little-endian in recording order: two tapes with one digest replay the
-// same netlist.
-func (t *Tape) Digest() [sha256.Size]byte {
-	h := sha256.New()
-	buf := make([]byte, 0, 4*chunkWords)
-	for _, code := range t.chunks {
-		buf = buf[:0]
-		for _, w := range code {
-			buf = binary.LittleEndian.AppendUint32(buf, w)
+// Digest returns the sha256 of the tape's event stream, every word
+// little-endian in order, and the error that stopped the replay, if any:
+// two tapes with one digest replay the same netlist. It replays the tape
+// into the digest Compile computes as it levels, so one encoder defines both.
+func (t *Tape) Digest() ([sha256.Size]byte, error) {
+	d := newDigest()
+	err := t.Replay(d)
+	return d.sum(), err
+}
+
+// newDigest returns a tape that hashes the events it is handed instead of
+// recording them: its one chunk is hashed, and emptied, whenever the next
+// event does not fit.
+func newDigest() *Tape { return &Tape{h: sha256.New(), chunks: make([][]uint32, 1)} }
+
+// littleEndian reports whether a word's memory holds the bytes Digest
+// hashes for it.
+var littleEndian = binary.NativeEndian.Uint32([]byte{1, 0, 0, 0}) == 1
+
+// sum hashes a digest's chunk, empties it and returns the hash so far.
+func (t *Tape) sum() [sha256.Size]byte {
+	code := t.chunks[0]
+	if !littleEndian {
+		for i, w := range code {
+			code[i] = bits.ReverseBytes32(w)
 		}
-		h.Write(buf)
 	}
-	return [sha256.Size]byte(h.Sum(nil))
+	t.h.Write(unsafe.Slice((*byte)(unsafe.Pointer(unsafe.SliceData(code))), 4*len(code)))
+	t.chunks[0] = code[:0]
+	return [sha256.Size]byte(t.h.Sum(nil))
 }
 
 // event returns room for an n-word event at the end of the stream.
 func (t *Tape) event(n int) []uint32 {
 	last := len(t.chunks) - 1
 	if last < 0 || cap(t.chunks[last])-len(t.chunks[last]) < n {
-		t.chunks = append(t.chunks, make([]uint32, 0, max(n, chunkWords)))
-		last++
+		if t.h != nil { // a digest keeps one chunk
+			if t.sum(); cap(t.chunks[0]) < n {
+				t.chunks[0] = make([]uint32, 0, max(n, chunkWords))
+			}
+		} else {
+			t.chunks = append(t.chunks, make([]uint32, 0, max(n, chunkWords)))
+			last++
+		}
 	}
 	code := t.chunks[last]
 	t.chunks[last] = code[:len(code)+n]
@@ -105,9 +134,6 @@ func (t *Tape) OnInputs(p Party, ws []uint32) error {
 	ev := t.event(2 + len(ws))
 	ev[0], ev[1] = op, uint32(len(ws))
 	copy(ev[2:], ws)
-	for _, w := range ws {
-		t.wires = max(t.wires, w+1)
-	}
 	return nil
 }
 
@@ -123,7 +149,6 @@ func (t *Tape) OnGate(g Gate) error {
 	default:
 		return fmt.Errorf("circuit: tape cannot record op %v", g.Op)
 	}
-	t.wires = max(t.wires, g.Out+1)
 	t.stats.count(g.Op)
 	return nil
 }
@@ -141,14 +166,16 @@ func (t *Tape) OnOutputs(ws []uint32) error {
 func (t *Tape) OnDrop(w uint32) error {
 	ev := t.event(2)
 	ev[0], ev[1] = opDrop, w
-	t.drops++
 	return nil
 }
 
-// Replay drives sink through the recorded event stream, in recording
-// order. It is safe to call concurrently from multiple goroutines (each
-// with its own sink): the tape is never mutated.
+// Replay drives sink through the tape's event stream, in order. It is
+// safe to call concurrently from multiple goroutines (each with its own
+// sink): the tape is never mutated.
 func (t *Tape) Replay(sink Sink) error {
+	if t.gen != nil {
+		return t.gen(sink)
+	}
 	for _, code := range t.chunks {
 		for i := 0; i < len(code); {
 			switch code[i] {

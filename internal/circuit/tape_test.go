@@ -293,7 +293,11 @@ func TestTapeReplaysAcrossChunks(t *testing.T) {
 	for _, w := range words {
 		h.Write(binary.LittleEndian.AppendUint32(nil, w))
 	}
-	if got := tape.Digest(); !bytes.Equal(got[:], h.Sum(nil)) {
+	got, err := tape.Digest()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got[:], h.Sum(nil)) {
 		t.Fatal("Digest is not the sha256 of the recorded words, little-endian in order")
 	}
 }

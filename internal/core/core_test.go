@@ -103,7 +103,7 @@ func TestSecureInferenceCommMatchesGateCount(t *testing.T) {
 	net := testNet(t, act.ReLU, 5)
 	x := make([]float64, 6)
 	_, st := secureInfer(t, net, f, x)
-	count, _, err := netgen.Count(net, f, netgen.Options{})
+	count, _, err := netgen.FastCount(net, f, netgen.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -42,10 +42,10 @@ import (
 // the session's reader keeps the session's FIFO — one bounded ring of table
 // frames — ahead of the worker pool, so transport latency does not idle the
 // level kernel. Input, OT, and output steps are barriers executed on the
-// engine's goroutine, exactly where the tape recorded them; an
+// engine's goroutine, exactly where the generator emitted them; an
 // evaluator-input step moves no byte.
 //
-// The engines run a schedule circuit.NewSchedule has checked (Schedule.Check),
+// The engines run a schedule circuit.Compile has checked (Schedule.Check),
 // or a fragment circuit.Stream has, and check nothing about its gates
 // themselves: they walk neither Drops nor
 // PreDrops, and the label array they write is one per session, handed from

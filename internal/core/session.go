@@ -62,10 +62,10 @@ import (
 // netlist an architecture compiles to changes the digest and not this
 // string: a peer built from another generator is refused at the handshake
 // either way, never by a label that fails to authenticate mid-stream. The
-// digest hashes the tape, not its schedule, so a change to how the tape is
-// levelled, which moves the table and tweak order under the same digest,
-// changes this string. (The §3.3 streaming deployment compiles no tape and
-// has a hello of its own, outsourcedHello.)
+// digest hashes the event stream, not its schedule, so a change to how the
+// stream is levelled, which moves the table and tweak order under the same
+// digest, changes this string. (The §3.3 streaming deployment compiles no
+// program and has a hello of its own, outsourcedHello.)
 //
 // Setup, in order: client MsgHello (this string, a zero byte, the client's
 // session counter cid as 8 big-endian bytes, 1 ≤ cid < 2³², then the

@@ -1,6 +1,9 @@
 package netgen
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
+	"fmt"
 	"math/rand"
 	"runtime"
 	"testing"
@@ -34,16 +37,14 @@ func TestCompileMatchesGenerate(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got := prog.Stats
-	got.MaxLive = want.MaxLive // replay does not re-measure liveness
-	if got != want {
-		t.Fatalf("compiled stats %+v, streaming stats %+v", got, want)
+	if got := prog.Stats; got != want {
+		t.Fatalf("compiled stats %+v, streaming stats %+v", prog.Stats, want)
 	}
 	if *prog.Layout != *wantLay {
 		t.Fatalf("compiled layout %+v, streaming layout %+v", prog.Layout, wantLay)
 	}
 
-	// Replaying the tape into a counting pass re-derives the gate stats.
+	// The program's tape counts what it replays.
 	tapeStats := prog.Tape.Stats()
 	if tapeStats.AND != want.AND || tapeStats.XOR != want.XOR || tapeStats.INV != want.INV {
 		t.Fatalf("tape stats %+v disagree with %+v", tapeStats, want)
@@ -95,9 +96,9 @@ func (s *plainSink) OnOutputs(ws []uint32) error {
 func (s *plainSink) OnDrop(w uint32) error { return nil }
 
 func TestCompiledTapeEvaluates(t *testing.T) {
-	// Replay the compiled tape through a plaintext in-stream evaluator
-	// and check it computes the same label as the fixed-point forward
-	// pass — the tape is a faithful recording of the netlist.
+	// Replay the compiled program's tape through a plaintext in-stream
+	// evaluator and check it computes the same label as the fixed-point
+	// forward pass — the tape regenerates the netlist faithfully.
 	net, err := nn.NewNetwork(nn.Vec(4),
 		nn.NewDense(3),
 		nn.NewActivation(act.ReLU),
@@ -260,12 +261,14 @@ func BenchmarkCompile(b *testing.B) {
 }
 
 // TestCompileAllocBudget bounds the bytes one Compile of tanh_lan's model
-// allocates (runtime.MemStats.TotalAlloc). The tape, the scheduler's tables
-// and the level strata are each allocated once, at their final size: 23.3 MB
-// in all, against 91 MB while they grew by appending. The budget is 1.25 ×
-// that, so regrowth cannot come back unseen.
+// allocates (runtime.MemStats.TotalAlloc). The FastCount hint, the
+// scheduler's tables and the level strata are each allocated once, at their
+// final size, and no tape is recorded: 17.2 MB in all, with or without the
+// race detector, against 22.6 MB while Compile recorded the tape and 91 MB
+// while the tables grew by appending. The budget is 1.25 × that, so neither
+// a recording nor regrowth can come back unseen.
 func TestCompileAllocBudget(t *testing.T) {
-	const budget = 29.1e6
+	const budget = 21.5e6
 	net := benchModels[0].build(t)
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
@@ -277,5 +280,71 @@ func TestCompileAllocBudget(t *testing.T) {
 		t.Errorf("Compile of %s allocated %.1f MB, budget %.1f MB", benchModels[0].name, float64(got)/1e6, budget/1e6)
 	} else {
 		t.Logf("Compile of %s allocated %.1f MB", benchModels[0].name, float64(got)/1e6)
+	}
+}
+
+// TestProgramHoldsNoTape bounds what a compiled program keeps on the heap,
+// per gate, on the benchmark's three models: its schedule (a 16-byte gate
+// and about one 4-byte drop per gate, with the levels and steps) comes to
+// about 21 B. A program that also kept the recorded tape held 46 B.
+func TestProgramHoldsNoTape(t *testing.T) {
+	const budget = 22 // bytes per gate
+	for _, m := range benchModels {
+		net := m.build(t)
+		var before, after runtime.MemStats
+		runtime.GC()
+		runtime.ReadMemStats(&before)
+		prog, err := Compile(net, benchmarks.Format, Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		runtime.GC()
+		runtime.ReadMemStats(&after)
+		held := float64(int64(after.HeapAlloc)-int64(before.HeapAlloc)) / float64(prog.Stats.Total())
+		runtime.KeepAlive(prog)
+		if held > budget {
+			t.Errorf("%s: the program holds %.1f B per gate, budget %d", m.name, held, budget)
+		} else {
+			t.Logf("%s: the program holds %.1f B per gate", m.name, held)
+		}
+	}
+}
+
+// TestProgramDigestPinned pins Program.Digest on the benchmark's models,
+// plain and outsourced, and its definition: sha256 over the Digest of the
+// netlist's recorded tape, the format and the options. Compile hashes the
+// events as they arrive and records none, so this is what says it hashes
+// the words a recording would hold; the session hello carries the digest.
+func TestProgramDigestPinned(t *testing.T) {
+	want := map[string][2]string{ // Options{}, then Options{Outsourced: true}
+		"16-8-TanhCORDIC-4": {"67f35214c0bcf28dcd8bc8a15242c30069e6efe685bb9d3a746c384f6b099ef5", "cee35faac5e53de0b12fc1f513863570c34d7a3fd282b39d8b481f068fdca5ec"},
+		"16-8-ReLU-4":       {"5358ed93d7c405ffa2252cec9f9015463482b4b40661ea00c8318fd37e3fe57d", "5f692264894c6fd31ca9228d488427c1858de2446032e5f21a3e23db96ff0a5c"},
+		"8-4-2-ReLU":        {"36cc2933075f55fbed49c705d1a31c8e1106898372d9c5bf0c9f0c6ec53ea743", "23409d904adb81d2fb637f70445edce55bc2b56a67874de3aa0545126cbd02a0"},
+	}
+	f := benchmarks.Format
+	for _, m := range benchModels {
+		net := m.build(t)
+		for i, opt := range []Options{{}, {Outsourced: true}} {
+			tape := circuit.NewTape()
+			b := circuit.NewBuilder(tape, circuit.WithRecycling())
+			if _, err := Generate(b, net, f, opt); err != nil {
+				t.Fatal(err)
+			}
+			td, err := tape.Digest()
+			if err != nil {
+				t.Fatal(err)
+			}
+			recorded := sha256.Sum256(fmt.Appendf(td[:], "|Q%d.%d|%+v", f.IntBits, f.FracBits, opt))
+			prog, err := Compile(net, f, opt)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if prog.Digest != recorded {
+				t.Errorf("%s %+v: program digest %x, its recorded tape's %x", m.name, opt, prog.Digest, recorded)
+			}
+			if got := hex.EncodeToString(prog.Digest[:]); got != want[m.name][i] {
+				t.Errorf("%s %+v: program digest %s, pinned %s", m.name, opt, got, want[m.name][i])
+			}
+		}
 	}
 }

@@ -248,14 +248,3 @@ func genPool(b *circuit.Builder, p nn.Windowed, cell func(*circuit.Builder, []st
 	dropWords(b, x)
 	return out
 }
-
-// Count returns the gate statistics of the network's netlist without
-// materializing it — how the paper-scale Table 4/5 rows are produced.
-func Count(net *nn.Network, f fixed.Format, opt Options) (circuit.Stats, *Layout, error) {
-	b := circuit.NewBuilder(circuit.Counter{}, circuit.WithRecycling())
-	lay, err := Generate(b, net, f, opt)
-	if err != nil {
-		return circuit.Stats{}, nil, err
-	}
-	return b.Stats(), lay, nil
-}

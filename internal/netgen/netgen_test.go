@@ -10,6 +10,18 @@ import (
 	"deepsecure/internal/nn"
 )
 
+// Count returns the gate statistics of the network's netlist by streaming
+// it through a counting builder: the reference FastCount and Compile are
+// checked against.
+func Count(net *nn.Network, f fixed.Format, opt Options) (circuit.Stats, *Layout, error) {
+	b := circuit.NewBuilder(circuit.Counter{}, circuit.WithRecycling())
+	lay, err := Generate(b, net, f, opt)
+	if err != nil {
+		return circuit.Stats{}, nil, err
+	}
+	return b.Stats(), lay, nil
+}
+
 func smallDenseNet(t *testing.T, kind act.Kind) *nn.Network {
 	t.Helper()
 	net, err := nn.NewNetwork(nn.Vec(4),
