@@ -388,8 +388,8 @@ func TestChaosCutAtRefill(t *testing.T) {
 }
 
 // TestChaosCutInsideBasePhase cuts the set-up half way: the connection dies
-// as the base phase's last frame — the server's ciphertexts — reaches the
-// client, before the set-up OT, so neither side files the pair. That is a
+// as the base phase's last frame — the server's point A, ahead of the
+// set-up OT's U — reaches the client, so neither side files the pair. That is a
 // first visit next time, not a hang and not a session on half a set-up; and
 // once it has gone through, the visit after it resumes.
 func TestChaosCutInsideBasePhase(t *testing.T) {
@@ -404,8 +404,8 @@ func TestChaosCutInsideBasePhase(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// The server's base-OT frames are its point A and the ciphertexts.
-	if sess, err := cli.NewSession(transport.New(&frameCutter{Conn: nc, typ: transport.MsgOTBase, n: 2})); err == nil {
+	// The server's one base-OT frame is its point A.
+	if sess, err := cli.NewSession(transport.New(&frameCutter{Conn: nc, typ: transport.MsgOTBase, n: 1})); err == nil {
 		t.Fatalf("set-up over a connection cut inside the base phase opened a session (%v)", sess)
 	}
 	nc.Close()

@@ -206,9 +206,10 @@ func TestBadHelloRejected(t *testing.T) {
 	// client answers every pool refill, and "deepsecure/15" the previous
 	// one but two, which garbles the same tape in another level order, and
 	// "deepsecure/16" the previous one but one, whose every session runs the
-	// set-up OT, and "deepsecure/17" the previous one, whose set-up OT keys
-	// its columns with keys derived from the base seeds under a nonce: a
-	// hello of any must be refused here and not fail mid-stream. A
+	// set-up OT, "deepsecure/17" one whose set-up OT keys its columns with
+	// keys derived from the base seeds under a nonce, and "deepsecure/18"
+	// the previous one, whose base phase the server opens: a hello of any
+	// must be refused here and not fail mid-stream. A
 	// hello of this version is refused when what follows the string is not
 	// a session counter in [1, 2³²) and a whole number of pair ids, at most
 	// maxClientPairs of them.
@@ -221,6 +222,7 @@ func TestBadHelloRejected(t *testing.T) {
 		"deepsecure/15" + good[len(protocolHello):]:             "unknown protocol",
 		"deepsecure/16" + good[len(protocolHello):]:             "unknown protocol",
 		"deepsecure/17" + good[len(protocolHello):]:             "unknown protocol",
+		"deepsecure/18" + good[len(protocolHello):]:             "unknown protocol",
 		string(helloFrame(0, nil)):                              "malformed hello",
 		string(helloFrame(1<<32, nil)):                          "malformed hello",
 		protocolHello:                                           "malformed hello",
@@ -255,12 +257,13 @@ func TestBadHelloRejected(t *testing.T) {
 
 // TestOutsourcedOldHelloRefused: "deepsecure-outsourced/1" cut the §3.3
 // stream's levels greedily, so its tables come in another order at other
-// AND indices, and "deepsecure-outsourced/2" keyed the set-up OT's columns
-// with keys derived from the base seeds, so its OT delivers other labels.
-// The proxy refuses a client, and the main server a proxy, that opens with
-// either, before anything else moves.
+// AND indices, "deepsecure-outsourced/2" keyed the set-up OT's columns
+// with keys derived from the base seeds, so its OT delivers other labels,
+// and "deepsecure-outsourced/3" ran the base phase the server opens. The
+// proxy refuses a client, and the main server a proxy, that opens with any
+// of them, before anything else moves.
 func TestOutsourcedOldHelloRefused(t *testing.T) {
-	for _, old := range []string{"deepsecure-outsourced/1", "deepsecure-outsourced/2"} {
+	for _, old := range []string{"deepsecure-outsourced/1", "deepsecure-outsourced/2", "deepsecure-outsourced/3"} {
 		want := fmt.Sprintf("core: unknown protocol %q", old)
 		for _, party := range []string{"proxy", "server"} {
 			peer, conn, closer := transport.Pipe()

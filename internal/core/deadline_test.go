@@ -12,6 +12,7 @@ import (
 	"deepsecure/internal/act"
 	"deepsecure/internal/fixed"
 	"deepsecure/internal/gc"
+	"deepsecure/internal/ot"
 	"deepsecure/internal/testutil"
 	"deepsecure/internal/transport"
 )
@@ -64,9 +65,9 @@ func TestHandshakeDeadlineCutsSilentClient(t *testing.T) {
 	checkLeaks()
 }
 
-// A client that completes the hello but never participates in the OT
-// base phase stalls the server inside setup — past the handshake
-// deadline's watch, squarely under the ot-setup one.
+// A client that sends its hello and base-phase frame but never answers the
+// set-up OT stalls the server inside setup — past the handshake deadline's
+// watch, squarely under the ot-setup one.
 func TestOTSetupDeadlineCutsStalledClient(t *testing.T) {
 	checkLeaks := testutil.VerifyNoLeaks(t)
 	const limit = 200 * time.Millisecond
@@ -76,12 +77,12 @@ func TestOTSetupDeadlineCutsStalledClient(t *testing.T) {
 	if err := cConn.Send(transport.MsgHello, helloFrame(1, nil)); err != nil {
 		t.Fatal(err)
 	}
-	if err := cConn.Flush(); err != nil {
+	if _, err := ot.NewExtSender(cConn, rand.New(rand.NewSource(74))); err != nil {
 		t.Fatal(err)
 	}
-	// Keep draining the server's setup frames (arch, pipeline, base-OT
-	// sends) so it is genuinely stalled waiting on our OT reply, not on
-	// pipe backpressure.
+	// Keep draining the server's setup frames (arch, pipeline, A and U) so
+	// it is genuinely stalled waiting on our OT reply, not on pipe
+	// backpressure.
 	go func() {
 		for {
 			if _, _, err := cConn.ReadFrame(); err != nil {

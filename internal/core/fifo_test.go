@@ -22,6 +22,7 @@ import (
 	"deepsecure/internal/gc"
 	"deepsecure/internal/netgen"
 	"deepsecure/internal/nn"
+	"deepsecure/internal/ot"
 	"deepsecure/internal/testutil"
 	"deepsecure/internal/transport"
 )
@@ -198,8 +199,8 @@ func TestPipelineDepth2Transcript(t *testing.T) {
 			_, _, e2gB, _ := sessionRun(t, net, xs, chunk, 2, 7701, 7702)
 			setupA, outA := split(e2gA)
 			setupB, outB := split(e2gB)
-			if len(outA) != len(xs) || len(setupA) != 5 {
-				t.Fatalf("%d output frames and %d set-up frames for %d inferences, want %d and 5 (arch, pipeline, two base-OT frames, U)",
+			if len(outA) != len(xs) || len(setupA) != 4 {
+				t.Fatalf("%d output frames and %d set-up frames for %d inferences, want %d and 4 (arch, pipeline, the base OT's A, U)",
 					len(outA), len(setupA), len(xs), len(xs))
 			}
 			same := func(what string, a, b [][]byte) {
@@ -583,8 +584,9 @@ func TestOutOfOrderAnswerRefused(t *testing.T) {
 
 // TestHandshakeDeadlineCutsClientThatStopsReading: a pruned model's spec
 // carries its sparsity map, one entry per weight, and past 64 KiB the
-// architecture frame is written through at Send. A client that says hello
-// and then stops reading parks the server in that write; the handshake
+// architecture frame is written through at Send. A client that says hello,
+// its base-phase frame behind it, and then stops reading parks the server
+// in that write; the handshake
 // deadline must surface as itself, not as the closed-connection error its
 // enforcement produced.
 func TestHandshakeDeadlineCutsClientThatStopsReading(t *testing.T) {
@@ -621,7 +623,7 @@ func TestHandshakeDeadlineCutsClientThatStopsReading(t *testing.T) {
 	if err := cConn.Send(transport.MsgHello, helloFrame(1, nil)); err != nil {
 		t.Fatal(err)
 	}
-	if err := cConn.Flush(); err != nil {
+	if _, err := ot.NewExtSender(cConn, rand.New(rand.NewSource(61))); err != nil {
 		t.Fatal(err)
 	}
 	select {

@@ -25,14 +25,17 @@ import (
 // wantEngine pins the same stream with the session framing dropped (hello,
 // begin and end; stripTags), re-serialized frame by frame as type, 4-byte
 // little-endian length, payload: the OT set-up and the engine's frames.
-// Both were last re-recorded when the set-up OT's columns came to run
-// under the base seeds themselves (deepsecure/18): of the session's 49
-// frames only the hello, the server's ot-ext-u and so the client's
-// ot-ext-y changed, and every garbling frame kept its bytes.
+// wantInfer pins the inference frames alone (begin, constants, input
+// labels, tables), so that a change to the set-up shows that it moved no
+// garbling byte. want and wantEngine were last re-recorded when the base
+// phase became a receiver-first random OT (deepsecure/19): the hello, the
+// base-phase frame and so the client's ot-ext-y changed; wantInfer was
+// recorded before that change and kept its value across it.
 func TestGarbleTranscriptPinned(t *testing.T) {
 	const (
-		want       = "b1a1921c94b5f1246697e65c50742360592f870ac52c98b735638f7c2ab80f93"
-		wantEngine = "60432f37a044fcf805c283b46d5ed00574485862b310b6ea3564fa3d0b53a43f"
+		want       = "78c678d93d748960414127101986c4cb72c9c672ce7248d1a8b1c1cfdd03fe60"
+		wantEngine = "b2c67d7aed95a58921b9243032eaa17c2f2c44cc247436ee06df4c16d97015bf"
+		wantInfer  = "126c82a7886202c367eec24eb6d7cf69b35a85aede226aac72052cfc40743cb1"
 	)
 	net, err := benchmarks.ByName("small")
 	if err != nil {
@@ -95,17 +98,33 @@ func TestGarbleTranscriptPinned(t *testing.T) {
 		if got := hex.EncodeToString(sum[:]); got != want {
 			t.Errorf("workers=%d: client→server transcript of %d bytes hashes to %s, pinned %s", workers, len(sent), got, want)
 		}
-		var engine []byte
+		var engine, infer []byte
+		for _, fr := range parseFrames(t, sent) {
+			switch fr.typ {
+			case transport.MsgConstLabels, transport.MsgInputLabels, transport.MsgTables, transport.MsgInferBegin:
+				infer = appendFrame(infer, fr)
+			}
+		}
 		for _, fr := range stripTags(t, parseFrames(t, sent)) {
-			engine = append(engine, byte(fr.typ))
-			engine = binary.LittleEndian.AppendUint32(engine, uint32(len(fr.payload)))
-			engine = append(engine, fr.payload...)
+			engine = appendFrame(engine, fr)
 		}
 		sum = sha256.Sum256(engine)
 		if got := hex.EncodeToString(sum[:]); got != wantEngine {
 			t.Errorf("workers=%d: the engine's %d of those bytes hash to %s, pinned %s", workers, len(engine), got, wantEngine)
 		}
+		sum = sha256.Sum256(infer)
+		if got := hex.EncodeToString(sum[:]); got != wantInfer {
+			t.Errorf("workers=%d: the inference frames' %d bytes hash to %s, pinned %s", workers, len(infer), got, wantInfer)
+		}
 	}
+}
+
+// appendFrame re-serializes a frame as type, 4-byte little-endian length,
+// payload.
+func appendFrame(b []byte, fr wireFrame) []byte {
+	b = append(b, byte(fr.typ))
+	b = binary.LittleEndian.AppendUint32(b, uint32(len(fr.payload)))
+	return append(b, fr.payload...)
 }
 
 // TestEvaluatorZeroLabelsHaveColourZero pins the convention half ANDs rest

@@ -126,12 +126,12 @@ func headerSwap(dst io.Writer, src io.Reader, at, as transport.MsgType, size uin
 // TestHostileServerFramesCapped: a server frame whose header announces more
 // than the protocol state allows is refused from the header alone — the
 // architecture frame past its header and nn.MaxSpecBytes, a busy answer in
-// its place, the window announcement, a base-phase frame past the largest
-// of the phase's three (k points), the set-up OT's U past what the
-// client's W weight bits take, and an inference's answer, whose cap is a
-// label per output wire and sample at the batch cap. The announced
-// payload never arrives, so a client that tried to read it would wait for
-// its deadline instead.
+// its place, the window announcement, the base phase's A past one point —
+// one byte past it too, for the k points a client sends are more than it
+// ever reads — the set-up OT's U past what the client's W weight bits
+// take, and an inference's answer, whose cap is a label per output wire and
+// sample at the batch cap. The announced payload never arrives, so a
+// client that tried to read it would wait for its deadline instead.
 func TestHostileServerFramesCapped(t *testing.T) {
 	defer testutil.VerifyNoLeaks(t)()
 	model := testNet(t, act.ReLU, 21)
@@ -146,14 +146,19 @@ func TestHostileServerFramesCapped(t *testing.T) {
 		name   string
 		at, as transport.MsgType
 		limit  int
+		size   uint32 // the announced payload, oversized unless set
 	}{
-		{"arch", transport.MsgArch, transport.MsgArch, archHeader + nn.MaxSpecBytes},
-		{"busy", transport.MsgArch, transport.MsgBusy, uvarint},
-		{"pipeline", transport.MsgPipeline, transport.MsgPipeline, 2 * uvarint},
-		{"ot-base", transport.MsgOTBase, transport.MsgOTBase, maxOTBase},
-		{"ot-ext-u", transport.MsgOTExtU, transport.MsgOTExtU, ot.ExtULen(testNetWeightBits)},
-		{"outputs", transport.MsgOutputLabels, transport.MsgOutputLabels, int(prog.Stats.Outputs) * DefaultMaxBatch * gc.LabelSize},
+		{"arch", transport.MsgArch, transport.MsgArch, archHeader + nn.MaxSpecBytes, 0},
+		{"busy", transport.MsgArch, transport.MsgBusy, uvarint, 0},
+		{"pipeline", transport.MsgPipeline, transport.MsgPipeline, 2 * uvarint, 0},
+		{"ot-base", transport.MsgOTBase, transport.MsgOTBase, maxOTBaseA, 0},
+		{"ot-base A of 66 bytes", transport.MsgOTBase, transport.MsgOTBase, maxOTBaseA, maxOTBaseA + 1},
+		{"ot-ext-u", transport.MsgOTExtU, transport.MsgOTExtU, ot.ExtULen(testNetWeightBits), 0},
+		{"outputs", transport.MsgOutputLabels, transport.MsgOutputLabels, int(prog.Stats.Outputs) * DefaultMaxBatch * gc.LabelSize, 0},
 	} {
+		if tc.size == 0 {
+			tc.size = uint32(oversized)
+		}
 		t.Run(tc.name, func(t *testing.T) {
 			cEnd, toClient := net.Pipe()
 			toServer, sEnd := net.Pipe()
@@ -163,12 +168,12 @@ func TestHostileServerFramesCapped(t *testing.T) {
 				}
 			}()
 			cEnd.SetDeadline(time.Now().Add(5 * time.Second))
-			go srv.ServeSession(transport.New(sEnd))                           //nolint:errcheck — the server's session dies with the pipes
-			go io.Copy(toServer, toClient)                                     //nolint:errcheck — the client's frames go through untouched
-			go headerSwap(toClient, toServer, tc.at, tc.as, uint32(oversized)) //nolint:errcheck
+			go srv.ServeSession(transport.New(sEnd))                 //nolint:errcheck — the server's session dies with the pipes
+			go io.Copy(toServer, toClient)                           //nolint:errcheck — the client's frames go through untouched
+			go headerSwap(toClient, toServer, tc.at, tc.as, tc.size) //nolint:errcheck
 			_, _, err := (&Client{}).Infer(transport.New(cEnd), []float64{0.5, -0.25, 0.75, -1, 0.125, 0.3})
 			// The OT stack names its phase before the transport's refusal.
-			want := fmt.Sprintf("transport: %v frame of %d bytes exceeds its limit of %d", tc.as, oversized, tc.limit)
+			want := fmt.Sprintf("transport: %v frame of %d bytes exceeds its limit of %d", tc.as, tc.size, tc.limit)
 			if err == nil || !strings.HasSuffix(err.Error(), want) {
 				t.Fatalf("err = %v, want %q", err, want)
 			}
@@ -215,10 +220,10 @@ func TestHostileClientSetupAnswerCapped(t *testing.T) {
 // than the protocol state allows is refused from the header alone, by the
 // party it was meant for. The client caps the architecture at
 // nn.MaxSpecBytes and both decode halves at the packed label width; the
-// proxy caps the architecture, the client's share, the base phase's frames
-// at the largest of them (k points) and the set-up OT's U at what W OTs
-// take; the main server caps the client's share, the base phase's frames
-// likewise, the set-up OT's answer at W label pairs, the constants at two
+// proxy caps the architecture, the client's share, the base phase's A at
+// one point and the set-up OT's U at what W OTs take; the main server caps
+// the client's share, the base phase's frame at the proxy's k points, the
+// set-up OT's answer at W label pairs, the constants at two
 // labels, the proxy's
 // input labels at its share's, and a table frame at one level run's tables,
 // which hold at most a window's gates. Every type a party never reads on a
@@ -292,7 +297,7 @@ func TestOutsourcedFramesCapped(t *testing.T) {
 		{"client output labels", server, client, transport.MsgOutputLabels, labelBytes},
 		{"proxy arch", server, proxy, transport.MsgArch, nn.MaxSpecBytes},
 		{"proxy share", client, proxy, transport.MsgShare, (n + 7) / 8},
-		{"proxy ot-base", server, proxy, transport.MsgOTBase, maxOTBase},
+		{"proxy ot-base", server, proxy, transport.MsgOTBase, maxOTBaseA},
 		{"proxy ot-ext-u", server, proxy, transport.MsgOTExtU, ot.ExtULen(w)},
 		{"server share", client, server, transport.MsgShare, (n + 7) / 8},
 		{"server ot-base", proxy, server, transport.MsgOTBase, maxOTBase},

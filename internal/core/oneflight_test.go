@@ -29,8 +29,10 @@ const testNetWeightBits = 50*24 + 9*16
 // first), 'r' when it reads after writing.
 type dirLog struct {
 	io.ReadWriter
-	mu   sync.Mutex
-	runs []byte
+	mu     sync.Mutex
+	runs   []byte
+	starts []int // the bytes written before each run began
+	wrote  int
 }
 
 func (d *dirLog) moved(dir byte, n int) {
@@ -40,6 +42,10 @@ func (d *dirLog) moved(dir byte, n int) {
 	d.mu.Lock()
 	if len(d.runs) == 0 || d.runs[len(d.runs)-1] != dir {
 		d.runs = append(d.runs, dir)
+		d.starts = append(d.starts, d.wrote)
+	}
+	if dir == 'w' {
+		d.wrote += n
 	}
 	d.mu.Unlock()
 }
@@ -48,6 +54,19 @@ func (d *dirLog) Write(b []byte) (int, error) {
 	n, err := d.ReadWriter.Write(b)
 	d.moved('w', n)
 	return n, err
+}
+
+// turnsBefore returns how many times the flow changed direction before the
+// written byte at offset off went out.
+func (d *dirLog) turnsBefore(off int) int {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	for i := len(d.runs) - 1; i >= 0; i-- {
+		if d.runs[i] == 'w' && d.starts[i] <= off {
+			return i
+		}
+	}
+	return -1
 }
 
 func (d *dirLog) Read(b []byte) (int, error) {
@@ -61,7 +80,7 @@ func (d *dirLog) take() string {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	s := string(d.runs)
-	d.runs = nil
+	d.runs, d.starts, d.wrote = nil, nil, 0
 	return s
 }
 
@@ -368,9 +387,9 @@ func TestUnpooledServerRefused(t *testing.T) {
 // TestDoctoredProgramDigestRefused: a server whose architecture frame names
 // another program than the one this client compiles from the architecture
 // in it — a peer built from a different netlist generator, here one flipped
-// digest bit — is refused by NewSession with a typed error before the OT
-// base phase (the server reads no frame after the hello), with no session
-// and nothing left running. An honest pair passes the same check in every
+// digest bit — is refused by NewSession with a typed error before the
+// set-up OT (the server reads no frame after the hello and the base-phase
+// frame behind it), with no session and nothing left running. An honest pair passes the same check in every
 // other session test.
 func TestDoctoredProgramDigestRefused(t *testing.T) {
 	checkLeaks := testutil.VerifyNoLeaks(t)
@@ -393,6 +412,9 @@ func TestDoctoredProgramDigestRefused(t *testing.T) {
 	done := make(chan next, 1)
 	go func() {
 		_, err := sConn.Recv(transport.MsgHello)
+		if err == nil {
+			_, err = sConn.Recv(transport.MsgOTBase)
+		}
 		if err == nil {
 			err = sConn.Send(transport.MsgArch, archFrame(doctored, pairID{1}, spec))
 		}
@@ -418,7 +440,7 @@ func TestDoctoredProgramDigestRefused(t *testing.T) {
 	}
 	closer.Close()
 	if n := <-done; n.err == nil {
-		t.Errorf("the refused client still sent a %v frame after its hello", n.typ)
+		t.Errorf("the refused client still sent a %v frame after its base phase's", n.typ)
 	}
 	checkLeaks()
 

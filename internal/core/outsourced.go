@@ -42,11 +42,11 @@ import (
 // share, one declaration a frame) and MsgTables: the tables of the levels
 // circuit.Stream cuts in fragments of streamWindow gates, in their order
 // and at their AND indices, each frame within one level run. The whole
-// circuit is one sample, ordinal 0, under that Δ. Version 3 keys the
-// set-up OT's columns with the base seeds themselves, as the session's
-// does: no label here is authenticated, so a peer keyed otherwise must be
-// refused at the hello, not left to decode garbage.
-const outsourcedHello = "deepsecure-outsourced/3"
+// circuit is one sample, ordinal 0, under that Δ. Version 4 runs the
+// session's base phase, the proxy's frame first: no label here is
+// authenticated, so a peer keyed otherwise must be refused at the hello,
+// not left to decode garbage.
+const outsourcedHello = "deepsecure-outsourced/4"
 
 // InferOutsourced runs a secure inference as the constrained client: it
 // only generates a random pad, XORs once, and receives two short bit
@@ -207,7 +207,7 @@ func (p *Proxy) Run(clientConn, serverConn *transport.Conn) error {
 
 	// The set-up OT hands the server the labels of all its input wires,
 	// share and weights, under the circuit's one Δ.
-	serverConn.SetLimit(transport.MsgOTBase, maxOTBase)
+	serverConn.SetLimit(transport.MsgOTBase, maxOTBaseA)
 	ots, err := ot.NewExtSender(serverConn, rng)
 	if err != nil {
 		return err

@@ -2,11 +2,13 @@ package core
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"slices"
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"deepsecure/internal/act"
 	"deepsecure/internal/fixed"
@@ -26,6 +28,7 @@ type visit struct {
 	srvErr   error
 	cli, srv *Stats
 	dirs     string // the client's byte flow: 'w' and 'r' runs
+	turns    int    // the flow's changes of direction before the first burst
 	c2s, s2c []byte
 }
 
@@ -73,8 +76,20 @@ func runGatedVisit(srv *Server, cli *Client, x []float64, gate func()) (v visit)
 	}
 	<-done
 	c2sHalf.close() // releases the server's session reader
-	v.dirs, v.c2s, v.s2c = wire.take(), c2sHalf.bytesWritten(), s2cHalf.bytesWritten()
+	v.c2s, v.s2c = c2sHalf.bytesWritten(), s2cHalf.bytesWritten()
+	v.turns = wire.turnsBefore(burstOffset(v.c2s))
+	v.dirs = wire.take()
 	return v
+}
+
+// burstOffset is the offset of the first MsgInferBegin frame in a client's
+// byte stream, or its length if it holds none.
+func burstOffset(c2s []byte) int {
+	off := 0
+	for off+5 <= len(c2s) && transport.MsgType(c2s[off]) != transport.MsgInferBegin {
+		off += 5 + int(binary.LittleEndian.Uint32(c2s[off+1:]))
+	}
+	return off
 }
 
 func frameTypes(frames []wireFrame) []transport.MsgType {
@@ -124,9 +139,9 @@ func wantVisit(t *testing.T, what string, v visit, net *nn.Network, x []float64,
 
 // TestRepeatSessionSkipsBasePhase pins the set-up conversation beside
 // TestOneFlightWireShape's inferences. A client's first session with a
-// server runs the whole set-up: hello; arch, pipeline and the base OT's A;
-// the 128 B points; the ciphertexts and the set-up OT's U; then the client's
-// set-up answer y, in the same flight as the first burst. A repeat session
+// server runs the whole set-up: hello and the 128 B points; arch, pipeline,
+// the base OT's A and the set-up OT's U; then the client's set-up answer y,
+// in the same flight as the first burst. A repeat session
 // exchanges no OT frame in either direction — no base phase, no U, no y —
 // and its set-up is the hello and the server's arch and pipeline, which the
 // first burst follows. It moves the fresh session's bytes less the base
@@ -155,11 +170,11 @@ func TestRepeatSessionSkipsBasePhase(t *testing.T) {
 	fresh := runVisit(srv, cli, xs[0])
 	wantVisit(t, "first session", fresh, net, xs[0], 0, 0)
 	c2s, s2c := setup(fresh)
-	if !slices.Equal(c2s, []transport.MsgType{hello, base, y}) || !slices.Equal(s2c, []transport.MsgType{arch, pipeline, base, base, u}) {
+	if !slices.Equal(c2s, []transport.MsgType{hello, base, y}) || !slices.Equal(s2c, []transport.MsgType{arch, pipeline, base, u}) {
 		t.Errorf("fresh set-up: client sent %v, server %v", c2s, s2c)
 	}
-	if fresh.dirs != "wrwrwrw" { // hello, A, Bs, ciphertexts…U, y and burst, outputs, end
-		t.Errorf("fresh session moved bytes %q, want \"wrwrwrw\"", fresh.dirs)
+	if fresh.dirs != "wrwrw" { // hello and Bs, arch…A and U, y and burst, outputs, end
+		t.Errorf("fresh session moved bytes %q, want \"wrwrw\"", fresh.dirs)
 	}
 	frames := parseFrames(t, fresh.c2s)
 	if got, want := len(frames[0].payload), len(protocolHello)+1+8; got != want {
@@ -193,9 +208,8 @@ func TestRepeatSessionSkipsBasePhase(t *testing.T) {
 		if cid, id := pairOf(t, again); cid != uint64(i+1) || id != id0 {
 			t.Errorf("repeat session %d is client session %d on pair %x; want %d on %x", i, cid, id, i+1, id0)
 		}
-		// What the skipped set-up carried: A, 128 B points, 128 ciphertext
-		// pairs, then U and y.
-		const basePhase = 5 + 65 + 5 + 128*65 + 5 + 128*32
+		// What the skipped set-up carried: 128 B points and A, then U and y.
+		const basePhase = 5 + 128*65 + 5 + 65
 		setupOT := 5 + ot.ExtULen(w) + 5 + 2*w*ot.MsgLen
 		if saved := len(fresh.c2s) + len(fresh.s2c) - len(again.c2s) - len(again.s2c); saved != basePhase+setupOT-16 {
 			t.Errorf("repeat session %d moved %d bytes fewer than the fresh one, want the base phase's %d and the set-up OT's %d less one id", i, saved, basePhase, setupOT)
@@ -218,6 +232,36 @@ func TestRepeatSessionSkipsBasePhase(t *testing.T) {
 		t.Error("the session after Close ran on the closed pair's id")
 	}
 	checkLeaks()
+}
+
+// TestFirstSetupFlights counts the one-way flights a session's set-up takes
+// before the client's first burst, as the changes of direction on the
+// client's wire ahead of it. A pair's first contact takes one round trip,
+// as a repeat session does: its base-phase frame rides the hello, and the
+// server's A and U ride the architecture. A resume miss takes two, for its
+// base phase opens only once the server's answer shows the miss.
+func TestFirstSetupFlights(t *testing.T) {
+	net := testNet(t, act.ReLU, 61)
+	a, b := &Server{Net: net, Fmt: fixed.Default}, &Server{Net: net, Fmt: fixed.Default}
+	cli := &Client{}
+	defer cli.Close()
+	xs := randSamples(62, 3)
+	for i, tc := range []struct {
+		what            string
+		srv             *Server
+		turns           int
+		resumed, missed int64
+	}{
+		{"first contact", a, 2, 0, 0},
+		{"repeat session", a, 2, 1, 0},
+		{"resume miss", b, 4, 0, 1},
+	} {
+		v := runVisit(tc.srv, cli, xs[i])
+		wantVisit(t, tc.what, v, net, xs[i], tc.resumed, tc.missed)
+		if v.turns != tc.turns {
+			t.Errorf("%s: the wire turned %d times before the first burst (%q), want %d", tc.what, v.turns, v.dirs, tc.turns)
+		}
+	}
 }
 
 // TestResumeMissFallsBack: an id the server does not hold — the same
@@ -483,5 +527,37 @@ func TestSessionRefusesItsLastOrdinals(t *testing.T) {
 	}
 	if inf, err := m.admit(binary.AppendUvarint(nil, 1)); err != nil || inf.first != 5*sessionOrdinals-1 {
 		t.Errorf("the session's last sample: %v", err)
+	}
+}
+
+// TestShedReadsTheBaseFrame: Shed answers a fresh client only once it has
+// read the base-phase frame behind the hello, so that the close after the
+// answer leaves nothing unread to reset the connection with, and a client
+// that offers a pair, which sends nothing behind its hello, is answered
+// without a wait. Either way the client sees a *BusyError.
+func TestShedReadsTheBaseFrame(t *testing.T) {
+	net := testNet(t, act.ReLU, 63)
+	cli := &Client{}
+	defer cli.Close()
+	x := randSamples(64, 1)[0]
+	wantVisit(t, "first session", runVisit(&Server{Net: net, Fmt: fixed.Default}, cli, x), net, x, 0, 0)
+	for _, c := range []*Client{{}, cli} {
+		c2s, s2c := newLogHalf(), newLogHalf()
+		shed := make(chan error, 1)
+		go func() { shed <- Shed(transport.New(logDuplex{r: c2s, w: s2c}), 250*time.Millisecond) }()
+		_, err := c.NewSession(transport.New(logDuplex{r: s2c, w: c2s}))
+		var be *BusyError
+		if !errors.As(err, &be) || be.RetryAfter != 250*time.Millisecond {
+			t.Fatalf("offering %d pairs: %v, want a *BusyError of 250ms", len(c.pairIDs()), err)
+		}
+		if err := <-shed; err != nil {
+			t.Fatal(err)
+		}
+		c2s.mu.Lock()
+		unread := len(c2s.buf)
+		c2s.mu.Unlock()
+		if unread != 0 {
+			t.Errorf("offering %d pairs: the shed left %d bytes unread", len(c.pairIDs()), unread)
+		}
 	}
 }

@@ -69,29 +69,34 @@ import (
 //
 // Setup, in order: client MsgHello (this string, a zero byte, the client's
 // session counter cid as 8 big-endian bytes, 1 ≤ cid < 2³², then the
-// 16-byte id of every pair's set-up the client holds, at most 8); server
+// 16-byte id of every pair's set-up the client holds, at most 8) and,
+// behind a hello that offers none, the OT-extension base phase's first
+// frame, the client's MsgOTBase (k = 128 P-256 points, package ot); server
 // MsgArch (the 32-byte program digest, the id of the pair's set-up the
 // session uses — the first offered one the server holds, else a freshly
 // minted one — then the public spec; or MsgBusy with a uvarint retry-after
 // in ms, then close) and MsgPipeline (uvarint in-flight window, uvarint
-// batch cap). That is the whole set-up of a repeat session, one whose id the
-// client offered. A pair's first session goes on with the OT-extension base
-// phase (MsgOTBase) and the set-up OT, one chosen-message IKNP extension of
-// W OTs, W the program's evaluator-input (weight) bits: the server's
-// MsgOTExtU (exactly ot.ExtULen(W) bytes) with the weight bits as choices,
-// and the client's MsgOTExtY (exactly W × 32 bytes) over the pairs
-// (W_i⁰, W_i⁰ ⊕ Δ), where Δ is the pair's Free-XOR offset and W_i⁰ the
-// weight wire's zero-label, both drawn by the client. The extension's
-// column i runs on the AES-CTR keystream under base seed i itself, its row
-// hashes on tweaks from 0 (package ot). A peer that keys it otherwise hands
-// the server labels that fail authentication mid-stream, so how it is keyed
-// is part of this string: deepsecure/18 is the first version that keys it
-// with the seeds. Each party files its half under the id once the set-up
-// OT is done: the client Δ and the zero-labels, the server the labels it
-// chose. The client's MsgOTExtY travels ahead of the first inference's
-// burst. (The §3.3 streaming
-// deployment runs the same set-up OT over its share and weight labels, after
-// a base phase of its own per connection; outsourcedHello describes it.)
+// batch cap). That is the whole set-up of a repeat session, one whose id
+// the client offered. A pair's first session goes on in the same flight
+// with the server's MsgOTBase (its point A, which ends the base phase) and
+// the set-up OT, one chosen-message IKNP extension of W OTs, W the
+// program's evaluator-input (weight) bits: the server's MsgOTExtU (exactly
+// ot.ExtULen(W) bytes) with the weight bits as choices, and the client's
+// MsgOTExtY (exactly W × 32 bytes) over the pairs (W_i⁰, W_i⁰ ⊕ Δ), where Δ
+// is the pair's Free-XOR offset and W_i⁰ the weight wire's zero-label, both
+// drawn by the client. On a resume miss (the server holds no offered id)
+// the client's MsgOTBase answers MsgPipeline instead, a round trip later.
+// The extension's column i runs on the AES-CTR keystream under base seed i
+// itself, its row hashes on tweaks from 0 (package ot). A peer that keys it
+// otherwise hands the server labels that fail authentication mid-stream,
+// so how it is keyed is part of this string: deepsecure/19 is the first
+// version whose base phase the client opens. Each party files its half
+// under the id once the set-up OT is done: the client Δ and the
+// zero-labels, the server the labels it chose. The client's MsgOTExtY
+// travels ahead of the first inference's burst. (The §3.3 streaming
+// deployment runs the same set-up OT over its share and weight labels,
+// after a base phase of its own per connection; outsourcedHello describes
+// it.)
 //
 // An inference classifies B ≥ 1 samples and is one client→server burst
 // answered by one frame. The burst: MsgInferBegin (uvarint B, at most the
@@ -114,11 +119,11 @@ import (
 // begin order, so frame order is all that ties a frame to its inference.
 // After set-up no OT frame is legal in either direction. MsgEndSession
 // from the client ends the session.
-const protocolHello = "deepsecure/18"
+const protocolHello = "deepsecure/19"
 
-// maxOTBase caps an ot-base frame: the largest of the base phase's three
-// is the receiver's k = 128 uncompressed P-256 points of 65 bytes.
-const maxOTBase = 128 * 65
+// maxOTBase caps the ot-base frame a base-OT sender reads, the receiver's
+// k = 128 uncompressed P-256 points; maxOTBaseA the sender's one point A.
+const maxOTBase, maxOTBaseA = 128 * 65, 65
 
 // digestSize is the length of the program digest that opens a session's
 // architecture frame.
@@ -435,17 +440,12 @@ func (s *Server) ServeSession(conn *transport.Conn) (*Stats, error) {
 
 	rng := rngOrDefault(s.Rng)
 	wd.arm(dl.setup("handshake", dl.Handshake))
-	// Until set-up, a client sends its hello and, in a pair's first session,
-	// the base phase's frames and the set-up OT's answer; each is capped
-	// before it arrives, every other type at 0.
-	conn.ReadOnly(transport.MsgHello)
-	hello, err := conn.Recv(transport.MsgHello)
+	// Until set-up, a client sends its hello, the base phase's frame and
+	// the set-up OT's answer; each is capped before it arrives, every other
+	// type at 0.
+	cid, offered, points, err := readHello(conn)
 	if err != nil {
 		return fail(err)
-	}
-	cid, offered, err := parseHello(hello)
-	if err != nil {
-		return finish(), err
 	}
 	prog, err := s.Program()
 	if err != nil {
@@ -474,27 +474,31 @@ func (s *Server) ServeSession(conn *transport.Conn) (*Stats, error) {
 		return fail(err)
 	}
 
+	// The mux's reader does not flush, and a first contact's frame is read:
+	// the two frames go out here, ahead of the base phase's work.
+	if err := conn.Flush(); err != nil {
+		return fail(err)
+	}
 	if weights != nil {
-		// A repeat session: its set-up is over. The mux's reader does not
-		// flush, so the two frames go out here.
+		// A repeat session: its set-up is over.
 		set.SessionsResumed.Inc()
-		if err := conn.Flush(); err != nil {
-			return fail(err)
-		}
 	} else {
 		// The pair's first session: the OT-extension base phase and the
 		// set-up OT, one chosen-message extension with the weight bits as
 		// choices, which gives the pair the weight wires' labels for every
-		// sample of every inference of every session. The client's answer
-		// is exactly W pairs. Base-phase and set-up OT time are the
-		// protocol's whole OT cost.
+		// sample of every inference of every session. On a resume miss the
+		// client's base-phase frame answers the architecture; A waits to
+		// leave with U. The client's answer is exactly W pairs. Base-phase
+		// and set-up OT time are the protocol's whole OT cost.
 		wd.arm(dl.setup("ot-setup", dl.OTSetup))
-		if len(offered) > 0 {
-			set.ResumeMisses.Inc()
-		}
 		otStart := time.Now()
-		conn.SetLimit(transport.MsgOTBase, maxOTBase)
-		ots, err := ot.NewExtReceiver(conn, rng)
+		if points == nil {
+			set.ResumeMisses.Inc()
+			if points, err = conn.Recv(transport.MsgOTBase); err != nil {
+				return fail(err)
+			}
+		}
+		ots, err := ot.AnswerBase(conn, rng, points)
 		if err != nil {
 			return fail(err)
 		}
@@ -513,6 +517,36 @@ func (s *Server) ServeSession(conn *transport.Conn) (*Stats, error) {
 		evaluatorBufs.Put(m.bufs)
 	}
 	return fail(err)
+}
+
+// readHello reads a client's hello and, behind one that offers no pair, the
+// base phase's first frame, before the server writes anything: a link that
+// holds no bytes would park both parties in their writes, and a socket
+// closed with unread inbound data may be reset, destroying the answer in
+// flight.
+func readHello(conn *transport.Conn) (cid uint64, offered []pairID, points []byte, err error) {
+	conn.ReadOnly(transport.MsgHello)
+	conn.SetLimit(transport.MsgOTBase, maxOTBase)
+	hello, err := conn.Recv(transport.MsgHello)
+	if err == nil {
+		cid, offered, err = parseHello(hello)
+	}
+	if err == nil && len(offered) == 0 {
+		points, err = conn.Recv(transport.MsgOTBase)
+	}
+	return cid, offered, points, err
+}
+
+// Shed answers a connection the server will not serve with MsgBusy and
+// retryAfter in ms once it has read what the client sends first
+// (readHello), whatever that was. The caller bounds the exchange and closes
+// conn.
+func Shed(conn *transport.Conn, retryAfter time.Duration) error {
+	readHello(conn) //nolint:errcheck — any client is answered busy
+	if err := conn.Send(transport.MsgBusy, binary.AppendUvarint(nil, uint64(retryAfter/time.Millisecond))); err != nil {
+		return err
+	}
+	return conn.Flush()
 }
 
 // Client runs secure inferences against a server. A Client caches the
@@ -787,16 +821,27 @@ func (c *Client) NewSession(conn *transport.Conn) (sess *Session, err error) {
 	// Every server frame is bounded before it arrives, so that a header
 	// announcing more is refused unread: the architecture is its header and
 	// a spec of at most nn.MaxSpecBytes, a busy answer is one uvarint, the
-	// window announcement two, a base-phase frame the largest of the
-	// phase's, the set-up OT's U the size W OTs take, and an inference's
+	// window announcement two, the base phase's A one point, the set-up
+	// OT's U the size W OTs take, and an inference's
 	// answer is bounded once the program and the batch cap are known. Every
 	// other type is capped at 0.
 	conn.ReadOnly(transport.MsgArch, transport.MsgBusy)
 	conn.SetLimit(transport.MsgArch, archHeader+nn.MaxSpecBytes)
 	conn.SetLimit(transport.MsgBusy, binary.MaxVarintLen64)
+	conn.SetLimit(transport.MsgOTBase, maxOTBaseA)
 	if err := conn.Send(transport.MsgHello, helloFrame(cid, offered)); err != nil {
 		return nil, err
 	}
+	// Behind a hello that offers no pair the base phase opens in the same
+	// write, so that the server's A can come back with its architecture.
+	var ots *ot.ExtSender
+	otStart := time.Now()
+	if len(offered) == 0 {
+		if ots, err = ot.NewExtSender(conn, rng); err != nil {
+			return nil, err
+		}
+	}
+	otTime := time.Since(otStart)
 	mt, arch, err := conn.RecvAny(transport.MsgArch, transport.MsgBusy)
 	if err != nil {
 		return nil, err
@@ -879,15 +924,14 @@ func (c *Client) NewSession(conn *transport.Conn) (sess *Session, err error) {
 		// pair's delta and a zero-label per weight bit, of which the server
 		// chooses one label of each pair. Its U is capped at what W OTs
 		// take, so a server keyed for more weight bits is refused unread,
-		// and one keyed for fewer by the U length check.
-		if len(offered) > 0 {
+		// and one keyed for fewer by the U length check. On a resume miss
+		// the base phase opens only now.
+		otStart = time.Now()
+		if ots == nil {
 			set.ResumeMisses.Inc()
-		}
-		otStart := time.Now()
-		conn.SetLimit(transport.MsgOTBase, maxOTBase)
-		ots, err := ot.NewExtSender(conn, rng)
-		if err != nil {
-			return nil, err
+			if ots, err = ot.NewExtSender(conn, rng); err != nil {
+				return nil, err
+			}
 		}
 		var pairs [][2]ot.Msg
 		if s.delta, s.weights, pairs, err = weightLabels(rng, w); err != nil {
@@ -899,7 +943,7 @@ func (c *Client) NewSession(conn *transport.Conn) (sess *Session, err error) {
 		}
 		c.filePair(&clientPair{id: id, delta: s.delta, weights: slices.Clone(s.weights)})
 		set.OTConsumed.Add(int64(w))
-		set.OTOfflineTime.Add(int64(time.Since(otStart)))
+		set.OTOfflineTime.Add(int64(otTime + time.Since(otStart)))
 	}
 	// After set-up a server sends answers alone.
 	conn.ReadOnly(transport.MsgOutputLabels)

@@ -50,7 +50,7 @@ func (c *Conv2D) initWeights(rng *rand.Rand) { c.init(rng, c.in.C*c.K*c.K) }
 // Rows implements Linear: output (oc, oy, ox) meets its window in
 // (ic, ky, kx) order, minus the taps that fall on padding.
 func (c *Conv2D) Rows(yield func(out, bias int, taps []Tap)) {
-	buf := tapBufs.Get().(*[]Tap)
+	buf := takeTaps(c.in.C * c.K * c.K)
 	defer tapBufs.Put(buf)
 	out := 0
 	for oc := 0; oc < c.OutC; oc++ {
@@ -74,7 +74,6 @@ func (c *Conv2D) Rows(yield func(out, bias int, taps []Tap)) {
 						}
 					}
 				}
-				*buf = taps
 				yield(out, oc, taps)
 				out++
 			}

@@ -39,7 +39,7 @@ func (d *Dense) initWeights(rng *rand.Rand) { d.init(rng, d.InN) }
 
 // Rows implements Linear: row o meets inputs 0..InN-1 ascending.
 func (d *Dense) Rows(yield func(out, bias int, taps []Tap)) {
-	buf := tapBufs.Get().(*[]Tap)
+	buf := takeTaps(d.InN)
 	defer tapBufs.Put(buf)
 	for o := 0; o < d.OutN; o++ {
 		taps := (*buf)[:0]
@@ -48,7 +48,6 @@ func (d *Dense) Rows(yield func(out, bias int, taps []Tap)) {
 				taps = append(taps, Tap{In: i, W: wi})
 			}
 		}
-		*buf = taps
 		yield(o, o, taps)
 	}
 }

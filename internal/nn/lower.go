@@ -16,6 +16,16 @@ type Tap struct{ In, W int }
 // until yield returns.
 var tapBufs = sync.Pool{New: func() any { return new([]Tap) }}
 
+// takeTaps returns a taps buffer with room for a row's most, n: a walk never
+// grows one, whether or not the pool kept the last.
+func takeTaps(n int) *[]Tap {
+	buf := tapBufs.Get().(*[]Tap)
+	if cap(*buf) < n {
+		*buf = make([]Tap, 0, n)
+	}
+	return buf
+}
+
 // Linear is a layer whose every output element is a bias plus a sum of
 // weight·input products: Dense and Conv2D. Rows is the layer's lowering,
 // the one place its geometry is written down. The float and fixed-point

@@ -1,26 +1,28 @@
 // Package ot implements 1-out-of-2 oblivious transfer (paper §2.2.1): a
-// Chou–Orlandi-style base OT over the NIST P-256 curve, and the IKNP OT
-// extension that turns 128 base OTs into millions of fast extended OTs —
-// one per evaluator-input bit of the garbled circuit (the DL model's
+// Naor–Pinkas base OT over the NIST P-256 curve, run as a random OT, and the
+// IKNP OT extension that turns 128 base OTs into millions of fast extended
+// OTs — one per evaluator-input bit of the garbled circuit (the DL model's
 // weight bits in DeepSecure, §3.1 step ii).
 //
-// An extension is one base phase and what it keys: NewExtSender and
-// NewExtReceiver run the 128 base OTs, and column i of the extension then
-// runs on the AES-CTR keystream (zero IV) under base seed i itself, the
-// textbook IKNP PRG, its row hashes on tweaks from 0. The seeds key that
-// one extension and nothing else, so no keystream byte under them, and no
-// (tweak, s) pair, is produced twice.
+// An extension is one base phase and what it keys. NewExtSender, the
+// base-OT receiver, speaks first: it sends its 128 points and returns.
+// NewExtReceiver reads them, derives its 128 seed pairs and queues its
+// point A to leave with its first U matrix, ahead of which the sender reads
+// it (Ready). Column i of the extension then runs on the AES-CTR keystream
+// (zero IV) under base seed i itself, the textbook IKNP PRG, its row hashes
+// on tweaks from 0. The seeds key that one extension and nothing else, so
+// no keystream byte under them, and no (tweak, s) pair, is produced twice.
 package ot
 
 import (
 	"crypto/elliptic"
 	"crypto/sha256"
+	"encoding/binary"
 	"fmt"
 	"io"
 	"math/big"
 
 	"deepsecure/internal/gc"
-	"deepsecure/internal/transport"
 )
 
 // MsgLen is the length of each transferred message in bytes (a GC wire
@@ -32,6 +34,24 @@ const MsgLen = 16
 type Msg = gc.Label
 
 var curve = elliptic.P256()
+
+// pointLen is the length of an uncompressed P-256 point.
+const pointLen = 65
+
+// cx, cy is the base OT's fixed point C, whose discrete logarithm nobody
+// knows: for ctr = 0, 1, … (4 bytes, big-endian), x = sha256(
+// "deepsecure/ot-base/C" ‖ ctr) mod p, and C is the first x that decodes as
+// a compressed point, with its even y. A receiver that knew dlog(C) could
+// learn both seeds of every base OT.
+var cx, cy = func() (x, y *big.Int) {
+	for ctr := uint32(0); ; ctr++ {
+		h := sha256.Sum256(binary.BigEndian.AppendUint32([]byte("deepsecure/ot-base/C"), ctr))
+		enc := append([]byte{2}, new(big.Int).Mod(new(big.Int).SetBytes(h[:]), curve.Params().P).FillBytes(make([]byte, 32))...)
+		if x, y = elliptic.UnmarshalCompressed(curve, enc); x != nil {
+			return x, y
+		}
+	}
+}()
 
 func randScalar(rng io.Reader) ([]byte, error) {
 	n := curve.Params().N
@@ -48,11 +68,11 @@ func randScalar(rng io.Reader) ([]byte, error) {
 	}
 }
 
-func pointKey(x, y *big.Int) Msg {
-	sum := sha256.Sum256(elliptic.Marshal(curve, x, y))
-	var m Msg
-	copy(m[:], sum[:MsgLen])
-	return m
+// seedKey is base OT i's seed for the point (x, y): H(i ‖ point), sha256
+// over i as 8 big-endian bytes and the uncompressed point, cut to a label.
+func seedKey(i int, x, y *big.Int) Msg {
+	sum := sha256.Sum256(append(binary.BigEndian.AppendUint64(nil, uint64(i)), elliptic.Marshal(curve, x, y)...))
+	return Msg(sum[:MsgLen])
 }
 
 // negY returns the negation of a curve point (x, -y mod p).
@@ -61,105 +81,67 @@ func negY(y *big.Int) *big.Int {
 	return new(big.Int).Mod(new(big.Int).Neg(y), p)
 }
 
-// baseSend performs n base OTs as the sender over conn: for each i the
-// receiver learns pairs[i][choice_i] and nothing else, and the sender
-// learns nothing about the choices.
-func baseSend(conn transport.FrameConn, rng io.Reader, pairs [][2]Msg) error {
-	a, err := randScalar(rng)
-	if err != nil {
-		return err
-	}
-	ax, ay := curve.ScalarBaseMult(a)
-	if err := conn.Send(transport.MsgOTBase, elliptic.Marshal(curve, ax, ay)); err != nil {
-		return err
-	}
-
-	payload, err := conn.Recv(transport.MsgOTBase)
-	if err != nil {
-		return err
-	}
-	ptLen := len(elliptic.Marshal(curve, ax, ay))
-	if len(payload) != ptLen*len(pairs) {
-		return fmt.Errorf("ot: base receiver sent %d bytes, want %d", len(payload), ptLen*len(pairs))
-	}
-
-	// aA, used to derive k1 = H(a·(B - A)).
-	aAx, aAy := curve.ScalarMult(ax, ay, a)
-	naAy := negY(aAy)
-
-	out := make([]byte, 0, len(pairs)*2*MsgLen)
-	for i := range pairs {
-		bx, by := elliptic.Unmarshal(curve, payload[i*ptLen:(i+1)*ptLen])
-		if bx == nil {
-			return fmt.Errorf("ot: base OT %d: invalid point from receiver", i)
+// baseChoose is the base-OT receiver's message for choices: for each i a
+// fresh scalar b_i and B_i = b_i·G, or C − b_i·G when choices[i] is set. It
+// returns the scalars, which baseKeys needs once A arrives, and the points.
+func baseChoose(rng io.Reader, choices []bool) (bs [][]byte, points []byte, err error) {
+	bs = make([][]byte, len(choices))
+	points = make([]byte, 0, pointLen*len(choices))
+	for i, c := range choices {
+		if bs[i], err = randScalar(rng); err != nil {
+			return nil, nil, err
 		}
-		aBx, aBy := curve.ScalarMult(bx, by, a)
-		k0 := pointKey(aBx, aBy)
-		dx, dy := curve.Add(aBx, aBy, aAx, naAy) // a·B - a·A
-		k1 := pointKey(dx, dy)
-		var e0, e1 Msg
-		for j := 0; j < MsgLen; j++ {
-			e0[j] = pairs[i][0][j] ^ k0[j]
-			e1[j] = pairs[i][1][j] ^ k1[j]
+		bx, by := curve.ScalarBaseMult(bs[i])
+		if c {
+			bx, by = curve.Add(cx, cy, bx, negY(by)) // B = C − b·G
 		}
-		out = append(out, e0[:]...)
-		out = append(out, e1[:]...)
+		points = append(points, elliptic.Marshal(curve, bx, by)...)
 	}
-	if err := conn.Send(transport.MsgOTBase, out); err != nil {
-		return err
-	}
-	return conn.Flush()
+	return bs, points, nil
 }
 
-// baseReceive performs n base OTs as the receiver: choices[i] selects
-// which of the sender's two messages is learned.
-func baseReceive(conn transport.FrameConn, rng io.Reader, choices []bool) ([]Msg, error) {
-	payload, err := conn.Recv(transport.MsgOTBase)
-	if err != nil {
-		return nil, err
-	}
-	ax, ay := elliptic.Unmarshal(curve, payload)
+// baseKeys writes the base-OT receiver's seed of each OT, H(i ‖ b_i·A), into
+// keys, from the sender's point A: whichever B_i it sent, that is the seed
+// its choice selects. The scalars are wiped.
+func baseKeys(keys []Msg, a []byte, bs [][]byte) error {
+	ax, ay := elliptic.Unmarshal(curve, a)
 	if ax == nil {
-		return nil, fmt.Errorf("ot: invalid sender point A")
+		return fmt.Errorf("ot: base sender's A (%d bytes) is not a point on the curve", len(a))
 	}
+	for i, b := range bs {
+		kx, ky := curve.ScalarMult(ax, ay, b) // b·A = ab·G
+		keys[i] = seedKey(i, kx, ky)
+		clear(b)
+	}
+	return nil
+}
 
-	ptLen := len(payload)
-	bs := make([][]byte, len(choices))
-	msg := make([]byte, 0, ptLen*len(choices))
-	for i, c := range choices {
-		b, err := randScalar(rng)
-		if err != nil {
-			return nil, err
-		}
-		bs[i] = b
-		bx, by := curve.ScalarBaseMult(b)
-		if c {
-			bx, by = curve.Add(bx, by, ax, ay) // B = bG + A
-		}
-		msg = append(msg, elliptic.Marshal(curve, bx, by)...)
+// baseSend is the base-OT sender's half of random OTs, given the receiver's
+// points: it draws one scalar a, writes each OT's two seeds into keys[0][i]
+// and keys[1][i], H(i ‖ a·B_i) and H(i ‖ a·C − a·B_i), and returns A = a·G,
+// its whole message. The receiver learns the seed its choice selects and
+// nothing of the other without dlog(C); the sender learns nothing of the
+// choices, for B_i is uniform whichever it is. A point off the curve, or C
+// itself (whose two seeds the receiver would both know), is refused.
+func baseSend(keys *[2][k]Msg, rng io.Reader, points []byte) ([]byte, error) {
+	if len(points) != pointLen*k {
+		return nil, fmt.Errorf("ot: base receiver sent %d bytes, want %d", len(points), pointLen*k)
 	}
-	if err := conn.Send(transport.MsgOTBase, msg); err != nil {
-		return nil, err
-	}
-
-	enc, err := conn.Recv(transport.MsgOTBase)
+	a, err := randScalar(rng)
 	if err != nil {
 		return nil, err
 	}
-	if len(enc) != len(choices)*2*MsgLen {
-		return nil, fmt.Errorf("ot: base sender sent %d bytes, want %d", len(enc), len(choices)*2*MsgLen)
-	}
-	out := make([]Msg, len(choices))
-	for i, c := range choices {
-		kx, ky := curve.ScalarMult(ax, ay, bs[i]) // b·A = ab·G
-		k := pointKey(kx, ky)
-		off := i * 2 * MsgLen
-		if c {
-			off += MsgLen
+	acx, acy := curve.ScalarMult(cx, cy, a)
+	for i := range k {
+		bx, by := elliptic.Unmarshal(curve, points[i*pointLen:(i+1)*pointLen])
+		if bx == nil || bx.Cmp(cx) == 0 && by.Cmp(cy) == 0 {
+			return nil, fmt.Errorf("ot: base OT %d: the receiver's point is C or not on the curve", i)
 		}
-		for j := 0; j < MsgLen; j++ {
-			out[i][j] = enc[off+j] ^ k[j]
-		}
+		abx, aby := curve.ScalarMult(bx, by, a)
+		keys[0][i] = seedKey(i, abx, aby)
+		dx, dy := curve.Add(acx, acy, abx, negY(aby)) // a·C − a·B
+		keys[1][i] = seedKey(i, dx, dy)
 	}
-	return out, nil
+	ax, ay := curve.ScalarBaseMult(a)
+	return elliptic.Marshal(curve, ax, ay), nil
 }

@@ -146,6 +146,7 @@ func flat(pairs [][2]Msg) []gc.Label {
 type ExtSender struct {
 	conn transport.FrameConn
 	s    [k / 8]byte // secret base-OT choices, packed LSB-first: the s of H(q_j ⊕ s)
+	b    [][]byte    // the base OTs' scalars b_i, until Ready keys the columns
 	keys [k]gc.Label // column i's key, the seed k_{s_i} the base OTs delivered
 	off  uint64      // keystream bytes every column has drawn
 	h    *gc.Hasher
@@ -153,9 +154,9 @@ type ExtSender struct {
 	buf  []gc.Label // Send's Y payload, or Pads' q columns, grown once per extension
 }
 
-// NewExtSender runs the base phase over conn, as base-OT receiver with a
-// fresh secret choice vector (128 public-key OTs), and returns a sender
-// ready for Send batches.
+// NewExtSender opens the base phase over conn as base-OT receiver with a
+// fresh secret choice vector: it sends and flushes its 128 points and
+// returns without reading. Ready reads the answer.
 func NewExtSender(conn transport.FrameConn, rng io.Reader) (*ExtSender, error) {
 	es := &ExtSender{conn: conn, h: gc.NewHasher()}
 	if _, err := io.ReadFull(rng, es.s[:]); err != nil {
@@ -165,12 +166,36 @@ func NewExtSender(conn transport.FrameConn, rng io.Reader) (*ExtSender, error) {
 	for i := range s {
 		s[i] = es.s[i/8]&(1<<uint(i%8)) != 0
 	}
-	seeds, err := baseReceive(conn, rng, s)
+	bs, points, err := baseChoose(rng, s)
+	if err == nil {
+		if err = conn.Send(transport.MsgOTBase, points); err == nil {
+			err = conn.Flush()
+		}
+	}
 	if err != nil {
 		return nil, fmt.Errorf("ot: extension base phase (receive): %w", err)
 	}
-	copy(es.keys[:], seeds)
+	es.b = bs
 	return es, nil
+}
+
+// Ready ends the base phase, once: it reads the base-OT sender's point A,
+// which travels ahead of the receiver's first U matrix, and keys column i
+// with H(i ‖ b_i·A). Send calls it; a caller that reads U itself, for Pads,
+// calls it first.
+func (es *ExtSender) Ready() error {
+	if es.b == nil {
+		return nil
+	}
+	a, err := es.conn.Recv(transport.MsgOTBase)
+	if err == nil {
+		err = baseKeys(es.keys[:], a, es.b)
+	}
+	if err != nil {
+		return fmt.Errorf("ot: extension base phase (receive): %w", err)
+	}
+	es.b = nil
+	return nil
 }
 
 // Send runs one extension batch, obliviously transferring pairs[j][r_j]
@@ -181,6 +206,9 @@ func (es *ExtSender) Send(pairs [][2]Msg) error {
 	m := len(pairs)
 	if m == 0 {
 		return nil
+	}
+	if err := es.Ready(); err != nil {
+		return err
 	}
 	u, err := es.conn.Recv(transport.MsgOTExtU)
 	if err != nil {
@@ -205,8 +233,11 @@ func (es *ExtSender) Send(pairs [][2]Msg) error {
 // nothing. The receiver's Pads yields pads[j][c_j] for its choice bit c_j;
 // pads[j][1−c_j] is pseudorandom to it. Pads calls, Send's included,
 // must happen in the wire order of the U frames: the column keystreams
-// and the hash counter are stateful.
+// and the hash counter are stateful. The base phase must be over (Ready).
 func (es *ExtSender) Pads(u []byte, pads [][2]Msg) error {
+	if es.b != nil {
+		return fmt.Errorf("ot: Pads before the base phase ended (Ready)")
+	}
 	return es.pads(u, bytesOf(es.grow(8*((len(pads)+7)/8))), flat(pads))
 }
 
@@ -274,23 +305,27 @@ type ExtReceiver struct {
 	buf  []byte // Receive's U matrix, grown once per extension
 }
 
-// NewExtReceiver runs the base phase over conn, as base-OT sender with
-// random seed pairs, and returns a receiver ready for Receive batches.
+// NewExtReceiver reads the sender's 128 points over conn and answers them
+// as base-OT sender (AnswerBase), returning a receiver ready for Receive.
 func NewExtReceiver(conn transport.FrameConn, rng io.Reader) (*ExtReceiver, error) {
-	var seeds [k][2]Msg
-	for i := range seeds {
-		for c := range seeds[i] {
-			if _, err := io.ReadFull(rng, seeds[i][c][:]); err != nil {
-				return nil, fmt.Errorf("ot: receiver randomness: %w", err)
-			}
-		}
-	}
-	if err := baseSend(conn, rng, seeds[:]); err != nil {
+	points, err := conn.Recv(transport.MsgOTBase)
+	if err != nil {
 		return nil, fmt.Errorf("ot: extension base phase (send): %w", err)
 	}
+	return AnswerBase(conn, rng, points)
+}
+
+// AnswerBase is NewExtReceiver for a caller that read the sender's points
+// itself: it derives the random seed pairs from them and queues its point A
+// on conn unflushed, so that A leaves with the first U matrix.
+func AnswerBase(conn transport.FrameConn, rng io.Reader, points []byte) (*ExtReceiver, error) {
 	er := &ExtReceiver{conn: conn, h: gc.NewHasher()}
-	for i, pair := range seeds {
-		er.keys[0][i], er.keys[1][i] = pair[0], pair[1]
+	a, err := baseSend(&er.keys, rng, points)
+	if err == nil {
+		err = conn.Send(transport.MsgOTBase, a)
+	}
+	if err != nil {
+		return nil, fmt.Errorf("ot: extension base phase (send): %w", err)
 	}
 	return er, nil
 }

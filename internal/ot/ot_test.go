@@ -2,8 +2,14 @@ package ot
 
 import (
 	"bytes"
+	"crypto/elliptic"
+	"crypto/sha256"
+	"encoding/binary"
+	"encoding/hex"
 	"fmt"
+	"math/big"
 	"math/rand"
+	"slices"
 	"sync"
 	"testing"
 
@@ -28,43 +34,114 @@ func randChoices(rng *rand.Rand, n int) []bool {
 	return out
 }
 
-func TestBaseOT(t *testing.T) {
-	a, b, closer := transport.Pipe()
-	defer closer.Close()
-	rng := rand.New(rand.NewSource(1))
-	pairs := randPairs(rng, 16)
-	choices := randChoices(rng, 16)
-
-	var wg sync.WaitGroup
-	var sendErr error
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		sendErr = baseSend(a, rand.New(rand.NewSource(2)), pairs)
-	}()
-	got, err := baseReceive(b, rand.New(rand.NewSource(3)), choices)
-	wg.Wait()
-	if sendErr != nil {
-		t.Fatal(sendErr)
-	}
+// baseOT runs the k random base OTs with the given choices, both halves in
+// memory, and returns the receiver's seeds and the sender's pairs.
+func baseOT(t *testing.T, choices []bool, seedR, seedS int64) (got [k]Msg, seeds [2][k]Msg) {
+	t.Helper()
+	bs, points, err := baseChoose(rand.New(rand.NewSource(seedR)), choices)
 	if err != nil {
 		t.Fatal(err)
 	}
+	a, err := baseSend(&seeds, rand.New(rand.NewSource(seedS)), points)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := baseKeys(got[:], a, bs); err != nil {
+		t.Fatal(err)
+	}
+	return got, seeds
+}
+
+// TestBaseOT: the random base OT's receiver holds the seed its choice bit
+// selects and not the other, which differs from it.
+func TestBaseOT(t *testing.T) {
+	choices := randChoices(rand.New(rand.NewSource(1)), k)
+	got, seeds := baseOT(t, choices, 3, 2)
 	for i, c := range choices {
-		want := pairs[i][0]
+		want, other := seeds[0][i], seeds[1][i]
 		if c {
-			want = pairs[i][1]
+			want, other = other, want
 		}
 		if got[i] != want {
-			t.Errorf("base OT %d: got wrong message for choice %v", i, c)
+			t.Errorf("base OT %d: choice %v, the receiver's seed is not the chosen one", i, c)
 		}
-		other := pairs[i][1]
-		if c {
-			other = pairs[i][0]
+		if got[i] == other || want == other {
+			t.Errorf("base OT %d: the unchosen seed equals the chosen one", i)
 		}
-		if got[i] == other && other != want {
-			t.Errorf("base OT %d: received the unchosen message", i)
+	}
+	// Two sessions' seeds share nothing.
+	again, _ := baseOT(t, choices, 5, 4)
+	for i := range got {
+		if got[i] == again[i] {
+			t.Errorf("base OT %d: the same seed under fresh scalars", i)
 		}
+	}
+}
+
+// TestBasePointCPinned pins the fixed point C: its x by the stated rule (the
+// first ctr whose x = sha256("deepsecure/ot-base/C" ‖ ctr) mod p decodes)
+// and its place on the curve, with an even y.
+func TestBasePointCPinned(t *testing.T) {
+	const wantX = "39028456979de295649ebbdeae93837d4d4c8474f6b8f16295d09e608d0cc2e3"
+	if got := hex.EncodeToString(cx.FillBytes(make([]byte, 32))); got != wantX {
+		t.Errorf("C.x = %s, pinned %s", got, wantX)
+	}
+	if !curve.IsOnCurve(cx, cy) || cy.Bit(0) != 0 {
+		t.Errorf("C = (%x, %x) is off the curve or has an odd y", cx, cy)
+	}
+	// The rule: no earlier counter decodes, and this one does.
+	p := curve.Params().P
+	for ctr := uint32(0); ; ctr++ {
+		h := sha256.Sum256(binary.BigEndian.AppendUint32([]byte("deepsecure/ot-base/C"), ctr))
+		x := new(big.Int).Mod(new(big.Int).SetBytes(h[:]), p)
+		if y := new(big.Int).ModSqrt(curveRHS(x), p); y != nil {
+			if x.Cmp(cx) != 0 {
+				t.Fatalf("counter %d decodes first, to x = %x, not C's", ctr, x)
+			}
+			t.Logf("C is counter %d's point", ctr)
+			return
+		}
+	}
+}
+
+// curveRHS is x³ − 3x + b mod p, P-256's y² at x.
+func curveRHS(x *big.Int) *big.Int {
+	params := curve.Params()
+	r := new(big.Int).Exp(x, big.NewInt(3), params.P)
+	r.Sub(r, new(big.Int).Lsh(x, 1))
+	r.Sub(r, x)
+	r.Add(r, params.B)
+	return r.Mod(r, params.P)
+}
+
+// TestBaseSendRefusesBadPoints: the base-OT sender refuses a receiver point
+// that is C, whose two seeds the receiver would both know, or off the
+// curve, or a frame of the wrong length; the receiver refuses an A off the
+// curve.
+func TestBaseSendRefusesBadPoints(t *testing.T) {
+	rng := rand.New(rand.NewSource(6))
+	_, points, err := baseChoose(rng, make([]bool, k))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var seeds [2][k]Msg
+	if _, err := baseSend(&seeds, rng, points); err != nil {
+		t.Fatal(err)
+	}
+	c := elliptic.Marshal(curve, cx, cy)
+	offCurve := bytes.Clone(points[:pointLen])
+	offCurve[pointLen-1] ^= 1
+	for name, p := range map[string][]byte{
+		"C":         slices.Concat(points[:2*pointLen], c, points[3*pointLen:]),
+		"off-curve": slices.Concat(points[:(k-1)*pointLen], offCurve),
+		"short":     points[:k*pointLen-1],
+	} {
+		if _, err := baseSend(&seeds, rng, p); err == nil {
+			t.Errorf("%s: the sender took the points", name)
+		}
+	}
+	if err := baseKeys(make([]Msg, 1), offCurve, [][]byte{make([]byte, 32)}); err == nil {
+		t.Error("the receiver took an A off the curve")
 	}
 }
 
@@ -91,6 +168,12 @@ func newExt(t testing.TB, a, b transport.FrameConn, seedS, seedR int64) (*ExtSen
 	}()
 	er, err := NewExtReceiver(b, rand.New(rand.NewSource(seedR)))
 	wg.Wait()
+	if err == nil {
+		err = b.Flush()
+	}
+	if err == nil && sErr == nil {
+		sErr = es.Ready()
+	}
 	if err != nil || sErr != nil {
 		t.Fatalf("base phase: sender %v, receiver %v", sErr, err)
 	}
@@ -361,6 +444,9 @@ func TestPadsAlternateWithSendReceive(t *testing.T) {
 	go func() {
 		defer wg.Done()
 		s, err := NewExtSender(a, rand.New(rand.NewSource(58)))
+		if err == nil {
+			err = s.Ready() // A travels ahead of the first U
+		}
 		if err != nil {
 			sendErr = err
 			return
@@ -710,13 +796,15 @@ func TestCorruptedExtYFails(t *testing.T) {
 		if err != nil {
 			return
 		}
-		// Drain U, then reply with a short bogus Y.
+		// Drain A and U, then reply with a short bogus Y.
+		if s.Ready() != nil {
+			return
+		}
 		if _, err := a.Recv(transport.MsgOTExtU); err != nil {
 			return
 		}
 		_ = a.Send(transport.MsgOTExtY, []byte{1, 2, 3})
 		_ = a.Flush()
-		_ = s
 	}()
 	r, err := NewExtReceiver(b, rand.New(rand.NewSource(31)))
 	if err != nil {

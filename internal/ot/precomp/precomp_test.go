@@ -28,7 +28,7 @@ func (r *recorder) Send(t transport.MsgType, payload []byte) error {
 }
 
 // pools builds a connected sender/receiver pool pair over an in-memory
-// pipe, running the base phase and Announce, and checks that both parties
+// pipe, running the base phase to its end and Announce, and checks that both parties
 // banked the first fill of cfg.Capacity entries.
 func pools(t *testing.T, cfg PoolConfig, seed int64) (*SenderPool, *ReceiverPool, func()) {
 	t.Helper()
@@ -43,6 +43,12 @@ func pools(t *testing.T, cfg PoolConfig, seed int64) (*SenderPool, *ReceiverPool
 	}()
 	otr, err := ot.NewExtReceiver(rConn, rand.New(rand.NewSource(seed+2)))
 	wg.Wait()
+	if err == nil {
+		err = rConn.Flush()
+	}
+	if err == nil && otsErr == nil {
+		otsErr = ots.Ready()
+	}
 	if err != nil || otsErr != nil {
 		closer.Close()
 		t.Fatalf("base phase: sender %v, receiver %v", otsErr, err)

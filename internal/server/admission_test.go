@@ -208,3 +208,30 @@ func TestAdmissionQueueOverflowSheds(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestShedFreshClientGetsBusy: a client that holds no pair sends its
+// base-phase frame, 8 kB, behind its hello. A shed that answered after the
+// hello alone would close with that frame unread, and the reset the close
+// may then send can destroy the busy frame in flight. Over loopback TCP a
+// fresh client must read its *core.BusyError every time.
+func TestShedFreshClientGetsBusy(t *testing.T) {
+	model := testModel(t)
+	retryAfter := 50 * time.Millisecond
+	_, addr, stop := startAdmissionServer(t, model, AdmissionConfig{MaxActive: 1, RetryAfter: retryAfter})
+	defer stop()
+	holder, hc, err := openSession(t, &core.Client{}, addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer hc.Close()
+	for i := range 5 {
+		_, _, err := openSession(t, &core.Client{}, addr)
+		var be *core.BusyError
+		if !errors.As(err, &be) || be.RetryAfter != retryAfter {
+			t.Fatalf("fresh client %d: err = %v, want a *core.BusyError of %v", i, err, retryAfter)
+		}
+	}
+	if err := holder.Close(); err != nil {
+		t.Fatal(err)
+	}
+}

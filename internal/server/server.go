@@ -10,7 +10,6 @@ package server
 
 import (
 	"context"
-	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
@@ -175,23 +174,15 @@ func (s *Server) ServeContext(ctx context.Context, ln net.Listener) error {
 	}
 }
 
-// shed answers an un-admitted connection with MsgBusy. The client's
-// MsgHello is read first: closing a socket with unread inbound data may
-// reset the connection and destroy the in-flight busy frame. The whole
-// exchange is bounded by shedTimeout.
+// shed answers an un-admitted connection with MsgBusy (core.Shed), the
+// whole exchange bounded by shedTimeout.
 func (s *Server) shed(conn net.Conn) {
 	conn.SetDeadline(time.Now().Add(shedTimeout))
 	tc := transport.New(conn)
 	tc.SetMetrics(s.set)
-	if _, err := tc.Recv(transport.MsgHello); err != nil {
-		return
+	if retry := s.adm.cfg.retryAfter(); core.Shed(tc, retry) == nil {
+		s.logf("session from %s shed at admission (retry after %v)", conn.RemoteAddr(), retry)
 	}
-	retry := s.adm.cfg.retryAfter()
-	payload := binary.AppendUvarint(nil, uint64(retry/time.Millisecond))
-	if tc.Send(transport.MsgBusy, payload) == nil {
-		tc.Flush()
-	}
-	s.logf("session from %s shed at admission (retry after %v)", conn.RemoteAddr(), retry)
 }
 
 func (s *Server) serveConn(conn net.Conn) {

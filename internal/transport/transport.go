@@ -65,8 +65,8 @@ const (
 	// server in place of MsgArch when it cannot take the session,
 	// carrying a uvarint retry-after hint in milliseconds. The server
 	// closes the connection after it; the client surfaces a typed
-	// retryable error instead of a timeout. A server sheds before it reads
-	// the hello's version, so the byte never moves: 17–21 stay unassigned.
+	// retryable error instead of a timeout. A server sheds whatever the
+	// hello's version, so the byte never moves: 17–21 stay unassigned.
 	MsgBusy MsgType = 22
 
 	// msgTypeEnd sentinels the name table: every defined MsgType is
