@@ -296,8 +296,8 @@ func (s *Server) ServeOutsourced(proxyConn, clientConn *transport.Conn) error {
 	}
 	choices := append(share, nn.WeightBits(s.Net, s.Fmt)...)
 
-	// Every proxy frame is bounded before it arrives: the base phase's by
-	// the largest of them, the set-up OT's answer at W label pairs, the
+	// Every proxy frame is bounded before it arrives: its one base frame at
+	// its k points (maxOTBase), the set-up OT's answer at W label pairs, the
 	// constants two labels, the proxy's inputs its share, and a table frame
 	// one level run, at most a window's gates.
 	proxyConn.SetLimit(transport.MsgOTBase, maxOTBase)

@@ -70,33 +70,26 @@ import (
 // Setup, in order: client MsgHello (this string, a zero byte, the client's
 // session counter cid as 8 big-endian bytes, 1 ≤ cid < 2³², then the
 // 16-byte id of every pair's set-up the client holds, at most 8) and,
-// behind a hello that offers none, the OT-extension base phase's first
-// frame, the client's MsgOTBase (k = 128 P-256 points, package ot); server
-// MsgArch (the 32-byte program digest, the id of the pair's set-up the
-// session uses — the first offered one the server holds, else a freshly
-// minted one — then the public spec; or MsgBusy with a uvarint retry-after
-// in ms, then close) and MsgPipeline (uvarint in-flight window, uvarint
-// batch cap). That is the whole set-up of a repeat session, one whose id
-// the client offered. A pair's first session goes on in the same flight
-// with the server's MsgOTBase (its point A, which ends the base phase) and
-// the set-up OT, one chosen-message IKNP extension of W OTs, W the
-// program's evaluator-input (weight) bits: the server's MsgOTExtU (exactly
-// ot.ExtULen(W) bytes) with the weight bits as choices, and the client's
-// MsgOTExtY (exactly W × 32 bytes) over the pairs (W_i⁰, W_i⁰ ⊕ Δ), where Δ
-// is the pair's Free-XOR offset and W_i⁰ the weight wire's zero-label, both
-// drawn by the client. On a resume miss (the server holds no offered id)
-// the client's MsgOTBase answers MsgPipeline instead, a round trip later.
-// The extension's column i runs on the AES-CTR keystream under base seed i
-// itself, its row hashes on tweaks from 0 (package ot). A peer that keys it
-// otherwise hands the server labels that fail authentication mid-stream,
-// so how it is keyed is part of this string: deepsecure/19 is the first
-// version whose base phase the client opens. Each party files its half
-// under the id once the set-up OT is done: the client Δ and the
-// zero-labels, the server the labels it chose. The client's MsgOTExtY
-// travels ahead of the first inference's burst. (The §3.3 streaming
-// deployment runs the same set-up OT over its share and weight labels,
-// after a base phase of its own per connection; outsourcedHello describes
-// it.)
+// behind a hello that offers none, its MsgOTBase (the base OTs' 128 P-256
+// points, package ot); server MsgArch (the 32-byte program digest, the id
+// of the pair's set-up the session uses — the first offered one the server
+// holds, else a freshly minted one — then the public spec; or MsgBusy with
+// a uvarint retry-after in ms, then close) and MsgPipeline (uvarint
+// in-flight window, uvarint batch cap). That is the whole set-up of a
+// repeat session. A pair's first session goes on in the same flight with
+// the server's MsgOTBase (its point A) and the set-up OT, one
+// chosen-message IKNP extension of W OTs, W the program's weight bits: the
+// server's MsgOTExtU (exactly ot.ExtULen(W) bytes) with the weight bits as
+// choices, and the client's MsgOTExtY (exactly W × 32 bytes) over the
+// pairs (W_i⁰, W_i⁰ ⊕ Δ), Δ the pair's Free-XOR offset and W_i⁰ a weight
+// wire's zero-label, both drawn by the client. On a resume miss the
+// client's MsgOTBase answers MsgPipeline, a round trip later. How the
+// extension is keyed (package ot) is part of this string: a peer keyed
+// otherwise would hand the server labels that fail authentication
+// mid-stream. Once the set-up OT is done the client files Δ and the
+// zero-labels under the id, the server the labels it chose; the client's
+// MsgOTExtY travels ahead of the first burst. (The §3.3 deployment runs
+// the same set-up OT; outsourcedHello describes it.)
 //
 // An inference classifies B ≥ 1 samples and is one client→server burst
 // answered by one frame. The burst: MsgInferBegin (uvarint B, at most the
@@ -121,8 +114,8 @@ import (
 // from the client ends the session.
 const protocolHello = "deepsecure/19"
 
-// maxOTBase caps the ot-base frame a base-OT sender reads, the receiver's
-// k = 128 uncompressed P-256 points; maxOTBaseA the sender's one point A.
+// maxOTBase caps the base-OT receiver's ot-base frame, its k = 128 points of
+// 65 bytes; maxOTBaseA caps the sender's, its one point A.
 const maxOTBase, maxOTBaseA = 128 * 65, 65
 
 // digestSize is the length of the program digest that opens a session's
@@ -440,9 +433,8 @@ func (s *Server) ServeSession(conn *transport.Conn) (*Stats, error) {
 
 	rng := rngOrDefault(s.Rng)
 	wd.arm(dl.setup("handshake", dl.Handshake))
-	// Until set-up, a client sends its hello, the base phase's frame and
-	// the set-up OT's answer; each is capped before it arrives, every other
-	// type at 0.
+	// Until set-up a client's frames (hello, base frame, the set-up OT's
+	// answer) are each capped before they arrive, every other type at 0.
 	cid, offered, points, err := readHello(conn)
 	if err != nil {
 		return fail(err)
@@ -474,8 +466,8 @@ func (s *Server) ServeSession(conn *transport.Conn) (*Stats, error) {
 		return fail(err)
 	}
 
-	// The mux's reader does not flush, and a first contact's frame is read:
-	// the two frames go out here, ahead of the base phase's work.
+	// The mux's reader does not flush, and a first contact's base frame is
+	// read: the two frames go out here, ahead of the base phase's work.
 	if err := conn.Flush(); err != nil {
 		return fail(err)
 	}
@@ -483,13 +475,11 @@ func (s *Server) ServeSession(conn *transport.Conn) (*Stats, error) {
 		// A repeat session: its set-up is over.
 		set.SessionsResumed.Inc()
 	} else {
-		// The pair's first session: the OT-extension base phase and the
-		// set-up OT, one chosen-message extension with the weight bits as
-		// choices, which gives the pair the weight wires' labels for every
-		// sample of every inference of every session. On a resume miss the
-		// client's base-phase frame answers the architecture; A waits to
-		// leave with U. The client's answer is exactly W pairs. Base-phase
-		// and set-up OT time are the protocol's whole OT cost.
+		// The pair's first session: the set-up OT, one chosen-message
+		// extension with the weight bits as choices, gives the pair the
+		// weight wires' labels for every sample of every inference of every
+		// session; the client's answer is exactly W pairs. On a resume miss
+		// its base frame answers the architecture. A leaves with U.
 		wd.arm(dl.setup("ot-setup", dl.OTSetup))
 		otStart := time.Now()
 		if points == nil {
@@ -519,11 +509,9 @@ func (s *Server) ServeSession(conn *transport.Conn) (*Stats, error) {
 	return fail(err)
 }
 
-// readHello reads a client's hello and, behind one that offers no pair, the
-// base phase's first frame, before the server writes anything: a link that
-// holds no bytes would park both parties in their writes, and a socket
-// closed with unread inbound data may be reset, destroying the answer in
-// flight.
+// readHello reads a client's hello and, behind one that offers no pair, its
+// base frame, before the server writes: a link that holds no bytes would
+// park both parties, and unread data may reset a socket as it closes.
 func readHello(conn *transport.Conn) (cid uint64, offered []pairID, points []byte, err error) {
 	conn.ReadOnly(transport.MsgHello)
 	conn.SetLimit(transport.MsgOTBase, maxOTBase)
@@ -537,10 +525,8 @@ func readHello(conn *transport.Conn) (cid uint64, offered []pairID, points []byt
 	return cid, offered, points, err
 }
 
-// Shed answers a connection the server will not serve with MsgBusy and
-// retryAfter in ms once it has read what the client sends first
-// (readHello), whatever that was. The caller bounds the exchange and closes
-// conn.
+// Shed answers an unserved client MsgBusy (retryAfter in ms) after reading
+// what it sends first (readHello); the caller bounds the exchange.
 func Shed(conn *transport.Conn, retryAfter time.Duration) error {
 	readHello(conn) //nolint:errcheck — any client is answered busy
 	if err := conn.Send(transport.MsgBusy, binary.AppendUvarint(nil, uint64(retryAfter/time.Millisecond))); err != nil {
@@ -822,9 +808,8 @@ func (c *Client) NewSession(conn *transport.Conn) (sess *Session, err error) {
 	// announcing more is refused unread: the architecture is its header and
 	// a spec of at most nn.MaxSpecBytes, a busy answer is one uvarint, the
 	// window announcement two, the base phase's A one point, the set-up
-	// OT's U the size W OTs take, and an inference's
-	// answer is bounded once the program and the batch cap are known. Every
-	// other type is capped at 0.
+	// OT's U the size W OTs take, and an inference's answer is bounded once
+	// the program and the batch cap are known. Every other type is capped at 0.
 	conn.ReadOnly(transport.MsgArch, transport.MsgBusy)
 	conn.SetLimit(transport.MsgArch, archHeader+nn.MaxSpecBytes)
 	conn.SetLimit(transport.MsgBusy, binary.MaxVarintLen64)
@@ -832,8 +817,7 @@ func (c *Client) NewSession(conn *transport.Conn) (sess *Session, err error) {
 	if err := conn.Send(transport.MsgHello, helloFrame(cid, offered)); err != nil {
 		return nil, err
 	}
-	// Behind a hello that offers no pair the base phase opens in the same
-	// write, so that the server's A can come back with its architecture.
+	// Behind a hello that offers no pair the base phase opens in one write.
 	var ots *ot.ExtSender
 	otStart := time.Now()
 	if len(offered) == 0 {
@@ -920,12 +904,11 @@ func (c *Client) NewSession(conn *transport.Conn) (sess *Session, err error) {
 		}
 		set.SessionsResumed.Inc()
 	} else {
-		// The pair's first session: the base phase and the set-up OT of the
-		// pair's delta and a zero-label per weight bit, of which the server
-		// chooses one label of each pair. Its U is capped at what W OTs
-		// take, so a server keyed for more weight bits is refused unread,
-		// and one keyed for fewer by the U length check. On a resume miss
-		// the base phase opens only now.
+		// The pair's first session: the set-up OT of the pair's delta and a
+		// zero-label per weight bit, the server choosing one label of each
+		// pair (on a resume miss the base phase opens only now). Its U is
+		// capped at what W OTs take, so a server keyed for more weight bits
+		// is refused unread, and one keyed for fewer by the U length check.
 		otStart = time.Now()
 		if ots == nil {
 			set.ResumeMisses.Inc()

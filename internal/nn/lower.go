@@ -16,8 +16,7 @@ type Tap struct{ In, W int }
 // until yield returns.
 var tapBufs = sync.Pool{New: func() any { return new([]Tap) }}
 
-// takeTaps returns a taps buffer with room for a row's most, n: a walk never
-// grows one, whether or not the pool kept the last.
+// takeTaps returns a taps buffer with room for n, a row's most taps.
 func takeTaps(n int) *[]Tap {
 	buf := tapBufs.Get().(*[]Tap)
 	if cap(*buf) < n {

@@ -5,13 +5,12 @@
 // weight bits in DeepSecure, §3.1 step ii).
 //
 // An extension is one base phase and what it keys. NewExtSender, the
-// base-OT receiver, speaks first: it sends its 128 points and returns.
-// NewExtReceiver reads them, derives its 128 seed pairs and queues its
-// point A to leave with its first U matrix, ahead of which the sender reads
-// it (Ready). Column i of the extension then runs on the AES-CTR keystream
-// (zero IV) under base seed i itself, the textbook IKNP PRG, its row hashes
-// on tweaks from 0. The seeds key that one extension and nothing else, so
-// no keystream byte under them, and no (tweak, s) pair, is produced twice.
+// base-OT receiver, sends its 128 points; NewExtReceiver answers with its
+// point A, which the sender reads ahead of the first U matrix (Ready).
+// Column i of the extension then runs on the AES-CTR keystream (zero IV)
+// under base seed i itself, the textbook IKNP PRG, its row hashes on
+// tweaks from 0. The seeds key that one extension and nothing else, so no
+// keystream byte under them, and no (tweak, s) pair, is produced twice.
 package ot
 
 import (
@@ -39,10 +38,10 @@ var curve = elliptic.P256()
 const pointLen = 65
 
 // cx, cy is the base OT's fixed point C, whose discrete logarithm nobody
-// knows: for ctr = 0, 1, … (4 bytes, big-endian), x = sha256(
-// "deepsecure/ot-base/C" ‖ ctr) mod p, and C is the first x that decodes as
-// a compressed point, with its even y. A receiver that knew dlog(C) could
-// learn both seeds of every base OT.
+// knows (a receiver that did could learn both seeds of every base OT): for
+// ctr = 0, 1, … (4 bytes, big-endian), x = sha256("deepsecure/ot-base/C" ‖
+// ctr) mod p, and C is the first x that decodes as a compressed point, with
+// its even y.
 var cx, cy = func() (x, y *big.Int) {
 	for ctr := uint32(0); ; ctr++ {
 		h := sha256.Sum256(binary.BigEndian.AppendUint32([]byte("deepsecure/ot-base/C"), ctr))
@@ -53,17 +52,15 @@ var cx, cy = func() (x, y *big.Int) {
 	}
 }()
 
+// randScalar draws a scalar in [1, n) by rejection, as 32 big-endian bytes.
 func randScalar(rng io.Reader) ([]byte, error) {
-	n := curve.Params().N
-	byteLen := (n.BitLen() + 7) / 8
 	for {
-		b := make([]byte, byteLen)
+		b := make([]byte, 32)
 		if _, err := io.ReadFull(rng, b); err != nil {
 			return nil, fmt.Errorf("ot: scalar randomness: %w", err)
 		}
-		k := new(big.Int).SetBytes(b)
-		if k.Sign() > 0 && k.Cmp(n) < 0 {
-			return k.FillBytes(make([]byte, byteLen)), nil
+		if k := new(big.Int).SetBytes(b); k.Sign() > 0 && k.Cmp(curve.Params().N) < 0 {
+			return b, nil
 		}
 	}
 }
@@ -75,25 +72,21 @@ func seedKey(i int, x, y *big.Int) Msg {
 	return Msg(sum[:MsgLen])
 }
 
-// negY returns the negation of a curve point (x, -y mod p).
-func negY(y *big.Int) *big.Int {
-	p := curve.Params().P
-	return new(big.Int).Mod(new(big.Int).Neg(y), p)
-}
-
-// baseChoose is the base-OT receiver's message for choices: for each i a
-// fresh scalar b_i and B_i = b_i·G, or C − b_i·G when choices[i] is set. It
-// returns the scalars, which baseKeys needs once A arrives, and the points.
-func baseChoose(rng io.Reader, choices []bool) (bs [][]byte, points []byte, err error) {
-	bs = make([][]byte, len(choices))
-	points = make([]byte, 0, pointLen*len(choices))
-	for i, c := range choices {
+// baseChoose is the base-OT receiver's message for the k choice bits s,
+// packed LSB-first: for each i a fresh scalar b_i and B_i = b_i·G, or
+// C − b_i·G when bit i is set. It returns the scalars, which baseKeys needs
+// once A arrives, and the points.
+func baseChoose(rng io.Reader, s []byte) (bs [][]byte, points []byte, err error) {
+	bs = make([][]byte, k)
+	points = make([]byte, 0, pointLen*k)
+	for i := range bs {
 		if bs[i], err = randScalar(rng); err != nil {
 			return nil, nil, err
 		}
 		bx, by := curve.ScalarBaseMult(bs[i])
-		if c {
-			bx, by = curve.Add(cx, cy, bx, negY(by)) // B = C − b·G
+		if s[i/8]>>(i%8)&1 == 1 {
+			// B = C − b·G; no P-256 point has y = 0, so p − y is −y.
+			bx, by = curve.Add(cx, cy, bx, new(big.Int).Sub(curve.Params().P, by))
 		}
 		points = append(points, elliptic.Marshal(curve, bx, by)...)
 	}
@@ -117,12 +110,12 @@ func baseKeys(keys []Msg, a []byte, bs [][]byte) error {
 }
 
 // baseSend is the base-OT sender's half of random OTs, given the receiver's
-// points: it draws one scalar a, writes each OT's two seeds into keys[0][i]
-// and keys[1][i], H(i ‖ a·B_i) and H(i ‖ a·C − a·B_i), and returns A = a·G,
-// its whole message. The receiver learns the seed its choice selects and
-// nothing of the other without dlog(C); the sender learns nothing of the
-// choices, for B_i is uniform whichever it is. A point off the curve, or C
-// itself (whose two seeds the receiver would both know), is refused.
+// points: it draws one scalar a, writes OT i's seeds H(i ‖ a·B_i) and
+// H(i ‖ a·C − a·B_i) into keys[0][i] and keys[1][i], and returns A = a·G,
+// its whole message. Without dlog(C) the receiver learns only the seed its
+// choice selects, and B_i is uniform whichever the choice. A point off the
+// curve, or C itself (whose two seeds the receiver would both know), is
+// refused.
 func baseSend(keys *[2][k]Msg, rng io.Reader, points []byte) ([]byte, error) {
 	if len(points) != pointLen*k {
 		return nil, fmt.Errorf("ot: base receiver sent %d bytes, want %d", len(points), pointLen*k)
@@ -139,7 +132,7 @@ func baseSend(keys *[2][k]Msg, rng io.Reader, points []byte) ([]byte, error) {
 		}
 		abx, aby := curve.ScalarMult(bx, by, a)
 		keys[0][i] = seedKey(i, abx, aby)
-		dx, dy := curve.Add(acx, acy, abx, negY(aby)) // a·C − a·B
+		dx, dy := curve.Add(acx, acy, abx, new(big.Int).Sub(curve.Params().P, aby)) // a·C − a·B
 		keys[1][i] = seedKey(i, dx, dy)
 	}
 	ax, ay := curve.ScalarBaseMult(a)

@@ -154,19 +154,14 @@ type ExtSender struct {
 	buf  []gc.Label // Send's Y payload, or Pads' q columns, grown once per extension
 }
 
-// NewExtSender opens the base phase over conn as base-OT receiver with a
-// fresh secret choice vector: it sends and flushes its 128 points and
-// returns without reading. Ready reads the answer.
+// NewExtSender opens the base phase over conn as base-OT receiver of a fresh
+// secret choice vector: it sends and flushes its points; Ready reads A.
 func NewExtSender(conn transport.FrameConn, rng io.Reader) (*ExtSender, error) {
 	es := &ExtSender{conn: conn, h: gc.NewHasher()}
 	if _, err := io.ReadFull(rng, es.s[:]); err != nil {
 		return nil, fmt.Errorf("ot: sender randomness: %w", err)
 	}
-	s := make([]bool, k)
-	for i := range s {
-		s[i] = es.s[i/8]&(1<<uint(i%8)) != 0
-	}
-	bs, points, err := baseChoose(rng, s)
+	bs, points, err := baseChoose(rng, es.s[:])
 	if err == nil {
 		if err = conn.Send(transport.MsgOTBase, points); err == nil {
 			err = conn.Flush()
@@ -179,10 +174,9 @@ func NewExtSender(conn transport.FrameConn, rng io.Reader) (*ExtSender, error) {
 	return es, nil
 }
 
-// Ready ends the base phase, once: it reads the base-OT sender's point A,
-// which travels ahead of the receiver's first U matrix, and keys column i
-// with H(i ‖ b_i·A). Send calls it; a caller that reads U itself, for Pads,
-// calls it first.
+// Ready ends the base phase, once: it reads the base-OT sender's point A
+// and keys column i with H(i ‖ b_i·A). Send calls it; a caller that reads
+// U itself, for Pads, calls it first.
 func (es *ExtSender) Ready() error {
 	if es.b == nil {
 		return nil
@@ -233,11 +227,9 @@ func (es *ExtSender) Send(pairs [][2]Msg) error {
 // nothing. The receiver's Pads yields pads[j][c_j] for its choice bit c_j;
 // pads[j][1−c_j] is pseudorandom to it. Pads calls, Send's included,
 // must happen in the wire order of the U frames: the column keystreams
-// and the hash counter are stateful. The base phase must be over (Ready).
+// and the hash counter are stateful. The base phase must be over (Ready):
+// its A travels ahead of the first U.
 func (es *ExtSender) Pads(u []byte, pads [][2]Msg) error {
-	if es.b != nil {
-		return fmt.Errorf("ot: Pads before the base phase ended (Ready)")
-	}
 	return es.pads(u, bytesOf(es.grow(8*((len(pads)+7)/8))), flat(pads))
 }
 
@@ -305,8 +297,7 @@ type ExtReceiver struct {
 	buf  []byte // Receive's U matrix, grown once per extension
 }
 
-// NewExtReceiver reads the sender's 128 points over conn and answers them
-// as base-OT sender (AnswerBase), returning a receiver ready for Receive.
+// NewExtReceiver reads the sender's 128 points over conn and answers them.
 func NewExtReceiver(conn transport.FrameConn, rng io.Reader) (*ExtReceiver, error) {
 	points, err := conn.Recv(transport.MsgOTBase)
 	if err != nil {
@@ -315,9 +306,8 @@ func NewExtReceiver(conn transport.FrameConn, rng io.Reader) (*ExtReceiver, erro
 	return AnswerBase(conn, rng, points)
 }
 
-// AnswerBase is NewExtReceiver for a caller that read the sender's points
-// itself: it derives the random seed pairs from them and queues its point A
-// on conn unflushed, so that A leaves with the first U matrix.
+// AnswerBase is NewExtReceiver for points the caller read: it derives the
+// seed pairs and queues A on conn unflushed, to leave with the first U.
 func AnswerBase(conn transport.FrameConn, rng io.Reader, points []byte) (*ExtReceiver, error) {
 	er := &ExtReceiver{conn: conn, h: gc.NewHasher()}
 	a, err := baseSend(&er.keys, rng, points)

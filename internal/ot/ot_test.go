@@ -38,7 +38,13 @@ func randChoices(rng *rand.Rand, n int) []bool {
 // memory, and returns the receiver's seeds and the sender's pairs.
 func baseOT(t *testing.T, choices []bool, seedR, seedS int64) (got [k]Msg, seeds [2][k]Msg) {
 	t.Helper()
-	bs, points, err := baseChoose(rand.New(rand.NewSource(seedR)), choices)
+	var s [k / 8]byte
+	for i, c := range choices {
+		if c {
+			s[i/8] |= 1 << (i % 8)
+		}
+	}
+	bs, points, err := baseChoose(rand.New(rand.NewSource(seedR)), s[:])
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -120,7 +126,7 @@ func curveRHS(x *big.Int) *big.Int {
 // curve.
 func TestBaseSendRefusesBadPoints(t *testing.T) {
 	rng := rand.New(rand.NewSource(6))
-	_, points, err := baseChoose(rng, make([]bool, k))
+	_, points, err := baseChoose(rng, make([]byte, k/8))
 	if err != nil {
 		t.Fatal(err)
 	}

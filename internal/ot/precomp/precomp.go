@@ -136,10 +136,9 @@ type SenderPool struct {
 	pads [][2]ot.Msg // the unused entries, next first
 }
 
-// NewSenderPool wraps an extension sender whose base phase is over (its
-// Send or Ready has run). The pool draws no randomness
-// of its own (its pads are the extension's row hashes); the rng parameter
-// stays because bench/ passes one.
+// NewSenderPool wraps an extension sender whose base phase is over (Send
+// or Ready ran). The pool draws no randomness of its own (its pads are the
+// extension's row hashes); the rng parameter stays because bench/ passes one.
 func NewSenderPool(conn transport.FrameConn, ots *ot.ExtSender, _ io.Reader) *SenderPool {
 	return &SenderPool{conn: conn, ots: ots}
 }
